@@ -1,9 +1,10 @@
 // Package qgraph's root benchmarks regenerate every figure of the paper's
-// evaluation (one benchmark per figure, DESIGN.md §4) plus the ablations
-// of DESIGN.md §5. Each benchmark iteration runs the full experiment at
-// QuickScale and reports the figure's headline quantity as a custom
-// metric, so `go test -bench=. -benchmem` doubles as the reproduction
-// harness. For the richer default-scale tables, use cmd/qgraph-bench.
+// evaluation (one benchmark per figure of Sec. 4) plus the ablations of
+// internal/experiments/ablations.go. Each benchmark iteration runs the
+// full experiment at QuickScale and reports the figure's headline
+// quantity as a custom metric, so `go test -bench=. -benchmem` doubles as
+// the reproduction harness. For the richer default-scale tables, use
+// cmd/qgraph-bench.
 package qgraph
 
 import (
@@ -161,7 +162,7 @@ func BenchmarkFig7b(b *testing.B) {
 	benchExperiment(b, "fig7b", nil)
 }
 
-// Ablation benchmarks (DESIGN.md §5).
+// Ablation benchmarks (internal/experiments/ablations.go).
 
 // BenchmarkAblationPerturbation isolates the ILS perturbation subroutine.
 func BenchmarkAblationPerturbation(b *testing.B) {

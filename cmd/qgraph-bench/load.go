@@ -396,7 +396,6 @@ func reportDurability(client *http.Client, base string, mut *mutationTotals) {
 			LastGroupSize       int64   `json:"last_group_size"`
 		} `json:"wal"`
 		MVCC struct {
-			Pipelined      bool   `json:"pipelined"`
 			Live           int    `json:"live_versions"`
 			Pinned         int    `json:"pinned_readers"`
 			Retired        uint64 `json:"retired_versions"`
@@ -412,8 +411,8 @@ func reportDurability(client *http.Client, base string, mut *mutationTotals) {
 	if err != nil || json.Unmarshal([]byte(raw), &st) != nil {
 		return
 	}
-	fmt.Printf("mvcc: pipelined=%v live_versions=%d pinned_readers=%d retired=%d peak_live=%d sealed_in_flight=%d max_worker_lag=%d\n",
-		st.MVCC.Pipelined, st.MVCC.Live, st.MVCC.Pinned, st.MVCC.Retired,
+	fmt.Printf("mvcc: live_versions=%d pinned_readers=%d retired=%d peak_live=%d sealed_in_flight=%d max_worker_lag=%d\n",
+		st.MVCC.Live, st.MVCC.Pinned, st.MVCC.Retired,
 		st.MVCC.Peak, st.MVCC.SealedInFlight, st.MVCC.MaxWorkerLag)
 	w := st.WAL
 	if !w.Enabled {

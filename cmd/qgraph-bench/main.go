@@ -1,5 +1,6 @@
 // Command qgraph-bench regenerates the figures of the paper's evaluation
-// (and the ablations of DESIGN.md §5) and prints the measured series.
+// (README "Reproduce the paper's figures", plus the ablations of
+// internal/experiments) and prints the measured series.
 //
 //	qgraph-bench -list
 //	qgraph-bench -exp fig6a

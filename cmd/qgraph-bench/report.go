@@ -104,11 +104,6 @@ type benchReport struct {
 	// router_read_notrace: the per-request cost of the router opening a
 	// route trace and propagating X-QGraph-Trace-ID downstream.
 	RouterTraceOverheadPct *float64 `json:"router_trace_overhead_pct,omitempty"`
-	// CommitPipelineSpeedupX compares the write_barrier and
-	// write_pipelined scenarios' commit p50: how many times faster a
-	// mutation commits when it no longer rides the global STOP/START
-	// barrier. Derived once both scenarios are present.
-	CommitPipelineSpeedupX *float64 `json:"commit_pipeline_speedup_x,omitempty"`
 }
 
 // writeBenchJSON merges one scenario into the report at path
@@ -155,14 +150,6 @@ func writeBenchJSON(path, scenario string, sc benchScenario, keepBest bool) erro
 		if bare, ok := rep.Scenarios["router_read_notrace"]; ok && bare.Latency.MeanMS > 0 {
 			pct := 100 * (full.Latency.MeanMS - bare.Latency.MeanMS) / bare.Latency.MeanMS
 			rep.RouterTraceOverheadPct = &pct
-		}
-	}
-	rep.CommitPipelineSpeedupX = nil
-	if barrier, ok := rep.Scenarios["write_barrier"]; ok && barrier.Mutations != nil {
-		if piped, ok := rep.Scenarios["write_pipelined"]; ok && piped.Mutations != nil &&
-			piped.Mutations.Commit.P50MS > 0 {
-			x := barrier.Mutations.Commit.P50MS / piped.Mutations.Commit.P50MS
-			rep.CommitPipelineSpeedupX = &x
 		}
 	}
 	out, err := json.MarshalIndent(rep, "", "  ")

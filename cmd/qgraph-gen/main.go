@@ -1,5 +1,5 @@
 // Command qgraph-gen generates and inspects the synthetic graphs of this
-// reproduction (DESIGN.md §3).
+// reproduction (internal/gen: stand-ins for the inputs of Sec. 4.1).
 //
 //	qgraph-gen -kind road -preset bw -scale 64 -out bw.qgr
 //	qgraph-gen -kind social -n 20000 -out social.qgr

@@ -135,8 +135,7 @@ func main() {
 		cacheTTL   = flag.Duration("cache-ttl", time.Minute, "result cache entry lifetime (-serve)")
 		reqTimeout = flag.Duration("timeout", 30*time.Second, "default per-request deadline (-serve)")
 
-		commitEvery = flag.Duration("commit-every", 250*time.Millisecond, "max time staged graph mutations wait before the commit barrier (controller)")
-		barrierCmt  = flag.Bool("barrier-commit", false, "commit mutation batches under the global STOP/START barrier instead of the pipelined MVCC path (controller; pre-MVCC baseline for A/B comparison)")
+		commitEvery = flag.Duration("commit-every", 250*time.Millisecond, "max time staged graph mutations wait before the batch is sealed (controller)")
 		maxBatchOps = flag.Int("max-batch-ops", 4096, "commit the staged mutation batch early at this many ops (controller)")
 		hbEvery     = flag.Duration("heartbeat-every", time.Second, "worker liveness probe interval; negative disables (controller)")
 		hbTimeout   = flag.Duration("heartbeat-timeout", 5*time.Second, "silence after which a worker is declared dead (controller)")
@@ -362,7 +361,6 @@ func main() {
 			K: k, Graph: baseG, Owner: assign, Adapt: *adapt, Recorder: rec,
 			Obs: o, Monitor: mon,
 			CommitEvery: *commitEvery, MaxBatchOps: *maxBatchOps,
-			BarrierCommit:  *barrierCmt,
 			HeartbeatEvery: *hbEvery, HeartbeatTimeout: *hbTimeout,
 			Snapshots: snapStore, BaseVersion: baseV, WAL: walLog,
 			SnapshotPolicy: snapshot.Policy{

@@ -15,14 +15,14 @@ import (
 // the checkpoint does not cover.
 //
 // Consistency comes for free from the commit protocol: the committed view
-// only ever changes inside the global STOP/START barrier, so any committed
-// version is superstep-consistent — no query ever observed a state between
-// two versions. And because delta.View is immutable (every commit builds a
-// new view), pinning a version is one pointer copy: the commit barrier's
-// only checkpoint work. The O(V+E) materialization and the durable write
-// run on a background cutter goroutine, off the barrier, and the result
-// flows back through cutCh so truncation still happens on the event loop
-// where the logs live.
+// only ever changes by a whole batch on the event loop, and every query
+// runs against the version it pinned, so any committed version is
+// superstep-consistent — no query ever observed a state between two
+// versions. And because delta.View is immutable (every commit builds a
+// new view), pinning a version is one pointer copy: the commit's only
+// checkpoint work. The O(V+E) materialization and the durable write run
+// on a background cutter goroutine, and the result flows back through
+// cutCh so truncation still happens on the event loop where the logs live.
 //
 // Truncation safety: the logs are only dropped up to the *durable* floor
 // the store reports — with a disk-backed store, a failed persist keeps the
@@ -40,8 +40,8 @@ type cutDone struct {
 }
 
 // maybeCheckpoint pins a checkpoint cut when the policy says the log grew
-// (or aged) enough. Called after every applied commit, while the global
-// barrier still holds — which is why it only pins and never materializes.
+// (or aged) enough. Called after every applied commit, on the event loop
+// — which is why it only pins and never materializes.
 func (c *Controller) maybeCheckpoint(now time.Time) {
 	if !c.cfg.SnapshotPolicy.Enabled() {
 		return
@@ -80,7 +80,7 @@ func (c *Controller) requestCheckpoint(ch chan snapshot.Result) {
 }
 
 // startCut pins the immutable committed view — the only checkpoint work
-// the event loop (and thus the commit barrier) ever pays — and folds it
+// the event loop (and thus a commit) ever pays — and folds it
 // on a background goroutine. The policy accounting resets at the pin;
 // onCutDone restores it if the cut aborts.
 func (c *Controller) startCut(now time.Time) {

@@ -99,16 +99,11 @@ type Config struct {
 	Seed uint64
 
 	// CommitEvery is the maximum time staged graph mutations wait before
-	// they are committed at a barrier (streaming updates, internal/delta).
+	// their batch is sealed (streaming updates, internal/delta).
 	CommitEvery time.Duration
 	// MaxBatchOps commits the staged batch early once it holds this many
 	// operations.
 	MaxBatchOps int
-	// BarrierCommit selects the pre-MVCC baseline: mutation batches commit
-	// under the global STOP/START barrier (quiescing every query) instead
-	// of the pipelined off-barrier path. Kept for A/B benchmarking; the
-	// default (false) commits off-barrier against pinned query snapshots.
-	BarrierCommit bool
 	// HeartbeatEvery is the worker liveness probe interval; negative
 	// disables heartbeats (zero selects the default).
 	HeartbeatEvery time.Duration
@@ -285,7 +280,6 @@ const (
 	phaseQuiesce
 	phaseStopping
 	phaseDraining
-	phaseDeltaCommit
 	phaseMoving
 	phaseScopeDrain
 	phaseRecover
@@ -382,11 +376,8 @@ type Controller struct {
 	pendingMuts  []pendingMut
 	pendingNewV  int // AddVertex ops staged (range validation)
 	firstOpAt    time.Time
-	commitBatch  *protocol.DeltaBatch
-	commitMuts   []pendingMut
-	deltaAcks    int
-	// Pipelined (off-barrier) commit state. views is the controller-side
-	// MVCC registry: every committed version a query still has pinned stays
+	// Off-barrier commit state. views is the controller-side MVCC
+	// registry: every committed version a query still has pinned stays
 	// resolvable (its Stats surface the compaction floor). sealed is the
 	// FIFO of batches sealed — version assigned, enqueued to the WAL group
 	// committer — but not yet durable+applied; sealedHead is the last sealed
@@ -403,10 +394,6 @@ type Controller struct {
 	sealedInFlight  atomic.Int64
 	minAckedVersion atomic.Uint64
 	ackVersion      []uint64
-	// barrierHadMoves marks the active global barrier as a repartitioning
-	// one (scope moves executed); delta-only barriers do not count as
-	// repartitions.
-	barrierHadMoves bool
 
 	// Worker liveness. missedPings[w] counts heartbeat probes since w's
 	// last answer; past the limit the worker is declared dead and a
@@ -442,7 +429,7 @@ type Controller struct {
 	// snapOps/snapBytes accumulate committed log growth since the last
 	// cut; the atomic log mirrors serve concurrent /stats readers.
 	//
-	// Cuts run OFF the commit barrier: the barrier path only pins the
+	// Cuts run OFF the commit path: a commit only pins the
 	// immutable committed view (O(1)) and a background cutter goroutine
 	// materializes and persists it, reporting back through cutCh so the
 	// event loop truncates the delta log and WAL — the O(V+E) fold never
@@ -471,14 +458,11 @@ type Controller struct {
 	// cut for concurrent readers (/healthz lag, /metrics); 0 before the
 	// first cut.
 	lastCutUnixNS atomic.Int64
-	// commitStartAt is when the in-flight delta commit sealed its batch
-	// (commit latency = seal to applied, covering the barrier it rode).
-	commitStartAt time.Time
 
 	qcutRunning bool
 	qcutCh      chan qcut.Result
 	lastRepart  time.Time
-	// Repartitions counts executed global barriers with moves.
+	// Repartitions counts executed global barriers (scope moves, recovery).
 	repartitions int
 	// repartEpoch mirrors repartitions atomically so concurrent readers
 	// (the serving layer's result cache) can observe partition changes
@@ -620,8 +604,8 @@ func (c *Controller) Cancel(q query.ID) {
 	}
 }
 
-// Mutate stages one batch of graph mutations for the next commit barrier
-// and returns a channel that delivers the MutationResult once the batch
+// Mutate stages one batch of graph mutations for the next commit and
+// returns a channel that delivers the MutationResult once the batch
 // committed (or failed). Multiple Mutate calls may be folded into one
 // commit; each caller still gets its own per-op accounting. Safe from any
 // goroutine while Run is active.
@@ -659,7 +643,7 @@ func (c *Controller) RecoveryStats() recovery.Stats { return c.recCtr.Snapshot()
 // trigger behind POST /admin/snapshot) and truncates the committed-op log
 // to the ops newer than the durable checkpoint. The fold runs on the
 // background cutter; this call blocks until it (and the truncation)
-// completed, but the event loop — and every commit barrier — keeps
+// completed, but the event loop — and every commit — keeps
 // running meanwhile. Safe from any goroutine while Run is active. A
 // Result with Cut=false means the current version was already
 // checkpointed (or the cut was aborted by fault injection).
@@ -708,14 +692,11 @@ func (c *Controller) WALStats() wal.Stats {
 // version.
 type MVCCStats struct {
 	delta.RegistryStats
-	// Pipelined is false when Config.BarrierCommit selected the baseline.
-	Pipelined bool `json:"pipelined"`
 	// SealedInFlight is the number of batches sealed (version assigned,
 	// queued for group fsync) but not yet applied.
 	SealedInFlight int64 `json:"sealed_in_flight"`
 	// MaxWorkerLag is committed version minus the slowest live worker's
-	// last-acknowledged version (pipelined mode only; barrier commits
-	// cannot lag by construction).
+	// last-acknowledged version.
 	MaxWorkerLag uint64 `json:"max_worker_lag"`
 }
 
@@ -724,10 +705,9 @@ type MVCCStats struct {
 func (c *Controller) MVCCStats() MVCCStats {
 	st := MVCCStats{
 		RegistryStats:  c.views.Stats(),
-		Pipelined:      !c.cfg.BarrierCommit,
 		SealedInFlight: c.sealedInFlight.Load(),
 	}
-	if v, acked := c.graphVersion.Load(), c.minAckedVersion.Load(); !c.cfg.BarrierCommit && v > acked {
+	if v, acked := c.graphVersion.Load(), c.minAckedVersion.Load(); v > acked {
 		st.MaxWorkerLag = v - acked
 	}
 	return st
@@ -856,19 +836,14 @@ func (c *Controller) failActive() {
 	c.failMutations(stopped, stopped)
 }
 
-// failMutations delivers errors to every staged (pendingErr) and
-// in-commit (commitErr) mutation batch. The two differ on worker death:
-// staged ops were never broadcast, while a broadcast batch may already be
-// applied on surviving replicas.
+// failMutations delivers errors to every staged (pendingErr) and sealed
+// (commitErr) mutation batch. The two differ on worker death: staged ops
+// never left the controller, while a sealed batch was enqueued to the WAL
+// and may already be durable, just never acknowledged.
 func (c *Controller) failMutations(pendingErr, commitErr error) {
 	for _, pm := range c.pendingMuts {
 		pm.ch <- MutationResult{Err: pendingErr}
 	}
-	for _, pm := range c.commitMuts {
-		pm.ch <- MutationResult{Err: commitErr}
-	}
-	// Sealed pipelined batches are in commitBatch's position: enqueued to
-	// the WAL, possibly already durable, but never acknowledged.
 	for _, sb := range c.sealed {
 		for _, pm := range sb.muts {
 			pm.ch <- MutationResult{Err: commitErr}
@@ -876,9 +851,7 @@ func (c *Controller) failMutations(pendingErr, commitErr error) {
 	}
 	c.sealed, c.durableQ = nil, nil
 	c.sealedInFlight.Store(0)
-	c.pendingMuts, c.commitMuts = nil, nil
-	c.pendingOps, c.pendingNewV, c.firstOpAt = nil, 0, time.Time{}
-	c.commitBatch = nil
+	c.pendingOps, c.pendingMuts, c.pendingNewV, c.firstOpAt = nil, nil, 0, time.Time{}
 }
 
 func (c *Controller) handle(env transport.Envelope) error {

@@ -2,7 +2,6 @@ package controller
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"qgraph/internal/delta"
@@ -14,35 +13,26 @@ import (
 
 // This file is the controller side of the streaming-update data plane
 // (internal/delta): Mutate calls stage operations into a pending batch,
-// and the batch commits to version v+1 through one of two paths:
-//
-// Pipelined (the default): the batch is sealed — version assigned, new
-// vertices placed — and handed to the WAL group committer; once the shared
-// fsync reports it durable, the event loop applies it to the controller
-// view, publishes the version, broadcasts the DeltaBatch to the workers,
-// and acknowledges the callers. No query stops: each query pinned an
-// immutable snapshot at admission (query.Spec.PinVersion) and runs to
-// completion against it, so commit latency is seal→fsync→apply instead of
-// a function of the longest-running superstep. The global STOP/START
-// barrier remains for repartitioning and recovery only.
-//
-// Barrier (Config.BarrierCommit, the pre-MVCC baseline kept for A/B
-// benchmarking): the batch commits under the global barrier while the
-// vertex-message network is provably quiet, quiescing every query.
-//
-// Both paths preserve the durability contract — a batch reaches the
-// fsynced WAL before any caller is told it committed — and the on-disk WAL
-// format (one record per version), so replicas tailing the WAL and restart
-// recovery never know which path produced a record.
+// and the batch commits to version v+1 off the global barrier. It is
+// sealed — version assigned, new vertices placed — and handed to the WAL
+// group committer; once the shared fsync reports it durable, the event
+// loop applies it to the controller view, publishes the version,
+// broadcasts the DeltaBatch to the workers, and acknowledges the callers.
+// No query stops: each query pinned an immutable snapshot at admission
+// (query.Spec.PinVersion) and runs to completion against it, so commit
+// latency is seal→fsync→apply instead of a function of the longest-running
+// superstep. The global STOP/START barrier remains for repartitioning and
+// recovery only. A batch reaches the fsynced WAL before any caller is told
+// it committed.
 
-// maxSealedInFlight caps pipelined batches sealed but not yet applied. It
-// sits well below the WAL group committer's queue depth, so Enqueue never
-// blocks the event loop; at the cap, staged ops simply keep accumulating
-// into a bigger next batch.
+// maxSealedInFlight caps batches sealed but not yet applied. It sits well
+// below the WAL group committer's queue depth, so Enqueue never blocks the
+// event loop; at the cap, staged ops simply keep accumulating into a
+// bigger next batch.
 const maxSealedInFlight = 128
 
-// sealedBatch is one pipelined commit in flight: sealed (version assigned,
-// handed to the WAL group committer) but not yet durable and applied.
+// sealedBatch is one commit in flight: sealed (version assigned, handed to
+// the WAL group committer) but not yet durable and applied.
 type sealedBatch struct {
 	batch    *protocol.DeltaBatch
 	muts     []pendingMut
@@ -58,11 +48,8 @@ func (c *Controller) onMutate(req mutateReq) {
 		return
 	}
 	// Range-validate against the staged future: committed view plus every
-	// vertex an earlier staged, sealed, or in-commit op will add.
+	// vertex an earlier staged or sealed op will add.
 	n := c.view.NumVertices() + c.pendingNewV
-	if c.commitBatch != nil {
-		n += len(c.commitBatch.NewOwners)
-	}
 	for _, sb := range c.sealed {
 		n += len(sb.batch.NewOwners)
 	}
@@ -83,8 +70,7 @@ func (c *Controller) onMutate(req mutateReq) {
 	c.maybeCommit(c.cfg.Clock())
 }
 
-// maybeCommit commits the staged batch once it is old or big enough,
-// through the path the configuration selected.
+// maybeCommit seals the staged batch once it is old or big enough.
 func (c *Controller) maybeCommit(now time.Time) {
 	if c.terminal || len(c.pendingOps) == 0 {
 		return
@@ -92,22 +78,13 @@ func (c *Controller) maybeCommit(now time.Time) {
 	if len(c.pendingOps) < c.cfg.MaxBatchOps && now.Sub(c.firstOpAt) < c.cfg.CommitEvery {
 		return
 	}
-	if c.cfg.BarrierCommit {
-		// Baseline: one commit at a time, under a global barrier that needs
-		// phaseRun to start.
-		if c.phase != phaseRun || c.commitBatch != nil {
-			return
-		}
-		c.startCommit()
-		return
-	}
-	// Pipelined: sealing needs no barrier, but recovery is still resolving
-	// who is alive (new-vertex placement and the round's version-equality
-	// check both depend on it), and the in-flight cap bounds queued fsyncs.
+	// Sealing needs no barrier, but recovery is still resolving who is
+	// alive (new-vertex placement and the round's version-equality check
+	// both depend on it), and the in-flight cap bounds queued fsyncs.
 	if c.phase == phaseRecover || len(c.sealed) >= maxSealedInFlight {
 		return
 	}
-	c.sealPipelined()
+	c.seal()
 }
 
 // assignNewOwners places each AddVertex of ops on the least-loaded live
@@ -140,12 +117,12 @@ func (c *Controller) assignNewOwners(ops []delta.Op) []partition.WorkerID {
 	return owners
 }
 
-// sealPipelined seals the staged ops into version sealedHead+1 and hands
+// seal seals the staged ops into version sealedHead+1 and hands
 // the batch to the WAL group committer; application happens when the
 // shared fsync acks through walAckCh. Without a WAL there is nothing to
 // wait for — a synthetic completion rides the same channel so the apply
 // path (and its fatal-error handling) stays single.
-func (c *Controller) sealPipelined() {
+func (c *Controller) seal() {
 	owners := c.assignNewOwners(c.pendingOps)
 	c.sealedHead++
 	sb := &sealedBatch{
@@ -290,138 +267,24 @@ func (c *Controller) applyDurable(ack wal.AppendAck) error {
 	return nil
 }
 
-// startCommit (barrier mode) seals the staged ops into the next version's
-// DeltaBatch and begins the global barrier that will broadcast it.
-func (c *Controller) startCommit() {
-	c.commitBatch = &protocol.DeltaBatch{
-		Version:   c.graphVersion.Load() + 1,
-		Ops:       c.pendingOps,
-		NewOwners: c.assignNewOwners(c.pendingOps),
-	}
-	c.commitMuts = c.pendingMuts
-	c.pendingOps, c.pendingMuts, c.pendingNewV, c.firstOpAt = nil, nil, 0, time.Time{}
-	c.commitStartAt = time.Now()
-	c.beginGlobalBarrier(nil)
-}
-
-// sendCommit broadcasts the sealed batch (phase draining → delta commit);
-// the network is quiet, so workers apply it between supersteps.
-func (c *Controller) sendCommit() {
-	c.enterPhase(phaseDeltaCommit)
-	c.deltaAcks = 0
-	c.broadcast(c.commitBatch)
-}
-
-// onDeltaAck collects worker acknowledgements. In barrier mode the commit
-// completes once every live worker applied the batch; in pipelined mode
-// commits never wait for acks — they only feed replication-lag accounting.
+// onDeltaAck records how far worker m.W's replica has applied. Commits
+// never wait for these acks — they only feed replication-lag accounting.
 func (c *Controller) onDeltaAck(m *protocol.DeltaAck) error {
-	if !c.cfg.BarrierCommit {
-		if int(m.W) < len(c.ackVersion) && m.Version > c.ackVersion[m.W] {
-			c.ackVersion[m.W] = m.Version
-			min := uint64(math.MaxUint64)
-			for w, v := range c.ackVersion {
-				if c.deadWorkers[partition.WorkerID(w)] {
-					continue
-				}
-				if v < min {
-					min = v
-				}
-			}
-			if min != math.MaxUint64 {
-				c.minAckedVersion.Store(min)
-			}
-		}
-		return nil
+	if int(m.W) < len(c.ackVersion) && m.Version > c.ackVersion[m.W] {
+		c.recordAck(m.W, m.Version)
 	}
-	if c.phase != phaseDeltaCommit || c.commitBatch == nil || m.Version != c.commitBatch.Version {
-		// Not a protocol violation: recovery aborts and retries commits, so
-		// an ack from before the abort can surface in any later phase.
-		return nil
-	}
-	c.deltaAcks++
-	if c.deltaAcks < c.liveCount() {
-		return nil
-	}
-	if err := c.applyCommit(); err != nil {
-		return err
-	}
-	return c.issueMoves()
+	return nil
 }
 
-// applyCommit (barrier mode) applies the acknowledged batch to the
-// controller's view and delivers per-caller results.
-func (c *Controller) applyCommit() error {
-	batch := c.commitBatch
-	nv, statuses, err := c.view.Apply(batch.Ops)
-	if err != nil {
-		// The batch was validated when staged; failing here means the
-		// replicas that just acked diverged from us — fatal.
-		return fmt.Errorf("controller: committed batch %d failed to apply: %w", batch.Version, err)
-	}
-	c.view = nv
-	c.curView.Store(nv)
-	c.graphVersion.Store(batch.Version)
-	c.views.Publish(nv)
-	c.sealedHead = batch.Version
-	preBytes := c.deltaLog.Bytes()
-	if err := c.deltaLog.Append(batch.Version, batch.Ops); err != nil {
-		// Impossible: versions commit contiguously from this one loop.
-		return fmt.Errorf("controller: %w", err)
-	}
-	// Durability point: the batch reaches the write-ahead log — fsynced —
-	// before any caller is told it committed. A WAL that cannot take the
-	// append is fatal: acknowledging an op the disk never saw would break
-	// the restart contract, so the engine stops loudly instead (the
-	// callers then see an explicit "batch state unknown" error).
-	if c.cfg.WAL != nil {
-		fsyncStart := time.Now()
-		if err := c.cfg.WAL.Append(batch.Version, batch.Ops); err != nil {
-			return fmt.Errorf("controller: %w", err)
-		}
-		fsyncEnd := time.Now()
-		if co := c.obs; co != nil {
-			co.walFsyncSeconds.Observe(fsyncEnd.Sub(fsyncStart).Seconds())
-			co.walFsyncCount.Inc()
-			co.fsyncBatchSize.Observe(1)
-		}
-		c.spanActiveQueries("wal/fsync", fsyncStart, fsyncEnd,
-			map[string]any{"version": batch.Version, "ops": len(batch.Ops)})
-		c.cfg.Monitor.ObserveFsync(fsyncEnd.Sub(fsyncStart))
-		if faultpoint.Hit(faultpoint.WALAppend) {
-			// Simulated crash between the fsync and the ack: the batch is
-			// durable but nobody was told — restart must recover it.
-			return faultpoint.ErrKilled
+// recordAck notes that live worker w's replica is at version v and
+// recomputes the slowest live replica's version (MVCCStats.MaxWorkerLag).
+func (c *Controller) recordAck(w partition.WorkerID, v uint64) {
+	c.ackVersion[w] = v
+	min := v
+	for i, acked := range c.ackVersion {
+		if !c.deadWorkers[partition.WorkerID(i)] && acked < min {
+			min = acked
 		}
 	}
-	c.snapOps += len(batch.Ops)
-	c.snapBytes += c.deltaLog.Bytes() - preBytes
-	c.updateLogMirrors()
-	// Arm a checkpoint if the log grew past the policy. The barrier only
-	// pins the immutable view here; the O(V+E) fold runs on the background
-	// cutter, so commit latency no longer scales with graph size.
-	c.maybeCheckpoint(c.cfg.Clock())
-	c.owner = append(c.owner, batch.NewOwners...)
-	for _, o := range batch.NewOwners {
-		c.vertCount[o]++
-	}
-	i := 0
-	for _, pm := range c.commitMuts {
-		applied, noops := 0, 0
-		for j := 0; j < pm.n; j++ {
-			if statuses[i+j] == delta.OpNoOp {
-				noops++
-			} else {
-				applied++
-			}
-		}
-		i += pm.n
-		pm.ch <- MutationResult{Version: batch.Version, Applied: applied, NoOps: noops}
-	}
-	c.commitBatch, c.commitMuts = nil, nil
-	if co := c.obs; co != nil && !c.commitStartAt.IsZero() {
-		co.commitSeconds.Observe(time.Since(c.commitStartAt).Seconds())
-	}
-	c.commitStartAt = time.Time{}
-	return nil
+	c.minAckedVersion.Store(min)
 }

@@ -26,12 +26,9 @@ import (
 // run:         GlobalStart, re-release all active queries, flush deferred
 //	            schedules.
 
-// beginGlobalBarrier starts the STOP sequence for a set of moves (which
-// may be empty: a mutation-commit barrier carries its batch in
-// c.commitBatch instead).
+// beginGlobalBarrier starts the STOP sequence for a non-empty set of moves.
 func (c *Controller) beginGlobalBarrier(moves []qcut.Move) {
 	c.pendingMoves = moves
-	c.barrierHadMoves = false
 	c.enterPhase(phaseQuiesce)
 	c.maybeStop()
 }
@@ -93,13 +90,9 @@ func (c *Controller) onDrainAck(m *protocol.DrainAck) error {
 		if c.drainAcks < c.liveCount() {
 			return nil
 		}
-		// The network is quiet: apply a pending mutation commit first (the
-		// graph version changes while no superstep runs), then the moves.
-		if c.commitBatch != nil {
-			c.sendCommit()
-			return nil
-		}
-		return c.issueMoves()
+		// The network is quiet: execute the moves.
+		c.issueMoves()
+		return nil
 	case phaseScopeDrain:
 		c.drainAcks++
 		if c.drainAcks < c.liveCount() {
@@ -111,16 +104,11 @@ func (c *Controller) onDrainAck(m *protocol.DrainAck) error {
 	}
 }
 
-// issueMoves sends the move directives (phase draining → moving), or skips
-// straight to resume when there is nothing to do.
-func (c *Controller) issueMoves() error {
+// issueMoves sends the move directives (phase draining → moving).
+func (c *Controller) issueMoves() {
 	c.ownDeltaV = nil
 	c.ownDeltaW = nil
 	c.movesLeft = len(c.pendingMoves)
-	if c.movesLeft == 0 {
-		return c.resume()
-	}
-	c.barrierHadMoves = true
 	c.enterPhase(phaseMoving)
 	for _, mv := range c.pendingMoves {
 		c.conn.Send(protocol.WorkerNode(mv.From), &protocol.MoveScope{
@@ -128,7 +116,6 @@ func (c *Controller) issueMoves() error {
 		})
 	}
 	c.pendingMoves = nil
-	return nil
 }
 
 func (c *Controller) onMoveAck(m *protocol.MoveAck) error {
@@ -193,14 +180,11 @@ func (c *Controller) onMoveAck(m *protocol.MoveAck) error {
 // longer).
 func (c *Controller) resume() error {
 	c.enterPhase(phaseRun)
-	if c.barrierHadMoves {
-		// Only barriers that executed scope moves count as repartitions;
-		// mutation-commit barriers bump the graph version instead. Recovery
-		// also lands here: its ownership rewrite must flush the serving
-		// layer's result cache exactly once.
-		c.repartitions++
-		c.repartEpoch.Store(int64(c.repartitions))
-	}
+	// Every global barrier rewrote ownership — scope moves, or a recovery
+	// round's handoff — so each one counts as a repartition and flushes the
+	// serving layer's result cache exactly once.
+	c.repartitions++
+	c.repartEpoch.Store(int64(c.repartitions))
 	c.broadcast(&protocol.GlobalStart{Epoch: c.epoch})
 	restart := c.restartQueries
 	c.restartQueries = false
@@ -245,9 +229,9 @@ func (c *Controller) resume() error {
 	for _, req := range deferred {
 		c.startQuery(req)
 	}
-	// Pipelined commits that became durable while a recovery round held the
-	// version still apply now: every restarted or deferred query above
-	// pinned (and was broadcast at) the pre-drain version, so per-link FIFO
-	// keeps their pins resolvable under these batches' version bumps.
+	// Commits that became durable while a recovery round held the version
+	// still apply now: every restarted or deferred query above pinned (and
+	// was broadcast at) the pre-drain version, so per-link FIFO keeps their
+	// pins resolvable under these batches' version bumps.
 	return c.drainDurable()
 }

@@ -26,8 +26,6 @@ func phaseName(p phase) string {
 		return "stop"
 	case phaseDraining:
 		return "drain"
-	case phaseDeltaCommit:
-		return "delta-commit"
 	case phaseMoving:
 		return "move"
 	case phaseScopeDrain:
@@ -97,7 +95,7 @@ func newCtlObs(c *Controller) *ctlObs {
 		computeNS:       make([]atomic.Int64, c.cfg.K),
 		pingRTT:         make([]*obs.Gauge, c.cfg.K),
 	}
-	for _, p := range []phase{phaseQuiesce, phaseStopping, phaseDraining, phaseDeltaCommit, phaseMoving, phaseScopeDrain, phaseRecover} {
+	for _, p := range []phase{phaseQuiesce, phaseStopping, phaseDraining, phaseMoving, phaseScopeDrain, phaseRecover} {
 		co.barrierSeconds[p] = m.Histogram("qgraph_barrier_phase_seconds",
 			`phase="`+phaseName(p)+`"`, "time spent per global-barrier phase", barrierBuckets)
 	}
@@ -194,9 +192,9 @@ func (c *Controller) enterPhase(next phase) {
 }
 
 // spanActiveQueries attaches a completed span to every active traced
-// query, under its engine span — barrier phases, WAL fsyncs, and
-// snapshot cuts are engine-global events, so each in-flight query's
-// trace shows where its wall time went.
+// query, under its engine span — barrier phases and snapshot cuts are
+// engine-global events, so each in-flight query's trace shows where its
+// wall time went.
 func (c *Controller) spanActiveQueries(name string, start, end time.Time, attrs map[string]any) {
 	if c.tracer() == nil {
 		return

@@ -19,8 +19,8 @@ import (
 // (rejoin):
 //
 //	death → [await respawn hello] → plan ownership → RecoverStart /
-//	PartitionGrant → collect PartitionAcks → retry aborted delta commit →
-//	restart queries from superstep 0 → GlobalStart
+//	PartitionGrant → collect PartitionAcks → restart queries from
+//	superstep 0 → GlobalStart → apply commits that became durable meanwhile
 //
 // Recovery invariants:
 //
@@ -31,9 +31,11 @@ import (
 //     worker data plane is generation-tagged, so in-flight traffic from
 //     before the failure can neither deliver nor mis-count (the
 //     "barrier drain" without the dead worker's cooperation).
-//   - A delta batch caught mid-commit is rolled back everywhere it was
-//     applied and re-committed after recovery: the commit outcome is
-//     deterministic and its callers just see more latency.
+//   - The committed version holds still for the whole round: a batch is
+//     applied and broadcast only after its fsync, so per-link FIFO brings
+//     every live replica to exactly graphVersion before RecoverStart
+//     reaches it, and batches that become durable mid-round queue in
+//     durableQ until resume — nothing is ever rolled back.
 //   - The repartition epoch bumps exactly once per episode (in resume),
 //     flushing the serving layer's result cache.
 
@@ -106,13 +108,12 @@ func (c *Controller) startRecoveryRound(newlyDead, rejoining []partition.WorkerI
 	}
 }
 
-// abortBarrierForRecovery clears the in-flight barrier bookkeeping. The
-// sealed-but-unacknowledged delta commit (commitBatch/commitMuts) survives
-// for the deterministic retry; staged mutations stay staged.
+// abortBarrierForRecovery clears the in-flight barrier bookkeeping; its
+// moves are abandoned. Staged mutations stay staged and sealed batches
+// stay in their FIFO.
 func (c *Controller) abortBarrierForRecovery() {
 	c.stopAcks = nil
 	c.drainAcks = 0
-	c.deltaAcks = 0
 	c.pendingMoves = nil
 	c.movesLeft = 0
 	c.ownDeltaV, c.ownDeltaW = nil, nil
@@ -153,15 +154,11 @@ func (c *Controller) proceedRecovery() {
 		return c.deadWorkers[w] && !c.rec.Rejoining(w)
 	}
 	recovery.PlanHandoff(c.owner, c.vertCount, lost)
-	if c.commitBatch != nil {
-		// The aborted commit's new vertices may have been assigned to a
-		// worker that is now lost; re-balance them onto the live set.
-		recovery.RemapOwners(c.commitBatch.NewOwners, c.vertCount, lost)
-	}
 	for _, sb := range c.sealed {
-		// Same for every pipelined batch sealed but not yet applied: its
-		// ops are already (or about to be) durable in the WAL, but its
-		// new-vertex placement must land on workers that still exist.
+		// A batch sealed but not yet applied may have assigned its new
+		// vertices to a worker that is now lost: its ops are already (or
+		// about to be) durable in the WAL, but the placement must land on
+		// workers that still exist.
 		recovery.RemapOwners(sb.batch.NewOwners, c.vertCount, lost)
 	}
 	// One immutable snapshot of the authoritative map, shared by every
@@ -219,6 +216,10 @@ func (c *Controller) onPartitionAck(m *protocol.PartitionAck) error {
 		return fmt.Errorf("controller: worker %d recovered at graph version %d, want %d (replica divergence)",
 			m.W, m.Version, c.graphVersion.Load())
 	}
+	// The ack proves w's replica is at the committed version, and the live
+	// set just changed: without this a dead (or rejoined) slowest worker
+	// would pin MaxWorkerLag until the next write.
+	c.recordAck(m.W, m.Version)
 	if done {
 		return c.completeRecovery()
 	}
@@ -226,9 +227,11 @@ func (c *Controller) onPartitionAck(m *protocol.PartitionAck) error {
 }
 
 // completeRecovery closes the episode: account it, then ride the tail of
-// the normal global barrier — retry the aborted delta commit while the
-// network is provably quiet, and resume() restarts every active query
-// from superstep 0 and bumps the repartition epoch exactly once.
+// the normal global barrier — resume() restarts every active query from
+// superstep 0 and bumps the repartition epoch exactly once (recovery always
+// changed the effective partitioning, or at minimum invalidated
+// per-partition query state, so the serving layer's result cache must
+// flush).
 func (c *Controller) completeRecovery() error {
 	now := c.cfg.Clock()
 	dur := c.rec.Finish(now)
@@ -259,15 +262,7 @@ func (c *Controller) completeRecovery() error {
 	c.epDied = make(map[partition.WorkerID]bool)
 
 	c.restartQueries = true
-	// Recovery always changed the effective partitioning (handoff) or at
-	// minimum invalidated per-partition query state; one epoch bump in
-	// resume() flushes the serving layer's result cache exactly once.
-	c.barrierHadMoves = true
-	if c.commitBatch != nil {
-		c.sendCommit()
-		return nil
-	}
-	return c.issueMoves()
+	return c.resume()
 }
 
 // resetQueryForRestart rewinds a query's controller-side state to
@@ -288,8 +283,8 @@ func (c *Controller) resetQueryForRestart(ctl *qctl) {
 		ctl.scopeSizes[i] = 0
 		ctl.everActive[i] = false
 	}
-	// A goal found before the failure proved a path in the pre-recovery
-	// graph; the retried delta commit may have changed it. Rediscover.
+	// A goal found before the failure proved a path at the old pin; the
+	// restart re-pins to the recovered version. Rediscover.
 	ctl.bestGoal = query.NoResult
 	if _, ok := ctl.spec.HomeWorker(); ok && c.cfg.ReplicateQueries {
 		// Re-pin replicated queries: the old home may be gone.

@@ -42,6 +42,18 @@ func checkResults(t *testing.T, results []controller.Result, specs []query.Spec,
 	}
 }
 
+// eagerAdapt turns Q-cut on with thresholds that make it repartition
+// almost continuously, so a short test reliably crosses global barriers.
+func eagerAdapt(c *Config) {
+	c.Adapt = true
+	c.Phi = 0.99 // trigger almost always
+	c.CheckEvery = 5 * time.Millisecond
+	c.Cooldown = 10 * time.Millisecond
+	c.QcutBudget = 30 * time.Millisecond
+	c.MinWindowQueries = 4
+	c.Mu = time.Minute
+}
+
 // TestAdaptiveRepartitioningCorrect drives enough localized queries through
 // an aggressively adaptive engine to force repeated Q-cut repartitioning
 // barriers mid-stream, and verifies every result still matches Dijkstra —
@@ -49,15 +61,7 @@ func checkResults(t *testing.T, results []controller.Result, specs []query.Spec,
 func TestAdaptiveRepartitioningCorrect(t *testing.T) {
 	net := testRoad(t)
 	specs, want := hotspotSpecs(t, net, 160)
-	eng := startEngine(t, net.G, func(c *Config) {
-		c.Adapt = true
-		c.Phi = 0.99 // trigger almost always
-		c.CheckEvery = 5 * time.Millisecond
-		c.Cooldown = 10 * time.Millisecond
-		c.QcutBudget = 30 * time.Millisecond
-		c.MinWindowQueries = 4
-		c.Mu = time.Minute
-	})
+	eng := startEngine(t, net.G, eagerAdapt)
 	results, err := eng.RunBatch(specs, 16)
 	if err != nil {
 		t.Fatalf("RunBatch: %v", err)
@@ -195,13 +199,7 @@ func TestAdaptationContinuesAfterHandoff(t *testing.T) {
 	net := testRoad(t)
 	specs, want := hotspotSpecs(t, net, 160)
 	eng := startEngine(t, net.G, func(c *Config) {
-		c.Adapt = true
-		c.Phi = 0.99 // trigger almost always
-		c.CheckEvery = 5 * time.Millisecond
-		c.Cooldown = 10 * time.Millisecond
-		c.QcutBudget = 30 * time.Millisecond
-		c.MinWindowQueries = 4
-		c.Mu = time.Minute
+		eagerAdapt(c)
 		c.HeartbeatEvery = 5 * time.Millisecond
 		c.HeartbeatTimeout = 30 * time.Millisecond
 	})

@@ -75,12 +75,8 @@ type Config struct {
 	Seed             uint64
 	// Streaming-update and liveness knobs (zero = defaults; see
 	// controller.Config).
-	CommitEvery time.Duration
-	MaxBatchOps int
-	// BarrierCommit commits mutation batches under the global STOP/START
-	// barrier (the pre-MVCC baseline) instead of the pipelined off-barrier
-	// path; kept for A/B benchmarking (see controller.Config).
-	BarrierCommit    bool
+	CommitEvery      time.Duration
+	MaxBatchOps      int
 	HeartbeatEvery   time.Duration
 	HeartbeatTimeout time.Duration
 	// RespawnWorkers relaunches a dead worker in-process when the
@@ -276,7 +272,6 @@ func Start(cfg Config) (*Engine, error) {
 		Seed:             cfg.Seed,
 		CommitEvery:      cfg.CommitEvery,
 		MaxBatchOps:      cfg.MaxBatchOps,
-		BarrierCommit:    cfg.BarrierCommit,
 		HeartbeatEvery:   cfg.HeartbeatEvery,
 		HeartbeatTimeout: cfg.HeartbeatTimeout,
 		Respawn:          respawn,

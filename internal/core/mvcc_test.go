@@ -126,9 +126,6 @@ func TestMVCCSnapshotIsolation(t *testing.T) {
 		t.Fatalf("only %d commits landed during %d long queries: no real concurrency exercised", n, readers*queriesEach)
 	}
 	st := eng.MVCCStats()
-	if !st.Pipelined {
-		t.Fatal("engine not on the pipelined commit path")
-	}
 	if st.Pinned != 0 {
 		t.Fatalf("registry leaks pins after quiescence: %+v", st)
 	}

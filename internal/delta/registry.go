@@ -114,29 +114,6 @@ func (r *Registry) UnpinAll() {
 	}
 }
 
-// Drop removes version v, which must be the unpinned latest, and makes
-// prev the latest again. It is the depth-1 rollback used when a
-// barrier-mode commit aborts for recovery after workers already applied
-// the batch; the pipelined path never rolls back (versions are durable
-// before they are published).
-func (r *Registry) Drop(v uint64, prev *View) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if v != r.latest {
-		return fmt.Errorf("delta: registry drop v%d but latest is v%d", v, r.latest)
-	}
-	e := r.entries[v]
-	if e != nil && e.refs > 0 {
-		return fmt.Errorf("delta: registry drop v%d with %d readers pinned", v, e.refs)
-	}
-	delete(r.entries, v)
-	r.latest = prev.Version()
-	if r.entries[r.latest] == nil {
-		r.entries[r.latest] = &regEntry{view: prev}
-	}
-	return nil
-}
-
 // Latest returns the most recently published view.
 func (r *Registry) Latest() *View {
 	r.mu.Lock()

@@ -85,31 +85,6 @@ func TestRegistryUnpinAll(t *testing.T) {
 	}
 }
 
-func TestRegistryDropRollback(t *testing.T) {
-	v0 := NewView(lineGraph(3))
-	r := NewRegistry(v0)
-	v1 := step(t, v0, 5)
-	r.Publish(v1)
-	if err := r.Drop(1, v0); err != nil {
-		t.Fatalf("drop: %v", err)
-	}
-	if got := r.LatestVersion(); got != 0 {
-		t.Fatalf("latest after drop = %d, want 0", got)
-	}
-	if _, err := r.Pin(0); err != nil {
-		t.Fatalf("pin restored v0: %v", err)
-	}
-	// Dropping a pinned latest must refuse.
-	v1b := step(t, r.Latest(), 2)
-	r.Publish(v1b)
-	if _, err := r.Pin(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Drop(1, v0); err == nil {
-		t.Fatalf("drop of pinned version succeeded")
-	}
-}
-
 func TestRegistryConcurrentPinUnpin(t *testing.T) {
 	v0 := NewView(lineGraph(3))
 	r := NewRegistry(v0)

@@ -9,7 +9,7 @@ import (
 // Compaction policy: fold the overlay back into a fresh CSR base once the
 // patched set is both large in absolute terms and a sizable fraction of
 // the base. Small overlays stay overlays — a rebuild is O(V+E) and runs
-// inside the commit barrier, so it must be rare.
+// inside the commit's apply on every node's event loop, so it must be rare.
 const (
 	compactMinPatched = 1024
 	compactFactor     = 4 // compact when patched*factor >= base vertices

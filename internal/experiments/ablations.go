@@ -11,9 +11,9 @@ import (
 	"qgraph/internal/qcut"
 )
 
-// The ablation experiments isolate the design decisions DESIGN.md §5 calls
-// out. They are not figures of the paper, but each corresponds to a choice
-// the paper motivates in prose (Appendix A, Sec. 3.3–3.4, Sec. 4.1(iv)).
+// The ablation experiments isolate single design decisions. They are not
+// figures of the paper, but each corresponds to a choice the paper
+// motivates in prose (Appendix A, Sec. 3.3–3.4, Sec. 4.1(iv)).
 
 // AblationPerturbation compares ILS with and without the perturbation
 // subroutine on the same snapshot (Appendix A.2: perturbation escapes

@@ -4,11 +4,11 @@
 // plots; cmd/qgraph-bench prints them and bench_test.go wraps them as
 // testing.B benchmarks.
 //
-// Scale note (DESIGN.md §3/§4): the defaults use scaled-down synthetic
-// road networks and query counts so a figure regenerates in seconds to
-// minutes on one machine. Absolute numbers differ from the paper — the
-// claims under test are the *shapes*: who wins, by roughly what factor,
-// and where crossovers fall.
+// Scale note (README "Reproduce the paper's figures"): the defaults use
+// scaled-down synthetic road networks and query counts so a figure
+// regenerates in seconds to minutes on one machine. Absolute numbers
+// differ from the paper — the claims under test are the *shapes*: who
+// wins, by roughly what factor, and where crossovers fall.
 package experiments
 
 import (

@@ -8,7 +8,8 @@ import (
 // Runner regenerates one experiment at a scale.
 type Runner func(Scale) (*Table, error)
 
-// registry maps experiment ids (DESIGN.md §4/§5) to their runners.
+// registry maps experiment ids (the figure numbers of Sec. 4, plus the
+// ablations of ablations.go) to their runners.
 var registry = map[string]Runner{
 	"fig5a":           Fig5a,
 	"fig5b":           Fig5b,

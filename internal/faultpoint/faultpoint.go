@@ -52,8 +52,8 @@ const (
 	// on disk, so the truncation floor must not advance.
 	SnapshotPersist = "snapshot/persist"
 	// WALAppend fires after a committed batch was durably appended
-	// (fsynced) to the write-ahead log but before the commit barrier
-	// acknowledged it to the mutation's caller — the at-least-once edge:
+	// (fsynced) to the write-ahead log but before the commit was
+	// acknowledged to the mutation's caller — the at-least-once edge:
 	// a restart must recover the batch even though nobody was told it
 	// committed.
 	WALAppend = "wal/append"

@@ -3,7 +3,7 @@
 // The paper evaluates on OpenStreetMap exports of Germany (GY, 11.8M
 // vertices) and Baden-Württemberg (BW, 1.8M vertices) plus real city
 // populations. Those inputs are not available offline, so this package
-// builds the closest synthetic equivalents (see DESIGN.md §3): planar
+// builds the closest synthetic equivalents of Sec. 4.1's inputs: planar
 // road networks with travel-time weights and population-weighted city
 // hotspots, small-world social graphs with planted communities, and
 // preferential-attachment knowledge graphs. Everything is deterministic

@@ -210,7 +210,7 @@ func TestMarkWorkerDeadUnflagsAndSkewsNoMedian(t *testing.T) {
 
 func TestStallDetectorEdgeTriggered(t *testing.T) {
 	m, _ := newTestMonitor(nil) // default 10s timeout
-	m.CheckStall("delta-commit", 15*time.Second, 0)
+	m.CheckStall("draining", 15*time.Second, 0)
 	if s := m.Snapshot(); !s.Degraded || !s.Stalled {
 		t.Fatalf("snapshot = %+v, want stalled", s)
 	}
@@ -218,7 +218,7 @@ func TestStallDetectorEdgeTriggered(t *testing.T) {
 		t.Fatalf("barrier stall events = %v", evs)
 	}
 	// Still stalled: edge-triggered, no second event.
-	m.CheckStall("delta-commit", 16*time.Second, 0)
+	m.CheckStall("draining", 16*time.Second, 0)
 	if evs := m.Events(EventFilter{Type: EventBarrierStall}); len(evs) != 1 {
 		t.Fatalf("stall re-fired: %v", evs)
 	}

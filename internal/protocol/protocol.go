@@ -352,11 +352,12 @@ func (*ScopeData) Type() MsgType { return TScopeData }
 // Streaming graph updates (internal/delta)
 
 // DeltaBatch commits one batch of graph mutations as graph version
-// Version. It is broadcast inside a global barrier while the
-// vertex-message network is drained, so every worker applies it between
-// supersteps and no query ever observes a half-applied batch. NewOwners
-// assigns an owner to each vertex the batch adds (in op order); every
-// node extends its ownership table identically.
+// Version. It is broadcast off-barrier, once the batch is durable and
+// applied on the controller; every worker applies it whole between
+// supersteps, and running queries read the versions they pinned, so no
+// query ever observes a half-applied batch. NewOwners assigns an owner to
+// each vertex the batch adds (in op order); every node extends its
+// ownership table identically.
 type DeltaBatch struct {
 	Version   uint64
 	Ops       []delta.Op
@@ -366,7 +367,8 @@ type DeltaBatch struct {
 // Type implements Message.
 func (*DeltaBatch) Type() MsgType { return TDeltaBatch }
 
-// DeltaAck confirms a worker applied DeltaBatch Version.
+// DeltaAck confirms a worker applied DeltaBatch Version. No commit waits
+// for it; it feeds the controller's replication-lag accounting.
 type DeltaAck struct {
 	Version uint64
 	W       partition.WorkerID
@@ -403,22 +405,21 @@ func (*Pong) Type() MsgType { return TPong }
 // When liveness declares a worker dead, the controller fences it and runs a
 // recovery round: survivors receive RecoverStart (reset in-flight query
 // state, zero flow-control counters, adopt the authoritative ownership
-// map, roll back an uncommitted delta batch), a respawned worker announces
-// itself with WorkerHello and receives PartitionGrant (the same reset plus
-// a committed-op replay that rebuilds its graph view from the shared CSR
-// base). Both answer PartitionAck; once every live worker acknowledged the
-// generation, the controller retries an aborted delta commit and restarts
-// the in-flight queries from superstep 0.
+// map), a respawned worker announces itself with WorkerHello and receives
+// PartitionGrant (the same reset plus a committed-op replay that rebuilds
+// its graph view from the shared CSR base). Both answer PartitionAck;
+// once every live worker acknowledged the generation, the controller
+// restarts the in-flight queries from superstep 0.
 
 // RecoverStart resets a surviving worker into recovery generation Gen:
 // drop all live query state (affected queries are re-executed), zero the
 // vertex-batch and scope flow counters, adopt Owner as the full
-// authoritative ownership map, and — if an uncommitted delta batch was
-// applied — roll the graph view back to committed Version. The worker
+// authoritative ownership map. Version is the committed graph version;
+// a replica at any other version has diverged and stops. The worker
 // answers with PartitionAck.
 type RecoverStart struct {
 	Gen     int32
-	Version uint64 // committed graph version to settle on
+	Version uint64 // committed graph version the replica must be at
 	Owner   []partition.WorkerID
 }
 

@@ -222,7 +222,7 @@ func (s *state) loadRange() (minL, maxL float64) {
 // applyMove relocates cluster c's mass from worker a to worker b and
 // returns the moved mass. The vertex counts stay fixed within one run
 // (scope overlaps make the exact vertex movement unknowable at this level
-// of abstraction, DESIGN.md §3); the controller refreshes them from move
+// of abstraction, Sec. 3.2); the controller refreshes them from move
 // acknowledgements before the next snapshot.
 func (s *state) applyMove(c, a, b int) int64 {
 	var moved int64

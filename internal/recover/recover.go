@@ -42,10 +42,10 @@ func PlanHandoff(owner partition.Assignment, counts []int64, lost func(partition
 	return moved
 }
 
-// RemapOwners rewrites any lost owner in owners (the NewOwners of an
-// aborted, to-be-retried mutation batch) to a surviving worker. The listed
-// vertices are not yet reflected in counts (they are counted when the
-// retried batch commits), so balancing works on a scratch copy and counts
+// RemapOwners rewrites any lost owner in owners (the NewOwners of a
+// mutation batch sealed but not yet applied) to a surviving worker. The
+// listed vertices are not yet reflected in counts (they are counted when
+// the batch is applied), so balancing works on a scratch copy and counts
 // is left untouched.
 func RemapOwners(owners []partition.WorkerID, counts []int64, lost func(partition.WorkerID) bool) {
 	scratch := append([]int64(nil), counts...)

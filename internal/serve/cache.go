@@ -36,7 +36,7 @@ func KeyOf(spec query.Spec) Key {
 // Epoch is the validity domain of cached results: a different base graph,
 // a committed mutation batch (graph version bump), or a controller
 // repartition opens a new epoch and flushes the cache. Version is the
-// live counter streaming updates advance at every commit barrier — the
+// live counter streaming updates advance at every commit — the
 // serving layer reads it before each lookup, so no result cached under an
 // older topology survives a commit. (A repartition does not change query
 // answers, but it does change every execution-side statistic.)

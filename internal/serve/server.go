@@ -405,8 +405,7 @@ type StatsResponse struct {
 	WAL wal.Stats `json:"wal"`
 	// MVCC reports the commit pipeline's version registry: how many
 	// immutable graph versions are live, how many readers pin them, and
-	// how many sealed batches await their group fsync. Pipelined=false
-	// means the engine runs the legacy barrier-commit path.
+	// how many sealed batches await their group fsync.
 	MVCC controller.MVCCStats `json:"mvcc"`
 	// Replica reports this node's replication position (replica roles
 	// only): applied version vs the primary's WAL head, tailer activity,
@@ -424,7 +423,7 @@ type MutateOp struct {
 }
 
 // MutateRequest is the POST /mutate body. The whole batch commits
-// atomically at the engine's next commit barrier.
+// atomically as the engine's next graph version.
 type MutateRequest struct {
 	Ops []MutateOp `json:"ops"`
 	// TimeoutMS bounds the wait for the commit (default: the server's
@@ -670,7 +669,7 @@ type healthzResponse struct {
 }
 
 // handleMutate ingests one batch of streaming graph updates. The batch is
-// staged on the engine, committed atomically at its next commit barrier,
+// staged on the engine, committed atomically as its next graph version,
 // and the response reports the resulting graph version — after which the
 // result cache is invalidated at the next lookup, so no post-commit query
 // is answered from pre-commit state.
@@ -953,7 +952,7 @@ func (s *Server) executeTraced(ctx context.Context, tr *obs.Trace, spec query.Sp
 	// Advance the cache epoch before the lookup so a repartition or a
 	// committed mutation batch since the last request flushes stale
 	// results — the flush lands exactly at the version bump, because the
-	// version only ever changes at a commit barrier.
+	// version only ever changes by a whole committed batch.
 	if s.cache.SetEpoch(s.epoch()) {
 		s.ctr.Invalidated.Add(1)
 		s.cfg.Monitor.ObserveCacheFlush()

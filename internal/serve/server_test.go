@@ -169,7 +169,7 @@ func (b *stubBackend) WALStats() wal.Stats {
 }
 
 func (b *stubBackend) MVCCStats() controller.MVCCStats {
-	return controller.MVCCStats{Pipelined: true}
+	return controller.MVCCStats{}
 }
 
 func (b *stubBackend) scheduledCount() int {

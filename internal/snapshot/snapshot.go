@@ -104,7 +104,7 @@ type Stats struct {
 	DeltaLogBytes       int64  `json:"delta_log_bytes"`
 	// LastCutMS is the wall time of the newest completed cut (materialize
 	// + persist), all of it spent on the background cutter — evidence that
-	// the commit barrier no longer pays the O(V+E) fold.
+	// no commit pays the O(V+E) fold.
 	LastCutMS float64 `json:"last_cut_ms,omitempty"`
 	// LastCutUnixNS is the wall-clock completion time of the newest cut
 	// (unix nanoseconds; 0 before the first). /healthz derives its

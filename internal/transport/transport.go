@@ -5,7 +5,7 @@
 //     network (propagation latency + transmission time). The paper's
 //     scale-up experiments run k partitions on one machine over loopback
 //     TCP; the simulated network makes the communication costs that
-//     Q-cut removes explicit and deterministic (DESIGN.md §3).
+//     Q-cut removes explicit and deterministic (Sec. 4.1).
 //   - TCPNetwork: real TCP with length-prefixed binary frames, used by
 //     cmd/qgraphd for genuine scale-out deployments.
 //

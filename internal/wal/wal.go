@@ -1,7 +1,7 @@
 // Package wal implements the durable write-ahead op log of the streaming
 // update data plane: every committed mutation batch is appended — length
-// prefixed, checksummed, fsynced — before the commit barrier acknowledges
-// the mutation to its caller. A full process restart then recovers to the
+// prefixed, checksummed, fsynced — before the commit is acknowledged to
+// the mutation's caller. A full process restart then recovers to the
 // exact pre-crash committed version by loading the newest checkpoint
 // (internal/snapshot) and replaying the WAL tail beyond it, instead of
 // losing every op committed after the last checkpoint.

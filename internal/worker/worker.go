@@ -214,13 +214,9 @@ type Worker struct {
 	// without counting, so the flow counters every node resets during
 	// recovery stay exact. joining marks a respawned worker that has said
 	// hello and must ignore all traffic addressed to its dead predecessor
-	// until the controller's PartitionGrant. prevView is the view before
-	// the latest delta apply — at most one batch can be uncommitted when a
-	// recovery starts, so a depth-1 undo suffices to roll back to the
-	// committed version.
-	gen      int32
-	joining  bool
-	prevView *delta.View
+	// until the controller's PartitionGrant.
+	gen     int32
+	joining bool
 	// replayedOps counts the operations the latest PartitionGrant replayed
 	// to rebuild this worker's view — with checkpointing, O(ops since the
 	// checkpoint), not O(history). Atomic: tests and harnesses read it
@@ -408,30 +404,17 @@ func (w *Worker) handle(env transport.Envelope) (stop bool, err error) {
 // m.Gen. All live query state is dropped (the controller re-executes the
 // affected queries from superstep 0), the flow counters are zeroed on
 // every node symmetrically, the ownership map is replaced wholesale with
-// the controller's authoritative copy, and a delta batch that was applied
-// but never committed is rolled back to the committed version. Remembered
-// finished scopes survive: their vertex sets are still valid under the new
-// ownership and keep Q-cut's hotspot history useful.
+// the controller's authoritative copy. Remembered finished scopes survive:
+// their vertex sets are still valid under the new ownership and keep
+// Q-cut's hotspot history useful.
 func (w *Worker) onRecoverStart(m *protocol.RecoverStart) error {
 	if faultpoint.Hit(faultpoint.WorkerRecover, int(w.id)) {
 		return faultpoint.ErrKilled
 	}
-	if w.view.Version() > m.Version {
-		// The uncommitted batch this worker applied was aborted by the
-		// failure; undo it. Depth 1 is enough: at most one barrier-mode
-		// batch is ever in flight, and recovery intervenes before the
-		// next. (Pipelined commits are durable and applied on the
-		// controller before broadcast, so RecoverStart never names a
-		// version below one — this path is the barrier-commit baseline's.)
-		if w.prevView == nil || w.prevView.Version() != m.Version {
-			return fmt.Errorf("cannot roll back from version %d to %d", w.view.Version(), m.Version)
-		}
-		if err := w.views.Drop(w.view.Version(), w.prevView); err != nil {
-			return fmt.Errorf("recover rollback: %w", err)
-		}
-		w.view = w.prevView
-		w.prevView = nil
-	}
+	// The controller applies and fsyncs a batch before it broadcasts it, and
+	// per-link FIFO delivers every broadcast batch before this message, so
+	// the replica is at exactly the committed version — never ahead of it
+	// (nothing is ever rolled back) and never behind.
 	if w.view.Version() != m.Version {
 		return fmt.Errorf("recover at version %d, controller at %d (replica divergence)",
 			w.view.Version(), m.Version)
@@ -508,7 +491,6 @@ func (w *Worker) onPartitionGrant(m *protocol.PartitionGrant) error {
 		"replayed_ops", replayed, "checkpoint_version", baseV, "gen", m.Gen)
 	w.view = view
 	w.views = delta.NewRegistry(view)
-	w.prevView = nil
 	w.joining = false
 	w.resetForRecovery(m.Gen, m.Owner)
 	return w.conn.Send(protocol.ControllerNode, &protocol.PartitionAck{
@@ -687,40 +669,28 @@ func (w *Worker) deliverBatch(qs *queryState, m *protocol.VertexBatch) {
 	}
 }
 
-// onDeltaBatch applies one committed mutation batch. In the pipelined
-// commit path it arrives off-barrier, between supersteps of whatever is
-// running: that is safe because queries read their pinned snapshots, not
-// this worker's current view, so a version bump mid-query is invisible to
-// it. (The barrier-commit baseline delivers it mid-barrier as before —
-// the handler no longer cares.) The event loop applies whole messages
-// between supersteps, so the view still never changes mid-superstep. New
-// vertices extend the ownership table with the controller-assigned
-// owners; running queries pinned at older versions never reference them.
+// onDeltaBatch applies one committed mutation batch. It arrives
+// off-barrier, between supersteps of whatever is running: that is safe
+// because queries read their pinned snapshots, not this worker's current
+// view, so a version bump mid-query is invisible to it. The event loop
+// applies whole messages between supersteps, so the view still never
+// changes mid-superstep. New vertices extend the ownership table with the
+// controller-assigned owners; running queries pinned at older versions
+// never reference them.
 func (w *Worker) onDeltaBatch(m *protocol.DeltaBatch) error {
 	if faultpoint.Hit(faultpoint.WorkerDeltaApply, int(w.id)) {
 		return faultpoint.ErrKilled
 	}
-	if m.Version == w.view.Version() {
-		// Already applied: the commit was aborted by a worker failure after
-		// this replica applied it, and the recovery rolled the batch back
-		// everywhere it could — a replica that raced the rollback re-acks
-		// the retry idempotently instead of double-applying.
-		return w.conn.Send(protocol.ControllerNode, &protocol.DeltaAck{Version: m.Version, W: w.id})
+	// Batches are broadcast once each, in version order, over a FIFO link:
+	// a repeat or a gap means this replica no longer follows the chain.
+	if m.Version != w.view.Version()+1 {
+		return fmt.Errorf("delta batch version %d at local version %d (replica divergence)",
+			m.Version, w.view.Version())
 	}
 	nv, _, err := w.view.Apply(m.Ops)
 	if err != nil {
 		return fmt.Errorf("delta batch %d: %w", m.Version, err)
 	}
-	if nv.Version() != m.Version {
-		return fmt.Errorf("delta batch version %d applied as local version %d (replica divergence)",
-			m.Version, nv.Version())
-	}
-	// Keep the pre-apply view for recovery rollback: if a worker dies
-	// before every replica acks a barrier-mode commit, the batch is
-	// aborted and re-committed deterministically after recovery. (The
-	// pipelined path never rolls back — batches are durable before they
-	// are broadcast.)
-	w.prevView = w.view
 	w.view = nv
 	w.views.Publish(nv)
 	w.owner = append(w.owner, m.NewOwners...)

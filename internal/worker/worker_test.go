@@ -1,6 +1,7 @@
 package worker
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -355,5 +356,45 @@ func TestPartitionGrantFallbackToNewerSnapshot(t *testing.T) {
 	}
 	if err := wk2.onPartitionGrant(gap); err == nil {
 		t.Fatal("disconnected grant tail accepted (silent divergence)")
+	}
+}
+
+// TestReplicaDivergenceIsFatal: the controller applies and fsyncs a batch
+// before it broadcasts it, and each link is FIFO, so a live replica is
+// never ahead of the version a RecoverStart names and never sees a batch
+// twice. Either one means the replica left the version chain — an error
+// that stops the worker, not a rollback or a silent re-ack.
+func TestReplicaDivergenceIsFatal(t *testing.T) {
+	g := lineGraph()
+	owner := make(partition.Assignment, g.NumVertices())
+	batch := &protocol.DeltaBatch{Version: 1, Ops: []delta.Op{{Kind: delta.OpAddEdge, From: 0, To: 4, Weight: 1}}}
+	cases := []struct {
+		name string
+		msg  func(w *Worker) error // delivered to a replica at version 1
+	}{
+		{"recover-start below the replica", func(w *Worker) error {
+			return w.onRecoverStart(&protocol.RecoverStart{Gen: 1, Version: 0, Owner: owner})
+		}},
+		{"delta batch repeated", func(w *Worker) error { return w.onDeltaBatch(batch) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			net := transport.NewChanNetwork(2, transport.Latency{})
+			defer net.Close()
+			wk, err := New(Config{ID: 0, K: 1, Graph: g, Owner: owner}, net.Conn(protocol.WorkerNode(0)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := wk.onDeltaBatch(batch); err != nil {
+				t.Fatalf("first delivery of version 1: %v", err)
+			}
+			err = tc.msg(wk)
+			if err == nil || !strings.Contains(err.Error(), "replica divergence") {
+				t.Fatalf("got %v, want a replica divergence error", err)
+			}
+			if v := wk.View().Version(); v != 1 {
+				t.Fatalf("replica moved to version %d on a divergent message, want 1", v)
+			}
+		})
 	}
 }

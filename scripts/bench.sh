@@ -13,10 +13,7 @@
 # 2 replicas with -route-affinity) into a second report, BENCH_8.json; a
 # seventh A/Bs router trace propagation (the same routed workload through
 # a -trace=false router vs a tracing one over the same fleet) into
-# BENCH_9.json with the same ≤5% bar; an eighth A/Bs the write path
-# (-barrier-commit vs the pipelined MVCC default, both WAL-durable, 24
-# concurrent writers) into BENCH_10.json — bars: pipelined commit p50 at
-# least 3x lower, and fsyncs per batch < 1 (group commit amortizing).
+# BENCH_9.json with the same ≤5% bar.
 #
 # The report's derived tracing_overhead_pct and watchdog_overhead_pct
 # compare read_only against its two baselines; the acceptance bars are
@@ -252,70 +249,14 @@ pair9 "http://127.0.0.1:7818" router_read_trace
 kill -INT "$ROUTER" "$ROUTERNT" "$REPA" "$REPB" >/dev/null 2>&1 || true
 stop_deploy
 
-# --- write path: barrier vs pipelined commit A/B ----------------------------
-# The PR-10 A/B, recorded into its own report (default BENCH_10.json):
-# the identical mixed workload — background reads plus 4 concurrent
-# closed-loop mutation writers — against two WAL-durable deployments
-# that differ in exactly one flag: -barrier-commit (every batch rides
-# the global STOP/START barrier, the pre-MVCC baseline) vs the default
-# pipelined path (commit to v+1 while readers run at their pinned
-# views). Commit latency is client-measured POST /mutate round-trip;
-# fsyncs_per_batch comes from the server's WAL stats and drops below 1
-# only when the group committer coalesces concurrent writers' batches
-# into shared syncs. Bars: pipelined commit p50 >= 3x lower than the
-# barrier arm, fsyncs/batch < 1 on the pipelined arm.
-#
-# Both arms run -max-batch-ops equal to the client batch size, so every
-# POST seals its own version the moment it arrives instead of pooling in
-# the staging buffer: staging is itself an upstream coalescer, and left
-# at its default it merges the concurrent writers' batches into one
-# append per tick — hiding both the barrier's serialization (the cost
-# under test) and the WAL group committer (the amortization under test).
-# The read load matters too: the barrier arm's commit cost IS the
-# quiesce of in-flight reader supersteps, so with no readers the two
-# arms measure the same thing.
-OUT10="${BENCH_OUT10:-BENCH_10.json}"
-RATE10="${BENCH_WRITE_READ_RATE:-60}"
-MUTRATE10="${BENCH_WRITE_MUTATE_RATE:-12000}"
-DUR10="${BENCH_WRITE_DURATION:-10s}"
-WAL10A="$workdir/wal10a"
-WAL10B="$workdir/wal10b"
-mkdir -p "$WAL10A" "$WAL10B"
-rm -f "$OUT10"
-
-write_arm() { # base-url scenario
-  "$workdir/qgraph-bench" -load "$1" -rate "$RATE10" -load-duration "$DUR10" \
-    -load-pool 128 -load-timeout 30s \
-    -mutate-rate "$MUTRATE10" -mutate-batch 5 -mutate-writers 24 \
-    -scenario "$2" -json-out "$OUT10"
-}
-
-start_deploy "127.0.0.1:7781,127.0.0.1:7782,127.0.0.1:7783" "127.0.0.1:7820" \
-  -adapt=false -commit-every 1ms -max-batch-ops 5 -wal-dir "$WAL10A" \
-  -barrier-commit
-write_arm "http://127.0.0.1:7820" write_barrier
-stop_deploy
-
-start_deploy "127.0.0.1:7784,127.0.0.1:7785,127.0.0.1:7786" "127.0.0.1:7821" \
-  -adapt=false -commit-every 1ms -max-batch-ops 5 -wal-dir "$WAL10B"
-write_arm "http://127.0.0.1:7821" write_pipelined
-stop_deploy
-
 # --- verdict ----------------------------------------------------------------
 overhead=$(sed -n 's/.*"tracing_overhead_pct": \(-\{0,1\}[0-9.]*\).*/\1/p' "$OUT")
 woverhead=$(sed -n 's/.*"watchdog_overhead_pct": \(-\{0,1\}[0-9.]*\).*/\1/p' "$OUT")
 scaleout=$(sed -n 's/.*"read_scaleout_x": \([0-9.]*\).*/\1/p' "$OUT8")
 rtoverhead=$(sed -n 's/.*"router_trace_overhead_pct": \(-\{0,1\}[0-9.]*\).*/\1/p' "$OUT9")
-speedup=$(sed -n 's/.*"commit_pipeline_speedup_x": \([0-9.]*\).*/\1/p' "$OUT10")
-# Go marshals the scenarios map with sorted keys, so write_pipelined's
-# block follows write_barrier's: the first fsyncs_per_batch after the
-# scenario name is the pipelined arm's.
-pfsyncs=$(awk '/"write_pipelined"/ { inarm=1 }
-  inarm && /"fsyncs_per_batch"/ { gsub(/[",]/, "", $2); print $2; exit }' "$OUT10")
 echo "BENCH OK: report written to $OUT (tracing overhead ${overhead:-?}%, watchdog overhead ${woverhead:-?}%)"
 echo "BENCH OK: read scale-out report written to $OUT8 (router+2 replicas = ${scaleout:-?}x single node)"
 echo "BENCH OK: router trace report written to $OUT9 (trace propagation overhead ${rtoverhead:-?}%)"
-echo "BENCH OK: write-path report written to $OUT10 (pipelined commit ${speedup:-?}x faster than barrier, ${pfsyncs:-?} fsyncs/batch)"
 breach=0
 if [ -n "$scaleout" ]; then
   under=$(awk -v x="$scaleout" 'BEGIN { print (x < 1.7) ? 1 : 0 }')
@@ -342,20 +283,6 @@ if [ -n "$rtoverhead" ]; then
   rtover=$(awk -v o="$rtoverhead" 'BEGIN { print (o > 5) ? 1 : 0 }')
   if [ "$rtover" -eq 1 ]; then
     echo "BENCH WARN: router trace overhead ${rtoverhead}% exceeds the 5% bar" >&2
-    breach=1
-  fi
-fi
-if [ -n "$speedup" ]; then
-  slow=$(awk -v x="$speedup" 'BEGIN { print (x < 3) ? 1 : 0 }')
-  if [ "$slow" -eq 1 ]; then
-    echo "BENCH WARN: pipelined commit speedup ${speedup}x is below the 3x bar" >&2
-    breach=1
-  fi
-fi
-if [ -n "$pfsyncs" ]; then
-  unamortized=$(awk -v f="$pfsyncs" 'BEGIN { print (f >= 1) ? 1 : 0 }')
-  if [ "$unamortized" -eq 1 ]; then
-    echo "BENCH WARN: pipelined arm ran ${pfsyncs} fsyncs/batch — group commit never amortized" >&2
     breach=1
   fi
 fi

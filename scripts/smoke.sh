@@ -777,7 +777,6 @@ ver8b=$(curl -fsS "http://$SERVE8/healthz" | sed -n 's/.*"graph_version":\([0-9]
 
 sleep 1
 stats8=$(curl -fsS "http://$SERVE8/stats")
-grep -q '"pipelined":true' <<<"$stats8" || { echo "SMOKE FAIL: engine not on the pipelined commit path"; fail=1; }
 grep -q '"pinned_readers":0' <<<"$stats8" || { echo "SMOKE FAIL: reader pins leaked after quiescence"; fail=1; }
 peak8=$(sed -n 's/.*"peak_live_versions":\([0-9]*\).*/\1/p' <<<"$stats8")
 [ "${peak8:-0}" -ge 2 ] || { echo "SMOKE FAIL: peak live versions $peak8 — no MVCC overlap ever happened"; fail=1; }
