@@ -53,20 +53,6 @@ func (c *Controller) startQuery(req scheduleReq) {
 		spec.SetHome(int(c.owner[spec.Source]))
 	}
 	prog := query.MustNew(spec.Kind)
-	// Pin the committed version this query executes against (MVCC): every
-	// worker resolves PinVersion to the same immutable snapshot, and
-	// batches committing at later versions while it runs stay invisible to
-	// it. The pin is always resolvable on every worker because the
-	// ExecuteQuery broadcast below is ordered, per link, after the
-	// DeltaBatch that produced this version and before the one that
-	// supersedes it. The controller-side pin keeps the version live for
-	// restarts and surfaces the compaction floor in MVCCStats.
-	spec.PinVersion = c.view.Version()
-	if _, err := c.views.Pin(spec.PinVersion); err != nil {
-		// Cannot happen: the pin targets the registry's latest version.
-		req.ch <- Result{Q: spec.ID, Value: query.NoResult, Reason: protocol.FinishRejected}
-		return
-	}
 	ctl := &qctl{
 		spec:       spec,
 		prog:       prog,
@@ -80,12 +66,18 @@ func (c *Controller) startQuery(req scheduleReq) {
 		bestGoal:   query.NoResult,
 	}
 	c.queries[spec.ID] = ctl
+	// The query executes against the version committed now (MVCC): batches
+	// committing later stay invisible to it. Every worker is at exactly
+	// this version when the broadcast below reaches it — the broadcast is
+	// ordered, per link, after the DeltaBatch that produced the version and
+	// before the one that supersedes it — and checks that it is.
+	c.pin(ctl)
 	c.beginQueryTrace(ctl)
-	c.broadcast(&protocol.ExecuteQuery{Spec: spec})
+	c.broadcast(&protocol.ExecuteQuery{Spec: ctl.spec})
 
 	// Initial involved set: owners of the initial activations.
 	init := make(map[partition.WorkerID]bool)
-	for _, act := range prog.Init(c.view, spec) {
+	for _, act := range prog.Init(c.curView.Load(), ctl.spec) {
 		init[c.ownerOf(ctl, act.V)] = true
 	}
 	c.release(ctl, 0, init, nil, false)
@@ -287,8 +279,7 @@ func (c *Controller) collect(ctl *qctl) {
 // its statistics into the monitoring window.
 func (c *Controller) finishQuery(ctl *qctl, reason protocol.FinishReason) {
 	q := ctl.spec.ID
-	delete(c.queries, q)
-	c.views.Unpin(ctl.spec.PinVersion)
+	c.forget(ctl)
 	c.broadcast(&protocol.QueryFinish{Q: q, Reason: reason})
 
 	now := c.cfg.Clock()
@@ -309,6 +300,7 @@ func (c *Controller) finishQuery(ctl *qctl, reason protocol.FinishReason) {
 		Touched:    touched,
 		Workers:    workers,
 		Latency:    now.Sub(ctl.started),
+		Version:    ctl.spec.PinVersion,
 	}
 	c.endQueryTrace(ctl, reason, res)
 	ctl.ch <- res

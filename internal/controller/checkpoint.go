@@ -70,9 +70,8 @@ func (c *Controller) requestCheckpoint(ch chan snapshot.Result) {
 		c.nextCutWaiters = append(c.nextCutWaiters, ch)
 		return
 	}
-	v := c.graphVersion.Load()
-	if v == c.lastSnapVersion {
-		ch <- snapshot.Result{Version: v, Vertices: c.view.NumVertices(), Edges: c.view.NumEdges()}
+	if view := c.curView.Load(); view.Version() == c.lastSnapVersion {
+		ch <- snapshot.Result{Version: view.Version(), Vertices: view.NumVertices(), Edges: view.NumEdges()}
 		return
 	}
 	c.cutWaiters = append(c.cutWaiters, ch)
@@ -84,8 +83,8 @@ func (c *Controller) requestCheckpoint(ch chan snapshot.Result) {
 // on a background goroutine. The policy accounting resets at the pin;
 // onCutDone restores it if the cut aborts.
 func (c *Controller) startCut(now time.Time) {
-	v := c.graphVersion.Load()
-	view := c.view
+	view := c.curView.Load()
+	v := view.Version()
 	c.cutInFlight = true
 	c.cutPrevVersion, c.cutPrevAt = c.lastSnapVersion, c.lastSnapAt
 	c.cutPinnedOps, c.cutPinnedBytes = c.snapOps, c.snapBytes
@@ -187,9 +186,8 @@ func (c *Controller) onCutDone(d cutDone) {
 	c.cutAgain = false
 	waiters := c.nextCutWaiters
 	c.nextCutWaiters = nil
-	v := c.graphVersion.Load()
-	if v == c.lastSnapVersion {
-		noop := snapshot.Result{Version: v, Vertices: c.view.NumVertices(), Edges: c.view.NumEdges()}
+	if view := c.curView.Load(); view.Version() == c.lastSnapVersion {
+		noop := snapshot.Result{Version: view.Version(), Vertices: view.NumVertices(), Edges: view.NumEdges()}
 		for _, ch := range waiters {
 			ch <- noop
 		}

@@ -238,6 +238,9 @@ type Result struct {
 	Touched    int // |GS(q)| — global scope size
 	Workers    int // workers the query ever involved
 	Latency    time.Duration
+	// Version is the committed graph version the answer was computed at
+	// (the query's pin) — not whatever is committed when it is delivered.
+	Version uint64
 }
 
 // qctl is the controller-side state of one active query.
@@ -365,28 +368,29 @@ type Controller struct {
 	scopeExpect  [][]uint64 // cumulative ScopeData expectations [receiver][sender]
 	deferred     []scheduleReq
 
-	// Streaming graph updates (internal/delta). view is the Run-loop-owned
-	// committed graph; curView mirrors it atomically for concurrent readers
-	// (Schedule validation, the serving layer). graphVersion counts
-	// committed batches.
-	view         *delta.View
-	curView      atomic.Pointer[delta.View]
-	graphVersion atomic.Uint64
-	pendingOps   []delta.Op
-	pendingMuts  []pendingMut
-	pendingNewV  int // AddVertex ops staged (range validation)
-	firstOpAt    time.Time
-	// Off-barrier commit state. views is the controller-side MVCC
-	// registry: every committed version a query still has pinned stays
-	// resolvable (its Stats surface the compaction floor). sealed is the
-	// FIFO of batches sealed — version assigned, enqueued to the WAL group
-	// committer — but not yet durable+applied; sealedHead is the last sealed
-	// version (applies trail it by len(sealed)). walAckCh delivers group
-	//-commit completions into the event loop; durableQ buffers completions
-	// that land mid-recovery (applying would move the version under the
-	// round's PartitionAck equality check), drained at resume. ackVersion
-	// tracks each worker's last DeltaAck for replication-lag accounting.
-	views           *delta.Registry
+	// Streaming graph updates (internal/delta). curView is the committed
+	// graph: stored only by the event loop (one whole batch at a time),
+	// loaded by it and by concurrent readers (Schedule validation, the
+	// serving layer). Its Version() is the committed graph version.
+	curView     atomic.Pointer[delta.View]
+	pendingOps  []delta.Op
+	pendingMuts []pendingMut
+	pendingNewV int // AddVertex ops staged (range validation)
+	firstOpAt   time.Time
+	// Off-barrier commit state. pins counts the active queries pinned at
+	// each committed version (every entry of queries holds exactly one pin,
+	// taken by pin and released by unpin); mvcc publishes the numbers
+	// derived from it for concurrent readers, the way health does. sealed
+	// is the FIFO of batches sealed — version assigned, enqueued to the WAL
+	// group committer — but not yet durable+applied; sealedHead is the last
+	// sealed version (applies trail it by len(sealed)). walAckCh delivers
+	// group-commit completions into the event loop; durableQ buffers
+	// completions that land mid-recovery (applying would move the version
+	// under the round's PartitionAck equality check), drained at resume.
+	// ackVersion tracks each worker's last DeltaAck for replication-lag
+	// accounting.
+	pins            map[uint64]int
+	mvcc            atomic.Pointer[MVCCStats]
 	sealed          []*sealedBatch
 	sealedHead      uint64
 	walAckCh        chan wal.AppendAck
@@ -516,7 +520,7 @@ func New(cfg Config, conn transport.Conn) (*Controller, error) {
 		queries:      make(map[query.ID]*qctl),
 		byQ:          make(map[query.ID]*windowEntry),
 		inter:        make(map[interKey]int64),
-		view:         delta.NewViewAt(cfg.Graph, cfg.BaseVersion),
+		pins:         make(map[uint64]int),
 		sealedHead:   cfg.BaseVersion,
 		walAckCh:     make(chan wal.AppendAck, 2*maxSealedInFlight),
 		ackVersion:   make([]uint64, cfg.K),
@@ -542,12 +546,10 @@ func New(cfg Config, conn transport.Conn) (*Controller, error) {
 	for _, w := range cfg.Owner {
 		c.vertCount[w]++
 	}
-	c.views = delta.NewRegistry(c.view)
 	for w := range c.ackVersion {
 		c.ackVersion[w] = cfg.BaseVersion
 	}
 	c.minAckedVersion.Store(cfg.BaseVersion)
-	c.graphVersion.Store(cfg.BaseVersion)
 	if err := c.deltaLog.Rebase(cfg.BaseVersion); err != nil {
 		return nil, fmt.Errorf("controller: %w", err)
 	}
@@ -561,7 +563,8 @@ func New(cfg Config, conn transport.Conn) (*Controller, error) {
 	c.lastSnapVersion = cfg.BaseVersion
 	c.lastSnapAt = cfg.Clock()
 	c.phaseStart = cfg.Clock()
-	c.curView.Store(c.view)
+	c.curView.Store(delta.NewViewAt(cfg.Graph, cfg.BaseVersion))
+	c.publishMVCC()
 	c.health.Store(&Health{})
 	c.obs = newCtlObs(c)
 	return c, nil
@@ -625,7 +628,7 @@ func (c *Controller) Mutate(ops []delta.Op) (<-chan MutationResult, error) {
 // GraphVersion returns the number of committed mutation batches as a
 // monotone graph version. Safe to call concurrently with Run; the serving
 // layer folds it into the result-cache epoch.
-func (c *Controller) GraphVersion() uint64 { return c.graphVersion.Load() }
+func (c *Controller) GraphVersion() uint64 { return c.curView.Load().Version() }
 
 // GraphView returns the current committed graph view (a consistent
 // snapshot; later commits do not mutate it). Safe to call concurrently
@@ -685,13 +688,19 @@ func (c *Controller) WALStats() wal.Stats {
 	return c.cfg.WAL.Stats()
 }
 
-// MVCCStats describes the multi-version state of the commit pipeline: the
-// view registry's live/pinned versions (the compaction floor), how many
-// sealed batches are in flight between the event loop and the WAL group
-// committer, and how far the slowest worker replica trails the committed
-// version.
+// MVCCStats describes the multi-version state of the commit pipeline:
+// which committed versions still have a reader (a query holds a pointer
+// to its version's immutable view; a version no query holds and that is
+// not the latest is garbage), how many sealed batches are in flight
+// between the event loop and the WAL group committer, and how far the
+// slowest worker replica trails the committed version.
 type MVCCStats struct {
-	delta.RegistryStats
+	Live         int    `json:"live_versions"`  // the latest version plus every older one still pinned
+	Pinned       int    `json:"pinned_readers"` // active queries, each pinned at one version
+	Latest       uint64 `json:"latest_version"`
+	OldestPinned uint64 `json:"oldest_pinned"`    // meaningful only while Pinned > 0
+	Retired      uint64 `json:"retired_versions"` // versions committed since start that are no longer live
+	Peak         int    `json:"peak_live_versions"`
 	// SealedInFlight is the number of batches sealed (version assigned,
 	// queued for group fsync) but not yet applied.
 	SealedInFlight int64 `json:"sealed_in_flight"`
@@ -703,14 +712,61 @@ type MVCCStats struct {
 // MVCCStats reports the commit pipeline's multi-version accounting. Safe
 // to call concurrently with Run; the serving layer surfaces it in /stats.
 func (c *Controller) MVCCStats() MVCCStats {
-	st := MVCCStats{
-		RegistryStats:  c.views.Stats(),
-		SealedInFlight: c.sealedInFlight.Load(),
-	}
-	if v, acked := c.graphVersion.Load(), c.minAckedVersion.Load(); v > acked {
+	st := *c.mvcc.Load()
+	st.SealedInFlight = c.sealedInFlight.Load()
+	if v, acked := c.GraphVersion(), c.minAckedVersion.Load(); v > acked {
 		st.MaxWorkerLag = v - acked
 	}
 	return st
+}
+
+// pin points ctl at the committed version: the one every worker replica
+// is at when the ExecuteQuery that follows reaches it (per-link FIFO), and
+// whose immutable view the query keeps reading while later batches commit.
+func (c *Controller) pin(ctl *qctl) {
+	ctl.spec.PinVersion = c.GraphVersion()
+	c.pins[ctl.spec.PinVersion]++
+	c.publishMVCC()
+}
+
+// unpin releases ctl's version; a recovery restart pins again right after.
+func (c *Controller) unpin(ctl *qctl) {
+	v := ctl.spec.PinVersion
+	if c.pins[v]--; c.pins[v] == 0 {
+		delete(c.pins, v)
+	}
+	c.publishMVCC()
+}
+
+// forget is the one exit of an active query, whatever ended it.
+func (c *Controller) forget(ctl *qctl) {
+	delete(c.queries, ctl.spec.ID)
+	c.unpin(ctl)
+}
+
+// publishMVCC snapshots the pin counts for concurrent readers; called on
+// every pin, unpin and commit. Everything is derived: a version is live
+// while it is the latest or pinned, and every other version committed
+// since BaseVersion is retired.
+func (c *Controller) publishMVCC() {
+	st := &MVCCStats{Latest: c.GraphVersion(), Live: len(c.pins)}
+	if c.pins[st.Latest] == 0 {
+		st.Live++
+	}
+	oldest := st.Latest // no pin is newer than the committed version
+	for v, n := range c.pins {
+		st.Pinned += n
+		oldest = min(oldest, v)
+	}
+	if st.Pinned > 0 {
+		st.OldestPinned = oldest
+	}
+	st.Retired = st.Latest - c.cfg.BaseVersion + 1 - uint64(st.Live)
+	st.Peak = st.Live
+	if prev := c.mvcc.Load(); prev != nil {
+		st.Peak = max(prev.Peak, st.Live)
+	}
+	c.mvcc.Store(st)
 }
 
 // QcutSnapshot returns the controller's current high-level view as a Q-cut
@@ -825,8 +881,7 @@ func (c *Controller) failActive() {
 			Supersteps: ctl.stepsDone, LocalIters: ctl.localSteps,
 			Latency: now.Sub(ctl.started),
 		}
-		c.views.Unpin(ctl.spec.PinVersion)
-		delete(c.queries, q)
+		c.forget(ctl)
 	}
 	for _, req := range c.deferred {
 		req.ch <- Result{Q: req.spec.ID, Value: query.NoResult, Reason: protocol.FinishCancelled}

@@ -304,12 +304,11 @@ func TestDuplicateSynchIsError(t *testing.T) {
 func TestCheckpointPrivateStoreNeverTruncates(t *testing.T) {
 	commitOne := func(c *Controller) {
 		ops := []delta.Op{{Kind: delta.OpAddVertex}}
-		nv, _, err := c.view.Apply(ops)
+		nv, _, err := c.curView.Load().Apply(ops)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.view = nv
-		c.graphVersion.Store(nv.Version())
+		c.curView.Store(nv)
 		if err := c.deltaLog.Append(nv.Version(), ops); err != nil {
 			t.Fatal(err)
 		}

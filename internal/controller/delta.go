@@ -16,8 +16,8 @@ import (
 // and the batch commits to version v+1 off the global barrier. It is
 // sealed — version assigned, new vertices placed — and handed to the WAL
 // group committer; once the shared fsync reports it durable, the event
-// loop applies it to the controller view, publishes the version,
-// broadcasts the DeltaBatch to the workers, and acknowledges the callers.
+// loop applies it to the committed view, broadcasts the DeltaBatch to the
+// workers, and acknowledges the callers.
 // No query stops: each query pinned an immutable snapshot at admission
 // (query.Spec.PinVersion) and runs to completion against it, so commit
 // latency is seal→fsync→apply instead of a function of the longest-running
@@ -49,7 +49,7 @@ func (c *Controller) onMutate(req mutateReq) {
 	}
 	// Range-validate against the staged future: committed view plus every
 	// vertex an earlier staged or sealed op will add.
-	n := c.view.NumVertices() + c.pendingNewV
+	n := c.curView.Load().NumVertices() + c.pendingNewV
 	for _, sb := range c.sealed {
 		n += len(sb.batch.NewOwners)
 	}
@@ -198,25 +198,23 @@ func (c *Controller) drainDurable() error {
 }
 
 // applyDurable applies the durable head of the sealed FIFO: advance the
-// controller view, publish the version, broadcast the batch off-barrier,
-// and acknowledge the callers. Running queries are untouched — they hold
-// pinned snapshots.
+// committed view, broadcast the batch off-barrier, and acknowledge the
+// callers. Running queries are untouched — each keeps the view of the
+// version it was pinned at.
 func (c *Controller) applyDurable(ack wal.AppendAck) error {
 	sb := c.sealed[0]
 	if sb.batch.Version != ack.Version {
 		return fmt.Errorf("controller: wal acked version %d, expected %d", ack.Version, sb.batch.Version)
 	}
 	batch := sb.batch
-	nv, statuses, err := c.view.Apply(batch.Ops)
+	nv, statuses, err := c.curView.Load().Apply(batch.Ops)
 	if err != nil {
 		// The batch was validated when staged; failing here means the
 		// durable log and the in-memory chain diverged — fatal.
 		return fmt.Errorf("controller: committed batch %d failed to apply: %w", batch.Version, err)
 	}
-	c.view = nv
 	c.curView.Store(nv)
-	c.graphVersion.Store(batch.Version)
-	c.views.Publish(nv)
+	c.publishMVCC()
 	preBytes := c.deltaLog.Bytes()
 	if err := c.deltaLog.Append(batch.Version, batch.Ops); err != nil {
 		// Impossible: versions apply contiguously from this one loop.
@@ -241,10 +239,10 @@ func (c *Controller) applyDurable(ack wal.AppendAck) error {
 	for _, o := range batch.NewOwners {
 		c.vertCount[o]++
 	}
-	// Off-barrier version bump: workers apply the batch between supersteps
-	// and publish it into their view registries; queries in flight keep
-	// their pinned snapshots. Broadcast ordering relative to ExecuteQuery
-	// on each link is what makes every pin resolvable (see startQuery).
+	// Off-barrier version bump: workers apply the batch between supersteps;
+	// queries in flight keep the view they were pinned at. Broadcast
+	// ordering relative to ExecuteQuery on each link is what puts every
+	// worker at exactly the pinned version (see startQuery).
 	c.broadcast(batch)
 	i := 0
 	for _, pm := range sb.muts {

@@ -115,7 +115,7 @@ func newCtlObs(c *Controller) *ctlObs {
 			func() float64 { return float64(co.computeNS[wi].Load()) / 1e9 })
 	}
 	m.GaugeFunc("qgraph_graph_version", "", "committed graph version (mutation batches applied)",
-		func() float64 { return float64(c.graphVersion.Load()) })
+		func() float64 { return float64(c.GraphVersion()) })
 	m.GaugeFunc("qgraph_repartition_epoch", "", "executed repartitioning barriers",
 		func() float64 { return float64(c.repartEpoch.Load()) })
 	m.CounterFunc("qgraph_recovery_episodes_total", "", "completed worker-failure recovery episodes",

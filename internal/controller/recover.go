@@ -33,7 +33,7 @@ import (
 //     "barrier drain" without the dead worker's cooperation).
 //   - The committed version holds still for the whole round: a batch is
 //     applied and broadcast only after its fsync, so per-link FIFO brings
-//     every live replica to exactly graphVersion before RecoverStart
+//     every live replica to exactly the committed version before RecoverStart
 //     reaches it, and batches that become durable mid-round queue in
 //     durableQ until resume — nothing is ever rolled back.
 //   - The repartition epoch bumps exactly once per episode (in resume),
@@ -60,12 +60,12 @@ func (c *Controller) onWorkerDead(w partition.WorkerID) {
 	c.deadWorkers[w] = true
 	if o := c.cfg.Obs; o != nil {
 		o.Log().Warn("worker declared dead", "worker", int(w),
-			"graph_version", c.graphVersion.Load())
+			"graph_version", c.GraphVersion())
 	}
 	c.cfg.Monitor.MarkWorkerDead(int(w))
 	c.healthEvent(health.EventWorkerDead, health.SevWarn, int(w),
 		fmt.Sprintf("worker %d declared dead (missed heartbeats)", int(w)),
-		map[string]any{"graph_version": c.graphVersion.Load()})
+		map[string]any{"graph_version": c.GraphVersion()})
 	if c.cfg.Respawn == nil {
 		// Fence a falsely-declared-dead worker that is actually alive: its
 		// partition is being reassigned under it. With in-process respawn
@@ -165,7 +165,7 @@ func (c *Controller) proceedRecovery() {
 	// message of this round (receivers copy; the controller keeps
 	// mutating c.owner afterwards).
 	ownerSnap := append([]partition.WorkerID(nil), c.owner...)
-	version := c.graphVersion.Load()
+	version := c.GraphVersion()
 	// The grant replays the retained tail over the log's own base, which by
 	// construction cannot gap. If it somehow does, ship an empty tail: the
 	// rejoiner then fails its version check loudly instead of silently
@@ -212,9 +212,9 @@ func (c *Controller) onPartitionAck(m *protocol.PartitionAck) error {
 	if !fresh {
 		return nil // stale round or unexpected sender
 	}
-	if m.Version != c.graphVersion.Load() {
+	if m.Version != c.GraphVersion() {
 		return fmt.Errorf("controller: worker %d recovered at graph version %d, want %d (replica divergence)",
-			m.W, m.Version, c.graphVersion.Load())
+			m.W, m.Version, c.GraphVersion())
 	}
 	// The ack proves w's replica is at the committed version, and the live
 	// set just changed: without this a dead (or rejoined) slowest worker
@@ -257,7 +257,7 @@ func (c *Controller) completeRecovery() error {
 			"duration_ms", float64(dur)/float64(time.Millisecond),
 			"handoffs", handoffs, "rejoins", rejoins,
 			"queries_restarted", len(c.queries),
-			"graph_version", c.graphVersion.Load())
+			"graph_version", c.GraphVersion())
 	}
 	c.epDied = make(map[partition.WorkerID]bool)
 
@@ -290,16 +290,12 @@ func (c *Controller) resetQueryForRestart(ctl *qctl) {
 		// Re-pin replicated queries: the old home may be gone.
 		ctl.spec.SetHome(int(c.owner[ctl.spec.Source]))
 	}
-	// Re-pin the MVCC snapshot to the recovered version: every worker is
-	// exactly at the committed version when the re-broadcast ExecuteQuery
-	// arrives (RecoverStart/PartitionGrant carried it), so the new pin
-	// resolves; the old one may predate the recovery and is released.
-	c.views.Unpin(ctl.spec.PinVersion)
-	ctl.spec.PinVersion = c.view.Version()
-	if _, err := c.views.Pin(ctl.spec.PinVersion); err != nil {
-		// Cannot happen: the pin targets the registry's latest version.
-		panic(fmt.Sprintf("controller: re-pin query %d: %v", ctl.spec.ID, err))
-	}
+	// Move the pin to the recovered version: every worker is exactly at the
+	// committed version when the re-broadcast ExecuteQuery arrives
+	// (RecoverStart/PartitionGrant carried it); the old pin may predate the
+	// recovery.
+	c.unpin(ctl)
+	c.pin(ctl)
 }
 
 // enterTerminal is the unrecoverable end state: every worker is dead.
@@ -325,8 +321,7 @@ func (c *Controller) enterTerminal() {
 			Supersteps: ctl.stepsDone, LocalIters: ctl.localSteps,
 			Latency: now.Sub(ctl.started),
 		}
-		c.views.Unpin(ctl.spec.PinVersion)
-		delete(c.queries, q)
+		c.forget(ctl)
 	}
 	for _, req := range c.deferred {
 		req.ch <- Result{Q: req.spec.ID, Value: query.NoResult, Reason: protocol.FinishWorkerLost}

@@ -498,7 +498,7 @@ func (e *Engine) SnapshotStats() snapshot.Stats { return e.ctrl.SnapshotStats() 
 // false when the engine runs without a WAL; see controller.WALStats).
 func (e *Engine) WALStats() wal.Stats { return e.ctrl.WALStats() }
 
-// MVCCStats reports the commit pipeline's version-registry accounting.
+// MVCCStats reports the commit pipeline's multi-version accounting.
 func (e *Engine) MVCCStats() controller.MVCCStats { return e.ctrl.MVCCStats() }
 
 // GraphBase returns the graph and committed version the engine started

@@ -250,6 +250,12 @@ func TestRecoveryFaultMatrix(t *testing.T) {
 				t.Fatalf("max worker lag %d after recovery, want 0 (dead replica still counted)", lag)
 			}
 
+			// Queries the episode restarted moved their pins to the recovered
+			// version; none may be left behind on the version they started at.
+			if m := eng.MVCCStats(); m.Pinned != 0 || m.Live != 1 || m.Latest != eng.GraphVersion() {
+				t.Fatalf("mvcc after recovery = %+v, want nothing pinned and only version %d live", m, eng.GraphVersion())
+			}
+
 			// The engine keeps serving after the episode.
 			if d := sssp(t, eng, 500, 0, 47); d != graph.DijkstraTo(g, 0, 47) {
 				t.Fatalf("post-recovery distance %g", d)

@@ -72,10 +72,11 @@ type Spec struct {
 	// assembles (internal/obs).
 	TraceID uint64
 	// PinVersion is the committed graph version this query executes
-	// against: assigned by the controller at admission, resolved by every
-	// worker to the same immutable delta.View snapshot. Batches committing
-	// at later versions while the query runs are invisible to it (MVCC
-	// snapshot isolation; see the view registry in internal/delta).
+	// against: assigned by the controller at admission, and the version
+	// every worker must be at when the query reaches it, so all of them
+	// hold the same immutable delta.View snapshot. Batches committing at
+	// later versions while the query runs are invisible to it (MVCC
+	// snapshot isolation).
 	PinVersion uint64
 	// home pins the whole query to one worker (stored as worker+1 so the
 	// zero value means "no pinning"). See SetHome.

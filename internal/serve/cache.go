@@ -73,6 +73,8 @@ type Outcome struct {
 	Workers    int
 	// EngineLatency is the engine execution time of the original run.
 	EngineLatency time.Duration
+	// Version is the graph version the original run was pinned at.
+	Version uint64
 }
 
 // Cacheable reports whether a finish reason represents a reusable answer.

@@ -116,6 +116,38 @@ func TestMutateVersionHeaderReadYourWrites(t *testing.T) {
 	}
 }
 
+// TestQueryVersionHeaderIsThePin: a /query answer reports the version it
+// was computed at, not whatever is committed when the response is written
+// — and a cache hit reports the version of the run that produced it.
+// Errors keep the committed version (how far behind a 412 is).
+func TestQueryVersionHeaderIsThePin(t *testing.T) {
+	b := newStubBackend()
+	b.version.Store(7) // commits landed while the query ran...
+	b.pinned.Store(5)  // ...pinned at version 5
+	_, ts := newTestServer(t, b, nil)
+
+	req := QueryRequest{Kind: "sssp", Source: 0, Target: ptr(int64(5))}
+	code, first, hdr := postQuery(t, ts.URL, req)
+	if code != http.StatusOK || first.CacheHit {
+		t.Fatalf("first read = %d, cache_hit=%v", code, first.CacheHit)
+	}
+	if v := hdr.Get(VersionHeader); v != "5" {
+		t.Fatalf("executed read stamps %s = %q, want the pinned version 5", VersionHeader, v)
+	}
+	b.pinned.Store(6) // a later run would pin elsewhere; the cached one did not
+	code, second, hdr := postQuery(t, ts.URL, req)
+	if code != http.StatusOK || !second.CacheHit {
+		t.Fatalf("second read = %d, cache_hit=%v, want a hit", code, second.CacheHit)
+	}
+	if v := hdr.Get(VersionHeader); v != "5" {
+		t.Fatalf("cache hit stamps %s = %q, want 5, the version of the run that produced it", VersionHeader, v)
+	}
+	req.Kind = "nope"
+	if code, _, hdr = postQuery(t, ts.URL, req); code != http.StatusBadRequest || hdr.Get(VersionHeader) != "7" {
+		t.Fatalf("bad request = %d stamped %q, want 400 stamped with the committed version 7", code, hdr.Get(VersionHeader))
+	}
+}
+
 // TestHealthzReportsVersionsAndDegradation: /healthz carries the live
 // graph version and repartition epoch, and turns 503 when the engine is
 // degraded.

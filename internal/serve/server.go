@@ -58,8 +58,8 @@ type Backend interface {
 	// WALStats reports the durable write-ahead log's accounting for
 	// /stats (Enabled=false when the deployment runs without a WAL).
 	WALStats() wal.Stats
-	// MVCCStats reports the commit pipeline's version registry: live
-	// versions, pinned readers, sealed-but-undurable batches in flight.
+	// MVCCStats reports the commit pipeline's multi-version accounting:
+	// live versions, pinned readers, sealed-but-undurable batches in flight.
 	MVCCStats() controller.MVCCStats
 }
 
@@ -122,10 +122,12 @@ type Config struct {
 	Clock func() time.Time
 }
 
-// VersionHeader carries the committed graph version a response reflects.
-// Clients do read-your-writes by echoing the version their last mutation
-// reported as ?min_version=; the router uses it to verify the staleness
-// bound of replica answers.
+// VersionHeader carries the committed graph version a response reflects:
+// on a /query answer the version it was computed at, everywhere else the
+// version committed when the response was written. Clients do
+// read-your-writes by echoing the version their last mutation reported as
+// ?min_version=; the router uses it to verify the staleness bound of
+// replica answers.
 const VersionHeader = "X-QGraph-Version"
 
 // TraceHeader carries a trace ID across HTTP hops. A node honors an
@@ -369,6 +371,10 @@ type QueryResponse struct {
 	// X-QGraph-Trace-ID when one was propagated, else locally generated.
 	// Feed it to GET /trace/by-id/{trace_id} (0 when tracing is off).
 	TraceID uint64 `json:"trace_id,omitempty"`
+	// version is the graph version the answer was computed at — of the
+	// run that produced it, for cache hits and coalesced answers. It goes
+	// out as the X-QGraph-Version header, not in the body.
+	version uint64
 }
 
 type errorResponse struct {
@@ -403,7 +409,7 @@ type StatsResponse struct {
 	// checkpoints. Enabled=false when the deployment runs without one
 	// (see README "Durability modes").
 	WAL wal.Stats `json:"wal"`
-	// MVCC reports the commit pipeline's version registry: how many
+	// MVCC reports the commit pipeline's multi-version state: how many
 	// immutable graph versions are live, how many readers pin them, and
 	// how many sealed batches await their group fsync.
 	MVCC controller.MVCCStats `json:"mvcc"`
@@ -580,19 +586,22 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 	resp, code, errBody := s.execute(ctx, spec, req, tenant)
-	// Re-stamp: versions committed while the query executed move the
-	// header forward, never backward.
-	s.stampVersion(w)
 	if resp.TraceID != 0 {
 		w.Header().Set(TraceHeader, strconv.FormatUint(resp.TraceID, 10))
 	}
 	if errBody != nil {
+		// Re-stamp: versions committed while the request waited move the
+		// header forward, never backward.
+		s.stampVersion(w)
 		if code == http.StatusTooManyRequests {
 			w.Header().Set("Retry-After", s.retryAfter())
 		}
 		writeJSON(w, code, *errBody)
 		return
 	}
+	// An answer reports the version it was computed at, which commits that
+	// landed while it ran (or since it was cached) do not change.
+	w.Header().Set(VersionHeader, strconv.FormatUint(resp.version, 10))
 	writeJSON(w, code, resp)
 }
 
@@ -1087,6 +1096,7 @@ func (s *Server) respFrom(spec query.Spec, out Outcome, started time.Time, wait 
 		LatencyMS:   durMS(s.cfg.Clock().Sub(started)),
 		EngineMS:    durMS(out.EngineLatency),
 		QueueWaitMS: durMS(wait),
+		version:     out.Version,
 	}
 	if out.Value != query.NoResult {
 		v := out.Value
@@ -1104,6 +1114,7 @@ func outcomeOf(res controller.Result) Outcome {
 		Touched:       res.Touched,
 		Workers:       res.Workers,
 		EngineLatency: res.Latency,
+		Version:       res.Version,
 	}
 }
 

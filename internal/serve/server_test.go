@@ -29,9 +29,13 @@ import (
 // Stub backend: deterministic, controllable engine for handler tests.
 
 type stubBackend struct {
-	mu        sync.Mutex
-	epoch     atomic.Int64
-	version   atomic.Uint64
+	mu      sync.Mutex
+	epoch   atomic.Int64
+	version atomic.Uint64
+	// pinned is the version query results report (controller.Result.Version):
+	// the version a run was computed at, which trails version when commits
+	// landed while it ran.
+	pinned    atomic.Uint64
 	view      graph.View
 	mutations [][]delta.Op
 	mutErr    error
@@ -71,6 +75,7 @@ func (b *stubBackend) Schedule(spec query.Spec) (<-chan controller.Result, error
 		res := controller.Result{
 			Q: spec.ID, Value: float64(spec.Source) * 2, Reason: protocol.FinishConverged,
 			Supersteps: 3, Touched: 5, Workers: 1, Latency: time.Millisecond,
+			Version: b.pinned.Load(),
 		}
 		if blk != nil {
 			if b.ignoreCancel {

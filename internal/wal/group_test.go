@@ -40,7 +40,7 @@ func TestGroupCommitDurabilityAndOrder(t *testing.T) {
 	// Everything acked must be replayable after reopen.
 	w2 := mustOpen(t, dir)
 	defer w2.Close()
-	batches, err := w2.Since(0)
+	batches, err := ReadTail(dir, testGraphID, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestGroupCommitRotation(t *testing.T) {
 	}
 	w2 := mustOpen(t, dir)
 	defer w2.Close()
-	batches, err := w2.Since(0)
+	batches, err := ReadTail(dir, testGraphID, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

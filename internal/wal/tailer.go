@@ -1,9 +1,7 @@
 package wal
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc64"
 	"io"
 	"os"
 	"path/filepath"
@@ -13,10 +11,10 @@ import (
 )
 
 // Tailer incrementally follows a WAL directory written by another process
-// (the primary), returning newly durable batches on each Poll. Unlike
-// ReadTail — which re-reads and re-parses every segment file on every
-// call — the tailer keeps a per-segment byte offset and resumes mid-file,
-// so a steady-state poll costs O(new bytes), not O(segment).
+// (the primary), returning newly durable batches on each Poll. It keeps a
+// per-segment byte offset and resumes mid-file, so a steady-state poll
+// costs O(new bytes), not O(segment); ReadTail is the one-shot form (a
+// fresh tailer polled once).
 //
 // Only whole, CRC-verified, chain-consecutive records advance the offset;
 // a partial record at the tail (the writer mid-append, not yet fsynced)
@@ -192,33 +190,15 @@ func (t *Tailer) readCur() ([]delta.LogBatch, error) {
 	}
 	t.bytesRead.Add(int64(len(buf)))
 	var out []delta.LogBatch
-	pos := 0
-	for {
-		rest := buf[pos:]
-		if len(rest) < recHdrSize {
-			break
-		}
-		plen := int(binary.LittleEndian.Uint32(rest[0:4]))
-		if plen > maxRecordPayload || recHdrSize+plen > len(rest) {
-			break
-		}
-		payload := rest[recHdrSize : recHdrSize+plen]
-		if crc64.Checksum(payload, crcTable) != binary.LittleEndian.Uint64(rest[4:12]) {
-			break
-		}
-		b, derr := decodeRecord(payload)
-		if derr != nil || b.Version != t.cur.last+1 {
-			break
-		}
-		pos += recHdrSize + plen
-		t.cur.off += int64(recHdrSize + plen)
-		t.cur.last = b.Version
+	n, last := walkRecords(buf, t.cur.last, func(b delta.LogBatch) {
 		if b.Version > t.version {
 			t.version = b.Version
 			t.verMirror.Store(b.Version)
 			t.batches.Add(1)
 			out = append(out, b)
 		}
-	}
+	})
+	t.cur.off += int64(n)
+	t.cur.last = last
 	return out, nil
 }

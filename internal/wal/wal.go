@@ -107,12 +107,10 @@ type WAL struct {
 	// Append to override DefaultSegmentBytes (tests use tiny segments).
 	SegmentBytes int64
 
-	mu       sync.Mutex
-	f        *os.File // head segment, opened for append
-	segs     []segInfo
-	head     uint64
-	floor    uint64 // persisted truncation floor (see floorFile)
-	hasFloor bool
+	mu   sync.Mutex
+	f    *os.File // head segment, opened for append
+	segs []segInfo
+	head uint64
 
 	appends        atomic.Int64
 	appendedBytes  atomic.Int64
@@ -174,7 +172,6 @@ func Open(dir string, graphID uint64) (*WAL, error) {
 	w.gcCh = make(chan gcReq, gcQueueDepth)
 	w.gcQuit = make(chan struct{})
 	w.gcDone = make(chan struct{})
-	w.floor, w.hasFloor = readFloor(dir)
 	// Sweep rotation temp files a crash left behind.
 	if tmps, err := filepath.Glob(filepath.Join(dir, "wal-*"+fileExt+tmpSuffix)); err == nil {
 		for _, p := range tmps {
@@ -372,9 +369,7 @@ func (w *WAL) TruncateTo(v uint64) int {
 		// failure only leaves the floor conservatively low, and the head
 		// segment (never deleted here) still carries its own prev for the
 		// gap check.
-		if err := writeFloor(w.dir, w.segs[0].prev); err == nil {
-			w.floor, w.hasFloor = w.segs[0].prev, true
-		}
+		_ = writeFloor(w.dir, w.segs[0].prev)
 		syncDir(w.dir)
 		w.truncatedSegs.Add(int64(n))
 		w.publishMirrors()
@@ -405,7 +400,6 @@ func (w *WAL) Rebase(v uint64) error {
 	if err := writeFloor(w.dir, v); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	w.floor, w.hasFloor = v, true
 	for _, s := range w.segs {
 		if err := os.Remove(s.path); err != nil {
 			return fmt.Errorf("wal: %w", err)
@@ -414,15 +408,6 @@ func (w *WAL) Rebase(v uint64) error {
 	w.segs = nil
 	syncDir(w.dir)
 	return w.newSegment(v)
-}
-
-// Since reads back every durable batch with Version > v, in order. v
-// below Base is a delta.ErrGap — the segments covering it were truncated
-// after a checkpoint, so the retained chain does not connect.
-func (w *WAL) Since(v uint64) ([]delta.LogBatch, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return readSegs(w.segs, w.graphID, v, w.floor, w.hasFloor)
 }
 
 // Close stops the group committer (failing anything still queued), then
@@ -537,61 +522,63 @@ func decodeRecord(payload []byte) (delta.LogBatch, error) {
 	return b, nil
 }
 
-// scanSegment parses one segment file: header checks, then records up to
-// the first torn or out-of-chain one. It returns the segment info (good
-// prefix only), the parsed batches when collect is set, and the byte
-// offset of the good prefix — the truncation point when the tail is torn.
-func scanSegment(path string, graphID uint64, collect bool) (seg segInfo, batches []delta.LogBatch, good int64, torn bool, err error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return segInfo{}, nil, 0, false, fmt.Errorf("wal: %w", err)
-	}
-	if len(raw) < headerSize || string(raw[:4]) != fileMagic {
-		// A header this broken cannot happen from a crash (headers are
-		// written via temp+rename); treat the whole file as torn.
-		return segInfo{path: path}, nil, 0, true, nil
-	}
-	if f := binary.LittleEndian.Uint32(raw[4:8]); f != fileFormat {
-		return segInfo{}, nil, 0, false, fmt.Errorf("wal: %s: unknown format %d", path, f)
-	}
-	if id := binary.LittleEndian.Uint64(raw[8:16]); id != graphID {
-		return segInfo{}, nil, 0, false, fmt.Errorf("wal: %s: graph id %#x, want %#x (wrong graph for this log)", path, id, graphID)
-	}
-	prev := binary.LittleEndian.Uint64(raw[16:24])
-	seg = segInfo{path: path, prev: prev, last: prev}
-	off := int64(headerSize)
+// walkRecords is the one place WAL records are parsed: length prefix →
+// CRC → decodeRecord → version chain. buf starts on a record boundary and
+// last is the version its first record must chain from. Every verified
+// record is passed to emit (when set); the walk stops at the first record
+// that is short, oversized, corrupt, undecodable or out of chain, and
+// returns the bytes of the good prefix and the last version it chained.
+func walkRecords(buf []byte, last uint64, emit func(delta.LogBatch)) (int, uint64) {
+	n := 0
 	for {
-		rest := raw[off:]
-		if len(rest) == 0 {
-			break
-		}
+		rest := buf[n:]
 		if len(rest) < recHdrSize {
-			torn = true
 			break
 		}
 		plen := int64(binary.LittleEndian.Uint32(rest[0:4]))
 		if plen > maxRecordPayload || recHdrSize+plen > int64(len(rest)) {
-			torn = true
 			break
 		}
 		payload := rest[recHdrSize : recHdrSize+plen]
 		if crc64.Checksum(payload, crcTable) != binary.LittleEndian.Uint64(rest[4:12]) {
-			torn = true
 			break
 		}
-		b, derr := decodeRecord(payload)
-		if derr != nil || b.Version != seg.last+1 {
-			torn = true
+		b, err := decodeRecord(payload)
+		if err != nil || b.Version != last+1 {
 			break
 		}
-		if collect {
-			batches = append(batches, b)
+		if emit != nil {
+			emit(b)
 		}
-		seg.last = b.Version
-		off += recHdrSize + plen
+		last = b.Version
+		n += recHdrSize + int(plen)
 	}
-	seg.size = off
-	return seg, batches, off, torn, nil
+	return n, last
+}
+
+// scanSegment parses one segment file: header checks, then records up to
+// the first torn or out-of-chain one. It returns the segment info (good
+// prefix only; seg.size is the truncation point when the tail is torn).
+func scanSegment(path string, graphID uint64) (seg segInfo, torn bool, err error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return segInfo{}, false, fmt.Errorf("wal: %w", err)
+	}
+	if len(raw) < headerSize || string(raw[:4]) != fileMagic {
+		// A header this broken cannot happen from a crash (headers are
+		// written via temp+rename); treat the whole file as torn.
+		return segInfo{path: path}, true, nil
+	}
+	if f := binary.LittleEndian.Uint32(raw[4:8]); f != fileFormat {
+		return segInfo{}, false, fmt.Errorf("wal: %s: unknown format %d", path, f)
+	}
+	if id := binary.LittleEndian.Uint64(raw[8:16]); id != graphID {
+		return segInfo{}, false, fmt.Errorf("wal: %s: graph id %#x, want %#x (wrong graph for this log)", path, id, graphID)
+	}
+	prev := binary.LittleEndian.Uint64(raw[16:24])
+	good, last := walkRecords(raw[headerSize:], prev, nil)
+	seg = segInfo{path: path, prev: prev, last: last, size: int64(headerSize + good)}
+	return seg, seg.size < int64(len(raw)), nil
 }
 
 // scanDir scans every segment in version order, verifying the chain
@@ -606,7 +593,7 @@ func scanDir(dir string, graphID uint64, repair bool) ([]segInfo, error) {
 	sort.Strings(paths) // zero-padded versions: lexical order is version order
 	var segs []segInfo
 	for i, p := range paths {
-		seg, _, good, torn, err := scanSegment(p, graphID, false)
+		seg, torn, err := scanSegment(p, graphID)
 		if err != nil {
 			return nil, err
 		}
@@ -614,19 +601,19 @@ func scanDir(dir string, graphID uint64, repair bool) ([]segInfo, error) {
 			// A segment that does not chain from its predecessor: replaying
 			// across it would skip versions. Treat everything from here on
 			// as unusable.
-			torn, good = true, 0
+			torn, seg.size = true, 0
 		}
 		if !torn {
 			segs = append(segs, seg)
 			continue
 		}
 		if repair {
-			if good <= headerSize {
+			if seg.size <= headerSize {
 				// Nothing usable in this segment; drop it (and everything
 				// after it, below).
 				_ = os.Remove(p)
 			} else {
-				if err := os.Truncate(p, good); err != nil {
+				if err := os.Truncate(p, seg.size); err != nil {
 					return nil, fmt.Errorf("wal: repairing %s: %w", p, err)
 				}
 				segs = append(segs, seg)
@@ -635,7 +622,7 @@ func scanDir(dir string, graphID uint64, repair bool) ([]segInfo, error) {
 				_ = os.Remove(later)
 			}
 			syncDir(dir)
-		} else if good > headerSize {
+		} else if seg.size > headerSize {
 			segs = append(segs, seg)
 		}
 		break
@@ -643,57 +630,18 @@ func scanDir(dir string, graphID uint64, repair bool) ([]segInfo, error) {
 	return segs, nil
 }
 
-// readSegs collects batches with Version > v from scanned segments,
-// re-reading each file. Torn tails already ended the seg list at scan
-// time, so every record a listed segment covers is intact. floor (when
-// known) is the persisted truncation floor: with no segments retained at
-// all, it is the only evidence distinguishing "log truncated past v"
-// (a gap) from "nothing ever logged" (an empty tail).
-func readSegs(segs []segInfo, graphID uint64, v uint64, floor uint64, hasFloor bool) ([]delta.LogBatch, error) {
-	if len(segs) == 0 {
-		if hasFloor && v < floor {
-			return nil, fmt.Errorf("wal: tail from version %d predates truncation floor %d with no segments retained: %w",
-				v, floor, delta.ErrGap)
-		}
-		return nil, nil
-	}
-	if v < segs[0].prev {
-		return nil, fmt.Errorf("wal: tail from version %d predates retained base %d: %w",
-			v, segs[0].prev, delta.ErrGap)
-	}
-	var out []delta.LogBatch
-	for _, s := range segs {
-		if s.last <= v {
-			continue
-		}
-		_, batches, _, _, err := scanSegment(s.path, graphID, true)
-		if err != nil {
-			return nil, err
-		}
-		for _, b := range batches {
-			if b.Version > v {
-				out = append(out, b)
-			}
-		}
-	}
-	return out, nil
-}
-
 // ReadTail reads the durable batches with Version > from without taking
 // ownership of the log or repairing anything — the startup path of nodes
-// that replay the WAL but do not write it (workers). A missing or empty
-// directory is an empty tail, not an error; from below the retained base
-// is a delta.ErrGap (the covering checkpoint must be loaded first).
+// that replay the WAL but do not write it (workers). It is one poll of a
+// fresh Tailer: a missing or empty directory is an empty tail, not an
+// error; from below the retained base is a delta.ErrGap (the covering
+// checkpoint must be loaded first).
 func ReadTail(dir string, graphID uint64, from uint64) ([]delta.LogBatch, error) {
-	if _, err := os.Stat(dir); os.IsNotExist(err) {
-		return nil, nil
-	}
-	segs, err := scanDir(dir, graphID, false)
+	tail, err := NewTailer(dir, graphID, from).Poll()
 	if err != nil {
 		return nil, err
 	}
-	floor, hasFloor := readFloor(dir)
-	return readSegs(segs, graphID, from, floor, hasFloor)
+	return tail, nil
 }
 
 // RecoverGraph folds the WAL tail beyond baseV into base: the startup

@@ -1,9 +1,13 @@
 package wal
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"testing"
 
 	"qgraph/internal/delta"
@@ -54,9 +58,9 @@ func TestAppendAndReplayRoundTrip(t *testing.T) {
 	if w.Head() != 5 || w.Base() != 0 {
 		t.Fatalf("head=%d base=%d", w.Head(), w.Base())
 	}
-	got, err := w.Since(2)
+	got, err := ReadTail(dir, testGraphID, 2)
 	if err != nil || len(got) != 3 || got[0].Version != 3 || got[2].Version != 5 {
-		t.Fatalf("Since(2) = %+v, %v", got, err)
+		t.Fatalf("ReadTail(2) = %+v, %v", got, err)
 	}
 	if ops := got[0].Ops; len(ops) != 3 || ops[0] != testOps(3, 3)[0] {
 		t.Fatalf("ops did not round-trip: %+v", got[0].Ops)
@@ -72,9 +76,9 @@ func TestAppendAndReplayRoundTrip(t *testing.T) {
 		t.Fatalf("reopened head %d, want 5", w2.Head())
 	}
 	appendN(t, w2, 6, 6)
-	all, err := w2.Since(0)
+	all, err := ReadTail(dir, testGraphID, 0)
 	if err != nil || len(all) != 6 {
-		t.Fatalf("Since(0) after reopen = %d batches, %v", len(all), err)
+		t.Fatalf("ReadTail(0) after reopen = %d batches, %v", len(all), err)
 	}
 
 	// ReadTail (the read-only path) sees the same batches.
@@ -132,14 +136,14 @@ func TestTornFinalRecordTruncated(t *testing.T) {
 			if w2.Head() != wantHead {
 				t.Fatalf("recovered head %d, want %d", w2.Head(), wantHead)
 			}
-			got, err := w2.Since(0)
+			got, err := ReadTail(dir, testGraphID, 0)
 			if err != nil || uint64(len(got)) != wantHead {
-				t.Fatalf("Since(0) = %d batches, %v", len(got), err)
+				t.Fatalf("ReadTail(0) = %d batches, %v", len(got), err)
 			}
 			// The chain continues from the recovered head, and the repaired
 			// file accepts appends cleanly.
 			appendN(t, w2, wantHead+1, wantHead+2)
-			if got, _ := w2.Since(0); uint64(len(got)) != wantHead+2 {
+			if got, _ := ReadTail(dir, testGraphID, 0); uint64(len(got)) != wantHead+2 {
 				t.Fatalf("after repair+append: %d batches", len(got))
 			}
 		})
@@ -170,14 +174,11 @@ func TestRotationAndTruncate(t *testing.T) {
 		t.Fatalf("base %d advanced past the floor 6", w.Base())
 	}
 	// Everything after the floor must still replay.
-	got, err := w.Since(6)
+	got, err := ReadTail(dir, testGraphID, 6)
 	if err != nil || len(got) != 6 || got[0].Version != 7 {
-		t.Fatalf("Since(6) after truncate = %d batches, %v", len(got), err)
+		t.Fatalf("ReadTail(6) after truncate = %d batches, %v", len(got), err)
 	}
 	// The truncated prefix is gone — an explicit gap, not a short replay.
-	if _, err := w.Since(0); !errors.Is(err, delta.ErrGap) {
-		t.Fatalf("Since(0) after truncate = %v, want ErrGap", err)
-	}
 	if _, err := ReadTail(dir, testGraphID, 0); !errors.Is(err, delta.ErrGap) {
 		t.Fatalf("ReadTail(0) after truncate = %v, want ErrGap", err)
 	}
@@ -327,9 +328,9 @@ func TestTornMiddleSegmentDropsLaterOnes(t *testing.T) {
 	if w2.Head() != segs[0].last {
 		t.Fatalf("recovered head %d, want the first segment's last %d", w2.Head(), segs[0].last)
 	}
-	got, err := w2.Since(0)
+	got, err := ReadTail(dir, testGraphID, 0)
 	if err != nil || got[len(got)-1].Version != segs[0].last {
-		t.Fatalf("Since(0) = %d batches, %v", len(got), err)
+		t.Fatalf("ReadTail(0) = %d batches, %v", len(got), err)
 	}
 	// Later segments are gone from disk, not lurking out of chain.
 	left, _ := filepath.Glob(filepath.Join(dir, "wal-*"+fileExt))
@@ -362,20 +363,111 @@ func TestRotationFailureKeepsAppending(t *testing.T) {
 	if w.Stats().AppendErrors == 0 {
 		t.Fatal("failed rotation not counted")
 	}
-	if got, err := w.Since(0); err != nil || len(got) != 3 {
-		t.Fatalf("Since(0) = %d batches, %v", len(got), err)
-	}
 
-	// Blocker gone: rotation resumes on the next append.
+	// Blocker gone (a reader cannot scan past a directory named like a
+	// segment): the record is on disk, and rotation resumes on the next
+	// append.
 	if err := os.Remove(blocker); err != nil {
 		t.Fatal(err)
+	}
+	if got, err := ReadTail(dir, testGraphID, 0); err != nil || len(got) != 3 {
+		t.Fatalf("ReadTail(0) = %d batches, %v", len(got), err)
 	}
 	before := w.Stats().Segments
 	appendN(t, w, 4, 4)
 	if after := w.Stats().Segments; after <= before {
 		t.Fatalf("rotation did not resume (%d -> %d segments)", before, after)
 	}
-	if got, err := w.Since(0); err != nil || len(got) != 4 {
-		t.Fatalf("post-recovery Since(0) = %d batches, %v", len(got), err)
+	if got, err := ReadTail(dir, testGraphID, 0); err != nil || len(got) != 4 {
+		t.Fatalf("post-recovery ReadTail(0) = %d batches, %v", len(got), err)
 	}
+}
+
+// TestParentWrittenDirectoryReadsBack: testdata/parent-wal was written by
+// the commit before the two readers became one (versions 1..9 of testOps(3,
+// v), 128-byte segments, then TruncateTo(4) → three segments and a floor
+// file). The on-disk format did not change, so the one reader must return
+// exactly what was written, report the truncated prefix as a gap, and Open
+// must accept the directory and keep appending to it.
+func TestParentWrittenDirectoryReadsBack(t *testing.T) {
+	dir := t.TempDir()
+	files, err := filepath.Glob("testdata/parent-wal/*")
+	if err != nil || len(files) != 4 {
+		t.Fatalf("fixture: %v, %v", files, err)
+	}
+	for _, p := range files { // Open repairs in place; work on a copy
+		raw, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, filepath.Base(p)), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(from, head uint64) {
+		t.Helper()
+		got := mustTail(t, dir, from)
+		if uint64(len(got)) != head-from {
+			t.Fatalf("ReadTail(%d) = %d batches, want %d", from, len(got), head-from)
+		}
+		for i, b := range got {
+			v := from + 1 + uint64(i)
+			if b.Version != v || !reflect.DeepEqual(b.Ops, testOps(3, int(v))) {
+				t.Fatalf("batch %d of ReadTail(%d) = %+v, want version %d of testOps", i, from, b, v)
+			}
+		}
+	}
+	check(4, 9)
+	check(7, 9)
+	if _, err := ReadTail(dir, testGraphID, 3); !errors.Is(err, delta.ErrGap) {
+		t.Fatalf("ReadTail(3) below the parent's floor = %v, want ErrGap", err)
+	}
+	w := mustOpen(t, dir)
+	defer w.Close()
+	if w.Base() != 4 || w.Head() != 9 {
+		t.Fatalf("opened base=%d head=%d, want 4 and 9", w.Base(), w.Head())
+	}
+	appendN(t, w, 10, 10)
+	check(4, 10)
+}
+
+// FuzzWalkRecords feeds arbitrary bytes to the one record walker, as the
+// body of a segment chaining from version 0: it must return verified
+// batches up to a clean stop at the first bad record — never panic, never
+// read past the buffer, never emit out of chain — and what it accepted
+// must re-encode to exactly the bytes it consumed.
+func FuzzWalkRecords(f *testing.F) {
+	// The segment bodies wal_test.go builds: four records, versions 1..4,
+	// clean and damaged the ways TestTornFinalRecordTruncated damages them.
+	rec := func(v uint64) []byte { return encodeRecord(v, testOps(3, int(v))) }
+	clean := slices.Concat(rec(1), rec(2), rec(3), rec(4))
+	with := func(tail ...byte) []byte { return append(slices.Clone(clean), tail...) }
+	flipped, huge := with(), with()
+	flipped[len(flipped)-3] ^= 0xff
+	binary.LittleEndian.PutUint32(huge, maxRecordPayload+1)
+	f.Add(clean)
+	f.Add(clean[:len(clean)-5])                        // torn payload
+	f.Add(clean[:len(clean)-len(rec(4))+recHdrSize-2]) // torn record header
+	f.Add(flipped)                                     // bad CRC
+	f.Add(with(1, 2, 3))                               // garbage tail
+	f.Add(with(encodeRecord(7, nil)...))               // out-of-chain version
+	f.Add(huge)                                        // oversized length prefix
+	f.Add(encodeRecord(1, nil))
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		var got []delta.LogBatch
+		n, last := walkRecords(buf, 0, func(b delta.LogBatch) { got = append(got, b) })
+		if n < 0 || n > len(buf) || last != uint64(len(got)) {
+			t.Fatalf("consumed %d of %d bytes, last=%d after %d batches", n, len(buf), last, len(got))
+		}
+		var re []byte
+		for i, b := range got {
+			if b.Version != uint64(i+1) {
+				t.Fatalf("batch %d has version %d", i, b.Version)
+			}
+			re = append(re, encodeRecord(b.Version, b.Ops)...)
+		}
+		if !bytes.Equal(re, buf[:n]) {
+			t.Fatalf("accepted %d batches re-encode to %d bytes, not the %d consumed", len(got), len(re), n)
+		}
+	})
 }

@@ -103,11 +103,11 @@ func (c *Config) fill() {
 type queryState struct {
 	spec query.Spec
 	prog query.Program
-	// view is the immutable graph snapshot this query computes against,
-	// resolved from the worker's view registry by spec.PinVersion at
-	// ExecuteQuery and held (pinned) until the query finishes. Batches
-	// committed at later versions are invisible to it — MVCC snapshot
-	// isolation, which is what lets commits land without quiescing.
+	// view is the immutable graph snapshot this query computes against:
+	// the worker's view at ExecuteQuery (checked to be spec.PinVersion),
+	// held until the query finishes. Batches committed at later versions
+	// are invisible to it — MVCC snapshot isolation, which is what lets
+	// commits land without quiescing.
 	view *delta.View
 
 	// data holds the query-private value of every vertex the query touched
@@ -181,15 +181,13 @@ type Worker struct {
 	// the overlay of every committed mutation batch (internal/delta). It
 	// advances whenever a DeltaBatch arrives (off-barrier in the pipelined
 	// commit path), but queries never read it directly mid-flight: each
-	// query pins its version's snapshot in views at ExecuteQuery, so a
-	// version bump between supersteps is invisible to running queries.
+	// query keeps the pointer it found here at ExecuteQuery (views are
+	// immutable), so a version bump between supersteps is invisible to
+	// running queries, and a superseded version is garbage once the last
+	// query holding it finishes.
 	view *delta.View
-	// views tracks every version that still has a pinned reader plus the
-	// latest, so concurrently running queries each see their own admitted
-	// snapshot while commits keep landing.
-	views *delta.Registry
-	k     int
-	id    partition.WorkerID
+	k    int
+	id   partition.WorkerID
 
 	owner   partition.Assignment
 	queries map[query.ID]*queryState
@@ -260,12 +258,10 @@ func New(cfg Config, conn transport.Conn) (*Worker, error) {
 		return nil, fmt.Errorf("worker %d: ownership table covers %d of %d vertices",
 			cfg.ID, len(cfg.Owner), cfg.Graph.NumVertices())
 	}
-	view := delta.NewViewAt(cfg.Graph, cfg.BaseVersion)
 	w := &Worker{
 		cfg:             cfg,
 		conn:            conn,
-		view:            view,
-		views:           delta.NewRegistry(view),
+		view:            delta.NewViewAt(cfg.Graph, cfg.BaseVersion),
 		k:               cfg.K,
 		id:              cfg.ID,
 		owner:           cfg.Owner.Clone(),
@@ -490,7 +486,6 @@ func (w *Worker) onPartitionGrant(m *protocol.PartitionGrant) error {
 		"worker", int(w.id), "graph_version", m.Version,
 		"replayed_ops", replayed, "checkpoint_version", baseV, "gen", m.Gen)
 	w.view = view
-	w.views = delta.NewRegistry(view)
 	w.joining = false
 	w.resetForRecovery(m.Gen, m.Owner)
 	return w.conn.Send(protocol.ControllerNode, &protocol.PartitionAck{
@@ -510,9 +505,6 @@ func (w *Worker) resetForRecovery(gen int32, owner []partition.WorkerID) {
 	w.gen = gen
 	w.owner = append(w.owner[:0], owner...)
 	w.queries = make(map[query.ID]*queryState)
-	// Dropped queries release their snapshots; only the current version
-	// survives (restarted queries re-pin it when re-broadcast).
-	w.views.UnpinAll()
 	w.early = make(map[query.ID][]*protocol.VertexBatch)
 	w.ready = nil
 	w.pendingDrain = nil
@@ -538,19 +530,18 @@ func (w *Worker) onExecute(m *protocol.ExecuteQuery) error {
 	if err != nil {
 		return err
 	}
-	// Resolve the admitted snapshot. Per-link FIFO makes the pinned
-	// version exactly this worker's current one: the controller broadcast
-	// every DeltaBatch up to PinVersion before this ExecuteQuery, and the
-	// batch for PinVersion+1 (if any) comes after it. A mismatch means a
-	// lost or reordered commit — replica divergence, fail loudly.
-	view, err := w.views.Pin(m.Spec.PinVersion)
-	if err != nil {
-		return fmt.Errorf("query %d: %w", m.Spec.ID, err)
+	// Per-link FIFO makes the pinned version exactly this worker's current
+	// one: the controller broadcast every DeltaBatch up to PinVersion
+	// before this ExecuteQuery, and the batch for PinVersion+1 (if any)
+	// comes after it. A mismatch means a lost or reordered commit.
+	if m.Spec.PinVersion != w.view.Version() {
+		return fmt.Errorf("query %d pinned at version %d, local version %d (replica divergence)",
+			m.Spec.ID, m.Spec.PinVersion, w.view.Version())
 	}
 	qs := &queryState{
 		spec:        m.Spec,
 		prog:        prog,
-		view:        view,
+		view:        w.view,
 		data:        make(map[graph.VertexID]float64),
 		sig:         make(map[int32]int32),
 		inbox:       make(map[int32]map[graph.VertexID]float64),
@@ -692,7 +683,6 @@ func (w *Worker) onDeltaBatch(m *protocol.DeltaBatch) error {
 		return fmt.Errorf("delta batch %d: %w", m.Version, err)
 	}
 	w.view = nv
-	w.views.Publish(nv)
 	w.owner = append(w.owner, m.NewOwners...)
 	if len(w.owner) != nv.NumVertices() {
 		return fmt.Errorf("delta batch %d: ownership covers %d of %d vertices",
@@ -768,7 +758,6 @@ func (w *Worker) onFinish(m *protocol.QueryFinish) error {
 	}
 	inter := w.intersections(m.Q, qs)
 	delete(w.queries, m.Q)
-	w.views.Unpin(qs.spec.PinVersion)
 	if len(verts) > 0 {
 		w.done[m.Q] = &finishedScope{verts: verts, sig: qs.sig, at: now}
 	}

@@ -361,9 +361,10 @@ func TestPartitionGrantFallbackToNewerSnapshot(t *testing.T) {
 
 // TestReplicaDivergenceIsFatal: the controller applies and fsyncs a batch
 // before it broadcasts it, and each link is FIFO, so a live replica is
-// never ahead of the version a RecoverStart names and never sees a batch
-// twice. Either one means the replica left the version chain — an error
-// that stops the worker, not a rollback or a silent re-ack.
+// never ahead of the version a RecoverStart names, never sees a batch
+// twice, and is at exactly the version an ExecuteQuery is pinned at. Any
+// of these means the replica left the version chain — an error that stops
+// the worker, not a rollback, a silent re-ack or a query on the wrong graph.
 func TestReplicaDivergenceIsFatal(t *testing.T) {
 	g := lineGraph()
 	owner := make(partition.Assignment, g.NumVertices())
@@ -376,6 +377,9 @@ func TestReplicaDivergenceIsFatal(t *testing.T) {
 			return w.onRecoverStart(&protocol.RecoverStart{Gen: 1, Version: 0, Owner: owner})
 		}},
 		{"delta batch repeated", func(w *Worker) error { return w.onDeltaBatch(batch) }},
+		{"execute pinned at another version", func(w *Worker) error {
+			return w.onExecute(&protocol.ExecuteQuery{Spec: query.Spec{ID: 1, Kind: query.KindSSSP, Source: 0, Target: 4, PinVersion: 0}})
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
