@@ -53,16 +53,6 @@ type loadOptions struct {
 	KillPID    int
 	KillAfter  time.Duration
 	KillWorker int
-
-	// TraceSample fetches the N slowest traces after the run and prints
-	// their phase attribution (requires a tracing-enabled server).
-	TraceSample int
-	// JSONOut merges this run into a JSON report file as scenario
-	// Scenario (see report.go). JSONBest keeps whichever repetition of
-	// the scenario had the lower mean latency.
-	JSONOut  string
-	Scenario string
-	JSONBest bool
 }
 
 // parseMix parses "kind=weight,..." into a cumulative distribution.
@@ -283,59 +273,14 @@ func runLoad(o loadOptions) error {
 		fmt.Printf("latency mean=%.2fms p50=%.2fms p95=%.2fms p99=%.2fms\n",
 			msOf(sum.MeanLatency), msOf(sum.P50), msOf(sum.P95), msOf(sum.P99))
 	}
-	var mut *mutationTotals
 	if len(muts) > 0 {
-		mut = sumStreamers(muts)
+		mut := sumStreamers(muts)
 		mut.report(genWindow, len(muts))
 		reportLogBound(client, base, mut.applied)
-		reportDurability(client, base, mut)
+		reportDurability(client, base)
 	}
-	var recovery *benchRecovery
 	if at := killAt.Load(); at > 0 {
-		recovery = reportFault(client, base, o, time.Unix(0, at), start, okTimes)
-	}
-	var phases []benchPhase
-	if o.TraceSample > 0 {
-		phases = sampleTraces(client, base, o.TraceSample)
-	}
-	if o.JSONOut != "" {
-		sc := benchScenario{
-			RateRPS: o.Rate, DurationS: o.Duration.Seconds(),
-			Pool: o.Pool, Tenants: o.Tenants, Seed: o.Seed,
-			Sent: sent.Load(), OK: ok.Load(), Rejected: rejected.Load(),
-			Expired: expired.Load(), ClientTimeouts: clientTimeout.Load(),
-			Failed: failed.Load(), WorkerLost: workerLost.Load(),
-			GoodputQPS: float64(ok.Load()) / wall.Seconds(),
-			CacheHits:  cacheHits.Load(),
-			Latency: benchLatency{
-				MeanMS: msOf(sum.MeanLatency), P50MS: msOf(sum.P50),
-				P95MS: msOf(sum.P95), P99MS: msOf(sum.P99),
-			},
-			Recovery: recovery,
-			Phases:   phases,
-		}
-		if mut != nil {
-			csum := metrics.SummarizeRecords(mut.commits)
-			sc.Mutations = &benchMutations{
-				Sent: mut.sent, Applied: mut.applied, Failed: mut.failed,
-				Batches: mut.batches, Writers: len(muts),
-				ApplyThroughput: float64(mut.applied) / genWindow.Seconds(),
-				Commit: benchLatency{
-					MeanMS: msOf(csum.MeanLatency), P50MS: msOf(csum.P50),
-					P95MS: msOf(csum.P95), P99MS: msOf(csum.P99),
-				},
-				FsyncsPerBatch:      mut.fsyncsPerBatch,
-				MeanBatchesPerFsync: mut.meanBatchesPerFsync,
-			}
-		}
-		name := o.Scenario
-		if name == "" {
-			name = "load"
-		}
-		if err := writeBenchJSON(o.JSONOut, name, sc, o.JSONBest); err != nil {
-			return fmt.Errorf("writing %s: %w", o.JSONOut, err)
-		}
-		fmt.Printf("# scenario %q recorded in %s\n", name, o.JSONOut)
+		reportFault(client, base, o, time.Unix(0, at), start, okTimes)
 	}
 	if stats, err := fetchRaw(client, base+"/stats"); err == nil {
 		fmt.Printf("# server /stats\n%s\n", stats)
@@ -376,10 +321,9 @@ func reportLogBound(client *http.Client, base string, applied int64) {
 // commit latency above already *includes* the fsync (it happens before
 // the ack) while last_cut_ms is paid entirely off the barrier — so commit
 // p95 staying flat while last_cut_ms grows with the graph is the
-// off-barrier evidence. The amortization numbers land in mut for the JSON
-// report: fsyncs/batch < 1 is the shared-sync evidence under concurrent
-// writers.
-func reportDurability(client *http.Client, base string, mut *mutationTotals) {
+// off-barrier evidence; fsyncs/batch < 1 is the shared-sync evidence under
+// concurrent writers.
+func reportDurability(client *http.Client, base string) {
 	var st struct {
 		WAL struct {
 			Enabled             bool    `json:"enabled"`
@@ -422,14 +366,8 @@ func reportDurability(client *http.Client, base string, mut *mutationTotals) {
 	fmt.Printf("durability: wal=on head_version=%d base_version=%d segments=%d appends=%d bytes=%d fsync_mean_us=%d fsync_last_us=%d\n",
 		w.HeadVersion, w.BaseVersion, w.Segments, w.Appends, w.AppendedBytes, w.MeanFsyncUS, w.LastFsyncUS)
 	if w.Appends > 0 {
-		fpb := float64(w.Fsyncs) / float64(w.Appends)
 		fmt.Printf("group-commit: fsyncs=%d appends=%d fsyncs_per_batch=%.2f mean_batches_per_fsync=%.2f grouped_appends=%d last_group=%d\n",
-			w.Fsyncs, w.Appends, fpb, w.MeanBatchesPerFsync, w.GroupedAppends, w.LastGroupSize)
-		if mut != nil {
-			mut.fsyncsPerBatch = &fpb
-			mpf := w.MeanBatchesPerFsync
-			mut.meanBatchesPerFsync = &mpf
-		}
+			w.Fsyncs, w.Appends, float64(w.Fsyncs)/float64(w.Appends), w.MeanBatchesPerFsync, w.GroupedAppends, w.LastGroupSize)
 	}
 	if st.Snapshot.LastCutMS > 0 {
 		fmt.Printf("durability: last_cut_ms=%.1f (background cutter; commit latency excludes cut work)\n",
@@ -440,7 +378,7 @@ func reportDurability(client *http.Client, base string, mut *mutationTotals) {
 // reportFault prints the worker-kill fault schedule's outcome: the
 // server-measured recovery time and the goodput dip — completed-request
 // throughput in the pre-kill window vs the tail window after recovery.
-func reportFault(client *http.Client, base string, o loadOptions, killed, start time.Time, okTimes []time.Time) *benchRecovery {
+func reportFault(client *http.Client, base string, o loadOptions, killed, start time.Time, okTimes []time.Time) {
 	fmt.Printf("# fault schedule: killed worker %d (pid %d) %.1fs into the run\n",
 		o.KillWorker, o.KillPID, killed.Sub(start).Seconds())
 
@@ -486,12 +424,6 @@ func reportFault(client *http.Client, base string, o loadOptions, killed, start 
 		fmt.Printf(" ratio=%.2f", post/pre)
 	}
 	fmt.Println()
-	return &benchRecovery{
-		Episodes: st.Recovery.Recoveries, Handoffs: st.Recovery.Handoffs,
-		QueriesRestarted: st.Recovery.QueriesRestarted,
-		RecoveryMS:       st.Recovery.LastRecoveryMS,
-		PreKillQPS:       pre, PostRecoveryQPS: post,
-	}
 }
 
 // windowRate counts completions inside [from, to) per second.
@@ -647,10 +579,6 @@ func (m *mutationStreamer) post(ops []serve.MutateOp) {
 type mutationTotals struct {
 	sent, applied, noops, failed, batches int64
 	commits                               []metrics.QueryRecord
-	// Filled by reportDurability from the server's WAL stats (nil when
-	// the server runs without a WAL).
-	fsyncsPerBatch      *float64
-	meanBatchesPerFsync *float64
 }
 
 func sumStreamers(muts []*mutationStreamer) *mutationTotals {

@@ -7,33 +7,19 @@
 //	qgraph-bench -exp all -scale quick
 //	qgraph-bench -exp fig7a -scale paper   # paper-sized run (hours)
 //
-// With -load it instead drives open-loop HTTP load against a qgraphd
-// -serve endpoint, measuring throughput, admission rejections, and cache
-// effectiveness under concurrency:
+// With -load it is instead the load-and-fault generator of
+// scripts/smoke.sh: open-loop HTTP queries against a qgraphd -serve
+// endpoint, optionally with a mutation stream to POST /mutate beside them
+// and a SIGKILL of one worker process mid-run. It prints counts the smoke
+// scenarios assert on (sent / ok / worker_lost, applied mutations,
+// recovery episodes, log boundedness); it is not a measurement tool —
+// performance numbers come from benchmark/ (see benchmark/README.md).
 //
 //	qgraph-bench -load http://localhost:8080 -rate 500 -load-duration 30s
-//
-// Adding -mutate-rate turns that into a mixed read/write run: graph
-// mutations stream to POST /mutate while the query load runs, and the
-// report shows mutation apply throughput and commit latency alongside
-// query goodput:
-//
 //	qgraph-bench -load http://localhost:8080 -rate 500 -mutate-rate 200 \
 //	  -mutations bw.qgr.mut -load-duration 30s
-//
-// A fault schedule can SIGKILL a worker process mid-run to measure the
-// engine's failure recovery: the report shows the server-measured
-// recovery time and the goodput dip (pre-kill vs post-recovery qps), and
-// counts worker_lost responses — which recovery must keep at zero:
-//
 //	qgraph-bench -load http://localhost:8080 -rate 300 -load-duration 15s \
 //	  -kill-pid $WORKER_PID -kill-worker 1 -kill-after 5s
-//
-// -trace-sample N prints the phase attribution of the N slowest traces
-// after the run (where the milliseconds went: admission, supersteps,
-// barrier phases, WAL fsync). -json-out FILE -scenario NAME merges the
-// run into a machine-readable report; scripts/bench.sh composes the
-// committed BENCH_*.json perf trajectory from several such runs.
 package main
 
 import (
@@ -71,11 +57,6 @@ func main() {
 		killPID    = flag.Int("kill-pid", 0, "fault schedule: SIGKILL this worker process -kill-after into the -load run")
 		killAfter  = flag.Duration("kill-after", 0, "when to fire the -kill-pid fault")
 		killWorker = flag.Int("kill-worker", 0, "worker id of -kill-pid, for the fault report")
-
-		traceSample = flag.Int("trace-sample", 0, "after -load, fetch the N slowest traces and print their phase attribution")
-		jsonOut     = flag.String("json-out", "", "merge the -load run into this JSON report file (see BENCH_*.json)")
-		scenario    = flag.String("scenario", "", "scenario name for -json-out (e.g. read_only, mixed, recovery)")
-		jsonBest    = flag.Bool("json-best", false, "repeat-and-take-best: keep the existing -json-out scenario if its mean latency was lower")
 	)
 	flag.Parse()
 
@@ -90,7 +71,6 @@ func main() {
 			MutateRate: *mutateRate, MutateBatch: *mutateBatch, MutateWriters: *mutateWriters,
 			MutationsFile: *mutateFile,
 			KillPID:       *killPID, KillAfter: *killAfter, KillWorker: *killWorker,
-			TraceSample: *traceSample, JSONOut: *jsonOut, Scenario: *scenario, JSONBest: *jsonBest,
 		}); err != nil {
 			fmt.Fprintln(os.Stderr, "qgraph-bench:", err)
 			os.Exit(1)

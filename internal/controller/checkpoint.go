@@ -94,7 +94,7 @@ func (c *Controller) startCut(now time.Time) {
 	store := c.cfg.Snapshots
 	cutCh := c.cutCh
 	go func() {
-		started := time.Now()
+		started := c.cfg.Clock()
 		res := snapshot.Result{
 			Version:  v,
 			Vertices: view.NumVertices(),
@@ -111,7 +111,7 @@ func (c *Controller) startCut(now time.Time) {
 		floor, perr := store.Add(&snapshot.Snapshot{Version: v, Graph: g})
 		res.Cut = true
 		res.Persisted = perr == nil && store.Dir() != ""
-		c.lastCutNanos.Store(int64(time.Since(started)))
+		c.lastCutNanos.Store(int64(c.cfg.Clock().Sub(started)))
 		cutCh <- cutDone{res: res, floor: floor}
 	}()
 }
@@ -133,7 +133,7 @@ func (c *Controller) onCutDone(d cutDone) {
 		c.lastSnapAt = c.cutPrevAt
 	} else {
 		if dur := time.Duration(c.lastCutNanos.Load()); dur > 0 {
-			end := time.Now()
+			end := c.cfg.Clock()
 			if co := c.obs; co != nil {
 				co.snapCutSeconds.Observe(dur.Seconds())
 			}

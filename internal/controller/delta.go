@@ -132,7 +132,7 @@ func (c *Controller) seal() {
 			NewOwners: owners,
 		},
 		muts:     c.pendingMuts,
-		sealedAt: time.Now(),
+		sealedAt: c.cfg.Clock(),
 	}
 	c.sealed = append(c.sealed, sb)
 	c.sealedInFlight.Store(int64(len(c.sealed)))
@@ -258,7 +258,7 @@ func (c *Controller) applyDurable(ack wal.AppendAck) error {
 		pm.ch <- MutationResult{Version: batch.Version, Applied: applied, NoOps: noops}
 	}
 	if co := c.obs; co != nil {
-		co.commitSeconds.Observe(time.Since(sb.sealedAt).Seconds())
+		co.commitSeconds.Observe(c.cfg.Clock().Sub(sb.sealedAt).Seconds())
 	}
 	// A seal may have been held back by the in-flight cap.
 	c.maybeCommit(c.cfg.Clock())

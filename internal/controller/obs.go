@@ -130,7 +130,7 @@ func newCtlObs(c *Controller) *ctlObs {
 			if ns == 0 {
 				return -1
 			}
-			return time.Since(time.Unix(0, ns)).Seconds()
+			return c.cfg.Clock().Sub(time.Unix(0, ns)).Seconds()
 		})
 	return co
 }
@@ -172,7 +172,7 @@ func (c *Controller) tracer() *obs.Tracer {
 // engine span. Must be the only way c.phase changes once the controller
 // runs.
 func (c *Controller) enterPhase(next phase) {
-	now := time.Now()
+	now := c.cfg.Clock()
 	prev := c.phase
 	if prev != next && prev != phaseRun {
 		if co := c.obs; co != nil {
@@ -236,7 +236,7 @@ func (c *Controller) endStepSpan(ctl *qctl, collectedStep int32) {
 	if ctl.stepSpan == nil {
 		return
 	}
-	now := time.Now()
+	now := c.cfg.Clock()
 	for w, r := range ctl.reports {
 		var sent int32
 		for _, nb := range r.SentBatches {

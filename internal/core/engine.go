@@ -63,7 +63,6 @@ type Config struct {
 	// Controller knobs (zero = paper defaults; see controller.Config).
 	Phi              float64
 	Mu               time.Duration
-	MaxWindowQueries int
 	MinWindowQueries int
 	Delta            float64
 	QcutBudget       time.Duration
@@ -98,8 +97,6 @@ type Config struct {
 	SnapshotDir      string
 	SnapshotKeep     int
 	SnapshotEveryOps int
-	SnapshotBytes    int64
-	SnapshotInterval time.Duration
 	// BaseVersion is the committed version Graph already contains (a
 	// restart from a persisted checkpoint); see controller.Config.
 	BaseVersion uint64
@@ -114,10 +111,9 @@ type Config struct {
 	WALGraphID uint64
 
 	// Worker knobs (zero = paper defaults; see worker.Config).
-	BatchMaxMsgs  int
-	BatchMaxBytes int
-	StatsEvery    int
-	ComputeCost   time.Duration
+	BatchMaxMsgs int
+	StatsEvery   int
+	ComputeCost  time.Duration
 
 	// Recorder receives metrics; nil creates a fresh one.
 	Recorder *metrics.Recorder
@@ -260,7 +256,6 @@ func Start(cfg Config) (*Engine, error) {
 		Adapt:            cfg.Adapt,
 		Phi:              cfg.Phi,
 		Mu:               cfg.Mu,
-		MaxWindowQueries: cfg.MaxWindowQueries,
 		MinWindowQueries: cfg.MinWindowQueries,
 		Delta:            cfg.Delta,
 		QcutBudget:       cfg.QcutBudget,
@@ -277,16 +272,12 @@ func Start(cfg Config) (*Engine, error) {
 		Respawn:          respawn,
 		RespawnWait:      cfg.RespawnWait,
 		Snapshots:        e.snaps,
-		SnapshotPolicy: snapshot.Policy{
-			EveryOps:   cfg.SnapshotEveryOps,
-			EveryBytes: cfg.SnapshotBytes,
-			Interval:   cfg.SnapshotInterval,
-		},
-		BaseVersion: cfg.BaseVersion,
-		WAL:         walLog,
-		Recorder:    rec,
-		Obs:         cfg.Obs,
-		Monitor:     cfg.Monitor,
+		SnapshotPolicy:   snapshot.Policy{EveryOps: cfg.SnapshotEveryOps},
+		BaseVersion:      cfg.BaseVersion,
+		WAL:              walLog,
+		Recorder:         rec,
+		Obs:              cfg.Obs,
+		Monitor:          cfg.Monitor,
 	}, net.Conn(protocol.ControllerNode))
 	if err != nil {
 		if ownNet {
@@ -345,18 +336,17 @@ func Start(cfg Config) (*Engine, error) {
 
 func (e *Engine) workerConfig(w partition.WorkerID, rejoin bool) worker.Config {
 	c := worker.Config{
-		ID:            w,
-		K:             e.cfg.Workers,
-		Graph:         e.cfg.Graph,
-		Owner:         e.assign,
-		BatchMaxMsgs:  e.cfg.BatchMaxMsgs,
-		BatchMaxBytes: e.cfg.BatchMaxBytes,
-		StatsEvery:    e.cfg.StatsEvery,
-		ScopeTTL:      e.cfg.Mu,
-		ComputeCost:   e.cfg.ComputeCost,
-		Rejoin:        rejoin,
-		BaseVersion:   e.cfg.BaseVersion,
-		Snapshots:     e.snaps,
+		ID:           w,
+		K:            e.cfg.Workers,
+		Graph:        e.cfg.Graph,
+		Owner:        e.assign,
+		BatchMaxMsgs: e.cfg.BatchMaxMsgs,
+		StatsEvery:   e.cfg.StatsEvery,
+		ScopeTTL:     e.cfg.Mu,
+		ComputeCost:  e.cfg.ComputeCost,
+		Rejoin:       rejoin,
+		BaseVersion:  e.cfg.BaseVersion,
+		Snapshots:    e.snaps,
 	}
 	if o := e.cfg.Obs; o != nil {
 		c.Logger = o.Log().With("role", "worker")

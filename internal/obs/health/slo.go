@@ -3,9 +3,9 @@ package health
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"qgraph/internal/metrics"
 	"qgraph/internal/obs"
 )
 
@@ -31,9 +31,43 @@ type sloTable struct {
 // per-request bad fraction, the "burn right now" signal that recovers
 // after an incident while the cumulative ratio still remembers it.
 type tenantSLO struct {
-	counters  metrics.TenantCounters
+	counters  tenantCounters
 	hist      *obs.Histogram
 	recentBad float64 // EWMA of bad (0/1) per request, guarded by sloTable.mu
+}
+
+// tenantCounters is the lock-free per-tenant request ledger: every
+// finished request is classified into exactly one outcome bucket, and Good
+// additionally counts the completed requests that met the latency target.
+// The fields are atomics because /metrics reads them without sloTable.mu.
+type tenantCounters struct {
+	Requests atomic.Int64 // every classified request
+	Good     atomic.Int64 // completed within the latency target
+	SlowOK   atomic.Int64 // completed, but over the latency target
+	Rejected atomic.Int64 // 429: admission queue full
+	Expired  atomic.Int64 // 504: deadline passed before completion
+	Failed   atomic.Int64 // 503: engine-side failure
+}
+
+// TenantSnapshot is the JSON shape of one tenant's ledger.
+type TenantSnapshot struct {
+	Requests int64 `json:"requests"`
+	Good     int64 `json:"good"`
+	SlowOK   int64 `json:"slow_ok"`
+	Rejected int64 `json:"rejected"`
+	Expired  int64 `json:"expired"`
+	Failed   int64 `json:"failed"`
+}
+
+func (c *tenantCounters) snapshot() TenantSnapshot {
+	return TenantSnapshot{
+		Requests: c.Requests.Load(),
+		Good:     c.Good.Load(),
+		SlowOK:   c.SlowOK.Load(),
+		Rejected: c.Rejected.Load(),
+		Expired:  c.Expired.Load(),
+		Failed:   c.Failed.Load(),
+	}
 }
 
 // overflowTenant absorbs tenants past the table bound.
@@ -134,7 +168,7 @@ func (t *sloTable) observe(tenant string, d time.Duration, outcome string) {
 
 // TenantSLOView is the JSON shape of one tenant's SLO state.
 type TenantSLOView struct {
-	metrics.TenantSnapshot
+	TenantSnapshot
 	GoodRatio      float64 `json:"good_ratio"`
 	P50MS          float64 `json:"p50_ms"`
 	P99MS          float64 `json:"p99_ms"`
@@ -164,7 +198,7 @@ func (t *sloTable) report() SLOView {
 	budget := 1 - t.objective
 	for _, name := range t.order {
 		ts := t.tenants[name]
-		snap := ts.counters.Snapshot()
+		snap := ts.counters.snapshot()
 		row := TenantSLOView{
 			TenantSnapshot: snap,
 			P50MS:          ts.hist.Quantile(0.50) * 1e3,

@@ -1,15 +1,15 @@
-package metrics
+package serve
 
 import (
 	"sync/atomic"
 	"time"
 )
 
-// ServeCounters are the serving-layer counters: request admission, cache
+// Counters are the serving-layer counters: request admission, cache
 // effectiveness, and queue wait. All fields are atomics, safe for
 // concurrent use on the request path without locking.
-type ServeCounters struct {
-	start atomic.Int64 // unix nanos of the first Reset/first observation
+type Counters struct {
+	start atomic.Int64 // unix nanos of construction
 
 	Received  atomic.Int64 // POST /query requests accepted for processing
 	Completed atomic.Int64 // queries answered with a result
@@ -32,22 +32,22 @@ type ServeCounters struct {
 	MutationsFailed  atomic.Int64 // batches rejected, failed, or timed out
 }
 
-// NewServeCounters returns counters anchored at now.
-func NewServeCounters(now time.Time) *ServeCounters {
-	c := &ServeCounters{}
+// newCounters returns counters anchored at now.
+func newCounters(now time.Time) *Counters {
+	c := &Counters{}
 	c.start.Store(now.UnixNano())
 	return c
 }
 
 // ObserveQueueWait records one admission grant and its queue wait.
-func (c *ServeCounters) ObserveQueueWait(d time.Duration) {
+func (c *Counters) ObserveQueueWait(d time.Duration) {
 	c.QueueWaitNanos.Add(int64(d))
 	c.QueueWaits.Add(1)
 }
 
-// ServeSnapshot is a consistent-enough copy of the counters with the
+// CountersSnapshot is a consistent-enough copy of the counters with the
 // derived rates the /stats endpoint reports.
-type ServeSnapshot struct {
+type CountersSnapshot struct {
 	Uptime    time.Duration `json:"uptime"`
 	Received  int64         `json:"received"`
 	Completed int64         `json:"completed"`
@@ -77,8 +77,8 @@ type ServeSnapshot struct {
 }
 
 // Snapshot derives the reportable view at time now.
-func (c *ServeCounters) Snapshot(now time.Time) ServeSnapshot {
-	s := ServeSnapshot{
+func (c *Counters) Snapshot(now time.Time) CountersSnapshot {
+	s := CountersSnapshot{
 		Received:    c.Received.Load(),
 		Completed:   c.Completed.Load(),
 		Failed:      c.Failed.Load(),

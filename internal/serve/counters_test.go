@@ -1,13 +1,13 @@
-package metrics
+package serve
 
 import (
 	"testing"
 	"time"
 )
 
-func TestServeCountersSnapshot(t *testing.T) {
+func TestCountersSnapshot(t *testing.T) {
 	t0 := time.Unix(100, 0)
-	c := NewServeCounters(t0)
+	c := newCounters(t0)
 	c.Received.Add(10)
 	c.Completed.Add(8)
 	c.Rejected.Add(1)
@@ -33,8 +33,8 @@ func TestServeCountersSnapshot(t *testing.T) {
 	}
 }
 
-func TestServeCountersEmpty(t *testing.T) {
-	c := NewServeCounters(time.Unix(100, 0))
+func TestCountersEmpty(t *testing.T) {
+	c := newCounters(time.Unix(100, 0))
 	s := c.Snapshot(time.Unix(100, 0))
 	if s.QPS != 0 || s.HitRatio != 0 || s.MeanQueueWait != 0 {
 		t.Fatalf("empty snapshot has nonzero derived values: %+v", s)

@@ -18,7 +18,7 @@ import (
 // API over the tracer's completed-trace ring.
 //
 // The /metrics instruments are func-backed readers of the exact atomics
-// and snapshots /stats serializes (ServeCounters, Admission.Stats,
+// and snapshots /stats serializes (Counters, Admission.Stats,
 // Cache.Stats, the backend's snapshot/WAL/recovery accounting) — one
 // source of truth, two renderings, no way to drift.
 

@@ -17,7 +17,6 @@ import (
 	"qgraph/internal/controller"
 	"qgraph/internal/delta"
 	"qgraph/internal/graph"
-	"qgraph/internal/metrics"
 	"qgraph/internal/obs"
 	"qgraph/internal/obs/health"
 	"qgraph/internal/query"
@@ -87,8 +86,6 @@ type Config struct {
 	// requests bypass it, and its check races the later Acquire).
 	MaxAsyncResults int
 
-	// Counters receives serving metrics; nil creates a fresh set.
-	Counters *metrics.ServeCounters
 	// Obs is the observability substrate: the tracer every /query request
 	// roots its span tree in, the metrics registry /metrics serves, and
 	// the structured logger. Nil creates a private one (endpoints always
@@ -183,9 +180,6 @@ func (c *Config) fill() error {
 	if c.Clock == nil {
 		c.Clock = time.Now
 	}
-	if c.Counters == nil {
-		c.Counters = metrics.NewServeCounters(c.Clock())
-	}
 	if c.Obs == nil {
 		c.Obs = obs.New(nil)
 	}
@@ -197,7 +191,7 @@ type Server struct {
 	cfg    Config
 	admit  *Admission
 	cache  *Cache
-	ctr    *metrics.ServeCounters
+	ctr    *Counters
 	obs    *obs.Obs
 	tracer *obs.Tracer // nil when NoTrace: every span op degrades to a no-op
 	nextID atomic.Int64
@@ -231,7 +225,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:     cfg,
 		admit:   NewAdmission(cfg.Admit, cfg.Clock),
 		cache:   NewCache(cfg.CacheSize, cfg.CacheTTL, cfg.Clock),
-		ctr:     cfg.Counters,
+		ctr:     newCounters(cfg.Clock()),
 		obs:     cfg.Obs,
 		results: make(map[int64]*asyncResult),
 	}
@@ -246,7 +240,7 @@ func New(cfg Config) (*Server, error) {
 }
 
 // Counters exposes the serving counters (shared with /stats).
-func (s *Server) Counters() *metrics.ServeCounters { return s.ctr }
+func (s *Server) Counters() *Counters { return s.ctr }
 
 // Handler returns the HTTP API:
 //
@@ -383,9 +377,9 @@ type errorResponse struct {
 
 // StatsResponse is the GET /stats body.
 type StatsResponse struct {
-	Serve     metrics.ServeSnapshot `json:"serve"`
-	Admission AdmitStats            `json:"admission"`
-	Cache     CacheStats            `json:"cache"`
+	Serve     CountersSnapshot `json:"serve"`
+	Admission AdmitStats       `json:"admission"`
+	Cache     CacheStats       `json:"cache"`
 	Engine    struct {
 		RepartitionEpoch int64  `json:"repartition_epoch"`
 		GraphID          uint64 `json:"graph_id"`

@@ -77,7 +77,15 @@ func (d *decoder) u8() uint8 {
 	return v
 }
 
-func (d *decoder) bool() bool { return d.u8() != 0 }
+// bool accepts only the two bytes the encoder writes, so that a frame has
+// one encoding.
+func (d *decoder) bool() bool {
+	v := d.u8()
+	if v > 1 && d.err == nil {
+		d.err = fmt.Errorf("transport: bool byte %d at offset %d", v, d.off-1)
+	}
+	return v == 1
+}
 
 func (d *decoder) u32() uint32 {
 	if d.err != nil || d.off+4 > len(d.buf) {
@@ -318,7 +326,11 @@ func Decode(t protocol.MsgType, payload []byte) (protocol.Message, error) {
 		v.Spec.Epsilon = d.f64()
 		v.Spec.TraceID = d.u64()
 		v.Spec.PinVersion = d.u64()
-		v.Spec.SetHomeWire(int16(uint16(d.u32())))
+		home := d.u32()
+		if home > math.MaxUint16 && d.err == nil {
+			d.err = fmt.Errorf("transport: query home %#x does not fit its 16 bits", home)
+		}
+		v.Spec.SetHomeWire(int16(uint16(home)))
 		m = v
 	case protocol.TBarrierReady:
 		v := &protocol.BarrierReady{}

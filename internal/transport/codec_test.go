@@ -1,8 +1,11 @@
 package transport
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -263,4 +266,53 @@ func TestCodecPropertyRandomBatches(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzDecode feeds Decode arbitrary (type, payload) frames, seeded with one
+// frame per entry of TestCodecRoundTrip's table. A frame is either rejected
+// or accepted as the one canonical encoding of its message — Encode gives
+// back the same bytes — and decoding never panics and never allocates more
+// than a fixed multiple of the payload it was handed, whatever lengths the
+// payload declares.
+func FuzzDecode(f *testing.F) {
+	for _, m := range sampleMessages() {
+		frame, err := Encode(m)
+		if err != nil {
+			f.Fatalf("encode %T: %v", m, err)
+		}
+		f.Add(frame[4], frame[5:])
+	}
+	f.Fuzz(func(t *testing.T, typ uint8, payload []byte) {
+		// The widest in-memory element per wire byte is ScopeData's
+		// MovedVertex (80 bytes for a 12-byte minimum encoding); 4 KiB
+		// covers the message struct and the error. TotalAlloc is
+		// process-wide and the fuzz worker has goroutines of its own, so
+		// only an excess that repeats is Decode's.
+		limit := uint64(8*len(payload) + 4096)
+		var m protocol.Message
+		var err error
+		for try := 1; ; try++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			m, err = Decode(protocol.MsgType(typ), payload)
+			runtime.ReadMemStats(&after)
+			got := after.TotalAlloc - before.TotalAlloc
+			if got <= limit {
+				break
+			}
+			if try == 3 {
+				t.Fatalf("type %d: decoding %d bytes allocated %d (limit %d)", typ, len(payload), got, limit)
+			}
+		}
+		if err != nil {
+			return
+		}
+		frame, err := Encode(m)
+		if err != nil {
+			t.Fatalf("type %d: decoded %#v does not re-encode: %v", typ, m, err)
+		}
+		if n := binary.LittleEndian.Uint32(frame); int(n) != len(frame)-5 || frame[4] != typ || !bytes.Equal(frame[5:], payload) {
+			t.Fatalf("type %d: accepted payload %x re-encodes as type %d payload %x", typ, payload, frame[4], frame[5:])
+		}
+	})
 }

@@ -753,6 +753,12 @@ vq0=$(curl -fsS "http://$SERVE8/healthz" | sed -n 's/.*"graph_version":\([0-9]*\
 curl -fsS -D "$workdir/d8-head.txt" "http://$SERVE8/query" \
   -d '{"kind":"pagerank","source":0,"no_cache":true}' >/dev/null || {
   echo "SMOKE FAIL: mid-stream pagerank failed"; fail=1; }
+# The eight writers start together and each posts one batch per 20 ms
+# (5 ops at 250 ops/s), so commits arrive in bursts 20 ms apart. A
+# PageRank pinned after one burst can return before the next, and reading
+# vq1 at once would see hpin == vq1 with nothing wrong; wait out more than
+# one burst period so at least one commit lands between pin and probe.
+sleep 0.05
 vq1=$(curl -fsS "http://$SERVE8/healthz" | sed -n 's/.*"graph_version":\([0-9]*\).*/\1/p')
 hpin=$(sed -n 's/^X-Qgraph-Version: *\([0-9]*\).*/\1/Ip' "$workdir/d8-head.txt")
 [ -n "$hpin" ] && [ "${vq0:-0}" -le "$hpin" ] && [ "$hpin" -lt "${vq1:-0}" ] || {
