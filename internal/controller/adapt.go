@@ -171,25 +171,31 @@ func (c *Controller) snapshot(now time.Time) qcut.Input {
 		}
 		return out
 	}
+	// Windowed queries come first, in finish order; rowOf is a query's index.
 	rows := make([]qcut.ScopeRow, 0, len(c.window)+len(c.queries))
-	seen := make(map[query.ID]bool, len(c.window)+len(c.queries))
+	rowOf := make(map[query.ID]int, len(c.window)+len(c.queries))
 	for _, we := range c.window {
+		rowOf[we.q] = len(rows)
 		rows = append(rows, qcut.ScopeRow{Q: we.q, Sizes: maskRow(we.sizes)})
-		seen[we.q] = true
 	}
 	for q, ctl := range c.queries {
-		if !seen[q] {
+		if _, seen := rowOf[q]; !seen {
+			rowOf[q] = len(rows)
 			rows = append(rows, qcut.ScopeRow{Q: q, Sizes: maskRow(ctl.scopeSizes)})
-			seen[q] = true
 		}
 	}
-	// Aggregate per-worker pairwise intersections over workers.
+	// Aggregate the windowed pairwise intersections over live workers. A
+	// partner that finished after the reporter reported the pair itself,
+	// with both scopes final: only earlier and still-live partners count.
 	agg := make(map[[2]query.ID]int64)
-	for k, shared := range c.inter {
-		if !seen[k.q1] || !seen[k.q2] {
-			continue
+	for i, we := range c.window {
+		for w, stats := range we.inter {
+			for _, is := range stats {
+				if j, ok := rowOf[is.Q2]; ok && alive[w] && (j < i || j >= len(c.window)) {
+					agg[[2]query.ID{min(we.q, is.Q2), max(we.q, is.Q2)}] += int64(is.Shared)
+				}
+			}
 		}
-		agg[[2]query.ID{k.q1, k.q2}] += shared
 	}
 	inter := make([]qcut.Intersection, 0, len(agg))
 	for pair, shared := range agg {

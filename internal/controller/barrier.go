@@ -155,19 +155,11 @@ func (c *Controller) release(ctl *qctl, step int32, involved map[partition.Worke
 // onSynch records a worker's barrier report and, once all involved workers
 // reported, collects the superstep.
 func (c *Controller) onSynch(m *protocol.BarrierSynch) error {
-	// Merge piggybacked intersection statistics into the global view
-	// regardless of query liveness.
-	for _, is := range m.Intersections {
-		q1, q2 := is.Q1, is.Q2
-		if q1 > q2 {
-			q1, q2 = q2, q1
-		}
-		c.inter[interKey{w: m.W, q1: q1, q2: q2}] = int64(is.Shared)
-	}
 	if m.Finished {
-		// Final statistics after QueryFinish: refresh the window entry.
+		// Final statistics after QueryFinish: complete the window entry.
 		if we := c.byQ[m.Q]; we != nil {
 			we.sizes[m.W] = int64(m.ScopeSize)
+			we.inter[m.W] = m.Intersections
 		}
 		return nil
 	}
@@ -335,6 +327,7 @@ func (c *Controller) windowAdd(ctl *qctl, now time.Time) {
 		q:        ctl.spec.ID,
 		at:       now,
 		sizes:    append([]int64(nil), ctl.scopeSizes...),
+		inter:    make([][]protocol.IntersectionStat, c.cfg.K),
 		locality: loc,
 	}
 	c.window = append(c.window, we)
@@ -352,7 +345,7 @@ func (c *Controller) pruneWindow(now time.Time) {
 			delete(c.byQ, we.q)
 		}
 	}
-	if over := len(keep) - c.cfg.MaxWindowQueries; over > 0 {
+	if over := len(keep) - protocol.WindowQueries; over > 0 {
 		for _, we := range keep[:over] {
 			delete(c.byQ, we.q)
 		}

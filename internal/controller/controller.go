@@ -75,8 +75,6 @@ type Config struct {
 	// Mu is the monitoring window μ: how long finished-query statistics
 	// stay in the global view (paper: 240 s).
 	Mu time.Duration
-	// MaxWindowQueries caps the queries Q-cut sees (paper: 128).
-	MaxWindowQueries int
 	// MinWindowQueries is the minimum finished queries before the trigger
 	// fires (avoids repartitioning on no evidence).
 	MinWindowQueries int
@@ -184,9 +182,6 @@ func (c *Config) fill() error {
 	}
 	if c.Mu <= 0 {
 		c.Mu = 240 * time.Second
-	}
-	if c.MaxWindowQueries <= 0 {
-		c.MaxWindowQueries = 128
 	}
 	if c.MinWindowQueries <= 0 {
 		c.MinWindowQueries = 8
@@ -350,7 +345,6 @@ type Controller struct {
 	queries map[query.ID]*qctl
 	window  []*windowEntry
 	byQ     map[query.ID]*windowEntry
-	inter   map[interKey]int64
 
 	phase phase
 	// phaseStart is when the current barrier phase was entered; enterPhase
@@ -494,16 +488,16 @@ type checkpointReq struct {
 	ch chan snapshot.Result
 }
 
-type interKey struct {
-	w      partition.WorkerID
-	q1, q2 query.ID
-}
-
-// windowEntry is one query's statistics in the monitoring window.
+// windowEntry is all the global view holds about a finished query; it is
+// evicted as a whole, so the view is O(cap²·k) by construction.
 type windowEntry struct {
-	q        query.ID
-	at       time.Time // completion (or last update) time
-	sizes    []int64   // |LS(q,w)| per worker
+	q     query.ID
+	at    time.Time // completion (or last update) time
+	sizes []int64   // |LS(q,w)| per worker
+	// inter[w] is worker w's finish-time report: q's overlap with windowed
+	// and live queries (snapshot counts a pair once, on the later finisher's
+	// entry). Like sizes, a dead worker's row is masked and a move merges it.
+	inter    [][]protocol.IntersectionStat
 	locality float64
 }
 
@@ -519,7 +513,6 @@ func New(cfg Config, conn transport.Conn) (*Controller, error) {
 		vertCount:    make([]int64, cfg.K),
 		queries:      make(map[query.ID]*qctl),
 		byQ:          make(map[query.ID]*windowEntry),
-		inter:        make(map[interKey]int64),
 		pins:         make(map[uint64]int),
 		sealedHead:   cfg.BaseVersion,
 		walAckCh:     make(chan wal.AppendAck, 2*maxSealedInFlight),

@@ -141,6 +141,8 @@ func (c *Controller) onMoveAck(m *protocol.MoveAck) error {
 	if we := c.byQ[m.Q]; we != nil {
 		we.sizes[m.To] += we.sizes[m.From]
 		we.sizes[m.From] = 0
+		we.inter[m.To] = append(we.inter[m.To], we.inter[m.From]...)
+		we.inter[m.From] = nil
 	}
 	if ctl, ok := c.queries[m.Q]; ok {
 		ctl.scopeSizes[m.To] += ctl.scopeSizes[m.From]

@@ -10,6 +10,7 @@ import (
 	"qgraph/internal/gen"
 	"qgraph/internal/graph"
 	"qgraph/internal/partition"
+	"qgraph/internal/protocol"
 	"qgraph/internal/query"
 	"qgraph/internal/transport"
 	"qgraph/internal/workload"
@@ -200,6 +201,10 @@ func TestAdaptationContinuesAfterHandoff(t *testing.T) {
 	specs, want := hotspotSpecs(t, net, 160)
 	eng := startEngine(t, net.G, func(c *Config) {
 		eagerAdapt(c)
+		// A wave must outlast one Q-cut round — backed-off Cooldown (up to
+		// 40 ms seen here), tick, plan (≤ QcutBudget) — or the assertion
+		// below measures the engine's speed: 100–190 ms per wave.
+		c.ComputeCost = 10 * time.Microsecond
 		c.HeartbeatEvery = 5 * time.Millisecond
 		c.HeartbeatTimeout = 30 * time.Millisecond
 	})
@@ -244,5 +249,56 @@ func TestAdaptationContinuesAfterHandoff(t *testing.T) {
 	checkResults(t, results2, specs2, want2)
 	if after := int(eng.RepartitionEpoch()); after <= before {
 		t.Fatalf("no repartitioning with a dead worker (epoch %d -> %d)", before, after)
+	}
+}
+
+// TestGlobalViewIsAWindow drives 20 window-caps of queries through an
+// engine and checks that Q-cut's input describes the last cap of them and
+// nothing else: the global view is O(window), however long the engine ran.
+func TestGlobalViewIsAWindow(t *testing.T) {
+	const window = protocol.WindowQueries
+	net := testRoad(t)
+	gen := workload.NewRoadGen(net, 99)
+	specs := make([]query.Spec, 20*window)
+	for i := range specs {
+		specs[i] = gen.SSSP()
+	}
+	eng := startEngine(t, net.G, nil)
+	if _, err := eng.RunBatch(specs, 16); err != nil {
+		t.Fatalf("RunBatch: %v", err)
+	}
+	// Quiescence: a flood over every worker is answered only after each
+	// worker's report for it, which follows, on the same FIFO link, that
+	// worker's final reports for everything before it.
+	h, err := eng.Schedule(query.Spec{ID: 1 << 40, Kind: query.KindBFS, Source: 0, Target: graph.NilVertex})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Wait()
+
+	in, err := eng.QcutSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(in.Scopes) != window {
+		t.Fatalf("%d scope rows with nothing in flight, want the cap %d", len(in.Scopes), window)
+	}
+	rows := make(map[query.ID]bool, len(in.Scopes))
+	for _, row := range in.Scopes {
+		rows[row.Q] = true
+	}
+	if n := len(in.Intersections); n == 0 || n > window*(window-1)/2 {
+		t.Fatalf("%d intersections, want 1..%d", n, window*(window-1)/2)
+	}
+	pairs := make(map[[2]query.ID]bool, len(in.Intersections))
+	for _, is := range in.Intersections {
+		if !rows[is.Q1] || !rows[is.Q2] || is.Q1 == is.Q2 || is.Shared <= 0 {
+			t.Fatalf("intersection %+v does not join two windowed queries", is)
+		}
+		pair := [2]query.ID{min(is.Q1, is.Q2), max(is.Q1, is.Q2)}
+		if pairs[pair] {
+			t.Fatalf("pair %v listed twice", pair)
+		}
+		pairs[pair] = true
 	}
 }

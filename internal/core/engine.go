@@ -112,7 +112,6 @@ type Config struct {
 
 	// Worker knobs (zero = paper defaults; see worker.Config).
 	BatchMaxMsgs int
-	StatsEvery   int
 	ComputeCost  time.Duration
 
 	// Recorder receives metrics; nil creates a fresh one.
@@ -341,7 +340,6 @@ func (e *Engine) workerConfig(w partition.WorkerID, rejoin bool) worker.Config {
 		Graph:        e.cfg.Graph,
 		Owner:        e.assign,
 		BatchMaxMsgs: e.cfg.BatchMaxMsgs,
-		StatsEvery:   e.cfg.StatsEvery,
 		ScopeTTL:     e.cfg.Mu,
 		ComputeCost:  e.cfg.ComputeCost,
 		Rejoin:       rejoin,

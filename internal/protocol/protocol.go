@@ -138,8 +138,7 @@ func (r FinishReason) String() string {
 }
 
 // QueryFinish tells a worker to drop query Q's state. The worker answers
-// with a final BarrierSynch carrying its intersection statistics if Stats
-// is set.
+// with the final BarrierSynch, the one carrying its intersection statistics.
 type QueryFinish struct {
 	Q      query.ID
 	Reason FinishReason
@@ -215,9 +214,13 @@ func (*Shutdown) Type() MsgType { return TShutdown }
 // ---------------------------------------------------------------------------
 // Worker → controller
 
+// WindowQueries caps the monitoring window (Sec. 3.4; paper: 128): the
+// finished queries Q-cut sees, and those a finishing query is intersected with.
+const WindowQueries = 128
+
 // IntersectionStat reports |LS(Q1,w) ∩ LS(Q2,w)|: the paper's intersection
 // function Iw restricted to query pairs, which is what Q-cut's clustering
-// consumes.
+// consumes. The later finisher's report of a pair is the one that counts.
 type IntersectionStat struct {
 	Q1, Q2 query.ID
 	Shared int32
@@ -225,7 +228,8 @@ type IntersectionStat struct {
 
 // BarrierSynch reports that worker W finished query Q's superstep Step
 // (paper API barrierSynch(q,w)), with the monitoring statistics of
-// stats(q, |LS(q,w)|, Iw, w) piggybacked (Sec. 3.4).
+// stats(q, |LS(q,w)|, Iw, w) piggybacked (Sec. 3.4): the scope size on
+// every report, Iw on the Finished one.
 //
 // FromStep < Step when the worker ran local (solo) supersteps without
 // controller round-trips; LocalIters counts them.
@@ -244,7 +248,7 @@ type BarrierSynch struct {
 	BestGoal    float64 // best goal value seen on W (query.NoResult if none)
 	MinFrontier float64 // min over pending local msgs + values sent in Step
 
-	Intersections []IntersectionStat // piggybacked stats, may be nil
+	Intersections []IntersectionStat // final stats; empty unless Finished
 	Finished      bool               // response to QueryFinish (final stats)
 }
 

@@ -2,7 +2,6 @@ package worker
 
 import (
 	"fmt"
-	"time"
 
 	"qgraph/internal/graph"
 	"qgraph/internal/protocol"
@@ -16,8 +15,6 @@ import (
 // happen inside a global barrier, when the vertex-message network is
 // provably quiet (drained), so no in-flight message can target a vertex
 // mid-move.
-
-// scopeRecvTotals tracking lives on the Worker struct fields below.
 
 // onMoveScope executes move(LS(q,w), w, w'): collect the scope's vertices,
 // strip their state out of every local query, ship it to the target, and
@@ -41,7 +38,7 @@ func (w *Worker) onMoveScope(m *protocol.MoveScope) error {
 			}
 		}
 	}
-	if fs, ok := w.done[m.Q]; ok {
+	if fs := w.finished[m.Q]; fs != nil {
 		for v := range fs.verts {
 			if w.owner[v] == w.id && !w.arrived[v] {
 				verts[v] = true
@@ -49,9 +46,7 @@ func (w *Worker) onMoveScope(m *protocol.MoveScope) error {
 		}
 	}
 
-	// Collect per-vertex migratable state. Loops iterate the smaller side
-	// (moved set vs. scope) so a barrier costs O(total scope mass), not
-	// O(moved vertices × resident queries).
+	// Collect per-vertex migratable state.
 	byV := make(map[graph.VertexID]*protocol.MovedVertex, len(verts))
 	entry := func(v graph.VertexID) *protocol.MovedVertex {
 		mv := byV[v]
@@ -61,30 +56,16 @@ func (w *Worker) onMoveScope(m *protocol.MoveScope) error {
 		}
 		return mv
 	}
-	stripSig := func(sig map[int32]int32, v graph.VertexID) {
-		blk := int32(v) >> sigShift
-		if sig[blk]--; sig[blk] <= 0 {
-			delete(sig, blk)
-		}
-	}
 	for q2, qs2 := range w.queries {
-		if len(qs2.data) <= len(verts) {
-			for v, val := range qs2.data {
-				if verts[v] {
-					entry(v).Values = append(entry(v).Values, protocol.QueryValue{Q: q2, Val: val})
-					delete(qs2.data, v)
-					stripSig(qs2.sig, v)
-				}
+		forShared(qs2.data, verts, func(v graph.VertexID, val float64) {
+			entry(v).Values = append(entry(v).Values, protocol.QueryValue{Q: q2, Val: val})
+			delete(qs2.data, v)
+			if blk := int32(v) >> sigShift; qs2.sig[blk] > 1 {
+				qs2.sig[blk]--
+			} else {
+				delete(qs2.sig, blk)
 			}
-		} else {
-			for v := range verts {
-				if val, ok := qs2.data[v]; ok {
-					entry(v).Values = append(entry(v).Values, protocol.QueryValue{Q: q2, Val: val})
-					delete(qs2.data, v)
-					stripSig(qs2.sig, v)
-				}
-			}
-		}
+		})
 		for step, box := range qs2.inbox {
 			for v, val := range box {
 				if verts[v] {
@@ -94,24 +75,12 @@ func (w *Worker) onMoveScope(m *protocol.MoveScope) error {
 			}
 		}
 	}
-	for q2, fs2 := range w.done {
-		if len(fs2.verts) <= len(verts) {
-			for v := range fs2.verts {
-				if verts[v] {
-					entry(v).Finished = append(entry(v).Finished, q2)
-					delete(fs2.verts, v)
-					stripSig(fs2.sig, v)
-				}
-			}
-		} else {
-			for v := range verts {
-				if fs2.verts[v] {
-					entry(v).Finished = append(entry(v).Finished, q2)
-					delete(fs2.verts, v)
-					stripSig(fs2.sig, v)
-				}
-			}
-		}
+	for _, fs2 := range w.finishOrder {
+		forShared(fs2.verts, verts, func(v graph.VertexID, _ bool) {
+			entry(v).Finished = append(entry(v).Finished, fs2.q)
+			delete(fs2.verts, v)
+			fs2.sig.add(v, -1)
+		})
 	}
 	moved := make([]protocol.MovedVertex, 0, len(verts))
 	ids := make([]graph.VertexID, 0, len(verts))
@@ -138,6 +107,25 @@ func (w *Worker) onMoveScope(m *protocol.MoveScope) error {
 	})
 }
 
+// forShared calls fn for every vertex of scope that is also in verts (fn may
+// delete it from scope). It iterates the smaller set, so a barrier costs
+// O(total scope mass), not O(moved vertices × resident queries).
+func forShared[T any](scope map[graph.VertexID]T, verts map[graph.VertexID]bool, fn func(graph.VertexID, T)) {
+	if len(scope) <= len(verts) {
+		for v, x := range scope {
+			if verts[v] {
+				fn(v, x)
+			}
+		}
+		return
+	}
+	for v := range verts {
+		if x, ok := scope[v]; ok {
+			fn(v, x)
+		}
+	}
+}
+
 // onScopeData absorbs moved vertices: adopt ownership, merge live query
 // values and pending messages, and remember finished-scope memberships.
 func (w *Worker) onScopeData(m *protocol.ScopeData) error {
@@ -151,7 +139,6 @@ func (w *Worker) onScopeData(m *protocol.ScopeData) error {
 		return fmt.Errorf("scope data for query %d outside global barrier", m.Q)
 	}
 	w.scopeRecvTotals[m.From]++
-	now := w.cfg.Clock()
 	for _, mv := range m.Vertices {
 		w.owner[mv.V] = w.id
 		if w.arrived == nil {
@@ -168,7 +155,7 @@ func (w *Worker) onScopeData(m *protocol.ScopeData) error {
 				// The query finished while the move was decided; keep the
 				// vertex in its remembered scope so the hotspot stays
 				// movable.
-				w.rememberFinished(qv.Q, mv.V, now)
+				w.rememberFinished(qv.Q, mv.V)
 			}
 		}
 		for _, pm := range mv.Pending {
@@ -179,26 +166,22 @@ func (w *Worker) onScopeData(m *protocol.ScopeData) error {
 			// controller only finishes a query when its result is final.
 		}
 		for _, fq := range mv.Finished {
-			w.rememberFinished(fq, mv.V, now)
+			w.rememberFinished(fq, mv.V)
 		}
 	}
 	w.checkDrain()
 	return nil
 }
 
-// rememberFinished records v as part of finished query q's scope.
-func (w *Worker) rememberFinished(q query.ID, v graph.VertexID, now time.Time) {
-	fs := w.done[q]
-	if fs == nil {
-		fs = &finishedScope{
-			verts: make(map[graph.VertexID]bool),
-			sig:   make(map[int32]int32),
-			at:    now,
-		}
-		w.done[q] = fs
+// rememberFinished records v in finished query q's scope, if q is remembered.
+func (w *Worker) rememberFinished(q query.ID, v graph.VertexID) {
+	fs := w.finished[q]
+	if fs == nil || fs.verts[v] {
+		return
 	}
-	if !fs.verts[v] {
-		fs.verts[v] = true
-		fs.sig[int32(v)>>sigShift]++
+	if fs.verts == nil {
+		fs.verts = make(map[graph.VertexID]bool)
 	}
+	fs.verts[v] = true
+	fs.sig.add(v, 1)
 }

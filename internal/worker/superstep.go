@@ -178,13 +178,8 @@ func (w *Worker) sendBatch(q query.ID, step int32, dst partition.WorkerID, entri
 }
 
 // sendSynch reports a completed superstep range to the controller with the
-// monitoring statistics piggybacked (Sec. 3.4).
+// scope size piggybacked (Sec. 3.4); intersections wait for the finish.
 func (w *Worker) sendSynch(q query.ID, qs *queryState, fromStep, step int32, res stepResult) {
-	qs.synchs++
-	var inter []protocol.IntersectionStat
-	if qs.synchs%w.cfg.StatsEvery == 0 {
-		inter = w.intersections(q, qs)
-	}
 	minFrontier := res.minFrontier
 	// Older pending inboxes (from earlier remote activations) also bound
 	// the frontier; include everything still buffered.
@@ -202,16 +197,15 @@ func (w *Worker) sendSynch(q query.ID, qs *queryState, fromStep, step int32, res
 	qs.computeNS = 0
 	w.conn.Send(protocol.ControllerNode, &protocol.BarrierSynch{
 		Q: q, W: w.id,
-		Step:          step,
-		FromStep:      fromStep,
-		LocalIters:    step - fromStep,
-		Processed:     res.processed,
-		NActiveNext:   res.nActiveNext,
-		ComputeNS:     computeNS,
-		ScopeSize:     int32(len(qs.data)),
-		SentBatches:   res.sent,
-		BestGoal:      qs.bestGoal,
-		MinFrontier:   minFrontier,
-		Intersections: inter,
+		Step:        step,
+		FromStep:    fromStep,
+		LocalIters:  step - fromStep,
+		Processed:   res.processed,
+		NActiveNext: res.nActiveNext,
+		ComputeNS:   computeNS,
+		ScopeSize:   int32(len(qs.data)),
+		SentBatches: res.sent,
+		BestGoal:    qs.bestGoal,
+		MinFrontier: minFrontier,
 	})
 }

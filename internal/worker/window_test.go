@@ -1,0 +1,292 @@
+package worker
+
+import (
+	"math/rand/v2"
+	"slices"
+	"testing"
+	"time"
+
+	"qgraph/internal/graph"
+	"qgraph/internal/partition"
+	"qgraph/internal/protocol"
+	"qgraph/internal/query"
+	"qgraph/internal/transport"
+)
+
+// recConn records what a worker sends, so a test can drive the worker's
+// event loop by hand (handle + runReady) and read its state between events.
+type recConn struct{ sent []protocol.Message }
+
+func (c *recConn) Send(_ protocol.NodeID, m protocol.Message) error {
+	c.sent = append(c.sent, m)
+	return nil
+}
+func (c *recConn) Inbox() <-chan transport.Envelope { return nil }
+func (c *recConn) Close() error                     { return nil }
+
+// syncWorker is worker 0 of k over a line graph of n vertices it owns
+// entirely, on a clock the test advances.
+type syncWorker struct {
+	t    *testing.T
+	w    *Worker
+	conn *recConn
+	now  time.Time
+}
+
+func newSyncWorker(t *testing.T, k, n int, ttl time.Duration) *syncWorker {
+	t.Helper()
+	b := graph.NewBuilder(n)
+	for v := 0; v+1 < n; v++ {
+		b.AddBiEdge(graph.VertexID(v), graph.VertexID(v+1), 1)
+	}
+	g := b.MustBuild()
+	s := &syncWorker{t: t, conn: &recConn{}, now: time.Unix(1000, 0)}
+	w, err := New(Config{
+		ID: 0, K: k, Graph: g, Owner: make(partition.Assignment, n),
+		ScopeTTL: ttl, Clock: func() time.Time { return s.now },
+	}, s.conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.w = w
+	return s
+}
+
+func (s *syncWorker) deliver(m protocol.Message) {
+	s.t.Helper()
+	if _, err := s.w.handle(transport.Envelope{Msg: m}); err != nil {
+		s.t.Fatal(err)
+	}
+	for len(s.w.ready) > 0 {
+		if err := s.w.runReady(); err != nil {
+			s.t.Fatal(err)
+		}
+	}
+}
+
+// runQuery floods iters-1 hops from src, finishes the query one clock
+// second later and returns the worker's final report.
+func (s *syncWorker) runQuery(q query.ID, src graph.VertexID, iters int) *protocol.BarrierSynch {
+	s.t.Helper()
+	s.deliver(&protocol.ExecuteQuery{Spec: query.Spec{
+		ID: q, Kind: query.KindBFS, Source: src, Target: graph.NilVertex, MaxIters: iters,
+	}})
+	s.deliver(&protocol.BarrierReady{Q: q, Step: 0, Solo: true})
+	s.now = s.now.Add(time.Second)
+	s.deliver(&protocol.QueryFinish{Q: q, Reason: protocol.FinishMaxIters})
+	fin := s.conn.sent[len(s.conn.sent)-1].(*protocol.BarrierSynch)
+	if !fin.Finished || fin.Q != q {
+		s.t.Fatalf("last message is not query %d's final report: %+v", q, fin)
+	}
+	return fin
+}
+
+// mapOverlap is the reference the frozen-signature merge must equal: the
+// Σ_block min walk over two map signatures.
+func mapOverlap(a, b map[int32]int32) (shared int32) {
+	for blk, ca := range a {
+		shared += min(ca, b[blk])
+	}
+	return shared
+}
+
+func vertsSig(verts map[graph.VertexID]bool) map[int32]int32 {
+	sig := make(map[int32]int32)
+	for v := range verts {
+		sig[int32(v)>>sigShift]++
+	}
+	return sig
+}
+
+// TestFinishedScopesAreAWindow drives 20 window-caps of finishes through one
+// worker and pins what makes a query's monitoring cost O(window), not
+// O(history): a final report names no more partners than the window holds,
+// no report before the final one carries intersections, the final reports
+// are byte-for-byte as large in the 20th cap-full as in the 2nd, and what
+// the worker remembers at all is what ScopeTTL and rememberedScopes admit.
+func TestFinishedScopesAreAWindow(t *testing.T) {
+	const (
+		window = protocol.WindowQueries
+		period = 16 // sources repeat with a period dividing the cap
+	)
+	for _, tc := range []struct {
+		name string
+		ttl  int // finishes (one per clock second) the TTL admits
+	}{{"ttl binds", 300}, {"cap binds", 1 << 20}} {
+		t.Run(tc.name, func(t *testing.T) {
+			admits := min(tc.ttl+1, rememberedScopes)
+			s := newSyncWorker(t, 1, period*40, time.Duration(tc.ttl)*time.Second)
+			wire := make([]int, 20) // bytes of final reports, per cap-full
+			for i := 0; i < 20*window; i++ {
+				fin := s.runQuery(query.ID(i+1), graph.VertexID(i%period*40), 8)
+				wire[i/window] += transport.WireSize(fin)
+				if len(fin.Intersections) >= window {
+					t.Fatalf("finish %d reports %d intersections, the window holds %d others", i, len(fin.Intersections), window-1)
+				}
+				if len(s.w.finished) > admits || len(s.w.finishOrder) > admits {
+					t.Fatalf("finish %d: %d finished queries (%d in the FIFO), want at most %d", i, len(s.w.finished), len(s.w.finishOrder), admits)
+				}
+			}
+			if len(s.w.finished) != admits || len(s.w.window()) != window {
+				t.Fatalf("steady state remembers %d queries, %d in the window; want %d and %d", len(s.w.finished), len(s.w.window()), admits, window)
+			}
+			for _, m := range s.conn.sent {
+				if bs, ok := m.(*protocol.BarrierSynch); ok && !bs.Finished && len(bs.Intersections) != 0 {
+					t.Fatalf("non-final report carries %d intersections: %+v", len(bs.Intersections), bs)
+				}
+			}
+			if wire[0] >= wire[1] {
+				t.Fatalf("final reports did not grow while the window filled: %d then %d bytes", wire[0], wire[1])
+			}
+			for i := 2; i < len(wire); i++ {
+				if wire[i] != wire[1] {
+					t.Fatalf("final reports of cap-full %d take %d bytes, cap-full 2 took %d", i+1, wire[i], wire[1])
+				}
+			}
+
+			// Age alone empties the window too.
+			s.now = s.now.Add(time.Duration(tc.ttl+1) * time.Second)
+			fin := s.runQuery(20*window+1, 0, 8)
+			if len(fin.Intersections) != 0 || len(s.w.finished) != 1 || len(s.w.finishOrder) != 1 {
+				t.Fatalf("after the TTL: %d intersections, %d queries remembered; want 0 and 1", len(fin.Intersections), len(s.w.finished))
+			}
+		})
+	}
+}
+
+// TestPairReportedByLaterFinisher: of two overlapping queries the one that
+// finishes second reports the pair with Σ_block min of the two final scopes.
+// The first finisher names the second only while that one is live, with
+// the part of its scope that exists by then; a disjoint query names nobody.
+func TestPairReportedByLaterFinisher(t *testing.T) {
+	s := newSyncWorker(t, 1, 1000, time.Hour)
+	if first := s.runQuery(1, 100, 60); len(first.Intersections) != 0 {
+		t.Fatalf("first finisher reports %+v", first.Intersections)
+	}
+	// Query 2 starts, stops early (a non-solo release is one superstep) and
+	// is live while query 3 runs from the same source to the end.
+	s.deliver(&protocol.ExecuteQuery{Spec: query.Spec{ID: 2, Kind: query.KindBFS, Source: 150, Target: graph.NilVertex, MaxIters: 60}})
+	s.deliver(&protocol.BarrierReady{Q: 2, Step: 0})
+	third := s.runQuery(3, 150, 60)
+	final13 := mapOverlap(vertsSig(s.w.finished[1].verts), vertsSig(s.w.finished[3].verts))
+	if final13 == 0 {
+		t.Fatal("test scopes do not overlap")
+	}
+	want := []protocol.IntersectionStat{{Q1: 3, Q2: 1, Shared: final13}, {Q1: 3, Q2: 2, Shared: 1}} // 2 touched its source so far
+	if !slices.Equal(third.Intersections, want) {
+		t.Fatalf("query 3 reports %+v, want %+v", third.Intersections, want)
+	}
+	s.deliver(&protocol.BarrierReady{Q: 2, Step: 1, Solo: true})
+	s.deliver(&protocol.QueryFinish{Q: 2, Reason: protocol.FinishMaxIters})
+	second := s.conn.sent[len(s.conn.sent)-1].(*protocol.BarrierSynch)
+	want = []protocol.IntersectionStat{{Q1: 2, Q2: 1, Shared: final13}, {Q1: 2, Q2: 3, Shared: int32(len(s.w.finished[3].verts))}}
+	if !second.Finished || !slices.Equal(second.Intersections, want) {
+		t.Fatalf("query 2 reports %+v, want %+v", second, want)
+	}
+	if fourth := s.runQuery(4, 900, 10); len(fourth.Intersections) != 0 {
+		t.Fatalf("disjoint query reports %+v", fourth.Intersections)
+	}
+}
+
+// TestMoveStripsEveryRememberedScope: a plan names the window Q-cut started
+// from, so a directive may move vertices of scopes that have left the window
+// since. Their memberships travel with the vertex all the same — or a later
+// directive for such a query could no longer co-move the hotspot.
+func TestMoveStripsEveryRememberedScope(t *testing.T) {
+	const n = protocol.WindowQueries + 20 // the first 20 are outside the window
+	s := newSyncWorker(t, 2, 100, time.Hour)
+	for q := 1; q <= n; q++ {
+		s.runQuery(query.ID(q), 50, 4) // every scope is 47..53
+	}
+	s.w.stopping = true
+	s.deliver(&protocol.MoveScope{Q: n, To: 1})
+	data := s.conn.sent[len(s.conn.sent)-2].(*protocol.ScopeData)
+	if len(data.Vertices) != 7 {
+		t.Fatalf("moved %d vertices, want 7", len(data.Vertices))
+	}
+	for _, mv := range data.Vertices {
+		if len(mv.Finished) != n {
+			t.Fatalf("vertex %d travels with %d memberships, want all %d", mv.V, len(mv.Finished), n)
+		}
+	}
+	for q := 1; q <= n; q++ {
+		if fs := s.w.finished[query.ID(q)]; len(fs.verts) != 0 || len(fs.sig) != 0 {
+			t.Fatalf("query %d still remembers moved vertices: %+v", q, fs)
+		}
+	}
+}
+
+// TestScopeDataRemembersNoNewQueries: finished-scope memberships arriving
+// with a repartition attach to the queries the worker still remembers, so a
+// move cannot grow its memory of the past: what ScopeTTL forgot stays
+// forgotten, and a query it never saw finish is not invented.
+func TestScopeDataRemembersNoNewQueries(t *testing.T) {
+	const n = 50
+	s := newSyncWorker(t, 2, 100, n*time.Second)
+	for q := 1; q <= 2*n; q++ { // one clock second each: the first n-1 age out
+		s.runQuery(query.ID(q), 50, 4)
+	}
+	s.w.stopping = true // scope data only flows inside a global barrier
+	moved := protocol.MovedVertex{V: 7}
+	for q := 1; q <= 2*n+10; q++ { // forgotten, remembered, never seen
+		moved.Finished = append(moved.Finished, query.ID(q))
+	}
+	s.deliver(&protocol.ScopeData{From: 1, Q: 1, Vertices: []protocol.MovedVertex{moved}})
+	if len(s.w.finished) != n+1 || len(s.w.finishOrder) != n+1 {
+		t.Fatalf("%d queries remembered (%d in the FIFO) after the move, want %d", len(s.w.finished), len(s.w.finishOrder), n+1)
+	}
+	for q := n; q <= 2*n; q++ {
+		fs := s.w.finished[query.ID(q)]
+		if fs == nil || !fs.verts[7] || !slices.Equal(fs.sig, frozenSig{{blk: 0, n: 8}}) { // 47..53 and 7
+			t.Fatalf("remembered query %d did not take vertex 7 into its scope and signature: %+v", q, fs)
+		}
+	}
+}
+
+// TestFrozenSigEqualsMapSig: the sorted-slice signature agrees with the map
+// form it replaced — same blocks after any sequence of the adds and strips
+// scope moves perform, and the same overlap for every pair.
+func TestFrozenSigEqualsMapSig(t *testing.T) {
+	rng := rand.New(rand.NewPCG(22, 22))
+	const n = 24
+	maps := make([]map[int32]int32, n)
+	sigs := make([]frozenSig, n)
+	for i := range maps {
+		maps[i] = make(map[int32]int32)
+		for j, blocks := 0, rng.IntN(40); j < blocks; j++ {
+			maps[i][int32(rng.IntN(64))] = int32(1 + rng.IntN(64))
+		}
+		sigs[i] = freezeSig(maps[i])
+	}
+	check := func(round int) {
+		t.Helper()
+		for i := range sigs {
+			if !slices.Equal(sigs[i], freezeSig(maps[i])) {
+				t.Fatalf("round %d: signature %d = %v, map form %v", round, i, sigs[i], maps[i])
+			}
+			for j := range sigs {
+				if got, want := sigs[i].overlap(sigs[j]), mapOverlap(maps[i], maps[j]); got != want {
+					t.Fatalf("round %d: overlap(%d,%d) = %d, map form %d", round, i, j, got, want)
+				}
+			}
+		}
+	}
+	check(0)
+	for round := 1; round <= 20; round++ {
+		for op := 0; op < 200; op++ {
+			i, v := rng.IntN(n), graph.VertexID(rng.IntN(64<<sigShift))
+			blk := int32(v) >> sigShift
+			if rng.IntN(2) == 0 {
+				sigs[i].add(v, 1)
+				maps[i][blk]++
+			} else {
+				// What onMoveScope does to a live query's map.
+				sigs[i].add(v, -1)
+				if maps[i][blk]--; maps[i][blk] <= 0 {
+					delete(maps[i], blk)
+				}
+			}
+		}
+		check(round)
+	}
+}

@@ -12,8 +12,10 @@
 package worker
 
 import (
+	"cmp"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -42,11 +44,8 @@ type Config struct {
 	// (Sec. 4.1(iv): 32 messages / 32 KB per batch).
 	BatchMaxMsgs  int
 	BatchMaxBytes int
-	// StatsEvery piggybacks intersection statistics on every n-th barrier
-	// message of a query (sizes are piggybacked on all of them).
-	StatsEvery int
-	// ScopeTTL is how long the vertex sets of finished queries are kept
-	// for move directives (the controller's monitoring window μ).
+	// ScopeTTL is how long at most a finished query is remembered (the
+	// monitoring window μ): its vertex set, for move directives, and its id.
 	ScopeTTL time.Duration
 	// ComputeCost simulates per-active-vertex work beyond the actual
 	// vertex function (heavier application logic, (de)serialization of
@@ -84,9 +83,6 @@ func (c *Config) fill() {
 	if c.BatchMaxBytes <= 0 {
 		c.BatchMaxBytes = 32 << 10
 	}
-	if c.StatsEvery <= 0 {
-		c.StatsEvery = 8
-	}
 	if c.ScopeTTL <= 0 {
 		c.ScopeTTL = 240 * time.Second
 	}
@@ -113,11 +109,7 @@ type queryState struct {
 	// data holds the query-private value of every vertex the query touched
 	// on this worker; its key set is LS(q, w).
 	data map[graph.VertexID]float64
-	// sig is a coarse signature of the scope: touched vertices per
-	// sigShift-sized id block. Intersection statistics are estimated from
-	// signatures instead of exact key-set walks, which keeps the Iw
-	// piggyback (Sec. 3.4) O(scope/2^sigShift) instead of O(scope) per
-	// query pair — the clustering that consumes them only needs affinity.
+	// sig is the scope's signature (see frozenSig) while it still grows.
 	sig map[int32]int32
 	// inbox[s] holds combined messages to be consumed by superstep s.
 	inbox map[int32]map[graph.VertexID]float64
@@ -137,8 +129,6 @@ type queryState struct {
 	step int32
 	// bestGoal is the best goal value seen on this worker.
 	bestGoal float64
-	// synchs counts barrier messages sent, for stats piggyback cadence.
-	synchs int
 	// computeNS accumulates wall time spent in computeStep since the last
 	// barrier report; it ships to the controller on BarrierSynch so the
 	// query's trace can attribute superstep time per worker.
@@ -150,26 +140,62 @@ type queryState struct {
 // are row-major, so a block is a spatially contiguous strip.
 const sigShift = 6
 
-// sigOverlap estimates |A ∩ B| from two signatures as Σ_block min(a, b).
-func sigOverlap(a, b map[int32]int32) int32 {
-	if len(b) < len(a) {
-		a, b = b, a
+type sigBlock struct{ blk, n int32 } // n touched vertices in id block blk
+
+// frozenSig is a coarse signature of a finished scope: touched vertices per
+// sigShift-sized id block, sorted by block. Intersection statistics are
+// estimated from signatures instead of exact key-set walks, which makes the
+// Iw report (Sec. 3.4) a linear merge of O(scope/2^sigShift) per query pair
+// — the clustering that consumes them only needs affinity.
+type frozenSig []sigBlock
+
+func freezeSig(sig map[int32]int32) frozenSig {
+	out := make(frozenSig, 0, len(sig))
+	for blk, n := range sig {
+		out = append(out, sigBlock{blk, n})
 	}
-	var shared int32
-	for blk, ca := range a {
-		if cb, ok := b[blk]; ok {
-			shared += min(ca, cb)
+	slices.SortFunc(out, func(a, b sigBlock) int { return cmp.Compare(a.blk, b.blk) })
+	return out
+}
+
+// overlap estimates |A ∩ B| from two signatures as Σ_block min(a, b).
+func (a frozenSig) overlap(b frozenSig) (shared int32) {
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i].blk < b[j].blk:
+			i++
+		case a[i].blk > b[j].blk:
+			j++
+		default:
+			shared += min(a[i].n, b[j].n)
+			i++
+			j++
 		}
 	}
 	return shared
 }
 
-// finishedScope remembers the vertex set of a completed query so later
-// move directives can still relocate its hotspot, plus its signature for
-// intersection estimates.
+// add counts vertex v into (d = 1) or out of (d = -1) the signature.
+func (s *frozenSig) add(v graph.VertexID, d int32) {
+	blk := int32(v) >> sigShift
+	i, ok := slices.BinarySearchFunc(*s, blk, func(e sigBlock, blk int32) int { return cmp.Compare(e.blk, blk) })
+	if !ok {
+		*s = slices.Insert(*s, i, sigBlock{blk: blk})
+	}
+	if (*s)[i].n += d; (*s)[i].n <= 0 {
+		*s = slices.Delete(*s, i, i+1)
+	}
+}
+
+// finishedScope is what a worker remembers of a finished query (see remember
+// for how long): that it finished, which tells late batches from batches that
+// raced ahead of the ExecuteQuery broadcast on another link; its local vertex
+// set, so move directives can still relocate the hotspot; and its signature,
+// for the queries that finish while it is windowed.
 type finishedScope struct {
+	q     query.ID
 	verts map[graph.VertexID]bool
-	sig   map[int32]int32
+	sig   frozenSig
 	at    time.Time
 }
 
@@ -191,11 +217,10 @@ type Worker struct {
 
 	owner   partition.Assignment
 	queries map[query.ID]*queryState
-	done    map[query.ID]*finishedScope
-	// finished records every query id this worker has seen finish, so late
-	// batches can be distinguished from batches that raced ahead of the
-	// ExecuteQuery broadcast on another link.
-	finished map[query.ID]time.Time
+	// finished holds the queries last seen to finish (see remember), indexed
+	// by id and (finishOrder) oldest first; window() is its newest end.
+	finished    map[query.ID]*finishedScope
+	finishOrder []*finishedScope
 	// early buffers batches that arrived before their query's
 	// ExecuteQuery; they are replayed when it arrives.
 	early map[query.ID][]*protocol.VertexBatch
@@ -266,8 +291,7 @@ func New(cfg Config, conn transport.Conn) (*Worker, error) {
 		id:              cfg.ID,
 		owner:           cfg.Owner.Clone(),
 		queries:         make(map[query.ID]*queryState),
-		done:            make(map[query.ID]*finishedScope),
-		finished:        make(map[query.ID]time.Time),
+		finished:        make(map[query.ID]*finishedScope),
 		early:           make(map[query.ID][]*protocol.VertexBatch),
 		sentTotals:      make([]uint64, cfg.K),
 		recvTotals:      make([]uint64, cfg.K),
@@ -629,7 +653,7 @@ func (w *Worker) onVertexBatch(m *protocol.VertexBatch) error {
 	w.recvTotals[m.From]++
 	qs, ok := w.queries[m.Q]
 	if !ok {
-		if _, fin := w.finished[m.Q]; !fin {
+		if w.finished[m.Q] == nil {
 			// The batch raced ahead of the ExecuteQuery broadcast on
 			// another link; hold it until the query is known.
 			w.early[m.Q] = append(w.early[m.Q], m)
@@ -745,71 +769,74 @@ func (w *Worker) checkDrain() {
 // onFinish drops a query's live state, keeping its vertex set for future
 // scope moves, and reports final statistics.
 func (w *Worker) onFinish(m *protocol.QueryFinish) error {
-	now := w.cfg.Clock()
-	w.finished[m.Q] = now
-	delete(w.early, m.Q)
 	qs, ok := w.queries[m.Q]
+	delete(w.queries, m.Q)
+	delete(w.early, m.Q)
+	fs := &finishedScope{q: m.Q, at: w.cfg.Clock()}
+	w.remember(fs)
 	if !ok {
 		return nil
 	}
-	verts := make(map[graph.VertexID]bool, len(qs.data))
+	fs.verts = make(map[graph.VertexID]bool, len(qs.data))
 	for v := range qs.data {
-		verts[v] = true
+		fs.verts[v] = true
 	}
-	inter := w.intersections(m.Q, qs)
-	delete(w.queries, m.Q)
-	if len(verts) > 0 {
-		w.done[m.Q] = &finishedScope{verts: verts, sig: qs.sig, at: now}
-	}
-	w.pruneDone(now)
+	fs.sig = freezeSig(qs.sig)
 	return w.conn.Send(protocol.ControllerNode, &protocol.BarrierSynch{
 		Q: m.Q, W: w.id,
-		ScopeSize:     int32(len(verts)),
+		ScopeSize:     int32(len(qs.data)),
 		BestGoal:      qs.bestGoal,
 		MinFrontier:   query.NoResult,
-		Intersections: inter,
+		Intersections: w.intersections(fs),
 		Finished:      true,
 	})
 }
 
-// pruneDone expires finished scopes and finished-id markers beyond the
-// monitoring window.
-func (w *Worker) pruneDone(now time.Time) {
-	for q, fs := range w.done {
-		if now.Sub(fs.at) > w.cfg.ScopeTTL {
-			delete(w.done, q)
+// rememberedScopes caps finishOrder: a move directive names a query of the
+// window its plan started from, at most 333 finishes old (measured) when run.
+const rememberedScopes = 8 * protocol.WindowQueries
+
+// remember appends fs to the finish order and forgets what ScopeTTL or the cap excludes.
+func (w *Worker) remember(fs *finishedScope) {
+	w.finished[fs.q] = fs
+	w.finishOrder = append(w.finishOrder, fs)
+	for fs.at.Sub(w.finishOrder[0].at) > w.cfg.ScopeTTL || len(w.finishOrder) > rememberedScopes {
+		if old := w.finishOrder[0]; w.finished[old.q] == old {
+			delete(w.finished, old.q)
 		}
-	}
-	for q, at := range w.finished {
-		if now.Sub(at) > w.cfg.ScopeTTL {
-			delete(w.finished, q)
-		}
+		w.finishOrder[0] = nil
+		w.finishOrder = w.finishOrder[1:]
 	}
 }
 
-// intersections estimates |LS(q) ∩ LS(q2)| against every other query on
-// this worker — live ones and the remembered scopes of finished ones — the
+// window returns the newest finished queries: the controller's monitoring
+// window, since QueryFinish is broadcast in the order that one fills.
+func (w *Worker) window() []*finishedScope {
+	return w.finishOrder[max(0, len(w.finishOrder)-protocol.WindowQueries):]
+}
+
+// intersections estimates |LS(q) ∩ LS(q2)| of the finishing scope fs against
+// the windowed scopes that finished before it and the live queries — the
 // worker-side transformation of low-level vertex knowledge into the
-// high-level intersection function Iw of Sec. 3.4. Including finished
-// scopes matters: queries of the same hotspot rarely overlap in time, and
-// it is exactly these temporal chains that let Q-cut's clustering move a
-// hotspot as one unit.
-func (w *Worker) intersections(q query.ID, qs *queryState) []protocol.IntersectionStat {
+// high-level intersection function Iw of Sec. 3.4. So the later finisher
+// reports a pair with both scopes final; the first finisher's estimate
+// against its still-growing partner stands in until then. Finished partners
+// matter most: queries of one hotspot rarely overlap in time, and these
+// temporal chains let Q-cut's clustering move a hotspot as a unit.
+func (w *Worker) intersections(fs *finishedScope) []protocol.IntersectionStat {
 	var out []protocol.IntersectionStat
-	for q2, qs2 := range w.queries {
-		if q2 == q {
-			continue
-		}
-		if shared := sigOverlap(qs.sig, qs2.sig); shared > 0 {
-			out = append(out, protocol.IntersectionStat{Q1: q, Q2: q2, Shared: shared})
+	for _, old := range w.window() {
+		if shared := fs.sig.overlap(old.sig); shared > 0 && old != fs {
+			out = append(out, protocol.IntersectionStat{Q1: fs.q, Q2: old.q, Shared: shared})
 		}
 	}
-	for q2, fs := range w.done {
-		if q2 == q {
-			continue
+	for q2, qs2 := range w.queries {
+		var shared int32
+		for _, b := range fs.sig {
+			shared += min(b.n, qs2.sig[b.blk])
 		}
-		if shared := sigOverlap(qs.sig, fs.sig); shared > 0 {
-			out = append(out, protocol.IntersectionStat{Q1: q, Q2: q2, Shared: shared})
+		if shared > 0 {
+			out = append(out, protocol.IntersectionStat{Q1: fs.q, Q2: q2, Shared: shared})
 		}
 	}
 	return out

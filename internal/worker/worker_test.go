@@ -46,7 +46,6 @@ func newHarness(t *testing.T, k int) *harness {
 	for w := 0; w < k; w++ {
 		wk, err := New(Config{
 			ID: partition.WorkerID(w), K: k, Graph: g, Owner: owner,
-			StatsEvery: 1000, // keep synchs stat-free unless finishing
 		}, net.Conn(protocol.WorkerNode(partition.WorkerID(w))))
 		if err != nil {
 			t.Fatal(err)
