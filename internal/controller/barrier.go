@@ -182,9 +182,7 @@ func (c *Controller) onSynch(m *protocol.BarrierSynch) error {
 	if m.Processed > 0 || m.ScopeSize > 0 {
 		ctl.everActive[m.W] = true
 	}
-	if m.BestGoal < ctl.bestGoal {
-		ctl.bestGoal = m.BestGoal
-	}
+	ctl.bestGoal = min(ctl.bestGoal, m.BestGoal)
 	if rec := c.cfg.Recorder; rec != nil && m.Processed > 0 {
 		rec.RecordLoad(metrics.LoadSample{At: c.cfg.Clock(), Worker: int(m.W), Active: int(m.Processed)})
 	}
@@ -206,12 +204,8 @@ func (c *Controller) collect(ctl *qctl) {
 	localExtra := 0
 
 	for w, r := range ctl.reports {
-		if r.Step > collectedStep {
-			collectedStep = r.Step
-		}
-		if r.MinFrontier < minFrontier {
-			minFrontier = r.MinFrontier
-		}
+		collectedStep = max(collectedStep, r.Step)
+		minFrontier = min(minFrontier, r.MinFrontier)
 		if r.Processed > 0 {
 			activeWorkers++
 		}
@@ -275,8 +269,7 @@ func (c *Controller) finishQuery(ctl *qctl, reason protocol.FinishReason) {
 	c.broadcast(&protocol.QueryFinish{Q: q, Reason: reason})
 
 	now := c.cfg.Clock()
-	touched := 0
-	workers := 0
+	touched, workers := 0, 0
 	for w, sz := range ctl.scopeSizes {
 		touched += int(sz)
 		if ctl.everActive[w] {

@@ -48,17 +48,12 @@ func (w *Worker) onMoveScope(m *protocol.MoveScope) error {
 
 	// Collect per-vertex migratable state.
 	byV := make(map[graph.VertexID]*protocol.MovedVertex, len(verts))
-	entry := func(v graph.VertexID) *protocol.MovedVertex {
-		mv := byV[v]
-		if mv == nil {
-			mv = &protocol.MovedVertex{V: v}
-			byV[v] = mv
-		}
-		return mv
+	for v := range verts {
+		byV[v] = &protocol.MovedVertex{V: v}
 	}
 	for q2, qs2 := range w.queries {
 		forShared(qs2.data, verts, func(v graph.VertexID, val float64) {
-			entry(v).Values = append(entry(v).Values, protocol.QueryValue{Q: q2, Val: val})
+			byV[v].Values = append(byV[v].Values, protocol.QueryValue{Q: q2, Val: val})
 			delete(qs2.data, v)
 			if blk := int32(v) >> sigShift; qs2.sig[blk] > 1 {
 				qs2.sig[blk]--
@@ -69,7 +64,7 @@ func (w *Worker) onMoveScope(m *protocol.MoveScope) error {
 		for step, box := range qs2.inbox {
 			for v, val := range box {
 				if verts[v] {
-					entry(v).Pending = append(entry(v).Pending, protocol.PendingMsg{Q: q2, Step: step, Val: val})
+					byV[v].Pending = append(byV[v].Pending, protocol.PendingMsg{Q: q2, Step: step, Val: val})
 					delete(box, v)
 				}
 			}
@@ -77,7 +72,7 @@ func (w *Worker) onMoveScope(m *protocol.MoveScope) error {
 	}
 	for _, fs2 := range w.finishOrder {
 		forShared(fs2.verts, verts, func(v graph.VertexID, _ bool) {
-			entry(v).Finished = append(entry(v).Finished, fs2.q)
+			byV[v].Finished = append(byV[v].Finished, fs2.q)
 			delete(fs2.verts, v)
 			fs2.sig.add(v, -1)
 		})
@@ -87,11 +82,7 @@ func (w *Worker) onMoveScope(m *protocol.MoveScope) error {
 	for v := range verts {
 		w.owner[v] = m.To
 		ids = append(ids, v)
-		if mv := byV[v]; mv != nil {
-			moved = append(moved, *mv)
-		} else {
-			moved = append(moved, protocol.MovedVertex{V: v})
-		}
+		moved = append(moved, *byV[v])
 	}
 
 	if len(moved) > 0 {

@@ -87,14 +87,10 @@ func (w *Worker) computeStep(qs *queryState, step int32) stepResult {
 		}
 		buf := w.outBuf[dst]
 		if buf == nil {
-			buf = make(map[graph.VertexID]float64)
+			buf = w.boxes.get()
 			w.outBuf[dst] = buf
 		}
-		if old, ok := buf[to]; ok {
-			buf[to] = prog.Combine(old, val)
-		} else {
-			buf[to] = val
-		}
+		combine(buf, prog, to, val)
 	}
 
 	for v, msg := range box {
@@ -111,11 +107,12 @@ func (w *Worker) computeStep(qs *queryState, step int32) stepResult {
 			qs.bestGoal = newVal
 		}
 	}
-	if w.cfg.ComputeCost > 0 && len(box) > 0 {
+	w.boxes.put(box)
+	if w.cfg.ComputeCost > 0 && res.processed > 0 {
 		// Accumulate simulated compute and sleep in ~1ms quanta: short
 		// sleeps oversleep by scheduler granularity, which would inflate
 		// every superstep's critical path instead of modelling load.
-		w.computeDebt += time.Duration(len(box)) * w.cfg.ComputeCost
+		w.computeDebt += time.Duration(res.processed) * w.cfg.ComputeCost
 		if w.computeDebt >= time.Millisecond {
 			time.Sleep(w.computeDebt)
 			w.computeDebt = 0
@@ -133,10 +130,9 @@ func (w *Worker) computeStep(qs *queryState, step int32) stepResult {
 		entries := make([]protocol.VertexMsg, 0, len(buf))
 		for v, val := range buf {
 			entries = append(entries, protocol.VertexMsg{To: v, Val: val})
-			if val < res.minFrontier {
-				res.minFrontier = val
-			}
+			res.minFrontier = min(res.minFrontier, val)
 		}
+		w.boxes.put(buf)
 		res.sent[dst] = w.sendBatch(qs.spec.ID, step, partition.WorkerID(dst), entries)
 		res.sentTotal += res.sent[dst]
 	}
@@ -144,9 +140,7 @@ func (w *Worker) computeStep(qs *queryState, step int32) stepResult {
 	// Local activations pending for the next superstep also bound the
 	// frontier.
 	for _, val := range qs.inbox[step+1] {
-		if val < res.minFrontier {
-			res.minFrontier = val
-		}
+		res.minFrontier = min(res.minFrontier, val)
 	}
 	res.nActiveNext = int32(len(qs.inbox[step+1]))
 	qs.step = step + 1
@@ -156,14 +150,7 @@ func (w *Worker) computeStep(qs *queryState, step int32) stepResult {
 // sendBatch ships entries to worker dst, splitting at the configured batch
 // limits (Sec. 4.1(iv)), and returns the number of batches sent.
 func (w *Worker) sendBatch(q query.ID, step int32, dst partition.WorkerID, entries []protocol.VertexMsg) int32 {
-	const entryBytes = 12
-	maxEntries := w.cfg.BatchMaxMsgs
-	if byBytes := w.cfg.BatchMaxBytes / entryBytes; byBytes < maxEntries {
-		maxEntries = byBytes
-	}
-	if maxEntries < 1 {
-		maxEntries = 1
-	}
+	maxEntries := max(1, min(w.cfg.BatchMaxMsgs, w.cfg.BatchMaxBytes/12)) // 12 bytes an entry
 	var batches int32
 	for len(entries) > 0 {
 		n := min(len(entries), maxEntries)
@@ -188,9 +175,7 @@ func (w *Worker) sendSynch(q query.ID, qs *queryState, fromStep, step int32, res
 			continue // already folded in
 		}
 		for _, val := range box {
-			if val < minFrontier {
-				minFrontier = val
-			}
+			minFrontier = min(minFrontier, val)
 		}
 	}
 	computeNS := qs.computeNS

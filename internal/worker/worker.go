@@ -248,7 +248,6 @@ type Worker struct {
 
 	// Global barrier state.
 	stopping     bool
-	stopEpoch    int32
 	pendingDrain *protocol.DrainCheck
 	// arrived tracks vertices received via ScopeData in the current global
 	// barrier. Move directives exclude them, so chained directives
@@ -269,8 +268,12 @@ type Worker struct {
 	// is large enough to sleep accurately (see Config.ComputeCost).
 	computeDebt time.Duration
 
-	// scratch buffers for superstep compute, reused across supersteps.
+	// outBuf[dst] stages the running superstep's emissions to worker dst.
 	outBuf []map[graph.VertexID]float64
+	// boxes recycles the per-superstep maps (inboxes, out buffers), datas and
+	// sigs what a finished query leaves: a scope is far larger than a frontier.
+	boxes, datas mapPool[graph.VertexID, float64]
+	sigs         mapPool[int32, int32]
 }
 
 // New creates a worker bound to conn.
@@ -356,9 +359,6 @@ func (w *Worker) fatal(err error) error {
 func (w *Worker) runReady() error {
 	q := w.ready[0]
 	w.ready = w.ready[1:]
-	if len(w.ready) == 0 {
-		w.ready = nil
-	}
 	qs, ok := w.queries[q]
 	if !ok || qs.release == nil {
 		return nil // query finished or was superseded meanwhile
@@ -566,8 +566,8 @@ func (w *Worker) onExecute(m *protocol.ExecuteQuery) error {
 		spec:        m.Spec,
 		prog:        prog,
 		view:        w.view,
-		data:        make(map[graph.VertexID]float64),
-		sig:         make(map[int32]int32),
+		data:        w.datas.get(),
+		sig:         w.sigs.get(),
 		inbox:       make(map[int32]map[graph.VertexID]float64),
 		recvBatches: make(map[int32]int32),
 		bestGoal:    query.NoResult,
@@ -597,18 +597,47 @@ func (w *Worker) onExecute(m *protocol.ExecuteQuery) error {
 	return nil
 }
 
+// mapPool recycles a worker's short-lived maps: growing fresh ones per (query,
+// superstep) was half of what a query allocated and widened the spread between
+// runs of one seed (CHANGES.md, PR 22). A map that held more than maxPooledMap
+// entries is let go: clearing and ranging cost capacity, which never shrinks.
+type mapPool[K comparable, V any] []map[K]V
+
+const maxPooledMap = 4096
+
+func (p *mapPool[K, V]) get() map[K]V {
+	if n := len(*p); n > 0 {
+		m := (*p)[n-1]
+		*p = (*p)[:n-1]
+		return m
+	}
+	return make(map[K]V)
+}
+
+// put empties m and keeps it; the caller must hold no other reference.
+func (p *mapPool[K, V]) put(m map[K]V) {
+	if m != nil && len(m) <= maxPooledMap {
+		clear(m)
+		*p = append(*p, m)
+	}
+}
+
 // combineIn merges a message for vertex v into the inbox of superstep s.
 func (w *Worker) combineIn(qs *queryState, s int32, v graph.VertexID, val float64) {
 	box := qs.inbox[s]
 	if box == nil {
-		box = make(map[graph.VertexID]float64)
+		box = w.boxes.get()
 		qs.inbox[s] = box
 	}
+	combine(box, qs.prog, v, val)
+}
+
+// combine folds val into box[v] with the program's combiner.
+func combine(box map[graph.VertexID]float64, prog query.Program, v graph.VertexID, val float64) {
 	if old, ok := box[v]; ok {
-		box[v] = qs.prog.Combine(old, val)
-	} else {
-		box[v] = val
+		val = prog.Combine(old, val)
 	}
+	box[v] = val
 }
 
 // onBarrierReady releases (or defers) the next superstep of a query.
@@ -728,7 +757,6 @@ func (w *Worker) View() *delta.View { return w.view }
 // set they report out after one superstep), keeping the counters complete.
 func (w *Worker) onGlobalStop(m *protocol.GlobalStop) error {
 	w.stopping = true
-	w.stopEpoch = m.Epoch
 	w.arrived = make(map[graph.VertexID]bool)
 	for len(w.ready) > 0 {
 		if err := w.runReady(); err != nil {
@@ -738,10 +766,8 @@ func (w *Worker) onGlobalStop(m *protocol.GlobalStop) error {
 	if faultpoint.Hit(faultpoint.WorkerBarrierStop, int(w.id)) {
 		return faultpoint.ErrKilled
 	}
-	totals := make([]uint64, w.k)
-	copy(totals, w.sentTotals)
 	return w.conn.Send(protocol.ControllerNode, &protocol.StopAck{
-		Epoch: m.Epoch, W: w.id, SentTotals: totals,
+		Epoch: m.Epoch, W: w.id, SentTotals: slices.Clone(w.sentTotals),
 	})
 }
 
@@ -782,9 +808,14 @@ func (w *Worker) onFinish(m *protocol.QueryFinish) error {
 		fs.verts[v] = true
 	}
 	fs.sig = freezeSig(qs.sig)
+	w.sigs.put(qs.sig)
+	w.datas.put(qs.data)
+	for _, box := range qs.inbox {
+		w.boxes.put(box)
+	}
 	return w.conn.Send(protocol.ControllerNode, &protocol.BarrierSynch{
 		Q: m.Q, W: w.id,
-		ScopeSize:     int32(len(qs.data)),
+		ScopeSize:     int32(len(fs.verts)),
 		BestGoal:      qs.bestGoal,
 		MinFrontier:   query.NoResult,
 		Intersections: w.intersections(fs),
