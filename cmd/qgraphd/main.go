@@ -65,19 +65,6 @@
 // listener. -trace=false disables per-query tracing (the /metrics
 // endpoint stays).
 //
-// Read-path scale-out: -role=replica runs a read-only follower that
-// bootstraps from the primary's -snapshot-dir and tails its -wal-dir,
-// serving the same HTTP query API (staleness-bounded; writes get 403);
-// -role=router fronts the primary plus N replicas, round-robining reads
-// over the replicas within the staleness bound and sending writes,
-// admin, and unsatisfiable ?min_version= reads to the primary:
-//
-//	qgraphd -role replica -graph bw.qgr -snapshot-dir /var/qgraph/snaps \
-//	  -wal-dir /var/qgraph/wal -serve :8081
-//	qgraphd -role router -primary http://localhost:8080 \
-//	  -replicas http://localhost:8081,http://localhost:8082 \
-//	  -max-staleness-versions 16 -serve :8079
-//
 // SIGINT/SIGTERM shut the controller down gracefully: the HTTP listener
 // closes, in-flight queries drain, and the workers are stopped through the
 // protocol instead of dying mid-superstep.
@@ -90,7 +77,6 @@ import (
 	"flag"
 	"fmt"
 	"hash/fnv"
-	"log/slog"
 	"math/rand/v2"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on the -pprof-addr mux
@@ -110,8 +96,6 @@ import (
 	"qgraph/internal/partition"
 	"qgraph/internal/protocol"
 	"qgraph/internal/query"
-	"qgraph/internal/replica"
-	"qgraph/internal/router"
 	"qgraph/internal/serve"
 	"qgraph/internal/snapshot"
 	"qgraph/internal/transport"
@@ -121,7 +105,7 @@ import (
 
 func main() {
 	var (
-		role       = flag.String("role", "", "controller | worker | replica | router")
+		role       = flag.String("role", "", "controller | worker")
 		id         = flag.Int("id", 0, "worker id (role=worker)")
 		graphPath  = flag.String("graph", "", "QGR1 graph file (same on all nodes)")
 		addrsFlag  = flag.String("addrs", "", "comma-separated host:port list, controller first")
@@ -163,17 +147,11 @@ func main() {
 		sloObjective = flag.Float64("slo-objective", 0.99, "fraction of requests that must meet -slo-target (error budget = 1-objective)")
 
 		faultSlowCompute = flag.Duration("fault-slow-compute", 0, "TESTING: inflate every superstep's compute by sleeping this long (role=worker; exercises the straggler watchdog)")
-
-		replicaWorkers = flag.Int("replica-workers", 2, "local engine partitions on a read replica (role=replica)")
-		replicaPoll    = flag.Duration("replica-poll", 50*time.Millisecond, "WAL tail poll interval; bounds steady-state staleness (role=replica)")
-		primaryURL     = flag.String("primary", "", "primary base URL http://host:port (role=router)")
-		replicasFlag   = flag.String("replicas", "", "comma-separated replica base URLs (role=router)")
-		maxStaleV      = flag.Uint64("max-staleness-versions", 64, "evict a replica trailing the primary by more than this many committed versions (role=router)")
-		maxStaleT      = flag.Duration("max-staleness", 0, "evict a replica continuously behind the primary for longer than this (role=router; 0 disables)")
-		healthEvery    = flag.Duration("health-every", 250*time.Millisecond, "upstream health probe interval (role=router)")
-		routeAffinity  = flag.Bool("route-affinity", false, "pin each read to a replica by request hash instead of round-robin, sharding the result caches across the fleet (role=router)")
 	)
 	flag.Parse()
+	if *role != "controller" && *role != "worker" {
+		fatal(fmt.Errorf("-role must be controller or worker"))
+	}
 
 	logger := obs.NewLogger(os.Stderr, *logLevel, *logJSON, *role)
 	if *pprofAddr != "" {
@@ -185,31 +163,6 @@ func main() {
 			}
 		}()
 		logger.Info("pprof listening", "addr", *pprofAddr)
-	}
-
-	// Replica and router roles stand outside the controller/worker
-	// transport topology: no -addrs, no partition agreement — they join
-	// the deployment through the primary's directories (replica) or its
-	// HTTP surface (router).
-	switch *role {
-	case "replica":
-		runReplica(logger, replicaFlags{
-			graphPath: *graphPath, serveAddr: *serveAddr,
-			snapDir: *snapDir, walDir: *walDir,
-			workers: *replicaWorkers, poll: *replicaPoll,
-			maxInflight: *maxInfl, maxQueue: *maxQueue,
-			cacheSize: *cacheSize, cacheTTL: *cacheTTL, timeout: *reqTimeout,
-			trace: *traceOn, watchdog: *watchdog,
-		})
-		return
-	case "router":
-		runRouter(logger, routerFlags{
-			serveAddr: *serveAddr, primary: *primaryURL, replicas: *replicasFlag,
-			maxStaleVersions: *maxStaleV, maxStaleness: *maxStaleT,
-			healthEvery: *healthEvery, affinity: *routeAffinity,
-			trace: *traceOn,
-		})
-		return
 	}
 
 	if *serveAddr != "" && *random > 0 {
@@ -447,169 +400,7 @@ func main() {
 		if err := <-errCh; err != nil {
 			fatal(err)
 		}
-	default:
-		fatal(fmt.Errorf("-role must be controller, worker, replica, or router"))
 	}
-}
-
-// replicaFlags carries the -role=replica configuration out of main.
-type replicaFlags struct {
-	graphPath, serveAddr, snapDir, walDir string
-	workers                               int
-	poll                                  time.Duration
-	maxInflight, maxQueue, cacheSize      int
-	cacheTTL, timeout                     time.Duration
-	trace, watchdog                       bool
-}
-
-// runReplica runs a read-only follower: bootstrap from the primary's
-// checkpoint directory plus WAL tail, tail the WAL for new commits, and
-// serve the standard HTTP query API in read-only mode.
-func runReplica(logger *slog.Logger, f replicaFlags) {
-	if f.graphPath == "" {
-		fatal(fmt.Errorf("-role=replica requires -graph (the primary's graph file)"))
-	}
-	if f.walDir == "" {
-		fatal(fmt.Errorf("-role=replica requires -wal-dir (the primary's WAL directory)"))
-	}
-	if f.serveAddr == "" {
-		fatal(fmt.Errorf("-role=replica requires -serve"))
-	}
-	g, err := graph.LoadFile(f.graphPath)
-	if err != nil {
-		fatal(err)
-	}
-	o := obs.New(logger)
-	var mon *health.Monitor
-	if f.watchdog {
-		mon = health.New(health.Config{}, o)
-	}
-	rep, err := replica.Start(replica.Config{
-		SnapshotDir: f.snapDir,
-		WALDir:      f.walDir,
-		// The WAL graph identity is derived from the original graph file,
-		// exactly as the primary computes it — a mismatched directory
-		// refuses to open instead of replaying someone else's history.
-		GraphID:   graphID(f.graphPath, g),
-		Base:      g,
-		Workers:   f.workers,
-		PollEvery: f.poll,
-		Obs:       o,
-		Monitor:   mon,
-		Logger:    logger,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	srv, err := serve.New(serve.Config{
-		Backend:     rep,
-		GraphID:     graphID(f.graphPath, g),
-		ReadOnly:    true,
-		Replication: rep.Info,
-		Admit: serve.AdmitConfig{
-			MaxInFlight: f.maxInflight,
-			MaxQueue:    f.maxQueue,
-		},
-		CacheSize:      f.cacheSize,
-		CacheTTL:       f.cacheTTL,
-		DefaultTimeout: f.timeout,
-		Obs:            o,
-		Monitor:        mon,
-		NoTrace:        !f.trace,
-		NodeID:         f.serveAddr,
-		Role:           "replica",
-	})
-	if err != nil {
-		fatal(err)
-	}
-	httpSrv := &http.Server{Addr: f.serveAddr, Handler: srv.Handler()}
-	httpErr := make(chan error, 1)
-	go func() { httpErr <- httpSrv.ListenAndServe() }()
-	info := rep.Info()
-	fmt.Printf("qgraphd: replica serving reads on http://%s (bootstrapped at version %d, tailing %s)\n",
-		f.serveAddr, info.BootstrapVersion, f.walDir)
-
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-	select {
-	case <-ctx.Done():
-		fmt.Println("qgraphd: signal received, draining")
-	case err := <-httpErr:
-		if !errors.Is(err, http.ErrServerClosed) {
-			fatal(err)
-		}
-	}
-	stopSignals()
-	shutCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	_ = httpSrv.Shutdown(shutCtx)
-	_ = srv.Drain(shutCtx)
-	cancel()
-	info = rep.Info()
-	_ = rep.Close()
-	fmt.Printf("replica: applied version %d, %d tail batches, %d re-bootstraps\n",
-		info.AppliedVersion, info.TailBatches, info.Rebootstraps)
-}
-
-// routerFlags carries the -role=router configuration out of main.
-type routerFlags struct {
-	serveAddr, primary, replicas string
-	maxStaleVersions             uint64
-	maxStaleness, healthEvery    time.Duration
-	affinity, trace              bool
-}
-
-// runRouter fronts a primary plus N replicas: reads round-robin over the
-// replicas within the staleness bound, writes and admin go to the
-// primary.
-func runRouter(logger *slog.Logger, f routerFlags) {
-	if f.primary == "" {
-		fatal(fmt.Errorf("-role=router requires -primary"))
-	}
-	if f.serveAddr == "" {
-		fatal(fmt.Errorf("-role=router requires -serve"))
-	}
-	var reps []string
-	for _, u := range strings.Split(f.replicas, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			reps = append(reps, u)
-		}
-	}
-	rt, err := router.New(router.Config{
-		Primary:              f.primary,
-		Replicas:             reps,
-		MaxStalenessVersions: f.maxStaleVersions,
-		MaxStaleness:         f.maxStaleness,
-		HealthEvery:          f.healthEvery,
-		Affinity:             f.affinity,
-		Logger:               logger,
-		Obs:                  obs.New(logger),
-		NoTrace:              !f.trace,
-		SelfName:             f.serveAddr,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	httpSrv := &http.Server{Addr: f.serveAddr, Handler: rt}
-	httpErr := make(chan error, 1)
-	go func() { httpErr <- httpSrv.ListenAndServe() }()
-	fmt.Printf("qgraphd: router on http://%s (primary %s, %d replicas)\n",
-		f.serveAddr, f.primary, len(reps))
-
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-	select {
-	case <-ctx.Done():
-		fmt.Println("qgraphd: signal received, closing")
-	case err := <-httpErr:
-		if !errors.Is(err, http.ErrServerClosed) {
-			fatal(err)
-		}
-	}
-	stopSignals()
-	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	_ = httpSrv.Shutdown(shutCtx)
-	cancel()
-	rt.Close()
 }
 
 func countOwned(a partition.Assignment, w partition.WorkerID) int {

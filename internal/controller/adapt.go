@@ -57,8 +57,9 @@ func (c *Controller) onTick() {
 		c.curCooldown = c.cfg.Cooldown
 		return
 	}
-	// Backoff when the previous repartitioning did not move the needle.
-	if c.repartitions > 0 {
+	// Backoff when the previous plan did not move the needle. A recovery
+	// handoff is a repartition too, but no plan to compare against.
+	if c.planExecuted {
 		if loc < c.trigLocality+0.02 {
 			c.curCooldown = min(2*c.curCooldown, 16*c.cfg.Cooldown)
 		} else {
@@ -242,5 +243,6 @@ func (c *Controller) onQcutDone(res qcut.Result) {
 	if len(moves) == 0 {
 		return
 	}
+	c.planExecuted = true
 	c.beginGlobalBarrier(moves)
 }

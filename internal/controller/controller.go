@@ -469,9 +469,12 @@ type Controller struct {
 	// Trigger backoff: when repartitioning stops improving locality
 	// (e.g. the workload inherently spans workers), the effective cooldown
 	// doubles up to 16× so global barriers do not thrash the very queries
-	// they are meant to help. Any improvement resets it.
+	// they are meant to help. Any improvement resets it. planExecuted says
+	// a Q-cut plan's barrier has run, so trigLocality is a locality that
+	// plan was meant to raise.
 	curCooldown  time.Duration
 	trigLocality float64
+	planExecuted bool
 
 	scheduleCh   chan scheduleReq
 	snapshotCh   chan snapshotReq

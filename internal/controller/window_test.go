@@ -12,13 +12,16 @@ import (
 
 // newLoopless builds a controller whose event loop never runs: the window
 // tests call its handlers directly, in the order the loop would.
-func newLoopless(t *testing.T, k int) *Controller {
+func newLoopless(t *testing.T, k int, mut ...func(*Config)) *Controller {
 	t.Helper()
 	g := lineGraph(8)
 	net := transport.NewChanNetwork(k+1, transport.Latency{})
 	t.Cleanup(func() { net.Close() })
-	c, err := New(Config{K: k, Graph: g, Owner: make(partition.Assignment, g.NumVertices()), HeartbeatEvery: -1},
-		net.Conn(protocol.ControllerNode))
+	cfg := Config{K: k, Graph: g, Owner: make(partition.Assignment, g.NumVertices()), HeartbeatEvery: -1}
+	for _, m := range mut {
+		m(&cfg)
+	}
+	c, err := New(cfg, net.Conn(protocol.ControllerNode))
 	if err != nil {
 		t.Fatal(err)
 	}

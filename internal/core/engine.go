@@ -493,9 +493,6 @@ func (e *Engine) MVCCStats() controller.MVCCStats { return e.ctrl.MVCCStats() }
 // from after snapshot/WAL recovery (what Config.Graph/BaseVersion became).
 func (e *Engine) GraphBase() (*graph.Graph, uint64) { return e.cfg.Graph, e.cfg.BaseVersion }
 
-// Snapshots exposes the engine's shared checkpoint store.
-func (e *Engine) Snapshots() *snapshot.Store { return e.snaps }
-
 // Controller exposes the controller, which implements the serving layer's
 // backend contract (Schedule, Cancel, RepartitionEpoch).
 func (e *Engine) Controller() *controller.Controller { return e.ctrl }

@@ -84,7 +84,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := g2.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&buf)
+	loaded, err := Load(&buf, int64(buf.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,11 +117,11 @@ func TestLoadRejectsCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	if _, err := Load(bytes.NewReader(data[:len(data)-3])); err == nil {
+	if _, err := Load(bytes.NewReader(data[:len(data)-3]), int64(len(data)-3)); err == nil {
 		t.Fatal("truncated file accepted")
 	}
 	bad := append([]byte("XXXX"), data[4:]...)
-	if _, err := Load(bytes.NewReader(bad)); err == nil {
+	if _, err := Load(bytes.NewReader(bad), int64(len(bad))); err == nil {
 		t.Fatal("bad magic accepted")
 	}
 }

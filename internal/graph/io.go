@@ -75,8 +75,11 @@ func (g *Graph) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Load reads a graph in the QGR1 binary format and validates it.
-func Load(r io.Reader) (*Graph, error) {
+// Load reads a graph in the QGR1 binary format and validates it. size is
+// the length of the input: the header must account for it to the byte, so
+// a vertex or edge count the input cannot back is refused before anything
+// is allocated for it, and bytes past the graph are refused too.
+func Load(r io.Reader, size int64) (*Graph, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	head := make([]byte, 4)
 	if _, err := io.ReadFull(br, head); err != nil {
@@ -98,6 +101,19 @@ func Load(r io.Reader) (*Graph, error) {
 	}
 	if n >= maxFileVerts || m >= maxFileVerts {
 		return nil, fmt.Errorf("graph: unreasonable sizes n=%d m=%d", n, m)
+	}
+	if flags&^(flagCoords|flagTags) != 0 {
+		return nil, fmt.Errorf("graph: unknown flags %#x", flags)
+	}
+	want := int64(4+4+8+8) + 4*int64(n+1) + 8*int64(m)
+	if flags&flagCoords != 0 {
+		want += 8 * int64(n)
+	}
+	if flags&flagTags != 0 {
+		want += int64(n)
+	}
+	if want != size {
+		return nil, fmt.Errorf("graph: n=%d m=%d flags=%#x take %d bytes, input has %d", n, m, flags, want, size)
 	}
 	offsets := make([]int32, n+1)
 	if err := binary.Read(br, binary.LittleEndian, offsets); err != nil {
@@ -122,6 +138,9 @@ func Load(r io.Reader) (*Graph, error) {
 		}
 		tags = make([]bool, n)
 		for i, b := range buf {
+			if b > 1 {
+				return nil, fmt.Errorf("graph: tag byte %d of vertex %d", b, i)
+			}
 			tags[i] = b != 0
 		}
 	}
@@ -148,7 +167,11 @@ func LoadFile(path string) (*Graph, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return Load(f)
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	return Load(f, st.Size())
 }
 
 // ParseEdgeList reads a whitespace-separated edge list: one "from to weight"

@@ -43,11 +43,9 @@ const (
 	EventRecovery        = "event_recovery"
 	EventTerminal        = "event_terminal"
 	EventSnapshotCut     = "event_snapshot_cut"
-	EventSnapshotCorrupt = "event_snapshot_corrupt"
 	EventCacheFlushStorm = "event_cache_flush_storm"
 	EventCodecReject     = "event_codec_reject"
 	EventIncident        = "event_incident"
-	EventReplicaGap      = "event_replica_gap"
 )
 
 // Event is one entry of the bounded structured event log.

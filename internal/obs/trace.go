@@ -14,12 +14,6 @@ import (
 	"time"
 )
 
-// TraceHeader is the HTTP header that carries a trace ID across process
-// hops (router → serving node). Defined here — not in the serving layer
-// — because both ends of every hop need it without depending on each
-// other.
-const TraceHeader = "X-QGraph-Trace-ID"
-
 // Span is one timed region of a trace. Spans form a tree under the
 // trace's root; a span is mutated only through its methods, which lock
 // the owning trace (spans are touched from the serving goroutine and the
@@ -221,7 +215,7 @@ const DefaultTraceRing = 512
 
 // NewTracer builds a tracer retaining up to capacity completed traces
 // (<=0 selects DefaultTraceRing). The ID sequence starts at a random
-// point: trace IDs cross process boundaries (a router propagates them to
+// point: trace IDs cross process boundaries (a caller propagates one to
 // the node that serves the request), so two processes counting from zero
 // would collide on every ID.
 func NewTracer(capacity int) *Tracer {
@@ -261,7 +255,7 @@ func (tr *Tracer) Begin(name string) *Trace {
 }
 
 // BeginWithID starts a trace under a caller-supplied ID — the inbound
-// half of cross-process propagation: a node honoring a router's
+// half of cross-process propagation: a node honoring a caller's
 // X-QGraph-Trace-ID keeps its spans under the originator's ID so the
 // two trees stitch into one. A zero ID falls back to Begin.
 func (tr *Tracer) BeginWithID(name string, id uint64) *Trace {
@@ -358,7 +352,7 @@ func (tr *Tracer) Get(q int64) (TraceView, bool) {
 
 // GetByTraceID returns the newest trace carrying the given trace ID,
 // preferring completed traces and falling back to a live view of an
-// active one. This is the lookup a router's stitching fetch uses: it
+// active one. This is the lookup a caller's stitching fetch uses: it
 // knows the propagated trace ID, not the node-local query ID.
 func (tr *Tracer) GetByTraceID(id uint64) (TraceView, bool) {
 	if tr == nil || id == 0 {

@@ -67,19 +67,6 @@ func (s *Server) registerMetrics() {
 	m.CounterFunc("qgraph_snapshots_skipped_corrupt_total", "",
 		"snapshot files skipped as corrupt while loading the newest checkpoint",
 		func() float64 { return float64(snapshot.SkippedCorrupt()) })
-	if rep := s.cfg.Replication; rep != nil {
-		m.GaugeFunc("qgraph_replica_applied_version", "", "committed graph version this replica has applied",
-			func() float64 { return float64(rep().AppliedVersion) })
-		m.GaugeFunc("qgraph_replica_wal_head", "", "primary WAL head version visible to this replica",
-			func() float64 { return float64(rep().WALHead) })
-		m.GaugeFunc("qgraph_replica_lag_versions", "", "versions this replica trails the primary WAL head by",
-			func() float64 { return float64(rep().LagVersions) })
-		m.CounterFunc("qgraph_replica_rebootstraps_total", "",
-			"re-bootstraps from a newer checkpoint after the primary truncated past this replica's position",
-			func() float64 { return float64(rep().Rebootstraps) })
-		m.CounterFunc("qgraph_replica_tail_batches_total", "", "WAL batches applied from the tail",
-			func() float64 { return float64(rep().TailBatches) })
-	}
 
 	s.reqSeconds = m.Histogram("qgraph_request_seconds", "", "end-to-end /query latency (all outcomes)", nil)
 	s.engineSeconds = m.Histogram("qgraph_engine_seconds", "", "engine execution latency of completed queries", nil)
@@ -87,9 +74,9 @@ func (s *Server) registerMetrics() {
 
 // beginTrace opens the root trace for one request and binds it to the
 // query ID the controller will see; spec.TraceID carries the correlation
-// to worker logs. A nonzero spec.TraceID (an inbound X-QGraph-Trace-ID,
-// propagated by the router) is honored so this node's spans join the
-// caller's tree. Returns nil when tracing is disabled.
+// to worker logs. A nonzero spec.TraceID (an inbound X-QGraph-Trace-ID)
+// is honored so this node's spans join the caller's tree. Returns nil
+// when tracing is disabled.
 func (s *Server) beginTrace(spec *query.Spec, tenant string) *obs.Trace {
 	tr := s.tracer.BeginWithID("query", spec.TraceID)
 	if tr == nil {
@@ -136,8 +123,8 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleTraceByID serves GET /trace/by-id/{trace_id}: the newest trace
-// carrying that propagated trace ID. This is the stitching fetch — the
-// router knows the trace ID it propagated, never the node-local query
+// carrying that propagated trace ID. This is the stitching fetch — a
+// caller knows the trace ID it propagated, never the node-local query
 // ID, so /trace/{query_id} cannot serve it.
 func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.ParseUint(r.PathValue("trace_id"), 10, 64)

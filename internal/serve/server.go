@@ -101,20 +101,11 @@ type Config struct {
 	// /slo, /debug/incident/{id}); its detectors drive /healthz from ok
 	// to degraded. Nil disables all of it.
 	Monitor *health.Monitor
-	// ReadOnly rejects every write (POST /mutate, POST /admin/*) with
-	// 403 — the mode of replica roles, whose graph state is maintained by
-	// tailing the primary's WAL, never by client writes.
-	ReadOnly bool
 	// NodeID and Role identify this node on the X-QGraph-Node response
-	// header ("<id>/<role>"), so a client fronted by the router can tell
-	// which fleet member actually served any response. Empty disables the
-	// header.
+	// header ("<id>/<role>"), so a client behind a load balancer can tell
+	// which node served any response. Empty disables the header.
 	NodeID string
 	Role   string
-	// Replication, when set, reports the node's replication position: it
-	// feeds the replica blocks of /healthz and /stats and the
-	// qgraph_replica_* metrics families. Nil on primaries.
-	Replication func() ReplicaInfo
 	// Clock abstracts time for tests; nil means time.Now.
 	Clock func() time.Time
 }
@@ -123,38 +114,18 @@ type Config struct {
 // on a /query answer the version it was computed at, everywhere else the
 // version committed when the response was written. Clients do
 // read-your-writes by echoing the version their last mutation reported as
-// ?min_version=; the router uses it to verify the staleness bound of
-// replica answers.
+// ?min_version=.
 const VersionHeader = "X-QGraph-Version"
 
 // TraceHeader carries a trace ID across HTTP hops. A node honors an
-// inbound value (its spans join the caller's tree — the router is the
-// usual originator) and echoes the ID it used on the response, so the
-// caller learns the ID even when the node generated one itself.
-const TraceHeader = obs.TraceHeader
+// inbound value (its spans join the caller's tree) and echoes the ID it
+// used on the response, so the caller learns the ID even when the node
+// generated one itself.
+const TraceHeader = "X-QGraph-Trace-ID"
 
 // NodeHeader identifies the node that produced a response as
-// "<node-id>/<role>". The router passes it through untouched, so a
-// client always sees which fleet member served it.
+// "<node-id>/<role>".
 const NodeHeader = "X-QGraph-Node"
-
-// ReplicaInfo is the replication-position block a replica reports on
-// /healthz and /stats. WALHead is the primary's durable head version as
-// seen in the tailed WAL directory; LagVersions = WALHead - Applied.
-type ReplicaInfo struct {
-	Role              string `json:"role"`
-	AppliedVersion    uint64 `json:"applied_version"`
-	WALHead           uint64 `json:"wal_head"`
-	LagVersions       uint64 `json:"lag_versions"`
-	Rebootstraps      int64  `json:"rebootstraps"`
-	TailPolls         int64  `json:"tail_polls"`
-	TailBatches       int64  `json:"tail_batches"`
-	TailBytes         int64  `json:"tail_bytes_read"`
-	LastApplyUnixNS   int64  `json:"last_apply_unix_ns,omitempty"`
-	SnapshotsSkipped  int64  `json:"snapshots_skipped_corrupt,omitempty"`
-	BootstrapVersion  uint64 `json:"bootstrap_version"`
-	BootstrapReplayed int    `json:"bootstrap_replayed_batches"`
-}
 
 func (c *Config) fill() error {
 	if c.Backend == nil {
@@ -407,10 +378,6 @@ type StatsResponse struct {
 	// immutable graph versions are live, how many readers pin them, and
 	// how many sealed batches await their group fsync.
 	MVCC controller.MVCCStats `json:"mvcc"`
-	// Replica reports this node's replication position (replica roles
-	// only): applied version vs the primary's WAL head, tailer activity,
-	// and gap-driven re-bootstraps.
-	Replica *ReplicaInfo `json:"replica,omitempty"`
 }
 
 // MutateOp is one operation of a POST /mutate batch.
@@ -500,10 +467,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
-	// Cross-hop propagation: an inbound trace ID (the router's, usually)
-	// becomes this request's trace ID, so node-side spans land in the
-	// caller's tree. Echoed on the response either way — when the node
-	// generated the ID itself, the echo is how the client learns it.
+	// Cross-hop propagation: an inbound trace ID becomes this request's
+	// trace ID, so node-side spans land in the caller's tree. Echoed on
+	// the response either way — when the node generated the ID itself,
+	// the echo is how the client learns it.
 	if raw := r.Header.Get(TraceHeader); raw != "" {
 		if id, err := strconv.ParseUint(raw, 10, 64); err == nil {
 			spec.TraceID = id
@@ -613,10 +580,14 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Lock()
 	s.pruneResults(false)
-	ar := s.results[id]
+	var ar asyncResult
+	found := s.results[id]
+	if found != nil {
+		ar = *found // storeDone fills the entry under mu
+	}
 	s.mu.Unlock()
 	switch {
-	case ar == nil:
+	case found == nil:
 		writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown or expired result id"})
 	case !ar.done:
 		writeJSON(w, http.StatusOK, QueryResponse{ID: id, Status: "pending", Value: nil})
@@ -660,15 +631,6 @@ type healthzResponse struct {
 	// SecondsSinceSnapshotCut is the age of the newest completed
 	// checkpoint cut; -1 until the first cut completes.
 	SecondsSinceSnapshotCut float64 `json:"seconds_since_snapshot_cut"`
-	// Replica-role fields (absent on primaries): the role name, the
-	// committed version this node has applied, the primary's WAL head it
-	// can see, and how many versions it trails by — the number the router
-	// compares against -max-staleness-versions.
-	Role              string `json:"role,omitempty"`
-	AppliedVersion    uint64 `json:"applied_version,omitempty"`
-	WALHead           uint64 `json:"wal_head,omitempty"`
-	StalenessVersions uint64 `json:"staleness_versions,omitempty"`
-	Rebootstraps      int64  `json:"rebootstraps,omitempty"`
 }
 
 // handleMutate ingests one batch of streaming graph updates. The batch is
@@ -678,11 +640,6 @@ type healthzResponse struct {
 // is answered from pre-commit state.
 func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	s.stampVersion(w)
-	if s.cfg.ReadOnly {
-		writeJSON(w, http.StatusForbidden,
-			errorResponse{Error: "read-only replica: route writes to the primary"})
-		return
-	}
 	if !s.begin() {
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "server draining"})
 		return
@@ -803,14 +760,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if snap.LastCutUnixNS > 0 {
 		resp.SecondsSinceSnapshotCut = time.Since(time.Unix(0, snap.LastCutUnixNS)).Seconds()
 	}
-	if s.cfg.Replication != nil {
-		ri := s.cfg.Replication()
-		resp.Role = ri.Role
-		resp.AppliedVersion = ri.AppliedVersion
-		resp.WALHead = ri.WALHead
-		resp.StalenessVersions = ri.LagVersions
-		resp.Rebootstraps = ri.Rebootstraps
-	}
 	code := http.StatusOK
 	h := s.cfg.Backend.Health()
 	resp.DeadWorkers = h.DeadWorkers
@@ -869,10 +818,6 @@ func (s *Server) statsSnapshot() StatsResponse {
 	resp.Snapshot = s.cfg.Backend.SnapshotStats()
 	resp.WAL = s.cfg.Backend.WALStats()
 	resp.MVCC = s.cfg.Backend.MVCCStats()
-	if s.cfg.Replication != nil {
-		ri := s.cfg.Replication()
-		resp.Replica = &ri
-	}
 	return resp
 }
 
@@ -882,11 +827,6 @@ func (s *Server) statsSnapshot() StatsResponse {
 // was actually cut, whether it is durable on disk, and how many log ops
 // the cut released.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.ReadOnly {
-		writeJSON(w, http.StatusForbidden,
-			errorResponse{Error: "read-only replica: route admin writes to the primary"})
-		return
-	}
 	if !s.begin() {
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "server draining"})
 		return

@@ -114,7 +114,7 @@ func Load(path string) (*Snapshot, error) {
 		return nil, fmt.Errorf("snapshot: %s: bad magic %q", path, body[:4])
 	}
 	version := binary.LittleEndian.Uint64(body[4:12])
-	g, err := graph.Load(bytes.NewReader(body[12:]))
+	g, err := graph.Load(bytes.NewReader(body[12:]), int64(len(body)-12))
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: %s: %w", path, err)
 	}
@@ -137,16 +137,6 @@ func SkippedCorrupt() int64 { return skippedCorrupt.Load() }
 // an empty one. It returns (nil, nil) when the directory holds no usable
 // snapshot.
 func LoadLatest(dir string) (*Snapshot, error) {
-	return LoadLatestObserved(dir, func(path string, err error) {
-		slog.Warn("snapshot: skipping corrupt checkpoint", "path", path, "error", err)
-	})
-}
-
-// LoadLatestObserved is LoadLatest with the caller deciding what to do
-// about each skipped file (log, emit a health event, count per-replica).
-// onSkip runs once per unloadable snapshot file, oldest-skip last; the
-// process-wide SkippedCorrupt counter advances regardless.
-func LoadLatestObserved(dir string, onSkip func(path string, err error)) (*Snapshot, error) {
 	paths, err := filepath.Glob(filepath.Join(dir, "snap-*"+fileExt))
 	if err != nil {
 		return nil, err
@@ -158,9 +148,7 @@ func LoadLatestObserved(dir string, onSkip func(path string, err error)) (*Snaps
 			return snap, nil
 		}
 		skippedCorrupt.Add(1)
-		if onSkip != nil {
-			onSkip(p, err)
-		}
+		slog.Warn("snapshot: skipping corrupt checkpoint", "path", p, "error", err)
 	}
 	return nil, nil
 }

@@ -1,8 +1,12 @@
 package snapshot
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc64"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -10,7 +14,7 @@ import (
 	"qgraph/internal/graph"
 )
 
-func testGraph(t *testing.T, n int) *graph.Graph {
+func testGraph(t testing.TB, n int) *graph.Graph {
 	t.Helper()
 	b := graph.NewBuilder(n)
 	for v := 0; v+1 < n; v++ {
@@ -123,9 +127,9 @@ func TestLoadRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestLoadLatestObservesSkips: skipped corrupt checkpoints are reported to
-// the caller and counted, never swallowed — a directory of rotted files
-// must be distinguishable from an empty one.
+// TestLoadLatestObservesSkips: skipped corrupt checkpoints are counted,
+// never swallowed — a directory of rotted files must be distinguishable
+// from an empty one.
 func TestLoadLatestObservesSkips(t *testing.T) {
 	dir := t.TempDir()
 	g := testGraph(t, 8)
@@ -146,24 +150,15 @@ func TestLoadLatestObservesSkips(t *testing.T) {
 	}
 
 	before := SkippedCorrupt()
-	var skipped []string
-	snap, err := LoadLatestObserved(dir, func(path string, err error) {
-		if err == nil {
-			t.Errorf("onSkip(%s) with nil error", path)
-		}
-		skipped = append(skipped, path)
-	})
+	snap, err := LoadLatest(dir)
 	if err != nil || snap == nil || snap.Version != 1 {
-		t.Fatalf("LoadLatestObserved = %+v, %v; want v1", snap, err)
-	}
-	if len(skipped) != 1 || skipped[0] != path2 {
-		t.Fatalf("skipped = %v, want [%s]", skipped, path2)
+		t.Fatalf("LoadLatest = %+v, %v; want v1", snap, err)
 	}
 	if got := SkippedCorrupt() - before; got != 1 {
 		t.Fatalf("SkippedCorrupt advanced by %d, want 1", got)
 	}
 
-	// Every file corrupt: nil snapshot, every skip reported.
+	// Every file corrupt: nil snapshot, every skip counted.
 	raw1, err := os.ReadFile(filepath.Join(dir, FileName(1)))
 	if err != nil {
 		t.Fatal(err)
@@ -172,10 +167,13 @@ func TestLoadLatestObservesSkips(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, FileName(1)), raw1, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	skipped = nil
-	snap, err = LoadLatestObserved(dir, func(path string, err error) { skipped = append(skipped, path) })
-	if err != nil || snap != nil || len(skipped) != 2 {
-		t.Fatalf("all-corrupt dir: snap=%+v err=%v skipped=%v", snap, err, skipped)
+	before = SkippedCorrupt()
+	snap, err = LoadLatest(dir)
+	if err != nil || snap != nil {
+		t.Fatalf("all-corrupt dir: snap=%+v err=%v", snap, err)
+	}
+	if got := SkippedCorrupt() - before; got != 2 {
+		t.Fatalf("SkippedCorrupt advanced by %d over an all-corrupt dir, want 2", got)
 	}
 }
 
@@ -295,4 +293,96 @@ func TestWriteFileErrorCleansTemp(t *testing.T) {
 	if tmps, _ := filepath.Glob(filepath.Join(dir, "*"+tmpSuffix)); len(tmps) != 0 {
 		t.Fatalf("failed persist left temp files: %v", tmps)
 	}
+}
+
+// FuzzLoad feeds Load arbitrary .qsnp bytes, seeded with the files
+// TestLoadRejectsCorruption builds (intact, torn, bit-flipped) and one
+// graph with coordinates and tags. Each input is loaded twice: as it is,
+// and with its last eight bytes replaced by the checksum of the rest —
+// without that, no mutated input gets past the CRC to the parser behind
+// it. A file is either rejected or accepted as the one canonical encoding
+// of its snapshot — WriteFile gives back the same bytes — and loading
+// never panics and never allocates more than a fixed multiple of the file,
+// whatever vertex and edge counts its header declares.
+func FuzzLoad(f *testing.F) {
+	seedDir := f.TempDir()
+	seed := func(snap *Snapshot) []byte {
+		path, err := WriteFile(seedDir, snap)
+		if err != nil {
+			f.Fatal(err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return raw
+	}
+	plain := seed(&Snapshot{Version: 2, Graph: testGraph(f, 8)})
+	b := graph.NewBuilder(3)
+	b.AddBiEdge(0, 1, 1.5)
+	b.AddEdge(2, 0, 0)
+	b.SetCoords([]graph.Coord{{X: 1, Y: 2}, {X: 3, Y: 4}, {X: 5, Y: 6}})
+	b.SetTags([]bool{true, false, true})
+	full := seed(&Snapshot{Version: 1 << 40, Graph: b.MustBuild()})
+	flipped := bytes.Clone(plain)
+	flipped[20] ^= 0x40
+	f.Add(plain)
+	f.Add(full)
+	f.Add(plain[:len(plain)/2]) // torn write
+	f.Add(flipped)              // bit flip inside the payload
+	f.Add(plain[:4+8+8])        // magic, version and a checksum, no graph
+	f.Add([]byte{})
+
+	in, out := f.TempDir(), f.TempDir()
+	path := filepath.Join(in, "fuzz"+fileExt)
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		inputs := [][]byte{raw}
+		if len(raw) >= 8 {
+			body := raw[:len(raw)-8]
+			inputs = append(inputs, binary.LittleEndian.AppendUint64(bytes.Clone(body), crc64.Checksum(body, crcTable)))
+		}
+		for _, file := range inputs {
+			if err := os.WriteFile(path, file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			// ReadFile's copy, the CSR arrays (offsets and edges take their
+			// wire size, tags twice it) and binary.Read's scratch buffers
+			// (the wire size again), above graph.Load's 1 MiB bufio.Reader.
+			// TotalAlloc is process-wide and the fuzz worker has goroutines
+			// of its own, so only an excess that repeats is Load's.
+			limit := uint64(8*len(file) + 2<<20)
+			var snap *Snapshot
+			var err error
+			for try := 1; ; try++ {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				snap, err = Load(path)
+				runtime.ReadMemStats(&after)
+				got := after.TotalAlloc - before.TotalAlloc
+				if got <= limit {
+					break
+				}
+				if try == 3 {
+					t.Fatalf("loading %d bytes allocated %d (limit %d)", len(file), got, limit)
+				}
+			}
+			if err != nil {
+				continue
+			}
+			again, err := WriteFile(out, snap)
+			if err != nil {
+				t.Fatalf("loaded snapshot v%d does not re-encode: %v", snap.Version, err)
+			}
+			re, err := os.ReadFile(again)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Remove(again); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(re, file) {
+				t.Fatalf("accepted file %x re-encodes as %x", file, re)
+			}
+		}
+	})
 }

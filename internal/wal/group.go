@@ -14,7 +14,7 @@ import (
 // batch is acked individually with its own version once the shared sync
 // returns — durability semantics are exactly Append's (fsync before ack),
 // only the cost is amortized. The on-disk format is unchanged: one record
-// per version, so readers (recovery, replica tailers) never know whether
+// per version, so readers (recovery, tailers) never know whether
 // a record was synced alone or in a group.
 
 // ErrClosed is returned on the ack channel for batches still queued when

@@ -24,8 +24,8 @@ import (
 // unique per chain version, so the successor's existence proves the
 // current segment will never grow again.
 //
-// Poll and Version must be called from one goroutine (the replica's apply
-// loop); the stats counters are atomics and safe to read from any.
+// Poll and Version must be called from one goroutine; the stats counters
+// are atomics and safe to read from any.
 type Tailer struct {
 	dir     string
 	graphID uint64
@@ -48,7 +48,7 @@ type tailSeg struct {
 	off  int64  // byte offset of the next unread record
 }
 
-// TailerStats is the replica-side accounting of a tailer.
+// TailerStats is the reader-side accounting of a tailer.
 type TailerStats struct {
 	Version   uint64 `json:"version"`
 	Polls     int64  `json:"polls"`

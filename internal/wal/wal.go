@@ -544,7 +544,7 @@ func walkRecords(buf []byte, last uint64, emit func(delta.LogBatch)) (int, uint6
 			break
 		}
 		b, err := decodeRecord(payload)
-		if err != nil || b.Version != last+1 {
+		if err != nil || b.Version != last+1 || b.Version == 0 { // 0: the chain wrapped
 			break
 		}
 		if emit != nil {

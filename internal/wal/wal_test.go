@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -468,6 +470,133 @@ func FuzzWalkRecords(f *testing.F) {
 		}
 		if !bytes.Equal(re, buf[:n]) {
 			t.Fatalf("accepted %d batches re-encode to %d bytes, not the %d consumed", len(got), len(re), n)
+		}
+	})
+}
+
+// FuzzSegmentAndFloor hands the WAL's readers a directory holding one
+// arbitrary segment file and one arbitrary wal.floor — what a node meets
+// when it is pointed at a foreign, truncated or half-copied log — seeded
+// with the segments TestGraphIDMismatch writes (for this graph and for
+// another) and the directory TestParentWrittenDirectoryReadsBack reads. A
+// floor file is either ignored or the exact bytes writeFloor produces. A
+// segment is either refused or read up to a clean stop: the batches
+// ReadTail returns chain from the header's version and re-encode, behind
+// that header, to exactly the prefix scanSegment accepted. Nothing panics,
+// reading allocates no more than a fixed multiple of the file, and Open
+// repairs whatever it was given into a log that takes the next append.
+func FuzzSegmentAndFloor(f *testing.F) {
+	header := func(id, prev uint64) []byte {
+		hdr := make([]byte, headerSize)
+		copy(hdr, fileMagic)
+		binary.LittleEndian.PutUint32(hdr[4:8], fileFormat)
+		binary.LittleEndian.PutUint64(hdr[8:16], id)
+		binary.LittleEndian.PutUint64(hdr[16:24], prev)
+		return hdr
+	}
+	rec := func(v uint64) []byte { return encodeRecord(v, testOps(3, int(v))) }
+	floorOf := func(v uint64) []byte {
+		return binary.LittleEndian.AppendUint64([]byte(floorMagic), v)
+	}
+	two := slices.Concat(header(testGraphID, 0), rec(1), rec(2))
+	badFormat := slices.Clone(two)
+	badFormat[4] = fileFormat + 1
+	f.Add(two, []byte{})
+	f.Add(slices.Concat(header(testGraphID+1, 0), rec(1), rec(2)), []byte{}) // another graph's log
+	f.Add(badFormat, []byte{})
+	f.Add(two[:len(two)-5], floorOf(0))                                                       // torn final record
+	f.Add(two[:headerSize-3], floorOf(7))                                                     // torn header, log truncated to 7
+	f.Add(header(testGraphID, 5), floorOf(5))                                                 // empty head segment after a rebase
+	f.Add(slices.Concat(header(testGraphID, 5), rec(9)), floorOf(3))                          // out of chain
+	f.Add([]byte("QWAX"), []byte("QWFL"))                                                     // bad magic, short floor
+	f.Add(slices.Concat(header(testGraphID, math.MaxUint64), encodeRecord(0, nil)), []byte{}) // a version chain that wraps
+	parent, err := filepath.Glob("testdata/parent-wal/wal-*" + fileExt)
+	if err != nil || len(parent) != 3 {
+		f.Fatalf("fixture: %v, %v", parent, err)
+	}
+	parentFloor, err := os.ReadFile(filepath.Join("testdata/parent-wal", floorFile))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, p := range parent {
+		raw, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw, parentFloor)
+	}
+
+	f.Fuzz(func(t *testing.T, seg, floor []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, floorFile), floor, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if v, ok := readFloor(dir); ok {
+			if err := writeFloor(dir, v); err != nil {
+				t.Fatal(err)
+			}
+			if re, err := os.ReadFile(filepath.Join(dir, floorFile)); err != nil || !bytes.Equal(re, floor) {
+				t.Fatalf("floor file %x accepted as version %d, which writeFloor encodes as %x (%v)", floor, v, re, err)
+			}
+		}
+
+		// A segment's name is the version its header chains from.
+		var prev uint64
+		if len(seg) >= headerSize {
+			prev = binary.LittleEndian.Uint64(seg[16:24])
+		}
+		path := filepath.Join(dir, segName(prev))
+		if err := os.WriteFile(path, seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		// Two copies of the file (scanDir's and the tailer's), its ops at 16
+		// bytes for 13 on disk, and two appended-to slices of 32-byte batch
+		// headers for records of 24 bytes and up. TotalAlloc is process-wide
+		// and the fuzz worker has goroutines of its own, so only an excess
+		// that repeats is the reader's.
+		limit := uint64(16*len(seg) + 64<<10)
+		var got []delta.LogBatch
+		var err error
+		for try := 1; ; try++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			got, err = ReadTail(dir, testGraphID, prev)
+			runtime.ReadMemStats(&after)
+			if used := after.TotalAlloc - before.TotalAlloc; used <= limit {
+				break
+			} else if try == 3 {
+				t.Fatalf("reading a %d-byte segment allocated %d (limit %d)", len(seg), used, limit)
+			}
+		}
+		if err == nil {
+			re := header(testGraphID, prev)
+			for i, b := range got {
+				if b.Version != prev+1+uint64(i) {
+					t.Fatalf("batch %d chaining from %d has version %d", i, prev, b.Version)
+				}
+				re = append(re, encodeRecord(b.Version, b.Ops)...)
+			}
+			info, _, err := scanSegment(path, testGraphID)
+			if err != nil {
+				t.Fatalf("ReadTail read a segment scanSegment refuses: %v", err)
+			}
+			if info.size > headerSize && !bytes.Equal(re, seg[:info.size]) {
+				t.Fatalf("%d batches re-encode to %d bytes, not the %d-byte prefix accepted", len(got), len(re), info.size)
+			}
+		}
+
+		w, err := Open(dir, testGraphID)
+		if err != nil {
+			return
+		}
+		defer w.Close()
+		base, next := w.Base(), w.Head()+1
+		if err := w.Append(next, testOps(1, 1)); err != nil {
+			t.Fatalf("append of version %d to the repaired log: %v", next, err)
+		}
+		tail, err := ReadTail(dir, testGraphID, base)
+		if err != nil || uint64(len(tail)) != next-base || tail[len(tail)-1].Version != next {
+			t.Fatalf("ReadTail(%d) of the repaired log after appending %d = %d batches, %v", base, next, len(tail), err)
 		}
 	})
 }

@@ -14,6 +14,10 @@
 # Scenario 4: durable WAL — kill -9 the whole deployment mid-mutation-load
 # and restart with -wal-dir; the recovered version must equal the last
 # acknowledged one and the answers must match a never-crashed control run.
+# Scenario 5: a deterministically slow worker must trip the straggler
+# watchdog (/events, incident bundle, /slo burn, degraded /healthz).
+# Scenario 8: the MVCC commit pipeline under hot commits, then kill -9.
+# (Numbers 6 and 7 drove the replica/router roles, removed in PR 23.)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -454,243 +458,6 @@ if [ "$fail" -ne 0 ]; then
 fi
 stragglerev=$(grep -o '"msg":"[^"]*"' <<<"$events5" | head -1)
 echo "SMOKE OK: straggler detected under mixed load (${stragglerev}), incident captured, tenant burn ${maxburn}"
-
-# ---------------------------------------------------------------------------
-# Scenario 6: read-path scale-out — a primary (with -snapshot-dir and
-# -wal-dir), two read replicas tailing the WAL, and a router fronting all
-# three. Mixed query+mutate load flows through the router; one replica is
-# SIGKILLed mid-load and the router must absorb it: zero failed reads,
-# writes all landing on the primary, and the surviving replica converging
-# to the primary's exact version (a min_version read at the primary's
-# version must succeed through the router).
-
-ADDRS6="127.0.0.1:7771,127.0.0.1:7772,127.0.0.1:7773"
-SERVE6="127.0.0.1:7806"     # primary
-REP6A="127.0.0.1:7807"      # replica a
-REP6B="127.0.0.1:7808"      # replica b
-ROUTE6="127.0.0.1:7809"     # router
-SNAP6="$workdir/snaps6"
-WAL6="$workdir/wal6"
-mkdir -p "$SNAP6" "$WAL6"
-
-"$workdir/qgraphd" -role worker -id 0 -graph "$workdir/g.qgr" -addrs "$ADDRS6" \
-  -snapshot-dir "$SNAP6" -wal-dir "$WAL6" >>"$workdir/d6-w0.log" 2>&1 &
-"$workdir/qgraphd" -role worker -id 1 -graph "$workdir/g.qgr" -addrs "$ADDRS6" \
-  -snapshot-dir "$SNAP6" -wal-dir "$WAL6" >>"$workdir/d6-w1.log" 2>&1 &
-sleep 1
-"$workdir/qgraphd" -role controller -graph "$workdir/g.qgr" -addrs "$ADDRS6" \
-  -serve "$SERVE6" -commit-every 50ms -snapshot-dir "$SNAP6" -wal-dir "$WAL6" \
-  >>"$workdir/d6-ctrl.log" 2>&1 &
-ctrl6=$!
-wait_healthy "$SERVE6" || { echo "SMOKE FAIL: scenario-6 primary never healthy"; exit 1; }
-
-# History before any replica exists: their bootstrap must replay it.
-apply_batches "$SERVE6" 0 5 >/dev/null || { echo "SMOKE FAIL: seed mutations failed"; exit 1; }
-
-"$workdir/qgraphd" -role replica -graph "$workdir/g.qgr" -snapshot-dir "$SNAP6" \
-  -wal-dir "$WAL6" -serve "$REP6A" -replica-poll 25ms >>"$workdir/d6-ra.log" 2>&1 &
-repa6=$!
-"$workdir/qgraphd" -role replica -graph "$workdir/g.qgr" -snapshot-dir "$SNAP6" \
-  -wal-dir "$WAL6" -serve "$REP6B" -replica-poll 25ms >>"$workdir/d6-rb.log" 2>&1 &
-repb6=$!
-wait_healthy "$REP6A" || { echo "SMOKE FAIL: replica a never healthy"; exit 1; }
-wait_healthy "$REP6B" || { echo "SMOKE FAIL: replica b never healthy"; exit 1; }
-
-grep -q '"role":"replica"' <<<"$(curl -fsS "http://$REP6A/healthz")" || {
-  echo "SMOKE FAIL: replica /healthz missing role field"; exit 1; }
-
-"$workdir/qgraphd" -role router -primary "http://$SERVE6" \
-  -replicas "http://$REP6A,http://$REP6B" -max-staleness-versions 64 \
-  -health-every 100ms -serve "$ROUTE6" >>"$workdir/d6-router.log" 2>&1 &
-router6=$!
-wait_healthy "$ROUTE6" || { echo "SMOKE FAIL: router never healthy"; exit 1; }
-
-# Both replicas must enter the rotation before load starts.
-for _ in $(seq 1 50); do
-  nrot=$(curl -fsS "http://$ROUTE6/healthz" | grep -o '"in_rotation":true' | wc -l)
-  [ "$nrot" -eq 2 ] && break
-  sleep 0.2
-done
-[ "${nrot:-0}" -eq 2 ] || { echo "SMOKE FAIL: replicas never entered rotation"; exit 1; }
-
-# Mixed load through the router; SIGKILL replica b 3s into the window.
-out6=$("$workdir/qgraph-bench" -load "http://$ROUTE6" -rate 200 -load-duration 8s \
-  -load-pool 64 -load-timeout 15s -mutate-rate 50 -mutate-batch 20 \
-  -mutations "$workdir/g.qgr.mut" -kill-pid "$repb6" -kill-after 3s)
-echo "$out6"
-
-status6=$(curl -fsS "http://$ROUTE6/router/status")
-echo "$status6"
-
-fail=0
-
-qline6=$(grep -m1 '^sent=' <<<"$out6")
-okq6=$(sed -n 's/.* ok=\([0-9]*\).*/\1/p' <<<"$qline6")
-failedq6=$(sed -n 's/.* failed=\([0-9]*\).*/\1/p' <<<"$qline6")
-[ "${okq6:-0}" -gt 0 ] || { echo "SMOKE FAIL: no successful reads through the router"; fail=1; }
-[ "${failedq6:-1}" -eq 0 ] || { echo "SMOKE FAIL: $failedq6 failed reads through a replica kill"; fail=1; }
-
-mline6=$(grep -m1 '^mutations: writers=' <<<"$out6")
-applied6=$(sed -n 's/.*applied=\([0-9]*\).*/\1/p' <<<"$mline6")
-failedm6=$(sed -n 's/.*failed=\([0-9]*\).*/\1/p' <<<"$mline6")
-[ "${applied6:-0}" -gt 0 ] || { echo "SMOKE FAIL: no mutations applied through the router"; fail=1; }
-[ "${failedm6:-1}" -eq 0 ] || { echo "SMOKE FAIL: $failedm6 failed mutation ops through the router"; fail=1; }
-
-reads_rep6=$(sed -n 's/.*"reads_replica":\([0-9]*\).*/\1/p' <<<"$status6")
-writes6=$(sed -n 's/.*"writes":\([0-9]*\).*/\1/p' <<<"$status6")
-[ "${reads_rep6:-0}" -gt 0 ] || { echo "SMOKE FAIL: router never routed a read to a replica"; fail=1; }
-[ "${writes6:-0}" -gt 0 ] || { echo "SMOKE FAIL: router never routed a write to the primary"; fail=1; }
-
-# The surviving replica converges to the primary's exact version, so a
-# bounded-staleness read demanding that version succeeds via the router.
-primver6=$(curl -fsS "http://$SERVE6/healthz" | sed -n 's/.*"graph_version":\([0-9]*\).*/\1/p')
-for _ in $(seq 1 50); do
-  repver6=$(curl -fsS "http://$REP6A/healthz" | sed -n 's/.*"applied_version":\([0-9]*\).*/\1/p')
-  [ "${repver6:-0}" -ge "${primver6:-1}" ] && break
-  sleep 0.2
-done
-[ "${repver6:-0}" -ge "${primver6:-1}" ] || {
-  echo "SMOKE FAIL: replica stuck at v${repver6:-?} behind primary v$primver6"; fail=1; }
-
-minread6=$(curl -fsS -D "$workdir/d6-head.txt" \
-  "http://$ROUTE6/query?min_version=$primver6" \
-  -d '{"kind":"sssp","source":0,"target":999,"no_cache":true}') || {
-  echo "SMOKE FAIL: min_version read through router failed"; fail=1; }
-hdrver6=$(sed -n 's/^X-Qgraph-Version: *\([0-9]*\).*/\1/Ip' "$workdir/d6-head.txt")
-[ "${hdrver6:-0}" -ge "${primver6:-1}" ] || {
-  echo "SMOKE FAIL: version header $hdrver6 below demanded floor $primver6"; fail=1; }
-
-# Writes through a replica directly are refused — the 403 read-only guard.
-wcode6=$(curl -s -o /dev/null -w '%{http_code}' "http://$REP6A/mutate" \
-  -d '{"ops":[{"op":"add_edge","from":0,"to":1,"weight":1}]}')
-[ "$wcode6" = "403" ] || { echo "SMOKE FAIL: replica accepted a direct write (HTTP $wcode6)"; fail=1; }
-
-kill -INT "$router6" "$repa6" >/dev/null 2>&1 || true
-kill -INT "$ctrl6" >/dev/null 2>&1 || true
-wait "$ctrl6" || true
-
-if [ "$fail" -ne 0 ]; then
-  exit 1
-fi
-echo "SMOKE OK: $okq6 reads (0 failed) through a replica kill, $reads_rep6 served by replicas, min_version=$primver6 satisfied with header v$hdrver6"
-
-# ---------------------------------------------------------------------------
-# Scenario 7: fleet observability — primary + two replicas + router under
-# load. A routed read must carry ONE trace ID across processes: the router
-# stamps X-QGraph-Trace-ID downstream, the replica keeps its spans under
-# that ID, and the router's GET /trace/{id} stitches both halves into one
-# tree. /fleet/metrics must re-emit instance-labeled series from all four
-# processes, and /fleet/status must report correct roles and lags.
-
-ADDRS7="127.0.0.1:7781,127.0.0.1:7782,127.0.0.1:7783"
-SERVE7="127.0.0.1:7810"     # primary
-REP7A="127.0.0.1:7811"      # replica a
-REP7B="127.0.0.1:7812"      # replica b
-ROUTE7="127.0.0.1:7813"     # router
-SNAP7="$workdir/snaps7"
-WAL7="$workdir/wal7"
-mkdir -p "$SNAP7" "$WAL7"
-
-"$workdir/qgraphd" -role worker -id 0 -graph "$workdir/g.qgr" -addrs "$ADDRS7" \
-  -snapshot-dir "$SNAP7" -wal-dir "$WAL7" >>"$workdir/d7-w0.log" 2>&1 &
-"$workdir/qgraphd" -role worker -id 1 -graph "$workdir/g.qgr" -addrs "$ADDRS7" \
-  -snapshot-dir "$SNAP7" -wal-dir "$WAL7" >>"$workdir/d7-w1.log" 2>&1 &
-sleep 1
-"$workdir/qgraphd" -role controller -graph "$workdir/g.qgr" -addrs "$ADDRS7" \
-  -serve "$SERVE7" -commit-every 50ms -snapshot-dir "$SNAP7" -wal-dir "$WAL7" \
-  >>"$workdir/d7-ctrl.log" 2>&1 &
-ctrl7=$!
-wait_healthy "$SERVE7" || { echo "SMOKE FAIL: scenario-7 primary never healthy"; exit 1; }
-apply_batches "$SERVE7" 0 5 >/dev/null || { echo "SMOKE FAIL: scenario-7 seed mutations failed"; exit 1; }
-
-"$workdir/qgraphd" -role replica -graph "$workdir/g.qgr" -snapshot-dir "$SNAP7" \
-  -wal-dir "$WAL7" -serve "$REP7A" -replica-poll 25ms >>"$workdir/d7-ra.log" 2>&1 &
-repa7=$!
-"$workdir/qgraphd" -role replica -graph "$workdir/g.qgr" -snapshot-dir "$SNAP7" \
-  -wal-dir "$WAL7" -serve "$REP7B" -replica-poll 25ms >>"$workdir/d7-rb.log" 2>&1 &
-repb7=$!
-wait_healthy "$REP7A" || { echo "SMOKE FAIL: scenario-7 replica a never healthy"; exit 1; }
-wait_healthy "$REP7B" || { echo "SMOKE FAIL: scenario-7 replica b never healthy"; exit 1; }
-
-"$workdir/qgraphd" -role router -primary "http://$SERVE7" \
-  -replicas "http://$REP7A,http://$REP7B" -max-staleness-versions 64 \
-  -health-every 100ms -serve "$ROUTE7" >>"$workdir/d7-router.log" 2>&1 &
-router7=$!
-wait_healthy "$ROUTE7" || { echo "SMOKE FAIL: scenario-7 router never healthy"; exit 1; }
-for _ in $(seq 1 50); do
-  nrot7=$(curl -fsS "http://$ROUTE7/healthz" | grep -o '"in_rotation":true' | wc -l)
-  [ "$nrot7" -eq 2 ] && break
-  sleep 0.2
-done
-[ "${nrot7:-0}" -eq 2 ] || { echo "SMOKE FAIL: scenario-7 replicas never entered rotation"; exit 1; }
-
-# Mixed load in the background; the observability probes below run while
-# the fleet is busy, not against an idle afterimage.
-"$workdir/qgraph-bench" -load "http://$ROUTE7" -rate 150 -load-duration 8s \
-  -load-pool 64 -load-timeout 15s -mutate-rate 50 -mutate-batch 20 \
-  -mutations "$workdir/g.qgr.mut" >"$workdir/d7-bench.out" 2>&1 &
-bench7=$!
-sleep 2
-
-fail=0
-
-# One trace ID, end to end: routed read -> header -> stitched /trace/{id}.
-read7=$(curl -fsS -D "$workdir/d7-head.txt" "http://$ROUTE7/query" \
-  -d '{"kind":"sssp","source":0,"target":999,"no_cache":true}')
-tid7=$(sed -n 's/^X-Qgraph-Trace-Id: *\([0-9]*\).*/\1/Ip' "$workdir/d7-head.txt")
-node7=$(sed -n 's/^X-Qgraph-Node: *\(.*\)$/\1/Ip' "$workdir/d7-head.txt" | tr -d '\r')
-[ -n "$tid7" ] && [ "$tid7" != "0" ] || { echo "SMOKE FAIL: routed read carried no trace id"; fail=1; }
-case "$node7" in
-  */replica|*/primary) : ;;
-  *) echo "SMOKE FAIL: X-QGraph-Node header missing or malformed ('$node7')"; fail=1 ;;
-esac
-
-trace7=$(curl -fsS "http://$ROUTE7/trace/$tid7")
-grep -q "\"trace_id\":$tid7" <<<"$trace7" || { echo "SMOKE FAIL: /trace/$tid7 not under the propagated id"; fail=1; }
-grep -q '"name":"route"' <<<"$trace7" || { echo "SMOKE FAIL: stitched trace has no router route span"; fail=1; }
-grep -q '"name":"attempt"' <<<"$trace7" || { echo "SMOKE FAIL: stitched trace has no attempt span"; fail=1; }
-grep -q '"name":"query"' <<<"$trace7" || { echo "SMOKE FAIL: stitched trace has no downstream query span"; fail=1; }
-grep -q '"stitched":true' <<<"$trace7" || { echo "SMOKE FAIL: downstream half not stitched in"; fail=1; }
-
-# /fleet/metrics carries instance-labeled series from all four processes.
-fm7=$(curl -fsS "http://$ROUTE7/fleet/metrics")
-for inst in "$ROUTE7" "$SERVE7" "$REP7A" "$REP7B"; do
-  grep -q "instance=\"$inst\"" <<<"$fm7" || {
-    echo "SMOKE FAIL: /fleet/metrics missing series from $inst"; fail=1; }
-done
-grep -q "role=\"router\"" <<<"$fm7" || { echo "SMOKE FAIL: /fleet/metrics missing router role label"; fail=1; }
-grep -q "qgraph_replica_apply_batches_total" <<<"$fm7" || {
-  echo "SMOKE FAIL: replica apply instrumentation absent from the fleet page"; fail=1; }
-
-# /fleet/status: one primary, two reachable replica rows with bounded lag.
-fs7=$(curl -fsS "http://$ROUTE7/fleet/status")
-echo "$fs7"
-nprim7=$(grep -o '"role":"primary"' <<<"$fs7" | wc -l)
-nrep7=$(grep -o '"role":"replica"' <<<"$fs7" | wc -l)
-[ "$nprim7" -eq 1 ] || { echo "SMOKE FAIL: /fleet/status primary rows = $nprim7"; fail=1; }
-[ "$nrep7" -eq 2 ] || { echo "SMOKE FAIL: /fleet/status replica rows = $nrep7"; fail=1; }
-grep -q '"reachable":false' <<<"$fs7" && { echo "SMOKE FAIL: /fleet/status reports an unreachable node"; fail=1; }
-maxlag7=$(grep -o '"lag_versions":[0-9]*' <<<"$fs7" | sed 's/.*://' | sort -n | tail -1)
-[ "${maxlag7:-99999}" -le 64 ] || { echo "SMOKE FAIL: fleet lag $maxlag7 beyond the staleness bound"; fail=1; }
-
-# /fleet/events answers and is well-formed JSON with an events array.
-fe7=$(curl -fsS "http://$ROUTE7/fleet/events?n=50")
-grep -q '"events":\[' <<<"$fe7" || { echo "SMOKE FAIL: /fleet/events malformed"; fail=1; }
-
-wait "$bench7" || true
-cat "$workdir/d7-bench.out"
-qline7=$(grep -m1 '^sent=' "$workdir/d7-bench.out")
-failedq7=$(sed -n 's/.* failed=\([0-9]*\).*/\1/p' <<<"$qline7")
-[ "${failedq7:-1}" -eq 0 ] || { echo "SMOKE FAIL: $failedq7 failed reads during the observability probes"; fail=1; }
-
-kill -INT "$router7" "$repa7" "$repb7" >/dev/null 2>&1 || true
-kill -INT "$ctrl7" >/dev/null 2>&1 || true
-wait "$ctrl7" || true
-
-if [ "$fail" -ne 0 ]; then
-  exit 1
-fi
-echo "SMOKE OK: trace $tid7 stitched across router+replica, /fleet/metrics spans 4 instances, roles and lags correct (max lag ${maxlag7:-0})"
 
 # ---------------------------------------------------------------------------
 # Scenario 8: the MVCC commit pipeline — mutations commit off the global
