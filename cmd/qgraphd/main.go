@@ -413,8 +413,8 @@ func countOwned(a partition.Assignment, w partition.WorkerID) int {
 	return n
 }
 
-// graphID derives a stable base-graph identity for the cache epoch from
-// the graph file identity and shape.
+// graphID derives a stable base-graph identity (/stats graph_id, the WAL's
+// owner check) from the graph file identity and shape.
 func graphID(path string, g *graph.Graph) uint64 {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(path))

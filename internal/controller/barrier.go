@@ -2,6 +2,7 @@ package controller
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"qgraph/internal/graph"
@@ -179,6 +180,7 @@ func (c *Controller) onSynch(m *protocol.BarrierSynch) error {
 	c.obs.onReport(m)
 	c.cfg.Monitor.ObserveCompute(int(m.W), m.ComputeNS, int(m.Step-m.FromStep)+1)
 	ctl.scopeSizes[m.W] = int64(m.ScopeSize)
+	ctl.blocks = append(ctl.blocks, m.NewBlocks...)
 	if m.Processed > 0 || m.ScopeSize > 0 {
 		ctl.everActive[m.W] = true
 	}
@@ -287,6 +289,9 @@ func (c *Controller) finishQuery(ctl *qctl, reason protocol.FinishReason) {
 		Latency:    now.Sub(ctl.started),
 		Version:    ctl.spec.PinVersion,
 	}
+	// Workers sharing a block each reported it.
+	slices.Sort(ctl.blocks)
+	res.Blocks = slices.Compact(ctl.blocks)
 	c.endQueryTrace(ctl, reason, res)
 	ctl.ch <- res
 

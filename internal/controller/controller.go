@@ -236,6 +236,11 @@ type Result struct {
 	// Version is the committed graph version the answer was computed at
 	// (the query's pin) — not whatever is committed when it is delivered.
 	Version uint64
+	// Blocks is the scope as sorted signature blocks (protocol.SigShift):
+	// every vertex whose out-edges the execution read lies in one of them,
+	// so the answer holds at any later version whose batches change no
+	// out-edge of a vertex in these blocks (see OnCommit).
+	Blocks []int32
 }
 
 // qctl is the controller-side state of one active query.
@@ -254,6 +259,7 @@ type qctl struct {
 
 	scopeSizes []int64 // latest |LS(q,w)| per worker
 	everActive []bool  // workers that ever processed or held scope
+	blocks     []int32 // every worker's BarrierSynch.NewBlocks so far, unsorted
 	bestGoal   float64
 	stepsDone  int
 	localSteps int
@@ -367,6 +373,7 @@ type Controller struct {
 	// loaded by it and by concurrent readers (Schedule validation, the
 	// serving layer). Its Version() is the committed graph version.
 	curView     atomic.Pointer[delta.View]
+	onCommit    atomic.Pointer[func(version uint64, blocks []int32)]
 	pendingOps  []delta.Op
 	pendingMuts []pendingMut
 	pendingNewV int // AddVertex ops staged (range validation)
@@ -463,8 +470,7 @@ type Controller struct {
 	// Repartitions counts executed global barriers (scope moves, recovery).
 	repartitions int
 	// repartEpoch mirrors repartitions atomically so concurrent readers
-	// (the serving layer's result cache) can observe partition changes
-	// while Run is live.
+	// (/healthz, /stats) can observe partition changes while Run is live.
 	repartEpoch atomic.Int64
 	// Trigger backoff: when repartitioning stops improving locality
 	// (e.g. the workload inherently spans workers), the effective cooldown
@@ -622,9 +628,17 @@ func (c *Controller) Mutate(ops []delta.Op) (<-chan MutationResult, error) {
 }
 
 // GraphVersion returns the number of committed mutation batches as a
-// monotone graph version. Safe to call concurrently with Run; the serving
-// layer folds it into the result-cache epoch.
+// monotone graph version. Safe to call concurrently with Run.
 func (c *Controller) GraphVersion() uint64 { return c.curView.Load().Version() }
+
+// OnCommit registers the one subscriber to commits (a later call replaces
+// it): the event loop calls fn for every batch, in version order, just
+// before GraphVersion starts reporting that version, with the sorted
+// signature blocks of the vertices whose out-edges the batch changes. That
+// is all a batch can change about an answer — every vertex function reads
+// only the out-edges and tag of the vertex it runs on — so the serving cache
+// evicts by it (Result.Blocks). fn must not block. Safe from any goroutine.
+func (c *Controller) OnCommit(fn func(version uint64, blocks []int32)) { c.onCommit.Store(&fn) }
 
 // GraphView returns the current committed graph view (a consistent
 // snapshot; later commits do not mutate it). Safe to call concurrently
@@ -794,8 +808,7 @@ func (c *Controller) Repartitions() int { return c.repartitions }
 
 // RepartitionEpoch returns the number of executed repartitioning barriers
 // as a monotone epoch. Unlike Repartitions it is safe to call concurrently
-// with Run; the serving layer uses it to invalidate cached results when
-// the partitioning changes.
+// with Run.
 func (c *Controller) RepartitionEpoch() int64 { return c.repartEpoch.Load() }
 
 // Run processes events until Stop is called. It returns the first fatal

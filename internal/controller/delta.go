@@ -2,6 +2,7 @@ package controller
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"qgraph/internal/delta"
@@ -213,6 +214,11 @@ func (c *Controller) applyDurable(ack wal.AppendAck) error {
 		// durable log and the in-memory chain diverged — fatal.
 		return fmt.Errorf("controller: committed batch %d failed to apply: %w", batch.Version, err)
 	}
+	// The subscriber hears of the version before anyone can read it: whoever
+	// sees GraphVersion() == v finds the cache already rid of what v touched.
+	if fn := c.onCommit.Load(); fn != nil {
+		(*fn)(batch.Version, fromBlocks(batch.Ops))
+	}
 	c.curView.Store(nv)
 	c.publishMVCC()
 	preBytes := c.deltaLog.Bytes()
@@ -263,6 +269,19 @@ func (c *Controller) applyDurable(ack wal.AppendAck) error {
 	// A seal may have been held back by the in-flight cap.
 	c.maybeCommit(c.cfg.Clock())
 	return nil
+}
+
+// fromBlocks returns the sorted signature blocks of the vertices whose
+// out-edges ops change. A new vertex has no edges and is in no scope.
+func fromBlocks(ops []delta.Op) []int32 {
+	blocks := make([]int32, 0, len(ops))
+	for _, op := range ops {
+		if op.Kind != delta.OpAddVertex {
+			blocks = append(blocks, protocol.BlockOf(op.From))
+		}
+	}
+	slices.Sort(blocks)
+	return slices.Compact(blocks)
 }
 
 // onDeltaAck records how far worker m.W's replica has applied. Commits

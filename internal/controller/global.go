@@ -183,8 +183,7 @@ func (c *Controller) onMoveAck(m *protocol.MoveAck) error {
 func (c *Controller) resume() error {
 	c.enterPhase(phaseRun)
 	// Every global barrier rewrote ownership — scope moves, or a recovery
-	// round's handoff — so each one counts as a repartition and flushes the
-	// serving layer's result cache exactly once.
+	// round's handoff — so each one counts as a repartition.
 	c.repartitions++
 	c.repartEpoch.Store(int64(c.repartitions))
 	c.broadcast(&protocol.GlobalStart{Epoch: c.epoch})

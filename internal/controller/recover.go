@@ -36,8 +36,7 @@ import (
 //     every live replica to exactly the committed version before RecoverStart
 //     reaches it, and batches that become durable mid-round queue in
 //     durableQ until resume — nothing is ever rolled back.
-//   - The repartition epoch bumps exactly once per episode (in resume),
-//     flushing the serving layer's result cache.
+//   - The repartition epoch bumps exactly once per episode (in resume).
 
 // recoverState is the sub-state within phaseRecover.
 type recoverState int
@@ -228,10 +227,7 @@ func (c *Controller) onPartitionAck(m *protocol.PartitionAck) error {
 
 // completeRecovery closes the episode: account it, then ride the tail of
 // the normal global barrier — resume() restarts every active query from
-// superstep 0 and bumps the repartition epoch exactly once (recovery always
-// changed the effective partitioning, or at minimum invalidated
-// per-partition query state, so the serving layer's result cache must
-// flush).
+// superstep 0 and bumps the repartition epoch exactly once.
 func (c *Controller) completeRecovery() error {
 	now := c.cfg.Clock()
 	dur := c.rec.Finish(now)
@@ -276,13 +272,14 @@ func (c *Controller) resetQueryForRestart(ctl *qctl) {
 	ctl.paused = false
 	ctl.involved = make(map[partition.WorkerID]bool)
 	ctl.reports = make(map[partition.WorkerID]*protocol.BarrierSynch)
-	// Scope statistics restart with the execution: both Touched
-	// (scopeSizes) and Workers (everActive) describe the run that
-	// produced the result, not the one the failure discarded.
+	// Scope statistics restart with the execution: Touched (scopeSizes),
+	// Workers (everActive) and Blocks describe the run that produced the
+	// result, not the one the failure discarded.
 	for i := range ctl.scopeSizes {
 		ctl.scopeSizes[i] = 0
 		ctl.everActive[i] = false
 	}
+	ctl.blocks = ctl.blocks[:0]
 	// A goal found before the failure proved a path at the old pin; the
 	// restart re-pins to the recovered version. Rediscover.
 	ctl.bestGoal = query.NoResult

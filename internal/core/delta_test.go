@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand/v2"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -353,6 +354,52 @@ func TestMutateValidation(t *testing.T) {
 			}
 		case <-time.After(10 * time.Second):
 			t.Fatalf("bad batch %d: no answer", i)
+		}
+	}
+}
+
+// TestResultBlocksAndCommitBlocks: a result carries the sorted block set of
+// its scope, the union of what the workers sharing the blocks each reported;
+// and the commit subscriber hears of every batch, in order, with the sorted
+// blocks of the vertices whose out-edges it changed — a new vertex is none —
+// before anyone can read the version.
+func TestResultBlocksAndCommitBlocks(t *testing.T) {
+	eng := startEngine(t, pathGraph(300), fastCommit) // hash over 4 workers: every block on every worker
+	type commit struct {
+		version, readable uint64
+		blocks            []int32
+	}
+	var mu sync.Mutex
+	var heard []commit
+	eng.Controller().OnCommit(func(v uint64, blocks []int32) {
+		mu.Lock()
+		defer mu.Unlock()
+		heard = append(heard, commit{v, eng.GraphVersion(), blocks})
+	})
+
+	h, err := eng.Schedule(query.Spec{ID: 1, Kind: query.KindSSSP, Source: 70, Target: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := h.Wait(); res.Value != 130 || !slices.Equal(res.Blocks, []int32{1, 2, 3}) {
+		t.Fatalf("70→200 = %v over blocks %v, want 130 over [1 2 3]", res.Value, res.Blocks)
+	}
+	mutate(t, eng, []delta.Op{
+		{Kind: delta.OpSetWeight, From: 260, To: 261, Weight: 2},
+		{Kind: delta.OpAddVertex},
+		{Kind: delta.OpAddEdge, From: 3, To: 300, Weight: 1},
+		{Kind: delta.OpRemoveEdge, From: 299, To: 0}, // no such edge: its source counts all the same
+	})
+	mutate(t, eng, []delta.Op{{Kind: delta.OpAddVertex}})
+	mu.Lock()
+	defer mu.Unlock()
+	want := []commit{{1, 0, []int32{0, 4}}, {2, 1, []int32{}}}
+	if len(heard) != len(want) {
+		t.Fatalf("heard %+v, want %+v", heard, want)
+	}
+	for i, w := range want {
+		if got := heard[i]; got.version != w.version || got.readable != w.readable || !slices.Equal(got.blocks, w.blocks) {
+			t.Fatalf("commit %d heard as %+v, want %+v", i, got, w)
 		}
 	}
 }

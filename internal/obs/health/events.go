@@ -31,21 +31,20 @@ func sevRank(s Severity) int {
 // Fields; lifecycle events mirror what the engine already logs so the
 // ring is a self-contained incident timeline.
 const (
-	EventStraggler       = "event_straggler"
-	EventStragglerClear  = "event_straggler_clear"
-	EventBarrierStall    = "event_barrier_stall"
-	EventQueryStall      = "event_query_stall"
-	EventStallClear      = "event_stall_clear"
-	EventFsyncSpike      = "event_fsync_spike"
-	EventAdmissionSat    = "event_admission_saturation"
-	EventAdmissionClear  = "event_admission_clear"
-	EventWorkerDead      = "event_worker_dead"
-	EventRecovery        = "event_recovery"
-	EventTerminal        = "event_terminal"
-	EventSnapshotCut     = "event_snapshot_cut"
-	EventCacheFlushStorm = "event_cache_flush_storm"
-	EventCodecReject     = "event_codec_reject"
-	EventIncident        = "event_incident"
+	EventStraggler      = "event_straggler"
+	EventStragglerClear = "event_straggler_clear"
+	EventBarrierStall   = "event_barrier_stall"
+	EventQueryStall     = "event_query_stall"
+	EventStallClear     = "event_stall_clear"
+	EventFsyncSpike     = "event_fsync_spike"
+	EventAdmissionSat   = "event_admission_saturation"
+	EventAdmissionClear = "event_admission_clear"
+	EventWorkerDead     = "event_worker_dead"
+	EventRecovery       = "event_recovery"
+	EventTerminal       = "event_terminal"
+	EventSnapshotCut    = "event_snapshot_cut"
+	EventCodecReject    = "event_codec_reject"
+	EventIncident       = "event_incident"
 )
 
 // Event is one entry of the bounded structured event log.

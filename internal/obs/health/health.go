@@ -46,10 +46,6 @@ type Config struct {
 	// saturation detector fires; it clears below half the ratio.
 	// Default 0.9.
 	AdmissionRatio float64
-	// FlushStormCount cache invalidations within FlushStormWindow emit a
-	// cache-flush-storm event. Defaults 32 per 10s.
-	FlushStormCount  int
-	FlushStormWindow time.Duration
 	// SLOTarget is the per-request latency target; SLOObjective the
 	// fraction of requests that must meet it (error budget = 1-objective).
 	// Defaults 250ms, 0.99.
@@ -90,12 +86,6 @@ func (c *Config) fill() {
 	}
 	if c.AdmissionRatio <= 0 {
 		c.AdmissionRatio = 0.9
-	}
-	if c.FlushStormCount <= 0 {
-		c.FlushStormCount = 32
-	}
-	if c.FlushStormWindow <= 0 {
-		c.FlushStormWindow = 10 * time.Second
 	}
 	if c.SLOTarget <= 0 {
 		c.SLOTarget = 250 * time.Millisecond
@@ -143,10 +133,6 @@ type Monitor struct {
 	fsyncEWMA float64 // seconds
 	fsyncN    int64
 	lastFsync time.Time // last spike event, for rate limiting
-
-	flushWindowStart time.Time
-	flushCount       int
-	lastFlushStorm   time.Time
 
 	incidents   *incidentRing
 	active      map[string]int64 // condition key -> open incident id
@@ -590,44 +576,6 @@ func (m *Monitor) ObserveAdmission(queued, maxQueue int, rejectedTotal int64) {
 			Msg:    fmt.Sprintf("admission queue drained to %d/%d", queued, maxQueue),
 			Fields: map[string]any{"queued": queued, "max_queue": maxQueue}})
 		m.closeIncident("admission")
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Cache flush storm
-
-// ObserveCacheFlush counts one result-cache invalidation; crossing
-// FlushStormCount within FlushStormWindow emits a storm event (warn, no
-// incident — storms are expected under write-heavy load, operators just
-// need the timeline entry explaining the cache-hit-rate cliff).
-func (m *Monitor) ObserveCacheFlush() {
-	if m == nil {
-		return
-	}
-	var fire bool
-	var ev Event
-	now := m.now()
-	m.mu.Lock()
-	if m.flushWindowStart.IsZero() || now.Sub(m.flushWindowStart) > m.cfg.FlushStormWindow {
-		m.flushWindowStart = now
-		m.flushCount = 0
-	}
-	m.flushCount++
-	if m.flushCount == m.cfg.FlushStormCount && now.Sub(m.lastFlushStorm) >= m.cfg.FlushStormWindow {
-		m.lastFlushStorm = now
-		fire = true
-		ev = Event{
-			Type: EventCacheFlushStorm, Severity: SevWarn, Worker: -1,
-			Msg: fmt.Sprintf("%d cache invalidations inside %s", m.flushCount, m.cfg.FlushStormWindow),
-			Fields: map[string]any{
-				"count":     m.flushCount,
-				"window_ms": durMS(m.cfg.FlushStormWindow),
-			},
-		}
-	}
-	m.mu.Unlock()
-	if fire {
-		m.emit(ev)
 	}
 }
 

@@ -349,27 +349,6 @@ func TestSLOAccounting(t *testing.T) {
 	}
 }
 
-func TestCacheFlushStorm(t *testing.T) {
-	m, clk := newTestMonitor(func(c *Config) {
-		c.FlushStormCount = 3
-		c.FlushStormWindow = 10 * time.Second
-	})
-	for i := 0; i < 5; i++ {
-		m.ObserveCacheFlush()
-	}
-	if evs := m.Events(EventFilter{Type: EventCacheFlushStorm}); len(evs) != 1 {
-		t.Fatalf("storm events = %v", evs)
-	}
-	// A fresh window after the rate limit can fire again.
-	clk.Advance(11 * time.Second)
-	for i := 0; i < 3; i++ {
-		m.ObserveCacheFlush()
-	}
-	if evs := m.Events(EventFilter{Type: EventCacheFlushStorm}); len(evs) != 2 {
-		t.Fatalf("storm events after new window = %v", evs)
-	}
-}
-
 func TestIncidentRingBoundAndCooldown(t *testing.T) {
 	m, clk := newTestMonitor(func(c *Config) { c.IncidentCapacity = 2 })
 	stall := func() {
@@ -423,7 +402,6 @@ func TestNilMonitor(t *testing.T) {
 	m.ObserveCompute(0, 1e9, 1)
 	m.ObserveFsync(time.Second)
 	m.ObserveAdmission(1, 1, 0)
-	m.ObserveCacheFlush()
 	m.ObserveRequest("t", time.Second, "completed")
 	m.CheckStall("run", time.Hour, time.Hour)
 	m.MarkWorkerDead(0)

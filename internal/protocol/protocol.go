@@ -218,6 +218,16 @@ func (*Shutdown) Type() MsgType { return TShutdown }
 // finished queries Q-cut sees, and those a finishing query is intersected with.
 const WindowQueries = 128
 
+// SigShift is the scope-signature block size exponent: vertices v and v'
+// share a block iff v>>SigShift == v'>>SigShift. Road-network vertex ids
+// are row-major, so a block is a spatially contiguous strip. Workers
+// summarise a query's scope as the blocks it touched; the serving cache
+// evicts an answer when a commit changes the out-edges of a vertex in one.
+const SigShift = 6
+
+// BlockOf returns the signature block of vertex v.
+func BlockOf(v graph.VertexID) int32 { return int32(v) >> SigShift }
+
 // IntersectionStat reports |LS(Q1,w) ∩ LS(Q2,w)|: the paper's intersection
 // function Iw restricted to query pairs, which is what Q-cut's clustering
 // consumes. The later finisher's report of a pair is the one that counts.
@@ -229,7 +239,9 @@ type IntersectionStat struct {
 // BarrierSynch reports that worker W finished query Q's superstep Step
 // (paper API barrierSynch(q,w)), with the monitoring statistics of
 // stats(q, |LS(q,w)|, Iw, w) piggybacked (Sec. 3.4): the scope size on
-// every report, Iw on the Finished one.
+// every report, Iw on the Finished one. NewBlocks lists the signature blocks
+// Q's scope entered on W since W's previous report; their union over all
+// reports is the block set of the scope, which the result travels with.
 //
 // FromStep < Step when the worker ran local (solo) supersteps without
 // controller round-trips; LocalIters counts them.
@@ -247,6 +259,7 @@ type BarrierSynch struct {
 	SentBatches []int32 // vertex batches sent during Step, by dest worker
 	BestGoal    float64 // best goal value seen on W (query.NoResult if none)
 	MinFrontier float64 // min over pending local msgs + values sent in Step
+	NewBlocks   []int32 // scope blocks first touched on W in the covered steps
 
 	Intersections []IntersectionStat // final stats; empty unless Finished
 	Finished      bool               // response to QueryFinish (final stats)

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"container/list"
+	"iter"
+	"slices"
 	"sync"
 	"time"
 
@@ -33,35 +35,6 @@ func KeyOf(spec query.Spec) Key {
 	}
 }
 
-// Epoch is the validity domain of cached results: a different base graph,
-// a committed mutation batch (graph version bump), or a controller
-// repartition opens a new epoch and flushes the cache. Version is the
-// live counter streaming updates advance at every commit — the
-// serving layer reads it before each lookup, so no result cached under an
-// older topology survives a commit. (A repartition does not change query
-// answers, but it does change every execution-side statistic.)
-type Epoch struct {
-	Graph       uint64 `json:"graph"`       // identity of the loaded base graph
-	Version     uint64 `json:"version"`     // committed mutation batches
-	Repartition int64  `json:"repartition"` // executed repartition barriers
-}
-
-// newerThan reports whether e supersedes old. Both live counters are
-// monotone, so any strictly smaller counter marks a stale reader racing a
-// fresher request. Graph ids carry no order, so a different id alone must
-// NOT supersede: two readers racing across a base-graph swap would
-// otherwise ping-pong SetEpoch and flush the cache on every request. The
-// monotone counters tie-break instead — a graph transition only lands
-// together with counter progress, which orders any race deterministically
-// (one direction wins, the other is stale) — and a same-counter id change
-// is one-way: the incumbent epoch keeps the cache.
-func (e Epoch) newerThan(old Epoch) bool {
-	if e.Version != old.Version {
-		return e.Version > old.Version
-	}
-	return e.Repartition > old.Repartition
-}
-
 // Outcome is the cacheable portion of a finished query: everything except
 // the per-request ID and per-request timing.
 type Outcome struct {
@@ -73,8 +46,13 @@ type Outcome struct {
 	Workers    int
 	// EngineLatency is the engine execution time of the original run.
 	EngineLatency time.Duration
-	// Version is the graph version the original run was pinned at.
+	// Version is the graph version the original run was pinned at; on a
+	// cache hit, the newest committed version the answer is known to hold at.
 	Version uint64
+	// Blocks is the run's scope as sorted signature blocks
+	// (controller.Result.Blocks): what a commit must miss for the answer to
+	// outlive it.
+	Blocks []int32
 }
 
 // Cacheable reports whether a finish reason represents a reusable answer.
@@ -102,11 +80,10 @@ const (
 // Flight is one in-flight computation of a key. The leader fills it via
 // Cache.Complete; joiners wait on Done.
 type Flight struct {
-	key   Key
-	epoch Epoch
-	done  chan struct{}
-	out   Outcome
-	err   error
+	key  Key
+	done chan struct{}
+	out  Outcome
+	err  error
 	// leadOnly marks a flight that bypasses the cache (NoCache requests
 	// still lead a private flight so the completion path is uniform).
 	leadOnly bool
@@ -124,18 +101,54 @@ type entry struct {
 	at  time.Time
 }
 
+// recentBatches is how many committed batches the cache remembers the
+// blocks of: a result is stored only if every batch committed while it ran
+// is among them. A read outlasts a commit or two, not sixteen.
+const recentBatches = 16
+
+// indexShift groups the blocks the index is kept by. Scopes are runs of
+// neighbouring blocks, so eight to a group cuts what every stored answer
+// pays eightfold; a commit then checks the few answers sharing a group with
+// it for the block itself.
+const indexShift = 3
+
+// groupsOf yields the index groups that sorted blocks fall in, each once.
+func groupsOf(blocks []int32) iter.Seq[int32] {
+	return func(yield func(int32) bool) {
+		prev := int32(-1)
+		for _, b := range blocks {
+			if g := b >> indexShift; g != prev {
+				if !yield(g) {
+					return
+				}
+				prev = g
+			}
+		}
+	}
+}
+
 // Cache is the serving-layer result cache: LRU bounded, TTL bounded,
-// flushed whole on epoch change, with singleflight coalescing of identical
-// in-flight queries. Safe for concurrent use.
+// invalidated by query scope — a committed batch evicts exactly the entries
+// whose scope holds a vertex it changed the out-edges of — with singleflight
+// coalescing of identical in-flight queries. Safe for concurrent use.
 type Cache struct {
 	mu      sync.Mutex
 	cap     int
 	ttl     time.Duration
 	clock   func() time.Time
-	epoch   Epoch
 	lru     *list.List // front = most recently used, values are *entry
 	entries map[Key]*list.Element
 	flights map[Key]*Flight
+	// byBlock indexes the entries by the blocks of their scope, so a commit
+	// costs what it evicts, not a walk of the cache — by groups of
+	// 1<<indexShift blocks, so storing an answer costs an insert per group
+	// its scope enters, not per block.
+	byBlock map[int32]map[*list.Element]struct{}
+	// version is the newest committed version Commit was told of; every
+	// entry holds at it. recent[v%recentBatches] are the blocks batch v
+	// changed, for the versions in (floor, version].
+	version, floor uint64
+	recent         [recentBatches][]int32
 
 	// lastSweep throttles the expiry sweep: hit MoveToFront does not
 	// refresh an entry's timestamp, so expiry order does not follow LRU
@@ -165,36 +178,64 @@ func NewCache(capacity int, ttl time.Duration, clock func() time.Time) *Cache {
 		lru:     list.New(),
 		entries: make(map[Key]*list.Element),
 		flights: make(map[Key]*Flight),
+		byBlock: make(map[int32]map[*list.Element]struct{}),
 	}
 }
 
-// SetEpoch moves the cache to epoch e, flushing all stored results if it
-// advanced past the current epoch. Returns true when a flush happened.
-// The repartition counter is monotone, so a smaller value is a stale
-// reader racing a fresher request — ignored rather than regressing the
-// epoch and spuriously flushing what the fresher epoch cached. In-flight
-// computations are not interrupted, but their results are discarded on
-// completion (their recorded epoch no longer matches).
-func (c *Cache) SetEpoch(e Epoch) bool {
+// Commit tells the cache that version v committed and changed out-edges of
+// vertices in blocks only; it returns how many entries that evicted. The
+// caller invokes it once per version, in order, before v becomes readable
+// (controller.OnCommit), so a hit never reports a version its answer was not
+// checked against. A v that is not the next one means batches went unseen
+// (the engine started ahead of the cache): everything goes. In-flight
+// computations are not interrupted, but new requests no longer coalesce onto
+// them — a read-your-writes reader must not be handed a pre-commit answer —
+// and their results are stored only if they still hold (see holds).
+func (c *Cache) Commit(v uint64, blocks []int32) (evicted int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !e.newerThan(c.epoch) {
-		return false
+	if v <= c.version {
+		return 0
 	}
-	c.epoch = e
-	// Detach in-flight computations too: new requests must not coalesce
-	// onto pre-epoch executions (their leaders still Complete the old
-	// Flight for the joiners already attached, but nothing stores it and
-	// nobody new joins it).
-	if len(c.flights) > 0 {
-		c.flights = make(map[Key]*Flight)
+	if v != c.version+1 {
+		c.floor = v - 1
+		if evicted = c.lru.Len(); evicted > 0 {
+			c.lru.Init()
+			clear(c.entries)
+			clear(c.byBlock)
+			c.flushes++
+		}
+	} else {
+		for _, b := range blocks {
+			for el := range c.byBlock[b>>indexShift] {
+				if _, in := slices.BinarySearch(el.Value.(*entry).out.Blocks, b); in {
+					c.remove(el)
+					evicted++
+				}
+			}
+		}
 	}
-	if c.lru.Len() == 0 {
-		return false
+	c.version = v
+	c.recent[v%recentBatches] = append(c.recent[v%recentBatches][:0], blocks...)
+	c.floor = max(c.floor, v-min(v, recentBatches))
+	clear(c.flights)
+	return evicted
+}
+
+// holds reports whether an answer computed at out.Version is still the
+// answer at the cache's version: no batch committed since touched its scope.
+// Caller holds mu.
+func (c *Cache) holds(out Outcome) bool {
+	if out.Version < c.floor {
+		return false // a batch since is no longer remembered
 	}
-	c.lru.Init()
-	c.entries = make(map[Key]*list.Element)
-	c.flushes++
+	for v := out.Version + 1; v <= c.version; v++ {
+		for _, b := range c.recent[v%recentBatches] {
+			if _, touched := slices.BinarySearch(out.Blocks, b); touched {
+				return false
+			}
+		}
+	}
 	return true
 }
 
@@ -209,16 +250,17 @@ func (c *Cache) Begin(key Key) (Outcome, *Flight, BeginState) {
 		if c.clock().Sub(en.at) <= c.ttl {
 			c.lru.MoveToFront(el)
 			c.hits++
-			return en.out, nil, BeginHit
+			out := en.out
+			out.Version = max(out.Version, c.version)
+			return out, nil, BeginHit
 		}
-		c.lru.Remove(el)
-		delete(c.entries, key)
+		c.remove(el)
 	}
 	if f, ok := c.flights[key]; ok {
 		c.joins++
 		return Outcome{}, f, BeginJoin
 	}
-	f := &Flight{key: key, epoch: c.epoch, done: make(chan struct{})}
+	f := &Flight{key: key, done: make(chan struct{})}
 	c.flights[key] = f
 	c.misses++
 	return Outcome{}, f, BeginLead
@@ -247,18 +289,18 @@ func (c *Cache) Lead() *Flight {
 }
 
 // Complete finishes a flight: the result (or error) is published to
-// joiners, and a cacheable successful outcome from the current epoch is
-// stored. Must be called exactly once per led flight.
+// joiners, and a cacheable successful outcome that no commit since its pin
+// touched is stored. Must be called exactly once per led flight.
 func (c *Cache) Complete(f *Flight, out Outcome, err error) {
 	f.out, f.err = out, err
 	c.mu.Lock()
 	if !f.leadOnly {
-		// Only remove the flight we own: an epoch flush may have replaced
-		// it with a fresh flight for the same key led by someone else.
+		// Only remove the flight we own: a commit may have detached it and
+		// someone else now leads a fresh flight for the same key.
 		if c.flights[f.key] == f {
 			delete(c.flights, f.key)
 		}
-		if err == nil && out.Cacheable() && f.epoch == c.epoch {
+		if err == nil {
 			c.put(f.key, out)
 		}
 	}
@@ -268,31 +310,50 @@ func (c *Cache) Complete(f *Flight, out Outcome, err error) {
 
 // Store inserts a completed outcome directly — the path for results that
 // arrive after their request abandoned the flight (deadline expiry). The
-// work is already paid for; ignored unless epoch still matches and the
-// outcome is cacheable.
-func (c *Cache) Store(key Key, epoch Epoch, out Outcome) {
+// work is already paid for; ignored, like Complete's, unless the outcome is
+// cacheable and still holds.
+func (c *Cache) Store(key Key, out Outcome) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if epoch == c.epoch && out.Cacheable() {
-		c.put(key, out)
-	}
+	c.put(key, out)
 }
 
-// put stores an outcome under the LRU/cap regime. Caller holds mu.
+// put stores a cacheable outcome that still holds under the LRU/cap regime.
+// Caller holds mu.
 func (c *Cache) put(key Key, out Outcome) {
+	if !out.Cacheable() || !c.holds(out) {
+		return
+	}
 	now := c.clock()
 	c.sweep(now)
 	if el, ok := c.entries[key]; ok {
-		en := el.Value.(*entry)
-		en.out, en.at = out, now
-		c.lru.MoveToFront(el)
-		return
+		c.remove(el)
 	}
-	c.entries[key] = c.lru.PushFront(&entry{key: key, out: out, at: now})
+	el := c.lru.PushFront(&entry{key: key, out: out, at: now})
+	c.entries[key] = el
+	for g := range groupsOf(out.Blocks) {
+		set := c.byBlock[g]
+		if set == nil {
+			set = make(map[*list.Element]struct{})
+			c.byBlock[g] = set
+		}
+		set[el] = struct{}{}
+	}
 	for c.lru.Len() > c.cap {
-		last := c.lru.Back()
-		c.lru.Remove(last)
-		delete(c.entries, last.Value.(*entry).key)
+		c.remove(c.lru.Back())
+	}
+}
+
+// remove drops an entry from the list, the key map and the block index.
+// Caller holds mu.
+func (c *Cache) remove(el *list.Element) {
+	en := c.lru.Remove(el).(*entry)
+	delete(c.entries, en.key)
+	for g := range groupsOf(en.out.Blocks) {
+		set := c.byBlock[g]
+		if delete(set, el); len(set) == 0 {
+			delete(c.byBlock, g)
+		}
 	}
 }
 
@@ -307,10 +368,8 @@ func (c *Cache) sweep(now time.Time) {
 	c.lastSweep = now
 	for el := c.lru.Back(); el != nil; {
 		prev := el.Prev()
-		en := el.Value.(*entry)
-		if now.Sub(en.at) > c.ttl {
-			c.lru.Remove(el)
-			delete(c.entries, en.key)
+		if now.Sub(el.Value.(*entry).at) > c.ttl {
+			c.remove(el)
 			c.swept++
 		}
 		el = prev
@@ -319,14 +378,18 @@ func (c *Cache) sweep(now time.Time) {
 
 // CacheStats is the cache introspection for /stats.
 type CacheStats struct {
-	Entries  int   `json:"entries"`
-	Capacity int   `json:"capacity"`
-	Epoch    Epoch `json:"epoch"`
-	Hits     int64 `json:"hits"`
-	Misses   int64 `json:"misses"`
-	Joins    int64 `json:"joins"`
-	Flushes  int64 `json:"flushes"`
-	Swept    int64 `json:"swept,omitempty"`
+	Entries  int `json:"entries"`
+	Capacity int `json:"capacity"`
+	// Version is the newest committed version the entries were checked
+	// against, which is what a hit reports.
+	Version uint64 `json:"version"`
+	Hits    int64  `json:"hits"`
+	Misses  int64  `json:"misses"`
+	Joins   int64  `json:"joins"`
+	// Flushes counts whole-cache flushes: commits the cache could not
+	// evict by scope for, having missed a version before them.
+	Flushes int64 `json:"flushes"`
+	Swept   int64 `json:"swept,omitempty"`
 }
 
 // Stats returns a consistent snapshot. It also runs the (throttled)
@@ -339,7 +402,7 @@ func (c *Cache) Stats() CacheStats {
 	return CacheStats{
 		Entries:  c.lru.Len(),
 		Capacity: c.cap,
-		Epoch:    c.epoch,
+		Version:  c.version,
 		Hits:     c.hits,
 		Misses:   c.misses,
 		Joins:    c.joins,

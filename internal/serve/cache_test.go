@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"math/rand/v2"
 	"testing"
 	"time"
 
@@ -149,105 +150,209 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
-func TestCacheEpochFlush(t *testing.T) {
+// scoped is a cacheable outcome computed at version pin over blocks.
+func scoped(v float64, pin uint64, blocks ...int32) Outcome {
+	out := okOutcome(v)
+	out.Version, out.Blocks = pin, blocks
+	return out
+}
+
+// TestCacheCommitEvictsByScope: a commit evicts exactly the entries whose
+// scope holds one of its blocks; the others stay and report the new version.
+func TestCacheCommitEvictsByScope(t *testing.T) {
 	c := NewCache(8, time.Minute, nil)
-	k := testKey(6)
-	_, f, _ := c.Begin(k)
-	c.Complete(f, okOutcome(9), nil)
-	if c.SetEpoch(Epoch{Repartition: 0}) {
-		t.Fatal("same epoch must not flush")
+	c.Store(testKey(1), scoped(1, 0, 2, 3, 4))
+	c.Store(testKey(2), scoped(2, 0, 4, 5))
+	c.Store(testKey(3), scoped(3, 0, 9))
+	if n := c.Commit(1, []int32{0, 4, 7}); n != 2 {
+		t.Fatalf("commit into block 4 evicted %d entries, want 2", n)
 	}
-	if !c.SetEpoch(Epoch{Repartition: 1}) {
-		t.Fatal("new epoch must flush")
+	if _, _, st := c.Begin(testKey(1)); st != BeginLead {
+		t.Fatal("an entry whose scope the commit touched survived it")
 	}
-	if _, _, st := c.Begin(k); st != BeginLead {
-		t.Fatal("entry survived epoch flush")
+	if out, _, st := c.Begin(testKey(3)); st != BeginHit || out.Value != 3 || out.Version != 1 {
+		t.Fatalf("untouched entry: state %v value %v at version %d, want a hit of 3 at version 1", st, out.Value, out.Version)
 	}
-	// A flight led under the old epoch must not store into the new one,
-	// and post-flush requests must not coalesce onto it either.
-	_, f2, _ := c.Begin(testKey(7))
-	c.SetEpoch(Epoch{Repartition: 2})
-	_, fNew, st := c.Begin(testKey(7))
+	// A version the cache already has is a repeat, not news.
+	if n := c.Commit(1, []int32{9}); n != 0 || c.Stats().Entries != 1 {
+		t.Fatalf("repeated version evicted %d entries", n)
+	}
+	if st := c.Stats(); st.Flushes != 0 || st.Version != 1 {
+		t.Fatalf("stats %+v, want no whole-cache flush and version 1", st)
+	}
+}
+
+// TestCacheCommitDetachesFlights: requests after a commit must not coalesce
+// onto an execution pinned before it, and that execution finishing must not
+// displace the fresh flight for its key.
+func TestCacheCommitDetachesFlights(t *testing.T) {
+	c := NewCache(8, time.Minute, nil)
+	_, stale, _ := c.Begin(testKey(7))
+	c.Commit(1, []int32{3})
+	_, fresh, st := c.Begin(testKey(7))
 	if st != BeginLead {
-		t.Fatal("post-flush request joined a pre-epoch flight")
+		t.Fatal("post-commit request joined a pre-commit flight")
 	}
-	// The stale leader finishing must neither store nor displace the
-	// fresh flight for the same key.
-	c.Complete(f2, okOutcome(1), nil)
+	c.Complete(stale, scoped(1, 0, 3), nil)
 	if _, _, st := c.Begin(testKey(7)); st != BeginJoin {
 		t.Fatal("fresh flight lost when the stale leader completed")
 	}
-	c.Complete(fNew, okOutcome(2), nil)
+	c.Complete(fresh, scoped(2, 1, 3), nil)
 	if out, _, st := c.Begin(testKey(7)); st != BeginHit || out.Value != 2 {
-		t.Fatalf("fresh-epoch result not stored (state %v, value %v)", st, out.Value)
+		t.Fatalf("post-commit result not stored (state %v, value %v)", st, out.Value)
 	}
 }
 
-func TestCacheEpochNeverRegresses(t *testing.T) {
+// TestCacheStoresInFlightResultIffUntouched: a result whose flight began
+// before a commit is stored iff no batch since its pin touched its blocks,
+// and never when a batch since is no longer remembered — for Complete and
+// for Store alike. Its joiners get the answer either way.
+func TestCacheStoresInFlightResultIffUntouched(t *testing.T) {
 	c := NewCache(8, time.Minute, nil)
-	if !c.SetEpoch(Epoch{Repartition: 3}) && c.Stats().Epoch.Repartition != 3 {
-		t.Fatal("epoch did not advance")
+	_, kept, _ := c.Begin(testKey(1))
+	_, dropped, _ := c.Begin(testKey(2))
+	_, join, _ := c.Begin(testKey(2))
+	c.Commit(1, []int32{6})
+	c.Commit(2, []int32{8, 40})
+	c.Complete(kept, scoped(1, 0, 5, 7, 9), nil)
+	c.Complete(dropped, scoped(2, 0, 7, 8), nil)
+	if out, _, st := c.Begin(testKey(1)); st != BeginHit || out.Version != 2 {
+		t.Fatalf("result no commit touched: state %v at version %d, want a hit at 2", st, out.Version)
 	}
-	_, f, _ := c.Begin(testKey(1))
-	c.Complete(f, okOutcome(5), nil)
-	// A stale reader racing a fresher request must not flush or regress.
-	if c.SetEpoch(Epoch{Repartition: 2}) {
-		t.Fatal("stale epoch flushed the cache")
+	if _, _, st := c.Begin(testKey(2)); st != BeginLead {
+		t.Fatal("a result commit 2 touched was stored")
 	}
-	if _, _, st := c.Begin(testKey(1)); st != BeginHit {
-		t.Fatal("entry lost to a stale epoch reader")
+	if out, err := join.Result(); err != nil || out.Value != 2 || out.Version != 0 {
+		t.Fatalf("joiner got %+v, %v; want the leader's answer at its pin", out, err)
 	}
-	if got := c.Stats().Epoch.Repartition; got != 3 {
-		t.Fatalf("epoch regressed to %d", got)
+	c.Store(testKey(3), scoped(3, 1, 40))
+	c.Store(testKey(4), scoped(4, 1, 41))
+	if _, _, st := c.Begin(testKey(3)); st != BeginLead {
+		t.Fatal("Store kept a late result commit 2 touched")
 	}
-	// A different graph id alone must not supersede either: ids carry no
-	// order, so only the monotone counters decide. With regressed counters
-	// this is a stale reader, not a new base graph.
-	if c.SetEpoch(Epoch{Graph: 9, Repartition: 0}) {
-		t.Fatal("unordered graph-id change with stale counters flushed the cache")
+	if _, _, st := c.Begin(testKey(4)); st != BeginHit {
+		t.Fatal("Store dropped a late result no commit touched")
 	}
-	// With counter progress the transition lands (and flushes).
-	if !c.SetEpoch(Epoch{Graph: 9, Repartition: 4}) {
-		t.Fatal("graph change with counter progress did not flush")
+	// recentBatches commits later the batches since pin 2 are not all
+	// remembered, whatever they touched.
+	for v := uint64(3); v <= 3+recentBatches; v++ {
+		c.Commit(v, nil)
+	}
+	c.Store(testKey(5), scoped(5, 2, 1))
+	c.Store(testKey(6), scoped(6, 3, 1))
+	if _, _, st := c.Begin(testKey(5)); st != BeginLead {
+		t.Fatalf("a result pinned %d versions back was stored", recentBatches+1)
+	}
+	if _, _, st := c.Begin(testKey(6)); st != BeginHit {
+		t.Fatalf("a result pinned %d versions back, all remembered and untouching, was dropped", recentBatches)
 	}
 }
 
-// TestCacheEpochGraphSwapNoPingPong is the regression for two requests
-// racing across a base-graph swap: epochs that differ only in the
-// (unordered) graph id must not alternately supersede each other — that
-// would flush the cache on every request, forever.
-func TestCacheEpochGraphSwapNoPingPong(t *testing.T) {
+// TestCacheVersionGapFlushes: a commit that is not the next version means
+// batches went unseen, so nothing cached or still running can be vouched for.
+func TestCacheVersionGapFlushes(t *testing.T) {
 	c := NewCache(8, time.Minute, nil)
-	c.SetEpoch(Epoch{Graph: 1, Version: 5}) // no flush reported: cache still empty
-	if got := c.Stats().Epoch; got.Graph != 1 || got.Version != 5 {
-		t.Fatalf("first epoch did not land: %+v", got)
+	if n := c.Commit(7, nil); n != 0 || c.Stats().Flushes != 0 || c.Stats().Version != 7 {
+		t.Fatalf("starting an empty cache at version 7: evicted %d, stats %+v", n, c.Stats())
 	}
-	_, f, _ := c.Begin(testKey(1))
-	c.Complete(f, okOutcome(1), nil)
+	c.Store(testKey(1), scoped(1, 7, 1))
+	c.Store(testKey(2), scoped(2, 7, 2))
+	if n := c.Commit(9, []int32{5}); n != 2 || c.Stats().Entries != 0 || c.Stats().Flushes != 1 {
+		t.Fatalf("gap 7→9: evicted %d, stats %+v; want everything gone in one flush", n, c.Stats())
+	}
+	c.Store(testKey(3), scoped(3, 7, 1))
+	if _, _, st := c.Begin(testKey(3)); st != BeginLead {
+		t.Fatal("a result pinned before the gap was stored")
+	}
+	c.Store(testKey(4), scoped(4, 8, 1))
+	if _, _, st := c.Begin(testKey(4)); st != BeginHit {
+		t.Fatal("a result pinned after the gap and missed by commit 9 was dropped")
+	}
+}
 
-	// A racing reader carrying the other graph id at the same counters:
-	// one-way — the incumbent keeps the cache, no flush ping-pong.
-	for i := 0; i < 4; i++ {
-		if c.SetEpoch(Epoch{Graph: 2, Version: 5}) {
-			t.Fatal("same-counter graph swap flushed the cache")
+// checkCacheInvariants walks every structure of c: the list, the key map and
+// the block index describe the same entries, within the configured bounds.
+func checkCacheInvariants(t *testing.T, c *Cache) {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.lru.Len() > c.cap || len(c.entries) != c.lru.Len() {
+		t.Fatalf("%d listed, %d keyed, capacity %d", c.lru.Len(), len(c.entries), c.cap)
+	}
+	if c.version-c.floor > recentBatches {
+		t.Fatalf("versions (%d, %d] remembered, bound %d", c.floor, c.version, recentBatches)
+	}
+	indexed := 0
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		en := el.Value.(*entry)
+		if c.entries[en.key] != el {
+			t.Fatalf("entry %+v is listed but keyed elsewhere", en.key)
 		}
-		if c.SetEpoch(Epoch{Graph: 1, Version: 5}) {
-			t.Fatal("ping-pong back to the incumbent flushed the cache")
+		for g := range groupsOf(en.out.Blocks) {
+			if _, ok := c.byBlock[g][el]; !ok {
+				t.Fatalf("entry %+v is not indexed under its group %d", en.key, g)
+			}
+			indexed++
 		}
 	}
-	if _, _, st := c.Begin(testKey(1)); st != BeginHit {
-		t.Fatal("cached entry lost to a graph-id ping-pong")
+	for b, set := range c.byBlock {
+		if len(set) == 0 {
+			t.Fatalf("group %d keeps an empty index set", b)
+		}
+		indexed -= len(set)
 	}
-	if c.Stats().Flushes != 0 {
-		t.Fatalf("%d flushes during the ping-pong, want 0", c.Stats().Flushes)
+	if indexed != 0 {
+		t.Fatalf("the block index holds %d references to entries that are gone", -indexed)
 	}
+}
 
-	// A genuine swap comes with version progress and supersedes once.
-	if !c.SetEpoch(Epoch{Graph: 2, Version: 6}) {
-		t.Fatal("graph swap with version progress did not flush")
+// TestCacheBoundsUnderChurn interleaves puts, re-puts, TTL expiry, LRU
+// eviction and commits and checks the invariants after every step: the
+// entries never exceed the capacity, the remembered batches never exceed
+// recentBatches, and the block index never outlives its entries.
+func TestCacheBoundsUnderChurn(t *testing.T) {
+	now := time.Unix(1000, 0)
+	c := NewCache(32, 10*time.Second, func() time.Time { return now })
+	rng := rand.New(rand.NewPCG(7, 7))
+	version := uint64(0)
+	for step := 0; step < 4000; step++ {
+		switch r := rng.IntN(10); {
+		case r < 6:
+			blocks := make([]int32, 1+rng.IntN(6))
+			first := int32(rng.IntN(40))
+			for i := range blocks {
+				blocks[i] = first + int32(i)
+			}
+			c.Store(testKey(rng.IntN(96)), scoped(1, version-min(version, uint64(rng.IntN(3))), blocks...))
+		case r < 7:
+			c.Begin(testKey(rng.IntN(96))) // a hit reorders; a miss leaves a flight for the next commit to drop
+		case r < 9:
+			version++
+			c.Commit(version, []int32{int32(rng.IntN(40)), int32(rng.IntN(40))})
+		default:
+			now = now.Add(time.Duration(rng.IntN(6)) * time.Second)
+			c.Stats()
+		}
+		checkCacheInvariants(t, c)
 	}
-	if c.SetEpoch(Epoch{Graph: 1, Version: 5}) {
-		t.Fatal("stale pre-swap epoch regressed the cache")
+	if st := c.Stats(); st.Flushes != 0 || st.Swept == 0 || st.Hits == 0 {
+		t.Fatalf("churn never expired or hit anything, or flushed: %+v", st)
+	}
+}
+
+// TestCacheHitDoesNotAllocate: carrying the scope on the entry costs a hit
+// nothing — hot_repeat is this path and nothing else.
+func TestCacheHitDoesNotAllocate(t *testing.T) {
+	c := NewCache(8, time.Minute, nil)
+	k := testKey(1)
+	c.Store(k, scoped(1, 0, 1, 2, 3))
+	c.Commit(1, []int32{9})
+	if n := testing.AllocsPerRun(1000, func() {
+		if _, _, st := c.Begin(k); st != BeginHit {
+			t.Fatal("miss")
+		}
+	}); n != 0 {
+		t.Fatalf("a cache hit allocates %v times, want 0", n)
 	}
 }
 

@@ -20,7 +20,7 @@ type Counters struct {
 	CacheHits   atomic.Int64 // answered from the result cache
 	Coalesced   atomic.Int64 // joined an identical in-flight query
 	CacheMisses atomic.Int64 // cache lookups that missed (no_cache requests never look)
-	Invalidated atomic.Int64 // cache flushes (repartition / graph version)
+	Invalidated atomic.Int64 // cache entries evicted by commits
 
 	QueueWaitNanos atomic.Int64 // total admission queue wait
 	QueueWaits     atomic.Int64 // count of admitted requests (wait samples)

@@ -116,31 +116,39 @@ func TestMutateVersionHeaderReadYourWrites(t *testing.T) {
 	}
 }
 
-// TestQueryVersionHeaderIsThePin: a /query answer reports the version it
-// was computed at, not whatever is committed when the response is written
-// — and a cache hit reports the version of the run that produced it.
-// Errors keep the committed version (how far behind a 412 is).
-func TestQueryVersionHeaderIsThePin(t *testing.T) {
+// TestQueryVersionHeader: an executed /query answer reports the version it
+// was computed at, not whatever is committed when the response is written; a
+// cache hit reports the newest version the answer is known to hold at — k
+// commits that missed its scope later, the pin plus k — and so satisfies a
+// ?min_version= a client learned from any of them. Errors keep the committed
+// version (how far behind a 412 is).
+func TestQueryVersionHeader(t *testing.T) {
 	b := newStubBackend()
-	b.version.Store(7) // commits landed while the query ran...
-	b.pinned.Store(5)  // ...pinned at version 5
+	b.version.Store(5)
+	b.pinned.Store(5)
 	_, ts := newTestServer(t, b, nil)
 
 	req := QueryRequest{Kind: "sssp", Source: 0, Target: ptr(int64(5))}
 	code, first, hdr := postQuery(t, ts.URL, req)
-	if code != http.StatusOK || first.CacheHit {
-		t.Fatalf("first read = %d, cache_hit=%v", code, first.CacheHit)
+	if code != http.StatusOK || first.CacheHit || hdr.Get(VersionHeader) != "5" {
+		t.Fatalf("first read = %d, cache_hit=%v at %q, want a miss at the pinned version 5",
+			code, first.CacheHit, hdr.Get(VersionHeader))
 	}
-	if v := hdr.Get(VersionHeader); v != "5" {
-		t.Fatalf("executed read stamps %s = %q, want the pinned version 5", VersionHeader, v)
+	b.commit(3)
+	b.commit(4, 200)
+	code, second, hdr := postQueryAt(t, ts.URL+"/query?min_version=7", req)
+	if code != http.StatusOK || !second.CacheHit || hdr.Get(VersionHeader) != "7" {
+		t.Fatalf("read at min_version=7 = %d, cache_hit=%v at %q, want a hit at 7: two commits missed its scope",
+			code, second.CacheHit, hdr.Get(VersionHeader))
 	}
-	b.pinned.Store(6) // a later run would pin elsewhere; the cached one did not
-	code, second, hdr := postQuery(t, ts.URL, req)
-	if code != http.StatusOK || !second.CacheHit {
-		t.Fatalf("second read = %d, cache_hit=%v, want a hit", code, second.CacheHit)
+	if code, _, hdr = postQueryAt(t, ts.URL+"/query?min_version=8", req); code != http.StatusPreconditionFailed || hdr.Get(VersionHeader) != "7" {
+		t.Fatalf("read at min_version=8 = %d stamped %q, want 412 stamped 7", code, hdr.Get(VersionHeader))
 	}
-	if v := hdr.Get(VersionHeader); v != "5" {
-		t.Fatalf("cache hit stamps %s = %q, want 5, the version of the run that produced it", VersionHeader, v)
+
+	b.pinned.Store(6) // commit 7 landed while this one ran
+	req.Source = 1
+	if code, _, hdr = postQuery(t, ts.URL, req); code != http.StatusOK || hdr.Get(VersionHeader) != "6" {
+		t.Fatalf("executed read = %d stamped %q, want 200 stamped with its pin 6", code, hdr.Get(VersionHeader))
 	}
 	req.Kind = "nope"
 	if code, _, hdr = postQuery(t, ts.URL, req); code != http.StatusBadRequest || hdr.Get(VersionHeader) != "7" {
@@ -184,11 +192,11 @@ func TestHealthzReportsVersionsAndDegradation(t *testing.T) {
 	}
 }
 
-// TestMutateFlushesCacheExactlyOnCommit is the serving-layer end-to-end
+// TestMutateEvictsExactlyOnCommit is the serving-layer end-to-end
 // acceptance: over a real engine, a cached result is served until the
 // commit, and the very next query after the commit reflects the mutated
 // topology — never a stale cached answer across the version bump.
-func TestMutateFlushesCacheExactlyOnCommit(t *testing.T) {
+func TestMutateEvictsExactlyOnCommit(t *testing.T) {
 	b := graph.NewBuilder(6)
 	for v := 0; v+1 < 6; v++ {
 		b.AddEdge(graph.VertexID(v), graph.VertexID(v+1), 1)
@@ -242,7 +250,7 @@ func TestMutateFlushesCacheExactlyOnCommit(t *testing.T) {
 	if qr.Value == nil || *qr.Value != 15 {
 		t.Fatalf("post-commit value = %+v, want 15", qr.Value)
 	}
-	// And the new answer is cached under the new epoch.
+	// And the new answer is cached.
 	_, qr, _ = postQuery(t, ts.URL, q)
 	if !qr.CacheHit || *qr.Value != 15 {
 		t.Fatalf("post-commit repeat not cached: %+v", qr)
@@ -272,8 +280,8 @@ func TestMutateFlushesCacheExactlyOnCommit(t *testing.T) {
 	if st.Engine.GraphVersion != 2 || st.Engine.Vertices != 7 {
 		t.Fatalf("stats engine = %+v", st.Engine)
 	}
-	if st.Serve.MutationsApplied != 7 || st.Cache.Epoch.Version != 2 {
-		t.Fatalf("stats mutations=%d cache epoch=%+v", st.Serve.MutationsApplied, st.Cache.Epoch)
+	if st.Serve.MutationsApplied != 7 || st.Cache.Version != 2 {
+		t.Fatalf("stats mutations=%d cache version=%d", st.Serve.MutationsApplied, st.Cache.Version)
 	}
 }
 

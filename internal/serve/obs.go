@@ -42,7 +42,7 @@ func (s *Server) registerMetrics() {
 		{"qgraph_cache_hits_total", "queries answered from the result cache", s.ctr.CacheHits.Load},
 		{"qgraph_cache_misses_total", "result cache lookups that missed", s.ctr.CacheMisses.Load},
 		{"qgraph_cache_coalesced_total", "requests that joined an identical in-flight query", s.ctr.Coalesced.Load},
-		{"qgraph_cache_invalidations_total", "cache flushes at repartition or graph-version bumps", s.ctr.Invalidated.Load},
+		{"qgraph_cache_invalidations_total", "cache entries evicted by commits that touched their scope", s.ctr.Invalidated.Load},
 		{"qgraph_mutation_ops_total", "ops received on POST /mutate", s.ctr.MutationOps.Load},
 		{"qgraph_mutation_batches_total", "client mutation batches committed", s.ctr.MutationBatches.Load},
 		{"qgraph_mutations_failed_total", "mutation batches rejected, failed, or timed out", s.ctr.MutationsFailed.Load},

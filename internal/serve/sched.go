@@ -1,6 +1,6 @@
 // Package serve turns the Q-Graph controller into a multi-tenant network
 // service: an HTTP/JSON API (server.go) in front of admission control with
-// weighted-fair queueing and backpressure (this file) and an epoch-
+// weighted-fair queueing and backpressure (this file) and a scope-
 // invalidated result cache with singleflight coalescing (cache.go).
 //
 // The paper's execution model makes this serving layer cheap: queries keep

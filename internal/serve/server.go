@@ -32,12 +32,16 @@ type Backend interface {
 	Schedule(spec query.Spec) (<-chan controller.Result, error)
 	// Cancel abandons a scheduled query (best effort).
 	Cancel(q query.ID)
-	// RepartitionEpoch counts executed repartitioning barriers; a change
-	// invalidates cached results.
+	// RepartitionEpoch counts executed repartitioning barriers. Placement
+	// never changes an answer, so cached results outlive them.
 	RepartitionEpoch() int64
-	// GraphVersion counts committed mutation batches; a change invalidates
-	// cached results (the streaming-update data plane).
+	// GraphVersion counts committed mutation batches (the streaming-update
+	// data plane).
 	GraphVersion() uint64
+	// OnCommit subscribes the result cache to commits: fn runs once per
+	// committed version, in order, before GraphVersion reports it, with the
+	// signature blocks of the vertices whose out-edges the batch changed.
+	OnCommit(fn func(version uint64, blocks []int32))
 	// GraphView returns a consistent snapshot of the current graph, used
 	// to validate request specs (source/target ranges, POI tags).
 	GraphView() graph.View
@@ -65,8 +69,8 @@ type Backend interface {
 // Config parameterises a Server. Zero values select sane defaults.
 type Config struct {
 	Backend Backend
-	// GraphID distinguishes base-graph generations in the cache epoch
-	// (e.g. a hash of the loaded graph file).
+	// GraphID identifies the loaded base graph on /stats (e.g. a hash of
+	// the graph file).
 	GraphID uint64
 
 	Admit AdmitConfig
@@ -111,8 +115,11 @@ type Config struct {
 }
 
 // VersionHeader carries the committed graph version a response reflects:
-// on a /query answer the version it was computed at, everywhere else the
-// version committed when the response was written. Clients do
+// on a /query answer that was executed (or coalesced onto an execution) the
+// version it was computed at; on a cache hit the newest version the answer
+// is known to hold at — every batch since it was computed missed its scope —
+// which is never below a version any client was already told of; everywhere
+// else the version committed when the response was written. Clients do
 // read-your-writes by echoing the version their last mutation reported as
 // ?min_version=.
 const VersionHeader = "X-QGraph-Version"
@@ -204,6 +211,10 @@ func New(cfg Config) (*Server, error) {
 		s.tracer = cfg.Obs.T()
 	}
 	s.registerMetrics()
+	// The cache hears of every commit from here on, and starts at the
+	// version the engine already holds.
+	cfg.Backend.OnCommit(s.onCommit)
+	s.onCommit(cfg.Backend.GraphVersion(), nil)
 	// Incident bundles embed the exact state /stats serializes at the
 	// moment a detector fires.
 	s.cfg.Monitor.SetStatsFn(func() any { return s.statsSnapshot() })
@@ -258,13 +269,9 @@ func (s *Server) Handler() http.Handler {
 	})
 }
 
-// epoch reads the live cache-validity coordinates from the backend.
-func (s *Server) epoch() Epoch {
-	return Epoch{
-		Graph:       s.cfg.GraphID,
-		Version:     s.cfg.Backend.GraphVersion(),
-		Repartition: s.cfg.Backend.RepartitionEpoch(),
-	}
+// onCommit evicts what committed version v touched (Backend.OnCommit).
+func (s *Server) onCommit(v uint64, blocks []int32) {
+	s.ctr.Invalidated.Add(int64(s.cache.Commit(v, blocks)))
 }
 
 // Drain stops accepting new queries and waits for in-flight ones (both
@@ -336,9 +343,9 @@ type QueryResponse struct {
 	// X-QGraph-Trace-ID when one was propagated, else locally generated.
 	// Feed it to GET /trace/by-id/{trace_id} (0 when tracing is off).
 	TraceID uint64 `json:"trace_id,omitempty"`
-	// version is the graph version the answer was computed at — of the
-	// run that produced it, for cache hits and coalesced answers. It goes
-	// out as the X-QGraph-Version header, not in the body.
+	// version is the graph version the answer holds at (VersionHeader):
+	// the pin of the run that produced it, or for a cache hit the cache's
+	// version. It goes out as the X-QGraph-Version header, not in the body.
 	version uint64
 }
 
@@ -502,14 +509,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// otherwise retain a stored rejection per request for ResultTTL.
 		// A request the cache can answer (or coalesce) consumes no engine
 		// capacity, so it is admitted even with a full queue — matching
-		// the sync path, which consults the cache before admission. The
-		// epoch must advance before Peek, or entries a repartition just
-		// invalidated would defeat the bounce.
+		// the sync path, which consults the cache before admission.
 		if s.admit.Full(tenant) {
-			if s.cache.SetEpoch(s.epoch()) {
-				s.ctr.Invalidated.Add(1)
-				s.cfg.Monitor.ObserveCacheFlush()
-			}
 			if req.NoCache || !s.cache.Peek(KeyOf(spec)) {
 				s.ctr.Rejected.Add(1)
 				w.Header().Set("Retry-After", s.retryAfter())
@@ -560,8 +561,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, code, *errBody)
 		return
 	}
-	// An answer reports the version it was computed at, which commits that
-	// landed while it ran (or since it was cached) do not change.
+	// An answer reports the version it holds at, not what is committed now:
+	// commits that landed while it ran do not change what it was computed
+	// at, and a cached one was checked against every commit up to its own.
 	w.Header().Set(VersionHeader, strconv.FormatUint(resp.version, 10))
 	writeJSON(w, code, resp)
 }
@@ -635,9 +637,9 @@ type healthzResponse struct {
 
 // handleMutate ingests one batch of streaming graph updates. The batch is
 // staged on the engine, committed atomically as its next graph version,
-// and the response reports the resulting graph version — after which the
-// result cache is invalidated at the next lookup, so no post-commit query
-// is answered from pre-commit state.
+// and the response reports the resulting graph version — by which time the
+// result cache has dropped every answer whose scope the batch touched, so
+// no post-commit query is answered from pre-commit state.
 func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	s.stampVersion(w)
 	if !s.begin() {
@@ -892,15 +894,6 @@ func (s *Server) feedAdmission() {
 
 func (s *Server) executeTraced(ctx context.Context, tr *obs.Trace, spec query.Spec, req QueryRequest, tenant string, started time.Time) (QueryResponse, int, *errorResponse) {
 	key := KeyOf(spec)
-	// Advance the cache epoch before the lookup so a repartition or a
-	// committed mutation batch since the last request flushes stale
-	// results — the flush lands exactly at the version bump, because the
-	// version only ever changes by a whole committed batch.
-	if s.cache.SetEpoch(s.epoch()) {
-		s.ctr.Invalidated.Add(1)
-		s.cfg.Monitor.ObserveCacheFlush()
-	}
-
 	var flight *Flight
 	if req.NoCache {
 		flight = s.cache.Lead()
@@ -1006,8 +999,8 @@ func (s *Server) executeTraced(ctx context.Context, tr *obs.Trace, spec query.Sp
 			defer s.wg.Done()
 			res := <-ch
 			release()
-			if out := outcomeOf(res); !req.NoCache && out.Cacheable() {
-				s.cache.Store(key, flight.epoch, out)
+			if !req.NoCache {
+				s.cache.Store(key, outcomeOf(res))
 			}
 		}()
 		s.cache.Complete(flight, Outcome{}, ctx.Err())
@@ -1049,6 +1042,7 @@ func outcomeOf(res controller.Result) Outcome {
 		Workers:       res.Workers,
 		EngineLatency: res.Latency,
 		Version:       res.Version,
+		Blocks:        res.Blocks,
 	}
 }
 

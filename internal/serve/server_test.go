@@ -35,7 +35,10 @@ type stubBackend struct {
 	// pinned is the version query results report (controller.Result.Version):
 	// the version a run was computed at, which trails version when commits
 	// landed while it ran.
-	pinned    atomic.Uint64
+	pinned atomic.Uint64
+	// onCommit is the serving cache's subscription (OnCommit); commit feeds
+	// it the way the controller does, before the version becomes readable.
+	onCommit  func(version uint64, blocks []int32)
 	view      graph.View
 	mutations [][]delta.Op
 	mutErr    error
@@ -76,6 +79,8 @@ func (b *stubBackend) Schedule(spec query.Spec) (<-chan controller.Result, error
 			Q: spec.ID, Value: float64(spec.Source) * 2, Reason: protocol.FinishConverged,
 			Supersteps: 3, Touched: 5, Workers: 1, Latency: time.Millisecond,
 			Version: b.pinned.Load(),
+			// The stub's scope is the block of the source.
+			Blocks: []int32{protocol.BlockOf(spec.Source)},
 		}
 		if blk != nil {
 			if b.ignoreCancel {
@@ -108,6 +113,30 @@ func (b *stubBackend) RepartitionEpoch() int64 { return b.epoch.Load() }
 
 func (b *stubBackend) GraphVersion() uint64 { return b.version.Load() }
 
+func (b *stubBackend) OnCommit(fn func(version uint64, blocks []int32)) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.onCommit = fn
+}
+
+// commit lands one batch that changed out-edges in blocks: the subscriber
+// hears of it, then the version (and the pin of later runs) moves.
+func (b *stubBackend) commit(blocks ...int32) uint64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.commitLocked(blocks)
+}
+
+func (b *stubBackend) commitLocked(blocks []int32) uint64 {
+	v := b.version.Load() + 1
+	if b.onCommit != nil {
+		b.onCommit(v, blocks)
+	}
+	b.pinned.Store(v)
+	b.version.Store(v)
+	return v
+}
+
 func (b *stubBackend) GraphView() graph.View {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -122,7 +151,13 @@ func (b *stubBackend) Mutate(ops []delta.Op) (<-chan controller.MutationResult, 
 		return nil, b.mutErr
 	}
 	b.mutations = append(b.mutations, ops)
-	v := b.version.Add(1)
+	var blocks []int32
+	for _, op := range ops {
+		if op.Kind != delta.OpAddVertex {
+			blocks = append(blocks, protocol.BlockOf(op.From))
+		}
+	}
+	v := b.commitLocked(blocks)
 	ch := make(chan controller.MutationResult, 1)
 	ch <- controller.MutationResult{Version: v, Applied: len(ops)}
 	return ch, nil
@@ -209,8 +244,14 @@ func newTestServer(t *testing.T, b Backend, mut func(*Config)) (*Server, *httpte
 
 func postQuery(t *testing.T, url string, req QueryRequest) (int, QueryResponse, http.Header) {
 	t.Helper()
+	return postQueryAt(t, url+"/query", req)
+}
+
+// postQueryAt posts to the full URL given, query string included.
+func postQueryAt(t *testing.T, url string, req QueryRequest) (int, QueryResponse, http.Header) {
+	t.Helper()
 	body, _ := json.Marshal(req)
-	resp, err := http.Post(url+"/query", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatalf("POST /query: %v", err)
 	}
@@ -283,10 +324,14 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
-func TestCacheHitAndRepartitionInvalidation(t *testing.T) {
+// TestCacheHitAndScopeInvalidation: a hit outlives a repartition and a
+// commit that missed its scope, reporting the newer version; a commit into
+// its scope evicts it — that entry, not the cache.
+func TestCacheHitAndScopeInvalidation(t *testing.T) {
 	b := newStubBackend()
 	_, ts := newTestServer(t, b, nil)
 	req := QueryRequest{Kind: "sssp", Source: 2, Target: target(9)}
+	other := QueryRequest{Kind: "sssp", Source: 3, Target: target(9)}
 
 	if code, qr, _ := postQuery(t, ts.URL, req); code != 200 || qr.CacheHit {
 		t.Fatalf("first: %d hit=%v, want 200 miss", code, qr.CacheHit)
@@ -298,17 +343,28 @@ func TestCacheHitAndRepartitionInvalidation(t *testing.T) {
 		t.Fatalf("engine saw %d schedules, want 1 (second was a hit)", n)
 	}
 
-	// A repartition epoch change must flush the cache.
+	// Placement never changes an answer, and neither does a batch that
+	// changed no out-edge in the scope (vertex 2 is in block 0).
 	b.epoch.Add(1)
-	if code, qr, _ := postQuery(t, ts.URL, req); code != 200 || qr.CacheHit {
-		t.Fatalf("post-repartition: %d hit=%v, want miss", code, qr.CacheHit)
+	b.commit(7, 9)
+	code, qr, hdr := postQuery(t, ts.URL, req)
+	if code != 200 || !qr.CacheHit || hdr.Get(VersionHeader) != "1" {
+		t.Fatalf("after a repartition and an untouching commit: %d hit=%v at version %q, want a hit at 1",
+			code, qr.CacheHit, hdr.Get(VersionHeader))
 	}
-	if n := b.scheduledCount(); n != 2 {
-		t.Fatalf("engine saw %d schedules, want 2 after invalidation", n)
+	postQuery(t, ts.URL, other)
+
+	b.commit(9, 0)
+	if code, qr, _ := postQuery(t, ts.URL, req); code != 200 || qr.CacheHit {
+		t.Fatalf("after a commit into the scope: %d hit=%v, want miss", code, qr.CacheHit)
+	}
+	if n := b.scheduledCount(); n != 3 {
+		t.Fatalf("engine saw %d schedules, want 3 after invalidation", n)
 	}
 	st := getStats(t, ts.URL)
-	if st.Serve.Invalidated < 1 {
-		t.Fatalf("stats report %d invalidations, want ≥1", st.Serve.Invalidated)
+	if st.Serve.Invalidated != 2 || st.Cache.Flushes != 0 || st.Cache.Version != 2 {
+		t.Fatalf("stats report %d entries invalidated, %d flushes, cache version %d; want 2, 0, 2",
+			st.Serve.Invalidated, st.Cache.Flushes, st.Cache.Version)
 	}
 	if st.Engine.RepartitionEpoch != 1 {
 		t.Fatalf("stats repartition epoch %d, want 1", st.Engine.RepartitionEpoch)
@@ -318,8 +374,8 @@ func TestCacheHitAndRepartitionInvalidation(t *testing.T) {
 	if code, qr, _ := postQuery(t, ts.URL, QueryRequest{Kind: "sssp", Source: 2, Target: target(9), NoCache: true}); code != 200 || qr.CacheHit {
 		t.Fatalf("no_cache request: %d hit=%v, want miss", code, qr.CacheHit)
 	}
-	if n := b.scheduledCount(); n != 3 {
-		t.Fatalf("engine saw %d schedules, want 3 (no_cache executes)", n)
+	if n := b.scheduledCount(); n != 4 {
+		t.Fatalf("engine saw %d schedules, want 4 (no_cache executes)", n)
 	}
 }
 

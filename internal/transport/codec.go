@@ -16,8 +16,10 @@ import (
 //
 //	[u32 payload length][u8 message type][payload]
 //
-// with all integers little-endian. The codec is hand-rolled (stdlib only)
-// and round-trip tested for every message type.
+// with all integers little-endian and fixed-width, but for one list:
+// BarrierSynch.NewBlocks, which every barrier report of every query carries,
+// is zigzag varints of the difference to the block before. The codec is
+// hand-rolled (stdlib only) and round-trip tested for every message type.
 
 // CodecVersion identifies the frame encoding generation. Message
 // payloads carry no per-frame version; instead peers exchange this
@@ -33,10 +35,12 @@ import (
 //	    version byte and are rejected by the handshake length change)
 //	2 — ExecuteQuery gained Spec.TraceID, BarrierSynch gained ComputeNS
 //	3 — ExecuteQuery gained Spec.PinVersion (MVCC snapshot pinning)
+//	4 — BarrierSynch gained NewBlocks (the scope's block set, which the
+//	    serving cache invalidates by)
 //
 // The value is deliberately offset from small integers so a legacy
 // 1-byte [NodeID] handshake can never alias a valid version.
-const CodecVersion = 0xA0 + 3
+const CodecVersion = 0xA0 + 4
 
 type encoder struct{ buf []byte }
 
@@ -54,6 +58,27 @@ func (e *encoder) u64(v uint64)  { e.buf = binary.LittleEndian.AppendUint64(e.bu
 func (e *encoder) i64(v int64)   { e.u64(uint64(v)) }
 func (e *encoder) f32(v float32) { e.u32(math.Float32bits(v)) }
 func (e *encoder) f64(v float64) { e.u64(math.Float64bits(v)) }
+
+// blocks writes a block list: sorted, as workers send it, a byte a block.
+func (e *encoder) blocks(bs []int32) {
+	e.u32(uint32(len(bs)))
+	prev := int64(0)
+	for _, b := range bs {
+		e.buf = binary.AppendVarint(e.buf, int64(b)-prev)
+		prev = int64(b)
+	}
+}
+
+// blocksWireBytes is the size of what blocks writes.
+func blocksWireBytes(bs []int32) int {
+	var scratch [binary.MaxVarintLen64]byte
+	n, prev := 4, int64(0)
+	for _, b := range bs {
+		n += binary.PutVarint(scratch[:], int64(b)-prev)
+		prev = int64(b)
+	}
+	return n
+}
 
 type decoder struct {
 	buf []byte
@@ -125,9 +150,34 @@ func (d *decoder) sliceLen(elemSize int) int {
 	return n
 }
 
+// blocks reads a block list, accepting only what the encoder writes: the
+// shortest varint of a difference that lands on an int32.
+func (d *decoder) blocks() []int32 {
+	n := d.sliceLen(1)
+	if n == 0 {
+		return nil
+	}
+	bs := make([]int32, n)
+	prev := int64(0)
+	for i := range bs {
+		if d.err != nil {
+			return nil
+		}
+		diff, w := binary.Varint(d.buf[d.off:])
+		prev += diff
+		if w <= 0 || (w > 1 && d.buf[d.off+w-1] == 0) || prev != int64(int32(prev)) {
+			d.err = fmt.Errorf("transport: bad block at offset %d", d.off)
+			return nil
+		}
+		d.off += w
+		bs[i] = int32(prev)
+	}
+	return bs
+}
+
 // Encode serializes m into a frame ready to write to a stream.
 func Encode(m protocol.Message) ([]byte, error) {
-	e := &encoder{buf: make([]byte, 5, 64)} // length + type filled at the end
+	e := &encoder{buf: make([]byte, hdr, WireSize(m))} // length + type filled at the end
 	switch v := m.(type) {
 	case *protocol.ExecuteQuery:
 		e.i64(int64(v.Spec.ID))
@@ -197,6 +247,7 @@ func Encode(m protocol.Message) ([]byte, error) {
 			e.i32(s.Shared)
 		}
 		e.bool(v.Finished)
+		e.blocks(v.NewBlocks)
 	case *protocol.StopAck:
 		e.i32(v.Epoch)
 		e.u8(uint8(v.W))
@@ -306,7 +357,7 @@ func Encode(m protocol.Message) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("transport: cannot encode %T", m)
 	}
-	binary.LittleEndian.PutUint32(e.buf[0:4], uint32(len(e.buf)-5))
+	binary.LittleEndian.PutUint32(e.buf[0:4], uint32(len(e.buf)-hdr))
 	e.buf[4] = byte(m.Type())
 	return e.buf, nil
 }
@@ -406,6 +457,7 @@ func Decode(t protocol.MsgType, payload []byte) (protocol.Message, error) {
 			}
 		}
 		v.Finished = d.bool()
+		v.NewBlocks = d.blocks()
 		m = v
 	case protocol.TStopAck:
 		v := &protocol.StopAck{}
@@ -573,11 +625,36 @@ func Decode(t protocol.MsgType, payload []byte) (protocol.Message, error) {
 	return m, nil
 }
 
-// WireSize estimates the encoded size of m without encoding it; the
-// simulated network uses it for transmission-time accounting.
+// hdr is the frame header: u32 payload length plus the u8 message type.
+const hdr = 5
+
+// WireSize returns the encoded size of m, frame header included, without
+// encoding it: Encode sizes its buffer with it, and the simulated network
+// uses it for transmission-time accounting.
 func WireSize(m protocol.Message) int {
-	const hdr = 5
 	switch v := m.(type) {
+	case *protocol.ExecuteQuery:
+		return hdr + 49
+	case *protocol.BarrierReady:
+		return hdr + 18
+	case *protocol.QueryFinish:
+		return hdr + 9
+	case *protocol.GlobalStop, *protocol.GlobalStart:
+		return hdr + 4
+	case *protocol.DrainCheck:
+		return hdr + 9 + 8*len(v.ExpectRecv)
+	case *protocol.MoveScope:
+		return hdr + 13
+	case *protocol.OwnershipUpdate:
+		return hdr + 8 + 5*len(v.Vertices)
+	case *protocol.BarrierSynch:
+		return hdr + 66 + 4*len(v.SentBatches) + 20*len(v.Intersections) + blocksWireBytes(v.NewBlocks)
+	case *protocol.StopAck:
+		return hdr + 9 + 8*len(v.SentTotals)
+	case *protocol.DrainAck:
+		return hdr + 5
+	case *protocol.MoveAck:
+		return hdr + 18 + 4*len(v.Vertices)
 	case *protocol.VertexBatch:
 		return hdr + 21 + 12*len(v.Entries)
 	case *protocol.ScopeData:
@@ -586,6 +663,14 @@ func WireSize(m protocol.Message) int {
 			n += 16 + 16*len(mv.Values) + 20*len(mv.Pending) + 8*len(mv.Finished)
 		}
 		return n
+	case *protocol.DeltaBatch:
+		// Batch framing + ops (the shared batch encoding) plus the
+		// owner-list length prefix and owners.
+		return hdr + int(delta.BatchWireBytes(len(v.Ops))) + 4 + len(v.NewOwners)
+	case *protocol.DeltaAck, *protocol.Pong:
+		return hdr + 9
+	case *protocol.Ping:
+		return hdr + 8
 	case *protocol.RecoverStart:
 		return hdr + 16 + len(v.Owner)
 	case *protocol.PartitionGrant:
@@ -594,23 +679,11 @@ func WireSize(m protocol.Message) int {
 			n += int(delta.BatchWireBytes(len(b.Ops)))
 		}
 		return n
-	case *protocol.BarrierSynch:
-		return hdr + 63 + 4*len(v.SentBatches) + 20*len(v.Intersections)
-	case *protocol.OwnershipUpdate:
-		return hdr + 8 + 5*len(v.Vertices)
-	case *protocol.MoveAck:
-		return hdr + 18 + 4*len(v.Vertices)
-	case *protocol.DrainCheck:
-		return hdr + 9 + 8*len(v.ExpectRecv)
-	case *protocol.StopAck:
-		return hdr + 9 + 8*len(v.SentTotals)
-	case *protocol.ExecuteQuery:
-		return hdr + 41
-	case *protocol.DeltaBatch:
-		// Batch framing + ops (the shared batch encoding) plus the
-		// owner-list length prefix and owners.
-		return hdr + int(delta.BatchWireBytes(len(v.Ops))) + 4 + len(v.NewOwners)
-	default:
-		return hdr + 16
+	case *protocol.WorkerHello:
+		return hdr + 1
+	case *protocol.PartitionAck:
+		return hdr + 13
+	default: // Shutdown has no payload
+		return hdr
 	}
 }

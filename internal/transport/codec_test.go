@@ -46,6 +46,9 @@ func normalize(m protocol.Message) protocol.Message {
 		if c.Intersections == nil {
 			c.Intersections = []protocol.IntersectionStat{}
 		}
+		if c.NewBlocks == nil {
+			c.NewBlocks = []int32{}
+		}
 		return &c
 	case *protocol.DrainCheck:
 		c := *v
@@ -116,6 +119,11 @@ func sampleMessages() []protocol.Message {
 			Finished:      true,
 		},
 		&protocol.BarrierSynch{Q: 1, W: 0, BestGoal: query.NoResult, MinFrontier: query.NoResult},
+		&protocol.BarrierSynch{
+			Q: 7, W: 1, Step: 3, ScopeSize: 130, SentBatches: []int32{1, 0},
+			BestGoal: query.NoResult, MinFrontier: 2.5,
+			NewBlocks: []int32{0, 17, 16, math.MaxInt32},
+		},
 		&protocol.StopAck{Epoch: 12, W: 1, SentTotals: []uint64{9, 0, 4}},
 		&protocol.DrainAck{Epoch: 12, W: 3},
 		&protocol.MoveAck{Epoch: 12, Q: 5, From: 1, To: 3, Vertices: []graph.VertexID{10, 20}},
@@ -179,24 +187,42 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCodecWireSizeMatches checks the WireSize estimate used for the
-// latency simulation against the real encoded size.
-func TestCodecWireSizeMatches(t *testing.T) {
+// TestCodecWireSizeExact checks that WireSize is the encoded size of every
+// message type, and that Encode therefore fills the one buffer it sized
+// with it.
+func TestCodecWireSizeExact(t *testing.T) {
+	seen := make(map[protocol.MsgType]bool)
 	for _, m := range sampleMessages() {
 		frame, err := Encode(m)
 		if err != nil {
 			t.Fatalf("encode %T: %v", m, err)
 		}
-		est := WireSize(m)
-		// Fixed-size estimates may be a few bytes off for small control
-		// messages; bulk messages must be within 10%.
-		diff := est - len(frame)
-		if diff < 0 {
-			diff = -diff
+		seen[m.Type()] = true
+		if est := WireSize(m); est != len(frame) || cap(frame) != est {
+			t.Errorf("%T: WireSize %d, encoded %d bytes in a buffer of %d", m, est, len(frame), cap(frame))
 		}
-		if diff > 16 && float64(diff) > 0.1*float64(len(frame)) {
-			t.Errorf("%T: WireSize %d vs encoded %d", m, est, len(frame))
+	}
+	for typ := protocol.TExecuteQuery; typ <= protocol.TPartitionAck; typ++ {
+		if !seen[typ] {
+			t.Errorf("message type %d has no sample", typ)
 		}
+	}
+}
+
+// badBlockLists are BarrierSynch frames whose block list the decoder must
+// refuse: one declaring more blocks than the payload holds, one padding a
+// varint with a zero byte, and one stepping past the largest int32.
+func badBlockLists() [][]byte {
+	with := func(list ...byte) []byte {
+		frame, _ := Encode(&protocol.BarrierSynch{})
+		frame = append(frame[:len(frame)-4], list...) // the empty list is its count
+		binary.LittleEndian.PutUint32(frame, uint32(len(frame)-5))
+		return frame
+	}
+	return [][]byte{
+		with(0xff, 0xff, 0xff, 0xff, 2, 2, 2),
+		with(1, 0, 0, 0, 0x82, 0x00),
+		with(2, 0, 0, 0, 0xfe, 0xff, 0xff, 0xff, 0x0f, 2),
 	}
 }
 
@@ -224,6 +250,11 @@ func TestCodecRejectsCorrupt(t *testing.T) {
 	}
 	if _, err := Decode(protocol.MsgType(200), nil); err == nil {
 		t.Errorf("unknown type decoded")
+	}
+	for i, bad := range badBlockLists() {
+		if _, err := Decode(protocol.MsgType(bad[4]), bad[5:]); err == nil {
+			t.Errorf("bad block list %d decoded", i)
+		}
 	}
 }
 
@@ -281,6 +312,9 @@ func FuzzDecode(f *testing.F) {
 			f.Fatalf("encode %T: %v", m, err)
 		}
 		f.Add(frame[4], frame[5:])
+	}
+	for _, bad := range badBlockLists() {
+		f.Add(bad[4], bad[5:])
 	}
 	f.Fuzz(func(t *testing.T, typ uint8, payload []byte) {
 		// The widest in-memory element per wire byte is ScopeData's

@@ -139,7 +139,7 @@ func (w *Worker) onScopeData(m *protocol.ScopeData) error {
 		for _, qv := range mv.Values {
 			if qs, ok := w.queries[qv.Q]; ok {
 				if _, had := qs.data[mv.V]; !had {
-					qs.sig[int32(mv.V)>>sigShift]++
+					qs.touch(mv.V)
 				}
 				qs.data[mv.V] = qv.Val
 			} else {

@@ -1,6 +1,7 @@
 package worker
 
 import (
+	"slices"
 	"time"
 
 	"qgraph/internal/faultpoint"
@@ -100,7 +101,7 @@ func (w *Worker) computeStep(qs *queryState, step int32) stepResult {
 			continue
 		}
 		if !hasOld {
-			qs.sig[int32(v)>>sigShift]++
+			qs.touch(v)
 		}
 		qs.data[v] = newVal
 		if prog.Goal(g, spec, v, newVal) && newVal < qs.bestGoal {
@@ -178,8 +179,9 @@ func (w *Worker) sendSynch(q query.ID, qs *queryState, fromStep, step int32, res
 			minFrontier = min(minFrontier, val)
 		}
 	}
-	computeNS := qs.computeNS
-	qs.computeNS = 0
+	computeNS, newBlocks := qs.computeNS, qs.newBlocks
+	qs.computeNS, qs.newBlocks = 0, nil // the message keeps the slice
+	slices.Sort(newBlocks)              // neighbours differ by a byte on the wire
 	w.conn.Send(protocol.ControllerNode, &protocol.BarrierSynch{
 		Q: q, W: w.id,
 		Step:        step,
@@ -192,5 +194,6 @@ func (w *Worker) sendSynch(q query.ID, qs *queryState, fromStep, step int32, res
 		SentBatches: res.sent,
 		BestGoal:    qs.bestGoal,
 		MinFrontier: minFrontier,
+		NewBlocks:   newBlocks,
 	})
 }

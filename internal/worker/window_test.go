@@ -290,3 +290,33 @@ func TestFrozenSigEqualsMapSig(t *testing.T) {
 		check(round)
 	}
 }
+
+// TestSynchReportsNewBlocksOnce: every barrier report names, sorted, the
+// blocks the scope entered since the report before — by a vertex computed
+// here or by one a scope move brought — and none twice, so that their union
+// at the controller is the block set of the scope.
+func TestSynchReportsNewBlocksOnce(t *testing.T) {
+	s := newSyncWorker(t, 2, 400, time.Hour)
+	s.deliver(&protocol.ExecuteQuery{Spec: query.Spec{ID: 1, Kind: query.KindBFS, Source: 100, Target: graph.NilVertex}})
+	var reports [][]int32
+	step := func(st int32) {
+		s.deliver(&protocol.BarrierReady{Q: 1, Step: st})
+		reports = append(reports, s.conn.sent[len(s.conn.sent)-1].(*protocol.BarrierSynch).NewBlocks)
+	}
+	for st := int32(0); st <= 40; st++ { // the flood reaches 60..140: blocks 0, 1 and 2
+		step(st)
+	}
+	s.w.stopping = true // scope data only flows inside a global barrier
+	s.deliver(&protocol.ScopeData{From: 1, Q: 9, Vertices: []protocol.MovedVertex{
+		{V: 390, Values: []protocol.QueryValue{{Q: 1, Val: 3}}},
+		{V: 130, Values: []protocol.QueryValue{{Q: 1, Val: 3}}},
+	}})
+	s.w.stopping = false
+	step(41)
+	want := map[int][]int32{0: {1}, 28: {2}, 37: {0}, 41: {6}}
+	for st, got := range reports {
+		if !slices.Equal(got, want[st]) {
+			t.Fatalf("report of step %d names blocks %v, want %v", st, got, want[st])
+		}
+	}
+}

@@ -109,8 +109,10 @@ type queryState struct {
 	// data holds the query-private value of every vertex the query touched
 	// on this worker; its key set is LS(q, w).
 	data map[graph.VertexID]float64
-	// sig is the scope's signature (see frozenSig) while it still grows.
-	sig map[int32]int32
+	// sig is the scope's signature (see frozenSig) while it still grows;
+	// newBlocks are the blocks that entered it since the last barrier report.
+	sig       map[int32]int32
+	newBlocks []int32
 	// inbox[s] holds combined messages to be consumed by superstep s.
 	inbox map[int32]map[graph.VertexID]float64
 	// recvBatches[s] counts vertex batches received that were sent during
@@ -135,10 +137,7 @@ type queryState struct {
 	computeNS int64
 }
 
-// sigShift is the scope-signature block size exponent: vertices v and v'
-// share a block iff v>>sigShift == v'>>sigShift. Road-network vertex ids
-// are row-major, so a block is a spatially contiguous strip.
-const sigShift = 6
+const sigShift = protocol.SigShift
 
 type sigBlock struct{ blk, n int32 } // n touched vertices in id block blk
 
@@ -619,6 +618,14 @@ func (p *mapPool[K, V]) put(m map[K]V) {
 	if m != nil && len(m) <= maxPooledMap {
 		clear(m)
 		*p = append(*p, m)
+	}
+}
+
+// touch counts first-touched vertex v into the scope signature.
+func (qs *queryState) touch(v graph.VertexID) {
+	blk, blocks := protocol.BlockOf(v), len(qs.sig)
+	if qs.sig[blk]++; len(qs.sig) > blocks { // no block stays at zero
+		qs.newBlocks = append(qs.newBlocks, blk)
 	}
 }
 
