@@ -1,6 +1,8 @@
-// Command qgraph-bench regenerates the figures of the paper's evaluation
-// (README "Reproduce the paper's figures", plus the ablations of
-// internal/experiments) and prints the measured series.
+// Command qgraph-bench regenerates the paper's figures that a claim stands
+// behind, and four ablations (internal/experiments; README "Reproduce the
+// paper's figures" lists them with their claims), and prints each series.
+// They run over slept network latencies: shapes to compare with the
+// paper, not measurements of this system.
 //
 //	qgraph-bench -list
 //	qgraph-bench -exp fig6a

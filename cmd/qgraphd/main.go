@@ -283,7 +283,7 @@ func main() {
 			fatal(err)
 		}
 		defer node.Close()
-		rec := metrics.NewRecorder(time.Now())
+		rec := metrics.NewRecorder()
 		// One Obs instance shared by the controller and the serving layer:
 		// the controller registers its barrier/worker/WAL instruments and
 		// extends request traces; serve adds the HTTP-side instruments and

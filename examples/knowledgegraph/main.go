@@ -31,7 +31,7 @@ func main() {
 	fmt.Printf("knowledge graph: %d entities, %d relations, %d popular topics\n",
 		net.G.NumVertices(), net.G.NumEdges()/2, len(net.Topics))
 
-	rec := metrics.NewRecorder(time.Now())
+	rec := metrics.NewRecorder()
 	eng, err := core.Start(core.Config{
 		Workers:     8,
 		Graph:       net.G,

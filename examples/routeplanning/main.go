@@ -36,7 +36,7 @@ func main() {
 	specs = append(specs, workload.Batch(48, gen.InterUrban)...)
 
 	run := func(name string, adapt bool) metrics.Summary {
-		rec := metrics.NewRecorder(time.Now())
+		rec := metrics.NewRecorder()
 		eng, err := core.Start(core.Config{
 			Workers:     8,
 			Graph:       net.G,

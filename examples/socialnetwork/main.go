@@ -34,7 +34,7 @@ func main() {
 	fmt.Printf("social graph: %d users, %d friendships, %d communities, %d celebrity hubs\n",
 		net.G.NumVertices(), net.G.NumEdges()/2, len(net.Communities), len(net.Hubs))
 
-	rec := metrics.NewRecorder(time.Now())
+	rec := metrics.NewRecorder()
 	eng, err := core.Start(core.Config{
 		Workers:     8,
 		Graph:       net.G,

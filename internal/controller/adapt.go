@@ -1,6 +1,9 @@
 package controller
 
 import (
+	"cmp"
+	"maps"
+	"slices"
 	"time"
 
 	"qgraph/internal/partition"
@@ -172,17 +175,20 @@ func (c *Controller) snapshot(now time.Time) qcut.Input {
 		}
 		return out
 	}
-	// Windowed queries come first, in finish order; rowOf is a query's index.
+	// Windowed queries come first, in finish order (the j < i rule below
+	// depends on it), then live ones by ascending id: Q-cut draws its
+	// randomness in input order, so the input must not follow map order.
+	// rowOf is a query's index.
 	rows := make([]qcut.ScopeRow, 0, len(c.window)+len(c.queries))
 	rowOf := make(map[query.ID]int, len(c.window)+len(c.queries))
 	for _, we := range c.window {
 		rowOf[we.q] = len(rows)
 		rows = append(rows, qcut.ScopeRow{Q: we.q, Sizes: maskRow(we.sizes)})
 	}
-	for q, ctl := range c.queries {
+	for _, q := range slices.Sorted(maps.Keys(c.queries)) {
 		if _, seen := rowOf[q]; !seen {
 			rowOf[q] = len(rows)
-			rows = append(rows, qcut.ScopeRow{Q: q, Sizes: maskRow(ctl.scopeSizes)})
+			rows = append(rows, qcut.ScopeRow{Q: q, Sizes: maskRow(c.queries[q].scopeSizes)})
 		}
 	}
 	// Aggregate the windowed pairwise intersections over live workers. A
@@ -202,6 +208,9 @@ func (c *Controller) snapshot(now time.Time) qcut.Input {
 	for pair, shared := range agg {
 		inter = append(inter, qcut.Intersection{Q1: pair[0], Q2: pair[1], Shared: shared})
 	}
+	slices.SortFunc(inter, func(a, b qcut.Intersection) int {
+		return cmp.Or(cmp.Compare(a.Q1, b.Q1), cmp.Compare(a.Q2, b.Q2))
+	})
 	var deadline time.Time
 	if c.cfg.QcutBudget > 0 {
 		deadline = now.Add(c.cfg.QcutBudget)

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"time"
 
-	"qgraph/internal/graph"
 	"qgraph/internal/metrics"
 	"qgraph/internal/partition"
 	"qgraph/internal/protocol"
@@ -48,11 +47,6 @@ func (c *Controller) startQuery(req scheduleReq) {
 		req.ch <- Result{Q: spec.ID, Value: query.NoResult, Reason: protocol.FinishRejected}
 		return
 	}
-	if c.cfg.ReplicateQueries {
-		// Future-work (ii): pin the query to its source's owner; all its
-		// processing happens there (replication-style local execution).
-		spec.SetHome(int(c.owner[spec.Source]))
-	}
 	prog := query.MustNew(spec.Kind)
 	ctl := &qctl{
 		spec:       spec,
@@ -79,7 +73,7 @@ func (c *Controller) startQuery(req scheduleReq) {
 	// Initial involved set: owners of the initial activations.
 	init := make(map[partition.WorkerID]bool)
 	for _, act := range prog.Init(c.curView.Load(), ctl.spec) {
-		init[c.ownerOf(ctl, act.V)] = true
+		init[c.owner[act.V]] = true
 	}
 	c.release(ctl, 0, init, nil, false)
 }
@@ -110,14 +104,6 @@ func (c *Controller) onCancel(q query.ID) {
 	// Neither active nor deferred: the query already finished, or the id
 	// was never scheduled. Either way, a no-op — cancels ride the schedule
 	// FIFO, so they cannot overtake the schedule they refer to.
-}
-
-// ownerOf mirrors the workers' routing rule, including query pinning.
-func (c *Controller) ownerOf(ctl *qctl, v graph.VertexID) partition.WorkerID {
-	if home, ok := ctl.spec.HomeWorker(); ok {
-		return partition.WorkerID(home)
-	}
-	return c.owner[v]
 }
 
 // release issues barrierReady for superstep step. expect maps each
@@ -185,9 +171,6 @@ func (c *Controller) onSynch(m *protocol.BarrierSynch) error {
 		ctl.everActive[m.W] = true
 	}
 	ctl.bestGoal = min(ctl.bestGoal, m.BestGoal)
-	if rec := c.cfg.Recorder; rec != nil && m.Processed > 0 {
-		rec.RecordLoad(metrics.LoadSample{At: c.cfg.Clock(), Worker: int(m.W), Active: int(m.Processed)})
-	}
 	if len(ctl.reports) == len(ctl.involved) {
 		c.collect(ctl)
 	}

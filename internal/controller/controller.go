@@ -86,10 +86,6 @@ type Config struct {
 	CheckEvery time.Duration
 	// Cooldown is the minimum time between repartitionings.
 	Cooldown time.Duration
-	// ReplicateQueries enables the future-work (ii) extension: every query
-	// is pinned to the worker owning its source vertex, eliminating its
-	// query-cut via replication-style local execution.
-	ReplicateQueries bool
 	// NoClustering / NoPerturbation are Q-cut ablation switches.
 	NoClustering   bool
 	NoPerturbation bool
@@ -300,7 +296,7 @@ type scheduleReq struct {
 }
 
 // snapshotReq asks the controller for its current Q-cut input (used by the
-// Fig. 6g experiment and for introspection).
+// Q-cut ablations and the benchmark's planning row).
 type snapshotReq struct {
 	ch chan qcut.Input
 }
@@ -780,7 +776,7 @@ func (c *Controller) publishMVCC() {
 }
 
 // QcutSnapshot returns the controller's current high-level view as a Q-cut
-// input (Fig. 6g and debugging).
+// input (the Q-cut ablations, the benchmark's planning row, debugging).
 func (c *Controller) QcutSnapshot() (qcut.Input, error) {
 	req := snapshotReq{ch: make(chan qcut.Input, 1)}
 	select {

@@ -283,10 +283,6 @@ func (c *Controller) resetQueryForRestart(ctl *qctl) {
 	// A goal found before the failure proved a path at the old pin; the
 	// restart re-pins to the recovered version. Rediscover.
 	ctl.bestGoal = query.NoResult
-	if _, ok := ctl.spec.HomeWorker(); ok && c.cfg.ReplicateQueries {
-		// Re-pin replicated queries: the old home may be gone.
-		ctl.spec.SetHome(int(c.owner[ctl.spec.Source]))
-	}
 	// Move the pin to the recovered version: every worker is exactly at the
 	// committed version when the re-broadcast ExecuteQuery arrives
 	// (RecoverStart/PartitionGrant carried it); the old pin may predate the

@@ -1,7 +1,9 @@
 package controller
 
 import (
+	"reflect"
 	"testing"
+	"time"
 
 	"qgraph/internal/partition"
 	"qgraph/internal/protocol"
@@ -167,5 +169,57 @@ func TestLaterFinisherSupersedes(t *testing.T) {
 	finish(t, c, 2, 1, 9)
 	if got, n := sharedIn(c.snapshot(c.cfg.Clock()), 1, 2); got != 9 || n != 1 {
 		t.Fatalf("partner finished: pair listed %d times sharing %d, want once sharing its 9", n, got)
+	}
+}
+
+// TestSnapshotIsAFunctionOfTheView: one view gives one Q-cut input, and
+// Q-cut one plan. Q-cut draws a random key per intersection in input order,
+// so the input lists live queries by id and intersections by (Q1, Q2)
+// rather than in map order — before, one seed gave a different clustering
+// per call.
+func TestSnapshotIsAFunctionOfTheView(t *testing.T) {
+	const k = 3
+	c := newLoopless(t, k)
+	size := func(q query.ID, w int) int64 { return (int64(q)*7+int64(w)*5)%13 + 1 }
+	for q := query.ID(101); q <= 112; q++ {
+		sizes := make([]int64, k)
+		for w := range sizes {
+			sizes[w] = size(q, w)
+		}
+		c.queries[q] = &qctl{spec: query.Spec{ID: q}, scopeSizes: sizes}
+	}
+	// Eight finished queries, each overlapping two live ones and the query
+	// that finished before it.
+	for q := query.ID(1); q <= 8; q++ {
+		c.windowAdd(&qctl{spec: query.Spec{ID: q}, scopeSizes: make([]int64, k)}, c.cfg.Clock())
+		for w := 0; w < k; w++ {
+			err := c.onSynch(&protocol.BarrierSynch{
+				Q: q, W: partition.WorkerID(w), ScopeSize: int32(size(q, w)), Finished: true,
+				Intersections: []protocol.IntersectionStat{
+					{Q1: q, Q2: 100 + q, Shared: int32(q) + int32(w)},
+					{Q1: q, Q2: 104 + q, Shared: 2},
+					{Q1: q, Q2: q - 1, Shared: 1},
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	now := c.cfg.Clock()
+	first := c.snapshot(now)
+	if len(first.Scopes) != 20 || len(first.Intersections) != 23 {
+		t.Fatalf("view: %d rows, %d pairs; want 20, 23", len(first.Scopes), len(first.Intersections))
+	}
+	for i := 1; i < 20; i++ {
+		if in := c.snapshot(now); !reflect.DeepEqual(in, first) {
+			t.Fatalf("call %d built another input from the same view:\n got %+v\nwant %+v", i, in, first)
+		}
+	}
+	a, b := first, c.snapshot(now)
+	a.Deadline, b.Deadline = time.Time{}, time.Time{}
+	pa, pb := qcut.Run(a), qcut.Run(b)
+	if len(pa.Moves) == 0 || !reflect.DeepEqual(pa.Moves, pb.Moves) {
+		t.Fatalf("one input, two plans:\n%+v\n%+v", pa.Moves, pb.Moves)
 	}
 }

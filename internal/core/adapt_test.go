@@ -74,28 +74,6 @@ func TestAdaptiveRepartitioningCorrect(t *testing.T) {
 	t.Logf("repartitions: %d", eng.Repartitions())
 }
 
-// TestReplicateQueriesLocal checks the future-work (ii) extension: pinned
-// queries execute fully locally (locality 1, one worker) and still return
-// correct results.
-func TestReplicateQueriesLocal(t *testing.T) {
-	net := testRoad(t)
-	specs, want := hotspotSpecs(t, net, 24)
-	eng := startEngine(t, net.G, func(c *Config) { c.ReplicateQueries = true })
-	results, err := eng.RunBatch(specs, 8)
-	if err != nil {
-		t.Fatalf("RunBatch: %v", err)
-	}
-	checkResults(t, results, specs, want)
-	for _, r := range results {
-		if r.Workers != 1 {
-			t.Fatalf("query %d spanned %d workers, want 1", r.Q, r.Workers)
-		}
-		if r.Supersteps > 0 && r.LocalIters != r.Supersteps {
-			t.Fatalf("query %d: %d/%d local iterations, want all", r.Q, r.LocalIters, r.Supersteps)
-		}
-	}
-}
-
 // TestSimulatedLatencyCorrect runs the workload over the simulated network
 // (the configuration all experiments use) and re-verifies correctness.
 func TestSimulatedLatencyCorrect(t *testing.T) {

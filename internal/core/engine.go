@@ -68,7 +68,6 @@ type Config struct {
 	QcutBudget       time.Duration
 	CheckEvery       time.Duration
 	Cooldown         time.Duration
-	ReplicateQueries bool
 	NoClustering     bool
 	NoPerturbation   bool
 	Seed             uint64
@@ -110,9 +109,9 @@ type Config struct {
 	// 1); a directory written for another id refuses to open.
 	WALGraphID uint64
 
-	// Worker knobs (zero = paper defaults; see worker.Config).
-	BatchMaxMsgs int
-	ComputeCost  time.Duration
+	// ComputeCost simulates per-vertex work on the workers (see
+	// worker.Config).
+	ComputeCost time.Duration
 
 	// Recorder receives metrics; nil creates a fresh one.
 	Recorder *metrics.Recorder
@@ -223,7 +222,7 @@ func Start(cfg Config) (*Engine, error) {
 
 	rec := cfg.Recorder
 	if rec == nil {
-		rec = metrics.NewRecorder(time.Now())
+		rec = metrics.NewRecorder()
 	}
 	net := cfg.Network
 	ownNet := false
@@ -260,7 +259,6 @@ func Start(cfg Config) (*Engine, error) {
 		QcutBudget:       cfg.QcutBudget,
 		CheckEvery:       cfg.CheckEvery,
 		Cooldown:         cfg.Cooldown,
-		ReplicateQueries: cfg.ReplicateQueries,
 		NoClustering:     cfg.NoClustering,
 		NoPerturbation:   cfg.NoPerturbation,
 		Seed:             cfg.Seed,
@@ -335,16 +333,15 @@ func Start(cfg Config) (*Engine, error) {
 
 func (e *Engine) workerConfig(w partition.WorkerID, rejoin bool) worker.Config {
 	c := worker.Config{
-		ID:           w,
-		K:            e.cfg.Workers,
-		Graph:        e.cfg.Graph,
-		Owner:        e.assign,
-		BatchMaxMsgs: e.cfg.BatchMaxMsgs,
-		ScopeTTL:     e.cfg.Mu,
-		ComputeCost:  e.cfg.ComputeCost,
-		Rejoin:       rejoin,
-		BaseVersion:  e.cfg.BaseVersion,
-		Snapshots:    e.snaps,
+		ID:          w,
+		K:           e.cfg.Workers,
+		Graph:       e.cfg.Graph,
+		Owner:       e.assign,
+		ScopeTTL:    e.cfg.Mu,
+		ComputeCost: e.cfg.ComputeCost,
+		Rejoin:      rejoin,
+		BaseVersion: e.cfg.BaseVersion,
+		Snapshots:   e.snaps,
 	}
 	if o := e.cfg.Obs; o != nil {
 		c.Logger = o.Log().With("role", "worker")

@@ -13,7 +13,7 @@ import (
 
 // The ablation experiments isolate single design decisions. They are not
 // figures of the paper, but each corresponds to a choice the paper
-// motivates in prose (Appendix A, Sec. 3.3–3.4, Sec. 4.1(iv)).
+// motivates in prose (Appendix A, Sec. 3.3–3.4).
 
 // AblationPerturbation compares ILS with and without the perturbation
 // subroutine on the same snapshot (Appendix A.2: perturbation escapes
@@ -130,7 +130,7 @@ func AblationWindow(sc Scale) (*Table, error) {
 		Columns: []string{"mu", "total_s", "locality", "repartitions"},
 	}
 	for _, mu := range []time.Duration{sc.Mu / 8, sc.Mu / 2, sc.Mu, sc.Mu * 4} {
-		rec := metrics.NewRecorder(time.Now())
+		rec := metrics.NewRecorder()
 		eng, err := core.Start(engineCfg(sc, net, true, rec, func(c *core.Config) { c.Mu = mu }))
 		if err != nil {
 			return nil, err
@@ -149,116 +149,6 @@ func AblationWindow(sc Scale) (*Table, error) {
 			fmt.Sprintf("%d", eng.Repartitions()),
 		})
 	}
-	return t, nil
-}
-
-// AblationPhi sweeps the locality threshold Φ (Sec. 4.1(ii): the paper
-// recommends Φ ∈ [0.3, 0.99] and uses 0.7).
-func AblationPhi(sc Scale) (*Table, error) {
-	net, err := bwNet(sc)
-	if err != nil {
-		return nil, err
-	}
-	specs := ssspSpecs(net, sc.Queries, sc.Seed)
-	t := &Table{
-		ID: "abl-phi", Title: "Locality threshold Φ sweep (hash+qcut)",
-		Columns: []string{"phi", "total_s", "locality", "repartitions"},
-	}
-	for _, phi := range []float64{0.3, 0.5, 0.7, 0.9, 0.99} {
-		rec := metrics.NewRecorder(time.Now())
-		eng, err := core.Start(engineCfg(sc, net, true, rec, func(c *core.Config) { c.Phi = phi }))
-		if err != nil {
-			return nil, err
-		}
-		if _, err := eng.RunBatch(specs, sc.Parallel); err != nil {
-			eng.Close()
-			return nil, err
-		}
-		if err := eng.Close(); err != nil {
-			return nil, err
-		}
-		s := rec.Summarize()
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%.2f", phi), fmtDur(s.TotalLatency),
-			fmt.Sprintf("%.2f", s.MeanLocality),
-			fmt.Sprintf("%d", eng.Repartitions()),
-		})
-	}
-	return t, nil
-}
-
-// AblationBatchSize sweeps the vertex message batch limit
-// (Sec. 4.1(iv): the paper settled on 32 messages / 32 KB).
-func AblationBatchSize(sc Scale) (*Table, error) {
-	net, err := bwNet(sc)
-	if err != nil {
-		return nil, err
-	}
-	specs := ssspSpecs(net, sc.Queries/2, sc.Seed)
-	t := &Table{
-		ID: "abl-batch", Title: "Vertex message batch size sweep (static hash)",
-		Columns: []string{"batch_msgs", "total_s", "mean_ms"},
-	}
-	for _, batch := range []int{1, 8, 32, 128, 1024} {
-		rec := metrics.NewRecorder(time.Now())
-		eng, err := core.Start(engineCfg(sc, net, false, rec, func(c *core.Config) { c.BatchMaxMsgs = batch }))
-		if err != nil {
-			return nil, err
-		}
-		if _, err := eng.RunBatch(specs, sc.Parallel); err != nil {
-			eng.Close()
-			return nil, err
-		}
-		if err := eng.Close(); err != nil {
-			return nil, err
-		}
-		s := rec.Summarize()
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", batch), fmtDur(s.TotalLatency),
-			fmt.Sprintf("%.2f", float64(s.MeanLatency.Microseconds())/1000),
-		})
-	}
-	return t, nil
-}
-
-// AblationReplication evaluates the future-work (ii) extension: pinning
-// each query to its source's worker (replication-style local execution)
-// versus plain distributed execution, on static Hash partitioning.
-func AblationReplication(sc Scale) (*Table, error) {
-	net, err := bwNet(sc)
-	if err != nil {
-		return nil, err
-	}
-	specs := ssspSpecs(net, sc.Queries/2, sc.Seed)
-	t := &Table{
-		ID: "abl-replication", Title: "Query-based replication (pinning) vs distributed execution",
-		Columns: []string{"variant", "total_s", "locality", "mean_workers"},
-	}
-	for _, replicate := range []bool{false, true} {
-		rec := metrics.NewRecorder(time.Now())
-		eng, err := core.Start(engineCfg(sc, net, false, rec, func(c *core.Config) { c.ReplicateQueries = replicate }))
-		if err != nil {
-			return nil, err
-		}
-		if _, err := eng.RunBatch(specs, sc.Parallel); err != nil {
-			eng.Close()
-			return nil, err
-		}
-		if err := eng.Close(); err != nil {
-			return nil, err
-		}
-		s := rec.Summarize()
-		name := "distributed"
-		if replicate {
-			name = "pinned (replication)"
-		}
-		t.Rows = append(t.Rows, []string{
-			name, fmtDur(s.TotalLatency),
-			fmt.Sprintf("%.2f", s.MeanLocality),
-			fmt.Sprintf("%.2f", s.MeanWorkers),
-		})
-	}
-	t.Notes = append(t.Notes, "pinning trades perfect query locality for load concentration (cf. [28,32] and NScale)")
 	return t, nil
 }
 

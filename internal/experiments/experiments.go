@@ -1,14 +1,15 @@
-// Package experiments regenerates every figure of the paper's evaluation
-// (Sec. 4). Each Fig* function runs the corresponding experiment at a
-// configurable scale and returns a Table with the same series the paper
-// plots; cmd/qgraph-bench prints them and bench_test.go wraps them as
-// testing.B benchmarks.
+// Package experiments regenerates the figures of the paper's evaluation
+// (Sec. 4) that a claim stands behind — Figs. 5, 6a–d and 7 — and four
+// ablations of design choices the paper motivates in prose. Each runner
+// executes its experiment at a configurable scale and returns a Table with
+// the series the paper plots; cmd/qgraph-bench prints them, and README
+// "Reproduce the paper's figures" names the claim each one checks.
 //
-// Scale note (README "Reproduce the paper's figures"): the defaults use
-// scaled-down synthetic road networks and query counts so a figure
-// regenerates in seconds to minutes on one machine. Absolute numbers
-// differ from the paper — the claims under test are the *shapes*: who
-// wins, by roughly what factor, and where crossovers fall.
+// Scale note: the defaults use scaled-down synthetic road networks and
+// query counts so a figure regenerates in seconds to minutes on one
+// machine, over a simulated network whose latencies are slept out.
+// Absolute numbers differ from the paper — the claims under test are the
+// *shapes*: who wins, by roughly what factor, and where crossovers fall.
 package experiments
 
 import (
@@ -197,7 +198,7 @@ func startEngine(sc Scale, net *gen.RoadNet, st Strategy, k int, rec *metrics.Re
 // runStrategy executes specs under one strategy and returns the recorder
 // plus the repartition count.
 func runStrategy(sc Scale, net *gen.RoadNet, st Strategy, k int, specs []query.Spec) (*metrics.Recorder, int, error) {
-	rec := metrics.NewRecorder(time.Now())
+	rec := metrics.NewRecorder()
 	eng, err := startEngine(sc, net, st, k, rec)
 	if err != nil {
 		return nil, 0, err

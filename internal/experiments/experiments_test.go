@@ -1,12 +1,14 @@
 package experiments
 
 import (
-	"qgraph/internal/metrics"
-
+	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"qgraph/internal/metrics"
 )
 
 // tinyScale is the smallest scale that still exercises every code path.
@@ -81,6 +83,46 @@ func TestScalesSane(t *testing.T) {
 	}
 }
 
+// TestReadmeListsTheRegistry: README "Reproduce the paper's figures" has
+// one table row per registered experiment and no other, so it cannot list
+// a figure that is gone — nor a row the test would miss (a planted one is
+// caught).
+func TestReadmeListsTheRegistry(t *testing.T) {
+	b, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	readme := string(b)
+	if got := readmeIDs(t, readme); !slices.Equal(got, IDs()) {
+		t.Fatalf("README table lists %v, registry has %v", got, IDs())
+	}
+	planted := strings.Replace(readme, "| `fig5a` |", "| `fig6e` | Fig. 6e | gone |\n| `fig5a` |", 1)
+	if got := readmeIDs(t, planted); slices.Equal(got, IDs()) {
+		t.Fatalf("a planted row went unnoticed: %v", got)
+	}
+}
+
+// readmeIDs returns the sorted ids in the first column of the README
+// figures table.
+func readmeIDs(t *testing.T, readme string) []string {
+	t.Helper()
+	_, sec, ok := strings.Cut(readme, "\n## Reproduce the paper's figures\n")
+	if !ok {
+		t.Fatal(`README has no "Reproduce the paper's figures" section`)
+	}
+	sec, _, _ = strings.Cut(sec, "\n## ")
+	var ids []string
+	for _, line := range strings.Split(sec, "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 3 || !strings.HasPrefix(cells[1], " `") {
+			continue // prose, header or separator row
+		}
+		ids = append(ids, strings.Trim(cells[1], " `"))
+	}
+	slices.Sort(ids)
+	return ids
+}
+
 // TestBinByCompletion checks the decile binning helper.
 func TestBinByCompletion(t *testing.T) {
 	rec := newTestRecorder(t, 20)
@@ -103,7 +145,7 @@ func TestBinByCompletion(t *testing.T) {
 func newTestRecorder(t *testing.T, n int) *metrics.Recorder {
 	t.Helper()
 	t0 := time.Now()
-	rec := metrics.NewRecorder(t0)
+	rec := metrics.NewRecorder()
 	for i := 0; i < n; i++ {
 		rec.RecordQuery(metrics.QueryRecord{
 			ID:          int64(i),

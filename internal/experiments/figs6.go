@@ -123,152 +123,6 @@ func Fig6d(sc Scale) (*Table, error) {
 	return t, nil
 }
 
-// Fig6e reproduces Figure 6e: workload imbalance over time per strategy
-// (paper: Domain high, Hash near zero, Q-cut converges to ≈20% under
-// δ=0.25).
-func Fig6e(sc Scale) (*Table, error) {
-	net, err := bwNet(sc)
-	if err != nil {
-		return nil, err
-	}
-	specs := ssspSpecs(net, sc.Queries, sc.Seed)
-	t := &Table{
-		ID: "fig6e", Title: "Workload imbalance over time, SSSP on BW",
-		Columns: []string{"strategy", "mean_imbalance", "first_half", "second_half"},
-	}
-	for _, st := range strategies(net) {
-		rec, _, err := runStrategy(sc, net, st, sc.Workers, specs)
-		if err != nil {
-			return nil, fmt.Errorf("fig6e %s: %w", st.Name, err)
-		}
-		// Bin adaptively so the series spans the actual run duration.
-		var wall time.Duration
-		for _, q := range rec.Queries() {
-			if end := q.ScheduledAt.Add(q.Latency).Sub(rec.Start()); end > wall {
-				wall = end
-			}
-		}
-		bin := max(wall/10, 100*time.Millisecond)
-		series := rec.ImbalanceSeries(bin, sc.Workers)
-		mean, first, second := splitSeries(series)
-		t.Rows = append(t.Rows, []string{
-			st.Name,
-			fmt.Sprintf("%.2f", mean),
-			fmt.Sprintf("%.2f", first),
-			fmt.Sprintf("%.2f", second),
-		})
-	}
-	t.Notes = append(t.Notes,
-		"imbalance = mean relative deviation of per-worker active-vertex load from the all-worker mean",
-		"paper: domain high, hash ~0, q-cut converges to ~0.20 (delta=0.25)")
-	return t, nil
-}
-
-// Fig6f reproduces Figure 6f: percentage of fully-local query executions
-// per strategy (paper: Domain >95%, Hash ≈38%, Q-cut converges to ≈80%).
-func Fig6f(sc Scale) (*Table, error) {
-	net, err := bwNet(sc)
-	if err != nil {
-		return nil, err
-	}
-	specs := ssspSpecs(net, sc.Queries, sc.Seed)
-	t := &Table{
-		ID: "fig6f", Title: "Query locality over time, SSSP on BW",
-		Columns: []string{"strategy", "mean_locality", "first_quarter", "last_quarter"},
-	}
-	for _, st := range strategies(net) {
-		rec, _, err := runStrategy(sc, net, st, sc.Workers, specs)
-		if err != nil {
-			return nil, fmt.Errorf("fig6f %s: %w", st.Name, err)
-		}
-		qs := rec.Queries()
-		quarter := len(qs) / 4
-		t.Rows = append(t.Rows, []string{
-			st.Name,
-			fmt.Sprintf("%.2f", meanLocality(qs)),
-			fmt.Sprintf("%.2f", meanLocality(qs[:quarter])),
-			fmt.Sprintf("%.2f", meanLocality(qs[len(qs)-quarter:])),
-		})
-	}
-	t.Notes = append(t.Notes, "paper: domain >0.95, hash ~0.38, q-cut converges toward ~0.80 under the balance constraint")
-	return t, nil
-}
-
-func meanLocality(qs []metrics.QueryRecord) float64 {
-	if len(qs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, q := range qs {
-		sum += q.Locality()
-	}
-	return sum / float64(len(qs))
-}
-
-func splitSeries(series []metrics.SeriesPoint) (mean, first, second float64) {
-	if len(series) == 0 {
-		return 0, 0, 0
-	}
-	half := len(series) / 2
-	var n1, n2 int
-	for i, p := range series {
-		mean += p.Value
-		if i < half || half == 0 {
-			first += p.Value
-			n1++
-		} else {
-			second += p.Value
-			n2++
-		}
-	}
-	mean /= float64(len(series))
-	if n1 > 0 {
-		first /= float64(n1)
-	}
-	if n2 > 0 {
-		second /= float64(n2)
-	}
-	return mean, first, second
-}
-
-// Fig6g reproduces Figure 6g: the cost trajectory of a single Q-cut
-// iterated-local-search run on a Hash-partitioned snapshot, with the
-// perturbation points that escape local minima (paper: cost drops >75%
-// within the 2 s budget).
-func Fig6g(sc Scale) (*Table, error) {
-	in, err := hashSnapshot(sc)
-	if err != nil {
-		return nil, err
-	}
-	in.Deadline = time.Now().Add(sc.QcutBudget)
-	res := qcut.Run(in)
-	t := &Table{
-		ID: "fig6g", Title: "Q-cut ILS cost over a single run (Hash-partitioned BW snapshot)",
-		Columns: []string{"round", "elapsed_ms", "best_cost", "perturbed"},
-	}
-	// Thin the trace to at most ~25 rows.
-	stride := max(1, len(res.Trace)/25)
-	for i, p := range res.Trace {
-		if i%stride != 0 && i != len(res.Trace)-1 {
-			continue
-		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", p.Round),
-			fmt.Sprintf("%.1f", float64(p.Elapsed.Microseconds())/1000),
-			fmt.Sprintf("%d", p.Cost),
-			fmt.Sprintf("%v", p.Perturbed),
-		})
-	}
-	drop := 0.0
-	if res.InitialCost > 0 {
-		drop = 1 - float64(res.FinalCost)/float64(res.InitialCost)
-	}
-	t.Notes = append(t.Notes,
-		fmt.Sprintf("initial cost %d, final cost %d (-%.0f%%), %d rounds", res.InitialCost, res.FinalCost, 100*drop, res.Rounds),
-		"paper: cost reduced by more than 75% within the 2s budget")
-	return t, nil
-}
-
 // hashSnapshot runs part of the SSSP workload on a static Hash-partitioned
 // engine and captures the controller's high-level view — the same input
 // the adaptive controller would hand to Q-cut.
@@ -277,8 +131,7 @@ func hashSnapshot(sc Scale) (qcut.Input, error) {
 	if err != nil {
 		return qcut.Input{}, err
 	}
-	rec := metrics.NewRecorder(time.Now())
-	eng, err := startEngine(sc, net, Strategy{Name: "hash", Partitioner: (strategies(net))[0].Partitioner}, sc.Workers, rec)
+	eng, err := startEngine(sc, net, Strategy{Name: "hash", Partitioner: (strategies(net))[0].Partitioner}, sc.Workers, metrics.NewRecorder())
 	if err != nil {
 		return qcut.Input{}, err
 	}

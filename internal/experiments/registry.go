@@ -11,24 +11,18 @@ type Runner func(Scale) (*Table, error)
 // registry maps experiment ids (the figure numbers of Sec. 4, plus the
 // ablations of ablations.go) to their runners.
 var registry = map[string]Runner{
-	"fig5a":           Fig5a,
-	"fig5b":           Fig5b,
-	"fig6a":           Fig6a,
-	"fig6b":           Fig6b,
-	"fig6c":           Fig6c,
-	"fig6d":           Fig6d,
-	"fig6e":           Fig6e,
-	"fig6f":           Fig6f,
-	"fig6g":           Fig6g,
-	"fig7a":           Fig7a,
-	"fig7b":           Fig7b,
-	"abl-perturb":     AblationPerturbation,
-	"abl-cluster":     AblationClustering,
-	"abl-local":       AblationLocalBarrier,
-	"abl-window":      AblationWindow,
-	"abl-phi":         AblationPhi,
-	"abl-batch":       AblationBatchSize,
-	"abl-replication": AblationReplication,
+	"fig5a":       Fig5a,
+	"fig5b":       Fig5b,
+	"fig6a":       Fig6a,
+	"fig6b":       Fig6b,
+	"fig6c":       Fig6c,
+	"fig6d":       Fig6d,
+	"fig7a":       Fig7a,
+	"fig7b":       Fig7b,
+	"abl-perturb": AblationPerturbation,
+	"abl-cluster": AblationClustering,
+	"abl-local":   AblationLocalBarrier,
+	"abl-window":  AblationWindow,
 }
 
 // IDs returns all experiment ids in stable order.

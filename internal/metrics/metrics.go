@@ -1,11 +1,9 @@
-// Package metrics records the measurements of the paper's evaluation:
-// per-query latency and locality, time-binned series (Fig. 5), workload
-// imbalance across workers (Fig. 6e), and locality over time (Fig. 6f).
-// All recorders are safe for concurrent use.
+// Package metrics records the per-query outcomes of the paper's
+// evaluation — latency, supersteps, locality, scope size — in a bounded
+// ring, and summarises them. The recorder is safe for concurrent use.
 package metrics
 
 import (
-	"math"
 	"sort"
 	"sync"
 	"time"
@@ -32,124 +30,51 @@ func (r QueryRecord) Locality() float64 {
 	return float64(r.LocalIters) / float64(r.Supersteps)
 }
 
-// Retention caps. A recorder lives as long as the engine: unbounded
-// append meant multi-day deployments grew by one QueryRecord per query
-// and one LoadSample per active worker report, forever. The rings keep
-// the newest window — large enough for every report this package renders
-// — and evict the oldest beyond it.
-const (
-	// DefaultMaxQueries bounds retained query records (~6 MiB).
-	DefaultMaxQueries = 1 << 16
-	// DefaultMaxLoads bounds retained load samples (~10 MiB); load
-	// samples arrive far more often than query records (one per worker
-	// per barrier report), so the window is wider.
-	DefaultMaxLoads = 1 << 18
-)
+// DefaultMaxQueries bounds retained query records (~6 MiB). A recorder
+// lives as long as the engine, so the ring keeps the newest window and
+// evicts the oldest beyond it.
+const DefaultMaxQueries = 1 << 16
 
-// Recorder accumulates query records and worker load samples in bounded
-// rings; summaries and series cover the retained window.
+// Recorder accumulates query records in a bounded ring; summaries cover
+// the retained window.
 type Recorder struct {
-	mu      sync.Mutex
-	start   time.Time
-	queries ring[QueryRecord]
-	loads   ring[LoadSample]
-	// evicted counts records dropped past the caps, so consumers can see
-	// that a summary covers a window, not the whole run.
-	queriesEvicted int64
-	loadsEvicted   int64
+	mu   sync.Mutex
+	buf  []QueryRecord
+	next int // oldest record, overwritten next, once buf is full
 }
 
-// ring is a fixed-capacity FIFO: grows to max, then overwrites oldest.
-type ring[T any] struct {
-	buf  []T
-	next int  // overwrite position once full
-	full bool // buf reached max and wrapped at least once
-}
-
-// push appends v, evicting the oldest once max is reached; reports
-// whether an eviction happened.
-func (r *ring[T]) push(v T, max int) bool {
-	if !r.full && len(r.buf) < max {
-		r.buf = append(r.buf, v)
-		return false
-	}
-	r.buf[r.next] = v
-	r.next = (r.next + 1) % len(r.buf)
-	r.full = true
-	return true
-}
-
-// snapshot copies the retained values oldest-first.
-func (r *ring[T]) snapshot() []T {
-	out := make([]T, 0, len(r.buf))
-	if r.full {
-		out = append(out, r.buf[r.next:]...)
-		return append(out, r.buf[:r.next]...)
-	}
-	return append(out, r.buf...)
-}
-
-// LoadSample is one observation of a worker's load (active vertices
-// processed), used for the imbalance series of Fig. 6e.
-type LoadSample struct {
-	At     time.Time
-	Worker int
-	Active int
-}
-
-// NewRecorder creates a recorder; t0 anchors the time-binned series.
-func NewRecorder(t0 time.Time) *Recorder {
-	return &Recorder{start: t0}
-}
-
-// Start returns the recorder's time origin.
-func (r *Recorder) Start() time.Time { return r.start }
+// NewRecorder creates an empty recorder.
+func NewRecorder() *Recorder { return &Recorder{} }
 
 // RecordQuery appends a finished query, evicting the oldest retained
 // record past the retention cap.
 func (r *Recorder) RecordQuery(q QueryRecord) {
 	r.mu.Lock()
-	if r.queries.push(q, DefaultMaxQueries) {
-		r.queriesEvicted++
+	defer r.mu.Unlock()
+	if len(r.buf) < DefaultMaxQueries {
+		r.buf = append(r.buf, q)
+		return
 	}
-	r.mu.Unlock()
-}
-
-// RecordLoad appends a worker load observation, evicting the oldest
-// retained sample past the retention cap.
-func (r *Recorder) RecordLoad(s LoadSample) {
-	r.mu.Lock()
-	if r.loads.push(s, DefaultMaxLoads) {
-		r.loadsEvicted++
-	}
-	r.mu.Unlock()
+	r.buf[r.next] = q
+	r.next = (r.next + 1) % len(r.buf)
 }
 
 // Queries returns a copy of the retained query records, oldest first.
 func (r *Recorder) Queries() []QueryRecord {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.queries.snapshot()
-}
-
-// Evicted reports how many query records and load samples have been
-// dropped past the retention caps (0, 0 until the rings fill).
-func (r *Recorder) Evicted() (queries, loads int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.queriesEvicted, r.loadsEvicted
+	out := append(make([]QueryRecord, 0, len(r.buf)), r.buf[r.next:]...)
+	return append(out, r.buf[:r.next]...)
 }
 
 // Summary aggregates query records.
 type Summary struct {
-	Count          int
-	TotalLatency   time.Duration
-	MeanLatency    time.Duration
-	P50, P95, P99  time.Duration
-	MeanLocality   float64
-	MeanSupersteps float64
-	MeanTouched    float64
-	MeanWorkers    float64
+	Count         int
+	TotalLatency  time.Duration
+	MeanLatency   time.Duration
+	P50, P95, P99 time.Duration
+	MeanLocality  float64
+	MeanTouched   float64
 }
 
 // Summarize aggregates all recorded queries.
@@ -165,14 +90,12 @@ func SummarizeRecords(qs []QueryRecord) Summary {
 		return s
 	}
 	lats := make([]time.Duration, 0, len(qs))
-	var loc, steps, touched, workers float64
+	var loc, touched float64
 	for _, q := range qs {
 		s.TotalLatency += q.Latency
 		lats = append(lats, q.Latency)
 		loc += q.Locality()
-		steps += float64(q.Supersteps)
 		touched += float64(q.Touched)
-		workers += float64(q.Workers)
 	}
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 	s.MeanLatency = s.TotalLatency / time.Duration(s.Count)
@@ -180,112 +103,6 @@ func SummarizeRecords(qs []QueryRecord) Summary {
 	s.P95 = lats[min(len(lats)*95/100, len(lats)-1)]
 	s.P99 = lats[min(len(lats)*99/100, len(lats)-1)]
 	s.MeanLocality = loc / float64(s.Count)
-	s.MeanSupersteps = steps / float64(s.Count)
 	s.MeanTouched = touched / float64(s.Count)
-	s.MeanWorkers = workers / float64(s.Count)
 	return s
-}
-
-// SeriesPoint is one bin of a time series.
-type SeriesPoint struct {
-	Bin   int
-	Start time.Duration // offset of the bin from the recorder origin
-	Value float64
-	Count int
-}
-
-// LatencySeries bins mean query latency (seconds) by completion time.
-func (r *Recorder) LatencySeries(bin time.Duration) []SeriesPoint {
-	return r.querySeries(bin, func(q QueryRecord) float64 { return q.Latency.Seconds() })
-}
-
-// LocalitySeries bins mean per-query locality by completion time
-// (the running average of Fig. 6f).
-func (r *Recorder) LocalitySeries(bin time.Duration) []SeriesPoint {
-	return r.querySeries(bin, func(q QueryRecord) float64 { return q.Locality() })
-}
-
-func (r *Recorder) querySeries(bin time.Duration, f func(QueryRecord) float64) []SeriesPoint {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if bin <= 0 || len(r.queries.buf) == 0 {
-		return nil
-	}
-	sums := map[int]*SeriesPoint{}
-	maxBin := 0
-	// Binning is order-independent; iterate the raw ring storage.
-	for _, q := range r.queries.buf {
-		done := q.ScheduledAt.Add(q.Latency)
-		b := int(done.Sub(r.start) / bin)
-		if b < 0 {
-			b = 0
-		}
-		p := sums[b]
-		if p == nil {
-			p = &SeriesPoint{Bin: b, Start: time.Duration(b) * bin}
-			sums[b] = p
-		}
-		p.Value += f(q)
-		p.Count++
-		if b > maxBin {
-			maxBin = b
-		}
-	}
-	out := make([]SeriesPoint, 0, len(sums))
-	for _, p := range sums {
-		p.Value /= float64(p.Count)
-		out = append(out, *p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Bin < out[j].Bin })
-	return out
-}
-
-// ImbalanceSeries bins worker load samples and reports, per bin, the mean
-// relative deviation of per-worker load from the bin average — the paper's
-// workload imbalance measure of Fig. 6e. k is the worker count.
-func (r *Recorder) ImbalanceSeries(bin time.Duration, k int) []SeriesPoint {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if bin <= 0 || len(r.loads.buf) == 0 || k <= 0 {
-		return nil
-	}
-	type binLoad struct {
-		perWorker []float64
-	}
-	bins := map[int]*binLoad{}
-	for _, s := range r.loads.buf {
-		b := int(s.At.Sub(r.start) / bin)
-		if b < 0 {
-			b = 0
-		}
-		bl := bins[b]
-		if bl == nil {
-			bl = &binLoad{perWorker: make([]float64, k)}
-			bins[b] = bl
-		}
-		if s.Worker >= 0 && s.Worker < k {
-			bl.perWorker[s.Worker] += float64(s.Active)
-		}
-	}
-	out := make([]SeriesPoint, 0, len(bins))
-	for b, bl := range bins {
-		mean := 0.0
-		for _, v := range bl.perWorker {
-			mean += v
-		}
-		mean /= float64(k)
-		if mean == 0 {
-			continue
-		}
-		dev := 0.0
-		for _, v := range bl.perWorker {
-			dev += math.Abs(v-mean) / mean
-		}
-		out = append(out, SeriesPoint{
-			Bin: b, Start: time.Duration(b) * bin,
-			Value: dev / float64(k), Count: k,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Bin < out[j].Bin })
-	return out
 }

@@ -2,13 +2,12 @@ package metrics
 
 import (
 	"testing"
-	"testing/quick"
 	"time"
 )
 
 func mkRecorder(latencies ...time.Duration) *Recorder {
 	t0 := time.Unix(1000, 0)
-	r := NewRecorder(t0)
+	r := NewRecorder()
 	for i, l := range latencies {
 		r.RecordQuery(QueryRecord{
 			ID:          int64(i + 1),
@@ -38,13 +37,13 @@ func TestSummarize(t *testing.T) {
 	if s.P50 != 2*time.Second {
 		t.Fatalf("p50 = %v", s.P50)
 	}
-	if s.MeanTouched != 100 || s.MeanWorkers != 2 {
-		t.Fatalf("touched/workers = %v/%v", s.MeanTouched, s.MeanWorkers)
+	if s.MeanTouched != 100 {
+		t.Fatalf("touched = %v", s.MeanTouched)
 	}
 }
 
 func TestSummarizeEmpty(t *testing.T) {
-	r := NewRecorder(time.Now())
+	r := NewRecorder()
 	s := r.Summarize()
 	if s.Count != 0 || s.TotalLatency != 0 {
 		t.Fatalf("empty summary %+v", s)
@@ -62,81 +61,9 @@ func TestLocality(t *testing.T) {
 	}
 }
 
-func TestLatencySeriesBinning(t *testing.T) {
-	t0 := time.Unix(1000, 0)
-	r := NewRecorder(t0)
-	// Two queries completing in bin 0, one in bin 2.
-	r.RecordQuery(QueryRecord{ID: 1, ScheduledAt: t0, Latency: 100 * time.Millisecond, Supersteps: 1})
-	r.RecordQuery(QueryRecord{ID: 2, ScheduledAt: t0, Latency: 300 * time.Millisecond, Supersteps: 1})
-	r.RecordQuery(QueryRecord{ID: 3, ScheduledAt: t0.Add(2 * time.Second), Latency: 500 * time.Millisecond, Supersteps: 1})
-	pts := r.LatencySeries(time.Second)
-	if len(pts) != 2 {
-		t.Fatalf("bins = %d, want 2", len(pts))
-	}
-	if pts[0].Bin != 0 || pts[0].Count != 2 || pts[0].Value != 0.2 {
-		t.Fatalf("bin0 = %+v", pts[0])
-	}
-	if pts[1].Bin != 2 || pts[1].Count != 1 || pts[1].Value != 0.5 {
-		t.Fatalf("bin1 = %+v", pts[1])
-	}
-}
-
-func TestImbalanceSeries(t *testing.T) {
-	t0 := time.Unix(1000, 0)
-	r := NewRecorder(t0)
-	// Perfectly balanced bin: both workers 100.
-	r.RecordLoad(LoadSample{At: t0, Worker: 0, Active: 100})
-	r.RecordLoad(LoadSample{At: t0, Worker: 1, Active: 100})
-	// Fully skewed bin: worker 0 gets everything.
-	r.RecordLoad(LoadSample{At: t0.Add(time.Second), Worker: 0, Active: 200})
-	pts := r.ImbalanceSeries(time.Second, 2)
-	if len(pts) != 2 {
-		t.Fatalf("bins = %d", len(pts))
-	}
-	if pts[0].Value != 0 {
-		t.Fatalf("balanced bin imbalance = %v", pts[0].Value)
-	}
-	// Loads 200 and 0, mean 100 → mean |dev|/mean = (1+1)/2 = 1.
-	if pts[1].Value != 1 {
-		t.Fatalf("skewed bin imbalance = %v", pts[1].Value)
-	}
-}
-
-// TestSeriesSorted: series points are always in bin order and values
-// finite (property-based over random records).
-func TestSeriesSorted(t *testing.T) {
-	f := func(lats []uint16) bool {
-		t0 := time.Unix(0, 0)
-		r := NewRecorder(t0)
-		for i, l := range lats {
-			r.RecordQuery(QueryRecord{
-				ID:          int64(i),
-				ScheduledAt: t0.Add(time.Duration(i%7) * time.Second),
-				Latency:     time.Duration(l) * time.Millisecond,
-				Supersteps:  1,
-			})
-		}
-		pts := r.LocalitySeries(time.Second)
-		for i := 1; i < len(pts); i++ {
-			if pts[i].Bin <= pts[i-1].Bin {
-				return false
-			}
-		}
-		for _, p := range pts {
-			if p.Value < 0 || p.Value > 1 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestConcurrentRecording: the recorder is safe under concurrent use.
 func TestConcurrentRecording(t *testing.T) {
-	r := NewRecorder(time.Now())
+	r := NewRecorder()
 	done := make(chan struct{})
 	for g := 0; g < 4; g++ {
 		g := g
@@ -144,7 +71,6 @@ func TestConcurrentRecording(t *testing.T) {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < 500; i++ {
 				r.RecordQuery(QueryRecord{ID: int64(g*1000 + i), Latency: time.Millisecond, Supersteps: 1})
-				r.RecordLoad(LoadSample{Worker: g, Active: i})
 			}
 		}()
 	}
@@ -156,11 +82,11 @@ func TestConcurrentRecording(t *testing.T) {
 	}
 }
 
-// TestRecorderBoundedRetention: the rings evict oldest-first at the caps,
+// TestRecorderBoundedRetention: the ring evicts oldest-first at the cap,
 // snapshots stay chronological, and summaries cover exactly the retained
 // window — a recorder on a long-lived engine must not grow forever.
 func TestRecorderBoundedRetention(t *testing.T) {
-	r := NewRecorder(time.Unix(0, 0))
+	r := NewRecorder()
 	const extra = 137
 	for i := 0; i < DefaultMaxQueries+extra; i++ {
 		r.RecordQuery(QueryRecord{ID: int64(i), Latency: time.Millisecond, Supersteps: 1})
@@ -179,15 +105,5 @@ func TestRecorderBoundedRetention(t *testing.T) {
 	}
 	if s := r.Summarize(); s.Count != DefaultMaxQueries {
 		t.Errorf("Summarize covers %d, want the retained window %d", s.Count, DefaultMaxQueries)
-	}
-	for i := 0; i < DefaultMaxLoads+extra; i++ {
-		r.RecordLoad(LoadSample{At: time.Unix(0, int64(i)), Worker: 0, Active: 1})
-	}
-	qEv, lEv := r.Evicted()
-	if qEv != extra || lEv != extra {
-		t.Errorf("Evicted() = (%d, %d), want (%d, %d)", qEv, lEv, extra, extra)
-	}
-	if pts := r.ImbalanceSeries(time.Second, 1); len(pts) == 0 {
-		t.Errorf("ImbalanceSeries empty over retained loads")
 	}
 }

@@ -311,7 +311,7 @@ type VertexMsg struct {
 
 // VertexBatch carries vertex messages of query Q emitted during superstep
 // Step from worker From, to be consumed in superstep Step+1. The sender
-// splits batches at the configured batch limits (Sec. 4.1(iv)). Gen is the
+// splits batches at 32 messages (Sec. 4.1(iv)). Gen is the
 // sender's recovery generation: receivers drop batches from an older
 // generation without counting them, so the flow-control counters both
 // sides reset during recovery stay exact (see RecoverStart).

@@ -34,9 +34,8 @@ func roundTrip(t *testing.T, m protocol.Message) protocol.Message {
 func TestServingPathRoundTrips(t *testing.T) {
 	spec := query.Spec{
 		ID: 42, Kind: query.KindSSSP, Source: 7, Target: 99,
-		MaxIters: 20, Epsilon: 1e-4,
+		MaxIters: 20, Epsilon: 1e-4, TraceID: 0xfeed, PinVersion: 3,
 	}
-	spec.SetHome(3)
 	msgs := []protocol.Message{
 		&protocol.ExecuteQuery{Spec: spec},
 		&protocol.BarrierReady{Q: 42, Step: 3, Expect: 2, Solo: true, Drained: true},
@@ -68,8 +67,8 @@ func TestServingPathRoundTrips(t *testing.T) {
 }
 
 // TestExecuteQueryPreservesSpecIdentity checks that the fields forming
-// the serving layer's cache key — and the home-pinning execution hint —
-// survive the wire intact for every query kind.
+// the serving layer's cache key survive the wire intact for every query
+// kind.
 func TestExecuteQueryPreservesSpecIdentity(t *testing.T) {
 	specs := []query.Spec{
 		{ID: 1, Kind: query.KindSSSP, Source: 0, Target: 5},
@@ -77,16 +76,10 @@ func TestExecuteQueryPreservesSpecIdentity(t *testing.T) {
 		{ID: 3, Kind: query.KindPOI, Source: 9, Target: -1},
 		{ID: 4, Kind: query.KindPageRank, Source: 2, Target: -1, MaxIters: 20, Epsilon: 1e-4},
 	}
-	specs[1].SetHome(0) // worker 0 — encoding must not confuse it with "unpinned"
 	for _, sp := range specs {
 		got := roundTrip(t, &protocol.ExecuteQuery{Spec: sp}).(*protocol.ExecuteQuery)
 		if got.Spec != sp {
 			t.Errorf("spec round trip: got %+v, want %+v", got.Spec, sp)
-		}
-		gh, gok := got.Spec.HomeWorker()
-		wh, wok := sp.HomeWorker()
-		if gh != wh || gok != wok {
-			t.Errorf("home pinning lost: got (%d,%v), want (%d,%v)", gh, gok, wh, wok)
 		}
 	}
 }

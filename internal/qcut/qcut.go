@@ -76,21 +76,12 @@ type Move struct {
 	From, To partition.WorkerID
 }
 
-// TracePoint records the best-known cost after each ILS round (Fig. 6g).
-type TracePoint struct {
-	Round     int
-	Cost      int64
-	Perturbed bool
-	Elapsed   time.Duration
-}
-
 // Result is the outcome of one Q-cut run.
 type Result struct {
 	Moves       []Move
 	InitialCost int64
 	FinalCost   int64
 	Rounds      int
-	Trace       []TracePoint
 }
 
 // Run executes Q-cut on a snapshot. It always returns the best solution
@@ -108,7 +99,6 @@ func Run(in Input) Result {
 	deadline := func() bool {
 		return !in.Deadline.IsZero() && time.Now().After(in.Deadline)
 	}
-	start := time.Now()
 
 	// Initial solution: the running system's current assignment,
 	// rebalanced if it violates δ (Appendix A.3 — "all solution states
@@ -116,7 +106,6 @@ func Run(in Input) Result {
 	s.rebalance(rng)
 	s.localSearch(deadline)
 	best := s.clone()
-	res.Trace = append(res.Trace, TracePoint{Round: 0, Cost: best.cost(), Elapsed: time.Since(start)})
 
 	if !in.NoPerturbation {
 		stall := 0
@@ -132,10 +121,6 @@ func Run(in Input) Result {
 				stall++
 			}
 			res.Rounds = round
-			res.Trace = append(res.Trace, TracePoint{
-				Round: round, Cost: best.cost(), Perturbed: true,
-				Elapsed: time.Since(start),
-			})
 		}
 	}
 

@@ -78,35 +78,7 @@ type Spec struct {
 	// later versions while the query runs are invisible to it (MVCC
 	// snapshot isolation).
 	PinVersion uint64
-	// home pins the whole query to one worker (stored as worker+1 so the
-	// zero value means "no pinning"). See SetHome.
-	home int16
 }
-
-// SetHome pins the query to worker w: all its vertex processing happens
-// there regardless of vertex ownership. This is the query-based partial
-// replication extension (paper future work ii, cf. [28, 32]): the graph
-// structure is replicated on every worker and query writes are private, so
-// executing a query entirely at one home eliminates its query-cut at the
-// price of load concentration.
-func (s *Spec) SetHome(w int) { s.home = int16(w) + 1 }
-
-// ClearHome removes the pinning.
-func (s *Spec) ClearHome() { s.home = 0 }
-
-// HomeWorker returns the pinned worker, if any.
-func (s Spec) HomeWorker() (int, bool) {
-	if s.home == 0 {
-		return 0, false
-	}
-	return int(s.home) - 1, true
-}
-
-// homeWire exposes the raw pinning encoding for the transport codec.
-func (s Spec) HomeWire() int16 { return s.home }
-
-// SetHomeWire restores the raw pinning encoding (transport codec use).
-func (s *Spec) SetHomeWire(v int16) { s.home = v }
 
 // Validate checks the spec against a graph.
 func (s Spec) Validate(g graph.View) error {

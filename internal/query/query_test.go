@@ -203,25 +203,6 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
-func TestHomePinning(t *testing.T) {
-	var s Spec
-	if _, ok := s.HomeWorker(); ok {
-		t.Fatal("zero value must be unpinned")
-	}
-	s.SetHome(3)
-	if w, ok := s.HomeWorker(); !ok || w != 3 {
-		t.Fatalf("HomeWorker = %d,%v", w, ok)
-	}
-	s.ClearHome()
-	if _, ok := s.HomeWorker(); ok {
-		t.Fatal("ClearHome failed")
-	}
-	s.SetHome(0)
-	if w, ok := s.HomeWorker(); !ok || w != 0 {
-		t.Fatalf("worker 0 pinning broken: %d,%v", w, ok)
-	}
-}
-
 func TestKindStringAndNew(t *testing.T) {
 	for _, k := range []Kind{KindSSSP, KindPOI, KindBFS, KindPageRank} {
 		if k.String() == "" {

@@ -13,9 +13,8 @@ import (
 )
 
 // Key canonicalizes a query spec for result caching: two requests with the
-// same key compute the same result regardless of who asked or which query
-// ID the engine assigned. Home pinning is an execution hint, not part of
-// the semantic identity, so it is deliberately excluded.
+// same key compute the same result regardless of who asked, which query ID
+// the engine assigned, or which trace the request belongs to.
 type Key struct {
 	Kind     query.Kind
 	Source   graph.VertexID

@@ -387,11 +387,10 @@ func TestCacheDoesNotStoreUncacheable(t *testing.T) {
 	}
 }
 
-func TestKeyOfIgnoresIDAndHome(t *testing.T) {
+func TestKeyOfIgnoresIDAndTrace(t *testing.T) {
 	a := query.Spec{ID: 1, Kind: query.KindBFS, Source: 3, Target: 4}
-	b := query.Spec{ID: 99, Kind: query.KindBFS, Source: 3, Target: 4}
-	b.SetHome(2)
+	b := query.Spec{ID: 99, Kind: query.KindBFS, Source: 3, Target: 4, TraceID: 7}
 	if KeyOf(a) != KeyOf(b) {
-		t.Fatal("cache key must ignore query ID and home pinning")
+		t.Fatal("cache key must ignore query ID and trace ID")
 	}
 }

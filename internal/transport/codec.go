@@ -37,10 +37,12 @@ import (
 //	3 — ExecuteQuery gained Spec.PinVersion (MVCC snapshot pinning)
 //	4 — BarrierSynch gained NewBlocks (the scope's block set, which the
 //	    serving cache invalidates by)
+//	5 — ExecuteQuery lost its trailing u32 home-worker word (query
+//	    pinning was removed)
 //
 // The value is deliberately offset from small integers so a legacy
 // 1-byte [NodeID] handshake can never alias a valid version.
-const CodecVersion = 0xA0 + 4
+const CodecVersion = 0xA0 + 5
 
 type encoder struct{ buf []byte }
 
@@ -188,7 +190,6 @@ func Encode(m protocol.Message) ([]byte, error) {
 		e.f64(v.Spec.Epsilon)
 		e.u64(v.Spec.TraceID)
 		e.u64(v.Spec.PinVersion)
-		e.u32(uint32(uint16(v.Spec.HomeWire())))
 	case *protocol.BarrierReady:
 		e.i64(int64(v.Q))
 		e.i32(v.Step)
@@ -377,11 +378,6 @@ func Decode(t protocol.MsgType, payload []byte) (protocol.Message, error) {
 		v.Spec.Epsilon = d.f64()
 		v.Spec.TraceID = d.u64()
 		v.Spec.PinVersion = d.u64()
-		home := d.u32()
-		if home > math.MaxUint16 && d.err == nil {
-			d.err = fmt.Errorf("transport: query home %#x does not fit its 16 bits", home)
-		}
-		v.Spec.SetHomeWire(int16(uint16(home)))
 		m = v
 	case protocol.TBarrierReady:
 		v := &protocol.BarrierReady{}
@@ -634,7 +630,7 @@ const hdr = 5
 func WireSize(m protocol.Message) int {
 	switch v := m.(type) {
 	case *protocol.ExecuteQuery:
-		return hdr + 49
+		return hdr + 45
 	case *protocol.BarrierReady:
 		return hdr + 18
 	case *protocol.QueryFinish:

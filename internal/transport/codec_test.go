@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -95,11 +96,8 @@ func sampleMessages() []protocol.Message {
 		MaxIters: 100, Epsilon: 1e-9, TraceID: 0xDEADBEEFCAFE,
 		PinVersion: 0x1122334455667788,
 	}
-	pinned := spec
-	pinned.SetHome(3)
 	return []protocol.Message{
 		&protocol.ExecuteQuery{Spec: spec},
-		&protocol.ExecuteQuery{Spec: pinned},
 		&protocol.BarrierReady{Q: 42, Step: 17, Expect: 3, Solo: true, Drained: false},
 		&protocol.BarrierReady{Q: 1, Step: 0},
 		&protocol.QueryFinish{Q: 9, Reason: protocol.FinishEarly},
@@ -209,20 +207,40 @@ func TestCodecWireSizeExact(t *testing.T) {
 	}
 }
 
-// badBlockLists are BarrierSynch frames whose block list the decoder must
-// refuse: one declaring more blocks than the payload holds, one padding a
-// varint with a zero byte, and one stepping past the largest int32.
-func badBlockLists() [][]byte {
+// badFrames are frames the decoder must refuse, with the error each must
+// name ("" = any): three BarrierSynch block lists — one declaring more
+// blocks than the payload holds, one padding a varint with a zero byte, one
+// stepping past the largest int32 — and an ExecuteQuery from codec
+// generation 4, which carried a trailing u32 home-worker word.
+func badFrames() []struct {
+	name, err string
+	frame     []byte
+} {
 	with := func(list ...byte) []byte {
 		frame, _ := Encode(&protocol.BarrierSynch{})
 		frame = append(frame[:len(frame)-4], list...) // the empty list is its count
 		binary.LittleEndian.PutUint32(frame, uint32(len(frame)-5))
 		return frame
 	}
-	return [][]byte{
-		with(0xff, 0xff, 0xff, 0xff, 2, 2, 2),
-		with(1, 0, 0, 0, 0x82, 0x00),
-		with(2, 0, 0, 0, 0xfe, 0xff, 0xff, 0xff, 0x0f, 2),
+	// Spelled out byte by byte, as generation 4 wrote it: id 42, SSSP,
+	// source 7, target 9, zero max iters / epsilon / trace id / pin version,
+	// then the home word (4: pinned to worker 3, stored +1).
+	gen4 := binary.LittleEndian.AppendUint32(nil, 49)
+	gen4 = append(gen4, byte(protocol.TExecuteQuery))
+	gen4 = binary.LittleEndian.AppendUint64(gen4, 42)
+	gen4 = append(gen4, byte(query.KindSSSP))
+	gen4 = binary.LittleEndian.AppendUint32(gen4, 7)
+	gen4 = binary.LittleEndian.AppendUint32(gen4, 9)
+	gen4 = append(gen4, make([]byte, 4+8+8+8)...)
+	gen4 = binary.LittleEndian.AppendUint32(gen4, 4)
+	return []struct {
+		name, err string
+		frame     []byte
+	}{
+		{"block count past payload", "", with(0xff, 0xff, 0xff, 0xff, 2, 2, 2)},
+		{"padded varint", "", with(1, 0, 0, 0, 0x82, 0x00)},
+		{"block past int32", "", with(2, 0, 0, 0, 0xfe, 0xff, 0xff, 0xff, 0x0f, 2)},
+		{"generation-4 ExecuteQuery", "4 trailing bytes", gen4},
 	}
 }
 
@@ -251,9 +269,10 @@ func TestCodecRejectsCorrupt(t *testing.T) {
 	if _, err := Decode(protocol.MsgType(200), nil); err == nil {
 		t.Errorf("unknown type decoded")
 	}
-	for i, bad := range badBlockLists() {
-		if _, err := Decode(protocol.MsgType(bad[4]), bad[5:]); err == nil {
-			t.Errorf("bad block list %d decoded", i)
+	for _, bad := range badFrames() {
+		m, err := Decode(protocol.MsgType(bad.frame[4]), bad.frame[5:])
+		if err == nil || !strings.Contains(err.Error(), bad.err) {
+			t.Errorf("%s: decoded as %#v, err %v; want an error naming %q", bad.name, m, err, bad.err)
 		}
 	}
 }
@@ -313,8 +332,8 @@ func FuzzDecode(f *testing.F) {
 		}
 		f.Add(frame[4], frame[5:])
 	}
-	for _, bad := range badBlockLists() {
-		f.Add(bad[4], bad[5:])
+	for _, bad := range badFrames() {
+		f.Add(bad.frame[4], bad.frame[5:])
 	}
 	f.Fuzz(func(t *testing.T, typ uint8, payload []byte) {
 		// The widest in-memory element per wire byte is ScopeData's

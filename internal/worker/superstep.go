@@ -11,15 +11,9 @@ import (
 	"qgraph/internal/query"
 )
 
-// ownerOf resolves which worker processes vertex v for query qs: normally
-// the vertex owner, but queries pinned by the replication extension run
-// entirely at their home worker (query.Spec.SetHome).
-func (w *Worker) ownerOf(qs *queryState, v graph.VertexID) partition.WorkerID {
-	if home, ok := qs.spec.HomeWorker(); ok {
-		return partition.WorkerID(home)
-	}
-	return w.owner[v]
-}
+// batchMsgs is the vertex message batch size of Sec. 4.1(iv): 32 messages
+// a batch. At 12 bytes an entry the paper's 32 KB cap never binds.
+const batchMsgs = 32
 
 // stepResult summarises one computed superstep.
 type stepResult struct {
@@ -81,7 +75,7 @@ func (w *Worker) computeStep(qs *queryState, step int32) stepResult {
 	// query runs must be invisible to it (MVCC snapshot isolation).
 	g, spec, prog := qs.view, qs.spec, qs.prog
 	emit := func(to graph.VertexID, val float64) {
-		dst := w.ownerOf(qs, to)
+		dst := w.owner[to]
 		if dst == w.id {
 			w.combineIn(qs, step+1, to, val)
 			return
@@ -148,13 +142,12 @@ func (w *Worker) computeStep(qs *queryState, step int32) stepResult {
 	return res
 }
 
-// sendBatch ships entries to worker dst, splitting at the configured batch
-// limits (Sec. 4.1(iv)), and returns the number of batches sent.
+// sendBatch ships entries to worker dst, splitting them into batches of
+// batchMsgs, and returns the number of batches sent.
 func (w *Worker) sendBatch(q query.ID, step int32, dst partition.WorkerID, entries []protocol.VertexMsg) int32 {
-	maxEntries := max(1, min(w.cfg.BatchMaxMsgs, w.cfg.BatchMaxBytes/12)) // 12 bytes an entry
 	var batches int32
 	for len(entries) > 0 {
-		n := min(len(entries), maxEntries)
+		n := min(len(entries), batchMsgs)
 		w.conn.Send(protocol.WorkerNode(dst), &protocol.VertexBatch{
 			Q: q, Step: step, From: w.id, Gen: w.gen, Entries: entries[:n:n],
 		})

@@ -40,10 +40,6 @@ type Config struct {
 	// Owner is the initial vertex→worker assignment; the worker keeps a
 	// private copy and applies ownership updates to it.
 	Owner partition.Assignment
-	// BatchMaxMsgs / BatchMaxBytes bound vertex message batches
-	// (Sec. 4.1(iv): 32 messages / 32 KB per batch).
-	BatchMaxMsgs  int
-	BatchMaxBytes int
 	// ScopeTTL is how long at most a finished query is remembered (the
 	// monitoring window μ): its vertex set, for move directives, and its id.
 	ScopeTTL time.Duration
@@ -77,12 +73,6 @@ type Config struct {
 }
 
 func (c *Config) fill() {
-	if c.BatchMaxMsgs <= 0 {
-		c.BatchMaxMsgs = 32
-	}
-	if c.BatchMaxBytes <= 0 {
-		c.BatchMaxBytes = 32 << 10
-	}
 	if c.ScopeTTL <= 0 {
 		c.ScopeTTL = 240 * time.Second
 	}
@@ -572,7 +562,7 @@ func (w *Worker) onExecute(m *protocol.ExecuteQuery) error {
 		bestGoal:    query.NoResult,
 	}
 	for _, act := range prog.Init(qs.view, m.Spec) {
-		if w.ownerOf(qs, act.V) == w.id {
+		if w.owner[act.V] == w.id {
 			w.combineIn(qs, 0, act.V, act.Msg)
 		}
 	}
@@ -709,11 +699,11 @@ func (w *Worker) onVertexBatch(m *protocol.VertexBatch) error {
 func (w *Worker) deliverBatch(qs *queryState, m *protocol.VertexBatch) {
 	qs.recvBatches[m.Step]++
 	for _, e := range m.Entries {
-		if w.ownerOf(qs, e.To) != w.id {
+		if dst := w.owner[e.To]; dst != w.id {
 			// Should be impossible: ownership only changes while the
 			// network is drained. Count and forward defensively.
 			w.Forwarded++
-			w.sendBatch(qs.spec.ID, m.Step, w.ownerOf(qs, e.To), []protocol.VertexMsg{e})
+			w.sendBatch(qs.spec.ID, m.Step, dst, []protocol.VertexMsg{e})
 			continue
 		}
 		w.combineIn(qs, m.Step+1, e.To, e.Val)
