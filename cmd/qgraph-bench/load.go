@@ -31,7 +31,6 @@ type loadOptions struct {
 	Duration time.Duration
 	Mix      string // e.g. "sssp=0.6,bfs=0.3,pagerank=0.1"
 	Pool     int    // distinct queries drawn from (smaller = more cache hits)
-	Tenants  int
 	Timeout  time.Duration
 	Seed     uint64
 
@@ -99,9 +98,6 @@ func runLoad(o loadOptions) error {
 	}
 	if o.Pool < 1 {
 		o.Pool = 256
-	}
-	if o.Tenants < 1 {
-		o.Tenants = 1
 	}
 
 	// A fixed pool of distinct queries: repeats are what exercise the
@@ -200,7 +196,6 @@ func runLoad(o loadOptions) error {
 	// Per-goroutine randomness must not share rng; pre-draw choices.
 	for now := start; now.Sub(start) < o.Duration; now = <-ticker.C {
 		sp := pool[rng.IntN(len(pool))]
-		sp.Tenant = "tenant-" + strconv.Itoa(rng.IntN(o.Tenants))
 		sent.Add(1)
 		wg.Add(1)
 		go func(sp serve.QueryRequest) {
@@ -259,8 +254,8 @@ func runLoad(o loadOptions) error {
 	wall := time.Since(start)
 
 	sum := metrics.SummarizeRecords(records)
-	fmt.Printf("# open-loop load: %s for %s at %.0f req/s (%d tenants, pool %d)\n",
-		base, o.Duration, o.Rate, o.Tenants, o.Pool)
+	fmt.Printf("# open-loop load: %s for %s at %.0f req/s (pool %d)\n",
+		base, o.Duration, o.Rate, o.Pool)
 	fmt.Printf("sent=%d ok=%d rejected_429=%d expired_504=%d client_timeout=%d failed=%d worker_lost=%d\n",
 		sent.Load(), ok.Load(), rejected.Load(), expired.Load(), clientTimeout.Load(), failed.Load(),
 		workerLost.Load())

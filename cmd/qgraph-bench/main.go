@@ -48,7 +48,6 @@ func main() {
 		loadDur     = flag.Duration("load-duration", 10*time.Second, "how long to generate load (-load)")
 		loadMix     = flag.String("load-mix", "sssp=0.6,bfs=0.3,pagerank=0.1", "query kind mix (-load)")
 		loadPool    = flag.Int("load-pool", 256, "distinct query pool size; smaller = more cache hits (-load)")
-		loadTenants = flag.Int("load-tenants", 4, "tenants to spread requests over (-load)")
 		loadTimeout = flag.Duration("load-timeout", 10*time.Second, "client-side request timeout (-load)")
 
 		mutateRate    = flag.Float64("mutate-rate", 0, "mixed read/write mode: stream graph mutations at this many ops/s during -load")
@@ -69,7 +68,7 @@ func main() {
 		}
 		if err := runLoad(loadOptions{
 			URL: *load, Rate: *rate, Duration: *loadDur, Mix: *loadMix,
-			Pool: *loadPool, Tenants: *loadTenants, Timeout: *loadTimeout, Seed: s,
+			Pool: *loadPool, Timeout: *loadTimeout, Seed: s,
 			MutateRate: *mutateRate, MutateBatch: *mutateBatch, MutateWriters: *mutateWriters,
 			MutationsFile: *mutateFile,
 			KillPID:       *killPID, KillAfter: *killAfter, KillWorker: *killWorker,

@@ -137,15 +137,6 @@ func main() {
 		pprofAddr = flag.String("pprof-addr", "", "expose net/http/pprof on this host:port (empty disables)")
 		traceOn   = flag.Bool("trace", true, "per-query tracing for /trace and /traces (-serve); /metrics is unaffected")
 
-		watchdog     = flag.Bool("watchdog", true, "active health layer: straggler/stall/fsync/admission watchdogs, /events, /slo, incident flight recorder (controller)")
-		watchFactor  = flag.Float64("watch-straggler-factor", 4, "straggler detector k: flag a worker above k x its live peers' median per-step compute")
-		watchSteps   = flag.Int("watch-straggler-steps", 3, "straggler detector m: consecutive over-threshold supersteps before firing (and under before clearing)")
-		watchStall   = flag.Duration("watch-stall-timeout", 10*time.Second, "barrier-phase/superstep age after which the stall watchdog fires")
-		watchFsync   = flag.Duration("watch-fsync-spike", 50*time.Millisecond, "absolute floor for the WAL fsync spike detector")
-		watchAdmit   = flag.Float64("watch-admission-ratio", 0.9, "admission queue fill ratio at which the saturation detector fires")
-		sloTarget    = flag.Duration("slo-target", 250*time.Millisecond, "per-request latency target for /slo accounting")
-		sloObjective = flag.Float64("slo-objective", 0.99, "fraction of requests that must meet -slo-target (error budget = 1-objective)")
-
 		faultSlowCompute = flag.Duration("fault-slow-compute", 0, "TESTING: inflate every superstep's compute by sleeping this long (role=worker; exercises the straggler watchdog)")
 	)
 	flag.Parse()
@@ -290,26 +281,14 @@ func main() {
 		// exposes everything at /metrics, /trace, /traces.
 		o := obs.New(logger)
 		// The health monitor is shared the same way as Obs: the controller
-		// feeds compute/fsync/stall/lifecycle signals, the serving layer
-		// feeds admission/SLO signals and exposes /events, /slo, /healthz
-		// degradation, and the incident flight recorder.
-		var mon *health.Monitor
-		if *watchdog {
-			mon = health.New(health.Config{
-				StragglerFactor: *watchFactor,
-				StragglerSteps:  *watchSteps,
-				StallTimeout:    *watchStall,
-				FsyncSpikeMin:   *watchFsync,
-				AdmissionRatio:  *watchAdmit,
-				SLOTarget:       *sloTarget,
-				SLOObjective:    *sloObjective,
-			}, o)
-			transport.SetOnCodecReject(func(remote string, peerVersion, localVersion uint8) {
-				mon.Record(health.EventCodecReject, health.SevWarn, -1,
-					fmt.Sprintf("rejected peer %s: codec version %d != local %d", remote, peerVersion, localVersion),
-					map[string]any{"remote": remote, "peer_version": peerVersion, "local_version": localVersion})
-			})
-		}
+		// feeds compute/stall/lifecycle signals, the serving layer exposes
+		// /events and the /healthz degradation the detectors drive.
+		mon := health.New(health.Config{}, o)
+		transport.SetOnCodecReject(func(remote string, peerVersion, localVersion uint8) {
+			mon.Record(health.EventCodecReject, health.SevWarn, -1,
+				fmt.Sprintf("rejected peer %s: codec version %d != local %d", remote, peerVersion, localVersion),
+				map[string]any{"remote": remote, "peer_version": peerVersion, "local_version": localVersion})
+		})
 		ctrl, err := controller.New(controller.Config{
 			K: k, Graph: baseG, Owner: assign, Adapt: *adapt, Recorder: rec,
 			Obs: o, Monitor: mon,

@@ -1,0 +1,104 @@
+package qgraph_test
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"path/filepath"
+	"regexp"
+	"slices"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// foreignFlags are flags of other tools that README.md quotes inline:
+// the Go toolchain's and curl's.
+var foreignFlags = map[string]bool{
+	"race": true, "count": true, "run": true, "fuzz": true, "fuzztime": true, // go test
+	"s": true, "d": true, // curl
+}
+
+// TestReadmeFlagsAreDeclared checks that every `-flag` README.md quotes
+// inline is declared by one of the commands under cmd/, so a flag that
+// is renamed or deleted cannot live on in the docs.
+func TestReadmeFlagsAreDeclared(t *testing.T) {
+	b, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	readme := string(b)
+	declared := declaredFlags(t)
+	if bad := undeclared(readme, declared); len(bad) > 0 {
+		t.Fatalf("README.md quotes flags no command declares: %v", bad)
+	}
+	planted := readme + "\nTune it with `-watch-stall-timeout`.\n"
+	if bad := undeclared(planted, declared); !slices.Equal(bad, []string{"-watch-stall-timeout"}) {
+		t.Fatalf("a planted stale flag went unnoticed: undeclared = %v", bad)
+	}
+}
+
+var (
+	fence      = regexp.MustCompile("(?ms)^```.*?^```")
+	inlineCode = regexp.MustCompile("`([^`]+)`")
+	flagToken  = regexp.MustCompile(`^-([a-z][a-z0-9-]*)(=.*)?$`)
+)
+
+// undeclared returns, sorted and once each, the flags quoted in inline
+// code spans of md that are neither declared nor foreign.
+func undeclared(md string, declared map[string]bool) []string {
+	md = fence.ReplaceAllString(md, "")
+	var bad []string
+	for _, span := range inlineCode.FindAllStringSubmatch(md, -1) {
+		for _, tok := range strings.Fields(span[1]) {
+			m := flagToken.FindStringSubmatch(tok)
+			if m == nil || declared[m[1]] || foreignFlags[m[1]] {
+				continue
+			}
+			if !slices.Contains(bad, "-"+m[1]) {
+				bad = append(bad, "-"+m[1])
+			}
+		}
+	}
+	slices.Sort(bad)
+	return bad
+}
+
+// declaredFlags returns the names of every flag.X("name", ...) call in
+// the commands' sources.
+func declaredFlags(t *testing.T) map[string]bool {
+	t.Helper()
+	files, err := filepath.Glob("cmd/*/*.go")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no command sources under cmd/: %v", err)
+	}
+	names := make(map[string]bool)
+	fset := token.NewFileSet()
+	for _, path := range files {
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) == 0 {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+				return true
+			}
+			if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				if name, err := strconv.Unquote(lit.Value); err == nil {
+					names[name] = true
+				}
+			}
+			return true
+		})
+	}
+	return names
+}

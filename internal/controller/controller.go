@@ -155,8 +155,8 @@ type Config struct {
 	// logging. Nil disables all of it at zero cost.
 	Obs *obs.Obs
 	// Monitor is the active health layer (internal/obs/health): the
-	// controller feeds it per-worker compute times, fsync latency, stall
-	// ages, and lifecycle events. Nil disables the watchdogs at the cost
+	// controller feeds it per-worker compute times, stall ages, and
+	// lifecycle events. Nil disables the watchdogs at the cost
 	// of a nil check per signal.
 	Monitor *health.Monitor
 	// Clock abstracts time for tests; nil means time.Now.

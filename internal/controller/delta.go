@@ -164,14 +164,10 @@ func (c *Controller) onWalAck(ack wal.AppendAck) error {
 		// which the contract allows — durable-but-unacked may survive).
 		return nil
 	}
-	if ack.First && c.cfg.WAL != nil {
-		d := time.Duration(ack.FsyncUS) * time.Microsecond
-		if co := c.obs; co != nil {
-			co.walFsyncSeconds.Observe(d.Seconds())
-			co.walFsyncCount.Inc()
-			co.fsyncBatchSize.Observe(float64(ack.GroupSize))
-		}
-		c.cfg.Monitor.ObserveFsync(d)
+	if co := c.obs; co != nil && ack.First && c.cfg.WAL != nil {
+		co.walFsyncSeconds.Observe(float64(ack.FsyncUS) / 1e6)
+		co.walFsyncCount.Inc()
+		co.fsyncBatchSize.Observe(float64(ack.GroupSize))
 	}
 	if c.phase == phaseRecover {
 		// Applying would move the committed version mid-round, under the

@@ -29,22 +29,18 @@ func sevRank(s Severity) int {
 
 // Event type strings. Detections carry the detector's evidence in
 // Fields; lifecycle events mirror what the engine already logs so the
-// ring is a self-contained incident timeline.
+// ring is a self-contained timeline.
 const (
 	EventStraggler      = "event_straggler"
 	EventStragglerClear = "event_straggler_clear"
 	EventBarrierStall   = "event_barrier_stall"
 	EventQueryStall     = "event_query_stall"
 	EventStallClear     = "event_stall_clear"
-	EventFsyncSpike     = "event_fsync_spike"
-	EventAdmissionSat   = "event_admission_saturation"
-	EventAdmissionClear = "event_admission_clear"
 	EventWorkerDead     = "event_worker_dead"
 	EventRecovery       = "event_recovery"
 	EventTerminal       = "event_terminal"
 	EventSnapshotCut    = "event_snapshot_cut"
 	EventCodecReject    = "event_codec_reject"
-	EventIncident       = "event_incident"
 )
 
 // Event is one entry of the bounded structured event log.
@@ -54,8 +50,7 @@ type Event struct {
 	Type     string         `json:"type"`
 	Severity Severity       `json:"severity"`
 	Msg      string         `json:"msg"`
-	Worker   int            `json:"worker"`             // worker id the event concerns, -1 when not worker-scoped
-	Incident int64          `json:"incident,omitempty"` // incident id this event opened, if any
+	Worker   int            `json:"worker"` // worker id the event concerns, -1 when not worker-scoped
 	Fields   map[string]any `json:"fields,omitempty"`
 }
 
@@ -78,15 +73,11 @@ type EventLog struct {
 	n    int // filled slots, <= len(ring)
 }
 
-// DefaultEventRing bounds how many events are retained.
-const DefaultEventRing = 512
+// eventRing bounds how many events a Monitor retains.
+const eventRing = 512
 
-// NewEventLog builds a log retaining up to capacity events (<=0 selects
-// DefaultEventRing).
-func NewEventLog(capacity int) *EventLog {
-	if capacity <= 0 {
-		capacity = DefaultEventRing
-	}
+// newEventLog builds a log retaining up to capacity events.
+func newEventLog(capacity int) *EventLog {
 	return &EventLog{ring: make([]Event, capacity)}
 }
 

@@ -7,11 +7,10 @@ import (
 	"qgraph/internal/obs/health"
 )
 
-// This file serves the active health layer's HTTP surfaces: the bounded
-// structured event log, per-tenant SLO accounting, and the incident
-// flight recorder. All endpoints degrade gracefully to empty responses
-// when no Monitor is wired in, so probes and dashboards need no
-// deployment-mode branching.
+// This file serves the active health layer's bounded structured event
+// log. The endpoint degrades gracefully to an empty list when no Monitor
+// is wired in, so probes and dashboards need no deployment-mode
+// branching.
 
 // eventsResponse is the GET /events body.
 type eventsResponse struct {
@@ -48,49 +47,4 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		events = []health.Event{}
 	}
 	writeJSON(w, http.StatusOK, eventsResponse{Events: events})
-}
-
-// handleSLO reports per-tenant SLO accounting: latency quantiles,
-// goodput, and error-budget burn against the configured target.
-func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
-	v := s.cfg.Monitor.SLOReport()
-	if v.Tenants == nil {
-		v.Tenants = map[string]health.TenantSLOView{}
-	}
-	writeJSON(w, http.StatusOK, v)
-}
-
-// handleIncident serves one flight-recorder bundle by id; "latest"
-// returns the newest retained bundle.
-func (s *Server) handleIncident(w http.ResponseWriter, r *http.Request) {
-	raw := r.PathValue("id")
-	var id int64
-	if raw != "latest" {
-		var err error
-		id, err = strconv.ParseInt(raw, 10, 64)
-		if err != nil || id <= 0 {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: `bad incident id (a positive integer or "latest")`})
-			return
-		}
-	}
-	inc, ok := s.cfg.Monitor.Incident(id)
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "no such incident (the ring retains a bounded number)"})
-		return
-	}
-	writeJSON(w, http.StatusOK, inc)
-}
-
-// incidentsResponse is the GET /debug/incidents body.
-type incidentsResponse struct {
-	Incidents []health.IncidentRef `json:"incidents"`
-}
-
-// handleIncidents lists retained incident bundles newest-first.
-func (s *Server) handleIncidents(w http.ResponseWriter, r *http.Request) {
-	refs := s.cfg.Monitor.Incidents()
-	if refs == nil {
-		refs = []health.IncidentRef{}
-	}
-	writeJSON(w, http.StatusOK, incidentsResponse{Incidents: refs})
 }

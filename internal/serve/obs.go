@@ -77,7 +77,7 @@ func (s *Server) registerMetrics() {
 // to worker logs. A nonzero spec.TraceID (an inbound X-QGraph-Trace-ID)
 // is honored so this node's spans join the caller's tree. Returns nil
 // when tracing is disabled.
-func (s *Server) beginTrace(spec *query.Spec, tenant string) *obs.Trace {
+func (s *Server) beginTrace(spec *query.Spec) *obs.Trace {
 	tr := s.tracer.BeginWithID("query", spec.TraceID)
 	if tr == nil {
 		return nil
@@ -85,7 +85,6 @@ func (s *Server) beginTrace(spec *query.Spec, tenant string) *obs.Trace {
 	spec.TraceID = tr.ID()
 	root := tr.Root()
 	root.SetAttr("kind", spec.Kind.String())
-	root.SetAttr("tenant", tenant)
 	root.SetAttr("query", int64(spec.ID))
 	s.tracer.BindQuery(int64(spec.ID), tr)
 	return tr
@@ -142,8 +141,7 @@ func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 
 // handleTraces serves GET /traces?slowest=N: the N slowest completed
 // traces in the retention ring, slowest first. Optional filters narrow
-// the view before the N cutoff: ?tenant= keeps traces whose root span
-// carries that tenant attribute, ?min_ms= keeps traces at least that
+// the view before the N cutoff: ?min_ms= keeps traces at least that
 // slow.
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	n := 10
@@ -155,7 +153,6 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		}
 		n = v
 	}
-	tenant := r.URL.Query().Get("tenant")
 	minMS := 0.0
 	if raw := r.URL.Query().Get("min_ms"); raw != "" {
 		v, err := strconv.ParseFloat(raw, 64)
@@ -166,23 +163,16 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		minMS = v
 	}
 	views := s.obs.T().Slowest(n)
-	if tenant != "" || minMS > 0 {
+	if minMS > 0 {
 		// Filters apply before the N cutoff: refetch the whole completed
 		// ring so a filtered view isn't starved by unrelated slow traces.
 		_, completed := s.obs.T().Occupancy()
 		views = s.obs.T().Slowest(completed)
 		kept := views[:0]
 		for _, v := range views {
-			if minMS > 0 && v.DurationMS < minMS {
-				continue
+			if v.DurationMS >= minMS {
+				kept = append(kept, v)
 			}
-			if tenant != "" {
-				t, _ := v.Root.Attrs["tenant"].(string)
-				if t != tenant {
-					continue
-				}
-			}
-			kept = append(kept, v)
 		}
 		views = kept
 		if len(views) > n {

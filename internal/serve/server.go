@@ -100,10 +100,9 @@ type Config struct {
 	// trace endpoints alive (used to measure tracing overhead).
 	NoTrace bool
 	// Monitor is the active health layer (internal/obs/health), shared
-	// with the engine. The serving layer feeds it admission depth and
-	// per-tenant SLO outcomes and serves its HTTP surfaces (/events,
-	// /slo, /debug/incident/{id}); its detectors drive /healthz from ok
-	// to degraded. Nil disables all of it.
+	// with the engine. The serving layer serves its event log on /events,
+	// and its straggler and stall detectors drive /healthz from ok to
+	// degraded. Nil disables both.
 	Monitor *health.Monitor
 	// NodeID and Role identify this node on the X-QGraph-Node response
 	// header ("<id>/<role>"), so a client behind a load balancer can tell
@@ -164,7 +163,7 @@ func (c *Config) fill() error {
 	return nil
 }
 
-// Server is the multi-tenant HTTP front-end over one Q-Graph controller.
+// Server is the HTTP front-end over one Q-Graph controller.
 type Server struct {
 	cfg    Config
 	admit  *Admission
@@ -215,9 +214,6 @@ func New(cfg Config) (*Server, error) {
 	// version the engine already holds.
 	cfg.Backend.OnCommit(s.onCommit)
 	s.onCommit(cfg.Backend.GraphVersion(), nil)
-	// Incident bundles embed the exact state /stats serializes at the
-	// moment a detector fires.
-	s.cfg.Monitor.SetStatsFn(func() any { return s.statsSnapshot() })
 	return s, nil
 }
 
@@ -235,11 +231,8 @@ func (s *Server) Counters() *Counters { return s.ctr }
 //	GET  /metrics         the same counters in Prometheus text format
 //	GET  /trace/{query_id} span tree + phase attribution of one query
 //	GET  /trace/by-id/{trace_id}  the same, looked up by propagated trace ID
-//	GET  /traces          slowest completed traces (?slowest=N&tenant=T&min_ms=X)
+//	GET  /traces          slowest completed traces (?slowest=N&min_ms=X)
 //	GET  /events          health event log (?type=...&severity=...&n=N)
-//	GET  /slo             per-tenant SLO accounting (latency, goodput, burn)
-//	GET  /debug/incident/{id}  one incident flight-recorder bundle ("latest" works)
-//	GET  /debug/incidents list of retained incident bundles
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /query", s.handleQuery)
@@ -253,9 +246,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /trace/by-id/{trace_id}", s.handleTraceByID)
 	mux.HandleFunc("GET /traces", s.handleTraces)
 	mux.HandleFunc("GET /events", s.handleEvents)
-	mux.HandleFunc("GET /slo", s.handleSLO)
-	mux.HandleFunc("GET /debug/incident/{id}", s.handleIncident)
-	mux.HandleFunc("GET /debug/incidents", s.handleIncidents)
 	node := s.cfg.NodeID
 	if s.cfg.Role != "" {
 		node += "/" + s.cfg.Role
@@ -309,8 +299,6 @@ type QueryRequest struct {
 	Target   *int64  `json:"target,omitempty"`
 	MaxIters int     `json:"max_iters,omitempty"`
 	Epsilon  float64 `json:"epsilon,omitempty"`
-	// Tenant scopes weighted-fair queueing; empty means "default".
-	Tenant string `json:"tenant,omitempty"`
 	// TimeoutMS overrides the server's default request deadline.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// NoCache bypasses result-cache lookup and storage.
@@ -486,10 +474,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if spec.TraceID != 0 {
 		w.Header().Set(TraceHeader, strconv.FormatUint(spec.TraceID, 10))
 	}
-	tenant := req.Tenant
-	if tenant == "" {
-		tenant = "default"
-	}
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutMS > 0 {
 		// Compare in milliseconds before converting: a huge timeout_ms
@@ -510,7 +494,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// A request the cache can answer (or coalesce) consumes no engine
 		// capacity, so it is admitted even with a full queue — matching
 		// the sync path, which consults the cache before admission.
-		if s.admit.Full(tenant) {
+		if s.admit.Full() {
 			if req.NoCache || !s.cache.Peek(KeyOf(spec)) {
 				s.ctr.Rejected.Add(1)
 				w.Header().Set("Retry-After", s.retryAfter())
@@ -519,8 +503,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		// Results are retrieved by an unguessable token, not the sequential
-		// engine id: tenancy carries no authentication, so enumerable ids
-		// would let any client read other tenants' results.
+		// engine id: requests carry no authentication, so enumerable ids
+		// would let any client read other clients' results.
 		token := newResultToken()
 		spec.ID = query.ID(s.nextID.Add(1))
 		if !s.storePending(token) {
@@ -534,7 +518,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			defer s.wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), timeout)
 			defer cancel()
-			resp, code, errBody := s.execute(ctx, spec, req, tenant)
+			resp, code, errBody := s.execute(ctx, spec, req)
 			resp.ID = token
 			s.storeDone(token, resp, code, errBody)
 		}()
@@ -547,7 +531,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	spec.ID = query.ID(s.nextID.Add(1))
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
-	resp, code, errBody := s.execute(ctx, spec, req, tenant)
+	resp, code, errBody := s.execute(ctx, spec, req)
 	if resp.TraceID != 0 {
 		w.Header().Set(TraceHeader, strconv.FormatUint(resp.TraceID, 10))
 	}
@@ -619,13 +603,10 @@ type healthzResponse struct {
 	RepartitionEpoch int64  `json:"repartition_epoch"`
 	DeadWorkers      []int  `json:"dead_workers,omitempty"`
 	// Stragglers lists workers the straggler watchdog currently flags;
-	// Stalled marks an active barrier/superstep deadline breach;
-	// ActiveIncidents names unresolved flight-recorder bundles
-	// (GET /debug/incident/{id}).
-	Stragglers      []int   `json:"stragglers,omitempty"`
-	Stalled         bool    `json:"stalled,omitempty"`
-	ActiveIncidents []int64 `json:"active_incidents,omitempty"`
-	Recoveries      int64   `json:"recoveries,omitempty"`
+	// Stalled marks an active barrier/superstep deadline breach.
+	Stragglers []int `json:"stragglers,omitempty"`
+	Stalled    bool  `json:"stalled,omitempty"`
+	Recoveries int64 `json:"recoveries,omitempty"`
 	// WALOpsSinceCheckpoint counts committed ops covered only by the WAL
 	// (no durable checkpoint yet) — the replay a restart right now would
 	// pay. Growth without bound means checkpointing has stalled.
@@ -765,14 +746,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	code := http.StatusOK
 	h := s.cfg.Backend.Health()
 	resp.DeadWorkers = h.DeadWorkers
-	// Refresh the saturation detector on the health probe too, so a
-	// saturation observed under load clears once traffic stops (the
-	// request path stops feeding it).
-	s.feedAdmission()
 	hs := s.cfg.Monitor.Snapshot()
 	resp.Stragglers = hs.Stragglers
 	resp.Stalled = hs.Stalled
-	resp.ActiveIncidents = hs.ActiveIncidents
 	switch {
 	case h.Degraded:
 		// Terminal: no live workers. Nothing will complete.
@@ -796,12 +772,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.statsSnapshot())
-}
-
-// statsSnapshot builds the /stats body; incident bundles embed the same
-// shape via the monitor's stats callback.
-func (s *Server) statsSnapshot() StatsResponse {
 	var resp StatsResponse
 	resp.Serve = s.ctr.Snapshot(s.cfg.Clock())
 	resp.Admission = s.admit.Stats()
@@ -820,7 +790,7 @@ func (s *Server) statsSnapshot() StatsResponse {
 	resp.Snapshot = s.cfg.Backend.SnapshotStats()
 	resp.WAL = s.cfg.Backend.WALStats()
 	resp.MVCC = s.cfg.Backend.MVCCStats()
-	return resp
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // handleSnapshot triggers a checkpoint on demand (operators force one
@@ -850,10 +820,10 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 // request's trace: opened (and bound to the query id) before anything
 // else so the controller and workers can extend the tree, finished on
 // every return path so the ring's occupancy returns to baseline.
-func (s *Server) execute(ctx context.Context, spec query.Spec, req QueryRequest, tenant string) (QueryResponse, int, *errorResponse) {
+func (s *Server) execute(ctx context.Context, spec query.Spec, req QueryRequest) (QueryResponse, int, *errorResponse) {
 	started := s.cfg.Clock()
-	tr := s.beginTrace(&spec, tenant)
-	resp, code, errBody := s.executeTraced(ctx, tr, spec, req, tenant, started)
+	tr := s.beginTrace(&spec)
+	resp, code, errBody := s.executeTraced(ctx, tr, spec, req, started)
 	resp.TraceID = tr.ID()
 	if errBody == nil {
 		tr.Root().SetAttr("status", code)
@@ -863,36 +833,10 @@ func (s *Server) execute(ctx context.Context, spec query.Spec, req QueryRequest,
 	s.tracer.Finish(tr)
 	s.observeRequest(started,
 		time.Duration(resp.EngineMS*float64(time.Millisecond)), errBody == nil)
-	s.cfg.Monitor.ObserveRequest(tenant, s.cfg.Clock().Sub(started), outcomeClass(code, errBody))
-	s.feedAdmission()
 	return resp, code, errBody
 }
 
-// outcomeClass maps an HTTP outcome to the SLO ledger's buckets.
-func outcomeClass(code int, errBody *errorResponse) string {
-	switch {
-	case errBody == nil:
-		return "completed"
-	case code == http.StatusTooManyRequests:
-		return "rejected"
-	case code == http.StatusGatewayTimeout:
-		return "expired"
-	default:
-		return "failed"
-	}
-}
-
-// feedAdmission refreshes the saturation detector from the scheduler's
-// live queue depth.
-func (s *Server) feedAdmission() {
-	if s.cfg.Monitor == nil {
-		return
-	}
-	st := s.admit.Stats()
-	s.cfg.Monitor.ObserveAdmission(st.Queued, st.MaxQueue, s.ctr.Rejected.Load())
-}
-
-func (s *Server) executeTraced(ctx context.Context, tr *obs.Trace, spec query.Spec, req QueryRequest, tenant string, started time.Time) (QueryResponse, int, *errorResponse) {
+func (s *Server) executeTraced(ctx context.Context, tr *obs.Trace, spec query.Spec, req QueryRequest, started time.Time) (QueryResponse, int, *errorResponse) {
 	key := KeyOf(spec)
 	var flight *Flight
 	if req.NoCache {
@@ -949,7 +893,7 @@ func (s *Server) executeTraced(ctx context.Context, tr *obs.Trace, spec query.Sp
 	}
 
 	admitSpan := tr.StartSpan(nil, "admission")
-	release, wait, err := s.admit.Acquire(ctx, tenant)
+	release, wait, err := s.admit.Acquire(ctx)
 	admitSpan.End()
 	if err != nil {
 		s.cache.Complete(flight, Outcome{}, err)

@@ -302,6 +302,17 @@ func TestQueryBasicAndValidation(t *testing.T) {
 			t.Fatalf("request %+v: got %d, want 400", bad, code)
 		}
 	}
+	// The decoder is strict: a field the API does not have, such as the
+	// retired "tenant", is a 400 rather than silently ignored.
+	resp, err := http.Post(ts.URL+"/query", "application/json",
+		bytes.NewReader([]byte(`{"kind":"sssp","source":3,"target":5,"tenant":"a"}`)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf(`body with "tenant": got %d, want 400`, resp.StatusCode)
+	}
 }
 
 func TestHealthz(t *testing.T) {
@@ -383,7 +394,7 @@ func TestAdmissionRejectionUnderLoad(t *testing.T) {
 	b := newStubBackend()
 	b.block = make(chan struct{})
 	s, ts := newTestServer(t, b, func(c *Config) {
-		c.Admit = AdmitConfig{MaxInFlight: 2, MaxQueue: 2, MaxQueuePerTenant: 2}
+		c.Admit = AdmitConfig{MaxInFlight: 2, MaxQueue: 2}
 	})
 
 	// 4 distinct queries fill the in-flight set and the queue.
@@ -603,10 +614,7 @@ func TestServeEndToEnd(t *testing.T) {
 
 	srv, err := New(Config{
 		Backend: eng.Controller(), GraphID: 7,
-		Admit: AdmitConfig{
-			MaxInFlight: 8, MaxQueue: 8,
-			Weights: map[string]float64{"gold": 4},
-		},
+		Admit: AdmitConfig{MaxInFlight: 8, MaxQueue: 8},
 	})
 	if err != nil {
 		t.Fatalf("serve.New: %v", err)
@@ -652,7 +660,6 @@ func TestServeEndToEnd(t *testing.T) {
 		totalQueries = 520
 		concurrency  = 32
 	)
-	tenants := []string{"gold", "silver", "bronze", "default"}
 	work := make(chan int, totalQueries)
 	for i := 0; i < totalQueries; i++ {
 		work <- i
@@ -668,7 +675,6 @@ func TestServeEndToEnd(t *testing.T) {
 			defer wg.Done()
 			for i := range work {
 				p := pool[i%len(pool)]
-				p.req.Tenant = tenants[i%len(tenants)]
 				body, _ := json.Marshal(p.req)
 				for attempt := 0; ; attempt++ {
 					resp, err := client.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
@@ -720,7 +726,7 @@ func TestServeEndToEnd(t *testing.T) {
 		// by holding every admission slot and flooding cache misses.
 		var rels []func()
 		for i := 0; i < 8; i++ {
-			rel, _, err := srv.admit.Acquire(context.Background(), "holder")
+			rel, _, err := srv.admit.Acquire(context.Background())
 			if err != nil {
 				t.Fatalf("saturating admission: %v", err)
 			}

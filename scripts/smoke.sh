@@ -15,7 +15,7 @@
 # and restart with -wal-dir; the recovered version must equal the last
 # acknowledged one and the answers must match a never-crashed control run.
 # Scenario 5: a deterministically slow worker must trip the straggler
-# watchdog (/events, incident bundle, /slo burn, degraded /healthz).
+# watchdog (/events, degraded /healthz, the per-worker step gauge).
 # Scenario 8: the MVCC commit pipeline under hot commits, then kill -9.
 # (Numbers 6 and 7 drove the replica/router roles, removed in PR 23.)
 set -euo pipefail
@@ -392,11 +392,12 @@ echo "SMOKE OK: kill -9 at version $lastack, restart recovered exactly v$ver4; f
 # ---------------------------------------------------------------------------
 # Scenario 5: active health layer — worker 0 is deterministically slow
 # (the worker/compute-slow faultpoint armed by -fault-slow-compute), so
-# under mixed-tenant load the straggler watchdog must fire: an
-# event_straggler on /events naming worker 0, an incident bundle with the
-# per-worker compute table, tenant error-budget burn on /slo, and
-# /healthz degraded with a stragglers field. (The recover-to-ok half of
-# the cycle is covered race-clean by TestStragglerWatchdogEndToEnd.)
+# under mixed load the straggler watchdog must fire on its defaults (the
+# 5ms worker is ~50x its peers, the detector's k is 4): an
+# event_straggler on /events naming worker 0, /healthz degraded with a
+# stragglers field, and qgraph_worker_step_ewma_ms on /metrics showing
+# worker 0 far above its peers. (The recover-to-ok half of the cycle is
+# covered race-clean by TestStragglerWatchdogEndToEnd.)
 
 ADDRS5="127.0.0.1:7761,127.0.0.1:7762,127.0.0.1:7763,127.0.0.1:7764"
 SERVE5="127.0.0.1:7805"
@@ -407,13 +408,12 @@ SERVE5="127.0.0.1:7805"
 "$workdir/qgraphd" -role worker -id 2 -graph "$workdir/g.qgr" -addrs "$ADDRS5" &
 sleep 1
 "$workdir/qgraphd" -role controller -graph "$workdir/g.qgr" -addrs "$ADDRS5" \
-  -serve "$SERVE5" -commit-every 100ms \
-  -watch-straggler-factor 3 -watch-straggler-steps 3 -slo-target 10ms &
+  -serve "$SERVE5" -commit-every 100ms &
 ctrl5=$!
 wait_healthy "$SERVE5" || { echo "SMOKE FAIL: scenario-5 deployment never healthy"; exit 1; }
 
 out5=$("$workdir/qgraph-bench" -load "http://$SERVE5" -rate 100 -load-duration 6s \
-  -load-pool 32 -load-tenants 4 -mutate-rate 50 -mutate-batch 20 \
+  -load-pool 32 -mutate-rate 50 -mutate-batch 20 \
   -mutations "$workdir/g.qgr.mut")
 echo "$out5"
 
@@ -421,8 +421,6 @@ echo "$out5"
 health5=$(curl -s "http://$SERVE5/healthz")
 echo "$health5"
 events5=$(curl -s "http://$SERVE5/events?type=event_straggler")
-incident5=$(curl -s "http://$SERVE5/debug/incident/latest")
-slo5=$(curl -s "http://$SERVE5/slo")
 metrics5=$(curl -s "http://$SERVE5/metrics")
 
 kill -INT "$ctrl5" >/dev/null 2>&1 || true
@@ -436,28 +434,23 @@ grep -q '"worker":0' <<<"$events5" || { echo "SMOKE FAIL: straggler event does n
 grep -q '"status":"degraded"' <<<"$health5" || { echo "SMOKE FAIL: /healthz not degraded under a straggler"; fail=1; }
 grep -q '"stragglers":\[0\]' <<<"$health5" || { echo "SMOKE FAIL: /healthz missing stragglers field"; fail=1; }
 
-# The flight recorder captured a bundle carrying the per-worker compute table.
-grep -q '"trigger":{"seq"' <<<"$incident5" || { echo "SMOKE FAIL: no incident bundle captured"; fail=1; }
-grep -q '"workers":\[' <<<"$incident5" || { echo "SMOKE FAIL: incident bundle has no compute table"; fail=1; }
-grep -q '"straggler":true' <<<"$incident5" || { echo "SMOKE FAIL: compute table does not flag the straggler"; fail=1; }
-
-# Every tenant's requests ride the slow worker, so at a 10ms target the
-# SLO ledger must show budget burn for the bench tenants.
-grep -q '"tenant-0"' <<<"$slo5" || { echo "SMOKE FAIL: /slo missing bench tenants"; fail=1; }
-maxburn=$(grep -o '"burn_rate":[0-9.e+-]*' <<<"$slo5" | sed 's/.*://' | sort -g | tail -1)
-awk -v b="${maxburn:-0}" 'BEGIN { exit (b > 0 ? 0 : 1) }' || {
-  echo "SMOKE FAIL: /slo shows no error-budget burn (max $maxburn)"; fail=1; }
+# The per-worker step gauge shows worker 0 well above its peers (at least
+# 4x, the detector's k, over the slowest of them).
+ewma5=$(grep '^qgraph_worker_step_ewma_ms{' <<<"$metrics5" || true)
+echo "$ewma5"
+awk '/worker="0"/ { w0 = $2; next } { if ($2 > peer) peer = $2; n++ }
+  END { exit (n > 0 && w0 > 4 * peer && w0 >= 1 ? 0 : 1) }' <<<"$ewma5" || {
+  echo "SMOKE FAIL: qgraph_worker_step_ewma_ms does not show worker 0 well above its peers"; fail=1; }
 
 # Health metric families and the heartbeat RTT gauge are on /metrics.
 grep -q '^qgraph_health_stragglers_total [1-9]' <<<"$metrics5" || { echo "SMOKE FAIL: straggler counter not on /metrics"; fail=1; }
 grep -q 'qgraph_worker_ping_rtt_seconds{worker="0"}' <<<"$metrics5" || { echo "SMOKE FAIL: heartbeat RTT gauge missing"; fail=1; }
-grep -q 'qgraph_tenant_slo_burn{tenant="tenant-0"}' <<<"$metrics5" || { echo "SMOKE FAIL: per-tenant burn gauge missing"; fail=1; }
 
 if [ "$fail" -ne 0 ]; then
   exit 1
 fi
 stragglerev=$(grep -o '"msg":"[^"]*"' <<<"$events5" | head -1)
-echo "SMOKE OK: straggler detected under mixed load (${stragglerev}), incident captured, tenant burn ${maxburn}"
+echo "SMOKE OK: straggler detected under mixed load (${stragglerev})"
 
 # ---------------------------------------------------------------------------
 # Scenario 8: the MVCC commit pipeline — mutations commit off the global
