@@ -264,3 +264,24 @@ func TestCoordDist(t *testing.T) {
 		t.Fatalf("Dist = %v, want 5", d)
 	}
 }
+
+// TestDijkstraAllocations: the reference search allocates its distance slice
+// and its heap's growth, not one box per push — it is the oracle every
+// sampled benchmark answer is checked against.
+func TestDijkstraAllocations(t *testing.T) {
+	const side = 100
+	rng := rand.New(rand.NewPCG(4, 4))
+	b := NewBuilder(side * side)
+	for v := VertexID(0); v < side*side; v++ {
+		if v%side+1 < side {
+			b.AddBiEdge(v, v+1, float32(1+rng.IntN(9)))
+		}
+		if v+side < side*side {
+			b.AddBiEdge(v, v+side, float32(1+rng.IntN(9)))
+		}
+	}
+	g := b.MustBuild()
+	if n := testing.AllocsPerRun(5, func() { Dijkstra(g, 0) }); n > 32 {
+		t.Fatalf("Dijkstra on a %d×%d grid allocates %v times, want at most 32", side, side, n)
+	}
+}

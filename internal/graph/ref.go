@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"container/heap"
-	"math"
-)
+import "math"
 
 // This file holds sequential reference algorithms. They are the ground
 // truth the distributed engine is validated against in tests: whatever the
@@ -13,76 +10,18 @@ import (
 // Inf is the distance assigned to unreachable vertices.
 const Inf = math.MaxFloat64
 
-type pqItem struct {
-	v    VertexID
-	dist float64
-}
-
-type priorityQueue []pqItem
-
-func (p priorityQueue) Len() int            { return len(p) }
-func (p priorityQueue) Less(i, j int) bool  { return p[i].dist < p[j].dist }
-func (p priorityQueue) Swap(i, j int)       { p[i], p[j] = p[j], p[i] }
-func (p *priorityQueue) Push(x interface{}) { *p = append(*p, x.(pqItem)) }
-func (p *priorityQueue) Pop() interface{} {
-	old := *p
-	n := len(old)
-	it := old[n-1]
-	*p = old[:n-1]
-	return it
-}
-
 // Dijkstra computes shortest-path distances from source to every vertex.
 // Unreachable vertices get Inf.
 func Dijkstra(g *Graph, source VertexID) []float64 {
-	dist := make([]float64, g.NumVertices())
-	for i := range dist {
-		dist[i] = Inf
-	}
-	dist[source] = 0
-	pq := &priorityQueue{{source, 0}}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(pqItem)
-		if it.dist > dist[it.v] {
-			continue
-		}
-		for _, e := range g.Out(it.v) {
-			nd := it.dist + float64(e.Weight)
-			if nd < dist[e.To] {
-				dist[e.To] = nd
-				heap.Push(pq, pqItem{e.To, nd})
-			}
-		}
-	}
+	dist, _, _ := search(g, source, func(VertexID) bool { return false })
 	return dist
 }
 
 // DijkstraTo computes the shortest-path distance from source to target,
 // stopping as soon as the target is settled. Returns Inf if unreachable.
 func DijkstraTo(g *Graph, source, target VertexID) float64 {
-	dist := make([]float64, g.NumVertices())
-	for i := range dist {
-		dist[i] = Inf
-	}
-	dist[source] = 0
-	pq := &priorityQueue{{source, 0}}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(pqItem)
-		if it.v == target {
-			return it.dist
-		}
-		if it.dist > dist[it.v] {
-			continue
-		}
-		for _, e := range g.Out(it.v) {
-			nd := it.dist + float64(e.Weight)
-			if nd < dist[e.To] {
-				dist[e.To] = nd
-				heap.Push(pq, pqItem{e.To, nd})
-			}
-		}
-	}
-	return Inf
+	_, _, d := search(g, source, func(v VertexID) bool { return v == target })
+	return d
 }
 
 // NearestTagged finds the tagged vertex with the smallest travel time from
@@ -92,29 +31,82 @@ func NearestTagged(g *Graph, source VertexID) (VertexID, float64) {
 	if !g.HasTags() {
 		return NilVertex, Inf
 	}
+	_, v, d := search(g, source, g.Tagged)
+	return v, d
+}
+
+// search settles vertices in order of distance from source, stopping at the
+// first one done accepts: it returns that vertex and its distance (NilVertex
+// and Inf if none), and the tentative distance of every vertex so far.
+func search(g *Graph, source VertexID, done func(VertexID) bool) ([]float64, VertexID, float64) {
 	dist := make([]float64, g.NumVertices())
 	for i := range dist {
 		dist[i] = Inf
 	}
 	dist[source] = 0
-	pq := &priorityQueue{{source, 0}}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(pqItem)
+	pq := distHeap{{source, 0}}
+	for len(pq) > 0 {
+		it := pq.pop()
 		if it.dist > dist[it.v] {
 			continue
 		}
-		if g.Tagged(it.v) {
-			return it.v, it.dist
+		if done(it.v) {
+			return dist, it.v, it.dist
 		}
 		for _, e := range g.Out(it.v) {
 			nd := it.dist + float64(e.Weight)
 			if nd < dist[e.To] {
 				dist[e.To] = nd
-				heap.Push(pq, pqItem{e.To, nd})
+				pq.push(pqItem{e.To, nd})
 			}
 		}
 	}
-	return NilVertex, Inf
+	return dist, NilVertex, Inf
+}
+
+type pqItem struct {
+	v    VertexID
+	dist float64
+}
+
+// distHeap is a binary min-heap by dist. It sifts exactly as container/heap
+// does, so equal distances settle in the same order, but holds its items
+// unboxed: a push allocates nothing beyond the slice's growth.
+type distHeap []pqItem
+
+func (h *distHeap) push(it pqItem) {
+	*h = append(*h, it)
+	q := *h
+	for j := len(q) - 1; j > 0; {
+		i := (j - 1) / 2
+		if q[j].dist >= q[i].dist {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+func (h *distHeap) pop() pqItem {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && q[j2].dist < q[j].dist {
+			j = j2
+		}
+		if q[j].dist >= q[i].dist {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	*h = q[:n]
+	return q[n]
 }
 
 // BFSHops computes hop counts from source (edge weights ignored);

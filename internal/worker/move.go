@@ -32,7 +32,7 @@ func (w *Worker) onMoveScope(m *protocol.MoveScope) error {
 	// is an empty no-op and the controller learns that from the ack).
 	verts := make(map[graph.VertexID]bool)
 	if qs, ok := w.queries[m.Q]; ok {
-		for v := range qs.data {
+		for _, v := range qs.data.keys {
 			if !w.arrived[v] {
 				verts[v] = true
 			}
@@ -52,26 +52,30 @@ func (w *Worker) onMoveScope(m *protocol.MoveScope) error {
 		byV[v] = &protocol.MovedVertex{V: v}
 	}
 	for q2, qs2 := range w.queries {
-		forShared(qs2.data, verts, func(v graph.VertexID, val float64) {
-			byV[v].Values = append(byV[v].Values, protocol.QueryValue{Q: q2, Val: val})
-			delete(qs2.data, v)
-			if blk := int32(v) >> sigShift; qs2.sig[blk] > 1 {
-				qs2.sig[blk]--
-			} else {
-				delete(qs2.sig, blk)
+		// Ranging backwards, del only moves visited entries.
+		for i := qs2.data.len() - 1; i >= 0; i-- {
+			if v := qs2.data.keys[i]; verts[v] {
+				byV[v].Values = append(byV[v].Values, protocol.QueryValue{Q: q2, Val: qs2.data.vals[i]})
+				qs2.data.del(v)
+				blk := graph.VertexID(protocol.BlockOf(v))
+				if n, _ := qs2.sig.get(blk); n > 1 {
+					qs2.sig.set(blk, n-1)
+				} else {
+					qs2.sig.del(blk)
+				}
 			}
-		})
+		}
 		for step, box := range qs2.inbox {
-			for v, val := range box {
-				if verts[v] {
-					byV[v].Pending = append(byV[v].Pending, protocol.PendingMsg{Q: q2, Step: step, Val: val})
-					delete(box, v)
+			for i := box.len() - 1; i >= 0; i-- {
+				if v := box.keys[i]; verts[v] {
+					byV[v].Pending = append(byV[v].Pending, protocol.PendingMsg{Q: q2, Step: step, Val: box.vals[i]})
+					box.del(v)
 				}
 			}
 		}
 	}
 	for _, fs2 := range w.finishOrder {
-		forShared(fs2.verts, verts, func(v graph.VertexID, _ bool) {
+		forShared(fs2.verts, verts, func(v graph.VertexID) {
 			byV[v].Finished = append(byV[v].Finished, fs2.q)
 			delete(fs2.verts, v)
 			fs2.sig.add(v, -1)
@@ -100,19 +104,19 @@ func (w *Worker) onMoveScope(m *protocol.MoveScope) error {
 
 // forShared calls fn for every vertex of scope that is also in verts (fn may
 // delete it from scope). It iterates the smaller set, so a barrier costs
-// O(total scope mass), not O(moved vertices × resident queries).
-func forShared[T any](scope map[graph.VertexID]T, verts map[graph.VertexID]bool, fn func(graph.VertexID, T)) {
+// O(total scope mass), not O(moved vertices × remembered queries).
+func forShared(scope, verts map[graph.VertexID]bool, fn func(graph.VertexID)) {
 	if len(scope) <= len(verts) {
-		for v, x := range scope {
+		for v := range scope {
 			if verts[v] {
-				fn(v, x)
+				fn(v)
 			}
 		}
 		return
 	}
 	for v := range verts {
-		if x, ok := scope[v]; ok {
-			fn(v, x)
+		if scope[v] {
+			fn(v)
 		}
 	}
 }
@@ -138,10 +142,10 @@ func (w *Worker) onScopeData(m *protocol.ScopeData) error {
 		w.arrived[mv.V] = true
 		for _, qv := range mv.Values {
 			if qs, ok := w.queries[qv.Q]; ok {
-				if _, had := qs.data[mv.V]; !had {
+				if _, had := qs.data.get(mv.V); !had {
 					qs.touch(mv.V)
 				}
-				qs.data[mv.V] = qv.Val
+				qs.data.set(mv.V, qv.Val)
 			} else {
 				// The query finished while the move was decided; keep the
 				// vertex in its remembered scope so the hotspot stays

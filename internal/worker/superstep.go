@@ -67,7 +67,7 @@ func (w *Worker) computeStep(qs *queryState, step int32) stepResult {
 	delete(qs.inbox, step)
 
 	res := stepResult{
-		processed:   int32(len(box)),
+		processed:   int32(box.len()),
 		minFrontier: query.NoResult,
 		sent:        make([]int32, w.k),
 	}
@@ -82,27 +82,29 @@ func (w *Worker) computeStep(qs *queryState, step int32) stepResult {
 		}
 		buf := w.outBuf[dst]
 		if buf == nil {
-			buf = w.boxes.get()
+			buf = w.table()
 			w.outBuf[dst] = buf
 		}
-		combine(buf, prog, to, val)
+		buf.combine(to, val, prog)
 	}
 
-	for v, msg := range box {
-		old, hasOld := qs.data[v]
-		newVal, changed := prog.Compute(g, spec, v, old, hasOld, msg, emit)
-		if !changed {
-			continue
+	if box != nil {
+		for i, v := range box.keys {
+			old, hasOld := qs.data.get(v)
+			newVal, changed := prog.Compute(g, spec, v, old, hasOld, box.vals[i], emit)
+			if !changed {
+				continue
+			}
+			if !hasOld {
+				qs.touch(v)
+			}
+			qs.data.set(v, newVal)
+			if prog.Goal(g, spec, v, newVal) && newVal < qs.bestGoal {
+				qs.bestGoal = newVal
+			}
 		}
-		if !hasOld {
-			qs.touch(v)
-		}
-		qs.data[v] = newVal
-		if prog.Goal(g, spec, v, newVal) && newVal < qs.bestGoal {
-			qs.bestGoal = newVal
-		}
+		w.free(box)
 	}
-	w.boxes.put(box)
 	if w.cfg.ComputeCost > 0 && res.processed > 0 {
 		// Accumulate simulated compute and sleep in ~1ms quanta: short
 		// sleeps oversleep by scheduler granularity, which would inflate
@@ -118,26 +120,29 @@ func (w *Worker) computeStep(qs *queryState, step int32) stepResult {
 	// frontier bound.
 	for dst := 0; dst < w.k; dst++ {
 		buf := w.outBuf[dst]
-		if len(buf) == 0 {
+		if buf == nil {
 			continue
 		}
 		w.outBuf[dst] = nil
-		entries := make([]protocol.VertexMsg, 0, len(buf))
-		for v, val := range buf {
-			entries = append(entries, protocol.VertexMsg{To: v, Val: val})
-			res.minFrontier = min(res.minFrontier, val)
+		entries := make([]protocol.VertexMsg, 0, buf.len())
+		for i, v := range buf.keys {
+			entries = append(entries, protocol.VertexMsg{To: v, Val: buf.vals[i]})
+			res.minFrontier = min(res.minFrontier, buf.vals[i])
 		}
-		w.boxes.put(buf)
+		w.free(buf)
 		res.sent[dst] = w.sendBatch(qs.spec.ID, step, partition.WorkerID(dst), entries)
 		res.sentTotal += res.sent[dst]
 	}
 
 	// Local activations pending for the next superstep also bound the
 	// frontier.
-	for _, val := range qs.inbox[step+1] {
-		res.minFrontier = min(res.minFrontier, val)
+	next := qs.inbox[step+1]
+	if next != nil {
+		for _, val := range next.vals {
+			res.minFrontier = min(res.minFrontier, val)
+		}
 	}
-	res.nActiveNext = int32(len(qs.inbox[step+1]))
+	res.nActiveNext = int32(next.len())
 	qs.step = step + 1
 	return res
 }
@@ -168,7 +173,7 @@ func (w *Worker) sendSynch(q query.ID, qs *queryState, fromStep, step int32, res
 		if s == step+1 {
 			continue // already folded in
 		}
-		for _, val := range box {
+		for _, val := range box.vals {
 			minFrontier = min(minFrontier, val)
 		}
 	}
@@ -183,7 +188,7 @@ func (w *Worker) sendSynch(q query.ID, qs *queryState, fromStep, step int32, res
 		Processed:   res.processed,
 		NActiveNext: res.nActiveNext,
 		ComputeNS:   computeNS,
-		ScopeSize:   int32(len(qs.data)),
+		ScopeSize:   int32(qs.data.len()),
 		SentBatches: res.sent,
 		BestGoal:    qs.bestGoal,
 		MinFrontier: minFrontier,

@@ -1,11 +1,13 @@
 package worker
 
 import (
+	"maps"
 	"math/rand/v2"
 	"slices"
 	"testing"
 	"time"
 
+	"qgraph/internal/delta"
 	"qgraph/internal/graph"
 	"qgraph/internal/partition"
 	"qgraph/internal/protocol"
@@ -24,25 +26,29 @@ func (c *recConn) Send(_ protocol.NodeID, m protocol.Message) error {
 func (c *recConn) Inbox() <-chan transport.Envelope { return nil }
 func (c *recConn) Close() error                     { return nil }
 
-// syncWorker is worker 0 of k over a line graph of n vertices it owns
-// entirely, on a clock the test advances.
+// syncWorker is worker 0 of k on a clock the test advances.
 type syncWorker struct {
-	t    *testing.T
+	t    testing.TB
 	w    *Worker
 	conn *recConn
 	now  time.Time
 }
 
-func newSyncWorker(t *testing.T, k, n int, ttl time.Duration) *syncWorker {
+// newSyncWorker runs over a line graph of n vertices worker 0 owns entirely.
+func newSyncWorker(t testing.TB, k, n int, ttl time.Duration) *syncWorker {
 	t.Helper()
 	b := graph.NewBuilder(n)
 	for v := 0; v+1 < n; v++ {
 		b.AddBiEdge(graph.VertexID(v), graph.VertexID(v+1), 1)
 	}
-	g := b.MustBuild()
+	return newSyncWorkerOn(t, k, b.MustBuild(), make(partition.Assignment, n), ttl)
+}
+
+func newSyncWorkerOn(t testing.TB, k int, g *graph.Graph, owner partition.Assignment, ttl time.Duration) *syncWorker {
+	t.Helper()
 	s := &syncWorker{t: t, conn: &recConn{}, now: time.Unix(1000, 0)}
 	w, err := New(Config{
-		ID: 0, K: k, Graph: g, Owner: make(partition.Assignment, n),
+		ID: 0, K: k, Graph: g, Owner: owner,
 		ScopeTTL: ttl, Clock: func() time.Time { return s.now },
 	}, s.conn)
 	if err != nil {
@@ -81,8 +87,8 @@ func (s *syncWorker) runQuery(q query.ID, src graph.VertexID, iters int) *protoc
 	return fin
 }
 
-// mapOverlap is the reference the frozen-signature merge must equal: the
-// Σ_block min walk over two map signatures.
+// mapOverlap is the reference intersections must equal: the Σ_block min walk
+// over two map signatures.
 func mapOverlap(a, b map[int32]int32) (shared int32) {
 	for blk, ca := range a {
 		shared += min(ca, b[blk])
@@ -243,51 +249,93 @@ func TestScopeDataRemembersNoNewQueries(t *testing.T) {
 	}
 }
 
-// TestFrozenSigEqualsMapSig: the sorted-slice signature agrees with the map
-// form it replaced — same blocks after any sequence of the adds and strips
-// scope moves perform, and the same overlap for every pair.
+// TestFrozenSigEqualsMapSig: the signatures a worker keeps agree with the map
+// form they replaced. Over more finishes than the window holds, a frozen
+// signature holds the same blocks as its map after the adds and strips scope
+// moves perform, and intersections reports exactly the Σ_block min of
+// mapOverlap for every window partner and every live partner, live ones in
+// ascending id. Halfway, the graph grows by as many blocks again, so scopes
+// then hold blocks past the scratch intersections had sized.
 func TestFrozenSigEqualsMapSig(t *testing.T) {
+	const blocks = 64
 	rng := rand.New(rand.NewPCG(22, 22))
-	const n = 24
-	maps := make([]map[int32]int32, n)
-	sigs := make([]frozenSig, n)
-	for i := range maps {
-		maps[i] = make(map[int32]int32)
-		for j, blocks := 0, rng.IntN(40); j < blocks; j++ {
-			maps[i][int32(rng.IntN(64))] = int32(1 + rng.IntN(64))
+	s := newSyncWorker(t, 1, blocks<<sigShift, time.Hour)
+	universe := blocks
+	randomSig := func() map[int32]int32 {
+		m := make(map[int32]int32)
+		for j, n := 0, rng.IntN(40); j < n; j++ {
+			m[int32(rng.IntN(universe))] = int32(1 + rng.IntN(64))
 		}
-		sigs[i] = freezeSig(maps[i])
+		return m
 	}
-	check := func(round int) {
-		t.Helper()
-		for i := range sigs {
-			if !slices.Equal(sigs[i], freezeSig(maps[i])) {
-				t.Fatalf("round %d: signature %d = %v, map form %v", round, i, sigs[i], maps[i])
+	sigTable := func(m map[int32]int32) *table {
+		tb := newTable()
+		for blk, n := range m {
+			tb.set(graph.VertexID(blk), float64(n))
+		}
+		return tb
+	}
+	finished := map[query.ID]map[int32]int32{} // the map form of every finished scope
+	liveIDs := []query.ID{900, 300, 600}
+	for i := 1; i <= protocol.WindowQueries+12; i++ {
+		if i == 70 {
+			grow := &protocol.DeltaBatch{Version: 1, NewOwners: make([]partition.WorkerID, blocks<<sigShift)}
+			for range grow.NewOwners {
+				grow.Ops = append(grow.Ops, delta.Op{Kind: delta.OpAddVertex})
 			}
-			for j := range sigs {
-				if got, want := sigs[i].overlap(sigs[j]), mapOverlap(maps[i], maps[j]); got != want {
-					t.Fatalf("round %d: overlap(%d,%d) = %d, map form %d", round, i, j, got, want)
+			s.deliver(grow)
+			if len(s.w.scratch) > blocks+1 {
+				t.Fatalf("scratch covers %d blocks before the graph grew", len(s.w.scratch))
+			}
+			universe = 2 * blocks
+		}
+		// What moves do to remembered scopes: strip a vertex out of one, bring
+		// one into another.
+		for _, old := range s.w.window() {
+			m := finished[old.q]
+			if blk := int32(rng.IntN(universe)); m[blk] > 0 && rng.IntN(4) == 0 {
+				old.sig.add(graph.VertexID(blk<<sigShift), -1)
+				if m[blk]--; m[blk] == 0 {
+					delete(m, blk)
 				}
+			} else if rng.IntN(8) == 0 {
+				old.sig.add(graph.VertexID(blk<<sigShift+1), 1)
+				m[blk]++
 			}
+			if !slices.Equal(old.sig, freezeSig(sigTable(m))) {
+				t.Fatalf("finish %d: signature of %d = %v, map form %v", i, old.q, old.sig, m)
+			}
+		}
+		live := map[query.ID]map[int32]int32{}
+		for _, q := range liveIDs {
+			live[q] = randomSig()
+			s.w.queries[q] = &queryState{sig: sigTable(live[q])}
+		}
+		m := randomSig()
+		fs := &finishedScope{q: query.ID(i), at: s.now, sig: freezeSig(sigTable(m))}
+		finished[fs.q] = m
+		s.w.remember(fs)
+
+		var want []protocol.IntersectionStat
+		for _, old := range s.w.window() {
+			if shared := mapOverlap(m, finished[old.q]); shared > 0 && old != fs {
+				want = append(want, protocol.IntersectionStat{Q1: fs.q, Q2: old.q, Shared: shared})
+			}
+		}
+		for _, q := range slices.Sorted(maps.Keys(live)) {
+			if shared := mapOverlap(m, live[q]); shared > 0 {
+				want = append(want, protocol.IntersectionStat{Q1: fs.q, Q2: q, Shared: shared})
+			}
+		}
+		if got := s.w.intersections(fs); !slices.Equal(got, want) {
+			t.Fatalf("finish %d reports %v, map form %v", i, got, want)
+		}
+		if slices.ContainsFunc(s.w.scratch, func(n int32) bool { return n != 0 }) {
+			t.Fatalf("finish %d left its signature in the scratch", i)
 		}
 	}
-	check(0)
-	for round := 1; round <= 20; round++ {
-		for op := 0; op < 200; op++ {
-			i, v := rng.IntN(n), graph.VertexID(rng.IntN(64<<sigShift))
-			blk := int32(v) >> sigShift
-			if rng.IntN(2) == 0 {
-				sigs[i].add(v, 1)
-				maps[i][blk]++
-			} else {
-				// What onMoveScope does to a live query's map.
-				sigs[i].add(v, -1)
-				if maps[i][blk]--; maps[i][blk] <= 0 {
-					delete(maps[i], blk)
-				}
-			}
-		}
-		check(round)
+	if len(s.w.scratch) <= blocks+1 {
+		t.Fatalf("scratch covers %d blocks after the graph grew to %d", len(s.w.scratch), 2*blocks)
 	}
 }
 

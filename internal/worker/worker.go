@@ -15,6 +15,7 @@ import (
 	"cmp"
 	"fmt"
 	"log/slog"
+	"maps"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -85,7 +86,7 @@ func (c *Config) fill() {
 }
 
 // queryState is the worker-local state of one query: its private vertex
-// data (the local query scope) and per-superstep inboxes.
+// data (the local query scope) and per-superstep inboxes, each a table.
 type queryState struct {
 	spec query.Spec
 	prog query.Program
@@ -98,13 +99,14 @@ type queryState struct {
 
 	// data holds the query-private value of every vertex the query touched
 	// on this worker; its key set is LS(q, w).
-	data map[graph.VertexID]float64
-	// sig is the scope's signature (see frozenSig) while it still grows;
-	// newBlocks are the blocks that entered it since the last barrier report.
-	sig       map[int32]int32
+	data *table
+	// sig is the scope's signature (see frozenSig) while it still grows, keyed
+	// by block; newBlocks are the blocks that entered it since the last
+	// barrier report.
+	sig       *table
 	newBlocks []int32
 	// inbox[s] holds combined messages to be consumed by superstep s.
-	inbox map[int32]map[graph.VertexID]float64
+	inbox map[int32]*table
 	// recvBatches[s] counts vertex batches received that were sent during
 	// superstep s (consumed by s+1); the barrier release waits on it.
 	recvBatches map[int32]int32
@@ -134,34 +136,17 @@ type sigBlock struct{ blk, n int32 } // n touched vertices in id block blk
 // frozenSig is a coarse signature of a finished scope: touched vertices per
 // sigShift-sized id block, sorted by block. Intersection statistics are
 // estimated from signatures instead of exact key-set walks, which makes the
-// Iw report (Sec. 3.4) a linear merge of O(scope/2^sigShift) per query pair
+// Iw report (Sec. 3.4) a pass over O(scope/2^sigShift) blocks per query pair
 // — the clustering that consumes them only needs affinity.
 type frozenSig []sigBlock
 
-func freezeSig(sig map[int32]int32) frozenSig {
-	out := make(frozenSig, 0, len(sig))
-	for blk, n := range sig {
-		out = append(out, sigBlock{blk, n})
+func freezeSig(sig *table) frozenSig {
+	out := make(frozenSig, 0, sig.len())
+	for i, blk := range sig.keys {
+		out = append(out, sigBlock{int32(blk), int32(sig.vals[i])})
 	}
 	slices.SortFunc(out, func(a, b sigBlock) int { return cmp.Compare(a.blk, b.blk) })
 	return out
-}
-
-// overlap estimates |A ∩ B| from two signatures as Σ_block min(a, b).
-func (a frozenSig) overlap(b frozenSig) (shared int32) {
-	for i, j := 0, 0; i < len(a) && j < len(b); {
-		switch {
-		case a[i].blk < b[j].blk:
-			i++
-		case a[i].blk > b[j].blk:
-			j++
-		default:
-			shared += min(a[i].n, b[j].n)
-			i++
-			j++
-		}
-	}
-	return shared
 }
 
 // add counts vertex v into (d = 1) or out of (d = -1) the signature.
@@ -258,11 +243,14 @@ type Worker struct {
 	computeDebt time.Duration
 
 	// outBuf[dst] stages the running superstep's emissions to worker dst.
-	outBuf []map[graph.VertexID]float64
-	// boxes recycles the per-superstep maps (inboxes, out buffers), datas and
-	// sigs what a finished query leaves: a scope is far larger than a frontier.
-	boxes, datas mapPool[graph.VertexID, float64]
-	sigs         mapPool[int32, int32]
+	outBuf []*table
+	// tables is the free list of the tables consumed inboxes, flushed out
+	// buffers and finished queries give back: growing fresh ones per (query,
+	// superstep) was half of what a query allocated.
+	tables []*table
+	// scratch is the dense signature intersections scatters a finishing
+	// scope into, one counter per block of the graph; zero between calls.
+	scratch []int32
 }
 
 // New creates a worker bound to conn.
@@ -289,7 +277,7 @@ func New(cfg Config, conn transport.Conn) (*Worker, error) {
 		recvTotals:      make([]uint64, cfg.K),
 		scopeSentTotals: make([]uint64, cfg.K),
 		scopeRecvTotals: make([]uint64, cfg.K),
-		outBuf:          make([]map[graph.VertexID]float64, cfg.K),
+		outBuf:          make([]*table, cfg.K),
 		joining:         cfg.Rejoin,
 	}
 	return w, nil
@@ -522,7 +510,7 @@ func (w *Worker) resetForRecovery(gen int32, owner []partition.WorkerID) {
 	w.ready = nil
 	w.pendingDrain = nil
 	w.arrived = nil
-	w.outBuf = make([]map[graph.VertexID]float64, w.k)
+	w.outBuf = make([]*table, w.k)
 	for i := range w.sentTotals {
 		w.sentTotals[i], w.recvTotals[i] = 0, 0
 		w.scopeSentTotals[i], w.scopeRecvTotals[i] = 0, 0
@@ -555,9 +543,9 @@ func (w *Worker) onExecute(m *protocol.ExecuteQuery) error {
 		spec:        m.Spec,
 		prog:        prog,
 		view:        w.view,
-		data:        w.datas.get(),
-		sig:         w.sigs.get(),
-		inbox:       make(map[int32]map[graph.VertexID]float64),
+		data:        w.table(),
+		sig:         w.table(),
+		inbox:       make(map[int32]*table),
 		recvBatches: make(map[int32]int32),
 		bestGoal:    query.NoResult,
 	}
@@ -586,55 +574,40 @@ func (w *Worker) onExecute(m *protocol.ExecuteQuery) error {
 	return nil
 }
 
-// mapPool recycles a worker's short-lived maps: growing fresh ones per (query,
-// superstep) was half of what a query allocated and widened the spread between
-// runs of one seed (CHANGES.md, PR 22). A map that held more than maxPooledMap
-// entries is let go: clearing and ranging cost capacity, which never shrinks.
-type mapPool[K comparable, V any] []map[K]V
-
-const maxPooledMap = 4096
-
-func (p *mapPool[K, V]) get() map[K]V {
-	if n := len(*p); n > 0 {
-		m := (*p)[n-1]
-		*p = (*p)[:n-1]
-		return m
+// table takes an empty table off the free list.
+func (w *Worker) table() *table {
+	if n := len(w.tables); n > 0 {
+		t := w.tables[n-1]
+		w.tables = w.tables[:n-1]
+		return t
 	}
-	return make(map[K]V)
+	return newTable()
 }
 
-// put empties m and keeps it; the caller must hold no other reference.
-func (p *mapPool[K, V]) put(m map[K]V) {
-	if m != nil && len(m) <= maxPooledMap {
-		clear(m)
-		*p = append(*p, m)
-	}
+// free empties t onto the free list; the caller must hold no other reference.
+func (w *Worker) free(t *table) {
+	t.reset()
+	w.tables = append(w.tables, t)
 }
 
 // touch counts first-touched vertex v into the scope signature.
 func (qs *queryState) touch(v graph.VertexID) {
-	blk, blocks := protocol.BlockOf(v), len(qs.sig)
-	if qs.sig[blk]++; len(qs.sig) > blocks { // no block stays at zero
+	blk := protocol.BlockOf(v)
+	n, ok := qs.sig.get(graph.VertexID(blk))
+	if !ok { // no block stays at zero
 		qs.newBlocks = append(qs.newBlocks, blk)
 	}
+	qs.sig.set(graph.VertexID(blk), n+1)
 }
 
 // combineIn merges a message for vertex v into the inbox of superstep s.
 func (w *Worker) combineIn(qs *queryState, s int32, v graph.VertexID, val float64) {
 	box := qs.inbox[s]
 	if box == nil {
-		box = w.boxes.get()
+		box = w.table()
 		qs.inbox[s] = box
 	}
-	combine(box, qs.prog, v, val)
-}
-
-// combine folds val into box[v] with the program's combiner.
-func combine(box map[graph.VertexID]float64, prog query.Program, v graph.VertexID, val float64) {
-	if old, ok := box[v]; ok {
-		val = prog.Combine(old, val)
-	}
-	box[v] = val
+	box.combine(v, val, qs.prog)
 }
 
 // onBarrierReady releases (or defers) the next superstep of a query.
@@ -800,15 +773,15 @@ func (w *Worker) onFinish(m *protocol.QueryFinish) error {
 	if !ok {
 		return nil
 	}
-	fs.verts = make(map[graph.VertexID]bool, len(qs.data))
-	for v := range qs.data {
+	fs.verts = make(map[graph.VertexID]bool, qs.data.len())
+	for _, v := range qs.data.keys {
 		fs.verts[v] = true
 	}
 	fs.sig = freezeSig(qs.sig)
-	w.sigs.put(qs.sig)
-	w.datas.put(qs.data)
+	w.free(qs.sig)
+	w.free(qs.data)
 	for _, box := range qs.inbox {
-		w.boxes.put(box)
+		w.free(box)
 	}
 	return w.conn.Send(protocol.ControllerNode, &protocol.BarrierSynch{
 		Q: m.Q, W: w.id,
@@ -851,21 +824,45 @@ func (w *Worker) window() []*finishedScope {
 // against its still-growing partner stands in until then. Finished partners
 // matter most: queries of one hotspot rarely overlap in time, and these
 // temporal chains let Q-cut's clustering move a hotspot as a unit.
+//
+// Each estimate is Σ_block min over the two signatures, taken in one pass
+// over the partner's blocks against fs scattered into w.scratch. Live
+// partners come in ascending id, so a report is the same on every run.
 func (w *Worker) intersections(fs *finishedScope) []protocol.IntersectionStat {
+	// Every scope's vertices are below len(w.owner), which grows with the
+	// graph (onDeltaBatch).
+	if n := len(w.owner)>>sigShift + 1; len(w.scratch) < n {
+		w.scratch = make([]int32, n)
+	}
+	scratch := w.scratch
+	for _, b := range fs.sig {
+		scratch[b.blk] = b.n
+	}
 	var out []protocol.IntersectionStat
 	for _, old := range w.window() {
-		if shared := fs.sig.overlap(old.sig); shared > 0 && old != fs {
+		if old == fs {
+			continue
+		}
+		var shared int32
+		for _, b := range old.sig {
+			shared += min(scratch[b.blk], b.n)
+		}
+		if shared > 0 {
 			out = append(out, protocol.IntersectionStat{Q1: fs.q, Q2: old.q, Shared: shared})
 		}
 	}
-	for q2, qs2 := range w.queries {
+	for _, q2 := range slices.Sorted(maps.Keys(w.queries)) {
 		var shared int32
-		for _, b := range fs.sig {
-			shared += min(b.n, qs2.sig[b.blk])
+		sig := w.queries[q2].sig
+		for i, blk := range sig.keys {
+			shared += min(scratch[blk], int32(sig.vals[i]))
 		}
 		if shared > 0 {
 			out = append(out, protocol.IntersectionStat{Q1: fs.q, Q2: q2, Shared: shared})
 		}
+	}
+	for _, b := range fs.sig {
+		scratch[b.blk] = 0
 	}
 	return out
 }
