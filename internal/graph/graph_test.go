@@ -3,6 +3,8 @@ package graph
 import (
 	"bytes"
 	"math/rand/v2"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -107,6 +109,46 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		if loaded.Tagged(VertexID(v)) != g2.Tagged(VertexID(v)) {
 			t.Fatalf("vertex %d tag mismatch", v)
 		}
+	}
+}
+
+// goldenGraph is the graph testdata/golden.qgr holds: coords, tags, a
+// zero-weight edge (1 → 2) and a vertex with no out-edges (3).
+func goldenGraph() *Graph {
+	b := NewBuilder(5)
+	b.AddEdge(0, 1, 1.5)
+	b.AddEdge(0, 3, 2.75)
+	b.AddEdge(1, 2, 0)
+	b.AddEdge(2, 0, 3.25)
+	b.AddEdge(4, 0, 0.5)
+	b.SetCoords([]Coord{{X: 0, Y: 0}, {X: 1.5, Y: -2}, {X: 3, Y: 4.25}, {X: -1, Y: 0.5}, {X: 1000, Y: -0.001}})
+	b.SetTags([]bool{false, true, false, true, false})
+	return b.MustBuild()
+}
+
+// TestGoldenFile pins the QGR1 format: a file written by an earlier codec
+// loads into the graph it was written from, and saving that graph gives
+// back the file byte for byte.
+func TestGoldenFile(t *testing.T) {
+	golden, err := os.ReadFile("testdata/golden.qgr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := LoadFile("testdata/golden.qgr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := goldenGraph()
+	if !slices.Equal(g.offsets, want.offsets) || !slices.Equal(g.edges, want.edges) ||
+		!slices.Equal(g.coords, want.coords) || !slices.Equal(g.tags, want.tags) {
+		t.Fatalf("golden.qgr loads as %+v, want %+v", g, want)
+	}
+	var buf bytes.Buffer
+	if err := g.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), golden) {
+		t.Fatalf("golden.qgr re-saves as\n%x\nwant\n%x", buf.Bytes(), golden)
 	}
 }
 

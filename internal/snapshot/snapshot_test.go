@@ -81,6 +81,45 @@ func TestFileRoundTrip(t *testing.T) {
 	}
 }
 
+// TestGoldenFile pins the QSNP format: a checkpoint written by an earlier
+// codec loads at its version into the graph of the QGR1 golden file, and
+// WriteFile at that version gives back the file byte for byte.
+func TestGoldenFile(t *testing.T) {
+	golden, err := os.ReadFile("testdata/golden.qsnp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	goldenGraph, err := os.ReadFile("../graph/testdata/golden.qgr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := Load("testdata/golden.qsnp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Version != 42 {
+		t.Fatalf("golden.qsnp loads at version %d, want 42", snap.Version)
+	}
+	var buf bytes.Buffer
+	if err := snap.Graph.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), goldenGraph) {
+		t.Fatalf("golden.qsnp holds the graph\n%x\nwant the one in golden.qgr\n%x", buf.Bytes(), goldenGraph)
+	}
+	path, err := WriteFile(t.TempDir(), snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	re, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(re, golden) {
+		t.Fatalf("golden.qsnp re-writes as\n%x\nwant\n%x", re, golden)
+	}
+}
+
 // TestLoadRejectsCorruption: torn and bit-flipped files fail the checksum
 // instead of producing a half-loaded graph, and LoadLatest falls back to
 // the newest intact checkpoint.
