@@ -39,11 +39,61 @@ func TestReadmeFlagsAreDeclared(t *testing.T) {
 	}
 }
 
+// TestReadmePathsExist checks that every internal/…, cmd/… or examples/…
+// path and every .go file README.md quotes inline exists in the tree, so a
+// package or file that is moved or deleted cannot live on in the docs.
+func TestReadmePathsExist(t *testing.T) {
+	b, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	readme := string(b)
+	if bad := missingPaths(t, readme); len(bad) > 0 {
+		t.Fatalf("README.md quotes paths the tree does not have: %v", bad)
+	}
+	planted := readme + "\nThe read fleet lives in `internal/replica/replica.go`.\n"
+	if bad := missingPaths(t, planted); !slices.Equal(bad, []string{"internal/replica/replica.go"}) {
+		t.Fatalf("a planted stale path went unnoticed: missing = %v", bad)
+	}
+}
+
 var (
 	fence      = regexp.MustCompile("(?ms)^```.*?^```")
 	inlineCode = regexp.MustCompile("`([^`]+)`")
 	flagToken  = regexp.MustCompile(`^-([a-z][a-z0-9-]*)(=.*)?$`)
+	pathToken  = regexp.MustCompile(`^(?:\./)?((?:internal|cmd|examples)/\S*|\S+\.go)$`)
+	lineSuffix = regexp.MustCompile(`:[0-9][0-9–-]*$`) // file.go:12 or file.go:12–30
+	selector   = regexp.MustCompile(`\.[A-Za-z_]\w*$`) // internal/delta.View
 )
+
+// missingPaths returns, sorted and once each, the paths quoted in inline
+// code spans of md that match no file or directory of the tree.
+func missingPaths(t *testing.T, md string) []string {
+	t.Helper()
+	md = fence.ReplaceAllString(md, "")
+	var bad []string
+	for _, span := range inlineCode.FindAllStringSubmatch(md, -1) {
+		for _, tok := range strings.Fields(span[1]) {
+			m := pathToken.FindStringSubmatch(lineSuffix.ReplaceAllString(tok, ""))
+			if m == nil {
+				continue
+			}
+			path := m[1]
+			if !strings.HasSuffix(path, ".go") {
+				path = selector.ReplaceAllString(path, "")
+			}
+			matches, err := filepath.Glob(path)
+			if err != nil {
+				t.Fatalf("quoted path %q: %v", tok, err)
+			}
+			if len(matches) == 0 && !slices.Contains(bad, path) {
+				bad = append(bad, path)
+			}
+		}
+	}
+	slices.Sort(bad)
+	return bad
+}
 
 // undeclared returns, sorted and once each, the flags quoted in inline
 // code spans of md that are neither declared nor foreign.

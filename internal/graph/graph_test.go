@@ -2,8 +2,11 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand/v2"
 	"os"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -82,32 +85,20 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := g2.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf, int64(buf.Len()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.NumVertices() != g2.NumVertices() || loaded.NumEdges() != g2.NumEdges() {
-		t.Fatalf("size mismatch after round trip")
-	}
-	for v := 0; v < loaded.NumVertices(); v++ {
-		a, b := g2.Out(VertexID(v)), loaded.Out(VertexID(v))
-		if len(a) != len(b) {
-			t.Fatalf("vertex %d: degree %d vs %d", v, len(a), len(b))
+	// benchGraph's file is twice the codec's buffer, so each of its
+	// sections is read and written across buffer refills.
+	for _, g := range []*Graph{g, g2, benchGraph()} {
+		var buf bytes.Buffer
+		if err := g.Save(&buf); err != nil {
+			t.Fatal(err)
 		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("vertex %d edge %d: %v vs %v", v, i, a[i], b[i])
-			}
+		loaded, err := Load(&buf, int64(buf.Len()))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if loaded.Coord(VertexID(v)) != g2.Coord(VertexID(v)) {
-			t.Fatalf("vertex %d coord mismatch", v)
-		}
-		if loaded.Tagged(VertexID(v)) != g2.Tagged(VertexID(v)) {
-			t.Fatalf("vertex %d tag mismatch", v)
+		if !slices.Equal(loaded.offsets, g.offsets) || !slices.Equal(loaded.edges, g.edges) ||
+			!slices.Equal(loaded.coords, g.coords) || !slices.Equal(loaded.tags, g.tags) {
+			t.Fatalf("a graph of %d vertices and %d edges changed in a round trip", g.NumVertices(), g.NumEdges())
 		}
 	}
 }
@@ -152,19 +143,57 @@ func TestGoldenFile(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsCorrupt pins every check Load makes, each by the error it
+// gives for one edit of the golden file. No rejection allocates as much as
+// 1 MiB, so a header whose counts the input cannot back is refused before
+// its arrays exist.
 func TestLoadRejectsCorrupt(t *testing.T) {
-	g := lineGraph(10)
-	var buf bytes.Buffer
-	if err := g.Save(&buf); err != nil {
+	golden, err := os.ReadFile("testdata/golden.qgr")
+	if err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
-	if _, err := Load(bytes.NewReader(data[:len(data)-3]), int64(len(data)-3)); err == nil {
-		t.Fatal("truncated file accepted")
+	le := binary.LittleEndian
+	// Where the golden file's sections start: 5 vertices, 5 edges.
+	const offsets, edges, tags = 24, 24 + 4*6, 24 + 4*6 + 8*5 + 8*5
+	cases := []struct {
+		name  string
+		edit  func(f []byte) []byte
+		claim int64 // the size Load is told, if not the edited length
+		want  string
+	}{
+		{"truncated", func(f []byte) []byte { return f[:len(f)-3] }, 0, "take 133 bytes, input has 130"},
+		{"shorter than its size", func(f []byte) []byte { return f[:len(f)-3] }, 133, "reading tags: unexpected EOF"},
+		{"bad magic", func(f []byte) []byte { f[0] = 'X'; return f }, 0, "bad magic"},
+		{"trailing bytes", func(f []byte) []byte { return append(f, 0, 0) }, 0, "take 133 bytes, input has 135"},
+		{"unknown flag bit", func(f []byte) []byte { le.PutUint32(f[4:], flagCoords|flagTags|1<<2); return f }, 0, "unknown flags 0x7"},
+		{"tag byte 2", func(f []byte) []byte { f[tags+3] = 2; return f }, 0, "tag byte 2 of vertex 3"},
+		{"offsets not monotone", func(f []byte) []byte { le.PutUint32(f[offsets+4*2:], 1); return f }, 0, "offsets not monotone at vertex 1"},
+		{"edge target out of range", func(f []byte) []byte { le.PutUint32(f[edges+8:], 5); return f }, 0, "edge 1 targets out-of-range vertex 5"},
+		{"NaN weight", func(f []byte) []byte { le.PutUint32(f[edges+4:], 0x7fc00000); return f }, 0, "edge 0 has invalid weight NaN"},
+		{"negative weight", func(f []byte) []byte { le.PutUint32(f[edges+4:], math.Float32bits(-1)); return f }, 0, "edge 0 has invalid weight -1"},
+		{"counts past size", func(f []byte) []byte { le.PutUint64(f[8:], 1<<24); return f }, 0, "input has 133"},
 	}
-	bad := append([]byte("XXXX"), data[4:]...)
-	if _, err := Load(bytes.NewReader(bad), int64(len(bad))); err == nil {
-		t.Fatal("bad magic accepted")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			file := c.edit(bytes.Clone(golden))
+			size := c.claim
+			if size == 0 {
+				size = int64(len(file))
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			g, err := Load(bytes.NewReader(file), size)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatalf("accepted as %+v", g)
+			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("error %q, want it to say %q", err, c.want)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+				t.Fatalf("rejecting it allocated %d bytes", got)
+			}
+		})
 	}
 }
 

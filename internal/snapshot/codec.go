@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc64"
+	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -43,19 +44,9 @@ func FileName(version uint64) string {
 }
 
 // WriteFile persists snap into dir atomically (temp file + rename) and
-// returns the final path.
+// returns the final path. The graph streams through graph.Save's buffer
+// into the file and the checksum, with no copy of the whole file.
 func WriteFile(dir string, snap *Snapshot) (string, error) {
-	var buf bytes.Buffer
-	buf.WriteString(fileMagic)
-	var v [8]byte
-	binary.LittleEndian.PutUint64(v[:], snap.Version)
-	buf.Write(v[:])
-	if err := snap.Graph.Save(&buf); err != nil {
-		return "", fmt.Errorf("snapshot: encoding graph: %w", err)
-	}
-	binary.LittleEndian.PutUint64(v[:], crc64.Checksum(buf.Bytes(), crcTable))
-	buf.Write(v[:])
-
 	path := filepath.Join(dir, FileName(snap.Version))
 	tmp := path + tmpSuffix
 	f, err := os.Create(tmp)
@@ -70,7 +61,16 @@ func WriteFile(dir string, snap *Snapshot) (string, error) {
 		os.Remove(tmp)
 		return "", err
 	}
-	if _, err := f.Write(buf.Bytes()); err != nil {
+	crc := crc64.New(crcTable)
+	w := io.MultiWriter(f, crc)
+	head := binary.LittleEndian.AppendUint64([]byte(fileMagic), snap.Version)
+	if _, err := w.Write(head); err != nil {
+		return fail(err)
+	}
+	if err := snap.Graph.Save(w); err != nil {
+		return fail(fmt.Errorf("snapshot: encoding graph: %w", err))
+	}
+	if _, err := f.Write(binary.LittleEndian.AppendUint64(nil, crc.Sum64())); err != nil {
 		return fail(err)
 	}
 	if faultpoint.Hit(faultpoint.SnapshotPersist) {

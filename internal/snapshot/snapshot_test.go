@@ -384,12 +384,13 @@ func FuzzLoad(f *testing.F) {
 			if err := os.WriteFile(path, file, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			// ReadFile's copy, the CSR arrays (offsets and edges take their
-			// wire size, tags twice it) and binary.Read's scratch buffers
-			// (the wire size again), above graph.Load's 1 MiB bufio.Reader.
-			// TotalAlloc is process-wide and the fuzz worker has goroutines
-			// of its own, so only an excess that repeats is Load's.
-			limit := uint64(8*len(file) + 2<<20)
+			// ReadFile's copy and the CSR arrays (each its wire size) take
+			// twice the file, graph.Load's one buffer at most 1 MiB; the
+			// third multiple of the file covers the small allocations
+			// around them. TotalAlloc is process-wide and the fuzz worker
+			// has goroutines of its own, so only an excess that repeats is
+			// Load's.
+			limit := uint64(3*len(file) + 1<<20)
 			var snap *Snapshot
 			var err error
 			for try := 1; ; try++ {
