@@ -3,7 +3,10 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
+	"errors"
 	"math"
+	"os"
 	"reflect"
 	"runtime"
 	"strings"
@@ -64,6 +67,12 @@ func normalize(m protocol.Message) protocol.Message {
 		}
 		if c.NewOwners == nil {
 			c.NewOwners = []partition.WorkerID{}
+		}
+		return &c
+	case *protocol.ScopeData:
+		c := *v
+		if c.Vertices == nil {
+			c.Vertices = []protocol.MovedVertex{}
 		}
 		return &c
 	case *protocol.RecoverStart:
@@ -156,6 +165,7 @@ func sampleMessages() []protocol.Message {
 				{V: 78},
 			},
 		},
+		&protocol.ScopeData{Epoch: 13, Q: 6, From: 0, Gen: 2},
 		&protocol.RecoverStart{Gen: 3, Version: 7, Owner: []partition.WorkerID{0, 2, 2, 0}},
 		&protocol.RecoverStart{Gen: 1},
 		&protocol.PartitionGrant{
@@ -204,6 +214,151 @@ func TestCodecWireSizeExact(t *testing.T) {
 		if !seen[typ] {
 			t.Errorf("message type %d has no sample", typ)
 		}
+	}
+}
+
+// goldenFrames is the file that pins the wire format: one line per entry of
+// sampleMessages, the message's type name and its frame in hex.
+const goldenFrames = "testdata/frames.golden"
+
+// goldenLine is m's line in goldenFrames.
+func goldenLine(m protocol.Message, frame []byte) string {
+	return reflect.TypeOf(m).Elem().Name() + " " + hex.EncodeToString(frame)
+}
+
+// TestCodecGoldenFrames checks every sample against the frame an earlier
+// codec wrote for it: Encode gives those bytes exactly, Decode of them
+// re-encodes to the same bytes, and WireSize is their length. When the file
+// is missing the test writes it from the current codec and fails, so a
+// deliberate format change regenerates it by deleting the file and running
+// the test once.
+func TestCodecGoldenFrames(t *testing.T) {
+	samples := sampleMessages()
+	var current []string
+	for _, m := range samples {
+		frame, err := Encode(m)
+		if err != nil {
+			t.Fatalf("encode %T: %v", m, err)
+		}
+		current = append(current, goldenLine(m, frame))
+	}
+	data, err := os.ReadFile(goldenFrames)
+	if errors.Is(err, os.ErrNotExist) {
+		if err := os.WriteFile(goldenFrames, []byte(strings.Join(current, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Fatalf("wrote %s from the current codec; commit it and run again", goldenFrames)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	if len(golden) != len(samples) {
+		t.Fatalf("%s has %d frames, sampleMessages %d", goldenFrames, len(golden), len(samples))
+	}
+	for i, m := range samples {
+		if current[i] != golden[i] {
+			t.Errorf("sample %d encodes as\n%s\nwant\n%s", i, current[i], golden[i])
+			continue
+		}
+		frame, _ := hex.DecodeString(golden[i][strings.IndexByte(golden[i], ' ')+1:])
+		if n := WireSize(m); n != len(frame) {
+			t.Errorf("sample %d (%T): WireSize %d, golden frame %d bytes", i, m, n, len(frame))
+		}
+		dec, err := Decode(protocol.MsgType(frame[4]), frame[5:])
+		if err != nil {
+			t.Errorf("sample %d (%T): golden frame does not decode: %v", i, m, err)
+			continue
+		}
+		if again, err := Encode(dec); err != nil || !bytes.Equal(again, frame) {
+			t.Errorf("sample %d (%T): golden frame decodes to %#v, which re-encodes as %x (%v)", i, m, dec, again, err)
+		}
+	}
+}
+
+// TestCodecAllocs pins the codec's allocations: Encode allocates the one
+// frame it returns, and Decode the message plus one array per non-empty
+// list, for every sample. A coder moved to the heap shows here first.
+func TestCodecAllocs(t *testing.T) {
+	for i, m := range sampleMessages() {
+		if n := testing.AllocsPerRun(50, func() { Encode(m) }); n != 1 {
+			t.Errorf("sample %d (%T): Encode allocates %v times, want 1", i, m, n)
+		}
+		frame, err := Encode(m)
+		if err != nil {
+			t.Fatalf("encode %T: %v", m, err)
+		}
+		want := nonEmptyLists(reflect.ValueOf(m))
+		if reflect.TypeOf(m).Elem().Size() > 0 { // new(protocol.Shutdown) is free
+			want++
+		}
+		if n := testing.AllocsPerRun(50, func() { Decode(m.Type(), frame[5:]) }); n != float64(want) {
+			t.Errorf("sample %d (%T): Decode allocates %v times, want %d", i, m, n, want)
+		}
+	}
+}
+
+// nonEmptyLists counts the non-empty slices reachable from v.
+func nonEmptyLists(v reflect.Value) int {
+	n := 0
+	switch v.Kind() {
+	case reflect.Pointer:
+		n = nonEmptyLists(v.Elem())
+	case reflect.Struct:
+		for i := range v.NumField() {
+			n += nonEmptyLists(v.Field(i))
+		}
+	case reflect.Slice:
+		if v.Len() > 0 {
+			n = 1
+		}
+		for i := range v.Len() {
+			n += nonEmptyLists(v.Index(i))
+		}
+	}
+	return n
+}
+
+// BenchmarkCodec times Encode and Decode of the frames that carry nearly all
+// traffic: vertex batches at the worker's split size (32) and at the size
+// benchmark's layers pass uses (256), a finishing BarrierSynch with 64
+// intersections, and ExecuteQuery.
+func BenchmarkCodec(b *testing.B) {
+	batch := func(n int) protocol.Message {
+		vb := &protocol.VertexBatch{Q: 7, Step: 3, From: 1, Entries: make([]protocol.VertexMsg, n)}
+		for i := range vb.Entries {
+			vb.Entries[i] = protocol.VertexMsg{To: graph.VertexID(i * 37), Val: float64(i) * 1.5}
+		}
+		return vb
+	}
+	bs := &protocol.BarrierSynch{Q: 7, W: 1, Step: 3, SentBatches: make([]int32, 4),
+		Intersections: make([]protocol.IntersectionStat, 64)}
+	for i := range bs.Intersections {
+		bs.Intersections[i] = protocol.IntersectionStat{Q1: 7, Q2: query.ID(100 + i), Shared: int32(i)}
+	}
+	eq := &protocol.ExecuteQuery{Spec: query.Spec{ID: 7, Kind: query.KindSSSP, Source: 3, Target: 99}}
+	for _, c := range []struct {
+		name string
+		m    protocol.Message
+	}{{"vertex_batch_32", batch(32)}, {"vertex_batch_256", batch(256)}, {"barrier_synch_64", bs}, {"execute_query", eq}} {
+		frame, err := Encode(c.m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run("encode/"+c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(frame)))
+			for range b.N {
+				Encode(c.m)
+			}
+		})
+		b.Run("decode/"+c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(frame)))
+			for range b.N {
+				Decode(c.m.Type(), frame[5:])
+			}
+		})
 	}
 }
 
