@@ -1,11 +1,10 @@
 package delta
 
-// Wire sizes of the committed-batch encoding, shared by everything that
-// accounts for batch bytes: the transport codec (DeltaBatch frames and the
-// batch list of a PartitionGrant), the log's byte accounting that feeds
-// the checkpoint policy, and the durable WAL record payload. A single
-// definition keeps policy byte accounting from drifting when the codec
-// changes.
+// Wire sizes of the committed-batch encoding: the log's byte accounting that
+// feeds the checkpoint policy, and the durable WAL record payload. The
+// transport codec writes ops in the same layout (OpWireBytes each, in
+// DeltaBatch frames and a PartitionGrant's batch list) and sizes frames by
+// running its own description of them.
 const (
 	// OpWireBytes is the encoded size of one Op: kind u8, from i32, to
 	// i32, weight f32.

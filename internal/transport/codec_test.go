@@ -34,69 +34,9 @@ func roundTrip(t *testing.T, m protocol.Message) {
 	if err != nil {
 		t.Fatalf("decode %T: %v", m, err)
 	}
-	if !reflect.DeepEqual(normalize(m), normalize(got)) {
+	if !reflect.DeepEqual(m, got) {
 		t.Fatalf("round trip mismatch:\n sent %#v\n got  %#v", m, got)
 	}
-}
-
-// normalize maps nil slices to empty ones so DeepEqual compares content.
-func normalize(m protocol.Message) protocol.Message {
-	switch v := m.(type) {
-	case *protocol.BarrierSynch:
-		c := *v
-		if c.SentBatches == nil {
-			c.SentBatches = []int32{}
-		}
-		if c.Intersections == nil {
-			c.Intersections = []protocol.IntersectionStat{}
-		}
-		if c.NewBlocks == nil {
-			c.NewBlocks = []int32{}
-		}
-		return &c
-	case *protocol.DrainCheck:
-		c := *v
-		if c.ExpectRecv == nil {
-			c.ExpectRecv = []uint64{}
-		}
-		return &c
-	case *protocol.DeltaBatch:
-		c := *v
-		if c.Ops == nil {
-			c.Ops = []delta.Op{}
-		}
-		if c.NewOwners == nil {
-			c.NewOwners = []partition.WorkerID{}
-		}
-		return &c
-	case *protocol.ScopeData:
-		c := *v
-		if c.Vertices == nil {
-			c.Vertices = []protocol.MovedVertex{}
-		}
-		return &c
-	case *protocol.RecoverStart:
-		c := *v
-		if c.Owner == nil {
-			c.Owner = []partition.WorkerID{}
-		}
-		return &c
-	case *protocol.PartitionGrant:
-		c := *v
-		if c.Owner == nil {
-			c.Owner = []partition.WorkerID{}
-		}
-		if c.Batches == nil {
-			c.Batches = []delta.LogBatch{}
-		}
-		for i := range c.Batches {
-			if c.Batches[i].Ops == nil {
-				c.Batches[i].Ops = []delta.Op{}
-			}
-		}
-		return &c
-	}
-	return m
 }
 
 func sampleMessages() []protocol.Message {
@@ -492,7 +432,7 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, typ uint8, payload []byte) {
 		// The widest in-memory element per wire byte is ScopeData's
-		// MovedVertex (80 bytes for a 12-byte minimum encoding); 4 KiB
+		// MovedVertex (80 bytes for a 16-byte minimum encoding); 4 KiB
 		// covers the message struct and the error. TotalAlloc is
 		// process-wide and the fuzz worker has goroutines of its own, so
 		// only an excess that repeats is Decode's.
