@@ -89,6 +89,11 @@ func (s Spec) Validate(g graph.View) error {
 	if s.Target != graph.NilVertex && (s.Target < 0 || s.Target >= n) {
 		return fmt.Errorf("query %d: target %d out of range", s.ID, s.Target)
 	}
+	// The wire carries MaxIters as an i32, and the controller and the
+	// workers would read a negative cap differently (no cap / stop now).
+	if s.MaxIters < 0 || s.MaxIters > math.MaxInt32 {
+		return fmt.Errorf("query %d: max iters %d out of range [0,%d]", s.ID, s.MaxIters, math.MaxInt32)
+	}
 	switch s.Kind {
 	case KindSSSP, KindBFS:
 	case KindPOI:

@@ -195,6 +195,11 @@ func TestSpecValidate(t *testing.T) {
 		{Spec{ID: 5, Kind: KindPageRank, Source: 0, Target: graph.NilVertex}, false}, // needs bounds
 		{Spec{ID: 6, Kind: KindPageRank, Source: 0, Target: graph.NilVertex, MaxIters: 5}, true},
 		{Spec{ID: 7, Kind: Kind(99), Source: 0, Target: graph.NilVertex}, false},
+		// MaxIters outside [0, MaxInt32]: a negative cap passed the PageRank
+		// bound check with an epsilon, and one past int32 wrapped on the wire.
+		{Spec{ID: 8, Kind: KindPageRank, Source: 0, Target: graph.NilVertex, MaxIters: -5, Epsilon: 1e-4}, false},
+		{Spec{ID: 9, Kind: KindBFS, Source: 0, Target: graph.NilVertex, MaxIters: 1<<32 + 1}, false},
+		{Spec{ID: 10, Kind: KindBFS, Source: 0, Target: graph.NilVertex, MaxIters: math.MaxInt32}, true},
 	}
 	for i, c := range cases {
 		if err := c.spec.Validate(g); (err == nil) != c.ok {

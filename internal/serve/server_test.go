@@ -294,9 +294,11 @@ func TestQueryBasicAndValidation(t *testing.T) {
 	}
 
 	for _, bad := range []QueryRequest{
-		{Kind: "dijkstra", Source: 1},                 // unknown kind
-		{Kind: "sssp", Source: 99, Target: target(1)}, // source out of range
-		{Kind: "poi", Source: 1},                      // untagged graph
+		{Kind: "dijkstra", Source: 1},                              // unknown kind
+		{Kind: "sssp", Source: 99, Target: target(1)},              // source out of range
+		{Kind: "poi", Source: 1},                                   // untagged graph
+		{Kind: "pagerank", Source: 1, MaxIters: -5, Epsilon: 1e-4}, // negative superstep cap
+		{Kind: "bfs", Source: 1, MaxIters: 1<<32 + 1},              // cap past the wire's i32
 	} {
 		if code, _, _ := postQuery(t, ts.URL, bad); code != http.StatusBadRequest {
 			t.Fatalf("request %+v: got %d, want 400", bad, code)
