@@ -288,14 +288,14 @@ func BenchmarkCodec(b *testing.B) {
 		b.Run("encode/"+c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(frame)))
-			for range b.N {
+			for b.Loop() {
 				Encode(c.m)
 			}
 		})
 		b.Run("decode/"+c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(frame)))
-			for range b.N {
+			for b.Loop() {
 				Decode(c.m.Type(), frame[5:])
 			}
 		})
