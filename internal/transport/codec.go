@@ -289,6 +289,7 @@ const (
 	decoding
 )
 
+// fail records the first error.
 func (c *coder) fail(format string, a ...any) {
 	if c.err == nil {
 		c.err = fmt.Errorf("transport: "+format, a...)

@@ -161,11 +161,6 @@ func TestCodecWireSizeExact(t *testing.T) {
 // sampleMessages, the message's type name and its frame in hex.
 const goldenFrames = "testdata/frames.golden"
 
-// goldenLine is m's line in goldenFrames.
-func goldenLine(m protocol.Message, frame []byte) string {
-	return reflect.TypeOf(m).Elem().Name() + " " + hex.EncodeToString(frame)
-}
-
 // TestCodecGoldenFrames checks every sample against the frame an earlier
 // codec wrote for it: Encode gives those bytes exactly, Decode of them
 // re-encodes to the same bytes, and WireSize is their length. When the file
@@ -180,7 +175,7 @@ func TestCodecGoldenFrames(t *testing.T) {
 		if err != nil {
 			t.Fatalf("encode %T: %v", m, err)
 		}
-		current = append(current, goldenLine(m, frame))
+		current = append(current, reflect.TypeOf(m).Elem().Name()+" "+hex.EncodeToString(frame))
 	}
 	data, err := os.ReadFile(goldenFrames)
 	if errors.Is(err, os.ErrNotExist) {
