@@ -9,9 +9,11 @@
 //	for w in $(seq 0 7); do
 //	  qgraphd -role worker -id $w -graph bw.qgr -addrs "$ADDRS" &
 //	done
-//	qgraphd -role controller -graph bw.qgr -addrs "$ADDRS" -random 64
+//	qgraphd -role controller -graph bw.qgr -addrs "$ADDRS"
 //
 // where ADDRS lists k+1 comma-separated host:port pairs, controller first.
+// A graph is identified by its file's base name and shape, so the nodes may
+// spell its path differently.
 //
 // With -serve the controller exposes the HTTP/JSON query API of
 // internal/serve (POST /query, GET /result/{id}, POST /mutate,
@@ -32,8 +34,7 @@
 //	bfs <source> [target]
 //	pagerank <source>
 //
-// and prints one result line per query. -random N instead runs N random
-// SSSP queries and exits.
+// and prints one result line per query.
 //
 // With -snapshot-dir the deployment checkpoints: the controller
 // periodically (per the -snapshot-every-ops / -snapshot-every-bytes /
@@ -77,30 +78,27 @@ import (
 	"flag"
 	"fmt"
 	"hash/fnv"
-	"math/rand/v2"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on the -pprof-addr mux
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
 	"qgraph/internal/controller"
+	"qgraph/internal/core"
 	"qgraph/internal/faultpoint"
 	"qgraph/internal/graph"
-	"qgraph/internal/metrics"
 	"qgraph/internal/obs"
 	"qgraph/internal/obs/health"
 	"qgraph/internal/partition"
 	"qgraph/internal/protocol"
 	"qgraph/internal/query"
 	"qgraph/internal/serve"
-	"qgraph/internal/snapshot"
 	"qgraph/internal/transport"
-	"qgraph/internal/wal"
-	"qgraph/internal/worker"
 )
 
 func main() {
@@ -110,8 +108,6 @@ func main() {
 		graphPath  = flag.String("graph", "", "QGR1 graph file (same on all nodes)")
 		addrsFlag  = flag.String("addrs", "", "comma-separated host:port list, controller first")
 		adapt      = flag.Bool("adapt", true, "enable adaptive Q-cut (controller)")
-		random     = flag.Int("random", 0, "run N random SSSP queries and exit (controller)")
-		seed       = flag.Uint64("seed", 1, "workload seed for -random")
 		serveAddr  = flag.String("serve", "", "HTTP serving address host:port (controller role; replaces the stdin REPL)")
 		maxInfl    = flag.Int("max-inflight", 16, "admission: max queries executing concurrently (-serve)")
 		maxQueue   = flag.Int("max-queue", 64, "admission: max queued queries before 429 (-serve)")
@@ -156,9 +152,6 @@ func main() {
 		logger.Info("pprof listening", "addr", *pprofAddr)
 	}
 
-	if *serveAddr != "" && *random > 0 {
-		fatal(fmt.Errorf("-serve and -random are mutually exclusive"))
-	}
 	if (*snapOps > 0 || *snapBytes > 0 || *snapInterval > 0) && *snapDir == "" {
 		// Policy-driven truncation without a shared durable store would
 		// leave rejoining workers unable to resolve the replay base.
@@ -176,65 +169,20 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	// Restart-from-checkpoint: with -snapshot-dir, every node loads the
-	// newest durable snapshot as its base graph, so a full deployment
-	// restart resumes at the checkpointed version instead of replaying a
-	// mutation history that no longer exists. All nodes must see the same
-	// directory — they load the same file and agree on the base version
-	// byte for byte, exactly as they agree on the original graph file.
-	baseG, baseV := g, uint64(0)
-	var snapStore *snapshot.Store
-	if *snapDir != "" {
-		if err := os.MkdirAll(*snapDir, 0o755); err != nil {
-			fatal(err)
-		}
-		snapStore = snapshot.NewStore(*snapDir, *snapKeep)
-		snap, err := snapshot.LoadLatest(*snapDir)
-		if err != nil {
-			fatal(err)
-		}
-		if snap != nil {
-			baseG, baseV = snap.Graph, snap.Version
-			fmt.Printf("qgraphd: restored checkpoint version %d (%d vertices, %d edges) from %s\n",
-				snap.Version, baseG.NumVertices(), baseG.NumEdges(), *snapDir)
-		}
-	}
-	// WAL recovery: replay the durable op-log tail beyond the checkpoint,
-	// so a kill -9 loses nothing that was ever acknowledged. Every node
-	// reads the same directory and lands on the same version, exactly as
-	// with the checkpoint; only the controller keeps the log open for
-	// appends.
-	var walLog *wal.WAL
-	if *walDir != "" {
-		// The WAL's graph identity is the original graph file (the version
-		// chain starts from it, whatever checkpoint we restored on top).
-		wid := graphID(*graphPath, g)
-		recovered, v, err := wal.RecoverGraph(*walDir, wid, baseG, baseV)
-		if err != nil {
-			fatal(err)
-		}
-		if v > baseV {
-			fmt.Printf("qgraphd: wal replayed versions %d..%d, recovered to version %d\n", baseV+1, v, v)
-		}
-		baseG, baseV = recovered, v
-		if *role == "controller" {
-			if walLog, err = wal.Open(*walDir, wid); err != nil {
-				fatal(err)
-			}
-			defer walLog.Close()
-			if err := walLog.Rebase(baseV); err != nil {
-				fatal(err)
-			}
-		}
-	}
-	// Deterministic initial partitioning, identical on every node.
-	assign, err := partition.Hash{}.Partition(baseG, k)
-	if err != nil {
-		fatal(err)
+	// Every node recovers its starting graph (newest checkpoint, then the
+	// WAL tail) and the same deterministic partitioning inside core.
+	gid := graphID(*graphPath, g)
+	o := obs.New(logger)
+	cfg := core.Config{
+		Workers: k, Graph: g, Adapt: *adapt, Obs: o,
+		CommitEvery: *commitEvery, MaxBatchOps: *maxBatchOps,
+		HeartbeatEvery: *hbEvery, HeartbeatTimeout: *hbTimeout,
+		SnapshotDir: *snapDir, SnapshotKeep: *snapKeep, SnapshotEveryOps: *snapOps,
+		SnapshotEveryBytes: *snapBytes, SnapshotInterval: *snapInterval,
+		WALDir: *walDir, WALGraphID: gid,
 	}
 
-	switch *role {
-	case "worker":
+	if *role == "worker" {
 		if *id < 0 || *id >= k {
 			fatal(fmt.Errorf("worker id %d out of range [0,%d)", *id, k))
 		}
@@ -250,188 +198,110 @@ func main() {
 			})
 			logger.Warn("fault injection armed: slow compute", "sleep", d.String())
 		}
-		node, err := transport.NewTCPNode(protocol.WorkerNode(partition.WorkerID(*id)), addrs)
+		w := partition.WorkerID(*id)
+		node, err := transport.NewTCPNode(protocol.WorkerNode(w), addrs)
 		if err != nil {
 			fatal(err)
 		}
 		defer node.Close()
-		w, err := worker.New(worker.Config{
-			ID: partition.WorkerID(*id), K: k, Graph: baseG, Owner: assign,
-			BaseVersion: baseV, Snapshots: snapStore, Rejoin: *rejoin,
-			Logger: logger, // worker log sites self-tag with their id
-		}, node)
-		if err != nil {
+		fmt.Printf("qgraphd: worker %d of %d on %s\n", *id, k, node.Addr())
+		if err := core.RunWorker(cfg, w, *rejoin, node); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("qgraphd: worker %d serving %d vertices on %s\n",
-			*id, countOwned(assign, partition.WorkerID(*id)), node.Addr())
-		if err := w.Run(); err != nil {
-			fatal(err)
-		}
-	case "controller":
-		node, err := transport.NewTCPNode(protocol.ControllerNode, addrs)
-		if err != nil {
-			fatal(err)
-		}
-		defer node.Close()
-		rec := metrics.NewRecorder()
-		// One Obs instance shared by the controller and the serving layer:
-		// the controller registers its barrier/worker/WAL instruments and
-		// extends request traces; serve adds the HTTP-side instruments and
-		// exposes everything at /metrics, /trace, /traces.
-		o := obs.New(logger)
-		// The health monitor is shared the same way as Obs: the controller
-		// feeds compute/stall/lifecycle signals, the serving layer exposes
-		// /events and the /healthz degradation the detectors drive.
-		mon := health.New(health.Config{}, o)
-		transport.SetOnCodecReject(func(remote string, peerVersion, localVersion uint8) {
-			mon.Record(health.EventCodecReject, health.SevWarn, -1,
-				fmt.Sprintf("rejected peer %s: codec version %d != local %d", remote, peerVersion, localVersion),
-				map[string]any{"remote": remote, "peer_version": peerVersion, "local_version": localVersion})
+		return
+	}
+
+	node, err := transport.NewTCPNode(protocol.ControllerNode, addrs)
+	if err != nil {
+		fatal(err)
+	}
+	defer node.Close()
+	// The health monitor is shared like Obs: the controller feeds
+	// compute/stall/lifecycle signals, the serving layer exposes /events and
+	// the /healthz degradation the detectors drive.
+	mon := health.New(health.Config{}, o)
+	cfg.Monitor = mon
+	transport.SetOnCodecReject(func(remote string, peerVersion, localVersion uint8) {
+		mon.Record(health.EventCodecReject, health.SevWarn, -1,
+			fmt.Sprintf("rejected peer %s: codec version %d != local %d", remote, peerVersion, localVersion),
+			map[string]any{"remote": remote, "peer_version": peerVersion, "local_version": localVersion})
+	})
+	eng, err := core.StartController(cfg, node)
+	if err != nil {
+		fatal(err)
+	}
+	fmt.Printf("qgraphd: controller for %d workers on %s\n", k, node.Addr())
+
+	// Graceful shutdown: the first SIGINT/SIGTERM drains; a second signal
+	// kills the process the default way.
+	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stopSignals()
+
+	if *serveAddr != "" {
+		srv, err := serve.New(serve.Config{
+			Backend: eng.Controller(), GraphID: gid, Obs: o, Monitor: mon, NoTrace: !*traceOn,
+			Admit:     serve.AdmitConfig{MaxInFlight: *maxInfl, MaxQueue: *maxQueue},
+			CacheSize: *cacheSize, CacheTTL: *cacheTTL, DefaultTimeout: *reqTimeout,
+			NodeID: *serveAddr, Role: "primary",
 		})
-		ctrl, err := controller.New(controller.Config{
-			K: k, Graph: baseG, Owner: assign, Adapt: *adapt, Recorder: rec,
-			Obs: o, Monitor: mon,
-			CommitEvery: *commitEvery, MaxBatchOps: *maxBatchOps,
-			HeartbeatEvery: *hbEvery, HeartbeatTimeout: *hbTimeout,
-			Snapshots: snapStore, BaseVersion: baseV, WAL: walLog,
-			SnapshotPolicy: snapshot.Policy{
-				EveryOps: *snapOps, EveryBytes: *snapBytes, Interval: *snapInterval,
-			},
-		}, node)
 		if err != nil {
 			fatal(err)
 		}
-		errCh := make(chan error, 1)
-		go func() { errCh <- ctrl.Run() }()
-		fmt.Printf("qgraphd: controller for %d workers on %s\n", k, node.Addr())
-
-		// Graceful shutdown: the first SIGINT/SIGTERM drains; a second
-		// signal kills the process the default way.
-		ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stopSignals()
-
-		switch {
-		case *serveAddr != "":
-			srv, err := serve.New(serve.Config{
-				Backend: ctrl,
-				GraphID: graphID(*graphPath, baseG),
-				Admit: serve.AdmitConfig{
-					MaxInFlight: *maxInfl,
-					MaxQueue:    *maxQueue,
-				},
-				CacheSize:      *cacheSize,
-				CacheTTL:       *cacheTTL,
-				DefaultTimeout: *reqTimeout,
-				Obs:            o,
-				Monitor:        mon,
-				NoTrace:        !*traceOn,
-				NodeID:         *serveAddr,
-				Role:           "primary",
-			})
-			if err != nil {
+		httpSrv := &http.Server{Addr: *serveAddr, Handler: srv.Handler()}
+		httpErr := make(chan error, 1)
+		go func() { httpErr <- httpSrv.ListenAndServe() }()
+		fmt.Printf("qgraphd: serving queries on http://%s (POST /query)\n", *serveAddr)
+		select {
+		case <-ctx.Done():
+			fmt.Println("qgraphd: signal received, draining")
+		case err := <-httpErr:
+			if !errors.Is(err, http.ErrServerClosed) {
 				fatal(err)
 			}
-			httpSrv := &http.Server{Addr: *serveAddr, Handler: srv.Handler()}
-			httpErr := make(chan error, 1)
-			go func() { httpErr <- httpSrv.ListenAndServe() }()
-			fmt.Printf("qgraphd: serving queries on http://%s (POST /query)\n", *serveAddr)
-			select {
-			case <-ctx.Done():
-				fmt.Println("qgraphd: signal received, draining")
-			case err := <-httpErr:
-				if !errors.Is(err, http.ErrServerClosed) {
-					fatal(err)
-				}
-			case err := <-errCh:
-				// The engine died; serving 503s behind a green /healthz
-				// helps nobody — close the listener and exit loudly.
-				_ = httpSrv.Close()
-				if err == nil {
-					err = fmt.Errorf("controller stopped unexpectedly")
-				}
-				fatal(fmt.Errorf("controller failed: %w", err))
+		case <-eng.Done():
+			// The engine died; serving 503s behind a green /healthz
+			// helps nobody — close the listener and exit loudly.
+			_ = httpSrv.Close()
+			err := eng.Close()
+			if err == nil {
+				err = fmt.Errorf("controller stopped unexpectedly")
 			}
-			// Restore default signal disposition so a second signal kills
-			// the process instead of being swallowed during the drain.
-			stopSignals()
-			shutCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-			_ = httpSrv.Shutdown(shutCtx)
-			if err := srv.Drain(shutCtx); err != nil {
-				fmt.Println("qgraphd: drain timed out, stopping anyway")
-			}
-			cancel()
-			snap := srv.Counters().Snapshot(time.Now())
-			fmt.Printf("served: %d completed, %d rejected, %d expired, hit ratio %.2f, %.1f qps\n",
-				snap.Completed, snap.Rejected, snap.Expired, snap.HitRatio, snap.QPS)
-		case *random > 0:
-			runRandom(ctx, ctrl, baseG, *random, *seed)
-			stopSignals()
-		default:
-			serveStdin(ctx, ctrl)
-			stopSignals()
+			fatal(fmt.Errorf("controller failed: %w", err))
 		}
-		sum := rec.Summarize()
-		fmt.Printf("done: %d queries, total %.3fs, mean %.2fms, locality %.2f\n",
-			sum.Count, sum.TotalLatency.Seconds(),
-			float64(sum.MeanLatency.Microseconds())/1000, sum.MeanLocality)
-		ctrl.Stop()
-		if err := <-errCh; err != nil {
-			fatal(err)
+		// Restore default signal disposition so a second signal kills
+		// the process instead of being swallowed during the drain.
+		stopSignals()
+		shutCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+		_ = httpSrv.Shutdown(shutCtx)
+		if err := srv.Drain(shutCtx); err != nil {
+			fmt.Println("qgraphd: drain timed out, stopping anyway")
 		}
+		cancel()
+		snap := srv.Counters().Snapshot(time.Now())
+		fmt.Printf("served: %d completed, %d rejected, %d expired, hit ratio %.2f, %.1f qps\n",
+			snap.Completed, snap.Rejected, snap.Expired, snap.HitRatio, snap.QPS)
+	} else {
+		serveStdin(ctx, eng.Controller())
+		stopSignals()
+	}
+	sum := eng.Recorder().Summarize()
+	fmt.Printf("done: %d queries, total %.3fs, mean %.2fms, locality %.2f\n",
+		sum.Count, sum.TotalLatency.Seconds(),
+		float64(sum.MeanLatency.Microseconds())/1000, sum.MeanLocality)
+	if err := eng.Close(); err != nil {
+		fatal(err)
 	}
 }
 
-func countOwned(a partition.Assignment, w partition.WorkerID) int {
-	n := 0
-	for _, o := range a {
-		if o == w {
-			n++
-		}
-	}
-	return n
-}
-
-// graphID derives a stable base-graph identity (/stats graph_id, the WAL's
-// owner check) from the graph file identity and shape.
+// graphID is the base graph's identity (/stats graph_id, the WAL's owner
+// check): the graph file's base name and the shape of the graph in it.
+// Every node computes the same id however its -graph path is spelled, and
+// a restart keeps it whatever the WAL has added since.
 func graphID(path string, g *graph.Graph) uint64 {
 	h := fnv.New64a()
-	_, _ = h.Write([]byte(path))
+	_, _ = h.Write([]byte(filepath.Base(path)))
 	fmt.Fprintf(h, "|%d|%d", g.NumVertices(), g.NumEdges())
 	return h.Sum64()
-}
-
-func runRandom(ctx context.Context, ctrl *controller.Controller, g *graph.Graph, n int, seed uint64) {
-	rng := rand.New(rand.NewPCG(seed, 77))
-	type pending struct {
-		spec query.Spec
-		ch   <-chan controller.Result
-	}
-	var ps []pending
-	for i := 0; i < n; i++ {
-		spec := query.Spec{
-			ID:     query.ID(i + 1),
-			Kind:   query.KindSSSP,
-			Source: graph.VertexID(rng.IntN(g.NumVertices())),
-			Target: graph.VertexID(rng.IntN(g.NumVertices())),
-		}
-		ch, err := ctrl.Schedule(spec)
-		if err != nil {
-			fatal(err)
-		}
-		ps = append(ps, pending{spec: spec, ch: ch})
-	}
-	for _, p := range ps {
-		select {
-		case res := <-p.ch:
-			fmt.Printf("sssp %d->%d dist=%g latency=%s steps=%d local=%d\n",
-				p.spec.Source, p.spec.Target, res.Value, res.Latency.Round(time.Microsecond),
-				res.Supersteps, res.LocalIters)
-		case <-ctx.Done():
-			fmt.Println("qgraphd: signal received, abandoning remaining queries")
-			return
-		}
-	}
 }
 
 func serveStdin(ctx context.Context, ctrl *controller.Controller) {

@@ -2,6 +2,12 @@
 // workers over a transport, exposes the user-facing API (schedule queries,
 // await results, inspect statistics), and owns component lifecycles.
 //
+// Every role starts the same way: the newest checkpoint in SnapshotDir,
+// the WAL tail folded in, then the initial partitioning. Start runs the
+// controller and its k workers in one process; StartController and
+// RunWorker run one role each over a given transport endpoint, which is
+// how cmd/qgraphd deploys them as separate processes.
+//
 // Typical use:
 //
 //	net, _ := gen.Road(gen.BWConfig(64))
@@ -18,6 +24,7 @@ package core
 
 import (
 	"fmt"
+	"os"
 	"sync"
 	"time"
 
@@ -89,21 +96,24 @@ type Config struct {
 	RespawnWait time.Duration
 
 	// Checkpointing (internal/snapshot). SnapshotDir persists checkpoints
-	// durably ("" keeps them in memory only); the policy knobs arm
-	// automatic cuts (zero = manual cuts only, via ForceSnapshot). The
-	// engine shares one snapshot store between the controller and every
+	// durably ("" keeps them in memory only) and is created if missing;
+	// every role starts from the newest checkpoint in it. The policy knobs
+	// arm automatic cuts (zero = manual cuts only, via ForceSnapshot). Start
+	// shares one snapshot store between the controller and every
 	// (re)spawned worker, so grants can always resolve their replay base.
-	SnapshotDir      string
-	SnapshotKeep     int
-	SnapshotEveryOps int
-	// BaseVersion is the committed version Graph already contains (a
-	// restart from a persisted checkpoint); see controller.Config.
+	SnapshotDir        string
+	SnapshotKeep       int
+	SnapshotEveryOps   int
+	SnapshotEveryBytes int64
+	SnapshotInterval   time.Duration
+	// BaseVersion is the committed version Graph already contains; a
+	// checkpoint in SnapshotDir replaces Graph only when it is newer.
 	BaseVersion uint64
 	// WALDir enables the durable write-ahead op log (internal/wal): every
 	// committed batch is fsynced there before its caller is acknowledged,
-	// and Start first replays the directory's tail beyond BaseVersion
-	// into Graph — so an engine restarted over the same directories
-	// (snapshot + WAL) resumes at the exact pre-crash committed version.
+	// and every role first replays the directory's tail beyond the
+	// checkpoint into Graph — so an engine restarted over the same
+	// directories (snapshot + WAL) resumes at the exact pre-crash version.
 	WALDir string
 	// WALGraphID names the graph identity the WAL belongs to (0 selects
 	// 1); a directory written for another id refuses to open.
@@ -135,7 +145,9 @@ func closeWAL(w *wal.WAL) {
 
 // Engine is a running Q-Graph instance.
 type Engine struct {
-	cfg      Config
+	cfg Config
+	// net carries the in-process workers; nil when they are other
+	// processes (StartController).
 	net      transport.Network
 	ownNet   bool
 	ctrl     *controller.Controller
@@ -155,7 +167,7 @@ type Engine struct {
 	workerLive []bool
 
 	workerWG sync.WaitGroup
-	ctrlWG   sync.WaitGroup
+	done     chan struct{} // closed when the controller's Run returned
 	errMu    sync.Mutex
 	runErrs  []error
 	closed   sync.Once
@@ -173,126 +185,36 @@ func (h *Handle) Wait() controller.Result { return <-h.ch }
 // Done exposes the result channel for select loops.
 func (h *Handle) Done() <-chan controller.Result { return h.ch }
 
-// Start builds and launches an engine.
+// Start builds and launches an engine: the controller and its k workers in
+// this process, over cfg.Network.
 func Start(cfg Config) (*Engine, error) {
-	if cfg.Workers < 1 || cfg.Workers > partition.MaxWorkers {
-		return nil, fmt.Errorf("core: bad worker count %d", cfg.Workers)
-	}
-	if cfg.Graph == nil {
-		return nil, fmt.Errorf("core: nil graph")
-	}
-	// WAL recovery comes first: the replayed graph is what everything
-	// below (partitioning, controller, workers) must be built against.
-	var walLog *wal.WAL
-	if cfg.WALDir != "" {
-		gid := cfg.WALGraphID
-		if gid == 0 {
-			gid = 1
-		}
-		g, v, err := wal.RecoverGraph(cfg.WALDir, gid, cfg.Graph, cfg.BaseVersion)
-		if err != nil {
-			return nil, fmt.Errorf("core: wal recovery: %w", err)
-		}
-		cfg.Graph, cfg.BaseVersion = g, v
-		if walLog, err = wal.Open(cfg.WALDir, gid); err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		if err := walLog.Rebase(cfg.BaseVersion); err != nil {
-			walLog.Close()
-			return nil, fmt.Errorf("core: %w", err)
-		}
-	}
-	assign := cfg.Assignment
-	if assign == nil {
-		p := cfg.Partitioner
-		if p == nil {
-			p = partition.Hash{}
-		}
-		var err error
-		assign, err = p.Partition(cfg.Graph, cfg.Workers)
-		if err != nil {
-			closeWAL(walLog)
-			return nil, fmt.Errorf("core: initial partitioning: %w", err)
-		}
-	}
-	if err := assign.Validate(cfg.Workers); err != nil {
-		closeWAL(walLog)
+	assign, err := boot(&cfg)
+	if err != nil {
 		return nil, err
 	}
-
-	rec := cfg.Recorder
-	if rec == nil {
-		rec = metrics.NewRecorder()
-	}
-	net := cfg.Network
-	ownNet := false
-	if net == nil {
+	net, ownNet := cfg.Network, cfg.Network == nil
+	if ownNet {
 		net = transport.NewChanNetwork(cfg.Workers+1, cfg.Latency)
-		ownNet = true
-	}
-	if net.Nodes() != cfg.Workers+1 {
-		if ownNet {
-			net.Close()
-		}
-		closeWAL(walLog)
+	} else if net.Nodes() != cfg.Workers+1 {
 		return nil, fmt.Errorf("core: network has %d nodes, want %d", net.Nodes(), cfg.Workers+1)
 	}
-
-	e := &Engine{cfg: cfg, net: net, ownNet: ownNet, recorder: rec,
-		assign: assign, workerLive: make([]bool, cfg.Workers),
-		snaps: snapshot.NewStore(cfg.SnapshotDir, cfg.SnapshotKeep),
-		wal:   walLog}
-	var respawn func(partition.WorkerID)
-	if cfg.RespawnWorkers {
-		respawn = e.respawnWorker
-	}
-	ctrl, err := controller.New(controller.Config{
-		K:                cfg.Workers,
-		Graph:            cfg.Graph,
-		Owner:            assign,
-		Mode:             cfg.Mode,
-		Adapt:            cfg.Adapt,
-		Phi:              cfg.Phi,
-		Mu:               cfg.Mu,
-		MinWindowQueries: cfg.MinWindowQueries,
-		Delta:            cfg.Delta,
-		QcutBudget:       cfg.QcutBudget,
-		CheckEvery:       cfg.CheckEvery,
-		Cooldown:         cfg.Cooldown,
-		NoClustering:     cfg.NoClustering,
-		NoPerturbation:   cfg.NoPerturbation,
-		Seed:             cfg.Seed,
-		CommitEvery:      cfg.CommitEvery,
-		MaxBatchOps:      cfg.MaxBatchOps,
-		HeartbeatEvery:   cfg.HeartbeatEvery,
-		HeartbeatTimeout: cfg.HeartbeatTimeout,
-		Respawn:          respawn,
-		RespawnWait:      cfg.RespawnWait,
-		Snapshots:        e.snaps,
-		SnapshotPolicy:   snapshot.Policy{EveryOps: cfg.SnapshotEveryOps},
-		BaseVersion:      cfg.BaseVersion,
-		WAL:              walLog,
-		Recorder:         rec,
-		Obs:              cfg.Obs,
-		Monitor:          cfg.Monitor,
-	}, net.Conn(protocol.ControllerNode))
-	if err != nil {
+	fail := func(err error) (*Engine, error) {
 		if ownNet {
 			net.Close()
 		}
-		closeWAL(walLog)
 		return nil, err
 	}
-	e.ctrl = ctrl
+	e, err := newEngine(cfg, assign, net.Conn(protocol.ControllerNode), net)
+	if err != nil {
+		return fail(err)
+	}
+	e.ownNet = ownNet
 	for w := 0; w < cfg.Workers; w++ {
 		wk, err := worker.New(e.workerConfig(partition.WorkerID(w), false),
 			net.Conn(protocol.WorkerNode(partition.WorkerID(w))))
 		if err != nil {
-			if ownNet {
-				net.Close()
-			}
-			closeWAL(walLog)
-			return nil, err
+			closeWAL(e.wal)
+			return fail(err)
 		}
 		e.workers = append(e.workers, wk)
 	}
@@ -321,27 +243,172 @@ func Start(cfg Config) (*Engine, error) {
 		e.workerLive[w] = true
 		e.runWorker(partition.WorkerID(w), wk)
 	}
-	e.ctrlWG.Add(1)
+	e.run()
+	return e, nil
+}
+
+// StartController runs the controller alone on conn, for a deployment
+// whose k workers are other processes, each in RunWorker over the same
+// graph and directories. The engine has no local workers; Close stops the
+// controller and closes the WAL, but not conn.
+func StartController(cfg Config, conn transport.Conn) (*Engine, error) {
+	assign, err := boot(&cfg)
+	if err != nil {
+		return nil, err
+	}
+	e, err := newEngine(cfg, assign, conn, nil)
+	if err != nil {
+		return nil, err
+	}
+	e.run()
+	return e, nil
+}
+
+// RunWorker runs worker id alone on conn until the controller shuts it
+// down. rejoin announces a respawned worker, which adopts its state
+// through the recovery protocol instead of assuming a fresh deployment.
+func RunWorker(cfg Config, id partition.WorkerID, rejoin bool, conn transport.Conn) error {
+	assign, err := boot(&cfg)
+	if err != nil {
+		return err
+	}
+	e := &Engine{cfg: cfg, assign: assign, snaps: cfg.snapshotStore(false)}
+	c := e.workerConfig(id, rejoin)
+	c.Logger = cfg.Obs.Log() // a worker process's logger already names its role
+	wk, err := worker.New(c, conn)
+	if err != nil {
+		return err
+	}
+	return wk.Run()
+}
+
+// boot recovers, in place on cfg, the state every role starts from: it
+// creates SnapshotDir, replaces Graph by the newest checkpoint there above
+// BaseVersion, folds the WAL tail into it, and returns the initial
+// assignment. Every node of a deployment boots from the same graph and
+// directories, so all of them agree on the base byte for byte.
+func boot(cfg *Config) (partition.Assignment, error) {
+	if cfg.Workers < 1 || cfg.Workers > partition.MaxWorkers {
+		return nil, fmt.Errorf("core: bad worker count %d", cfg.Workers)
+	}
+	if cfg.Graph == nil {
+		return nil, fmt.Errorf("core: nil graph")
+	}
+	log := cfg.Obs.Log()
+	if cfg.SnapshotDir != "" {
+		if err := os.MkdirAll(cfg.SnapshotDir, 0o755); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+		snap, err := snapshot.LoadLatest(cfg.SnapshotDir)
+		if err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+		if snap != nil && snap.Version > cfg.BaseVersion {
+			cfg.Graph, cfg.BaseVersion = snap.Graph, snap.Version
+			log.Info("restored checkpoint version", "version", snap.Version, "vertices",
+				snap.Graph.NumVertices(), "edges", snap.Graph.NumEdges(), "dir", cfg.SnapshotDir)
+		}
+	}
+	if cfg.WALDir != "" {
+		if cfg.WALGraphID == 0 {
+			cfg.WALGraphID = 1
+		}
+		g, v, err := wal.RecoverGraph(cfg.WALDir, cfg.WALGraphID, cfg.Graph, cfg.BaseVersion)
+		if err != nil {
+			return nil, fmt.Errorf("core: wal recovery: %w", err)
+		}
+		if v > cfg.BaseVersion {
+			log.Info("wal replayed versions", "from", cfg.BaseVersion+1, "to", v)
+		}
+		cfg.Graph, cfg.BaseVersion = g, v
+	}
+	assign := cfg.Assignment
+	if assign == nil {
+		p := cfg.Partitioner
+		if p == nil {
+			p = partition.Hash{}
+		}
+		var err error
+		if assign, err = p.Partition(cfg.Graph, cfg.Workers); err != nil {
+			return nil, fmt.Errorf("core: initial partitioning: %w", err)
+		}
+	}
+	return assign, assign.Validate(cfg.Workers)
+}
+
+// snapshotStore is the checkpoint store a role shares with its peers. Only
+// SnapshotDir reaches another process, so without it a role whose peers run
+// elsewhere gets none: the controller then keeps a private store whose cuts
+// never truncate the log, and a worker's grants replay from its own base.
+func (cfg *Config) snapshotStore(inProcess bool) *snapshot.Store {
+	if cfg.SnapshotDir == "" && !inProcess {
+		return nil
+	}
+	return snapshot.NewStore(cfg.SnapshotDir, cfg.SnapshotKeep)
+}
+
+// newEngine opens the WAL over the booted base and builds the controller on
+// conn. net carries the in-process workers and their respawns; nil when the
+// workers are other processes.
+func newEngine(cfg Config, assign partition.Assignment, conn transport.Conn, net transport.Network) (*Engine, error) {
+	var walLog *wal.WAL
+	if cfg.WALDir != "" {
+		var err error
+		if walLog, err = wal.Open(cfg.WALDir, cfg.WALGraphID); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+		if err := walLog.Rebase(cfg.BaseVersion); err != nil {
+			walLog.Close()
+			return nil, fmt.Errorf("core: %w", err)
+		}
+	}
+	rec := cfg.Recorder
+	if rec == nil {
+		rec = metrics.NewRecorder()
+	}
+	e := &Engine{cfg: cfg, net: net, recorder: rec, assign: assign,
+		workerLive: make([]bool, cfg.Workers), snaps: cfg.snapshotStore(net != nil),
+		wal: walLog, done: make(chan struct{})}
+	var respawn func(partition.WorkerID)
+	if cfg.RespawnWorkers && net != nil {
+		respawn = e.respawnWorker
+	}
+	ctrl, err := controller.New(controller.Config{
+		K: cfg.Workers, Graph: cfg.Graph, Owner: assign, Mode: cfg.Mode, Adapt: cfg.Adapt,
+		Phi: cfg.Phi, Mu: cfg.Mu, MinWindowQueries: cfg.MinWindowQueries, Delta: cfg.Delta,
+		QcutBudget: cfg.QcutBudget, CheckEvery: cfg.CheckEvery, Cooldown: cfg.Cooldown,
+		NoClustering: cfg.NoClustering, NoPerturbation: cfg.NoPerturbation, Seed: cfg.Seed,
+		CommitEvery: cfg.CommitEvery, MaxBatchOps: cfg.MaxBatchOps,
+		HeartbeatEvery: cfg.HeartbeatEvery, HeartbeatTimeout: cfg.HeartbeatTimeout,
+		Respawn: respawn, RespawnWait: cfg.RespawnWait,
+		Snapshots: e.snaps, SnapshotPolicy: snapshot.Policy{
+			EveryOps: cfg.SnapshotEveryOps, EveryBytes: cfg.SnapshotEveryBytes, Interval: cfg.SnapshotInterval,
+		},
+		BaseVersion: cfg.BaseVersion, WAL: walLog,
+		Recorder: rec, Obs: cfg.Obs, Monitor: cfg.Monitor,
+	}, conn)
+	if err != nil {
+		closeWAL(walLog)
+		return nil, err
+	}
+	e.ctrl = ctrl
+	return e, nil
+}
+
+// run starts the controller's event loop.
+func (e *Engine) run() {
 	go func() {
-		defer e.ctrlWG.Done()
-		if err := ctrl.Run(); err != nil {
+		defer close(e.done)
+		if err := e.ctrl.Run(); err != nil {
 			e.addErr(err)
 		}
 	}()
-	return e, nil
 }
 
 func (e *Engine) workerConfig(w partition.WorkerID, rejoin bool) worker.Config {
 	c := worker.Config{
-		ID:          w,
-		K:           e.cfg.Workers,
-		Graph:       e.cfg.Graph,
-		Owner:       e.assign,
-		ScopeTTL:    e.cfg.Mu,
-		ComputeCost: e.cfg.ComputeCost,
-		Rejoin:      rejoin,
-		BaseVersion: e.cfg.BaseVersion,
-		Snapshots:   e.snaps,
+		ID: w, K: e.cfg.Workers, Graph: e.cfg.Graph, Owner: e.assign, BaseVersion: e.cfg.BaseVersion,
+		ScopeTTL: e.cfg.Mu, ComputeCost: e.cfg.ComputeCost, Rejoin: rejoin, Snapshots: e.snaps,
 	}
 	if o := e.cfg.Obs; o != nil {
 		c.Logger = o.Log().With("role", "worker")
@@ -518,6 +585,10 @@ func (e *Engine) Workers() []*worker.Worker {
 	return append([]*worker.Worker(nil), e.workers...)
 }
 
+// Done is closed once the controller has stopped: after Close, or earlier
+// if it failed, in which case Close reports why.
+func (e *Engine) Done() <-chan struct{} { return e.done }
+
 // Close stops the controller and workers and releases the network. It
 // returns the first component error encountered during the run.
 func (e *Engine) Close() error {
@@ -526,7 +597,7 @@ func (e *Engine) Close() error {
 		// its final message), let every worker drain its inbox up to that
 		// Shutdown, and only then tear the network down.
 		e.ctrl.Stop()
-		e.ctrlWG.Wait()
+		<-e.done
 		e.workerWG.Wait()
 		if e.ownNet {
 			e.net.Close()

@@ -9,8 +9,12 @@ import (
 
 	"qgraph/internal/delta"
 	"qgraph/internal/faultpoint"
+	"qgraph/internal/graph"
 	"qgraph/internal/partition"
+	"qgraph/internal/protocol"
+	"qgraph/internal/query"
 	"qgraph/internal/snapshot"
+	"qgraph/internal/transport"
 	"qgraph/internal/wal"
 )
 
@@ -22,20 +26,13 @@ import (
 
 const walTestGraphID = 42
 
-// startWALEngine builds an engine over the shared dirs, recovering from
-// the newest snapshot (if any) before the WAL tail replays.
+// startWALEngine builds an engine from the seed graph over the shared
+// dirs; Start itself restores the newest checkpoint and replays the WAL.
 func startWALEngine(t *testing.T, snapDir, walDir string) *Engine {
 	t.Helper()
-	g, baseV := pathGraph(10), uint64(0)
-	if snap, err := snapshot.LoadLatest(snapDir); err != nil {
-		t.Fatal(err)
-	} else if snap != nil {
-		g, baseV = snap.Graph, snap.Version
-	}
 	cfg := Config{
-		Workers: 2, Graph: g, Partitioner: partition.Hash{},
-		SnapshotDir: snapDir, BaseVersion: baseV,
-		WALDir: walDir, WALGraphID: walTestGraphID,
+		Workers: 2, Graph: pathGraph(10), Partitioner: partition.Hash{},
+		SnapshotDir: snapDir, WALDir: walDir, WALGraphID: walTestGraphID,
 	}
 	fastCommit(&cfg)
 	eng, err := Start(cfg)
@@ -316,5 +313,85 @@ func TestFailedPersistRetryableAtSameVersion(t *testing.T) {
 	}
 	if snap, err := snapshot.LoadLatest(cfg.SnapshotDir); err != nil || snap == nil || snap.Version != res.Version {
 		t.Fatalf("retried cut not on disk: %+v, %v", snap, err)
+	}
+}
+
+// startRoles deploys cfg as qgraphd does, one entry point per role: the
+// controller on node 0 of a fresh loopback TCP network and each worker on
+// its own node. stop closes the controller, waits for every worker's Run
+// to end cleanly on its Shutdown, and closes the network.
+func startRoles(t *testing.T, cfg Config) (eng *Engine, stop func()) {
+	t.Helper()
+	tcp, err := transport.NewTCPNetwork(cfg.Workers + 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tcp.Close() })
+	errs := make(chan error, cfg.Workers)
+	for w := range partition.WorkerID(cfg.Workers) {
+		go func() { errs <- RunWorker(cfg, w, false, tcp.Conn(protocol.WorkerNode(w))) }()
+	}
+	if eng, err = StartController(cfg, tcp.Conn(protocol.ControllerNode)); err != nil {
+		t.Fatal(err)
+	}
+	return eng, func() {
+		t.Helper()
+		if err := eng.Close(); err != nil {
+			t.Fatalf("controller: %v", err)
+		}
+		for range cfg.Workers {
+			if err := <-errs; err != nil {
+				t.Fatalf("worker: %v", err)
+			}
+		}
+		tcp.Close()
+	}
+}
+
+// TestSeparateRolesRestartOverTCP runs the assembly qgraphd deploys, each
+// role through its own entry point over TCP, with a snapshot and a WAL
+// directory: commit, cut, commit again, stop, and restart every role over
+// the same directories. The restart sits at the last acknowledged version,
+// and its answers are Dijkstra's on the seed graph plus every committed
+// edge.
+func TestSeparateRolesRestartOverTCP(t *testing.T) {
+	if testing.Short() {
+		t.Skip("TCP test skipped in -short")
+	}
+	cfg := Config{
+		Workers: 2, Graph: pathGraph(10),
+		SnapshotDir: t.TempDir(), WALDir: t.TempDir(), WALGraphID: walTestGraphID,
+	}
+	fastCommit(&cfg)
+	edges := []delta.Op{
+		{Kind: delta.OpAddEdge, From: 0, To: 9, Weight: 1.5},
+		{Kind: delta.OpAddEdge, From: 0, To: 5, Weight: 0.25},
+	}
+
+	eng, stop := startRoles(t, cfg)
+	mutate(t, eng, edges[:1])
+	if res, err := eng.ForceSnapshot(); err != nil || !res.Persisted {
+		t.Fatalf("checkpoint = %+v, %v", res, err)
+	}
+	acked := mutate(t, eng, edges[1:]).Version
+	stop()
+
+	eng, stop = startRoles(t, cfg)
+	defer stop()
+	if v := eng.GraphVersion(); v != acked {
+		t.Fatalf("restarted at version %d, want the last acked %d", v, acked)
+	}
+	b := graph.NewBuilder(10)
+	for v := graph.VertexID(0); v < 9; v++ {
+		b.AddEdge(v, v+1, 1)
+	}
+	for _, op := range edges {
+		b.AddEdge(op.From, op.To, op.Weight)
+	}
+	want := b.MustBuild()
+	for i, p := range [][2]graph.VertexID{{0, 9}, {0, 5}, {1, 9}, {5, 9}, {0, 4}} {
+		if got, ref := sssp(t, eng, query.ID(i+1), p[0], p[1]), graph.DijkstraTo(want, p[0], p[1]); got != ref {
+			t.Fatalf("sssp %d->%d = %g after restart, Dijkstra %g", p[0], p[1], got, ref)
+		}
 	}
 }

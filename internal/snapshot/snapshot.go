@@ -7,10 +7,10 @@
 // tail) instead of (version 0, full log), and a qgraphd deployment can
 // restart from disk without the original mutation history.
 //
-// Snapshots are always cut from a committed view, which only ever changes
-// inside the global STOP/START barrier — so a checkpoint is by construction
-// superstep-consistent: no query ever observed a state between two
-// checkpointable versions.
+// Snapshots are always cut from a committed view: an immutable version of
+// the graph that the commit pipeline publishes whole, off any barrier. A
+// checkpoint therefore holds exactly the batches up to its version, and no
+// query ever observed a state between two committed versions.
 //
 // The package has three pieces: Policy decides when the controller cuts a
 // checkpoint (ops / bytes accumulated in the log, or wall-clock interval),
@@ -27,8 +27,8 @@ import (
 
 // Snapshot is one checkpoint: the full logical graph at a committed
 // version, materialized as a standalone immutable CSR graph. The graph is
-// shared, never mutated — replicas may replay delta batches over it
-// concurrently.
+// shared, never mutated — rejoining workers may replay delta batches over
+// it concurrently.
 type Snapshot struct {
 	Version uint64
 	Graph   *graph.Graph
