@@ -57,6 +57,40 @@ func TestReadmePathsExist(t *testing.T) {
 	}
 }
 
+// TestReadmeConfigFieldsExist checks that every `Config.X` or
+// `pkg.Config.X` that README.md or an internal/*/README.md quotes inline
+// names an exported field of that package's Config, so a field that is
+// deleted cannot live on in the docs. A bare `Config.X` means the package's
+// own Config in a package README, and any package's in the root README.
+func TestReadmeConfigFieldsExist(t *testing.T) {
+	fields := configFields(t)
+	docs, err := filepath.Glob("internal/*/README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range append(docs, "README.md") {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		home := ""
+		if dir := filepath.Dir(path); dir != "." {
+			home = filepath.Base(dir)
+		}
+		if bad := staleFields(string(b), home, fields); len(bad) > 0 {
+			t.Errorf("%s quotes Config fields no package declares: %v", path, bad)
+		}
+	}
+	b, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	planted := string(b) + "\nQ-cut plans within `core.Config.QcutBudget`.\n"
+	if bad := staleFields(planted, "", fields); !slices.Equal(bad, []string{"core.Config.QcutBudget"}) {
+		t.Fatalf("a planted stale field went unnoticed: stale = %v", bad)
+	}
+}
+
 var (
 	fence      = regexp.MustCompile("(?ms)^```.*?^```")
 	inlineCode = regexp.MustCompile("`([^`]+)`")
@@ -64,7 +98,77 @@ var (
 	pathToken  = regexp.MustCompile(`^(?:\./)?((?:internal|cmd|examples)/\S*|\S+\.go)$`)
 	lineSuffix = regexp.MustCompile(`:[0-9][0-9–-]*$`) // file.go:12 or file.go:12–30
 	selector   = regexp.MustCompile(`\.[A-Za-z_]\w*$`) // internal/delta.View
+	fieldToken = regexp.MustCompile(`^(?:([a-z]\w*)\.)?Config\.([A-Z]\w*)$`)
 )
+
+// staleFields returns, sorted and once each, the Config fields quoted in
+// inline code spans of md that fields does not list. A bare Config.X is
+// looked up in package home ("" = every package).
+func staleFields(md, home string, fields map[string]map[string]bool) []string {
+	md = fence.ReplaceAllString(md, "")
+	var bad []string
+	for _, span := range inlineCode.FindAllStringSubmatch(md, -1) {
+		for _, tok := range strings.Fields(span[1]) {
+			m := fieldToken.FindStringSubmatch(tok)
+			if m == nil {
+				continue
+			}
+			pkg := m[1]
+			if pkg == "" {
+				pkg = home
+			}
+			if !fields[pkg][m[2]] && !slices.Contains(bad, tok) {
+				bad = append(bad, tok)
+			}
+		}
+	}
+	slices.Sort(bad)
+	return bad
+}
+
+// configFields returns the exported fields of every `type Config struct`
+// under internal/, by package name; key "" holds the union.
+func configFields(t *testing.T) map[string]map[string]bool {
+	t.Helper()
+	fields := map[string]map[string]bool{"": {}}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir("internal", func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok || ts.Name.Name != "Config" {
+				return true
+			}
+			st, ok := ts.Type.(*ast.StructType)
+			if !ok {
+				return false
+			}
+			pkg := f.Name.Name
+			if fields[pkg] == nil {
+				fields[pkg] = make(map[string]bool)
+			}
+			for _, fl := range st.Fields.List {
+				for _, name := range fl.Names {
+					if name.IsExported() {
+						fields[pkg][name.Name], fields[""][name.Name] = true, true
+					}
+				}
+			}
+			return false
+		})
+		return nil
+	})
+	if err != nil || len(fields) == 1 {
+		t.Fatalf("no Config struct under internal/: %v", err)
+	}
+	return fields
+}
 
 // missingPaths returns, sorted and once each, the paths quoted in inline
 // code spans of md that match no file or directory of the tree.

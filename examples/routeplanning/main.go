@@ -45,7 +45,6 @@ func main() {
 			Adapt:       adapt,
 			Cooldown:    300 * time.Millisecond,
 			CheckEvery:  50 * time.Millisecond,
-			QcutBudget:  200 * time.Millisecond,
 			ComputeCost: 2 * time.Microsecond,
 			Recorder:    rec,
 		})

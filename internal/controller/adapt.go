@@ -17,6 +17,18 @@ import (
 // snapshot of the high-level view), Execute (global barrier with move
 // directives, global.go).
 
+const (
+	// defaultPhi is the locality threshold Φ when Config.Phi is unset
+	// (Sec. 3.4).
+	defaultPhi = 0.7
+	// balanceSlack is the workload balance slack δ (Appendix A.1): the
+	// trigger fires past it, and Q-cut keeps its plans within it.
+	balanceSlack = 0.25
+	// minWindowQueries is how many finished queries the trigger waits for,
+	// so it never repartitions on no evidence.
+	minWindowQueries = 8
+)
+
 // onTick runs the Analyze step. Repartitioning triggers when the
 // statistics indicate the current partitioning is suboptimal (Sec. 3.4):
 // either the average query locality fell below Φ, or the high-level
@@ -44,7 +56,7 @@ func (c *Controller) onTick() {
 	// rejoined-empty worker shows up as the least-loaded target — the
 	// imbalance trigger below then actively re-loads it instead of waiting
 	// for organic moves.
-	imbalanced := c.lwImbalance() > c.cfg.Delta
+	imbalanced := c.lwImbalance() > balanceSlack
 	if c.curCooldown == 0 {
 		c.curCooldown = c.cfg.Cooldown
 	}
@@ -52,7 +64,7 @@ func (c *Controller) onTick() {
 		return
 	}
 	c.pruneWindow(now)
-	if len(c.window) < c.cfg.MinWindowQueries {
+	if len(c.window) < minWindowQueries {
 		return
 	}
 	loc := c.avgLocality()
@@ -211,21 +223,15 @@ func (c *Controller) snapshot(now time.Time) qcut.Input {
 	slices.SortFunc(inter, func(a, b qcut.Intersection) int {
 		return cmp.Or(cmp.Compare(a.Q1, b.Q1), cmp.Compare(a.Q2, b.Q2))
 	})
-	var deadline time.Time
-	if c.cfg.QcutBudget > 0 {
-		deadline = now.Add(c.cfg.QcutBudget)
-	}
 	return qcut.Input{
-		K:              c.cfg.K,
-		Scopes:         rows,
-		Intersections:  inter,
-		VertexCounts:   append([]int64(nil), c.vertCount...),
-		Alive:          alive,
-		Delta:          c.cfg.Delta,
-		Deadline:       deadline,
-		Seed:           c.cfg.Seed + uint64(c.epoch),
-		NoClustering:   c.cfg.NoClustering,
-		NoPerturbation: c.cfg.NoPerturbation,
+		K:             c.cfg.K,
+		Scopes:        rows,
+		Intersections: inter,
+		VertexCounts:  append([]int64(nil), c.vertCount...),
+		Alive:         alive,
+		Delta:         balanceSlack,
+		Deadline:      now.Add(qcut.Budget),
+		Seed:          c.cfg.Seed + uint64(c.epoch),
 	}
 }
 

@@ -4,9 +4,51 @@ import (
 	"testing"
 	"time"
 
+	"qgraph/internal/partition"
 	"qgraph/internal/protocol"
 	"qgraph/internal/query"
 )
+
+// TestBalanceTriggerFiresOnSkewOnly: with every windowed query fully local,
+// Q-cut starts only when the combined load Lw of Appendix A.1 is spread by
+// more than δ across the workers. Both cases own four vertices per worker;
+// what differs is where the window's scope mass sits.
+func TestBalanceTriggerFiresOnSkewOnly(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		sizes []int64
+		want  bool
+	}{
+		{"scopes skewed onto worker 0", []int64{40, 0}, true},
+		{"scopes equal", []int64{20, 20}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			now := time.Unix(1_000, 0)
+			c := newLoopless(t, 2, func(cfg *Config) {
+				cfg.Adapt = true
+				cfg.Owner = partition.Assignment{0, 1, 0, 1, 0, 1, 0, 1}
+				cfg.Clock = func() time.Time { return now }
+			})
+			for q := query.ID(1); q <= 8; q++ {
+				c.windowAdd(&qctl{
+					spec: query.Spec{ID: q}, scopeSizes: tc.sizes,
+					stepsDone: 10, localSteps: 10,
+				}, now)
+			}
+			if loc := c.avgLocality(); loc != 1 {
+				t.Fatalf("window locality %v, want 1: only the balance rule may fire", loc)
+			}
+			c.onTick()
+			if c.qcutRunning != tc.want {
+				t.Fatalf("imbalance %.2f against δ %.2f: Q-cut started = %v, want %v",
+					c.lwImbalance(), balanceSlack, c.qcutRunning, tc.want)
+			}
+			if c.qcutRunning {
+				<-c.qcutCh // let the planner goroutine finish before the network closes
+			}
+		})
+	}
+}
 
 // TestRecoveryIsNotAPlanForBackoff: the trigger backoff doubles the
 // cooldown when the previous Q-cut plan did not raise locality. A recovery
@@ -19,7 +61,7 @@ import (
 func TestRecoveryIsNotAPlanForBackoff(t *testing.T) {
 	now := time.Unix(1_000, 0)
 	c := newLoopless(t, 2, func(cfg *Config) {
-		cfg.Adapt, cfg.Cooldown, cfg.MinWindowQueries = true, time.Second, 4
+		cfg.Adapt, cfg.Cooldown = true, time.Second
 		cfg.HeartbeatEvery, cfg.HeartbeatTimeout = 10*time.Millisecond, 20*time.Millisecond
 		cfg.Clock = func() time.Time { return now }
 	})

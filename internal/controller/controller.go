@@ -70,25 +70,15 @@ type Config struct {
 	// Adapt enables the MAPE adaptivity loop (Q-cut at runtime).
 	Adapt bool
 	// Phi is the locality threshold Φ: average query locality below it
-	// triggers repartitioning (paper: 0.7).
+	// triggers repartitioning (default defaultPhi).
 	Phi float64
 	// Mu is the monitoring window μ: how long finished-query statistics
-	// stay in the global view (paper: 240 s).
+	// stay in the global view (default protocol.DefaultMu).
 	Mu time.Duration
-	// MinWindowQueries is the minimum finished queries before the trigger
-	// fires (avoids repartitioning on no evidence).
-	MinWindowQueries int
-	// Delta is the workload balance slack δ (paper: 0.25).
-	Delta float64
-	// QcutBudget bounds each Q-cut run (paper: 2 s).
-	QcutBudget time.Duration
 	// CheckEvery is the adaptivity check interval.
 	CheckEvery time.Duration
 	// Cooldown is the minimum time between repartitionings.
 	Cooldown time.Duration
-	// NoClustering / NoPerturbation are Q-cut ablation switches.
-	NoClustering   bool
-	NoPerturbation bool
 	// Seed feeds Q-cut's randomness.
 	Seed uint64
 
@@ -112,11 +102,6 @@ type Config struct {
 	// replacement announces itself with WorkerHello. When nil, recovery
 	// always hands the dead worker's partition to survivors.
 	Respawn func(partition.WorkerID)
-	// RespawnWait is how long recovery defers the partition handoff to
-	// give a respawned worker the chance to adopt its old partition in
-	// place (default 500ms). A hello arriving after the deadline still
-	// rejoins, just with an empty partition.
-	RespawnWait time.Duration
 
 	// Snapshots receives checkpoints (internal/snapshot): cuts of the
 	// committed graph that let the committed-op log be truncated and a
@@ -174,19 +159,10 @@ func (c *Config) fill() error {
 		return fmt.Errorf("controller: ownership covers %d of %d vertices", len(c.Owner), c.Graph.NumVertices())
 	}
 	if c.Phi == 0 {
-		c.Phi = 0.7
+		c.Phi = defaultPhi
 	}
 	if c.Mu <= 0 {
-		c.Mu = 240 * time.Second
-	}
-	if c.MinWindowQueries <= 0 {
-		c.MinWindowQueries = 8
-	}
-	if c.Delta <= 0 {
-		c.Delta = 0.25
-	}
-	if c.QcutBudget <= 0 {
-		c.QcutBudget = 2 * time.Second
+		c.Mu = protocol.DefaultMu
 	}
 	if c.CheckEvery <= 0 {
 		c.CheckEvery = 250 * time.Millisecond
@@ -205,9 +181,6 @@ func (c *Config) fill() error {
 	}
 	if c.HeartbeatTimeout <= 0 {
 		c.HeartbeatTimeout = 5 * time.Second
-	}
-	if c.RespawnWait <= 0 {
-		c.RespawnWait = 500 * time.Millisecond
 	}
 	if c.Snapshots == nil {
 		c.Snapshots = snapshot.NewStore("", 0)

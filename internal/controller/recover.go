@@ -50,6 +50,11 @@ const (
 	recWaitAcks
 )
 
+// respawnWait is how long recovery defers the partition handoff to give a
+// respawned worker the chance to adopt its old partition in place. A hello
+// arriving after the deadline still rejoins, just with an empty partition.
+const respawnWait = 500 * time.Millisecond
+
 // onWorkerDead starts (or extends) a recovery episode. Called by the
 // heartbeat monitor exactly once per declared death.
 func (c *Controller) onWorkerDead(w partition.WorkerID) {
@@ -93,7 +98,7 @@ func (c *Controller) startRecoveryRound(newlyDead, rejoining []partition.WorkerI
 	for _, w := range newlyDead {
 		c.epDied[w] = true
 		if c.cfg.Respawn != nil {
-			c.rec.AwaitHello(w, now.Add(c.cfg.RespawnWait))
+			c.rec.AwaitHello(w, now.Add(respawnWait))
 			c.cfg.Respawn(w)
 		}
 	}

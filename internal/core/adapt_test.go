@@ -50,8 +50,6 @@ func eagerAdapt(c *Config) {
 	c.Phi = 0.99 // trigger almost always
 	c.CheckEvery = 5 * time.Millisecond
 	c.Cooldown = 10 * time.Millisecond
-	c.QcutBudget = 30 * time.Millisecond
-	c.MinWindowQueries = 4
 	c.Mu = time.Minute
 }
 
@@ -144,8 +142,6 @@ func TestAdaptiveImprovesLocality(t *testing.T) {
 			c.Phi = 0.95
 			c.CheckEvery = 5 * time.Millisecond
 			c.Cooldown = 20 * time.Millisecond
-			c.QcutBudget = 50 * time.Millisecond
-			c.MinWindowQueries = 8
 			c.Mu = time.Minute
 		})
 		if _, err := eng.RunBatch(specs, 16); err != nil {
@@ -180,8 +176,9 @@ func TestAdaptationContinuesAfterHandoff(t *testing.T) {
 	eng := startEngine(t, net.G, func(c *Config) {
 		eagerAdapt(c)
 		// A wave must outlast one Q-cut round — backed-off Cooldown (up to
-		// 40 ms seen here), tick, plan (≤ QcutBudget) — or the assertion
-		// below measures the engine's speed: 100–190 ms per wave.
+		// 40 ms seen here), tick, plan (2–18 ms seen here; Q-cut converges
+		// long before its budget) — or the assertion below measures the
+		// engine's speed: 100–190 ms per wave.
 		c.ComputeCost = 10 * time.Microsecond
 		c.HeartbeatEvery = 5 * time.Millisecond
 		c.HeartbeatTimeout = 30 * time.Millisecond

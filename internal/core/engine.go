@@ -68,16 +68,11 @@ type Config struct {
 	Adapt bool
 
 	// Controller knobs (zero = paper defaults; see controller.Config).
-	Phi              float64
-	Mu               time.Duration
-	MinWindowQueries int
-	Delta            float64
-	QcutBudget       time.Duration
-	CheckEvery       time.Duration
-	Cooldown         time.Duration
-	NoClustering     bool
-	NoPerturbation   bool
-	Seed             uint64
+	Phi        float64
+	Mu         time.Duration
+	CheckEvery time.Duration
+	Cooldown   time.Duration
+	Seed       uint64
 	// Streaming-update and liveness knobs (zero = defaults; see
 	// controller.Config).
 	CommitEvery      time.Duration
@@ -87,13 +82,10 @@ type Config struct {
 	// RespawnWorkers relaunches a dead worker in-process when the
 	// controller declares it lost: the replacement rejoins via
 	// WorkerHello/PartitionGrant, rebuilding its graph view from the
-	// committed-op replay, and (when it says hello within RespawnWait)
-	// adopts its old partition in place. Without it, recovery hands dead
-	// partitions to the survivors.
+	// committed-op replay, and (when it says hello in time) adopts its old
+	// partition in place. Without it, recovery hands dead partitions to the
+	// survivors.
 	RespawnWorkers bool
-	// RespawnWait bounds how long recovery defers the handoff for a
-	// respawned worker's hello (see controller.Config.RespawnWait).
-	RespawnWait time.Duration
 
 	// Checkpointing (internal/snapshot). SnapshotDir persists checkpoints
 	// durably ("" keeps them in memory only) and is created if missing;
@@ -375,13 +367,10 @@ func newEngine(cfg Config, assign partition.Assignment, conn transport.Conn, net
 	}
 	ctrl, err := controller.New(controller.Config{
 		K: cfg.Workers, Graph: cfg.Graph, Owner: assign, Mode: cfg.Mode, Adapt: cfg.Adapt,
-		Phi: cfg.Phi, Mu: cfg.Mu, MinWindowQueries: cfg.MinWindowQueries, Delta: cfg.Delta,
-		QcutBudget: cfg.QcutBudget, CheckEvery: cfg.CheckEvery, Cooldown: cfg.Cooldown,
-		NoClustering: cfg.NoClustering, NoPerturbation: cfg.NoPerturbation, Seed: cfg.Seed,
+		Phi: cfg.Phi, Mu: cfg.Mu, CheckEvery: cfg.CheckEvery, Cooldown: cfg.Cooldown, Seed: cfg.Seed,
 		CommitEvery: cfg.CommitEvery, MaxBatchOps: cfg.MaxBatchOps,
 		HeartbeatEvery: cfg.HeartbeatEvery, HeartbeatTimeout: cfg.HeartbeatTimeout,
-		Respawn: respawn, RespawnWait: cfg.RespawnWait,
-		Snapshots: e.snaps, SnapshotPolicy: snapshot.Policy{
+		Respawn: respawn, Snapshots: e.snaps, SnapshotPolicy: snapshot.Policy{
 			EveryOps: cfg.SnapshotEveryOps, EveryBytes: cfg.SnapshotEveryBytes, Interval: cfg.SnapshotInterval,
 		},
 		BaseVersion: cfg.BaseVersion, WAL: walLog,
@@ -478,17 +467,14 @@ func (e *Engine) RunBatch(specs []query.Spec, parallel int) ([]controller.Result
 		parallel = 16
 	}
 	out := make(chan controller.Result)
-	errCh := make(chan error, 1)
+	errCh := make(chan error, len(specs)) // every failure fits: none is dropped
 	go func() {
 		sem := make(chan struct{}, parallel)
 		for _, spec := range specs {
 			sem <- struct{}{}
 			h, err := e.Schedule(spec)
 			if err != nil {
-				select {
-				case errCh <- err:
-				default:
-				}
+				errCh <- err
 				<-sem
 				continue
 			}

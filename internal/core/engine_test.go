@@ -229,6 +229,40 @@ func TestInvalidSpecsRejected(t *testing.T) {
 	}
 }
 
+// TestRunBatchCountsEveryFailure: RunBatch returns once every spec is
+// answered or refused, however many are refused. (The feeder used to offer
+// each refusal to a one-slot channel and drop it when the slot was taken,
+// so with two or more refusals the batch waited forever for a result that
+// never came.)
+func TestRunBatchCountsEveryFailure(t *testing.T) {
+	net := testRoad(t)
+	eng := startEngine(t, net.G, nil)
+	n := graph.VertexID(net.G.NumVertices())
+	specs := []query.Spec{
+		{ID: 1, Kind: query.KindSSSP, Source: n, Target: 0},
+		{ID: 2, Kind: query.KindSSSP, Source: n + 1, Target: 0},
+		{ID: 3, Kind: query.KindSSSP, Source: n + 2, Target: 0},
+		{ID: 4, Kind: query.KindSSSP, Source: 0, Target: n - 1},
+	}
+	type batch struct {
+		results []controller.Result
+		err     error
+	}
+	done := make(chan batch, 1)
+	go func() {
+		results, err := eng.RunBatch(specs, 4)
+		done <- batch{results, err}
+	}()
+	select {
+	case b := <-done:
+		if len(b.results) != 1 || b.results[0].Q != 4 || b.err == nil {
+			t.Fatalf("RunBatch = %d results, err %v; want query 4's result and the first refusal", len(b.results), b.err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("RunBatch hung with three refused specs")
+	}
+}
+
 // TestCloseWithInflightQueries: closing the engine mid-flight delivers
 // cancelled results rather than deadlocking.
 func TestCloseWithInflightQueries(t *testing.T) {

@@ -41,7 +41,6 @@ func fastRecovery(cfg *Config) {
 	cfg.MaxBatchOps = 1 << 20 // commit on the timer, not per op
 	cfg.HeartbeatEvery = 5 * time.Millisecond
 	cfg.HeartbeatTimeout = 30 * time.Millisecond
-	cfg.RespawnWait = 250 * time.Millisecond
 }
 
 // queryPairs is the reference workload: point-to-point SSSP across the

@@ -30,7 +30,7 @@ func AblationPerturbation(sc Scale) (*Table, error) {
 	for _, noPerturb := range []bool{false, true} {
 		v := in
 		v.NoPerturbation = noPerturb
-		v.Deadline = time.Now().Add(sc.QcutBudget)
+		v.Deadline = time.Now().Add(qcut.Budget)
 		res := qcut.Run(v)
 		name := "with-perturbation"
 		if noPerturb {
@@ -62,7 +62,7 @@ func AblationClustering(sc Scale) (*Table, error) {
 	for _, noCluster := range []bool{false, true} {
 		v := in
 		v.NoClustering = noCluster
-		v.Deadline = time.Now().Add(sc.QcutBudget)
+		v.Deadline = time.Now().Add(qcut.Budget)
 		start := time.Now()
 		res := qcut.Run(v)
 		name := "clustered"
@@ -160,9 +160,7 @@ func engineCfg(sc Scale, net *gen.RoadNet, adapt bool, rec *metrics.Recorder, mu
 		Partitioner: (strategies(net))[0].Partitioner, // hash
 		Latency:     sc.Latency,
 		Adapt:       adapt,
-		Phi:         sc.Phi,
 		Mu:          sc.Mu,
-		QcutBudget:  sc.QcutBudget,
 		Cooldown:    sc.Cooldown,
 		CheckEvery:  sc.CheckEvery,
 		ComputeCost: sc.ComputeCost,

@@ -23,6 +23,7 @@ import (
 	"qgraph/internal/graph"
 	"qgraph/internal/metrics"
 	"qgraph/internal/partition"
+	"qgraph/internal/protocol"
 	"qgraph/internal/query"
 	"qgraph/internal/transport"
 	"qgraph/internal/workload"
@@ -42,10 +43,9 @@ type Scale struct {
 	// Workers is k for the non-scalability figures (paper: 8).
 	Workers int
 	// Adaptivity parameters, scaled to the compressed experiment
-	// duration; paper values are Mu=240s, Phi=0.7, QcutBudget=2s.
+	// duration; the paper's μ is protocol.DefaultMu. Φ and Q-cut's
+	// planning budget are the engine's defaults at every scale.
 	Mu         time.Duration
-	Phi        float64
-	QcutBudget time.Duration
 	Cooldown   time.Duration
 	CheckEvery time.Duration
 	// ComputeCost models per-vertex application work (straggler realism).
@@ -60,10 +60,9 @@ func DefaultScale() Scale {
 	return Scale{
 		BWScale: 64, GYScale: 196,
 		Queries: 256, Disturb: 128, BarrierQueries: 48, ScaleQueries: 128,
-		Parallel: 16,
-		Workers:  8,
-		Mu:       45 * time.Second, Phi: 0.7,
-		QcutBudget:  300 * time.Millisecond,
+		Parallel:    16,
+		Workers:     8,
+		Mu:          45 * time.Second,
 		Cooldown:    400 * time.Millisecond,
 		CheckEvery:  100 * time.Millisecond,
 		ComputeCost: 4 * time.Microsecond,
@@ -78,7 +77,6 @@ func QuickScale() Scale {
 	s.BWScale, s.GYScale = 512, 1600
 	s.Queries, s.Disturb, s.BarrierQueries, s.ScaleQueries = 64, 16, 16, 32
 	s.Mu = 20 * time.Second
-	s.QcutBudget = 100 * time.Millisecond
 	s.Cooldown = 300 * time.Millisecond
 	s.CheckEvery = 50 * time.Millisecond
 	return s
@@ -89,10 +87,9 @@ func PaperScale() Scale {
 	return Scale{
 		BWScale: 1, GYScale: 1,
 		Queries: 2048, Disturb: 496, BarrierQueries: 64, ScaleQueries: 1024,
-		Parallel: 16,
-		Workers:  8,
-		Mu:       240 * time.Second, Phi: 0.7,
-		QcutBudget:  2 * time.Second,
+		Parallel:    16,
+		Workers:     8,
+		Mu:          protocol.DefaultMu,
 		Cooldown:    5 * time.Second,
 		CheckEvery:  250 * time.Millisecond,
 		ComputeCost: 4 * time.Microsecond,
@@ -184,9 +181,7 @@ func startEngine(sc Scale, net *gen.RoadNet, st Strategy, k int, rec *metrics.Re
 		Latency:     sc.Latency,
 		Mode:        st.Mode,
 		Adapt:       st.Adapt,
-		Phi:         sc.Phi,
 		Mu:          sc.Mu,
-		QcutBudget:  sc.QcutBudget,
 		Cooldown:    sc.Cooldown,
 		CheckEvery:  sc.CheckEvery,
 		ComputeCost: sc.ComputeCost,

@@ -20,7 +20,6 @@ func tinyScale() Scale {
 	s.Latency.WorkerController = 25 * time.Microsecond
 	s.Cooldown = 100 * time.Millisecond
 	s.CheckEvery = 20 * time.Millisecond
-	s.QcutBudget = 50 * time.Millisecond
 	return s
 }
 

@@ -8,6 +8,8 @@
 package protocol
 
 import (
+	"time"
+
 	"qgraph/internal/delta"
 	"qgraph/internal/graph"
 	"qgraph/internal/partition"
@@ -217,6 +219,11 @@ func (*Shutdown) Type() MsgType { return TShutdown }
 // WindowQueries caps the monitoring window (Sec. 3.4; paper: 128): the
 // finished queries Q-cut sees, and those a finishing query is intersected with.
 const WindowQueries = 128
+
+// DefaultMu is the monitoring window's age bound μ (Sec. 3.4; paper: 240 s)
+// when the deployment sets none: the controller keeps no finished query
+// older than it, and a worker remembers none.
+const DefaultMu = 240 * time.Second
 
 // SigShift is the scope-signature block size exponent: vertices v and v'
 // share a block iff v>>SigShift == v'>>SigShift. Road-network vertex ids

@@ -12,6 +12,10 @@
 // scope) subject to the workload balance constraint of Appendix A.1. The
 // result is a set of move(LS(q,w), w, w') directives the controller
 // executes under a global barrier.
+//
+// A run stops at Input.Deadline, which the controller sets Budget after its
+// snapshot, or once maxStall perturbation rounds in a row found nothing
+// better, whichever comes first.
 package qcut
 
 import (
@@ -21,6 +25,14 @@ import (
 	"qgraph/internal/partition"
 	"qgraph/internal/query"
 )
+
+// Budget is the planning time one run gets (Sec. 3.2.2: 2 s).
+const Budget = 2 * time.Second
+
+// maxStall stops a run after this many perturbation rounds without
+// improvement. This implements the paper's requirement (b): best-found
+// solution on interruption, without burning the budget once converged.
+const maxStall = 64
 
 // ScopeRow is one query's local scope sizes across all workers, as
 // aggregated by the controller's monitoring window.
@@ -55,14 +67,9 @@ type Input struct {
 	Delta float64
 	// MaxClusters caps the Karger clustering (paper: 4k). 0 uses 4·K.
 	MaxClusters int
-	// Deadline bounds the run (paper: 2 s). Zero means no deadline — the
-	// run then stops on MaxStall alone.
+	// Deadline bounds the run (see Budget). Zero means no deadline — the
+	// run then stops on convergence alone.
 	Deadline time.Time
-	// MaxStall stops early after this many perturbation rounds without
-	// improvement (0 = 64). This implements the paper's requirement (b):
-	// best-found solution on interruption, without burning the budget
-	// once converged.
-	MaxStall int
 	Seed     uint64
 	// NoClustering / NoPerturbation disable the respective subroutine
 	// (ablation benchmarks).
@@ -91,11 +98,6 @@ func Run(in Input) Result {
 	rng := rand.New(rand.NewPCG(in.Seed, 0x2545f4914f6cdd1d))
 	s := newState(in)
 	res := Result{InitialCost: s.cost()}
-
-	maxStall := in.MaxStall
-	if maxStall <= 0 {
-		maxStall = 64
-	}
 	deadline := func() bool {
 		return !in.Deadline.IsZero() && time.Now().After(in.Deadline)
 	}

@@ -88,8 +88,8 @@ func scopeProperty(t *testing.T, seed uint64) {
 	if adapt {
 		// Q-cut repartitions almost continuously, so its barriers cross
 		// queries in flight.
-		cfg.Adapt, cfg.Phi, cfg.MinWindowQueries = true, 0.99, 4
-		cfg.CheckEvery, cfg.Cooldown, cfg.QcutBudget = 5*time.Millisecond, 10*time.Millisecond, 30*time.Millisecond
+		cfg.Adapt, cfg.Phi = true, 0.99
+		cfg.CheckEvery, cfg.Cooldown = 5*time.Millisecond, 10*time.Millisecond
 	}
 	eng, err := core.Start(cfg)
 	if err != nil {

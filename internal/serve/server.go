@@ -77,13 +77,10 @@ type Config struct {
 	// CacheSize / CacheTTL bound the result cache (default 4096 / 1m).
 	CacheSize int
 	CacheTTL  time.Duration
-	// DefaultTimeout / MaxTimeout bound per-request deadlines
-	// (default 30s / 2m). A request past its deadline is answered 504 and
-	// its query cancelled on the engine.
+	// DefaultTimeout is the deadline of a request that names none
+	// (default 30s); see maxTimeout for the cap. A request past its
+	// deadline is answered 504 and its query cancelled on the engine.
 	DefaultTimeout time.Duration
-	MaxTimeout     time.Duration
-	// ResultTTL is how long async results stay retrievable (default 1m).
-	ResultTTL time.Duration
 	// MaxAsyncResults caps retained async results (default 4096); async
 	// submissions beyond it are rejected 429. This is the hard memory
 	// bound — the admission pre-bounce is only advisory (cache-answerable
@@ -133,23 +130,21 @@ const TraceHeader = "X-QGraph-Trace-ID"
 // "<node-id>/<role>".
 const NodeHeader = "X-QGraph-Node"
 
+const (
+	// maxTimeout caps an explicit timeout_ms, or DefaultTimeout where that
+	// is longer: the default deadline must be reachable by an explicit
+	// timeout_ms, and storePending relies on the cap bounding every request.
+	maxTimeout = 2 * time.Minute
+	// resultTTL is how long an async result stays retrievable.
+	resultTTL = time.Minute
+)
+
 func (c *Config) fill() error {
 	if c.Backend == nil {
 		return fmt.Errorf("serve: nil backend")
 	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 30 * time.Second
-	}
-	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = 2 * time.Minute
-	}
-	// The default deadline must be reachable by an explicit timeout_ms,
-	// and storePending relies on MaxTimeout bounding every request.
-	if c.MaxTimeout < c.DefaultTimeout {
-		c.MaxTimeout = c.DefaultTimeout
-	}
-	if c.ResultTTL <= 0 {
-		c.ResultTTL = time.Minute
 	}
 	if c.MaxAsyncResults <= 0 {
 		c.MaxAsyncResults = 4096
@@ -161,6 +156,22 @@ func (c *Config) fill() error {
 		c.Obs = obs.New(nil)
 	}
 	return nil
+}
+
+// timeout is the deadline of a request that asks for ms milliseconds (0
+// asks for DefaultTimeout), capped as maxTimeout says.
+func (c *Config) timeout(ms int64) time.Duration {
+	limit := max(maxTimeout, c.DefaultTimeout)
+	switch {
+	case ms <= 0:
+		return c.DefaultTimeout
+	case ms >= int64(limit/time.Millisecond):
+		// Compared in milliseconds before converting: a huge timeout_ms
+		// would overflow the nanosecond conversion into a negative
+		// duration and defeat the cap.
+		return limit
+	}
+	return time.Duration(ms) * time.Millisecond
 }
 
 // Server is the HTTP front-end over one Q-Graph controller.
@@ -474,17 +485,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if spec.TraceID != 0 {
 		w.Header().Set(TraceHeader, strconv.FormatUint(spec.TraceID, 10))
 	}
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		// Compare in milliseconds before converting: a huge timeout_ms
-		// would overflow the nanosecond conversion into a negative
-		// duration and defeat the cap.
-		if req.TimeoutMS >= int64(s.cfg.MaxTimeout/time.Millisecond) {
-			timeout = s.cfg.MaxTimeout
-		} else {
-			timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-		}
-	}
+	timeout := s.cfg.timeout(req.TimeoutMS)
 	s.ctr.Received.Add(1)
 
 	if req.Async {
@@ -656,14 +657,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		if req.TimeoutMS >= int64(s.cfg.MaxTimeout/time.Millisecond) {
-			timeout = s.cfg.MaxTimeout
-		} else {
-			timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-		}
-	}
+	timeout := s.cfg.timeout(req.TimeoutMS)
 	s.ctr.MutationOps.Add(int64(len(ops)))
 	ch, err := s.cfg.Backend.Mutate(ops)
 	if err != nil {
@@ -1053,8 +1047,8 @@ func (s *Server) retryAfter() string {
 // storePending registers an async result slot, or reports the store full
 // (the submission must then be rejected). Pending slots carry no expiry:
 // the TTL starts when the result lands (storeDone), so a query outliving
-// ResultTTL is not silently dropped mid-run — execute always completes
-// (deadlines are capped by MaxTimeout), so every pending slot eventually
+// resultTTL is not silently dropped mid-run — execute always completes
+// (deadlines are capped; see maxTimeout), so every pending slot eventually
 // becomes done and expires from there.
 func (s *Server) storePending(id int64) bool {
 	s.mu.Lock()
@@ -1078,7 +1072,7 @@ func (s *Server) storeDone(id int64, resp QueryResponse, code int, errBody *erro
 	if ar := s.results[id]; ar != nil {
 		ar.done = true
 		ar.resp, ar.code, ar.errBody = resp, code, errBody
-		ar.expires = s.cfg.Clock().Add(s.cfg.ResultTTL)
+		ar.expires = s.cfg.Clock().Add(resultTTL)
 	}
 	s.mu.Unlock()
 }
@@ -1090,7 +1084,7 @@ func (s *Server) storeDone(id int64, resp QueryResponse, code int, errBody *erro
 // holds mu.
 func (s *Server) pruneResults(force bool) {
 	now := s.cfg.Clock()
-	if !force && now.Sub(s.lastPrune) < s.cfg.ResultTTL/16 {
+	if !force && now.Sub(s.lastPrune) < resultTTL/16 {
 		return
 	}
 	s.lastPrune = now

@@ -42,7 +42,8 @@ type Config struct {
 	// private copy and applies ownership updates to it.
 	Owner partition.Assignment
 	// ScopeTTL is how long at most a finished query is remembered (the
-	// monitoring window μ): its vertex set, for move directives, and its id.
+	// monitoring window μ, default protocol.DefaultMu): its vertex set, for
+	// move directives, and its id.
 	ScopeTTL time.Duration
 	// ComputeCost simulates per-active-vertex work beyond the actual
 	// vertex function (heavier application logic, (de)serialization of
@@ -75,7 +76,7 @@ type Config struct {
 
 func (c *Config) fill() {
 	if c.ScopeTTL <= 0 {
-		c.ScopeTTL = 240 * time.Second
+		c.ScopeTTL = protocol.DefaultMu
 	}
 	if c.Clock == nil {
 		c.Clock = time.Now
