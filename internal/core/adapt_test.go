@@ -9,7 +9,6 @@ import (
 	"qgraph/internal/faultpoint"
 	"qgraph/internal/gen"
 	"qgraph/internal/graph"
-	"qgraph/internal/partition"
 	"qgraph/internal/protocol"
 	"qgraph/internal/query"
 	"qgraph/internal/transport"
@@ -72,15 +71,17 @@ func TestAdaptiveRepartitioningCorrect(t *testing.T) {
 	t.Logf("repartitions: %d", eng.Repartitions())
 }
 
-// TestSimulatedLatencyCorrect runs the workload over the simulated network
-// (the configuration all experiments use) and re-verifies correctness.
+// TestSimulatedLatencyCorrect runs the adaptive workload over the simulated
+// network (the configuration all experiments use): its global barriers
+// drain links on which barrier traffic queues behind vertex batches.
 func TestSimulatedLatencyCorrect(t *testing.T) {
 	if testing.Short() {
 		t.Skip("latency-simulation test skipped in -short")
 	}
 	net := testRoad(t)
-	specs, want := hotspotSpecs(t, net, 24)
+	specs, want := hotspotSpecs(t, net, 160)
 	eng := startEngine(t, net.G, func(c *Config) {
+		eagerAdapt(c)
 		c.Latency = transport.Latency{
 			WorkerWorker:     200 * time.Microsecond,
 			WorkerController: 100 * time.Microsecond,
@@ -92,37 +93,37 @@ func TestSimulatedLatencyCorrect(t *testing.T) {
 		t.Fatalf("RunBatch: %v", err)
 	}
 	checkResults(t, results, specs, want)
+	if eng.Repartitions() == 0 {
+		t.Fatalf("expected at least one repartitioning barrier")
+	}
 }
 
-// TestTCPEngineCorrect runs the engine over real loopback TCP — the
-// paper's scale-up deployment (M1/M2) — and re-verifies correctness.
+// TestTCPEngineCorrect runs the adaptive workload over real loopback TCP —
+// the paper's scale-up deployment (M1/M2) — so global barriers cross
+// lazily dialed worker links.
 func TestTCPEngineCorrect(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP test skipped in -short")
 	}
 	net := testRoad(t)
-	specs, want := hotspotSpecs(t, net, 16)
+	specs, want := hotspotSpecs(t, net, 160)
 	tcp, err := transport.NewTCPNetwork(5)
 	if err != nil {
 		t.Fatalf("tcp network: %v", err)
 	}
-	eng, err := Start(Config{
-		Workers: 4, Graph: net.G, Partitioner: partition.Hash{}, Network: tcp,
+	t.Cleanup(func() { tcp.Close() }) // after startEngine's Close
+	eng := startEngine(t, net.G, func(c *Config) {
+		eagerAdapt(c)
+		c.Network = tcp
 	})
-	if err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	defer func() {
-		if err := eng.Close(); err != nil {
-			t.Errorf("engine error: %v", err)
-		}
-		tcp.Close()
-	}()
-	results, err := eng.RunBatch(specs, 8)
+	results, err := eng.RunBatch(specs, 16)
 	if err != nil {
 		t.Fatalf("RunBatch: %v", err)
 	}
 	checkResults(t, results, specs, want)
+	if eng.Repartitions() == 0 {
+		t.Fatalf("expected at least one repartitioning barrier")
+	}
 }
 
 // TestAdaptiveImprovesLocality is the behavioural heart of the paper at
