@@ -83,9 +83,9 @@ func (c *Controller) startQuery(req scheduleReq) {
 // global-barrier move phases: the QueryFinish broadcast interrupts even
 // solo local loops, because workers drain their inbox between local
 // supersteps, and late BarrierSynch reports for the dropped query are
-// tolerated by onSynch. During the barrier phases (stopping → scope
-// drain) the network must stay quiet, so the cancel is only marked and
-// honored at resume.
+// tolerated by onSynch. During the barrier phases (stopping → moving) the
+// network must stay quiet, so the cancel is only marked and honored at
+// resume.
 func (c *Controller) onCancel(q query.ID) {
 	if ctl, ok := c.queries[q]; ok {
 		ctl.cancelled = true
@@ -126,7 +126,6 @@ func (c *Controller) release(ctl *qctl, step int32, involved map[partition.Worke
 	ctl.reports = make(map[partition.WorkerID]*protocol.BarrierSynch, len(involved))
 	ctl.outstanding = true
 	ctl.releasedAt = c.cfg.Clock()
-	ctl.paused = false
 	c.beginStepSpan(ctl, step)
 	for w := range involved {
 		c.conn.Send(protocol.WorkerNode(w), &protocol.BarrierReady{
@@ -237,9 +236,8 @@ func (c *Controller) collect(ctl *qctl) {
 	}
 
 	if c.phase != phaseRun {
-		// A global barrier is forming; hold the release. resumeQueries
+		// A global barrier is forming; hold the release. resume
 		// re-releases after GlobalStart.
-		ctl.paused = true
 		c.maybeStop()
 		return
 	}

@@ -222,7 +222,6 @@ type qctl struct {
 	step        int32     // last fully collected superstep (-1 before step 0)
 	outstanding bool      // a release was issued; reports pending
 	releasedAt  time.Time // when the outstanding release was issued (stall watchdog)
-	paused      bool      // wanted a release while a global barrier was active
 	involved    map[partition.WorkerID]bool
 	reports     map[partition.WorkerID]*protocol.BarrierSynch
 
@@ -252,9 +251,7 @@ const (
 	phaseRun phase = iota
 	phaseQuiesce
 	phaseStopping
-	phaseDraining
 	phaseMoving
-	phaseScopeDrain
 	phaseRecover
 )
 
@@ -328,13 +325,10 @@ type Controller struct {
 	phaseStart   time.Time
 	obs          *ctlObs
 	epoch        int32
-	stopAcks     map[partition.WorkerID][]uint64
-	drainAcks    int
+	acksLeft     int // StopAcks (stopping) or MoveAcks (moving) still due
 	pendingMoves []qcut.Move
-	movesLeft    int
 	ownDeltaV    []graph.VertexID
 	ownDeltaW    []partition.WorkerID
-	scopeExpect  [][]uint64 // cumulative ScopeData expectations [receiver][sender]
 	deferred     []scheduleReq
 
 	// Streaming graph updates (internal/delta). curView is the committed
@@ -506,13 +500,6 @@ func New(cfg Config, conn transport.Conn) (*Controller, error) {
 		mutateCh:     make(chan mutateReq, 64),
 		stopCh:       make(chan struct{}),
 		doneCh:       make(chan struct{}),
-		scopeExpect: func() [][]uint64 {
-			se := make([][]uint64, cfg.K)
-			for i := range se {
-				se[i] = make([]uint64, cfg.K)
-			}
-			return se
-		}(),
 	}
 	for _, w := range cfg.Owner {
 		c.vertCount[w]++
@@ -921,8 +908,6 @@ func (c *Controller) handle(env transport.Envelope) error {
 		return c.onSynch(m)
 	case *protocol.StopAck:
 		return c.onStopAck(m)
-	case *protocol.DrainAck:
-		return c.onDrainAck(m)
 	case *protocol.MoveAck:
 		return c.onMoveAck(m)
 	case *protocol.DeltaAck:

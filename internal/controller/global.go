@@ -11,20 +11,21 @@ import (
 // This file implements the global barrier (STOP/START, Sec. 3.3) that
 // executes Q-cut's move directives on a provably quiet network:
 //
-//	run → quiesce → stopping → draining → moving → scope-drain → run
+//	run → quiesce → stopping → moving → run
 //
-// quiesce:     stop issuing releases; wait until no query has an
-//	            outstanding superstep (workers finish what they compute).
-// stopping:    GlobalStop → collect StopAcks with cumulative batch-send
-//	            counters.
-// draining:    DrainCheck with per-worker expected receive totals →
-//	            DrainAcks prove every in-flight vertex batch arrived.
-// moving:      MoveScope directives → MoveAcks report moved vertex ids;
-//	            the controller updates its ownership table.
-// scope-drain: OwnershipUpdate broadcast + scope-data DrainCheck →
-//	            DrainAcks prove all ScopeData arrived.
-// run:         GlobalStart, re-release all active queries, flush deferred
-//	            schedules.
+// quiesce:  stop issuing releases; wait until no query has an outstanding
+//	         superstep (workers finish what they compute).
+// stopping: GlobalStop names the live workers; each sends a StopMarker to
+//	         every other, behind its vertex batches, and answers StopAck
+//	         once it holds a marker from each. Per-link FIFO then proves
+//	         every vertex batch sent before the stop arrived (the marker rule
+//	         of Chandy and Lamport, 1985).
+// moving:   MoveScope directives → the source ships ScopeData, even an
+//	         empty one, and the target absorbs it and answers MoveAck with
+//	         the moved vertex ids; the controller updates its ownership
+//	         table and, after the last ack, broadcasts OwnershipUpdate.
+// run:      GlobalStart, re-release all active queries, flush deferred
+//	         schedules.
 
 // beginGlobalBarrier starts the STOP sequence for a non-empty set of moves.
 func (c *Controller) beginGlobalBarrier(moves []qcut.Move) {
@@ -45,77 +46,35 @@ func (c *Controller) maybeStop() {
 	}
 	c.enterPhase(phaseStopping)
 	c.epoch++
-	c.stopAcks = make(map[partition.WorkerID][]uint64, c.cfg.K)
-	c.broadcast(&protocol.GlobalStop{Epoch: c.epoch})
+	var live []partition.WorkerID
+	for w := partition.WorkerID(0); int(w) < c.cfg.K; w++ {
+		if !c.deadWorkers[w] {
+			live = append(live, w)
+		}
+	}
+	c.acksLeft = len(live)
+	c.broadcast(&protocol.GlobalStop{Epoch: c.epoch, Live: live})
 }
 
+// onStopAck counts the StopAcks; after the last one the network is quiet and
+// the moves execute (phase stopping → moving).
 func (c *Controller) onStopAck(m *protocol.StopAck) error {
 	if c.phase != phaseStopping || m.Epoch != c.epoch {
 		return fmt.Errorf("controller: unexpected StopAck (phase %d epoch %d/%d)", c.phase, m.Epoch, c.epoch)
 	}
-	c.stopAcks[m.W] = m.SentTotals
-	if len(c.stopAcks) < c.liveCount() {
+	if c.acksLeft--; c.acksLeft > 0 {
 		return nil
 	}
-	// All live workers stopped: every batch any of them will ever have
-	// sent (up to this barrier) is accounted in the acks. Ask each to
-	// confirm receipt of its column; fenced workers sent nothing in the
-	// current recovery generation, so their column expectation is zero.
-	c.enterPhase(phaseDraining)
-	c.drainAcks = 0
-	for w := 0; w < c.cfg.K; w++ {
-		if c.deadWorkers[partition.WorkerID(w)] {
-			continue
-		}
-		expect := make([]uint64, c.cfg.K)
-		for src := 0; src < c.cfg.K; src++ {
-			if acks, ok := c.stopAcks[partition.WorkerID(src)]; ok {
-				expect[src] = acks[w]
-			}
-		}
-		c.conn.Send(protocol.WorkerNode(partition.WorkerID(w)), &protocol.DrainCheck{
-			Epoch: c.epoch, ExpectRecv: expect,
-		})
-	}
-	return nil
-}
-
-func (c *Controller) onDrainAck(m *protocol.DrainAck) error {
-	if m.Epoch != c.epoch {
-		return fmt.Errorf("controller: stale DrainAck epoch %d/%d", m.Epoch, c.epoch)
-	}
-	switch c.phase {
-	case phaseDraining:
-		c.drainAcks++
-		if c.drainAcks < c.liveCount() {
-			return nil
-		}
-		// The network is quiet: execute the moves.
-		c.issueMoves()
-		return nil
-	case phaseScopeDrain:
-		c.drainAcks++
-		if c.drainAcks < c.liveCount() {
-			return nil
-		}
-		return c.resume()
-	default:
-		return fmt.Errorf("controller: DrainAck in phase %d", c.phase)
-	}
-}
-
-// issueMoves sends the move directives (phase draining → moving).
-func (c *Controller) issueMoves() {
-	c.ownDeltaV = nil
-	c.ownDeltaW = nil
-	c.movesLeft = len(c.pendingMoves)
 	c.enterPhase(phaseMoving)
+	c.ownDeltaV, c.ownDeltaW = nil, nil
+	c.acksLeft = len(c.pendingMoves)
 	for _, mv := range c.pendingMoves {
 		c.conn.Send(protocol.WorkerNode(mv.From), &protocol.MoveScope{
 			Epoch: c.epoch, Q: mv.Q, To: mv.To,
 		})
 	}
 	c.pendingMoves = nil
+	return nil
 }
 
 func (c *Controller) onMoveAck(m *protocol.MoveAck) error {
@@ -131,9 +90,6 @@ func (c *Controller) onMoveAck(m *protocol.MoveAck) error {
 		c.ownDeltaV = append(c.ownDeltaV, v)
 		c.ownDeltaW = append(c.ownDeltaW, m.To)
 	}
-	if len(m.Vertices) > 0 {
-		c.scopeExpect[m.To][m.From]++
-	}
 	// Keep the high-level view consistent with the executed move: the
 	// whole local scope of the query relocated. Without this, the next
 	// Q-cut snapshot would see a phantom split and issue pointless move
@@ -148,29 +104,17 @@ func (c *Controller) onMoveAck(m *protocol.MoveAck) error {
 		ctl.scopeSizes[m.To] += ctl.scopeSizes[m.From]
 		ctl.scopeSizes[m.From] = 0
 	}
-	c.movesLeft--
-	if c.movesLeft > 0 {
+	if c.acksLeft--; c.acksLeft > 0 {
 		return nil
 	}
-	// All moves executed. Broadcast the ownership delta, then verify every
-	// ScopeData transfer arrived before restarting.
-	c.enterPhase(phaseScopeDrain)
-	c.drainAcks = 0
+	// Every target acknowledged only after absorbing its ScopeData, so all
+	// moved vertices are in place: publish the ownership delta and restart.
 	if len(c.ownDeltaV) > 0 {
 		c.broadcast(&protocol.OwnershipUpdate{
 			Epoch: c.epoch, Vertices: c.ownDeltaV, Owners: c.ownDeltaW,
 		})
 	}
-	for w := 0; w < c.cfg.K; w++ {
-		if c.deadWorkers[partition.WorkerID(w)] {
-			continue
-		}
-		c.conn.Send(protocol.WorkerNode(partition.WorkerID(w)), &protocol.DrainCheck{
-			Epoch: c.epoch, Scope: true,
-			ExpectRecv: append([]uint64(nil), c.scopeExpect[w]...),
-		})
-	}
-	return nil
+	return c.resume()
 }
 
 // resume ends the global barrier: START, re-release every active query to

@@ -24,12 +24,8 @@ func phaseName(p phase) string {
 		return "quiesce"
 	case phaseStopping:
 		return "stop"
-	case phaseDraining:
-		return "drain"
 	case phaseMoving:
 		return "move"
-	case phaseScopeDrain:
-		return "scope-drain"
 	case phaseRecover:
 		return "recovery"
 	default:
@@ -95,7 +91,7 @@ func newCtlObs(c *Controller) *ctlObs {
 		computeNS:       make([]atomic.Int64, c.cfg.K),
 		pingRTT:         make([]*obs.Gauge, c.cfg.K),
 	}
-	for _, p := range []phase{phaseQuiesce, phaseStopping, phaseDraining, phaseMoving, phaseScopeDrain, phaseRecover} {
+	for _, p := range []phase{phaseQuiesce, phaseStopping, phaseMoving, phaseRecover} {
 		co.barrierSeconds[p] = m.Histogram("qgraph_barrier_phase_seconds",
 			`phase="`+phaseName(p)+`"`, "time spent per global-barrier phase", barrierBuckets)
 	}

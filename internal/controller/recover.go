@@ -27,10 +27,10 @@ import (
 //   - The dead worker is fenced immediately: every message from it is
 //     dropped, so a falsely-declared-dead worker cannot corrupt the
 //     reassigned partition.
-//   - Flow-control counters reset symmetrically on every node, and the
-//     worker data plane is generation-tagged, so in-flight traffic from
-//     before the failure can neither deliver nor mis-count (the
-//     "barrier drain" without the dead worker's cooperation).
+//   - The worker data plane is generation-tagged, so in-flight traffic
+//     from before the failure cannot deliver (the "barrier drain" without
+//     the dead worker's cooperation), and every worker drops a StopAck it
+//     still waited to send.
 //   - The committed version holds still for the whole round: a batch is
 //     applied and broadcast only after its fsync, so per-link FIFO brings
 //     every live replica to exactly the committed version before RecoverStart
@@ -116,16 +116,9 @@ func (c *Controller) startRecoveryRound(newlyDead, rejoining []partition.WorkerI
 // moves are abandoned. Staged mutations stay staged and sealed batches
 // stay in their FIFO.
 func (c *Controller) abortBarrierForRecovery() {
-	c.stopAcks = nil
-	c.drainAcks = 0
+	c.acksLeft = 0
 	c.pendingMoves = nil
-	c.movesLeft = 0
 	c.ownDeltaV, c.ownDeltaW = nil, nil
-	for i := range c.scopeExpect {
-		for j := range c.scopeExpect[i] {
-			c.scopeExpect[i][j] = 0
-		}
-	}
 }
 
 // onWorkerHello admits a (re)spawned worker. Inside a round's hello window
@@ -274,7 +267,6 @@ func (c *Controller) resetQueryForRestart(ctl *qctl) {
 	c.abortStepSpan(ctl, "recovery-restart")
 	ctl.step = -1
 	ctl.outstanding = false
-	ctl.paused = false
 	ctl.involved = make(map[partition.WorkerID]bool)
 	ctl.reports = make(map[partition.WorkerID]*protocol.BarrierSynch)
 	// Scope statistics restart with the execution: Touched (scopeSizes),

@@ -50,7 +50,7 @@ func finish(t *testing.T, c *Controller, q, partner query.ID, shared ...int32) {
 // moveAck executes move(LS(q, from), from, to) as far as the view goes.
 func moveAck(t *testing.T, c *Controller, q query.ID, from, to partition.WorkerID) {
 	t.Helper()
-	c.phase, c.epoch, c.movesLeft = phaseMoving, 1, 2 // mid-barrier, more acks to come
+	c.phase, c.epoch, c.acksLeft = phaseMoving, 1, 2 // mid-barrier, more acks to come
 	if err := c.onMoveAck(&protocol.MoveAck{Epoch: 1, Q: q, From: from, To: to}); err != nil {
 		t.Fatal(err)
 	}

@@ -21,8 +21,8 @@ const (
 	// WorkerSuperstep fires after a superstep's compute, before its
 	// BarrierSynch report — a worker dying with work done but unreported.
 	WorkerSuperstep = "worker/superstep"
-	// WorkerBarrierStop fires on GlobalStop before the StopAck — a worker
-	// dying mid-global-barrier, wedging the STOP round.
+	// WorkerBarrierStop fires on GlobalStop before the worker's markers and
+	// its StopAck — a worker dying mid-global-barrier, wedging the STOP round.
 	WorkerBarrierStop = "worker/barrier-stop"
 	// WorkerDeltaApply fires on DeltaBatch before applying — the worker
 	// dies with the batch unapplied.

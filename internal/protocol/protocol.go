@@ -32,14 +32,15 @@ func WorkerOf(n NodeID) partition.WorkerID { return partition.WorkerID(n - 1) }
 // MsgType discriminates wire messages.
 type MsgType uint8
 
-// Message type tags. The numeric values are part of the wire format.
+// Message type tags. The numeric values are part of the wire format; a
+// retired tag stays reserved (_), so no other message changes its tag.
 const (
 	// controller → worker
 	TExecuteQuery MsgType = iota + 1
 	TBarrierReady
 	TQueryFinish
 	TGlobalStop
-	TDrainCheck
+	_ // DrainCheck, retired
 	TMoveScope
 	TOwnershipUpdate
 	TGlobalStart
@@ -47,7 +48,7 @@ const (
 	// worker → controller
 	TBarrierSynch
 	TStopAck
-	TDrainAck
+	_ // DrainAck, retired
 	TMoveAck
 	// worker ↔ worker
 	TVertexBatch
@@ -68,6 +69,9 @@ const (
 	// worker → controller
 	TWorkerHello
 	TPartitionAck
+	// Global barrier marker (appended to keep earlier wire values stable).
+	// worker ↔ worker
+	TStopMarker
 )
 
 // Message is any protocol message.
@@ -149,36 +153,23 @@ type QueryFinish struct {
 // Type implements Message.
 func (*QueryFinish) Type() MsgType { return TQueryFinish }
 
-// GlobalStop initiates the STOP phase of the global barrier (Sec. 3.3):
-// workers pause query execution at the next superstep boundary and answer
-// with StopAck carrying their cumulative per-peer batch send counters.
+// GlobalStop initiates the STOP phase of the global barrier (Sec. 3.3).
+// Live lists the live workers, the receiver included. A worker finishes the
+// supersteps it holds, sends a StopMarker to every other live worker, and
+// answers StopAck once it holds a marker of Epoch from each of them.
 type GlobalStop struct {
 	Epoch int32
+	Live  []partition.WorkerID
 }
 
 // Type implements Message.
 func (*GlobalStop) Type() MsgType { return TGlobalStop }
 
-// DrainCheck is sent after all StopAcks: ExpectRecv[w] is the cumulative
-// number of vertex batches worker w should have received from each peer
-// (indexed by sender worker id). The worker answers DrainAck once its
-// receive counters match — then the network is provably quiet. With Scope
-// set, the expectations refer to ScopeData messages instead (the second
-// drain round of a global barrier, after moves).
-type DrainCheck struct {
-	Epoch      int32
-	Scope      bool
-	ExpectRecv []uint64 // indexed by sender worker id
-}
-
-// Type implements Message.
-func (*DrainCheck) Type() MsgType { return TDrainCheck }
-
 // MoveScope asks the receiving worker to move the local query scope
 // LS(Q, w) — the vertices query Q touched on it — to worker To (paper API
 // move(LS(q,w), w, w')). Sent only inside a global barrier. The worker
-// ships the vertices' query data in a ScopeData message and reports the
-// moved vertex ids in MoveAck.
+// ships the vertices' query data to To in one ScopeData message, empty if
+// the scope is, and To acknowledges the move with MoveAck.
 type MoveScope struct {
 	Epoch int32
 	Q     query.ID
@@ -275,28 +266,22 @@ type BarrierSynch struct {
 // Type implements Message.
 func (*BarrierSynch) Type() MsgType { return TBarrierSynch }
 
-// StopAck acknowledges GlobalStop. SentTotals[w] is the cumulative number
-// of vertex batches this worker has ever sent to worker w.
+// StopAck acknowledges GlobalStop: worker W computes nothing more until
+// GlobalStart, and it holds every vertex batch any live worker sent it
+// before the stop, because each link is FIFO and each peer's StopMarker
+// followed its batches.
 type StopAck struct {
-	Epoch      int32
-	W          partition.WorkerID
-	SentTotals []uint64
-}
-
-// Type implements Message.
-func (*StopAck) Type() MsgType { return TStopAck }
-
-// DrainAck confirms all expected batches arrived.
-type DrainAck struct {
 	Epoch int32
 	W     partition.WorkerID
 }
 
 // Type implements Message.
-func (*DrainAck) Type() MsgType { return TDrainAck }
+func (*StopAck) Type() MsgType { return TStopAck }
 
-// MoveAck reports the vertices actually moved for a MoveScope directive,
-// so the controller can broadcast the ownership delta.
+// MoveAck reports the vertices a MoveScope directive moved from From to To,
+// so the controller can broadcast the ownership delta. To sends it once it
+// absorbed the move's ScopeData, so when the last MoveAck arrives every
+// moved vertex is in place.
 type MoveAck struct {
 	Epoch    int32
 	Q        query.ID
@@ -319,9 +304,8 @@ type VertexMsg struct {
 // VertexBatch carries vertex messages of query Q emitted during superstep
 // Step from worker From, to be consumed in superstep Step+1. The sender
 // splits batches at 32 messages (Sec. 4.1(iv)). Gen is the
-// sender's recovery generation: receivers drop batches from an older
-// generation without counting them, so the flow-control counters both
-// sides reset during recovery stay exact (see RecoverStart).
+// sender's recovery generation: receivers drop batches from another
+// generation, whose queries recovery restarted (see RecoverStart).
 type VertexBatch struct {
 	Q       query.ID
 	Step    int32
@@ -357,10 +341,22 @@ type MovedVertex struct {
 	Finished []query.ID
 }
 
+// StopMarker is the marker of the global barrier's flush: on GlobalStop, a
+// worker sends one to every other live worker, on the link its vertex
+// batches use, after the last batch it will send before GlobalStart. A
+// marker may arrive before the receiver's own GlobalStop; it counts for
+// Epoch, and epochs never repeat.
+type StopMarker struct {
+	Epoch int32
+}
+
+// Type implements Message.
+func (*StopMarker) Type() MsgType { return TStopMarker }
+
 // ScopeData carries the state of vertices moved by a MoveScope directive.
-// Sent worker→worker during a global barrier, when the network is
-// otherwise quiet. Gen fences recovery generations exactly as on
-// VertexBatch.
+// Sent worker→worker during a global barrier, after every StopAck, so the
+// vertex batches before the barrier have all arrived. Gen fences recovery
+// generations exactly as on VertexBatch.
 type ScopeData struct {
 	Epoch    int32
 	Q        query.ID
@@ -428,16 +424,16 @@ func (*Pong) Type() MsgType { return TPong }
 //
 // When liveness declares a worker dead, the controller fences it and runs a
 // recovery round: survivors receive RecoverStart (reset in-flight query
-// state, zero flow-control counters, adopt the authoritative ownership
-// map), a respawned worker announces itself with WorkerHello and receives
+// state, abandon a global barrier in progress, adopt the authoritative
+// ownership map), a respawned worker announces itself with WorkerHello and receives
 // PartitionGrant (the same reset plus a committed-op replay that rebuilds
 // its graph view from the shared CSR base). Both answer PartitionAck;
 // once every live worker acknowledged the generation, the controller
 // restarts the in-flight queries from superstep 0.
 
 // RecoverStart resets a surviving worker into recovery generation Gen:
-// drop all live query state (affected queries are re-executed), zero the
-// vertex-batch and scope flow counters, adopt Owner as the full
+// drop all live query state (affected queries are re-executed) and the
+// StopAck a global barrier still waits to send, adopt Owner as the full
 // authoritative ownership map. Version is the committed graph version;
 // a replica at any other version has diverged and stops. The worker
 // answers with PartitionAck.

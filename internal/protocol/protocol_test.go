@@ -51,10 +51,9 @@ func TestServingPathRoundTrips(t *testing.T) {
 			Finished: true,
 		},
 		&protocol.QueryFinish{Q: 42, Reason: protocol.FinishEarly},
-		&protocol.GlobalStop{Epoch: 5},
-		&protocol.StopAck{Epoch: 5, W: 2, SentTotals: []uint64{3, 0, 7, 1}},
-		&protocol.DrainCheck{Epoch: 5, Scope: true, ExpectRecv: []uint64{1, 2, 3, 4}},
-		&protocol.DrainAck{Epoch: 5, W: 3},
+		&protocol.GlobalStop{Epoch: 5, Live: []partition.WorkerID{0, 2, 3}},
+		&protocol.StopMarker{Epoch: 5},
+		&protocol.StopAck{Epoch: 5, W: 2},
 		&protocol.GlobalStart{Epoch: 5},
 		&protocol.Shutdown{},
 	}

@@ -39,10 +39,13 @@ import (
 //	3 — ExecuteQuery gained Spec.PinVersion (MVCC snapshot pinning)
 //	4 — BarrierSynch gained NewBlocks (the serving cache's scope blocks)
 //	5 — ExecuteQuery lost its u32 home-worker word (query pinning removed)
+//	6 — the global barrier drains with StopMarker (new tag 24): GlobalStop
+//	    gained Live, StopAck lost SentTotals, DrainCheck (5) and DrainAck
+//	    (12) retired
 //
 // The value is offset from small integers so a legacy 1-byte [NodeID]
 // handshake can never alias a valid version.
-const CodecVersion = 0xA0 + 5
+const CodecVersion = 0xA0 + 6
 
 // hdr is the frame header: u32 payload length plus the u8 message type.
 const hdr = 5
@@ -93,14 +96,12 @@ var blank = [...]func() protocol.Message{
 	protocol.TBarrierReady:    func() protocol.Message { return new(protocol.BarrierReady) },
 	protocol.TQueryFinish:     func() protocol.Message { return new(protocol.QueryFinish) },
 	protocol.TGlobalStop:      func() protocol.Message { return new(protocol.GlobalStop) },
-	protocol.TDrainCheck:      func() protocol.Message { return new(protocol.DrainCheck) },
 	protocol.TMoveScope:       func() protocol.Message { return new(protocol.MoveScope) },
 	protocol.TOwnershipUpdate: func() protocol.Message { return new(protocol.OwnershipUpdate) },
 	protocol.TGlobalStart:     func() protocol.Message { return new(protocol.GlobalStart) },
 	protocol.TShutdown:        func() protocol.Message { return new(protocol.Shutdown) },
 	protocol.TBarrierSynch:    func() protocol.Message { return new(protocol.BarrierSynch) },
 	protocol.TStopAck:         func() protocol.Message { return new(protocol.StopAck) },
-	protocol.TDrainAck:        func() protocol.Message { return new(protocol.DrainAck) },
 	protocol.TMoveAck:         func() protocol.Message { return new(protocol.MoveAck) },
 	protocol.TVertexBatch:     func() protocol.Message { return new(protocol.VertexBatch) },
 	protocol.TScopeData:       func() protocol.Message { return new(protocol.ScopeData) },
@@ -112,6 +113,7 @@ var blank = [...]func() protocol.Message{
 	protocol.TPartitionGrant:  func() protocol.Message { return new(protocol.PartitionGrant) },
 	protocol.TWorkerHello:     func() protocol.Message { return new(protocol.WorkerHello) },
 	protocol.TPartitionAck:    func() protocol.Message { return new(protocol.PartitionAck) },
+	protocol.TStopMarker:      func() protocol.Message { return new(protocol.StopMarker) },
 }
 
 // fields codes m's payload field by field, in wire order: the one
@@ -138,10 +140,7 @@ func fields(c *coder, m protocol.Message) {
 		u8(c, &v.Reason)
 	case *protocol.GlobalStop:
 		u32(c, &v.Epoch)
-	case *protocol.DrainCheck:
-		u32(c, &v.Epoch)
-		boolean(c, &v.Scope)
-		u64s(c, &v.ExpectRecv)
+		u8s(c, &v.Live)
 	case *protocol.MoveScope:
 		u32(c, &v.Epoch)
 		u64(c, &v.Q)
@@ -184,10 +183,6 @@ func fields(c *coder, m protocol.Message) {
 		boolean(c, &v.Finished)
 		blocks(c, &v.NewBlocks)
 	case *protocol.StopAck:
-		u32(c, &v.Epoch)
-		u8(c, &v.W)
-		u64s(c, &v.SentTotals)
-	case *protocol.DrainAck:
 		u32(c, &v.Epoch)
 		u8(c, &v.W)
 	case *protocol.MoveAck:
@@ -255,6 +250,8 @@ func fields(c *coder, m protocol.Message) {
 		u32(c, &v.Gen)
 		u8(c, &v.W)
 		u64(c, &v.Version)
+	case *protocol.StopMarker:
+		u32(c, &v.Epoch)
 	default:
 		c.fail("cannot encode %T", m)
 	}

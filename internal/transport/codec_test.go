@@ -50,9 +50,7 @@ func sampleMessages() []protocol.Message {
 		&protocol.BarrierReady{Q: 42, Step: 17, Expect: 3, Solo: true, Drained: false},
 		&protocol.BarrierReady{Q: 1, Step: 0},
 		&protocol.QueryFinish{Q: 9, Reason: protocol.FinishEarly},
-		&protocol.GlobalStop{Epoch: 12},
-		&protocol.DrainCheck{Epoch: 12, ExpectRecv: []uint64{0, 5, math.MaxUint64}},
-		&protocol.DrainCheck{Epoch: 13, Scope: true, ExpectRecv: []uint64{1}},
+		&protocol.GlobalStop{Epoch: 12, Live: []partition.WorkerID{0, 1, 3}},
 		&protocol.MoveScope{Epoch: 12, Q: 5, To: 3},
 		&protocol.OwnershipUpdate{Epoch: 12, Vertices: []graph.VertexID{1, 2, 3}, Owners: []partition.WorkerID{0, 1, 2}},
 		&protocol.GlobalStart{Epoch: 12},
@@ -71,8 +69,8 @@ func sampleMessages() []protocol.Message {
 			BestGoal: query.NoResult, MinFrontier: 2.5,
 			NewBlocks: []int32{0, 17, 16, math.MaxInt32},
 		},
-		&protocol.StopAck{Epoch: 12, W: 1, SentTotals: []uint64{9, 0, 4}},
-		&protocol.DrainAck{Epoch: 12, W: 3},
+		&protocol.StopAck{Epoch: 12, W: 1},
+		&protocol.StopMarker{Epoch: 12},
 		&protocol.MoveAck{Epoch: 12, Q: 5, From: 1, To: 3, Vertices: []graph.VertexID{10, 20}},
 		&protocol.MoveAck{Epoch: 12, Q: 6, From: 0, To: 2},
 		&protocol.VertexBatch{
@@ -150,8 +148,8 @@ func TestCodecWireSizeExact(t *testing.T) {
 			t.Errorf("%T: WireSize %d, encoded %d bytes in a buffer of %d", m, est, len(frame), cap(frame))
 		}
 	}
-	for typ := protocol.TExecuteQuery; typ <= protocol.TPartitionAck; typ++ {
-		if !seen[typ] {
+	for typ, mk := range blank {
+		if mk != nil && !seen[protocol.MsgType(typ)] {
 			t.Errorf("message type %d has no sample", typ)
 		}
 	}
@@ -300,8 +298,9 @@ func BenchmarkCodec(b *testing.B) {
 // badFrames are frames the decoder must refuse, with the error each must
 // name ("" = any): three BarrierSynch block lists — one declaring more
 // blocks than the payload holds, one padding a varint with a zero byte, one
-// stepping past the largest int32 — and an ExecuteQuery from codec
-// generation 4, which carried a trailing u32 home-worker word.
+// stepping past the largest int32 — an ExecuteQuery from codec generation 4,
+// which carried a trailing u32 home-worker word, and the two generation-5
+// frames whose tags retired with the counted drain.
 func badFrames() []struct {
 	name, err string
 	frame     []byte
@@ -323,6 +322,10 @@ func badFrames() []struct {
 	gen4 = binary.LittleEndian.AppendUint32(gen4, 9)
 	gen4 = append(gen4, make([]byte, 4+8+8+8)...)
 	gen4 = binary.LittleEndian.AppendUint32(gen4, 4)
+	retired := func(frame string) []byte {
+		b, _ := hex.DecodeString(frame)
+		return b
+	}
 	return []struct {
 		name, err string
 		frame     []byte
@@ -331,6 +334,8 @@ func badFrames() []struct {
 		{"padded varint", "", with(1, 0, 0, 0, 0x82, 0x00)},
 		{"block past int32", "", with(2, 0, 0, 0, 0xfe, 0xff, 0xff, 0xff, 0x0f, 2)},
 		{"generation-4 ExecuteQuery", "4 trailing bytes", gen4},
+		{"generation-5 DrainCheck", "unknown message type", retired("11000000050d00000001010000000100000000000000")},
+		{"generation-5 DrainAck", "unknown message type", retired("050000000c0c00000003")},
 	}
 }
 

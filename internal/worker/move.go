@@ -12,13 +12,13 @@ import (
 // (Sec. 3.2.1 step 3, "Execute"): relocating a local query scope — the
 // vertices a query touched here — to another worker, together with every
 // query's private data and pending messages for those vertices. Moves only
-// happen inside a global barrier, when the vertex-message network is
-// provably quiet (drained), so no in-flight message can target a vertex
+// happen inside a global barrier, after every worker's markers flushed the
+// vertex-message links, so no in-flight message can target a vertex
 // mid-move.
 
 // onMoveScope executes move(LS(q,w), w, w'): collect the scope's vertices,
-// strip their state out of every local query, ship it to the target, and
-// report the moved vertex ids to the controller.
+// strip their state out of every local query, and ship it to the target,
+// which acknowledges the move to the controller.
 func (w *Worker) onMoveScope(m *protocol.MoveScope) error {
 	if !w.stopping {
 		return fmt.Errorf("move for query %d outside global barrier", m.Q)
@@ -29,7 +29,7 @@ func (w *Worker) onMoveScope(m *protocol.MoveScope) error {
 
 	// The scope may be a live query's data, a finished query's remembered
 	// vertex set, or both (nothing, if the scope decayed — then the move
-	// is an empty no-op and the controller learns that from the ack).
+	// ships an empty ScopeData, which the target still acknowledges).
 	verts := make(map[graph.VertexID]bool)
 	if qs, ok := w.queries[m.Q]; ok {
 		for _, v := range qs.data.keys {
@@ -82,23 +82,12 @@ func (w *Worker) onMoveScope(m *protocol.MoveScope) error {
 		})
 	}
 	moved := make([]protocol.MovedVertex, 0, len(verts))
-	ids := make([]graph.VertexID, 0, len(verts))
 	for v := range verts {
 		w.owner[v] = m.To
-		ids = append(ids, v)
 		moved = append(moved, *byV[v])
 	}
-
-	if len(moved) > 0 {
-		if err := w.conn.Send(protocol.WorkerNode(m.To), &protocol.ScopeData{
-			Epoch: m.Epoch, Q: m.Q, From: w.id, Gen: w.gen, Vertices: moved,
-		}); err != nil {
-			return err
-		}
-		w.scopeSentTotals[m.To]++
-	}
-	return w.conn.Send(protocol.ControllerNode, &protocol.MoveAck{
-		Epoch: m.Epoch, Q: m.Q, From: w.id, To: m.To, Vertices: ids,
+	return w.conn.Send(protocol.WorkerNode(m.To), &protocol.ScopeData{
+		Epoch: m.Epoch, Q: m.Q, From: w.id, Gen: w.gen, Vertices: moved,
 	})
 }
 
@@ -122,19 +111,21 @@ func forShared(scope, verts map[graph.VertexID]bool, fn func(graph.VertexID)) {
 }
 
 // onScopeData absorbs moved vertices: adopt ownership, merge live query
-// values and pending messages, and remember finished-scope memberships.
+// values and pending messages, and remember finished-scope memberships. Then
+// it acknowledges the move to the controller with the moved vertex ids.
 func (w *Worker) onScopeData(m *protocol.ScopeData) error {
 	if m.Gen != w.gen {
 		// Scope data from an aborted pre-recovery barrier: the recovery
 		// reset discarded the move's bookkeeping on every node, so the
-		// transfer must neither merge nor count.
+		// transfer must neither merge nor be acknowledged.
 		return nil
 	}
 	if !w.stopping {
 		return fmt.Errorf("scope data for query %d outside global barrier", m.Q)
 	}
-	w.scopeRecvTotals[m.From]++
+	ids := make([]graph.VertexID, 0, len(m.Vertices))
 	for _, mv := range m.Vertices {
+		ids = append(ids, mv.V)
 		w.owner[mv.V] = w.id
 		if w.arrived == nil {
 			w.arrived = make(map[graph.VertexID]bool)
@@ -164,8 +155,9 @@ func (w *Worker) onScopeData(m *protocol.ScopeData) error {
 			w.rememberFinished(fq, mv.V)
 		}
 	}
-	w.checkDrain()
-	return nil
+	return w.conn.Send(protocol.ControllerNode, &protocol.MoveAck{
+		Epoch: m.Epoch, Q: m.Q, From: m.From, To: w.id, Vertices: ids,
+	})
 }
 
 // rememberFinished records v in finished query q's scope, if q is remembered.

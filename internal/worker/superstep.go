@@ -159,7 +159,6 @@ func (w *Worker) sendBatch(q query.ID, step int32, dst partition.WorkerID, entri
 		entries = entries[n:]
 		batches++
 	}
-	w.sentTotals[dst] += uint64(batches)
 	return batches
 }
 

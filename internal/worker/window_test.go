@@ -206,7 +206,7 @@ func TestMoveStripsEveryRememberedScope(t *testing.T) {
 	}
 	s.w.stopping = true
 	s.deliver(&protocol.MoveScope{Q: n, To: 1})
-	data := s.conn.sent[len(s.conn.sent)-2].(*protocol.ScopeData)
+	data := s.conn.sent[len(s.conn.sent)-1].(*protocol.ScopeData)
 	if len(data.Vertices) != 7 {
 		t.Fatalf("moved %d vertices, want 7", len(data.Vertices))
 	}

@@ -200,19 +200,12 @@ type Worker struct {
 	// ExecuteQuery; they are replayed when it arrives.
 	early map[query.ID][]*protocol.VertexBatch
 
-	sentTotals []uint64 // cumulative batches sent, by destination worker
-	recvTotals []uint64 // cumulative batches received, by source worker
-
-	// Scope-data counters for the second drain round of a global barrier.
-	scopeSentTotals []uint64
-	scopeRecvTotals []uint64
-
 	// Recovery state. gen is the recovery generation this worker lives in;
-	// vertex batches and scope data from other generations are dropped
-	// without counting, so the flow counters every node resets during
-	// recovery stay exact. joining marks a respawned worker that has said
-	// hello and must ignore all traffic addressed to its dead predecessor
-	// until the controller's PartitionGrant.
+	// vertex batches and scope data from other generations are dropped, since
+	// recovery discarded their queries and moves on every node. joining marks
+	// a respawned worker that has said hello and must ignore all traffic
+	// addressed to its dead predecessor until the controller's
+	// PartitionGrant.
 	gen     int32
 	joining bool
 	// replayedOps counts the operations the latest PartitionGrant replayed
@@ -221,9 +214,12 @@ type Worker struct {
 	// while the worker runs.
 	replayedOps atomic.Int64
 
-	// Global barrier state.
-	stopping     bool
-	pendingDrain *protocol.DrainCheck
+	// Global barrier state. stop is the GlobalStop whose StopAck waits for
+	// the markers of its peers; markers counts the StopMarkers received per
+	// epoch, which may run ahead of this worker's own GlobalStop.
+	stopping bool
+	stop     *protocol.GlobalStop
+	markers  map[int32]int
 	// arrived tracks vertices received via ScopeData in the current global
 	// barrier. Move directives exclude them, so chained directives
 	// (q: w1→w2 and q: w2→w3 in the same barrier) relocate exactly the
@@ -265,21 +261,18 @@ func New(cfg Config, conn transport.Conn) (*Worker, error) {
 			cfg.ID, len(cfg.Owner), cfg.Graph.NumVertices())
 	}
 	w := &Worker{
-		cfg:             cfg,
-		conn:            conn,
-		view:            delta.NewViewAt(cfg.Graph, cfg.BaseVersion),
-		k:               cfg.K,
-		id:              cfg.ID,
-		owner:           cfg.Owner.Clone(),
-		queries:         make(map[query.ID]*queryState),
-		finished:        make(map[query.ID]*finishedScope),
-		early:           make(map[query.ID][]*protocol.VertexBatch),
-		sentTotals:      make([]uint64, cfg.K),
-		recvTotals:      make([]uint64, cfg.K),
-		scopeSentTotals: make([]uint64, cfg.K),
-		scopeRecvTotals: make([]uint64, cfg.K),
-		outBuf:          make([]*table, cfg.K),
-		joining:         cfg.Rejoin,
+		cfg:      cfg,
+		conn:     conn,
+		view:     delta.NewViewAt(cfg.Graph, cfg.BaseVersion),
+		k:        cfg.K,
+		id:       cfg.ID,
+		owner:    cfg.Owner.Clone(),
+		queries:  make(map[query.ID]*queryState),
+		finished: make(map[query.ID]*finishedScope),
+		early:    make(map[query.ID][]*protocol.VertexBatch),
+		markers:  make(map[int32]int),
+		outBuf:   make([]*table, cfg.K),
+		joining:  cfg.Rejoin,
 	}
 	return w, nil
 }
@@ -371,9 +364,9 @@ func (w *Worker) handle(env transport.Envelope) (stop bool, err error) {
 		err = w.onVertexBatch(m)
 	case *protocol.GlobalStop:
 		err = w.onGlobalStop(m)
-	case *protocol.DrainCheck:
-		w.pendingDrain = m
-		w.checkDrain()
+	case *protocol.StopMarker:
+		w.markers[m.Epoch]++
+		err = w.maybeAckStop()
 	case *protocol.MoveScope:
 		err = w.onMoveScope(m)
 	case *protocol.ScopeData:
@@ -400,9 +393,9 @@ func (w *Worker) handle(env transport.Envelope) (stop bool, err error) {
 
 // onRecoverStart resets this surviving worker into recovery generation
 // m.Gen. All live query state is dropped (the controller re-executes the
-// affected queries from superstep 0), the flow counters are zeroed on
-// every node symmetrically, the ownership map is replaced wholesale with
-// the controller's authoritative copy. Remembered finished scopes survive:
+// affected queries from superstep 0), so is a StopAck still waiting for
+// markers, and the ownership map is replaced wholesale with the
+// controller's authoritative copy. Remembered finished scopes survive:
 // their vertex sets are still valid under the new ownership and keep
 // Q-cut's hotspot history useful.
 func (w *Worker) onRecoverStart(m *protocol.RecoverStart) error {
@@ -502,20 +495,19 @@ func (w *Worker) ReplayedOps() int64 { return w.replayedOps.Load() }
 
 // resetForRecovery clears every piece of in-flight state that references
 // the pre-recovery generation: live queries, early buffers, the ready
-// queue, pending drains, move bookkeeping, and all flow counters.
+// queue, the marker wait of an aborted barrier, and move bookkeeping. The
+// wait must go: a StopAck it released now would reach a controller that
+// left the aborted barrier.
 func (w *Worker) resetForRecovery(gen int32, owner []partition.WorkerID) {
 	w.gen = gen
 	w.owner = append(w.owner[:0], owner...)
 	w.queries = make(map[query.ID]*queryState)
 	w.early = make(map[query.ID][]*protocol.VertexBatch)
 	w.ready = nil
-	w.pendingDrain = nil
+	w.stop = nil
+	clear(w.markers)
 	w.arrived = nil
 	w.outBuf = make([]*table, w.k)
-	for i := range w.sentTotals {
-		w.sentTotals[i], w.recvTotals[i] = 0, 0
-		w.scopeSentTotals[i], w.scopeRecvTotals[i] = 0, 0
-	}
 	// Recovery acts as a global barrier: the controller releases the
 	// restarted queries with GlobalStart after every live worker acked.
 	w.stopping = true
@@ -644,13 +636,9 @@ func (w *Worker) tryAdvance(q query.ID, qs *queryState) {
 func (w *Worker) onVertexBatch(m *protocol.VertexBatch) error {
 	if m.Gen != w.gen {
 		// A batch from before a recovery reset: its query state was
-		// discarded everywhere and the flow counters restarted, so it must
-		// neither deliver nor count.
+		// discarded everywhere, so it must not deliver.
 		return nil
 	}
-	// Count the arrival unconditionally: the drain protocol accounts every
-	// batch, whatever happens to its contents.
-	w.recvTotals[m.From]++
 	qs, ok := w.queries[m.Q]
 	if !ok {
 		if w.finished[m.Q] == nil {
@@ -660,12 +648,10 @@ func (w *Worker) onVertexBatch(m *protocol.VertexBatch) error {
 		}
 		// Batches of finished queries are obsolete: the controller only
 		// finishes a query once no improving message can exist.
-		w.checkDrain()
 		return nil
 	}
 	w.deliverBatch(qs, m)
 	w.tryAdvance(m.Q, qs)
-	w.checkDrain()
 	return nil
 }
 
@@ -722,10 +708,11 @@ func (w *Worker) onDeltaBatch(m *protocol.DeltaBatch) error {
 // topology convergence).
 func (w *Worker) View() *delta.View { return w.view }
 
-// onGlobalStop acknowledges the STOP barrier with cumulative send counters.
-// The controller quiesces all queries before stopping, so the ready queue
-// is empty here; any stragglers are drained first (with the stopping flag
-// set they report out after one superstep), keeping the counters complete.
+// onGlobalStop flushes every link into this worker with markers. The
+// controller quiesces all queries before stopping, so the ready queue is
+// empty here; any stragglers run first (with the stopping flag set they
+// report out after one superstep), so the markers follow this worker's last
+// vertex batch before GlobalStart on every link.
 func (w *Worker) onGlobalStop(m *protocol.GlobalStop) error {
 	w.stopping = true
 	w.arrived = make(map[graph.VertexID]bool)
@@ -737,30 +724,30 @@ func (w *Worker) onGlobalStop(m *protocol.GlobalStop) error {
 	if faultpoint.Hit(faultpoint.WorkerBarrierStop, int(w.id)) {
 		return faultpoint.ErrKilled
 	}
-	return w.conn.Send(protocol.ControllerNode, &protocol.StopAck{
-		Epoch: m.Epoch, W: w.id, SentTotals: slices.Clone(w.sentTotals),
-	})
-}
-
-// checkDrain answers a pending DrainCheck once every expected message has
-// arrived (vertex batches, or scope transfers when the check's Scope flag
-// is set).
-func (w *Worker) checkDrain() {
-	m := w.pendingDrain
-	if m == nil {
-		return
-	}
-	have := w.recvTotals
-	if m.Scope {
-		have = w.scopeRecvTotals
-	}
-	for src, want := range m.ExpectRecv {
-		if have[src] < want {
-			return
+	for _, p := range m.Live {
+		if p != w.id {
+			// A peer that just died fails the send, as it fails a vertex
+			// batch; recovery then aborts the barrier.
+			w.conn.Send(protocol.WorkerNode(p), &protocol.StopMarker{Epoch: m.Epoch})
 		}
 	}
-	w.pendingDrain = nil
-	w.conn.Send(protocol.ControllerNode, &protocol.DrainAck{Epoch: m.Epoch, W: w.id})
+	w.stop = m
+	return w.maybeAckStop()
+}
+
+// maybeAckStop sends the StopAck of a pending GlobalStop once a marker of
+// its epoch arrived from every other live worker: each link is FIFO, so
+// every batch sent to this worker before the stop has arrived too.
+func (w *Worker) maybeAckStop() error {
+	m := w.stop
+	if m == nil || w.markers[m.Epoch] < len(m.Live)-1 {
+		return nil
+	}
+	w.stop = nil
+	// The markers of this and earlier epochs are spent; one that a dead peer
+	// sent late goes with the next StopAck.
+	maps.DeleteFunc(w.markers, func(e int32, _ int) bool { return e <= m.Epoch })
+	return w.conn.Send(protocol.ControllerNode, &protocol.StopAck{Epoch: m.Epoch, W: w.id})
 }
 
 // onFinish drops a query's live state, keeping its vertex set for future

@@ -31,12 +31,12 @@ func lineGraph() *graph.Graph {
 	return b.MustBuild()
 }
 
-// newHarness starts k real workers; vertices 0..2 on worker 0, 3..4 on
-// worker 1 (when k=2).
-func newHarness(t *testing.T, k int) *harness {
+// newHarness starts k real workers on a network with latency lat; vertices
+// 0..2 on worker 0, 3..4 on worker 1 (when k=2).
+func newHarness(t *testing.T, k int, lat transport.Latency) *harness {
 	t.Helper()
 	g := lineGraph()
-	net := transport.NewChanNetwork(k+1, transport.Latency{})
+	net := transport.NewChanNetwork(k+1, lat)
 	owner := make(partition.Assignment, g.NumVertices())
 	for v := range owner {
 		if k > 1 && v >= 3 {
@@ -66,12 +66,18 @@ func (h *harness) send(w partition.WorkerID, m protocol.Message) {
 // recv waits for the next message at the controller.
 func (h *harness) recv() protocol.Message {
 	h.t.Helper()
+	return h.recvEnv().Msg
+}
+
+// recvEnv waits for the next message at the controller, with its sender.
+func (h *harness) recvEnv() transport.Envelope {
+	h.t.Helper()
 	select {
 	case env := <-h.net.Conn(protocol.ControllerNode).Inbox():
-		return env.Msg
+		return env
 	case <-time.After(5 * time.Second):
 		h.t.Fatal("timeout waiting for worker message")
-		return nil
+		return transport.Envelope{}
 	}
 }
 
@@ -87,7 +93,7 @@ func (h *harness) recvSynch() *protocol.BarrierSynch {
 // TestSingleWorkerQueryLifecycle drives a BFS flood on one worker through
 // the raw protocol and checks every synch field.
 func TestSingleWorkerQueryLifecycle(t *testing.T) {
-	h := newHarness(t, 1)
+	h := newHarness(t, 1, transport.Latency{})
 	spec := query.Spec{ID: 7, Kind: query.KindBFS, Source: 0, Target: graph.NilVertex}
 	h.send(0, &protocol.ExecuteQuery{Spec: spec})
 	h.send(0, &protocol.BarrierReady{Q: 7, Step: 0})
@@ -123,7 +129,7 @@ func TestSingleWorkerQueryLifecycle(t *testing.T) {
 // TestSoloLoopReportsOnce: a solo release runs the whole local query and
 // reports one multi-step synch with LocalIters accounting.
 func TestSoloLoopReportsOnce(t *testing.T) {
-	h := newHarness(t, 1)
+	h := newHarness(t, 1, transport.Latency{})
 	spec := query.Spec{ID: 9, Kind: query.KindBFS, Source: 0, Target: graph.NilVertex}
 	h.send(0, &protocol.ExecuteQuery{Spec: spec})
 	h.send(0, &protocol.BarrierReady{Q: 9, Step: 0, Solo: true})
@@ -145,7 +151,7 @@ func TestSoloLoopReportsOnce(t *testing.T) {
 // TestRemoteBatchesAndExpect: messages crossing the 0|1 boundary are
 // batched, counted, and the receiving worker honors the Expect count.
 func TestRemoteBatchesAndExpect(t *testing.T) {
-	h := newHarness(t, 2)
+	h := newHarness(t, 2, transport.Latency{})
 	spec := query.Spec{ID: 11, Kind: query.KindBFS, Source: 2, Target: graph.NilVertex}
 	h.send(0, &protocol.ExecuteQuery{Spec: spec})
 	h.send(1, &protocol.ExecuteQuery{Spec: spec})
@@ -171,7 +177,7 @@ func TestRemoteBatchesAndExpect(t *testing.T) {
 // TestEarlyBatchBuffered: a vertex batch arriving before ExecuteQuery is
 // buffered and replayed, not lost.
 func TestEarlyBatchBuffered(t *testing.T) {
-	h2 := newHarness(t, 2)
+	h2 := newHarness(t, 2, transport.Latency{})
 	spec := query.Spec{ID: 13, Kind: query.KindBFS, Source: 2, Target: graph.NilVertex}
 	// Worker 1 gets a batch for query 13 before its ExecuteQuery.
 	if err := h2.net.Conn(protocol.WorkerNode(0)).Send(protocol.WorkerNode(1), &protocol.VertexBatch{
@@ -188,73 +194,79 @@ func TestEarlyBatchBuffered(t *testing.T) {
 	}
 }
 
-// TestGlobalBarrierProtocol drives stop → drain → move → ownership →
-// scope drain → start across two workers, verifying the moved scope lands
-// intact.
+// TestGlobalBarrierProtocol drives stop → markers → StopAck → move → the
+// receiver's MoveAck → start across two workers. In "move", the moved scope
+// lands intact. In "batch in flight", worker 0's batch to worker 1 is still
+// on a 50 ms link when GlobalStop arrives and no move flushes that link:
+// worker 1 may acknowledge the stop only after worker 0's marker, which
+// follows the batch, so its Drained release processes the batch's vertex.
 func TestGlobalBarrierProtocol(t *testing.T) {
-	h := newHarness(t, 2)
-	spec := query.Spec{ID: 21, Kind: query.KindBFS, Source: 0, Target: graph.NilVertex}
-	h.send(0, &protocol.ExecuteQuery{Spec: spec})
-	h.send(1, &protocol.ExecuteQuery{Spec: spec})
-	h.send(0, &protocol.BarrierReady{Q: 21, Step: 0, Solo: true})
-	s := h.recvSynch() // worker 0 runs locally until it must send to worker 1
-	if s.SentBatches[1] == 0 {
-		t.Fatalf("expected boundary crossing, got %+v", s)
-	}
+	for _, tc := range []struct {
+		name   string
+		lat    transport.Latency
+		source graph.VertexID // BFS source on worker 0
+		solo   bool
+		move   bool
+	}{
+		{name: "move", source: 0, solo: true, move: true},
+		{name: "batch in flight", lat: transport.Latency{WorkerWorker: 50 * time.Millisecond}, source: 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHarness(t, 2, tc.lat)
+			spec := query.Spec{ID: 21, Kind: query.KindBFS, Source: tc.source, Target: graph.NilVertex}
+			h.send(0, &protocol.ExecuteQuery{Spec: spec})
+			h.send(1, &protocol.ExecuteQuery{Spec: spec})
+			h.send(0, &protocol.BarrierReady{Q: 21, Step: 0, Solo: tc.solo})
+			s := h.recvSynch() // worker 0 runs until it must send to worker 1
+			if s.SentBatches[1] == 0 {
+				t.Fatalf("expected boundary crossing, got %+v", s)
+			}
 
-	// Global barrier instead of releasing the next step.
-	h.send(0, &protocol.GlobalStop{Epoch: 1})
-	h.send(1, &protocol.GlobalStop{Epoch: 1})
-	acks := map[partition.WorkerID][]uint64{}
-	for len(acks) < 2 {
-		m, ok := h.recv().(*protocol.StopAck)
-		if !ok {
-			t.Fatalf("expected StopAck")
-		}
-		acks[m.W] = m.SentTotals
-	}
-	// Drain: worker 1 must confirm receipt of worker 0's batches.
-	h.send(0, &protocol.DrainCheck{Epoch: 1, ExpectRecv: []uint64{0, acks[1][0]}})
-	h.send(1, &protocol.DrainCheck{Epoch: 1, ExpectRecv: []uint64{acks[0][1], 0}})
-	for i := 0; i < 2; i++ {
-		if _, ok := h.recv().(*protocol.DrainAck); !ok {
-			t.Fatalf("expected DrainAck")
-		}
-	}
-	// Move query 21's scope from worker 0 to worker 1.
-	h.send(0, &protocol.MoveScope{Epoch: 1, Q: 21, To: 1})
-	mv, ok := h.recv().(*protocol.MoveAck)
-	if !ok || mv.From != 0 || mv.To != 1 {
-		t.Fatalf("expected MoveAck, got %#v", mv)
-	}
-	if len(mv.Vertices) != 3 {
-		t.Fatalf("moved %d vertices, want 3 (worker 0's scope)", len(mv.Vertices))
-	}
-	// Scope drain at the receiver, then start.
-	h.send(1, &protocol.DrainCheck{Epoch: 1, Scope: true, ExpectRecv: []uint64{1, 0}})
-	h.send(0, &protocol.DrainCheck{Epoch: 1, Scope: true, ExpectRecv: []uint64{0, 0}})
-	for i := 0; i < 2; i++ {
-		if _, ok := h.recv().(*protocol.DrainAck); !ok {
-			t.Fatalf("expected scope DrainAck")
-		}
-	}
-	h.send(0, &protocol.GlobalStart{Epoch: 1})
-	h.send(1, &protocol.GlobalStart{Epoch: 1})
+			// Global barrier instead of releasing the next step.
+			live := []partition.WorkerID{0, 1}
+			h.send(0, &protocol.GlobalStop{Epoch: 1, Live: live})
+			h.send(1, &protocol.GlobalStop{Epoch: 1, Live: live})
+			acks := map[partition.WorkerID]bool{}
+			for len(acks) < 2 {
+				m, ok := h.recv().(*protocol.StopAck)
+				if !ok || m.Epoch != 1 {
+					t.Fatalf("expected StopAck of epoch 1, got %#v", m)
+				}
+				acks[m.W] = true
+			}
+			if tc.move {
+				// Move query 21's scope from worker 0 to worker 1; the
+				// receiver acknowledges it.
+				h.send(0, &protocol.MoveScope{Epoch: 1, Q: 21, To: 1})
+				env := h.recvEnv()
+				mv, ok := env.Msg.(*protocol.MoveAck)
+				if !ok || mv.From != 0 || mv.To != 1 || env.From != protocol.WorkerNode(1) {
+					t.Fatalf("expected worker 1's MoveAck, got %#v from node %d", env.Msg, env.From)
+				}
+				if len(mv.Vertices) != 3 {
+					t.Fatalf("moved %d vertices, want 3 (worker 0's scope)", len(mv.Vertices))
+				}
+			}
+			h.send(0, &protocol.GlobalStart{Epoch: 1})
+			h.send(1, &protocol.GlobalStart{Epoch: 1})
 
-	// Resume: release both with drained. Worker 1 now owns everything the
-	// query touched plus its pending messages; worker 0 must be empty.
-	h.send(0, &protocol.BarrierReady{Q: 21, Step: s.Step + 1, Drained: true})
-	h.send(1, &protocol.BarrierReady{Q: 21, Step: s.Step + 1, Drained: true})
-	got := map[partition.WorkerID]*protocol.BarrierSynch{}
-	for len(got) < 2 {
-		r := h.recvSynch()
-		got[r.W] = r
-	}
-	if got[0].Processed != 0 || got[0].ScopeSize != 0 {
-		t.Fatalf("worker 0 still has state after move: %+v", got[0])
-	}
-	if got[1].Processed == 0 {
-		t.Fatalf("worker 1 did not process moved pending messages: %+v", got[1])
+			// Resume: release both with drained. Worker 1 holds the batch (and,
+			// after the move, everything the query touched plus its pending
+			// messages; worker 0 is then empty).
+			h.send(0, &protocol.BarrierReady{Q: 21, Step: s.Step + 1, Drained: true})
+			h.send(1, &protocol.BarrierReady{Q: 21, Step: s.Step + 1, Drained: true})
+			got := map[partition.WorkerID]*protocol.BarrierSynch{}
+			for len(got) < 2 {
+				r := h.recvSynch()
+				got[r.W] = r
+			}
+			if tc.move && (got[0].Processed != 0 || got[0].ScopeSize != 0) {
+				t.Fatalf("worker 0 still has state after move: %+v", got[0])
+			}
+			if got[1].Processed == 0 {
+				t.Fatalf("worker 1 processed nothing after the barrier: %+v", got[1])
+			}
+		})
 	}
 }
 
