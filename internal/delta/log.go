@@ -156,9 +156,3 @@ func ReplayBatchesFrom(base *graph.Graph, from uint64, batches []LogBatch) (*Vie
 	}
 	return v, nil
 }
-
-// ReplayBatches applies a contiguous batch sequence over the version-0
-// base graph, verifying the version chain.
-func ReplayBatches(base *graph.Graph, batches []LogBatch) (*View, error) {
-	return ReplayBatchesFrom(base, 0, batches)
-}

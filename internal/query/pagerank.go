@@ -1,10 +1,6 @@
 package query
 
-import (
-	"math"
-
-	"qgraph/internal/graph"
-)
+import "qgraph/internal/graph"
 
 // Damping is the PageRank damping factor.
 const Damping = 0.85
@@ -89,18 +85,4 @@ func RefPageRank(g graph.View, spec Spec) map[graph.VertexID]float64 {
 		inbox = next
 	}
 	return scores
-}
-
-// RefPageRankMass returns the total score mass of RefPageRank, a scalar
-// fingerprint tests can compare against the distributed run.
-func RefPageRankMass(g graph.View, spec Spec) float64 {
-	total := 0.0
-	for _, s := range RefPageRank(g, spec) {
-		total += s
-	}
-	// Guard against NaN sneaking into comparisons.
-	if math.IsNaN(total) {
-		panic("query: NaN PageRank mass")
-	}
-	return total
 }
