@@ -91,6 +91,27 @@ func TestReadmeConfigFieldsExist(t *testing.T) {
 	}
 }
 
+// TestRoadmapLineRefsResolve checks that every `name.go:N` or `name.go:N–M`
+// ROADMAP.md quotes inline names a file of the tree with at least that many
+// lines, so a reference into a file that shrank or went cannot live on. A
+// path resolves from the root or from internal/; a bare name, by any file of
+// that base name.
+func TestRoadmapLineRefsResolve(t *testing.T) {
+	b, err := os.ReadFile("ROADMAP.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	roadmap := string(b)
+	lines := goFileLines(t)
+	if bad := unresolvedLineRefs(roadmap, lines); len(bad) > 0 {
+		t.Fatalf("ROADMAP.md quotes file:line references the tree does not have: %v", bad)
+	}
+	planted := roadmap + "\nThe barrier's phases are listed at `global.go:999`.\n"
+	if bad := unresolvedLineRefs(planted, lines); !slices.Equal(bad, []string{"global.go:999"}) {
+		t.Fatalf("a planted stale line reference went unnoticed: unresolved = %v", bad)
+	}
+}
+
 var (
 	fence      = regexp.MustCompile("(?ms)^```.*?^```")
 	inlineCode = regexp.MustCompile("`([^`]+)`")
@@ -99,7 +120,58 @@ var (
 	lineSuffix = regexp.MustCompile(`:[0-9][0-9–-]*$`) // file.go:12 or file.go:12–30
 	selector   = regexp.MustCompile(`\.[A-Za-z_]\w*$`) // internal/delta.View
 	fieldToken = regexp.MustCompile(`^(?:([a-z]\w*)\.)?Config\.([A-Z]\w*)$`)
+	lineRef    = regexp.MustCompile(`^(\S+\.go):([0-9]+)(?:[–/-]([0-9]+))?$`) // file.go:12, :12–30 or :12/30
 )
+
+// unresolvedLineRefs returns, sorted and once each, the file:line references
+// quoted in inline code spans of md that name no file of lines (path from
+// the root → line count) with at least that many lines.
+func unresolvedLineRefs(md string, lines map[string]int) []string {
+	md = fence.ReplaceAllString(md, "")
+	var bad []string
+	for _, span := range inlineCode.FindAllStringSubmatch(md, -1) {
+		for _, tok := range strings.Fields(span[1]) {
+			m := lineRef.FindStringSubmatch(tok)
+			if m == nil {
+				continue
+			}
+			need, _ := strconv.Atoi(m[2])
+			if hi, err := strconv.Atoi(m[3]); err == nil {
+				need = max(need, hi)
+			}
+			ok := lines[m[1]] >= need || lines["internal/"+m[1]] >= need
+			if !strings.Contains(m[1], "/") {
+				for path, n := range lines {
+					ok = ok || filepath.Base(path) == m[1] && n >= need
+				}
+			}
+			if !ok && !slices.Contains(bad, tok) {
+				bad = append(bad, tok)
+			}
+		}
+	}
+	slices.Sort(bad)
+	return bad
+}
+
+// goFileLines returns the line count of every .go file of the tree, by its
+// path from the root.
+func goFileLines(t *testing.T) map[string]int {
+	t.Helper()
+	lines := make(map[string]int)
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		lines[filepath.ToSlash(path)] = strings.Count(string(b), "\n")
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lines
+}
 
 // staleFields returns, sorted and once each, the Config fields quoted in
 // inline code spans of md that fields does not list. A bare Config.X is
