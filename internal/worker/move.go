@@ -86,9 +86,12 @@ func (w *Worker) onMoveScope(m *protocol.MoveScope) error {
 		w.owner[v] = m.To
 		moved = append(moved, *byV[v])
 	}
-	return w.conn.Send(protocol.WorkerNode(m.To), &protocol.ScopeData{
+	// A target that just died fails the send, as it fails a vertex batch;
+	// recovery then aborts the barrier and replaces the moved state.
+	w.conn.Send(protocol.WorkerNode(m.To), &protocol.ScopeData{
 		Epoch: m.Epoch, Q: m.Q, From: w.id, Gen: w.gen, Vertices: moved,
 	})
+	return nil
 }
 
 // forShared calls fn for every vertex of scope that is also in verts (fn may
