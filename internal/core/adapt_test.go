@@ -223,6 +223,12 @@ func TestAdaptationContinuesAfterHandoff(t *testing.T) {
 		t.Fatalf("RunBatch 2: %v", err)
 	}
 	checkResults(t, results2, specs2, want2)
+	// A plan the wave started may land after it: under the race detector
+	// one Q-cut round over a full window takes ~250 ms, longer than a wave.
+	deadline = time.Now().Add(10 * time.Second)
+	for int(eng.RepartitionEpoch()) <= before && time.Now().Before(deadline) {
+		time.Sleep(2 * time.Millisecond)
+	}
 	if after := int(eng.RepartitionEpoch()); after <= before {
 		t.Fatalf("no repartitioning with a dead worker (epoch %d -> %d)", before, after)
 	}
