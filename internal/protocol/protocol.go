@@ -425,11 +425,11 @@ func (*Pong) Type() MsgType { return TPong }
 // When liveness declares a worker dead, the controller fences it and runs a
 // recovery round: survivors receive RecoverStart (reset in-flight query
 // state, abandon a global barrier in progress, adopt the authoritative
-// ownership map), a respawned worker announces itself with WorkerHello and receives
-// PartitionGrant (the same reset plus a committed-op replay that rebuilds
-// its graph view from the shared CSR base). Both answer PartitionAck;
-// once every live worker acknowledged the generation, the controller
-// restarts the in-flight queries from superstep 0.
+// ownership map), a respawned worker announces itself with WorkerHello and
+// receives PartitionGrant (the same reset plus a committed-op replay that
+// rebuilds its graph view from the shared CSR base). Both answer
+// PartitionAck; once every live worker acknowledged the generation, the
+// controller restarts the in-flight queries from superstep 0.
 
 // RecoverStart resets a surviving worker into recovery generation Gen:
 // drop all live query state (affected queries are re-executed) and the
