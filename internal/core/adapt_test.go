@@ -10,6 +10,7 @@ import (
 	"qgraph/internal/faultpoint"
 	"qgraph/internal/gen"
 	"qgraph/internal/graph"
+	"qgraph/internal/obs"
 	"qgraph/internal/protocol"
 	"qgraph/internal/query"
 	"qgraph/internal/transport"
@@ -84,8 +85,16 @@ func runUntilRepartition(t *testing.T, eng *Engine, specs []query.Spec, want []f
 func TestAdaptiveRepartitioningCorrect(t *testing.T) {
 	net := testRoad(t)
 	specs, want := hotspotSpecs(t, net, 160)
-	eng := startEngine(t, net.G, eagerAdapt)
+	o := obs.New(nil)
+	eng := startEngine(t, net.G, func(c *Config) {
+		eagerAdapt(c)
+		c.Obs = o
+	})
 	runUntilRepartition(t, eng, specs, want)
+	// Every repartitioning barrier executes at least one move directive.
+	if moves := o.Metrics.Counter("qgraph_barrier_moves_total", "", "").Value(); moves < int64(eng.Repartitions()) {
+		t.Fatalf("qgraph_barrier_moves_total %d after %d repartitions", moves, eng.Repartitions())
+	}
 	t.Logf("repartitions: %d", eng.Repartitions())
 }
 
