@@ -49,22 +49,22 @@ func (l Latency) propagation(a, b protocol.NodeID) time.Duration {
 	return l.WorkerWorker
 }
 
-// ChanNetwork is the in-process transport: per-link FIFO queues drained by
-// delivery goroutines that enforce the latency model.
+// ChanNetwork is the in-process transport. On the perfect network a send
+// puts the message straight into the receiver's mailbox; under a latency
+// model each link is a FIFO queue whose delivery goroutine sleeps out the
+// model before it does.
 type ChanNetwork struct {
 	latency Latency
 	conns   []*chanConn
-	links   []*queue // links[from*n+to]
+	links   []*queue // links[from*n+to]; nil on the perfect network
 	wg      sync.WaitGroup
-	closed  chan struct{}
 	once    sync.Once
 }
 
 type chanConn struct {
-	net   *ChanNetwork
-	id    protocol.NodeID
-	inbox chan Envelope
-	inQ   *queue // local unbounded buffer feeding inbox
+	net *ChanNetwork
+	id  protocol.NodeID
+	box *mailbox
 }
 
 // NewChanNetwork creates an in-process network with n nodes (node 0 is the
@@ -73,38 +73,14 @@ func NewChanNetwork(n int, lat Latency) *ChanNetwork {
 	cn := &ChanNetwork{
 		latency: lat,
 		conns:   make([]*chanConn, n),
-		links:   make([]*queue, n*n),
-		closed:  make(chan struct{}),
 	}
 	for i := range cn.conns {
-		c := &chanConn{
-			net:   cn,
-			id:    protocol.NodeID(i),
-			inbox: make(chan Envelope, 256),
-			inQ:   newQueue(),
-		}
-		cn.conns[i] = c
-		// Pump: unbounded buffer → bounded inbox channel, so senders never
-		// block on slow receivers. The send selects on network close so a
-		// crashed node that stopped reading its inbox (worker failure
-		// testing) cannot wedge Close behind a full channel.
-		cn.wg.Add(1)
-		go func() {
-			defer cn.wg.Done()
-			defer close(c.inbox)
-			for {
-				it, ok := c.inQ.pop()
-				if !ok {
-					return
-				}
-				select {
-				case c.inbox <- it.env:
-				case <-cn.closed:
-					return
-				}
-			}
-		}()
+		cn.conns[i] = &chanConn{net: cn, id: protocol.NodeID(i), box: newMailbox()}
 	}
+	if lat.Zero() {
+		return cn
+	}
+	cn.links = make([]*queue, n*n)
 	for from := 0; from < n; from++ {
 		for to := 0; to < n; to++ {
 			if from == to {
@@ -120,7 +96,7 @@ func NewChanNetwork(n int, lat Latency) *ChanNetwork {
 }
 
 // deliver drains one link, sleeping per the latency model before handing
-// envelopes to the destination buffer.
+// envelopes to the destination's mailbox.
 func (cn *ChanNetwork) deliver(from, to protocol.NodeID, q *queue) {
 	defer cn.wg.Done()
 	prop := cn.latency.propagation(from, to)
@@ -130,18 +106,16 @@ func (cn *ChanNetwork) deliver(from, to protocol.NodeID, q *queue) {
 		if !ok {
 			return
 		}
-		if !cn.latency.Zero() {
-			arrive := time.Unix(0, it.sentAt).Add(prop)
-			if arrive.Before(lastDeliver) {
-				arrive = lastDeliver
-			}
-			arrive = arrive.Add(time.Duration(it.size) * cn.latency.PerByte)
-			if d := time.Until(arrive); d > 0 {
-				time.Sleep(d)
-			}
-			lastDeliver = arrive
+		arrive := time.Unix(0, it.sentAt).Add(prop)
+		if arrive.Before(lastDeliver) {
+			arrive = lastDeliver
 		}
-		cn.conns[to].inQ.push(it)
+		arrive = arrive.Add(time.Duration(it.size) * cn.latency.PerByte)
+		if d := time.Until(arrive); d > 0 {
+			time.Sleep(d)
+		}
+		lastDeliver = arrive
+		cn.conns[to].box.put(it.env)
 	}
 }
 
@@ -154,14 +128,13 @@ func (cn *ChanNetwork) Nodes() int { return len(cn.conns) }
 // Close implements Network.
 func (cn *ChanNetwork) Close() error {
 	cn.once.Do(func() {
-		close(cn.closed)
 		for _, q := range cn.links {
 			if q != nil {
 				q.close()
 			}
 		}
 		for _, c := range cn.conns {
-			c.inQ.close()
+			c.box.close()
 		}
 	})
 	cn.wg.Wait()
@@ -173,20 +146,25 @@ func (c *chanConn) Send(to protocol.NodeID, m protocol.Message) error {
 	if int(to) >= len(c.net.conns) || to == c.id {
 		return fmt.Errorf("transport: bad destination %d", to)
 	}
-	q := c.net.links[int(c.id)*len(c.net.conns)+int(to)]
-	it := queueItem{
-		env:    Envelope{From: c.id, Msg: m},
-		sentAt: time.Now().UnixNano(),
-		size:   WireSize(m),
+	env := Envelope{From: c.id, Msg: m}
+	ok := false
+	if c.net.links == nil {
+		ok = c.net.conns[to].box.put(env)
+	} else {
+		ok = c.net.links[int(c.id)*len(c.net.conns)+int(to)].push(queueItem{
+			env:    env,
+			sentAt: time.Now().UnixNano(),
+			size:   WireSize(m),
+		})
 	}
-	if !q.push(it) {
+	if !ok {
 		return fmt.Errorf("transport: network closed")
 	}
 	return nil
 }
 
 // Inbox implements Conn.
-func (c *chanConn) Inbox() <-chan Envelope { return c.inbox }
+func (c *chanConn) Inbox() <-chan Envelope { return c.box.ch }
 
 // Close implements Conn. Closing one endpoint of the in-process network is
 // a no-op; use Network.Close.

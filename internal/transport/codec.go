@@ -52,13 +52,20 @@ const hdr = 5
 
 // Encode serializes m into a frame ready to write to a stream.
 func Encode(m protocol.Message) ([]byte, error) {
-	c := coder{mode: encoding, buf: make([]byte, hdr, WireSize(m))} // header filled last
+	return appendFrame(make([]byte, 0, WireSize(m)), m)
+}
+
+// appendFrame appends m's frame to buf: the TCP sender encodes into one
+// buffer per peer, which it reuses frame after frame.
+func appendFrame(buf []byte, m protocol.Message) ([]byte, error) {
+	start := len(buf)
+	c := coder{mode: encoding, buf: append(buf, 0, 0, 0, 0, 0)} // header filled last
 	fields(&c, m)
 	if c.err != nil {
 		return nil, c.err
 	}
-	binary.LittleEndian.PutUint32(c.buf, uint32(len(c.buf)-hdr))
-	c.buf[4] = byte(m.Type())
+	binary.LittleEndian.PutUint32(c.buf[start:], uint32(len(c.buf)-start-hdr))
+	c.buf[start+4] = byte(m.Type())
 	return c.buf, nil
 }
 

@@ -210,8 +210,10 @@ func TestCodecGoldenFrames(t *testing.T) {
 }
 
 // TestCodecAllocs pins the codec's allocations: Encode allocates the one
-// frame it returns, and Decode the message plus one array per non-empty
-// list, for every sample. A coder moved to the heap shows here first.
+// frame it returns, appendFrame into a buffer large enough nothing (the TCP
+// sender's reused buffer), and Decode the message plus one array per
+// non-empty list, for every sample. A coder moved to the heap shows here
+// first.
 func TestCodecAllocs(t *testing.T) {
 	for i, m := range sampleMessages() {
 		if n := testing.AllocsPerRun(50, func() { Encode(m) }); n != 1 {
@@ -221,12 +223,45 @@ func TestCodecAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("encode %T: %v", m, err)
 		}
+		buf := make([]byte, 0, len(frame))
+		if n := testing.AllocsPerRun(50, func() { appendFrame(buf, m) }); n != 0 {
+			t.Errorf("sample %d (%T): appendFrame allocates %v times, want 0", i, m, n)
+		}
 		want := nonEmptyLists(reflect.ValueOf(m))
 		if reflect.TypeOf(m).Elem().Size() > 0 { // new(protocol.Shutdown) is free
 			want++
 		}
 		if n := testing.AllocsPerRun(50, func() { Decode(m.Type(), frame[5:]) }); n != float64(want) {
 			t.Errorf("sample %d (%T): Decode allocates %v times, want %d", i, m, n, want)
+		}
+	}
+}
+
+// TestDecodeCopiesOutOfThePayload: a decoded message shares no memory with
+// its payload, so the TCP reader may read the next frame into the same
+// buffer. Every sample decodes from a payload that is then overwritten, and
+// must still re-encode to its frame; appendFrame behind a used prefix must
+// append that same frame.
+func TestDecodeCopiesOutOfThePayload(t *testing.T) {
+	for i, m := range sampleMessages() {
+		frame, err := Encode(m)
+		if err != nil {
+			t.Fatalf("encode %T: %v", m, err)
+		}
+		payload := bytes.Clone(frame[hdr:])
+		dec, err := Decode(m.Type(), payload)
+		if err != nil {
+			t.Fatalf("sample %d (%T): %v", i, m, err)
+		}
+		for j := range payload {
+			payload[j] = 0xA5
+		}
+		if again, err := Encode(dec); err != nil || !bytes.Equal(again, frame) {
+			t.Errorf("sample %d (%T): decoded message changed with its payload: %x (%v)", i, m, again, err)
+		}
+		prefix := []byte("used")
+		if out, err := appendFrame(prefix, m); err != nil || !bytes.Equal(out[len(prefix):], frame) || string(out[:len(prefix)]) != "used" {
+			t.Errorf("sample %d (%T): appendFrame after a prefix wrote %x (%v)", i, m, out, err)
 		}
 	}
 }

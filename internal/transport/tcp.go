@@ -34,24 +34,30 @@ type TCPNode struct {
 	dialed   map[net.Conn]bool // live outbound conns, for teardown
 	accepted []net.Conn
 
-	inbox  chan Envelope
-	inQ    *queue
+	box    *mailbox
 	wg     sync.WaitGroup
 	closed chan struct{}
 	once   sync.Once
 }
 
-// tcpPeer is the send-side state for one destination. Its mutex owns both
-// the connection lifecycle (dial, drop, redial) and the frame writes, so
+// tcpPeer is the send-side state for one destination. Its mutex owns the
+// connection lifecycle (dial, drop, redial), the frame buffer and the
+// writes, so
 // concurrent Sends to one dead peer serialize: exactly one goroutine
 // redials while the others wait and then reuse the fresh connection —
 // never two racing dials leaking a socket. A dial to peer A never blocks
 // sends to peer B (the node-level mutex only guards the peer map).
 type tcpPeer struct {
-	mu   sync.Mutex
-	conn net.Conn
-	bw   *bufio.Writer
+	mu    sync.Mutex
+	conn  net.Conn
+	frame []byte // the last frame sent, kept for its capacity
 }
+
+// keepBuf bounds the frame buffers a connection keeps between frames: the
+// send side's encoding buffer and the read side's payload buffer. A larger
+// frame (a PartitionGrant, a wide superstep's batch) gets a buffer of its
+// own.
+const keepBuf = 1 << 16
 
 // NewTCPNode starts node id listening on addrs[id]. addrs lists every
 // node's address (index = NodeID).
@@ -73,30 +79,16 @@ func newTCPNodeWithListener(id protocol.NodeID, addrs []string, ln net.Listener)
 		ln:     ln,
 		peers:  make(map[protocol.NodeID]*tcpPeer),
 		dialed: make(map[net.Conn]bool),
-		inbox:  make(chan Envelope, 256),
-		inQ:    newQueue(),
+		box:    newMailbox(),
 		closed: make(chan struct{}),
 	}
-	n.wg.Add(2)
+	n.wg.Add(1)
 	go n.acceptLoop()
-	go n.pump()
 	return n
 }
 
 // Addr returns the actual listen address (useful with ":0" ports in tests).
 func (n *TCPNode) Addr() string { return n.ln.Addr().String() }
-
-func (n *TCPNode) pump() {
-	defer n.wg.Done()
-	defer close(n.inbox)
-	for {
-		it, ok := n.inQ.pop()
-		if !ok {
-			return
-		}
-		n.inbox <- it.env
-	}
-}
 
 func (n *TCPNode) acceptLoop() {
 	defer n.wg.Done()
@@ -123,7 +115,8 @@ func (n *TCPNode) acceptLoop() {
 	}
 }
 
-// serveConn reads the handshake then pushes decoded frames into the inbox.
+// serveConn reads the handshake, then decodes frames into the mailbox, one
+// put a frame, reusing one payload buffer.
 func (n *TCPNode) serveConn(conn net.Conn) {
 	defer conn.Close()
 	var hs [2]byte
@@ -140,13 +133,14 @@ func (n *TCPNode) serveConn(conn net.Conn) {
 		return
 	}
 	from := protocol.NodeID(hs[1])
-	br := bufio.NewReaderSize(conn, 1<<16)
+	br := bufio.NewReaderSize(conn, keepBuf)
+	var buf []byte
 	for {
-		m, err := readFrame(br)
+		m, err := readFrame(br, &buf)
 		if err != nil {
 			return
 		}
-		if !n.inQ.push(queueItem{env: Envelope{From: from, Msg: m}}) {
+		if !n.box.put(Envelope{From: from, Msg: m}) {
 			return
 		}
 	}
@@ -167,8 +161,10 @@ func SetOnCodecReject(fn func(remote string, peerVersion, localVersion uint8)) {
 	onCodecReject.Store(&fn)
 }
 
-func readFrame(r io.Reader) (protocol.Message, error) {
-	var head [5]byte
+// readFrame reads and decodes one frame. A payload of up to keepBuf bytes is
+// read into *buf, which it allocates once: Decode copies every field out.
+func readFrame(r io.Reader, buf *[]byte) (protocol.Message, error) {
+	var head [hdr]byte
 	if _, err := io.ReadFull(r, head[:]); err != nil {
 		return nil, err
 	}
@@ -176,7 +172,15 @@ func readFrame(r io.Reader) (protocol.Message, error) {
 	if length > 1<<28 {
 		return nil, fmt.Errorf("transport: oversized frame %d", length)
 	}
-	payload := make([]byte, length)
+	var payload []byte
+	if length <= keepBuf {
+		if *buf == nil {
+			*buf = make([]byte, keepBuf)
+		}
+		payload = (*buf)[:length]
+	} else {
+		payload = make([]byte, length)
+	}
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, err
 	}
@@ -233,8 +237,8 @@ const (
 	sendBackoff  = 10 * time.Millisecond
 )
 
-// Send implements Conn. Frames are written synchronously to the socket
-// buffer and flushed immediately; the kernel provides the async pipe.
+// Send implements Conn. The frame is encoded into the peer's buffer and
+// written to the socket in one call; the kernel provides the async pipe.
 //
 // A write failure drops the connection and redials, bounded by the retry
 // schedule: a restarted process on the same address (a worker brought
@@ -246,16 +250,19 @@ const (
 // so concurrent Sends to one dead peer produce one redial, not a race of
 // leaked sockets.
 func (n *TCPNode) Send(to protocol.NodeID, m protocol.Message) error {
-	frame, err := Encode(m)
-	if err != nil {
-		return err
-	}
 	p, err := n.slot(to)
 	if err != nil {
 		return err
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	frame, err := appendFrame(p.frame[:0], m)
+	if err != nil {
+		return err
+	}
+	if cap(frame) <= keepBuf {
+		p.frame = frame
+	}
 	var lastErr error
 	for attempt := 0; attempt < sendAttempts; attempt++ {
 		if attempt > 0 {
@@ -280,25 +287,22 @@ func (n *TCPNode) Send(to protocol.NodeID, m protocol.Message) error {
 				lastErr = err
 				continue
 			}
-			p.conn, p.bw = conn, bufio.NewWriterSize(conn, 1<<16)
+			p.conn = conn
 		}
-		_, werr := p.bw.Write(frame)
-		if werr == nil {
-			werr = p.bw.Flush()
-		}
+		_, werr := p.conn.Write(frame)
 		if werr == nil {
 			return nil
 		}
 		n.unregisterDialed(p.conn)
 		p.conn.Close()
-		p.conn, p.bw = nil, nil
+		p.conn = nil
 		lastErr = werr
 	}
 	return lastErr
 }
 
 // Inbox implements Conn.
-func (n *TCPNode) Inbox() <-chan Envelope { return n.inbox }
+func (n *TCPNode) Inbox() <-chan Envelope { return n.box.ch }
 
 // Close implements Conn.
 func (n *TCPNode) Close() error {
@@ -316,7 +320,7 @@ func (n *TCPNode) Close() error {
 			c.Close()
 		}
 		n.mu.Unlock()
-		n.inQ.close()
+		n.box.close()
 	})
 	n.wg.Wait()
 	return nil

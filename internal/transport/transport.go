@@ -10,7 +10,7 @@
 //     cmd/qgraphd for genuine scale-out deployments.
 //
 // Both deliver messages in order per (sender, receiver) link and never
-// block senders (unbounded per-link queues), which the barrier protocol
+// block senders (an unbounded mailbox per node), which the barrier protocol
 // relies on.
 package transport
 
@@ -48,15 +48,96 @@ type Network interface {
 	Close() error
 }
 
-// queue is an unbounded FIFO with close semantics. Senders never block;
-// the reader drains via a goroutine pumping into a channel.
+// mailbox is a node's inbox: a buffered channel with an unbounded backlog
+// behind it. A put hands its envelope straight to the channel when nothing
+// waits ahead of it, so a received frame reaches the event loop in one
+// handoff. Only when the channel is full does a backlog form, and one pump
+// goroutine drains it in order until it is empty. Producers never block:
+// two event loops sending to each other must not wedge on each other's full
+// inbox.
+type mailbox struct {
+	ch   chan Envelope
+	done chan struct{} // closed by close; releases a pump blocked on ch
+
+	mu      sync.Mutex
+	backlog []Envelope
+	pumping bool // a pump owns the backlog; puts queue behind it
+	closed  bool
+}
+
+func newMailbox() *mailbox {
+	return &mailbox{ch: make(chan Envelope, 256), done: make(chan struct{})}
+}
+
+// put delivers env after every envelope put before it, and reports false
+// once the mailbox is closed.
+func (b *mailbox) put(env Envelope) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.closed {
+		return false
+	}
+	if !b.pumping {
+		select {
+		case b.ch <- env:
+			return true
+		default:
+		}
+		b.pumping = true
+		go b.pump()
+	}
+	b.backlog = append(b.backlog, env)
+	return true
+}
+
+// pump moves the backlog into the channel and exits once it is empty,
+// handing delivery back to put. Whoever sees the mailbox closed last, pump
+// or close, closes the channel.
+func (b *mailbox) pump() {
+	for {
+		b.mu.Lock()
+		if b.closed || len(b.backlog) == 0 {
+			b.pumping, b.backlog = false, nil
+			if b.closed {
+				close(b.ch)
+			}
+			b.mu.Unlock()
+			return
+		}
+		env := b.backlog[0]
+		b.backlog[0] = Envelope{}
+		b.backlog = b.backlog[1:]
+		b.mu.Unlock()
+		select {
+		case b.ch <- env:
+		case <-b.done:
+		}
+	}
+}
+
+// close stops delivery: the channel closes, and what is still in the
+// backlog is dropped, as a crashed node's unread messages are.
+func (b *mailbox) close() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.closed {
+		return
+	}
+	b.closed = true
+	close(b.done)
+	if !b.pumping {
+		close(b.ch)
+	}
+}
+
+// queue is an unbounded FIFO with close semantics: a simulated link of the
+// in-process network, which its delivery goroutine drains.
 type queue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	items  []queueItem
 	closed bool
 }
-
 type queueItem struct {
 	env    Envelope
 	sentAt int64 // nanoseconds, for the latency simulation

@@ -122,6 +122,91 @@ func TestTCPNetworkDelivery(t *testing.T) {
 	exerciseNetwork(t, net, 200)
 }
 
+// inboxNetworks returns the two transports on n nodes, for tests of what
+// both promise.
+func inboxNetworks(t *testing.T, n int) map[string]Network {
+	t.Helper()
+	tcp, err := NewTCPNetwork(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]Network{"chan": NewChanNetwork(n, Latency{}), "tcp": tcp}
+}
+
+// TestInboxBacklogKeepsLinkOrder: a node that reads nothing while thousands
+// of messages arrive on two links, far past its inbox channel's capacity,
+// gets every one of them in order per link once it reads again. The
+// messages that found the channel full wait in the mailbox's backlog, and no
+// later message overtakes them.
+func TestInboxBacklogKeepsLinkOrder(t *testing.T) {
+	const msgs = 2000
+	for name, net := range inboxNetworks(t, 3) {
+		t.Run(name, func(t *testing.T) {
+			defer net.Close()
+			var wg sync.WaitGroup
+			for from := protocol.NodeID(1); from <= 2; from++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := int32(1); i <= msgs; i++ {
+						if err := net.Conn(from).Send(0, &protocol.GlobalStop{Epoch: i}); err != nil {
+							t.Errorf("send %d→0: %v", from, err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			next := map[protocol.NodeID]int32{1: 1, 2: 1}
+			for got := 0; got < 2*msgs; got++ {
+				select {
+				case env := <-net.Conn(0).Inbox():
+					if e := env.Msg.(*protocol.GlobalStop).Epoch; e != next[env.From] {
+						t.Fatalf("from node %d: message %d, want %d", env.From, e, next[env.From])
+					}
+					next[env.From]++
+				case <-time.After(10 * time.Second):
+					t.Fatalf("%d of %d messages arrived", got, 2*msgs)
+				}
+			}
+		})
+	}
+}
+
+// TestInboxClosesWithABacklog: closing a network whose node stopped reading
+// with a backlog queued returns, and that node's inbox closes after at most
+// what was sent; the backlog is dropped, as a crashed node's unread
+// messages are.
+func TestInboxClosesWithABacklog(t *testing.T) {
+	const msgs = 1000
+	for name, net := range inboxNetworks(t, 2) {
+		t.Run(name, func(t *testing.T) {
+			for i := int32(1); i <= msgs; i++ {
+				if err := net.Conn(1).Send(0, &protocol.GlobalStop{Epoch: i}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			closed := make(chan struct{})
+			go func() {
+				net.Close()
+				close(closed)
+			}()
+			select {
+			case <-closed:
+			case <-time.After(10 * time.Second):
+				t.Fatal("Close hung on a node that stopped reading")
+			}
+			got := 0
+			for range net.Conn(0).Inbox() {
+				got++
+			}
+			if got > msgs {
+				t.Fatalf("%d messages read after close, %d sent", got, msgs)
+			}
+		})
+	}
+}
+
 // TestTCPLargeBatch pushes a large vertex batch through TCP.
 func TestTCPLargeBatch(t *testing.T) {
 	net, err := NewTCPNetwork(2)
