@@ -168,7 +168,7 @@ func TestTwoRunsSendIdenticalBytes(t *testing.T) {
 		&protocol.QueryFinish{Q: 2, Reason: protocol.FinishMaxIters},
 	}
 	var runs [2][][]byte
-	batches := 0
+	entries := 0
 	for r := range runs {
 		s := newSyncWorkerOn(t, 2, g, slices.Clone(owner), time.Hour)
 		for _, m := range script {
@@ -178,7 +178,7 @@ func TestTwoRunsSendIdenticalBytes(t *testing.T) {
 			switch m := m.(type) {
 			case *protocol.VertexBatch:
 				if r == 0 {
-					batches++
+					entries += len(m.Entries)
 				}
 			case *protocol.BarrierSynch:
 				m.ComputeNS = 0 // a wall-clock measurement, not a result
@@ -190,8 +190,8 @@ func TestTwoRunsSendIdenticalBytes(t *testing.T) {
 			runs[r] = append(runs[r], frame)
 		}
 	}
-	if batches < 6 {
-		t.Fatalf("the script sent %d vertex batches, want 64-vertex frontiers across the cut", batches)
+	if entries < 128 {
+		t.Fatalf("the script sent %d batch entries, want 64-vertex frontiers across the cut", entries)
 	}
 	if len(runs[0]) != len(runs[1]) {
 		t.Fatalf("the runs sent %d and %d messages", len(runs[0]), len(runs[1]))

@@ -174,6 +174,43 @@ func TestRemoteBatchesAndExpect(t *testing.T) {
 	}
 }
 
+// TestOneBatchPerPeerPerSuperstep: a superstep's combined output for a peer
+// leaves as one VertexBatch, split only at the batch cap, and the report
+// counts the batches that peer must await. The hub of a star sends one entry
+// to each of the peer's leaves.
+func TestOneBatchPerPeerPerSuperstep(t *testing.T) {
+	for _, remote := range []int{100, batchMsgs, batchMsgs + 1} {
+		n := 2*remote + 1
+		b := graph.NewBuilder(n)
+		owner := make(partition.Assignment, n)
+		for v := 1; v < n; v++ {
+			b.AddBiEdge(0, graph.VertexID(v), 1)
+			owner[v] = partition.WorkerID(v % 2)
+		}
+		s := newSyncWorkerOn(t, 2, b.MustBuild(), owner, time.Hour)
+		s.deliver(&protocol.ExecuteQuery{Spec: query.Spec{ID: 1, Kind: query.KindBFS, Source: 0, Target: graph.NilVertex}})
+		s.deliver(&protocol.BarrierReady{Q: 1, Step: 0})
+		batches, entries := 0, 0
+		var synch *protocol.BarrierSynch
+		for _, m := range s.conn.sent {
+			switch m := m.(type) {
+			case *protocol.VertexBatch:
+				batches++
+				entries += len(m.Entries)
+				if len(m.Entries) > batchMsgs {
+					t.Fatalf("%d remote entries: a batch of %d, over the cap %d", remote, len(m.Entries), batchMsgs)
+				}
+			case *protocol.BarrierSynch:
+				synch = m
+			}
+		}
+		want := (remote + batchMsgs - 1) / batchMsgs
+		if batches != want || entries != remote || synch == nil || synch.SentBatches[1] != int32(want) {
+			t.Fatalf("%d remote entries: %d batches carrying %d, report %+v; want %d batches", remote, batches, entries, synch, want)
+		}
+	}
+}
+
 // TestEarlyBatchBuffered: a vertex batch arriving before ExecuteQuery is
 // buffered and replayed, not lost.
 func TestEarlyBatchBuffered(t *testing.T) {
