@@ -290,10 +290,12 @@ func (c *Controller) resetQueryForRestart(ctl *qctl) {
 
 // enterTerminal is the unrecoverable end state: every worker is dead.
 // Everything in flight fails with FinishWorkerLost and health reports
-// degraded permanently.
+// degraded permanently, from before the first failure is delivered: a
+// caller that reads Health on its worker_lost result sees why.
 func (c *Controller) enterTerminal() {
 	c.terminal = true
 	c.recovering = false
+	c.publishHealth()
 	c.healthEvent(health.EventTerminal, health.SevCritical, -1,
 		"no live workers left: controller is terminally degraded", nil)
 	if c.rec.Active() {
@@ -321,5 +323,4 @@ func (c *Controller) enterTerminal() {
 		fmt.Errorf("controller: degraded (no live workers)"),
 		fmt.Errorf("controller: degraded (no live workers) during commit; batch state unknown"),
 	)
-	c.publishHealth()
 }
