@@ -51,20 +51,26 @@ func (l Latency) propagation(a, b protocol.NodeID) time.Duration {
 
 // ChanNetwork is the in-process transport. On the perfect network a send
 // puts the message straight into the receiver's mailbox; under a latency
-// model each link is a FIFO queue whose delivery goroutine sleeps out the
+// model each link is a mailbox too, whose delivery goroutine sleeps out the
 // model before it does.
 type ChanNetwork struct {
 	latency Latency
 	conns   []*chanConn
-	links   []*queue // links[from*n+to]; nil on the perfect network
+	links   []*mailbox[sent] // links[from*n+to]; nil on the perfect network
 	wg      sync.WaitGroup
 	once    sync.Once
+}
+
+// sent is a message on a simulated link, stamped with its send time.
+type sent struct {
+	env Envelope
+	at  time.Time
 }
 
 type chanConn struct {
 	net *ChanNetwork
 	id  protocol.NodeID
-	box *mailbox
+	box *mailbox[Envelope]
 }
 
 // NewChanNetwork creates an in-process network with n nodes (node 0 is the
@@ -75,21 +81,21 @@ func NewChanNetwork(n int, lat Latency) *ChanNetwork {
 		conns:   make([]*chanConn, n),
 	}
 	for i := range cn.conns {
-		cn.conns[i] = &chanConn{net: cn, id: protocol.NodeID(i), box: newMailbox()}
+		cn.conns[i] = &chanConn{net: cn, id: protocol.NodeID(i), box: newMailbox[Envelope]()}
 	}
 	if lat.Zero() {
 		return cn
 	}
-	cn.links = make([]*queue, n*n)
+	cn.links = make([]*mailbox[sent], n*n)
 	for from := 0; from < n; from++ {
 		for to := 0; to < n; to++ {
 			if from == to {
 				continue
 			}
-			q := newQueue()
-			cn.links[from*n+to] = q
+			link := newMailbox[sent]()
+			cn.links[from*n+to] = link
 			cn.wg.Add(1)
-			go cn.deliver(protocol.NodeID(from), protocol.NodeID(to), q)
+			go cn.deliver(protocol.NodeID(from), protocol.NodeID(to), link)
 		}
 	}
 	return cn
@@ -97,20 +103,16 @@ func NewChanNetwork(n int, lat Latency) *ChanNetwork {
 
 // deliver drains one link, sleeping per the latency model before handing
 // envelopes to the destination's mailbox.
-func (cn *ChanNetwork) deliver(from, to protocol.NodeID, q *queue) {
+func (cn *ChanNetwork) deliver(from, to protocol.NodeID, link *mailbox[sent]) {
 	defer cn.wg.Done()
 	prop := cn.latency.propagation(from, to)
 	var lastDeliver time.Time
-	for {
-		it, ok := q.pop()
-		if !ok {
-			return
-		}
-		arrive := time.Unix(0, it.sentAt).Add(prop)
+	for it := range link.ch {
+		arrive := it.at.Add(prop)
 		if arrive.Before(lastDeliver) {
 			arrive = lastDeliver
 		}
-		arrive = arrive.Add(time.Duration(it.size) * cn.latency.PerByte)
+		arrive = arrive.Add(time.Duration(WireSize(it.env.Msg)) * cn.latency.PerByte)
 		if d := time.Until(arrive); d > 0 {
 			time.Sleep(d)
 		}
@@ -128,9 +130,9 @@ func (cn *ChanNetwork) Nodes() int { return len(cn.conns) }
 // Close implements Network.
 func (cn *ChanNetwork) Close() error {
 	cn.once.Do(func() {
-		for _, q := range cn.links {
-			if q != nil {
-				q.close()
+		for _, link := range cn.links {
+			if link != nil {
+				link.close()
 			}
 		}
 		for _, c := range cn.conns {
@@ -147,15 +149,11 @@ func (c *chanConn) Send(to protocol.NodeID, m protocol.Message) error {
 		return fmt.Errorf("transport: bad destination %d", to)
 	}
 	env := Envelope{From: c.id, Msg: m}
-	ok := false
+	var ok bool
 	if c.net.links == nil {
 		ok = c.net.conns[to].box.put(env)
 	} else {
-		ok = c.net.links[int(c.id)*len(c.net.conns)+int(to)].push(queueItem{
-			env:    env,
-			sentAt: time.Now().UnixNano(),
-			size:   WireSize(m),
-		})
+		ok = c.net.links[int(c.id)*len(c.net.conns)+int(to)].put(sent{env, time.Now()})
 	}
 	if !ok {
 		return fmt.Errorf("transport: network closed")

@@ -34,7 +34,7 @@ type TCPNode struct {
 	dialed   map[net.Conn]bool // live outbound conns, for teardown
 	accepted []net.Conn
 
-	box    *mailbox
+	box    *mailbox[Envelope]
 	wg     sync.WaitGroup
 	closed chan struct{}
 	once   sync.Once
@@ -79,7 +79,7 @@ func newTCPNodeWithListener(id protocol.NodeID, addrs []string, ln net.Listener)
 		ln:     ln,
 		peers:  make(map[protocol.NodeID]*tcpPeer),
 		dialed: make(map[net.Conn]bool),
-		box:    newMailbox(),
+		box:    newMailbox[Envelope](),
 		closed: make(chan struct{}),
 	}
 	n.wg.Add(1)

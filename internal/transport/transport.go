@@ -48,30 +48,34 @@ type Network interface {
 	Close() error
 }
 
-// mailbox is a node's inbox: a buffered channel with an unbounded backlog
-// behind it. A put hands its envelope straight to the channel when nothing
-// waits ahead of it, so a received frame reaches the event loop in one
-// handoff. Only when the channel is full does a backlog form, and one pump
-// goroutine drains it in order until it is empty. Producers never block:
-// two event loops sending to each other must not wedge on each other's full
-// inbox.
-type mailbox struct {
-	ch   chan Envelope
+// mailbox is an unbounded FIFO in front of a buffered channel: a node's
+// inbox, and each link of a simulated network. A put hands its item straight
+// to the channel when nothing waits ahead of it, so a received frame reaches
+// the event loop in one handoff. Only when the channel is full does a
+// backlog form, and one pump goroutine drains it in order until it is empty.
+// Producers never block: two event loops sending to each other must not
+// wedge on each other's full inbox.
+type mailbox[T any] struct {
+	ch   chan T
 	done chan struct{} // closed by close; releases a pump blocked on ch
+	pump sync.WaitGroup
 
 	mu      sync.Mutex
-	backlog []Envelope
+	backlog []T
 	pumping bool // a pump owns the backlog; puts queue behind it
 	closed  bool
 }
 
-func newMailbox() *mailbox {
-	return &mailbox{ch: make(chan Envelope, 256), done: make(chan struct{})}
+// newMailbox sizes the channel so that an event loop a burst of frames
+// outruns briefly (a superstep's batches and reports from every peer) still
+// takes them without a backlog.
+func newMailbox[T any]() *mailbox[T] {
+	return &mailbox[T]{ch: make(chan T, 256), done: make(chan struct{})}
 }
 
-// put delivers env after every envelope put before it, and reports false
-// once the mailbox is closed.
-func (b *mailbox) put(env Envelope) bool {
+// put delivers it after every item put before it, and reports false once
+// the mailbox is closed.
+func (b *mailbox[T]) put(it T) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
@@ -79,21 +83,24 @@ func (b *mailbox) put(env Envelope) bool {
 	}
 	if !b.pumping {
 		select {
-		case b.ch <- env:
+		case b.ch <- it:
 			return true
 		default:
 		}
 		b.pumping = true
-		go b.pump()
+		b.pump.Add(1)
+		go b.drain()
 	}
-	b.backlog = append(b.backlog, env)
+	b.backlog = append(b.backlog, it)
 	return true
 }
 
-// pump moves the backlog into the channel and exits once it is empty,
-// handing delivery back to put. Whoever sees the mailbox closed last, pump
-// or close, closes the channel.
-func (b *mailbox) pump() {
+// drain moves the backlog into the channel and exits once it is empty,
+// handing delivery back to put. Whoever sees the mailbox closed last, the
+// pump or close, closes the channel.
+func (b *mailbox[T]) drain() {
+	defer b.pump.Done()
+	var zero T
 	for {
 		b.mu.Lock()
 		if b.closed || len(b.backlog) == 0 {
@@ -104,85 +111,29 @@ func (b *mailbox) pump() {
 			b.mu.Unlock()
 			return
 		}
-		env := b.backlog[0]
-		b.backlog[0] = Envelope{}
+		it := b.backlog[0]
+		b.backlog[0] = zero
 		b.backlog = b.backlog[1:]
 		b.mu.Unlock()
 		select {
-		case b.ch <- env:
+		case b.ch <- it:
 		case <-b.done:
 		}
 	}
 }
 
-// close stops delivery: the channel closes, and what is still in the
-// backlog is dropped, as a crashed node's unread messages are.
-func (b *mailbox) close() {
+// close stops delivery and returns once the pump has exited: the channel
+// closes, and what is still in the backlog is dropped, as a crashed node's
+// unread messages are.
+func (b *mailbox[T]) close() {
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed {
-		return
+	if !b.closed {
+		b.closed = true
+		close(b.done)
+		if !b.pumping {
+			close(b.ch)
+		}
 	}
-	b.closed = true
-	close(b.done)
-	if !b.pumping {
-		close(b.ch)
-	}
-}
-
-// queue is an unbounded FIFO with close semantics: a simulated link of the
-// in-process network, which its delivery goroutine drains.
-type queue struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	items  []queueItem
-	closed bool
-}
-type queueItem struct {
-	env    Envelope
-	sentAt int64 // nanoseconds, for the latency simulation
-	size   int   // wire size estimate
-}
-
-func newQueue() *queue {
-	q := &queue{}
-	q.cond = sync.NewCond(&q.mu)
-	return q
-}
-
-func (q *queue) push(it queueItem) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return false
-	}
-	q.items = append(q.items, it)
-	q.cond.Signal()
-	return true
-}
-
-// pop blocks until an item is available or the queue closes (ok=false).
-func (q *queue) pop() (queueItem, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.items) == 0 && !q.closed {
-		q.cond.Wait()
-	}
-	if len(q.items) == 0 {
-		return queueItem{}, false
-	}
-	it := q.items[0]
-	// Shift; reclaim the backing array periodically to bound memory.
-	q.items = q.items[1:]
-	if len(q.items) == 0 {
-		q.items = nil
-	}
-	return it, true
-}
-
-func (q *queue) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.cond.Broadcast()
-	q.mu.Unlock()
+	b.mu.Unlock()
+	b.pump.Wait()
 }
