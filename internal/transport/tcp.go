@@ -162,7 +162,8 @@ func SetOnCodecReject(fn func(remote string, peerVersion, localVersion uint8)) {
 }
 
 // readFrame reads and decodes one frame. A payload of up to keepBuf bytes is
-// read into *buf, which it allocates once: Decode copies every field out.
+// read into *buf, which grows to the largest such payload seen: Decode
+// copies every field out.
 func readFrame(r io.Reader, buf *[]byte) (protocol.Message, error) {
 	var head [hdr]byte
 	if _, err := io.ReadFull(r, head[:]); err != nil {
@@ -174,8 +175,8 @@ func readFrame(r io.Reader, buf *[]byte) (protocol.Message, error) {
 	}
 	var payload []byte
 	if length <= keepBuf {
-		if *buf == nil {
-			*buf = make([]byte, keepBuf)
+		if cap(*buf) < int(length) {
+			*buf = make([]byte, length)
 		}
 		payload = (*buf)[:length]
 	} else {
