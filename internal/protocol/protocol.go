@@ -303,7 +303,7 @@ type VertexMsg struct {
 
 // VertexBatch carries vertex messages of query Q emitted during superstep
 // Step from worker From, to be consumed in superstep Step+1. A superstep
-// sends one batch per query and peer, split only at 32 KB (2 730 messages);
+// sends one batch per query and peer, split only at 32 KiB (2 730 messages);
 // the paper batches 32 messages (Sec. 4.1(iv)). Gen is the sender's
 // recovery generation: receivers drop batches from another generation,
 // whose queries recovery restarted (see RecoverStart).

@@ -42,11 +42,11 @@ type TCPNode struct {
 
 // tcpPeer is the send-side state for one destination. Its mutex owns the
 // connection lifecycle (dial, drop, redial), the frame buffer and the
-// writes, so
-// concurrent Sends to one dead peer serialize: exactly one goroutine
-// redials while the others wait and then reuse the fresh connection —
-// never two racing dials leaking a socket. A dial to peer A never blocks
-// sends to peer B (the node-level mutex only guards the peer map).
+// writes, so concurrent Sends to one dead peer serialize: exactly one
+// goroutine redials while the others wait and then reuse the fresh
+// connection — never two racing dials leaking a socket. A dial to peer A
+// never blocks sends to peer B (the node-level mutex only guards the peer
+// map).
 type tcpPeer struct {
 	mu    sync.Mutex
 	conn  net.Conn
@@ -55,8 +55,7 @@ type tcpPeer struct {
 
 // keepBuf bounds the frame buffers a connection keeps between frames: the
 // send side's encoding buffer and the read side's payload buffer. A larger
-// frame (a PartitionGrant, a wide superstep's batch) gets a buffer of its
-// own.
+// frame (a PartitionGrant, a large ScopeData) gets a buffer of its own.
 const keepBuf = 1 << 16
 
 // NewTCPNode starts node id listening on addrs[id]. addrs lists every

@@ -11,11 +11,11 @@ import (
 	"qgraph/internal/query"
 )
 
-// batchMsgs caps a vertex batch at 32 KB of 12-byte entries. A superstep
+// batchMsgs caps a vertex batch at 32 KiB of 12-byte entries. A superstep
 // sends a query's combined output for one peer as one batch under that cap:
 // one frame a superstep a peer. The paper batches 32 messages (Sec.
-// 4.1(iv)), but a frame's fixed cost (a write, a read, a decode and a
-// handoff to the receiver's event loop) does not shrink with it.
+// 4.1(iv)); then a frame's fixed cost (a write, a read, a decode and a
+// handoff to the receiver's event loop) is paid once per 32 messages.
 const batchMsgs = 32 << 10 / 12
 
 // stepResult summarises one computed superstep.
