@@ -20,7 +20,10 @@ import (
 	"qgraph/internal/query"
 )
 
-// roundTrip encodes m, splits the frame, decodes, and compares deeply.
+// roundTrip encodes m, splits the frame, decodes, and compares deeply. The
+// payload is overwritten before the comparison: the TCP reader reads the
+// next frame into the same buffer, so a decoded message may share no
+// memory with it.
 func roundTrip(t *testing.T, m protocol.Message) {
 	t.Helper()
 	frame, err := Encode(m)
@@ -30,9 +33,13 @@ func roundTrip(t *testing.T, m protocol.Message) {
 	if len(frame) < 5 {
 		t.Fatalf("frame too short: %d", len(frame))
 	}
-	got, err := Decode(protocol.MsgType(frame[4]), frame[5:])
+	payload := bytes.Clone(frame[5:])
+	got, err := Decode(protocol.MsgType(frame[4]), payload)
 	if err != nil {
 		t.Fatalf("decode %T: %v", m, err)
+	}
+	for i := range payload {
+		payload[i] = 0xA5
 	}
 	if !reflect.DeepEqual(m, got) {
 		t.Fatalf("round trip mismatch:\n sent %#v\n got  %#v", m, got)
@@ -135,7 +142,8 @@ func TestCodecRoundTrip(t *testing.T) {
 
 // TestCodecWireSizeExact checks that WireSize is the encoded size of every
 // message type, and that Encode therefore fills the one buffer it sized
-// with it.
+// with it; appendFrame behind bytes already in the buffer appends the same
+// frame.
 func TestCodecWireSizeExact(t *testing.T) {
 	seen := make(map[protocol.MsgType]bool)
 	for _, m := range sampleMessages() {
@@ -146,6 +154,9 @@ func TestCodecWireSizeExact(t *testing.T) {
 		seen[m.Type()] = true
 		if est := WireSize(m); est != len(frame) || cap(frame) != est {
 			t.Errorf("%T: WireSize %d, encoded %d bytes in a buffer of %d", m, est, len(frame), cap(frame))
+		}
+		if out, err := appendFrame([]byte("used"), m); err != nil || string(out[:4]) != "used" || !bytes.Equal(out[4:], frame) {
+			t.Errorf("%T: appendFrame after 4 bytes wrote %x (%v)", m, out, err)
 		}
 	}
 	for typ, mk := range blank {
@@ -233,35 +244,6 @@ func TestCodecAllocs(t *testing.T) {
 		}
 		if n := testing.AllocsPerRun(50, func() { Decode(m.Type(), frame[5:]) }); n != float64(want) {
 			t.Errorf("sample %d (%T): Decode allocates %v times, want %d", i, m, n, want)
-		}
-	}
-}
-
-// TestDecodeCopiesOutOfThePayload: a decoded message shares no memory with
-// its payload, so the TCP reader may read the next frame into the same
-// buffer. Every sample decodes from a payload that is then overwritten, and
-// must still re-encode to its frame; appendFrame behind a used prefix must
-// append that same frame.
-func TestDecodeCopiesOutOfThePayload(t *testing.T) {
-	for i, m := range sampleMessages() {
-		frame, err := Encode(m)
-		if err != nil {
-			t.Fatalf("encode %T: %v", m, err)
-		}
-		payload := bytes.Clone(frame[hdr:])
-		dec, err := Decode(m.Type(), payload)
-		if err != nil {
-			t.Fatalf("sample %d (%T): %v", i, m, err)
-		}
-		for j := range payload {
-			payload[j] = 0xA5
-		}
-		if again, err := Encode(dec); err != nil || !bytes.Equal(again, frame) {
-			t.Errorf("sample %d (%T): decoded message changed with its payload: %x (%v)", i, m, again, err)
-		}
-		prefix := []byte("used")
-		if out, err := appendFrame(prefix, m); err != nil || !bytes.Equal(out[len(prefix):], frame) || string(out[:len(prefix)]) != "used" {
-			t.Errorf("sample %d (%T): appendFrame after a prefix wrote %x (%v)", i, m, out, err)
 		}
 	}
 }
