@@ -68,9 +68,6 @@ func (c *Controller) onStopAck(m *protocol.StopAck) error {
 	c.enterPhase(phaseMoving)
 	c.ownDeltaV, c.ownDeltaW = nil, nil
 	c.acksLeft = len(c.pendingMoves)
-	if co := c.obs; co != nil {
-		co.barrierMoves.Add(int64(len(c.pendingMoves)))
-	}
 	for _, mv := range c.pendingMoves {
 		c.conn.Send(protocol.WorkerNode(mv.From), &protocol.MoveScope{
 			Epoch: c.epoch, Q: mv.Q, To: mv.To,
