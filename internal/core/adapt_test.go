@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"slices"
 	"testing"
 	"time"
 
@@ -10,7 +9,6 @@ import (
 	"qgraph/internal/faultpoint"
 	"qgraph/internal/gen"
 	"qgraph/internal/graph"
-	"qgraph/internal/obs"
 	"qgraph/internal/protocol"
 	"qgraph/internal/query"
 	"qgraph/internal/transport"
@@ -54,27 +52,23 @@ func eagerAdapt(c *Config) {
 	c.Mu = time.Minute
 }
 
-// runUntilRepartition runs specs through eng in waves, each under fresh ids,
-// until one has crossed a repartitioning barrier, and checks every answer
-// against Dijkstra. Q-cut's rounds are paced by the wall clock, so an engine
-// can finish a whole wave before a plan lands (1 run in 20 did on the
-// in-process network); 10 s of waves without one fails.
-func runUntilRepartition(t *testing.T, eng *Engine, specs []query.Spec, want []float64) {
+// runWave runs specs through eng and checks every answer against Dijkstra,
+// then waits for a repartitioning barrier past epoch before. Q-cut's rounds
+// are paced by the wall clock, so a plan the wave started may land after the
+// wave: under the race detector one round over a full window takes ~250 ms.
+func runWave(t *testing.T, eng *Engine, specs []query.Spec, want []float64, before int64) {
 	t.Helper()
+	results, err := eng.RunBatch(specs, 16)
+	if err != nil {
+		t.Fatalf("RunBatch: %v", err)
+	}
+	checkResults(t, results, specs, want)
 	deadline := time.Now().Add(10 * time.Second)
-	for wave := 0; eng.Repartitions() == 0; wave++ {
-		if wave > 0 && time.Now().After(deadline) {
-			t.Fatalf("expected at least one repartitioning barrier in %d waves", wave)
-		}
-		batch := slices.Clone(specs)
-		for i := range batch {
-			batch[i].ID += query.ID(wave * 1000)
-		}
-		results, err := eng.RunBatch(batch, 16)
-		if err != nil {
-			t.Fatalf("RunBatch: %v", err)
-		}
-		checkResults(t, results, batch, want)
+	for eng.RepartitionEpoch() <= before && time.Now().Before(deadline) {
+		time.Sleep(2 * time.Millisecond)
+	}
+	if after := eng.RepartitionEpoch(); after <= before {
+		t.Fatalf("no repartitioning barrier after the wave (epoch %d -> %d)", before, after)
 	}
 }
 
@@ -85,17 +79,9 @@ func runUntilRepartition(t *testing.T, eng *Engine, specs []query.Spec, want []f
 func TestAdaptiveRepartitioningCorrect(t *testing.T) {
 	net := testRoad(t)
 	specs, want := hotspotSpecs(t, net, 160)
-	o := obs.New(nil)
-	eng := startEngine(t, net.G, func(c *Config) {
-		eagerAdapt(c)
-		c.Obs = o
-	})
-	runUntilRepartition(t, eng, specs, want)
-	// Every repartitioning barrier executes at least one move directive.
-	if moves := o.Metrics.Counter("qgraph_barrier_moves_total", "", "").Value(); moves < int64(eng.Repartitions()) {
-		t.Fatalf("qgraph_barrier_moves_total %d after %d repartitions", moves, eng.Repartitions())
-	}
-	t.Logf("repartitions: %d", eng.Repartitions())
+	eng := startEngine(t, net.G, eagerAdapt)
+	runWave(t, eng, specs, want, 0)
+	t.Logf("repartitions: %d", eng.RepartitionEpoch())
 }
 
 // TestSimulatedLatencyCorrect runs the adaptive workload over the simulated
@@ -115,7 +101,7 @@ func TestSimulatedLatencyCorrect(t *testing.T) {
 			PerByte:          8 * time.Nanosecond,
 		}
 	})
-	runUntilRepartition(t, eng, specs, want)
+	runWave(t, eng, specs, want, 0)
 }
 
 // TestTCPEngineCorrect runs the adaptive workload over real loopback TCP —
@@ -136,7 +122,7 @@ func TestTCPEngineCorrect(t *testing.T) {
 		eagerAdapt(c)
 		c.Network = tcp
 	})
-	runUntilRepartition(t, eng, specs, want)
+	runWave(t, eng, specs, want, 0)
 }
 
 // TestAdaptiveImprovesLocality is the behavioural heart of the paper at
@@ -225,26 +211,13 @@ func TestAdaptationContinuesAfterHandoff(t *testing.T) {
 	if h := eng.Health(); len(h.DeadWorkers) != 1 {
 		t.Fatalf("health after kill = %+v, want one lost worker", h)
 	}
-	before := int(eng.RepartitionEpoch())
+	before := eng.RepartitionEpoch()
 
 	specs2, want2 := hotspotSpecs(t, net, 160)
 	for i := range specs2 {
 		specs2[i].ID += 1000
 	}
-	results2, err := eng.RunBatch(specs2, 16)
-	if err != nil {
-		t.Fatalf("RunBatch 2: %v", err)
-	}
-	checkResults(t, results2, specs2, want2)
-	// A plan the wave started may land after it: under the race detector
-	// one Q-cut round over a full window takes ~250 ms, longer than a wave.
-	deadline = time.Now().Add(10 * time.Second)
-	for int(eng.RepartitionEpoch()) <= before && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-	}
-	if after := int(eng.RepartitionEpoch()); after <= before {
-		t.Fatalf("no repartitioning with a dead worker (epoch %d -> %d)", before, after)
-	}
+	runWave(t, eng, specs2, want2, before)
 }
 
 // TestGlobalViewIsAWindow drives 20 window-caps of queries through an
