@@ -50,9 +50,14 @@ func (l Latency) propagation(a, b protocol.NodeID) time.Duration {
 }
 
 // ChanNetwork is the in-process transport. On the perfect network a send
-// puts the message straight into the receiver's mailbox; under a latency
-// model each link is a mailbox too, whose delivery goroutine sleeps out the
-// model before it does.
+// puts the message straight into the receiver's mailbox, so delivery is
+// causal, stronger than per-link FIFO: a message that caused another (sent
+// before it, or before the message whose receipt led to it) reaches a common
+// receiver first. A worker's vertex batch, for one, is always ahead of the
+// controller's BarrierReady that it was reported to. Under a latency model
+// each link is a mailbox too, whose delivery goroutine sleeps out the model
+// before it does; then only per-link FIFO holds, and tests that need the
+// other delivery orders run there.
 type ChanNetwork struct {
 	latency Latency
 	conns   []*chanConn

@@ -11,7 +11,9 @@
 //
 // Both deliver messages in order per (sender, receiver) link and never
 // block senders (an unbounded mailbox per node), which the barrier protocol
-// relies on.
+// relies on. The perfect in-process network (Latency{}) delivers causally,
+// which is stronger, so it never shows the protocol a message overtaking
+// one that caused it; a latency model or TCP can.
 package transport
 
 import (

@@ -177,9 +177,11 @@ func TestRemoteBatchesAndExpect(t *testing.T) {
 // TestOneBatchPerPeerPerSuperstep: a superstep's combined output for a peer
 // leaves as one VertexBatch, split only at the batch cap, and the report
 // counts the batches that peer must await. The hub of a star sends one entry
-// to each of the peer's leaves.
+// to each of the peer's leaves. A full batch's frame must fit the 64 KiB
+// buffer a TCP connection keeps for reading (transport's keepBuf).
 func TestOneBatchPerPeerPerSuperstep(t *testing.T) {
-	for _, remote := range []int{100, batchMsgs, batchMsgs + 1} {
+	for _, tc := range []struct{ remote, want int }{{100, 1}, {2730, 1}, {2731, 2}} {
+		remote, want := tc.remote, tc.want
 		n := 2*remote + 1
 		b := graph.NewBuilder(n)
 		owner := make(partition.Assignment, n)
@@ -197,14 +199,13 @@ func TestOneBatchPerPeerPerSuperstep(t *testing.T) {
 			case *protocol.VertexBatch:
 				batches++
 				entries += len(m.Entries)
-				if len(m.Entries) > batchMsgs {
-					t.Fatalf("%d remote entries: a batch of %d, over the cap %d", remote, len(m.Entries), batchMsgs)
+				if size := transport.WireSize(m); size > 1<<16 {
+					t.Fatalf("%d remote entries: a %d-byte frame, over 64 KiB", remote, size)
 				}
 			case *protocol.BarrierSynch:
 				synch = m
 			}
 		}
-		want := (remote + batchMsgs - 1) / batchMsgs
 		if batches != want || entries != remote || synch == nil || synch.SentBatches[1] != int32(want) {
 			t.Fatalf("%d remote entries: %d batches carrying %d, report %+v; want %d batches", remote, batches, entries, synch, want)
 		}
@@ -233,7 +234,9 @@ func TestEarlyBatchBuffered(t *testing.T) {
 
 // TestGlobalBarrierProtocol drives stop → markers → StopAck → move → the
 // receiver's MoveAck → start across two workers. In "move", the moved scope
-// lands intact. In "batch in flight", worker 0's batch to worker 1 is still
+// lands intact; "move on delayed links" repeats it with worker links slower
+// than the controller's, whose messages then overtake the workers' (the
+// perfect network delivers causally). In "batch in flight", worker 0's batch to worker 1 is still
 // on a 50 ms link when GlobalStop arrives and no move flushes that link:
 // worker 1 may acknowledge the stop only after worker 0's marker, which
 // follows the batch, so its Drained release processes the batch's vertex.
@@ -246,6 +249,7 @@ func TestGlobalBarrierProtocol(t *testing.T) {
 		move   bool
 	}{
 		{name: "move", source: 0, solo: true, move: true},
+		{name: "move on delayed links", lat: transport.Latency{WorkerWorker: 2 * time.Millisecond}, source: 0, solo: true, move: true},
 		{name: "batch in flight", lat: transport.Latency{WorkerWorker: 50 * time.Millisecond}, source: 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
