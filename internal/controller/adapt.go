@@ -7,15 +7,17 @@ import (
 	"time"
 
 	"qgraph/internal/partition"
+	"qgraph/internal/protocol"
 	"qgraph/internal/qcut"
 	"qgraph/internal/query"
 )
 
-// This file is the MAPE loop of Sec. 3.4: Monitor (statistics arrive as
-// barrier piggybacks, handled in barrier.go), Analyze (average query
-// locality against the threshold Φ), Plan (run Q-cut asynchronously on a
-// snapshot of the high-level view), Execute (global barrier with move
-// directives, global.go).
+// This file is the MAPE loop of Sec. 3.4: Monitor (scope sizes arrive on
+// barrier reports, handled in barrier.go; the intersection statistics are
+// pulled from the workers when a plan or QcutSnapshot reads them), Analyze
+// (average query locality against the threshold Φ), Plan (run Q-cut
+// asynchronously on a snapshot of the high-level view), Execute (global
+// barrier with move directives, global.go).
 
 const (
 	// defaultPhi is the locality threshold Φ when Config.Phi is unset
@@ -82,13 +84,68 @@ func (c *Controller) onTick() {
 		}
 	}
 	c.trigLocality = loc
-	// Plan: run Q-cut on a snapshot, asynchronously — the partitioning
-	// latency is hidden behind normal query processing (Sec. 3.4).
-	in := c.snapshot(now)
+	// Plan: pull the statistics, then run Q-cut on a snapshot,
+	// asynchronously — the partitioning latency is hidden behind normal
+	// query processing (Sec. 3.4).
 	c.qcutRunning = true
-	go func() {
-		c.qcutCh <- qcut.Run(in)
-	}()
+	c.pullStats(true, nil)
+}
+
+// pullStats asks every live worker for its window's intersection pairs, or
+// joins the pull already in flight. When the last answer is in, plan runs
+// Q-cut on the result and ch, if not nil, receives it.
+func (c *Controller) pullStats(plan bool, ch chan qcut.Input) {
+	if c.pull == nil {
+		c.pullSeq++
+		p := &statsPull{
+			seq:     c.pullSeq,
+			waiting: make(map[partition.WorkerID]bool, c.cfg.K),
+			pairs:   make([][]protocol.IntersectionStat, c.cfg.K),
+		}
+		for w := partition.WorkerID(0); int(w) < c.cfg.K; w++ {
+			if !c.deadWorkers[w] {
+				p.waiting[w] = true
+			}
+		}
+		c.pull = p
+		c.broadcast(&protocol.StatsPull{Seq: p.seq})
+	}
+	c.pull.plan = c.pull.plan || plan
+	if ch != nil {
+		c.pull.readers = append(c.pull.readers, ch)
+	}
+	c.maybePulled()
+}
+
+// onStatsReport records a worker's answer to the pull in flight; an answer
+// to an earlier pull, or from a worker that left the pull, is dropped.
+func (c *Controller) onStatsReport(m *protocol.StatsReport) {
+	if p := c.pull; p != nil && p.seq == m.Seq && p.waiting[m.W] {
+		p.pairs[m.W] = m.Pairs
+		delete(p.waiting, m.W)
+		c.maybePulled()
+	}
+}
+
+// maybePulled completes the pull once no live worker owes an answer. A
+// worker declared dead leaves the pull's wait set (onWorkerDead), and
+// snapshot masks its rows anyway.
+func (c *Controller) maybePulled() {
+	p := c.pull
+	if p == nil || len(p.waiting) > 0 {
+		return
+	}
+	c.pull = nil
+	now := c.cfg.Clock()
+	for _, ch := range p.readers {
+		ch <- c.snapshot(now, p.pairs) // each reader owns its copy
+	}
+	if p.plan {
+		in := c.snapshot(now, p.pairs)
+		go func() {
+			c.qcutCh <- qcut.Run(in)
+		}()
+	}
 }
 
 // lwImbalance is the straggler signal: the relative spread of the paper's
@@ -168,9 +225,10 @@ func (c *Controller) avgLocality() float64 {
 }
 
 // snapshot builds the Q-cut input from the high-level global view: scope
-// size rows for windowed (finished) and active queries, aggregated
-// intersections, and the authoritative per-worker vertex counts.
-func (c *Controller) snapshot(now time.Time) qcut.Input {
+// size rows for windowed (finished) and active queries, the intersections
+// pairs[w] worker w reported, summed over live workers, and the
+// authoritative per-worker vertex counts.
+func (c *Controller) snapshot(now time.Time, pairs [][]protocol.IntersectionStat) qcut.Input {
 	// Live-set mask: recovery destroyed whatever scope state the window
 	// still attributes to dead workers, so their rows are zeroed and they
 	// are invisible to Q-cut's balance constraint and move targets.
@@ -187,10 +245,9 @@ func (c *Controller) snapshot(now time.Time) qcut.Input {
 		}
 		return out
 	}
-	// Windowed queries come first, in finish order (the j < i rule below
-	// depends on it), then live ones by ascending id: Q-cut draws its
-	// randomness in input order, so the input must not follow map order.
-	// rowOf is a query's index.
+	// Windowed queries come first, in finish order, then live ones by
+	// ascending id: Q-cut draws its randomness in input order, so the input
+	// must not follow map order. rowOf is a query's index.
 	rows := make([]qcut.ScopeRow, 0, len(c.window)+len(c.queries))
 	rowOf := make(map[query.ID]int, len(c.window)+len(c.queries))
 	for _, we := range c.window {
@@ -203,16 +260,18 @@ func (c *Controller) snapshot(now time.Time) qcut.Input {
 			rows = append(rows, qcut.ScopeRow{Q: q, Sizes: maskRow(c.queries[q].scopeSizes)})
 		}
 	}
-	// Aggregate the windowed pairwise intersections over live workers. A
-	// partner that finished after the reporter reported the pair itself,
-	// with both scopes final: only earlier and still-live partners count.
+	// A worker names each pair once, so summing over live workers gives
+	// the pair's overlap. A pair may name a query that left the window
+	// since the worker answered; it has no row and is dropped.
 	agg := make(map[[2]query.ID]int64)
-	for i, we := range c.window {
-		for w, stats := range we.inter {
-			for _, is := range stats {
-				if j, ok := rowOf[is.Q2]; ok && alive[w] && (j < i || j >= len(c.window)) {
-					agg[[2]query.ID{min(we.q, is.Q2), max(we.q, is.Q2)}] += int64(is.Shared)
-				}
+	for w, stats := range pairs {
+		if !alive[w] {
+			continue
+		}
+		for _, is := range stats {
+			_, ok1 := rowOf[is.Q1]
+			if _, ok2 := rowOf[is.Q2]; ok1 && ok2 {
+				agg[[2]query.ID{min(is.Q1, is.Q2), max(is.Q1, is.Q2)}] += int64(is.Shared)
 			}
 		}
 	}

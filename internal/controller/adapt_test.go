@@ -44,6 +44,7 @@ func TestBalanceTriggerFiresOnSkewOnly(t *testing.T) {
 					c.lwImbalance(), balanceSlack, c.qcutRunning, tc.want)
 			}
 			if c.qcutRunning {
+				answer(t, c)
 				<-c.qcutCh // let the planner goroutine finish before the network closes
 			}
 		})
@@ -95,6 +96,7 @@ func TestRecoveryIsNotAPlanForBackoff(t *testing.T) {
 	if !c.qcutRunning {
 		t.Fatal("locality 0.01 past the cooldown did not trigger Q-cut")
 	}
+	answer(t, c)
 	<-c.qcutCh // let the planner goroutine finish before the network closes
 	if c.curCooldown != c.cfg.Cooldown {
 		t.Fatalf("first trigger after a recovery left cooldown %s, want %s: no plan had run to back off from",

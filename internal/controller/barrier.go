@@ -141,18 +141,14 @@ func (c *Controller) release(ctl *qctl, step int32, involved map[partition.Worke
 // onSynch records a worker's barrier report and, once all involved workers
 // reported, collects the superstep.
 func (c *Controller) onSynch(m *protocol.BarrierSynch) error {
-	if m.Finished {
-		// Final statistics after QueryFinish: complete the window entry.
-		if we := c.byQ[m.Q]; we != nil {
-			we.sizes[m.W] = int64(m.ScopeSize)
-			we.inter[m.W] = m.Intersections
-		}
-		return nil
-	}
 	ctl, ok := c.queries[m.Q]
 	if !ok {
-		// Late report of a query we already finished (e.g. a solo loop
-		// that raced the finish decision). Harmless.
+		// Late report of a query we already finished (a solo loop that
+		// raced the finish decision, or a step a cancel overtook): its
+		// scope size is still the newest one.
+		if we := c.byQ[m.Q]; we != nil {
+			we.sizes[m.W] = int64(m.ScopeSize)
+		}
 		return nil
 	}
 	if !ctl.involved[m.W] {
@@ -306,7 +302,6 @@ func (c *Controller) windowAdd(ctl *qctl, now time.Time) {
 		q:        ctl.spec.ID,
 		at:       now,
 		sizes:    append([]int64(nil), ctl.scopeSizes...),
-		inter:    make([][]protocol.IntersectionStat, c.cfg.K),
 		locality: loc,
 	}
 	c.window = append(c.window, we)

@@ -271,6 +271,17 @@ type snapshotReq struct {
 	ch chan qcut.Input
 }
 
+// statsPull is a StatsPull in flight: the live workers yet to answer, the
+// pairs each answer brought, and who reads the Q-cut input it completes —
+// onTick's plan, QcutSnapshot callers, or both.
+type statsPull struct {
+	seq     int64
+	waiting map[partition.WorkerID]bool
+	pairs   [][]protocol.IntersectionStat // by worker
+	plan    bool
+	readers []chan qcut.Input
+}
+
 // MutationResult reports the outcome of one Mutate call after its batch
 // committed: the graph version the ops landed in, how many applied, and
 // how many were no-ops (remove/set_weight of a non-existent edge).
@@ -427,7 +438,12 @@ type Controller struct {
 	// first cut.
 	lastCutUnixNS atomic.Int64
 
+	// qcutRunning covers a plan from the pull of its statistics to Q-cut's
+	// result; pull is the pull in flight (nil when none), pullSeq the last
+	// pull's sequence number.
 	qcutRunning bool
+	pull        *statsPull
+	pullSeq     int64
 	qcutCh      chan qcut.Result
 	lastRepart  time.Time
 	// Repartitions counts executed global barriers (scope moves, recovery).
@@ -461,15 +477,12 @@ type checkpointReq struct {
 }
 
 // windowEntry is all the global view holds about a finished query; it is
-// evicted as a whole, so the view is O(cap²·k) by construction.
+// evicted as a whole. Its overlaps with other queries stay on the workers
+// until a StatsPull asks for them.
 type windowEntry struct {
-	q     query.ID
-	at    time.Time // completion (or last update) time
-	sizes []int64   // |LS(q,w)| per worker
-	// inter[w] is worker w's finish-time report: q's overlap with windowed
-	// and live queries (snapshot counts a pair once, on the later finisher's
-	// entry). Like sizes, a dead worker's row is masked and a move merges it.
-	inter    [][]protocol.IntersectionStat
+	q        query.ID
+	at       time.Time // completion (or last update) time
+	sizes    []int64   // |LS(q,w)| per worker
 	locality float64
 }
 
@@ -736,12 +749,19 @@ func (c *Controller) publishMVCC() {
 }
 
 // QcutSnapshot returns the controller's current high-level view as a Q-cut
-// input (the Q-cut ablations, the benchmark's planning row, debugging).
+// input (the Q-cut ablations, the benchmark's planning row, debugging). It
+// pulls the workers' intersection statistics, so it returns once every live
+// worker answered, or with an error once the controller stopped.
 func (c *Controller) QcutSnapshot() (qcut.Input, error) {
 	req := snapshotReq{ch: make(chan qcut.Input, 1)}
 	select {
 	case c.snapshotCh <- req:
-		return <-req.ch, nil
+	case <-c.doneCh:
+		return qcut.Input{}, fmt.Errorf("controller: stopped")
+	}
+	select {
+	case in := <-req.ch:
+		return in, nil
 	case <-c.doneCh:
 		return qcut.Input{}, fmt.Errorf("controller: stopped")
 	}
@@ -803,7 +823,7 @@ func (c *Controller) Run() error {
 				c.onSchedule(req)
 			}
 		case req := <-c.snapshotCh:
-			req.ch <- c.snapshot(c.cfg.Clock())
+			c.pullStats(false, req.ch)
 		case req := <-c.checkpointCh:
 			c.requestCheckpoint(req.ch)
 		case done := <-c.cutCh:
@@ -886,10 +906,11 @@ func (c *Controller) handle(env transport.Envelope) error {
 		return nil
 	}
 	if c.phase == phaseRecover {
-		// Mid-recovery only the recovery protocol and liveness speak; every
-		// other message is a pre-recovery straggler from a live worker —
-		// per-link FIFO guarantees they all arrive before that worker's
-		// PartitionAck, so dropping them here is exhaustive.
+		// Mid-recovery only the recovery protocol, liveness and a pull of
+		// statistics (which outlives a round) speak; every other message is
+		// a pre-recovery straggler from a live worker — per-link FIFO
+		// guarantees they all arrive before that worker's PartitionAck, so
+		// dropping them here is exhaustive.
 		switch m := env.Msg.(type) {
 		case *protocol.PartitionAck:
 			return c.onPartitionAck(m)
@@ -898,6 +919,9 @@ func (c *Controller) handle(env transport.Envelope) error {
 			return nil
 		case *protocol.Pong:
 			c.onPong(m)
+			return nil
+		case *protocol.StatsReport:
+			c.onStatsReport(m)
 			return nil
 		default:
 			return nil
@@ -912,6 +936,9 @@ func (c *Controller) handle(env transport.Envelope) error {
 		return c.onMoveAck(m)
 	case *protocol.DeltaAck:
 		return c.onDeltaAck(m)
+	case *protocol.StatsReport:
+		c.onStatsReport(m)
+		return nil
 	case *protocol.Pong:
 		c.onPong(m)
 		return nil

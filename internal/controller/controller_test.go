@@ -8,6 +8,7 @@ import (
 	"qgraph/internal/graph"
 	"qgraph/internal/partition"
 	"qgraph/internal/protocol"
+	"qgraph/internal/qcut"
 	"qgraph/internal/query"
 	"qgraph/internal/snapshot"
 	"qgraph/internal/transport"
@@ -350,5 +351,58 @@ func TestCheckpointPrivateStoreNeverTruncates(t *testing.T) {
 	res = cut(shared)
 	if !res.Cut || res.TruncatedOps != 1 || shared.deltaLog.Base() != 1 {
 		t.Fatalf("shared-store cut = %+v (base %d), want one op truncated", res, shared.deltaLog.Base())
+	}
+}
+
+// TestQcutSnapshotPullsAndStops: QcutSnapshot returns once every worker
+// answered its StatsPull, and a QcutSnapshot whose pull a worker never
+// answers returns an error when the controller stops, instead of blocking.
+func TestQcutSnapshotPullsAndStops(t *testing.T) {
+	h := newCtlHarness(t, 2, nil)
+	type answer struct {
+		in  qcut.Input
+		err error
+	}
+	snap := func() chan answer {
+		ch := make(chan answer, 1)
+		go func() {
+			in, err := h.ctrl.QcutSnapshot()
+			ch <- answer{in, err}
+		}()
+		return ch
+	}
+	pulled := func(w partition.WorkerID) *protocol.StatsPull {
+		t.Helper()
+		m, ok := h.expect(w).(*protocol.StatsPull)
+		if !ok {
+			t.Fatalf("worker %d got %T, want a StatsPull", w, m)
+		}
+		return m
+	}
+
+	ch := snap()
+	for w := partition.WorkerID(0); w < 2; w++ {
+		h.workerSend(w, &protocol.StatsReport{Seq: pulled(w).Seq, W: w})
+	}
+	select {
+	case a := <-ch:
+		if a.err != nil || a.in.K != 2 {
+			t.Fatalf("answered pull: %+v, %v", a.in, a.err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("QcutSnapshot still waits with both workers answered")
+	}
+
+	ch = snap()
+	h.workerSend(0, &protocol.StatsReport{Seq: pulled(0).Seq, W: 0})
+	pulled(1) // and never answered
+	h.ctrl.Stop()
+	select {
+	case a := <-ch:
+		if a.err == nil {
+			t.Fatalf("QcutSnapshot returned %+v from a pull worker 1 never answered", a.in)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("QcutSnapshot blocks after Stop")
 	}
 }

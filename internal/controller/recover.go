@@ -62,6 +62,10 @@ func (c *Controller) onWorkerDead(w partition.WorkerID) {
 		return
 	}
 	c.deadWorkers[w] = true
+	if p := c.pull; p != nil {
+		delete(p.waiting, w)
+		c.maybePulled()
+	}
 	if o := c.cfg.Obs; o != nil {
 		o.Log().Warn("worker declared dead", "worker", int(w),
 			"graph_version", c.GraphVersion())

@@ -554,7 +554,8 @@ func (e *Engine) RepartitionEpoch() int64 { return e.ctrl.RepartitionEpoch() }
 // Recorder returns the engine's metrics recorder.
 func (e *Engine) Recorder() *metrics.Recorder { return e.recorder }
 
-// QcutSnapshot exposes the controller's current high-level view.
+// QcutSnapshot exposes the controller's current high-level view; it pulls
+// the workers' intersection statistics (see controller.QcutSnapshot).
 func (e *Engine) QcutSnapshot() (qcut.Input, error) { return e.ctrl.QcutSnapshot() }
 
 // Repartitions reports how many global repartitioning barriers ran. Call

@@ -1,8 +1,9 @@
 // Package protocol defines the messages exchanged between the Q-Graph
 // controller, workers, and worker peers. It is the concrete realisation of
 // the paper's API (Table 2): scheduleQuery/executeQuery, barrierSynch/
-// barrierReady with piggybacked statistics, move, and the global STOP/START
-// barrier — plus the low-level vertex message batches.
+// barrierReady with piggybacked scope sizes, the pull of the intersection
+// statistics, move, and the global STOP/START barrier — plus the low-level
+// vertex message batches.
 //
 // Node addressing: node 0 is the controller, node w+1 is worker w.
 package protocol
@@ -72,6 +73,12 @@ const (
 	// Global barrier marker (appended to keep earlier wire values stable).
 	// worker ↔ worker
 	TStopMarker
+	// Monitoring statistics on demand (appended to keep earlier wire values
+	// stable).
+	// controller → worker
+	TStatsPull
+	// worker → controller
+	TStatsReport
 )
 
 // Message is any protocol message.
@@ -143,8 +150,9 @@ func (r FinishReason) String() string {
 	}
 }
 
-// QueryFinish tells a worker to drop query Q's state. The worker answers
-// with the final BarrierSynch, the one carrying its intersection statistics.
+// QueryFinish tells a worker to drop query Q's state and remember its scope
+// for the monitoring window. It gets no reply: the scope sizes the window
+// keeps came with Q's barrier reports.
 type QueryFinish struct {
 	Q      query.ID
 	Reason FinishReason
@@ -204,11 +212,21 @@ type Shutdown struct{}
 // Type implements Message.
 func (*Shutdown) Type() MsgType { return TShutdown }
 
+// StatsPull asks a worker for the intersection statistics of its monitoring
+// window (Sec. 3.4); the worker answers StatsReport with the same Seq. The
+// controller pulls them only when Q-cut is about to read them.
+type StatsPull struct {
+	Seq int64
+}
+
+// Type implements Message.
+func (*StatsPull) Type() MsgType { return TStatsPull }
+
 // ---------------------------------------------------------------------------
 // Worker → controller
 
 // WindowQueries caps the monitoring window (Sec. 3.4; paper: 128): the
-// finished queries Q-cut sees, and those a finishing query is intersected with.
+// finished queries Q-cut sees, and those a worker's StatsReport pairs up.
 const WindowQueries = 128
 
 // DefaultMu is the monitoring window's age bound μ (Sec. 3.4; paper: 240 s)
@@ -228,18 +246,18 @@ func BlockOf(v graph.VertexID) int32 { return int32(v) >> SigShift }
 
 // IntersectionStat reports |LS(Q1,w) ∩ LS(Q2,w)|: the paper's intersection
 // function Iw restricted to query pairs, which is what Q-cut's clustering
-// consumes. The later finisher's report of a pair is the one that counts.
+// consumes.
 type IntersectionStat struct {
 	Q1, Q2 query.ID
 	Shared int32
 }
 
 // BarrierSynch reports that worker W finished query Q's superstep Step
-// (paper API barrierSynch(q,w)), with the monitoring statistics of
-// stats(q, |LS(q,w)|, Iw, w) piggybacked (Sec. 3.4): the scope size on
-// every report, Iw on the Finished one. NewBlocks lists the signature blocks
-// Q's scope entered on W since W's previous report; their union over all
-// reports is the block set of the scope, which the result travels with.
+// (paper API barrierSynch(q,w)), with the scope size |LS(q,w)| of the
+// monitoring statistics piggybacked (Sec. 3.4); Iw is pulled separately
+// (StatsPull). NewBlocks lists the signature blocks Q's scope entered on W
+// since W's previous report; their union over all reports is the block set
+// of the scope, which the result travels with.
 //
 // FromStep < Step when the worker ran local (solo) supersteps without
 // controller round-trips; LocalIters counts them.
@@ -259,8 +277,12 @@ type BarrierSynch struct {
 	MinFrontier float64 // min over pending local msgs + values sent in Step
 	NewBlocks   []int32 // scope blocks first touched on W in the covered steps
 
-	Intersections []IntersectionStat // final stats; empty unless Finished
-	Finished      bool               // response to QueryFinish (final stats)
+	// Intersections is always empty: workers report Iw in StatsReport. It
+	// stays on the wire only for the benchmark's codec row. Finished is
+	// always false and not on the wire: no report answers QueryFinish.
+	// Both go once the benchmark stops naming them.
+	Intersections []IntersectionStat
+	Finished      bool
 }
 
 // Type implements Message.
@@ -291,6 +313,19 @@ type MoveAck struct {
 
 // Type implements Message.
 func (*MoveAck) Type() MsgType { return TMoveAck }
+
+// StatsReport answers StatsPull Seq with worker W's estimates of the pairs
+// its monitoring window holds: each windowed query against those that
+// finished before it, then against the live queries in ascending id. Q1 is
+// the windowed query; each pair appears at most once.
+type StatsReport struct {
+	Seq   int64
+	W     partition.WorkerID
+	Pairs []IntersectionStat
+}
+
+// Type implements Message.
+func (*StatsReport) Type() MsgType { return TStatsReport }
 
 // ---------------------------------------------------------------------------
 // Worker ↔ worker

@@ -48,7 +48,6 @@ func TestServingPathRoundTrips(t *testing.T) {
 				{Q1: 42, Q2: 43, Shared: 9},
 				{Q1: 42, Q2: 44, Shared: 1},
 			},
-			Finished: true,
 		},
 		&protocol.QueryFinish{Q: 42, Reason: protocol.FinishEarly},
 		&protocol.GlobalStop{Epoch: 5, Live: []partition.WorkerID{0, 2, 3}},

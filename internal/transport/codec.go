@@ -42,10 +42,12 @@ import (
 //	6 — the global barrier drains with StopMarker (new tag 24): GlobalStop
 //	    gained Live, StopAck lost SentTotals, DrainCheck (5) and DrainAck
 //	    (12) retired
+//	7 — intersections are pulled: StatsPull (25) and StatsReport (26) are
+//	    new, BarrierSynch lost Finished
 //
 // The value is offset from small integers so a legacy 1-byte [NodeID]
 // handshake can never alias a valid version.
-const CodecVersion = 0xA0 + 6
+const CodecVersion = 0xA0 + 7
 
 // hdr is the frame header: u32 payload length plus the u8 message type.
 const hdr = 5
@@ -121,6 +123,8 @@ var blank = [...]func() protocol.Message{
 	protocol.TWorkerHello:     func() protocol.Message { return new(protocol.WorkerHello) },
 	protocol.TPartitionAck:    func() protocol.Message { return new(protocol.PartitionAck) },
 	protocol.TStopMarker:      func() protocol.Message { return new(protocol.StopMarker) },
+	protocol.TStatsPull:       func() protocol.Message { return new(protocol.StatsPull) },
+	protocol.TStatsReport:     func() protocol.Message { return new(protocol.StatsReport) },
 }
 
 // fields codes m's payload field by field, in wire order: the one
@@ -182,12 +186,7 @@ func fields(c *coder, m protocol.Message) {
 		u32s(c, &v.SentBatches)
 		f64(c, &v.BestGoal)
 		f64(c, &v.MinFrontier)
-		for i := range fixed(c, &v.Intersections, 20) {
-			u64(c, &v.Intersections[i].Q1)
-			u64(c, &v.Intersections[i].Q2)
-			u32(c, &v.Intersections[i].Shared)
-		}
-		boolean(c, &v.Finished)
+		pairs(c, &v.Intersections)
 		blocks(c, &v.NewBlocks)
 	case *protocol.StopAck:
 		u32(c, &v.Epoch)
@@ -259,8 +258,23 @@ func fields(c *coder, m protocol.Message) {
 		u64(c, &v.Version)
 	case *protocol.StopMarker:
 		u32(c, &v.Epoch)
+	case *protocol.StatsPull:
+		u64(c, &v.Seq)
+	case *protocol.StatsReport:
+		u64(c, &v.Seq)
+		u8(c, &v.W)
+		pairs(c, &v.Pairs)
 	default:
 		c.fail("cannot encode %T", m)
+	}
+}
+
+// pairs codes a list of intersection statistics.
+func pairs(c *coder, s *[]protocol.IntersectionStat) {
+	for i := range fixed(c, s, 20) {
+		u64(c, &(*s)[i].Q1)
+		u64(c, &(*s)[i].Q2)
+		u32(c, &(*s)[i].Shared)
 	}
 }
 

@@ -68,7 +68,6 @@ func sampleMessages() []protocol.Message {
 			SentBatches: []int32{0, 2, 0, 1},
 			BestGoal:    123.5, MinFrontier: query.NoResult,
 			Intersections: []protocol.IntersectionStat{{Q1: 1, Q2: 2, Shared: 7}},
-			Finished:      true,
 		},
 		&protocol.BarrierSynch{Q: 1, W: 0, BestGoal: query.NoResult, MinFrontier: query.NoResult},
 		&protocol.BarrierSynch{
@@ -130,6 +129,8 @@ func sampleMessages() []protocol.Message {
 		},
 		&protocol.WorkerHello{W: 3},
 		&protocol.PartitionAck{Gen: 4, W: 3, Version: 2},
+		&protocol.StatsPull{Seq: 77},
+		&protocol.StatsReport{Seq: 77, W: 2, Pairs: []protocol.IntersectionStat{{Q1: 9, Q2: 4, Shared: 12}, {Q1: 9, Q2: 11, Shared: 1}}},
 	}
 }
 
@@ -271,8 +272,8 @@ func nonEmptyLists(v reflect.Value) int {
 
 // BenchmarkCodec times Encode and Decode of the frames that carry nearly all
 // traffic: vertex batches at the worker's split size (32) and at the size
-// benchmark's layers pass uses (256), a finishing BarrierSynch with 64
-// intersections, and ExecuteQuery.
+// benchmark's layers pass uses (256), a BarrierSynch with 64 intersections
+// (the frame the benchmark's codec row times), and ExecuteQuery.
 func BenchmarkCodec(b *testing.B) {
 	batch := func(n int) protocol.Message {
 		vb := &protocol.VertexBatch{Q: 7, Step: 3, From: 1, Entries: make([]protocol.VertexMsg, n)}

@@ -104,3 +104,31 @@ func benchSuperstep(b *testing.B, g *graph.Graph, owner partition.Assignment, ki
 		b.StartTimer()
 	}
 }
+
+// BenchmarkWindowPull times a worker's answer to one StatsPull in the shape
+// of social_pagerank: a full window of 128 finished queries and 2 live ones,
+// each scope touching 253 of the graph's 313 signature blocks.
+func BenchmarkWindowPull(b *testing.B) {
+	const blocks, touched, live = 313, 253, 2
+	rng := rand.New(rand.NewPCG(13, 13))
+	s := newSyncWorkerOn(b, 2, graph.NewBuilder(blocks<<sigShift).MustBuild(), make(partition.Assignment, blocks<<sigShift), time.Hour)
+	w := s.w
+	sig := func() *table {
+		t := w.table()
+		for _, blk := range rng.Perm(blocks)[:touched] {
+			t.set(graph.VertexID(blk), float64(1+rng.IntN(1<<sigShift)))
+		}
+		return t
+	}
+	for q := range query.ID(protocol.WindowQueries) {
+		w.remember(&finishedScope{q: q + 1, at: s.now, sig: freezeSig(sig())})
+	}
+	for q := range query.ID(live) {
+		w.queries[1000+q] = &queryState{sig: sig()}
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		s.deliver(&protocol.StatsPull{Seq: 1})
+		s.conn.sent = s.conn.sent[:0]
+	}
+}

@@ -166,7 +166,7 @@ func (w *Worker) sendBatch(q query.ID, step int32, dst partition.WorkerID, entri
 }
 
 // sendSynch reports a completed superstep range to the controller with the
-// scope size piggybacked (Sec. 3.4); intersections wait for the finish.
+// scope size piggybacked (Sec. 3.4); intersections wait for a StatsPull.
 func (w *Worker) sendSynch(q query.ID, qs *queryState, fromStep, step int32, res stepResult) {
 	minFrontier := res.minFrontier
 	// Older pending inboxes (from earlier remote activations) also bound

@@ -114,9 +114,9 @@ func TestRecycledMapsCarryNothingOver(t *testing.T) {
 		t.Fatalf("%d tables recycled at finish, want its values, signature and inboxes", len(s.w.tables))
 	}
 	got := s.runQuery(2, 300, 40)
-	if got.ScopeSize != want.ScopeSize || len(got.Intersections) != 0 {
+	if pairs := s.pull().Pairs; got.ScopeSize != want.ScopeSize || len(pairs) != 0 {
 		t.Fatalf("second query reports scope %d, %d intersections; alone it reports %d, 0",
-			got.ScopeSize, len(got.Intersections), want.ScopeSize)
+			got.ScopeSize, len(pairs), want.ScopeSize)
 	}
 	if !maps.Equal(s.w.finished[2].verts, fresh.w.finished[2].verts) ||
 		!slices.Equal(s.w.finished[2].sig, fresh.w.finished[2].sig) {
@@ -130,8 +130,8 @@ func TestRecycledMapsCarryNothingOver(t *testing.T) {
 // TestTwoRunsSendIdenticalBytes: two fresh workers driven through one script
 // send the same bytes. The script's frontiers hold 64 vertices a side of a
 // k = 2 cut, so half of every superstep's emissions leave as VertexBatches;
-// a PageRank sums its inbox in the order the messages arrived; and a query
-// finishes while two others are live. On Go maps, iteration order reorders
+// a PageRank sums its inbox in the order the messages arrived; and the window
+// is pulled while two queries are live. On Go maps, iteration order reorders
 // batch entries, float sums and intersections from run to run.
 func TestTwoRunsSendIdenticalBytes(t *testing.T) {
 	// A hub 0 joined to 1..128, and v to v+128: worker 1 owns the odd ids.
@@ -164,8 +164,10 @@ func TestTwoRunsSendIdenticalBytes(t *testing.T) {
 		&protocol.ExecuteQuery{Spec: query.Spec{ID: 3, Kind: query.KindBFS, Source: 130, Target: graph.NilVertex}},
 		&protocol.BarrierReady{Q: 3, Step: 0, Solo: true},
 		&protocol.QueryFinish{Q: 3, Reason: protocol.FinishConverged},
+		&protocol.StatsPull{Seq: 1},
 		&protocol.QueryFinish{Q: 1, Reason: protocol.FinishConverged},
 		&protocol.QueryFinish{Q: 2, Reason: protocol.FinishMaxIters},
+		&protocol.StatsPull{Seq: 2},
 	}
 	var runs [2][][]byte
 	entries := 0

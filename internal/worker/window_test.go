@@ -71,20 +71,36 @@ func (s *syncWorker) deliver(m protocol.Message) {
 }
 
 // runQuery floods iters-1 hops from src, finishes the query one clock
-// second later and returns the worker's final report.
+// second later, and returns the worker's last barrier report for it; the
+// finish gets no reply.
 func (s *syncWorker) runQuery(q query.ID, src graph.VertexID, iters int) *protocol.BarrierSynch {
 	s.t.Helper()
 	s.deliver(&protocol.ExecuteQuery{Spec: query.Spec{
 		ID: q, Kind: query.KindBFS, Source: src, Target: graph.NilVertex, MaxIters: iters,
 	}})
 	s.deliver(&protocol.BarrierReady{Q: q, Step: 0, Solo: true})
-	s.now = s.now.Add(time.Second)
-	s.deliver(&protocol.QueryFinish{Q: q, Reason: protocol.FinishMaxIters})
-	fin := s.conn.sent[len(s.conn.sent)-1].(*protocol.BarrierSynch)
-	if !fin.Finished || fin.Q != q {
-		s.t.Fatalf("last message is not query %d's final report: %+v", q, fin)
+	last, ok := s.conn.sent[len(s.conn.sent)-1].(*protocol.BarrierSynch)
+	if !ok || last.Q != q {
+		s.t.Fatalf("last message is not query %d's report: %+v", q, s.conn.sent[len(s.conn.sent)-1])
 	}
-	return fin
+	s.now = s.now.Add(time.Second)
+	sent := len(s.conn.sent)
+	s.deliver(&protocol.QueryFinish{Q: q, Reason: protocol.FinishMaxIters})
+	if len(s.conn.sent) != sent {
+		s.t.Fatalf("query %d's finish was answered: %+v", q, s.conn.sent[sent:])
+	}
+	return last
+}
+
+// pull asks the worker for its window's statistics and returns its answer.
+func (s *syncWorker) pull() *protocol.StatsReport {
+	s.t.Helper()
+	s.deliver(&protocol.StatsPull{Seq: 5})
+	rep, ok := s.conn.sent[len(s.conn.sent)-1].(*protocol.StatsReport)
+	if !ok || rep.Seq != 5 || rep.W != s.w.id {
+		s.t.Fatalf("StatsPull answered with %+v", s.conn.sent[len(s.conn.sent)-1])
+	}
+	return rep
 }
 
 // mapOverlap is the reference intersections must equal: the Σ_block min walk
@@ -105,11 +121,11 @@ func vertsSig(verts map[graph.VertexID]bool) map[int32]int32 {
 }
 
 // TestFinishedScopesAreAWindow drives 20 window-caps of finishes through one
-// worker and pins what makes a query's monitoring cost O(window), not
-// O(history): a final report names no more partners than the window holds,
-// no report before the final one carries intersections, the final reports
-// are byte-for-byte as large in the 20th cap-full as in the 2nd, and what
-// the worker remembers at all is what ScopeTTL and rememberedScopes admit.
+// worker and pins what makes monitoring cost O(window), not O(history): a
+// pull names no more pairs than the window holds, no barrier report carries
+// intersections, a pull's answer is byte-for-byte as large after the 20th
+// cap-full as after the 2nd, and what the worker remembers at all is what
+// ScopeTTL and rememberedScopes admit.
 func TestFinishedScopesAreAWindow(t *testing.T) {
 	const (
 		window = protocol.WindowQueries
@@ -122,75 +138,109 @@ func TestFinishedScopesAreAWindow(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			admits := min(tc.ttl+1, rememberedScopes)
 			s := newSyncWorker(t, 1, period*40, time.Duration(tc.ttl)*time.Second)
-			wire := make([]int, 20) // bytes of final reports, per cap-full
+			wire := make([]int, 20) // bytes of the pull's answer after each cap-full
 			for i := 0; i < 20*window; i++ {
-				fin := s.runQuery(query.ID(i+1), graph.VertexID(i%period*40), 8)
-				wire[i/window] += transport.WireSize(fin)
-				if len(fin.Intersections) >= window {
-					t.Fatalf("finish %d reports %d intersections, the window holds %d others", i, len(fin.Intersections), window-1)
-				}
+				s.runQuery(query.ID(i+1), graph.VertexID(i%period*40), 8)
 				if len(s.w.finished) > admits || len(s.w.finishOrder) > admits {
 					t.Fatalf("finish %d: %d finished queries (%d in the FIFO), want at most %d", i, len(s.w.finished), len(s.w.finishOrder), admits)
+				}
+				if (i+1)%window == 0 {
+					rep := s.pull()
+					if len(rep.Pairs) > window*(window-1)/2 {
+						t.Fatalf("finish %d: the pull reports %d pairs, the window holds %d", i, len(rep.Pairs), window*(window-1)/2)
+					}
+					wire[i/window] = transport.WireSize(rep)
 				}
 			}
 			if len(s.w.finished) != admits || len(s.w.window()) != window {
 				t.Fatalf("steady state remembers %d queries, %d in the window; want %d and %d", len(s.w.finished), len(s.w.window()), admits, window)
 			}
 			for _, m := range s.conn.sent {
-				if bs, ok := m.(*protocol.BarrierSynch); ok && !bs.Finished && len(bs.Intersections) != 0 {
-					t.Fatalf("non-final report carries %d intersections: %+v", len(bs.Intersections), bs)
+				if bs, ok := m.(*protocol.BarrierSynch); ok && len(bs.Intersections) != 0 {
+					t.Fatalf("a barrier report carries %d intersections: %+v", len(bs.Intersections), bs)
 				}
 			}
-			if wire[0] >= wire[1] {
-				t.Fatalf("final reports did not grow while the window filled: %d then %d bytes", wire[0], wire[1])
-			}
 			for i := 2; i < len(wire); i++ {
-				if wire[i] != wire[1] {
-					t.Fatalf("final reports of cap-full %d take %d bytes, cap-full 2 took %d", i+1, wire[i], wire[1])
+				if wire[i] != wire[1] || wire[i] <= transport.WireSize(&protocol.StatsReport{}) {
+					t.Fatalf("the pull after cap-full %d takes %d bytes, after cap-full 2 it took %d", i+1, wire[i], wire[1])
 				}
 			}
 
 			// Age alone empties the window too.
 			s.now = s.now.Add(time.Duration(tc.ttl+1) * time.Second)
-			fin := s.runQuery(20*window+1, 0, 8)
-			if len(fin.Intersections) != 0 || len(s.w.finished) != 1 || len(s.w.finishOrder) != 1 {
-				t.Fatalf("after the TTL: %d intersections, %d queries remembered; want 0 and 1", len(fin.Intersections), len(s.w.finished))
+			s.runQuery(20*window+1, 0, 8)
+			if rep := s.pull(); len(rep.Pairs) != 0 || len(s.w.finished) != 1 || len(s.w.finishOrder) != 1 {
+				t.Fatalf("after the TTL: %d pairs, %d queries remembered; want 0 and 1", len(rep.Pairs), len(s.w.finished))
 			}
 		})
 	}
 }
 
-// TestPairReportedByLaterFinisher: of two overlapping queries the one that
-// finishes second reports the pair with Σ_block min of the two final scopes.
-// The first finisher names the second only while that one is live, with
-// the part of its scope that exists by then; a disjoint query names nobody.
+// TestPairReportedByLaterFinisher: a pull reports a pair of windowed queries
+// once, as the later finisher's, with Σ_block min of the two final scopes; a
+// live partner with the part of its scope that exists by then; a disjoint
+// query with nobody.
 func TestPairReportedByLaterFinisher(t *testing.T) {
 	s := newSyncWorker(t, 1, 1000, time.Hour)
-	if first := s.runQuery(1, 100, 60); len(first.Intersections) != 0 {
-		t.Fatalf("first finisher reports %+v", first.Intersections)
+	s.runQuery(1, 100, 60)
+	if rep := s.pull(); len(rep.Pairs) != 0 {
+		t.Fatalf("one finished query reports %+v", rep.Pairs)
 	}
 	// Query 2 starts, stops early (a non-solo release is one superstep) and
 	// is live while query 3 runs from the same source to the end.
 	s.deliver(&protocol.ExecuteQuery{Spec: query.Spec{ID: 2, Kind: query.KindBFS, Source: 150, Target: graph.NilVertex, MaxIters: 60}})
 	s.deliver(&protocol.BarrierReady{Q: 2, Step: 0})
-	third := s.runQuery(3, 150, 60)
+	s.runQuery(3, 150, 60)
 	final13 := mapOverlap(vertsSig(s.w.finished[1].verts), vertsSig(s.w.finished[3].verts))
 	if final13 == 0 {
 		t.Fatal("test scopes do not overlap")
 	}
-	want := []protocol.IntersectionStat{{Q1: 3, Q2: 1, Shared: final13}, {Q1: 3, Q2: 2, Shared: 1}} // 2 touched its source so far
-	if !slices.Equal(third.Intersections, want) {
-		t.Fatalf("query 3 reports %+v, want %+v", third.Intersections, want)
+	// 2 touched its source so far, in a block 1 and 3 both fill.
+	want := []protocol.IntersectionStat{{Q1: 1, Q2: 2, Shared: 1}, {Q1: 3, Q2: 1, Shared: final13}, {Q1: 3, Q2: 2, Shared: 1}}
+	if rep := s.pull(); !slices.Equal(rep.Pairs, want) {
+		t.Fatalf("with 2 live the pull reports %+v, want %+v", rep.Pairs, want)
 	}
 	s.deliver(&protocol.BarrierReady{Q: 2, Step: 1, Solo: true})
 	s.deliver(&protocol.QueryFinish{Q: 2, Reason: protocol.FinishMaxIters})
-	second := s.conn.sent[len(s.conn.sent)-1].(*protocol.BarrierSynch)
-	want = []protocol.IntersectionStat{{Q1: 2, Q2: 1, Shared: final13}, {Q1: 2, Q2: 3, Shared: int32(len(s.w.finished[3].verts))}}
-	if !second.Finished || !slices.Equal(second.Intersections, want) {
-		t.Fatalf("query 2 reports %+v, want %+v", second, want)
+	want = []protocol.IntersectionStat{{Q1: 3, Q2: 1, Shared: final13}, {Q1: 2, Q2: 1, Shared: final13}, {Q1: 2, Q2: 3, Shared: int32(len(s.w.finished[3].verts))}}
+	if rep := s.pull(); !slices.Equal(rep.Pairs, want) {
+		t.Fatalf("with 2 finished the pull reports %+v, want %+v", rep.Pairs, want)
 	}
-	if fourth := s.runQuery(4, 900, 10); len(fourth.Intersections) != 0 {
-		t.Fatalf("disjoint query reports %+v", fourth.Intersections)
+	s.runQuery(4, 900, 10)
+	if rep := s.pull(); len(rep.Pairs) != len(want) || slices.ContainsFunc(rep.Pairs, func(is protocol.IntersectionStat) bool { return is.Q1 == 4 || is.Q2 == 4 }) {
+		t.Fatalf("a disjoint query changed the pull to %+v", rep.Pairs)
+	}
+}
+
+// TestMoveCarriesIntersections: a pull after a scope move reports the moved
+// query's overlaps from the worker that holds its vertices now, and nothing
+// stale from the one that held them before.
+func TestMoveCarriesIntersections(t *testing.T) {
+	src := newSyncWorker(t, 2, 100, time.Hour)
+	dst := &syncWorker{t: t, conn: &recConn{}, now: src.now}
+	var err error
+	if dst.w, err = New(Config{
+		ID: 1, K: 2, Graph: src.w.cfg.Graph, Owner: src.w.cfg.Owner,
+		Clock: func() time.Time { return dst.now },
+	}, dst.conn); err != nil {
+		t.Fatal(err)
+	}
+	// Queries 1 (47..53) and 2 (49..55) run on worker 0 and finish on both.
+	for _, s := range []*syncWorker{src, dst} {
+		s.runQuery(1, 50, 4)
+		s.runQuery(2, 52, 4)
+	}
+	if rep := src.pull(); !slices.Equal(rep.Pairs, []protocol.IntersectionStat{{Q1: 2, Q2: 1, Shared: 7}}) {
+		t.Fatalf("before the move worker 0 reports %+v", rep.Pairs)
+	}
+	src.w.stopping, dst.w.stopping = true, true // scopes move inside a global barrier
+	src.deliver(&protocol.MoveScope{Q: 1, To: 1})
+	dst.deliver(src.conn.sent[len(src.conn.sent)-1])
+	if rep := src.pull(); len(rep.Pairs) != 0 {
+		t.Fatalf("after the move worker 0 still reports %+v", rep.Pairs)
+	}
+	if rep := dst.pull(); !slices.Equal(rep.Pairs, []protocol.IntersectionStat{{Q1: 2, Q2: 1, Shared: 5}}) {
+		t.Fatalf("after the move worker 1 reports %+v, want 49..53 shared", rep.Pairs)
 	}
 }
 
@@ -252,10 +302,10 @@ func TestScopeDataRemembersNoNewQueries(t *testing.T) {
 // TestFrozenSigEqualsMapSig: the signatures a worker keeps agree with the map
 // form they replaced. Over more finishes than the window holds, a frozen
 // signature holds the same blocks as its map after the adds and strips scope
-// moves perform, and intersections reports exactly the Σ_block min of
-// mapOverlap for every window partner and every live partner, live ones in
-// ascending id. Halfway, the graph grows by as many blocks again, so scopes
-// then hold blocks past the scratch intersections had sized.
+// moves perform, and a pull reports exactly the Σ_block min of mapOverlap
+// for every pair of windowed queries and every windowed query with every
+// live one, live ones in ascending id. Halfway, the graph grows by as many
+// blocks again, so scopes then hold blocks past the scratch a pull had sized.
 func TestFrozenSigEqualsMapSig(t *testing.T) {
 	const blocks = 64
 	rng := rand.New(rand.NewPCG(22, 22))
@@ -317,21 +367,24 @@ func TestFrozenSigEqualsMapSig(t *testing.T) {
 		s.w.remember(fs)
 
 		var want []protocol.IntersectionStat
-		for _, old := range s.w.window() {
-			if shared := mapOverlap(m, finished[old.q]); shared > 0 && old != fs {
-				want = append(want, protocol.IntersectionStat{Q1: fs.q, Q2: old.q, Shared: shared})
+		win := s.w.window()
+		for j, fs := range win {
+			for _, old := range win[:j] {
+				if shared := mapOverlap(finished[fs.q], finished[old.q]); shared > 0 {
+					want = append(want, protocol.IntersectionStat{Q1: fs.q, Q2: old.q, Shared: shared})
+				}
+			}
+			for _, q := range slices.Sorted(maps.Keys(live)) {
+				if shared := mapOverlap(finished[fs.q], live[q]); shared > 0 {
+					want = append(want, protocol.IntersectionStat{Q1: fs.q, Q2: q, Shared: shared})
+				}
 			}
 		}
-		for _, q := range slices.Sorted(maps.Keys(live)) {
-			if shared := mapOverlap(m, live[q]); shared > 0 {
-				want = append(want, protocol.IntersectionStat{Q1: fs.q, Q2: q, Shared: shared})
-			}
-		}
-		if got := s.w.intersections(fs); !slices.Equal(got, want) {
-			t.Fatalf("finish %d reports %v, map form %v", i, got, want)
+		if got := s.w.pairs(); !slices.Equal(got, want) {
+			t.Fatalf("finish %d: the pull reports %v, map form %v", i, got, want)
 		}
 		if slices.ContainsFunc(s.w.scratch, func(n int32) bool { return n != 0 }) {
-			t.Fatalf("finish %d left its signature in the scratch", i)
+			t.Fatalf("finish %d: the pull left a signature in the scratch", i)
 		}
 	}
 	if len(s.w.scratch) <= blocks+1 {

@@ -166,7 +166,7 @@ func (s *frozenSig) add(v graph.VertexID, d int32) {
 // for how long): that it finished, which tells late batches from batches that
 // raced ahead of the ExecuteQuery broadcast on another link; its local vertex
 // set, so move directives can still relocate the hotspot; and its signature,
-// for the queries that finish while it is windowed.
+// for the pairs a StatsPull asks for while it is windowed.
 type finishedScope struct {
 	q     query.ID
 	verts map[graph.VertexID]bool
@@ -245,8 +245,8 @@ type Worker struct {
 	// buffers and finished queries give back: growing fresh ones per (query,
 	// superstep) was half of what a query allocated.
 	tables []*table
-	// scratch is the dense signature intersections scatters a finishing
-	// scope into, one counter per block of the graph; zero between calls.
+	// scratch is the dense signature pairs scatters a windowed scope into,
+	// one counter per block of the graph; zero between calls.
 	scratch []int32
 }
 
@@ -359,7 +359,9 @@ func (w *Worker) handle(env transport.Envelope) (stop bool, err error) {
 	case *protocol.BarrierReady:
 		err = w.onBarrierReady(m)
 	case *protocol.QueryFinish:
-		err = w.onFinish(m)
+		w.onFinish(m)
+	case *protocol.StatsPull:
+		err = w.conn.Send(protocol.ControllerNode, &protocol.StatsReport{Seq: m.Seq, W: w.id, Pairs: w.pairs()})
 	case *protocol.VertexBatch:
 		err = w.onVertexBatch(m)
 	case *protocol.GlobalStop:
@@ -751,15 +753,15 @@ func (w *Worker) maybeAckStop() error {
 }
 
 // onFinish drops a query's live state, keeping its vertex set for future
-// scope moves, and reports final statistics.
-func (w *Worker) onFinish(m *protocol.QueryFinish) error {
+// scope moves and its signature for the window's statistics.
+func (w *Worker) onFinish(m *protocol.QueryFinish) {
 	qs, ok := w.queries[m.Q]
 	delete(w.queries, m.Q)
 	delete(w.early, m.Q)
 	fs := &finishedScope{q: m.Q, at: w.cfg.Clock()}
 	w.remember(fs)
 	if !ok {
-		return nil
+		return
 	}
 	fs.verts = make(map[graph.VertexID]bool, qs.data.len())
 	for _, v := range qs.data.keys {
@@ -771,14 +773,6 @@ func (w *Worker) onFinish(m *protocol.QueryFinish) error {
 	for _, box := range qs.inbox {
 		w.free(box)
 	}
-	return w.conn.Send(protocol.ControllerNode, &protocol.BarrierSynch{
-		Q: m.Q, W: w.id,
-		ScopeSize:     int32(len(fs.verts)),
-		BestGoal:      qs.bestGoal,
-		MinFrontier:   query.NoResult,
-		Intersections: w.intersections(fs),
-		Finished:      true,
-	})
 }
 
 // rememberedScopes caps finishOrder: a move directive names a query of the
@@ -804,53 +798,57 @@ func (w *Worker) window() []*finishedScope {
 	return w.finishOrder[max(0, len(w.finishOrder)-protocol.WindowQueries):]
 }
 
-// intersections estimates |LS(q) ∩ LS(q2)| of the finishing scope fs against
-// the windowed scopes that finished before it and the live queries — the
-// worker-side transformation of low-level vertex knowledge into the
-// high-level intersection function Iw of Sec. 3.4. So the later finisher
-// reports a pair with both scopes final; the first finisher's estimate
-// against its still-growing partner stands in until then. Finished partners
-// matter most: queries of one hotspot rarely overlap in time, and these
-// temporal chains let Q-cut's clustering move a hotspot as a unit.
+// pairs estimates |LS(q) ∩ LS(q2)| for the pairs the monitoring window holds
+// — the worker-side transformation of low-level vertex knowledge into the
+// high-level intersection function Iw of Sec. 3.4, computed when the
+// controller pulls it. Each windowed scope is paired with the ones that
+// finished before it and with the live queries, in ascending id, so a report
+// is the same on every run. Finished partners matter most: queries of one
+// hotspot rarely overlap in time, and these temporal chains let Q-cut's
+// clustering move a hotspot as a unit.
 //
 // Each estimate is Σ_block min over the two signatures, taken in one pass
-// over the partner's blocks against fs scattered into w.scratch. Live
-// partners come in ascending id, so a report is the same on every run.
-func (w *Worker) intersections(fs *finishedScope) []protocol.IntersectionStat {
+// over the partner's blocks against the windowed scope scattered into
+// w.scratch.
+func (w *Worker) pairs() []protocol.IntersectionStat {
 	// Every scope's vertices are below len(w.owner), which grows with the
 	// graph (onDeltaBatch).
 	if n := len(w.owner)>>sigShift + 1; len(w.scratch) < n {
 		w.scratch = make([]int32, n)
 	}
 	scratch := w.scratch
-	for _, b := range fs.sig {
-		scratch[b.blk] = b.n
-	}
+	live := slices.Sorted(maps.Keys(w.queries))
+	win := w.window()
 	var out []protocol.IntersectionStat
-	for _, old := range w.window() {
-		if old == fs {
-			continue
+	for i, fs := range win {
+		if len(fs.sig) == 0 {
+			continue // nothing of it here, or moved away
 		}
-		var shared int32
-		for _, b := range old.sig {
-			shared += min(scratch[b.blk], b.n)
+		for _, b := range fs.sig {
+			scratch[b.blk] = b.n
 		}
-		if shared > 0 {
-			out = append(out, protocol.IntersectionStat{Q1: fs.q, Q2: old.q, Shared: shared})
+		for _, old := range win[:i] {
+			var shared int32
+			for _, b := range old.sig {
+				shared += min(scratch[b.blk], b.n)
+			}
+			if shared > 0 {
+				out = append(out, protocol.IntersectionStat{Q1: fs.q, Q2: old.q, Shared: shared})
+			}
 		}
-	}
-	for _, q2 := range slices.Sorted(maps.Keys(w.queries)) {
-		var shared int32
-		sig := w.queries[q2].sig
-		for i, blk := range sig.keys {
-			shared += min(scratch[blk], int32(sig.vals[i]))
+		for _, q2 := range live {
+			var shared int32
+			sig := w.queries[q2].sig
+			for i, blk := range sig.keys {
+				shared += min(scratch[blk], int32(sig.vals[i]))
+			}
+			if shared > 0 {
+				out = append(out, protocol.IntersectionStat{Q1: fs.q, Q2: q2, Shared: shared})
+			}
 		}
-		if shared > 0 {
-			out = append(out, protocol.IntersectionStat{Q1: fs.q, Q2: q2, Shared: shared})
+		for _, b := range fs.sig {
+			scratch[b.blk] = 0
 		}
-	}
-	for _, b := range fs.sig {
-		scratch[b.blk] = 0
 	}
 	return out
 }

@@ -119,10 +119,11 @@ func TestSingleWorkerQueryLifecycle(t *testing.T) {
 	if s.ScopeSize != 5 {
 		t.Fatalf("final scope size %d, want 5", s.ScopeSize)
 	}
+	// The finish gets no reply: the next message answers the pull behind it.
 	h.send(0, &protocol.QueryFinish{Q: 7, Reason: protocol.FinishConverged})
-	fin := h.recvSynch()
-	if !fin.Finished || fin.ScopeSize != 5 {
-		t.Fatalf("finish synch: %+v", fin)
+	h.send(0, &protocol.StatsPull{Seq: 3})
+	if rep, ok := h.recv().(*protocol.StatsReport); !ok || rep.Seq != 3 || rep.W != 0 || len(rep.Pairs) != 0 {
+		t.Fatalf("StatsPull answered with %+v", rep)
 	}
 }
 
