@@ -112,6 +112,27 @@ func TestRoadmapLineRefsResolve(t *testing.T) {
 	}
 }
 
+// TestReadmeIdentifiersExist checks that every `pkg.Name` README.md quotes
+// inline, where internal/pkg is a package of the tree, names a top-level
+// declaration in that package's non-test files, so a type, function,
+// variable or constant that is renamed or deleted cannot live on in the
+// docs.
+func TestReadmeIdentifiersExist(t *testing.T) {
+	b, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	readme := string(b)
+	decls := topLevelDecls(t)
+	if bad := undeclaredIdents(readme, decls); len(bad) > 0 {
+		t.Fatalf("README.md quotes identifiers no package declares: %v", bad)
+	}
+	planted := readme + "\nPinned views are refcounted by `delta.Registry`.\n"
+	if bad := undeclaredIdents(planted, decls); !slices.Equal(bad, []string{"delta.Registry"}) {
+		t.Fatalf("a planted stale identifier went unnoticed: undeclared = %v", bad)
+	}
+}
+
 var (
 	fence      = regexp.MustCompile("(?ms)^```.*?^```")
 	inlineCode = regexp.MustCompile("`([^`]+)`")
@@ -121,7 +142,75 @@ var (
 	selector   = regexp.MustCompile(`\.[A-Za-z_]\w*$`) // internal/delta.View
 	fieldToken = regexp.MustCompile(`^(?:([a-z]\w*)\.)?Config\.([A-Z]\w*)$`)
 	lineRef    = regexp.MustCompile(`^(\S+\.go):([0-9]+)(?:[–/-]([0-9]+))?$`) // file.go:12, :12–30 or :12/30
+	identToken = regexp.MustCompile(`^([a-z]\w*)\.([A-Z]\w*)$`)               // delta.Log
 )
+
+// undeclaredIdents returns, sorted and once each, the pkg.Name tokens quoted
+// in inline code spans of md whose pkg is a key of decls (a package under
+// internal/) and whose Name that package does not declare.
+func undeclaredIdents(md string, decls map[string]map[string]bool) []string {
+	md = fence.ReplaceAllString(md, "")
+	var bad []string
+	for _, span := range inlineCode.FindAllStringSubmatch(md, -1) {
+		for _, tok := range strings.Fields(span[1]) {
+			m := identToken.FindStringSubmatch(tok)
+			if m == nil || decls[m[1]] == nil || decls[m[1]][m[2]] {
+				continue
+			}
+			if !slices.Contains(bad, tok) {
+				bad = append(bad, tok)
+			}
+		}
+	}
+	slices.Sort(bad)
+	return bad
+}
+
+// topLevelDecls returns the names of the top-level functions, types,
+// variables and constants in the non-test files of each internal/<pkg>,
+// by pkg.
+func topLevelDecls(t *testing.T) map[string]map[string]bool {
+	t.Helper()
+	files, err := filepath.Glob("internal/*/*.go")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no package sources under internal/: %v", err)
+	}
+	decls := make(map[string]map[string]bool)
+	fset := token.NewFileSet()
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkg := filepath.Base(filepath.Dir(path))
+		if decls[pkg] == nil {
+			decls[pkg] = make(map[string]bool)
+		}
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					decls[pkg][d.Name.Name] = true
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						decls[pkg][spec.Name.Name] = true
+					case *ast.ValueSpec:
+						for _, name := range spec.Names {
+							decls[pkg][name.Name] = true
+						}
+					}
+				}
+			}
+		}
+	}
+	return decls
+}
 
 // unresolvedLineRefs returns, sorted and once each, the file:line references
 // quoted in inline code spans of md that name no file of lines (path from

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"qgraph/internal/faultpoint"
 	"qgraph/internal/gen"
 	"qgraph/internal/graph"
+	"qgraph/internal/obs"
 	"qgraph/internal/protocol"
 	"qgraph/internal/query"
 	"qgraph/internal/transport"
@@ -76,12 +78,54 @@ func runWave(t *testing.T, eng *Engine, specs []query.Spec, want []float64, befo
 // an aggressively adaptive engine to force repeated Q-cut repartitioning
 // barriers mid-stream, and verifies every result still matches Dijkstra —
 // moves must never corrupt query state.
+// The barriers' scope moves are counted: qgraph_barrier_moves_total ends
+// equal to the MoveScope directives the controller sent.
 func TestAdaptiveRepartitioningCorrect(t *testing.T) {
 	net := testRoad(t)
 	specs, want := hotspotSpecs(t, net, 160)
-	eng := startEngine(t, net.G, eagerAdapt)
+	tap := &moveTap{Network: transport.NewChanNetwork(5, transport.Latency{})}
+	t.Cleanup(func() { tap.Close() }) // after startEngine's Close
+	o := obs.New(nil)
+	eng := startEngine(t, net.G, func(c *Config) {
+		eagerAdapt(c)
+		c.Network = tap
+		c.Obs = o
+	})
 	runWave(t, eng, specs, want, 0)
 	t.Logf("repartitions: %d", eng.RepartitionEpoch())
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	moves := o.Metrics.Counter("qgraph_barrier_moves_total", "", "").Value()
+	if sent := tap.moves.Load(); moves != sent || moves == 0 {
+		t.Fatalf("qgraph_barrier_moves_total = %d, MoveScope directives sent = %d", moves, sent)
+	}
+}
+
+// moveTap counts the MoveScope directives the controller sends.
+type moveTap struct {
+	transport.Network
+	moves atomic.Int64
+}
+
+func (n *moveTap) Conn(id protocol.NodeID) transport.Conn {
+	c := n.Network.Conn(id)
+	if id != protocol.ControllerNode {
+		return c
+	}
+	return tapConn{Conn: c, moves: &n.moves}
+}
+
+type tapConn struct {
+	transport.Conn
+	moves *atomic.Int64
+}
+
+func (c tapConn) Send(to protocol.NodeID, m protocol.Message) error {
+	if _, ok := m.(*protocol.MoveScope); ok {
+		c.moves.Add(1)
+	}
+	return c.Conn.Send(to, m)
 }
 
 // TestSimulatedLatencyCorrect runs the adaptive workload over the simulated

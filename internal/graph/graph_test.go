@@ -197,46 +197,6 @@ func TestLoadRejectsCorrupt(t *testing.T) {
 	}
 }
 
-func TestParseEdgeList(t *testing.T) {
-	in := `# comment
-0 1 2.5
-1 2
-% another comment
-2 0 0.5`
-	g, err := ParseEdgeList(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumVertices() != 3 || g.NumEdges() != 3 {
-		t.Fatalf("got %d/%d", g.NumVertices(), g.NumEdges())
-	}
-	if g.Out(1)[0].Weight != 1 {
-		t.Fatalf("default weight = %v", g.Out(1)[0].Weight)
-	}
-	if _, err := ParseEdgeList(strings.NewReader("0 x")); err == nil {
-		t.Fatal("bad vertex accepted")
-	}
-	if _, err := ParseEdgeList(strings.NewReader("0 1 -3")); err == nil {
-		t.Fatal("negative weight accepted")
-	}
-}
-
-func TestEdgeListRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewPCG(2, 2))
-	g := randomGraph(rng, 50)
-	var buf bytes.Buffer
-	if err := g.WriteEdgeList(&buf); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := ParseEdgeList(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2.NumEdges() != g.NumEdges() {
-		t.Fatalf("edges %d vs %d", g2.NumEdges(), g.NumEdges())
-	}
-}
-
 func TestDijkstraLine(t *testing.T) {
 	g := lineGraph(5)
 	dist := Dijkstra(g, 0)

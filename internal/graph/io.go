@@ -1,14 +1,11 @@
 package graph
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"os"
-	"strconv"
-	"strings"
 )
 
 // Binary graph file format ("QGR1"): little-endian.
@@ -247,77 +244,4 @@ func LoadFile(path string) (*Graph, error) {
 		return nil, err
 	}
 	return Load(f, st.Size())
-}
-
-// ParseEdgeList reads a whitespace-separated edge list: one "from to weight"
-// triple per line (weight optional, default 1). Lines starting with '#' or
-// '%' are comments. The vertex count is one plus the largest ID seen.
-func ParseEdgeList(r io.Reader) (*Graph, error) {
-	type rawEdge struct {
-		from, to VertexID
-		w        float32
-	}
-	var raw []rawEdge
-	maxID := VertexID(-1)
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || line[0] == '#' || line[0] == '%' {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			return nil, fmt.Errorf("graph: line %d: want 'from to [weight]', got %q", lineNo, line)
-		}
-		from, err := strconv.ParseInt(fields[0], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: bad from: %w", lineNo, err)
-		}
-		to, err := strconv.ParseInt(fields[1], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: bad to: %w", lineNo, err)
-		}
-		w := float32(1)
-		if len(fields) >= 3 {
-			wf, err := strconv.ParseFloat(fields[2], 32)
-			if err != nil || wf < 0 || math.IsNaN(wf) {
-				return nil, fmt.Errorf("graph: line %d: bad weight %q", lineNo, fields[2])
-			}
-			w = float32(wf)
-		}
-		if from < 0 || to < 0 {
-			return nil, fmt.Errorf("graph: line %d: negative vertex id", lineNo)
-		}
-		raw = append(raw, rawEdge{VertexID(from), VertexID(to), w})
-		if VertexID(from) > maxID {
-			maxID = VertexID(from)
-		}
-		if VertexID(to) > maxID {
-			maxID = VertexID(to)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	b := NewBuilder(int(maxID) + 1)
-	for _, e := range raw {
-		b.AddEdge(e.from, e.to, e.w)
-	}
-	return b.Build()
-}
-
-// WriteEdgeList writes the graph as a plain text edge list.
-func (g *Graph) WriteEdgeList(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	for v := 0; v < g.NumVertices(); v++ {
-		for _, e := range g.Out(VertexID(v)) {
-			if _, err := fmt.Fprintf(bw, "%d %d %g\n", v, e.To, e.Weight); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
 }

@@ -12,10 +12,12 @@ import (
 // can fsync, so a committer goroutine drains everything queued since the
 // last sync, writes all the records, and pays ONE fsync for the lot. Each
 // batch is acked individually with its own version once the shared sync
-// returns — durability semantics are exactly Append's (fsync before ack),
-// only the cost is amortized. The on-disk format is unchanged: one record
-// per version, so readers (recovery, tailers) never know whether
-// a record was synced alone or in a group.
+// returns: fsync before ack, as for a batch committed alone, only the cost
+// is amortized. commitGroup is the one place records are synced and
+// counted (Append runs it inline on a group of one), and writeRecordLocked
+// the one place they are written. The on-disk format is unchanged: one
+// record per version, so a reader (Open's scan, ReadTail) never knows
+// whether a record was synced alone or in a group.
 
 // ErrClosed is returned on the ack channel for batches still queued when
 // the WAL closes.
@@ -51,12 +53,13 @@ const maxGroup = 128
 
 // Enqueue hands one batch to the group committer; the result arrives on
 // ack (which must have capacity, or the committer would stall). Versions
-// must be enqueued contiguously from Head by a single producer — the same
-// contract as Append, checked the same way. Acks are delivered in version
-// order.
+// must be enqueued contiguously from Head by a single producer, and each
+// is checked against Head when its record is written. Acks are delivered
+// in version order.
 //
-// Enqueue and Append must not be interleaved for overlapping versions;
-// the controller uses exactly one of the two paths.
+// Append writes through the same commitGroup, but on the caller's
+// goroutine and at once: a producer that mixes the two must have every
+// enqueued batch acked before it calls Append.
 func (w *WAL) Enqueue(v uint64, ops []delta.Op, ack chan<- AppendAck) {
 	// The send happens under gcMu so it cannot race Close: either the flag
 	// is already set (fail fast), or the request lands in the queue before
@@ -194,7 +197,7 @@ func (w *WAL) writeRecordLocked(v uint64, ops []delta.Op) error {
 	if w.pendingSize == 0 {
 		w.pendingSize = head.size
 	}
-	if w.pendingSize >= w.segmentLimit() && head.last > head.prev && w.pendingSize == head.size {
+	if w.pendingSize >= w.segmentLimit && head.last > head.prev && w.pendingSize == head.size {
 		// Rotate only on a group boundary (no unsynced records pending):
 		// rotation syncs and closes the old file, which would silently
 		// harden batches we have not acked yet.

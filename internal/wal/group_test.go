@@ -151,7 +151,7 @@ func TestGroupCommitNonContiguousFailsTail(t *testing.T) {
 func TestGroupCommitRotation(t *testing.T) {
 	dir := t.TempDir()
 	w := mustOpen(t, dir)
-	w.SegmentBytes = 256 // force rotations between groups
+	w.segmentLimit = 256 // force rotations between groups
 	for v := uint64(1); v <= 40; v++ {
 		ch := make(chan AppendAck, 1)
 		w.Enqueue(v, testOps(4, int(v)), ch)

@@ -27,9 +27,9 @@
 //
 // The payload framing is the shared batch encoding of internal/delta
 // (delta.BatchWireBytes), and the graph id plus the explicit per-record
-// version chain make a segment self-describing: a sharded controller
-// bootstrapping from someone else's log can verify both what graph it is
-// replaying and that no version is missing.
+// version chain make a segment self-describing: a node replaying a log
+// can verify both what graph it belongs to and that no version is
+// missing.
 //
 // # Crash safety
 //
@@ -45,8 +45,10 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc64"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
@@ -71,9 +73,10 @@ const (
 	// oldest *ever-retained* history chains from. Without it, a directory
 	// whose every segment was truncated away (or removed mid-Rebase by a
 	// crash) reads as an empty tail — indistinguishable from "no ops" — and
-	// a follower whose base predates the floor would silently believe it is
-	// caught up. With it, ReadTail can return delta.ErrGap whenever the
-	// retained chain does not provably connect to the requested version.
+	// a node recovering from a checkpoint older than the floor would
+	// silently miss versions. With it, ReadTail can return delta.ErrGap
+	// whenever the retained chain does not provably connect to the
+	// requested version.
 	floorFile  = "wal.floor"
 	floorMagic = "QWFL"
 
@@ -81,10 +84,10 @@ const (
 	// prefix cannot trigger a huge allocation.
 	maxRecordPayload = 1 << 28
 
-	// DefaultSegmentBytes is the rotation threshold: a segment past it is
-	// closed and a new one started, so truncation (whole segments only)
-	// keeps pace with checkpointing.
-	DefaultSegmentBytes = 4 << 20
+	// segmentBytes is the rotation threshold: a segment past it is closed
+	// and a new one started, so truncation (whole segments only) keeps pace
+	// with checkpointing.
+	segmentBytes = 4 << 20
 )
 
 var crcTable = crc64.MakeTable(crc64.ECMA)
@@ -103,9 +106,9 @@ type WAL struct {
 	dir     string
 	graphID uint64
 
-	// SegmentBytes is the rotation threshold; set it before the first
-	// Append to override DefaultSegmentBytes (tests use tiny segments).
-	SegmentBytes int64
+	// segmentLimit is the rotation threshold: segmentBytes, unless a test
+	// shrinks it before the first append.
+	segmentLimit int64
 
 	mu   sync.Mutex
 	f    *os.File // head segment, opened for append
@@ -168,7 +171,7 @@ func Open(dir string, graphID uint64) (*WAL, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	w := &WAL{dir: dir, graphID: graphID, SegmentBytes: DefaultSegmentBytes}
+	w := &WAL{dir: dir, graphID: graphID, segmentLimit: segmentBytes}
 	w.gcCh = make(chan gcReq, gcQueueDepth)
 	w.gcQuit = make(chan struct{})
 	w.gcDone = make(chan struct{})
@@ -178,7 +181,7 @@ func Open(dir string, graphID uint64) (*WAL, error) {
 			_ = os.Remove(p)
 		}
 	}
-	segs, err := scanDir(dir, graphID, true)
+	segs, err := scanDir(dir, graphID, true, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -250,61 +253,16 @@ func (w *WAL) Stats() Stats {
 }
 
 // Append durably logs the ops committed as version v: write, fsync, then
-// return. Versions must be appended contiguously from Head. On a write or
+// return. It is a commit group of one, run on the caller's goroutine, so
+// it is checked, written, synced and counted exactly like an Enqueue'd
+// batch. Versions must be appended contiguously from Head. On a write or
 // sync error the partial record is truncated away so the segment stays
 // parseable, and the error is returned — the caller must not acknowledge
 // the batch.
 func (w *WAL) Append(v uint64, ops []delta.Op) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if want := w.head + 1; v != want {
-		return fmt.Errorf("wal: append version %d, want %d", v, want)
-	}
-	head := &w.segs[len(w.segs)-1]
-	if head.size >= w.segmentLimit() && head.last > head.prev {
-		// Rotate before the write so a rotation failure just keeps
-		// appending to the old segment (the record is never at risk).
-		if err := w.rotate(); err == nil {
-			head = &w.segs[len(w.segs)-1]
-		} else {
-			w.appendErrors.Add(1)
-		}
-	}
-	rec := encodeRecord(v, ops)
-	fail := func(err error) error {
-		w.appendErrors.Add(1)
-		// Cut the segment back to its last good record so a later append
-		// (or the next Open) never sees a half-written record followed by
-		// a whole one.
-		_ = w.f.Truncate(head.size)
-		return fmt.Errorf("wal: append version %d: %w", v, err)
-	}
-	if _, err := w.f.Write(rec); err != nil {
-		return fail(err)
-	}
-	t0 := time.Now()
-	if err := w.f.Sync(); err != nil {
-		return fail(err)
-	}
-	d := time.Since(t0)
-	w.lastFsync.Store(int64(d))
-	w.totalFsync.Add(int64(d))
-	w.fsyncs.Add(1)
-	w.lastGroupSize.Store(1)
-	head.size += int64(len(rec))
-	head.last = v
-	w.head = v
-	w.appends.Add(1)
-	w.appendedBytes.Add(int64(len(rec)))
-	w.publishMirrors()
-	return nil
-}
-
-func (w *WAL) segmentLimit() int64 {
-	if w.SegmentBytes > 0 {
-		return w.SegmentBytes
-	}
-	return DefaultSegmentBytes
+	ack := make(chan AppendAck, 1)
+	w.commitGroup([]gcReq{{v: v, ops: ops, ack: ack}})
+	return (<-ack).Err
 }
 
 // rotate starts a fresh segment chaining from the current head version,
@@ -556,10 +514,14 @@ func walkRecords(buf []byte, last uint64, emit func(delta.LogBatch)) (int, uint6
 	return n, last
 }
 
-// scanSegment parses one segment file: header checks, then records up to
-// the first torn or out-of-chain one. It returns the segment info (good
-// prefix only; seg.size is the truncation point when the tail is torn).
-func scanSegment(path string, graphID uint64) (seg segInfo, torn bool, err error) {
+// scanSegment parses one segment file: header checks, then the records up
+// to the first torn or out-of-chain one, each passed to emit (when set).
+// It returns the segment info (good prefix only; seg.size is the
+// truncation point when the tail is torn). When pred is set, a segment
+// whose header does not chain from pred's last version is unusable whole:
+// it reads as torn at size 0 and emits nothing, since replaying across it
+// would skip versions.
+func scanSegment(path string, graphID uint64, pred *segInfo, emit func(delta.LogBatch)) (seg segInfo, torn bool, err error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return segInfo{}, false, fmt.Errorf("wal: %w", err)
@@ -576,16 +538,20 @@ func scanSegment(path string, graphID uint64) (seg segInfo, torn bool, err error
 		return segInfo{}, false, fmt.Errorf("wal: %s: graph id %#x, want %#x (wrong graph for this log)", path, id, graphID)
 	}
 	prev := binary.LittleEndian.Uint64(raw[16:24])
-	good, last := walkRecords(raw[headerSize:], prev, nil)
+	if pred != nil && prev != pred.last {
+		return segInfo{path: path}, true, nil
+	}
+	good, last := walkRecords(raw[headerSize:], prev, emit)
 	seg = segInfo{path: path, prev: prev, last: last, size: int64(headerSize + good)}
 	return seg, seg.size < int64(len(raw)), nil
 }
 
 // scanDir scans every segment in version order, verifying the chain
-// across segments. With repair set, a torn tail is truncated in place and
-// any segments after the tear are deleted; without it the scan just stops
-// at the tear (read-only callers tolerate a torn tail).
-func scanDir(dir string, graphID uint64, repair bool) ([]segInfo, error) {
+// across segments and passing each record of the usable chain to emit
+// (when set). With repair set, a torn tail is truncated in place and any
+// segments after the tear are deleted; without it the scan just stops at
+// the tear (read-only callers tolerate a torn tail).
+func scanDir(dir string, graphID uint64, repair bool, emit func(delta.LogBatch)) ([]segInfo, error) {
 	paths, err := filepath.Glob(filepath.Join(dir, "wal-*"+fileExt))
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
@@ -593,15 +559,13 @@ func scanDir(dir string, graphID uint64, repair bool) ([]segInfo, error) {
 	sort.Strings(paths) // zero-padded versions: lexical order is version order
 	var segs []segInfo
 	for i, p := range paths {
-		seg, torn, err := scanSegment(p, graphID)
+		var pred *segInfo
+		if len(segs) > 0 {
+			pred = &segs[len(segs)-1]
+		}
+		seg, torn, err := scanSegment(p, graphID, pred, emit)
 		if err != nil {
 			return nil, err
-		}
-		if !torn && len(segs) > 0 && seg.prev != segs[len(segs)-1].last {
-			// A segment that does not chain from its predecessor: replaying
-			// across it would skip versions. Treat everything from here on
-			// as unusable.
-			torn, seg.size = true, 0
 		}
 		if !torn {
 			segs = append(segs, seg)
@@ -632,14 +596,35 @@ func scanDir(dir string, graphID uint64, repair bool) ([]segInfo, error) {
 
 // ReadTail reads the durable batches with Version > from without taking
 // ownership of the log or repairing anything — the startup path of nodes
-// that replay the WAL but do not write it (workers). It is one poll of a
-// fresh Tailer: a missing or empty directory is an empty tail, not an
-// error; from below the retained base is a delta.ErrGap (the covering
-// checkpoint must be loaded first).
+// that replay the WAL but do not write it (workers). It is the read-only
+// form of Open's scan, reading each segment file once. A missing or empty
+// directory is an empty tail, not an error; from below the retained base
+// (the oldest segment's prev, or the persisted floor when no segment is
+// left) is a delta.ErrGap: the covering checkpoint must be loaded first.
 func ReadTail(dir string, graphID uint64, from uint64) ([]delta.LogBatch, error) {
-	tail, err := NewTailer(dir, graphID, from).Poll()
+	var tail []delta.LogBatch
+	keep := func(b delta.LogBatch) {
+		if b.Version > from {
+			tail = append(tail, b)
+		}
+	}
+	segs, err := scanDir(dir, graphID, false, keep)
+	if errors.Is(err, fs.ErrNotExist) {
+		// A segment vanished between the listing and its read: the writer
+		// truncated past it. Scan once more; the fresh listing either
+		// still covers from or reports the gap.
+		tail = tail[:0]
+		segs, err = scanDir(dir, graphID, false, keep)
+	}
 	if err != nil {
 		return nil, err
+	}
+	base, ok := readFloor(dir)
+	if len(segs) > 0 {
+		base, ok = segs[0].prev, true
+	}
+	if ok && from < base {
+		return nil, fmt.Errorf("wal: reading from version %d but the log is retained from %d: %w", from, base, delta.ErrGap)
 	}
 	return tail, nil
 }

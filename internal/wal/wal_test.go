@@ -158,7 +158,7 @@ func TestTornFinalRecordTruncated(t *testing.T) {
 func TestRotationAndTruncate(t *testing.T) {
 	dir := t.TempDir()
 	w := mustOpen(t, dir)
-	w.SegmentBytes = 128 // a couple of records per segment
+	w.segmentLimit = 128 // a couple of records per segment
 	appendN(t, w, 1, 12)
 	st := w.Stats()
 	if st.Segments < 3 {
@@ -308,7 +308,7 @@ func mustTail(t *testing.T, dir string, from uint64) []delta.LogBatch {
 func TestTornMiddleSegmentDropsLaterOnes(t *testing.T) {
 	dir := t.TempDir()
 	w := mustOpen(t, dir)
-	w.SegmentBytes = 128
+	w.segmentLimit = 128
 	appendN(t, w, 1, 12)
 	segs := append([]segInfo(nil), w.segs...)
 	if len(segs) < 3 {
@@ -350,7 +350,7 @@ func TestRotationFailureKeepsAppending(t *testing.T) {
 	dir := t.TempDir()
 	w := mustOpen(t, dir)
 	defer w.Close()
-	w.SegmentBytes = 64 // rotate on every append
+	w.segmentLimit = 64 // rotate on every append
 	appendN(t, w, 1, 2)
 
 	// Occupy the name rotation would rename onto (a directory there makes
@@ -549,9 +549,9 @@ func FuzzSegmentAndFloor(f *testing.F) {
 		if err := os.WriteFile(path, seg, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		// Two copies of the file (scanDir's and the tailer's), its ops at 16
-		// bytes for 13 on disk, and two appended-to slices of 32-byte batch
-		// headers for records of 24 bytes and up. TotalAlloc is process-wide
+		// The file read once, its ops at 16 bytes for 13 on disk, and an
+		// appended-to slice of 32-byte batch headers for records of 24 bytes
+		// and up fit well inside this bound. TotalAlloc is process-wide
 		// and the fuzz worker has goroutines of its own, so only an excess
 		// that repeats is the reader's.
 		limit := uint64(16*len(seg) + 64<<10)
@@ -576,7 +576,7 @@ func FuzzSegmentAndFloor(f *testing.F) {
 				}
 				re = append(re, encodeRecord(b.Version, b.Ops)...)
 			}
-			info, _, err := scanSegment(path, testGraphID)
+			info, _, err := scanSegment(path, testGraphID, nil, nil)
 			if err != nil {
 				t.Fatalf("ReadTail read a segment scanSegment refuses: %v", err)
 			}
