@@ -99,13 +99,8 @@ func (c *Controller) pullStats(plan bool, ch chan qcut.Input) {
 		c.pullSeq++
 		p := &statsPull{
 			seq:     c.pullSeq,
-			waiting: make(map[partition.WorkerID]bool, c.cfg.K),
+			waiting: liveSet(c.cfg.K, c.deadWorkers),
 			pairs:   make([][]protocol.IntersectionStat, c.cfg.K),
-		}
-		for w := partition.WorkerID(0); int(w) < c.cfg.K; w++ {
-			if !c.deadWorkers[w] {
-				p.waiting[w] = true
-			}
 		}
 		c.pull = p
 		c.broadcast(&protocol.StatsPull{Seq: p.seq})

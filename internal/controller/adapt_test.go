@@ -31,8 +31,8 @@ func TestBalanceTriggerFiresOnSkewOnly(t *testing.T) {
 			})
 			for q := query.ID(1); q <= 8; q++ {
 				c.windowAdd(&qctl{
-					spec: query.Spec{ID: q}, scopeSizes: tc.sizes,
-					stepsDone: 10, localSteps: 10,
+					spec:  query.Spec{ID: q},
+					round: round{scopeSizes: tc.sizes, stepsDone: 10, localSteps: 10},
 				}, now)
 			}
 			if loc := c.avgLocality(); loc != 1 {
@@ -87,8 +87,8 @@ func TestRecoveryIsNotAPlanForBackoff(t *testing.T) {
 	// A window of queries that ran 1 superstep in 100 locally.
 	for q := query.ID(1); q <= 8; q++ {
 		c.windowAdd(&qctl{
-			spec: query.Spec{ID: q}, scopeSizes: make([]int64, c.cfg.K),
-			stepsDone: 100, localSteps: 1,
+			spec:  query.Spec{ID: q},
+			round: round{scopeSizes: make([]int64, c.cfg.K), stepsDone: 100, localSteps: 1},
 		}, now)
 	}
 	now = now.Add(2 * c.cfg.Cooldown)

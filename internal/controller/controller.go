@@ -7,6 +7,11 @@
 // running Q-cut asynchronously and executing its move directives under a
 // global barrier.
 //
+// Each query's side of the hybrid barrier is a round (barrier.go): the
+// workers a superstep involves, the reports it awaits, the solo rule and
+// the termination rules, as transitions with no I/O and no clock. The
+// controller sends what the rounds decide.
+//
 // The controller is a single event loop; all state is confined to the Run
 // goroutine.
 package controller
@@ -212,28 +217,18 @@ type Result struct {
 	Blocks []int32
 }
 
-// qctl is the controller-side state of one active query.
+// qctl is the controller-side state of one active query: its barrier
+// round, and what the controller keeps beside it.
 type qctl struct {
 	spec    query.Spec
-	prog    query.Program
 	started time.Time
 	ch      chan<- Result
+	round
 
-	step        int32     // last fully collected superstep (-1 before step 0)
-	outstanding bool      // a release was issued; reports pending
-	releasedAt  time.Time // when the outstanding release was issued (stall watchdog)
-	involved    map[partition.WorkerID]bool
-	reports     map[partition.WorkerID]*protocol.BarrierSynch
-
-	scopeSizes []int64 // latest |LS(q,w)| per worker
-	everActive []bool  // workers that ever processed or held scope
-	blocks     []int32 // every worker's BarrierSynch.NewBlocks so far, unsorted
-	bestGoal   float64
-	stepsDone  int
-	localSteps int
+	releasedAt time.Time // when the outstanding release was issued (stall watchdog)
 	// cancelled marks a query whose caller abandoned it (Cancel) while a
-	// global barrier was executing; it is honored at resume (cancels
-	// outside the barrier phases finish the query eagerly instead).
+	// global barrier or a recovery round was executing; it is honored at
+	// resume (cancels outside those phases finish the query eagerly).
 	cancelled bool
 
 	// Tracing (internal/obs): trace is the span tree the serving layer
@@ -467,7 +462,6 @@ type Controller struct {
 	mutateCh     chan mutateReq
 	stopCh       chan struct{}
 	doneCh       chan struct{}
-	runErr       error
 }
 
 // checkpointReq asks the event loop to cut a checkpoint now (the manual
@@ -717,12 +711,6 @@ func (c *Controller) unpin(ctl *qctl) {
 	c.publishMVCC()
 }
 
-// forget is the one exit of an active query, whatever ended it.
-func (c *Controller) forget(ctl *qctl) {
-	delete(c.queries, ctl.spec.ID)
-	c.unpin(ctl)
-}
-
 // publishMVCC snapshots the pin counts for concurrent readers; called on
 // every pin, unpin and commit. Everything is derived: a version is live
 // while it is the latest or pinned, and every other version committed
@@ -798,7 +786,7 @@ func (c *Controller) Run() error {
 			select {
 			case req := <-c.scheduleCh:
 				if req.ch != nil { // cancel requests carry no channel
-					req.ch <- Result{Q: req.spec.ID, Value: query.NoResult, Reason: protocol.FinishCancelled}
+					req.refuse(protocol.FinishCancelled)
 				}
 			case req := <-c.mutateCh:
 				req.ch <- MutationResult{Err: fmt.Errorf("controller: stopped")}
@@ -811,11 +799,11 @@ func (c *Controller) Run() error {
 	defer ticker.Stop()
 	inbox := c.conn.Inbox()
 	for {
+		var err error
 		select {
 		case <-c.stopCh:
-			c.broadcastAll(&protocol.Shutdown{})
 			c.failActive()
-			return c.runErr
+			return nil
 		case req := <-c.scheduleCh:
 			if req.cancel {
 				c.onCancel(req.spec.ID)
@@ -831,47 +819,30 @@ func (c *Controller) Run() error {
 		case req := <-c.mutateCh:
 			c.onMutate(req)
 		case ack := <-c.walAckCh:
-			if err := c.onWalAck(ack); err != nil {
-				c.runErr = err
-				c.broadcastAll(&protocol.Shutdown{})
-				c.failActive()
-				return err
-			}
+			err = c.onWalAck(ack)
 		case res := <-c.qcutCh:
 			c.onQcutDone(res)
 		case <-ticker.C:
 			c.onTick()
 		case env, ok := <-inbox:
 			if !ok {
-				return c.runErr
+				return nil
 			}
-			if err := c.handle(env); err != nil {
-				c.runErr = err
-				c.broadcastAll(&protocol.Shutdown{})
-				c.failActive()
-				return err
-			}
+			err = c.handle(env)
+		}
+		if err != nil {
+			c.failActive()
+			return err
 		}
 	}
 }
 
-// failActive delivers a cancelled result to every still-active or
-// still-deferred query — and an error to every staged mutation — so
-// callers never block on Stop.
+// failActive shuts the workers down and delivers a cancelled result to
+// every still-active or still-deferred query — and an error to every
+// staged mutation — so callers never block on Stop.
 func (c *Controller) failActive() {
-	now := c.cfg.Clock()
-	for q, ctl := range c.queries {
-		ctl.ch <- Result{
-			Q: q, Value: ctl.bestGoal, Reason: protocol.FinishCancelled,
-			Supersteps: ctl.stepsDone, LocalIters: ctl.localSteps,
-			Latency: now.Sub(ctl.started),
-		}
-		c.forget(ctl)
-	}
-	for _, req := range c.deferred {
-		req.ch <- Result{Q: req.spec.ID, Value: query.NoResult, Reason: protocol.FinishCancelled}
-	}
-	c.deferred = nil
+	c.broadcastAll(&protocol.Shutdown{})
+	c.failQueries(protocol.FinishCancelled)
 	stopped := fmt.Errorf("controller: stopped")
 	c.failMutations(stopped, stopped)
 }

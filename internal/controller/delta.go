@@ -244,7 +244,7 @@ func (c *Controller) applyDurable(ack wal.AppendAck) error {
 	// Off-barrier version bump: workers apply the batch between supersteps;
 	// queries in flight keep the view they were pinned at. Broadcast
 	// ordering relative to ExecuteQuery on each link is what puts every
-	// worker at exactly the pinned version (see startQuery).
+	// worker at exactly the pinned version (see onSchedule).
 	c.broadcast(batch)
 	i := 0
 	for _, pm := range sb.muts {

@@ -2,8 +2,9 @@ package controller
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
-	"qgraph/internal/partition"
 	"qgraph/internal/protocol"
 	"qgraph/internal/qcut"
 )
@@ -46,12 +47,7 @@ func (c *Controller) maybeStop() {
 	}
 	c.enterPhase(phaseStopping)
 	c.epoch++
-	var live []partition.WorkerID
-	for w := partition.WorkerID(0); int(w) < c.cfg.K; w++ {
-		if !c.deadWorkers[w] {
-			live = append(live, w)
-		}
-	}
+	live := slices.Sorted(maps.Keys(liveSet(c.cfg.K, c.deadWorkers)))
 	c.acksLeft = len(live)
 	c.broadcast(&protocol.GlobalStop{Epoch: c.epoch, Live: live})
 }
@@ -94,16 +90,13 @@ func (c *Controller) onMoveAck(m *protocol.MoveAck) error {
 		c.ownDeltaW = append(c.ownDeltaW, m.To)
 	}
 	// Keep the high-level view consistent with the executed move: the
-	// whole local scope of the query relocated. Without this, the next
-	// Q-cut snapshot would see a phantom split and issue pointless move
-	// directives forever.
+	// whole local scope of the query relocated.
 	if we := c.byQ[m.Q]; we != nil {
 		we.sizes[m.To] += we.sizes[m.From]
 		we.sizes[m.From] = 0
 	}
 	if ctl, ok := c.queries[m.Q]; ok {
-		ctl.scopeSizes[m.To] += ctl.scopeSizes[m.From]
-		ctl.scopeSizes[m.From] = 0
+		ctl.move(m.From, m.To)
 	}
 	if c.acksLeft--; c.acksLeft > 0 {
 		return nil
@@ -121,10 +114,11 @@ func (c *Controller) onMoveAck(m *protocol.MoveAck) error {
 // resume ends the global barrier: START, re-release every active query to
 // all live workers (scope moves may have relocated pending activations
 // anywhere), and flush deferred schedules. After a recovery episode it
-// additionally re-executes every active query from superstep 0: the dead
-// worker took its share of their vertex state with it, so the whole query
+// first re-executes every active query from superstep 0: the dead worker
+// took its share of their vertex state with it, so the whole query
 // restarts against the recovered partitioning (the caller just waits
-// longer).
+// longer). A query cancelled during the barrier finishes instead, whatever
+// its round was doing when the barrier began.
 func (c *Controller) resume() error {
 	c.enterPhase(phaseRun)
 	// Every global barrier rewrote ownership — scope moves, or a recovery
@@ -134,46 +128,33 @@ func (c *Controller) resume() error {
 	c.broadcast(&protocol.GlobalStart{Epoch: c.epoch})
 	restart := c.restartQueries
 	c.restartQueries = false
-	if restart {
-		for _, ctl := range c.queries {
-			if ctl.cancelled {
-				continue // finished below instead of re-executed
-			}
-			c.resetQueryForRestart(ctl)
-			c.broadcast(&protocol.ExecuteQuery{Spec: ctl.spec})
-		}
-	}
 	if c.recovering {
 		c.recovering = false
 		c.publishHealth()
 	}
-	all := make(map[partition.WorkerID]bool, c.cfg.K)
-	for w := 0; w < c.cfg.K; w++ {
-		if !c.deadWorkers[partition.WorkerID(w)] {
-			all[partition.WorkerID(w)] = true
-		}
-	}
 	for _, ctl := range c.queries {
-		if ctl.outstanding {
-			// Cannot happen: quiesce guaranteed collection before STOP.
-			continue
-		}
 		if ctl.cancelled {
-			// Abandoned while the barrier was forming; finish instead of
-			// re-releasing (deleting during range is safe in Go).
+			// Deleting during range is safe in Go.
 			c.finishQuery(ctl, protocol.FinishCancelled)
 			continue
 		}
-		involved := make(map[partition.WorkerID]bool, len(all))
-		for w := range all {
-			involved[w] = true
+		if restart {
+			// The restart re-pins to the recovered version: every worker is
+			// exactly at the committed version when the re-broadcast
+			// ExecuteQuery arrives (RecoverStart/PartitionGrant carried it);
+			// the old pin may predate the recovery.
+			c.abortStepSpan(ctl, "recovery-restart")
+			ctl.restart()
+			c.unpin(ctl)
+			c.pin(ctl)
+			c.broadcast(&protocol.ExecuteQuery{Spec: ctl.spec})
 		}
-		c.release(ctl, ctl.step+1, involved, nil, true)
+		c.release(ctl, nil, nil, true)
 	}
 	deferred := c.deferred
 	c.deferred = nil
 	for _, req := range deferred {
-		c.startQuery(req)
+		c.onSchedule(req)
 	}
 	// Commits that became durable while a recovery round held the version
 	// still apply now: every restarted or deferred query above pinned (and

@@ -228,7 +228,7 @@ func (c *Controller) beginStepSpan(ctl *qctl, step int32) {
 // (compute time, processed vertices, batches sent). Worker spans are
 // placed at the superstep's start; their durations are the worker-side
 // measurements shipped in BarrierSynch.ComputeNS.
-func (c *Controller) endStepSpan(ctl *qctl, collectedStep int32) {
+func (c *Controller) endStepSpan(ctl *qctl) {
 	if ctl.stepSpan == nil {
 		return
 	}
@@ -245,16 +245,15 @@ func (c *Controller) endStepSpan(ctl *qctl, collectedStep int32) {
 			"local_iters":  r.LocalIters,
 		})
 	}
-	ctl.stepSpan.SetAttr("step", collectedStep)
+	ctl.stepSpan.SetAttr("step", ctl.step)
 	ctl.stepSpan.End()
 	ctl.stepSpan = nil
 }
 
-// abortStepSpan closes a superstep span whose round was discarded
-// (recovery restart, terminal failure) — the round's reports never
-// arrive, so endStepSpan never would. Without this the span stays open
-// forever in the completed trace: a leak, and a lie about where time
-// went.
+// abortStepSpan closes a superstep span whose reports never arrive
+// (recovery restart, a query ended mid-step), so endStepSpan never would.
+// Without it the span stays open forever in the completed trace: a leak,
+// and a lie about where time went.
 func (c *Controller) abortStepSpan(ctl *qctl, reason string) {
 	if ctl.stepSpan == nil {
 		return
@@ -264,14 +263,14 @@ func (c *Controller) abortStepSpan(ctl *qctl, reason string) {
 	ctl.stepSpan = nil
 }
 
-// endQueryTrace closes the engine span when the query finishes.
-func (c *Controller) endQueryTrace(ctl *qctl, reason protocol.FinishReason, res Result) {
+// endQueryTrace closes the engine span when the query ends, and the span
+// of a superstep it ended with outstanding.
+func (c *Controller) endQueryTrace(ctl *qctl, res Result) {
 	if ctl.trace == nil {
 		return
 	}
-	ctl.stepSpan.End()
-	ctl.stepSpan = nil
-	ctl.engSpan.SetAttr("reason", reason.String())
+	c.abortStepSpan(ctl, res.Reason.String())
+	ctl.engSpan.SetAttr("reason", res.Reason.String())
 	ctl.engSpan.SetAttr("supersteps", res.Supersteps)
 	ctl.engSpan.SetAttr("local_iters", res.LocalIters)
 	ctl.engSpan.SetAttr("touched", res.Touched)

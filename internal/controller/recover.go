@@ -7,7 +7,6 @@ import (
 	"qgraph/internal/obs/health"
 	"qgraph/internal/partition"
 	"qgraph/internal/protocol"
-	"qgraph/internal/query"
 	recovery "qgraph/internal/recover"
 )
 
@@ -263,35 +262,6 @@ func (c *Controller) completeRecovery() error {
 	return c.resume()
 }
 
-// resetQueryForRestart rewinds a query's controller-side state to
-// superstep 0. Cumulative statistics (supersteps executed, local
-// iterations, latency since schedule) keep accumulating across the
-// restart — the caller pays real time and the engine did real work.
-func (c *Controller) resetQueryForRestart(ctl *qctl) {
-	c.abortStepSpan(ctl, "recovery-restart")
-	ctl.step = -1
-	ctl.outstanding = false
-	ctl.involved = make(map[partition.WorkerID]bool)
-	ctl.reports = make(map[partition.WorkerID]*protocol.BarrierSynch)
-	// Scope statistics restart with the execution: Touched (scopeSizes),
-	// Workers (everActive) and Blocks describe the run that produced the
-	// result, not the one the failure discarded.
-	for i := range ctl.scopeSizes {
-		ctl.scopeSizes[i] = 0
-		ctl.everActive[i] = false
-	}
-	ctl.blocks = ctl.blocks[:0]
-	// A goal found before the failure proved a path at the old pin; the
-	// restart re-pins to the recovered version. Rediscover.
-	ctl.bestGoal = query.NoResult
-	// Move the pin to the recovered version: every worker is exactly at the
-	// committed version when the re-broadcast ExecuteQuery arrives
-	// (RecoverStart/PartitionGrant carried it); the old pin may predate the
-	// recovery.
-	c.unpin(ctl)
-	c.pin(ctl)
-}
-
 // enterTerminal is the unrecoverable end state: every worker is dead.
 // Everything in flight fails with FinishWorkerLost and health reports
 // degraded permanently, from before the first failure is delivered: a
@@ -306,23 +276,7 @@ func (c *Controller) enterTerminal() {
 		c.rec.Finish(c.cfg.Clock())
 	}
 	c.enterPhase(phaseRun)
-	now := c.cfg.Clock()
-	for q, ctl := range c.queries {
-		c.abortStepSpan(ctl, "terminal")
-		c.endQueryTrace(ctl, protocol.FinishWorkerLost, Result{
-			Supersteps: ctl.stepsDone, LocalIters: ctl.localSteps,
-		})
-		ctl.ch <- Result{
-			Q: q, Value: ctl.bestGoal, Reason: protocol.FinishWorkerLost,
-			Supersteps: ctl.stepsDone, LocalIters: ctl.localSteps,
-			Latency: now.Sub(ctl.started),
-		}
-		c.forget(ctl)
-	}
-	for _, req := range c.deferred {
-		req.ch <- Result{Q: req.spec.ID, Value: query.NoResult, Reason: protocol.FinishWorkerLost}
-	}
-	c.deferred = nil
+	c.failQueries(protocol.FinishWorkerLost)
 	c.failMutations(
 		fmt.Errorf("controller: degraded (no live workers)"),
 		fmt.Errorf("controller: degraded (no live workers) during commit; batch state unknown"),

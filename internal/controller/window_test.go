@@ -42,7 +42,7 @@ func finish(c *Controller, q query.ID) {
 	for w := range sizes {
 		sizes[w] = 10
 	}
-	c.windowAdd(&qctl{spec: query.Spec{ID: q}, scopeSizes: sizes}, c.cfg.Clock())
+	c.windowAdd(&qctl{spec: query.Spec{ID: q}, round: round{scopeSizes: sizes}}, c.cfg.Clock())
 }
 
 // pull runs one StatsPull as QcutSnapshot does and returns Q-cut's input:
@@ -198,7 +198,7 @@ func TestIntersectionsLeaveWithTheWindowEntry(t *testing.T) {
 // estimate, both scopes final, replaces that one instead of adding to it.
 func TestLaterFinisherSupersedes(t *testing.T) {
 	c := newLoopless(t, 2)
-	c.queries[2] = &qctl{spec: query.Spec{ID: 2}, scopeSizes: make([]int64, 2)}
+	c.queries[2] = &qctl{spec: query.Spec{ID: 2}, round: round{scopeSizes: make([]int64, 2)}}
 	finish(c, 1)
 	if got, n := sharedIn(pull(t, c, []protocol.IntersectionStat{is(1, 2, 5)}), 1, 2); got != 5 || n != 1 {
 		t.Fatalf("partner live: pair listed %d times sharing %d, want once sharing 5", n, got)
@@ -217,7 +217,7 @@ func TestLaterFinisherSupersedes(t *testing.T) {
 func TestLateReportRefreshesWindowRow(t *testing.T) {
 	c := newLoopless(t, 2)
 	ch := make(chan Result, 1)
-	c.startQuery(scheduleReq{spec: query.Spec{ID: 1, Kind: query.KindBFS, Source: 0, Target: graph.NilVertex}, ch: ch})
+	c.onSchedule(scheduleReq{spec: query.Spec{ID: 1, Kind: query.KindBFS, Source: 0, Target: graph.NilVertex}, ch: ch})
 	step := func(st, size int32) error {
 		return c.onSynch(&protocol.BarrierSynch{
 			Q: 1, W: 0, Step: st, FromStep: st, Processed: 1, NActiveNext: 1, ScopeSize: size,
@@ -256,7 +256,7 @@ func TestSnapshotIsAFunctionOfTheView(t *testing.T) {
 		for w := range sizes {
 			sizes[w] = size(q, w)
 		}
-		c.queries[q] = &qctl{spec: query.Spec{ID: q}, scopeSizes: sizes}
+		c.queries[q] = &qctl{spec: query.Spec{ID: q}, round: round{scopeSizes: sizes}}
 	}
 	// Eight finished queries, each overlapping two live ones and the query
 	// that finished before it.
@@ -267,7 +267,7 @@ func TestSnapshotIsAFunctionOfTheView(t *testing.T) {
 			sizes[w] = size(q, w)
 			rows[w] = append(rows[w], is(q, 100+q, int32(q)+int32(w)), is(q, 104+q, 2), is(q, q-1, 1))
 		}
-		c.windowAdd(&qctl{spec: query.Spec{ID: q}, scopeSizes: sizes}, c.cfg.Clock())
+		c.windowAdd(&qctl{spec: query.Spec{ID: q}, round: round{scopeSizes: sizes}}, c.cfg.Clock())
 	}
 	first := pull(t, c, rows...)
 	if len(first.Scopes) != 20 || len(first.Intersections) != 23 {
