@@ -124,7 +124,7 @@ func main() {
 		snapKeep     = flag.Int("snapshot-keep", 2, "checkpoints retained in memory and on disk")
 		snapOps      = flag.Int("snapshot-every-ops", 0, "cut a checkpoint every N committed mutation ops (controller; 0 disables)")
 		snapBytes    = flag.Int64("snapshot-every-bytes", 0, "cut a checkpoint once the op log holds this many bytes (controller; 0 disables)")
-		snapInterval = flag.Duration("snapshot-interval", 0, "cut a checkpoint at most this often under mutation load (controller; 0 disables)")
+		snapInterval = flag.Duration("snapshot-interval", 0, "cut a checkpoint once this long has passed since the last one, if an op committed since (controller; 0 disables)")
 		walDir       = flag.String("wal-dir", "", "durable write-ahead op log directory: every committed mutation batch is fsynced before its ack, and a full restart recovers to the exact pre-crash version (all nodes must see the same directory)")
 		rejoin       = flag.Bool("rejoin", false, "announce as a respawned worker: adopt state via the recovery protocol instead of assuming a fresh deployment (role=worker)")
 

@@ -49,6 +49,7 @@ func (c *Controller) onTick() {
 		c.proceedRecovery()
 	}
 	c.maybeCommit(now)
+	c.maybeCheckpoint(now)
 	c.watchStalls(now)
 	if !c.cfg.Adapt || c.phase != phaseRun || c.qcutRunning {
 		return

@@ -36,26 +36,69 @@ import (
 type cutDone struct {
 	res     snapshot.Result
 	floor   uint64
+	dur     time.Duration // materialize + persist
 	aborted bool
 }
 
-// maybeCheckpoint pins a checkpoint cut when the policy says the log grew
-// (or aged) enough. Called after every applied commit, on the event loop
-// — which is why it only pins and never materializes.
-func (c *Controller) maybeCheckpoint(now time.Time) {
-	if !c.cfg.SnapshotPolicy.Enabled() {
-		return
+// cutPin is the cut in flight: who waits for its result, and the policy
+// accounting it reset, which an abort restores.
+type cutPin struct {
+	waiters []chan snapshot.Result
+	prevVer uint64
+	prevAt  time.Time
+	ops     int
+	bytes   int64
+}
+
+// request queues ch for the next cut, of the version committed when it
+// starts.
+func (p *commits) request(ch chan snapshot.Result) { p.next = append(p.next, ch) }
+
+// pinNext pins a cut of committed version v at now when the policy says
+// the log grew (or aged) enough or a request waits, unless a cut is in
+// flight: one at a time. start says it pinned one; current lists the
+// requests to answer now, as v is already checkpointed.
+func (p *commits) pinNext(v uint64, now time.Time) (start bool, current []chan snapshot.Result) {
+	due := p.policy.Due(p.snapOps, p.snapBytes, now.Sub(p.lastSnapAt))
+	if p.cut != nil || !due && len(p.next) == 0 {
+		return false, nil
 	}
-	if !c.cfg.SnapshotPolicy.Due(c.snapOps, c.snapBytes, now.Sub(c.lastSnapAt)) {
-		return
+	waiters := p.next
+	p.next = nil
+	if v == p.lastSnapVersion {
+		return false, waiters
 	}
-	if c.cutInFlight {
-		// One cut at a time; remember that the policy re-fired so the
-		// follow-up starts as soon as the cutter frees up.
-		c.cutAgain = true
-		return
+	p.cut = &cutPin{
+		waiters: waiters,
+		prevVer: p.lastSnapVersion, prevAt: p.lastSnapAt,
+		ops: p.snapOps, bytes: p.snapBytes,
 	}
-	c.startCut(now)
+	p.snapOps, p.snapBytes, p.lastSnapAt, p.lastSnapVersion = 0, 0, now, v
+	return true, nil
+}
+
+// land closes the cut in flight with the cutter's report d, returning the
+// floor an op log based at base may be truncated to and who waits for the
+// result. An aborted cut restores the policy accounting (with the ops
+// committed meanwhile) as if it never started. A fold a disk-backed store
+// failed to persist leaves its version re-cuttable: a retry after fixing
+// the disk must cut, not answer a no-op while nothing is durable there. A
+// private store's cuts keep the whole log: rejoining workers could never
+// resolve them.
+func (p *commits) land(d cutDone, base uint64) (floor uint64, waiters []chan snapshot.Result) {
+	pin := p.cut
+	p.cut = nil
+	switch {
+	case d.aborted:
+		p.snapOps, p.snapBytes = p.snapOps+pin.ops, p.snapBytes+pin.bytes
+		p.lastSnapVersion, p.lastSnapAt = pin.prevVer, pin.prevAt
+	case !d.res.Persisted && p.onDisk:
+		p.lastSnapVersion = pin.prevVer
+	}
+	if d.aborted || p.private {
+		return base, pin.waiters
+	}
+	return d.floor, pin.waiters
 }
 
 // requestCheckpoint is the manual trigger (POST /admin/snapshot): the
@@ -63,43 +106,28 @@ func (c *Controller) maybeCheckpoint(now time.Time) {
 // completed. A version that is already checkpointed replies immediately
 // with Cut=false.
 func (c *Controller) requestCheckpoint(ch chan snapshot.Result) {
-	if c.cutInFlight {
-		// The running cut pinned an older version; queue this caller for
-		// the follow-up cut of the current one.
-		c.cutAgain = true
-		c.nextCutWaiters = append(c.nextCutWaiters, ch)
-		return
-	}
-	if view := c.curView.Load(); view.Version() == c.lastSnapVersion {
-		ch <- snapshot.Result{Version: view.Version(), Vertices: view.NumVertices(), Edges: view.NumEdges()}
-		return
-	}
-	c.cutWaiters = append(c.cutWaiters, ch)
-	c.startCut(c.cfg.Clock())
+	c.commits.request(ch)
+	c.maybeCheckpoint(c.cfg.Clock())
 }
 
-// startCut pins the immutable committed view — the only checkpoint work
-// the event loop (and thus a commit) ever pays — and folds it
-// on a background goroutine. The policy accounting resets at the pin;
-// onCutDone restores it if the cut aborts.
-func (c *Controller) startCut(now time.Time) {
+// maybeCheckpoint starts the cut the pipeline pins, if any: a background
+// cutter folds the immutable committed view and reports through cutCh,
+// writing nothing of the controller's, so the pin is the only checkpoint
+// work the event loop (and thus a commit) ever pays. Called after every
+// applied commit, on every tick, and for every request and landed cut.
+func (c *Controller) maybeCheckpoint(now time.Time) {
 	view := c.curView.Load()
-	v := view.Version()
-	c.cutInFlight = true
-	c.cutPrevVersion, c.cutPrevAt = c.lastSnapVersion, c.lastSnapAt
-	c.cutPinnedOps, c.cutPinnedBytes = c.snapOps, c.snapBytes
-	c.snapOps, c.snapBytes = 0, 0
-	c.lastSnapAt = now
-	c.lastSnapVersion = v
-	store := c.cfg.Snapshots
-	cutCh := c.cutCh
+	res := snapshot.Result{Version: view.Version(), Vertices: view.NumVertices(), Edges: view.NumEdges()}
+	start, current := c.commits.pinNext(res.Version, now)
+	for _, ch := range current {
+		ch <- res
+	}
+	if !start {
+		return
+	}
+	store, cutCh, clock := c.cfg.Snapshots, c.cutCh, c.cfg.Clock
 	go func() {
-		started := c.cfg.Clock()
-		res := snapshot.Result{
-			Version:  v,
-			Vertices: view.NumVertices(),
-			Edges:    view.NumEdges(),
-		}
+		started := clock()
 		g := view.Materialize()
 		if faultpoint.Hit(faultpoint.SnapshotCut) {
 			// Simulated crash mid-cut: the materialized graph never reached
@@ -108,53 +136,34 @@ func (c *Controller) startCut(now time.Time) {
 			cutCh <- cutDone{res: res, aborted: true}
 			return
 		}
-		floor, perr := store.Add(&snapshot.Snapshot{Version: v, Graph: g})
+		floor, perr := store.Add(&snapshot.Snapshot{Version: res.Version, Graph: g})
 		res.Cut = true
 		res.Persisted = perr == nil && store.Dir() != ""
-		c.lastCutNanos.Store(int64(c.cfg.Clock().Sub(started)))
-		cutCh <- cutDone{res: res, floor: floor}
+		cutCh <- cutDone{res: res, floor: floor, dur: clock().Sub(started)}
 	}()
 }
 
 // onCutDone lands a finished background cut on the event loop: truncate
 // the delta log and the WAL to the durable floor, answer the waiters, and
-// start the queued follow-up cut if triggers (or manual requests) arrived
-// while the cutter ran.
+// start the follow-up cut if triggers (or manual requests) arrived while
+// the cutter ran.
 func (c *Controller) onCutDone(d cutDone) {
-	c.cutInFlight = false
 	res := d.res
-	if d.aborted {
-		// Nothing was cut; restore the policy accounting (including the
-		// ops that committed while the cutter ran) so the next trigger
-		// fires as if this cut never started.
-		c.snapOps += c.cutPinnedOps
-		c.snapBytes += c.cutPinnedBytes
-		c.lastSnapVersion = c.cutPrevVersion
-		c.lastSnapAt = c.cutPrevAt
-	} else {
-		if dur := time.Duration(c.lastCutNanos.Load()); dur > 0 {
-			end := c.cfg.Clock()
-			if co := c.obs; co != nil {
-				co.snapCutSeconds.Observe(dur.Seconds())
-			}
-			c.lastCutUnixNS.Store(end.UnixNano())
-			c.spanActiveQueries("snapshot/cut", end.Add(-dur), end,
-				map[string]any{"version": res.Version, "vertices": res.Vertices, "edges": res.Edges})
-			c.healthEvent(health.EventSnapshotCut, health.SevInfo, -1,
-				fmt.Sprintf("snapshot cut at version %d (%d vertices, %d edges) in %s",
-					res.Version, res.Vertices, res.Edges, dur.Round(time.Millisecond)),
-				map[string]any{
-					"version": res.Version, "vertices": res.Vertices,
-					"edges": res.Edges, "duration_ms": float64(dur) / float64(time.Millisecond),
-				})
+	floor, waiters := c.commits.land(d, c.deltaLog.Base())
+	if !d.aborted {
+		end := c.cfg.Clock()
+		if co := c.obs; co != nil {
+			co.snapCutSeconds.Observe(d.dur.Seconds())
 		}
-		floor := d.floor
-		if c.cfg.privateSnapshots {
-			// A store nobody else shares (no Config.Snapshots was wired in):
-			// rejoining workers could never resolve a checkpoint from it, so
-			// the log must keep reaching back to the base every replica has.
-			floor = c.deltaLog.Base()
-		}
+		c.spanActiveQueries("snapshot/cut", end.Add(-d.dur), end,
+			map[string]any{"version": res.Version, "vertices": res.Vertices, "edges": res.Edges})
+		c.healthEvent(health.EventSnapshotCut, health.SevInfo, -1,
+			fmt.Sprintf("snapshot cut at version %d (%d vertices, %d edges) in %s",
+				res.Version, res.Vertices, res.Edges, d.dur.Round(time.Millisecond)),
+			map[string]any{
+				"version": res.Version, "vertices": res.Vertices,
+				"edges": res.Edges, "duration_ms": float64(d.dur) / float64(time.Millisecond),
+			})
 		dropped := c.deltaLog.TruncateTo(floor)
 		c.cfg.Snapshots.AccountTruncated(dropped)
 		if c.cfg.WAL != nil && c.cfg.Snapshots.Dir() != "" {
@@ -166,40 +175,23 @@ func (c *Controller) onCutDone(d cutDone) {
 			// or a restart would face a gap below the retained base.
 			c.cfg.WAL.TruncateTo(floor)
 		}
-		c.updateLogMirrors()
+		c.publishLog(d.dur, end)
 		res.TruncatedOps = int64(dropped)
-		if res.Cut && !res.Persisted && c.cfg.Snapshots.Dir() != "" {
-			// The fold succeeded but the durable write did not: let the
-			// same version be cut again (an operator retrying
-			// POST /admin/snapshot after fixing the disk must not get a
-			// Cut=false no-op while nothing is durable at this version).
-			c.lastSnapVersion = c.cutPrevVersion
-		}
 	}
-	for _, ch := range c.cutWaiters {
+	for _, ch := range waiters {
 		ch <- res
 	}
-	c.cutWaiters = nil
-	if !c.cutAgain && len(c.nextCutWaiters) == 0 {
-		return
-	}
-	c.cutAgain = false
-	waiters := c.nextCutWaiters
-	c.nextCutWaiters = nil
-	if view := c.curView.Load(); view.Version() == c.lastSnapVersion {
-		noop := snapshot.Result{Version: view.Version(), Vertices: view.NumVertices(), Edges: view.NumEdges()}
-		for _, ch := range waiters {
-			ch <- noop
-		}
-		return
-	}
-	c.cutWaiters = waiters
-	c.startCut(c.cfg.Clock())
+	c.maybeCheckpoint(c.cfg.Clock())
 }
 
-// updateLogMirrors publishes the log's size for concurrent /stats readers.
-func (c *Controller) updateLogMirrors() {
-	c.logLen.Store(int64(c.deltaLog.Len()))
-	c.logOps.Store(int64(c.deltaLog.Ops()))
-	c.logBytes.Store(c.deltaLog.Bytes())
+// publishLog publishes the op log's size for concurrent readers (/stats,
+// /metrics), and a landed cut's duration and completion time when end is
+// set.
+func (c *Controller) publishLog(dur time.Duration, end time.Time) {
+	st := *c.logStats.Load()
+	st.DeltaLogLen, st.DeltaLogOps, st.DeltaLogBytes = c.deltaLog.Len(), c.deltaLog.Ops(), c.deltaLog.Bytes()
+	if !end.IsZero() {
+		st.LastCutMS, st.LastCutUnixNS = float64(dur)/float64(time.Millisecond), end.UnixNano()
+	}
+	c.logStats.Store(&st)
 }

@@ -10,7 +10,9 @@
 // Each query's side of the hybrid barrier is a round (barrier.go): the
 // workers a superstep involves, the reports it awaits, the solo rule and
 // the termination rules, as transitions with no I/O and no clock. The
-// controller sends what the rounds decide.
+// commit pipeline, from Mutate to the checkpoint cut, has the same shape
+// (commits in delta.go and checkpoint.go). The controller sends what they
+// decide.
 //
 // The controller is a single event loop; all state is confined to the Run
 // goroutine.
@@ -18,6 +20,7 @@ package controller
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -340,34 +343,20 @@ type Controller struct {
 	// Streaming graph updates (internal/delta). curView is the committed
 	// graph: stored only by the event loop (one whole batch at a time),
 	// loaded by it and by concurrent readers (Schedule validation, the
-	// serving layer). Its Version() is the committed graph version.
-	curView     atomic.Pointer[delta.View]
-	onCommit    atomic.Pointer[func(version uint64, blocks []int32)]
-	pendingOps  []delta.Op
-	pendingMuts []pendingMut
-	pendingNewV int // AddVertex ops staged (range validation)
-	firstOpAt   time.Time
-	// Off-barrier commit state. pins counts the active queries pinned at
-	// each committed version (every entry of queries holds exactly one pin,
-	// taken by pin and released by unpin); mvcc publishes the numbers
-	// derived from it for concurrent readers, the way health does. sealed
-	// is the FIFO of batches sealed — version assigned, enqueued to the WAL
-	// group committer — but not yet durable+applied; sealedHead is the last
-	// sealed version (applies trail it by len(sealed)). walAckCh delivers
-	// group-commit completions into the event loop; durableQ buffers
-	// completions that land mid-recovery (applying would move the version
-	// under the round's PartitionAck equality check), drained at resume.
-	// ackVersion tracks each worker's last DeltaAck for replication-lag
-	// accounting.
-	pins            map[uint64]int
-	mvcc            atomic.Pointer[MVCCStats]
-	sealed          []*sealedBatch
-	sealedHead      uint64
-	walAckCh        chan wal.AppendAck
-	durableQ        []wal.AppendAck
-	sealedInFlight  atomic.Int64
-	minAckedVersion atomic.Uint64
-	ackVersion      []uint64
+	// serving layer). commits is the pipeline from Mutate to the checkpoint
+	// cut, fed group-commit completions by walAckCh and the cutter's report
+	// by cutCh. pins counts the queries pinned at each version (each active
+	// query holds one). Concurrent readers see the published mvcc and
+	// logStats (the op log and the last cut), never the loop's fields.
+	curView    atomic.Pointer[delta.View]
+	onCommit   atomic.Pointer[func(version uint64, blocks []int32)]
+	commits    commits
+	walAckCh   chan wal.AppendAck
+	cutCh      chan cutDone
+	pins       map[uint64]int
+	ackVersion []uint64 // each worker's last DeltaAck (MVCCStats.MaxWorkerLag)
+	mvcc       atomic.Pointer[MVCCStats]
+	logStats   atomic.Pointer[snapshot.Stats]
 
 	// Worker liveness. missedPings[w] counts heartbeat probes since w's
 	// last answer; past the limit the worker is declared dead and a
@@ -396,43 +385,6 @@ type Controller struct {
 	epDied   map[partition.WorkerID]bool
 	deltaLog delta.Log
 
-	// Checkpointing (internal/snapshot). The committed view is folded into
-	// a versioned snapshot — by policy at commit time, or on demand — and
-	// the log truncated to the ops newer than the durable checkpoint, so
-	// recovery and restart replay O(recent) instead of O(history).
-	// snapOps/snapBytes accumulate committed log growth since the last
-	// cut; the atomic log mirrors serve concurrent /stats readers.
-	//
-	// Cuts run OFF the commit path: a commit only pins the
-	// immutable committed view (O(1)) and a background cutter goroutine
-	// materializes and persists it, reporting back through cutCh so the
-	// event loop truncates the delta log and WAL — the O(V+E) fold never
-	// stalls a commit. At most one cut is in flight; triggers and manual
-	// requests arriving meanwhile queue one follow-up cut.
-	snapOps         int
-	snapBytes       int64
-	lastSnapAt      time.Time
-	lastSnapVersion uint64
-	logLen          atomic.Int64
-	logOps          atomic.Int64
-	logBytes        atomic.Int64
-	cutCh           chan cutDone
-	cutInFlight     bool
-	cutAgain        bool
-	cutWaiters      []chan snapshot.Result
-	nextCutWaiters  []chan snapshot.Result
-	// Abort rollback state: what the policy accounting looked like when
-	// the in-flight cut pinned its view.
-	cutPrevVersion uint64
-	cutPrevAt      time.Time
-	cutPinnedOps   int
-	cutPinnedBytes int64
-	lastCutNanos   atomic.Int64
-	// lastCutUnixNS mirrors the completion wall time of the newest durable
-	// cut for concurrent readers (/healthz lag, /metrics); 0 before the
-	// first cut.
-	lastCutUnixNS atomic.Int64
-
 	// qcutRunning covers a plan from the pull of its statistics to Q-cut's
 	// result; pull is the pull in flight (nil when none), pullSeq the last
 	// pull's sequence number.
@@ -458,16 +410,10 @@ type Controller struct {
 
 	scheduleCh   chan scheduleReq
 	snapshotCh   chan snapshotReq
-	checkpointCh chan checkpointReq
+	checkpointCh chan chan snapshot.Result // ForceSnapshot's replies
 	mutateCh     chan mutateReq
 	stopCh       chan struct{}
 	doneCh       chan struct{}
-}
-
-// checkpointReq asks the event loop to cut a checkpoint now (the manual
-// trigger behind POST /admin/snapshot).
-type checkpointReq struct {
-	ch chan snapshot.Result
 }
 
 // windowEntry is all the global view holds about a finished query; it is
@@ -486,16 +432,20 @@ func New(cfg Config, conn transport.Conn) (*Controller, error) {
 		return nil, err
 	}
 	c := &Controller{
-		cfg:          cfg,
-		conn:         conn,
-		owner:        cfg.Owner.Clone(),
-		vertCount:    make([]int64, cfg.K),
-		queries:      make(map[query.ID]*qctl),
-		byQ:          make(map[query.ID]*windowEntry),
-		pins:         make(map[uint64]int),
-		sealedHead:   cfg.BaseVersion,
+		cfg:       cfg,
+		conn:      conn,
+		owner:     cfg.Owner.Clone(),
+		vertCount: make([]int64, cfg.K),
+		queries:   make(map[query.ID]*qctl),
+		byQ:       make(map[query.ID]*windowEntry),
+		commits: commits{
+			maxBatchOps: cfg.MaxBatchOps, commitEvery: cfg.CommitEvery, policy: cfg.SnapshotPolicy,
+			private: cfg.privateSnapshots, onDisk: cfg.Snapshots.Dir() != "",
+			head: cfg.BaseVersion, lastSnapAt: cfg.Clock(), lastSnapVersion: cfg.BaseVersion,
+		},
 		walAckCh:     make(chan wal.AppendAck, 2*maxSealedInFlight),
-		ackVersion:   make([]uint64, cfg.K),
+		pins:         make(map[uint64]int),
+		ackVersion:   slices.Repeat([]uint64{cfg.BaseVersion}, cfg.K),
 		missedPings:  make([]int, cfg.K),
 		deadWorkers:  make(map[partition.WorkerID]bool),
 		epDied:       make(map[partition.WorkerID]bool),
@@ -503,7 +453,7 @@ func New(cfg Config, conn transport.Conn) (*Controller, error) {
 		cutCh:        make(chan cutDone, 1),
 		scheduleCh:   make(chan scheduleReq, 64),
 		snapshotCh:   make(chan snapshotReq),
-		checkpointCh: make(chan checkpointReq),
+		checkpointCh: make(chan chan snapshot.Result),
 		mutateCh:     make(chan mutateReq, 64),
 		stopCh:       make(chan struct{}),
 		doneCh:       make(chan struct{}),
@@ -511,10 +461,6 @@ func New(cfg Config, conn transport.Conn) (*Controller, error) {
 	for _, w := range cfg.Owner {
 		c.vertCount[w]++
 	}
-	for w := range c.ackVersion {
-		c.ackVersion[w] = cfg.BaseVersion
-	}
-	c.minAckedVersion.Store(cfg.BaseVersion)
 	if err := c.deltaLog.Rebase(cfg.BaseVersion); err != nil {
 		return nil, fmt.Errorf("controller: %w", err)
 	}
@@ -525,11 +471,10 @@ func New(cfg Config, conn transport.Conn) (*Controller, error) {
 		return nil, fmt.Errorf("controller: wal head %d != base version %d (replay the tail and rebase before starting)",
 			cfg.WAL.Head(), cfg.BaseVersion)
 	}
-	c.lastSnapVersion = cfg.BaseVersion
-	c.lastSnapAt = cfg.Clock()
 	c.phaseStart = cfg.Clock()
 	c.curView.Store(delta.NewViewAt(cfg.Graph, cfg.BaseVersion))
 	c.publishMVCC()
+	c.logStats.Store(&snapshot.Stats{}) // the rebased log is empty
 	c.health.Store(&Health{})
 	c.obs = newCtlObs(c)
 	return c, nil
@@ -624,14 +569,14 @@ func (c *Controller) RecoveryStats() recovery.Stats { return c.recCtr.Snapshot()
 // Result with Cut=false means the current version was already
 // checkpointed (or the cut was aborted by fault injection).
 func (c *Controller) ForceSnapshot() (snapshot.Result, error) {
-	req := checkpointReq{ch: make(chan snapshot.Result, 1)}
+	ch := make(chan snapshot.Result, 1)
 	select {
-	case c.checkpointCh <- req:
+	case c.checkpointCh <- ch:
 	case <-c.doneCh:
 		return snapshot.Result{}, fmt.Errorf("controller: stopped")
 	}
 	select {
-	case res := <-req.ch:
+	case res := <-ch:
 		return res, nil
 	case <-c.doneCh:
 		return snapshot.Result{}, fmt.Errorf("controller: stopped")
@@ -642,12 +587,9 @@ func (c *Controller) ForceSnapshot() (snapshot.Result, error) {
 // the committed-op log. Safe to call concurrently with Run; the serving
 // layer surfaces it in /stats.
 func (c *Controller) SnapshotStats() snapshot.Stats {
-	st := c.cfg.Snapshots.Stats()
-	st.DeltaLogLen = int(c.logLen.Load())
-	st.DeltaLogOps = int(c.logOps.Load())
-	st.DeltaLogBytes = c.logBytes.Load()
-	st.LastCutMS = float64(c.lastCutNanos.Load()) / float64(time.Millisecond)
-	st.LastCutUnixNS = c.lastCutUnixNS.Load()
+	st, l := c.cfg.Snapshots.Stats(), c.logStats.Load()
+	st.DeltaLogLen, st.DeltaLogOps, st.DeltaLogBytes = l.DeltaLogLen, l.DeltaLogOps, l.DeltaLogBytes
+	st.LastCutMS, st.LastCutUnixNS = l.LastCutMS, l.LastCutUnixNS
 	return st
 }
 
@@ -684,14 +626,7 @@ type MVCCStats struct {
 
 // MVCCStats reports the commit pipeline's multi-version accounting. Safe
 // to call concurrently with Run; the serving layer surfaces it in /stats.
-func (c *Controller) MVCCStats() MVCCStats {
-	st := *c.mvcc.Load()
-	st.SealedInFlight = c.sealedInFlight.Load()
-	if v, acked := c.GraphVersion(), c.minAckedVersion.Load(); v > acked {
-		st.MaxWorkerLag = v - acked
-	}
-	return st
-}
+func (c *Controller) MVCCStats() MVCCStats { return *c.mvcc.Load() }
 
 // pin points ctl at the committed version: the one every worker replica
 // is at when the ExecuteQuery that follows reaches it (per-link FIFO), and
@@ -711,12 +646,12 @@ func (c *Controller) unpin(ctl *qctl) {
 	c.publishMVCC()
 }
 
-// publishMVCC snapshots the pin counts for concurrent readers; called on
-// every pin, unpin and commit. Everything is derived: a version is live
-// while it is the latest or pinned, and every other version committed
-// since BaseVersion is retired.
+// publishMVCC snapshots the pin counts, the sealed FIFO and the live
+// replicas' acks for concurrent readers; called whenever one changes.
+// Everything is derived: a version is live while it is the latest or
+// pinned, and every other version committed since BaseVersion is retired.
 func (c *Controller) publishMVCC() {
-	st := &MVCCStats{Latest: c.GraphVersion(), Live: len(c.pins)}
+	st := &MVCCStats{Latest: c.GraphVersion(), Live: len(c.pins), SealedInFlight: int64(len(c.commits.sealed))}
 	if c.pins[st.Latest] == 0 {
 		st.Live++
 	}
@@ -729,6 +664,13 @@ func (c *Controller) publishMVCC() {
 		st.OldestPinned = oldest
 	}
 	st.Retired = st.Latest - c.cfg.BaseVersion + 1 - uint64(st.Live)
+	acked := st.Latest
+	for w, v := range c.ackVersion {
+		if !c.deadWorkers[partition.WorkerID(w)] {
+			acked = min(acked, v)
+		}
+	}
+	st.MaxWorkerLag = st.Latest - acked
 	st.Peak = st.Live
 	if prev := c.mvcc.Load(); prev != nil {
 		st.Peak = max(prev.Peak, st.Live)
@@ -791,6 +733,12 @@ func (c *Controller) Run() error {
 			case req := <-c.mutateCh:
 				req.ch <- MutationResult{Err: fmt.Errorf("controller: stopped")}
 			default:
+				if c.commits.cut != nil {
+					// The cutter may still be writing into the store's
+					// directory: a restart over it, or its removal, must
+					// not race the rename and the pruning.
+					<-c.cutCh
+				}
 				return
 			}
 		}
@@ -812,8 +760,8 @@ func (c *Controller) Run() error {
 			}
 		case req := <-c.snapshotCh:
 			c.pullStats(false, req.ch)
-		case req := <-c.checkpointCh:
-			c.requestCheckpoint(req.ch)
+		case ch := <-c.checkpointCh:
+			c.requestCheckpoint(ch)
 		case done := <-c.cutCh:
 			c.onCutDone(done)
 		case req := <-c.mutateCh:
@@ -852,17 +800,16 @@ func (c *Controller) failActive() {
 // never left the controller, while a sealed batch was enqueued to the WAL
 // and may already be durable, just never acknowledged.
 func (c *Controller) failMutations(pendingErr, commitErr error) {
-	for _, pm := range c.pendingMuts {
+	for _, pm := range c.commits.muts {
 		pm.ch <- MutationResult{Err: pendingErr}
 	}
-	for _, sb := range c.sealed {
+	for _, sb := range c.commits.sealed {
 		for _, pm := range sb.muts {
 			pm.ch <- MutationResult{Err: commitErr}
 		}
 	}
-	c.sealed, c.durableQ = nil, nil
-	c.sealedInFlight.Store(0)
-	c.pendingOps, c.pendingMuts, c.pendingNewV, c.firstOpAt = nil, nil, 0, time.Time{}
+	c.commits.fail()
+	c.publishMVCC()
 }
 
 func (c *Controller) handle(env transport.Envelope) error {

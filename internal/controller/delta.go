@@ -9,6 +9,8 @@ import (
 	"qgraph/internal/faultpoint"
 	"qgraph/internal/partition"
 	"qgraph/internal/protocol"
+	recovery "qgraph/internal/recover"
+	"qgraph/internal/snapshot"
 	"qgraph/internal/wal"
 )
 
@@ -32,12 +34,172 @@ import (
 // bigger next batch.
 const maxSealedInFlight = 128
 
-// sealedBatch is one commit in flight: sealed (version assigned, handed to
-// the WAL group committer) but not yet durable and applied.
+// commits is the commit pipeline, from Mutate to apply and on to the
+// checkpoint cut. Its transitions (here and in checkpoint.go) read nothing
+// but it and their arguments — no connection, channel, goroutine, clock or
+// instrument — and only they assign its fields.
+type commits struct {
+	maxBatchOps int
+	commitEvery time.Duration
+	policy      snapshot.Policy
+	private     bool // Config.privateSnapshots: a cut never truncates the log
+	onDisk      bool // the store persists to a directory, where a cut can fail
+
+	ops     []delta.Op // staged for muts' callers
+	muts    []pendingMut
+	newV    int       // vertices the staged ops add
+	firstAt time.Time // when the first staged op arrived
+	// sealed holds the batches sealed and not yet applied, in version
+	// order, head the last sealed version. Completions arrive in version
+	// order, so the durable batches are a prefix of the FIFO.
+	sealed []*sealedBatch
+	head   uint64
+	// Log growth since the last cut, and its time and version.
+	snapOps         int
+	snapBytes       int64
+	lastSnapAt      time.Time
+	lastSnapVersion uint64
+	cut             *cutPin                // the cut in flight, nil when none
+	next            []chan snapshot.Result // requests for the next cut
+}
+
+// sealedBatch is one commit in flight: sealed, durable once its group
+// commit completed, and not yet applied.
 type sealedBatch struct {
 	batch    *protocol.DeltaBatch
 	muts     []pendingMut
 	sealedAt time.Time
+	durable  bool
+}
+
+// stage validates ops against the staged future — the n committed
+// vertices plus every vertex an earlier staged or sealed op will add — and
+// stages them for ch.
+func (p *commits) stage(ops []delta.Op, ch chan<- MutationResult, n int, now time.Time) error {
+	n += p.newV
+	for _, sb := range p.sealed {
+		n += len(sb.batch.NewOwners)
+	}
+	nAfter := n
+	var err error
+	for i, op := range ops {
+		if nAfter, err = op.Validate(nAfter); err != nil {
+			return fmt.Errorf("op %d: %w", i, err)
+		}
+	}
+	p.ops = append(p.ops, ops...)
+	p.newV += nAfter - n
+	p.muts = append(p.muts, pendingMut{n: len(ops), ch: ch})
+	if p.firstAt.IsZero() {
+		p.firstAt = now
+	}
+	return nil
+}
+
+// due says whether the staged batch seals at now: it is big or old
+// enough, no recovery round is resolving who is alive (new-vertex
+// placement and the round's version-equality check both depend on it),
+// and the in-flight cap leaves room.
+func (p *commits) due(now time.Time, recovering bool) bool {
+	if len(p.ops) == 0 || recovering || len(p.sealed) >= maxSealedInFlight {
+		return false
+	}
+	return len(p.ops) >= p.maxBatchOps || now.Sub(p.firstAt) >= p.commitEvery
+}
+
+// seal seals the staged ops into version head+1 at now, placing each
+// AddVertex on the least-loaded worker not in dead, counting vertCount and
+// the vertices earlier sealed batches will add.
+func (p *commits) seal(vertCount []int64, dead map[partition.WorkerID]bool, now time.Time) *sealedBatch {
+	var owners []partition.WorkerID
+	counts := slices.Clone(vertCount)
+	for _, sb := range p.sealed {
+		for _, o := range sb.batch.NewOwners {
+			counts[o]++
+		}
+	}
+	for _, op := range p.ops {
+		if op.Kind != delta.OpAddVertex {
+			continue
+		}
+		best := -1
+		for w := range counts {
+			if !dead[partition.WorkerID(w)] && (best < 0 || counts[w] < counts[best]) {
+				best = w
+			}
+		}
+		owners = append(owners, partition.WorkerID(best))
+		counts[best]++
+	}
+	p.head++
+	sb := &sealedBatch{
+		batch:    &protocol.DeltaBatch{Version: p.head, Ops: p.ops, NewOwners: owners},
+		muts:     p.muts,
+		sealedAt: now,
+	}
+	p.sealed = append(p.sealed, sb)
+	p.ops, p.muts, p.newV, p.firstAt = nil, nil, 0, time.Time{}
+	return sb
+}
+
+// durable marks the batch at version durable. Completions arrive in
+// version order, so it must be the oldest batch not yet durable.
+func (p *commits) durable(version uint64) error {
+	want := p.head + 1
+	if i := slices.IndexFunc(p.sealed, func(sb *sealedBatch) bool { return !sb.durable }); i >= 0 {
+		if want = p.sealed[i].batch.Version; want == version {
+			p.sealed[i].durable = true
+			return nil
+		}
+	}
+	return fmt.Errorf("controller: wal acked version %d, expected %d", version, want)
+}
+
+// ready is the batch to apply next: the head of the FIFO once durable, and
+// none while a recovery round holds the committed version still.
+func (p *commits) ready(holding bool) *sealedBatch {
+	if holding || len(p.sealed) == 0 || !p.sealed[0].durable {
+		return nil
+	}
+	return p.sealed[0]
+}
+
+// applied retires the head batch, which applied with the per-op statuses
+// and grew the op log by grew bytes, and splits the statuses into each
+// caller's result.
+func (p *commits) applied(statuses []delta.OpStatus, grew int64) []MutationResult {
+	sb := p.sealed[0]
+	p.sealed = p.sealed[1:]
+	p.snapOps += len(sb.batch.Ops)
+	p.snapBytes += grew
+	res := make([]MutationResult, len(sb.muts))
+	for i, pm := range sb.muts {
+		noops := 0
+		for _, st := range statuses[:pm.n] {
+			if st == delta.OpNoOp {
+				noops++
+			}
+		}
+		res[i] = MutationResult{Version: sb.batch.Version, Applied: pm.n - noops, NoOps: noops}
+		statuses = statuses[pm.n:]
+	}
+	return res
+}
+
+// remap moves the new vertices of every sealed batch off the workers lost
+// names: the batch may already be durable in the WAL, but its placement
+// must land on workers that still exist.
+func (p *commits) remap(vertCount []int64, lost func(partition.WorkerID) bool) {
+	for _, sb := range p.sealed {
+		recovery.RemapOwners(sb.batch.NewOwners, vertCount, lost)
+	}
+}
+
+// fail drops every staged and sealed batch; failMutations has answered
+// their callers.
+func (p *commits) fail() {
+	p.sealed = nil
+	p.ops, p.muts, p.newV, p.firstAt = nil, nil, 0, time.Time{}
 }
 
 // onMutate validates and stages one client batch. During a recovery
@@ -48,108 +210,35 @@ func (c *Controller) onMutate(req mutateReq) {
 		req.ch <- MutationResult{Err: fmt.Errorf("controller: degraded (no live workers)")}
 		return
 	}
-	// Range-validate against the staged future: committed view plus every
-	// vertex an earlier staged or sealed op will add.
-	n := c.curView.Load().NumVertices() + c.pendingNewV
-	for _, sb := range c.sealed {
-		n += len(sb.batch.NewOwners)
+	now := c.cfg.Clock()
+	if err := c.commits.stage(req.ops, req.ch, c.curView.Load().NumVertices(), now); err != nil {
+		req.ch <- MutationResult{Err: err}
+		return
 	}
-	nAfter := n
-	var err error
-	for i, op := range req.ops {
-		if nAfter, err = op.Validate(nAfter); err != nil {
-			req.ch <- MutationResult{Err: fmt.Errorf("op %d: %w", i, err)}
-			return
-		}
-	}
-	c.pendingOps = append(c.pendingOps, req.ops...)
-	c.pendingNewV += nAfter - n
-	c.pendingMuts = append(c.pendingMuts, pendingMut{n: len(req.ops), ch: req.ch})
-	if c.firstOpAt.IsZero() {
-		c.firstOpAt = c.cfg.Clock()
-	}
-	c.maybeCommit(c.cfg.Clock())
+	c.maybeCommit(now)
 }
 
-// maybeCommit seals the staged batch once it is old or big enough.
+// maybeCommit seals the staged batch once it is due and hands it to the
+// WAL group committer; application happens when the shared fsync acks
+// through walAckCh. Without a WAL there is nothing to wait for — a
+// synthetic completion rides the same channel so the apply path (and its
+// fatal-error handling) stays single.
 func (c *Controller) maybeCommit(now time.Time) {
-	if c.terminal || len(c.pendingOps) == 0 {
+	if c.terminal || !c.commits.due(now, c.phase == phaseRecover) {
 		return
 	}
-	if len(c.pendingOps) < c.cfg.MaxBatchOps && now.Sub(c.firstOpAt) < c.cfg.CommitEvery {
-		return
-	}
-	// Sealing needs no barrier, but recovery is still resolving who is
-	// alive (new-vertex placement and the round's version-equality check
-	// both depend on it), and the in-flight cap bounds queued fsyncs.
-	if c.phase == phaseRecover || len(c.sealed) >= maxSealedInFlight {
-		return
-	}
-	c.seal()
-}
-
-// assignNewOwners places each AddVertex of ops on the least-loaded live
-// worker, counting vertices that earlier sealed-but-unapplied batches will
-// add.
-func (c *Controller) assignNewOwners(ops []delta.Op) []partition.WorkerID {
-	var owners []partition.WorkerID
-	counts := append([]int64(nil), c.vertCount...)
-	for _, sb := range c.sealed {
-		for _, o := range sb.batch.NewOwners {
-			counts[o]++
-		}
-	}
-	for _, op := range ops {
-		if op.Kind != delta.OpAddVertex {
-			continue
-		}
-		best := -1
-		for w := 0; w < c.cfg.K; w++ {
-			if c.deadWorkers[partition.WorkerID(w)] {
-				continue
-			}
-			if best < 0 || counts[w] < counts[best] {
-				best = w
-			}
-		}
-		owners = append(owners, partition.WorkerID(best))
-		counts[best]++
-	}
-	return owners
-}
-
-// seal seals the staged ops into version sealedHead+1 and hands
-// the batch to the WAL group committer; application happens when the
-// shared fsync acks through walAckCh. Without a WAL there is nothing to
-// wait for — a synthetic completion rides the same channel so the apply
-// path (and its fatal-error handling) stays single.
-func (c *Controller) seal() {
-	owners := c.assignNewOwners(c.pendingOps)
-	c.sealedHead++
-	sb := &sealedBatch{
-		batch: &protocol.DeltaBatch{
-			Version:   c.sealedHead,
-			Ops:       c.pendingOps,
-			NewOwners: owners,
-		},
-		muts:     c.pendingMuts,
-		sealedAt: c.cfg.Clock(),
-	}
-	c.sealed = append(c.sealed, sb)
-	c.sealedInFlight.Store(int64(len(c.sealed)))
-	c.pendingOps, c.pendingMuts, c.pendingNewV, c.firstOpAt = nil, nil, 0, time.Time{}
+	b := c.commits.seal(c.vertCount, c.deadWorkers, now).batch
+	c.publishMVCC()
 	if c.cfg.WAL != nil {
-		c.cfg.WAL.Enqueue(sb.batch.Version, sb.batch.Ops, c.walAckCh)
+		c.cfg.WAL.Enqueue(b.Version, b.Ops, c.walAckCh)
 		return
 	}
-	c.walAckCh <- wal.AppendAck{Version: sb.batch.Version, GroupSize: 1, First: true}
+	c.walAckCh <- wal.AppendAck{Version: b.Version, GroupSize: 1, First: true}
 }
 
 // onWalAck receives one group-commit completion in the event loop: the
-// batch at the head of the sealed FIFO is durable (acks arrive in version
-// order) and can be applied — unless a recovery round is holding the
-// committed version still, in which case the completion queues until
-// resume.
+// next batch of the sealed FIFO is durable, and every durable batch at its
+// head applies.
 func (c *Controller) onWalAck(ack wal.AppendAck) error {
 	if ack.Err != nil {
 		// The WAL could not make the batch durable (or closed under us).
@@ -158,7 +247,7 @@ func (c *Controller) onWalAck(ack wal.AppendAck) error {
 		// explicit errors from the shutdown path.
 		return fmt.Errorf("controller: wal append version %d: %w", ack.Version, ack.Err)
 	}
-	if c.terminal || len(c.sealed) == 0 {
+	if c.terminal {
 		// Terminal teardown already failed the sealed callers: the batch is
 		// durable but will never be acknowledged (a restart may recover it,
 		// which the contract allows — durable-but-unacked may survive).
@@ -169,40 +258,36 @@ func (c *Controller) onWalAck(ack wal.AppendAck) error {
 		co.walFsyncCount.Inc()
 		co.fsyncBatchSize.Observe(float64(ack.GroupSize))
 	}
-	if c.phase == phaseRecover {
-		// Applying would move the committed version mid-round, under the
-		// PartitionAck equality check; resume drains the queue once the
-		// live set settled.
-		c.durableQ = append(c.durableQ, ack)
-		return nil
+	if err := c.commits.durable(ack.Version); err != nil {
+		return err
 	}
-	return c.applyDurable(ack)
+	return c.applyDurable()
 }
 
-// drainDurable applies completions buffered during a recovery round.
-// Called from resume, after restarted queries re-pinned the recovered
-// version — per-link FIFO then guarantees their ExecuteQuery precedes
-// these batches' DeltaBatch broadcasts on every link.
-func (c *Controller) drainDurable() error {
-	for len(c.durableQ) > 0 {
-		ack := c.durableQ[0]
-		c.durableQ = c.durableQ[1:]
-		if err := c.applyDurable(ack); err != nil {
+// applyDurable applies every durable batch at the head of the sealed
+// FIFO, unless a recovery round holds the committed version still:
+// applying would move it under the round's PartitionAck equality check.
+// resume calls it again once the live set settled.
+func (c *Controller) applyDurable() error {
+	for {
+		sb := c.commits.ready(c.phase == phaseRecover)
+		if sb == nil {
+			break
+		}
+		if err := c.apply(sb); err != nil {
 			return err
 		}
 	}
+	// A seal may have been held back by the in-flight cap.
+	c.maybeCommit(c.cfg.Clock())
 	return nil
 }
 
-// applyDurable applies the durable head of the sealed FIFO: advance the
-// committed view, broadcast the batch off-barrier, and acknowledge the
-// callers. Running queries are untouched — each keeps the view of the
-// version it was pinned at.
-func (c *Controller) applyDurable(ack wal.AppendAck) error {
-	sb := c.sealed[0]
-	if sb.batch.Version != ack.Version {
-		return fmt.Errorf("controller: wal acked version %d, expected %d", ack.Version, sb.batch.Version)
-	}
+// apply applies the durable head of the sealed FIFO: advance the committed
+// view, broadcast the batch off-barrier, and acknowledge the callers.
+// Running queries are untouched — each keeps the view of the version it
+// was pinned at.
+func (c *Controller) apply(sb *sealedBatch) error {
 	batch := sb.batch
 	nv, statuses, err := c.curView.Load().Apply(batch.Ops)
 	if err != nil {
@@ -216,7 +301,6 @@ func (c *Controller) applyDurable(ack wal.AppendAck) error {
 		(*fn)(batch.Version, fromBlocks(batch.Ops))
 	}
 	c.curView.Store(nv)
-	c.publishMVCC()
 	preBytes := c.deltaLog.Bytes()
 	if err := c.deltaLog.Append(batch.Version, batch.Ops); err != nil {
 		// Impossible: versions apply contiguously from this one loop.
@@ -231,11 +315,9 @@ func (c *Controller) applyDurable(ack wal.AppendAck) error {
 	}
 	// Past the last fatal exit: the batch leaves the FIFO and its callers
 	// get acknowledged.
-	c.sealed = c.sealed[1:]
-	c.sealedInFlight.Store(int64(len(c.sealed)))
-	c.snapOps += len(batch.Ops)
-	c.snapBytes += c.deltaLog.Bytes() - preBytes
-	c.updateLogMirrors()
+	results := c.commits.applied(statuses, c.deltaLog.Bytes()-preBytes)
+	c.publishMVCC()
+	c.publishLog(0, time.Time{})
 	c.maybeCheckpoint(c.cfg.Clock())
 	c.owner = append(c.owner, batch.NewOwners...)
 	for _, o := range batch.NewOwners {
@@ -246,24 +328,12 @@ func (c *Controller) applyDurable(ack wal.AppendAck) error {
 	// ordering relative to ExecuteQuery on each link is what puts every
 	// worker at exactly the pinned version (see onSchedule).
 	c.broadcast(batch)
-	i := 0
-	for _, pm := range sb.muts {
-		applied, noops := 0, 0
-		for j := 0; j < pm.n; j++ {
-			if statuses[i+j] == delta.OpNoOp {
-				noops++
-			} else {
-				applied++
-			}
-		}
-		i += pm.n
-		pm.ch <- MutationResult{Version: batch.Version, Applied: applied, NoOps: noops}
+	for i, pm := range sb.muts {
+		pm.ch <- results[i]
 	}
 	if co := c.obs; co != nil {
 		co.commitSeconds.Observe(c.cfg.Clock().Sub(sb.sealedAt).Seconds())
 	}
-	// A seal may have been held back by the in-flight cap.
-	c.maybeCommit(c.cfg.Clock())
 	return nil
 }
 
@@ -284,20 +354,8 @@ func fromBlocks(ops []delta.Op) []int32 {
 // never wait for these acks — they only feed replication-lag accounting.
 func (c *Controller) onDeltaAck(m *protocol.DeltaAck) error {
 	if int(m.W) < len(c.ackVersion) && m.Version > c.ackVersion[m.W] {
-		c.recordAck(m.W, m.Version)
+		c.ackVersion[m.W] = m.Version
+		c.publishMVCC()
 	}
 	return nil
-}
-
-// recordAck notes that live worker w's replica is at version v and
-// recomputes the slowest live replica's version (MVCCStats.MaxWorkerLag).
-func (c *Controller) recordAck(w partition.WorkerID, v uint64) {
-	c.ackVersion[w] = v
-	min := v
-	for i, acked := range c.ackVersion {
-		if !c.deadWorkers[partition.WorkerID(i)] && acked < min {
-			min = acked
-		}
-	}
-	c.minAckedVersion.Store(min)
 }

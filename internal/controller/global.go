@@ -158,7 +158,7 @@ func (c *Controller) resume() error {
 	}
 	// Commits that became durable while a recovery round held the version
 	// still apply now: every restarted or deferred query above pinned (and
-	// was broadcast at) the pre-drain version, so per-link FIFO keeps their
-	// pins resolvable under these batches' version bumps.
-	return c.drainDurable()
+	// was broadcast at) the version before them, so per-link FIFO keeps
+	// their pins resolvable under these batches' version bumps.
+	return c.applyDurable()
 }

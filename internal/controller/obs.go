@@ -117,12 +117,12 @@ func newCtlObs(c *Controller) *ctlObs {
 	m.CounterFunc("qgraph_recovery_episodes_total", "", "completed worker-failure recovery episodes",
 		func() float64 { return float64(c.recCtr.Snapshot().Recoveries) })
 	m.GaugeFunc("qgraph_delta_log_ops", "", "committed ops retained in the delta log since the durable checkpoint",
-		func() float64 { return float64(c.logOps.Load()) })
+		func() float64 { return float64(c.logStats.Load().DeltaLogOps) })
 	m.GaugeFunc("qgraph_wal_appended_bytes_total", "", "bytes appended to the durable WAL",
 		func() float64 { return float64(c.WALStats().AppendedBytes) })
 	m.GaugeFunc(`qgraph_snapshot_last_cut_age_seconds`, "", "seconds since the last completed snapshot cut (-1 before the first)",
 		func() float64 {
-			ns := c.lastCutUnixNS.Load()
+			ns := c.logStats.Load().LastCutUnixNS
 			if ns == 0 {
 				return -1
 			}

@@ -33,8 +33,8 @@ import (
 //   - The committed version holds still for the whole round: a batch is
 //     applied and broadcast only after its fsync, so per-link FIFO brings
 //     every live replica to exactly the committed version before RecoverStart
-//     reaches it, and batches that become durable mid-round queue in
-//     durableQ until resume — nothing is ever rolled back.
+//     reaches it, and a batch that becomes durable mid-round is marked so in
+//     the sealed FIFO and applied at resume — nothing is ever rolled back.
 //   - The repartition epoch bumps exactly once per episode (in resume).
 
 // recoverState is the sub-state within phaseRecover.
@@ -154,13 +154,7 @@ func (c *Controller) proceedRecovery() {
 		return c.deadWorkers[w] && !c.rec.Rejoining(w)
 	}
 	recovery.PlanHandoff(c.owner, c.vertCount, lost)
-	for _, sb := range c.sealed {
-		// A batch sealed but not yet applied may have assigned its new
-		// vertices to a worker that is now lost: its ops are already (or
-		// about to be) durable in the WAL, but the placement must land on
-		// workers that still exist.
-		recovery.RemapOwners(sb.batch.NewOwners, c.vertCount, lost)
-	}
+	c.commits.remap(c.vertCount, lost)
 	// One immutable snapshot of the authoritative map, shared by every
 	// message of this round (receivers copy; the controller keeps
 	// mutating c.owner afterwards).
@@ -219,7 +213,8 @@ func (c *Controller) onPartitionAck(m *protocol.PartitionAck) error {
 	// The ack proves w's replica is at the committed version, and the live
 	// set just changed: without this a dead (or rejoined) slowest worker
 	// would pin MaxWorkerLag until the next write.
-	c.recordAck(m.W, m.Version)
+	c.ackVersion[m.W] = m.Version
+	c.publishMVCC()
 	if done {
 		return c.completeRecovery()
 	}

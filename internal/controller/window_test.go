@@ -18,6 +18,14 @@ import (
 // stands still, so one view gives one snapshot.
 func newLoopless(t *testing.T, k int, mut ...func(*Config)) *Controller {
 	t.Helper()
+	c, _ := newLooplessNet(t, k, mut...)
+	return c
+}
+
+// newLooplessNet is newLoopless, with the network whose worker ends hold
+// what the controller sent.
+func newLooplessNet(t *testing.T, k int, mut ...func(*Config)) (*Controller, *transport.ChanNetwork) {
+	t.Helper()
 	g := lineGraph(8)
 	net := transport.NewChanNetwork(k+1, transport.Latency{})
 	t.Cleanup(func() { net.Close() })
@@ -33,7 +41,7 @@ func newLoopless(t *testing.T, k int, mut ...func(*Config)) *Controller {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c
+	return c, net
 }
 
 // finish puts query q into the window, its scope 10 vertices on each worker.

@@ -300,3 +300,61 @@ func TestRestartFromDiskCheckpoint(t *testing.T) {
 		t.Fatalf("post-restart commit landed at version %d, want %d", res.Version, version+1)
 	}
 }
+
+// TestCloseWaitsForTheCutter: Close returns only once the background
+// cutter finished writing into SnapshotDir, so a restart over the same
+// directory, or its removal, cannot race the cut's rename and pruning.
+func TestCloseWaitsForTheCutter(t *testing.T) {
+	defer faultpoint.Reset()
+	cfg := Config{Workers: 2, Graph: pathGraph(10), Partitioner: partition.Hash{}, SnapshotDir: t.TempDir()}
+	fastCommit(&cfg)
+	eng, err := Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutate(t, eng, neutralOps(4))
+
+	// Hold the cutter inside the durable write.
+	block := make(chan struct{})
+	entered := make(chan struct{}, 1)
+	disarm := faultpoint.Arm(faultpoint.SnapshotPersist, func(...int) bool {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		<-block
+		return false
+	})
+	defer disarm()
+	stopped := make(chan error, 1)
+	go func() {
+		_, err := eng.ForceSnapshot() // answered "stopped" once Close stops the controller
+		stopped <- err
+	}()
+	select {
+	case <-entered:
+	case <-time.After(30 * time.Second):
+		t.Fatal("cutter never reached the durable write")
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- eng.Close() }()
+	if err := <-stopped; err == nil {
+		t.Fatal("ForceSnapshot answered while its cut was held")
+	}
+	// The controller has stopped. Nothing marks a Close that returns too
+	// early, so give it the time it needs to.
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned (%v) while the cutter was still writing", err)
+	case <-time.After(300 * time.Millisecond):
+	}
+	close(block)
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("Close never returned after the cutter finished")
+	}
+}
