@@ -72,7 +72,7 @@ func main() {
 	phase("topics B (cold)", 48)
 	phase("topics B (warm)", 48)
 
-	fmt.Printf("\nrepartitions: %d\n", eng.Repartitions())
+	fmt.Printf("\nrepartitions: %d\n", eng.RepartitionEpoch())
 	fmt.Println("note: preferential-attachment graphs have hub entities that sit in almost")
 	fmt.Println("every retrieval scope, so scope-based locality is inherently weaker than on")
 	fmt.Println("road networks — exactly the skewed-degree regime the paper defers to future")

@@ -60,7 +60,7 @@ func main() {
 			name,
 			float64(sum.MeanLatency.Microseconds())/1000,
 			float64(sum.P95.Microseconds())/1000,
-			sum.MeanLocality, eng.Repartitions())
+			sum.MeanLocality, eng.RepartitionEpoch())
 		return sum
 	}
 

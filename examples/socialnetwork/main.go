@@ -108,7 +108,7 @@ func main() {
 	}
 	sum := rec.Summarize()
 	fmt.Printf("\noverall: mean latency %s, mean locality %.2f, %d repartitions\n",
-		sum.MeanLatency.Round(100_000), sum.MeanLocality, eng.Repartitions())
+		sum.MeanLatency.Round(100_000), sum.MeanLocality, eng.RepartitionEpoch())
 }
 
 // queuedSpec pairs a scheduled query with its human-readable kind.

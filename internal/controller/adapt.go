@@ -43,10 +43,10 @@ const (
 func (c *Controller) onTick() {
 	now := c.cfg.Clock()
 	c.heartbeat(now)
-	if c.phase == phaseRecover && c.recState == recWaitHello && !c.rec.Waiting(now) {
+	if c.members.expired(now) {
 		// The respawn hello window expired; hand the partition to the
 		// survivors.
-		c.proceedRecovery()
+		c.planRound()
 	}
 	c.maybeCommit(now)
 	c.maybeCheckpoint(now)
@@ -100,7 +100,7 @@ func (c *Controller) pullStats(plan bool, ch chan qcut.Input) {
 		c.pullSeq++
 		p := &statsPull{
 			seq:     c.pullSeq,
-			waiting: liveSet(c.cfg.K, c.deadWorkers),
+			waiting: liveSet(c.cfg.K, c.members.dead),
 			pairs:   make([][]protocol.IntersectionStat, c.cfg.K),
 		}
 		c.pull = p
@@ -153,7 +153,7 @@ func (c *Controller) lwImbalance() float64 {
 	scope := make([]float64, c.cfg.K)
 	var totalV, totalScope float64
 	for w := 0; w < c.cfg.K; w++ {
-		if c.deadWorkers[partition.WorkerID(w)] {
+		if c.members.dead[partition.WorkerID(w)] {
 			continue
 		}
 		totalV += float64(c.vertCount[w])
@@ -163,7 +163,7 @@ func (c *Controller) lwImbalance() float64 {
 	// normalization scale and under-report the live spread.
 	for _, we := range c.window {
 		for w, sz := range we.sizes {
-			if c.deadWorkers[partition.WorkerID(w)] {
+			if c.members.dead[partition.WorkerID(w)] {
 				continue
 			}
 			scope[w] += float64(sz)
@@ -172,7 +172,7 @@ func (c *Controller) lwImbalance() float64 {
 	}
 	for _, ctl := range c.queries {
 		for w, sz := range ctl.scopeSizes {
-			if c.deadWorkers[partition.WorkerID(w)] {
+			if c.members.dead[partition.WorkerID(w)] {
 				continue
 			}
 			scope[w] += float64(sz)
@@ -189,7 +189,7 @@ func (c *Controller) lwImbalance() float64 {
 	var minL, maxL float64
 	first := true
 	for w := 0; w < c.cfg.K; w++ {
-		if c.deadWorkers[partition.WorkerID(w)] {
+		if c.members.dead[partition.WorkerID(w)] {
 			continue
 		}
 		l := (float64(c.vertCount[w]) + scale*scope[w]) / 2
@@ -230,7 +230,7 @@ func (c *Controller) snapshot(now time.Time, pairs [][]protocol.IntersectionStat
 	// are invisible to Q-cut's balance constraint and move targets.
 	alive := make([]bool, c.cfg.K)
 	for w := 0; w < c.cfg.K; w++ {
-		alive[w] = !c.deadWorkers[partition.WorkerID(w)]
+		alive[w] = !c.members.dead[partition.WorkerID(w)]
 	}
 	maskRow := func(sizes []int64) []int64 {
 		out := append([]int64(nil), sizes...)
@@ -305,7 +305,7 @@ func (c *Controller) onQcutDone(res qcut.Result) {
 	// over the current live set.
 	moves := res.Moves[:0]
 	for _, mv := range res.Moves {
-		if c.deadWorkers[mv.From] || c.deadWorkers[mv.To] {
+		if c.members.dead[mv.From] || c.members.dead[mv.To] {
 			continue
 		}
 		moves = append(moves, mv)

@@ -69,19 +69,19 @@ func TestRecoveryIsNotAPlanForBackoff(t *testing.T) {
 
 	// Worker 0 answers every probe, worker 1 none: it is declared dead and,
 	// with no respawn configured, handed off at once.
-	for i := 0; i < 10 && len(c.deadWorkers) == 0; i++ {
+	for i := 0; i < 10 && len(c.members.dead) == 0; i++ {
 		now = now.Add(c.cfg.HeartbeatEvery)
 		c.onTick()
-		c.onPong(&protocol.Pong{W: 0, Seq: c.pingSeq})
+		c.onPong(&protocol.Pong{W: 0, Seq: c.members.pingSeq})
 	}
-	if !c.deadWorkers[1] || c.phase != phaseRecover {
-		t.Fatalf("dead=%v phase=%d, want worker 1 dead and a recovery round open", c.deadWorkers, c.phase)
+	if !c.members.dead[1] || c.phase != phaseRecover {
+		t.Fatalf("dead=%v phase=%d, want worker 1 dead and a recovery round open", c.members.dead, c.phase)
 	}
-	if err := c.onPartitionAck(&protocol.PartitionAck{W: 0, Gen: c.rec.Gen(), Version: c.GraphVersion()}); err != nil {
+	if err := c.onPartitionAck(&protocol.PartitionAck{W: 0, Gen: c.members.gen, Version: c.GraphVersion()}); err != nil {
 		t.Fatal(err)
 	}
-	if c.phase != phaseRun || c.repartitions != 1 {
-		t.Fatalf("phase=%d repartitions=%d, want recovery complete and counted as one repartition", c.phase, c.repartitions)
+	if c.phase != phaseRun || c.RepartitionEpoch() != 1 {
+		t.Fatalf("phase=%d repartitions=%d, want recovery complete and counted as one repartition", c.phase, c.RepartitionEpoch())
 	}
 
 	// A window of queries that ran 1 superstep in 100 locally.

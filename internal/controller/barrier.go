@@ -209,7 +209,7 @@ func liveSet(k int, dead map[partition.WorkerID]bool) map[partition.WorkerID]boo
 func (c *Controller) onSchedule(req scheduleReq) {
 	spec := req.spec
 	switch {
-	case c.terminal:
+	case c.members.terminal:
 		// Every worker is dead; nothing can ever execute this query.
 		req.refuse(protocol.FinishWorkerLost)
 		return
@@ -283,7 +283,7 @@ func (c *Controller) onCancel(q query.ID) {
 // next. expect maps each receiver to the batch count it must await (nil =
 // zero); drained marks a post-global-barrier resume.
 func (c *Controller) release(ctl *qctl, next map[partition.WorkerID]bool, expect map[partition.WorkerID]int32, drained bool) {
-	solo := ctl.round.release(next, c.deadWorkers, drained)
+	solo := ctl.round.release(next, c.members.dead, drained)
 	ctl.releasedAt = c.cfg.Clock()
 	step := ctl.step + 1
 	c.beginStepSpan(ctl, step)

@@ -174,7 +174,7 @@ func TestCancelDuringRecoveryFinishes(t *testing.T) {
 	c.onSchedule(scheduleReq{spec: query.Spec{ID: 1, Kind: query.KindBFS, Source: 0, Target: graph.NilVertex}, ch: ch})
 	c.onWorkerDead(1)
 	c.onCancel(1)
-	ack := &protocol.PartitionAck{Gen: c.rec.Gen(), W: 0, Version: c.GraphVersion()}
+	ack := &protocol.PartitionAck{Gen: c.members.gen, W: 0, Version: c.GraphVersion()}
 	if err := c.handle(transport.Envelope{From: protocol.WorkerNode(0), Msg: ack}); err != nil {
 		t.Fatal(err)
 	}

@@ -11,8 +11,8 @@
 // workers a superstep involves, the reports it awaits, the solo rule and
 // the termination rules, as transitions with no I/O and no clock. The
 // commit pipeline, from Mutate to the checkpoint cut, has the same shape
-// (commits in delta.go and checkpoint.go). The controller sends what they
-// decide.
+// (commits in delta.go and checkpoint.go), and so do worker liveness and
+// recovery (members in recover.go). The controller sends what they decide.
 //
 // The controller is a single event loop; all state is confined to the Run
 // goroutine.
@@ -33,7 +33,6 @@ import (
 	"qgraph/internal/protocol"
 	"qgraph/internal/qcut"
 	"qgraph/internal/query"
-	recovery "qgraph/internal/recover"
 	"qgraph/internal/snapshot"
 	"qgraph/internal/transport"
 	"qgraph/internal/wal"
@@ -303,18 +302,6 @@ type pendingMut struct {
 	ch chan<- MutationResult
 }
 
-// Health is the controller's liveness self-assessment, surfaced through
-// the serving layer's /healthz. A worker death no longer degrades the
-// engine permanently: Recovering is set while a recovery episode runs,
-// and once it completes the engine is healthy again — DeadWorkers then
-// lists workers whose partitions were permanently handed to survivors.
-// Degraded is terminal: every worker is dead and nothing can recover.
-type Health struct {
-	Degraded    bool  `json:"degraded"`
-	Recovering  bool  `json:"recovering,omitempty"`
-	DeadWorkers []int `json:"dead_workers,omitempty"`
-}
-
 // Controller is the controller-layer event loop.
 type Controller struct {
 	cfg  Config
@@ -358,31 +345,13 @@ type Controller struct {
 	mvcc       atomic.Pointer[MVCCStats]
 	logStats   atomic.Pointer[snapshot.Stats]
 
-	// Worker liveness. missedPings[w] counts heartbeat probes since w's
-	// last answer; past the limit the worker is declared dead and a
-	// recovery episode starts (internal/recover). deadWorkers holds the
-	// fenced set: messages from these workers are dropped until a
-	// WorkerHello readmits them via PartitionGrant.
-	lastPingAt  time.Time
-	pingSeq     int64
-	missedPings []int
-	deadWorkers map[partition.WorkerID]bool
-	health      atomic.Pointer[Health]
-
-	// Worker failure recovery (internal/recover). deltaLog retains every
-	// committed batch so a respawned worker can rebuild its view by
-	// replay. terminal marks the unrecoverable state (no live workers).
-	rec        recovery.Tracker
-	recCtr     recovery.Counters
-	recState   recoverState
-	recovering bool
-	terminal   bool
-	// restartQueries tells resume() to re-execute every active query from
-	// superstep 0 (their pre-recovery state died with the worker).
-	restartQueries bool
-	// epDied collects the workers that died during the current episode,
-	// for the handoff/rejoin accounting when it completes.
-	epDied   map[partition.WorkerID]bool
+	// Worker liveness and failure recovery (recover.go); concurrent
+	// readers see the published health and recovery totals. deltaLog
+	// retains every committed batch since the last checkpoint so a
+	// respawned worker can rebuild its view by replay.
+	members  members
+	health   atomic.Pointer[Health]
+	recovery atomic.Pointer[RecoveryStats]
 	deltaLog delta.Log
 
 	// qcutRunning covers a plan from the pull of its statistics to Q-cut's
@@ -393,10 +362,8 @@ type Controller struct {
 	pullSeq     int64
 	qcutCh      chan qcut.Result
 	lastRepart  time.Time
-	// Repartitions counts executed global barriers (scope moves, recovery).
-	repartitions int
-	// repartEpoch mirrors repartitions atomically so concurrent readers
-	// (/healthz, /stats) can observe partition changes while Run is live.
+	// repartEpoch counts executed global barriers (scope moves, recovery);
+	// concurrent readers (/healthz, /stats) load it while Run is live.
 	repartEpoch atomic.Int64
 	// Trigger backoff: when repartitioning stops improving locality
 	// (e.g. the workload inherently spans workers), the effective cooldown
@@ -446,9 +413,7 @@ func New(cfg Config, conn transport.Conn) (*Controller, error) {
 		walAckCh:     make(chan wal.AppendAck, 2*maxSealedInFlight),
 		pins:         make(map[uint64]int),
 		ackVersion:   slices.Repeat([]uint64{cfg.BaseVersion}, cfg.K),
-		missedPings:  make([]int, cfg.K),
-		deadWorkers:  make(map[partition.WorkerID]bool),
-		epDied:       make(map[partition.WorkerID]bool),
+		members:      newMembers(&cfg),
 		qcutCh:       make(chan qcut.Result, 1),
 		cutCh:        make(chan cutDone, 1),
 		scheduleCh:   make(chan scheduleReq, 64),
@@ -476,6 +441,7 @@ func New(cfg Config, conn transport.Conn) (*Controller, error) {
 	c.publishMVCC()
 	c.logStats.Store(&snapshot.Stats{}) // the rebased log is empty
 	c.health.Store(&Health{})
+	c.recovery.Store(&RecoveryStats{})
 	c.obs = newCtlObs(c)
 	return c, nil
 }
@@ -552,13 +518,6 @@ func (c *Controller) OnCommit(fn func(version uint64, blocks []int32)) { c.onCom
 // snapshot; later commits do not mutate it). Safe to call concurrently
 // with Run.
 func (c *Controller) GraphView() graph.View { return c.curView.Load() }
-
-// Health reports worker liveness. Safe to call concurrently with Run.
-func (c *Controller) Health() Health { return *c.health.Load() }
-
-// RecoveryStats reports the worker-failure recovery counters. Safe to
-// call concurrently with Run; the serving layer surfaces it in /stats.
-func (c *Controller) RecoveryStats() recovery.Stats { return c.recCtr.Snapshot() }
 
 // ForceSnapshot cuts a checkpoint of the committed graph now (the manual
 // trigger behind POST /admin/snapshot) and truncates the committed-op log
@@ -666,7 +625,7 @@ func (c *Controller) publishMVCC() {
 	st.Retired = st.Latest - c.cfg.BaseVersion + 1 - uint64(st.Live)
 	acked := st.Latest
 	for w, v := range c.ackVersion {
-		if !c.deadWorkers[partition.WorkerID(w)] {
+		if !c.members.dead[partition.WorkerID(w)] {
 			acked = min(acked, v)
 		}
 	}
@@ -708,13 +667,8 @@ func (c *Controller) Stop() {
 	<-c.doneCh
 }
 
-// Repartitions returns the number of executed repartitioning barriers.
-// Valid after Run returned.
-func (c *Controller) Repartitions() int { return c.repartitions }
-
 // RepartitionEpoch returns the number of executed repartitioning barriers
-// as a monotone epoch. Unlike Repartitions it is safe to call concurrently
-// with Run.
+// as a monotone epoch. Safe to call concurrently with Run.
 func (c *Controller) RepartitionEpoch() int64 { return c.repartEpoch.Load() }
 
 // Run processes events until Stop is called. It returns the first fatal
@@ -817,7 +771,7 @@ func (c *Controller) handle(env transport.Envelope) error {
 	// WorkerHello readmits it, however falsely the declaration turned out —
 	// its partition is being (or has been) reassigned, so any message it
 	// still emits refers to state that no longer exists.
-	if env.From != protocol.ControllerNode && c.deadWorkers[protocol.WorkerOf(env.From)] {
+	if env.From != protocol.ControllerNode && c.members.dead[protocol.WorkerOf(env.From)] {
 		if m, ok := env.Msg.(*protocol.WorkerHello); ok {
 			c.onWorkerHello(m)
 		}
@@ -875,7 +829,7 @@ func (c *Controller) handle(env transport.Envelope) error {
 // successor is addressed only once readmitted).
 func (c *Controller) broadcast(m protocol.Message) {
 	for w := 0; w < c.cfg.K; w++ {
-		if c.deadWorkers[partition.WorkerID(w)] {
+		if c.members.dead[partition.WorkerID(w)] {
 			continue
 		}
 		c.conn.Send(protocol.WorkerNode(partition.WorkerID(w)), m)
@@ -889,6 +843,3 @@ func (c *Controller) broadcastAll(m protocol.Message) {
 		c.conn.Send(protocol.WorkerNode(partition.WorkerID(w)), m)
 	}
 }
-
-// liveCount is the number of workers barriers and commits must hear from.
-func (c *Controller) liveCount() int { return c.cfg.K - len(c.deadWorkers) }

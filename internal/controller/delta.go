@@ -9,7 +9,6 @@ import (
 	"qgraph/internal/faultpoint"
 	"qgraph/internal/partition"
 	"qgraph/internal/protocol"
-	recovery "qgraph/internal/recover"
 	"qgraph/internal/snapshot"
 	"qgraph/internal/wal"
 )
@@ -122,12 +121,7 @@ func (p *commits) seal(vertCount []int64, dead map[partition.WorkerID]bool, now 
 		if op.Kind != delta.OpAddVertex {
 			continue
 		}
-		best := -1
-		for w := range counts {
-			if !dead[partition.WorkerID(w)] && (best < 0 || counts[w] < counts[best]) {
-				best = w
-			}
-		}
+		best := leastLoaded(counts, dead)
 		owners = append(owners, partition.WorkerID(best))
 		counts[best]++
 	}
@@ -186,12 +180,20 @@ func (p *commits) applied(statuses []delta.OpStatus, grew int64) []MutationResul
 	return res
 }
 
-// remap moves the new vertices of every sealed batch off the workers lost
-// names: the batch may already be durable in the WAL, but its placement
-// must land on workers that still exist.
-func (p *commits) remap(vertCount []int64, lost func(partition.WorkerID) bool) {
+// remap moves the new vertices of every sealed batch off the workers in
+// dead: the batch may already be durable in the WAL, but its placement
+// must land on workers that still exist. It balances as seal does, on
+// vertCount plus every earlier sealed vertex.
+func (p *commits) remap(vertCount []int64, dead map[partition.WorkerID]bool) {
+	counts := slices.Clone(vertCount)
 	for _, sb := range p.sealed {
-		recovery.RemapOwners(sb.batch.NewOwners, vertCount, lost)
+		for i, o := range sb.batch.NewOwners {
+			if dead[o] {
+				o = partition.WorkerID(leastLoaded(counts, dead))
+				sb.batch.NewOwners[i] = o
+			}
+			counts[o]++
+		}
 	}
 }
 
@@ -206,7 +208,7 @@ func (p *commits) fail() {
 // episode the batch stays staged (sealing needs a settled live set) and
 // commits once recovery completes — callers see latency, not failure.
 func (c *Controller) onMutate(req mutateReq) {
-	if c.terminal {
+	if c.members.terminal {
 		req.ch <- MutationResult{Err: fmt.Errorf("controller: degraded (no live workers)")}
 		return
 	}
@@ -224,10 +226,10 @@ func (c *Controller) onMutate(req mutateReq) {
 // synthetic completion rides the same channel so the apply path (and its
 // fatal-error handling) stays single.
 func (c *Controller) maybeCommit(now time.Time) {
-	if c.terminal || !c.commits.due(now, c.phase == phaseRecover) {
+	if c.members.terminal || !c.commits.due(now, c.phase == phaseRecover) {
 		return
 	}
-	b := c.commits.seal(c.vertCount, c.deadWorkers, now).batch
+	b := c.commits.seal(c.vertCount, c.members.dead, now).batch
 	c.publishMVCC()
 	if c.cfg.WAL != nil {
 		c.cfg.WAL.Enqueue(b.Version, b.Ops, c.walAckCh)
@@ -247,7 +249,7 @@ func (c *Controller) onWalAck(ack wal.AppendAck) error {
 		// explicit errors from the shutdown path.
 		return fmt.Errorf("controller: wal append version %d: %w", ack.Version, ack.Err)
 	}
-	if c.terminal {
+	if c.members.terminal {
 		// Terminal teardown already failed the sealed callers: the batch is
 		// durable but will never be acknowledged (a restart may recover it,
 		// which the contract allows — durable-but-unacked may survive).

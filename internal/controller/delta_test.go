@@ -338,7 +338,7 @@ func TestRecoveryHoldsDurableCommits(t *testing.T) {
 	default:
 	}
 
-	ack := &protocol.PartitionAck{Gen: c.rec.Gen(), W: 0, Version: 0}
+	ack := &protocol.PartitionAck{Gen: c.members.gen, W: 0, Version: 0}
 	if err := c.handle(transport.Envelope{From: protocol.WorkerNode(0), Msg: ack}); err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,7 @@ func (c *Controller) maybeStop() {
 	}
 	c.enterPhase(phaseStopping)
 	c.epoch++
-	live := slices.Sorted(maps.Keys(liveSet(c.cfg.K, c.deadWorkers)))
+	live := slices.Sorted(maps.Keys(liveSet(c.cfg.K, c.members.dead)))
 	c.acksLeft = len(live)
 	c.broadcast(&protocol.GlobalStop{Epoch: c.epoch, Live: live})
 }
@@ -108,30 +108,24 @@ func (c *Controller) onMoveAck(m *protocol.MoveAck) error {
 			Epoch: c.epoch, Vertices: c.ownDeltaV, Owners: c.ownDeltaW,
 		})
 	}
-	return c.resume()
+	return c.resume(false)
 }
 
 // resume ends the global barrier: START, re-release every active query to
 // all live workers (scope moves may have relocated pending activations
-// anywhere), and flush deferred schedules. After a recovery episode it
-// first re-executes every active query from superstep 0: the dead worker
-// took its share of their vertex state with it, so the whole query
+// anywhere), and flush deferred schedules. After a recovery round (restart)
+// it first re-executes every active query from superstep 0: the dead
+// worker took its share of their vertex state with it, so the whole query
 // restarts against the recovered partitioning (the caller just waits
 // longer). A query cancelled during the barrier finishes instead, whatever
 // its round was doing when the barrier began.
-func (c *Controller) resume() error {
+func (c *Controller) resume(restart bool) error {
 	c.enterPhase(phaseRun)
 	// Every global barrier rewrote ownership — scope moves, or a recovery
 	// round's handoff — so each one counts as a repartition.
-	c.repartitions++
-	c.repartEpoch.Store(int64(c.repartitions))
+	c.repartEpoch.Add(1)
 	c.broadcast(&protocol.GlobalStart{Epoch: c.epoch})
-	restart := c.restartQueries
-	c.restartQueries = false
-	if c.recovering {
-		c.recovering = false
-		c.publishHealth()
-	}
+	restarted := 0
 	for _, ctl := range c.queries {
 		if ctl.cancelled {
 			// Deleting during range is safe in Go.
@@ -148,8 +142,12 @@ func (c *Controller) resume() error {
 			c.unpin(ctl)
 			c.pin(ctl)
 			c.broadcast(&protocol.ExecuteQuery{Spec: ctl.spec})
+			restarted++
 		}
 		c.release(ctl, nil, nil, true)
+	}
+	if restart {
+		c.recovered(restarted)
 	}
 	deferred := c.deferred
 	c.deferred = nil

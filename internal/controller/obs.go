@@ -115,7 +115,7 @@ func newCtlObs(c *Controller) *ctlObs {
 	m.GaugeFunc("qgraph_repartition_epoch", "", "executed repartitioning barriers",
 		func() float64 { return float64(c.repartEpoch.Load()) })
 	m.CounterFunc("qgraph_recovery_episodes_total", "", "completed worker-failure recovery episodes",
-		func() float64 { return float64(c.recCtr.Snapshot().Recoveries) })
+		func() float64 { return float64(c.RecoveryStats().Recoveries) })
 	m.GaugeFunc("qgraph_delta_log_ops", "", "committed ops retained in the delta log since the durable checkpoint",
 		func() float64 { return float64(c.logStats.Load().DeltaLogOps) })
 	m.GaugeFunc("qgraph_wal_appended_bytes_total", "", "bytes appended to the durable WAL",

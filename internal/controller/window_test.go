@@ -78,7 +78,7 @@ func answer(t *testing.T, c *Controller, pairs ...[]protocol.IntersectionStat) {
 	}
 	seq := c.pull.seq
 	for w := partition.WorkerID(0); int(w) < c.cfg.K; w++ {
-		if c.deadWorkers[w] {
+		if c.members.dead[w] {
 			continue
 		}
 		m := &protocol.StatsReport{Seq: seq, W: w}
@@ -119,11 +119,11 @@ func TestDeadWorkerIntersectionsMasked(t *testing.T) {
 	if got, n := sharedIn(pull(t, c, rows...), 1, 2); got != 7 || n != 1 {
 		t.Fatalf("both workers live: pair listed %d times sharing %d, want once sharing 7", n, got)
 	}
-	c.deadWorkers[0] = true
+	c.members.die(0, c.cfg.Clock())
 	if got, _ := sharedIn(pull(t, c, rows...), 1, 2); got != 4 {
 		t.Fatalf("worker 0 dead: pair shares %d, want worker 1's 4", got)
 	}
-	c.deadWorkers[1] = true
+	c.members.die(1, c.cfg.Clock())
 	if in := pull(t, c, rows...); len(in.Intersections) != 0 {
 		t.Fatalf("no worker live: %+v", in.Intersections)
 	}

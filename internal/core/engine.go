@@ -39,7 +39,6 @@ import (
 	"qgraph/internal/protocol"
 	"qgraph/internal/qcut"
 	"qgraph/internal/query"
-	recovery "qgraph/internal/recover"
 	"qgraph/internal/snapshot"
 	"qgraph/internal/transport"
 	"qgraph/internal/wal"
@@ -522,7 +521,7 @@ func (e *Engine) Health() controller.Health { return e.ctrl.Health() }
 
 // RecoveryStats reports the worker-failure recovery counters (see
 // controller.RecoveryStats).
-func (e *Engine) RecoveryStats() recovery.Stats { return e.ctrl.RecoveryStats() }
+func (e *Engine) RecoveryStats() controller.RecoveryStats { return e.ctrl.RecoveryStats() }
 
 // ForceSnapshot cuts a checkpoint of the committed graph now and truncates
 // the committed-op log (see controller.ForceSnapshot).
@@ -557,10 +556,6 @@ func (e *Engine) Recorder() *metrics.Recorder { return e.recorder }
 // QcutSnapshot exposes the controller's current high-level view; it pulls
 // the workers' intersection statistics (see controller.QcutSnapshot).
 func (e *Engine) QcutSnapshot() (qcut.Input, error) { return e.ctrl.QcutSnapshot() }
-
-// Repartitions reports how many global repartitioning barriers ran. Call
-// after Close for a stable value.
-func (e *Engine) Repartitions() int { return e.ctrl.Repartitions() }
 
 // Workers exposes the current worker instances (tests assert internal
 // invariants such as the forwarded-message counter); slot w holds the

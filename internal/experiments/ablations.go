@@ -146,7 +146,7 @@ func AblationWindow(sc Scale) (*Table, error) {
 		t.Rows = append(t.Rows, []string{
 			mu.String(), fmtDur(s.TotalLatency),
 			fmt.Sprintf("%.2f", s.MeanLocality),
-			fmt.Sprintf("%d", eng.Repartitions()),
+			fmt.Sprintf("%d", eng.RepartitionEpoch()),
 		})
 	}
 	return t, nil

@@ -205,7 +205,7 @@ func runStrategy(sc Scale, net *gen.RoadNet, st Strategy, k int, specs []query.S
 	if err := eng.Close(); err != nil {
 		return nil, 0, err
 	}
-	return rec, eng.Repartitions(), nil
+	return rec, int(eng.RepartitionEpoch()), nil
 }
 
 // bwNet / gyNet build the two evaluation road networks at scale.

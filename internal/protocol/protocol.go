@@ -456,7 +456,7 @@ type Pong struct {
 func (*Pong) Type() MsgType { return TPong }
 
 // ---------------------------------------------------------------------------
-// Worker failure recovery (internal/recover)
+// Worker failure recovery (internal/controller/recover.go)
 //
 // When liveness declares a worker dead, the controller fences it and runs a
 // recovery round: survivors receive RecoverStart (reset in-flight query

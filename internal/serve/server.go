@@ -20,7 +20,6 @@ import (
 	"qgraph/internal/obs"
 	"qgraph/internal/obs/health"
 	"qgraph/internal/query"
-	recovery "qgraph/internal/recover"
 	"qgraph/internal/snapshot"
 	"qgraph/internal/wal"
 )
@@ -51,7 +50,7 @@ type Backend interface {
 	// Health reports worker liveness for /healthz.
 	Health() controller.Health
 	// RecoveryStats reports worker-failure recovery counters for /stats.
-	RecoveryStats() recovery.Stats
+	RecoveryStats() controller.RecoveryStats
 	// ForceSnapshot cuts a checkpoint of the committed graph and truncates
 	// the committed-op log (POST /admin/snapshot).
 	ForceSnapshot() (snapshot.Result, error)
@@ -370,7 +369,7 @@ type StatsResponse struct {
 	// Recovery reports the worker-failure recovery counters: completed
 	// episodes, handoffs vs rejoins, queries re-executed, and the latest
 	// episode's wall time.
-	Recovery recovery.Stats `json:"recovery"`
+	Recovery controller.RecoveryStats `json:"recovery"`
 	// Snapshot reports checkpointing: snapshots cut, the last checkpoint
 	// version, ops truncated, and the retained committed-op log size —
 	// bounded by the snapshot policy however long mutations stream.

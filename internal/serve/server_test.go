@@ -20,7 +20,6 @@ import (
 	"qgraph/internal/graph"
 	"qgraph/internal/protocol"
 	"qgraph/internal/query"
-	recovery "qgraph/internal/recover"
 	"qgraph/internal/snapshot"
 	"qgraph/internal/wal"
 )
@@ -43,7 +42,7 @@ type stubBackend struct {
 	mutations [][]delta.Op
 	mutErr    error
 	health    controller.Health
-	recovery  recovery.Stats
+	recovery  controller.RecoveryStats
 	snapStats snapshot.Stats
 	walStats  wal.Stats
 	snapErr   error
@@ -169,7 +168,7 @@ func (b *stubBackend) Health() controller.Health {
 	return b.health
 }
 
-func (b *stubBackend) RecoveryStats() recovery.Stats {
+func (b *stubBackend) RecoveryStats() controller.RecoveryStats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.recovery
