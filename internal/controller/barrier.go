@@ -1,13 +1,16 @@
 package controller
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 	"time"
 
 	"qgraph/internal/metrics"
 	"qgraph/internal/partition"
 	"qgraph/internal/protocol"
+	"qgraph/internal/qcut"
 	"qgraph/internal/query"
 )
 
@@ -213,7 +216,7 @@ func (c *Controller) onSchedule(req scheduleReq) {
 		// Every worker is dead; nothing can ever execute this query.
 		req.refuse(protocol.FinishWorkerLost)
 		return
-	case c.phase != phaseRun:
+	case c.adapt.phase != phaseRun:
 		c.deferred = append(c.deferred, req)
 		return
 	case c.queries[spec.ID] != nil || c.byQ[spec.ID] != nil:
@@ -264,7 +267,7 @@ func (req scheduleReq) refuse(reason protocol.FinishReason) {
 func (c *Controller) onCancel(q query.ID) {
 	if ctl, ok := c.queries[q]; ok {
 		ctl.cancelled = true
-		if c.phase == phaseRun || c.phase == phaseQuiesce {
+		if c.adapt.phase == phaseRun || c.adapt.phase == phaseQuiesce {
 			c.finishQuery(ctl, protocol.FinishCancelled)
 		}
 		return
@@ -332,7 +335,7 @@ func (c *Controller) collect(ctl *qctl) {
 	switch {
 	case end != 0:
 		c.finishQuery(ctl, end)
-	case c.phase != phaseRun:
+	case c.adapt.phase != phaseRun:
 		c.maybeStop()
 	default:
 		c.release(ctl, next, expect, false)
@@ -358,7 +361,7 @@ func (c *Controller) finishQuery(ctl *qctl, reason protocol.FinishReason) {
 		})
 	}
 	c.windowAdd(ctl, ctl.started.Add(res.Latency))
-	if c.phase == phaseQuiesce {
+	if c.adapt.phase == phaseQuiesce {
 		c.maybeStop()
 	}
 }
@@ -422,4 +425,86 @@ func (c *Controller) pruneWindow(now time.Time) {
 		keep = keep[over:]
 	}
 	c.window = keep
+}
+
+// avgLocality is the Analyze metric: mean fraction of fully-local
+// iterations over the queries in the monitoring window.
+func (c *Controller) avgLocality() float64 {
+	if len(c.window) == 0 {
+		return 1
+	}
+	sum := 0.0
+	for _, we := range c.window {
+		sum += we.locality
+	}
+	return sum / float64(len(c.window))
+}
+
+// snapshot builds the Q-cut input from the high-level global view: scope
+// size rows for windowed (finished) and active queries, the intersections
+// pairs[w] worker w reported, summed over live workers, and the
+// authoritative per-worker vertex counts.
+func (c *Controller) snapshot(now time.Time, pairs [][]protocol.IntersectionStat) qcut.Input {
+	// Recovery destroyed the scope state the window still attributes to
+	// dead workers: their rows are zeroed, and Q-cut ignores them.
+	alive := make([]bool, c.cfg.K)
+	for w := 0; w < c.cfg.K; w++ {
+		alive[w] = !c.members.dead[partition.WorkerID(w)]
+	}
+	maskRow := func(sizes []int64) []int64 {
+		out := append([]int64(nil), sizes...)
+		for w := range out {
+			if !alive[w] {
+				out[w] = 0
+			}
+		}
+		return out
+	}
+	// Windowed queries come first, in finish order, then live ones by
+	// ascending id: Q-cut draws its randomness in input order, so the input
+	// must not follow map order. rowOf is a query's index.
+	rows := make([]qcut.ScopeRow, 0, len(c.window)+len(c.queries))
+	rowOf := make(map[query.ID]int, len(c.window)+len(c.queries))
+	for _, we := range c.window {
+		rowOf[we.q] = len(rows)
+		rows = append(rows, qcut.ScopeRow{Q: we.q, Sizes: maskRow(we.sizes)})
+	}
+	for _, q := range slices.Sorted(maps.Keys(c.queries)) {
+		if _, seen := rowOf[q]; !seen {
+			rowOf[q] = len(rows)
+			rows = append(rows, qcut.ScopeRow{Q: q, Sizes: maskRow(c.queries[q].scopeSizes)})
+		}
+	}
+	// A worker names each pair once, so summing over live workers gives
+	// the pair's overlap. A pair may name a query that left the window
+	// since the worker answered; it has no row and is dropped.
+	agg := make(map[[2]query.ID]int64)
+	for w, stats := range pairs {
+		if !alive[w] {
+			continue
+		}
+		for _, is := range stats {
+			_, ok1 := rowOf[is.Q1]
+			if _, ok2 := rowOf[is.Q2]; ok1 && ok2 {
+				agg[[2]query.ID{min(is.Q1, is.Q2), max(is.Q1, is.Q2)}] += int64(is.Shared)
+			}
+		}
+	}
+	inter := make([]qcut.Intersection, 0, len(agg))
+	for pair, shared := range agg {
+		inter = append(inter, qcut.Intersection{Q1: pair[0], Q2: pair[1], Shared: shared})
+	}
+	slices.SortFunc(inter, func(a, b qcut.Intersection) int {
+		return cmp.Or(cmp.Compare(a.Q1, b.Q1), cmp.Compare(a.Q2, b.Q2))
+	})
+	return qcut.Input{
+		K:             c.cfg.K,
+		Scopes:        rows,
+		Intersections: inter,
+		VertexCounts:  append([]int64(nil), c.vertCount...),
+		Alive:         alive,
+		Delta:         balanceSlack,
+		Deadline:      now.Add(qcut.Budget),
+		Seed:          c.cfg.Seed + uint64(c.adapt.epoch),
+	}
 }

@@ -178,8 +178,8 @@ func TestCancelDuringRecoveryFinishes(t *testing.T) {
 	if err := c.handle(transport.Envelope{From: protocol.WorkerNode(0), Msg: ack}); err != nil {
 		t.Fatal(err)
 	}
-	if c.phase != phaseRun {
-		t.Fatalf("phase %d after the last PartitionAck, want run", c.phase)
+	if c.adapt.phase != phaseRun {
+		t.Fatalf("phase %d after the last PartitionAck, want run", c.adapt.phase)
 	}
 	select {
 	case res := <-ch:

@@ -12,7 +12,9 @@
 // the termination rules, as transitions with no I/O and no clock. The
 // commit pipeline, from Mutate to the checkpoint cut, has the same shape
 // (commits in delta.go and checkpoint.go), and so do worker liveness and
-// recovery (members in recover.go). The controller sends what they decide.
+// recovery (members in recover.go) and adaptation with its global barrier
+// (adapt in adapt.go and global.go). The controller sends what these four
+// machines decide.
 //
 // The controller is a single event loop; all state is confined to the Run
 // goroutine.
@@ -262,21 +264,14 @@ type scheduleReq struct {
 	cancel bool
 }
 
-// snapshotReq asks the controller for its current Q-cut input (used by the
-// Q-cut ablations and the benchmark's planning row).
-type snapshotReq struct {
-	ch chan qcut.Input
-}
-
 // statsPull is a StatsPull in flight: the live workers yet to answer, the
-// pairs each answer brought, and who reads the Q-cut input it completes —
-// onTick's plan, QcutSnapshot callers, or both.
+// pairs each answer brought, and whether a plan reads the Q-cut input it
+// completes (QcutSnapshot callers may read it too).
 type statsPull struct {
 	seq     int64
 	waiting map[partition.WorkerID]bool
 	pairs   [][]protocol.IntersectionStat // by worker
 	plan    bool
-	readers []chan qcut.Input
 }
 
 // MutationResult reports the outcome of one Mutate call after its batch
@@ -314,18 +309,20 @@ type Controller struct {
 	window  []*windowEntry
 	byQ     map[query.ID]*windowEntry
 
-	phase phase
-	// phaseStart is when the current barrier phase was entered; enterPhase
-	// charges the elapsed time to the phase histogram and to every traced
-	// in-flight query on each transition.
-	phaseStart   time.Time
-	obs          *ctlObs
-	epoch        int32
-	acksLeft     int // StopAcks (stopping) or MoveAcks (moving) still due
-	pendingMoves []qcut.Move
-	ownDeltaV    []graph.VertexID
-	ownDeltaW    []partition.WorkerID
-	deferred     []scheduleReq
+	// Adaptation and the global barrier (adapt.go, global.go). phaseStart
+	// is when the current phase was entered; leftPhase charges the elapsed
+	// time to the phase histogram and to every traced in-flight query.
+	// deferred holds the schedules a barrier or recovery round holds back,
+	// readers the QcutSnapshot callers waiting for the pull in flight.
+	adapt      adapt
+	phaseStart time.Time
+	obs        *ctlObs
+	deferred   []scheduleReq
+	readers    []chan qcut.Input
+	qcutCh     chan qcut.Result
+	// repartEpoch counts executed global barriers (scope moves, recovery);
+	// concurrent readers (/healthz, /stats) load it while Run is live.
+	repartEpoch atomic.Int64
 
 	// Streaming graph updates (internal/delta). curView is the committed
 	// graph: stored only by the event loop (one whole batch at a time),
@@ -354,29 +351,8 @@ type Controller struct {
 	recovery atomic.Pointer[RecoveryStats]
 	deltaLog delta.Log
 
-	// qcutRunning covers a plan from the pull of its statistics to Q-cut's
-	// result; pull is the pull in flight (nil when none), pullSeq the last
-	// pull's sequence number.
-	qcutRunning bool
-	pull        *statsPull
-	pullSeq     int64
-	qcutCh      chan qcut.Result
-	lastRepart  time.Time
-	// repartEpoch counts executed global barriers (scope moves, recovery);
-	// concurrent readers (/healthz, /stats) load it while Run is live.
-	repartEpoch atomic.Int64
-	// Trigger backoff: when repartitioning stops improving locality
-	// (e.g. the workload inherently spans workers), the effective cooldown
-	// doubles up to 16× so global barriers do not thrash the very queries
-	// they are meant to help. Any improvement resets it. planExecuted says
-	// a Q-cut plan's barrier has run, so trigLocality is a locality that
-	// plan was meant to raise.
-	curCooldown  time.Duration
-	trigLocality float64
-	planExecuted bool
-
 	scheduleCh   chan scheduleReq
-	snapshotCh   chan snapshotReq
+	snapshotCh   chan chan qcut.Input      // QcutSnapshot's replies
 	checkpointCh chan chan snapshot.Result // ForceSnapshot's replies
 	mutateCh     chan mutateReq
 	stopCh       chan struct{}
@@ -414,10 +390,11 @@ func New(cfg Config, conn transport.Conn) (*Controller, error) {
 		pins:         make(map[uint64]int),
 		ackVersion:   slices.Repeat([]uint64{cfg.BaseVersion}, cfg.K),
 		members:      newMembers(&cfg),
+		adapt:        newAdapt(&cfg),
 		qcutCh:       make(chan qcut.Result, 1),
 		cutCh:        make(chan cutDone, 1),
 		scheduleCh:   make(chan scheduleReq, 64),
-		snapshotCh:   make(chan snapshotReq),
+		snapshotCh:   make(chan chan qcut.Input),
 		checkpointCh: make(chan chan snapshot.Result),
 		mutateCh:     make(chan mutateReq, 64),
 		stopCh:       make(chan struct{}),
@@ -642,14 +619,14 @@ func (c *Controller) publishMVCC() {
 // pulls the workers' intersection statistics, so it returns once every live
 // worker answered, or with an error once the controller stopped.
 func (c *Controller) QcutSnapshot() (qcut.Input, error) {
-	req := snapshotReq{ch: make(chan qcut.Input, 1)}
+	ch := make(chan qcut.Input, 1)
 	select {
-	case c.snapshotCh <- req:
+	case c.snapshotCh <- ch:
 	case <-c.doneCh:
 		return qcut.Input{}, fmt.Errorf("controller: stopped")
 	}
 	select {
-	case in := <-req.ch:
+	case in := <-ch:
 		return in, nil
 	case <-c.doneCh:
 		return qcut.Input{}, fmt.Errorf("controller: stopped")
@@ -712,8 +689,8 @@ func (c *Controller) Run() error {
 			} else {
 				c.onSchedule(req)
 			}
-		case req := <-c.snapshotCh:
-			c.pullStats(false, req.ch)
+		case ch := <-c.snapshotCh:
+			c.pullStats(false, ch)
 		case ch := <-c.checkpointCh:
 			c.requestCheckpoint(ch)
 		case done := <-c.cutCh:
@@ -777,24 +754,14 @@ func (c *Controller) handle(env transport.Envelope) error {
 		}
 		return nil
 	}
-	if c.phase == phaseRecover {
+	if c.adapt.phase == phaseRecover {
 		// Mid-recovery only the recovery protocol, liveness and a pull of
 		// statistics (which outlives a round) speak; every other message is
 		// a pre-recovery straggler from a live worker — per-link FIFO
 		// guarantees they all arrive before that worker's PartitionAck, so
 		// dropping them here is exhaustive.
-		switch m := env.Msg.(type) {
-		case *protocol.PartitionAck:
-			return c.onPartitionAck(m)
-		case *protocol.WorkerHello:
-			c.onWorkerHello(m)
-			return nil
-		case *protocol.Pong:
-			c.onPong(m)
-			return nil
-		case *protocol.StatsReport:
-			c.onStatsReport(m)
-			return nil
+		switch env.Msg.(type) {
+		case *protocol.PartitionAck, *protocol.WorkerHello, *protocol.Pong, *protocol.StatsReport:
 		default:
 			return nil
 		}
@@ -809,7 +776,7 @@ func (c *Controller) handle(env transport.Envelope) error {
 	case *protocol.DeltaAck:
 		return c.onDeltaAck(m)
 	case *protocol.StatsReport:
-		c.onStatsReport(m)
+		c.pulled(c.adapt.report(m))
 		return nil
 	case *protocol.Pong:
 		c.onPong(m)
@@ -818,8 +785,9 @@ func (c *Controller) handle(env transport.Envelope) error {
 		c.onWorkerHello(m)
 		return nil
 	case *protocol.PartitionAck:
-		// A straggler from a completed or aborted recovery round.
-		return nil
+		// Outside a round, a straggler from a completed or aborted one:
+		// members.ack finds it stale.
+		return c.onPartitionAck(m)
 	default:
 		return fmt.Errorf("controller: unexpected message %T", env.Msg)
 	}

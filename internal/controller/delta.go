@@ -226,7 +226,7 @@ func (c *Controller) onMutate(req mutateReq) {
 // synthetic completion rides the same channel so the apply path (and its
 // fatal-error handling) stays single.
 func (c *Controller) maybeCommit(now time.Time) {
-	if c.members.terminal || !c.commits.due(now, c.phase == phaseRecover) {
+	if c.members.terminal || !c.commits.due(now, c.adapt.phase == phaseRecover) {
 		return
 	}
 	b := c.commits.seal(c.vertCount, c.members.dead, now).batch
@@ -272,7 +272,7 @@ func (c *Controller) onWalAck(ack wal.AppendAck) error {
 // resume calls it again once the live set settled.
 func (c *Controller) applyDurable() error {
 	for {
-		sb := c.commits.ready(c.phase == phaseRecover)
+		sb := c.commits.ready(c.adapt.phase == phaseRecover)
 		if sb == nil {
 			break
 		}

@@ -9,76 +9,127 @@ import (
 	"qgraph/internal/qcut"
 )
 
-// This file implements the global barrier (STOP/START, Sec. 3.3) that
+// This file is adapt's global barrier (STOP/START, Sec. 3.3), which
 // executes Q-cut's move directives on a provably quiet network:
 //
 //	run → quiesce → stopping → moving → run
 //
-// quiesce:  stop issuing releases; wait until no query has an outstanding
-//	         superstep (workers finish what they compute).
-// stopping: GlobalStop names the live workers; each sends a StopMarker to
-//	         every other, behind its vertex batches, and answers StopAck
-//	         once it holds a marker from each. Per-link FIFO then proves
-//	         every vertex batch sent before the stop arrived (the marker rule
-//	         of Chandy and Lamport, 1985).
-// moving:   MoveScope directives → the source ships ScopeData, even an
-//	         empty one, and the target absorbs it and answers MoveAck with
-//	         the moved vertex ids; the controller updates its ownership
-//	         table and, after the last ack, broadcasts OwnershipUpdate.
-// run:      GlobalStart, re-release all active queries, flush deferred
-//	         schedules.
+// Quiesce holds every release until no superstep is outstanding. Stopping
+// waits for a StopAck from each live worker GlobalStop names: per-link FIFO
+// and the StopMarkers then prove every vertex batch sent before the stop
+// arrived (the marker rule of Chandy and Lamport, 1985; protocol.StopAck).
+// Moving sends each MoveScope to its source once the last StopAck is in,
+// and after the targets' last MoveAck every moved vertex is in place and
+// OwnershipUpdate goes out. Run: GlobalStart, every active query
+// re-released, deferred schedules flushed. A recovery round (recover.go)
+// aborts the barrier in any phase.
 
-// beginGlobalBarrier starts the STOP sequence for a non-empty set of moves.
-func (c *Controller) beginGlobalBarrier(moves []qcut.Move) {
-	c.pendingMoves = moves
-	c.enterPhase(phaseQuiesce)
-	c.maybeStop()
+// quiesced enters stopping, the next epoch, with a StopAck due from each
+// of the live workers, once no round is outstanding; it says whether it did.
+func (a *adapt) quiesced(outstanding bool, live int) bool {
+	if a.phase != phaseQuiesce || outstanding {
+		return false
+	}
+	a.phase = phaseStopping
+	a.epoch++
+	a.acksLeft = live
+	return true
 }
 
-// maybeStop transitions quiesce → stopping once no query is outstanding.
+// stopAck counts a StopAck of epoch. After the last the network is quiet:
+// it enters moving, with a MoveAck due per move, and returns the moves.
+func (a *adapt) stopAck(epoch int32) ([]qcut.Move, error) {
+	if a.phase != phaseStopping || epoch != a.epoch {
+		return nil, fmt.Errorf("controller: unexpected StopAck (phase %d epoch %d/%d)", a.phase, epoch, a.epoch)
+	}
+	if a.acksLeft--; a.acksLeft > 0 {
+		return nil, nil
+	}
+	moves := a.plan.moves
+	a.plan.moves = nil
+	a.phase = phaseMoving
+	a.acksLeft = len(moves)
+	a.ownDeltaV, a.ownDeltaW = nil, nil
+	return moves, nil
+}
+
+// moveAck counts a MoveAck, records its ownership changes, and says
+// whether it was the last.
+func (a *adapt) moveAck(m *protocol.MoveAck) (last bool, err error) {
+	if a.phase != phaseMoving || m.Epoch != a.epoch {
+		return false, fmt.Errorf("controller: unexpected MoveAck (phase %d epoch %d/%d)", a.phase, m.Epoch, a.epoch)
+	}
+	for _, v := range m.Vertices {
+		a.ownDeltaV = append(a.ownDeltaV, v)
+		a.ownDeltaW = append(a.ownDeltaW, m.To)
+	}
+	a.acksLeft--
+	return a.acksLeft == 0, nil
+}
+
+// recover aborts the barrier in flight, whose plan never executed, and
+// opens a recovery round (again, if one is open). A plan Q-cut still
+// computes lives on; planned drops it unless the round is over by then.
+// It returns the phase it left.
+func (a *adapt) recover() (left phase) {
+	left = a.phase
+	if left != phaseRun && left != phaseRecover {
+		a.plan = nil
+	}
+	a.phase = phaseRecover
+	a.acksLeft = 0
+	return left
+}
+
+// resume ends the barrier or the recovery round and returns the phase it
+// left. A plan whose barrier ends here executed: its locality is the next
+// trigger's to compare with.
+func (a *adapt) resume() (left phase) {
+	left = a.phase
+	if left == phaseMoving {
+		a.raised = a.plan.loc
+		a.plan = nil
+	}
+	a.phase = phaseRun
+	return left
+}
+
+// maybeStop sends GlobalStop once quiesce finds no round outstanding.
 func (c *Controller) maybeStop() {
-	if c.phase != phaseQuiesce {
-		return
-	}
+	outstanding := false
 	for _, ctl := range c.queries {
-		if ctl.outstanding {
-			return
-		}
+		outstanding = outstanding || ctl.outstanding
 	}
-	c.enterPhase(phaseStopping)
-	c.epoch++
 	live := slices.Sorted(maps.Keys(liveSet(c.cfg.K, c.members.dead)))
-	c.acksLeft = len(live)
-	c.broadcast(&protocol.GlobalStop{Epoch: c.epoch, Live: live})
+	if c.adapt.quiesced(outstanding, len(live)) {
+		c.leftPhase(phaseQuiesce)
+		c.broadcast(&protocol.GlobalStop{Epoch: c.adapt.epoch, Live: live})
+	}
 }
 
-// onStopAck counts the StopAcks; after the last one the network is quiet and
-// the moves execute (phase stopping → moving).
+// onStopAck sends the moves once the last StopAck is in.
 func (c *Controller) onStopAck(m *protocol.StopAck) error {
-	if c.phase != phaseStopping || m.Epoch != c.epoch {
-		return fmt.Errorf("controller: unexpected StopAck (phase %d epoch %d/%d)", c.phase, m.Epoch, c.epoch)
+	moves, err := c.adapt.stopAck(m.Epoch)
+	if moves == nil {
+		return err
 	}
-	if c.acksLeft--; c.acksLeft > 0 {
-		return nil
-	}
-	c.enterPhase(phaseMoving)
-	c.ownDeltaV, c.ownDeltaW = nil, nil
-	c.acksLeft = len(c.pendingMoves)
+	c.leftPhase(phaseStopping)
 	if co := c.obs; co != nil {
-		co.barrierMoves.Add(int64(len(c.pendingMoves)))
+		co.barrierMoves.Add(int64(len(moves)))
 	}
-	for _, mv := range c.pendingMoves {
-		c.conn.Send(protocol.WorkerNode(mv.From), &protocol.MoveScope{
-			Epoch: c.epoch, Q: mv.Q, To: mv.To,
-		})
+	for _, mv := range moves {
+		c.conn.Send(protocol.WorkerNode(mv.From), &protocol.MoveScope{Epoch: c.adapt.epoch, Q: mv.Q, To: mv.To})
 	}
-	c.pendingMoves = nil
 	return nil
 }
 
+// onMoveAck applies a move to the ownership table and the high-level view
+// (the query's whole local scope relocated). After the last, every target
+// absorbed its ScopeData, and the ownership delta goes out.
 func (c *Controller) onMoveAck(m *protocol.MoveAck) error {
-	if c.phase != phaseMoving || m.Epoch != c.epoch {
-		return fmt.Errorf("controller: unexpected MoveAck (phase %d epoch %d/%d)", c.phase, m.Epoch, c.epoch)
+	last, err := c.adapt.moveAck(m)
+	if err != nil {
+		return err
 	}
 	for _, v := range m.Vertices {
 		if c.owner[v] == m.From {
@@ -86,11 +137,7 @@ func (c *Controller) onMoveAck(m *protocol.MoveAck) error {
 			c.vertCount[m.To]++
 		}
 		c.owner[v] = m.To
-		c.ownDeltaV = append(c.ownDeltaV, v)
-		c.ownDeltaW = append(c.ownDeltaW, m.To)
 	}
-	// Keep the high-level view consistent with the executed move: the
-	// whole local scope of the query relocated.
 	if we := c.byQ[m.Q]; we != nil {
 		we.sizes[m.To] += we.sizes[m.From]
 		we.sizes[m.From] = 0
@@ -98,15 +145,11 @@ func (c *Controller) onMoveAck(m *protocol.MoveAck) error {
 	if ctl, ok := c.queries[m.Q]; ok {
 		ctl.move(m.From, m.To)
 	}
-	if c.acksLeft--; c.acksLeft > 0 {
+	if !last {
 		return nil
 	}
-	// Every target acknowledged only after absorbing its ScopeData, so all
-	// moved vertices are in place: publish the ownership delta and restart.
-	if len(c.ownDeltaV) > 0 {
-		c.broadcast(&protocol.OwnershipUpdate{
-			Epoch: c.epoch, Vertices: c.ownDeltaV, Owners: c.ownDeltaW,
-		})
+	if a := &c.adapt; len(a.ownDeltaV) > 0 {
+		c.broadcast(&protocol.OwnershipUpdate{Epoch: a.epoch, Vertices: a.ownDeltaV, Owners: a.ownDeltaW})
 	}
 	return c.resume(false)
 }
@@ -120,11 +163,11 @@ func (c *Controller) onMoveAck(m *protocol.MoveAck) error {
 // longer). A query cancelled during the barrier finishes instead, whatever
 // its round was doing when the barrier began.
 func (c *Controller) resume(restart bool) error {
-	c.enterPhase(phaseRun)
+	c.leftPhase(c.adapt.resume())
 	// Every global barrier rewrote ownership — scope moves, or a recovery
 	// round's handoff — so each one counts as a repartition.
 	c.repartEpoch.Add(1)
-	c.broadcast(&protocol.GlobalStart{Epoch: c.epoch})
+	c.broadcast(&protocol.GlobalStart{Epoch: c.adapt.epoch})
 	restarted := 0
 	for _, ctl := range c.queries {
 		if ctl.cancelled {

@@ -17,7 +17,7 @@ func (c *Controller) watchStalls(now time.Time) {
 		return
 	}
 	var phaseAge time.Duration
-	if c.phase != phaseRun && c.phase != phaseRecover {
+	if c.adapt.phase != phaseRun && c.adapt.phase != phaseRecover {
 		// Recovery has its own watchdog (the hello window) and its own
 		// lifecycle events; flagging it as a stalled barrier would page
 		// twice for one fault.
@@ -31,7 +31,7 @@ func (c *Controller) watchStalls(now time.Time) {
 			}
 		}
 	}
-	mon.CheckStall(phaseName(c.phase), phaseAge, oldest)
+	mon.CheckStall(phaseName(c.adapt.phase), phaseAge, oldest)
 }
 
 // healthEvent forwards a lifecycle event to the monitor (nil-safe).

@@ -162,14 +162,13 @@ func (c *Controller) tracer() *obs.Tracer {
 	return c.cfg.Obs.Tracer
 }
 
-// enterPhase moves the barrier state machine to next, attributing the
-// time spent in the phase being left to the phase histogram and — for
-// every active traced query — to a "barrier/<phase>" span under its
-// engine span. Must be the only way c.phase changes once the controller
-// runs.
-func (c *Controller) enterPhase(next phase) {
+// leftPhase follows every transition of adapt that enters a phase: it
+// charges the time spent in prev, the phase left, to the phase histogram
+// and — for every active traced query — to a "barrier/<phase>" span under
+// its engine span, and starts the clock of the phase entered.
+func (c *Controller) leftPhase(prev phase) {
 	now := c.cfg.Clock()
-	prev := c.phase
+	next := c.adapt.phase
 	if prev != next && prev != phaseRun {
 		if co := c.obs; co != nil {
 			if h := co.barrierSeconds[prev]; h != nil {
@@ -183,7 +182,6 @@ func (c *Controller) enterPhase(next phase) {
 			co.barrierCount.Inc()
 		}
 	}
-	c.phase = next
 	c.phaseStart = now
 }
 

@@ -337,10 +337,8 @@ func (c *Controller) onWorkerDead(w partition.WorkerID) {
 	if !c.members.die(w, now) {
 		return
 	}
-	if p := c.pull; p != nil {
-		delete(p.waiting, w)
-		c.maybePulled()
-	}
+	// w answers the pull in flight, if any, with nothing: it leaves the pull.
+	c.pulled(c.adapt.report(&protocol.StatsReport{Seq: c.adapt.pullSeq, W: w}))
 	if o := c.cfg.Obs; o != nil {
 		o.Log().Warn("worker declared dead", "worker", int(w),
 			"graph_version", c.GraphVersion())
@@ -387,10 +385,7 @@ func (c *Controller) onWorkerHello(m *protocol.WorkerHello) {
 // abandoned; staged mutations stay staged and sealed batches stay in their
 // FIFO — and enters the recovery phase.
 func (c *Controller) openRound() {
-	c.acksLeft = 0
-	c.pendingMoves = nil
-	c.ownDeltaV, c.ownDeltaW = nil, nil
-	c.enterPhase(phaseRecover)
+	c.leftPhase(c.adapt.recover())
 	c.publishHealth()
 }
 
@@ -479,7 +474,9 @@ func (c *Controller) recovered(restarted int) {
 // degraded permanently, from before the first failure is delivered: a
 // caller that reads Health on its worker_lost result sees why.
 func (c *Controller) enterTerminal() {
-	c.enterPhase(phaseRun)
+	left := c.adapt.recover()
+	c.adapt.resume()
+	c.leftPhase(left)
 	c.publishHealth()
 	c.healthEvent(health.EventTerminal, health.SevCritical, -1,
 		"no live workers left: controller is terminally degraded", nil)
@@ -511,7 +508,7 @@ func (c *Controller) RecoveryStats() RecoveryStats { return *c.recovery.Load() }
 
 // publishHealth snapshots the liveness state for concurrent readers.
 func (c *Controller) publishHealth() {
-	h := &Health{Degraded: c.members.terminal, Recovering: c.phase == phaseRecover}
+	h := &Health{Degraded: c.members.terminal, Recovering: c.adapt.phase == phaseRecover}
 	for w := range c.members.dead {
 		h.DeadWorkers = append(h.DeadWorkers, int(w))
 	}

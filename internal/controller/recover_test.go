@@ -606,12 +606,12 @@ func TestLateHelloInWindowRejoins(t *testing.T) {
 	c.onWorkerDead(2)
 	hello(1)
 	hello(2)
-	if c.phase != phaseRecover {
-		t.Fatalf("phase %d after the hellos, want the round planned and its acks due", c.phase)
+	if c.adapt.phase != phaseRecover {
+		t.Fatalf("phase %d after the hellos, want the round planned and its acks due", c.adapt.phase)
 	}
 	ackAll(0, 1, 2)
-	if h := c.Health(); c.phase != phaseRun || len(h.DeadWorkers) != 0 {
-		t.Fatalf("phase %d, health %+v: want both workers granted back", c.phase, h)
+	if h := c.Health(); c.adapt.phase != phaseRun || len(h.DeadWorkers) != 0 {
+		t.Fatalf("phase %d, health %+v: want both workers granted back", c.adapt.phase, h)
 	}
 	if st := c.RecoveryStats(); st.Recoveries != 2 || st.Handoffs != 1 || st.Rejoins != 2 {
 		t.Fatalf("recovery stats %+v, want 2 episodes, 1 handoff and 2 rejoins", st)

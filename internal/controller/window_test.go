@@ -73,10 +73,10 @@ func pull(t *testing.T, c *Controller, pairs ...[]protocol.IntersectionStat) qcu
 // one is (with no worker live, none is), as the event loop would.
 func answer(t *testing.T, c *Controller, pairs ...[]protocol.IntersectionStat) {
 	t.Helper()
-	if c.pull == nil {
+	if c.adapt.pull == nil {
 		return
 	}
-	seq := c.pull.seq
+	seq := c.adapt.pull.seq
 	for w := partition.WorkerID(0); int(w) < c.cfg.K; w++ {
 		if c.members.dead[w] {
 			continue
@@ -141,15 +141,15 @@ func TestPullCompletesOverSurvivors(t *testing.T) {
 	c.pullStats(false, ch)
 	report := func(w partition.WorkerID, shared int32) {
 		t.Helper()
-		m := &protocol.StatsReport{Seq: c.pull.seq, W: w, Pairs: []protocol.IntersectionStat{is(2, 1, shared)}}
+		m := &protocol.StatsReport{Seq: c.adapt.pull.seq, W: w, Pairs: []protocol.IntersectionStat{is(2, 1, shared)}}
 		if err := c.handle(transport.Envelope{From: protocol.WorkerNode(w), Msg: m}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	report(0, 4)
 	c.onWorkerDead(0) // answered, then died
-	if c.phase != phaseRecover || c.pull == nil {
-		t.Fatalf("phase %d, pull %v: want a recovery round open and the pull waiting", c.phase, c.pull)
+	if c.adapt.phase != phaseRecover || c.adapt.pull == nil {
+		t.Fatalf("phase %d, pull %v: want a recovery round open and the pull waiting", c.adapt.phase, c.adapt.pull)
 	}
 	report(1, 2)
 	c.onWorkerDead(2) // died owing its answer
@@ -161,7 +161,7 @@ func TestPullCompletesOverSurvivors(t *testing.T) {
 	default:
 		t.Fatal("the pull still waits with every live worker answered")
 	}
-	if c.pull != nil {
+	if c.adapt.pull != nil {
 		t.Fatal("a completed pull is still in flight")
 	}
 }

@@ -1,6 +1,7 @@
 package qcut
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -340,5 +341,45 @@ func TestLiveSetReloadsEmptyWorker(t *testing.T) {
 	}
 	if onto2 == 0 {
 		t.Fatalf("no scope moved onto the empty worker: moves %+v", res.Moves)
+	}
+}
+
+// TestImbalance: the load spread the controller's trigger reads is the one
+// the balance constraint keeps below δ, over the live workers only.
+func TestImbalance(t *testing.T) {
+	rows := func(n int, sizes ...int64) (out []ScopeRow) {
+		for q := 1; q <= n; q++ {
+			out = append(out, ScopeRow{Q: query.ID(q), Sizes: sizes})
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name string
+		in   Input
+		want float64
+	}{
+		{"no load", Input{K: 2, VertexCounts: []int64{0, 0}, Scopes: rows(3, 0, 0)}, 0},
+		{"vertices alone", Input{K: 2, VertexCounts: []int64{6, 2}}, 2.0 / 3},
+		{"scope mass within the vertices counts in full",
+			Input{K: 2, VertexCounts: []int64{4, 4}, Scopes: rows(1, 4, 0)}, (4.0 - 2) / 4},
+		{"scope mass past the vertices is scaled to them",
+			Input{K: 2, VertexCounts: []int64{4, 4}, Scopes: rows(8, 40, 0)}, (6.0 - 2) / 6},
+		{"a dead worker is masked",
+			Input{K: 3, VertexCounts: []int64{4, 4, 8}, Alive: []bool{true, true, false}, Scopes: rows(2, 4, 4, 100)}, 0},
+		{"no live worker carries load",
+			Input{K: 2, VertexCounts: []int64{0, 8}, Alive: []bool{true, false}, Scopes: rows(1, 0, 9)}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := Imbalance(tc.in)
+			if math.Abs(got-tc.want) > 1e-12 {
+				t.Fatalf("Imbalance = %v, want %v", got, tc.want)
+			}
+			for _, delta := range []float64{0.25, 0.5, 2.0 / 3, 0.7} {
+				tc.in.Delta = delta
+				if b := newState(tc.in).balanced(); b != (got < delta) {
+					t.Fatalf("balanced at δ %v is %v, with spread %v", delta, b, got)
+				}
+			}
+		})
 	}
 }

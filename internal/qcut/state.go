@@ -190,18 +190,18 @@ func (s *state) moveOK(a, b int, x int64) bool {
 	if newMax <= 0 {
 		return true
 	}
-	if (newMax-newMin)/newMax < s.delta {
-		return true
-	}
-	oldMin, oldMax := s.loadRange()
-	if oldMax <= 0 {
-		return false
-	}
-	return (newMax-newMin)/newMax < (oldMax-oldMin)/oldMax
+	spread := (newMax - newMin) / newMax
+	return spread < s.delta || spread < s.imbalance()
 }
 
-// loadRange returns the minimum and maximum live-worker load.
-func (s *state) loadRange() (minL, maxL float64) {
+// Imbalance is the spread of the live workers' loads Lw over in,
+// (max − min) / max: the measure the balance constraint keeps below
+// Delta. It is 0 when no live worker carries load.
+func Imbalance(in Input) float64 { return newState(in).imbalance() }
+
+// imbalance is Imbalance of the current state.
+func (s *state) imbalance() float64 {
+	var minL, maxL float64
 	first := true
 	for w := 0; w < s.k; w++ {
 		if !s.alive[w] {
@@ -216,7 +216,10 @@ func (s *state) loadRange() (minL, maxL float64) {
 		}
 		first = false
 	}
-	return minL, maxL
+	if maxL <= 0 {
+		return 0
+	}
+	return (maxL - minL) / maxL
 }
 
 // applyMove relocates cluster c's mass from worker a to worker b and
@@ -247,13 +250,7 @@ func (s *state) applyMove(c, a, b int) int64 {
 
 // balanced reports whether every worker pair satisfies the δ constraint
 // |Lw − Lw'| / max(Lw, Lw') < δ of Appendix A.1.
-func (s *state) balanced() bool {
-	minL, maxL := s.loadRange()
-	if maxL <= 0 {
-		return true
-	}
-	return (maxL-minL)/maxL < s.delta
-}
+func (s *state) balanced() bool { return s.imbalance() < s.delta }
 
 // moves extracts the executable move directives: every original cell now
 // living somewhere else.
