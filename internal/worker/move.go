@@ -20,7 +20,7 @@ import (
 // strip their state out of every local query, and ship it to the target,
 // which acknowledges the move to the controller.
 func (w *Worker) onMoveScope(m *protocol.MoveScope) error {
-	if !w.stopping {
+	if w.bar.arrived == nil {
 		return fmt.Errorf("move for query %d outside global barrier", m.Q)
 	}
 	if int(m.To) >= w.k || m.To == w.id {
@@ -33,14 +33,14 @@ func (w *Worker) onMoveScope(m *protocol.MoveScope) error {
 	verts := make(map[graph.VertexID]bool)
 	if qs, ok := w.queries[m.Q]; ok {
 		for _, v := range qs.data.keys {
-			if !w.arrived[v] {
+			if !w.bar.arrived[v] {
 				verts[v] = true
 			}
 		}
 	}
 	if fs := w.finished[m.Q]; fs != nil {
 		for v := range fs.verts {
-			if w.owner[v] == w.id && !w.arrived[v] {
+			if w.owner[v] == w.id && !w.bar.arrived[v] {
 				verts[v] = true
 			}
 		}
@@ -89,7 +89,7 @@ func (w *Worker) onMoveScope(m *protocol.MoveScope) error {
 	// A target that just died fails the send, as it fails a vertex batch;
 	// recovery then aborts the barrier and replaces the moved state.
 	w.conn.Send(protocol.WorkerNode(m.To), &protocol.ScopeData{
-		Epoch: m.Epoch, Q: m.Q, From: w.id, Gen: w.gen, Vertices: moved,
+		Epoch: m.Epoch, Q: m.Q, From: w.id, Gen: w.bar.gen, Vertices: moved,
 	})
 	return nil
 }
@@ -117,23 +117,25 @@ func forShared(scope, verts map[graph.VertexID]bool, fn func(graph.VertexID)) {
 // values and pending messages, and remember finished-scope memberships. Then
 // it acknowledges the move to the controller with the moved vertex ids.
 func (w *Worker) onScopeData(m *protocol.ScopeData) error {
-	if m.Gen != w.gen {
+	if m.Gen != w.bar.gen {
 		// Scope data from an aborted pre-recovery barrier: the recovery
 		// reset discarded the move's bookkeeping on every node, so the
 		// transfer must neither merge nor be acknowledged.
 		return nil
 	}
-	if !w.stopping {
+	if w.bar.arrived == nil {
 		return fmt.Errorf("scope data for query %d outside global barrier", m.Q)
 	}
 	ids := make([]graph.VertexID, 0, len(m.Vertices))
 	for _, mv := range m.Vertices {
 		ids = append(ids, mv.V)
+	}
+	if err := w.checkIDs(ids, nil); err != nil {
+		return fmt.Errorf("scope data for query %d: %w", m.Q, err)
+	}
+	for _, mv := range m.Vertices {
 		w.owner[mv.V] = w.id
-		if w.arrived == nil {
-			w.arrived = make(map[graph.VertexID]bool)
-		}
-		w.arrived[mv.V] = true
+		w.bar.arrive(mv.V)
 		for _, qv := range mv.Values {
 			if qs, ok := w.queries[qv.Q]; ok {
 				if _, had := qs.data.get(mv.V); !had {

@@ -24,16 +24,18 @@ type stepResult struct {
 	nActiveNext int32
 	sent        []int32 // batches sent per destination worker
 	sentTotal   int32
+	// minFrontier bounds every value still in flight: the batches just
+	// sent and every inbox not yet consumed.
 	minFrontier float64
+	bestGoal    float64 // the best goal value the superstep found
 }
 
-// stepOnce computes the query's next superstep under its active release.
-// When the release marks this worker as solo and the query stayed local,
-// the query is re-queued for another local superstep instead of reporting
-// a barrier message (the local query barrier of Sec. 3.3) — but only one
-// superstep runs per call, so concurrent queries interleave fairly.
-func (w *Worker) stepOnce(q query.ID, qs *queryState) error {
-	step := qs.step
+// stepOnce computes superstep step of query q, which the barrier queued,
+// and reports it unless the barrier loops a solo query on (the local query
+// barrier of Sec. 3.3). One superstep runs per call, so concurrent queries
+// interleave fairly.
+func (w *Worker) stepOnce(q query.ID, step int32) error {
+	qs := w.queries[q]
 	t0 := time.Now()
 	res := w.computeStep(qs, step)
 	// Fault seam inside the timed section: an armed hook that sleeps here
@@ -47,18 +49,9 @@ func (w *Worker) stepOnce(q query.ID, qs *queryState) error {
 	if faultpoint.Hit(faultpoint.WorkerSuperstep, int(w.id), int(q), int(step)) {
 		return faultpoint.ErrKilled
 	}
-	canLoop := qs.release.Solo &&
-		!w.stopping &&
-		res.sentTotal == 0 &&
-		res.nActiveNext > 0 &&
-		!(qs.prog.Monotone() && res.minFrontier >= qs.bestGoal) &&
-		(qs.spec.MaxIters == 0 || int(step+1) < qs.spec.MaxIters)
-	if canLoop {
-		w.ready = append(w.ready, q)
-		return nil
+	if w.bar.stepped(q, res) {
+		w.sendSynch(q, qs, step, res)
 	}
-	qs.release = nil
-	w.sendSynch(q, qs, qs.soloFrom, step, res)
 	return nil
 }
 
@@ -72,6 +65,7 @@ func (w *Worker) computeStep(qs *queryState, step int32) stepResult {
 	res := stepResult{
 		processed:   int32(box.len()),
 		minFrontier: query.NoResult,
+		bestGoal:    query.NoResult,
 		sent:        make([]int32, w.k),
 	}
 	// The query's pinned snapshot, not w.view: commits landing while this
@@ -102,8 +96,8 @@ func (w *Worker) computeStep(qs *queryState, step int32) stepResult {
 				qs.touch(v)
 			}
 			qs.data.set(v, newVal)
-			if prog.Goal(g, spec, v, newVal) && newVal < qs.bestGoal {
-				qs.bestGoal = newVal
+			if prog.Goal(g, spec, v, newVal) {
+				res.bestGoal = min(res.bestGoal, newVal)
 			}
 		}
 		w.free(box)
@@ -137,16 +131,14 @@ func (w *Worker) computeStep(qs *queryState, step int32) stepResult {
 		res.sentTotal += res.sent[dst]
 	}
 
-	// Local activations pending for the next superstep also bound the
-	// frontier.
-	next := qs.inbox[step+1]
-	if next != nil {
-		for _, val := range next.vals {
+	// Pending activations, local ones for the next superstep and any older
+	// remote ones, also bound the frontier.
+	for _, box := range qs.inbox {
+		for _, val := range box.vals {
 			res.minFrontier = min(res.minFrontier, val)
 		}
 	}
-	res.nActiveNext = int32(next.len())
-	qs.step = step + 1
+	res.nActiveNext = int32(qs.inbox[step+1].len())
 	return res
 }
 
@@ -157,7 +149,7 @@ func (w *Worker) sendBatch(q query.ID, step int32, dst partition.WorkerID, entri
 	for len(entries) > 0 {
 		n := min(len(entries), batchMsgs)
 		w.conn.Send(protocol.WorkerNode(dst), &protocol.VertexBatch{
-			Q: q, Step: step, From: w.id, Gen: w.gen, Entries: entries[:n:n],
+			Q: q, Step: step, From: w.id, Gen: w.bar.gen, Entries: entries[:n:n],
 		})
 		entries = entries[n:]
 		batches++
@@ -165,35 +157,26 @@ func (w *Worker) sendBatch(q query.ID, step int32, dst partition.WorkerID, entri
 	return batches
 }
 
-// sendSynch reports a completed superstep range to the controller with the
-// scope size piggybacked (Sec. 3.4); intersections wait for a StatsPull.
-func (w *Worker) sendSynch(q query.ID, qs *queryState, fromStep, step int32, res stepResult) {
-	minFrontier := res.minFrontier
-	// Older pending inboxes (from earlier remote activations) also bound
-	// the frontier; include everything still buffered.
-	for s, box := range qs.inbox {
-		if s == step+1 {
-			continue // already folded in
-		}
-		for _, val := range box.vals {
-			minFrontier = min(minFrontier, val)
-		}
-	}
+// sendSynch reports the supersteps of query q's release, the last of them
+// step, to the controller with the scope size piggybacked (Sec. 3.4);
+// intersections wait for a StatsPull.
+func (w *Worker) sendSynch(q query.ID, qs *queryState, step int32, res stepResult) {
+	qb := w.bar.queries[q]
 	computeNS, newBlocks := qs.computeNS, qs.newBlocks
 	qs.computeNS, qs.newBlocks = 0, nil // the message keeps the slice
 	slices.Sort(newBlocks)              // neighbours differ by a byte on the wire
 	w.conn.Send(protocol.ControllerNode, &protocol.BarrierSynch{
 		Q: q, W: w.id,
 		Step:        step,
-		FromStep:    fromStep,
-		LocalIters:  step - fromStep,
+		FromStep:    qb.rel.step,
+		LocalIters:  step - qb.rel.step,
 		Processed:   res.processed,
 		NActiveNext: res.nActiveNext,
 		ComputeNS:   computeNS,
 		ScopeSize:   int32(qs.data.len()),
 		SentBatches: res.sent,
-		BestGoal:    qs.bestGoal,
-		MinFrontier: minFrontier,
+		BestGoal:    qb.bestGoal,
+		MinFrontier: res.minFrontier,
 		NewBlocks:   newBlocks,
 	})
 }

@@ -16,7 +16,7 @@ import (
 )
 
 // recConn records what a worker sends, so a test can drive the worker's
-// event loop by hand (handle + runReady) and read its state between events.
+// event loop by hand (Handle + Step) and read its state between events.
 type recConn struct{ sent []protocol.Message }
 
 func (c *recConn) Send(_ protocol.NodeID, m protocol.Message) error {
@@ -60,14 +60,29 @@ func newSyncWorkerOn(t testing.TB, k int, g *graph.Graph, owner partition.Assign
 
 func (s *syncWorker) deliver(m protocol.Message) {
 	s.t.Helper()
-	if _, err := s.w.handle(transport.Envelope{Msg: m}); err != nil {
+	if err := s.send(m); err != nil {
 		s.t.Fatal(err)
 	}
-	for len(s.w.ready) > 0 {
-		if err := s.w.runReady(); err != nil {
-			s.t.Fatal(err)
+}
+
+// send hands the worker m and runs every superstep it queued, as Run would
+// with no other message waiting, and returns the first error.
+func (s *syncWorker) send(m protocol.Message) error {
+	if _, err := s.w.Handle(transport.Envelope{Msg: m}); err != nil {
+		return err
+	}
+	for {
+		if ran, err := s.w.Step(); !ran || err != nil {
+			return err
 		}
 	}
+}
+
+// stop opens a global barrier this worker alone takes part in: scopes move
+// only inside one.
+func (s *syncWorker) stop() {
+	s.t.Helper()
+	s.deliver(&protocol.GlobalStop{Epoch: 1, Live: []partition.WorkerID{s.w.id}})
 }
 
 // runQuery floods iters-1 hops from src, finishes the query one clock
@@ -233,7 +248,8 @@ func TestMoveCarriesIntersections(t *testing.T) {
 	if rep := src.pull(); !slices.Equal(rep.Pairs, []protocol.IntersectionStat{{Q1: 2, Q2: 1, Shared: 7}}) {
 		t.Fatalf("before the move worker 0 reports %+v", rep.Pairs)
 	}
-	src.w.stopping, dst.w.stopping = true, true // scopes move inside a global barrier
+	src.stop()
+	dst.stop()
 	src.deliver(&protocol.MoveScope{Q: 1, To: 1})
 	dst.deliver(src.conn.sent[len(src.conn.sent)-1])
 	if rep := src.pull(); len(rep.Pairs) != 0 {
@@ -254,7 +270,7 @@ func TestMoveStripsEveryRememberedScope(t *testing.T) {
 	for q := 1; q <= n; q++ {
 		s.runQuery(query.ID(q), 50, 4) // every scope is 47..53
 	}
-	s.w.stopping = true
+	s.stop()
 	s.deliver(&protocol.MoveScope{Q: n, To: 1})
 	data := s.conn.sent[len(s.conn.sent)-1].(*protocol.ScopeData)
 	if len(data.Vertices) != 7 {
@@ -282,7 +298,7 @@ func TestScopeDataRemembersNoNewQueries(t *testing.T) {
 	for q := 1; q <= 2*n; q++ { // one clock second each: the first n-1 age out
 		s.runQuery(query.ID(q), 50, 4)
 	}
-	s.w.stopping = true // scope data only flows inside a global barrier
+	s.stop()
 	moved := protocol.MovedVertex{V: 7}
 	for q := 1; q <= 2*n+10; q++ { // forgotten, remembered, never seen
 		moved.Finished = append(moved.Finished, query.ID(q))
@@ -407,12 +423,12 @@ func TestSynchReportsNewBlocksOnce(t *testing.T) {
 	for st := int32(0); st <= 40; st++ { // the flood reaches 60..140: blocks 0, 1 and 2
 		step(st)
 	}
-	s.w.stopping = true // scope data only flows inside a global barrier
+	s.stop()
 	s.deliver(&protocol.ScopeData{From: 1, Q: 9, Vertices: []protocol.MovedVertex{
 		{V: 390, Values: []protocol.QueryValue{{Q: 1, Val: 3}}},
 		{V: 130, Values: []protocol.QueryValue{{Q: 1, Val: 3}}},
 	}})
-	s.w.stopping = false
+	s.deliver(&protocol.GlobalStart{Epoch: 1})
 	step(41)
 	want := map[int][]int32{0: {1}, 28: {2}, 37: {0}, 41: {6}}
 	for st, got := range reports {

@@ -3,20 +3,22 @@
 // A worker owns a partition of the vertices, executes the vertex functions
 // of all queries over its partition superstep by superstep, batches
 // messages to remote vertices, tracks each query's local scope LS(q,w),
-// and cooperates with the controller through the barrier protocol —
-// including the local query barrier that lets it iterate a solo query
-// without any controller round-trips (Sec. 3.3).
+// and cooperates with the controller through the barrier protocol.
 //
-// A worker is a single event loop over its transport inbox; all state is
-// confined to that goroutine.
+// The worker's half of the hybrid barrier (Sec. 3.3) is one machine with no
+// I/O and no clock (barrier.go): when a released superstep may run, the
+// local query barrier that iterates a solo query without controller round
+// trips, what becomes of a vertex batch, and the STOP/START drain. The
+// controller's half is its round (internal/controller).
+//
+// A worker is a single event loop over its transport inbox, a pump over two
+// entries: Handle takes one message, Step runs one queued superstep. All
+// state is confined to the goroutine that calls them.
 package worker
 
 import (
-	"cmp"
 	"fmt"
 	"log/slog"
-	"maps"
-	"slices"
 	"sync/atomic"
 	"time"
 
@@ -108,70 +110,10 @@ type queryState struct {
 	newBlocks []int32
 	// inbox[s] holds combined messages to be consumed by superstep s.
 	inbox map[int32]*table
-	// recvBatches[s] counts vertex batches received that were sent during
-	// superstep s (consumed by s+1); the barrier release waits on it.
-	recvBatches map[int32]int32
-	// pending is a barrier release we cannot honor yet because expected
-	// batches have not all arrived.
-	pending *protocol.BarrierReady
-	// release is the active barrier release being executed; while it has
-	// Solo set, the worker keeps re-queueing the query for further local
-	// supersteps (the local query barrier) without controller round-trips.
-	release *protocol.BarrierReady
-	// soloFrom is the first superstep covered by the current release.
-	soloFrom int32
-	// step is the next superstep to compute.
-	step int32
-	// bestGoal is the best goal value seen on this worker.
-	bestGoal float64
 	// computeNS accumulates wall time spent in computeStep since the last
 	// barrier report; it ships to the controller on BarrierSynch so the
 	// query's trace can attribute superstep time per worker.
 	computeNS int64
-}
-
-const sigShift = protocol.SigShift
-
-type sigBlock struct{ blk, n int32 } // n touched vertices in id block blk
-
-// frozenSig is a coarse signature of a finished scope: touched vertices per
-// sigShift-sized id block, sorted by block. Intersection statistics are
-// estimated from signatures instead of exact key-set walks, which makes the
-// Iw report (Sec. 3.4) a pass over O(scope/2^sigShift) blocks per query pair
-// — the clustering that consumes them only needs affinity.
-type frozenSig []sigBlock
-
-func freezeSig(sig *table) frozenSig {
-	out := make(frozenSig, 0, sig.len())
-	for i, blk := range sig.keys {
-		out = append(out, sigBlock{int32(blk), int32(sig.vals[i])})
-	}
-	slices.SortFunc(out, func(a, b sigBlock) int { return cmp.Compare(a.blk, b.blk) })
-	return out
-}
-
-// add counts vertex v into (d = 1) or out of (d = -1) the signature.
-func (s *frozenSig) add(v graph.VertexID, d int32) {
-	blk := int32(v) >> sigShift
-	i, ok := slices.BinarySearchFunc(*s, blk, func(e sigBlock, blk int32) int { return cmp.Compare(e.blk, blk) })
-	if !ok {
-		*s = slices.Insert(*s, i, sigBlock{blk: blk})
-	}
-	if (*s)[i].n += d; (*s)[i].n <= 0 {
-		*s = slices.Delete(*s, i, i+1)
-	}
-}
-
-// finishedScope is what a worker remembers of a finished query (see remember
-// for how long): that it finished, which tells late batches from batches that
-// raced ahead of the ExecuteQuery broadcast on another link; its local vertex
-// set, so move directives can still relocate the hotspot; and its signature,
-// for the pairs a StatsPull asks for while it is windowed.
-type finishedScope struct {
-	q     query.ID
-	verts map[graph.VertexID]bool
-	sig   frozenSig
-	at    time.Time
 }
 
 // Worker is the worker-layer event loop.
@@ -196,17 +138,12 @@ type Worker struct {
 	// by id and (finishOrder) oldest first; window() is its newest end.
 	finished    map[query.ID]*finishedScope
 	finishOrder []*finishedScope
-	// early buffers batches that arrived before their query's
-	// ExecuteQuery; they are replayed when it arrives.
-	early map[query.ID][]*protocol.VertexBatch
+	// bar is the worker's half of the hybrid barrier (barrier.go).
+	bar barrier
 
-	// Recovery state. gen is the recovery generation this worker lives in;
-	// vertex batches and scope data from other generations are dropped, since
-	// recovery discarded their queries and moves on every node. joining marks
-	// a respawned worker that has said hello and must ignore all traffic
-	// addressed to its dead predecessor until the controller's
+	// joining marks a respawned worker that has said hello and must ignore
+	// all traffic addressed to its dead predecessor until the controller's
 	// PartitionGrant.
-	gen     int32
 	joining bool
 	// replayedOps counts the operations the latest PartitionGrant replayed
 	// to rebuild this worker's view — with checkpointing, O(ops since the
@@ -214,27 +151,6 @@ type Worker struct {
 	// while the worker runs.
 	replayedOps atomic.Int64
 
-	// Global barrier state. stop is the GlobalStop whose StopAck waits for
-	// the markers of its peers; markers counts the StopMarkers received per
-	// epoch, which may run ahead of this worker's own GlobalStop.
-	stopping bool
-	stop     *protocol.GlobalStop
-	markers  map[int32]int
-	// arrived tracks vertices received via ScopeData in the current global
-	// barrier. Move directives exclude them, so chained directives
-	// (q: w1→w2 and q: w2→w3 in the same barrier) relocate exactly the
-	// scopes the controller saw, independent of delivery order.
-	arrived map[graph.VertexID]bool
-
-	// Forwarded counts batch entries that arrived for vertices this worker
-	// does not own. The protocol guarantees zero; tests assert it.
-	Forwarded int
-
-	// ready queues queries with a runnable superstep. Processing one
-	// superstep per scheduling turn interleaves concurrent queries fairly:
-	// a long solo query must not monopolize the worker while others wait
-	// (multi-query execution, Sec. 3.3).
-	ready []query.ID
 	// computeDebt accumulates simulated per-vertex compute time until it
 	// is large enough to sleep accurately (see Config.ComputeCost).
 	computeDebt time.Duration
@@ -269,8 +185,7 @@ func New(cfg Config, conn transport.Conn) (*Worker, error) {
 		owner:    cfg.Owner.Clone(),
 		queries:  make(map[query.ID]*queryState),
 		finished: make(map[query.ID]*finishedScope),
-		early:    make(map[query.ID][]*protocol.VertexBatch),
-		markers:  make(map[int32]int),
+		bar:      newBarrier(),
 		outBuf:   make([]*table, cfg.K),
 		joining:  cfg.Rejoin,
 	}
@@ -292,27 +207,23 @@ func (w *Worker) Run() error {
 	for {
 		var env transport.Envelope
 		var ok bool
-		if len(w.ready) == 0 {
-			env, ok = <-inbox
-		} else {
-			select {
-			case env, ok = <-inbox:
-			default:
-				if err := w.runReady(); err != nil {
-					return w.fatal(err)
-				}
+		select {
+		case env, ok = <-inbox:
+		default:
+			ran, err := w.Step()
+			if err != nil {
+				return err
+			}
+			if ran {
 				continue
 			}
+			env, ok = <-inbox
 		}
 		if !ok {
 			return nil
 		}
-		stop, err := w.handle(env)
-		if err != nil {
-			return w.fatal(err)
-		}
-		if stop {
-			return nil
+		if stop, err := w.Handle(env); stop || err != nil {
+			return err
 		}
 	}
 }
@@ -320,44 +231,45 @@ func (w *Worker) Run() error {
 // fatal wraps genuine errors with the worker id; an injected kill passes
 // through unwrapped so harnesses can recognize it.
 func (w *Worker) fatal(err error) error {
-	if err == faultpoint.ErrKilled {
+	if err == nil || err == faultpoint.ErrKilled {
 		return err
 	}
 	return fmt.Errorf("worker %d: %w", w.id, err)
 }
 
-// runReady executes one superstep of the oldest runnable query.
-func (w *Worker) runReady() error {
-	q := w.ready[0]
-	w.ready = w.ready[1:]
-	qs, ok := w.queries[q]
-	if !ok || qs.release == nil {
-		return nil // query finished or was superseded meanwhile
+// Step runs the oldest queued superstep; ran is false when none is queued.
+// An error is fatal, as Handle's is.
+func (w *Worker) Step() (ran bool, err error) {
+	q, step, ok := w.bar.run()
+	if !ok {
+		return false, nil
 	}
-	return w.stepOnce(q, qs)
+	return true, w.fatal(w.stepOnce(q, step))
 }
 
-func (w *Worker) handle(env transport.Envelope) (stop bool, err error) {
+// Handle processes one message. stop reports a Shutdown. An error is fatal:
+// the worker must not be driven further (faultpoint.ErrKilled is an
+// injected crash).
+func (w *Worker) Handle(env transport.Envelope) (stop bool, err error) {
 	if w.joining {
 		// A rejoining worker sees the stale traffic addressed to its dead
 		// predecessor until the controller admits it back; only the grant
 		// (and liveness probes, and a shutdown) are meaningful.
 		switch m := env.Msg.(type) {
 		case *protocol.PartitionGrant:
-			return false, w.onPartitionGrant(m)
+			err = w.onPartitionGrant(m)
 		case *protocol.Ping:
-			return false, w.conn.Send(protocol.ControllerNode, &protocol.Pong{Seq: m.Seq, W: w.id})
+			err = w.conn.Send(protocol.ControllerNode, &protocol.Pong{Seq: m.Seq, W: w.id})
 		case *protocol.Shutdown:
 			return true, nil
-		default:
-			return false, nil
 		}
+		return false, w.fatal(err)
 	}
 	switch m := env.Msg.(type) {
 	case *protocol.ExecuteQuery:
 		err = w.onExecute(m)
 	case *protocol.BarrierReady:
-		err = w.onBarrierReady(m)
+		err = w.bar.ready(m.Q, release{step: m.Step, expect: m.Expect, solo: m.Solo, drained: m.Drained})
 	case *protocol.QueryFinish:
 		w.onFinish(m)
 	case *protocol.StatsPull:
@@ -367,16 +279,13 @@ func (w *Worker) handle(env transport.Envelope) (stop bool, err error) {
 	case *protocol.GlobalStop:
 		err = w.onGlobalStop(m)
 	case *protocol.StopMarker:
-		w.markers[m.Epoch]++
-		err = w.maybeAckStop()
+		err = w.ackStop(w.bar.marker(m.Epoch))
 	case *protocol.MoveScope:
 		err = w.onMoveScope(m)
 	case *protocol.ScopeData:
 		err = w.onScopeData(m)
 	case *protocol.OwnershipUpdate:
-		for i, v := range m.Vertices {
-			w.owner[v] = m.Owners[i]
-		}
+		err = w.onOwnershipUpdate(m)
 	case *protocol.DeltaBatch:
 		err = w.onDeltaBatch(m)
 	case *protocol.Ping:
@@ -384,13 +293,44 @@ func (w *Worker) handle(env transport.Envelope) (stop bool, err error) {
 	case *protocol.RecoverStart:
 		err = w.onRecoverStart(m)
 	case *protocol.GlobalStart:
-		w.stopping = false
+		w.bar.start()
 	case *protocol.Shutdown:
 		return true, nil
 	default:
 		err = fmt.Errorf("unexpected message %T", env.Msg)
 	}
-	return false, err
+	return false, w.fatal(err)
+}
+
+// checkIDs fails unless every vertex of vs indexes the ownership table and
+// every worker of ws is one of the K: ids off the wire, which the worker
+// indexes with.
+func (w *Worker) checkIDs(vs []graph.VertexID, ws []partition.WorkerID) error {
+	for _, v := range vs {
+		if v < 0 || int(v) >= len(w.owner) {
+			return fmt.Errorf("vertex %d out of range [0,%d)", v, len(w.owner))
+		}
+	}
+	for _, o := range ws {
+		if int(o) >= w.k {
+			return fmt.Errorf("worker %d out of range [0,%d)", o, w.k)
+		}
+	}
+	return nil
+}
+
+// onOwnershipUpdate applies the ownership delta of a global barrier.
+func (w *Worker) onOwnershipUpdate(m *protocol.OwnershipUpdate) error {
+	if len(m.Owners) != len(m.Vertices) {
+		return fmt.Errorf("ownership update: %d owners for %d vertices", len(m.Owners), len(m.Vertices))
+	}
+	if err := w.checkIDs(m.Vertices, m.Owners); err != nil {
+		return fmt.Errorf("ownership update: %w", err)
+	}
+	for i, v := range m.Vertices {
+		w.owner[v] = m.Owners[i]
+	}
+	return nil
 }
 
 // onRecoverStart resets this surviving worker into recovery generation
@@ -412,13 +352,7 @@ func (w *Worker) onRecoverStart(m *protocol.RecoverStart) error {
 		return fmt.Errorf("recover at version %d, controller at %d (replica divergence)",
 			w.view.Version(), m.Version)
 	}
-	if len(m.Owner) != w.view.NumVertices() {
-		return fmt.Errorf("recover ownership covers %d of %d vertices", len(m.Owner), w.view.NumVertices())
-	}
-	w.resetForRecovery(m.Gen, m.Owner)
-	return w.conn.Send(protocol.ControllerNode, &protocol.PartitionAck{
-		Gen: m.Gen, W: w.id, Version: w.view.Version(),
-	})
+	return w.resetForRecovery(m.Gen, m.Owner)
 }
 
 // onPartitionGrant admits this rejoining worker into the live set: rebuild
@@ -471,9 +405,6 @@ func (w *Worker) onPartitionGrant(m *protocol.PartitionGrant) error {
 	if view.Version() != m.Version {
 		return fmt.Errorf("grant replay reached version %d, want %d", view.Version(), m.Version)
 	}
-	if len(m.Owner) != view.NumVertices() {
-		return fmt.Errorf("grant ownership covers %d of %d vertices", len(m.Owner), view.NumVertices())
-	}
 	replayed := 0
 	for _, b := range batches {
 		replayed += len(b.Ops)
@@ -484,10 +415,7 @@ func (w *Worker) onPartitionGrant(m *protocol.PartitionGrant) error {
 		"replayed_ops", replayed, "checkpoint_version", baseV, "gen", m.Gen)
 	w.view = view
 	w.joining = false
-	w.resetForRecovery(m.Gen, m.Owner)
-	return w.conn.Send(protocol.ControllerNode, &protocol.PartitionAck{
-		Gen: m.Gen, W: w.id, Version: view.Version(),
-	})
+	return w.resetForRecovery(m.Gen, m.Owner)
 }
 
 // ReplayedOps returns the operations the latest PartitionGrant replayed to
@@ -496,23 +424,20 @@ func (w *Worker) onPartitionGrant(m *protocol.PartitionGrant) error {
 func (w *Worker) ReplayedOps() int64 { return w.replayedOps.Load() }
 
 // resetForRecovery clears every piece of in-flight state that references
-// the pre-recovery generation: live queries, early buffers, the ready
-// queue, the marker wait of an aborted barrier, and move bookkeeping. The
-// wait must go: a StopAck it released now would reach a controller that
-// left the aborted barrier.
-func (w *Worker) resetForRecovery(gen int32, owner []partition.WorkerID) {
-	w.gen = gen
+// the pre-recovery generation (live queries and the barrier, see
+// barrier.reset), adopts the controller's ownership map and acknowledges.
+func (w *Worker) resetForRecovery(gen int32, owner []partition.WorkerID) error {
+	if len(owner) != w.view.NumVertices() {
+		return fmt.Errorf("recovery ownership covers %d of %d vertices", len(owner), w.view.NumVertices())
+	}
+	if err := w.checkIDs(nil, owner); err != nil {
+		return fmt.Errorf("recovery ownership: %w", err)
+	}
+	w.bar.reset(gen)
 	w.owner = append(w.owner[:0], owner...)
 	w.queries = make(map[query.ID]*queryState)
-	w.early = make(map[query.ID][]*protocol.VertexBatch)
-	w.ready = nil
-	w.stop = nil
-	clear(w.markers)
-	w.arrived = nil
 	w.outBuf = make([]*table, w.k)
-	// Recovery acts as a global barrier: the controller releases the
-	// restarted queries with GlobalStart after every live worker acked.
-	w.stopping = true
+	return w.conn.Send(protocol.ControllerNode, &protocol.PartitionAck{Gen: gen, W: w.id, Version: w.view.Version()})
 }
 
 // onExecute registers a query. ExecuteQuery is broadcast to every worker so
@@ -534,15 +459,16 @@ func (w *Worker) onExecute(m *protocol.ExecuteQuery) error {
 		return fmt.Errorf("query %d pinned at version %d, local version %d (replica divergence)",
 			m.Spec.ID, m.Spec.PinVersion, w.view.Version())
 	}
+	if err := w.checkIDs([]graph.VertexID{m.Spec.Source}, nil); err != nil {
+		return fmt.Errorf("query %d source: %w", m.Spec.ID, err)
+	}
 	qs := &queryState{
-		spec:        m.Spec,
-		prog:        prog,
-		view:        w.view,
-		data:        w.table(),
-		sig:         w.table(),
-		inbox:       make(map[int32]*table),
-		recvBatches: make(map[int32]int32),
-		bestGoal:    query.NoResult,
+		spec:  m.Spec,
+		prog:  prog,
+		view:  w.view,
+		data:  w.table(),
+		sig:   w.table(),
+		inbox: make(map[int32]*table),
 	}
 	for _, act := range prog.Init(qs.view, m.Spec) {
 		if w.owner[act.V] == w.id {
@@ -560,10 +486,9 @@ func (w *Worker) onExecute(m *protocol.ExecuteQuery) error {
 	}
 	// Replay any batches that raced ahead of this broadcast on a
 	// worker-worker link.
-	if buffered := w.early[m.Spec.ID]; buffered != nil {
-		delete(w.early, m.Spec.ID)
-		for _, b := range buffered {
-			w.deliverBatch(qs, b)
+	for _, b := range w.bar.execute(m.Spec.ID, prog.Monotone(), m.Spec.MaxIters) {
+		if err := w.merge(qs, b); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -605,71 +530,28 @@ func (w *Worker) combineIn(qs *queryState, s int32, v graph.VertexID, val float6
 	box.combine(v, val, qs.prog)
 }
 
-// onBarrierReady releases (or defers) the next superstep of a query.
-func (w *Worker) onBarrierReady(m *protocol.BarrierReady) error {
-	qs, ok := w.queries[m.Q]
-	if !ok {
-		return fmt.Errorf("barrierReady for unknown query %d", m.Q)
-	}
-	qs.pending = m
-	w.tryAdvance(m.Q, qs)
-	return nil
-}
-
-// tryAdvance activates the pending release once all expected batches
-// arrived, queueing the query's superstep for execution.
-func (w *Worker) tryAdvance(q query.ID, qs *queryState) {
-	m := qs.pending
-	if m == nil {
-		return
-	}
-	if !m.Drained && m.Expect > 0 && qs.recvBatches[m.Step-1] < m.Expect {
-		return // batches still in flight
-	}
-	qs.pending = nil
-	delete(qs.recvBatches, m.Step-1)
-	qs.release = m
-	qs.soloFrom = m.Step
-	qs.step = m.Step
-	w.ready = append(w.ready, q)
-}
-
-// onVertexBatch buffers remote messages and re-checks any deferred release.
+// onVertexBatch merges the batches the barrier delivers.
 func (w *Worker) onVertexBatch(m *protocol.VertexBatch) error {
-	if m.Gen != w.gen {
-		// A batch from before a recovery reset: its query state was
-		// discarded everywhere, so it must not deliver.
-		return nil
+	deliver, err := w.bar.batch(m, w.finished[m.Q] != nil)
+	if !deliver || err != nil {
+		return err
 	}
-	qs, ok := w.queries[m.Q]
-	if !ok {
-		if w.finished[m.Q] == nil {
-			// The batch raced ahead of the ExecuteQuery broadcast on
-			// another link; hold it until the query is known.
-			w.early[m.Q] = append(w.early[m.Q], m)
-		}
-		// Batches of finished queries are obsolete: the controller only
-		// finishes a query once no improving message can exist.
-		return nil
-	}
-	w.deliverBatch(qs, m)
-	w.tryAdvance(m.Q, qs)
-	return nil
+	return w.merge(w.queries[m.Q], m)
 }
 
-// deliverBatch merges a batch's entries into the query inbox.
-func (w *Worker) deliverBatch(qs *queryState, m *protocol.VertexBatch) {
-	qs.recvBatches[m.Step]++
+// merge combines a delivered batch's entries into the inbox of the
+// superstep that consumes them. Ownership changes only while the network is
+// drained, so each names a vertex this worker owns. One that does not is a
+// protocol error: forwarding it would count against a peer's Expect that
+// no report announced.
+func (w *Worker) merge(qs *queryState, m *protocol.VertexBatch) error {
 	for _, e := range m.Entries {
-		if dst := w.owner[e.To]; dst != w.id {
-			// Should be impossible: ownership only changes while the
-			// network is drained. Count and forward defensively.
-			w.Forwarded++
-			w.sendBatch(qs.spec.ID, m.Step, dst, []protocol.VertexMsg{e})
-			continue
+		if e.To < 0 || int(e.To) >= len(w.owner) || w.owner[e.To] != w.id {
+			return fmt.Errorf("query %d: batch of step %d from worker %d names vertex %d, not owned here", m.Q, m.Step, m.From, e.To)
 		}
 		w.combineIn(qs, m.Step+1, e.To, e.Val)
 	}
+	return nil
 }
 
 // onDeltaBatch applies one committed mutation batch. It arrives
@@ -689,6 +571,9 @@ func (w *Worker) onDeltaBatch(m *protocol.DeltaBatch) error {
 	if m.Version != w.view.Version()+1 {
 		return fmt.Errorf("delta batch version %d at local version %d (replica divergence)",
 			m.Version, w.view.Version())
+	}
+	if err := w.checkIDs(nil, m.NewOwners); err != nil {
+		return fmt.Errorf("delta batch %d owners: %w", m.Version, err)
 	}
 	nv, _, err := w.view.Apply(m.Ops)
 	if err != nil {
@@ -711,15 +596,14 @@ func (w *Worker) onDeltaBatch(m *protocol.DeltaBatch) error {
 func (w *Worker) View() *delta.View { return w.view }
 
 // onGlobalStop flushes every link into this worker with markers. The
-// controller quiesces all queries before stopping, so the ready queue is
-// empty here; any stragglers run first (with the stopping flag set they
-// report out after one superstep), so the markers follow this worker's last
-// vertex batch before GlobalStart on every link.
+// controller quiesces all queries before stopping, so nothing is queued
+// here; any stragglers run first (stopping, they report out after one
+// superstep), so the markers follow this worker's last vertex batch before
+// GlobalStart on every link.
 func (w *Worker) onGlobalStop(m *protocol.GlobalStop) error {
-	w.stopping = true
-	w.arrived = make(map[graph.VertexID]bool)
-	for len(w.ready) > 0 {
-		if err := w.runReady(); err != nil {
+	w.bar.stop(m.Epoch, len(m.Live)-1)
+	for q, step, ok := w.bar.run(); ok; q, step, ok = w.bar.run() {
+		if err := w.stepOnce(q, step); err != nil {
 			return err
 		}
 	}
@@ -733,23 +617,15 @@ func (w *Worker) onGlobalStop(m *protocol.GlobalStop) error {
 			w.conn.Send(protocol.WorkerNode(p), &protocol.StopMarker{Epoch: m.Epoch})
 		}
 	}
-	w.stop = m
-	return w.maybeAckStop()
+	return w.ackStop(w.bar.ack())
 }
 
-// maybeAckStop sends the StopAck of a pending GlobalStop once a marker of
-// its epoch arrived from every other live worker: each link is FIFO, so
-// every batch sent to this worker before the stop has arrived too.
-func (w *Worker) maybeAckStop() error {
-	m := w.stop
-	if m == nil || w.markers[m.Epoch] < len(m.Live)-1 {
+// ackStop sends the StopAck of epoch if the barrier says it is due.
+func (w *Worker) ackStop(epoch int32, due bool) error {
+	if !due {
 		return nil
 	}
-	w.stop = nil
-	// The markers of this and earlier epochs are spent; one that a dead peer
-	// sent late goes with the next StopAck.
-	maps.DeleteFunc(w.markers, func(e int32, _ int) bool { return e <= m.Epoch })
-	return w.conn.Send(protocol.ControllerNode, &protocol.StopAck{Epoch: m.Epoch, W: w.id})
+	return w.conn.Send(protocol.ControllerNode, &protocol.StopAck{Epoch: epoch, W: w.id})
 }
 
 // onFinish drops a query's live state, keeping its vertex set for future
@@ -757,7 +633,7 @@ func (w *Worker) maybeAckStop() error {
 func (w *Worker) onFinish(m *protocol.QueryFinish) {
 	qs, ok := w.queries[m.Q]
 	delete(w.queries, m.Q)
-	delete(w.early, m.Q)
+	w.bar.finish(m.Q)
 	fs := &finishedScope{q: m.Q, at: w.cfg.Clock()}
 	w.remember(fs)
 	if !ok {
@@ -773,82 +649,4 @@ func (w *Worker) onFinish(m *protocol.QueryFinish) {
 	for _, box := range qs.inbox {
 		w.free(box)
 	}
-}
-
-// rememberedScopes caps finishOrder: a move directive names a query of the
-// window its plan started from, at most 333 finishes old (measured) when run.
-const rememberedScopes = 8 * protocol.WindowQueries
-
-// remember appends fs to the finish order and forgets what ScopeTTL or the cap excludes.
-func (w *Worker) remember(fs *finishedScope) {
-	w.finished[fs.q] = fs
-	w.finishOrder = append(w.finishOrder, fs)
-	for fs.at.Sub(w.finishOrder[0].at) > w.cfg.ScopeTTL || len(w.finishOrder) > rememberedScopes {
-		if old := w.finishOrder[0]; w.finished[old.q] == old {
-			delete(w.finished, old.q)
-		}
-		w.finishOrder[0] = nil
-		w.finishOrder = w.finishOrder[1:]
-	}
-}
-
-// window returns the newest finished queries: the controller's monitoring
-// window, since QueryFinish is broadcast in the order that one fills.
-func (w *Worker) window() []*finishedScope {
-	return w.finishOrder[max(0, len(w.finishOrder)-protocol.WindowQueries):]
-}
-
-// pairs estimates |LS(q) ∩ LS(q2)| for the pairs the monitoring window holds
-// — the worker-side transformation of low-level vertex knowledge into the
-// high-level intersection function Iw of Sec. 3.4, computed when the
-// controller pulls it. Each windowed scope is paired with the ones that
-// finished before it and with the live queries, in ascending id, so a report
-// is the same on every run. Finished partners matter most: queries of one
-// hotspot rarely overlap in time, and these temporal chains let Q-cut's
-// clustering move a hotspot as a unit.
-//
-// Each estimate is Σ_block min over the two signatures, taken in one pass
-// over the partner's blocks against the windowed scope scattered into
-// w.scratch.
-func (w *Worker) pairs() []protocol.IntersectionStat {
-	// Every scope's vertices are below len(w.owner), which grows with the
-	// graph (onDeltaBatch).
-	if n := len(w.owner)>>sigShift + 1; len(w.scratch) < n {
-		w.scratch = make([]int32, n)
-	}
-	scratch := w.scratch
-	live := slices.Sorted(maps.Keys(w.queries))
-	win := w.window()
-	var out []protocol.IntersectionStat
-	for i, fs := range win {
-		if len(fs.sig) == 0 {
-			continue // nothing of it here, or moved away
-		}
-		for _, b := range fs.sig {
-			scratch[b.blk] = b.n
-		}
-		for _, old := range win[:i] {
-			var shared int32
-			for _, b := range old.sig {
-				shared += min(scratch[b.blk], b.n)
-			}
-			if shared > 0 {
-				out = append(out, protocol.IntersectionStat{Q1: fs.q, Q2: old.q, Shared: shared})
-			}
-		}
-		for _, q2 := range live {
-			var shared int32
-			sig := w.queries[q2].sig
-			for i, blk := range sig.keys {
-				shared += min(scratch[blk], int32(sig.vals[i]))
-			}
-			if shared > 0 {
-				out = append(out, protocol.IntersectionStat{Q1: fs.q, Q2: q2, Shared: shared})
-			}
-		}
-		for _, b := range fs.sig {
-			scratch[b.blk] = 0
-		}
-	}
-	return out
 }

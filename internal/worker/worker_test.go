@@ -455,3 +455,61 @@ func TestReplicaDivergenceIsFatal(t *testing.T) {
 		})
 	}
 }
+
+// TestMisroutedBatchIsAnError: ownership changes only while the network is
+// drained, so a batch entry for a vertex this worker does not own is a
+// protocol error that names the query, the step and the sender. Forwarding
+// it would count against a peer's Expect that no report announced; an id
+// past the graph must not crash the worker.
+func TestMisroutedBatchIsAnError(t *testing.T) {
+	for _, v := range []graph.VertexID{4, 99, -1} { // worker 1's, past the graph, negative
+		s := newSyncWorkerOn(t, 2, lineGraph(), partition.Assignment{0, 0, 0, 1, 1}, time.Hour)
+		s.deliver(&protocol.ExecuteQuery{Spec: query.Spec{ID: 3, Kind: query.KindBFS, Source: 0, Target: graph.NilVertex}})
+		err := s.send(&protocol.VertexBatch{Q: 3, Step: 0, From: 1, Entries: []protocol.VertexMsg{{To: 1, Val: 1}, {To: v, Val: 1}}})
+		if err == nil || !strings.Contains(err.Error(), "query 3: batch of step 0 from worker 1") {
+			t.Fatalf("vertex %d: got %v, want a protocol error naming query, step and sender", v, err)
+		}
+		for _, m := range s.conn.sent {
+			if _, ok := m.(*protocol.VertexBatch); ok {
+				t.Fatalf("vertex %d: the entry was forwarded as %+v", v, m)
+			}
+		}
+	}
+}
+
+// TestWireIDsAreRangeChecked: every vertex or worker id a message carries
+// that the worker indexes with is checked first, so a bad one is an error,
+// never a panic that kills the process (or, in-process, the engine).
+func TestWireIDsAreRangeChecked(t *testing.T) {
+	owners := func(last partition.WorkerID) []partition.WorkerID { return []partition.WorkerID{0, 0, 0, 1, last} }
+	for _, tc := range []struct {
+		name    string
+		rejoin  bool
+		barrier bool // inside a global barrier, where scopes move
+		msg     protocol.Message
+	}{
+		{name: "ownership update of a vertex past the graph", msg: &protocol.OwnershipUpdate{Epoch: 1, Vertices: []graph.VertexID{99}, Owners: []partition.WorkerID{1}}},
+		{name: "ownership update to a worker past K", msg: &protocol.OwnershipUpdate{Epoch: 1, Vertices: []graph.VertexID{1}, Owners: []partition.WorkerID{7}}},
+		{name: "ownership update with owners missing", msg: &protocol.OwnershipUpdate{Epoch: 1, Vertices: []graph.VertexID{1, 2}, Owners: []partition.WorkerID{1}}},
+		{name: "scope data of a vertex past the graph", barrier: true, msg: &protocol.ScopeData{Epoch: 1, Q: 1, From: 1, Vertices: []protocol.MovedVertex{{V: 99}}}},
+		{name: "recovery to a worker past K", msg: &protocol.RecoverStart{Gen: 1, Owner: owners(7)}},
+		{name: "grant to a worker past K", rejoin: true, msg: &protocol.PartitionGrant{Gen: 1, Owner: owners(7)}},
+		{name: "delta batch owning a new vertex past K", msg: &protocol.DeltaBatch{Version: 1, Ops: []delta.Op{{Kind: delta.OpAddVertex}}, NewOwners: []partition.WorkerID{7}}},
+		{name: "query from a vertex past the graph", msg: &protocol.ExecuteQuery{Spec: query.Spec{ID: 1, Kind: query.KindBFS, Source: 99, Target: graph.NilVertex}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := &syncWorker{t: t, conn: &recConn{}}
+			w, err := New(Config{ID: 0, K: 2, Graph: lineGraph(), Owner: owners(1), Rejoin: tc.rejoin}, s.conn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.w = w
+			if tc.barrier {
+				s.deliver(&protocol.GlobalStop{Epoch: 1, Live: []partition.WorkerID{0}})
+			}
+			if err := s.send(tc.msg); err == nil {
+				t.Fatalf("%T accepted", tc.msg)
+			}
+		})
+	}
+}
