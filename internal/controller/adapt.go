@@ -64,6 +64,16 @@ type adapt struct {
 	raised      float64
 }
 
+// statsPull is a StatsPull in flight: the live workers yet to answer, the
+// pairs each answer brought, and whether a plan reads the Q-cut input it
+// completes (QcutSnapshot callers may read it too).
+type statsPull struct {
+	seq     int64
+	waiting map[partition.WorkerID]bool
+	pairs   [][]protocol.IntersectionStat // by worker
+	plan    bool
+}
+
 // plan is a plan in flight: the locality it is meant to raise, and its
 // moves until the barrier sends them (Q-cut computes them in run or recover).
 type plan struct {
@@ -176,7 +186,7 @@ func (c *Controller) onTick() {
 		return
 	}
 	c.pruneWindow(now)
-	if c.adapt.trigger(len(c.window), c.avgLocality(), qcut.Imbalance(c.snapshot(now, nil))) {
+	if c.adapt.trigger(len(c.window), c.avgLocality(), qcut.Imbalance(c.snapshot(nil))) {
 		// Q-cut runs asynchronously, hidden behind query processing.
 		c.pullStats(true, nil)
 	}
@@ -197,19 +207,23 @@ func (c *Controller) pullStats(plan bool, ch chan qcut.Input) {
 }
 
 // pulled gives a completed pull's Q-cut input to every QcutSnapshot reader
-// and, for a plan's pull, to Q-cut.
+// and, for a plan's pull, to a Q-cut job. The job stamps the budget when it
+// starts, from the wall clock qcut.Run reads: the budget bounds Q-cut's own
+// CPU, whatever clock the controller runs on.
 func (c *Controller) pulled(p *statsPull) {
 	if p == nil {
 		return
 	}
-	now := c.cfg.Clock()
 	for _, ch := range c.readers {
-		ch <- c.snapshot(now, p.pairs) // each reader owns its copy
+		ch <- c.snapshot(p.pairs) // each reader owns its copy
 	}
 	c.readers = nil
 	if p.plan {
-		in := c.snapshot(now, p.pairs)
-		go func() { c.qcutCh <- qcut.Run(in) }()
+		in := c.snapshot(p.pairs)
+		c.jobs = append(c.jobs, func() any {
+			in.Deadline = time.Now().Add(qcut.Budget)
+			return qcut.Run(in)
+		})
 	}
 }
 

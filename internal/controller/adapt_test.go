@@ -28,8 +28,7 @@ func windowOf(c *Controller, first query.ID, n int, sizes []int64, loc float64, 
 }
 
 // plans runs the tick and says whether it started Q-cut. A plan it
-// started gets its statistics, and its Q-cut result is read and dropped,
-// so the tick leaves no goroutine behind.
+// started gets its statistics, and its Q-cut job is taken and dropped.
 func plans(t *testing.T, c *Controller) bool {
 	t.Helper()
 	before := c.adapt.plan
@@ -38,12 +37,22 @@ func plans(t *testing.T, c *Controller) bool {
 		return false
 	}
 	answer(t, c)
-	select {
-	case <-c.qcutCh:
-	case <-time.After(10 * time.Second):
-		t.Fatal("the plan's statistics are in, and Q-cut never ran")
+	if _, ok := runJob(t, c).(qcut.Result); !ok {
+		t.Fatal("the plan's statistics are in, and its job is no Q-cut run")
 	}
 	return true
+}
+
+// runJob runs the oldest job c's transitions handed out, as the pump would
+// start it, and returns its report unstepped.
+func runJob(t *testing.T, c *Controller) any {
+	t.Helper()
+	if len(c.jobs) == 0 {
+		t.Fatal("no job handed out")
+	}
+	j := c.jobs[0]
+	c.jobs = c.jobs[1:]
+	return j()
 }
 
 // TestBalanceTriggerFiresOnSkewOnly: with every windowed query fully local,
@@ -72,7 +81,7 @@ func TestBalanceTriggerFiresOnSkewOnly(t *testing.T) {
 			}
 			if got := plans(t, c); got != tc.want {
 				t.Fatalf("imbalance %.2f against δ %.2f: Q-cut started = %v, want %v",
-					qcut.Imbalance(c.snapshot(now, nil)), balanceSlack, got, tc.want)
+					qcut.Imbalance(c.snapshot(nil)), balanceSlack, got, tc.want)
 			}
 		})
 	}
@@ -465,5 +474,23 @@ func TestGlobalBarrierTransitions(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, tc.run)
+	}
+}
+
+// TestPlanGetsItsBudget: Q-cut's budget bounds its own run on the wall
+// clock it reads, so a controller on another clock (here a fixed one, long
+// past) still gets perturbation rounds out of its plan.
+func TestPlanGetsItsBudget(t *testing.T) {
+	now := time.Unix(1_000, 0)
+	c := newLoopless(t, 2, func(cfg *Config) {
+		cfg.Adapt = true
+		cfg.Owner = partition.Assignment{0, 1, 0, 1, 0, 1, 0, 1}
+		cfg.Clock = func() time.Time { return now }
+	})
+	windowOf(c, 1, 8, []int64{20, 20}, 0, now)
+	c.onTick()
+	answer(t, c)
+	if res, ok := runJob(t, c).(qcut.Result); !ok || res.Rounds == 0 {
+		t.Fatalf("the plan's Q-cut run gave %+v: no perturbation round", res)
 	}
 }

@@ -443,8 +443,8 @@ func (c *Controller) avgLocality() float64 {
 // snapshot builds the Q-cut input from the high-level global view: scope
 // size rows for windowed (finished) and active queries, the intersections
 // pairs[w] worker w reported, summed over live workers, and the
-// authoritative per-worker vertex counts.
-func (c *Controller) snapshot(now time.Time, pairs [][]protocol.IntersectionStat) qcut.Input {
+// authoritative per-worker vertex counts. It sets no Deadline.
+func (c *Controller) snapshot(pairs [][]protocol.IntersectionStat) qcut.Input {
 	// Recovery destroyed the scope state the window still attributes to
 	// dead workers: their rows are zeroed, and Q-cut ignores them.
 	alive := make([]bool, c.cfg.K)
@@ -504,7 +504,6 @@ func (c *Controller) snapshot(now time.Time, pairs [][]protocol.IntersectionStat
 		VertexCounts:  append([]int64(nil), c.vertCount...),
 		Alive:         alive,
 		Delta:         balanceSlack,
-		Deadline:      now.Add(qcut.Budget),
 		Seed:          c.cfg.Seed + uint64(c.adapt.epoch),
 	}
 }

@@ -1,9 +1,11 @@
 package controller
 
 import (
+	"fmt"
 	"maps"
 	"slices"
 	"testing"
+	"time"
 
 	"qgraph/internal/graph"
 	"qgraph/internal/obs"
@@ -228,5 +230,57 @@ func TestStopClosesQuerySpans(t *testing.T) {
 	}
 	if len(open) > 0 {
 		t.Fatalf("spans left open after Stop: %v", open)
+	}
+}
+
+// BenchmarkMultiWorkerRound is the controller's CPU for one superstep that
+// involves all k workers: k BarrierSynch reports stepped in, each announcing
+// a batch to every other worker, and the release of the next superstep out
+// over the sim's links. No worker runs.
+func BenchmarkMultiWorkerRound(b *testing.B) {
+	for _, k := range []int{2, 4, 8} {
+		b.Run(fmt.Sprintf("k%d", k), func(b *testing.B) {
+			g := lineGraph(16)
+			owner := make(partition.Assignment, g.NumVertices())
+			for v := range owner {
+				owner[v] = partition.WorkerID(v % k)
+			}
+			net := &fifoNet{n: k + 1, links: make([][]transport.Envelope, (k+1)*(k+1))}
+			now := time.Unix(1_000, 0)
+			c, err := New(Config{K: k, Graph: g, Owner: owner, HeartbeatEvery: -1, Clock: func() time.Time { return now }},
+				fifoConn{net, protocol.ControllerNode})
+			if err != nil {
+				b.Fatal(err)
+			}
+			c.onSchedule(scheduleReq{spec: query.Spec{ID: 1, Kind: query.KindBFS, Source: 0, Target: graph.NilVertex}, ch: make(chan Result, 1)})
+			reports := make([]*protocol.BarrierSynch, k)
+			for w := range reports {
+				sent := slices.Repeat([]int32{1}, k)
+				sent[w] = 0
+				reports[w] = &protocol.BarrierSynch{Q: 1, W: partition.WorkerID(w), Processed: 1, NActiveNext: 1, ScopeSize: 1,
+					SentBatches: sent, BestGoal: query.NoResult, MinFrontier: 1}
+			}
+			// round steps every involved worker's report and drops what the
+			// controller sent.
+			round := func() {
+				for w := range c.queries[1].involved {
+					if err := c.step(transport.Envelope{From: protocol.WorkerNode(w), Msg: reports[w]}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				for i := range net.links {
+					net.links[i] = net.links[i][:0]
+				}
+				net.sent = net.sent[:0]
+			}
+			round() // the source's worker alone, then every worker
+			if n := len(c.queries[1].involved); n != k {
+				b.Fatalf("%d workers involved, want %d", n, k)
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				round()
+			}
+		})
 	}
 }

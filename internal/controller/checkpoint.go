@@ -21,8 +21,8 @@ import (
 // versions. And because delta.View is immutable (every commit builds a
 // new view), pinning a version is one pointer copy: the commit's only
 // checkpoint work. The O(V+E) materialization and the durable write run
-// on a background cutter goroutine, and the result flows back through
-// cutCh so truncation still happens on the event loop where the logs live.
+// in a background job, the cutter, whose report comes back as an event, so
+// truncation still happens on the event loop where the logs live.
 //
 // Truncation safety: the logs are only dropped up to the *durable* floor
 // the store reports — with a disk-backed store, a failed persist keeps the
@@ -101,20 +101,11 @@ func (p *commits) land(d cutDone, base uint64) (floor uint64, waiters []chan sna
 	return d.floor, pin.waiters
 }
 
-// requestCheckpoint is the manual trigger (POST /admin/snapshot): the
-// reply is delivered once the requested cut — and its truncation —
-// completed. A version that is already checkpointed replies immediately
-// with Cut=false.
-func (c *Controller) requestCheckpoint(ch chan snapshot.Result) {
-	c.commits.request(ch)
-	c.maybeCheckpoint(c.cfg.Clock())
-}
-
-// maybeCheckpoint starts the cut the pipeline pins, if any: a background
-// cutter folds the immutable committed view and reports through cutCh,
-// writing nothing of the controller's, so the pin is the only checkpoint
-// work the event loop (and thus a commit) ever pays. Called after every
-// applied commit, on every tick, and for every request and landed cut.
+// maybeCheckpoint hands out the cut the pipeline pins, if any: the cutter
+// job folds the immutable committed view and reports a cutDone, writing
+// nothing of the controller's, so the pin is the only checkpoint work the
+// event loop (and thus a commit) ever pays. Called after every applied
+// commit, on every tick, and for every request and landed cut.
 func (c *Controller) maybeCheckpoint(now time.Time) {
 	view := c.curView.Load()
 	res := snapshot.Result{Version: view.Version(), Vertices: view.NumVertices(), Edges: view.NumEdges()}
@@ -125,22 +116,21 @@ func (c *Controller) maybeCheckpoint(now time.Time) {
 	if !start {
 		return
 	}
-	store, cutCh, clock := c.cfg.Snapshots, c.cutCh, c.cfg.Clock
-	go func() {
+	store, clock := c.cfg.Snapshots, c.cfg.Clock
+	c.jobs = append(c.jobs, func() any {
 		started := clock()
 		g := view.Materialize()
 		if faultpoint.Hit(faultpoint.SnapshotCut) {
 			// Simulated crash mid-cut: the materialized graph never reached
 			// the store, so the logs keep every batch — recovery replays the
 			// longer tail over the previous checkpoint, correctness unharmed.
-			cutCh <- cutDone{res: res, aborted: true}
-			return
+			return cutDone{res: res, aborted: true}
 		}
 		floor, perr := store.Add(&snapshot.Snapshot{Version: res.Version, Graph: g})
 		res.Cut = true
 		res.Persisted = perr == nil && store.Dir() != ""
-		cutCh <- cutDone{res: res, floor: floor, dur: clock().Sub(started)}
-	}()
+		return cutDone{res: res, floor: floor, dur: clock().Sub(started)}
+	})
 }
 
 // onCutDone lands a finished background cut on the event loop: truncate

@@ -16,11 +16,18 @@
 // (adapt in adapt.go and global.go). The controller sends what these four
 // machines decide.
 //
-// The controller is a single event loop; all state is confined to the Run
-// goroutine.
+// The controller is one transition, step, over one event: a message, a WAL
+// completion, a tick (the ticker's time), a caller's request or a job's
+// report. Run is a pump that feeds it from the inbox, the WAL, a ticker and
+// one FIFO queue of requests and job reports, and the only code that starts
+// a goroutine: a transition hands background work (a Q-cut run, a
+// checkpoint cut) to the pump as a job, a func returning the event that
+// reports it. All state is confined to the goroutine that calls step; tests
+// step it with no Run.
 package controller
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync/atomic"
@@ -254,48 +261,15 @@ const (
 	phaseRecover
 )
 
-// scheduleReq is the internal request carrying a user's scheduleQuery call
-// — or, with cancel set, a Cancel for the id in spec.ID. Both flow through
-// one FIFO channel so a cancel issued after Schedule returned can never
-// overtake its schedule in the event loop.
+// scheduleReq is the internal request carrying a user's scheduleQuery call.
+// A Cancel is a cancelReq; both ride the event queue, so a cancel issued
+// after Schedule returned can never overtake its schedule.
 type scheduleReq struct {
-	spec   query.Spec
-	ch     chan<- Result
-	cancel bool
+	spec query.Spec
+	ch   chan<- Result
 }
 
-// statsPull is a StatsPull in flight: the live workers yet to answer, the
-// pairs each answer brought, and whether a plan reads the Q-cut input it
-// completes (QcutSnapshot callers may read it too).
-type statsPull struct {
-	seq     int64
-	waiting map[partition.WorkerID]bool
-	pairs   [][]protocol.IntersectionStat // by worker
-	plan    bool
-}
-
-// MutationResult reports the outcome of one Mutate call after its batch
-// committed: the graph version the ops landed in, how many applied, and
-// how many were no-ops (remove/set_weight of a non-existent edge).
-type MutationResult struct {
-	Version uint64
-	Applied int
-	NoOps   int
-	Err     error
-}
-
-// mutateReq carries one client mutation batch into the event loop.
-type mutateReq struct {
-	ops []delta.Op
-	ch  chan<- MutationResult
-}
-
-// pendingMut tracks one client batch staged for the next commit; n is its
-// op count (for splitting the commit's per-op statuses back per caller).
-type pendingMut struct {
-	n  int
-	ch chan<- MutationResult
-}
+type cancelReq query.ID
 
 // Controller is the controller-layer event loop.
 type Controller struct {
@@ -319,7 +293,6 @@ type Controller struct {
 	obs        *ctlObs
 	deferred   []scheduleReq
 	readers    []chan qcut.Input
-	qcutCh     chan qcut.Result
 	// repartEpoch counts executed global barriers (scope moves, recovery);
 	// concurrent readers (/healthz, /stats) load it while Run is live.
 	repartEpoch atomic.Int64
@@ -328,15 +301,14 @@ type Controller struct {
 	// graph: stored only by the event loop (one whole batch at a time),
 	// loaded by it and by concurrent readers (Schedule validation, the
 	// serving layer). commits is the pipeline from Mutate to the checkpoint
-	// cut, fed group-commit completions by walAckCh and the cutter's report
-	// by cutCh. pins counts the queries pinned at each version (each active
-	// query holds one). Concurrent readers see the published mvcc and
-	// logStats (the op log and the last cut), never the loop's fields.
+	// cut, fed group-commit completions by walAckCh. pins counts the
+	// queries pinned at each version (each active query holds one).
+	// Concurrent readers see the published mvcc and logStats (the op log
+	// and the last cut), never the loop's fields.
 	curView    atomic.Pointer[delta.View]
 	onCommit   atomic.Pointer[func(version uint64, blocks []int32)]
 	commits    commits
 	walAckCh   chan wal.AppendAck
-	cutCh      chan cutDone
 	pins       map[uint64]int
 	ackVersion []uint64 // each worker's last DeltaAck (MVCCStats.MaxWorkerLag)
 	mvcc       atomic.Pointer[MVCCStats]
@@ -351,13 +323,27 @@ type Controller struct {
 	recovery atomic.Pointer[RecoveryStats]
 	deltaLog delta.Log
 
-	scheduleCh   chan scheduleReq
-	snapshotCh   chan chan qcut.Input      // QcutSnapshot's replies
-	checkpointCh chan chan snapshot.Result // ForceSnapshot's replies
-	mutateCh     chan mutateReq
-	stopCh       chan struct{}
-	doneCh       chan struct{}
+	// events is the queue of callers' requests (a scheduleReq, a cancelReq,
+	// a mutateReq, QcutSnapshot's chan qcut.Input, ForceSnapshot's chan
+	// snapshot.Result) and of job reports (wrapped in done). Its buffer
+	// absorbs a burst of requests between two turns of the loop; a full
+	// queue blocks the caller, never the loop. jobs holds the background
+	// work transitions handed out since the pump last took it.
+	events chan any
+	jobs   []job
+	stopCh chan struct{}
+	doneCh chan struct{}
 }
+
+// job is background work a transition hands to the pump instead of starting
+// it: the pump runs it off the loop and steps the event it returns.
+type job func() any
+
+// done carries a job's report through the event queue, so Run knows when no
+// job is left running.
+type done struct{ ev any }
+
+var errStopped = errors.New("controller: stopped")
 
 // windowEntry is all the global view holds about a finished query; it is
 // evicted as a whole. Its overlaps with other queries stay on the workers
@@ -386,19 +372,14 @@ func New(cfg Config, conn transport.Conn) (*Controller, error) {
 			private: cfg.privateSnapshots, onDisk: cfg.Snapshots.Dir() != "",
 			head: cfg.BaseVersion, lastSnapAt: cfg.Clock(), lastSnapVersion: cfg.BaseVersion,
 		},
-		walAckCh:     make(chan wal.AppendAck, 2*maxSealedInFlight),
-		pins:         make(map[uint64]int),
-		ackVersion:   slices.Repeat([]uint64{cfg.BaseVersion}, cfg.K),
-		members:      newMembers(&cfg),
-		adapt:        newAdapt(&cfg),
-		qcutCh:       make(chan qcut.Result, 1),
-		cutCh:        make(chan cutDone, 1),
-		scheduleCh:   make(chan scheduleReq, 64),
-		snapshotCh:   make(chan chan qcut.Input),
-		checkpointCh: make(chan chan snapshot.Result),
-		mutateCh:     make(chan mutateReq, 64),
-		stopCh:       make(chan struct{}),
-		doneCh:       make(chan struct{}),
+		walAckCh:   make(chan wal.AppendAck, 2*maxSealedInFlight),
+		pins:       make(map[uint64]int),
+		ackVersion: slices.Repeat([]uint64{cfg.BaseVersion}, cfg.K),
+		members:    newMembers(&cfg),
+		adapt:      newAdapt(&cfg),
+		events:     make(chan any, 128),
+		stopCh:     make(chan struct{}),
+		doneCh:     make(chan struct{}),
 	}
 	for _, w := range cfg.Owner {
 		c.vertCount[w]++
@@ -432,17 +413,26 @@ func (c *Controller) Schedule(spec query.Spec) (<-chan Result, error) {
 	if err := spec.Validate(c.curView.Load()); err != nil {
 		return nil, err
 	}
+	ch := make(chan Result, 1)
+	if !c.enqueue(scheduleReq{spec: spec, ch: ch}) {
+		return nil, errStopped
+	}
+	return ch, nil
+}
+
+// enqueue puts a caller's request on the event queue; false means Run
+// returned.
+func (c *Controller) enqueue(ev any) bool {
 	select {
 	case <-c.doneCh:
-		return nil, fmt.Errorf("controller: stopped")
+		return false
 	default:
 	}
-	ch := make(chan Result, 1)
 	select {
-	case c.scheduleCh <- scheduleReq{spec: spec, ch: ch}:
-		return ch, nil
+	case c.events <- ev:
+		return true
 	case <-c.doneCh:
-		return nil, fmt.Errorf("controller: stopped")
+		return false
 	}
 }
 
@@ -450,15 +440,10 @@ func (c *Controller) Schedule(spec query.Spec) (<-chan Result, error) {
 // caller gets an immediate FinishCancelled result; if it is executing, the
 // controller finishes it with FinishCancelled and tells the workers to
 // drop its state. Cancelling an unknown or already-finished query is a
-// no-op. Cancels share the schedule FIFO, so a Cancel issued after its
-// Schedule returned is always processed after the query started. Safe
-// from any goroutine while Run is active.
-func (c *Controller) Cancel(q query.ID) {
-	select {
-	case c.scheduleCh <- scheduleReq{spec: query.Spec{ID: q}, cancel: true}:
-	case <-c.doneCh:
-	}
-}
+// no-op. Cancels share the event queue with schedules, so a Cancel issued
+// after its Schedule returned is always processed after the query started.
+// Safe from any goroutine while Run is active.
+func (c *Controller) Cancel(q query.ID) { c.enqueue(cancelReq(q)) }
 
 // Mutate stages one batch of graph mutations for the next commit and
 // returns a channel that delivers the MutationResult once the batch
@@ -470,12 +455,10 @@ func (c *Controller) Mutate(ops []delta.Op) (<-chan MutationResult, error) {
 		return nil, fmt.Errorf("controller: empty mutation batch")
 	}
 	ch := make(chan MutationResult, 1)
-	select {
-	case c.mutateCh <- mutateReq{ops: ops, ch: ch}:
-		return ch, nil
-	case <-c.doneCh:
-		return nil, fmt.Errorf("controller: stopped")
+	if !c.enqueue(mutateReq{ops: ops, ch: ch}) {
+		return nil, errStopped
 	}
+	return ch, nil
 }
 
 // GraphVersion returns the number of committed mutation batches as a
@@ -504,19 +487,21 @@ func (c *Controller) GraphView() graph.View { return c.curView.Load() }
 // running meanwhile. Safe from any goroutine while Run is active. A
 // Result with Cut=false means the current version was already
 // checkpointed (or the cut was aborted by fault injection).
-func (c *Controller) ForceSnapshot() (snapshot.Result, error) {
-	ch := make(chan snapshot.Result, 1)
-	select {
-	case c.checkpointCh <- ch:
-	case <-c.doneCh:
-		return snapshot.Result{}, fmt.Errorf("controller: stopped")
+func (c *Controller) ForceSnapshot() (snapshot.Result, error) { return ask[snapshot.Result](c) }
+
+// ask puts a request on the event queue, a channel for its reply, and waits
+// for the reply or for Run to return.
+func ask[T any](c *Controller) (T, error) {
+	ch := make(chan T, 1)
+	if c.enqueue(ch) {
+		select {
+		case v := <-ch:
+			return v, nil
+		case <-c.doneCh:
+		}
 	}
-	select {
-	case res := <-ch:
-		return res, nil
-	case <-c.doneCh:
-		return snapshot.Result{}, fmt.Errorf("controller: stopped")
-	}
+	var zero T
+	return zero, errStopped
 }
 
 // SnapshotStats reports the checkpointing counters and the live size of
@@ -617,21 +602,9 @@ func (c *Controller) publishMVCC() {
 // QcutSnapshot returns the controller's current high-level view as a Q-cut
 // input (the Q-cut ablations, the benchmark's planning row, debugging). It
 // pulls the workers' intersection statistics, so it returns once every live
-// worker answered, or with an error once the controller stopped.
-func (c *Controller) QcutSnapshot() (qcut.Input, error) {
-	ch := make(chan qcut.Input, 1)
-	select {
-	case c.snapshotCh <- ch:
-	case <-c.doneCh:
-		return qcut.Input{}, fmt.Errorf("controller: stopped")
-	}
-	select {
-	case in := <-ch:
-		return in, nil
-	case <-c.doneCh:
-		return qcut.Input{}, fmt.Errorf("controller: stopped")
-	}
-}
+// worker answered, or with an error once the controller stopped. Its
+// Deadline is zero: the budget is stamped by whoever runs Q-cut on it.
+func (c *Controller) QcutSnapshot() (qcut.Input, error) { return ask[qcut.Input](c) }
 
 // Stop shuts the controller and all workers down. Blocks until Run
 // returned.
@@ -648,29 +621,25 @@ func (c *Controller) Stop() {
 // as a monotone epoch. Safe to call concurrently with Run.
 func (c *Controller) RepartitionEpoch() int64 { return c.repartEpoch.Load() }
 
-// Run processes events until Stop is called. It returns the first fatal
-// protocol error, if any.
+// Run pumps events into step until Stop is called. It returns the first
+// fatal protocol error, if any. It starts every job step hands out, and
+// returns only once each has reported: the cutter may still be writing into
+// the store's directory, and a restart over it, or its removal, must not
+// race the rename and the pruning.
 func (c *Controller) Run() error {
+	running := 0
 	defer func() {
-		// Order matters: close doneCh first so no new Schedule or Mutate
-		// can enqueue, then fail requests that raced in before the close.
+		// Order matters: close doneCh first so no new request can enqueue,
+		// then fail requests that raced in before the close.
 		close(c.doneCh)
-		for {
-			select {
-			case req := <-c.scheduleCh:
-				if req.ch != nil { // cancel requests carry no channel
-					req.refuse(protocol.FinishCancelled)
-				}
-			case req := <-c.mutateCh:
-				req.ch <- MutationResult{Err: fmt.Errorf("controller: stopped")}
-			default:
-				if c.commits.cut != nil {
-					// The cutter may still be writing into the store's
-					// directory: a restart over it, or its removal, must
-					// not race the rename and the pruning.
-					<-c.cutCh
-				}
-				return
+		for running > 0 || len(c.events) > 0 {
+			switch ev := (<-c.events).(type) {
+			case scheduleReq:
+				ev.refuse(protocol.FinishCancelled)
+			case mutateReq:
+				ev.ch <- MutationResult{Err: errStopped}
+			case done:
+				running--
 			}
 		}
 	}()
@@ -678,52 +647,79 @@ func (c *Controller) Run() error {
 	defer ticker.Stop()
 	inbox := c.conn.Inbox()
 	for {
-		var err error
+		var ev any
 		select {
 		case <-c.stopCh:
 			c.failActive()
 			return nil
-		case req := <-c.scheduleCh:
-			if req.cancel {
-				c.onCancel(req.spec.ID)
-			} else {
-				c.onSchedule(req)
+		case ev = <-c.events:
+			if d, ok := ev.(done); ok {
+				running--
+				ev = d.ev
 			}
-		case ch := <-c.snapshotCh:
-			c.pullStats(false, ch)
-		case ch := <-c.checkpointCh:
-			c.requestCheckpoint(ch)
-		case done := <-c.cutCh:
-			c.onCutDone(done)
-		case req := <-c.mutateCh:
-			c.onMutate(req)
-		case ack := <-c.walAckCh:
-			err = c.onWalAck(ack)
-		case res := <-c.qcutCh:
-			c.onQcutDone(res)
-		case <-ticker.C:
-			c.onTick()
+		case ev = <-c.walAckCh:
+		case ev = <-ticker.C:
 		case env, ok := <-inbox:
 			if !ok {
 				return nil
 			}
-			err = c.handle(env)
+			ev = env
 		}
-		if err != nil {
+		if err := c.step(ev); err != nil {
 			c.failActive()
 			return err
 		}
+		for _, j := range c.jobs {
+			running++
+			go func() { c.events <- done{j()} }()
+		}
+		c.jobs = c.jobs[:0]
 	}
+}
+
+// step takes one event to the controller's next state. An error is fatal.
+func (c *Controller) step(ev any) error {
+	switch ev := ev.(type) {
+	case transport.Envelope:
+		return c.handle(ev)
+	case wal.AppendAck:
+		return c.onWalAck(ev)
+	case time.Time:
+		c.onTick()
+	case scheduleReq:
+		c.onSchedule(ev)
+	case cancelReq:
+		c.onCancel(query.ID(ev))
+	case mutateReq:
+		c.onMutate(ev)
+	case chan qcut.Input:
+		c.pullStats(false, ev)
+	case chan snapshot.Result:
+		// The manual trigger: the reply comes once the requested cut, and
+		// its truncation, completed, or now if the version was cut.
+		c.commits.request(ev)
+		c.maybeCheckpoint(c.cfg.Clock())
+	case qcut.Result:
+		c.onQcutDone(ev)
+	case cutDone:
+		c.onCutDone(ev)
+	default:
+		return fmt.Errorf("controller: unexpected event %T", ev)
+	}
+	return nil
 }
 
 // failActive shuts the workers down and delivers a cancelled result to
 // every still-active or still-deferred query — and an error to every
 // staged mutation — so callers never block on Stop.
 func (c *Controller) failActive() {
-	c.broadcastAll(&protocol.Shutdown{})
+	// Every worker slot, dead or alive: shutdown must also reach a
+	// replacement that is still joining.
+	for w := range c.cfg.K {
+		c.conn.Send(protocol.WorkerNode(partition.WorkerID(w)), &protocol.Shutdown{})
+	}
 	c.failQueries(protocol.FinishCancelled)
-	stopped := fmt.Errorf("controller: stopped")
-	c.failMutations(stopped, stopped)
+	c.failMutations(errStopped, errStopped)
 }
 
 // failMutations delivers errors to every staged (pendingErr) and sealed
@@ -777,13 +773,10 @@ func (c *Controller) handle(env transport.Envelope) error {
 		return c.onDeltaAck(m)
 	case *protocol.StatsReport:
 		c.pulled(c.adapt.report(m))
-		return nil
 	case *protocol.Pong:
 		c.onPong(m)
-		return nil
 	case *protocol.WorkerHello:
 		c.onWorkerHello(m)
-		return nil
 	case *protocol.PartitionAck:
 		// Outside a round, a straggler from a completed or aborted one:
 		// members.ack finds it stale.
@@ -791,6 +784,7 @@ func (c *Controller) handle(env transport.Envelope) error {
 	default:
 		return fmt.Errorf("controller: unexpected message %T", env.Msg)
 	}
+	return nil
 }
 
 // broadcast sends m to every live worker (dead workers are fenced; their
@@ -800,14 +794,6 @@ func (c *Controller) broadcast(m protocol.Message) {
 		if c.members.dead[partition.WorkerID(w)] {
 			continue
 		}
-		c.conn.Send(protocol.WorkerNode(partition.WorkerID(w)), m)
-	}
-}
-
-// broadcastAll sends m to every worker slot, dead or alive — shutdown
-// must also reach a replacement that is still joining.
-func (c *Controller) broadcastAll(m protocol.Message) {
-	for w := 0; w < c.cfg.K; w++ {
 		c.conn.Send(protocol.WorkerNode(partition.WorkerID(w)), m)
 	}
 }

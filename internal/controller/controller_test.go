@@ -325,8 +325,8 @@ func TestCheckpointPrivateStoreNeverTruncates(t *testing.T) {
 	// request, land the cutter's report, read the reply.
 	cut := func(c *Controller) snapshot.Result {
 		ch := make(chan snapshot.Result, 1)
-		c.requestCheckpoint(ch)
-		c.onCutDone(<-c.cutCh)
+		c.step(ch)
+		c.onCutDone(runJob(t, c).(cutDone))
 		return <-ch
 	}
 

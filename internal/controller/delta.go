@@ -27,6 +27,29 @@ import (
 // recovery only. A batch reaches the fsynced WAL before any caller is told
 // it committed.
 
+// MutationResult reports the outcome of one Mutate call after its batch
+// committed: the graph version the ops landed in, how many applied, and
+// how many were no-ops (remove/set_weight of a non-existent edge).
+type MutationResult struct {
+	Version uint64
+	Applied int
+	NoOps   int
+	Err     error
+}
+
+// mutateReq carries one client mutation batch into the event loop.
+type mutateReq struct {
+	ops []delta.Op
+	ch  chan<- MutationResult
+}
+
+// pendingMut tracks one client batch staged for the next commit; n is its
+// op count (for splitting the commit's per-op statuses back per caller).
+type pendingMut struct {
+	n  int
+	ch chan<- MutationResult
+}
+
 // maxSealedInFlight caps batches sealed but not yet applied. It sits well
 // below the WAL group committer's queue depth, so Enqueue never blocks the
 // event loop; at the cap, staged ops simply keep accumulating into a

@@ -95,7 +95,7 @@ func TestCommitTransitions(t *testing.T) {
 		}
 		p.applied(make([]delta.OpStatus, n), 10*int64(n))
 	}
-	// ask requests a cut of version v at now for ch, as requestCheckpoint
+	// ask requests a cut of version v at now for ch, as a ForceSnapshot step
 	// does: it says whether a cut started, or ch's answer is due now.
 	ask := func(p *commits, ch chan snapshot.Result, v uint64, now time.Time) (start, current bool) {
 		p.request(ch)
@@ -308,7 +308,7 @@ func TestIntervalCutWhileIdle(t *testing.T) {
 	if c.commits.cut == nil {
 		t.Fatal("no cut a second after the last commit, under a 50ms interval")
 	}
-	c.onCutDone(<-c.cutCh)
+	c.onCutDone(runJob(t, c).(cutDone))
 	if v := c.SnapshotStats().LastSnapshotVersion; v != 1 {
 		t.Fatalf("last cut at version %d, want 1", v)
 	}

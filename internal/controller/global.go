@@ -169,9 +169,10 @@ func (c *Controller) resume(restart bool) error {
 	c.repartEpoch.Add(1)
 	c.broadcast(&protocol.GlobalStart{Epoch: c.adapt.epoch})
 	restarted := 0
-	for _, ctl := range c.queries {
+	// In id order: the sends to each worker must not follow map order.
+	for _, q := range slices.Sorted(maps.Keys(c.queries)) {
+		ctl := c.queries[q]
 		if ctl.cancelled {
-			// Deleting during range is safe in Go.
 			c.finishQuery(ctl, protocol.FinishCancelled)
 			continue
 		}

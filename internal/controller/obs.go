@@ -17,20 +17,7 @@ import (
 
 // phaseName names a barrier phase for metrics labels and span names.
 func phaseName(p phase) string {
-	switch p {
-	case phaseRun:
-		return "run"
-	case phaseQuiesce:
-		return "quiesce"
-	case phaseStopping:
-		return "stop"
-	case phaseMoving:
-		return "move"
-	case phaseRecover:
-		return "recovery"
-	default:
-		return fmt.Sprintf("phase(%d)", int(p))
-	}
+	return [...]string{"run", "quiesce", "stop", "move", "recovery"}[p]
 }
 
 // barrierBuckets resolve the short phase durations the global barrier

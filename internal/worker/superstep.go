@@ -36,13 +36,13 @@ type stepResult struct {
 // interleave fairly.
 func (w *Worker) stepOnce(q query.ID, step int32) error {
 	qs := w.queries[q]
-	t0 := time.Now()
+	t0 := w.cfg.Clock()
 	res := w.computeStep(qs, step)
 	// Fault seam inside the timed section: an armed hook that sleeps here
 	// inflates this worker's reported ComputeNS, modeling a straggler for
 	// the health layer's detector without touching the compute itself.
 	faultpoint.Hit(faultpoint.WorkerComputeSlow, int(w.id), int(q), int(step))
-	qs.computeNS += time.Since(t0).Nanoseconds()
+	qs.computeNS += w.cfg.Clock().Sub(t0).Nanoseconds()
 	// Fault seam: a worker dying mid-superstep has computed (and possibly
 	// sent vertex batches) but never reports — its barrier wedges until
 	// liveness detection and recovery re-execute the query.
