@@ -1,21 +1,12 @@
-// Command qgraph-bench regenerates the paper's figures that a claim stands
-// behind, and four ablations (internal/experiments; README "Reproduce the
-// paper's figures" lists them with their claims), and prints each series.
-// They run over slept network latencies: shapes to compare with the
-// paper, not measurements of this system.
-//
-//	qgraph-bench -list
-//	qgraph-bench -exp fig6a
-//	qgraph-bench -exp all -scale quick
-//	qgraph-bench -exp fig7a -scale paper   # paper-sized run (hours)
-//
-// With -load it is instead the load-and-fault generator of
+// Command qgraph-bench is the load-and-fault generator of
 // scripts/smoke.sh: open-loop HTTP queries against a qgraphd -serve
 // endpoint, optionally with a mutation stream to POST /mutate beside them
 // and a SIGKILL of one worker process mid-run. It prints counts the smoke
 // scenarios assert on (sent / ok / worker_lost, applied mutations,
 // recovery episodes, log boundedness); it is not a measurement tool —
-// performance numbers come from benchmark/ (see benchmark/README.md).
+// performance numbers come from benchmark/ (see benchmark/README.md), and
+// the paper's figures are tests in internal/controller (README "Reproduce
+// the paper's figures").
 //
 //	qgraph-bench -load http://localhost:8080 -rate 500 -load-duration 30s
 //	qgraph-bench -load http://localhost:8080 -rate 500 -mutate-rate 200 \
@@ -28,22 +19,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
-
-	"qgraph/internal/experiments"
 )
 
 func main() {
 	var (
-		exp     = flag.String("exp", "", "experiment id (see -list), or 'all'")
-		scale   = flag.String("scale", "default", "scale preset: quick | default | paper")
-		list    = flag.Bool("list", false, "list experiment ids and exit")
-		workers = flag.Int("workers", 0, "override worker count k")
-		queries = flag.Int("queries", 0, "override main workload size")
-		seed    = flag.Uint64("seed", 0, "override workload seed")
-
-		load        = flag.String("load", "", "open-loop HTTP load mode: base URL of a qgraphd -serve endpoint")
+		load        = flag.String("load", "", "base URL of a qgraphd -serve endpoint to load")
+		seed        = flag.Uint64("seed", 1, "query and mutation seed")
 		rate        = flag.Float64("rate", 200, "arrival rate in req/s (-load)")
 		loadDur     = flag.Duration("load-duration", 10*time.Second, "how long to generate load (-load)")
 		loadMix     = flag.String("load-mix", "sssp=0.6,bfs=0.3,pagerank=0.1", "query kind mix (-load)")
@@ -61,75 +43,18 @@ func main() {
 	)
 	flag.Parse()
 
-	if *load != "" {
-		s := *seed
-		if s == 0 {
-			s = 1
-		}
-		if err := runLoad(loadOptions{
-			URL: *load, Rate: *rate, Duration: *loadDur, Mix: *loadMix,
-			Pool: *loadPool, Timeout: *loadTimeout, Seed: s,
-			MutateRate: *mutateRate, MutateBatch: *mutateBatch, MutateWriters: *mutateWriters,
-			MutationsFile: *mutateFile,
-			KillPID:       *killPID, KillAfter: *killAfter, KillWorker: *killWorker,
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "qgraph-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *list {
-		for _, id := range experiments.IDs() {
-			fmt.Println(id)
-		}
-		return
-	}
-	if *exp == "" {
-		fmt.Fprintln(os.Stderr, "usage: qgraph-bench -exp <id>|all [-scale quick|default|paper]")
-		fmt.Fprintln(os.Stderr, "known experiments:", strings.Join(experiments.IDs(), " "))
+	if *load == "" {
+		fmt.Fprintln(os.Stderr, "usage: qgraph-bench -load <url> [-rate r] [-load-duration d] ...")
 		os.Exit(2)
 	}
-
-	var sc experiments.Scale
-	switch *scale {
-	case "quick":
-		sc = experiments.QuickScale()
-	case "default":
-		sc = experiments.DefaultScale()
-	case "paper":
-		sc = experiments.PaperScale()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scale)
-		os.Exit(2)
-	}
-	if *workers > 0 {
-		sc.Workers = *workers
-	}
-	if *queries > 0 {
-		sc.Queries = *queries
-	}
-	if *seed != 0 {
-		sc.Seed = *seed
-	}
-
-	ids := []string{*exp}
-	if *exp == "all" {
-		ids = experiments.IDs()
-	}
-	for _, id := range ids {
-		r, err := experiments.Lookup(id)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		start := time.Now()
-		tab, err := r(sc)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", id, err)
-			os.Exit(1)
-		}
-		fmt.Print(tab.String())
-		fmt.Printf("# wall time: %s\n\n", time.Since(start).Round(time.Millisecond))
+	if err := runLoad(loadOptions{
+		URL: *load, Rate: *rate, Duration: *loadDur, Mix: *loadMix,
+		Pool: *loadPool, Timeout: *loadTimeout, Seed: *seed,
+		MutateRate: *mutateRate, MutateBatch: *mutateBatch, MutateWriters: *mutateWriters,
+		MutationsFile: *mutateFile,
+		KillPID:       *killPID, KillAfter: *killAfter, KillWorker: *killWorker,
+	}); err != nil {
+		fmt.Fprintln(os.Stderr, "qgraph-bench:", err)
+		os.Exit(1)
 	}
 }

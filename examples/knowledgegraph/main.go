@@ -16,7 +16,6 @@ import (
 	"qgraph/internal/gen"
 	"qgraph/internal/metrics"
 	"qgraph/internal/partition"
-	"qgraph/internal/transport"
 	"qgraph/internal/workload"
 )
 
@@ -36,7 +35,6 @@ func main() {
 		Workers:     8,
 		Graph:       net.G,
 		Partitioner: partition.Hash{},
-		Latency:     transport.DefaultLatency(),
 		Adapt:       true,
 		Cooldown:    250 * time.Millisecond,
 		CheckEvery:  50 * time.Millisecond,

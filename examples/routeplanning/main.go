@@ -17,7 +17,6 @@ import (
 	"qgraph/internal/gen"
 	"qgraph/internal/metrics"
 	"qgraph/internal/partition"
-	"qgraph/internal/transport"
 	"qgraph/internal/workload"
 )
 
@@ -41,7 +40,6 @@ func main() {
 			Workers:     8,
 			Graph:       net.G,
 			Partitioner: partition.Hash{},
-			Latency:     transport.DefaultLatency(),
 			Adapt:       adapt,
 			Cooldown:    300 * time.Millisecond,
 			CheckEvery:  50 * time.Millisecond,

@@ -18,7 +18,6 @@ import (
 	"qgraph/internal/metrics"
 	"qgraph/internal/partition"
 	"qgraph/internal/query"
-	"qgraph/internal/transport"
 	"qgraph/internal/workload"
 )
 
@@ -39,7 +38,6 @@ func main() {
 		Workers:     8,
 		Graph:       net.G,
 		Partitioner: partition.Hash{},
-		Latency:     transport.DefaultLatency(),
 		Adapt:       true,
 		Cooldown:    300 * time.Millisecond,
 		CheckEvery:  50 * time.Millisecond,

@@ -245,7 +245,7 @@ func BenchmarkMultiWorkerRound(b *testing.B) {
 			for v := range owner {
 				owner[v] = partition.WorkerID(v % k)
 			}
-			net := &fifoNet{n: k + 1, links: make([][]transport.Envelope, (k+1)*(k+1))}
+			net := newFifoNet(k + 1)
 			now := time.Unix(1_000, 0)
 			c, err := New(Config{K: k, Graph: g, Owner: owner, HeartbeatEvery: -1, Clock: func() time.Time { return now }},
 				fifoConn{net, protocol.ControllerNode})
@@ -271,7 +271,7 @@ func BenchmarkMultiWorkerRound(b *testing.B) {
 				for i := range net.links {
 					net.links[i] = net.links[i][:0]
 				}
-				net.sent = net.sent[:0]
+				net.sent, net.fresh = net.sent[:0], net.fresh[:0]
 			}
 			round() // the source's worker alone, then every worker
 			if n := len(c.queries[1].involved); n != k {

@@ -33,7 +33,7 @@ func lineGraph(n int) *graph.Graph {
 func newCtlHarness(t *testing.T, k int, mut func(*Config)) *ctlHarness {
 	t.Helper()
 	g := lineGraph(8)
-	net := transport.NewChanNetwork(k+1, transport.Latency{})
+	net := transport.NewChanNetwork(k + 1)
 	owner := make(partition.Assignment, g.NumVertices())
 	for v := range owner {
 		owner[v] = partition.WorkerID(v % k)
@@ -253,7 +253,7 @@ func TestStopCancelsActive(t *testing.T) {
 // TestDuplicateSynchIsError: protocol violations surface as Run errors.
 func TestDuplicateSynchIsError(t *testing.T) {
 	g := lineGraph(8)
-	net := transport.NewChanNetwork(3, transport.Latency{})
+	net := transport.NewChanNetwork(3)
 	defer net.Close()
 	owner := make(partition.Assignment, g.NumVertices())
 	ctrl, err := New(Config{K: 2, Graph: g, Owner: owner}, net.Conn(protocol.ControllerNode))

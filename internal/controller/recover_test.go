@@ -24,7 +24,7 @@ import (
 // mutations keep working on the shrunken live set.
 func TestWorkerDeathRecovery(t *testing.T) {
 	g := lineGraph(8)
-	net := transport.NewChanNetwork(3, transport.Latency{})
+	net := transport.NewChanNetwork(3)
 	defer net.Close()
 	owner := make(partition.Assignment, g.NumVertices())
 	for v := range owner {
@@ -114,7 +114,7 @@ func TestWorkerDeathRecovery(t *testing.T) {
 // partition to the survivor, queries are served with the mutation in.
 func TestCommitAckedWithSilentWorker(t *testing.T) {
 	g := lineGraph(8)
-	net := transport.NewChanNetwork(3, transport.Latency{})
+	net := transport.NewChanNetwork(3)
 	defer net.Close()
 	owner := make(partition.Assignment, g.NumVertices())
 	for v := range owner {
@@ -184,7 +184,7 @@ func TestCommitAckedWithSilentWorker(t *testing.T) {
 // and health reports degraded.
 func TestAllWorkersDeadIsTerminal(t *testing.T) {
 	g := lineGraph(8)
-	net := transport.NewChanNetwork(2, transport.Latency{})
+	net := transport.NewChanNetwork(2)
 	defer net.Close()
 	owner := make(partition.Assignment, g.NumVertices())
 	ctrl, err := New(Config{
@@ -234,7 +234,7 @@ func TestAllWorkersDeadIsTerminal(t *testing.T) {
 // aggressive probe settings must not produce false positives.
 func TestHealthyEngineStaysHealthy(t *testing.T) {
 	g := lineGraph(8)
-	net := transport.NewChanNetwork(3, transport.Latency{})
+	net := transport.NewChanNetwork(3)
 	defer net.Close()
 	owner := make(partition.Assignment, g.NumVertices())
 	for v := range owner {

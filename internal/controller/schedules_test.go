@@ -2,6 +2,7 @@ package controller
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math/rand/v2"
 	"slices"
@@ -115,7 +116,7 @@ func (row scheduleRow) run(t *testing.T, seed uint64) *sim {
 		t.Fatal(err)
 	}
 	n := s.g.NumVertices()
-	at := func(ms int) time.Time { return s.start.Add(time.Duration(ms) * time.Millisecond) }
+	at := func(ms int) time.Duration { return time.Duration(ms) * time.Millisecond }
 
 	// Sixteen queries in bursts of four, 100ms apart, a third of them BFS.
 	var specs []query.Spec
@@ -174,7 +175,7 @@ func (row scheduleRow) run(t *testing.T, seed uint64) *sim {
 		s.script = append(s.script, action{at: first, name: "kill in recovery", do: kill,
 			when: func() bool { return s.c.adapt.phase == phaseRecover }})
 	}
-	slices.SortStableFunc(s.script, func(a, b action) int { return a.at.Compare(b.at) })
+	slices.SortStableFunc(s.script, func(a, b action) int { return cmp.Compare(a.at, b.at) })
 
 	if err := s.run(); err != nil {
 		fail("%v\n%s", err, tail(s.log))

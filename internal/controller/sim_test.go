@@ -20,9 +20,19 @@ import (
 // hands a link's head to its receiver.
 type fifoNet struct {
 	n     int
-	links [][]transport.Envelope // by from*n + to
-	sent  []protocol.Message     // every send since the test last looked
+	links [][]inFlight       // by from*n + to
+	sent  []protocol.Message // every send since the test last looked
+	fresh []int              // the links of the sends the sim has not stamped
 }
+
+// inFlight is a message on a link and the virtual time it falls due, -1
+// until the sim stamps it.
+type inFlight struct {
+	transport.Envelope
+	due time.Duration
+}
+
+func newFifoNet(n int) *fifoNet { return &fifoNet{n: n, links: make([][]inFlight, n*n)} }
 
 // workerLink says whether link i joins two workers.
 func (net *fifoNet) workerLink(i int) bool {
@@ -39,35 +49,40 @@ func (c fifoConn) Send(to protocol.NodeID, m protocol.Message) error {
 		return fmt.Errorf("bad destination %d", to)
 	}
 	i := int(c.id)*c.net.n + int(to)
-	c.net.links[i] = append(c.net.links[i], transport.Envelope{From: c.id, Msg: m})
+	c.net.links[i] = append(c.net.links[i], inFlight{transport.Envelope{From: c.id, Msg: m}, -1})
 	c.net.sent = append(c.net.sent, m)
+	c.net.fresh = append(c.net.fresh, i)
 	return nil
 }
 func (fifoConn) Inbox() <-chan transport.Envelope { return nil }
 func (fifoConn) Close() error                     { return nil }
 
 // sim is a cluster in one goroutine: a controller and k workers that no Run
-// drives, wired by a fifoNet, stepped by a seeded PRNG on a virtual clock
-// that both read through Config.Clock. Each turn it picks one enabled event:
-//   - a link's head is delivered (a slow link's head is enabled one turn in
-//     eight, or when nothing else is);
+// drives, wired by a fifoNet, stepped on a virtual clock that both read
+// through Config.Clock. Each turn it takes the enabled events that fall due
+// first under its cost model, picks one of them by a seeded PRNG, moves the
+// clock to its due time and runs it:
+//   - a link's head is delivered;
 //   - a live worker runs one queued superstep;
 //   - the controller steps the head of its event queue (a caller's request
-//     or a job's report) or a WAL completion;
+//     or a job's report), a WAL completion, or a tick;
 //   - a job the controller handed out runs, and its report joins the queue;
-//   - a respawned worker starts, once due;
-//   - the script's next action, once due and allowed.
+//   - a respawned worker starts;
+//   - the script's next action runs, while allowed.
 //
-// When nothing is enabled and the cluster has not settled, or the script's
-// next action is not due, the clock jumps one tick and the controller steps
-// it. A kill stops stepping a worker and
-// drops its inbound links; sends to it queue for a replacement. Every event
-// is logged, so one seed's log is the same bytes every run.
+// A kill stops stepping a worker and drops its inbound links; sends to it
+// queue for a replacement. Every event is logged, so one seed's log is the
+// same bytes every run.
 type sim struct {
 	rng     *rand.Rand
+	model   costModel
 	start   time.Time
-	now     time.Time
-	every   time.Duration // Config.CheckEvery: one tick
+	now     time.Duration   // virtual time since start
+	every   time.Duration   // Config.CheckEvery: one tick
+	tickAt  time.Duration   // when the next tick falls due
+	free    []time.Duration // by node: when its last event's work ends
+	scope   map[wqs]int32   // ScopeSize of (w, q)'s last report
+	limit   int             // events before run gives up on quiescence
 	g       *graph.Graph
 	owner   partition.Assignment
 	store   *snapshot.Store
@@ -76,12 +91,14 @@ type sim struct {
 	workers []*worker.Worker // nil while killed
 	idle    []bool           // Step found nothing queued, and no message came since
 	killed  map[partition.WorkerID]bool
-	slow    []bool // by link: worker links that deliver late
+	slow    []bool // by link: worker links the walk delivers late
 	queue   []any  // the controller's event queue
-	jobs    []job
+	jobs    []simJob
+	evs     [2][]event // enabled's buffers, reused each turn
 	starts  []rejoiner
 	script  []action
 	log     []byte
+	quiet   bool // log nothing
 
 	// delivered sees each message as a worker is handed it, and observe what
 	// a worker sent in the event just run (net.sent); both may be nil.
@@ -93,11 +110,54 @@ type sim struct {
 	request func(ev any)
 }
 
+// costModel says when each event falls due.
+//
+// The walk costs nothing: everything enabled is due now, so the clock moves
+// only when nothing else is enabled, by one tick, and the walk holds each
+// slow link's head seven turns in eight. The conformance and recovery
+// schedules run on it.
+//
+// A timed model is a discrete-event simulation. A send falls due its link's
+// latency after the event that sent it ended. A worker's superstep occupies
+// the worker, which takes nothing else until it ends, for vertex per vertex
+// its report says the query first touched there since its last report
+// (ScopeSize's growth; a solo loop's one report covers all its supersteps)
+// plus entry per vertex message sent. A controller step occupies the
+// controller for step, a job runs for job, and a tick falls due every
+// CheckEvery whatever the load. Events due at one instant are ordered by
+// the seeded PRNG.
+type costModel struct {
+	walk bool
+	ctl  time.Duration // one-way latency between the controller and a worker
+	peer time.Duration // one-way latency between two workers
+
+	vertex, entry, step, job time.Duration
+}
+
+var (
+	walkModel = costModel{walk: true}
+	// paperModel is Sec. 4's network, 125 µs to the controller and 250 µs
+	// between workers as across the paper's racks, with this engine's
+	// costs: 1 µs per vertex touched (a worker computes a touched vertex
+	// about 1.7 times at 0.35–0.4 µs each on a 2-core x86-64 VM); 100 ns
+	// per message, 12 bytes at 1 Gbit/s; 2 µs per controller step,
+	// BenchmarkMultiWorkerRound's two-worker round; 5 ms per Q-cut run or
+	// checkpoint cut.
+	paperModel = costModel{ctl: 125 * time.Microsecond, peer: 250 * time.Microsecond,
+		vertex: time.Microsecond, entry: 100 * time.Nanosecond, step: 2 * time.Microsecond, job: 5 * time.Millisecond}
+)
+
+// simJob is a job the controller handed out and when it reports.
+type simJob struct {
+	run job
+	due time.Duration
+}
+
 // action is one step of the script: a caller's request or a kill. It is
 // enabled from at, while when (if set) holds; a settled cluster skips an
 // action whose when fails.
 type action struct {
-	at   time.Time
+	at   time.Duration
 	name string
 	when func() bool
 	do   func() error
@@ -105,7 +165,7 @@ type action struct {
 
 // rejoiner is a replacement for killed worker w, started at at.
 type rejoiner struct {
-	at time.Time
+	at time.Duration
 	w  partition.WorkerID
 }
 
@@ -115,11 +175,11 @@ type rejoiner struct {
 func newSim(rng *rand.Rand, g *graph.Graph, owner partition.Assignment, k int, mut func(*Config)) (*sim, error) {
 	s := &sim{
 		rng: rng, start: time.Unix(1_000, 0), g: g, owner: owner, store: snapshot.NewStore("", 0),
-		net:     &fifoNet{n: k + 1, links: make([][]transport.Envelope, (k+1)*(k+1))},
+		net:     newFifoNet(k + 1),
 		workers: make([]*worker.Worker, k), idle: make([]bool, k),
-		killed: make(map[partition.WorkerID]bool),
+		killed: make(map[partition.WorkerID]bool), model: walkModel, limit: 200_000,
+		free: make([]time.Duration, k+1), scope: make(map[wqs]int32),
 	}
-	s.now = s.start
 	cfg := Config{K: k, Graph: g, Owner: owner, HeartbeatEvery: -1, Snapshots: s.store, Clock: s.clock}
 	if mut != nil {
 		mut(&cfg)
@@ -129,6 +189,7 @@ func newSim(rng *rand.Rand, g *graph.Graph, owner partition.Assignment, k int, m
 		return nil, err
 	}
 	s.c, s.every = c, c.cfg.CheckEvery
+	s.tickAt = s.every
 	if c.cfg.Respawn != nil {
 		c.cfg.Respawn = s.respawn
 	}
@@ -144,7 +205,7 @@ func newSim(rng *rand.Rand, g *graph.Graph, owner partition.Assignment, k int, m
 // ringSim is a sim over a ring of 32 to 63 vertices with a chord per six,
 // weights 1 to 4. Owners are arcs of the ring, so queries run solo for a
 // while, with some vertices scattered, so they also cross workers early.
-// Half the links between workers are slow.
+// Half the links between workers are slow on the walk.
 func ringSim(rng *rand.Rand, k int, mut func(*Config)) (*sim, error) {
 	n := 32 + rng.IntN(32)
 	b := graph.NewBuilder(n)
@@ -173,7 +234,7 @@ func ringSim(rng *rand.Rand, k int, mut func(*Config)) (*sim, error) {
 	return s, nil
 }
 
-func (s *sim) clock() time.Time { return s.now }
+func (s *sim) clock() time.Time { return s.start.Add(s.now) }
 
 // spawn starts worker w; a rejoining one says hello first, as Worker.Run
 // does.
@@ -195,7 +256,7 @@ func (s *sim) spawn(w partition.WorkerID, rejoin bool) error {
 // respawn is the controller's Config.Respawn: a replacement starts within a
 // second, so its hello may miss the window.
 func (s *sim) respawn(w partition.WorkerID) {
-	s.starts = append(s.starts, rejoiner{s.now.Add(time.Duration(s.rng.IntN(1_000)) * time.Millisecond), w})
+	s.starts = append(s.starts, rejoiner{s.now + time.Duration(s.rng.IntN(1_000))*time.Millisecond, w})
 }
 
 // kill stops worker w: its inbound links are dropped and, if dropOut, its
@@ -254,104 +315,153 @@ func (s *sim) settled() bool {
 // cluster is stuck.
 const stalled = 400
 
+// evKind is the kind of an event the sim can run.
+type evKind uint8
+
+const (
+	evLink evKind = iota
+	evStep
+	evQueue
+	evWAL
+	evJob
+	evStart
+	evScript
+	evTick
+)
+
+// event is an enabled event: i is its link, worker, job or respawn.
+type event struct {
+	kind evKind
+	i    int
+	due  time.Duration
+}
+
 // run runs events until the cluster settled.
 func (s *sim) run() error {
 	ticks := 0
-	for event := 0; ; event++ {
-		if event > 200_000 {
-			return fmt.Errorf("no quiescence after %d events", event)
+	for n := 0; ; n++ {
+		if n > s.limit {
+			return fmt.Errorf("no quiescence after %d events", n)
 		}
 		if s.turn != nil {
-			s.turn(event)
+			s.turn(n)
 		}
 		s.net.sent = s.net.sent[:0]
-		var links, held []int
-		for i, l := range s.net.links {
-			switch to := i % s.net.n; {
-			case len(l) == 0, to != int(protocol.ControllerNode) && s.workers[protocol.WorkerOf(protocol.NodeID(to))] == nil:
-			case s.slow[i] && s.rng.IntN(8) != 0:
-				held = append(held, i)
-			default:
-				links = append(links, i)
-			}
+		evs, held := s.enabled()
+		if len(evs) == 0 {
+			evs = append(evs, held...)
 		}
-		var steps []int
-		for w, ok := range s.idle {
-			if !ok && s.workers[w] != nil {
-				steps = append(steps, w)
-			}
-		}
-		var starts []int
-		for i, r := range s.starts {
-			if !s.now.Before(r.at) {
-				starts = append(starts, i)
-			}
-		}
-		ctl := 0 // the controller's queue head and a WAL completion
-		if len(s.queue) > 0 {
-			ctl++
-		}
-		if len(s.c.walAckCh) > 0 {
-			ctl++
-		}
-		script := 0
-		if len(s.script) > 0 && !s.now.Before(s.script[0].at) && (s.script[0].when == nil || s.script[0].when()) {
-			script = 1
-		}
-		n := len(links) + len(steps) + ctl + len(s.jobs) + len(starts) + script
-		if n == 0 && len(held) > 0 {
-			links, n = held, len(held)
-		}
-		if n == 0 && s.settled() {
+		if len(evs) == 0 && s.settled() {
 			if len(s.script) == 0 {
 				return nil
 			}
-			if !s.now.Before(s.script[0].at) {
+			if s.now >= s.script[0].at {
 				s.logf("skip", "%s", s.script[0].name)
 				s.script = s.script[1:]
 				continue
 			}
 		}
-		if n == 0 {
-			if ticks++; ticks > stalled {
-				return fmt.Errorf("stalled: %d ticks with nothing else to do (phase %d, %d queries, dead %v)",
-					stalled, s.c.adapt.phase, len(s.c.queries), s.c.members.dead)
-			}
-			s.now = s.now.Add(s.every)
-			s.logf("tick", "")
-			if err := s.c.step(s.now); err != nil {
-				return err
-			}
-			s.took()
-			continue
+		tick := event{kind: evTick, due: max(s.tickAt, s.free[protocol.ControllerNode])}
+		switch {
+		case len(evs) == 0:
+			evs = append(evs, tick)
+		case s.model.walk:
+		case tick.due < evs[0].due:
+			evs = append(evs[:0], tick)
+		case tick.due == evs[0].due:
+			evs = append(evs, tick)
 		}
-		ticks = 0
-		if err := s.pick(s.rng.IntN(n), links, steps, starts, ctl); err != nil {
+		e := evs[0]
+		if len(evs) > 1 || e.kind != evTick {
+			e = evs[s.rng.IntN(len(evs))]
+		}
+		s.evs[0] = evs[:0]
+		s.now = e.due
+		if e.kind != evTick {
+			ticks = 0
+		} else if ticks++; ticks > stalled {
+			return fmt.Errorf("stalled: %d ticks with nothing else to do (phase %d, %d queries, dead %v)",
+				stalled, s.c.adapt.phase, len(s.c.queries), s.c.members.dead)
+		}
+		if err := s.fire(e); err != nil {
 			return err
 		}
 	}
 }
 
-// pick runs enabled event i of run's enumeration.
-func (s *sim) pick(i int, links, steps, starts []int, ctl int) error {
-	switch {
-	case i < len(links):
-		return s.deliver(links[i])
-	case i < len(links)+len(steps):
-		w := partition.WorkerID(steps[i-len(links)])
-		s.logf("step", "w%d", w)
-		ran, err := s.workers[w].Step()
-		if err != nil {
-			return err
+// enabled lists, in a fixed order, the enabled events that fall due first
+// (the walk: now), and the slow links' heads the walk holds back this turn.
+func (s *sim) enabled() (evs, held []event) {
+	evs, held = s.evs[0][:0], s.evs[1][:0]
+	add := func(kind evKind, i int, due time.Duration) {
+		switch due = max(due, s.now); {
+		case s.model.walk && due > s.now:
+		case len(evs) == 0 || due < evs[0].due:
+			evs = append(evs[:0], event{kind, i, due})
+		case due == evs[0].due:
+			evs = append(evs, event{kind, i, due})
 		}
-		s.idle[w] = !ran
-		return s.observed(w)
 	}
-	i -= len(links) + len(steps)
-	switch {
-	case i < ctl:
+	for i, l := range s.net.links {
+		to := i % s.net.n
+		switch {
+		case len(l) == 0, to != int(protocol.ControllerNode) && s.workers[protocol.WorkerOf(protocol.NodeID(to))] == nil:
+		case s.model.walk && s.slow[i] && s.rng.IntN(8) != 0:
+			held = append(held, event{evLink, i, s.now})
+		default:
+			add(evLink, i, max(l[0].due, s.free[to]))
+		}
+	}
+	for w, ok := range s.idle {
+		if !ok && s.workers[w] != nil {
+			add(evStep, w, s.free[protocol.WorkerNode(partition.WorkerID(w))])
+		}
+	}
+	if len(s.queue) > 0 {
+		add(evQueue, 0, s.free[protocol.ControllerNode])
+	}
+	if len(s.c.walAckCh) > 0 {
+		add(evWAL, 0, s.free[protocol.ControllerNode])
+	}
+	for i, j := range s.jobs {
+		add(evJob, i, j.due)
+	}
+	for i, r := range s.starts {
+		add(evStart, i, r.at)
+	}
+	if len(s.script) > 0 && (s.script[0].when == nil || s.script[0].when()) {
+		add(evScript, 0, s.script[0].at)
+	}
+	s.evs[1] = held[:0]
+	return evs, held
+}
+
+// fire runs event e at s.now. Under a timed model the node it ran on stays
+// busy until its work ends, and what it sent departs then.
+func (s *sim) fire(e event) error {
+	node, work := -1, time.Duration(0)
+	var err error
+	switch e.kind {
+	case evLink:
+		node = e.i % s.net.n
+		if node == int(protocol.ControllerNode) {
+			work = s.model.step
+		}
+		err = s.deliver(e.i)
+	case evStep:
+		w := partition.WorkerID(e.i)
+		node = int(protocol.WorkerNode(w))
+		s.logf("step", "w%d", w)
+		var ran bool
+		if ran, err = s.workers[w].Step(); err == nil {
+			s.idle[w] = !ran
+			work = s.superstep(w)
+			err = s.observed(w)
+		}
+	case evQueue, evWAL:
+		node, work = int(protocol.ControllerNode), s.model.step
 		var ev any
-		if i == 0 && len(s.queue) > 0 {
+		if e.kind == evQueue {
 			ev, s.queue = s.queue[0], s.queue[1:]
 			if s.request != nil {
 				s.request(ev)
@@ -360,44 +470,83 @@ func (s *sim) pick(i int, links, steps, starts []int, ctl int) error {
 			ev = <-s.c.walAckCh
 		}
 		s.logf("event", "%T", ev)
-		if err := s.c.step(ev); err != nil {
-			return err
-		}
-		s.took()
-		return nil
-	case i < ctl+len(s.jobs):
-		j := s.jobs[i-ctl]
-		s.jobs = append(s.jobs[:i-ctl], s.jobs[i-ctl+1:]...)
-		ev := j()
+		err = s.c.step(ev)
+	case evTick:
+		node, work = int(protocol.ControllerNode), s.model.step
+		s.tickAt = s.now + s.every
+		s.logf("tick", "")
+		err = s.c.step(s.clock())
+	case evJob:
+		j := s.jobs[e.i]
+		s.jobs = append(s.jobs[:e.i], s.jobs[e.i+1:]...)
+		ev := j.run()
 		s.logf("job", "%T", ev)
 		s.queue = append(s.queue, ev)
-		return nil
-	case i < ctl+len(s.jobs)+len(starts):
-		k := starts[i-ctl-len(s.jobs)]
-		r := s.starts[k]
-		s.starts = append(s.starts[:k], s.starts[k+1:]...)
+	case evStart:
+		r := s.starts[e.i]
+		s.starts = append(s.starts[:e.i], s.starts[e.i+1:]...)
 		s.logf("respawn", "w%d", r.w)
-		return s.spawn(r.w, true)
+		err = s.spawn(r.w, true)
+	case evScript:
+		a := s.script[0]
+		s.script = s.script[1:]
+		s.logf("script", "%s", a.name)
+		err = a.do()
 	}
-	a := s.script[0]
-	s.script = s.script[1:]
-	s.logf("script", "%s", a.name)
-	err := a.do()
-	s.took()
+	done := s.now + work
+	if node >= 0 {
+		s.free[node] = done
+	}
+	s.stamp(done)
+	for _, j := range s.c.jobs {
+		s.jobs = append(s.jobs, simJob{j, done + s.model.job})
+	}
+	s.c.jobs = s.c.jobs[:0]
 	return err
+}
+
+// superstep is how long worker w's superstep that sent what the sim saw
+// last takes.
+func (s *sim) superstep(w partition.WorkerID) time.Duration {
+	var d time.Duration
+	for _, msg := range s.net.sent {
+		switch msg := msg.(type) {
+		case *protocol.BarrierSynch:
+			k := wqs{w: w, q: msg.Q}
+			d += time.Duration(max(0, msg.ScopeSize-s.scope[k])) * s.model.vertex
+			s.scope[k] = msg.ScopeSize
+		case *protocol.VertexBatch:
+			d += time.Duration(len(msg.Entries)) * s.model.entry
+		}
+	}
+	return d
+}
+
+// stamp sets the due time of every send not yet stamped: its link's
+// latency after done.
+func (s *sim) stamp(done time.Duration) {
+	for _, i := range s.net.fresh {
+		lat := s.model.ctl
+		if s.net.workerLink(i) {
+			lat = s.model.peer
+		}
+		l := s.net.links[i]
+		for j := len(l) - 1; j >= 0 && l[j].due < 0; j-- {
+			l[j].due = done + lat
+		}
+	}
+	s.net.fresh = s.net.fresh[:0]
 }
 
 // deliver hands link i's head to its receiver.
 func (s *sim) deliver(i int) error {
-	env := s.net.links[i][0]
+	env := s.net.links[i][0].Envelope
 	s.net.links[i] = s.net.links[i][1:]
 	to := protocol.NodeID(i % s.net.n)
 	q, step := msgQuery(env.Msg)
 	s.logf("deliver", "%d→%d %T q%d s%d", env.From, to, env.Msg, q, step)
 	if to == protocol.ControllerNode {
-		err := s.c.step(env)
-		s.took()
-		return err
+		return s.c.step(env)
 	}
 	w := protocol.WorkerOf(to)
 	if s.delivered != nil {
@@ -423,15 +572,12 @@ func (s *sim) observed(w partition.WorkerID) error {
 	return s.observe(w)
 }
 
-// took moves the jobs the controller's last step handed out to the sim.
-func (s *sim) took() {
-	s.jobs = append(s.jobs, s.c.jobs...)
-	s.c.jobs = s.c.jobs[:0]
-}
-
-// logf appends one line: virtual time, kind, and what.
+// logf appends one line: virtual time in microseconds, kind, and what.
 func (s *sim) logf(kind, format string, args ...any) {
-	s.log = fmt.Appendf(s.log, "%d %s ", s.now.Sub(s.start).Milliseconds(), kind)
+	if s.quiet {
+		return
+	}
+	s.log = fmt.Appendf(s.log, "%d %s ", s.now.Microseconds(), kind)
 	s.log = fmt.Appendf(s.log, format, args...)
 	s.log = append(s.log, '\n')
 }

@@ -27,7 +27,7 @@ func newLoopless(t *testing.T, k int, mut ...func(*Config)) *Controller {
 func newLooplessNet(t *testing.T, k int, mut ...func(*Config)) (*Controller, *transport.ChanNetwork) {
 	t.Helper()
 	g := lineGraph(8)
-	net := transport.NewChanNetwork(k+1, transport.Latency{})
+	net := transport.NewChanNetwork(k + 1)
 	t.Cleanup(func() { net.Close() })
 	now := time.Unix(1_000, 0)
 	cfg := Config{

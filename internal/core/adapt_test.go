@@ -83,7 +83,7 @@ func runWave(t *testing.T, eng *Engine, specs []query.Spec, want []float64, befo
 func TestAdaptiveRepartitioningCorrect(t *testing.T) {
 	net := testRoad(t)
 	specs, want := hotspotSpecs(t, net, 160)
-	tap := &moveTap{Network: transport.NewChanNetwork(5, transport.Latency{})}
+	tap := &moveTap{Network: transport.NewChanNetwork(5)}
 	t.Cleanup(func() { tap.Close() }) // after startEngine's Close
 	o := obs.New(nil)
 	eng := startEngine(t, net.G, func(c *Config) {
@@ -126,26 +126,6 @@ func (c tapConn) Send(to protocol.NodeID, m protocol.Message) error {
 		c.moves.Add(1)
 	}
 	return c.Conn.Send(to, m)
-}
-
-// TestSimulatedLatencyCorrect runs the adaptive workload over the simulated
-// network (the configuration all experiments use): its global barriers
-// drain links on which barrier traffic queues behind vertex batches.
-func TestSimulatedLatencyCorrect(t *testing.T) {
-	if testing.Short() {
-		t.Skip("latency-simulation test skipped in -short")
-	}
-	net := testRoad(t)
-	specs, want := hotspotSpecs(t, net, 160)
-	eng := startEngine(t, net.G, func(c *Config) {
-		eagerAdapt(c)
-		c.Latency = transport.Latency{
-			WorkerWorker:     200 * time.Microsecond,
-			WorkerController: 100 * time.Microsecond,
-			PerByte:          8 * time.Nanosecond,
-		}
-	})
-	runWave(t, eng, specs, want, 0)
 }
 
 // TestTCPEngineCorrect runs the adaptive workload over real loopback TCP —

@@ -56,13 +56,9 @@ type Config struct {
 	Partitioner partition.Partitioner
 	Assignment  partition.Assignment
 
-	// Network is the transport; nil builds an in-process network with
-	// Latency (zero Latency = perfect network, for tests).
+	// Network is the transport; nil builds the in-process network.
 	Network transport.Network
-	Latency transport.Latency
 
-	// Mode selects the barrier strategy (default: hybrid, the paper's).
-	Mode controller.SyncMode
 	// Adapt enables runtime Q-cut repartitioning.
 	Adapt bool
 
@@ -185,7 +181,7 @@ func Start(cfg Config) (*Engine, error) {
 	}
 	net, ownNet := cfg.Network, cfg.Network == nil
 	if ownNet {
-		net = transport.NewChanNetwork(cfg.Workers+1, cfg.Latency)
+		net = transport.NewChanNetwork(cfg.Workers + 1)
 	} else if net.Nodes() != cfg.Workers+1 {
 		return nil, fmt.Errorf("core: network has %d nodes, want %d", net.Nodes(), cfg.Workers+1)
 	}
@@ -365,7 +361,7 @@ func newEngine(cfg Config, assign partition.Assignment, conn transport.Conn, net
 		respawn = e.respawnWorker
 	}
 	ctrl, err := controller.New(controller.Config{
-		K: cfg.Workers, Graph: cfg.Graph, Owner: assign, Mode: cfg.Mode, Adapt: cfg.Adapt,
+		K: cfg.Workers, Graph: cfg.Graph, Owner: assign, Adapt: cfg.Adapt,
 		Phi: cfg.Phi, Mu: cfg.Mu, CheckEvery: cfg.CheckEvery, Cooldown: cfg.Cooldown, Seed: cfg.Seed,
 		CommitEvery: cfg.CommitEvery, MaxBatchOps: cfg.MaxBatchOps,
 		HeartbeatEvery: cfg.HeartbeatEvery, HeartbeatTimeout: cfg.HeartbeatTimeout,

@@ -51,35 +51,32 @@ func startEngine(t testing.TB, g *graph.Graph, mut func(*Config)) *Engine {
 }
 
 // TestSSSPMatchesDijkstra is the central correctness property: distributed
-// execution returns exactly the sequential shortest-path distances, for
-// every barrier mode.
+// execution returns exactly the sequential shortest-path distances. The
+// engine runs the hybrid barrier; the limited and global modes are
+// TestBarrierConformance's, in internal/controller.
 func TestSSSPMatchesDijkstra(t *testing.T) {
-	net := testRoad(t)
-	for _, mode := range []controller.SyncMode{controller.SyncHybrid, controller.SyncLimited, controller.SyncGlobal} {
-		mode := mode
-		t.Run(mode.String(), func(t *testing.T) {
-			t.Parallel()
-			eng := startEngine(t, net.G, func(c *Config) { c.Mode = mode })
-			rng := rand.New(rand.NewPCG(42, 42))
-			n := net.G.NumVertices()
-			for i := 0; i < 15; i++ {
-				src := graph.VertexID(rng.IntN(n))
-				dst := graph.VertexID(rng.IntN(n))
-				h, err := eng.Schedule(query.Spec{
-					ID: query.ID(i + 1), Kind: query.KindSSSP, Source: src, Target: dst,
-				})
-				if err != nil {
-					t.Fatalf("schedule: %v", err)
-				}
-				res := h.Wait()
-				want := graph.DijkstraTo(net.G, src, dst)
-				if math.Abs(res.Value-want) > 1e-6*math.Max(1, want) {
-					t.Fatalf("query %d (%d→%d): got %v, want %v (reason %d)",
-						i+1, src, dst, res.Value, want, res.Reason)
-				}
+	t.Run("hybrid", func(t *testing.T) {
+		net := testRoad(t)
+		eng := startEngine(t, net.G, nil)
+		rng := rand.New(rand.NewPCG(42, 42))
+		n := net.G.NumVertices()
+		for i := 0; i < 15; i++ {
+			src := graph.VertexID(rng.IntN(n))
+			dst := graph.VertexID(rng.IntN(n))
+			h, err := eng.Schedule(query.Spec{
+				ID: query.ID(i + 1), Kind: query.KindSSSP, Source: src, Target: dst,
+			})
+			if err != nil {
+				t.Fatalf("schedule: %v", err)
 			}
-		})
-	}
+			res := h.Wait()
+			want := graph.DijkstraTo(net.G, src, dst)
+			if math.Abs(res.Value-want) > 1e-6*math.Max(1, want) {
+				t.Fatalf("query %d (%d→%d): got %v, want %v (reason %d)",
+					i+1, src, dst, res.Value, want, res.Reason)
+			}
+		}
+	})
 }
 
 // TestPOIMatchesReference checks the POI query against sequential nearest-

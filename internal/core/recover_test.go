@@ -12,7 +12,6 @@ import (
 	"qgraph/internal/partition"
 	"qgraph/internal/protocol"
 	"qgraph/internal/query"
-	"qgraph/internal/transport"
 )
 
 // Worker failure recovery, driven end to end through the deterministic
@@ -140,9 +139,9 @@ func distanceNeutralOps() []delta.Op {
 // asserts the full acceptance property: all queries complete correctly,
 // a commit the dying worker never applied (or never acknowledged) is
 // acked to its caller regardless, and the engine returns to healthy with
-// the partition handed to survivors. Each case runs on the perfect network
-// and again on delayed worker links, where a controller message can overtake
-// a worker's batch or marker that the perfect network would deliver first.
+// the partition handed to survivors. The delivery orders the in-process
+// network never shows (a controller message overtaking a worker's batch or
+// marker) are TestRecoverySchedules', in internal/controller.
 func TestRecoveryFaultMatrix(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -152,7 +151,6 @@ func TestRecoveryFaultMatrix(t *testing.T) {
 		// adapt turns Q-cut on (eagerAdapt): its repartition barrier is what
 		// walks worker 1 into the GlobalStop point.
 		adapt bool
-		lat   transport.Latency
 	}{
 		{name: "mid-superstep", point: faultpoint.WorkerSuperstep},
 		{name: "mid-barrier", point: faultpoint.WorkerBarrierStop, adapt: true},
@@ -160,15 +158,10 @@ func TestRecoveryFaultMatrix(t *testing.T) {
 		{name: "mid-delta-commit-after-apply", point: faultpoint.WorkerDeltaAck, mutate: true},
 	}
 	for _, tc := range cases {
-		tc.name += " on delayed links"
-		tc.lat = transport.Latency{WorkerWorker: 200 * time.Microsecond}
-		cases = append(cases, tc)
-	}
-	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			defer faultpoint.Reset()
 			g := recoverGraph(48)
-			cfg := Config{Workers: 3, Graph: g, Partitioner: partition.Hash{}, Latency: tc.lat}
+			cfg := Config{Workers: 3, Graph: g, Partitioner: partition.Hash{}}
 			fastRecovery(&cfg)
 			if tc.adapt {
 				eagerAdapt(&cfg)

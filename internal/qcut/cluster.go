@@ -42,7 +42,7 @@ func clusterQueries(in Input) (clusterOf []int, clusters [][]int) {
 	}
 	count := nq
 
-	if !in.NoClustering && count > target {
+	if count > target {
 		type edge struct {
 			a, b int
 			key  float64

@@ -71,10 +71,6 @@ type Input struct {
 	// run then stops on convergence alone.
 	Deadline time.Time
 	Seed     uint64
-	// NoClustering / NoPerturbation disable the respective subroutine
-	// (ablation benchmarks).
-	NoClustering   bool
-	NoPerturbation bool
 }
 
 // Move is one move(LS(q,From), From, To) directive.
@@ -109,21 +105,19 @@ func Run(in Input) Result {
 	s.localSearch(deadline)
 	best := s.clone()
 
-	if !in.NoPerturbation {
-		stall := 0
-		for round := 1; stall < maxStall && !deadline(); round++ {
-			cand := best.clone()
-			cand.perturb(rng)
-			cand.localSearch(deadline)
-			improved := cand.balanced() && cand.cost() < best.cost()
-			if improved {
-				best = cand
-				stall = 0
-			} else {
-				stall++
-			}
-			res.Rounds = round
+	stall := 0
+	for round := 1; stall < maxStall && !deadline(); round++ {
+		cand := best.clone()
+		cand.perturb(rng)
+		cand.localSearch(deadline)
+		improved := cand.balanced() && cand.cost() < best.cost()
+		if improved {
+			best = cand
+			stall = 0
+		} else {
+			stall++
 		}
+		res.Rounds = round
 	}
 
 	res.FinalCost = best.cost()

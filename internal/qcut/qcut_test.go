@@ -262,32 +262,6 @@ func TestClusteringRespectsCap(t *testing.T) {
 	}
 }
 
-// TestNoPerturbationAblation: disabling perturbation produces a pure
-// local-search result with at most the full run's quality.
-func TestNoPerturbationAblation(t *testing.T) {
-	rng := rand.New(rand.NewPCG(21, 22))
-	better, worse := 0, 0
-	for trial := 0; trial < 20; trial++ {
-		in := randomInput(rng, 6, 80)
-		base := in
-		base.NoPerturbation = true
-		rOff := Run(base)
-		rOn := Run(in)
-		if rOn.FinalCost < rOff.FinalCost {
-			better++
-		}
-		if rOn.FinalCost > rOff.FinalCost {
-			worse++
-		}
-	}
-	if worse > 0 {
-		t.Fatalf("perturbation worsened the result in %d trials", worse)
-	}
-	if better == 0 {
-		t.Logf("note: perturbation never improved over plain local search in these trials")
-	}
-}
-
 // TestLiveSetAwareness: with a dead worker masked out, Q-cut keeps
 // producing plans over the survivors — no move ever originates at or
 // targets the dead worker, scope mass attributed to it is written off,

@@ -91,8 +91,8 @@ func Decode(t protocol.MsgType, payload []byte) (protocol.Message, error) {
 }
 
 // WireSize returns the encoded size of m, frame header included, without
-// encoding it: Encode sizes its buffer with it, and the simulated network
-// uses it for transmission-time accounting.
+// encoding it: Encode sizes its buffer with it, and the benchmark counts
+// bytes on the wire with it.
 func WireSize(m protocol.Message) int {
 	c := coder{mode: sizing}
 	fields(&c, m)

@@ -34,7 +34,7 @@ type TCPNode struct {
 	dialed   map[net.Conn]bool // live outbound conns, for teardown
 	accepted []net.Conn
 
-	box    *mailbox[Envelope]
+	box    *mailbox
 	wg     sync.WaitGroup
 	closed chan struct{}
 	once   sync.Once
@@ -78,7 +78,7 @@ func newTCPNodeWithListener(id protocol.NodeID, addrs []string, ln net.Listener)
 		ln:     ln,
 		peers:  make(map[protocol.NodeID]*tcpPeer),
 		dialed: make(map[net.Conn]bool),
-		box:    newMailbox[Envelope](),
+		box:    newMailbox(),
 		closed: make(chan struct{}),
 	}
 	n.wg.Add(1)
@@ -203,10 +203,10 @@ func (n *TCPNode) slot(to protocol.NodeID) (*tcpPeer, error) {
 	return p, nil
 }
 
-// registerDialed tracks a live outbound connection for teardown; it
-// refuses (and closes the conn) when the node is already closing, so no
-// dial can race past Close.
-func (n *TCPNode) registerDialed(conn net.Conn) bool {
+// registerDialed tracks a live outbound connection for teardown and starts
+// its watch; it refuses (and closes the conn) when the node is already
+// closing, so no dial can race past Close.
+func (n *TCPNode) registerDialed(p *tcpPeer, conn net.Conn) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	select {
@@ -216,7 +216,26 @@ func (n *TCPNode) registerDialed(conn net.Conn) bool {
 	default:
 	}
 	n.dialed[conn] = true
+	n.wg.Add(1)
+	go n.watch(p, conn)
 	return true
+}
+
+// watch reads a dialed connection, on which the peer never writes, until
+// the peer closes it or dies, then drops it, so that the next Send redials.
+// Without it the first frame after a peer's restart would be written into
+// the dead connection, succeed locally and be lost; only the write after
+// it would fail and redial.
+func (n *TCPNode) watch(p *tcpPeer, conn net.Conn) {
+	defer n.wg.Done()
+	io.Copy(io.Discard, conn)
+	p.mu.Lock()
+	if p.conn == conn {
+		p.conn = nil
+	}
+	p.mu.Unlock()
+	n.unregisterDialed(conn)
+	conn.Close()
 }
 
 func (n *TCPNode) unregisterDialed(conn net.Conn) {
@@ -240,11 +259,12 @@ const (
 // Send implements Conn. The frame is encoded into the peer's buffer and
 // written to the socket in one call; the kernel provides the async pipe.
 //
-// A write failure drops the connection and redials, bounded by the retry
-// schedule: a restarted process on the same address (a worker brought
-// back with -rejoin after a crash) is reachable again on the very next
-// frame, instead of every future send failing against the dead
-// connection. Frames buffered on the broken connection are lost — exactly
+// A connection the peer closed is dropped once its EOF is read (watch), and
+// a write failure drops the connection too; either way the send redials,
+// bounded by the retry schedule: a restarted process on the same address
+// (a worker brought back with -rejoin after a crash) is reachable again on
+// the very next frame, instead of every future send failing against the
+// dead connection. Frames buffered on the broken connection are lost — exactly
 // the semantics of a crashed peer — and the recovery protocol's
 // generation fencing makes that safe. Per-peer state is lock-serialized,
 // so concurrent Sends to one dead peer produce one redial, not a race of
@@ -278,7 +298,7 @@ func (n *TCPNode) Send(to protocol.NodeID, m protocol.Message) error {
 				lastErr = fmt.Errorf("transport: dial node %d (%s): %w", to, n.addrs[to], err)
 				continue
 			}
-			if !n.registerDialed(conn) {
+			if !n.registerDialed(p, conn) {
 				return fmt.Errorf("transport: node closed")
 			}
 			if _, err := conn.Write([]byte{CodecVersion, byte(n.id)}); err != nil {

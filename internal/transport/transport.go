@@ -1,19 +1,17 @@
 // Package transport moves protocol messages between the controller and the
 // workers. Two implementations are provided:
 //
-//   - ChanNetwork: in-process, channel-based, with a configurable simulated
-//     network (propagation latency + transmission time). The paper's
-//     scale-up experiments run k partitions on one machine over loopback
-//     TCP; the simulated network makes the communication costs that
-//     Q-cut removes explicit and deterministic (Sec. 4.1).
+//   - ChanNetwork: in-process and channel-based, for the library, the
+//     examples and tests.
 //   - TCPNetwork: real TCP with length-prefixed binary frames, used by
 //     cmd/qgraphd for genuine scale-out deployments.
 //
 // Both deliver messages in order per (sender, receiver) link and never
 // block senders (an unbounded mailbox per node), which the barrier protocol
-// relies on. The perfect in-process network (Latency{}) delivers causally,
-// which is stronger, so it never shows the protocol a message overtaking
-// one that caused it; a latency model or TCP can.
+// relies on. The in-process network delivers causally, which is stronger,
+// so it never shows the protocol a message overtaking one that caused it;
+// TCP can, and the controller's simulator explores those orders with link
+// latencies in virtual time.
 package transport
 
 import (
@@ -51,19 +49,19 @@ type Network interface {
 }
 
 // mailbox is an unbounded FIFO in front of a buffered channel: a node's
-// inbox, and each link of a simulated network. A put hands its item straight
+// inbox. A put hands its item straight
 // to the channel when nothing waits ahead of it, so a received frame reaches
 // the event loop in one handoff. Only when the channel is full does a
 // backlog form, and one pump goroutine drains it in order until it is empty.
 // Producers never block: two event loops sending to each other must not
 // wedge on each other's full inbox.
-type mailbox[T any] struct {
-	ch   chan T
+type mailbox struct {
+	ch   chan Envelope
 	done chan struct{} // closed by close; releases a pump blocked on ch
 	pump sync.WaitGroup
 
 	mu      sync.Mutex
-	backlog []T
+	backlog []Envelope
 	pumping bool // a pump owns the backlog; puts queue behind it
 	closed  bool
 }
@@ -71,13 +69,13 @@ type mailbox[T any] struct {
 // newMailbox sizes the channel so that an event loop a burst of frames
 // outruns briefly (a superstep's batches and reports from every peer) still
 // takes them without a backlog.
-func newMailbox[T any]() *mailbox[T] {
-	return &mailbox[T]{ch: make(chan T, 256), done: make(chan struct{})}
+func newMailbox() *mailbox {
+	return &mailbox{ch: make(chan Envelope, 256), done: make(chan struct{})}
 }
 
 // put delivers it after every item put before it, and reports false once
 // the mailbox is closed.
-func (b *mailbox[T]) put(it T) bool {
+func (b *mailbox) put(it Envelope) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
@@ -100,9 +98,8 @@ func (b *mailbox[T]) put(it T) bool {
 // drain moves the backlog into the channel and exits once it is empty,
 // handing delivery back to put. Whoever sees the mailbox closed last, the
 // pump or close, closes the channel.
-func (b *mailbox[T]) drain() {
+func (b *mailbox) drain() {
 	defer b.pump.Done()
-	var zero T
 	for {
 		b.mu.Lock()
 		if b.closed || len(b.backlog) == 0 {
@@ -114,7 +111,7 @@ func (b *mailbox[T]) drain() {
 			return
 		}
 		it := b.backlog[0]
-		b.backlog[0] = zero
+		b.backlog[0] = Envelope{}
 		b.backlog = b.backlog[1:]
 		b.mu.Unlock()
 		select {
@@ -127,7 +124,7 @@ func (b *mailbox[T]) drain() {
 // close stops delivery and returns once the pump has exited: the channel
 // closes, and what is still in the backlog is dropped, as a crashed node's
 // unread messages are.
-func (b *mailbox[T]) close() {
+func (b *mailbox) close() {
 	b.mu.Lock()
 	if !b.closed {
 		b.closed = true

@@ -78,38 +78,11 @@ func exerciseNetwork(t *testing.T, net Network, msgs int) {
 	}
 }
 
-// TestChanNetworkDelivery exercises the in-process transport without and
-// with simulated latency.
+// TestChanNetworkDelivery exercises the in-process transport.
 func TestChanNetworkDelivery(t *testing.T) {
-	net := NewChanNetwork(4, Latency{})
+	net := NewChanNetwork(4)
 	defer net.Close()
 	exerciseNetwork(t, net, 200)
-}
-
-func TestChanNetworkLatencyDelivery(t *testing.T) {
-	net := NewChanNetwork(3, Latency{
-		WorkerWorker:     200 * time.Microsecond,
-		WorkerController: 100 * time.Microsecond,
-		PerByte:          10 * time.Nanosecond,
-	})
-	defer net.Close()
-	exerciseNetwork(t, net, 50)
-}
-
-// TestChanNetworkLatencyOrdering checks that a link delivers no earlier
-// than the propagation delay.
-func TestChanNetworkLatencyOrdering(t *testing.T) {
-	lat := Latency{WorkerWorker: 2 * time.Millisecond, WorkerController: 1 * time.Millisecond}
-	net := NewChanNetwork(3, lat)
-	defer net.Close()
-	start := time.Now()
-	if err := net.Conn(1).Send(2, &protocol.GlobalStop{Epoch: 1}); err != nil {
-		t.Fatal(err)
-	}
-	<-net.Conn(2).Inbox()
-	if el := time.Since(start); el < lat.WorkerWorker {
-		t.Fatalf("delivered after %v, want >= %v", el, lat.WorkerWorker)
-	}
 }
 
 // TestTCPNetworkDelivery exercises the TCP transport end to end.
@@ -130,7 +103,7 @@ func inboxNetworks(t *testing.T, n int) map[string]Network {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]Network{"chan": NewChanNetwork(n, Latency{}), "tcp": tcp}
+	return map[string]Network{"chan": NewChanNetwork(n), "tcp": tcp}
 }
 
 // TestInboxBacklogKeepsLinkOrder: a node that reads nothing while thousands
@@ -293,11 +266,10 @@ func TestTCPHandshakeVersionMismatch(t *testing.T) {
 	}
 }
 
-// TestTCPRedialAfterPeerRestart: a process that crashed and came back on
-// the same address is reachable again through the same TCPNode — Send
-// drops the dead cached connection and redials instead of failing forever.
-// This is what lets qgraphd workers restart with -rejoin.
-func TestTCPRedialAfterPeerRestart(t *testing.T) {
+// restartedPeer starts nodes 0 and 1 on loopback, has node 0 send node 1 a
+// frame, then "crashes" node 1 and starts a replacement on its address.
+func restartedPeer(t *testing.T) (a, b2 *TCPNode) {
+	t.Helper()
 	lnA, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -307,8 +279,8 @@ func TestTCPRedialAfterPeerRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	addrs := []string{lnA.Addr().String(), lnB.Addr().String()}
-	a := newTCPNodeWithListener(0, addrs, lnA)
-	defer a.Close()
+	a = newTCPNodeWithListener(0, addrs, lnA)
+	t.Cleanup(func() { a.Close() })
 	b := newTCPNodeWithListener(1, addrs, lnB)
 
 	if err := a.Send(1, &protocol.GlobalStop{Epoch: 1}); err != nil {
@@ -318,7 +290,6 @@ func TestTCPRedialAfterPeerRestart(t *testing.T) {
 		t.Fatal("first delivery wrong")
 	}
 
-	// "Crash" B and restart it on the same address.
 	b.Close()
 	var lnB2 net.Listener
 	for i := 0; ; i++ {
@@ -331,11 +302,20 @@ func TestTCPRedialAfterPeerRestart(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	b2 := newTCPNodeWithListener(1, addrs, lnB2)
-	defer b2.Close()
+	b2 = newTCPNodeWithListener(1, addrs, lnB2)
+	t.Cleanup(func() { b2.Close() })
+	return a, b2
+}
 
-	// The first send may be swallowed by the dead kernel buffer; within a
-	// few attempts the broken peer is evicted and the redial reaches B2.
+// TestTCPRedialAfterPeerRestart: a process that crashed and came back on
+// the same address is reachable again through the same TCPNode — Send
+// drops the dead cached connection and redials instead of failing forever.
+// This is what lets qgraphd workers restart with -rejoin.
+func TestTCPRedialAfterPeerRestart(t *testing.T) {
+	a, b2 := restartedPeer(t)
+
+	// A send racing the dead connection's EOF may be swallowed by the dead
+	// kernel buffer; within a few attempts the redial reaches B2.
 	got := make(chan struct{})
 	go func() {
 		env := <-b2.Inbox()
@@ -353,6 +333,39 @@ func TestTCPRedialAfterPeerRestart(t *testing.T) {
 			t.Fatal("restarted peer never reachable")
 		case <-time.After(50 * time.Millisecond):
 		}
+	}
+}
+
+// TestTCPFirstFrameAfterPeerRestart: once the crashed peer's connection has
+// closed, the very first frame to its replacement arrives. The sender read
+// the dead connection's EOF and dropped it, so the frame is not written
+// into the dead socket, where the write would succeed and the frame be
+// lost — after a rejoin, a StopMarker lost that way wedged the global
+// barrier. A frame written between the peer's death and the EOF's arrival
+// is still lost. The controller's simulator cannot reach this case: its
+// links are the reliable per-link FIFOs the protocol assumes.
+func TestTCPFirstFrameAfterPeerRestart(t *testing.T) {
+	a, b2 := restartedPeer(t)
+
+	// A rejoin takes seconds; wait, for at most five, for the EOF.
+	for end := time.Now().Add(5 * time.Second); time.Now().Before(end); time.Sleep(5 * time.Millisecond) {
+		a.mu.Lock()
+		live := len(a.dialed)
+		a.mu.Unlock()
+		if live == 0 {
+			break
+		}
+	}
+	if err := a.Send(1, &protocol.GlobalStop{Epoch: 2}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case env := <-b2.Inbox():
+		if e := env.Msg.(*protocol.GlobalStop).Epoch; e != 2 {
+			t.Fatalf("got epoch %d, want 2", e)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the first frame to the restarted peer was lost")
 	}
 }
 

@@ -31,12 +31,12 @@ func lineGraph() *graph.Graph {
 	return b.MustBuild()
 }
 
-// newHarness starts k real workers on a network with latency lat; vertices
+// newHarness starts k real workers on the in-process network; vertices
 // 0..2 on worker 0, 3..4 on worker 1 (when k=2).
-func newHarness(t *testing.T, k int, lat transport.Latency) *harness {
+func newHarness(t *testing.T, k int) *harness {
 	t.Helper()
 	g := lineGraph()
-	net := transport.NewChanNetwork(k+1, lat)
+	net := transport.NewChanNetwork(k + 1)
 	owner := make(partition.Assignment, g.NumVertices())
 	for v := range owner {
 		if k > 1 && v >= 3 {
@@ -93,7 +93,7 @@ func (h *harness) recvSynch() *protocol.BarrierSynch {
 // TestSingleWorkerQueryLifecycle drives a BFS flood on one worker through
 // the raw protocol and checks every synch field.
 func TestSingleWorkerQueryLifecycle(t *testing.T) {
-	h := newHarness(t, 1, transport.Latency{})
+	h := newHarness(t, 1)
 	spec := query.Spec{ID: 7, Kind: query.KindBFS, Source: 0, Target: graph.NilVertex}
 	h.send(0, &protocol.ExecuteQuery{Spec: spec})
 	h.send(0, &protocol.BarrierReady{Q: 7, Step: 0})
@@ -130,7 +130,7 @@ func TestSingleWorkerQueryLifecycle(t *testing.T) {
 // TestSoloLoopReportsOnce: a solo release runs the whole local query and
 // reports one multi-step synch with LocalIters accounting.
 func TestSoloLoopReportsOnce(t *testing.T) {
-	h := newHarness(t, 1, transport.Latency{})
+	h := newHarness(t, 1)
 	spec := query.Spec{ID: 9, Kind: query.KindBFS, Source: 0, Target: graph.NilVertex}
 	h.send(0, &protocol.ExecuteQuery{Spec: spec})
 	h.send(0, &protocol.BarrierReady{Q: 9, Step: 0, Solo: true})
@@ -152,7 +152,7 @@ func TestSoloLoopReportsOnce(t *testing.T) {
 // TestRemoteBatchesAndExpect: messages crossing the 0|1 boundary are
 // batched, counted, and the receiving worker honors the Expect count.
 func TestRemoteBatchesAndExpect(t *testing.T) {
-	h := newHarness(t, 2, transport.Latency{})
+	h := newHarness(t, 2)
 	spec := query.Spec{ID: 11, Kind: query.KindBFS, Source: 2, Target: graph.NilVertex}
 	h.send(0, &protocol.ExecuteQuery{Spec: spec})
 	h.send(1, &protocol.ExecuteQuery{Spec: spec})
@@ -216,7 +216,7 @@ func TestOneBatchPerPeerPerSuperstep(t *testing.T) {
 // TestEarlyBatchBuffered: a vertex batch arriving before ExecuteQuery is
 // buffered and replayed, not lost.
 func TestEarlyBatchBuffered(t *testing.T) {
-	h2 := newHarness(t, 2, transport.Latency{})
+	h2 := newHarness(t, 2)
 	spec := query.Spec{ID: 13, Kind: query.KindBFS, Source: 2, Target: graph.NilVertex}
 	// Worker 1 gets a batch for query 13 before its ExecuteQuery.
 	if err := h2.net.Conn(protocol.WorkerNode(0)).Send(protocol.WorkerNode(1), &protocol.VertexBatch{
@@ -234,89 +234,72 @@ func TestEarlyBatchBuffered(t *testing.T) {
 }
 
 // TestGlobalBarrierProtocol drives stop → markers → StopAck → move → the
-// receiver's MoveAck → start across two workers. In "move", the moved scope
-// lands intact; "move on delayed links" repeats it with worker links slower
-// than the controller's, whose messages then overtake the workers' (the
-// perfect network delivers causally). In "batch in flight", worker 0's batch to worker 1 is still
-// on a 50 ms link when GlobalStop arrives and no move flushes that link:
-// worker 1 may acknowledge the stop only after worker 0's marker, which
-// follows the batch, so its Drained release processes the batch's vertex.
+// receiver's MoveAck → start across two workers, and the moved scope lands
+// intact. Its delivery orders beyond the in-process network's causal one
+// (controller messages overtaking the workers', a batch still in flight at
+// the stop) are TestBarrierConformance's, in internal/controller.
 func TestGlobalBarrierProtocol(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		lat    transport.Latency
-		source graph.VertexID // BFS source on worker 0
-		solo   bool
-		move   bool
-	}{
-		{name: "move", source: 0, solo: true, move: true},
-		{name: "move on delayed links", lat: transport.Latency{WorkerWorker: 2 * time.Millisecond}, source: 0, solo: true, move: true},
-		{name: "batch in flight", lat: transport.Latency{WorkerWorker: 50 * time.Millisecond}, source: 2},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			h := newHarness(t, 2, tc.lat)
-			spec := query.Spec{ID: 21, Kind: query.KindBFS, Source: tc.source, Target: graph.NilVertex}
-			h.send(0, &protocol.ExecuteQuery{Spec: spec})
-			h.send(1, &protocol.ExecuteQuery{Spec: spec})
-			h.send(0, &protocol.BarrierReady{Q: 21, Step: 0, Solo: tc.solo})
-			s := h.recvSynch() // worker 0 runs until it must send to worker 1
-			if s.SentBatches[1] == 0 {
-				t.Fatalf("expected boundary crossing, got %+v", s)
-			}
+	t.Run("move", func(t *testing.T) {
+		h := newHarness(t, 2)
+		spec := query.Spec{ID: 21, Kind: query.KindBFS, Source: 0, Target: graph.NilVertex}
+		h.send(0, &protocol.ExecuteQuery{Spec: spec})
+		h.send(1, &protocol.ExecuteQuery{Spec: spec})
+		h.send(0, &protocol.BarrierReady{Q: 21, Step: 0, Solo: true})
+		s := h.recvSynch() // worker 0 runs until it must send to worker 1
+		if s.SentBatches[1] == 0 {
+			t.Fatalf("expected boundary crossing, got %+v", s)
+		}
 
-			// Global barrier instead of releasing the next step.
-			live := []partition.WorkerID{0, 1}
-			h.send(0, &protocol.GlobalStop{Epoch: 1, Live: live})
-			h.send(1, &protocol.GlobalStop{Epoch: 1, Live: live})
-			acks := map[partition.WorkerID]bool{}
-			for len(acks) < 2 {
-				m, ok := h.recv().(*protocol.StopAck)
-				if !ok || m.Epoch != 1 {
-					t.Fatalf("expected StopAck of epoch 1, got %#v", m)
-				}
-				acks[m.W] = true
+		// Global barrier instead of releasing the next step.
+		live := []partition.WorkerID{0, 1}
+		h.send(0, &protocol.GlobalStop{Epoch: 1, Live: live})
+		h.send(1, &protocol.GlobalStop{Epoch: 1, Live: live})
+		acks := map[partition.WorkerID]bool{}
+		for len(acks) < 2 {
+			m, ok := h.recv().(*protocol.StopAck)
+			if !ok || m.Epoch != 1 {
+				t.Fatalf("expected StopAck of epoch 1, got %#v", m)
 			}
-			if tc.move {
-				// Move query 21's scope from worker 0 to worker 1; the
-				// receiver acknowledges it.
-				h.send(0, &protocol.MoveScope{Epoch: 1, Q: 21, To: 1})
-				env := h.recvEnv()
-				mv, ok := env.Msg.(*protocol.MoveAck)
-				if !ok || mv.From != 0 || mv.To != 1 || env.From != protocol.WorkerNode(1) {
-					t.Fatalf("expected worker 1's MoveAck, got %#v from node %d", env.Msg, env.From)
-				}
-				if len(mv.Vertices) != 3 {
-					t.Fatalf("moved %d vertices, want 3 (worker 0's scope)", len(mv.Vertices))
-				}
-			}
-			h.send(0, &protocol.GlobalStart{Epoch: 1})
-			h.send(1, &protocol.GlobalStart{Epoch: 1})
+			acks[m.W] = true
+		}
+		// Move query 21's scope from worker 0 to worker 1; the receiver
+		// acknowledges it.
+		h.send(0, &protocol.MoveScope{Epoch: 1, Q: 21, To: 1})
+		env := h.recvEnv()
+		mv, ok := env.Msg.(*protocol.MoveAck)
+		if !ok || mv.From != 0 || mv.To != 1 || env.From != protocol.WorkerNode(1) {
+			t.Fatalf("expected worker 1's MoveAck, got %#v from node %d", env.Msg, env.From)
+		}
+		if len(mv.Vertices) != 3 {
+			t.Fatalf("moved %d vertices, want 3 (worker 0's scope)", len(mv.Vertices))
+		}
+		h.send(0, &protocol.GlobalStart{Epoch: 1})
+		h.send(1, &protocol.GlobalStart{Epoch: 1})
 
-			// Resume: release both with drained. Worker 1 holds the batch (and,
-			// after the move, everything the query touched plus its pending
-			// messages; worker 0 is then empty).
-			h.send(0, &protocol.BarrierReady{Q: 21, Step: s.Step + 1, Drained: true})
-			h.send(1, &protocol.BarrierReady{Q: 21, Step: s.Step + 1, Drained: true})
-			got := map[partition.WorkerID]*protocol.BarrierSynch{}
-			for len(got) < 2 {
-				r := h.recvSynch()
-				got[r.W] = r
-			}
-			if tc.move && (got[0].Processed != 0 || got[0].ScopeSize != 0) {
-				t.Fatalf("worker 0 still has state after move: %+v", got[0])
-			}
-			if got[1].Processed == 0 {
-				t.Fatalf("worker 1 processed nothing after the barrier: %+v", got[1])
-			}
-		})
-	}
+		// Resume: release both with drained. Worker 1 holds the batch,
+		// everything the query touched and its pending messages; worker 0 is
+		// empty.
+		h.send(0, &protocol.BarrierReady{Q: 21, Step: s.Step + 1, Drained: true})
+		h.send(1, &protocol.BarrierReady{Q: 21, Step: s.Step + 1, Drained: true})
+		got := map[partition.WorkerID]*protocol.BarrierSynch{}
+		for len(got) < 2 {
+			r := h.recvSynch()
+			got[r.W] = r
+		}
+		if got[0].Processed != 0 || got[0].ScopeSize != 0 {
+			t.Fatalf("worker 0 still has state after move: %+v", got[0])
+		}
+		if got[1].Processed == 0 {
+			t.Fatalf("worker 1 processed nothing after the barrier: %+v", got[1])
+		}
+	})
 }
 
 // TestComputeDebtAccumulates: the simulated compute cost stalls the worker
 // roughly proportionally to processed vertices.
 func TestComputeDebtAccumulates(t *testing.T) {
 	g := lineGraph()
-	net := transport.NewChanNetwork(2, transport.Latency{})
+	net := transport.NewChanNetwork(2)
 	defer net.Close()
 	owner := make(partition.Assignment, g.NumVertices())
 	wk, err := New(Config{
@@ -367,7 +350,7 @@ func TestPartitionGrantFallbackToNewerSnapshot(t *testing.T) {
 	}
 
 	owner := make(partition.Assignment, g.NumVertices())
-	net := transport.NewChanNetwork(2, transport.Latency{})
+	net := transport.NewChanNetwork(2)
 	defer net.Close()
 	wk, err := New(Config{
 		ID: 0, K: 1, Graph: g, Owner: owner, Rejoin: true, Snapshots: snapStore,
@@ -436,7 +419,7 @@ func TestReplicaDivergenceIsFatal(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			net := transport.NewChanNetwork(2, transport.Latency{})
+			net := transport.NewChanNetwork(2)
 			defer net.Close()
 			wk, err := New(Config{ID: 0, K: 1, Graph: g, Owner: owner}, net.Conn(protocol.WorkerNode(0)))
 			if err != nil {
