@@ -30,7 +30,6 @@ func main() {
 	fmt.Printf("knowledge graph: %d entities, %d relations, %d popular topics\n",
 		net.G.NumVertices(), net.G.NumEdges()/2, len(net.Topics))
 
-	rec := metrics.NewRecorder()
 	eng, err := core.Start(core.Config{
 		Workers:     8,
 		Graph:       net.G,
@@ -38,7 +37,6 @@ func main() {
 		Adapt:       true,
 		Cooldown:    250 * time.Millisecond,
 		CheckEvery:  50 * time.Millisecond,
-		Recorder:    rec,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -47,11 +45,11 @@ func main() {
 
 	wgen := workload.NewKnowledgeGen(net, 3)
 	phase := func(name string, n int) {
-		start := len(rec.Queries())
+		start := len(eng.Recorder().Queries())
 		if _, err := eng.RunBatch(workload.Batch(n, wgen.Retrieve), 16); err != nil {
 			log.Fatal(err)
 		}
-		qs := rec.Queries()[start:]
+		qs := eng.Recorder().Queries()[start:]
 		sum := metrics.SummarizeRecords(qs)
 		fmt.Printf("%-18s %3d retrievals: mean %7.2fms, locality %.2f, mean scope %4.0f entities\n",
 			name, sum.Count,

@@ -35,7 +35,6 @@ func main() {
 	specs = append(specs, workload.Batch(48, gen.InterUrban)...)
 
 	run := func(name string, adapt bool) metrics.Summary {
-		rec := metrics.NewRecorder()
 		eng, err := core.Start(core.Config{
 			Workers:     8,
 			Graph:       net.G,
@@ -43,8 +42,6 @@ func main() {
 			Adapt:       adapt,
 			Cooldown:    300 * time.Millisecond,
 			CheckEvery:  50 * time.Millisecond,
-			ComputeCost: 2 * time.Microsecond,
-			Recorder:    rec,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -53,7 +50,7 @@ func main() {
 		if _, err := eng.RunBatch(specs, 16); err != nil {
 			log.Fatal(err)
 		}
-		sum := rec.Summarize()
+		sum := eng.Recorder().Summarize()
 		fmt.Printf("%-14s mean %7.2fms  p95 %7.2fms  locality %.2f  repartitions %d\n",
 			name,
 			float64(sum.MeanLatency.Microseconds())/1000,

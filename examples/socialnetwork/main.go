@@ -15,7 +15,6 @@ import (
 
 	"qgraph/internal/core"
 	"qgraph/internal/gen"
-	"qgraph/internal/metrics"
 	"qgraph/internal/partition"
 	"qgraph/internal/query"
 	"qgraph/internal/workload"
@@ -33,7 +32,6 @@ func main() {
 	fmt.Printf("social graph: %d users, %d friendships, %d communities, %d celebrity hubs\n",
 		net.G.NumVertices(), net.G.NumEdges()/2, len(net.Communities), len(net.Hubs))
 
-	rec := metrics.NewRecorder()
 	eng, err := core.Start(core.Config{
 		Workers:     8,
 		Graph:       net.G,
@@ -41,7 +39,6 @@ func main() {
 		Adapt:       true,
 		Cooldown:    300 * time.Millisecond,
 		CheckEvery:  50 * time.Millisecond,
-		Recorder:    rec,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -104,7 +101,7 @@ func main() {
 		fmt.Printf("%-9s %3d queries: median latency %8s, mean scope %5d users\n",
 			kind, len(rs), rs[len(rs)/2].latency.Round(100_000), totalTouched/len(rs))
 	}
-	sum := rec.Summarize()
+	sum := eng.Recorder().Summarize()
 	fmt.Printf("\noverall: mean latency %s, mean locality %.2f, %d repartitions\n",
 		sum.MeanLatency.Round(100_000), sum.MeanLocality, eng.RepartitionEpoch())
 }

@@ -24,8 +24,7 @@ import (
 // and only they assign its fields. The controller does the I/O.
 
 const (
-	// defaultPhi is the locality threshold Φ when Config.Phi is unset
-	// (Sec. 3.4).
+	// defaultPhi is the locality threshold Φ (Sec. 3.4).
 	defaultPhi = 0.7
 	// balanceSlack is the workload balance slack δ (Appendix A.1): the
 	// trigger fires past it, and Q-cut keeps its plans within it.
@@ -40,7 +39,6 @@ const (
 // adapt is adaptation and the global barrier.
 type adapt struct {
 	k        int
-	phi      float64       // Config.Phi
 	cooldown time.Duration // Config.Cooldown, the backoff's floor
 
 	phase     phase
@@ -82,7 +80,7 @@ type plan struct {
 }
 
 func newAdapt(cfg *Config) adapt {
-	return adapt{k: cfg.K, phi: cfg.Phi, cooldown: cfg.Cooldown, curCooldown: cfg.Cooldown, raised: noPlan}
+	return adapt{k: cfg.K, cooldown: cfg.Cooldown, curCooldown: cfg.Cooldown, raised: noPlan}
 }
 
 // due says whether the trigger looks at the window at now: the phase is
@@ -100,7 +98,7 @@ func (a *adapt) trigger(n int, loc, imbalance float64) bool {
 	if n < minWindowQueries {
 		return false
 	}
-	if loc >= a.phi && imbalance <= balanceSlack {
+	if loc >= defaultPhi && imbalance <= balanceSlack {
 		a.curCooldown = a.cooldown
 		return false
 	}

@@ -94,13 +94,13 @@ func TestBalanceTriggerReadsThePrunedWindow(t *testing.T) {
 	t0 := time.Unix(1_000, 0)
 	now := t0
 	c := newLoopless(t, 2, func(cfg *Config) {
-		cfg.Adapt, cfg.Mu = true, 10*time.Second
+		cfg.Adapt = true
 		cfg.Owner = partition.Assignment{0, 1, 0, 1, 0, 1, 0, 1}
 		cfg.Clock = func() time.Time { return now }
 	})
 	windowOf(c, 1, 8, []int64{40, 0}, 1, t0)
-	windowOf(c, 9, 8, []int64{20, 20}, 1, t0.Add(c.cfg.Mu/2))
-	now = t0.Add(c.cfg.Mu + time.Second)
+	windowOf(c, 9, 8, []int64{20, 20}, 1, t0.Add(protocol.DefaultMu/2))
+	now = t0.Add(protocol.DefaultMu + time.Second)
 	if plans(t, c) {
 		t.Fatalf("Q-cut started over a window of %d balanced, fully local queries", len(c.window))
 	}
@@ -304,7 +304,7 @@ func TestGlobalBarrierTransitions(t *testing.T) {
 			}
 		}},
 		{"a wrong-epoch or wrong-phase StopAck or MoveAck is an error", func(t *testing.T) {
-			a := newAdapt(&Config{K: 2, Phi: defaultPhi, Cooldown: cooldown})
+			a := newAdapt(&Config{K: 2, Cooldown: cooldown})
 			if _, err := a.stopAck(0); err == nil {
 				t.Fatal("a StopAck in run was accepted")
 			}
@@ -448,7 +448,7 @@ func TestGlobalBarrierTransitions(t *testing.T) {
 			}
 		}},
 		{"the backoff doubles, then resets, capped at 16x", func(t *testing.T) {
-			a := newAdapt(&Config{K: 2, Phi: defaultPhi, Cooldown: cooldown})
+			a := newAdapt(&Config{K: 2, Cooldown: cooldown})
 			execute(t, &a, 0.5)
 			if a.curCooldown != cooldown || a.raised != 0.5 {
 				t.Fatalf("cooldown %s, raised %v after the first plan, want %s and 0.5", a.curCooldown, a.raised, cooldown)

@@ -412,7 +412,7 @@ func (c *Controller) windowAdd(ctl *qctl, now time.Time) {
 func (c *Controller) pruneWindow(now time.Time) {
 	keep := c.window[:0]
 	for _, we := range c.window {
-		if now.Sub(we.at) <= c.cfg.Mu {
+		if now.Sub(we.at) <= protocol.DefaultMu {
 			keep = append(keep, we)
 		} else {
 			delete(c.byQ, we.q)

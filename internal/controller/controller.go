@@ -85,12 +85,6 @@ type Config struct {
 
 	// Adapt enables the MAPE adaptivity loop (Q-cut at runtime).
 	Adapt bool
-	// Phi is the locality threshold Φ: average query locality below it
-	// triggers repartitioning (default defaultPhi).
-	Phi float64
-	// Mu is the monitoring window μ: how long finished-query statistics
-	// stay in the global view (default protocol.DefaultMu).
-	Mu time.Duration
 	// CheckEvery is the adaptivity check interval.
 	CheckEvery time.Duration
 	// Cooldown is the minimum time between repartitionings.
@@ -173,12 +167,6 @@ func (c *Config) fill() error {
 	}
 	if len(c.Owner) != c.Graph.NumVertices() {
 		return fmt.Errorf("controller: ownership covers %d of %d vertices", len(c.Owner), c.Graph.NumVertices())
-	}
-	if c.Phi == 0 {
-		c.Phi = defaultPhi
-	}
-	if c.Mu <= 0 {
-		c.Mu = protocol.DefaultMu
 	}
 	if c.CheckEvery <= 0 {
 		c.CheckEvery = 250 * time.Millisecond

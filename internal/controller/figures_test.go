@@ -2,9 +2,11 @@ package controller
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math/rand/v2"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -15,6 +17,7 @@ import (
 	"qgraph/internal/graph"
 	"qgraph/internal/partition"
 	"qgraph/internal/protocol"
+	"qgraph/internal/qcut"
 	"qgraph/internal/query"
 	"qgraph/internal/workload"
 )
@@ -57,22 +60,28 @@ var figNets = map[string]func() (*gen.RoadNet, error){
 	"GY": sync.OnceValues(func() (*gen.RoadNet, error) { return gen.Road(gen.GYConfig(3200)) }),
 }
 
-// figWorkload is a seed's queries: SSSP or POI, and for Fig. 5 a quarter
-// as many inter-urban SSSP queries after them (the paper: 2048 and 496).
+// figWorkload is a seed's queries: SSSP or POI, figQueries of them unless
+// queries says otherwise, and for Fig. 5 a quarter as many inter-urban SSSP
+// queries after them (the paper: 2048 and 496). With kill, the last worker
+// dies for good after the killAfter-th answer, and heartbeats find it.
 type figWorkload struct {
 	net     string
 	kind    query.Kind
 	disturb bool
+	queries int
+	kill    bool
 }
 
+const killAfter = 300
+
 func (w figWorkload) specs(net *gen.RoadNet, seed uint64) []query.Spec {
-	g := workload.NewRoadGen(net, seed)
+	g, n := workload.NewRoadGen(net, seed), cmp.Or(w.queries, figQueries)
 	if w.kind == query.KindPOI {
-		return workload.Batch(figQueries, g.POI)
+		return workload.Batch(n, g.POI)
 	}
-	specs := workload.Batch(figQueries, g.SSSP)
+	specs := workload.Batch(n, g.SSSP)
 	if w.disturb {
-		specs = append(specs, workload.Batch(figQueries/4, g.InterUrban)...)
+		specs = append(specs, workload.Batch(n/4, g.InterUrban)...)
 	}
 	return specs
 }
@@ -89,12 +98,30 @@ type figKey struct {
 // figRun is what one run measured.
 type figRun struct {
 	latencies []time.Duration // by completion
+	locality  []float64       // LocalIters / Supersteps, by completion
 	sum       time.Duration
-	releases  int // the controller's rounds, over all queries
-	trips     int // BarrierReady → BarrierSynch round trips: releases by workers
-	local     int // queries that ran on one worker
-	plans     int
+	releases  int   // the controller's rounds, over all queries
+	trips     int   // BarrierReady → BarrierSynch round trips: releases by workers
+	local     int   // queries that ran on one worker
+	plans     int   // executed plans: global barriers but recovery rounds
+	planAt    []int // the answers in when each plan executed
 	log       []byte
+
+	// With kill: the plans executed once the death was declared, the moves
+	// Q-cut planned and the MoveScope directives sent since that name the
+	// dead worker, and the workers Health lists dead at the end.
+	plansAfter, movesToDead int
+	dead                    []int
+}
+
+// tail is the mean locality of the last third of the queries.
+func (r figRun) tail() float64 {
+	tail := r.locality[len(r.locality)*2/3:]
+	sum := 0.0
+	for _, l := range tail {
+		sum += l
+	}
+	return sum / float64(len(tail))
 }
 
 func (r figRun) perQuery(n int) string {
@@ -174,7 +201,10 @@ func (key figKey) run(quiet bool) (figRun, error) {
 	s, err := newSim(rand.New(rand.NewPCG(key.seed, uint64(key.k))), net.G, owner, key.k, func(cfg *Config) {
 		cfg.Mode, cfg.Adapt, cfg.Seed = key.mode, key.st.adapt, key.seed
 		// About half a query's latency between checks, ten between plans.
-		cfg.CheckEvery, cfg.Cooldown, cfg.Mu = time.Millisecond, 20*time.Millisecond, time.Second
+		cfg.CheckEvery, cfg.Cooldown = time.Millisecond, 20*time.Millisecond
+		if key.kill {
+			cfg.HeartbeatEvery, cfg.HeartbeatTimeout = 5*time.Millisecond, 30*time.Millisecond
+		}
 	})
 	if err != nil {
 		return r, err
@@ -190,6 +220,9 @@ func (key figKey) run(quiet bool) (figRun, error) {
 	for next < figInFlight {
 		schedule()
 	}
+	victim, declared := partition.WorkerID(key.k-1), -1 // declared: plans when its death was
+	handed := 0                                         // s.jobs seen by turn
+	plans := func() int { return int(s.c.RepartitionEpoch() - s.c.RecoveryStats().Recoveries) }
 	released := map[query.ID]int32{} // each query's last released step, plus one
 	s.delivered = func(_ partition.WorkerID, m protocol.Message) error {
 		if m, ok := m.(*protocol.BarrierReady); ok {
@@ -205,6 +238,7 @@ func (key figKey) run(quiet bool) (figRun, error) {
 		for len(results) > 0 && err == nil {
 			res := <-results
 			r.latencies = append(r.latencies, res.Latency)
+			r.locality = append(r.locality, float64(res.LocalIters)/float64(res.Supersteps))
 			r.sum += res.Latency
 			if res.Workers == 1 {
 				r.local++
@@ -222,6 +256,45 @@ func (key figKey) run(quiet bool) (figRun, error) {
 				schedule()
 			}
 		}
+		if p := plans(); p > len(r.planAt) {
+			r.planAt = append(r.planAt, len(r.latencies))
+		}
+		if !key.kill {
+			return
+		}
+		if len(r.latencies) >= killAfter && !s.killed[victim] {
+			s.kill(victim, false)
+		}
+		if declared < 0 && s.c.members.dead[victim] {
+			declared = plans()
+		}
+		fresh := s.jobs[min(handed, len(s.jobs)):] // less one if the last event ran a job
+		handed = len(s.jobs)
+		if declared < 0 {
+			return
+		}
+		for _, m := range s.net.sent {
+			if m, ok := m.(*protocol.MoveScope); ok && m.To == victim {
+				r.movesToDead++
+			}
+		}
+		// The jobs the last event handed out: a Q-cut run's plan, from a
+		// snapshot taken since the death, must not name the dead worker
+		// either, though the barrier would drop such a move.
+		for i := range fresh {
+			job := fresh[i].run
+			fresh[i].run = func() any {
+				ev := job()
+				if res, ok := ev.(qcut.Result); ok {
+					for _, mv := range res.Moves {
+						if mv.To == victim {
+							r.movesToDead++
+						}
+					}
+				}
+				return ev
+			}
+		}
 	}
 	if err := s.run(); err != nil {
 		return r, err
@@ -230,7 +303,13 @@ func (key figKey) run(quiet bool) (figRun, error) {
 	if err == nil && len(r.latencies) != len(specs) {
 		err = fmt.Errorf("%d of %d queries answered", len(r.latencies), len(specs))
 	}
-	r.plans, r.log = int(s.c.RepartitionEpoch()), s.log
+	r.plans, r.log = plans(), s.log
+	if key.kill {
+		r.plansAfter, r.dead = r.plans-declared, s.c.Health().DeadWorkers
+		if declared < 0 {
+			r.plansAfter = 0
+		}
+	}
 	return r, err
 }
 
@@ -244,11 +323,11 @@ type direction struct {
 	finding string
 }
 
-func check(t *testing.T, dirs []direction) {
+func check(t *testing.T, seeds []uint64, dirs []direction) {
 	t.Helper()
 	for _, d := range dirs {
 		var failed []uint64
-		for _, seed := range figSeeds {
+		for _, seed := range seeds {
 			if !d.holds(seed) {
 				failed = append(failed, seed)
 			}
@@ -287,8 +366,10 @@ func pct(a, b time.Duration) string { return fmt.Sprintf("%+.1f%%", 100*(float64
 // TestFigure6SummedLatency is Figs. 6a–c: the summed latency of an SSSP
 // workload on BW and GY and of a POI workload on BW under the four
 // strategies, at k = 8. The paper: Q-cut −43 % / −13 % / −50 % against
-// Hash and −22 % / −25 % / −28 % against Domain.
+// Hash and −22 % / −25 % / −28 % against Domain, and up to 57 % less
+// latency (Sec. 4).
 func TestFigure6SummedLatency(t *testing.T) {
+	ratio := map[uint64]float64{} // the better Q-cut strategy's sum / Hash's, the lowest of Figs. 6a–c
 	for _, fig := range []struct {
 		id string
 		figWorkload
@@ -317,7 +398,13 @@ func TestFigure6SummedLatency(t *testing.T) {
 			best := func(seed uint64) time.Duration {
 				return min(sum(hashQcutStrategy, seed), sum(domainQcutStrategy, seed))
 			}
-			check(t, []direction{
+			for _, seed := range figSeeds {
+				r := float64(best(seed)) / float64(sum(hashStrategy, seed))
+				if old, ok := ratio[seed]; !ok || r < old {
+					ratio[seed] = r
+				}
+			}
+			check(t, figSeeds, []direction{
 				{claim: "the better Q-cut strategy sums less latency than static Hash",
 					holds: func(seed uint64) bool { return best(seed) < sum(hashStrategy, seed) }},
 				{claim: "the better Q-cut strategy sums less latency than static Domain",
@@ -325,6 +412,72 @@ func TestFigure6SummedLatency(t *testing.T) {
 			})
 		})
 	}
+	for _, seed := range figSeeds {
+		t.Logf("seed %d: the better Q-cut strategy's summed latency is %.3f × static Hash's at best in Figs. 6a–c", seed, ratio[seed])
+	}
+	check(t, figSeeds, []direction{
+		{claim: "in one of Figs. 6a–c the better Q-cut strategy sums at most 0.43 × static Hash's latency (Sec. 4: up to 57 % less)",
+			holds: func(seed uint64) bool { r, ok := ratio[seed]; return ok && r <= 0.43 }, finding: "ROADMAP 31"},
+	})
+}
+
+// TestFigure6fLocality is Fig. 6f: query locality from static Hash and
+// from Hash+Q-cut with the default Φ, SSSP on BW at k = 4, 1 500 queries,
+// seeds 1–10. A query's locality is LocalIters / Supersteps; a run's tail
+// locality, the mean over the last third of its queries. The paper: Q-cut
+// raises locality from 38 % to about 80 %. And the handoff case, on seeds
+// 1–3: worker 3 dies for good after the 300th answer, and Q-cut keeps
+// planning over the three survivors, never onto the dead one.
+func TestFigure6fLocality(t *testing.T) {
+	const k = 4
+	seeds := []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	w := figWorkload{net: "BW", kind: query.KindSSSP, queries: 1500}
+	handoff := w
+	handoff.kill = true
+	key := func(w figWorkload, st strategy, seed uint64) figKey { return figKey{w, k, st, SyncHybrid, seed} }
+	var keys []figKey
+	for _, seed := range seeds {
+		keys = append(keys, key(w, hashStrategy, seed), key(w, hashQcutStrategy, seed))
+	}
+	for _, seed := range figSeeds {
+		keys = append(keys, key(handoff, hashQcutStrategy, seed))
+	}
+	got := runs(t, keys)
+	static := func(seed uint64) figRun { return got[key(w, hashStrategy, seed)] }
+	qcut := func(seed uint64) figRun { return got[key(w, hashQcutStrategy, seed)] }
+	var rows [][]string
+	for _, seed := range seeds {
+		rows = append(rows, []string{fmt.Sprint(seed), fmt.Sprintf("%.3f", static(seed).tail()), fmt.Sprintf("%.3f", qcut(seed).tail()),
+			fmt.Sprint(qcut(seed).plans), fmt.Sprint(qcut(seed).planAt)})
+	}
+	table(t, fmt.Sprintf("Fig. 6f: sssp on BW, k = %d, %d queries, tail locality", k, w.queries),
+		[]string{"seed", "hash", "hash+qcut", "plans", "plan_at"}, rows)
+	check(t, seeds, []direction{
+		{claim: "Q-cut's tail locality is at least static Hash's + 0.03",
+			holds: func(seed uint64) bool { return qcut(seed).tail() >= static(seed).tail()+0.03 }},
+		{claim: "Q-cut executes at least 3 plans",
+			holds: func(seed uint64) bool { return qcut(seed).plans >= 3 }},
+		{claim: "Q-cut's tail locality is at least static Hash's + 0.3",
+			holds: func(seed uint64) bool { return qcut(seed).tail() >= static(seed).tail()+0.3 }, finding: "ROADMAP 31(c)"},
+	})
+
+	dead := func(seed uint64) figRun { return got[key(handoff, hashQcutStrategy, seed)] }
+	rows = nil
+	for _, seed := range figSeeds {
+		r := dead(seed)
+		rows = append(rows, []string{fmt.Sprint(seed), fmt.Sprintf("%.3f", r.tail()), fmt.Sprint(r.plans), fmt.Sprint(r.plansAfter),
+			fmt.Sprint(r.movesToDead), fmt.Sprint(r.dead)})
+	}
+	table(t, fmt.Sprintf("Fig. 6f, handoff: worker %d dies after answer %d", k-1, killAfter),
+		[]string{"seed", "hash+qcut", "plans", "after_death", "moves_to_it", "dead"}, rows)
+	check(t, figSeeds, []direction{
+		{claim: "Health lists exactly the killed worker dead",
+			holds: func(seed uint64) bool { return slices.Equal(dead(seed).dead, []int{k - 1}) }},
+		{claim: "Q-cut executes a plan after the death is declared",
+			holds: func(seed uint64) bool { return dead(seed).plansAfter >= 1 }},
+		{claim: "no Q-cut plan or MoveScope after the death names the dead worker",
+			holds: func(seed uint64) bool { return dead(seed).movesToDead == 0 }},
+	})
 }
 
 // TestFigure6dBarriers is Fig. 6d with the local-barrier ablation: SSSP on
@@ -383,7 +536,7 @@ func TestFigure6dBarriers(t *testing.T) {
 		holds: func(seed uint64) bool {
 			return got[key(domainStrategy, SyncHybrid, seed)].sum < got[key(domainStrategy, SyncLimited, seed)].sum
 		}})
-	check(t, dirs)
+	check(t, figSeeds, dirs)
 }
 
 // TestFigure7Scalability is Figs. 7a and 7b: summed SSSP and POI latency on
@@ -431,7 +584,7 @@ func TestFigure7Scalability(t *testing.T) {
 						return true
 					}, finding: "ROADMAP 31"})
 			}
-			check(t, dirs)
+			check(t, figSeeds, dirs)
 		})
 	}
 }

@@ -63,8 +63,6 @@ type Config struct {
 	Adapt bool
 
 	// Controller knobs (zero = paper defaults; see controller.Config).
-	Phi        float64
-	Mu         time.Duration
 	CheckEvery time.Duration
 	Cooldown   time.Duration
 	Seed       uint64
@@ -106,12 +104,6 @@ type Config struct {
 	// 1); a directory written for another id refuses to open.
 	WALGraphID uint64
 
-	// ComputeCost simulates per-vertex work on the workers (see
-	// worker.Config).
-	ComputeCost time.Duration
-
-	// Recorder receives metrics; nil creates a fresh one.
-	Recorder *metrics.Recorder
 	// Obs is the observability substrate (internal/obs), shared with the
 	// serving layer so span trees rooted there continue through the
 	// controller and into worker structured logs. Nil disables tracing
@@ -349,11 +341,7 @@ func newEngine(cfg Config, assign partition.Assignment, conn transport.Conn, net
 			return nil, fmt.Errorf("core: %w", err)
 		}
 	}
-	rec := cfg.Recorder
-	if rec == nil {
-		rec = metrics.NewRecorder()
-	}
-	e := &Engine{cfg: cfg, net: net, recorder: rec, assign: assign,
+	e := &Engine{cfg: cfg, net: net, recorder: metrics.NewRecorder(), assign: assign,
 		workerLive: make([]bool, cfg.Workers), snaps: cfg.snapshotStore(net != nil),
 		wal: walLog, done: make(chan struct{})}
 	var respawn func(partition.WorkerID)
@@ -362,14 +350,14 @@ func newEngine(cfg Config, assign partition.Assignment, conn transport.Conn, net
 	}
 	ctrl, err := controller.New(controller.Config{
 		K: cfg.Workers, Graph: cfg.Graph, Owner: assign, Adapt: cfg.Adapt,
-		Phi: cfg.Phi, Mu: cfg.Mu, CheckEvery: cfg.CheckEvery, Cooldown: cfg.Cooldown, Seed: cfg.Seed,
+		CheckEvery: cfg.CheckEvery, Cooldown: cfg.Cooldown, Seed: cfg.Seed,
 		CommitEvery: cfg.CommitEvery, MaxBatchOps: cfg.MaxBatchOps,
 		HeartbeatEvery: cfg.HeartbeatEvery, HeartbeatTimeout: cfg.HeartbeatTimeout,
 		Respawn: respawn, Snapshots: e.snaps, SnapshotPolicy: snapshot.Policy{
 			EveryOps: cfg.SnapshotEveryOps, EveryBytes: cfg.SnapshotEveryBytes, Interval: cfg.SnapshotInterval,
 		},
 		BaseVersion: cfg.BaseVersion, WAL: walLog,
-		Recorder: rec, Obs: cfg.Obs, Monitor: cfg.Monitor,
+		Recorder: e.recorder, Obs: cfg.Obs, Monitor: cfg.Monitor,
 	}, conn)
 	if err != nil {
 		closeWAL(walLog)
@@ -392,7 +380,7 @@ func (e *Engine) run() {
 func (e *Engine) workerConfig(w partition.WorkerID, rejoin bool) worker.Config {
 	c := worker.Config{
 		ID: w, K: e.cfg.Workers, Graph: e.cfg.Graph, Owner: e.assign, BaseVersion: e.cfg.BaseVersion,
-		ScopeTTL: e.cfg.Mu, ComputeCost: e.cfg.ComputeCost, Rejoin: rejoin, Snapshots: e.snaps,
+		Rejoin: rejoin, Snapshots: e.snaps,
 	}
 	if o := e.cfg.Obs; o != nil {
 		c.Logger = o.Log().With("role", "worker")

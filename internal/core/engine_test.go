@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"qgraph/internal/controller"
+	"qgraph/internal/faultpoint"
 	"qgraph/internal/gen"
 	"qgraph/internal/graph"
 	"qgraph/internal/partition"
@@ -297,12 +298,19 @@ func TestCloseWithInflightQueries(t *testing.T) {
 // queries correctly afterwards.
 func TestCancelQuery(t *testing.T) {
 	net := testRoad(t)
-	eng := startEngine(t, net.G, func(c *Config) {
-		c.ComputeCost = 50 * time.Microsecond // keep the victim running a while
-	})
+	eng := startEngine(t, net.G, nil)
 
-	// A flooding BFS with a huge superstep budget runs long enough that
-	// the cancel lands while it is executing.
+	// The victim, a flooding BFS with a huge superstep budget, is held in
+	// every superstep: until the cancel is on the controller's queue, then
+	// a millisecond each, so the cancel lands while it is executing.
+	cancelled := make(chan struct{})
+	defer faultpoint.Arm(faultpoint.WorkerComputeSlow, func(args ...int) bool {
+		if args[1] == 1 {
+			<-cancelled
+			time.Sleep(time.Millisecond)
+		}
+		return false
+	})()
 	h, err := eng.Schedule(query.Spec{
 		ID: 1, Kind: query.KindBFS, Source: 0, Target: graph.NilVertex, MaxIters: 10000,
 	})
@@ -310,12 +318,11 @@ func TestCancelQuery(t *testing.T) {
 		t.Fatalf("schedule: %v", err)
 	}
 	eng.Cancel(1)
+	close(cancelled)
 	select {
 	case res := <-h.Done():
-		// FinishCancelled if the cancel landed in time; a small graph may
-		// legitimately converge first, but it must not hang either way.
-		if res.Reason != protocol.FinishCancelled && res.Reason != protocol.FinishConverged {
-			t.Fatalf("reason %v, want cancelled or converged", res.Reason)
+		if res.Reason != protocol.FinishCancelled {
+			t.Fatalf("reason %v after %d supersteps, want cancelled", res.Reason, res.Supersteps)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("cancelled query never finished")

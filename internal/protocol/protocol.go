@@ -229,9 +229,9 @@ func (*StatsPull) Type() MsgType { return TStatsPull }
 // finished queries Q-cut sees, and those a worker's StatsReport pairs up.
 const WindowQueries = 128
 
-// DefaultMu is the monitoring window's age bound μ (Sec. 3.4; paper: 240 s)
-// when the deployment sets none: the controller keeps no finished query
-// older than it, and a worker remembers none.
+// DefaultMu is the monitoring window's age bound μ (Sec. 3.4; paper: 240 s):
+// the controller keeps no finished query older than it, and a worker
+// remembers none.
 const DefaultMu = 240 * time.Second
 
 // SigShift is the scope-signature block size exponent: vertices v and v'

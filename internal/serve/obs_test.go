@@ -272,11 +272,8 @@ func TestTraceSpanCoverage(t *testing.T) {
 	net := testRoad(t)
 	logs := &syncBuffer{}
 	o := obs.New(obs.NewLogger(logs, "info", true, ""))
-	eng, err := core.Start(core.Config{
-		Workers: 4, Graph: net.G,
-		ComputeCost: 5 * time.Microsecond, // engine time dominates tracing slack
-		Obs:         o,
-	})
+	defer slowSupersteps(100 * time.Microsecond)() // engine time dominates tracing slack
+	eng, err := core.Start(core.Config{Workers: 4, Graph: net.G, Obs: o})
 	if err != nil {
 		t.Fatalf("core.Start: %v", err)
 	}

@@ -86,9 +86,9 @@ func scopeProperty(t *testing.T, seed uint64) {
 	}
 	adapt := seed%2 == 0
 	if adapt {
-		// Q-cut repartitions almost continuously, so its barriers cross
-		// queries in flight.
-		cfg.Adapt, cfg.Phi = true, 0.99
+		// Q-cut repartitions almost continuously (from Hash, locality
+		// starts below Φ), so its barriers cross queries in flight.
+		cfg.Adapt = true
 		cfg.CheckEvery, cfg.Cooldown = 5*time.Millisecond, 10*time.Millisecond
 	}
 	eng, err := core.Start(cfg)

@@ -16,6 +16,7 @@ import (
 	"qgraph/internal/controller"
 	"qgraph/internal/core"
 	"qgraph/internal/delta"
+	"qgraph/internal/faultpoint"
 	"qgraph/internal/gen"
 	"qgraph/internal/graph"
 	"qgraph/internal/protocol"
@@ -594,16 +595,23 @@ func testRoad(t testing.TB) *gen.RoadNet {
 	return net
 }
 
+// slowSupersteps makes every worker superstep take at least d more, until
+// the returned func disarms it.
+func slowSupersteps(d time.Duration) (disarm func()) {
+	return faultpoint.Arm(faultpoint.WorkerComputeSlow, func(...int) bool {
+		time.Sleep(d)
+		return false
+	})
+}
+
 // TestServeEndToEnd drives ≥500 mixed SSSP/BFS/PageRank queries through
 // the HTTP API over a real 4-worker engine at concurrency 32, asserting
 // zero failed queries, SSSP answers matching Dijkstra, a nonzero cache
 // hit ratio, and observable admission rejections (429) under overload.
 func TestServeEndToEnd(t *testing.T) {
 	net := testRoad(t)
-	eng, err := core.Start(core.Config{
-		Workers: 4, Graph: net.G,
-		ComputeCost: 2 * time.Microsecond, // keep queries non-instant
-	})
+	defer slowSupersteps(20 * time.Microsecond)() // keep queries non-instant
+	eng, err := core.Start(core.Config{Workers: 4, Graph: net.G})
 	if err != nil {
 		t.Fatalf("core.Start: %v", err)
 	}

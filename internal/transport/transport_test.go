@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -461,4 +462,85 @@ func TestTCPConcurrentSendsDuringPeerRestart(t *testing.T) {
 	if live > 1 {
 		t.Fatalf("%d live outbound connections to one peer (leak)", live)
 	}
+}
+
+// BenchmarkRoundTrip times one BarrierReady → BarrierSynch ping-pong, the
+// exchange every multi-worker superstep makes between the controller and a
+// worker: over TCPNetwork on loopback, over ChanNetwork, and, as the floor
+// TCP pays on top of, 64-byte frames over a bare loopback net.Conn pair
+// (no codec, no mailbox, no handoff between goroutines).
+func BenchmarkRoundTrip(b *testing.B) {
+	ready := &protocol.BarrierReady{Q: 7, Step: 3, Expect: 2}
+	synch := &protocol.BarrierSynch{Q: 7, Step: 3, FromStep: 3, Processed: 40, NActiveNext: 12, ComputeNS: 9000,
+		ScopeSize: 120, SentBatches: []int32{0, 1}, BestGoal: 17, MinFrontier: 11}
+	for _, c := range []struct {
+		name string
+		mk   func() (Network, error)
+	}{
+		{"tcp", func() (Network, error) { return NewTCPNetwork(2) }},
+		{"chan", func() (Network, error) { return NewChanNetwork(2), nil }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			nw, err := c.mk()
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer nw.Close()
+			ctl, wk := nw.Conn(0), nw.Conn(1)
+			go func() {
+				for range wk.Inbox() {
+					wk.Send(0, synch)
+				}
+			}()
+			ping := func() {
+				if err := ctl.Send(1, ready); err != nil {
+					b.Fatal(err)
+				}
+				<-ctl.Inbox()
+			}
+			ping() // dial both ways before the clock starts
+			b.ReportAllocs()
+			for b.Loop() {
+				ping()
+			}
+		})
+	}
+	b.Run("raw", func(b *testing.B) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer ln.Close()
+		go func() {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			buf := make([]byte, 64)
+			for {
+				if _, err := io.ReadFull(conn, buf); err != nil {
+					return
+				}
+				if _, err := conn.Write(buf); err != nil {
+					return
+				}
+			}
+		}()
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer conn.Close()
+		buf := make([]byte, 64)
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := conn.Write(buf); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := io.ReadFull(conn, buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

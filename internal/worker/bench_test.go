@@ -3,7 +3,6 @@ package worker
 import (
 	"math/rand/v2"
 	"testing"
-	"time"
 
 	"qgraph/internal/graph"
 	"qgraph/internal/partition"
@@ -72,7 +71,7 @@ func BenchmarkSuperstep(b *testing.B) {
 }
 
 func benchSuperstep(b *testing.B, g *graph.Graph, owner partition.Assignment, kind query.Kind, frontier []graph.VertexID) {
-	s := newSyncWorkerOn(b, 2, g, owner, time.Hour)
+	s := newSyncWorkerOn(b, 2, g, owner)
 	w := s.w
 	held := make([]*table, 16)
 	for i := range held {
@@ -111,7 +110,7 @@ func benchSuperstep(b *testing.B, g *graph.Graph, owner partition.Assignment, ki
 func BenchmarkWindowPull(b *testing.B) {
 	const blocks, touched, live = 313, 253, 2
 	rng := rand.New(rand.NewPCG(13, 13))
-	s := newSyncWorkerOn(b, 2, graph.NewBuilder(blocks<<sigShift).MustBuild(), make(partition.Assignment, blocks<<sigShift), time.Hour)
+	s := newSyncWorkerOn(b, 2, graph.NewBuilder(blocks<<sigShift).MustBuild(), make(partition.Assignment, blocks<<sigShift))
 	w := s.w
 	sig := func() *table {
 		t := w.table()

@@ -2,7 +2,6 @@ package worker
 
 import (
 	"slices"
-	"time"
 
 	"qgraph/internal/faultpoint"
 	"qgraph/internal/graph"
@@ -102,17 +101,6 @@ func (w *Worker) computeStep(qs *queryState, step int32) stepResult {
 		}
 		w.free(box)
 	}
-	if w.cfg.ComputeCost > 0 && res.processed > 0 {
-		// Accumulate simulated compute and sleep in ~1ms quanta: short
-		// sleeps oversleep by scheduler granularity, which would inflate
-		// every superstep's critical path instead of modelling load.
-		w.computeDebt += time.Duration(res.processed) * w.cfg.ComputeCost
-		if w.computeDebt >= time.Millisecond {
-			time.Sleep(w.computeDebt)
-			w.computeDebt = 0
-		}
-	}
-
 	// Flush remote buffers as batches and fold their values into the
 	// frontier bound.
 	for dst := 0; dst < w.k; dst++ {

@@ -6,7 +6,6 @@ import (
 	"math/rand/v2"
 	"slices"
 	"testing"
-	"time"
 
 	"qgraph/internal/graph"
 	"qgraph/internal/partition"
@@ -69,7 +68,7 @@ func hasKey(m map[graph.VertexID]float64, v graph.VertexID) bool {
 // the free list keeps every table. On a recycled table that once held as
 // many entries, get, set, combine and reset allocate nothing.
 func TestFreeListRecyclesTables(t *testing.T) {
-	s := newSyncWorker(t, 1, 8, time.Hour)
+	s := newSyncWorker(t, 1, 8)
 	w := s.w
 	tb := w.table()
 	for v := range 10_000 {
@@ -105,10 +104,10 @@ func TestFreeListRecyclesTables(t *testing.T) {
 // it reports on a fresh worker: recycling carries no vertex, value or
 // signature over, and what the finished query is remembered by is its own copy.
 func TestRecycledMapsCarryNothingOver(t *testing.T) {
-	fresh := newSyncWorker(t, 1, 512, time.Hour)
+	fresh := newSyncWorker(t, 1, 512)
 	want := fresh.runQuery(2, 300, 40)
 
-	s := newSyncWorker(t, 1, 512, time.Hour)
+	s := newSyncWorker(t, 1, 512)
 	first := s.runQuery(1, 100, 60)
 	if len(s.w.tables) < 3 {
 		t.Fatalf("%d tables recycled at finish, want its values, signature and inboxes", len(s.w.tables))
@@ -172,7 +171,7 @@ func TestTwoRunsSendIdenticalBytes(t *testing.T) {
 	var runs [2][][]byte
 	entries := 0
 	for r := range runs {
-		s := newSyncWorkerOn(t, 2, g, slices.Clone(owner), time.Hour)
+		s := newSyncWorkerOn(t, 2, g, slices.Clone(owner))
 		for _, m := range script {
 			s.deliver(m)
 		}

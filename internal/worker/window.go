@@ -63,11 +63,11 @@ type finishedScope struct {
 // window its plan started from, at most 333 finishes old (measured) when run.
 const rememberedScopes = 8 * protocol.WindowQueries
 
-// remember appends fs to the finish order and forgets what ScopeTTL or the cap excludes.
+// remember appends fs to the finish order and forgets what μ or the cap excludes.
 func (w *Worker) remember(fs *finishedScope) {
 	w.finished[fs.q] = fs
 	w.finishOrder = append(w.finishOrder, fs)
-	for fs.at.Sub(w.finishOrder[0].at) > w.cfg.ScopeTTL || len(w.finishOrder) > rememberedScopes {
+	for fs.at.Sub(w.finishOrder[0].at) > protocol.DefaultMu || len(w.finishOrder) > rememberedScopes {
 		if old := w.finishOrder[0]; w.finished[old.q] == old {
 			delete(w.finished, old.q)
 		}

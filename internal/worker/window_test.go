@@ -26,30 +26,32 @@ func (c *recConn) Send(_ protocol.NodeID, m protocol.Message) error {
 func (c *recConn) Inbox() <-chan transport.Envelope { return nil }
 func (c *recConn) Close() error                     { return nil }
 
-// syncWorker is worker 0 of k on a clock the test advances.
+// syncWorker is worker 0 of k on a clock the test advances, by tick per
+// query runQuery runs.
 type syncWorker struct {
 	t    testing.TB
 	w    *Worker
 	conn *recConn
 	now  time.Time
+	tick time.Duration
 }
 
 // newSyncWorker runs over a line graph of n vertices worker 0 owns entirely.
-func newSyncWorker(t testing.TB, k, n int, ttl time.Duration) *syncWorker {
+func newSyncWorker(t testing.TB, k, n int) *syncWorker {
 	t.Helper()
 	b := graph.NewBuilder(n)
 	for v := 0; v+1 < n; v++ {
 		b.AddBiEdge(graph.VertexID(v), graph.VertexID(v+1), 1)
 	}
-	return newSyncWorkerOn(t, k, b.MustBuild(), make(partition.Assignment, n), ttl)
+	return newSyncWorkerOn(t, k, b.MustBuild(), make(partition.Assignment, n))
 }
 
-func newSyncWorkerOn(t testing.TB, k int, g *graph.Graph, owner partition.Assignment, ttl time.Duration) *syncWorker {
+func newSyncWorkerOn(t testing.TB, k int, g *graph.Graph, owner partition.Assignment) *syncWorker {
 	t.Helper()
-	s := &syncWorker{t: t, conn: &recConn{}, now: time.Unix(1000, 0)}
+	s := &syncWorker{t: t, conn: &recConn{}, now: time.Unix(1000, 0), tick: time.Second}
 	w, err := New(Config{
 		ID: 0, K: k, Graph: g, Owner: owner,
-		ScopeTTL: ttl, Clock: func() time.Time { return s.now },
+		Clock: func() time.Time { return s.now },
 	}, s.conn)
 	if err != nil {
 		t.Fatal(err)
@@ -85,8 +87,8 @@ func (s *syncWorker) stop() {
 	s.deliver(&protocol.GlobalStop{Epoch: 1, Live: []partition.WorkerID{s.w.id}})
 }
 
-// runQuery floods iters-1 hops from src, finishes the query one clock
-// second later, and returns the worker's last barrier report for it; the
+// runQuery floods iters-1 hops from src, finishes the query one tick
+// later, and returns the worker's last barrier report for it; the
 // finish gets no reply.
 func (s *syncWorker) runQuery(q query.ID, src graph.VertexID, iters int) *protocol.BarrierSynch {
 	s.t.Helper()
@@ -98,7 +100,7 @@ func (s *syncWorker) runQuery(q query.ID, src graph.VertexID, iters int) *protoc
 	if !ok || last.Q != q {
 		s.t.Fatalf("last message is not query %d's report: %+v", q, s.conn.sent[len(s.conn.sent)-1])
 	}
-	s.now = s.now.Add(time.Second)
+	s.now = s.now.Add(s.tick)
 	sent := len(s.conn.sent)
 	s.deliver(&protocol.QueryFinish{Q: q, Reason: protocol.FinishMaxIters})
 	if len(s.conn.sent) != sent {
@@ -140,7 +142,7 @@ func vertsSig(verts map[graph.VertexID]bool) map[int32]int32 {
 // pull names no more pairs than the window holds, no barrier report carries
 // intersections, a pull's answer is byte-for-byte as large after the 20th
 // cap-full as after the 2nd, and what the worker remembers at all is what
-// ScopeTTL and rememberedScopes admit.
+// μ and rememberedScopes admit.
 func TestFinishedScopesAreAWindow(t *testing.T) {
 	const (
 		window = protocol.WindowQueries
@@ -148,11 +150,12 @@ func TestFinishedScopesAreAWindow(t *testing.T) {
 	)
 	for _, tc := range []struct {
 		name string
-		ttl  int // finishes (one per clock second) the TTL admits
-	}{{"ttl binds", 300}, {"cap binds", 1 << 20}} {
+		tick time.Duration // between two finishes; the TTL is μ
+	}{{"ttl binds", time.Second}, {"cap binds", protocol.DefaultMu / (2 * rememberedScopes)}} {
 		t.Run(tc.name, func(t *testing.T) {
-			admits := min(tc.ttl+1, rememberedScopes)
-			s := newSyncWorker(t, 1, period*40, time.Duration(tc.ttl)*time.Second)
+			admits := min(int(protocol.DefaultMu/tc.tick)+1, rememberedScopes)
+			s := newSyncWorker(t, 1, period*40)
+			s.tick = tc.tick
 			wire := make([]int, 20) // bytes of the pull's answer after each cap-full
 			for i := 0; i < 20*window; i++ {
 				s.runQuery(query.ID(i+1), graph.VertexID(i%period*40), 8)
@@ -182,10 +185,10 @@ func TestFinishedScopesAreAWindow(t *testing.T) {
 			}
 
 			// Age alone empties the window too.
-			s.now = s.now.Add(time.Duration(tc.ttl+1) * time.Second)
+			s.now = s.now.Add(protocol.DefaultMu)
 			s.runQuery(20*window+1, 0, 8)
 			if rep := s.pull(); len(rep.Pairs) != 0 || len(s.w.finished) != 1 || len(s.w.finishOrder) != 1 {
-				t.Fatalf("after the TTL: %d pairs, %d queries remembered; want 0 and 1", len(rep.Pairs), len(s.w.finished))
+				t.Fatalf("after μ: %d pairs, %d queries remembered; want 0 and 1", len(rep.Pairs), len(s.w.finished))
 			}
 		})
 	}
@@ -196,7 +199,7 @@ func TestFinishedScopesAreAWindow(t *testing.T) {
 // live partner with the part of its scope that exists by then; a disjoint
 // query with nobody.
 func TestPairReportedByLaterFinisher(t *testing.T) {
-	s := newSyncWorker(t, 1, 1000, time.Hour)
+	s := newSyncWorker(t, 1, 1000)
 	s.runQuery(1, 100, 60)
 	if rep := s.pull(); len(rep.Pairs) != 0 {
 		t.Fatalf("one finished query reports %+v", rep.Pairs)
@@ -231,7 +234,7 @@ func TestPairReportedByLaterFinisher(t *testing.T) {
 // query's overlaps from the worker that holds its vertices now, and nothing
 // stale from the one that held them before.
 func TestMoveCarriesIntersections(t *testing.T) {
-	src := newSyncWorker(t, 2, 100, time.Hour)
+	src := newSyncWorker(t, 2, 100)
 	dst := &syncWorker{t: t, conn: &recConn{}, now: src.now}
 	var err error
 	if dst.w, err = New(Config{
@@ -266,7 +269,7 @@ func TestMoveCarriesIntersections(t *testing.T) {
 // directive for such a query could no longer co-move the hotspot.
 func TestMoveStripsEveryRememberedScope(t *testing.T) {
 	const n = protocol.WindowQueries + 20 // the first 20 are outside the window
-	s := newSyncWorker(t, 2, 100, time.Hour)
+	s := newSyncWorker(t, 2, 100)
 	for q := 1; q <= n; q++ {
 		s.runQuery(query.ID(q), 50, 4) // every scope is 47..53
 	}
@@ -290,12 +293,13 @@ func TestMoveStripsEveryRememberedScope(t *testing.T) {
 
 // TestScopeDataRemembersNoNewQueries: finished-scope memberships arriving
 // with a repartition attach to the queries the worker still remembers, so a
-// move cannot grow its memory of the past: what ScopeTTL forgot stays
+// move cannot grow its memory of the past: what μ forgot stays
 // forgotten, and a query it never saw finish is not invented.
 func TestScopeDataRemembersNoNewQueries(t *testing.T) {
 	const n = 50
-	s := newSyncWorker(t, 2, 100, n*time.Second)
-	for q := 1; q <= 2*n; q++ { // one clock second each: the first n-1 age out
+	s := newSyncWorker(t, 2, 100)
+	s.tick = protocol.DefaultMu / n
+	for q := 1; q <= 2*n; q++ { // one tick each, μ is n: the first n-1 age out
 		s.runQuery(query.ID(q), 50, 4)
 	}
 	s.stop()
@@ -325,7 +329,7 @@ func TestScopeDataRemembersNoNewQueries(t *testing.T) {
 func TestFrozenSigEqualsMapSig(t *testing.T) {
 	const blocks = 64
 	rng := rand.New(rand.NewPCG(22, 22))
-	s := newSyncWorker(t, 1, blocks<<sigShift, time.Hour)
+	s := newSyncWorker(t, 1, blocks<<sigShift)
 	universe := blocks
 	randomSig := func() map[int32]int32 {
 		m := make(map[int32]int32)
@@ -413,7 +417,7 @@ func TestFrozenSigEqualsMapSig(t *testing.T) {
 // here or by one a scope move brought — and none twice, so that their union
 // at the controller is the block set of the scope.
 func TestSynchReportsNewBlocksOnce(t *testing.T) {
-	s := newSyncWorker(t, 2, 400, time.Hour)
+	s := newSyncWorker(t, 2, 400)
 	s.deliver(&protocol.ExecuteQuery{Spec: query.Spec{ID: 1, Kind: query.KindBFS, Source: 100, Target: graph.NilVertex}})
 	var reports [][]int32
 	step := func(st int32) {

@@ -43,16 +43,6 @@ type Config struct {
 	// Owner is the initial vertex→worker assignment; the worker keeps a
 	// private copy and applies ownership updates to it.
 	Owner partition.Assignment
-	// ScopeTTL is how long at most a finished query is remembered (the
-	// monitoring window μ, default protocol.DefaultMu): its vertex set, for
-	// move directives, and its id.
-	ScopeTTL time.Duration
-	// ComputeCost simulates per-active-vertex work beyond the actual
-	// vertex function (heavier application logic, (de)serialization of
-	// vertex data). A worker saturates when hotspot load concentrates on
-	// it — the straggler effect the paper's balance constraint guards
-	// against. Zero disables the simulation.
-	ComputeCost time.Duration
 	// Rejoin starts the worker in joining mode: it announces itself with
 	// WorkerHello and ignores everything until the controller's
 	// PartitionGrant rebuilds its state (worker failure recovery — this is
@@ -77,9 +67,6 @@ type Config struct {
 }
 
 func (c *Config) fill() {
-	if c.ScopeTTL <= 0 {
-		c.ScopeTTL = protocol.DefaultMu
-	}
 	if c.Clock == nil {
 		c.Clock = time.Now
 	}
@@ -150,10 +137,6 @@ type Worker struct {
 	// checkpoint), not O(history). Atomic: tests and harnesses read it
 	// while the worker runs.
 	replayedOps atomic.Int64
-
-	// computeDebt accumulates simulated per-vertex compute time until it
-	// is large enough to sleep accurately (see Config.ComputeCost).
-	computeDebt time.Duration
 
 	// outBuf[dst] stages the running superstep's emissions to worker dst.
 	outBuf []*table

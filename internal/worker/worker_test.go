@@ -190,7 +190,7 @@ func TestOneBatchPerPeerPerSuperstep(t *testing.T) {
 			b.AddBiEdge(0, graph.VertexID(v), 1)
 			owner[v] = partition.WorkerID(v % 2)
 		}
-		s := newSyncWorkerOn(t, 2, b.MustBuild(), owner, time.Hour)
+		s := newSyncWorkerOn(t, 2, b.MustBuild(), owner)
 		s.deliver(&protocol.ExecuteQuery{Spec: query.Spec{ID: 1, Kind: query.KindBFS, Source: 0, Target: graph.NilVertex}})
 		s.deliver(&protocol.BarrierReady{Q: 1, Step: 0})
 		batches, entries := 0, 0
@@ -293,33 +293,6 @@ func TestGlobalBarrierProtocol(t *testing.T) {
 			t.Fatalf("worker 1 processed nothing after the barrier: %+v", got[1])
 		}
 	})
-}
-
-// TestComputeDebtAccumulates: the simulated compute cost stalls the worker
-// roughly proportionally to processed vertices.
-func TestComputeDebtAccumulates(t *testing.T) {
-	g := lineGraph()
-	net := transport.NewChanNetwork(2)
-	defer net.Close()
-	owner := make(partition.Assignment, g.NumVertices())
-	wk, err := New(Config{
-		ID: 0, K: 1, Graph: g, Owner: owner,
-		ComputeCost: 2 * time.Millisecond, // 1 vertex/step → 2ms/step, debt flushes every step
-	}, net.Conn(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	go wk.Run()
-	ctrl := net.Conn(0)
-	spec := query.Spec{ID: 1, Kind: query.KindBFS, Source: 0, Target: graph.NilVertex}
-	ctrl.Send(1, &protocol.ExecuteQuery{Spec: spec})
-	start := time.Now()
-	ctrl.Send(1, &protocol.BarrierReady{Q: 1, Step: 0, Solo: true})
-	<-ctrl.Inbox()
-	// 5 supersteps × ≥1 vertex × 2ms ≥ 10ms.
-	if el := time.Since(start); el < 10*time.Millisecond {
-		t.Fatalf("compute cost not applied: %v", el)
-	}
 }
 
 // TestPartitionGrantFallbackToNewerSnapshot: when the exact checkpoint a
@@ -446,7 +419,7 @@ func TestReplicaDivergenceIsFatal(t *testing.T) {
 // past the graph must not crash the worker.
 func TestMisroutedBatchIsAnError(t *testing.T) {
 	for _, v := range []graph.VertexID{4, 99, -1} { // worker 1's, past the graph, negative
-		s := newSyncWorkerOn(t, 2, lineGraph(), partition.Assignment{0, 0, 0, 1, 1}, time.Hour)
+		s := newSyncWorkerOn(t, 2, lineGraph(), partition.Assignment{0, 0, 0, 1, 1})
 		s.deliver(&protocol.ExecuteQuery{Spec: query.Spec{ID: 3, Kind: query.KindBFS, Source: 0, Target: graph.NilVertex}})
 		err := s.send(&protocol.VertexBatch{Q: 3, Step: 0, From: 1, Entries: []protocol.VertexMsg{{To: 1, Val: 1}, {To: v, Val: 1}}})
 		if err == nil || !strings.Contains(err.Error(), "query 3: batch of step 0 from worker 1") {
