@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"qgraph/internal/controller"
+	"qgraph/internal/faultpoint"
 	"qgraph/internal/gen"
 	"qgraph/internal/graph"
 	"qgraph/internal/obs"
@@ -145,6 +146,105 @@ func TestTCPEngineCorrect(t *testing.T) {
 		c.Network = tcp
 	})
 	runWave(t, eng, specs, want, 0)
+}
+
+// TestAdaptiveImprovesLocality is the engine's wiring of Fig. 6f at test
+// scale: from Hash partitioning with the default Φ, adaptive Q-cut must not
+// lower the fraction of fully-local query executions. TestFigure6fLocality
+// in internal/controller asserts the gain itself, on the simulator.
+func TestAdaptiveImprovesLocality(t *testing.T) {
+	if testing.Short() {
+		t.Skip("locality improvement test skipped in -short")
+	}
+	net := testRoad(t)
+	specs, _ := hotspotSpecs(t, net, 300)
+
+	run := func(adapt bool) float64 {
+		eng := startEngine(t, net.G, func(c *Config) {
+			c.Adapt = adapt
+			c.CheckEvery = 5 * time.Millisecond
+			c.Cooldown = 20 * time.Millisecond
+		})
+		if _, err := eng.RunBatch(specs, 16); err != nil {
+			t.Fatalf("RunBatch: %v", err)
+		}
+		// Locality over the last third, once Q-cut had evidence to act on.
+		qs := eng.Recorder().Queries()
+		tail := qs[len(qs)*2/3:]
+		sum := 0.0
+		for _, q := range tail {
+			sum += q.Locality()
+		}
+		return sum / float64(len(tail))
+	}
+
+	static := run(false)
+	adaptive := run(true)
+	t.Logf("tail locality: static hash %.3f, adaptive %.3f", static, adaptive)
+	if adaptive < static {
+		t.Fatalf("adaptive locality %.3f did not improve on static %.3f", adaptive, static)
+	}
+}
+
+// TestAdaptationContinuesAfterHandoff: Q-cut is live-set-aware — after a
+// worker dies and its partition is handed to the survivors, the engine
+// keeps repartitioning over the shrunken worker set (it used to freeze
+// until every worker rejoined), and every result stays correct.
+// TestFigure6fLocality's handoff case checks the same on the simulator.
+func TestAdaptationContinuesAfterHandoff(t *testing.T) {
+	defer faultpoint.Reset()
+	net := testRoad(t)
+	specs, want := hotspotSpecs(t, net, 160)
+	eng := startEngine(t, net.G, func(c *Config) {
+		eagerAdapt(c)
+		c.HeartbeatEvery = 5 * time.Millisecond
+		c.HeartbeatTimeout = 30 * time.Millisecond
+	})
+	// A wave must outlast one Q-cut round — backed-off Cooldown, tick,
+	// plan — or the assertion below measures the engine's speed: 10 ms a
+	// wave unslowed. Every eighth superstep of a query sleeps a
+	// millisecond, so a wave takes 160–280 ms and spans 4–9 plans.
+	defer faultpoint.Arm(faultpoint.WorkerComputeSlow, func(args ...int) bool {
+		if args[2]%8 == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		return false
+	})()
+
+	fired, disarm := faultpoint.KillOnce(faultpoint.WorkerSuperstep, 1)
+	defer disarm()
+
+	results, err := eng.RunBatch(specs, 16)
+	if err != nil {
+		t.Fatalf("RunBatch: %v", err)
+	}
+	checkResults(t, results, specs, want)
+	select {
+	case <-fired:
+	default:
+		t.Fatal("fault point never fired")
+	}
+
+	// Wait out the episode, then measure repartitioning with a dead worker
+	// in the set: the second wave must still trigger Q-cut rounds.
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) {
+		h := eng.Health()
+		if !h.Recovering && len(h.DeadWorkers) == 1 {
+			break
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if h := eng.Health(); len(h.DeadWorkers) != 1 {
+		t.Fatalf("health after kill = %+v, want one lost worker", h)
+	}
+	before := eng.RepartitionEpoch()
+
+	specs2, want2 := hotspotSpecs(t, net, 160)
+	for i := range specs2 {
+		specs2[i].ID += 1000
+	}
+	runWave(t, eng, specs2, want2, before)
 }
 
 // TestGlobalViewIsAWindow drives 20 window-caps of queries through an
