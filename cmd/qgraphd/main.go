@@ -16,11 +16,10 @@
 // spell its path differently.
 //
 // With -serve the controller exposes the HTTP/JSON query API of
-// internal/serve (POST /query, GET /result/{id}, POST /mutate,
-// GET /healthz, GET /stats) with admission control and a result cache,
-// plus the observability surface: GET /metrics (Prometheus text),
-// GET /trace/{query_id} and GET /traces?slowest=N (per-query span
-// trees with phase attribution):
+// internal/serve (POST /query, POST /mutate, GET /healthz, GET /stats)
+// with admission control and a result cache, plus the observability
+// surface: GET /metrics (Prometheus text), GET /trace/{query_id} and
+// GET /traces?slowest=N (per-query span trees with phase attribution):
 //
 //	qgraphd -role controller -graph bw.qgr -addrs "$ADDRS" -serve :8080
 //	curl -s localhost:8080/query -d '{"kind":"sssp","source":3,"target":99}'

@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"os"
+	"path"
 	"path/filepath"
 	"regexp"
 	"slices"
@@ -13,25 +14,41 @@ import (
 	"testing"
 )
 
-// foreignFlags are flags of other tools that README.md quotes inline:
-// the Go toolchain's and curl's.
+// foreignFlags are flags of other tools that the docs quote inline: the Go
+// toolchain's and curl's.
 var foreignFlags = map[string]bool{
-	"race": true, "count": true, "run": true, "fuzz": true, "fuzztime": true, // go test
+	"race": true, "count": true, "run": true, "fuzz": true, "fuzztime": true, "tags": true, "v": true, "o": true, // go test, go build
 	"s": true, "d": true, // curl
 }
 
-// TestReadmeFlagsAreDeclared checks that every `-flag` README.md quotes
+// docs are the documents whose quoted flags, paths and endpoints must exist:
+// the README and the skill that tells how to build and drive a deployment.
+var docs = []string{"README.md", ".claude/skills/verify/SKILL.md"}
+
+// readDocs returns the text of each of docs, and README.md's on its own.
+func readDocs(t *testing.T) (map[string]string, string) {
+	t.Helper()
+	texts := make(map[string]string)
+	for _, path := range docs {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		texts[path] = string(b)
+	}
+	return texts, texts["README.md"]
+}
+
+// TestReadmeFlagsAreDeclared checks that every `-flag` the docs quote
 // inline is declared by one of the commands under cmd/, so a flag that
 // is renamed or deleted cannot live on in the docs.
 func TestReadmeFlagsAreDeclared(t *testing.T) {
-	b, err := os.ReadFile("README.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	readme := string(b)
+	texts, readme := readDocs(t)
 	declared := declaredFlags(t)
-	if bad := undeclared(readme, declared); len(bad) > 0 {
-		t.Fatalf("README.md quotes flags no command declares: %v", bad)
+	for path, text := range texts {
+		if bad := undeclared(text, declared); len(bad) > 0 {
+			t.Errorf("%s quotes flags no command declares: %v", path, bad)
+		}
 	}
 	planted := readme + "\nTune it with `-watch-stall-timeout`.\n"
 	if bad := undeclared(planted, declared); !slices.Equal(bad, []string{"-watch-stall-timeout"}) {
@@ -39,21 +56,50 @@ func TestReadmeFlagsAreDeclared(t *testing.T) {
 	}
 }
 
-// TestReadmePathsExist checks that every internal/…, cmd/… or examples/…
-// path and every .go file README.md quotes inline exists in the tree, so a
-// package or file that is moved or deleted cannot live on in the docs.
+// TestReadmePathsExist checks that every internal/…, cmd/…, examples/… or
+// scripts/… path and every .go file the docs quote inline exists in the
+// tree, so a package or file that is moved or deleted cannot live on in the
+// docs.
 func TestReadmePathsExist(t *testing.T) {
-	b, err := os.ReadFile("README.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	readme := string(b)
-	if bad := missingPaths(t, readme); len(bad) > 0 {
-		t.Fatalf("README.md quotes paths the tree does not have: %v", bad)
+	texts, readme := readDocs(t)
+	for path, text := range texts {
+		if bad := missingPaths(t, text); len(bad) > 0 {
+			t.Errorf("%s quotes paths the tree does not have: %v", path, bad)
+		}
 	}
 	planted := readme + "\nThe read fleet lives in `internal/replica/replica.go`.\n"
 	if bad := missingPaths(t, planted); !slices.Equal(bad, []string{"internal/replica/replica.go"}) {
 		t.Fatalf("a planted stale path went unnoticed: missing = %v", bad)
+	}
+}
+
+// retiredEndpoints are paths the docs quote as history, not as routes: the
+// read fleet's aggregation and the removed SLO and incident endpoints. Each
+// must stay unrouted.
+var retiredEndpoints = []string{"/fleet/*", "/slo", "/debug/incidents", "/debug/incident/latest"}
+
+// TestReadmeEndpointsExist checks that every endpoint the docs quote (a
+// back-ticked `METHOD /path` or `/path`, or the path of a URL on a curl
+// line) is a route a mux.HandleFunc of the tree's non-test code registers,
+// so a route that is deleted cannot live on in the docs.
+func TestReadmeEndpointsExist(t *testing.T) {
+	texts, readme := readDocs(t)
+	routes := registeredRoutes(t)
+	for path, text := range texts {
+		if bad := unrouted(text, routes); len(bad) > 0 {
+			t.Errorf("%s quotes endpoints no route serves: %v", path, bad)
+		}
+	}
+	for _, p := range retiredEndpoints {
+		if slices.ContainsFunc(routes, func(r string) bool { return routeMatches(r, "", p) }) {
+			t.Errorf("%s is quoted as retired, but a route serves it", p)
+		}
+	}
+	// An async-result route, which the API does not serve.
+	stale := path.Join("GET /result", "{id}")
+	planted := readme + "\nFetch an async answer with `" + stale + "`.\n"
+	if bad := unrouted(planted, routes); !slices.Equal(bad, []string{stale}) {
+		t.Fatalf("a planted stale endpoint went unnoticed: unrouted = %v", bad)
 	}
 }
 
@@ -137,13 +183,94 @@ var (
 	fence      = regexp.MustCompile("(?ms)^```.*?^```")
 	inlineCode = regexp.MustCompile("`([^`]+)`")
 	flagToken  = regexp.MustCompile(`^-([a-z][a-z0-9-]*)(=.*)?$`)
-	pathToken  = regexp.MustCompile(`^(?:\./)?((?:internal|cmd|examples)/\S*|\S+\.go)$`)
+	pathToken  = regexp.MustCompile(`^(?:\./)?((?:internal|cmd|examples|scripts)/\S*|\S+\.go)$`)
 	lineSuffix = regexp.MustCompile(`:[0-9][0-9–-]*$`) // file.go:12 or file.go:12–30
-	selector   = regexp.MustCompile(`\.[A-Za-z_]\w*$`) // internal/delta.View
+	selector   = regexp.MustCompile(`\.[A-Z]\w*$`)     // internal/delta.View
 	fieldToken = regexp.MustCompile(`^(?:([a-z]\w*)\.)?Config\.([A-Z]\w*)$`)
 	lineRef    = regexp.MustCompile(`^(\S+\.go):([0-9]+)(?:[–/-]([0-9]+))?$`) // file.go:12, :12–30 or :12/30
 	identToken = regexp.MustCompile(`^([a-z]\w*)\.([A-Z]\w*)$`)               // delta.Log
+	methodPath = regexp.MustCompile(`^(?:(GET|HEAD|POST|PUT|PATCH|DELETE) )?(/[a-z][^\s.?]*)(?:\?\S*)?$`)
+	curlURL    = regexp.MustCompile(`(?:localhost|127\.0\.0\.1)?:[0-9]+(/[^\s'"?` + "`" + `]*)`)
 )
+
+// unrouted returns, sorted and once each, the endpoints quoted in md that
+// match none of routes: back-ticked `METHOD /path` or `/path` spans, and the
+// paths of the URLs on lines that run curl, fenced or not. A path with a
+// dot names a file (`/data/bw.qgr`), not an endpoint. A path segment in
+// braces or angle brackets is a wildcard; it matches a wildcard of the
+// route in its position, whatever either is named.
+func unrouted(md string, routes []string) []string {
+	var quoted []string
+	for _, line := range strings.Split(md, "\n") {
+		if strings.Contains(line, "curl ") {
+			for _, m := range curlURL.FindAllStringSubmatch(line, -1) {
+				quoted = append(quoted, m[1])
+			}
+		}
+	}
+	for _, span := range inlineCode.FindAllStringSubmatch(fence.ReplaceAllString(md, ""), -1) {
+		if methodPath.MatchString(span[1]) && !slices.Contains(retiredEndpoints, span[1]) {
+			quoted = append(quoted, span[1])
+		}
+	}
+	var bad []string
+	for _, q := range quoted {
+		m := methodPath.FindStringSubmatch(q)
+		if m == nil || slices.ContainsFunc(routes, func(r string) bool { return routeMatches(r, m[1], m[2]) }) {
+			continue
+		}
+		if !slices.Contains(bad, q) {
+			bad = append(bad, q)
+		}
+	}
+	slices.Sort(bad)
+	return bad
+}
+
+// routeMatches reports whether a ServeMux pattern serves method ("" = any)
+// and path.
+func routeMatches(pattern, method, path string) bool {
+	rm, rp, ok := strings.Cut(pattern, " ")
+	if !ok {
+		rm, rp = "", pattern
+	}
+	if rm != "" && method != "" && rm != method && !(rm == "GET" && method == "HEAD") {
+		return false
+	}
+	wild := regexp.MustCompile(`^(\{.*\}|<.*>)$`).MatchString
+	rs, ps := strings.Split(rp, "/"), strings.Split(path, "/")
+	if len(rs) != len(ps) {
+		return false
+	}
+	for i := range rs {
+		if rs[i] != ps[i] && !(wild(rs[i]) && ps[i] != "") || wild(ps[i]) && !wild(rs[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// registeredRoutes returns the patterns the tree's non-test code passes
+// to a HandleFunc call as a string literal.
+func registeredRoutes(t *testing.T) []string {
+	t.Helper()
+	handle := regexp.MustCompile(`\.HandleFunc\("([^"]+)"`)
+	var routes []string
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		for _, m := range handle.FindAllSubmatch(b, -1) {
+			routes = append(routes, string(m[1]))
+		}
+		return err
+	})
+	if err != nil || len(routes) == 0 {
+		t.Fatalf("no routes registered in the tree: %v", err)
+	}
+	return routes
+}
 
 // undeclaredIdents returns, sorted and once each, the pkg.Name tokens quoted
 // in inline code spans of md whose pkg is a key of decls (a package under
@@ -343,10 +470,10 @@ func missingPaths(t *testing.T, md string) []string {
 			if m == nil {
 				continue
 			}
-			path := m[1]
-			if !strings.HasSuffix(path, ".go") {
-				path = selector.ReplaceAllString(path, "")
-			}
+			// A Go package pattern (cmd/...) names its root, and a shell
+			// command may end a path with ";".
+			path := strings.TrimSuffix(strings.TrimRight(m[1], ";"), "/...")
+			path = selector.ReplaceAllString(strings.TrimSuffix(path, "/"), "")
 			matches, err := filepath.Glob(path)
 			if err != nil {
 				t.Fatalf("quoted path %q: %v", tok, err)

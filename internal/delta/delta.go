@@ -142,7 +142,8 @@ const (
 //	add_vertex
 //
 // Blank lines and lines starting with '#' are skipped. qgraph-gen emits
-// this format alongside generated graphs; qgraph-bench and tests replay it.
+// this format alongside generated graphs; tests, qgraphd's smoke test
+// among them, replay it.
 
 // FormatOp renders op in the stream format (without newline).
 func FormatOp(op Op) string {

@@ -89,9 +89,9 @@ func BenchmarkCacheInvalidate(b *testing.B) {
 		evicted += c.Commit(v, []int32{at, at + 1})
 		b.StopTimer()
 		for i := range outs {
-			if !c.Peek(testKey(i)) {
+			if _, f, st := c.Begin(testKey(i)); st == BeginLead {
 				outs[i].Version = v
-				c.Store(testKey(i), outs[i])
+				c.Complete(f, outs[i], nil)
 			}
 		}
 		b.StartTimer()

@@ -265,21 +265,6 @@ func (c *Cache) Begin(key Key) (Outcome, *Flight, BeginState) {
 	return Outcome{}, f, BeginLead
 }
 
-// Peek reports whether key would resolve without engine work: a fresh
-// stored result or an in-flight computation to join. It does not touch
-// LRU order or lead a flight.
-func (c *Cache) Peek(key Key) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		if c.clock().Sub(el.Value.(*entry).at) <= c.ttl {
-			return true
-		}
-	}
-	_, ok := c.flights[key]
-	return ok
-}
-
 // Lead returns a private flight that is not registered for coalescing and
 // whose result is never stored — the uniform completion path for requests
 // that opted out of caching.

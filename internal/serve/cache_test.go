@@ -356,27 +356,6 @@ func TestCacheHitDoesNotAllocate(t *testing.T) {
 	}
 }
 
-func TestCachePeek(t *testing.T) {
-	now := time.Unix(1000, 0)
-	clock := func() time.Time { return now }
-	c := NewCache(8, 10*time.Second, clock)
-	if c.Peek(testKey(1)) {
-		t.Fatal("peek hit on empty cache")
-	}
-	_, f, _ := c.Begin(testKey(1))
-	if !c.Peek(testKey(1)) {
-		t.Fatal("peek missed an in-flight computation")
-	}
-	c.Complete(f, okOutcome(1), nil)
-	if !c.Peek(testKey(1)) {
-		t.Fatal("peek missed a stored result")
-	}
-	now = now.Add(11 * time.Second)
-	if c.Peek(testKey(1)) {
-		t.Fatal("peek hit an expired entry")
-	}
-}
-
 func TestCacheDoesNotStoreUncacheable(t *testing.T) {
 	c := NewCache(8, time.Minute, nil)
 	k := testKey(8)

@@ -126,15 +126,6 @@ func (a *Admission) release() {
 	a.mu.Unlock()
 }
 
-// Full reports whether a new waiter would be rejected outright; the
-// server uses it to bounce async submissions before allocating
-// per-request state for a query that admission would refuse anyway.
-func (a *Admission) Full() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.q) >= a.cfg.MaxQueue
-}
-
 // AdmitStats is the admission introspection for /stats.
 type AdmitStats struct {
 	InFlight    int `json:"in_flight"`

@@ -2,8 +2,6 @@ package serve
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -80,12 +78,6 @@ type Config struct {
 	// (default 30s); see maxTimeout for the cap. A request past its
 	// deadline is answered 504 and its query cancelled on the engine.
 	DefaultTimeout time.Duration
-	// MaxAsyncResults caps retained async results (default 4096); async
-	// submissions beyond it are rejected 429. This is the hard memory
-	// bound — the admission pre-bounce is only advisory (cache-answerable
-	// requests bypass it, and its check races the later Acquire).
-	MaxAsyncResults int
-
 	// Obs is the observability substrate: the tracer every /query request
 	// roots its span tree in, the metrics registry /metrics serves, and
 	// the structured logger. Nil creates a private one (endpoints always
@@ -132,10 +124,8 @@ const NodeHeader = "X-QGraph-Node"
 const (
 	// maxTimeout caps an explicit timeout_ms, or DefaultTimeout where that
 	// is longer: the default deadline must be reachable by an explicit
-	// timeout_ms, and storePending relies on the cap bounding every request.
+	// timeout_ms.
 	maxTimeout = 2 * time.Minute
-	// resultTTL is how long an async result stays retrievable.
-	resultTTL = time.Minute
 )
 
 func (c *Config) fill() error {
@@ -144,9 +134,6 @@ func (c *Config) fill() error {
 	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 30 * time.Second
-	}
-	if c.MaxAsyncResults <= 0 {
-		c.MaxAsyncResults = 4096
 	}
 	if c.Clock == nil {
 		c.Clock = time.Now
@@ -186,21 +173,10 @@ type Server struct {
 	reqSeconds    *obs.Histogram
 	engineSeconds *obs.Histogram
 
-	mu        sync.Mutex
-	results   map[int64]*asyncResult
-	lastPrune time.Time
+	mu sync.Mutex // orders begin against Drain
 
 	draining atomic.Bool
 	wg       sync.WaitGroup
-}
-
-// asyncResult is a stored outcome of an async (wait-free) request.
-type asyncResult struct {
-	done    bool
-	code    int
-	resp    QueryResponse
-	errBody *errorResponse
-	expires time.Time
 }
 
 // New builds a Server.
@@ -209,12 +185,11 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:     cfg,
-		admit:   NewAdmission(cfg.Admit, cfg.Clock),
-		cache:   NewCache(cfg.CacheSize, cfg.CacheTTL, cfg.Clock),
-		ctr:     newCounters(cfg.Clock()),
-		obs:     cfg.Obs,
-		results: make(map[int64]*asyncResult),
+		cfg:   cfg,
+		admit: NewAdmission(cfg.Admit, cfg.Clock),
+		cache: NewCache(cfg.CacheSize, cfg.CacheTTL, cfg.Clock),
+		ctr:   newCounters(cfg.Clock()),
+		obs:   cfg.Obs,
 	}
 	if !cfg.NoTrace {
 		s.tracer = cfg.Obs.T()
@@ -232,8 +207,7 @@ func (s *Server) Counters() *Counters { return s.ctr }
 
 // Handler returns the HTTP API:
 //
-//	POST /query           run a query (or enqueue it with "async": true)
-//	GET  /result/{id}     fetch an async query's result
+//	POST /query           run a query
 //	POST /mutate          apply a batch of streaming graph updates
 //	POST /admin/snapshot  cut a checkpoint and truncate the op log
 //	GET  /healthz         liveness (503 while draining or degraded)
@@ -246,7 +220,6 @@ func (s *Server) Counters() *Counters { return s.ctr }
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /query", s.handleQuery)
-	mux.HandleFunc("GET /result/{id}", s.handleResult)
 	mux.HandleFunc("POST /mutate", s.handleMutate)
 	mux.HandleFunc("POST /admin/snapshot", s.handleSnapshot)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -274,8 +247,8 @@ func (s *Server) onCommit(v uint64, blocks []int32) {
 	s.ctr.Invalidated.Add(int64(s.cache.Commit(v, blocks)))
 }
 
-// Drain stops accepting new queries and waits for in-flight ones (both
-// sync and async) to finish, or for ctx to expire.
+// Drain stops accepting new queries and waits for in-flight ones to
+// finish, or for ctx to expire.
 func (s *Server) Drain(ctx context.Context) error {
 	// The mutex orders the store against begin(): once Drain holds it,
 	// every later request observes draining and is rejected, so wg cannot
@@ -313,17 +286,14 @@ type QueryRequest struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// NoCache bypasses result-cache lookup and storage.
 	NoCache bool `json:"no_cache,omitempty"`
-	// Async returns immediately with an id; fetch via GET /result/{id}.
-	Async bool `json:"async,omitempty"`
 }
 
-// QueryResponse is the result representation of both /query and /result.
+// QueryResponse is the POST /query answer.
 type QueryResponse struct {
-	// ID is the engine query id for synchronous responses, or the opaque
-	// retrieval token for async ones (pass it to GET /result/{id}).
+	// ID is the engine query id.
 	ID     int64  `json:"id"`
 	Kind   string `json:"kind"`
-	Status string `json:"status"` // "done" | "pending"
+	Status string `json:"status"` // "done"
 	// Value is the query result; null when no goal vertex was reached.
 	Value      *float64 `json:"value"`
 	Reason     string   `json:"reason,omitempty"`
@@ -487,47 +457,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	timeout := s.cfg.timeout(req.TimeoutMS)
 	s.ctr.Received.Add(1)
 
-	if req.Async {
-		// Bounce a hopeless submission before allocating a result slot
-		// and goroutine: an async flood against a full queue would
-		// otherwise retain a stored rejection per request for ResultTTL.
-		// A request the cache can answer (or coalesce) consumes no engine
-		// capacity, so it is admitted even with a full queue — matching
-		// the sync path, which consults the cache before admission.
-		if s.admit.Full() {
-			if req.NoCache || !s.cache.Peek(KeyOf(spec)) {
-				s.ctr.Rejected.Add(1)
-				w.Header().Set("Retry-After", s.retryAfter())
-				writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: "admission queue full"})
-				return
-			}
-		}
-		// Results are retrieved by an unguessable token, not the sequential
-		// engine id: requests carry no authentication, so enumerable ids
-		// would let any client read other clients' results.
-		token := newResultToken()
-		spec.ID = query.ID(s.nextID.Add(1))
-		if !s.storePending(token) {
-			s.ctr.Rejected.Add(1)
-			w.Header().Set("Retry-After", s.retryAfter())
-			writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: "async result store full"})
-			return
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), timeout)
-			defer cancel()
-			resp, code, errBody := s.execute(ctx, spec, req)
-			resp.ID = token
-			s.storeDone(token, resp, code, errBody)
-		}()
-		writeJSON(w, http.StatusAccepted, QueryResponse{
-			ID: token, Kind: spec.Kind.String(), Status: "pending", Value: nil,
-		})
-		return
-	}
-
 	spec.ID = query.ID(s.nextID.Add(1))
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
@@ -556,32 +485,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // from the backend's committed graph version.
 func (s *Server) stampVersion(w http.ResponseWriter) {
 	w.Header().Set(VersionHeader, strconv.FormatUint(s.cfg.Backend.GraphVersion(), 10))
-}
-
-func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad result id"})
-		return
-	}
-	s.mu.Lock()
-	s.pruneResults(false)
-	var ar asyncResult
-	found := s.results[id]
-	if found != nil {
-		ar = *found // storeDone fills the entry under mu
-	}
-	s.mu.Unlock()
-	switch {
-	case found == nil:
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown or expired result id"})
-	case !ar.done:
-		writeJSON(w, http.StatusOK, QueryResponse{ID: id, Status: "pending", Value: nil})
-	case ar.errBody != nil:
-		writeJSON(w, ar.code, *ar.errBody)
-	default:
-		writeJSON(w, ar.code, ar.resp)
-	}
 }
 
 // healthzResponse is the GET /healthz body. Operators watch GraphVersion
@@ -1041,71 +944,6 @@ func (s *Server) retryAfter() string {
 		sec = 30
 	}
 	return strconv.FormatInt(sec, 10)
-}
-
-// storePending registers an async result slot, or reports the store full
-// (the submission must then be rejected). Pending slots carry no expiry:
-// the TTL starts when the result lands (storeDone), so a query outliving
-// resultTTL is not silently dropped mid-run — execute always completes
-// (deadlines are capped; see maxTimeout), so every pending slot eventually
-// becomes done and expires from there.
-func (s *Server) storePending(id int64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.pruneResults(false)
-	if len(s.results) >= s.cfg.MaxAsyncResults {
-		// At the cap the throttled prune may be stale; sweep for real
-		// before rejecting.
-		s.pruneResults(true)
-		if len(s.results) >= s.cfg.MaxAsyncResults {
-			return false
-		}
-	}
-	s.results[id] = &asyncResult{}
-	return true
-}
-
-// storeDone publishes an async result.
-func (s *Server) storeDone(id int64, resp QueryResponse, code int, errBody *errorResponse) {
-	s.mu.Lock()
-	if ar := s.results[id]; ar != nil {
-		ar.done = true
-		ar.resp, ar.code, ar.errBody = resp, code, errBody
-		ar.expires = s.cfg.Clock().Add(resultTTL)
-	}
-	s.mu.Unlock()
-}
-
-// pruneResults drops expired async results; pending ones (not yet done)
-// never expire here. Unless forced, the scan is throttled: it is
-// O(results) under the server-wide mutex, so running it on every request
-// would serialize the whole request path at high async rates. Caller
-// holds mu.
-func (s *Server) pruneResults(force bool) {
-	now := s.cfg.Clock()
-	if !force && now.Sub(s.lastPrune) < resultTTL/16 {
-		return
-	}
-	s.lastPrune = now
-	for id, ar := range s.results {
-		if ar.done && now.After(ar.expires) {
-			delete(s.results, id)
-		}
-	}
-}
-
-// newResultToken draws a random positive retrieval token. Tokens stay
-// below 2^53 so they survive JSON round trips through IEEE-754 clients
-// (JavaScript); ~9e15 values is plenty of enumeration resistance for a
-// short-lived result handle.
-func newResultToken() int64 {
-	var b [8]byte
-	_, _ = rand.Read(b[:])
-	v := int64(binary.LittleEndian.Uint64(b[:]) & (1<<53 - 1))
-	if v == 0 {
-		v = 1
-	}
-	return v
 }
 
 func durMS(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -467,26 +467,6 @@ func TestDeadlineCancelsQuery(t *testing.T) {
 	}
 }
 
-// TestAsyncResultStoreCap: async submissions beyond MaxAsyncResults are
-// rejected 429 — the hard bound on result-store memory.
-func TestAsyncResultStoreCap(t *testing.T) {
-	b := newStubBackend()
-	b.block = make(chan struct{})
-	_, ts := newTestServer(t, b, func(c *Config) { c.MaxAsyncResults = 2 })
-	defer close(b.block)
-
-	for i := 0; i < 2; i++ {
-		code, _, _ := postQuery(t, ts.URL, QueryRequest{Kind: "bfs", Source: int64(i), Target: target(15), Async: true})
-		if code != http.StatusAccepted {
-			t.Fatalf("async submit %d: got %d, want 202", i, code)
-		}
-	}
-	code, _, hdr := postQuery(t, ts.URL, QueryRequest{Kind: "bfs", Source: 9, Target: target(15), Async: true})
-	if code != http.StatusTooManyRequests || hdr.Get("Retry-After") == "" {
-		t.Fatalf("over-cap async submit: got %d (Retry-After %q), want 429 with Retry-After", code, hdr.Get("Retry-After"))
-	}
-}
-
 // TestLateResultIsCached: a result completing just after its request's
 // deadline is stored, so the paid-for work serves the next request.
 func TestLateResultIsCached(t *testing.T) {
@@ -540,41 +520,28 @@ func TestCoalescingJoinsInFlight(t *testing.T) {
 	}
 }
 
-func TestAsyncResultFlow(t *testing.T) {
+// TestAsyncFieldRejected: a body asking for asynchronous execution, which
+// the API does not offer, is a 400 naming the field, never a query run
+// synchronously in its place.
+func TestAsyncFieldRejected(t *testing.T) {
 	b := newStubBackend()
 	_, ts := newTestServer(t, b, nil)
-	code, qr, _ := postQuery(t, ts.URL, QueryRequest{Kind: "bfs", Source: 1, Target: target(3), Async: true})
-	if code != http.StatusAccepted || qr.Status != "pending" || qr.ID == 0 {
-		t.Fatalf("async submit: %d %+v, want 202 pending", code, qr)
+	resp, err := http.Post(ts.URL+"/query", "application/json",
+		bytes.NewReader([]byte(`{"kind":"bfs","source":1,"target":3,"async":true}`)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		resp, err := http.Get(fmt.Sprintf("%s/result/%d", ts.URL, qr.ID))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got QueryResponse
-		if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if got.Status == "done" {
-			if got.Value == nil || *got.Value != 2 {
-				t.Fatalf("async result %+v, want value 2", got)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("async result never became ready")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	// Unknown ids 404.
-	resp, _ := http.Get(ts.URL + "/result/999999")
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown result id: %d, want 404", resp.StatusCode)
+	var er errorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+		t.Fatal(err)
 	}
 	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(er.Error, `"async"`) {
+		t.Fatalf(`body with "async": got %d %q, want 400 naming the field`, resp.StatusCode, er.Error)
+	}
+	if n := b.scheduledCount(); n != 0 {
+		t.Fatalf("engine saw %d schedules, want 0", n)
+	}
 }
 
 // ---------------------------------------------------------------------------

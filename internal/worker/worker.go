@@ -17,8 +17,10 @@
 package worker
 
 import (
+	"errors"
 	"fmt"
 	"log/slog"
+	"net"
 	"sync/atomic"
 	"time"
 
@@ -179,7 +181,9 @@ func New(cfg Config, conn transport.Conn) (*Worker, error) {
 // Incoming messages take priority; between messages the worker executes
 // one queued superstep per turn. It returns the first fatal error (nil on
 // clean shutdown, faultpoint.ErrKilled on an injected crash — after which
-// the worker stops reading its inbox entirely, like a dead process would).
+// the worker stops reading its inbox entirely, like a dead process would),
+// unless the error is the network's and the controller's Shutdown follows
+// (see endsInShutdown).
 func (w *Worker) Run() error {
 	if w.cfg.Rejoin {
 		if err := w.conn.Send(protocol.ControllerNode, &protocol.WorkerHello{W: w.id}); err != nil {
@@ -206,7 +210,40 @@ func (w *Worker) Run() error {
 			return nil
 		}
 		if stop, err := w.Handle(env); stop || err != nil {
+			if err != nil && endsInShutdown(err, inbox) {
+				return nil
+			}
 			return err
+		}
+	}
+}
+
+// shutdownGrace bounds the wait of endsInShutdown.
+const shutdownGrace = time.Second
+
+// endsInShutdown reports whether err, a reply to the controller that failed
+// on the network, is the end of the run: the controller's Shutdown arrives
+// within shutdownGrace. A stopping controller sends Shutdown as its last
+// frame and exits, so a Pong or an ack to a message it sent just before can
+// meet a closed listener. Messages queued ahead of the Shutdown go unread.
+// Without a Shutdown the controller is gone, and err stays fatal.
+func endsInShutdown(err error, inbox <-chan transport.Envelope) bool {
+	var ne *net.OpError
+	if !errors.As(err, &ne) {
+		return false
+	}
+	grace := time.After(shutdownGrace)
+	for {
+		select {
+		case env, ok := <-inbox:
+			if !ok {
+				return false
+			}
+			if _, stop := env.Msg.(*protocol.Shutdown); stop {
+				return true
+			}
+		case <-grace:
+			return false
 		}
 	}
 }

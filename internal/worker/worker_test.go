@@ -1,7 +1,9 @@
 package worker
 
 import (
+	"net"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -467,5 +469,36 @@ func TestWireIDsAreRangeChecked(t *testing.T) {
 				t.Fatalf("%T accepted", tc.msg)
 			}
 		})
+	}
+}
+
+// refusingConn is a worker's endpoint after its controller exited: every
+// send fails as a dial to a closed listener does.
+type refusingConn struct{ in chan transport.Envelope }
+
+func (c refusingConn) Send(protocol.NodeID, protocol.Message) error {
+	return &net.OpError{Op: "dial", Net: "tcp", Err: syscall.ECONNREFUSED}
+}
+func (c refusingConn) Inbox() <-chan transport.Envelope { return c.in }
+func (c refusingConn) Close() error                     { return nil }
+
+// TestReplyRacingShutdownIsNoFault: a Pong that the network refuses ends
+// the run cleanly when the controller's Shutdown follows it, and is fatal
+// when nothing does.
+func TestReplyRacingShutdownIsNoFault(t *testing.T) {
+	for _, shutdown := range []bool{true, false} {
+		c := refusingConn{in: make(chan transport.Envelope, 2)}
+		c.in <- transport.Envelope{Msg: &protocol.Ping{Seq: 1}}
+		if shutdown {
+			c.in <- transport.Envelope{Msg: &protocol.Shutdown{}}
+		}
+		close(c.in)
+		w, err := New(Config{ID: 0, K: 1, Graph: lineGraph(), Owner: make(partition.Assignment, 5)}, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Run(); (err == nil) != shutdown {
+			t.Errorf("Shutdown queued %v: Run = %v", shutdown, err)
+		}
 	}
 }
