@@ -50,6 +50,7 @@ var (
 	// g.qgr.mut; stream is that stream's ops, as POST /mutate takes them.
 	dir    string
 	stream []serve.MutateOp
+	race   bool // the test binary, and so every qgraphd, is race-built
 )
 
 func TestMain(m *testing.M) {
@@ -71,12 +72,9 @@ func setup() error {
 		return err
 	}
 	args := []string{"build", "-o", dir}
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range bi.Settings {
-			if s.Key == "-race" && s.Value == "true" {
-				args = append(args, "-race")
-			}
-		}
+	bi, _ := debug.ReadBuildInfo()
+	if race = bi != nil && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"}); race {
+		args = append(args, "-race")
 	}
 	graph := filepath.Join(dir, "g.qgr")
 	for _, c := range []*exec.Cmd{
@@ -563,7 +561,6 @@ func checkpointRejoinRestart(t *testing.T) {
 	rejoined := d.worker(0, "-rejoin")
 	tl := wait()
 	st := d.stats()
-
 	expect(t, cut.Cut, "forced snapshot did not cut")
 	expect(t, cut.Persisted, "snapshot not persisted")
 	expect(t, cut.Version > 0, "checkpoint at version 0")
@@ -625,13 +622,16 @@ func walKill9Restart(t *testing.T) {
 	d.stop(ctrl)
 }
 
-// straggler slows worker 0 by 5 ms a superstep (about 50 times its peers)
-// under mixed load: the watchdog must name it on /events, degrade /healthz
-// and show it on the per-worker step gauge. TestStragglerWatchdogEndToEnd
-// covers the clearing half.
+// straggler slows worker 0 by 5 ms a superstep, about 50 times its peers'
+// compute (50 ms when race-built workers compute about 8 times slower), under
+// mixed load: the watchdog must name it on /events, degrade /healthz and show
+// it on the step gauge. TestStragglerWatchdogEndToEnd covers the clearing.
 func straggler(t *testing.T) {
-	d := deploy(t, 3)
-	d.worker(0, "-fault-slow-compute", "5ms")
+	d, slow := deploy(t, 3), 5*time.Millisecond
+	if race {
+		slow *= 10
+	}
+	d.worker(0, "-fault-slow-compute", slow.String())
 	d.worker(1)
 	d.worker(2)
 	ctrl := d.controller("-commit-every", "100ms")

@@ -319,7 +319,7 @@ func (c *Controller) onSynch(m *protocol.BarrierSynch) error {
 		return err
 	}
 	c.obs.onReport(m)
-	c.cfg.Monitor.ObserveCompute(int(m.W), m.ComputeNS, int(m.Step-m.FromStep)+1)
+	c.cfg.Monitor.ObserveCompute(int(m.W), m.ComputeNS, int(m.Step-m.FromStep)+1, int(m.Processed))
 	if complete {
 		c.collect(ctl)
 	}

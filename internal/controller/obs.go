@@ -87,7 +87,7 @@ func newCtlObs(c *Controller) *ctlObs {
 		co.supersteps[w] = m.Counter("qgraph_worker_supersteps_total", lbl,
 			"supersteps collected from each worker's barrier reports")
 		co.activeVerts[w] = m.Gauge("qgraph_worker_active_vertices", lbl,
-			"active vertices in the worker's last reported superstep")
+			"vertices computed in the supersteps of the worker's last barrier report")
 		co.scopeVerts[w] = m.Gauge("qgraph_worker_scope_vertices", lbl,
 			"vertices in the worker's last reported query scope")
 		co.pingRTT[w] = m.Gauge("qgraph_worker_ping_rtt_seconds", lbl,

@@ -1,5 +1,5 @@
 // Package health is the engine's active health layer: a straggler
-// detector fed by the per-worker compute times of barrier reports, a
+// detector fed by the per-worker compute and work of barrier reports, a
 // stall detector fed by barrier-phase ages, and a bounded structured
 // event log of detections and lifecycle events. Together they answer the
 // one question the hybrid barrier raises: which worker is holding queries
@@ -19,8 +19,10 @@ import (
 // The detectors' thresholds. One value of each has ever been in use.
 const (
 	// stragglerFactor is k: a worker is a straggler candidate when its
-	// per-superstep compute exceeds k x the median of its live peers'
-	// smoothed per-step compute.
+	// smoothed compute per processed vertex exceeds k x the median of its
+	// live peers'. Per vertex, not per superstep: under locality one
+	// worker may compute a query's whole frontier while a peer's steps
+	// process a vertex or two, and neither is slow.
 	stragglerFactor = 4
 	// stragglerSteps is m: candidates must stay over threshold for m
 	// consecutive observations to fire (and under it for m to clear).
@@ -42,12 +44,17 @@ type Config struct {
 
 // workerState is one worker's straggler-detector state.
 type workerState struct {
-	ewmaMS   float64 // smoothed per-step compute, milliseconds
-	samples  int64
-	strikes  int // consecutive over-threshold observations
-	recovers int // consecutive under-threshold observations while flagged
-	flagged  bool
-	dead     bool
+	ewmaMS float64 // smoothed per-step compute, milliseconds (the gauge)
+	// ewmaNS and ewmaWork smooth each report's compute, in nanoseconds,
+	// and the vertices it processed. Their ratio is the worker's compute
+	// per vertex weighted by work, so a report that processed little
+	// moves it little.
+	ewmaNS, ewmaWork float64
+	samples          int64
+	strikes          int // consecutive over-threshold observations
+	recovers         int // consecutive under-threshold observations while flagged
+	flagged          bool
+	dead             bool
 }
 
 // Monitor is the watchdog engine. One Monitor is shared by the
@@ -132,12 +139,13 @@ func (m *Monitor) Events(f EventFilter) []Event {
 // Straggler detector
 
 // ObserveCompute feeds one barrier report: worker spent computeNS of
-// compute over steps supersteps. The detector compares the per-step
-// sample against k x the median of the live peers' smoothed per-step
-// compute; m consecutive over-threshold observations flag the worker,
-// m consecutive under-threshold observations clear it.
-func (m *Monitor) ObserveCompute(worker int, computeNS int64, steps int) {
-	if m == nil || worker < 0 || steps <= 0 || computeNS < 0 {
+// compute on vertices vertices over steps supersteps. A report is over
+// the threshold when its per-step compute passes the floor and the
+// worker's smoothed compute per vertex exceeds k x the median of its
+// working peers'; m consecutive over-threshold observations flag the
+// worker, m consecutive under-threshold observations clear it.
+func (m *Monitor) ObserveCompute(worker int, computeNS int64, steps, vertices int) {
+	if m == nil || worker < 0 || steps <= 0 || computeNS < 0 || vertices < 0 {
 		return
 	}
 	var fired, cleared Event
@@ -148,9 +156,11 @@ func (m *Monitor) ObserveCompute(worker int, computeNS int64, steps int) {
 	ws := &m.workers[worker]
 	sampleMS := float64(computeNS) / float64(steps) / 1e6
 	if ws.samples == 0 {
-		ws.ewmaMS = sampleMS
+		ws.ewmaMS, ws.ewmaNS, ws.ewmaWork = sampleMS, float64(computeNS), float64(vertices)
 	} else {
 		ws.ewmaMS = 0.7*ws.ewmaMS + 0.3*sampleMS
+		ws.ewmaNS = 0.7*ws.ewmaNS + 0.3*float64(computeNS)
+		ws.ewmaWork = 0.7*ws.ewmaWork + 0.3*float64(vertices)
 	}
 	ws.samples++
 	ws.dead = false
@@ -158,9 +168,10 @@ func (m *Monitor) ObserveCompute(worker int, computeNS int64, steps int) {
 		g.Set(ws.ewmaMS)
 	}
 
+	rate := ws.nsPerVertex() / 1e3
 	med, peers := m.peerMedianLocked(worker)
-	threshold := max(stragglerFactor*med, stragglerMinMS)
-	over := peers > 0 && sampleMS > threshold
+	threshold := stragglerFactor * med
+	over := peers > 0 && sampleMS > stragglerMinMS && rate > threshold
 	if over {
 		ws.strikes++
 		ws.recovers = 0
@@ -169,12 +180,13 @@ func (m *Monitor) ObserveCompute(worker int, computeNS int64, steps int) {
 			fire = true
 			fired = Event{
 				Type: EventStraggler, Severity: SevWarn, Worker: worker,
-				Msg: fmt.Sprintf("worker %d is a persistent straggler: %.2fms/step > %.1fx peer median %.3fms for %d supersteps",
-					worker, sampleMS, float64(stragglerFactor), med, ws.strikes),
+				Msg: fmt.Sprintf("worker %d is a persistent straggler: %.2fµs/vertex > %.1fx peer median %.2fµs/vertex for %d reports (%.2fms/step)",
+					worker, rate, float64(stragglerFactor), med, ws.strikes, sampleMS),
 				Fields: map[string]any{
 					"sample_ms_per_step": sampleMS,
-					"peer_median_ms":     med,
-					"threshold_ms":       threshold,
+					"us_per_vertex":      rate,
+					"peer_median_us":     med,
+					"threshold_us":       threshold,
 					"strikes":            ws.strikes,
 				},
 			}
@@ -192,10 +204,11 @@ func (m *Monitor) ObserveCompute(worker int, computeNS int64, steps int) {
 				clear = true
 				cleared = Event{
 					Type: EventStragglerClear, Severity: SevInfo, Worker: worker,
-					Msg: fmt.Sprintf("worker %d recovered: %.3fms/step back under threshold %.3fms", worker, sampleMS, threshold),
+					Msg: fmt.Sprintf("worker %d recovered: %.2fµs/vertex, %.2fms/step", worker, rate, sampleMS),
 					Fields: map[string]any{
 						"sample_ms_per_step": sampleMS,
-						"threshold_ms":       threshold,
+						"us_per_vertex":      rate,
+						"threshold_us":       threshold,
 					},
 				}
 			}
@@ -233,17 +246,24 @@ func (m *Monitor) workerGaugeLocked(worker int) *obs.Gauge {
 	return m.workerGauges[worker]
 }
 
-// peerMedianLocked returns the median smoothed per-step compute of the
-// live workers other than `worker` that have reported at least once,
-// plus how many such peers exist. Callers hold m.mu.
+// nsPerVertex is the worker's smoothed compute per processed vertex, in
+// nanoseconds; below one vertex a report, its compute counts as one
+// vertex's.
+func (ws *workerState) nsPerVertex() float64 { return ws.ewmaNS / max(ws.ewmaWork, 1) }
+
+// peerMedianLocked returns the median smoothed compute per vertex, in
+// microseconds, of the live workers other than `worker` whose reports
+// processed at least one vertex each, smoothed, plus how many such peers
+// exist. A peer whose steps did no work has no rate to compare with.
+// Callers hold m.mu.
 func (m *Monitor) peerMedianLocked(worker int) (median float64, peers int) {
 	vals := make([]float64, 0, len(m.workers))
 	for i := range m.workers {
 		ws := &m.workers[i]
-		if i == worker || ws.dead || ws.samples == 0 {
+		if i == worker || ws.dead || ws.samples == 0 || ws.ewmaWork < 1 {
 			continue
 		}
-		vals = append(vals, ws.ewmaMS)
+		vals = append(vals, ws.nsPerVertex()/1e3)
 	}
 	if len(vals) == 0 {
 		return 0, 0

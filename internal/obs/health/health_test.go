@@ -1,6 +1,7 @@
 package health
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -57,26 +58,28 @@ func TestEventLogRingWrapAndFilters(t *testing.T) {
 	}
 }
 
-// feedHealthy reports one healthy 1ms superstep for each listed worker.
+// feedHealthy reports one healthy superstep for each listed worker: 1ms
+// over 100 vertices.
 func feedHealthy(m *Monitor, workers ...int) {
 	for _, w := range workers {
-		m.ObserveCompute(w, int64(time.Millisecond), 1)
+		m.ObserveCompute(w, int64(time.Millisecond), 1, 100)
 	}
 }
 
 func TestStragglerFireAndClear(t *testing.T) {
 	m := newTestMonitor()
 
-	// Two healthy peers at 1ms/step, worker 0 at 20ms/step: the threshold
-	// is k x 1ms, so worker 0 strikes every observation.
+	// Two healthy peers at 10µs/vertex, worker 0 at 200µs/vertex on the
+	// same work: the threshold is k x 10µs, so worker 0 strikes every
+	// observation.
 	feedHealthy(m, 1, 2)
 	for i := 1; i < stragglerSteps; i++ {
-		m.ObserveCompute(0, int64(20*time.Millisecond), 1)
+		m.ObserveCompute(0, int64(20*time.Millisecond), 1, 100)
 		if s := m.Snapshot(); s.Degraded {
 			t.Fatalf("degraded after %d strikes, want %d required", i, stragglerSteps)
 		}
 	}
-	m.ObserveCompute(0, int64(20*time.Millisecond), 1) // strike m: fires
+	m.ObserveCompute(0, int64(20*time.Millisecond), 1, 100) // strike m: fires
 
 	s := m.Snapshot()
 	if !s.Degraded || len(s.Stragglers) != 1 || s.Stragglers[0] != 0 {
@@ -87,7 +90,7 @@ func TestStragglerFireAndClear(t *testing.T) {
 	}
 
 	// A continued straggle must not flap into more events.
-	m.ObserveCompute(0, int64(20*time.Millisecond), 1)
+	m.ObserveCompute(0, int64(20*time.Millisecond), 1, 100)
 	if evs := m.Events(EventFilter{Type: EventStraggler}); len(evs) != 1 {
 		t.Fatalf("straggler re-fired while already flagged: %v", evs)
 	}
@@ -95,7 +98,7 @@ func TestStragglerFireAndClear(t *testing.T) {
 	// Recovery: m consecutive healthy samples clear the flag and emit the
 	// clear event.
 	for i := 0; i < stragglerSteps; i++ {
-		m.ObserveCompute(0, int64(time.Millisecond), 1)
+		m.ObserveCompute(0, int64(time.Millisecond), 1, 100)
 	}
 	if s := m.Snapshot(); s.Degraded || len(s.Stragglers) != 0 {
 		t.Fatalf("snapshot after recovery = %+v, want healthy", s)
@@ -122,7 +125,7 @@ func TestStragglerNeedsPeersAndFloor(t *testing.T) {
 	m := newTestMonitor()
 	// A lone worker has no peers: never flagged however slow.
 	for i := 0; i < 10; i++ {
-		m.ObserveCompute(0, int64(time.Second), 1)
+		m.ObserveCompute(0, int64(time.Second), 1, 100)
 	}
 	if s := m.Snapshot(); s.Degraded {
 		t.Fatalf("lone worker flagged: %+v", s)
@@ -130,8 +133,8 @@ func TestStragglerNeedsPeersAndFloor(t *testing.T) {
 	// Microsecond-scale skew below the absolute floor never flags either.
 	m2 := newTestMonitor()
 	for i := 0; i < 10; i++ {
-		m2.ObserveCompute(1, int64(10*time.Microsecond), 1)
-		m2.ObserveCompute(0, int64(900*time.Microsecond), 1) // 90x peers, under the 1ms floor
+		m2.ObserveCompute(1, int64(10*time.Microsecond), 1, 100)
+		m2.ObserveCompute(0, int64(900*time.Microsecond), 1, 100) // 90x peers, under the 1ms floor
 	}
 	if s := m2.Snapshot(); s.Degraded {
 		t.Fatalf("sub-floor worker flagged: %+v", s)
@@ -140,11 +143,12 @@ func TestStragglerNeedsPeersAndFloor(t *testing.T) {
 
 func TestMarkWorkerDeadUnflagsAndSkewsNoMedian(t *testing.T) {
 	m := newTestMonitor()
-	feedHealthy(m, 1, 2)
+	feedHealthy(m, 2)
+	m.ObserveCompute(1, int64(5*time.Millisecond), 1, 100) // 50µs/vertex
 	for i := 0; i < stragglerSteps; i++ {
-		m.ObserveCompute(0, int64(20*time.Millisecond), 1)
+		m.ObserveCompute(0, int64(20*time.Millisecond), 1, 100)
 	}
-	if !m.Snapshot().Degraded {
+	if fmt.Sprint(m.Snapshot().Stragglers) != "[0]" {
 		t.Fatal("straggler did not fire")
 	}
 	m.MarkWorkerDead(0)
@@ -152,10 +156,10 @@ func TestMarkWorkerDeadUnflagsAndSkewsNoMedian(t *testing.T) {
 	if s.Degraded {
 		t.Fatalf("dead worker still degrades: %+v", s)
 	}
-	// The dead worker's 20ms EWMA must not skew the live-set median:
-	// worker 1 at 5ms against peer 2's 1ms has threshold 4x1ms = 4ms.
+	// The dead worker's 200µs/vertex must not skew the live-set median:
+	// worker 1 at 50µs/vertex against peer 2's 10µs has threshold 40µs.
 	for i := 0; i < stragglerSteps; i++ {
-		m.ObserveCompute(1, int64(5*time.Millisecond), 1)
+		m.ObserveCompute(1, int64(5*time.Millisecond), 1, 100)
 	}
 	if !m.Snapshot().Degraded {
 		t.Fatal("dead worker's stale EWMA still lifted the peer median")
@@ -214,7 +218,7 @@ func TestRecordedLifecycleEvents(t *testing.T) {
 func TestNilMonitor(t *testing.T) {
 	var m *Monitor
 	m.Record(EventRecovery, SevInfo, -1, "x", nil)
-	m.ObserveCompute(0, 1e9, 1)
+	m.ObserveCompute(0, 1e9, 1, 1)
 	m.CheckStall("run", time.Hour, time.Hour)
 	m.MarkWorkerDead(0)
 	m.MarkWorkerLive(0)

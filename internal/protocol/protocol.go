@@ -268,7 +268,7 @@ type BarrierSynch struct {
 	FromStep   int32 // first superstep covered by this report
 	LocalIters int32
 
-	Processed   int32   // active vertices computed in Step (load signal)
+	Processed   int32   // active vertices computed in the covered steps (load signal)
 	NActiveNext int32   // local activations pending for Step+1
 	ComputeNS   int64   // wall time spent in compute for the covered steps
 	ScopeSize   int32   // |LS(Q, W)|: vertices Q touched on W so far

@@ -42,6 +42,7 @@ func (w *Worker) stepOnce(q query.ID, step int32) error {
 	// the health layer's detector without touching the compute itself.
 	faultpoint.Hit(faultpoint.WorkerComputeSlow, int(w.id), int(q), int(step))
 	qs.computeNS += w.cfg.Clock().Sub(t0).Nanoseconds()
+	qs.processed += res.processed
 	// Fault seam: a worker dying mid-superstep has computed (and possibly
 	// sent vertex batches) but never reports — its barrier wedges until
 	// liveness detection and recovery re-execute the query.
@@ -150,15 +151,15 @@ func (w *Worker) sendBatch(q query.ID, step int32, dst partition.WorkerID, entri
 // intersections wait for a StatsPull.
 func (w *Worker) sendSynch(q query.ID, qs *queryState, step int32, res stepResult) {
 	qb := w.bar.queries[q]
-	computeNS, newBlocks := qs.computeNS, qs.newBlocks
-	qs.computeNS, qs.newBlocks = 0, nil // the message keeps the slice
-	slices.Sort(newBlocks)              // neighbours differ by a byte on the wire
+	computeNS, processed, newBlocks := qs.computeNS, qs.processed, qs.newBlocks
+	qs.computeNS, qs.processed, qs.newBlocks = 0, 0, nil // the message keeps the slice
+	slices.Sort(newBlocks)                               // neighbours differ by a byte on the wire
 	w.conn.Send(protocol.ControllerNode, &protocol.BarrierSynch{
 		Q: q, W: w.id,
 		Step:        step,
 		FromStep:    qb.rel.step,
 		LocalIters:  step - qb.rel.step,
-		Processed:   res.processed,
+		Processed:   processed,
 		NActiveNext: res.nActiveNext,
 		ComputeNS:   computeNS,
 		ScopeSize:   int32(qs.data.len()),

@@ -101,8 +101,10 @@ type queryState struct {
 	inbox map[int32]*table
 	// computeNS accumulates wall time spent in computeStep since the last
 	// barrier report; it ships to the controller on BarrierSynch so the
-	// query's trace can attribute superstep time per worker.
+	// query's trace can attribute superstep time per worker. processed
+	// counts the vertices computed over the same supersteps.
 	computeNS int64
+	processed int32
 }
 
 // Worker is the worker-layer event loop.
