@@ -16,24 +16,32 @@ import (
 
 // This file is the per-query side of the hybrid barrier (Sec. 3.3). Each
 // query's round decides which workers a superstep involves, whether it
-// runs solo in one worker's local query barrier loop, when it is fully
-// reported, and when the query ends. The controller half below does the
-// I/O around those decisions: it schedules queries, sends BarrierReady and
-// QueryFinish, and keeps pins, spans, the Recorder and the monitoring
-// window. Every query leaves through end.
+// runs solo in one worker's local query barrier loop, whether its involved
+// workers release the next one themselves, when it is fully reported, and
+// when the query ends. The controller half below does the I/O around those
+// decisions: it schedules queries, sends BarrierReady and QueryFinish, and
+// keeps pins, spans, the Recorder and the monitoring window. Every query
+// leaves through end.
 
 // round is one query's barrier state. Its transitions read nothing but the
 // round and their arguments — no connection, clock, phase or instrument —
 // and only they assign its fields.
 type round struct {
-	mode     SyncMode
-	monotone bool // the program's bound may end a goal query early
-	maxIters int  // the spec's MaxIters; 0 is unbounded
+	mode  SyncMode
+	rules protocol.Rules
 
 	step        int32 // last fully collected superstep (-1 before step 0)
 	outstanding bool  // superstep step+1 is released; reports are due
 	involved    map[partition.WorkerID]bool
-	reports     map[partition.WorkerID]*protocol.BarrierSynch
+	// peers lists the involved workers, sorted, when the release is
+	// implicitly continuable (protocol.BarrierReady.Peers); nil otherwise.
+	peers   []partition.WorkerID
+	reports map[partition.WorkerID]*protocol.BarrierSynch
+	// held keeps reports on a superstep after the outstanding one: the
+	// workers released it implicitly, and their reports overtook the last
+	// report on the outstanding one. Each counts once that release is
+	// recorded.
+	held []*protocol.BarrierSynch
 
 	scopeSizes []int64 // latest |LS(q,w)| per worker
 	everActive []bool  // workers that ever processed or held scope
@@ -46,7 +54,7 @@ type round struct {
 // newRound is the round of prog's query on k workers, before superstep 0.
 func newRound(k int, mode SyncMode, prog query.Program, maxIters int) round {
 	r := round{
-		mode: mode, monotone: prog.Monotone(), maxIters: maxIters,
+		mode: mode, rules: protocol.Rules{Monotone: prog.Monotone(), MaxIters: maxIters},
 		scopeSizes: make([]int64, k), everActive: make([]bool, k),
 	}
 	r.restart()
@@ -56,29 +64,38 @@ func newRound(k int, mode SyncMode, prog query.Program, maxIters int) round {
 // release opens superstep step+1 over next, the workers with pending work,
 // and says whether it runs solo: in the hybrid mode a one-worker superstep
 // iterates in that worker's local loop with no round-trip to the
-// controller. A drained release (the first after a global barrier, whose
-// scope moves may have relocated activations anywhere) and every release
-// of the SyncGlobal baseline (Fig. 6d) widen to all workers not in dead.
+// controller, and a superstep of several is implicitly continuable. A
+// drained release (the first after a global barrier, whose scope moves may
+// have relocated activations anywhere) and every release of the SyncGlobal
+// baseline (Fig. 6d) widen to all workers not in dead.
 func (r *round) release(next, dead map[partition.WorkerID]bool, drained bool) (solo bool) {
 	if drained || r.mode == SyncGlobal {
 		next = liveSet(len(r.scopeSizes), dead)
 	}
 	r.involved = next
+	r.peers = nil
+	if r.mode == SyncHybrid && len(next) > 1 && !drained {
+		r.peers = slices.Sorted(maps.Keys(next))
+	}
 	r.reports = make(map[partition.WorkerID]*protocol.BarrierSynch, len(next))
 	r.outstanding = true
 	return r.mode == SyncHybrid && len(next) == 1 && !drained
 }
 
 // report adds worker m.W's report on the outstanding superstep and says
-// whether it was the last one due. A report from a worker the superstep
-// does not involve, or a second one from the same worker, is a protocol
-// error.
-func (r *round) report(m *protocol.BarrierSynch) (complete bool, err error) {
+// whether it was the last one due. A report on a later superstep is held
+// (see held). A report from a worker the superstep does not involve, or a
+// second one from the same worker, is a protocol error.
+func (r *round) report(m *protocol.BarrierSynch) (complete, held bool, err error) {
+	if r.outstanding && m.FromStep > r.step+1 {
+		r.held = append(r.held, m)
+		return false, true, nil
+	}
 	if !r.involved[m.W] {
-		return false, fmt.Errorf("controller: synch for query %d from uninvolved worker %d", m.Q, m.W)
+		return false, false, fmt.Errorf("controller: synch for query %d from uninvolved worker %d", m.Q, m.W)
 	}
 	if r.reports[m.W] != nil {
-		return false, fmt.Errorf("controller: duplicate synch for query %d from worker %d", m.Q, m.W)
+		return false, false, fmt.Errorf("controller: duplicate synch for query %d from worker %d", m.Q, m.W)
 	}
 	r.reports[m.W] = m
 	r.scopeSizes[m.W] = int64(m.ScopeSize)
@@ -87,37 +104,41 @@ func (r *round) report(m *protocol.BarrierSynch) (complete bool, err error) {
 		r.everActive[m.W] = true
 	}
 	r.bestGoal = min(r.bestGoal, m.BestGoal)
-	return len(r.reports) == len(r.involved), nil
+	return len(r.reports) == len(r.involved), false, nil
 }
 
-// collect closes the fully reported superstep. A non-zero end is why the
-// query ends; otherwise next holds the workers the next superstep involves
-// and expect the batch count each of them must await.
-func (r *round) collect() (end protocol.FinishReason, next map[partition.WorkerID]bool, expect map[partition.WorkerID]int32) {
+// unhold takes the held reports on the outstanding superstep, in arrival
+// order.
+func (r *round) unhold() (due []*protocol.BarrierSynch) {
+	r.held = slices.DeleteFunc(r.held, func(m *protocol.BarrierSynch) bool {
+		if m.FromStep == r.step+1 {
+			due = append(due, m)
+			return true
+		}
+		return false
+	})
+	return due
+}
+
+// collect closes the fully reported superstep with the decision the
+// workers take too (protocol.Rules.Decide), and says whether its workers
+// released the next superstep themselves: implicit, which the controller
+// then records without a BarrierReady.
+func (r *round) collect() (d protocol.Decision, implicit bool) {
 	collected := r.step
-	minFrontier := query.NoResult
 	totalSent := int32(0)
 	activeWorkers := 0
-	next = make(map[partition.WorkerID]bool)
-	expect = make(map[partition.WorkerID]int32)
+	sums := make(map[partition.WorkerID]protocol.StepSummary, len(r.reports))
 	for w, m := range r.reports {
 		collected = max(collected, m.Step)
-		minFrontier = min(minFrontier, m.MinFrontier)
 		if m.Processed > 0 {
 			activeWorkers++
 		}
-		if m.NActiveNext > 0 {
-			next[w] = true
-		}
 		r.localSteps += int(m.LocalIters) // steps of a solo loop
-		for dst, nb := range m.SentBatches {
-			if nb > 0 {
-				d := partition.WorkerID(dst)
-				expect[d] += nb
-				next[d] = true
-				totalSent += nb
-			}
+		for _, nb := range m.SentBatches {
+			totalSent += nb
 		}
+		sums[w] = m.Summary()
 	}
 	r.stepsDone += int(collected - r.step)
 	r.step = collected
@@ -128,20 +149,8 @@ func (r *round) collect() (end protocol.FinishReason, next map[partition.WorkerI
 	if totalSent == 0 && activeWorkers <= 1 {
 		r.localSteps++
 	}
-
-	// Termination (Sec. 2: a query ends when no active vertex remains; the
-	// monotone bound additionally ends goal queries as soon as no in-flight
-	// value can beat the best goal — that is what confines localized
-	// queries to their region).
-	switch {
-	case len(next) == 0:
-		return protocol.FinishConverged, nil, nil
-	case r.monotone && r.bestGoal < query.NoResult && minFrontier >= r.bestGoal:
-		return protocol.FinishEarly, nil, nil
-	case r.maxIters > 0 && int(collected)+1 >= r.maxIters:
-		return protocol.FinishMaxIters, nil, nil
-	}
-	return 0, next, expect
+	d = r.rules.Decide(collected, r.bestGoal, sums)
+	return d, d.Continues(r.peers)
 }
 
 // move relocates the query's scope on from to to, as an executed
@@ -161,7 +170,7 @@ func (r *round) move(from, to partition.WorkerID) {
 func (r *round) restart() {
 	r.step = -1
 	r.outstanding = false
-	r.involved, r.reports = nil, nil
+	r.involved, r.peers, r.reports, r.held = nil, nil, nil, nil
 	clear(r.scopeSizes)
 	clear(r.everActive)
 	r.blocks = r.blocks[:0]
@@ -282,23 +291,44 @@ func (c *Controller) onCancel(q query.ID) {
 	// FIFO, so they cannot overtake the schedule they refer to.
 }
 
+// open opens the superstep ctl's round releases over next, and says
+// whether it runs solo; drained marks a post-global-barrier resume.
+func (c *Controller) open(ctl *qctl, next map[partition.WorkerID]bool, drained bool) (solo bool) {
+	solo = ctl.round.release(next, c.members.dead, drained)
+	ctl.releasedAt = c.cfg.Clock()
+	c.beginStepSpan(ctl, ctl.step+1)
+	return solo
+}
+
 // release sends BarrierReady for the superstep ctl's round opens over
 // next. expect maps each receiver to the batch count it must await (nil =
 // zero); drained marks a post-global-barrier resume.
 func (c *Controller) release(ctl *qctl, next map[partition.WorkerID]bool, expect map[partition.WorkerID]int32, drained bool) {
-	solo := ctl.round.release(next, c.members.dead, drained)
-	ctl.releasedAt = c.cfg.Clock()
-	step := ctl.step + 1
-	c.beginStepSpan(ctl, step)
+	solo := c.open(ctl, next, drained)
 	for w := range ctl.involved {
 		c.conn.Send(protocol.WorkerNode(w), &protocol.BarrierReady{
-			Q:       ctl.spec.ID,
-			Step:    step,
-			Expect:  expect[w],
-			Solo:    solo,
-			Drained: drained,
+			Q:        ctl.spec.ID,
+			Step:     ctl.step + 1,
+			Expect:   expect[w],
+			Solo:     solo,
+			Drained:  drained,
+			BestGoal: ctl.bestGoal,
+			Peers:    ctl.peers,
 		})
 	}
+}
+
+// implicitRelease records the release of the next superstep over the
+// same workers, which they took themselves, and counts the reports on it
+// that came early.
+func (c *Controller) implicitRelease(ctl *qctl) error {
+	c.open(ctl, ctl.involved, false)
+	for _, m := range ctl.unhold() {
+		if err := c.onSynch(m); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // onSynch hands a worker's barrier report to its query's round and, once
@@ -314,32 +344,38 @@ func (c *Controller) onSynch(m *protocol.BarrierSynch) error {
 		}
 		return nil
 	}
-	complete, err := ctl.report(m)
-	if err != nil {
+	complete, held, err := ctl.report(m)
+	if err != nil || held {
 		return err
 	}
 	c.obs.onReport(m)
 	c.cfg.Monitor.ObserveCompute(int(m.W), m.ComputeNS, int(m.Step-m.FromStep)+1, int(m.Processed))
 	if complete {
-		c.collect(ctl)
+		return c.collect(ctl)
 	}
 	return nil
 }
 
 // collect advances a query whose superstep is fully reported: finish it,
-// hold its next release while a global barrier forms (resume re-releases
-// after GlobalStart), or release the next superstep.
-func (c *Controller) collect(ctl *qctl) {
-	end, next, expect := ctl.round.collect()
+// record the release its workers took themselves, hold its next release
+// while a global barrier forms (resume re-releases after GlobalStart), or
+// release the next superstep. A quiescing global barrier cannot hold an
+// implicit release: it waits for the query's involved set to change or the
+// query to end, as it waits for a solo loop.
+func (c *Controller) collect(ctl *qctl) error {
+	d, implicit := ctl.round.collect()
 	c.endStepSpan(ctl)
 	switch {
-	case end != 0:
-		c.finishQuery(ctl, end)
+	case d.End != 0:
+		c.finishQuery(ctl, d.End)
+	case implicit:
+		return c.implicitRelease(ctl)
 	case c.adapt.phase != phaseRun:
 		c.maybeStop()
 	default:
-		c.release(ctl, next, expect, false)
+		c.release(ctl, d.Next, d.Expect, false)
 	}
+	return nil
 }
 
 // finishQuery ends a query the workers still hold: tell them to drop it,

@@ -31,7 +31,7 @@ func TestRoundTransitions(t *testing.T) {
 	// error; it returns whether the step is now fully reported.
 	report := func(t *testing.T, r *round, w partition.WorkerID, step int32, mut func(*protocol.BarrierSynch)) bool {
 		t.Helper()
-		complete, err := r.report(synch(1, w, step, mut))
+		complete, _, err := r.report(synch(1, w, step, mut))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +66,7 @@ func TestRoundTransitions(t *testing.T) {
 		}},
 		{name: "a report from an uninvolved worker is an error", mode: SyncHybrid, run: func(t *testing.T, r *round) {
 			r.release(workers(0), nil, false)
-			if _, err := r.report(synch(1, 1, 0, nil)); err == nil {
+			if _, _, err := r.report(synch(1, 1, 0, nil)); err == nil {
 				t.Fatal("worker 1 reported on a superstep of worker 0 alone")
 			}
 			if len(r.reports) != 0 || r.scopeSizes[1] != 0 {
@@ -78,7 +78,7 @@ func TestRoundTransitions(t *testing.T) {
 			if report(t, r, 0, 0, nil) {
 				t.Fatal("complete with worker 1 still due")
 			}
-			if _, err := r.report(synch(1, 0, 0, nil)); err == nil {
+			if _, _, err := r.report(synch(1, 0, 0, nil)); err == nil {
 				t.Fatal("worker 0 reported twice")
 			}
 		}},
@@ -88,9 +88,9 @@ func TestRoundTransitions(t *testing.T) {
 			if !report(t, r, 1, 0, func(s *protocol.BarrierSynch) { active(s); s.SentBatches[2] = 1 }) {
 				t.Fatal("both workers reported, step not complete")
 			}
-			end, next, expect := r.collect()
-			if end != 0 || !maps.Equal(next, workers(1, 2)) || !maps.Equal(expect, map[partition.WorkerID]int32{2: 3}) {
-				t.Fatalf("end %v, next %v, expect %v", end, next, expect)
+			d, implicit := r.collect()
+			if d.End != 0 || implicit || !maps.Equal(d.Next, workers(1, 2)) || !maps.Equal(d.Expect, map[partition.WorkerID]int32{2: 3}) {
+				t.Fatalf("decision %+v, implicit %v", d, implicit)
 			}
 			if r.step != 0 || r.outstanding || r.stepsDone != 1 || r.localSteps != 0 {
 				t.Fatalf("step %d, outstanding %v, %d steps, %d local", r.step, r.outstanding, r.stepsDone, r.localSteps)
@@ -99,22 +99,22 @@ func TestRoundTransitions(t *testing.T) {
 		{name: "a solo loop's steps are local, and so is its collected step", mode: SyncHybrid, run: func(t *testing.T, r *round) {
 			r.release(workers(0), nil, false)
 			report(t, r, 0, 3, func(s *protocol.BarrierSynch) { active(s); s.FromStep, s.LocalIters = 0, 3 })
-			if end, _, _ := r.collect(); end != 0 || r.step != 3 || r.stepsDone != 4 || r.localSteps != 4 {
-				t.Fatalf("end %v, step %d, %d steps, %d local", end, r.step, r.stepsDone, r.localSteps)
+			if d, _ := r.collect(); d.End != 0 || r.step != 3 || r.stepsDone != 4 || r.localSteps != 4 {
+				t.Fatalf("end %v, step %d, %d steps, %d local", d.End, r.step, r.stepsDone, r.localSteps)
 			}
 		}},
 		{name: "no worker active next converges", mode: SyncHybrid, run: func(t *testing.T, r *round) {
 			r.release(workers(0), nil, false)
 			report(t, r, 0, 0, func(s *protocol.BarrierSynch) { s.Processed = 1 })
-			if end, _, _ := r.collect(); end != protocol.FinishConverged {
-				t.Fatalf("end %v", end)
+			if d, _ := r.collect(); d.End != protocol.FinishConverged {
+				t.Fatalf("end %v", d.End)
 			}
 		}},
 		{name: "no frontier below the best goal ends early", mode: SyncHybrid, run: func(t *testing.T, r *round) {
 			r.release(workers(0), nil, false)
 			report(t, r, 0, 0, func(s *protocol.BarrierSynch) { active(s); s.BestGoal, s.MinFrontier = 5, 5 })
-			if end, _, _ := r.collect(); end != protocol.FinishEarly {
-				t.Fatalf("end %v", end)
+			if d, _ := r.collect(); d.End != protocol.FinishEarly {
+				t.Fatalf("end %v", d.End)
 			}
 		}},
 		{name: "the last allowed iteration ends the query", mode: SyncHybrid, maxIters: 2, run: func(t *testing.T, r *round) {
@@ -125,8 +125,8 @@ func TestRoundTransitions(t *testing.T) {
 				if step == 1 {
 					want = protocol.FinishMaxIters
 				}
-				if end, _, _ := r.collect(); end != want {
-					t.Fatalf("step %d: end %v, want %v", step, end, want)
+				if d, _ := r.collect(); d.End != want {
+					t.Fatalf("step %d: end %v, want %v", step, d.End, want)
 				}
 			}
 		}},

@@ -32,9 +32,13 @@ type conformanceRow struct {
 // schedule:
 //   - every answer equals the sequential reference (graph.DijkstraTo,
 //     graph.BFSHops, query.RefPageRank);
+//   - a worker reports a superstep only under a release: one the
+//     controller sent, or an implicit one that the decision
+//     (protocol.Rules.Decide) over every peer's report on the superstep
+//     before allowed;
 //   - every non-drained release runs with exactly Expect batches of the
-//     superstep before delivered, and no batch arrives after the superstep
-//     that consumes it ran;
+//     superstep before delivered, markers not counted, and no batch but a
+//     marker arrives after the superstep that consumes it ran;
 //   - no superstep after which a worker kept looping solo sent a batch;
 //   - a solo report that stopped its loop on a termination rule (no active
 //     vertex, the monotone bound, MaxIters) is its query's last, and the
@@ -82,8 +86,11 @@ type conformanceRun struct {
 	specs   []query.Spec
 	results []chan Result
 
-	releases map[wqs]*protocol.BarrierReady     // delivered to w, by (w, q, step)
-	batches  map[wqs]int32                      // VertexBatches of (q, step) delivered to w
+	releases map[wqs]*protocol.BarrierReady // delivered to w, or implicit, by (w, q, step)
+	batches  map[wqs]int32                  // VertexBatches of (q, step) delivered to w, markers aside
+	// sums[(-, q, step)] holds the reports under an implicitly continuable
+	// release, by worker.
+	sums     map[wqs]map[partition.WorkerID]protocol.StepSummary
 	reported map[wqs]bool                       // (w, q, s): w reported superstep s
 	stopping []bool                             // between GlobalStop and GlobalStart, per worker
 	ended    map[query.ID]protocol.FinishReason // the reason a solo report ended the query with
@@ -107,6 +114,7 @@ func (row conformanceRow) setup(t *testing.T, seed uint64) *conformanceRun {
 		row: row, rng: rng, s: s,
 		releases: make(map[wqs]*protocol.BarrierReady),
 		batches:  make(map[wqs]int32),
+		sums:     make(map[wqs]map[partition.WorkerID]protocol.StepSummary),
 		reported: make(map[wqs]bool),
 		stopping: make([]bool, row.k),
 		ended:    make(map[query.ID]protocol.FinishReason),
@@ -182,6 +190,9 @@ func (r *conformanceRun) delivered(w partition.WorkerID, msg protocol.Message) e
 	case *protocol.BarrierReady:
 		r.releases[wqs{w, m.Q, m.Step}] = m
 	case *protocol.VertexBatch:
+		if m.Marker() {
+			break
+		}
 		if r.reported[wqs{w, m.Q, m.Step + 1}] {
 			return fmt.Errorf("worker %d got query %d's batch of step %d after it ran step %d", w, m.Q, m.Step, m.Step+1)
 		}
@@ -229,6 +240,9 @@ func (r *conformanceRun) report(w partition.WorkerID, m *protocol.BarrierSynch) 
 	for s := m.FromStep; s <= m.Step; s++ {
 		r.reported[wqs{w, m.Q, s}] = true
 	}
+	if rel.Peers != nil {
+		r.implicit(w, m, rel)
+	}
 	sent := false
 	for _, nb := range m.SentBatches {
 		sent = sent || nb > 0
@@ -246,6 +260,31 @@ func (r *conformanceRun) report(w partition.WorkerID, m *protocol.BarrierSynch) 
 		r.ended[m.Q] = protocol.FinishMaxIters
 	}
 	return nil
+}
+
+// implicit files worker w's report m under rel, an implicitly continuable
+// release, and once every peer's report is in, records the implicit
+// release of the next superstep that the decision allows.
+func (r *conformanceRun) implicit(w partition.WorkerID, m *protocol.BarrierSynch, rel *protocol.BarrierReady) {
+	k := wqs{q: m.Q, step: m.Step}
+	if r.sums[k] == nil {
+		r.sums[k] = make(map[partition.WorkerID]protocol.StepSummary)
+	}
+	r.sums[k][w] = m.Summary()
+	if len(r.sums[k]) < len(rel.Peers) {
+		return
+	}
+	spec := r.specs[m.Q-1]
+	rules := protocol.Rules{Monotone: query.MustNew(spec.Kind).Monotone(), MaxIters: spec.MaxIters}
+	d := rules.Decide(m.Step, rel.BestGoal, r.sums[k])
+	if !d.Continues(rel.Peers) {
+		return
+	}
+	for _, p := range rel.Peers {
+		r.releases[wqs{p, m.Q, m.Step + 1}] = &protocol.BarrierReady{
+			Q: m.Q, Step: m.Step + 1, Expect: d.Expect[p], BestGoal: d.BestGoal, Peers: rel.Peers,
+		}
+	}
 }
 
 // answers checks every query's result against the reference.

@@ -1,0 +1,87 @@
+package protocol
+
+import (
+	"slices"
+
+	"qgraph/internal/partition"
+	"qgraph/internal/query"
+)
+
+// StepSummary is what the continue-or-finish decision reads of one
+// worker's superstep. A BarrierSynch carries it to the controller; under an
+// implicit release (see BarrierReady) the last VertexBatch of the superstep
+// carries it to each other involved worker too.
+type StepSummary struct {
+	NActiveNext int32   // local activations pending for the next superstep
+	MinFrontier float64 // min over pending local msgs + values sent in the step
+	BestGoal    float64 // best goal value seen on the worker (query.NoResult if none)
+	SentBatches []int32 // vertex batches sent during the step, by dest worker
+}
+
+// Summary is the decision's view of report m.
+func (m *BarrierSynch) Summary() StepSummary {
+	return StepSummary{NActiveNext: m.NActiveNext, MinFrontier: m.MinFrontier, BestGoal: m.BestGoal, SentBatches: m.SentBatches}
+}
+
+// Rules are a query's termination rules.
+type Rules struct {
+	Monotone bool // the program's bound may end a goal query early
+	MaxIters int  // the spec's MaxIters; 0 is unbounded
+}
+
+// Decision is the outcome of a fully reported superstep: End says why the
+// query ends; otherwise Next holds the workers the next superstep involves
+// and Expect the batch count each of them must await.
+type Decision struct {
+	End      FinishReason
+	Next     map[partition.WorkerID]bool
+	Expect   map[partition.WorkerID]int32
+	BestGoal float64 // the best goal so far, the step's included
+}
+
+// Decide is the continue-or-finish decision on superstep step, from the
+// summaries of every worker the step involved and best, the best goal
+// found before it. The controller takes it on every fully reported
+// superstep, and the workers of an implicit release take it on each
+// other's summaries: one function over the same inputs, so they agree.
+//
+// A query ends when no active vertex remains (Sec. 2); the monotone bound
+// additionally ends a goal query as soon as no in-flight value can beat
+// the best goal, which is what confines localized queries to their region;
+// and MaxIters caps the supersteps.
+func (r Rules) Decide(step int32, best float64, sums map[partition.WorkerID]StepSummary) Decision {
+	d := Decision{Next: make(map[partition.WorkerID]bool), Expect: make(map[partition.WorkerID]int32), BestGoal: best}
+	minFrontier := query.NoResult
+	for w, s := range sums {
+		d.BestGoal = min(d.BestGoal, s.BestGoal)
+		minFrontier = min(minFrontier, s.MinFrontier)
+		if s.NActiveNext > 0 {
+			d.Next[w] = true
+		}
+		for dst, nb := range s.SentBatches {
+			if nb > 0 {
+				d.Expect[partition.WorkerID(dst)] += nb
+				d.Next[partition.WorkerID(dst)] = true
+			}
+		}
+	}
+	switch {
+	case len(d.Next) == 0:
+		d.End = FinishConverged
+	case r.Monotone && d.BestGoal < query.NoResult && minFrontier >= d.BestGoal:
+		d.End = FinishEarly
+	case r.MaxIters > 0 && int(step)+1 >= r.MaxIters:
+		d.End = FinishMaxIters
+	}
+	if d.End != 0 {
+		d.Next, d.Expect = nil, nil
+	}
+	return d
+}
+
+// Continues says whether d releases the next superstep over exactly the
+// workers peers, a release's involved set: the implicit release.
+func (d Decision) Continues(peers []partition.WorkerID) bool {
+	return d.End == 0 && len(peers) > 0 && len(d.Next) == len(peers) &&
+		!slices.ContainsFunc(peers, func(w partition.WorkerID) bool { return !d.Next[w] })
+}

@@ -106,12 +106,24 @@ func (*ExecuteQuery) Type() MsgType { return TExecuteQuery }
 // barrier: it may keep iterating without controller round-trips while the
 // query stays local. Drained means a global barrier intervened and all
 // in-flight batches were already delivered (skip the Expect wait).
+// BestGoal is the best goal the controller has seen of Q, which bounds a
+// solo loop as the worker's own does.
+//
+// Peers, set only on a hybrid release of several workers that is not
+// drained, lists the involved workers, the receiver included. It makes the
+// release implicitly continuable: after each superstep every peer sends
+// every other one its StepSummary on its last VertexBatch of the step, and
+// while Rules.Decide over the summaries says the same peers continue, they
+// release the next superstep themselves. The controller takes the same
+// decision over the reports and sends no BarrierReady for it.
 type BarrierReady struct {
-	Q       query.ID
-	Step    int32
-	Expect  int32
-	Solo    bool
-	Drained bool
+	Q        query.ID
+	Step     int32
+	Expect   int32
+	Solo     bool
+	Drained  bool
+	BestGoal float64
+	Peers    []partition.WorkerID
 }
 
 // Type implements Message.
@@ -342,13 +354,23 @@ type VertexMsg struct {
 // the paper batches 32 messages (Sec. 4.1(iv)). Gen is the sender's
 // recovery generation: receivers drop batches from another generation,
 // whose queries recovery restarted (see RecoverStart).
+//
+// Summary, set on the last batch of a superstep of an implicitly
+// continuable release (BarrierReady.Peers), is the sender's StepSummary of
+// Step; links are FIFO, so it arrives after every batch it counts. A peer
+// the step sent no entries gets an empty batch carrying it, a marker, which
+// no Expect counts.
 type VertexBatch struct {
 	Q       query.ID
 	Step    int32
 	From    partition.WorkerID
 	Gen     int32
 	Entries []VertexMsg
+	Summary *StepSummary
 }
+
+// Marker says whether m is an end-of-step marker: a summary with no entries.
+func (m *VertexBatch) Marker() bool { return m.Summary != nil && len(m.Entries) == 0 }
 
 // Type implements Message.
 func (*VertexBatch) Type() MsgType { return TVertexBatch }

@@ -44,10 +44,12 @@ import (
 //	    (12) retired
 //	7 — intersections are pulled: StatsPull (25) and StatsReport (26) are
 //	    new, BarrierSynch lost Finished
+//	8 — implicit releases: BarrierReady gained BestGoal and Peers,
+//	    VertexBatch gained an optional StepSummary
 //
 // The value is offset from small integers so a legacy 1-byte [NodeID]
 // handshake can never alias a valid version.
-const CodecVersion = 0xA0 + 7
+const CodecVersion = 0xA0 + 8
 
 // hdr is the frame header: u32 payload length plus the u8 message type.
 const hdr = 5
@@ -146,6 +148,8 @@ func fields(c *coder, m protocol.Message) {
 		u32(c, &v.Expect)
 		boolean(c, &v.Solo)
 		boolean(c, &v.Drained)
+		f64(c, &v.BestGoal)
+		u8s(c, &v.Peers)
 	case *protocol.QueryFinish:
 		u64(c, &v.Q)
 		u8(c, &v.Reason)
@@ -206,6 +210,7 @@ func fields(c *coder, m protocol.Message) {
 			u32(c, &v.Entries[i].To)
 			f64(c, &v.Entries[i].Val)
 		}
+		summary(c, &v.Summary)
 	case *protocol.ScopeData:
 		u32(c, &v.Epoch)
 		u64(c, &v.Q)
@@ -267,6 +272,23 @@ func fields(c *coder, m protocol.Message) {
 	default:
 		c.fail("cannot encode %T", m)
 	}
+}
+
+// summary codes an optional step summary: a presence byte, then its fields.
+func summary(c *coder, p **protocol.StepSummary) {
+	has := *p != nil
+	boolean(c, &has)
+	if !has || c.err != nil {
+		return
+	}
+	if c.mode == decoding {
+		*p = new(protocol.StepSummary)
+	}
+	s := *p
+	u32(c, &s.NActiveNext)
+	f64(c, &s.MinFrontier)
+	f64(c, &s.BestGoal)
+	u32s(c, &s.SentBatches)
 }
 
 // pairs codes a list of intersection statistics.

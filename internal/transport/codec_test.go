@@ -54,8 +54,9 @@ func sampleMessages() []protocol.Message {
 	}
 	return []protocol.Message{
 		&protocol.ExecuteQuery{Spec: spec},
-		&protocol.BarrierReady{Q: 42, Step: 17, Expect: 3, Solo: true, Drained: false},
+		&protocol.BarrierReady{Q: 42, Step: 17, Expect: 3, Solo: true, Drained: false, BestGoal: 12.5},
 		&protocol.BarrierReady{Q: 1, Step: 0},
+		&protocol.BarrierReady{Q: 5, Step: 2, Expect: 1, BestGoal: query.NoResult, Peers: []partition.WorkerID{0, 2}},
 		&protocol.QueryFinish{Q: 9, Reason: protocol.FinishEarly},
 		&protocol.GlobalStop{Epoch: 12, Live: []partition.WorkerID{0, 1, 3}},
 		&protocol.MoveScope{Epoch: 12, Q: 5, To: 3},
@@ -83,6 +84,11 @@ func sampleMessages() []protocol.Message {
 			Q: 42, Step: 3, From: 1, Gen: 5,
 			Entries: []protocol.VertexMsg{{To: 5, Val: 1.5}, {To: 9, Val: math.Inf(1)}},
 		},
+		&protocol.VertexBatch{
+			Q: 5, Step: 2, From: 0, Gen: 1, Entries: []protocol.VertexMsg{{To: 3, Val: 0.25}},
+			Summary: &protocol.StepSummary{NActiveNext: 4, MinFrontier: 0.25, BestGoal: 7, SentBatches: []int32{0, 0, 1}},
+		},
+		&protocol.VertexBatch{Q: 5, Step: 2, From: 2, Summary: &protocol.StepSummary{BestGoal: query.NoResult, MinFrontier: query.NoResult}},
 		&protocol.DeltaBatch{
 			Version: 3,
 			Ops: []delta.Op{
@@ -223,9 +229,9 @@ func TestCodecGoldenFrames(t *testing.T) {
 
 // TestCodecAllocs pins the codec's allocations: Encode allocates the one
 // frame it returns, appendFrame into a buffer large enough nothing (the TCP
-// sender's reused buffer), and Decode the message plus one array per
-// non-empty list, for every sample. A coder moved to the heap shows here
-// first.
+// sender's reused buffer), and Decode the message, each struct it points to
+// and one array per non-empty list, for every sample. A coder moved to the
+// heap shows here first.
 func TestCodecAllocs(t *testing.T) {
 	for i, m := range sampleMessages() {
 		if n := testing.AllocsPerRun(50, func() { Encode(m) }); n != 1 {
@@ -239,32 +245,36 @@ func TestCodecAllocs(t *testing.T) {
 		if n := testing.AllocsPerRun(50, func() { appendFrame(buf, m) }); n != 0 {
 			t.Errorf("sample %d (%T): appendFrame allocates %v times, want 0", i, m, n)
 		}
-		want := nonEmptyLists(reflect.ValueOf(m))
-		if reflect.TypeOf(m).Elem().Size() > 0 { // new(protocol.Shutdown) is free
-			want++
-		}
+		want := decodeAllocs(reflect.ValueOf(m))
 		if n := testing.AllocsPerRun(50, func() { Decode(m.Type(), frame[5:]) }); n != float64(want) {
 			t.Errorf("sample %d (%T): Decode allocates %v times, want %d", i, m, n, want)
 		}
 	}
 }
 
-// nonEmptyLists counts the non-empty slices reachable from v.
-func nonEmptyLists(v reflect.Value) int {
+// decodeAllocs counts the objects reachable from v that Decode allocates:
+// each non-nil pointer to a non-empty type (new(protocol.Shutdown) is free)
+// and each non-empty slice.
+func decodeAllocs(v reflect.Value) int {
 	n := 0
 	switch v.Kind() {
 	case reflect.Pointer:
-		n = nonEmptyLists(v.Elem())
+		if !v.IsNil() {
+			if v.Type().Elem().Size() > 0 {
+				n = 1
+			}
+			n += decodeAllocs(v.Elem())
+		}
 	case reflect.Struct:
 		for i := range v.NumField() {
-			n += nonEmptyLists(v.Field(i))
+			n += decodeAllocs(v.Field(i))
 		}
 	case reflect.Slice:
 		if v.Len() > 0 {
 			n = 1
 		}
 		for i := range v.Len() {
-			n += nonEmptyLists(v.Index(i))
+			n += decodeAllocs(v.Index(i))
 		}
 	}
 	return n

@@ -6,17 +6,20 @@ import (
 	"slices"
 
 	"qgraph/internal/graph"
+	"qgraph/internal/partition"
 	"qgraph/internal/protocol"
 	"qgraph/internal/query"
 )
 
 // barrier is the worker's half of the hybrid barrier (Sec. 3.3); the
 // controller's round is the other. It decides when a released superstep
-// may run, whether a solo query loops on locally or reports, what becomes
-// of a vertex batch, and when a StopAck is due. Its transitions read nothing
-// but the machine and their arguments — no connection, clock, table or
-// graph — and only they assign its fields.
+// may run, whether a solo query loops on locally or reports, whether the
+// workers of an implicitly continuable release go on to the next superstep
+// themselves, what becomes of a vertex batch, and when a StopAck is due.
+// Its transitions read nothing but the machine and their arguments — no
+// connection, clock, table or graph — and only they assign its fields.
 type barrier struct {
+	self    partition.WorkerID
 	gen     int32 // the recovery generation: batches of another are stale
 	queries map[query.ID]*qbar
 	// runnable queues the queries with a superstep to run, oldest first:
@@ -45,33 +48,39 @@ type stopWait struct {
 
 // qbar is one query's barrier state on this worker.
 type qbar struct {
-	monotone bool // the program's bound may end a solo loop
-	maxIters int  // 0 is unbounded
-	rel      release
-	state    relState
-	step     int32 // the next superstep to compute
+	rules protocol.Rules
+	rel   release
+	state relState
+	step  int32 // the next superstep to compute
 	// recvBatches[s] counts the batches received that superstep s sent.
 	recvBatches map[int32]int32
 	bestGoal    float64
+	// sums[s] holds the summaries of superstep s under an implicitly
+	// continuable release, by worker, this one's included once it ran s.
+	sums map[int32]map[partition.WorkerID]protocol.StepSummary
 }
 
-// release is a BarrierReady's content. A running release's step is where
-// its solo loop started.
+// release is a BarrierReady's content, or an implicit release's. A running
+// release's step is where its solo loop started.
 type release struct {
 	step, expect  int32
 	solo, drained bool
+	bestGoal      float64
+	peers         []partition.WorkerID // see protocol.BarrierReady.Peers
 }
 
 type relState uint8
 
 const (
-	idle    relState = iota // reported, or never released
-	held                    // awaiting expected batches
-	running                 // queued, or looping solo
+	idle     relState = iota // reported, or never released
+	held                     // awaiting expected batches
+	running                  // queued, or looping solo
+	deciding                 // reported, awaiting the peers' summaries
 )
 
-func newBarrier() barrier {
+func newBarrier(self partition.WorkerID) barrier {
 	return barrier{
+		self:    self,
 		queries: make(map[query.ID]*qbar),
 		early:   make(map[query.ID][]*protocol.VertexBatch),
 		markers: make(map[int32]int),
@@ -80,28 +89,33 @@ func newBarrier() barrier {
 
 // execute registers query q and returns the batches that raced ahead of
 // it, counted as received.
-func (b *barrier) execute(q query.ID, monotone bool, maxIters int) []*protocol.VertexBatch {
-	qb := &qbar{monotone: monotone, maxIters: maxIters, recvBatches: make(map[int32]int32), bestGoal: query.NoResult}
+func (b *barrier) execute(q query.ID, rules protocol.Rules) []*protocol.VertexBatch {
+	qb := &qbar{rules: rules, recvBatches: make(map[int32]int32), bestGoal: query.NoResult,
+		sums: make(map[int32]map[partition.WorkerID]protocol.StepSummary)}
 	buffered := b.early[q]
 	delete(b.early, q)
-	for _, m := range buffered {
-		qb.recvBatches[m.Step]++
-	}
 	b.queries[q] = qb
+	for _, m := range buffered {
+		b.take(q, qb, m)
+	}
 	return buffered
 }
 
 // ready takes release r of query q. It is held until r.expect batches of
 // the superstep before arrived, unless it is drained: the first release
-// after a global barrier, whose markers proved every batch in.
+// after a global barrier, whose markers proved every batch in. A release
+// may overtake the last summary a pending decision awaits, and it then
+// replaces the decision.
 func (b *barrier) ready(q query.ID, r release) error {
 	qb := b.queries[q]
 	if qb == nil {
 		return fmt.Errorf("barrierReady for unknown query %d", q)
 	}
-	if qb.state != idle {
+	if qb.state != idle && qb.state != deciding {
 		return fmt.Errorf("query %d: release of step %d while step %d's is outstanding", q, r.step, qb.rel.step)
 	}
+	maps.DeleteFunc(qb.sums, func(s int32, _ map[partition.WorkerID]protocol.StepSummary) bool { return s < r.step })
+	qb.bestGoal = min(qb.bestGoal, r.bestGoal)
 	qb.rel, qb.state = r, held
 	b.advance(q, qb)
 	return nil
@@ -121,7 +135,9 @@ func (b *barrier) advance(q query.ID, qb *qbar) {
 // query that finished here (the controller finishes a query once no
 // improving message can exist), and buffers one that raced ahead of its
 // ExecuteQuery. A batch for a superstep whose consumer ran or started is a
-// protocol error: that release counted every batch there was.
+// protocol error: that release counted every batch there was. A marker
+// carries no entries and no release counts it, so one that arrives after
+// its consumer ran, released by the controller, is dropped.
 func (b *barrier) batch(m *protocol.VertexBatch, finished bool) (deliver bool, err error) {
 	qb := b.queries[m.Q]
 	switch {
@@ -130,12 +146,63 @@ func (b *barrier) batch(m *protocol.VertexBatch, finished bool) (deliver bool, e
 	case qb == nil:
 		b.early[m.Q] = append(b.early[m.Q], m)
 		return false, nil
-	case m.Step+1 < qb.step || m.Step+1 == qb.step && qb.state == running:
+	case !m.Marker() && (m.Step+1 < qb.step || m.Step+1 == qb.step && qb.state == running):
 		return false, fmt.Errorf("query %d: batch of step %d from worker %d after step %d ran", m.Q, m.Step, m.From, m.Step+1)
 	}
-	qb.recvBatches[m.Step]++
-	b.advance(m.Q, qb)
-	return true, nil
+	b.take(m.Q, qb, m)
+	return !m.Marker(), nil
+}
+
+// take counts batch m of query q unless it is a marker, and files its
+// summary.
+func (b *barrier) take(q query.ID, qb *qbar, m *protocol.VertexBatch) {
+	if !m.Marker() {
+		qb.recvBatches[m.Step]++
+	}
+	if m.Summary != nil {
+		b.file(q, qb, m.Step, m.From, *m.Summary)
+	}
+	b.advance(q, qb)
+}
+
+// file keeps worker w's summary of superstep s of query q, unless the
+// decision on s is no longer pending (the controller's release replaced
+// it), and takes the decision once every peer's summary is in.
+func (b *barrier) file(q query.ID, qb *qbar, s int32, w partition.WorkerID, sum protocol.StepSummary) {
+	if s < qb.step-1 || s == qb.step-1 && qb.state != deciding {
+		return
+	}
+	if qb.sums[s] == nil {
+		qb.sums[s] = make(map[partition.WorkerID]protocol.StepSummary, len(qb.rel.peers))
+	}
+	qb.sums[s][w] = sum
+	b.decide(q, qb)
+}
+
+// decide takes the pending decision on the superstep q's implicitly
+// continuable release just ran, once every peer's summary is in: the one
+// of the controller's round (protocol.Rules.Decide). If the same peers
+// continue, it releases the next superstep itself; otherwise the query
+// waits for the controller.
+func (b *barrier) decide(q query.ID, qb *qbar) {
+	s := qb.step - 1
+	sums := qb.sums[s]
+	if qb.state != deciding || slices.ContainsFunc(qb.rel.peers, func(w partition.WorkerID) bool {
+		_, ok := sums[w]
+		return !ok
+	}) {
+		return
+	}
+	delete(qb.sums, s)
+	d := qb.rules.Decide(s, qb.rel.bestGoal, sums)
+	if !d.Continues(qb.rel.peers) {
+		qb.state = idle
+		return
+	}
+	qb.bestGoal = min(qb.bestGoal, d.BestGoal)
+	qb.rel = release{step: s + 1, expect: d.Expect[b.self], bestGoal: d.BestGoal, peers: qb.rel.peers}
+	qb.state = held
+	b.advance(q, qb)
 }
 
 // run pops the oldest runnable query and the superstep it computes; ok is
@@ -157,19 +224,28 @@ func (b *barrier) run() (q query.ID, step int32, ok bool) {
 // trip (the local query barrier) until a global barrier forms, a batch
 // leaves (its receiver must be released), no vertex is active next, the
 // monotone bound says nothing in flight can beat the best goal, or
-// MaxIters is reached.
+// MaxIters is reached. An implicitly continuable release reports and
+// files this worker's summary of the step for the decision.
 func (b *barrier) stepped(q query.ID, res stepResult) (report bool) {
 	qb := b.queries[q]
 	qb.step++
 	qb.bestGoal = min(qb.bestGoal, res.bestGoal)
 	if qb.rel.solo && !b.stopping && res.sentTotal == 0 && res.nActiveNext > 0 &&
-		!(qb.monotone && res.minFrontier >= qb.bestGoal) && (qb.maxIters == 0 || int(qb.step) < qb.maxIters) {
+		!(qb.rules.Monotone && res.minFrontier >= qb.bestGoal) && (qb.rules.MaxIters == 0 || int(qb.step) < qb.rules.MaxIters) {
 		b.runnable = append(b.runnable, q)
 		return false
 	}
 	qb.state = idle
+	if qb.rel.peers != nil {
+		qb.state = deciding
+		b.file(q, qb, qb.step-1, b.self, res.summary(qb.bestGoal))
+	}
 	return true
 }
+
+// peers returns the involved workers of query q's running release if it
+// is implicitly continuable, nil otherwise.
+func (b *barrier) peers(q query.ID) []partition.WorkerID { return b.queries[q].rel.peers }
 
 func (b *barrier) finish(q query.ID) {
 	delete(b.queries, q)
@@ -213,6 +289,6 @@ func (b *barrier) start() { b.stopping, b.arrived = false, nil }
 // for recovery generation gen. Recovery acts as a global barrier: the
 // worker is stopping until its GlobalStart.
 func (b *barrier) reset(gen int32) {
-	*b = newBarrier()
+	*b = newBarrier(b.self)
 	b.gen, b.stopping = gen, true
 }

@@ -22,9 +22,9 @@ func TestWorkerTransitions(t *testing.T) {
 	// solo is a machine running query 1's solo release of superstep 0.
 	solo := func(t *testing.T, monotone bool, maxIters int) *barrier {
 		t.Helper()
-		b := newBarrier()
-		b.execute(1, monotone, maxIters)
-		if err := b.ready(1, release{solo: true}); err != nil || !runs(&b, 1, 0) {
+		b := newBarrier(0)
+		b.execute(1, protocol.Rules{Monotone: monotone, MaxIters: maxIters})
+		if err := b.ready(1, release{solo: true, bestGoal: query.NoResult}); err != nil || !runs(&b, 1, 0) {
 			t.Fatalf("the solo release of step 0 did not run: %v", err)
 		}
 		return &b
@@ -50,8 +50,8 @@ func TestWorkerTransitions(t *testing.T) {
 		run  func(t *testing.T)
 	}{
 		{"a release is held until the last expected batch", func(t *testing.T) {
-			b := newBarrier()
-			b.execute(1, false, 0)
+			b := newBarrier(0)
+			b.execute(1, protocol.Rules{})
 			if err := b.ready(1, release{step: 3, expect: 2}); err != nil {
 				t.Fatal(err)
 			}
@@ -68,20 +68,20 @@ func TestWorkerTransitions(t *testing.T) {
 			}
 		}},
 		{"a drained release is not held", func(t *testing.T) {
-			b := newBarrier()
-			b.execute(1, false, 0)
+			b := newBarrier(0)
+			b.execute(1, protocol.Rules{})
 			b.ready(1, release{step: 3, expect: 2, drained: true})
 			if !runs(&b, 1, 3) {
 				t.Fatal("the drained release waited for batches")
 			}
 		}},
 		{"a batch before execute is buffered and counted at execute", func(t *testing.T) {
-			b := newBarrier()
+			b := newBarrier(0)
 			m := batch(1, 0)
 			if deliver, err := b.batch(m, false); deliver || err != nil || len(b.early[1]) != 1 {
 				t.Fatalf("deliver %v, %v, %d buffered", deliver, err, len(b.early[1]))
 			}
-			if replay := b.execute(1, false, 0); len(replay) != 1 || replay[0] != m || len(b.early) != 0 {
+			if replay := b.execute(1, protocol.Rules{}); len(replay) != 1 || replay[0] != m || len(b.early) != 0 {
 				t.Fatalf("execute replayed %v, left %v buffered", replay, b.early)
 			}
 			b.ready(1, release{step: 1, expect: 1})
@@ -90,17 +90,17 @@ func TestWorkerTransitions(t *testing.T) {
 			}
 		}},
 		{"a batch after finish is dropped", func(t *testing.T) {
-			b := newBarrier()
-			b.execute(1, false, 0)
+			b := newBarrier(0)
+			b.execute(1, protocol.Rules{})
 			b.finish(1)
 			if deliver, err := b.batch(batch(1, 0), true); deliver || err != nil || len(b.early) != 0 || len(b.queries) != 0 {
 				t.Fatalf("deliver %v, %v, early %v", deliver, err, b.early)
 			}
 		}},
 		{"a stale-generation batch is dropped", func(t *testing.T) {
-			b := newBarrier()
+			b := newBarrier(0)
 			b.reset(2)
-			b.execute(1, false, 0)
+			b.execute(1, protocol.Rules{})
 			b.ready(1, release{step: 1, expect: 1})
 			for _, q := range []query.ID{1, 2} { // live, and unknown
 				if deliver, err := b.batch(&protocol.VertexBatch{Q: q, Gen: 1}, false); deliver || err != nil || len(b.early) != 0 {
@@ -112,8 +112,8 @@ func TestWorkerTransitions(t *testing.T) {
 			}
 		}},
 		{"a batch whose consumer ran, and a second release, are errors", func(t *testing.T) {
-			b := newBarrier()
-			b.execute(1, false, 0)
+			b := newBarrier(0)
+			b.execute(1, protocol.Rules{})
 			b.ready(1, release{step: 1, expect: 1})
 			b.batch(batch(1, 0), false)
 			if err := b.ready(1, release{step: 2}); err == nil {
@@ -147,8 +147,8 @@ func TestWorkerTransitions(t *testing.T) {
 			}
 		}},
 		{"a non-solo release reports after one superstep", func(t *testing.T) {
-			b := newBarrier()
-			b.execute(1, false, 0)
+			b := newBarrier(0)
+			b.execute(1, protocol.Rules{})
 			b.ready(1, release{})
 			runs(&b, 1, 0)
 			loopEnds(t, &b, step(0, 2, 4, 9))
@@ -189,8 +189,8 @@ func TestWorkerTransitions(t *testing.T) {
 			}
 		}},
 		{"a release and its batch allocate nothing", func(t *testing.T) {
-			b := newBarrier()
-			b.execute(1, false, 0)
+			b := newBarrier(0)
+			b.execute(1, protocol.Rules{})
 			m, s := batch(1, 0), int32(0)
 			cycle := func() {
 				m.Step, s = s, s+1
@@ -205,7 +205,7 @@ func TestWorkerTransitions(t *testing.T) {
 			}
 		}},
 		{"a StopAck waits for every peer's marker, early ones included", func(t *testing.T) {
-			b := newBarrier()
+			b := newBarrier(0)
 			if _, due := b.marker(1); due {
 				t.Fatal("a marker before the GlobalStop acked")
 			}
@@ -219,7 +219,7 @@ func TestWorkerTransitions(t *testing.T) {
 			if _, due := b.ack(); due || b.wait != nil {
 				t.Fatal("the StopAck is due twice")
 			}
-			b = newBarrier()
+			b = newBarrier(0)
 			b.marker(1)
 			b.stop(1, 1)
 			if epoch, due := b.ack(); !due || epoch != 1 {
@@ -227,7 +227,7 @@ func TestWorkerTransitions(t *testing.T) {
 			}
 		}},
 		{"markers at or below the acked epoch are spent", func(t *testing.T) {
-			b := newBarrier()
+			b := newBarrier(0)
 			b.marker(3) // a peer ahead, from the next barrier
 			b.stop(2, 1)
 			b.marker(1) // a dead peer's, late
@@ -245,7 +245,7 @@ func TestWorkerTransitions(t *testing.T) {
 			}
 		}},
 		{"start ends the barrier and its moves", func(t *testing.T) {
-			b := newBarrier()
+			b := newBarrier(0)
 			b.stop(1, 0)
 			b.arrive(5)
 			b.start()
@@ -256,7 +256,7 @@ func TestWorkerTransitions(t *testing.T) {
 		{"reset clears everything and leaves the worker stopping", func(t *testing.T) {
 			b := solo(t, false, 0)
 			b.stepped(1, step(0, 2, 4, 9)) // queued
-			b.execute(2, false, 0)
+			b.execute(2, protocol.Rules{})
 			b.ready(2, release{step: 1, expect: 1}) // held
 			b.batch(batch(3, 0), false)             // buffered
 			b.stop(1, 1)

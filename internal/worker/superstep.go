@@ -29,6 +29,12 @@ type stepResult struct {
 	bestGoal    float64 // the best goal value the superstep found
 }
 
+// summary is the step's summary for the barrier's decision, with best the
+// best goal this worker has seen, the step's included.
+func (res stepResult) summary(best float64) protocol.StepSummary {
+	return protocol.StepSummary{NActiveNext: res.nActiveNext, MinFrontier: res.minFrontier, BestGoal: best, SentBatches: res.sent}
+}
+
 // stepOnce computes superstep step of query q, which the barrier queued,
 // and reports it unless the barrier loops a solo query on (the local query
 // barrier of Sec. 3.3). One superstep runs per call, so concurrent queries
@@ -49,15 +55,18 @@ func (w *Worker) stepOnce(q query.ID, step int32) error {
 	if faultpoint.Hit(faultpoint.WorkerSuperstep, int(w.id), int(q), int(step)) {
 		return faultpoint.ErrKilled
 	}
+	from := w.bar.queries[q].rel.step
 	if w.bar.stepped(q, res) {
-		w.sendSynch(q, qs, step, res)
+		w.sendSynch(q, qs, from, step, res)
 	}
 	return nil
 }
 
 // computeStep executes one superstep of qs: consume the combined inbox,
 // run the vertex function per active vertex, stage emissions, and flush
-// remote batches.
+// remote batches. Under an implicitly continuable release the last batch
+// to each other peer carries the step's summary, on a marker if the step
+// sent that peer nothing.
 func (w *Worker) computeStep(qs *queryState, step int32) stepResult {
 	box := qs.inbox[step]
 	delete(qs.inbox, step)
@@ -102,54 +111,67 @@ func (w *Worker) computeStep(qs *queryState, step int32) stepResult {
 		}
 		w.free(box)
 	}
-	// Flush remote buffers as batches and fold their values into the
-	// frontier bound.
-	for dst := 0; dst < w.k; dst++ {
-		buf := w.outBuf[dst]
+	// Remote buffers and pending activations, local ones for the next
+	// superstep and any older remote ones, bound the frontier.
+	for dst, buf := range w.outBuf {
 		if buf == nil {
 			continue
 		}
-		w.outBuf[dst] = nil
-		entries := make([]protocol.VertexMsg, 0, buf.len())
-		for i, v := range buf.keys {
-			entries = append(entries, protocol.VertexMsg{To: v, Val: buf.vals[i]})
-			res.minFrontier = min(res.minFrontier, buf.vals[i])
+		for _, val := range buf.vals {
+			res.minFrontier = min(res.minFrontier, val)
 		}
-		w.free(buf)
-		res.sent[dst] = w.sendBatch(qs.spec.ID, step, partition.WorkerID(dst), entries)
+		res.sent[dst] = int32((buf.len() + batchMsgs - 1) / batchMsgs)
 		res.sentTotal += res.sent[dst]
 	}
-
-	// Pending activations, local ones for the next superstep and any older
-	// remote ones, also bound the frontier.
 	for _, box := range qs.inbox {
 		for _, val := range box.vals {
 			res.minFrontier = min(res.minFrontier, val)
 		}
 	}
 	res.nActiveNext = int32(qs.inbox[step+1].len())
+
+	var sum *protocol.StepSummary
+	peers := w.bar.peers(spec.ID)
+	if peers != nil {
+		s := res.summary(min(w.bar.queries[spec.ID].bestGoal, res.bestGoal))
+		sum = &s
+	}
+	for dst, buf := range w.outBuf {
+		var entries []protocol.VertexMsg
+		if buf != nil {
+			w.outBuf[dst] = nil
+			entries = make([]protocol.VertexMsg, 0, buf.len())
+			for i, v := range buf.keys {
+				entries = append(entries, protocol.VertexMsg{To: v, Val: buf.vals[i]})
+			}
+			w.free(buf)
+		}
+		last := sum
+		if partition.WorkerID(dst) == w.id || !slices.Contains(peers, partition.WorkerID(dst)) {
+			last = nil
+		}
+		w.sendBatch(spec.ID, step, partition.WorkerID(dst), entries, last)
+	}
 	return res
 }
 
-// sendBatch ships entries to worker dst, splitting them into batches of
-// batchMsgs, and returns the number of batches sent.
-func (w *Worker) sendBatch(q query.ID, step int32, dst partition.WorkerID, entries []protocol.VertexMsg) int32 {
-	var batches int32
-	for len(entries) > 0 {
+// sendBatch ships entries to worker dst, split into batches of batchMsgs,
+// the last carrying sum; with no entries, sum goes on a marker.
+func (w *Worker) sendBatch(q query.ID, step int32, dst partition.WorkerID, entries []protocol.VertexMsg, sum *protocol.StepSummary) {
+	for len(entries) > 0 || sum != nil {
 		n := min(len(entries), batchMsgs)
-		w.conn.Send(protocol.WorkerNode(dst), &protocol.VertexBatch{
-			Q: q, Step: step, From: w.id, Gen: w.bar.gen, Entries: entries[:n:n],
-		})
-		entries = entries[n:]
-		batches++
+		m := &protocol.VertexBatch{Q: q, Step: step, From: w.id, Gen: w.bar.gen, Entries: entries[:n:n]}
+		if entries = entries[n:]; len(entries) == 0 {
+			m.Summary, sum = sum, nil
+		}
+		w.conn.Send(protocol.WorkerNode(dst), m)
 	}
-	return batches
 }
 
-// sendSynch reports the supersteps of query q's release, the last of them
-// step, to the controller with the scope size piggybacked (Sec. 3.4);
-// intersections wait for a StatsPull.
-func (w *Worker) sendSynch(q query.ID, qs *queryState, step int32, res stepResult) {
+// sendSynch reports the supersteps from to step of query q's release to
+// the controller with the scope size piggybacked (Sec. 3.4); intersections
+// wait for a StatsPull.
+func (w *Worker) sendSynch(q query.ID, qs *queryState, from, step int32, res stepResult) {
 	qb := w.bar.queries[q]
 	computeNS, processed, newBlocks := qs.computeNS, qs.processed, qs.newBlocks
 	qs.computeNS, qs.processed, qs.newBlocks = 0, 0, nil // the message keeps the slice
@@ -157,8 +179,8 @@ func (w *Worker) sendSynch(q query.ID, qs *queryState, step int32, res stepResul
 	w.conn.Send(protocol.ControllerNode, &protocol.BarrierSynch{
 		Q: q, W: w.id,
 		Step:        step,
-		FromStep:    qb.rel.step,
-		LocalIters:  step - qb.rel.step,
+		FromStep:    from,
+		LocalIters:  step - from,
 		Processed:   processed,
 		NActiveNext: res.nActiveNext,
 		ComputeNS:   computeNS,

@@ -153,15 +153,15 @@ func TestTwoRunsSendIdenticalBytes(t *testing.T) {
 	}
 	script := []protocol.Message{
 		&protocol.ExecuteQuery{Spec: query.Spec{ID: 1, Kind: query.KindSSSP, Source: 0, Target: graph.NilVertex}},
-		&protocol.BarrierReady{Q: 1, Step: 0},
+		&protocol.BarrierReady{Q: 1, Step: 0, BestGoal: query.NoResult},
 		&protocol.VertexBatch{Q: 1, Step: 0, From: 1, Entries: inFromPeer},
-		&protocol.BarrierReady{Q: 1, Step: 1, Expect: 1},
+		&protocol.BarrierReady{Q: 1, Step: 1, Expect: 1, BestGoal: query.NoResult},
 		&protocol.ExecuteQuery{Spec: query.Spec{ID: 2, Kind: query.KindPageRank, Source: 0, Target: graph.NilVertex, MaxIters: 4}},
-		&protocol.BarrierReady{Q: 2, Step: 0},
+		&protocol.BarrierReady{Q: 2, Step: 0, BestGoal: query.NoResult},
 		&protocol.VertexBatch{Q: 2, Step: 0, From: 1, Entries: inFromPeer},
-		&protocol.BarrierReady{Q: 2, Step: 1, Expect: 1},
+		&protocol.BarrierReady{Q: 2, Step: 1, Expect: 1, BestGoal: query.NoResult},
 		&protocol.ExecuteQuery{Spec: query.Spec{ID: 3, Kind: query.KindBFS, Source: 130, Target: graph.NilVertex}},
-		&protocol.BarrierReady{Q: 3, Step: 0, Solo: true},
+		&protocol.BarrierReady{Q: 3, Step: 0, Solo: true, BestGoal: query.NoResult},
 		&protocol.QueryFinish{Q: 3, Reason: protocol.FinishConverged},
 		&protocol.StatsPull{Seq: 1},
 		&protocol.QueryFinish{Q: 1, Reason: protocol.FinishConverged},

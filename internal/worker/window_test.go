@@ -95,7 +95,7 @@ func (s *syncWorker) runQuery(q query.ID, src graph.VertexID, iters int) *protoc
 	s.deliver(&protocol.ExecuteQuery{Spec: query.Spec{
 		ID: q, Kind: query.KindBFS, Source: src, Target: graph.NilVertex, MaxIters: iters,
 	}})
-	s.deliver(&protocol.BarrierReady{Q: q, Step: 0, Solo: true})
+	s.deliver(&protocol.BarrierReady{Q: q, Step: 0, Solo: true, BestGoal: query.NoResult})
 	last, ok := s.conn.sent[len(s.conn.sent)-1].(*protocol.BarrierSynch)
 	if !ok || last.Q != q {
 		s.t.Fatalf("last message is not query %d's report: %+v", q, s.conn.sent[len(s.conn.sent)-1])
@@ -207,7 +207,7 @@ func TestPairReportedByLaterFinisher(t *testing.T) {
 	// Query 2 starts, stops early (a non-solo release is one superstep) and
 	// is live while query 3 runs from the same source to the end.
 	s.deliver(&protocol.ExecuteQuery{Spec: query.Spec{ID: 2, Kind: query.KindBFS, Source: 150, Target: graph.NilVertex, MaxIters: 60}})
-	s.deliver(&protocol.BarrierReady{Q: 2, Step: 0})
+	s.deliver(&protocol.BarrierReady{Q: 2, Step: 0, BestGoal: query.NoResult})
 	s.runQuery(3, 150, 60)
 	final13 := mapOverlap(vertsSig(s.w.finished[1].verts), vertsSig(s.w.finished[3].verts))
 	if final13 == 0 {
@@ -218,7 +218,7 @@ func TestPairReportedByLaterFinisher(t *testing.T) {
 	if rep := s.pull(); !slices.Equal(rep.Pairs, want) {
 		t.Fatalf("with 2 live the pull reports %+v, want %+v", rep.Pairs, want)
 	}
-	s.deliver(&protocol.BarrierReady{Q: 2, Step: 1, Solo: true})
+	s.deliver(&protocol.BarrierReady{Q: 2, Step: 1, Solo: true, BestGoal: query.NoResult})
 	s.deliver(&protocol.QueryFinish{Q: 2, Reason: protocol.FinishMaxIters})
 	want = []protocol.IntersectionStat{{Q1: 3, Q2: 1, Shared: final13}, {Q1: 2, Q2: 1, Shared: final13}, {Q1: 2, Q2: 3, Shared: int32(len(s.w.finished[3].verts))}}
 	if rep := s.pull(); !slices.Equal(rep.Pairs, want) {
@@ -421,7 +421,7 @@ func TestSynchReportsNewBlocksOnce(t *testing.T) {
 	s.deliver(&protocol.ExecuteQuery{Spec: query.Spec{ID: 1, Kind: query.KindBFS, Source: 100, Target: graph.NilVertex}})
 	var reports [][]int32
 	step := func(st int32) {
-		s.deliver(&protocol.BarrierReady{Q: 1, Step: st})
+		s.deliver(&protocol.BarrierReady{Q: 1, Step: st, BestGoal: query.NoResult})
 		reports = append(reports, s.conn.sent[len(s.conn.sent)-1].(*protocol.BarrierSynch).NewBlocks)
 	}
 	for st := int32(0); st <= 40; st++ { // the flood reaches 60..140: blocks 0, 1 and 2

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -172,7 +173,7 @@ func New(cfg Config, conn transport.Conn) (*Worker, error) {
 		owner:    cfg.Owner.Clone(),
 		queries:  make(map[query.ID]*queryState),
 		finished: make(map[query.ID]*finishedScope),
-		bar:      newBarrier(),
+		bar:      newBarrier(cfg.ID),
 		outBuf:   make([]*table, cfg.K),
 		joining:  cfg.Rejoin,
 	}
@@ -291,7 +292,7 @@ func (w *Worker) Handle(env transport.Envelope) (stop bool, err error) {
 	case *protocol.ExecuteQuery:
 		err = w.onExecute(m)
 	case *protocol.BarrierReady:
-		err = w.bar.ready(m.Q, release{step: m.Step, expect: m.Expect, solo: m.Solo, drained: m.Drained})
+		err = w.onReady(m)
 	case *protocol.QueryFinish:
 		w.onFinish(m)
 	case *protocol.StatsPull:
@@ -508,7 +509,7 @@ func (w *Worker) onExecute(m *protocol.ExecuteQuery) error {
 	}
 	// Replay any batches that raced ahead of this broadcast on a
 	// worker-worker link.
-	for _, b := range w.bar.execute(m.Spec.ID, prog.Monotone(), m.Spec.MaxIters) {
+	for _, b := range w.bar.execute(m.Spec.ID, protocol.Rules{Monotone: prog.Monotone(), MaxIters: m.Spec.MaxIters}) {
 		if err := w.merge(qs, b); err != nil {
 			return err
 		}
@@ -550,6 +551,19 @@ func (w *Worker) combineIn(qs *queryState, s int32, v graph.VertexID, val float6
 		qs.inbox[s] = box
 	}
 	box.combine(v, val, qs.prog)
+}
+
+// onReady hands a release to the barrier. Peers, ids off the wire, must
+// name workers of the K and this one among them.
+func (w *Worker) onReady(m *protocol.BarrierReady) error {
+	if err := w.checkIDs(nil, m.Peers); err != nil {
+		return fmt.Errorf("query %d release: %w", m.Q, err)
+	}
+	if m.Peers != nil && !slices.Contains(m.Peers, w.id) {
+		return fmt.Errorf("query %d release: peers %v without worker %d", m.Q, m.Peers, w.id)
+	}
+	return w.bar.ready(m.Q, release{step: m.Step, expect: m.Expect, solo: m.Solo, drained: m.Drained,
+		bestGoal: m.BestGoal, peers: m.Peers})
 }
 
 // onVertexBatch merges the batches the barrier delivers.

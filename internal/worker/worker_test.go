@@ -98,7 +98,7 @@ func TestSingleWorkerQueryLifecycle(t *testing.T) {
 	h := newHarness(t, 1)
 	spec := query.Spec{ID: 7, Kind: query.KindBFS, Source: 0, Target: graph.NilVertex}
 	h.send(0, &protocol.ExecuteQuery{Spec: spec})
-	h.send(0, &protocol.BarrierReady{Q: 7, Step: 0})
+	h.send(0, &protocol.BarrierReady{Q: 7, Step: 0, BestGoal: query.NoResult})
 
 	s := h.recvSynch()
 	if s.Q != 7 || s.W != 0 || s.Step != 0 || s.Processed != 1 {
@@ -109,7 +109,7 @@ func TestSingleWorkerQueryLifecycle(t *testing.T) {
 	}
 	// Drive remaining steps one at a time (non-solo release).
 	for step := int32(1); ; step++ {
-		h.send(0, &protocol.BarrierReady{Q: 7, Step: step})
+		h.send(0, &protocol.BarrierReady{Q: 7, Step: step, BestGoal: query.NoResult})
 		s = h.recvSynch()
 		if s.Step != step {
 			t.Fatalf("synch for step %d, want %d", s.Step, step)
@@ -135,7 +135,7 @@ func TestSoloLoopReportsOnce(t *testing.T) {
 	h := newHarness(t, 1)
 	spec := query.Spec{ID: 9, Kind: query.KindBFS, Source: 0, Target: graph.NilVertex}
 	h.send(0, &protocol.ExecuteQuery{Spec: spec})
-	h.send(0, &protocol.BarrierReady{Q: 9, Step: 0, Solo: true})
+	h.send(0, &protocol.BarrierReady{Q: 9, Step: 0, Solo: true, BestGoal: query.NoResult})
 	s := h.recvSynch()
 	// Line graph 0→4: activations at steps 0..4, step 4 activates nothing
 	// beyond vertex 4... vertex 4's compute at step 4 emits to 3 (worse,
@@ -158,15 +158,15 @@ func TestRemoteBatchesAndExpect(t *testing.T) {
 	spec := query.Spec{ID: 11, Kind: query.KindBFS, Source: 2, Target: graph.NilVertex}
 	h.send(0, &protocol.ExecuteQuery{Spec: spec})
 	h.send(1, &protocol.ExecuteQuery{Spec: spec})
-	h.send(0, &protocol.BarrierReady{Q: 11, Step: 0})
+	h.send(0, &protocol.BarrierReady{Q: 11, Step: 0, BestGoal: query.NoResult})
 	s := h.recvSynch()
 	if s.W != 0 || s.SentBatches[1] != 1 {
 		t.Fatalf("step0 synch: %+v", s)
 	}
 	// Release worker 1 for step 1 expecting that batch; worker 0 also has
 	// local activation (vertex 1).
-	h.send(0, &protocol.BarrierReady{Q: 11, Step: 1})
-	h.send(1, &protocol.BarrierReady{Q: 11, Step: 1, Expect: 1})
+	h.send(0, &protocol.BarrierReady{Q: 11, Step: 1, BestGoal: query.NoResult})
+	h.send(1, &protocol.BarrierReady{Q: 11, Step: 1, Expect: 1, BestGoal: query.NoResult})
 	got := map[partition.WorkerID]*protocol.BarrierSynch{}
 	for len(got) < 2 {
 		s := h.recvSynch()
@@ -194,7 +194,7 @@ func TestOneBatchPerPeerPerSuperstep(t *testing.T) {
 		}
 		s := newSyncWorkerOn(t, 2, b.MustBuild(), owner)
 		s.deliver(&protocol.ExecuteQuery{Spec: query.Spec{ID: 1, Kind: query.KindBFS, Source: 0, Target: graph.NilVertex}})
-		s.deliver(&protocol.BarrierReady{Q: 1, Step: 0})
+		s.deliver(&protocol.BarrierReady{Q: 1, Step: 0, BestGoal: query.NoResult})
 		batches, entries := 0, 0
 		var synch *protocol.BarrierSynch
 		for _, m := range s.conn.sent {
@@ -228,7 +228,7 @@ func TestEarlyBatchBuffered(t *testing.T) {
 		t.Fatal(err)
 	}
 	h2.send(1, &protocol.ExecuteQuery{Spec: spec})
-	h2.send(1, &protocol.BarrierReady{Q: 13, Step: 1, Expect: 1})
+	h2.send(1, &protocol.BarrierReady{Q: 13, Step: 1, Expect: 1, BestGoal: query.NoResult})
 	s := h2.recvSynch()
 	if s.W != 1 || s.Processed != 1 {
 		t.Fatalf("replayed batch not processed: %+v", s)
@@ -246,7 +246,7 @@ func TestGlobalBarrierProtocol(t *testing.T) {
 		spec := query.Spec{ID: 21, Kind: query.KindBFS, Source: 0, Target: graph.NilVertex}
 		h.send(0, &protocol.ExecuteQuery{Spec: spec})
 		h.send(1, &protocol.ExecuteQuery{Spec: spec})
-		h.send(0, &protocol.BarrierReady{Q: 21, Step: 0, Solo: true})
+		h.send(0, &protocol.BarrierReady{Q: 21, Step: 0, Solo: true, BestGoal: query.NoResult})
 		s := h.recvSynch() // worker 0 runs until it must send to worker 1
 		if s.SentBatches[1] == 0 {
 			t.Fatalf("expected boundary crossing, got %+v", s)
@@ -281,8 +281,8 @@ func TestGlobalBarrierProtocol(t *testing.T) {
 		// Resume: release both with drained. Worker 1 holds the batch,
 		// everything the query touched and its pending messages; worker 0 is
 		// empty.
-		h.send(0, &protocol.BarrierReady{Q: 21, Step: s.Step + 1, Drained: true})
-		h.send(1, &protocol.BarrierReady{Q: 21, Step: s.Step + 1, Drained: true})
+		h.send(0, &protocol.BarrierReady{Q: 21, Step: s.Step + 1, Drained: true, BestGoal: query.NoResult})
+		h.send(1, &protocol.BarrierReady{Q: 21, Step: s.Step + 1, Drained: true, BestGoal: query.NoResult})
 		got := map[partition.WorkerID]*protocol.BarrierSynch{}
 		for len(got) < 2 {
 			r := h.recvSynch()
