@@ -138,13 +138,77 @@ func TestRoundTransitions(t *testing.T) {
 			})
 			r.collect()
 			r.release(workers(0), nil, false)
+			r.report(synch(1, 0, 2, nil)) // held
 			r.restart()
 			if r.stepsDone != 1 || r.localSteps != 1 {
 				t.Fatalf("%d steps, %d local: the restart lost work done", r.stepsDone, r.localSteps)
 			}
-			if r.step != -1 || r.outstanding || r.involved != nil || r.scopeSizes[0] != 0 || r.everActive[0] ||
+			if r.step != -1 || r.outstanding || r.involved != nil || r.held != nil || r.scopeSizes[0] != 0 || r.everActive[0] ||
 				len(r.blocks) != 0 || r.bestGoal != query.NoResult {
 				t.Fatalf("restarted round %+v", *r)
+			}
+		}},
+		{name: "a superstep that keeps its workers busy continues implicitly", mode: SyncHybrid, run: func(t *testing.T, r *round) {
+			r.release(workers(0, 1), nil, false)
+			if !slices.Equal(r.peers, []partition.WorkerID{0, 1}) {
+				t.Fatalf("peers %v of a two-worker hybrid release", r.peers)
+			}
+			report(t, r, 0, 0, func(s *protocol.BarrierSynch) { active(s); s.SentBatches[1] = 1 })
+			report(t, r, 1, 0, active)
+			if d, implicit := r.collect(); !implicit || !maps.Equal(d.Expect, map[partition.WorkerID]int32{1: 1}) {
+				t.Fatalf("decision %+v, implicit %v", d, implicit)
+			}
+		}},
+		{name: "a superstep that grows its set is released by the controller", mode: SyncHybrid, run: func(t *testing.T, r *round) {
+			r.release(workers(0, 1), nil, false)
+			report(t, r, 0, 0, active)
+			report(t, r, 1, 0, func(s *protocol.BarrierSynch) { active(s); s.SentBatches[2] = 1 })
+			if d, implicit := r.collect(); implicit || !maps.Equal(d.Next, workers(0, 1, 2)) {
+				t.Fatalf("decision %+v, implicit %v", d, implicit)
+			}
+		}},
+		{name: "a peer sent only its marker awaits no batch", mode: SyncHybrid, run: func(t *testing.T, r *round) {
+			r.release(workers(0, 1), nil, false)
+			report(t, r, 0, 0, active)
+			report(t, r, 1, 0, active)
+			if d, implicit := r.collect(); !implicit || len(d.Expect) != 0 {
+				t.Fatalf("decision %+v, implicit %v", d, implicit)
+			}
+		}},
+		{name: "a report on the implicitly released superstep waits for its release", mode: SyncHybrid, run: func(t *testing.T, r *round) {
+			r.release(workers(0, 1), nil, false)
+			report(t, r, 0, 0, active)
+			if complete, held, err := r.report(synch(1, 0, 1, active)); complete || !held || err != nil {
+				t.Fatalf("worker 0's report on step 1: complete %v, held %v, %v", complete, held, err)
+			}
+			if !report(t, r, 1, 0, active) {
+				t.Fatal("step 0 incomplete with both reports in")
+			}
+			if _, implicit := r.collect(); !implicit {
+				t.Fatal("step 0 did not continue implicitly")
+			}
+			r.release(r.involved, nil, false)
+			due := r.unhold()
+			if len(due) != 1 || due[0].Step != 1 || len(r.held) != 0 {
+				t.Fatalf("unheld %v, still held %v", due, r.held)
+			}
+			if complete, _, err := r.report(due[0]); complete || err != nil {
+				t.Fatalf("the held report: complete %v, %v", complete, err)
+			}
+			if !report(t, r, 1, 1, active) || r.step != 0 {
+				t.Fatalf("step 1 incomplete with both reports in, or collected early (step %d)", r.step)
+			}
+		}},
+		{name: "limited and global never continue implicitly", mode: SyncLimited, run: func(t *testing.T, r *round) {
+			for _, mode := range []SyncMode{SyncLimited, SyncGlobal} {
+				r.mode = mode
+				r.release(workers(0, 1, 2), nil, false)
+				for w := range partition.WorkerID(3) {
+					report(t, r, w, r.step+1, active)
+				}
+				if d, implicit := r.collect(); implicit || r.peers != nil || d.End != 0 {
+					t.Fatalf("%s: decision %+v, implicit %v, peers %v", mode, d, implicit, r.peers)
+				}
 			}
 		}},
 		{name: "the result counts the scope, its workers and its blocks", mode: SyncHybrid, run: func(t *testing.T, r *round) {

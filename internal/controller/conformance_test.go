@@ -32,10 +32,10 @@ type conformanceRow struct {
 // schedule:
 //   - every answer equals the sequential reference (graph.DijkstraTo,
 //     graph.BFSHops, query.RefPageRank);
-//   - a worker reports a superstep only under a release: one the
-//     controller sent, or an implicit one that the decision
+//   - a worker reports a superstep only under a release, and once: one
+//     the controller sent, or an implicit one that the decision
 //     (protocol.Rules.Decide) over every peer's report on the superstep
-//     before allowed;
+//     before allowed, never both;
 //   - every non-drained release runs with exactly Expect batches of the
 //     superstep before delivered, markers not counted, and no batch but a
 //     marker arrives after the superstep that consumes it ran;
@@ -86,8 +86,9 @@ type conformanceRun struct {
 	specs   []query.Spec
 	results []chan Result
 
-	releases map[wqs]*protocol.BarrierReady // delivered to w, or implicit, by (w, q, step)
-	batches  map[wqs]int32                  // VertexBatches of (q, step) delivered to w, markers aside
+	releases   map[wqs]*protocol.BarrierReady // delivered to w, or implicit, by (w, q, step)
+	implicitly map[wqs]bool                   // the releases of releases that were implicit
+	batches    map[wqs]int32                  // VertexBatches of (q, step) delivered to w, markers aside
 	// sums[(-, q, step)] holds the reports under an implicitly continuable
 	// release, by worker.
 	sums     map[wqs]map[partition.WorkerID]protocol.StepSummary
@@ -112,12 +113,13 @@ func (row conformanceRow) setup(t *testing.T, seed uint64) *conformanceRun {
 	n := s.g.NumVertices()
 	r := &conformanceRun{
 		row: row, rng: rng, s: s,
-		releases: make(map[wqs]*protocol.BarrierReady),
-		batches:  make(map[wqs]int32),
-		sums:     make(map[wqs]map[partition.WorkerID]protocol.StepSummary),
-		reported: make(map[wqs]bool),
-		stopping: make([]bool, row.k),
-		ended:    make(map[query.ID]protocol.FinishReason),
+		releases:   make(map[wqs]*protocol.BarrierReady),
+		batches:    make(map[wqs]int32),
+		sums:       make(map[wqs]map[partition.WorkerID]protocol.StepSummary),
+		implicitly: make(map[wqs]bool),
+		reported:   make(map[wqs]bool),
+		stopping:   make([]bool, row.k),
+		ended:      make(map[query.ID]protocol.FinishReason),
 	}
 	s.delivered, s.observe = r.delivered, r.observe
 	for i := range 3 {
@@ -188,6 +190,9 @@ func (r *conformanceRun) force() {
 func (r *conformanceRun) delivered(w partition.WorkerID, msg protocol.Message) error {
 	switch m := msg.(type) {
 	case *protocol.BarrierReady:
+		if r.implicitly[wqs{w, m.Q, m.Step}] {
+			return fmt.Errorf("worker %d got the controller's release of query %d's step %d, which it released itself", w, m.Q, m.Step)
+		}
 		r.releases[wqs{w, m.Q, m.Step}] = m
 	case *protocol.VertexBatch:
 		if m.Marker() {
@@ -238,6 +243,9 @@ func (r *conformanceRun) report(w partition.WorkerID, m *protocol.BarrierSynch) 
 		return fmt.Errorf("worker %d ran query %d's step %d with %d batches, Expect %d", w, m.Q, m.FromStep, got, rel.Expect)
 	}
 	for s := m.FromStep; s <= m.Step; s++ {
+		if r.reported[wqs{w, m.Q, s}] {
+			return fmt.Errorf("worker %d reported query %d's step %d twice", w, m.Q, s)
+		}
 		r.reported[wqs{w, m.Q, s}] = true
 	}
 	if rel.Peers != nil {
@@ -281,6 +289,7 @@ func (r *conformanceRun) implicit(w partition.WorkerID, m *protocol.BarrierSynch
 		return
 	}
 	for _, p := range rel.Peers {
+		r.implicitly[wqs{p, m.Q, m.Step + 1}] = true
 		r.releases[wqs{p, m.Q, m.Step + 1}] = &protocol.BarrierReady{
 			Q: m.Q, Step: m.Step + 1, Expect: d.Expect[p], BestGoal: d.BestGoal, Peers: rel.Peers,
 		}

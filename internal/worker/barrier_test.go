@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"qgraph/internal/graph"
+	"qgraph/internal/partition"
 	"qgraph/internal/protocol"
 	"qgraph/internal/query"
 )
@@ -45,10 +46,104 @@ func TestWorkerTransitions(t *testing.T) {
 			t.Fatal("a superstep is queued after the report")
 		}
 	}
+	// multi is the implicitly continuable release of superstep step over
+	// workers 0 and 1; b is worker 0.
+	multi := func(step, expect int32) release {
+		return release{step: step, expect: expect, bestGoal: query.NoResult, peers: []partition.WorkerID{0, 1}}
+	}
+	// busy is a superstep of worker 0 that keeps a vertex active and sends
+	// worker 1 a batch.
+	busy := stepResult{sent: []int32{0, 1}, sentTotal: 1, nActiveNext: 1, minFrontier: 1, bestGoal: query.NoResult}
+	// summary is worker 1's summary of superstep step on its last batch to
+	// worker 0, with entries unless it is a marker; sent is by destination.
+	summary := func(step int32, marker bool, sent ...int32) *protocol.VertexBatch {
+		m := &protocol.VertexBatch{Q: 1, Step: step, From: 1, Summary: &protocol.StepSummary{
+			NActiveNext: 1, MinFrontier: 1, BestGoal: query.NoResult, SentBatches: sent}}
+		if !marker {
+			m.Entries = []protocol.VertexMsg{{To: 0, Val: 1}}
+		}
+		return m
+	}
+	// deciding is worker 0 after it ran superstep 1 of a multi release and
+	// reported, awaiting worker 1's summary.
+	deciding := func(t *testing.T) *barrier {
+		t.Helper()
+		b := newBarrier(0)
+		b.execute(1, protocol.Rules{})
+		b.ready(1, multi(1, 0))
+		if !runs(&b, 1, 1) || !b.stepped(1, busy) || b.queries[1].state != deciding {
+			t.Fatal("superstep 1 of the multi release did not report and await the decision")
+		}
+		return &b
+	}
 	cases := []struct {
 		name string
 		run  func(t *testing.T)
 	}{
+		{"peers that keep each other busy release the next superstep themselves", func(t *testing.T) {
+			b := deciding(t)
+			if deliver, err := b.batch(summary(1, false, 1, 0), false); !deliver || err != nil {
+				t.Fatalf("the summary's entries: deliver %v, %v", deliver, err)
+			}
+			if !runs(b, 1, 2) {
+				t.Fatal("the decision did not release superstep 2")
+			}
+			if rel := b.queries[1].rel; rel.step != 2 || rel.expect != 1 || len(rel.peers) != 2 {
+				t.Fatalf("implicit release %+v, want step 2 expecting 1 batch over both peers", rel)
+			}
+		}},
+		{"a summary that grows the involved set leaves the release to the controller", func(t *testing.T) {
+			b := deciding(t)
+			b.batch(summary(1, false, 1, 0, 1), false) // worker 1 also sent worker 2 a batch
+			if _, _, ok := b.run(); ok || b.queries[1].state != idle {
+				t.Fatal("the workers went on without worker 2")
+			}
+			if err := b.ready(1, release{step: 2, expect: 1, bestGoal: query.NoResult}); err != nil || !runs(b, 1, 2) {
+				t.Fatalf("the controller's release of superstep 2 did not run: %v", err)
+			}
+		}},
+		{"a release that overtakes the last summary replaces the pending decision", func(t *testing.T) {
+			b := deciding(t)
+			if err := b.ready(1, release{step: 2, expect: 1, bestGoal: query.NoResult}); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, ok := b.run(); ok {
+				t.Fatal("superstep 2 ran before worker 1's batch")
+			}
+			b.batch(summary(1, false, 1, 0), false)
+			if !runs(b, 1, 2) || b.queries[1].rel.peers != nil {
+				t.Fatalf("superstep 2 did not run under the controller's release: %+v", b.queries[1].rel)
+			}
+			if _, _, ok := b.run(); ok {
+				t.Fatal("superstep 2 was released twice")
+			}
+		}},
+		{"a marker whose consumer the controller released and ran is dropped", func(t *testing.T) {
+			b := deciding(t)
+			b.ready(1, release{step: 2, bestGoal: query.NoResult})
+			runs(b, 1, 2)
+			if deliver, err := b.batch(summary(1, true, 0, 0), false); deliver || err != nil {
+				t.Fatalf("the late marker: deliver %v, %v", deliver, err)
+			}
+			if _, err := b.batch(summary(1, false, 0, 0), false); err == nil {
+				t.Fatal("a late batch with entries was taken")
+			}
+		}},
+		{"a summary that overtakes its own superstep here waits for it", func(t *testing.T) {
+			b := newBarrier(0)
+			b.execute(1, protocol.Rules{})
+			b.ready(1, multi(1, 1)) // held for a batch of superstep 0
+			if deliver, err := b.batch(summary(1, true, 0, 0), false); deliver || err != nil {
+				t.Fatalf("the early marker: deliver %v, %v", deliver, err)
+			}
+			if _, _, ok := b.run(); ok {
+				t.Fatal("the marker counted for the release")
+			}
+			b.batch(batch(1, 0), false)
+			if !runs(&b, 1, 1) || !b.stepped(1, busy) || !runs(&b, 1, 2) {
+				t.Fatal("the early summary did not decide superstep 1")
+			}
+		}},
 		{"a release is held until the last expected batch", func(t *testing.T) {
 			b := newBarrier(0)
 			b.execute(1, protocol.Rules{})
@@ -172,6 +267,13 @@ func TestWorkerTransitions(t *testing.T) {
 			b.stepped(1, step(0, 2, 4, 9))
 			runs(b, 1, 1)
 			loopEnds(t, b, step(0, 2, 9, query.NoResult)) // the bound holds the goal found before
+		}},
+		{"the release's best goal bounds a solo loop", func(t *testing.T) {
+			b := newBarrier(0)
+			b.execute(1, protocol.Rules{Monotone: true})
+			b.ready(1, release{solo: true, bestGoal: 5}) // a goal another worker found
+			runs(&b, 1, 0)
+			loopEnds(t, &b, step(0, 2, 6, query.NoResult))
 		}},
 		{"MaxIters ends a solo loop", func(t *testing.T) {
 			b := solo(t, false, 2)
