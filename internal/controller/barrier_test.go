@@ -3,6 +3,7 @@ package controller
 import (
 	"fmt"
 	"maps"
+	"math/rand/v2"
 	"slices"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"qgraph/internal/obs"
 	"qgraph/internal/partition"
 	"qgraph/internal/protocol"
+	"qgraph/internal/qcut"
 	"qgraph/internal/query"
 	"qgraph/internal/transport"
 )
@@ -346,5 +348,115 @@ func BenchmarkMultiWorkerRound(b *testing.B) {
 				round()
 			}
 		})
+	}
+}
+
+// TestImplicitReleaseSavesBarrierReady counts the BarrierReady messages a
+// PageRank over K4, whose vertices alternate between two workers, takes on
+// the sim: superstep 0 runs on the source's worker alone, and the next
+// steps supersteps on both. In the hybrid mode the workers release every
+// superstep after the first of those themselves, so the controller sends
+// one BarrierReady for superstep 0 and one per worker for superstep 1; the
+// limited mode sends one per worker and superstep, and the global mode one
+// per worker and superstep, superstep 0 included.
+func TestImplicitReleaseSavesBarrierReady(t *testing.T) {
+	const steps = 6
+	b := graph.NewBuilder(4)
+	for u := range graph.VertexID(4) {
+		for v := u + 1; v < 4; v++ {
+			b.AddBiEdge(u, v, 1)
+		}
+	}
+	g := b.MustBuild()
+	for _, tc := range []struct {
+		mode SyncMode
+		want int
+	}{{SyncHybrid, 1 + 2}, {SyncLimited, 1 + 2*steps}, {SyncGlobal, 2 + 2*steps}} {
+		for seed := uint64(1); seed <= 5; seed++ {
+			s, err := newSim(rand.New(rand.NewPCG(seed, 0)), g, partition.Assignment{0, 1, 0, 1}, 2,
+				func(cfg *Config) { cfg.Mode = tc.mode })
+			if err != nil {
+				t.Fatal(err)
+			}
+			readies := 0
+			s.delivered = func(_ partition.WorkerID, m protocol.Message) error {
+				if _, ok := m.(*protocol.BarrierReady); ok {
+					readies++
+				}
+				return nil
+			}
+			ch := make(chan Result, 1)
+			s.c.onSchedule(scheduleReq{spec: query.Spec{ID: 1, Kind: query.KindPageRank, Source: 0, Target: graph.NilVertex,
+				MaxIters: 1 + steps, Epsilon: 1e-3}, ch: ch})
+			if err := s.run(); err != nil {
+				t.Fatalf("%s seed %d: %v", tc.mode, seed, err)
+			}
+			if res := <-ch; res.Reason != protocol.FinishMaxIters || res.Supersteps != 1+steps || readies != tc.want {
+				t.Fatalf("%s seed %d: %v after %d supersteps with %d BarrierReady, want %v after %d with %d",
+					tc.mode, seed, res.Reason, res.Supersteps, readies, protocol.FinishMaxIters, 1+steps, tc.want)
+			}
+		}
+	}
+}
+
+// TestMovedGoalQueryEndsEarly: an SSSP whose goal worker 0 found (the
+// target, at 10 over one heavy edge) while its frontier still walks a
+// chain of unit edges has its scope moved to worker 1 by a global barrier.
+// Worker 1 never found the goal itself, but every release carries the
+// controller's best goal, so its solo loop stops once the frontier reaches
+// 10 and the query ends early there, not at the chain's end.
+func TestMovedGoalQueryEndsEarly(t *testing.T) {
+	const n = 21 // 0→1 weighs 10; 0→2→3→…→20 weigh 1 each
+	b := graph.NewBuilder(n)
+	b.AddEdge(0, 1, 10)
+	b.AddEdge(0, 2, 1)
+	for v := graph.VertexID(2); v < n-1; v++ {
+		b.AddEdge(v, v+1, 1)
+	}
+	g := b.MustBuild()
+	owner := make(partition.Assignment, n)
+	for v := 4; v < n; v++ {
+		owner[v] = 1 // the chain leaves worker 0 at 3→4
+	}
+	for seed := uint64(1); seed <= 5; seed++ {
+		s, err := newSim(rand.New(rand.NewPCG(seed, 0)), g, owner, 2, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Once worker 0's report of the loop that found the goal is on its
+		// way, a barrier moves worker 0's scope to worker 1.
+		forced := false
+		s.turn = func(int) {
+			if l := s.net.links[int(protocol.WorkerNode(0))*s.net.n]; !forced && len(l) > 0 {
+				if _, ok := l[0].Msg.(*protocol.BarrierSynch); ok {
+					forced = true
+					s.c.adapt.trigger(minWindowQueries, 0, 0)
+					s.c.onQcutDone(qcut.Result{Moves: []qcut.Move{{Q: 1, From: 0, To: 1}}})
+				}
+			}
+		}
+		var last *protocol.BarrierSynch
+		s.observe = func(w partition.WorkerID) error {
+			for _, m := range s.net.sent {
+				if m, ok := m.(*protocol.BarrierSynch); ok {
+					last = m
+				}
+			}
+			return nil
+		}
+		ch := make(chan Result, 1)
+		s.c.onSchedule(scheduleReq{spec: query.Spec{ID: 1, Kind: query.KindSSSP, Source: 0, Target: 1}, ch: ch})
+		if err := s.run(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		res := <-ch
+		if s.c.RepartitionEpoch() != 1 || res.Reason != protocol.FinishEarly || res.Value != 10 {
+			t.Fatalf("seed %d: %d barriers, result %+v; want one barrier and an early end at 10", seed, s.c.RepartitionEpoch(), res)
+		}
+		// The loop's last superstep computes vertex 10 at 9, which sends 10.
+		if last.W != 1 || last.LocalIters == 0 || last.Step != 9 || last.MinFrontier != 10 || res.Touched != 11 {
+			t.Fatalf("seed %d: last report %+v, %d vertices touched; want worker 1's solo loop to stop after step 9, 11 touched",
+				seed, *last, res.Touched)
+		}
 	}
 }

@@ -31,6 +31,10 @@ const (
 	// worker is never flagged while its per-step compute is below it, so
 	// microsecond-scale jitter on idle graphs cannot page anyone.
 	stragglerMinMS = 1.0
+	// stragglerIdle clears every straggler flag once no worker reported
+	// compute for this long: an idle deployment runs no supersteps, so
+	// none could clear a flag the last load raised.
+	stragglerIdle = 30 * time.Second
 	// stallTimeout bounds how long a barrier phase (or an outstanding
 	// superstep) may run before the stall detector fires.
 	stallTimeout = 10 * time.Second
@@ -64,9 +68,10 @@ type Monitor struct {
 	clock  func() time.Time
 	events *EventLog
 
-	mu        sync.Mutex
-	workers   []workerState
-	stallKind map[string]bool // active stall conditions by kind (barrier, superstep)
+	mu         sync.Mutex
+	workers    []workerState
+	lastReport time.Time       // of any worker's compute
+	stallKind  map[string]bool // active stall conditions by kind (barrier, superstep)
 
 	// metrics (nil without a registry)
 	eventsTotal   map[Severity]*obs.Counter
@@ -152,6 +157,7 @@ func (m *Monitor) ObserveCompute(worker int, computeNS int64, steps, vertices in
 	var fire, clear bool
 
 	m.mu.Lock()
+	m.lastReport = m.clock()
 	m.growLocked(worker)
 	ws := &m.workers[worker]
 	sampleMS := float64(computeNS) / float64(steps) / 1e6
@@ -222,6 +228,29 @@ func (m *Monitor) ObserveCompute(worker int, computeNS int64, steps, vertices in
 	}
 	if clear {
 		m.emit(cleared)
+	}
+}
+
+// clearIdle clears every straggler flag once no worker reported compute
+// for stragglerIdle, and records each clear.
+func (m *Monitor) clearIdle() {
+	var cleared []int
+	m.mu.Lock()
+	if idle := m.clock().Sub(m.lastReport); idle >= stragglerIdle {
+		for i := range m.workers {
+			if ws := &m.workers[i]; ws.flagged {
+				ws.flagged, ws.strikes, ws.recovers = false, 0, 0
+				cleared = append(cleared, i)
+			}
+		}
+	}
+	m.mu.Unlock()
+	for _, w := range cleared {
+		m.emit(Event{
+			Type: EventStragglerClear, Severity: SevInfo, Worker: w,
+			Msg:    fmt.Sprintf("worker %d cleared: no compute reported for %s", w, stragglerIdle),
+			Fields: map[string]any{"idle_ms": durMS(stragglerIdle)},
+		})
 	}
 }
 
@@ -350,11 +379,14 @@ type HealthSnapshot struct {
 }
 
 // Snapshot reports the detectors' current verdict: degraded while a
-// worker is flagged as a straggler or a barrier is stalled.
+// worker is flagged as a straggler or a barrier is stalled. A flag lasts
+// until m healthy reports of its worker, or until no worker reported for
+// stragglerIdle.
 func (m *Monitor) Snapshot() HealthSnapshot {
 	if m == nil {
 		return HealthSnapshot{}
 	}
+	m.clearIdle()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var s HealthSnapshot

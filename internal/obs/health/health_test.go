@@ -121,6 +121,31 @@ func TestStragglerFireAndClear(t *testing.T) {
 	}
 }
 
+// TestStragglerClearsWhenIdle: a flag raised near the end of a load
+// clears once no worker reported compute for stragglerIdle, not before.
+func TestStragglerClearsWhenIdle(t *testing.T) {
+	now := time.Unix(1_000, 0)
+	m := New(Config{Clock: func() time.Time { return now }}, obs.New(nil))
+	feedHealthy(m, 1, 2)
+	for range stragglerSteps {
+		m.ObserveCompute(0, int64(20*time.Millisecond), 1, 100)
+	}
+	if s := m.Snapshot(); len(s.Stragglers) != 1 {
+		t.Fatalf("snapshot under load = %+v, want worker 0 flagged", s)
+	}
+	now = now.Add(stragglerIdle - time.Millisecond)
+	if s := m.Snapshot(); len(s.Stragglers) != 1 {
+		t.Fatalf("snapshot idle for less than the window = %+v, want worker 0 still flagged", s)
+	}
+	now = now.Add(time.Millisecond)
+	if s := m.Snapshot(); s.Degraded || len(s.Stragglers) != 0 {
+		t.Fatalf("snapshot idle for the window = %+v, want healthy", s)
+	}
+	if evs := m.Events(EventFilter{Type: EventStragglerClear}); len(evs) != 1 || evs[0].Worker != 0 {
+		t.Fatalf("clear events = %v", evs)
+	}
+}
+
 func TestStragglerNeedsPeersAndFloor(t *testing.T) {
 	m := newTestMonitor()
 	// A lone worker has no peers: never flagged however slow.
