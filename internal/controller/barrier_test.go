@@ -302,7 +302,9 @@ func TestStopClosesQuerySpans(t *testing.T) {
 // BenchmarkMultiWorkerRound is the controller's CPU for one superstep that
 // involves all k workers: k BarrierSynch reports stepped in, each announcing
 // a batch to every other worker, and the release of the next superstep out
-// over the sim's links. No worker runs.
+// over the sim's links. No worker runs. The controller runs in the limited
+// mode, which sends every release: in the hybrid one these workers would
+// release every superstep after the first themselves.
 func BenchmarkMultiWorkerRound(b *testing.B) {
 	for _, k := range []int{2, 4, 8} {
 		b.Run(fmt.Sprintf("k%d", k), func(b *testing.B) {
@@ -313,7 +315,7 @@ func BenchmarkMultiWorkerRound(b *testing.B) {
 			}
 			net := newFifoNet(k + 1)
 			now := time.Unix(1_000, 0)
-			c, err := New(Config{K: k, Graph: g, Owner: owner, HeartbeatEvery: -1, Clock: func() time.Time { return now }},
+			c, err := New(Config{K: k, Graph: g, Owner: owner, Mode: SyncLimited, HeartbeatEvery: -1, Clock: func() time.Time { return now }},
 				fifoConn{net, protocol.ControllerNode})
 			if err != nil {
 				b.Fatal(err)
