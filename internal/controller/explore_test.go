@@ -68,7 +68,7 @@ func (v exploreVariant) String() string {
 	return "plain"
 }
 
-// explorer walks the orders of one variant: seen holds the classes
+// explorer walks the orders of one variant: seen holds the states
 // (exploreRun.key) already expanded.
 type explorer struct {
 	v      exploreVariant
@@ -183,7 +183,7 @@ func (e *explorer) replay(prefix []choice) (*exploreRun, error) {
 	return r, nil
 }
 
-// take runs choice c and records it in its node's sequence.
+// take runs choice c.
 func (r *exploreRun) take(c choice) error {
 	s := r.s
 	s.net.sent = s.net.sent[:0]
@@ -207,10 +207,11 @@ func (r *exploreRun) take(c choice) error {
 	return err
 }
 
-// enabled lists the events that can come next: each link's head, each
-// worker's queued superstep (a worker with none stays as it is, so one
-// that finds none is not a branch), and the cancel once, while the query
-// is active.
+// enabled lists the events that can come next: each link's head, the
+// superstep of each worker not idle (the sim's flag: Step found nothing
+// queued and no message came since), and the cancel once, while the query
+// is active. A superstep that finds nothing queued leaves the state as it
+// was, so it is not a branch.
 func (r *exploreRun) enabled(v exploreVariant) []choice {
 	var cs []choice
 	for i, l := range r.s.net.links {
@@ -219,7 +220,7 @@ func (r *exploreRun) enabled(v exploreVariant) []choice {
 		}
 	}
 	for w := range r.s.workers {
-		if r.queued(w) {
+		if !r.s.idle[w] {
 			cs = append(cs, choice{link: stepChoice, w: w})
 		}
 	}
@@ -229,20 +230,14 @@ func (r *exploreRun) enabled(v exploreVariant) []choice {
 	return cs
 }
 
-// queued says whether worker w has a superstep to run: the order the step
-// would take already ran if the worker's sequence ends in the same events.
-// A step with nothing queued changes nothing, so running it on a replay
-// and finding nothing prunes that branch as a repeat of its parent; here
-// the sim's idle flag, cleared by each delivery, spares most of those
-// replays.
-func (r *exploreRun) queued(w int) bool { return !r.s.idle[w] }
-
 // typeFields caches stateHash.fields across states.
 var typeFields = map[reflect.Type][]int{}
 
 // key identifies the state the order reached: the nodes' machines, the
 // links and what the checks remember. Orders that reach one state from
 // different histories share their futures, so each state is expanded once.
+// The sim's idle flags are left out: a worker is idle only with nothing
+// queued, so a flag differs only in a superstep that changes nothing.
 func (r *exploreRun) key() uint64 {
 	h := stateHash{fields: typeFields}
 	h.value(reflect.ValueOf(r.s.c).Elem().FieldByName("queries"))
@@ -252,7 +247,6 @@ func (r *exploreRun) key() uint64 {
 		}
 	}
 	h.value(reflect.ValueOf(r.s.net.links))
-	h.value(reflect.ValueOf(r.s.idle))
 	c := r.conformanceRun
 	for _, m := range []any{c.releases, c.batches, c.reported, c.sums, c.implicitly, c.ended, len(c.results[0]), r.cancelled} {
 		h.value(reflect.ValueOf(m))
