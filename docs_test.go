@@ -178,6 +178,25 @@ func TestReadmeIdentifiersExist(t *testing.T) {
 	}
 }
 
+// TestReadmeMetricFamiliesExist checks that every `qgraph_*` metric family
+// the docs quote inline is named by a string literal of the tree's non-test
+// code outside benchmark/, as every registration names it, so a family that
+// is renamed or deleted cannot live on in the docs. A quoted name ending in
+// * stands for the families it prefixes, of which there must be one.
+func TestReadmeMetricFamiliesExist(t *testing.T) {
+	texts, readme := readDocs(t)
+	families := registeredFamilies(t)
+	for path, text := range texts {
+		if bad := unregistered(text, families); len(bad) > 0 {
+			t.Errorf("%s quotes metric families no code registers: %v", path, bad)
+		}
+	}
+	planted := readme + "\nWatch `qgraph_replica_lag_versions` and `qgraph_router_*`.\n"
+	if bad := unregistered(planted, families); !slices.Equal(bad, []string{"qgraph_replica_lag_versions", "qgraph_router_*"}) {
+		t.Fatalf("a planted stale family went unnoticed: unregistered = %v", bad)
+	}
+}
+
 var (
 	fence      = regexp.MustCompile("(?ms)^```.*?^```")
 	inlineCode = regexp.MustCompile("`([^`]+)`")
@@ -189,6 +208,7 @@ var (
 	lineRef    = regexp.MustCompile(`^(\S+\.go):([0-9]+)(?:[–/-]([0-9]+))?$`) // file.go:12, :12–30 or :12/30
 	identToken = regexp.MustCompile(`^([a-z]\w*)\.([A-Z]\w*)$`)               // delta.Log
 	methodPath = regexp.MustCompile(`^(?:(GET|HEAD|POST|PUT|PATCH|DELETE) )?(/[a-z][^\s.?]*)(?:\?\S*)?$`)
+	family     = regexp.MustCompile(`^qgraph_[a-z0-9_]*\*?`) // qgraph_cache_entries, qgraph_health_*
 	curlURL    = regexp.MustCompile(`(?:localhost|127\.0\.0\.1)?:[0-9]+(/[^\s'"?` + "`" + `]*)`)
 )
 
@@ -269,6 +289,55 @@ func registeredRoutes(t *testing.T) []string {
 		t.Fatalf("no routes registered in the tree: %v", err)
 	}
 	return routes
+}
+
+// unregistered returns, sorted and once each, the metric families quoted
+// in inline code spans of md, labels aside, that match none of families: a
+// name ending in * matches the families it prefixes.
+func unregistered(md string, families []string) []string {
+	md = fence.ReplaceAllString(md, "")
+	var bad []string
+	for _, span := range inlineCode.FindAllStringSubmatch(md, -1) {
+		for _, tok := range strings.Fields(span[1]) {
+			name := family.FindString(tok)
+			prefix, wild := strings.CutSuffix(name, "*")
+			if name == "" || slices.Contains(bad, name) || slices.ContainsFunc(families, func(f string) bool {
+				return f == name || wild && strings.HasPrefix(f, prefix)
+			}) {
+				continue
+			}
+			bad = append(bad, name)
+		}
+	}
+	slices.Sort(bad)
+	return bad
+}
+
+// registeredFamilies returns the qgraph_* names the non-test code outside
+// benchmark/ quotes as a whole string literal, "…" or `…`.
+func registeredFamilies(t *testing.T) []string {
+	t.Helper()
+	literal := regexp.MustCompile("[\"`](qgraph_[a-z0-9_]+)[\"`]")
+	var families []string
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path == "benchmark":
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		b, err := os.ReadFile(path)
+		for _, m := range literal.FindAllSubmatch(b, -1) {
+			families = append(families, string(m[1]))
+		}
+		return err
+	})
+	if err != nil || len(families) == 0 {
+		t.Fatalf("no metric families registered in the tree: %v", err)
+	}
+	return families
 }
 
 // undeclaredIdents returns, sorted and once each, the pkg.Name tokens quoted

@@ -240,12 +240,14 @@ func TestGlobalBarrierTransitions(t *testing.T) {
 		return ch
 	}
 	// reportStep0 completes query q's superstep 0 on worker 0, which owns
-	// its source.
+	// its source: its run of one stops on the batch it sent worker 1.
 	reportStep0 := func(t *testing.T, c *Controller, q query.ID) {
 		t.Helper()
+		sent := make([]int32, c.cfg.K)
+		sent[1] = 1
 		deliver(t, c, 0, &protocol.BarrierSynch{
 			Q: q, W: 0, Step: 0, FromStep: 0, Processed: 1, NActiveNext: 1, ScopeSize: 1,
-			SentBatches: make([]int32, c.cfg.K), BestGoal: query.NoResult, MinFrontier: query.NoResult,
+			SentBatches: sent, BestGoal: query.NoResult, MinFrontier: 1,
 		})
 	}
 	// execute runs one plan at locality loc through the machine alone.

@@ -15,10 +15,10 @@ import (
 )
 
 // This file is the per-query side of the hybrid barrier (Sec. 3.3). Each
-// query's round decides which workers a superstep involves, whether it
-// runs solo in one worker's local query barrier loop, whether its involved
-// workers release the next one themselves, when it is fully reported, and
-// when the query ends. The controller half below does the I/O around those
+// query's round decides which workers a superstep involves, whether its
+// involved workers release the next one themselves (a run: of one worker,
+// the local query barrier), when it is fully reported, and when the query
+// ends. The controller half below does the I/O around those
 // decisions: it schedules queries, sends BarrierReady and QueryFinish, and
 // keeps pins, spans, the Recorder and the monitoring window. Every query
 // leaves through end.
@@ -33,8 +33,8 @@ type round struct {
 	step        int32 // last fully collected superstep (-1 before step 0)
 	outstanding bool  // superstep step+1 is released; reports are due
 	involved    map[partition.WorkerID]bool
-	// peers lists the involved workers, sorted, when the release is
-	// implicitly continuable (protocol.BarrierReady.Peers); nil otherwise.
+	// peers lists the involved workers, sorted, when the release opens a
+	// run (protocol.BarrierReady.Peers); nil otherwise.
 	peers   []partition.WorkerID
 	reports map[partition.WorkerID]*protocol.BarrierSynch
 	// held keeps reports on a superstep after the outstanding one: the
@@ -61,25 +61,22 @@ func newRound(k int, mode SyncMode, prog query.Program, maxIters int) round {
 	return r
 }
 
-// release opens superstep step+1 over next, the workers with pending work,
-// and says whether it runs solo: in the hybrid mode a one-worker superstep
-// iterates in that worker's local loop with no round-trip to the
-// controller, and a superstep of several is implicitly continuable. A
-// drained release (the first after a global barrier, whose scope moves may
-// have relocated activations anywhere) and every release of the SyncGlobal
-// baseline (Fig. 6d) widen to all workers not in dead.
-func (r *round) release(next, dead map[partition.WorkerID]bool, drained bool) (solo bool) {
+// release opens superstep step+1 over next, the workers with pending work:
+// in the hybrid mode, a run (protocol.BarrierReady.Peers). A drained
+// release (the first after a global barrier, whose scope moves may have
+// relocated activations anywhere) opens none, and it and every release of
+// the SyncGlobal baseline (Fig. 6d) widen to all workers not in dead.
+func (r *round) release(next, dead map[partition.WorkerID]bool, drained bool) {
 	if drained || r.mode == SyncGlobal {
 		next = liveSet(len(r.scopeSizes), dead)
 	}
 	r.involved = next
 	r.peers = nil
-	if r.mode == SyncHybrid && len(next) > 1 && !drained {
+	if r.mode == SyncHybrid && !drained {
 		r.peers = slices.Sorted(maps.Keys(next))
 	}
 	r.reports = make(map[partition.WorkerID]*protocol.BarrierSynch, len(next))
 	r.outstanding = true
-	return r.mode == SyncHybrid && len(next) == 1 && !drained
 }
 
 // report adds worker m.W's report on the outstanding superstep and says
@@ -134,7 +131,7 @@ func (r *round) collect() (d protocol.Decision, implicit bool) {
 		if m.Processed > 0 {
 			activeWorkers++
 		}
-		r.localSteps += int(m.LocalIters) // steps of a solo loop
+		r.localSteps += int(m.LocalIters) // steps of a run of one
 		for _, nb := range m.SentBatches {
 			totalSent += nb
 		}
@@ -143,13 +140,13 @@ func (r *round) collect() (d protocol.Decision, implicit bool) {
 	r.stepsDone += int(collected - r.step)
 	r.step = collected
 	r.outstanding = false
-	// Locality accounting (Fig. 6f): beside the solo-loop steps, the
+	// Locality accounting (Fig. 6f): beside a run of one's steps, the
 	// collected step is local if at most one worker computed and nothing
 	// crossed workers.
 	if totalSent == 0 && activeWorkers <= 1 {
 		r.localSteps++
 	}
-	d = r.rules.Decide(collected, r.bestGoal, sums)
+	r.rules.Decide(&d, collected, r.bestGoal, sums)
 	return d, d.Continues(r.peers)
 }
 
@@ -268,8 +265,7 @@ func (req scheduleReq) refuse(reason protocol.FinishReason) {
 // onCancel abandons a query on behalf of its caller. A deferred query is
 // cancelled immediately. An executing one is finished eagerly outside the
 // global-barrier move phases: the QueryFinish broadcast interrupts even
-// solo local loops, because workers drain their inbox between local
-// supersteps, and late BarrierSynch reports for the dropped query are
+// a run of one, because workers drain their inbox between supersteps, and late BarrierSynch reports for the dropped query are
 // tolerated by onSynch. During the barrier phases (stopping → moving) and
 // a recovery round the network must stay quiet, so the cancel is only
 // marked and honored at resume.
@@ -291,26 +287,24 @@ func (c *Controller) onCancel(q query.ID) {
 	// FIFO, so they cannot overtake the schedule they refer to.
 }
 
-// open opens the superstep ctl's round releases over next, and says
-// whether it runs solo; drained marks a post-global-barrier resume.
-func (c *Controller) open(ctl *qctl, next map[partition.WorkerID]bool, drained bool) (solo bool) {
-	solo = ctl.round.release(next, c.members.dead, drained)
+// open opens the superstep ctl's round releases over next; drained marks
+// a post-global-barrier resume.
+func (c *Controller) open(ctl *qctl, next map[partition.WorkerID]bool, drained bool) {
+	ctl.round.release(next, c.members.dead, drained)
 	ctl.releasedAt = c.cfg.Clock()
 	c.beginStepSpan(ctl, ctl.step+1)
-	return solo
 }
 
 // release sends BarrierReady for the superstep ctl's round opens over
 // next. expect maps each receiver to the batch count it must await (nil =
 // zero); drained marks a post-global-barrier resume.
 func (c *Controller) release(ctl *qctl, next map[partition.WorkerID]bool, expect map[partition.WorkerID]int32, drained bool) {
-	solo := c.open(ctl, next, drained)
+	c.open(ctl, next, drained)
 	for w := range ctl.involved {
 		c.conn.Send(protocol.WorkerNode(w), &protocol.BarrierReady{
 			Q:        ctl.spec.ID,
 			Step:     ctl.step + 1,
 			Expect:   expect[w],
-			Solo:     solo,
 			Drained:  drained,
 			BestGoal: ctl.bestGoal,
 			Peers:    ctl.peers,
@@ -336,9 +330,8 @@ func (c *Controller) implicitRelease(ctl *qctl) error {
 func (c *Controller) onSynch(m *protocol.BarrierSynch) error {
 	ctl, ok := c.queries[m.Q]
 	if !ok {
-		// Late report of a query we already finished (a solo loop that
-		// raced the finish decision, or a step a cancel overtook): its
-		// scope size is still the newest one.
+		// Late report of a query we already finished (a step a cancel
+		// overtook): its scope size is still the newest one.
 		if we := c.byQ[m.Q]; we != nil {
 			we.sizes[m.W] = int64(m.ScopeSize)
 		}
@@ -360,8 +353,8 @@ func (c *Controller) onSynch(m *protocol.BarrierSynch) error {
 // record the release its workers took themselves, hold its next release
 // while a global barrier forms (resume re-releases after GlobalStart), or
 // release the next superstep. A quiescing global barrier cannot hold an
-// implicit release: it waits for the query's involved set to change or the
-// query to end, as it waits for a solo loop.
+// implicit release: it waits for the query's run, of one worker or several,
+// to stop.
 func (c *Controller) collect(ctl *qctl) error {
 	d, implicit := ctl.round.collect()
 	c.endStepSpan(ctl)

@@ -47,23 +47,27 @@ func TestRoundTransitions(t *testing.T) {
 		run      func(t *testing.T, r *round)
 	}{
 		{name: "hybrid runs a one-worker superstep solo", mode: SyncHybrid, run: func(t *testing.T, r *round) {
-			if solo := r.release(workers(1), nil, false); !solo || !maps.Equal(r.involved, workers(1)) || !r.outstanding {
-				t.Fatalf("solo %v, involved %v, outstanding %v", solo, r.involved, r.outstanding)
+			r.release(workers(1), nil, false)
+			if !slices.Equal(r.peers, []partition.WorkerID{1}) || !maps.Equal(r.involved, workers(1)) || !r.outstanding {
+				t.Fatalf("peers %v, involved %v, outstanding %v", r.peers, r.involved, r.outstanding)
 			}
 		}},
 		{name: "limited never runs solo", mode: SyncLimited, run: func(t *testing.T, r *round) {
-			if solo := r.release(workers(1), nil, false); solo || !maps.Equal(r.involved, workers(1)) {
-				t.Fatalf("solo %v, involved %v", solo, r.involved)
+			r.release(workers(1), nil, false)
+			if r.peers != nil || !maps.Equal(r.involved, workers(1)) {
+				t.Fatalf("peers %v, involved %v", r.peers, r.involved)
 			}
 		}},
 		{name: "global widens every release to the live workers", mode: SyncGlobal, run: func(t *testing.T, r *round) {
-			if solo := r.release(workers(1), workers(2), false); solo || !maps.Equal(r.involved, workers(0, 1)) {
-				t.Fatalf("solo %v, involved %v", solo, r.involved)
+			r.release(workers(1), workers(2), false)
+			if r.peers != nil || !maps.Equal(r.involved, workers(0, 1)) {
+				t.Fatalf("peers %v, involved %v", r.peers, r.involved)
 			}
 		}},
 		{name: "a drained release widens to the live workers and is not solo", mode: SyncHybrid, run: func(t *testing.T, r *round) {
-			if solo := r.release(nil, workers(0, 2), true); solo || !maps.Equal(r.involved, workers(1)) {
-				t.Fatalf("solo %v, involved %v", solo, r.involved)
+			r.release(nil, workers(0, 2), true)
+			if r.peers != nil || !maps.Equal(r.involved, workers(1)) {
+				t.Fatalf("peers %v, involved %v", r.peers, r.involved)
 			}
 		}},
 		{name: "a report from an uninvolved worker is an error", mode: SyncHybrid, run: func(t *testing.T, r *round) {

@@ -39,10 +39,11 @@ type conformanceRow struct {
 //   - every non-drained release runs with exactly Expect batches of the
 //     superstep before delivered, markers not counted, and no batch but a
 //     marker arrives after the superstep that consumes it ran;
-//   - no superstep after which a worker kept looping solo sent a batch;
-//   - a solo report that stopped its loop on a termination rule (no active
-//     vertex, the monotone bound, MaxIters) is its query's last, and the
-//     controller ends the query for that same reason;
+//   - no superstep after which a worker went on with a run of one sent a
+//     batch, and a run of one reports only once the decision stops it;
+//   - a run whose reports end the query by the decision (no active vertex,
+//     the monotone bound, MaxIters) reported its query's last superstep,
+//     and the controller ends the query for that same reason;
 //   - the schedule ends with every query finished.
 func TestBarrierConformance(t *testing.T) {
 	const seeds = 50
@@ -93,8 +94,7 @@ type conformanceRun struct {
 	// release, by worker.
 	sums     map[wqs]map[partition.WorkerID]protocol.StepSummary
 	reported map[wqs]bool                       // (w, q, s): w reported superstep s
-	stopping []bool                             // between GlobalStop and GlobalStart, per worker
-	ended    map[query.ID]protocol.FinishReason // the reason a solo report ended the query with
+	ended    map[query.ID]protocol.FinishReason // the reason a run's reports ended the query with
 }
 
 type wqs struct {
@@ -118,7 +118,6 @@ func (row conformanceRow) setup(t *testing.T, seed uint64) *conformanceRun {
 		sums:       make(map[wqs]map[partition.WorkerID]protocol.StepSummary),
 		implicitly: make(map[wqs]bool),
 		reported:   make(map[wqs]bool),
-		stopping:   make([]bool, row.k),
 		ended:      make(map[query.ID]protocol.FinishReason),
 	}
 	s.delivered, s.observe = r.delivered, r.observe
@@ -202,10 +201,6 @@ func (r *conformanceRun) delivered(w partition.WorkerID, msg protocol.Message) e
 			return fmt.Errorf("worker %d got query %d's batch of step %d after it ran step %d", w, m.Q, m.Step, m.Step+1)
 		}
 		r.batches[wqs{w, m.Q, m.Step}]++
-	case *protocol.GlobalStop:
-		r.stopping[w] = true
-	case *protocol.GlobalStart:
-		r.stopping[w] = false
 	}
 	return nil
 }
@@ -233,7 +228,7 @@ func (r *conformanceRun) observe(w partition.WorkerID) error {
 // report checks worker w's report m against the release it covers.
 func (r *conformanceRun) report(w partition.WorkerID, m *protocol.BarrierSynch) error {
 	if _, ok := r.ended[m.Q]; ok {
-		return fmt.Errorf("worker %d reported query %d's step %d after a solo report ended it", w, m.Q, m.Step)
+		return fmt.Errorf("worker %d reported query %d's step %d after a run's reports ended it", w, m.Q, m.Step)
 	}
 	rel := r.releases[wqs{w, m.Q, m.FromStep}]
 	if rel == nil {
@@ -249,44 +244,36 @@ func (r *conformanceRun) report(w partition.WorkerID, m *protocol.BarrierSynch) 
 		r.reported[wqs{w, m.Q, s}] = true
 	}
 	if rel.Peers != nil {
-		r.implicit(w, m, rel)
-	}
-	sent := false
-	for _, nb := range m.SentBatches {
-		sent = sent || nb > 0
-	}
-	if !rel.Solo || sent || r.stopping[w] {
-		return nil
-	}
-	spec := r.specs[m.Q-1]
-	switch {
-	case m.NActiveNext == 0:
-		r.ended[m.Q] = protocol.FinishConverged
-	case query.MustNew(spec.Kind).Monotone() && m.MinFrontier >= m.BestGoal:
-		r.ended[m.Q] = protocol.FinishEarly
-	case spec.MaxIters > 0 && int(m.Step)+1 >= spec.MaxIters:
-		r.ended[m.Q] = protocol.FinishMaxIters
+		return r.run(w, m, rel)
 	}
 	return nil
 }
 
-// implicit files worker w's report m under rel, an implicitly continuable
-// release, and once every peer's report is in, records the implicit
-// release of the next superstep that the decision allows.
-func (r *conformanceRun) implicit(w partition.WorkerID, m *protocol.BarrierSynch, rel *protocol.BarrierReady) {
+// run files worker w's report m under rel, a run's release, and once every
+// peer's report is in, takes the decision: it records the implicit release
+// of the next superstep the decision allows, or the end it decides. A run
+// of one reports only once the decision stops it.
+func (r *conformanceRun) run(w partition.WorkerID, m *protocol.BarrierSynch, rel *protocol.BarrierReady) error {
 	k := wqs{q: m.Q, step: m.Step}
 	if r.sums[k] == nil {
 		r.sums[k] = make(map[partition.WorkerID]protocol.StepSummary)
 	}
 	r.sums[k][w] = m.Summary()
 	if len(r.sums[k]) < len(rel.Peers) {
-		return
+		return nil
 	}
 	spec := r.specs[m.Q-1]
 	rules := protocol.Rules{Monotone: query.MustNew(spec.Kind).Monotone(), MaxIters: spec.MaxIters}
-	d := rules.Decide(m.Step, rel.BestGoal, r.sums[k])
+	var d protocol.Decision
+	rules.Decide(&d, m.Step, rel.BestGoal, r.sums[k])
+	if d.End != 0 {
+		r.ended[m.Q] = d.End
+	}
 	if !d.Continues(rel.Peers) {
-		return
+		return nil
+	}
+	if len(rel.Peers) == 1 {
+		return fmt.Errorf("worker %d reported query %d's run of one after step %d, which the decision continues", w, m.Q, m.Step)
 	}
 	for _, p := range rel.Peers {
 		r.implicitly[wqs{p, m.Q, m.Step + 1}] = true
@@ -294,6 +281,7 @@ func (r *conformanceRun) implicit(w partition.WorkerID, m *protocol.BarrierSynch
 			Q: m.Q, Step: m.Step + 1, Expect: d.Expect[p], BestGoal: d.BestGoal, Peers: rel.Peers,
 		}
 	}
+	return nil
 }
 
 // answers checks every query's result against the reference.
@@ -306,7 +294,7 @@ func (r *conformanceRun) answers() error {
 			return fmt.Errorf("query %d unfinished at quiescence (phase %d)", spec.ID, r.s.c.adapt.phase)
 		}
 		if want, ok := r.ended[spec.ID]; ok && res.Reason != want {
-			return fmt.Errorf("query %d: a solo report ended it with reason %v, the controller with %v", spec.ID, want, res.Reason)
+			return fmt.Errorf("query %d: a run's reports ended it with reason %v, the controller with %v", spec.ID, want, res.Reason)
 		}
 		switch spec.Kind {
 		case query.KindBFS:

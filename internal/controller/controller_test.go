@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -105,7 +106,7 @@ func TestScheduleAndConverge(t *testing.T) {
 	}
 	// Source 0 is owned by worker 0: it gets the step-0 release, solo.
 	rel, ok := h.expect(0).(*protocol.BarrierReady)
-	if !ok || rel.Step != 0 || !rel.Solo {
+	if !ok || rel.Step != 0 || !slices.Equal(rel.Peers, []partition.WorkerID{0}) {
 		t.Fatalf("release = %#v", rel)
 	}
 	// Report convergence (no active vertices, nothing sent).
@@ -148,7 +149,7 @@ func TestLimitedBarrierReleasesInvolvedOnly(t *testing.T) {
 		s.ScopeSize = 1
 	}))
 	rel0, ok := h.expect(0).(*protocol.BarrierReady)
-	if !ok || rel0.Step != 1 || rel0.Solo || rel0.Expect != 0 {
+	if !ok || rel0.Step != 1 || !slices.Equal(rel0.Peers, []partition.WorkerID{0, 1}) || rel0.Expect != 0 {
 		t.Fatalf("worker0 release = %#v", rel0)
 	}
 	rel1, ok := h.expect(1).(*protocol.BarrierReady)
@@ -226,8 +227,8 @@ func TestGlobalModeReleasesAll(t *testing.T) {
 	}
 	for w := partition.WorkerID(0); w < 3; w++ {
 		rel, ok := h.expect(w).(*protocol.BarrierReady)
-		if !ok || rel.Solo {
-			t.Fatalf("worker %d: expected non-solo release, got %#v", w, rel)
+		if !ok || rel.Peers != nil {
+			t.Fatalf("worker %d: expected a release with no peers, got %#v", w, rel)
 		}
 	}
 }

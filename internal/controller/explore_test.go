@@ -156,7 +156,7 @@ func (e *explorer) replay(prefix []choice) (*exploreRun, error) {
 		releases: make(map[wqs]*protocol.BarrierReady), batches: make(map[wqs]int32),
 		sums:       make(map[wqs]map[partition.WorkerID]protocol.StepSummary),
 		implicitly: make(map[wqs]bool), reported: make(map[wqs]bool),
-		stopping: make([]bool, 2), ended: make(map[query.ID]protocol.FinishReason),
+		ended: make(map[query.ID]protocol.FinishReason),
 	}}
 	s.delivered = func(w partition.WorkerID, m protocol.Message) error {
 		switch m := m.(type) {

@@ -482,7 +482,7 @@ func TestFigure6fLocality(t *testing.T) {
 
 // TestFigure6dBarriers is Fig. 6d with the local-barrier ablation: SSSP on
 // BW under the hybrid barrier (Sec. 3.3), the limited one (every superstep
-// a controller round among the workers it involves, no solo loop) and a
+// a controller round among the workers it involves, no run) and a
 // global BSP barrier, on static Hash and Domain. The paper: the hybrid
 // barrier is 1.2–1.7× faster than the global one on both. A round is a
 // release of one superstep; a round trip, one worker's part in it. No Hash

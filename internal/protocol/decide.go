@@ -8,9 +8,9 @@ import (
 )
 
 // StepSummary is what the continue-or-finish decision reads of one
-// worker's superstep. A BarrierSynch carries it to the controller; under an
-// implicit release (see BarrierReady) the last VertexBatch of the superstep
-// carries it to each other involved worker too.
+// worker's superstep. A BarrierSynch carries it to the controller; in a
+// run of several workers (see BarrierReady) the last VertexBatch of the
+// superstep carries it to each other involved worker too.
 type StepSummary struct {
 	NActiveNext int32   // local activations pending for the next superstep
 	MinFrontier float64 // min over pending local msgs + values sent in the step
@@ -39,18 +39,25 @@ type Decision struct {
 	BestGoal float64 // the best goal so far, the step's included
 }
 
-// Decide is the continue-or-finish decision on superstep step, from the
-// summaries of every worker the step involved and best, the best goal
-// found before it. The controller takes it on every fully reported
-// superstep, and the workers of an implicit release take it on each
-// other's summaries: one function over the same inputs, so they agree.
+// Decide takes the continue-or-finish decision on superstep step into d,
+// from the summaries of every worker the step involved and best, the best
+// goal found before it. The controller takes it on every fully reported
+// superstep, and the workers of a run (see BarrierReady) on their own
+// summaries: one function over the same inputs, so they agree. d's maps
+// are cleared and reused, or made if nil, so a caller that keeps d, as a
+// run does, allocates nothing a decision.
 //
 // A query ends when no active vertex remains (Sec. 2); the monotone bound
 // additionally ends a goal query as soon as no in-flight value can beat
 // the best goal, which is what confines localized queries to their region;
 // and MaxIters caps the supersteps.
-func (r Rules) Decide(step int32, best float64, sums map[partition.WorkerID]StepSummary) Decision {
-	d := Decision{Next: make(map[partition.WorkerID]bool), Expect: make(map[partition.WorkerID]int32), BestGoal: best}
+func (r Rules) Decide(d *Decision, step int32, best float64, sums map[partition.WorkerID]StepSummary) {
+	if d.Next == nil {
+		d.Next, d.Expect = make(map[partition.WorkerID]bool), make(map[partition.WorkerID]int32)
+	}
+	clear(d.Next)
+	clear(d.Expect)
+	d.End, d.BestGoal = 0, best
 	minFrontier := query.NoResult
 	for w, s := range sums {
 		d.BestGoal = min(d.BestGoal, s.BestGoal)
@@ -73,14 +80,10 @@ func (r Rules) Decide(step int32, best float64, sums map[partition.WorkerID]Step
 	case r.MaxIters > 0 && int(step)+1 >= r.MaxIters:
 		d.End = FinishMaxIters
 	}
-	if d.End != 0 {
-		d.Next, d.Expect = nil, nil
-	}
-	return d
 }
 
 // Continues says whether d releases the next superstep over exactly the
-// workers peers, a release's involved set: the implicit release.
+// workers peers, a run's involved set: the implicit release.
 func (d Decision) Continues(peers []partition.WorkerID) bool {
 	return d.End == 0 && len(peers) > 0 && len(d.Next) == len(peers) &&
 		!slices.ContainsFunc(peers, func(w partition.WorkerID) bool { return !d.Next[w] })

@@ -102,25 +102,23 @@ func (*ExecuteQuery) Type() MsgType { return TExecuteQuery }
 // BarrierReady releases a worker waiting on query Q's barrier for superstep
 // Step (paper API barrierReady(q)). Expect is the number of vertex batches
 // tagged (Q, Step-1) the worker must have received before computing Step.
-// Solo marks the worker as the only one involved, enabling the local query
-// barrier: it may keep iterating without controller round-trips while the
-// query stays local. Drained means a global barrier intervened and all
-// in-flight batches were already delivered (skip the Expect wait).
-// BestGoal is the best goal the controller has seen of Q, which bounds a
-// solo loop as the worker's own does.
+// Drained means a global barrier intervened and all in-flight batches were
+// already delivered (skip the Expect wait). BestGoal is the best goal the
+// controller has seen of Q, which bounds a run as the workers' own do.
 //
-// Peers, set only on a hybrid release of several workers that is not
-// drained, lists the involved workers, the receiver included. It makes the
-// release implicitly continuable: after each superstep every peer sends
-// every other one its StepSummary on its last VertexBatch of the step, and
-// while Rules.Decide over the summaries says the same peers continue, they
-// release the next superstep themselves. The controller takes the same
-// decision over the reports and sends no BarrierReady for it.
+// Peers, set on every hybrid release that is not drained, lists the
+// involved workers, the receiver included, and makes the release a run:
+// after each superstep the peers take Rules.Decide over every peer's
+// StepSummary, and while it says the same peers continue, they release the
+// next superstep themselves. A run of one is the local query barrier (Sec.
+// 3.3): it decides on its own summary and reports once, when the run
+// stops. In a run of several each peer sends the others its summary on its
+// last VertexBatch of the step, and reports every step. A global barrier
+// waits for every run to stop.
 type BarrierReady struct {
 	Q        query.ID
 	Step     int32
 	Expect   int32
-	Solo     bool
 	Drained  bool
 	BestGoal float64
 	Peers    []partition.WorkerID
@@ -271,8 +269,8 @@ type IntersectionStat struct {
 // since W's previous report; their union over all reports is the block set
 // of the scope, which the result travels with.
 //
-// FromStep < Step when the worker ran local (solo) supersteps without
-// controller round-trips; LocalIters counts them.
+// FromStep < Step when the report covers a run of one worker, whose
+// supersteps ran with no controller round trip; LocalIters counts them.
 type BarrierSynch struct {
 	Q          query.ID
 	W          partition.WorkerID

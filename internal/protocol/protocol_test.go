@@ -38,7 +38,7 @@ func TestServingPathRoundTrips(t *testing.T) {
 	}
 	msgs := []protocol.Message{
 		&protocol.ExecuteQuery{Spec: spec},
-		&protocol.BarrierReady{Q: 42, Step: 3, Expect: 2, Solo: true, Drained: true},
+		&protocol.BarrierReady{Q: 42, Step: 3, Expect: 2, Drained: true, Peers: []partition.WorkerID{1}},
 		&protocol.BarrierSynch{
 			Q: 42, W: 1, Step: 3, FromStep: 1, LocalIters: 2,
 			Processed: 17, NActiveNext: 4, ScopeSize: 120,

@@ -46,10 +46,12 @@ import (
 //	    new, BarrierSynch lost Finished
 //	8 — implicit releases: BarrierReady gained BestGoal and Peers,
 //	    VertexBatch gained an optional StepSummary
+//	9 — BarrierReady lost Solo; a hybrid release of one names its worker
+//	    in Peers
 //
 // The value is offset from small integers so a legacy 1-byte [NodeID]
 // handshake can never alias a valid version.
-const CodecVersion = 0xA0 + 8
+const CodecVersion = 0xA0 + 9
 
 // hdr is the frame header: u32 payload length plus the u8 message type.
 const hdr = 5
@@ -146,7 +148,6 @@ func fields(c *coder, m protocol.Message) {
 		u64(c, &v.Q)
 		u32(c, &v.Step)
 		u32(c, &v.Expect)
-		boolean(c, &v.Solo)
 		boolean(c, &v.Drained)
 		f64(c, &v.BestGoal)
 		u8s(c, &v.Peers)

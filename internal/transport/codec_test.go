@@ -54,7 +54,7 @@ func sampleMessages() []protocol.Message {
 	}
 	return []protocol.Message{
 		&protocol.ExecuteQuery{Spec: spec},
-		&protocol.BarrierReady{Q: 42, Step: 17, Expect: 3, Solo: true, Drained: false, BestGoal: 12.5},
+		&protocol.BarrierReady{Q: 42, Step: 17, Expect: 3, Drained: false, BestGoal: 12.5, Peers: []partition.WorkerID{2}},
 		&protocol.BarrierReady{Q: 1, Step: 0},
 		&protocol.BarrierReady{Q: 5, Step: 2, Expect: 1, BestGoal: query.NoResult, Peers: []partition.WorkerID{0, 2}},
 		&protocol.QueryFinish{Q: 9, Reason: protocol.FinishEarly},

@@ -13,9 +13,9 @@ import (
 
 // barrier is the worker's half of the hybrid barrier (Sec. 3.3); the
 // controller's round is the other. It decides when a released superstep
-// may run, whether a solo query loops on locally or reports, whether the
-// workers of an implicitly continuable release go on to the next superstep
-// themselves, what becomes of a vertex batch, and when a StopAck is due.
+// may run, whether the workers of a run go on to the next superstep
+// themselves (protocol.Rules.Decide; a run of one is the local query
+// barrier), what becomes of a vertex batch, and when a StopAck is due.
 // Its transitions read nothing but the machine and their arguments — no
 // connection, clock, table or graph — and only they assign its fields.
 type barrier struct {
@@ -23,22 +23,20 @@ type barrier struct {
 	gen     int32 // the recovery generation: batches of another are stale
 	queries map[query.ID]*qbar
 	// runnable queues the queries with a superstep to run, oldest first:
-	// one superstep per turn, so a long solo query cannot monopolize the
+	// one superstep per turn, so a long run of one cannot monopolize the
 	// worker (multi-query execution, Sec. 3.3).
 	runnable []query.ID
 	early    map[query.ID][]*protocol.VertexBatch // raced ahead of ExecuteQuery
 
-	// The global barrier. stopping holds from GlobalStop (or a recovery
-	// reset) to GlobalStart. wait is the StopAck that awaits its peers'
+	// The global barrier. wait is the StopAck that awaits its peers'
 	// markers, counted per epoch: they may run ahead of this worker's own
 	// GlobalStop. arrived holds the vertices ScopeData brought from
 	// GlobalStop to GlobalStart: move directives exclude them, so chained
 	// ones (q: w1→w2 and q: w2→w3) relocate exactly the scopes the
 	// controller saw, in any delivery order.
-	stopping bool
-	wait     *stopWait
-	markers  map[int32]int
-	arrived  map[graph.VertexID]bool
+	wait    *stopWait
+	markers map[int32]int
+	arrived map[graph.VertexID]bool
 }
 
 type stopWait struct {
@@ -52,21 +50,27 @@ type qbar struct {
 	rel   release
 	state relState
 	step  int32 // the next superstep to compute
+	from  int32 // the first superstep the next report covers
 	// recvBatches[s] counts the batches received that superstep s sent.
 	recvBatches map[int32]int32
 	bestGoal    float64
-	// sums[s] holds the summaries of superstep s under an implicitly
-	// continuable release, by worker, this one's included once it ran s.
+	// sums[s] holds the summaries of superstep s of a run, by worker, this
+	// one's included once it ran s.
 	sums map[int32]map[partition.WorkerID]protocol.StepSummary
+	// scratch keeps a decided step's emptied summaries and its decision for
+	// the next step: a run of one allocates nothing a superstep.
+	scratch struct {
+		sums map[partition.WorkerID]protocol.StepSummary
+		dec  protocol.Decision
+	}
 }
 
-// release is a BarrierReady's content, or an implicit release's. A running
-// release's step is where its solo loop started.
+// release is a BarrierReady's content, or an implicit release's.
 type release struct {
-	step, expect  int32
-	solo, drained bool
-	bestGoal      float64
-	peers         []partition.WorkerID // see protocol.BarrierReady.Peers
+	step, expect int32
+	drained      bool
+	bestGoal     float64
+	peers        []partition.WorkerID // see protocol.BarrierReady.Peers
 }
 
 type relState uint8
@@ -74,8 +78,8 @@ type relState uint8
 const (
 	idle     relState = iota // reported, or never released
 	held                     // awaiting expected batches
-	running                  // queued, or looping solo
-	deciding                 // reported, awaiting the peers' summaries
+	running                  // queued
+	deciding                 // ran a run's superstep, awaiting the peers' summaries
 )
 
 func newBarrier(self partition.WorkerID) barrier {
@@ -116,7 +120,7 @@ func (b *barrier) ready(q query.ID, r release) error {
 	}
 	maps.DeleteFunc(qb.sums, func(s int32, _ map[partition.WorkerID]protocol.StepSummary) bool { return s < r.step })
 	qb.bestGoal = min(qb.bestGoal, r.bestGoal)
-	qb.rel, qb.state = r, held
+	qb.rel, qb.state, qb.from = r, held, r.step
 	b.advance(q, qb)
 	return nil
 }
@@ -172,18 +176,22 @@ func (b *barrier) file(q query.ID, qb *qbar, s int32, w partition.WorkerID, sum 
 	if s < qb.step-1 || s == qb.step-1 && qb.state != deciding {
 		return
 	}
-	if qb.sums[s] == nil {
-		qb.sums[s] = make(map[partition.WorkerID]protocol.StepSummary, len(qb.rel.peers))
+	sums := qb.sums[s]
+	if sums == nil {
+		sums, qb.scratch.sums = qb.scratch.sums, nil
+		if sums == nil {
+			sums = make(map[partition.WorkerID]protocol.StepSummary, len(qb.rel.peers))
+		}
+		qb.sums[s] = sums
 	}
-	qb.sums[s][w] = sum
+	sums[w] = sum
 	b.decide(q, qb)
 }
 
-// decide takes the pending decision on the superstep q's implicitly
-// continuable release just ran, once every peer's summary is in: the one
-// of the controller's round (protocol.Rules.Decide). If the same peers
-// continue, it releases the next superstep itself; otherwise the query
-// waits for the controller.
+// decide takes the pending decision on the superstep q's run just ran,
+// once every peer's summary is in: the one of the controller's round
+// (protocol.Rules.Decide). If the same peers continue, it releases the
+// next superstep itself; otherwise the query waits for the controller.
 func (b *barrier) decide(q query.ID, qb *qbar) {
 	s := qb.step - 1
 	sums := qb.sums[s]
@@ -194,7 +202,10 @@ func (b *barrier) decide(q query.ID, qb *qbar) {
 		return
 	}
 	delete(qb.sums, s)
-	d := qb.rules.Decide(s, qb.rel.bestGoal, sums)
+	d := &qb.scratch.dec
+	qb.rules.Decide(d, s, qb.rel.bestGoal, sums)
+	clear(sums)
+	qb.scratch.sums = sums
 	if !d.Continues(qb.rel.peers) {
 		qb.state = idle
 		return
@@ -220,32 +231,26 @@ func (b *barrier) run() (q query.ID, step int32, ok bool) {
 }
 
 // stepped closes the superstep run returned for q and says whether to
-// report the release. A solo release loops on with no controller round
-// trip (the local query barrier) until a global barrier forms, a batch
-// leaves (its receiver must be released), no vertex is active next, the
-// monotone bound says nothing in flight can beat the best goal, or
-// MaxIters is reached. An implicitly continuable release reports and
-// files this worker's summary of the step for the decision.
-func (b *barrier) stepped(q query.ID, res stepResult) (report bool) {
+// report it, and from which superstep on. Under a run's release it files
+// this worker's summary of the step for the decision. A run of one decides
+// on it at once and reports only when the run stops: its one report covers
+// every superstep since its last. A run of several reports every
+// superstep, as does any other release.
+func (b *barrier) stepped(q query.ID, res stepResult) (from int32, report bool) {
 	qb := b.queries[q]
 	qb.step++
 	qb.bestGoal = min(qb.bestGoal, res.bestGoal)
-	if qb.rel.solo && !b.stopping && res.sentTotal == 0 && res.nActiveNext > 0 &&
-		!(qb.rules.Monotone && res.minFrontier >= qb.bestGoal) && (qb.rules.MaxIters == 0 || int(qb.step) < qb.rules.MaxIters) {
-		b.runnable = append(b.runnable, q)
-		return false
-	}
 	qb.state = idle
 	if qb.rel.peers != nil {
 		qb.state = deciding
 		b.file(q, qb, qb.step-1, b.self, res.summary(qb.bestGoal))
+		if len(qb.rel.peers) == 1 && qb.state != idle {
+			return 0, false
+		}
 	}
-	return true
+	from, qb.from = qb.from, qb.step
+	return from, true
 }
-
-// peers returns the involved workers of query q's running release if it
-// is implicitly continuable, nil otherwise.
-func (b *barrier) peers(q query.ID) []partition.WorkerID { return b.queries[q].rel.peers }
 
 func (b *barrier) finish(q query.ID) {
 	delete(b.queries, q)
@@ -253,11 +258,16 @@ func (b *barrier) finish(q query.ID) {
 }
 
 // stop enters the global barrier of epoch; its StopAck awaits a marker
-// from each of peers workers. Running solo loops report out.
-func (b *barrier) stop(epoch int32, peers int) {
-	b.stopping = true
+// from each of peers workers. The controller sends GlobalStop once no
+// round is outstanding, after the QueryFinish of every query that ended,
+// on the same FIFO link: a superstep queued here is a protocol error.
+func (b *barrier) stop(epoch int32, peers int) error {
+	if q, step, ok := b.run(); ok {
+		return fmt.Errorf("GlobalStop with a superstep queued: query %d's step %d", q, step)
+	}
 	b.wait = &stopWait{epoch: epoch, peers: peers}
 	b.arrived = make(map[graph.VertexID]bool)
+	return nil
 }
 
 // marker counts a peer's StopMarker and says, as ack does, whether the
@@ -282,13 +292,12 @@ func (b *barrier) ack() (epoch int32, due bool) {
 
 func (b *barrier) arrive(v graph.VertexID) { b.arrived[v] = true }
 
-func (b *barrier) start() { b.stopping, b.arrived = false, nil }
+func (b *barrier) start() { b.arrived = nil }
 
 // reset drops every query, batch, queued superstep and awaited StopAck
 // (one sent now would reach a controller that left the aborted barrier)
-// for recovery generation gen. Recovery acts as a global barrier: the
-// worker is stopping until its GlobalStart.
+// for recovery generation gen.
 func (b *barrier) reset(gen int32) {
 	*b = newBarrier(b.self)
-	b.gen, b.stopping = gen, true
+	b.gen = gen
 }

@@ -20,26 +20,33 @@ func TestWorkerTransitions(t *testing.T) {
 		got, s, ok := b.run()
 		return ok && got == q && s == step
 	}
-	// solo is a machine running query 1's solo release of superstep 0.
+	// reports closes the superstep of query 1 that b ran with res and says
+	// whether b reports it.
+	reports := func(b *barrier, res stepResult) bool {
+		_, report := b.stepped(1, res)
+		return report
+	}
+	// solo is a machine running query 1's release of superstep 0 to worker
+	// 0 alone: a run of one, the solo loop.
 	solo := func(t *testing.T, monotone bool, maxIters int) *barrier {
 		t.Helper()
 		b := newBarrier(0)
 		b.execute(1, protocol.Rules{Monotone: monotone, MaxIters: maxIters})
-		if err := b.ready(1, release{solo: true, bestGoal: query.NoResult}); err != nil || !runs(&b, 1, 0) {
+		if err := b.ready(1, release{bestGoal: query.NoResult, peers: []partition.WorkerID{0}}); err != nil || !runs(&b, 1, 0) {
 			t.Fatalf("the solo release of step 0 did not run: %v", err)
 		}
 		return &b
 	}
-	// step is a superstep's result: batches sent, vertices active next, the
-	// frontier's bound and the best goal found.
+	// step is a superstep's result: batches sent to worker 1, vertices
+	// active next, the frontier's bound and the best goal found.
 	step := func(sent, active int32, frontier, goal float64) stepResult {
-		return stepResult{sentTotal: sent, nActiveNext: active, minFrontier: frontier, bestGoal: goal}
+		return stepResult{sent: []int32{0, sent}, nActiveNext: active, minFrontier: frontier, bestGoal: goal}
 	}
 	// loopEnds checks that a solo loop reports after res, having looped on
 	// after the supersteps before.
 	loopEnds := func(t *testing.T, b *barrier, res stepResult) {
 		t.Helper()
-		if !b.stepped(1, res) || b.queries[1].state != idle {
+		if !reports(b, res) || b.queries[1].state != idle {
 			t.Fatalf("the solo loop went on after %+v", res)
 		}
 		if _, _, ok := b.run(); ok {
@@ -53,7 +60,7 @@ func TestWorkerTransitions(t *testing.T) {
 	}
 	// busy is a superstep of worker 0 that keeps a vertex active and sends
 	// worker 1 a batch.
-	busy := stepResult{sent: []int32{0, 1}, sentTotal: 1, nActiveNext: 1, minFrontier: 1, bestGoal: query.NoResult}
+	busy := stepResult{sent: []int32{0, 1}, nActiveNext: 1, minFrontier: 1, bestGoal: query.NoResult}
 	// summary is worker 1's summary of superstep step on its last batch to
 	// worker 0, with entries unless it is a marker; sent is by destination.
 	summary := func(step int32, marker bool, sent ...int32) *protocol.VertexBatch {
@@ -71,7 +78,7 @@ func TestWorkerTransitions(t *testing.T) {
 		b := newBarrier(0)
 		b.execute(1, protocol.Rules{})
 		b.ready(1, multi(1, 0))
-		if !runs(&b, 1, 1) || !b.stepped(1, busy) || b.queries[1].state != deciding {
+		if !runs(&b, 1, 1) || !reports(&b, busy) || b.queries[1].state != deciding {
 			t.Fatal("superstep 1 of the multi release did not report and await the decision")
 		}
 		return &b
@@ -140,7 +147,7 @@ func TestWorkerTransitions(t *testing.T) {
 				t.Fatal("the marker counted for the release")
 			}
 			b.batch(batch(1, 0), false)
-			if !runs(&b, 1, 1) || !b.stepped(1, busy) || !runs(&b, 1, 2) {
+			if !runs(&b, 1, 1) || !reports(&b, busy) || !runs(&b, 1, 2) {
 				t.Fatal("the early summary did not decide superstep 1")
 			}
 		}},
@@ -232,13 +239,16 @@ func TestWorkerTransitions(t *testing.T) {
 		{"a solo loop goes on until a rule ends it", func(t *testing.T) {
 			b := solo(t, true, 0)
 			for s := int32(1); s <= 3; s++ {
-				if b.stepped(1, step(0, 2, 4, 9)) || !runs(b, 1, s) {
+				if reports(b, step(0, 2, 4, 9)) || !runs(b, 1, s) {
 					t.Fatalf("the loop did not go on to step %d", s)
 				}
 			}
-			loopEnds(t, b, step(0, 0, query.NoResult, query.NoResult))
-			if q := b.queries[1]; q.rel.step != 0 || q.step != 4 || q.bestGoal != 9 {
-				t.Fatalf("report from step %d, next step %d, best goal %v; want 0, 4 and 9", q.rel.step, q.step, q.bestGoal)
+			from, report := b.stepped(1, step(0, 0, query.NoResult, query.NoResult))
+			if q := b.queries[1]; !report || q.state != idle || from != 0 || q.step != 4 || q.bestGoal != 9 {
+				t.Fatalf("report %v from step %d, next step %d, best goal %v; want a report from 0, 4 and 9", report, from, q.step, q.bestGoal)
+			}
+			if _, _, ok := b.run(); ok {
+				t.Fatal("a superstep is queued after the report")
 			}
 		}},
 		{"a non-solo release reports after one superstep", func(t *testing.T) {
@@ -248,11 +258,6 @@ func TestWorkerTransitions(t *testing.T) {
 			runs(&b, 1, 0)
 			loopEnds(t, &b, step(0, 2, 4, 9))
 		}},
-		{"stopping ends a solo loop", func(t *testing.T) {
-			b := solo(t, false, 0)
-			b.stop(1, 1)
-			loopEnds(t, b, step(0, 2, 4, 9))
-		}},
 		{"a batch sent ends a solo loop", func(t *testing.T) {
 			loopEnds(t, solo(t, false, 0), step(1, 2, 4, 9))
 		}},
@@ -260,7 +265,7 @@ func TestWorkerTransitions(t *testing.T) {
 			loopEnds(t, solo(t, false, 0), step(0, 0, 4, 9))
 		}},
 		{"the monotone bound ends a solo loop", func(t *testing.T) {
-			if b := solo(t, false, 0); b.stepped(1, step(0, 2, 9, 9)) {
+			if b := solo(t, false, 0); reports(b, step(0, 2, 9, 9)) {
 				t.Fatal("the bound ended a loop of a program that is not monotone")
 			}
 			b := solo(t, true, 0)
@@ -271,13 +276,13 @@ func TestWorkerTransitions(t *testing.T) {
 		{"the release's best goal bounds a solo loop", func(t *testing.T) {
 			b := newBarrier(0)
 			b.execute(1, protocol.Rules{Monotone: true})
-			b.ready(1, release{solo: true, bestGoal: 5}) // a goal another worker found
+			b.ready(1, release{bestGoal: 5, peers: []partition.WorkerID{0}}) // a goal another worker found
 			runs(&b, 1, 0)
 			loopEnds(t, &b, step(0, 2, 6, query.NoResult))
 		}},
 		{"MaxIters ends a solo loop", func(t *testing.T) {
 			b := solo(t, false, 2)
-			if b.stepped(1, step(0, 2, 4, 9)) || !runs(b, 1, 1) {
+			if reports(b, step(0, 2, 4, 9)) || !runs(b, 1, 1) {
 				t.Fatal("the loop stopped after the first of 2 iterations")
 			}
 			loopEnds(t, b, step(0, 2, 4, 9))
@@ -293,17 +298,24 @@ func TestWorkerTransitions(t *testing.T) {
 		{"a release and its batch allocate nothing", func(t *testing.T) {
 			b := newBarrier(0)
 			b.execute(1, protocol.Rules{})
-			m, s := batch(1, 0), int32(0)
+			m, s, res := batch(1, 0), int32(0), step(1, 1, 4, 9)
 			cycle := func() {
 				m.Step, s = s, s+1
 				b.batch(m, false)
 				b.ready(1, release{step: s, expect: 1})
 				runs(&b, 1, s)
-				b.stepped(1, step(1, 1, 4, 9))
+				b.stepped(1, res)
 			}
 			cycle()
 			if n := testing.AllocsPerRun(100, cycle); n != 0 {
 				t.Fatalf("%v allocations a release", n)
+			}
+		}},
+		{"a GlobalStop that finds a superstep queued is a protocol error", func(t *testing.T) {
+			b := solo(t, false, 0)
+			reports(b, step(0, 2, 4, 9)) // the run goes on: step 1 is queued
+			if err := b.stop(1, 1); err == nil || b.wait != nil {
+				t.Fatalf("GlobalStop with a superstep queued: %v, awaiting %+v", err, b.wait)
 			}
 		}},
 		{"a StopAck waits for every peer's marker, early ones included", func(t *testing.T) {
@@ -351,21 +363,23 @@ func TestWorkerTransitions(t *testing.T) {
 			b.stop(1, 0)
 			b.arrive(5)
 			b.start()
-			if b.stopping || b.arrived != nil {
-				t.Fatalf("stopping %v, arrived %v after GlobalStart", b.stopping, b.arrived)
+			if b.arrived != nil {
+				t.Fatalf("arrived %v after GlobalStart", b.arrived)
 			}
 		}},
-		{"reset clears everything and leaves the worker stopping", func(t *testing.T) {
+		{"reset clears everything", func(t *testing.T) {
 			b := solo(t, false, 0)
+			if err := b.stop(1, 1); err != nil { // a recovery may abort a global barrier
+				t.Fatal(err)
+			}
 			b.stepped(1, step(0, 2, 4, 9)) // queued
 			b.execute(2, protocol.Rules{})
 			b.ready(2, release{step: 1, expect: 1}) // held
 			b.batch(batch(3, 0), false)             // buffered
-			b.stop(1, 1)
 			b.marker(2)
 			b.arrive(graph.VertexID(4))
 			b.reset(5)
-			if b.gen != 5 || !b.stopping || len(b.queries) != 0 || len(b.early) != 0 || len(b.runnable) != 0 ||
+			if b.gen != 5 || len(b.queries) != 0 || len(b.early) != 0 || len(b.runnable) != 0 ||
 				b.wait != nil || len(b.markers) != 0 || b.arrived != nil {
 				t.Fatalf("after reset: %+v", b)
 			}
@@ -376,5 +390,27 @@ func TestWorkerTransitions(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, tc.run)
+	}
+}
+
+// TestRunOfOneAllocs checks that a superstep a run of one continues, from
+// run to the decision in stepped, allocates nothing: the decision's maps
+// and the step's summaries are reused.
+func TestRunOfOneAllocs(t *testing.T) {
+	b := newBarrier(0)
+	b.execute(1, protocol.Rules{Monotone: true})
+	b.ready(1, release{bestGoal: query.NoResult, peers: []partition.WorkerID{0}})
+	res := stepResult{sent: make([]int32, 2), nActiveNext: 1, minFrontier: 4, bestGoal: 9}
+	superstep := func() {
+		if q, _, ok := b.run(); !ok || q != 1 {
+			t.Fatal("the run of one queued no superstep")
+		}
+		if _, report := b.stepped(1, res); report {
+			t.Fatal("the run of one stopped")
+		}
+	}
+	superstep()
+	if n := testing.AllocsPerRun(100, superstep); n != 0 {
+		t.Fatalf("%v allocations a superstep, want 0", n)
 	}
 }

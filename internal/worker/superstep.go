@@ -22,7 +22,6 @@ type stepResult struct {
 	processed   int32
 	nActiveNext int32
 	sent        []int32 // batches sent per destination worker
-	sentTotal   int32
 	// minFrontier bounds every value still in flight: the batches just
 	// sent and every inbox not yet consumed.
 	minFrontier float64
@@ -36,9 +35,9 @@ func (res stepResult) summary(best float64) protocol.StepSummary {
 }
 
 // stepOnce computes superstep step of query q, which the barrier queued,
-// and reports it unless the barrier loops a solo query on (the local query
-// barrier of Sec. 3.3). One superstep runs per call, so concurrent queries
-// interleave fairly.
+// and reports it unless the barrier goes on with a run of one (the local
+// query barrier of Sec. 3.3). One superstep runs per call, so concurrent
+// queries interleave fairly.
 func (w *Worker) stepOnce(q query.ID, step int32) error {
 	qs := w.queries[q]
 	t0 := w.cfg.Clock()
@@ -55,8 +54,7 @@ func (w *Worker) stepOnce(q query.ID, step int32) error {
 	if faultpoint.Hit(faultpoint.WorkerSuperstep, int(w.id), int(q), int(step)) {
 		return faultpoint.ErrKilled
 	}
-	from := w.bar.queries[q].rel.step
-	if w.bar.stepped(q, res) {
+	if from, report := w.bar.stepped(q, res); report {
 		w.sendSynch(q, qs, from, step, res)
 	}
 	return nil
@@ -64,9 +62,9 @@ func (w *Worker) stepOnce(q query.ID, step int32) error {
 
 // computeStep executes one superstep of qs: consume the combined inbox,
 // run the vertex function per active vertex, stage emissions, and flush
-// remote batches. Under an implicitly continuable release the last batch
-// to each other peer carries the step's summary, on a marker if the step
-// sent that peer nothing.
+// remote batches. In a run of several workers the last batch to each
+// other peer carries the step's summary, on a marker if the step sent that
+// peer nothing.
 func (w *Worker) computeStep(qs *queryState, step int32) stepResult {
 	box := qs.inbox[step]
 	delete(qs.inbox, step)
@@ -121,7 +119,6 @@ func (w *Worker) computeStep(qs *queryState, step int32) stepResult {
 			res.minFrontier = min(res.minFrontier, val)
 		}
 		res.sent[dst] = int32((buf.len() + batchMsgs - 1) / batchMsgs)
-		res.sentTotal += res.sent[dst]
 	}
 	for _, box := range qs.inbox {
 		for _, val := range box.vals {
@@ -131,9 +128,9 @@ func (w *Worker) computeStep(qs *queryState, step int32) stepResult {
 	res.nActiveNext = int32(qs.inbox[step+1].len())
 
 	var sum *protocol.StepSummary
-	peers := w.bar.peers(spec.ID)
-	if peers != nil {
-		s := res.summary(min(w.bar.queries[spec.ID].bestGoal, res.bestGoal))
+	qb := w.bar.queries[spec.ID]
+	if len(qb.rel.peers) > 1 { // a run of one has no peer to send it to
+		s := res.summary(min(qb.bestGoal, res.bestGoal))
 		sum = &s
 	}
 	for dst, buf := range w.outBuf {
@@ -147,7 +144,7 @@ func (w *Worker) computeStep(qs *queryState, step int32) stepResult {
 			w.free(buf)
 		}
 		last := sum
-		if partition.WorkerID(dst) == w.id || !slices.Contains(peers, partition.WorkerID(dst)) {
+		if partition.WorkerID(dst) == w.id || !slices.Contains(qb.rel.peers, partition.WorkerID(dst)) {
 			last = nil
 		}
 		w.sendBatch(spec.ID, step, partition.WorkerID(dst), entries, last)

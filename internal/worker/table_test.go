@@ -161,7 +161,7 @@ func TestTwoRunsSendIdenticalBytes(t *testing.T) {
 		&protocol.VertexBatch{Q: 2, Step: 0, From: 1, Entries: inFromPeer},
 		&protocol.BarrierReady{Q: 2, Step: 1, Expect: 1, BestGoal: query.NoResult},
 		&protocol.ExecuteQuery{Spec: query.Spec{ID: 3, Kind: query.KindBFS, Source: 130, Target: graph.NilVertex}},
-		&protocol.BarrierReady{Q: 3, Step: 0, Solo: true, BestGoal: query.NoResult},
+		&protocol.BarrierReady{Q: 3, Step: 0, BestGoal: query.NoResult, Peers: []partition.WorkerID{0}},
 		&protocol.QueryFinish{Q: 3, Reason: protocol.FinishConverged},
 		&protocol.StatsPull{Seq: 1},
 		&protocol.QueryFinish{Q: 1, Reason: protocol.FinishConverged},

@@ -95,7 +95,7 @@ func (s *syncWorker) runQuery(q query.ID, src graph.VertexID, iters int) *protoc
 	s.deliver(&protocol.ExecuteQuery{Spec: query.Spec{
 		ID: q, Kind: query.KindBFS, Source: src, Target: graph.NilVertex, MaxIters: iters,
 	}})
-	s.deliver(&protocol.BarrierReady{Q: q, Step: 0, Solo: true, BestGoal: query.NoResult})
+	s.deliver(&protocol.BarrierReady{Q: q, Step: 0, BestGoal: query.NoResult, Peers: []partition.WorkerID{s.w.id}})
 	last, ok := s.conn.sent[len(s.conn.sent)-1].(*protocol.BarrierSynch)
 	if !ok || last.Q != q {
 		s.t.Fatalf("last message is not query %d's report: %+v", q, s.conn.sent[len(s.conn.sent)-1])
@@ -218,7 +218,7 @@ func TestPairReportedByLaterFinisher(t *testing.T) {
 	if rep := s.pull(); !slices.Equal(rep.Pairs, want) {
 		t.Fatalf("with 2 live the pull reports %+v, want %+v", rep.Pairs, want)
 	}
-	s.deliver(&protocol.BarrierReady{Q: 2, Step: 1, Solo: true, BestGoal: query.NoResult})
+	s.deliver(&protocol.BarrierReady{Q: 2, Step: 1, BestGoal: query.NoResult, Peers: []partition.WorkerID{0}})
 	s.deliver(&protocol.QueryFinish{Q: 2, Reason: protocol.FinishMaxIters})
 	want = []protocol.IntersectionStat{{Q1: 3, Q2: 1, Shared: final13}, {Q1: 2, Q2: 1, Shared: final13}, {Q1: 2, Q2: 3, Shared: int32(len(s.w.finished[3].verts))}}
 	if rep := s.pull(); !slices.Equal(rep.Pairs, want) {

@@ -7,9 +7,9 @@
 //
 // The worker's half of the hybrid barrier (Sec. 3.3) is one machine with no
 // I/O and no clock (barrier.go): when a released superstep may run, the
-// local query barrier that iterates a solo query without controller round
-// trips, what becomes of a vertex batch, and the STOP/START drain. The
-// controller's half is its round (internal/controller).
+// runs whose workers release the next one themselves (of one worker, the
+// local query barrier), what becomes of a vertex batch, and the STOP/START
+// drain. The controller's half is its round (internal/controller).
 //
 // A worker is a single event loop over its transport inbox, a pump over two
 // entries: Handle takes one message, Step runs one queued superstep. All
@@ -562,7 +562,7 @@ func (w *Worker) onReady(m *protocol.BarrierReady) error {
 	if m.Peers != nil && !slices.Contains(m.Peers, w.id) {
 		return fmt.Errorf("query %d release: peers %v without worker %d", m.Q, m.Peers, w.id)
 	}
-	return w.bar.ready(m.Q, release{step: m.Step, expect: m.Expect, solo: m.Solo, drained: m.Drained,
+	return w.bar.ready(m.Q, release{step: m.Step, expect: m.Expect, drained: m.Drained,
 		bestGoal: m.BestGoal, peers: m.Peers})
 }
 
@@ -631,17 +631,11 @@ func (w *Worker) onDeltaBatch(m *protocol.DeltaBatch) error {
 // topology convergence).
 func (w *Worker) View() *delta.View { return w.view }
 
-// onGlobalStop flushes every link into this worker with markers. The
-// controller quiesces all queries before stopping, so nothing is queued
-// here; any stragglers run first (stopping, they report out after one
-// superstep), so the markers follow this worker's last vertex batch before
-// GlobalStart on every link.
+// onGlobalStop flushes every link into this worker with markers, which
+// follow this worker's last vertex batch before GlobalStart on every link.
 func (w *Worker) onGlobalStop(m *protocol.GlobalStop) error {
-	w.bar.stop(m.Epoch, len(m.Live)-1)
-	for q, step, ok := w.bar.run(); ok; q, step, ok = w.bar.run() {
-		if err := w.stepOnce(q, step); err != nil {
-			return err
-		}
+	if err := w.bar.stop(m.Epoch, len(m.Live)-1); err != nil {
+		return err
 	}
 	if faultpoint.Hit(faultpoint.WorkerBarrierStop, int(w.id)) {
 		return faultpoint.ErrKilled

@@ -129,13 +129,14 @@ func TestSingleWorkerQueryLifecycle(t *testing.T) {
 	}
 }
 
-// TestSoloLoopReportsOnce: a solo release runs the whole local query and
-// reports one multi-step synch with LocalIters accounting.
+// TestSoloLoopReportsOnce: a release to one worker alone, a run of one,
+// runs the whole local query and reports one multi-step synch with
+// LocalIters accounting.
 func TestSoloLoopReportsOnce(t *testing.T) {
 	h := newHarness(t, 1)
 	spec := query.Spec{ID: 9, Kind: query.KindBFS, Source: 0, Target: graph.NilVertex}
 	h.send(0, &protocol.ExecuteQuery{Spec: spec})
-	h.send(0, &protocol.BarrierReady{Q: 9, Step: 0, Solo: true, BestGoal: query.NoResult})
+	h.send(0, &protocol.BarrierReady{Q: 9, Step: 0, BestGoal: query.NoResult, Peers: []partition.WorkerID{0}})
 	s := h.recvSynch()
 	// Line graph 0→4: activations at steps 0..4, step 4 activates nothing
 	// beyond vertex 4... vertex 4's compute at step 4 emits to 3 (worse,
@@ -246,7 +247,7 @@ func TestGlobalBarrierProtocol(t *testing.T) {
 		spec := query.Spec{ID: 21, Kind: query.KindBFS, Source: 0, Target: graph.NilVertex}
 		h.send(0, &protocol.ExecuteQuery{Spec: spec})
 		h.send(1, &protocol.ExecuteQuery{Spec: spec})
-		h.send(0, &protocol.BarrierReady{Q: 21, Step: 0, Solo: true, BestGoal: query.NoResult})
+		h.send(0, &protocol.BarrierReady{Q: 21, Step: 0, BestGoal: query.NoResult, Peers: []partition.WorkerID{0}})
 		s := h.recvSynch() // worker 0 runs until it must send to worker 1
 		if s.SentBatches[1] == 0 {
 			t.Fatalf("expected boundary crossing, got %+v", s)
