@@ -265,10 +265,11 @@ func (req scheduleReq) refuse(reason protocol.FinishReason) {
 // onCancel abandons a query on behalf of its caller. A deferred query is
 // cancelled immediately. An executing one is finished eagerly outside the
 // global-barrier move phases: the QueryFinish broadcast interrupts even
-// a run of one, because workers drain their inbox between supersteps, and late BarrierSynch reports for the dropped query are
-// tolerated by onSynch. During the barrier phases (stopping → moving) and
-// a recovery round the network must stay quiet, so the cancel is only
-// marked and honored at resume.
+// a run of one, because workers drain their inbox between supersteps, and
+// late BarrierSynch reports for the dropped query are tolerated by
+// onSynch. During the barrier phases (stopping → moving) and a recovery
+// round the network must stay quiet, so the cancel is only marked and
+// honored at resume.
 func (c *Controller) onCancel(q query.ID) {
 	if ctl, ok := c.queries[q]; ok {
 		ctl.cancelled = true
