@@ -211,8 +211,9 @@ type Result struct {
 	// Version is the committed graph version the answer was computed at
 	// (the query's pin) — not whatever is committed when it is delivered.
 	Version uint64
-	// Blocks is the scope as sorted signature blocks (protocol.SigShift):
-	// every vertex whose out-edges the execution read lies in one of them,
+	// Blocks is the scope as sorted signature blocks (protocol.SigShift, 8
+	// vertices each; round.result reads them off the round's bitset): every
+	// vertex whose out-edges the execution read lies in one of them,
 	// so the answer holds at any later version whose batches change no
 	// out-edge of a vertex in these blocks (see OnCommit).
 	Blocks []int32

@@ -9,10 +9,12 @@ import (
 
 	"qgraph/internal/controller"
 	"qgraph/internal/delta"
+	"qgraph/internal/gen"
 	"qgraph/internal/graph"
 	"qgraph/internal/partition"
 	"qgraph/internal/protocol"
 	"qgraph/internal/query"
+	"qgraph/internal/workload"
 )
 
 // pathGraph builds the directed path 0 → 1 → … → n-1 with unit weights.
@@ -381,8 +383,13 @@ func TestResultBlocksAndCommitBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res := h.Wait(); res.Value != 130 || !slices.Equal(res.Blocks, []int32{1, 2, 3}) {
-		t.Fatalf("70→200 = %v over blocks %v, want 130 over [1 2 3]", res.Value, res.Blocks)
+	var scope []int32 // the blocks of the path 70..200
+	for v := graph.VertexID(70); v <= 200; v++ {
+		scope = append(scope, protocol.BlockOf(v))
+	}
+	scope = slices.Compact(scope)
+	if res := h.Wait(); res.Value != 130 || !slices.Equal(res.Blocks, scope) {
+		t.Fatalf("70→200 = %v over blocks %v, want 130 over %v", res.Value, res.Blocks, scope)
 	}
 	mutate(t, eng, []delta.Op{
 		{Kind: delta.OpSetWeight, From: 260, To: 261, Weight: 2},
@@ -393,7 +400,9 @@ func TestResultBlocksAndCommitBlocks(t *testing.T) {
 	mutate(t, eng, []delta.Op{{Kind: delta.OpAddVertex}})
 	mu.Lock()
 	defer mu.Unlock()
-	want := []commit{{1, 0, []int32{0, 4}}, {2, 1, []int32{}}}
+	changed := []int32{protocol.BlockOf(3), protocol.BlockOf(260), protocol.BlockOf(299)}
+	slices.Sort(changed)
+	want := []commit{{1, 0, slices.Compact(changed)}, {2, 1, []int32{}}}
 	if len(heard) != len(want) {
 		t.Fatalf("heard %+v, want %+v", heard, want)
 	}
@@ -401,5 +410,89 @@ func TestResultBlocksAndCommitBlocks(t *testing.T) {
 		if got := heard[i]; got.version != w.version || got.readable != w.readable || !slices.Equal(got.blocks, w.blocks) {
 			t.Fatalf("commit %d heard as %+v, want %+v", i, got, w)
 		}
+	}
+}
+
+// TestFineBlocksEvictFewerAnswers: the block size decides how many cached
+// answers a commit evicts. On the benchmark's road map (BW at scale 64, k =
+// 2), 128 distinct hotspot SSSP queries finish; then one batch shaped like
+// the benchmark's mixed_rw commits, 8 ops on out-edges within 2 km of the
+// most populous city. Fewer answers share a block with it at
+// protocol.SigShift than when every scope and the batch are coarsened to
+// 64-vertex blocks, the block size before 8: those are answers the commit
+// cannot change and the cache keeps.
+func TestFineBlocksEvictFewerAnswers(t *testing.T) {
+	net, err := gen.Road(gen.BWConfig(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := startEngine(t, net.G, func(cfg *Config) {
+		cfg.Workers = 2
+		cfg.CommitEvery = time.Millisecond
+		cfg.MaxBatchOps = 8
+	})
+	var mu sync.Mutex
+	var changed []int32
+	eng.Controller().OnCommit(func(_ uint64, blocks []int32) {
+		mu.Lock()
+		defer mu.Unlock()
+		changed = append(changed, blocks...)
+	})
+
+	rg := workload.NewRoadGen(net, 1)
+	seen := map[[2]graph.VertexID]bool{}
+	var specs []query.Spec
+	for len(specs) < 128 {
+		if s := rg.SSSP(); s.Source != s.Target && !seen[[2]graph.VertexID{s.Source, s.Target}] {
+			seen[[2]graph.VertexID{s.Source, s.Target}] = true
+			specs = append(specs, s)
+		}
+	}
+	results, err := eng.RunBatch(specs, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	big := net.Cities[0]
+	for _, c := range net.Cities[1:] {
+		if c.Pop > big.Pop {
+			big = c
+		}
+	}
+	near := net.Index.Within(big.Center, 2.0)
+	rng := rand.New(rand.NewPCG(1, 1))
+	var ops []delta.Op
+	for len(ops) < 8 {
+		from, to := near[rng.IntN(len(near))], near[rng.IntN(len(near))]
+		if out := net.G.Out(from); len(ops)%2 == 0 && len(out) > 0 {
+			e := out[rng.IntN(len(out))]
+			ops = append(ops, delta.Op{Kind: delta.OpSetWeight, From: from, To: e.To, Weight: 2 * e.Weight})
+		} else if from != to {
+			ops = append(ops, delta.Op{Kind: delta.OpAddEdge, From: from, To: to, Weight: 100})
+		}
+	}
+	mutate(t, eng, ops)
+	mu.Lock()
+	defer mu.Unlock()
+
+	const coarsen = 6 - protocol.SigShift // to 64-vertex blocks
+	shares := func(shift int) (n int) {
+		hit := map[int32]bool{}
+		for _, b := range changed {
+			hit[b>>shift] = true
+		}
+		for _, r := range results {
+			if slices.ContainsFunc(r.Blocks, func(b int32) bool { return hit[b>>shift] }) {
+				n++
+			}
+		}
+		return n
+	}
+	fine, coarse := shares(0), shares(coarsen)
+	t.Logf("of %d answers, %d share a block with the batch's %d blocks at %d-vertex blocks, %d at 64-vertex blocks",
+		len(results), fine, len(changed), 1<<protocol.SigShift, coarse)
+	if len(changed) == 0 || fine >= coarse {
+		t.Fatalf("the batch evicts %d of %d answers at %d-vertex blocks, no fewer than the %d at 64-vertex blocks",
+			fine, len(results), 1<<protocol.SigShift, coarse)
 	}
 }

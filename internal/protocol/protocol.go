@@ -246,10 +246,17 @@ const DefaultMu = 240 * time.Second
 
 // SigShift is the scope-signature block size exponent: vertices v and v'
 // share a block iff v>>SigShift == v'>>SigShift. Road-network vertex ids
-// are row-major, so a block is a spatially contiguous strip. Workers
-// summarise a query's scope as the blocks it touched; the serving cache
-// evicts an answer when a commit changes the out-edges of a vertex in one.
-const SigShift = 6
+// are row-major, so a block is a spatially contiguous strip: 8 vertices,
+// 4 km of a BW row. Workers summarise a query's scope as the blocks it
+// touched; the serving cache evicts an answer when a commit changes the
+// out-edges of a vertex in one, and Q-cut's intersection estimates are
+// sums over shared blocks. Finer blocks evict fewer answers a commit cannot
+// change and estimate overlaps more closely, at a cost per block in the
+// scope bookkeeping; 8 was chosen by a sweep of 64, 32, 16 and 8 on the
+// benchmark's workloads. Nodes built with different values are refused at
+// the TCP handshake (transport.CodecVersion), since they would disagree on
+// what a block id means.
+const SigShift = 3
 
 // BlockOf returns the signature block of vertex v.
 func BlockOf(v graph.VertexID) int32 { return int32(v) >> SigShift }

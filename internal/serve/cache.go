@@ -105,11 +105,12 @@ type entry struct {
 // is among them. A read outlasts a commit or two, not sixteen.
 const recentBatches = 16
 
-// indexShift groups the blocks the index is kept by. Scopes are runs of
-// neighbouring blocks, so eight to a group cuts what every stored answer
-// pays eightfold; a commit then checks the few answers sharing a group with
-// it for the block itself.
-const indexShift = 3
+// indexShift groups the blocks the index is kept by, so that a group spans
+// 512 vertex ids whatever the block size (protocol.SigShift). Scopes are
+// runs of neighbouring blocks, so grouping them cuts what every stored
+// answer pays by the blocks a group holds; a commit then checks the few
+// answers sharing a group with it for the block itself.
+const indexShift = 9 - protocol.SigShift
 
 // groupsOf yields the index groups that sorted blocks fall in, each once.
 func groupsOf(blocks []int32) iter.Seq[int32] {
@@ -140,8 +141,8 @@ type Cache struct {
 	flights map[Key]*Flight
 	// byBlock indexes the entries by the blocks of their scope, so a commit
 	// costs what it evicts, not a walk of the cache — by groups of
-	// 1<<indexShift blocks, so storing an answer costs an insert per group
-	// its scope enters, not per block.
+	// 1<<indexShift blocks (512 vertices), so storing an answer costs an
+	// insert per group its scope enters, not per block.
 	byBlock map[int32]map[*list.Element]struct{}
 	// version is the newest committed version Commit was told of; every
 	// entry holds at it. recent[v%recentBatches] are the blocks batch v

@@ -32,7 +32,7 @@ import (
 
 // CodecVersion identifies the frame encoding generation, which the TCP dial
 // handshake checks (see TCPNode). Bump it whenever any message's encoding
-// changes shape. History:
+// changes shape, or what a field means. History:
 //
 //	1 — initial encoding (pre-handshake binaries sent no version byte)
 //	2 — ExecuteQuery gained Spec.TraceID, BarrierSynch gained ComputeNS
@@ -48,10 +48,13 @@ import (
 //	    VertexBatch gained an optional StepSummary
 //	9 — BarrierReady lost Solo; a hybrid release of one names its worker
 //	    in Peers
+//	10 — no frame changed shape: block ids (BarrierSynch.NewBlocks) name
+//	    8-vertex blocks, not 64 (protocol.SigShift 3), and a node of
+//	    either meaning must not evict by the other's
 //
 // The value is offset from small integers so a legacy 1-byte [NodeID]
 // handshake can never alias a valid version.
-const CodecVersion = 0xA0 + 9
+const CodecVersion = 0xA0 + 10
 
 // hdr is the frame header: u32 payload length plus the u8 message type.
 const hdr = 5

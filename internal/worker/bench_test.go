@@ -2,6 +2,7 @@ package worker
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"qgraph/internal/graph"
@@ -130,4 +131,61 @@ func BenchmarkWindowPull(b *testing.B) {
 		s.deliver(&protocol.StatsPull{Seq: 1})
 		s.conn.sent = s.conn.sent[:0]
 	}
+}
+
+// BenchmarkScopeBlocks times the bookkeeping a scope costs per block, which
+// grows as blocks shrink (protocol.SigShift): counting each first-touched
+// vertex into the signature (touch), the barrier report that names the new
+// blocks (sendSynch), and freezing the signature at finish (freezeSig).
+//
+//   - social: 1 000 vertices scattered over 20 000 ids, as a personalised
+//     PageRank's scope on one worker of a Hash-partitioned social graph.
+//   - road: a 20×20 patch of a row-major grid 167 vertices wide (BW at the
+//     benchmark's scale 64), touched ring by ring from its centre, as an
+//     SSSP's wavefront reaches it.
+func BenchmarkScopeBlocks(b *testing.B) {
+	b.Run("social", func(b *testing.B) {
+		const n, scope = 20000, 1000
+		rng := rand.New(rand.NewPCG(17, 17))
+		verts := make([]graph.VertexID, scope)
+		for i, v := range rng.Perm(n)[:scope] {
+			verts[i] = graph.VertexID(v)
+		}
+		benchScopeBlocks(b, n, verts)
+	})
+	b.Run("road", func(b *testing.B) {
+		const width, side, x0, y0 = 167, 20, 70, 70
+		var verts []graph.VertexID
+		for y := y0; y < y0+side; y++ {
+			for x := x0; x < x0+side; x++ {
+				verts = append(verts, graph.VertexID(y*width+x))
+			}
+		}
+		ring := func(v graph.VertexID) int {
+			dx, dy := int(v)%width-(x0+side/2), int(v)/width-(y0+side/2)
+			return max(dx, -dx) + max(dy, -dy)
+		}
+		slices.SortStableFunc(verts, func(a, b graph.VertexID) int { return ring(a) - ring(b) })
+		benchScopeBlocks(b, width*width, verts)
+	})
+}
+
+func benchScopeBlocks(b *testing.B, n int, verts []graph.VertexID) {
+	s := newSyncWorkerOn(b, 2, graph.NewBuilder(n).MustBuild(), make(partition.Assignment, n))
+	w := s.w
+	s.deliver(&protocol.ExecuteQuery{Spec: query.Spec{ID: 1, Kind: query.KindBFS, Source: verts[0], Target: graph.NilVertex}})
+	qs := w.queries[1]
+	var sig frozenSig
+	b.ReportAllocs()
+	for b.Loop() {
+		w.free(qs.sig)
+		qs.sig = w.table()
+		for _, v := range verts {
+			qs.touch(v)
+		}
+		w.sendSynch(1, qs, 0, 0, stepResult{})
+		sig = freezeSig(qs.sig)
+		s.conn.sent = s.conn.sent[:0]
+	}
+	b.ReportMetric(float64(len(sig.blocks)), "blocks")
 }

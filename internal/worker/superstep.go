@@ -172,7 +172,10 @@ func (w *Worker) sendSynch(q query.ID, qs *queryState, from, step int32, res ste
 	qb := w.bar.queries[q]
 	computeNS, processed, newBlocks := qs.computeNS, qs.processed, qs.newBlocks
 	qs.computeNS, qs.processed, qs.newBlocks = 0, 0, nil // the message keeps the slice
-	slices.Sort(newBlocks)                               // neighbours differ by a byte on the wire
+	// Sorted, neighbours differ by a byte on the wire; in touch order a
+	// scattered scope's differences take two (social_pagerank's barrier
+	// bytes grow by 41 %).
+	slices.Sort(newBlocks)
 	w.conn.Send(protocol.ControllerNode, &protocol.BarrierSynch{
 		Q: q, W: w.id,
 		Step:        step,

@@ -118,7 +118,7 @@ func TestRecycledMapsCarryNothingOver(t *testing.T) {
 			got.ScopeSize, len(pairs), want.ScopeSize)
 	}
 	if !maps.Equal(s.w.finished[2].verts, fresh.w.finished[2].verts) ||
-		!slices.Equal(s.w.finished[2].sig, fresh.w.finished[2].sig) {
+		!slices.Equal(s.w.finished[2].sig.blocks, fresh.w.finished[2].sig.blocks) {
 		t.Fatalf("second query's remembered scope differs from the one it has alone")
 	}
 	if n := int32(len(s.w.finished[1].verts)); n != first.ScopeSize || n == 0 {

@@ -20,30 +20,40 @@ const sigShift = protocol.SigShift
 type sigBlock struct{ blk, n int32 } // n touched vertices in id block blk
 
 // frozenSig is a coarse signature of a finished scope: touched vertices per
-// sigShift-sized id block, sorted by block. Intersection statistics are
-// estimated from signatures instead of exact key-set walks, which makes the
-// Iw report (Sec. 3.4) a pass over O(scope/2^sigShift) blocks per query pair
-// — the clustering that consumes them only needs affinity.
-type frozenSig []sigBlock
+// sigShift-sized id block, in the order the scope entered them. Intersection
+// statistics are estimated from signatures instead of exact key-set walks,
+// which makes the Iw report (Sec. 3.4) a pass over O(scope/2^sigShift)
+// blocks per query pair — the clustering that consumes them only needs
+// affinity — and pairs scatters one side, so it needs no order. Only scope
+// moves (add) look a block up: the first sorts the blocks, and a scope no
+// move reaches is never sorted.
+type frozenSig struct {
+	blocks []sigBlock
+	sorted bool // by blk
+}
 
 func freezeSig(sig *table) frozenSig {
-	out := make(frozenSig, 0, sig.len())
+	out := make([]sigBlock, 0, sig.len())
 	for i, blk := range sig.keys {
 		out = append(out, sigBlock{int32(blk), int32(sig.vals[i])})
 	}
-	slices.SortFunc(out, func(a, b sigBlock) int { return cmp.Compare(a.blk, b.blk) })
-	return out
+	return frozenSig{blocks: out}
 }
 
 // add counts vertex v into (d = 1) or out of (d = -1) the signature.
 func (s *frozenSig) add(v graph.VertexID, d int32) {
-	blk := int32(v) >> sigShift
-	i, ok := slices.BinarySearchFunc(*s, blk, func(e sigBlock, blk int32) int { return cmp.Compare(e.blk, blk) })
-	if !ok {
-		*s = slices.Insert(*s, i, sigBlock{blk: blk})
+	byBlock := func(a, b sigBlock) int { return cmp.Compare(a.blk, b.blk) }
+	if !s.sorted {
+		slices.SortFunc(s.blocks, byBlock)
+		s.sorted = true
 	}
-	if (*s)[i].n += d; (*s)[i].n <= 0 {
-		*s = slices.Delete(*s, i, i+1)
+	blk := int32(v) >> sigShift
+	i, ok := slices.BinarySearchFunc(s.blocks, sigBlock{blk: blk}, byBlock)
+	if !ok {
+		s.blocks = slices.Insert(s.blocks, i, sigBlock{blk: blk})
+	}
+	if s.blocks[i].n += d; s.blocks[i].n <= 0 {
+		s.blocks = slices.Delete(s.blocks, i, i+1)
 	}
 }
 
@@ -105,15 +115,15 @@ func (w *Worker) pairs() []protocol.IntersectionStat {
 	win := w.window()
 	var out []protocol.IntersectionStat
 	for i, fs := range win {
-		if len(fs.sig) == 0 {
+		if len(fs.sig.blocks) == 0 {
 			continue // nothing of it here, or moved away
 		}
-		for _, b := range fs.sig {
+		for _, b := range fs.sig.blocks {
 			scratch[b.blk] = b.n
 		}
 		for _, old := range win[:i] {
 			var shared int32
-			for _, b := range old.sig {
+			for _, b := range old.sig.blocks {
 				shared += min(scratch[b.blk], b.n)
 			}
 			if shared > 0 {
@@ -130,7 +140,7 @@ func (w *Worker) pairs() []protocol.IntersectionStat {
 				out = append(out, protocol.IntersectionStat{Q1: fs.q, Q2: q2, Shared: shared})
 			}
 		}
-		for _, b := range fs.sig {
+		for _, b := range fs.sig.blocks {
 			scratch[b.blk] = 0
 		}
 	}

@@ -1,6 +1,7 @@
 package worker
 
 import (
+	"cmp"
 	"maps"
 	"math/rand/v2"
 	"slices"
@@ -132,9 +133,27 @@ func mapOverlap(a, b map[int32]int32) (shared int32) {
 func vertsSig(verts map[graph.VertexID]bool) map[int32]int32 {
 	sig := make(map[int32]int32)
 	for v := range verts {
-		sig[int32(v)>>sigShift]++
+		sig[protocol.BlockOf(v)]++
 	}
 	return sig
+}
+
+// spanSig is the map signature of the vertices lo..hi.
+func spanSig(lo, hi graph.VertexID) map[int32]int32 {
+	verts := make(map[graph.VertexID]bool)
+	for v := lo; v <= hi; v++ {
+		verts[v] = true
+	}
+	return vertsSig(verts)
+}
+
+// sortedSig is sig's blocks ordered by block, the order frozenSig.add keeps.
+func sortedSig(sig map[int32]int32) []sigBlock {
+	var out []sigBlock
+	for _, blk := range slices.Sorted(maps.Keys(sig)) {
+		out = append(out, sigBlock{blk, sig[blk]})
+	}
+	return out
 }
 
 // TestFinishedScopesAreAWindow drives 20 window-caps of finishes through one
@@ -248,8 +267,9 @@ func TestMoveCarriesIntersections(t *testing.T) {
 		s.runQuery(1, 50, 4)
 		s.runQuery(2, 52, 4)
 	}
-	if rep := src.pull(); !slices.Equal(rep.Pairs, []protocol.IntersectionStat{{Q1: 2, Q2: 1, Shared: 7}}) {
-		t.Fatalf("before the move worker 0 reports %+v", rep.Pairs)
+	before := mapOverlap(spanSig(49, 55), spanSig(47, 53))
+	if rep := src.pull(); !slices.Equal(rep.Pairs, []protocol.IntersectionStat{{Q1: 2, Q2: 1, Shared: before}}) {
+		t.Fatalf("before the move worker 0 reports %+v, want %d shared", rep.Pairs, before)
 	}
 	src.stop()
 	dst.stop()
@@ -258,8 +278,9 @@ func TestMoveCarriesIntersections(t *testing.T) {
 	if rep := src.pull(); len(rep.Pairs) != 0 {
 		t.Fatalf("after the move worker 0 still reports %+v", rep.Pairs)
 	}
-	if rep := dst.pull(); !slices.Equal(rep.Pairs, []protocol.IntersectionStat{{Q1: 2, Q2: 1, Shared: 5}}) {
-		t.Fatalf("after the move worker 1 reports %+v, want 49..53 shared", rep.Pairs)
+	after := mapOverlap(spanSig(49, 53), spanSig(47, 53))
+	if rep := dst.pull(); !slices.Equal(rep.Pairs, []protocol.IntersectionStat{{Q1: 2, Q2: 1, Shared: after}}) {
+		t.Fatalf("after the move worker 1 reports %+v, want 49..53 shared: %d", rep.Pairs, after)
 	}
 }
 
@@ -285,7 +306,7 @@ func TestMoveStripsEveryRememberedScope(t *testing.T) {
 		}
 	}
 	for q := 1; q <= n; q++ {
-		if fs := s.w.finished[query.ID(q)]; len(fs.verts) != 0 || len(fs.sig) != 0 {
+		if fs := s.w.finished[query.ID(q)]; len(fs.verts) != 0 || len(fs.sig.blocks) != 0 {
 			t.Fatalf("query %d still remembers moved vertices: %+v", q, fs)
 		}
 	}
@@ -311,9 +332,11 @@ func TestScopeDataRemembersNoNewQueries(t *testing.T) {
 	if len(s.w.finished) != n+1 || len(s.w.finishOrder) != n+1 {
 		t.Fatalf("%d queries remembered (%d in the FIFO) after the move, want %d", len(s.w.finished), len(s.w.finishOrder), n+1)
 	}
+	want := spanSig(47, 53)
+	want[protocol.BlockOf(7)]++
 	for q := n; q <= 2*n; q++ {
 		fs := s.w.finished[query.ID(q)]
-		if fs == nil || !fs.verts[7] || !slices.Equal(fs.sig, frozenSig{{blk: 0, n: 8}}) { // 47..53 and 7
+		if fs == nil || !fs.verts[7] || !slices.Equal(fs.sig.blocks, sortedSig(want)) { // 47..53 and 7
 			t.Fatalf("remembered query %d did not take vertex 7 into its scope and signature: %+v", q, fs)
 		}
 	}
@@ -372,8 +395,8 @@ func TestFrozenSigEqualsMapSig(t *testing.T) {
 				old.sig.add(graph.VertexID(blk<<sigShift+1), 1)
 				m[blk]++
 			}
-			if !slices.Equal(old.sig, freezeSig(sigTable(m))) {
-				t.Fatalf("finish %d: signature of %d = %v, map form %v", i, old.q, old.sig, m)
+			if got := slices.SortedFunc(slices.Values(old.sig.blocks), func(a, b sigBlock) int { return cmp.Compare(a.blk, b.blk) }); !slices.Equal(got, sortedSig(m)) {
+				t.Fatalf("finish %d: signature of %d = %v, map form %v", i, old.q, got, m)
 			}
 		}
 		live := map[query.ID]map[int32]int32{}
@@ -424,8 +447,18 @@ func TestSynchReportsNewBlocksOnce(t *testing.T) {
 		s.deliver(&protocol.BarrierReady{Q: 1, Step: st, BestGoal: query.NoResult})
 		reports = append(reports, s.conn.sent[len(s.conn.sent)-1].(*protocol.BarrierSynch).NewBlocks)
 	}
-	for st := int32(0); st <= 40; st++ { // the flood reaches 60..140: blocks 0, 1 and 2
+	want := map[int][]int32{}
+	seen := map[int32]bool{}
+	enter := func(st int, v graph.VertexID) {
+		if blk := protocol.BlockOf(v); !seen[blk] {
+			seen[blk] = true
+			want[st] = append(want[st], blk)
+		}
+	}
+	for st := int32(0); st <= 40; st++ { // superstep st floods 100-st and 100+st
 		step(st)
+		enter(int(st), 100-graph.VertexID(st))
+		enter(int(st), 100+graph.VertexID(st))
 	}
 	s.stop()
 	s.deliver(&protocol.ScopeData{From: 1, Q: 9, Vertices: []protocol.MovedVertex{
@@ -434,8 +467,11 @@ func TestSynchReportsNewBlocksOnce(t *testing.T) {
 	}})
 	s.deliver(&protocol.GlobalStart{Epoch: 1})
 	step(41)
-	want := map[int][]int32{0: {1}, 28: {2}, 37: {0}, 41: {6}}
+	for _, v := range []graph.VertexID{59, 141, 390, 130} { // the flood goes on
+		enter(41, v)
+	}
 	for st, got := range reports {
+		slices.Sort(want[st])
 		if !slices.Equal(got, want[st]) {
 			t.Fatalf("report of step %d names blocks %v, want %v", st, got, want[st])
 		}
