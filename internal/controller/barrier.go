@@ -4,11 +4,9 @@ import (
 	"cmp"
 	"fmt"
 	"maps"
-	"math/bits"
 	"slices"
 	"time"
 
-	"qgraph/internal/graph"
 	"qgraph/internal/metrics"
 	"qgraph/internal/partition"
 	"qgraph/internal/protocol"
@@ -47,25 +45,17 @@ type round struct {
 
 	scopeSizes []int64 // latest |LS(q,w)| per worker
 	everActive []bool  // workers that ever processed or held scope
-	// blocks is the union of every worker's BarrierSynch.NewBlocks so far:
-	// bit b&63 of word b>>6 stands for block b, one of the nBlocks of the
-	// pinned graph. Workers sharing a block each report it; a bit per
-	// report and one pass over the words at the end give the sorted set
-	// with no sort, whose cost would grow with the blocks of a wide scope.
-	blocks     []uint64
-	nBlocks    int32
+	blocks     []int32 // every worker's BarrierSynch.NewBlocks so far, unsorted
 	bestGoal   float64
 	stepsDone  int
 	localSteps int
 }
 
-// newRound is the round of prog's query on k workers over a graph of
-// vertices vertices, before superstep 0.
-func newRound(k int, mode SyncMode, prog query.Program, maxIters, vertices int) round {
+// newRound is the round of prog's query on k workers, before superstep 0.
+func newRound(k int, mode SyncMode, prog query.Program, maxIters int) round {
 	r := round{
 		mode: mode, rules: protocol.Rules{Monotone: prog.Monotone(), MaxIters: maxIters},
 		scopeSizes: make([]int64, k), everActive: make([]bool, k),
-		nBlocks: protocol.BlockOf(graph.VertexID(vertices-1)) + 1,
 	}
 	r.restart()
 	return r
@@ -104,17 +94,9 @@ func (r *round) report(m *protocol.BarrierSynch) (complete, held bool, err error
 	if r.reports[m.W] != nil {
 		return false, false, fmt.Errorf("controller: duplicate synch for query %d from worker %d", m.Q, m.W)
 	}
-	if slices.ContainsFunc(m.NewBlocks, func(b int32) bool { return b < 0 || b >= r.nBlocks }) {
-		return false, false, fmt.Errorf("controller: synch for query %d from worker %d names a block outside the graph's %d", m.Q, m.W, r.nBlocks)
-	}
 	r.reports[m.W] = m
 	r.scopeSizes[m.W] = int64(m.ScopeSize)
-	for _, b := range m.NewBlocks {
-		if i := int(b >> 6); i >= len(r.blocks) {
-			r.blocks = append(r.blocks, make([]uint64, i+1-len(r.blocks))...)
-		}
-		r.blocks[b>>6] |= 1 << (b & 63)
-	}
+	r.blocks = append(r.blocks, m.NewBlocks...)
 	if m.Processed > 0 || m.ScopeSize > 0 {
 		r.everActive[m.W] = true
 	}
@@ -202,16 +184,9 @@ func (r *round) result(q query.ID, version uint64, reason protocol.FinishReason,
 			workers++
 		}
 	}
-	n := 0
-	for _, w := range r.blocks {
-		n += bits.OnesCount64(w)
-	}
-	blocks := make([]int32, 0, n)
-	for i, w := range r.blocks {
-		for ; w != 0; w &= w - 1 {
-			blocks = append(blocks, int32(i<<6+bits.TrailingZeros64(w)))
-		}
-	}
+	// Workers sharing a block each reported it.
+	slices.Sort(r.blocks)
+	r.blocks = slices.Compact(r.blocks)
 	return Result{
 		Q:          q,
 		Value:      r.bestGoal,
@@ -222,7 +197,7 @@ func (r *round) result(q query.ID, version uint64, reason protocol.FinishReason,
 		Workers:    workers,
 		Latency:    latency,
 		Version:    version,
-		Blocks:     blocks,
+		Blocks:     r.blocks,
 	}
 }
 
@@ -262,7 +237,7 @@ func (c *Controller) onSchedule(req scheduleReq) {
 		spec:    spec,
 		started: c.cfg.Clock(),
 		ch:      req.ch,
-		round:   newRound(c.cfg.K, c.cfg.Mode, prog, spec.MaxIters, c.curView.Load().NumVertices()),
+		round:   newRound(c.cfg.K, c.cfg.Mode, prog, spec.MaxIters),
 	}
 	c.queries[spec.ID] = ctl
 	// The query executes against the version committed now (MVCC): batches

@@ -228,20 +228,9 @@ func TestRoundTransitions(t *testing.T) {
 				t.Fatalf("result %+v", res)
 			}
 		}},
-		{name: "a report naming a block outside the graph is a protocol error", mode: SyncHybrid, run: func(t *testing.T, r *round) {
-			r.release(workers(0), nil, false)
-			for _, b := range []int32{-1, 6} { // the graph has blocks 0..5
-				if _, _, err := r.report(synch(1, 0, 0, func(s *protocol.BarrierSynch) { s.NewBlocks = []int32{1, b} })); err == nil {
-					t.Fatalf("a report naming block %d was taken", b)
-				}
-			}
-			if len(r.reports) != 0 || len(r.blocks) != 0 {
-				t.Fatalf("a refused report left reports %v, blocks %v", r.reports, r.blocks)
-			}
-		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			r := newRound(3, tc.mode, query.MustNew(query.KindSSSP), tc.maxIters, 6<<protocol.SigShift)
+			r := newRound(3, tc.mode, query.MustNew(query.KindSSSP), tc.maxIters)
 			tc.run(t, &r)
 		})
 	}

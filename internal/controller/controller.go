@@ -212,8 +212,8 @@ type Result struct {
 	// (the query's pin) — not whatever is committed when it is delivered.
 	Version uint64
 	// Blocks is the scope as sorted signature blocks (protocol.SigShift, 8
-	// vertices each; round.result reads them off the round's bitset): every
-	// vertex whose out-edges the execution read lies in one of them,
+	// vertices each): every vertex whose out-edges the execution read lies
+	// in one of them,
 	// so the answer holds at any later version whose batches change no
 	// out-edge of a vertex in these blocks (see OnCommit).
 	Blocks []int32

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -265,6 +266,83 @@ func TestRecoveryFaultMatrix(t *testing.T) {
 				t.Fatalf("engine close: %v", err)
 			}
 		})
+	}
+}
+
+// TestRecoveryRestartReachesAddedVertices kills a worker under a query and
+// then commits vertices the graph did not have when the query was
+// scheduled, on a shortcut to its target. The recovery restart re-pins the
+// query to that version, so its answer, its version and its scope blocks
+// are the new graph's, blocks past the last one of the graph it was
+// scheduled on included.
+func TestRecoveryRestartReachesAddedVertices(t *testing.T) {
+	defer faultpoint.Reset()
+	const n, added = 48, 8
+	g := recoverGraph(n)
+	cfg := Config{Workers: 3, Graph: g, Partitioner: partition.Hash{}}
+	fastRecovery(&cfg)
+	// Recovery cannot begin before worker 1 was silent this long: the
+	// commit below is acked well inside it.
+	cfg.HeartbeatTimeout = 250 * time.Millisecond
+	eng, err := Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+
+	fired, disarm := faultpoint.KillOnce(faultpoint.WorkerSuperstep, 1)
+	defer disarm()
+	h, err := eng.Schedule(query.Spec{ID: 1, Kind: query.KindSSSP, Source: 0, Target: n - 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-fired:
+	case <-time.After(10 * time.Second):
+		t.Fatal("fault point never fired")
+	}
+
+	// The shortcut 0 → n → n+1 → … → n+added-1 → n-1 through the new
+	// vertices, beside the path the query was scheduled on.
+	b := graph.NewBuilder(n + added)
+	for v := 0; v+1 < n; v++ {
+		b.AddBiEdge(graph.VertexID(v), graph.VertexID(v+1), 1)
+	}
+	var ops []delta.Op
+	for range added {
+		ops = append(ops, delta.Op{Kind: delta.OpAddVertex})
+	}
+	hops := []graph.VertexID{0}
+	for v := n; v < n+added; v++ {
+		hops = append(hops, graph.VertexID(v))
+	}
+	hops = append(hops, n-1)
+	for i := 0; i+1 < len(hops); i++ {
+		ops = append(ops, delta.Op{Kind: delta.OpAddEdge, From: hops[i], To: hops[i+1], Weight: 1})
+		b.AddEdge(hops[i], hops[i+1], 1)
+	}
+	if res := mutate(t, eng, ops); res.Version != 1 {
+		t.Fatalf("commit landed at version %d, want 1", res.Version)
+	}
+	if r := eng.RecoveryStats().Recoveries; r != 0 {
+		t.Fatalf("the commit was acked after %d recovery episode(s): the restart may predate it", r)
+	}
+
+	res := h.Wait()
+	if res.Reason != protocol.FinishConverged && res.Reason != protocol.FinishEarly {
+		t.Fatalf("restarted query finished %v", res.Reason)
+	}
+	if want := graph.DijkstraTo(b.MustBuild(), 0, n-1); res.Value != want || res.Version != 1 {
+		t.Fatalf("restarted query = %g at version %d, want %g at version 1", res.Value, res.Version, want)
+	}
+	for _, v := range hops[1 : len(hops)-1] {
+		if !slices.Contains(res.Blocks, protocol.BlockOf(v)) {
+			t.Fatalf("scope blocks %v miss new vertex %d's block %d", res.Blocks, v, protocol.BlockOf(v))
+		}
+	}
+	awaitRecovered(t, eng, 1)
+	if st := eng.RecoveryStats(); st.QueriesRestarted < 1 {
+		t.Fatalf("recovery stats %+v, want the query restarted", st)
 	}
 }
 

@@ -70,18 +70,6 @@ func (t *table) set(v graph.VertexID, val float64) {
 	}
 }
 
-// inc adds 1 to v's value (0 if v is absent) in one probe and reports
-// whether v was absent.
-func (t *table) inc(v graph.VertexID) (added bool) {
-	i, ok := t.probe(v)
-	if ok {
-		t.vals[t.slots[i].at]++
-	} else {
-		t.insert(i, v, 1)
-	}
-	return !ok
-}
-
 // combine folds val into v's value with the program's combiner, in one probe.
 func (t *table) combine(v graph.VertexID, val float64, prog query.Program) {
 	if i, ok := t.probe(v); ok {

@@ -536,9 +536,11 @@ func (w *Worker) free(t *table) {
 // touch counts first-touched vertex v into the scope signature.
 func (qs *queryState) touch(v graph.VertexID) {
 	blk := protocol.BlockOf(v)
-	if qs.sig.inc(graph.VertexID(blk)) { // no block stays at zero
+	n, ok := qs.sig.get(graph.VertexID(blk))
+	if !ok { // no block stays at zero
 		qs.newBlocks = append(qs.newBlocks, blk)
 	}
+	qs.sig.set(graph.VertexID(blk), n+1)
 }
 
 // combineIn merges a message for vertex v into the inbox of superstep s.
