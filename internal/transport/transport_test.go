@@ -370,6 +370,78 @@ func TestTCPFirstFrameAfterPeerRestart(t *testing.T) {
 	}
 }
 
+// TestTCPDeadPeerFailsFast: only the first send to a dead peer waits out
+// the retry schedule; the sends after it dial once each and fail at once,
+// so a sender owing a dead peer many frames keeps answering its own
+// heartbeats. The first send to the peer's replacement gets through.
+func TestTCPDeadPeerFailsFast(t *testing.T) {
+	lnA, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lnB, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := []string{lnA.Addr().String(), lnB.Addr().String()}
+	a := newTCPNodeWithListener(0, addrs, lnA)
+	defer a.Close()
+	b := newTCPNodeWithListener(1, addrs, lnB)
+	if err := a.Send(1, &protocol.GlobalStop{Epoch: 1}); err != nil {
+		t.Fatal(err)
+	}
+	<-b.Inbox()
+	b.Close()
+	for end := time.Now().Add(5 * time.Second); time.Now().Before(end); time.Sleep(5 * time.Millisecond) {
+		a.mu.Lock()
+		live := len(a.dialed)
+		a.mu.Unlock()
+		if live == 0 {
+			break
+		}
+	}
+
+	if err := a.Send(1, &protocol.GlobalStop{Epoch: 2}); err == nil {
+		t.Fatal("a send to a closed peer succeeded")
+	}
+	// The schedule sleeps 3 × sendBackoff per send; a dial refused on
+	// loopback takes far less than one sendBackoff.
+	const more = 20
+	start := time.Now()
+	for i := range int32(more) {
+		if err := a.Send(1, &protocol.GlobalStop{Epoch: 3 + i}); err == nil {
+			t.Fatal("a send to a closed peer succeeded")
+		}
+	}
+	if d := time.Since(start); d >= more*sendBackoff {
+		t.Fatalf("%d sends to a dead peer took %v, want under %v", more, d, more*sendBackoff)
+	}
+
+	var lnB2 net.Listener
+	for i := 0; ; i++ {
+		if lnB2, err = net.Listen("tcp", addrs[1]); err == nil {
+			break
+		}
+		if i > 50 {
+			t.Fatalf("rebind %s: %v", addrs[1], err)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	b2 := newTCPNodeWithListener(1, addrs, lnB2)
+	defer b2.Close()
+	if err := a.Send(1, &protocol.GlobalStop{Epoch: 100}); err != nil {
+		t.Fatalf("the first send to the restarted peer: %v", err)
+	}
+	select {
+	case env := <-b2.Inbox():
+		if e := env.Msg.(*protocol.GlobalStop).Epoch; e != 100 {
+			t.Fatalf("got epoch %d, want 100", e)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the first frame to the restarted peer was lost")
+	}
+}
+
 // TestTCPConcurrentSendsDuringPeerRestart: many goroutines race Send to a
 // peer that dies and comes back on the same address. The per-peer redial
 // serialization must produce exactly one live outbound connection (no
