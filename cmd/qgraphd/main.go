@@ -203,8 +203,14 @@ func main() {
 			fatal(err)
 		}
 		defer node.Close()
+		wk, err := core.StartWorker(cfg, w, *rejoin, node)
+		if err != nil {
+			fatal(err)
+		}
+		// Booted: a controller started from here on commits only versions
+		// this worker has not replayed.
 		fmt.Printf("qgraphd: worker %d of %d on %s\n", *id, k, node.Addr())
-		if err := core.RunWorker(cfg, w, *rejoin, node); err != nil {
+		if err := wk.Run(); err != nil {
 			fatal(err)
 		}
 		return

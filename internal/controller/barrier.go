@@ -17,11 +17,11 @@ import (
 // This file is the per-query side of the hybrid barrier (Sec. 3.3). Each
 // query's round decides which workers a superstep involves, whether its
 // involved workers release the next one themselves (a run: of one worker,
-// the local query barrier), when it is fully reported, and when the query
-// ends. The controller half below does the I/O around those
-// decisions: it schedules queries, sends BarrierReady and QueryFinish, and
-// keeps pins, spans, the Recorder and the monitoring window. Every query
-// leaves through end.
+// the local query barrier), which superstep its workers' reports let it
+// collect, and when the query ends. The controller half below does the
+// I/O around those decisions: it schedules queries, sends BarrierReady and
+// QueryFinish, and keeps pins, spans, the Recorder and the monitoring
+// window. Every query leaves through end.
 
 // round is one query's barrier state. Its transitions read nothing but the
 // round and their arguments — no connection, clock, phase or instrument —
@@ -30,18 +30,20 @@ type round struct {
 	mode  SyncMode
 	rules protocol.Rules
 
-	step        int32 // last fully collected superstep (-1 before step 0)
+	step        int32 // last collected superstep (-1 before step 0)
 	outstanding bool  // superstep step+1 is released; reports are due
 	involved    map[partition.WorkerID]bool
 	// peers lists the involved workers, sorted, when the release opens a
 	// run (protocol.BarrierReady.Peers); nil otherwise.
-	peers   []partition.WorkerID
-	reports map[partition.WorkerID]*protocol.BarrierSynch
-	// held keeps reports on a superstep after the outstanding one: the
-	// workers released it implicitly, and their reports overtook the last
-	// report on the outstanding one. Each counts once that release is
-	// recorded.
-	held []*protocol.BarrierSynch
+	peers []partition.WorkerID
+	// reports holds each involved worker's reports not collected yet, in
+	// order. Each covers the supersteps from the one after the last it
+	// holds, or after step, on: a worker of a run may report several at
+	// once, and ahead of its peers, since the run releases them itself.
+	// awaiting counts the involved workers with none queued.
+	reports  map[partition.WorkerID][]*protocol.BarrierSynch
+	awaiting int
+	taken    []*protocol.BarrierSynch // the reports the last collection took
 
 	scopeSizes []int64 // latest |LS(q,w)| per worker
 	everActive []bool  // workers that ever processed or held scope
@@ -75,79 +77,140 @@ func (r *round) release(next, dead map[partition.WorkerID]bool, drained bool) {
 	if r.mode == SyncHybrid && !drained {
 		r.peers = slices.Sorted(maps.Keys(next))
 	}
-	r.reports = make(map[partition.WorkerID]*protocol.BarrierSynch, len(next))
+	if r.reports == nil {
+		r.reports = make(map[partition.WorkerID][]*protocol.BarrierSynch, len(next))
+	}
+	for w, queued := range r.reports { // every one collected: reuse the arrays
+		r.reports[w] = queued[:0]
+	}
+	r.awaiting = len(next)
 	r.outstanding = true
 }
 
-// report adds worker m.W's report on the outstanding superstep and says
-// whether it was the last one due. A report on a later superstep is held
-// (see held). A report from a worker the superstep does not involve, or a
-// second one from the same worker, is a protocol error.
-func (r *round) report(m *protocol.BarrierSynch) (complete, held bool, err error) {
-	if r.outstanding && m.FromStep > r.step+1 {
-		r.held = append(r.held, m)
-		return false, true, nil
+// report queues worker m.W's report. A report from a worker the released
+// superstep does not involve, or one whose supersteps do not follow the
+// worker's last (a gap, or an overlap such as a second report of one
+// superstep), is a protocol error.
+func (r *round) report(m *protocol.BarrierSynch) error {
+	if !r.outstanding || !r.involved[m.W] {
+		return fmt.Errorf("controller: synch for query %d from uninvolved worker %d", m.Q, m.W)
 	}
-	if !r.involved[m.W] {
-		return false, false, fmt.Errorf("controller: synch for query %d from uninvolved worker %d", m.Q, m.W)
+	queued := r.reports[m.W]
+	from := r.step + 1
+	if n := len(queued); n > 0 {
+		from = queued[n-1].Step + 1
 	}
-	if r.reports[m.W] != nil {
-		return false, false, fmt.Errorf("controller: duplicate synch for query %d from worker %d", m.Q, m.W)
+	if m.FromStep != from || m.Step < m.FromStep {
+		return fmt.Errorf("controller: synch for query %d from worker %d covers steps %d..%d, want %d on", m.Q, m.W, m.FromStep, m.Step, from)
 	}
-	r.reports[m.W] = m
-	r.scopeSizes[m.W] = int64(m.ScopeSize)
-	r.blocks = append(r.blocks, m.NewBlocks...)
-	if m.Processed > 0 || m.ScopeSize > 0 {
-		r.everActive[m.W] = true
+	if len(queued) == 0 {
+		r.awaiting--
 	}
-	r.bestGoal = min(r.bestGoal, m.BestGoal)
-	return len(r.reports) == len(r.involved), false, nil
+	r.reports[m.W] = append(queued, m)
+	return nil
 }
 
-// unhold takes the held reports on the outstanding superstep, in arrival
-// order.
-func (r *round) unhold() (due []*protocol.BarrierSynch) {
-	r.held = slices.DeleteFunc(r.held, func(m *protocol.BarrierSynch) bool {
-		if m.FromStep == r.step+1 {
-			due = append(due, m)
-			return true
+// due is the superstep the round can collect: the earliest at which a
+// report of every involved worker ends. ok is false while there is none.
+func (r *round) due() (s int32, ok bool) {
+	if !r.outstanding || r.awaiting > 0 {
+		return 0, false
+	}
+	s = r.step + 1
+	for moved := true; moved; {
+		moved = false
+		for w := range r.involved {
+			end := int32(-1)
+			for _, m := range r.reports[w] {
+				if m.Step >= s {
+					end = m.Step
+					break
+				}
+			}
+			if end < 0 {
+				return 0, false
+			}
+			if end > s {
+				s, moved = end, true
+			}
 		}
-		return false
-	})
-	return due
+	}
+	return s, true
 }
 
-// collect closes the fully reported superstep with the decision the
-// workers take too (protocol.Rules.Decide), and says whether its workers
-// released the next superstep themselves: implicit, which the controller
-// then records without a BarrierReady.
-func (r *round) collect() (d protocol.Decision, implicit bool) {
-	collected := r.step
+// collect closes superstep s, which due returned, with the decision the
+// workers take too (protocol.Rules.Decide), and says whether the workers
+// released the next superstep themselves (protocol.Decision.Runs): the
+// implicit release, over the same workers or fewer, which the round then
+// records. Reports on later supersteps stay queued; a worker that the
+// decision leaves idle and reported one is a protocol error.
+func (r *round) collect(s int32) (d protocol.Decision, implicit bool, err error) {
 	totalSent := int32(0)
 	activeWorkers := 0
-	sums := make(map[partition.WorkerID]protocol.StepSummary, len(r.reports))
-	for w, m := range r.reports {
-		collected = max(collected, m.Step)
-		if m.Processed > 0 {
+	ahead := false // a worker reported past s
+	sums := make(map[partition.WorkerID]protocol.StepSummary, len(r.involved))
+	r.taken = r.taken[:0]
+	for w := range r.involved {
+		queued := r.reports[w]
+		i := slices.IndexFunc(queued, func(m *protocol.BarrierSynch) bool { return m.Step == s })
+		r.taken = append(r.taken, queued[:i+1]...)
+		for _, m := range queued[:i+1] {
+			r.localSteps += int(m.LocalIters) // steps of a run of one
+			r.scopeSizes[w] = int64(m.ScopeSize)
+			r.blocks = append(r.blocks, m.NewBlocks...)
+			if m.Processed > 0 || m.ScopeSize > 0 {
+				r.everActive[w] = true
+			}
+			r.bestGoal = min(r.bestGoal, m.BestGoal)
+		}
+		// Every peer of a run computes every superstep of it, so a report's
+		// Processed tells whether its last superstep computed anything.
+		last := queued[i]
+		if last.Processed > 0 {
 			activeWorkers++
 		}
-		r.localSteps += int(m.LocalIters) // steps of a run of one
-		for _, nb := range m.SentBatches {
+		for _, nb := range last.SentBatches {
 			totalSent += nb
 		}
-		sums[w] = m.Summary()
+		sums[w] = last.Summary()
+		if queued = queued[i+1:]; len(queued) == 0 {
+			queued = r.reports[w][:0] // keep the array for the next report
+		}
+		r.reports[w] = queued
+		ahead = ahead || len(queued) > 0
 	}
-	r.stepsDone += int(collected - r.step)
-	r.step = collected
+	r.stepsDone += int(s - r.step)
+	r.step = s
 	r.outstanding = false
 	// Locality accounting (Fig. 6f): beside a run of one's steps, the
 	// collected step is local if at most one worker computed and nothing
-	// crossed workers.
+	// crossed workers. The steps of a run of several before it never are.
 	if totalSent == 0 && activeWorkers <= 1 {
 		r.localSteps++
 	}
-	r.rules.Decide(&d, collected, r.bestGoal, sums)
-	return d, d.Continues(r.peers)
+	r.rules.Decide(&d, s, r.bestGoal, sums)
+	implicit = d.Runs(r.peers)
+	if ahead {
+		for w, queued := range r.reports {
+			if len(queued) > 0 && (!implicit || !d.Next[w]) {
+				return d, false, fmt.Errorf("controller: synch for query %d from worker %d on step %d, after the decision on %d left it idle", queued[0].Q, w, queued[0].FromStep, s)
+			}
+		}
+	}
+	if implicit {
+		if len(d.Next) < len(r.peers) {
+			r.involved = maps.Clone(d.Next)
+			r.peers = slices.Sorted(maps.Keys(d.Next))
+		}
+		r.outstanding = true
+		r.awaiting = 0
+		for w := range r.involved {
+			if len(r.reports[w]) == 0 {
+				r.awaiting++
+			}
+		}
+	}
+	return d, implicit, nil
 }
 
 // move relocates the query's scope on from to to, as an executed
@@ -167,7 +230,7 @@ func (r *round) move(from, to partition.WorkerID) {
 func (r *round) restart() {
 	r.step = -1
 	r.outstanding = false
-	r.involved, r.peers, r.reports, r.held = nil, nil, nil, nil
+	r.involved, r.peers, r.reports = nil, nil, nil
 	clear(r.scopeSizes)
 	clear(r.everActive)
 	r.blocks = r.blocks[:0]
@@ -288,10 +351,9 @@ func (c *Controller) onCancel(q query.ID) {
 	// FIFO, so they cannot overtake the schedule they refer to.
 }
 
-// open opens the superstep ctl's round releases over next; drained marks
-// a post-global-barrier resume.
-func (c *Controller) open(ctl *qctl, next map[partition.WorkerID]bool, drained bool) {
-	ctl.round.release(next, c.members.dead, drained)
+// opened records the release of ctl's superstep step+1, explicit or
+// implicit: its time, for the stall watchdog, and its span.
+func (c *Controller) opened(ctl *qctl) {
 	ctl.releasedAt = c.cfg.Clock()
 	c.beginStepSpan(ctl, ctl.step+1)
 }
@@ -300,7 +362,8 @@ func (c *Controller) open(ctl *qctl, next map[partition.WorkerID]bool, drained b
 // next. expect maps each receiver to the batch count it must await (nil =
 // zero); drained marks a post-global-barrier resume.
 func (c *Controller) release(ctl *qctl, next map[partition.WorkerID]bool, expect map[partition.WorkerID]int32, drained bool) {
-	c.open(ctl, next, drained)
+	ctl.round.release(next, c.members.dead, drained)
+	c.opened(ctl)
 	for w := range ctl.involved {
 		c.conn.Send(protocol.WorkerNode(w), &protocol.BarrierReady{
 			Q:        ctl.spec.ID,
@@ -313,21 +376,8 @@ func (c *Controller) release(ctl *qctl, next map[partition.WorkerID]bool, expect
 	}
 }
 
-// implicitRelease records the release of the next superstep over the
-// same workers, which they took themselves, and counts the reports on it
-// that came early.
-func (c *Controller) implicitRelease(ctl *qctl) error {
-	c.open(ctl, ctl.involved, false)
-	for _, m := range ctl.unhold() {
-		if err := c.onSynch(m); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// onSynch hands a worker's barrier report to its query's round and, once
-// every involved worker reported, collects the superstep.
+// onSynch hands a worker's barrier report to its query's round and
+// collects every superstep the round's reports let it.
 func (c *Controller) onSynch(m *protocol.BarrierSynch) error {
 	ctl, ok := c.queries[m.Q]
 	if !ok {
@@ -338,36 +388,39 @@ func (c *Controller) onSynch(m *protocol.BarrierSynch) error {
 		}
 		return nil
 	}
-	complete, held, err := ctl.report(m)
-	if err != nil || held {
+	if err := ctl.report(m); err != nil {
 		return err
 	}
 	c.obs.onReport(m)
 	c.cfg.Monitor.ObserveCompute(int(m.W), m.ComputeNS, int(m.Step-m.FromStep)+1, int(m.Processed))
-	if complete {
-		return c.collect(ctl)
-	}
-	return nil
+	return c.collect(ctl)
 }
 
-// collect advances a query whose superstep is fully reported: finish it,
-// record the release its workers took themselves, hold its next release
-// while a global barrier forms (resume re-releases after GlobalStart), or
-// release the next superstep. A quiescing global barrier cannot hold an
-// implicit release: it waits for the query's run, of one worker or several,
-// to stop.
+// collect advances a query while its round can collect a superstep: finish
+// it, record the release its workers took themselves (and go on with the
+// reports on it that came early), hold its next release while a global
+// barrier forms (resume re-releases after GlobalStart), or release the
+// next superstep. A quiescing global barrier cannot hold an implicit
+// release: it waits for the query's run, of one worker or several, to
+// stop.
 func (c *Controller) collect(ctl *qctl) error {
-	d, implicit := ctl.round.collect()
-	c.endStepSpan(ctl)
-	switch {
-	case d.End != 0:
-		c.finishQuery(ctl, d.End)
-	case implicit:
-		return c.implicitRelease(ctl)
-	case c.adapt.phase != phaseRun:
-		c.maybeStop()
-	default:
-		c.release(ctl, d.Next, d.Expect, false)
+	for s, ok := ctl.due(); ok; s, ok = ctl.due() {
+		d, implicit, err := ctl.round.collect(s)
+		if err != nil {
+			return err
+		}
+		c.endStepSpan(ctl)
+		switch {
+		case d.End != 0:
+			c.finishQuery(ctl, d.End)
+			return nil
+		case implicit:
+			c.opened(ctl)
+		case c.adapt.phase != phaseRun:
+			c.maybeStop()
+		default:
+			c.release(ctl, d.Next, d.Expect, false)
+		}
 	}
 	return nil
 }

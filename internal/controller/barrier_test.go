@@ -30,14 +30,38 @@ func workers(ws ...partition.WorkerID) map[partition.WorkerID]bool {
 // its transitions alone: no event loop, no network, no clock.
 func TestRoundTransitions(t *testing.T) {
 	// report hands r worker w's report on step and fails on a protocol
-	// error; it returns whether the step is now fully reported.
+	// error; it returns whether the round can now collect a superstep.
 	report := func(t *testing.T, r *round, w partition.WorkerID, step int32, mut func(*protocol.BarrierSynch)) bool {
 		t.Helper()
-		complete, _, err := r.report(synch(1, w, step, mut))
+		if err := r.report(synch(1, w, step, mut)); err != nil {
+			t.Fatal(err)
+		}
+		_, ok := r.due()
+		return ok
+	}
+	// collect collects the superstep r can, and fails if there is none or
+	// on a protocol error.
+	collect := func(t *testing.T, r *round) (protocol.Decision, bool) {
+		t.Helper()
+		s, ok := r.due()
+		if !ok {
+			t.Fatal("no superstep to collect")
+		}
+		d, implicit, err := r.collect(s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return complete
+		return d, implicit
+	}
+	// covering makes a report cover the supersteps from to its step, with
+	// processed vertices computed in them.
+	covering := func(from, processed int32, mut func(*protocol.BarrierSynch)) func(*protocol.BarrierSynch) {
+		return func(s *protocol.BarrierSynch) {
+			s.FromStep, s.Processed = from, processed
+			if mut != nil {
+				mut(s)
+			}
+		}
 	}
 	active := func(s *protocol.BarrierSynch) { s.Processed, s.NActiveNext = 1, 1 }
 	for _, tc := range []struct {
@@ -72,7 +96,7 @@ func TestRoundTransitions(t *testing.T) {
 		}},
 		{name: "a report from an uninvolved worker is an error", mode: SyncHybrid, run: func(t *testing.T, r *round) {
 			r.release(workers(0), nil, false)
-			if _, _, err := r.report(synch(1, 1, 0, nil)); err == nil {
+			if err := r.report(synch(1, 1, 0, nil)); err == nil {
 				t.Fatal("worker 1 reported on a superstep of worker 0 alone")
 			}
 			if len(r.reports) != 0 || r.scopeSizes[1] != 0 {
@@ -84,7 +108,7 @@ func TestRoundTransitions(t *testing.T) {
 			if report(t, r, 0, 0, nil) {
 				t.Fatal("complete with worker 1 still due")
 			}
-			if _, _, err := r.report(synch(1, 0, 0, nil)); err == nil {
+			if err := r.report(synch(1, 0, 0, nil)); err == nil {
 				t.Fatal("worker 0 reported twice")
 			}
 		}},
@@ -94,7 +118,7 @@ func TestRoundTransitions(t *testing.T) {
 			if !report(t, r, 1, 0, func(s *protocol.BarrierSynch) { active(s); s.SentBatches[2] = 1 }) {
 				t.Fatal("both workers reported, step not complete")
 			}
-			d, implicit := r.collect()
+			d, implicit := collect(t, r)
 			if d.End != 0 || implicit || !maps.Equal(d.Next, workers(1, 2)) || !maps.Equal(d.Expect, map[partition.WorkerID]int32{2: 3}) {
 				t.Fatalf("decision %+v, implicit %v", d, implicit)
 			}
@@ -105,21 +129,21 @@ func TestRoundTransitions(t *testing.T) {
 		{name: "a solo loop's steps are local, and so is its collected step", mode: SyncHybrid, run: func(t *testing.T, r *round) {
 			r.release(workers(0), nil, false)
 			report(t, r, 0, 3, func(s *protocol.BarrierSynch) { active(s); s.FromStep, s.LocalIters = 0, 3 })
-			if d, _ := r.collect(); d.End != 0 || r.step != 3 || r.stepsDone != 4 || r.localSteps != 4 {
+			if d, _ := collect(t, r); d.End != 0 || r.step != 3 || r.stepsDone != 4 || r.localSteps != 4 {
 				t.Fatalf("end %v, step %d, %d steps, %d local", d.End, r.step, r.stepsDone, r.localSteps)
 			}
 		}},
 		{name: "no worker active next converges", mode: SyncHybrid, run: func(t *testing.T, r *round) {
 			r.release(workers(0), nil, false)
 			report(t, r, 0, 0, func(s *protocol.BarrierSynch) { s.Processed = 1 })
-			if d, _ := r.collect(); d.End != protocol.FinishConverged {
+			if d, _ := collect(t, r); d.End != protocol.FinishConverged {
 				t.Fatalf("end %v", d.End)
 			}
 		}},
 		{name: "no frontier below the best goal ends early", mode: SyncHybrid, run: func(t *testing.T, r *round) {
 			r.release(workers(0), nil, false)
 			report(t, r, 0, 0, func(s *protocol.BarrierSynch) { active(s); s.BestGoal, s.MinFrontier = 5, 5 })
-			if d, _ := r.collect(); d.End != protocol.FinishEarly {
+			if d, _ := collect(t, r); d.End != protocol.FinishEarly {
 				t.Fatalf("end %v", d.End)
 			}
 		}},
@@ -131,7 +155,7 @@ func TestRoundTransitions(t *testing.T) {
 				if step == 1 {
 					want = protocol.FinishMaxIters
 				}
-				if d, _ := r.collect(); d.End != want {
+				if d, _ := collect(t, r); d.End != want {
 					t.Fatalf("step %d: end %v, want %v", step, d.End, want)
 				}
 			}
@@ -142,14 +166,14 @@ func TestRoundTransitions(t *testing.T) {
 				active(s)
 				s.ScopeSize, s.NewBlocks, s.BestGoal = 4, []int32{3}, 7
 			})
-			r.collect()
+			collect(t, r)
 			r.release(workers(0), nil, false)
-			r.report(synch(1, 0, 2, nil)) // held
+			report(t, r, 0, 1, active) // not collected
 			r.restart()
 			if r.stepsDone != 1 || r.localSteps != 1 {
 				t.Fatalf("%d steps, %d local: the restart lost work done", r.stepsDone, r.localSteps)
 			}
-			if r.step != -1 || r.outstanding || r.involved != nil || r.held != nil || r.scopeSizes[0] != 0 || r.everActive[0] ||
+			if r.step != -1 || r.outstanding || r.involved != nil || r.reports != nil || r.scopeSizes[0] != 0 || r.everActive[0] ||
 				len(r.blocks) != 0 || r.bestGoal != query.NoResult {
 				t.Fatalf("restarted round %+v", *r)
 			}
@@ -161,7 +185,7 @@ func TestRoundTransitions(t *testing.T) {
 			}
 			report(t, r, 0, 0, func(s *protocol.BarrierSynch) { active(s); s.SentBatches[1] = 1 })
 			report(t, r, 1, 0, active)
-			if d, implicit := r.collect(); !implicit || !maps.Equal(d.Expect, map[partition.WorkerID]int32{1: 1}) {
+			if d, implicit := collect(t, r); !implicit || !maps.Equal(d.Expect, map[partition.WorkerID]int32{1: 1}) {
 				t.Fatalf("decision %+v, implicit %v", d, implicit)
 			}
 		}},
@@ -169,7 +193,7 @@ func TestRoundTransitions(t *testing.T) {
 			r.release(workers(0, 1), nil, false)
 			report(t, r, 0, 0, active)
 			report(t, r, 1, 0, func(s *protocol.BarrierSynch) { active(s); s.SentBatches[2] = 1 })
-			if d, implicit := r.collect(); implicit || !maps.Equal(d.Next, workers(0, 1, 2)) {
+			if d, implicit := collect(t, r); implicit || !maps.Equal(d.Next, workers(0, 1, 2)) {
 				t.Fatalf("decision %+v, implicit %v", d, implicit)
 			}
 		}},
@@ -177,32 +201,98 @@ func TestRoundTransitions(t *testing.T) {
 			r.release(workers(0, 1), nil, false)
 			report(t, r, 0, 0, active)
 			report(t, r, 1, 0, active)
-			if d, implicit := r.collect(); !implicit || len(d.Expect) != 0 {
+			if d, implicit := collect(t, r); !implicit || len(d.Expect) != 0 {
 				t.Fatalf("decision %+v, implicit %v", d, implicit)
 			}
 		}},
 		{name: "a report on the implicitly released superstep waits for its release", mode: SyncHybrid, run: func(t *testing.T, r *round) {
 			r.release(workers(0, 1), nil, false)
 			report(t, r, 0, 0, active)
-			if complete, held, err := r.report(synch(1, 0, 1, active)); complete || !held || err != nil {
-				t.Fatalf("worker 0's report on step 1: complete %v, held %v, %v", complete, held, err)
+			if report(t, r, 0, 1, active) {
+				t.Fatal("a superstep is collectable with worker 1's reports out")
 			}
 			if !report(t, r, 1, 0, active) {
 				t.Fatal("step 0 incomplete with both reports in")
 			}
-			if _, implicit := r.collect(); !implicit {
+			if _, implicit := collect(t, r); !implicit || !r.outstanding {
 				t.Fatal("step 0 did not continue implicitly")
 			}
-			r.release(r.involved, nil, false)
-			due := r.unhold()
-			if len(due) != 1 || due[0].Step != 1 || len(r.held) != 0 {
-				t.Fatalf("unheld %v, still held %v", due, r.held)
-			}
-			if complete, _, err := r.report(due[0]); complete || err != nil {
-				t.Fatalf("the held report: complete %v, %v", complete, err)
+			if _, ok := r.due(); ok || len(r.reports[0]) != 1 {
+				t.Fatalf("step 1 collectable with worker 1's report out, or worker 0's not queued: %v", r.reports)
 			}
 			if !report(t, r, 1, 1, active) || r.step != 0 {
 				t.Fatalf("step 1 incomplete with both reports in, or collected early (step %d)", r.step)
+			}
+		}},
+		{name: "deferred reports are collected where they all end", mode: SyncHybrid, run: func(t *testing.T, r *round) {
+			r.release(workers(0, 1, 2), nil, false)
+			busy := func(s *protocol.BarrierSynch) { active(s); s.SentBatches[(s.W+1)%3] = 1 }
+			report(t, r, 0, 3, covering(0, 4, busy))
+			report(t, r, 1, 0, covering(0, 1, busy))
+			if report(t, r, 2, 3, covering(0, 4, busy)) {
+				t.Fatal("collectable with worker 1's reports ending at step 0 alone")
+			}
+			if !report(t, r, 1, 3, covering(1, 3, busy)) {
+				t.Fatal("every report ends at step 3, and it is not collectable")
+			}
+			if s, _ := r.due(); s != 3 {
+				t.Fatalf("due step %d, want 3", s)
+			}
+			if d, implicit := collect(t, r); !implicit || d.End != 0 || r.step != 3 || r.stepsDone != 4 || r.localSteps != 0 || len(r.taken) != 4 {
+				t.Fatalf("decision %+v, implicit %v, step %d, %d steps, %d local, %d reports taken", d, implicit, r.step, r.stepsDone, r.localSteps, len(r.taken))
+			}
+		}},
+		{name: "a run narrows itself to the workers its decision keeps", mode: SyncHybrid, run: func(t *testing.T, r *round) {
+			r.release(workers(0, 1), nil, false)
+			report(t, r, 0, 2, covering(0, 3, nil)) // quiescent: nothing pending, nothing sent
+			report(t, r, 1, 2, covering(0, 3, active))
+			d, implicit := collect(t, r)
+			if !implicit || !maps.Equal(d.Next, workers(1)) || !maps.Equal(r.involved, workers(1)) ||
+				!slices.Equal(r.peers, []partition.WorkerID{1}) || !r.outstanding {
+				t.Fatalf("decision %+v, implicit %v, involved %v, peers %v", d, implicit, r.involved, r.peers)
+			}
+			if err := r.report(synch(1, 0, 3, nil)); err == nil {
+				t.Fatal("worker 0 reported past the step its run left it at")
+			}
+			report(t, r, 1, 6, covering(3, 4, func(s *protocol.BarrierSynch) { s.LocalIters = 3 }))
+			if d, _ := collect(t, r); d.End != protocol.FinishConverged || r.stepsDone != 7 || r.localSteps != 4 {
+				t.Fatalf("end %v, %d steps, %d local; want converged after 7 steps, the run of one's 4 local", d.End, r.stepsDone, r.localSteps)
+			}
+		}},
+		{name: "the step a run narrows at is local if one worker computed it and nothing crossed", mode: SyncHybrid, run: func(t *testing.T, r *round) {
+			r.release(workers(0, 1), nil, false)
+			report(t, r, 0, 0, covering(0, 0, nil))
+			report(t, r, 1, 0, active)
+			if d, implicit := collect(t, r); !implicit || r.localSteps != 1 || r.stepsDone != 1 || !maps.Equal(d.Next, workers(1)) {
+				t.Fatalf("decision %+v, implicit %v, %d local of %d steps; want the narrowing step local", d, implicit, r.localSteps, r.stepsDone)
+			}
+		}},
+		{name: "a gap or an overlap in a worker's reports is an error", mode: SyncHybrid, run: func(t *testing.T, r *round) {
+			r.release(workers(0, 1), nil, false)
+			if err := r.report(synch(1, 0, 2, covering(1, 1, nil))); err == nil {
+				t.Fatal("a report from step 1 was taken, step 0 unreported")
+			}
+			report(t, r, 0, 2, covering(0, 3, active))
+			if err := r.report(synch(1, 0, 4, covering(2, 2, active))); err == nil {
+				t.Fatal("a report of steps 2..4 was taken after one of 0..2")
+			}
+			if err := r.report(synch(1, 0, 2, active)); err == nil {
+				t.Fatal("step 2 was taken twice")
+			}
+			if err := r.report(synch(1, 0, 5, covering(4, 2, active))); err == nil {
+				t.Fatal("a report from step 4 was taken, step 3 unreported")
+			}
+			if len(r.reports[0]) != 1 {
+				t.Fatalf("refused reports queued: %v", r.reports[0])
+			}
+		}},
+		{name: "a report past a step the decision stops at is an error", mode: SyncHybrid, run: func(t *testing.T, r *round) {
+			r.release(workers(0, 1), nil, false)
+			report(t, r, 0, 0, nil)
+			report(t, r, 0, 1, nil)
+			report(t, r, 1, 0, nil)
+			if _, _, err := r.collect(0); err == nil {
+				t.Fatal("the query converged at step 0 with worker 0's report on step 1 queued")
 			}
 		}},
 		{name: "limited and global never continue implicitly", mode: SyncLimited, run: func(t *testing.T, r *round) {
@@ -212,7 +302,7 @@ func TestRoundTransitions(t *testing.T) {
 				for w := range partition.WorkerID(3) {
 					report(t, r, w, r.step+1, active)
 				}
-				if d, implicit := r.collect(); implicit || r.peers != nil || d.End != 0 {
+				if d, implicit := collect(t, r); implicit || r.peers != nil || d.End != 0 {
 					t.Fatalf("%s: decision %+v, implicit %v, peers %v", mode, d, implicit, r.peers)
 				}
 			}
@@ -221,7 +311,7 @@ func TestRoundTransitions(t *testing.T) {
 			r.release(workers(0, 1), nil, false)
 			report(t, r, 0, 0, func(s *protocol.BarrierSynch) { s.ScopeSize, s.NewBlocks, s.BestGoal = 3, []int32{5, 2}, 9 })
 			report(t, r, 1, 0, func(s *protocol.BarrierSynch) { s.NewBlocks = []int32{2} })
-			r.collect()
+			collect(t, r)
 			res := r.result(1, 4, protocol.FinishConverged, 0)
 			if res.Touched != 3 || res.Workers != 1 || !slices.Equal(res.Blocks, []int32{2, 5}) ||
 				res.Value != 9 || res.Supersteps != 1 || res.Version != 4 {
@@ -332,10 +422,12 @@ func BenchmarkMultiWorkerRound(b *testing.B) {
 				reports[w] = &protocol.BarrierSynch{Q: 1, W: partition.WorkerID(w), Processed: 1, NActiveNext: 1, ScopeSize: 1,
 					SentBatches: sent, BestGoal: query.NoResult, MinFrontier: 1}
 			}
-			// round steps every involved worker's report and drops what the
-			// controller sent.
+			// round steps every involved worker's report on the released
+			// superstep and drops what the controller sent.
 			round := func() {
+				step := c.queries[1].step + 1
 				for w := range c.queries[1].involved {
+					reports[w].FromStep, reports[w].Step = step, step
 					if err := c.step(transport.Envelope{From: protocol.WorkerNode(w), Msg: reports[w]}); err != nil {
 						b.Fatal(err)
 					}
@@ -400,6 +492,57 @@ func TestImplicitReleaseSavesBarrierReady(t *testing.T) {
 			if res := <-ch; res.Reason != protocol.FinishMaxIters || res.Supersteps != 1+steps || readies != tc.want {
 				t.Fatalf("%s seed %d: %v after %d supersteps with %d BarrierReady, want %v after %d with %d",
 					tc.mode, seed, res.Reason, res.Supersteps, readies, protocol.FinishMaxIters, 1+steps, tc.want)
+			}
+		}
+	}
+}
+
+// TestRunReportsAtEdges counts the BarrierSynch reports a PageRank over K4,
+// whose vertices alternate between two workers, sends the controller on the
+// sim: superstep 0 runs on the source's worker alone, and the next eight
+// on both, a run over every worker. The program is not monotone and sums
+// stay active, so neither worker's summary leaves an end possible before
+// the last superstep MaxIters allows: each reports the run once, at its
+// end, covering all eight. A report a superstep would send sixteen.
+func TestRunReportsAtEdges(t *testing.T) {
+	const steps = 8
+	b := graph.NewBuilder(4)
+	for u := range graph.VertexID(4) {
+		for v := u + 1; v < 4; v++ {
+			b.AddBiEdge(u, v, 1)
+		}
+	}
+	g := b.MustBuild()
+	for seed := uint64(1); seed <= 5; seed++ {
+		s, err := newSim(rand.New(rand.NewPCG(seed, 0)), g, partition.Assignment{0, 1, 0, 1}, 2, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var run []*protocol.BarrierSynch // the reports on supersteps 1 to steps
+		s.observe = func(partition.WorkerID) error {
+			for _, m := range s.net.sent {
+				if m, ok := m.(*protocol.BarrierSynch); ok && m.Step >= 1 {
+					run = append(run, m)
+				}
+			}
+			return nil
+		}
+		ch := make(chan Result, 1)
+		s.c.onSchedule(scheduleReq{spec: query.Spec{ID: 1, Kind: query.KindPageRank, Source: 0, Target: graph.NilVertex,
+			MaxIters: 1 + steps, Epsilon: 1e-3}, ch: ch})
+		if err := s.run(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if res := <-ch; res.Reason != protocol.FinishMaxIters || res.Supersteps != 1+steps {
+			t.Fatalf("seed %d: %v after %d supersteps, want %v after %d", seed, res.Reason, res.Supersteps, protocol.FinishMaxIters, 1+steps)
+		}
+		if len(run) != 2 || run[0].W == run[1].W {
+			t.Fatalf("seed %d: %d reports on the run, want one per worker", seed, len(run))
+		}
+		for _, m := range run {
+			if m.FromStep != 1 || m.Step != steps || m.LocalIters != 0 {
+				t.Fatalf("seed %d: worker %d reported steps %d..%d with %d local iterations, want 1..%d with none",
+					seed, m.W, m.FromStep, m.Step, m.LocalIters, steps)
 			}
 		}
 	}

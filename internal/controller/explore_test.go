@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -17,26 +18,30 @@ import (
 // which the per-link FIFO queues of a controller and two workers can
 // deliver one BFS of four supersteps: 0 on worker 0 alone, 1 on both
 // workers by the controller's release, 2 on both by their own, and 3 on
-// worker 0 alone by the controller's release again. Each event is a
-// link's head delivered or a worker running a queued superstep; the
-// controller's round and the workers' barrier machines run on the sim's
-// nodes, with no transport. Orders that reach one state are continued
-// once. Three variants: as is; with a cancel (a QueryFinish broadcast)
-// injected at every point where the query is active; and with worker 1's
-// summary of superstep 1 lost on its way to worker 0. In every order the
-// conformance checks hold (each superstep is released once, explicitly or
-// by the decision the workers share with the controller, never both, and
-// runs with its Expect batches; each report counts once), and:
+// worker 0 alone, which the run narrowed to. Each event is a link's head
+// delivered or a worker running a queued superstep; the controller's round
+// and the workers' barrier machines run on the sim's nodes, with no
+// transport. Orders that reach one state are continued once. Three
+// variants: as is; with a cancel (a QueryFinish broadcast) injected at
+// every point where the query is active; and with worker 1's summary of
+// superstep 1 lost on its way to worker 0. In every order the conformance
+// checks hold (each superstep is released once, explicitly or by the
+// decision the workers share with the controller, never both, and runs
+// with its Expect batches; each event sends exactly the report it owes,
+// and each superstep is reported once), and:
 //   - as is, the query converges after 4 supersteps with the reference's
-//     answer, superstep 2 released implicitly on both workers;
+//     answer, superstep 2 released implicitly on both workers and 3 on
+//     worker 0 alone, and the controller hears one report a worker for
+//     supersteps 1 and 2: worker 1 is quiescent after 2, and worker 0
+//     reports both once the decision on 2 narrows the run;
 //   - cancelled, it ends cancelled unless it ended first;
-//   - with the summary lost, worker 0 never decides superstep 1: the
-//     query stays outstanding.
+//   - with the summary lost, worker 0 never decides superstep 1 and never
+//     reports it: the controller collects nothing after superstep 0.
 //
-// As is, the walk must meet the three races of an implicit release: the
-// controller's release of superstep 3 overtakes worker 1's summary of 2
-// (a marker), which arrives after worker 0 ran 3; and a report on 2
-// reaches the controller before 1 is collected.
+// As is, the walk must meet the three races of a deferred report: worker
+// 0's report on 1 and 2 made due by worker 1's summary of 2 as it arrives,
+// and by worker 0's own summary of 2 when worker 1's came first; and
+// worker 0's report on 3 reaching the controller before 2 is collected.
 func TestImplicitReleaseEveryOrder(t *testing.T) {
 	for _, v := range []exploreVariant{{}, {cancel: true}, {lose: true}} {
 		t.Run(v.String(), func(t *testing.T) {
@@ -48,9 +53,9 @@ func TestImplicitReleaseEveryOrder(t *testing.T) {
 			if e.orders == 0 {
 				t.Fatal("no order explored")
 			}
-			if !v.cancel && !v.lose && (!e.overtaken || !e.lateMarker || !e.heldReport) {
-				t.Fatalf("races met: release overtakes summary %v, marker after its consumer %v, report held %v",
-					e.overtaken, e.lateMarker, e.heldReport)
+			if !v.cancel && !v.lose && (!e.byPeer || !e.byOwn || !e.aheadReport) {
+				t.Fatalf("races met: report due by the peer's summary %v, by the own %v, report ahead of the collection %v",
+					e.byPeer, e.byOwn, e.aheadReport)
 			}
 		})
 	}
@@ -75,7 +80,7 @@ type explorer struct {
 	seen   map[uint64]bool
 	orders int
 	// The races some order met.
-	overtaken, lateMarker, heldReport bool
+	byPeer, byOwn, aheadReport bool
 }
 
 // choice is one event of an order: a link's head, a worker's superstep
@@ -90,10 +95,9 @@ const (
 // exploreRun is one order under way.
 type exploreRun struct {
 	*conformanceRun
-	e          *explorer
-	cancelled  bool
-	moved      bool // the last event changed something
-	summarised bool // worker 1's summary of superstep 2 reached worker 0
+	e         *explorer
+	cancelled bool
+	moved     bool // the last event changed something
 }
 
 // dfs expands the order prefix, which r reached (nil: replay prefix on
@@ -150,27 +154,19 @@ func (e *explorer) replay(prefix []choice) (*exploreRun, error) {
 	}
 	s.quiet = true
 	spec := query.Spec{ID: 1, Kind: query.KindBFS, Source: 0, Target: graph.NilVertex}
-	r := &exploreRun{e: e, conformanceRun: &conformanceRun{
-		row: conformanceRow{k: 2, mode: SyncHybrid, kind: query.KindBFS}, s: s,
-		specs: []query.Spec{spec}, results: []chan Result{make(chan Result, 1)},
-		releases: make(map[wqs]*protocol.BarrierReady), batches: make(map[wqs]int32),
-		sums:       make(map[wqs]map[partition.WorkerID]protocol.StepSummary),
-		implicitly: make(map[wqs]bool), reported: make(map[wqs]bool),
-		ended: make(map[query.ID]protocol.FinishReason),
-	}}
-	s.delivered = func(w partition.WorkerID, m protocol.Message) error {
-		switch m := m.(type) {
-		case *protocol.BarrierReady:
-			e.overtaken = e.overtaken || w == 0 && m.Step == 3 && !r.summarised
-		case *protocol.VertexBatch:
-			r.summarised = r.summarised || w == 0 && m.Step == 2
-			e.lateMarker = e.lateMarker || m.Marker() && r.reported[wqs{w, m.Q, m.Step + 1}]
-		}
-		return r.delivered(w, m)
-	}
+	r := &exploreRun{e: e, conformanceRun: newConformanceRun(conformanceRow{k: 2, mode: SyncHybrid, kind: query.KindBFS}, nil, s)}
+	r.specs, r.results = []query.Spec{spec}, []chan Result{make(chan Result, 1)}
 	s.observe = func(w partition.WorkerID) error {
 		if e.v.lose {
 			r.lose()
+		}
+		// Worker 0's report on supersteps 1 and 2, in a superstep or as a
+		// summary arrives.
+		for _, m := range s.net.sent {
+			if m, ok := m.(*protocol.BarrierSynch); ok && w == 0 && m.FromStep == 1 && m.Step == 2 {
+				e.byPeer = e.byPeer || r.handing != nil
+				e.byOwn = e.byOwn || r.handing == nil
+			}
 		}
 		return r.observe(w)
 	}
@@ -201,8 +197,10 @@ func (r *exploreRun) take(c choice) error {
 		return s.observed(partition.WorkerID(c.w))
 	}
 	err := s.deliver(c.link)
-	if ctl := s.c.queries[1]; ctl != nil && len(ctl.held) > 0 {
-		r.e.heldReport = true
+	if ctl := s.c.queries[1]; ctl != nil {
+		for _, queued := range ctl.reports {
+			r.e.aheadReport = r.e.aheadReport || slices.ContainsFunc(queued, func(m *protocol.BarrierSynch) bool { return m.FromStep > ctl.step+1 })
+		}
 	}
 	return err
 }
@@ -248,7 +246,8 @@ func (r *exploreRun) key() uint64 {
 	}
 	h.value(reflect.ValueOf(r.s.net.links))
 	c := r.conformanceRun
-	for _, m := range []any{c.releases, c.batches, c.reported, c.sums, c.implicitly, c.ended, len(c.results[0]), r.cancelled} {
+	for _, m := range []any{c.releases, c.implicitly, c.batches, c.sums, c.heard, c.ran, c.reported, c.owes, c.under, c.explicit, c.gone,
+		c.ended, len(c.results[0]), r.cancelled} {
 		h.value(reflect.ValueOf(m))
 	}
 	return h.sum
@@ -364,7 +363,7 @@ func (r *exploreRun) end(v exploreVariant) error {
 	switch {
 	case v.lose:
 		ctl := r.s.c.queries[1]
-		if res != nil || ctl == nil || !ctl.outstanding || ctl.step != 1 {
+		if res != nil || ctl == nil || !ctl.outstanding || ctl.step != 0 || r.reported[wqs{0, 1, 1}] {
 			return fmt.Errorf("with a summary lost: result %+v, round %+v", res, ctl)
 		}
 		return nil
@@ -383,6 +382,9 @@ func (r *exploreRun) end(v exploreVariant) error {
 		if !r.implicitly[wqs{w, 1, 2}] {
 			return fmt.Errorf("worker %d's superstep 2 was not released implicitly", w)
 		}
+	}
+	if rel := r.releases[wqs{0, 1, 3}]; !r.implicitly[wqs{0, 1, 3}] || len(rel.Peers) != 1 || r.releases[wqs{1, 1, 3}] != nil {
+		return fmt.Errorf("superstep 3 was not released implicitly to worker 0 alone: %+v", rel)
 	}
 	return nil
 }

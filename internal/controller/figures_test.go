@@ -574,7 +574,7 @@ func TestFigure7Scalability(t *testing.T) {
 			}
 			var dirs []direction
 			for _, st := range []strategy{hashQcutStrategy, domainQcutStrategy} {
-				dirs = append(dirs, direction{claim: st.name + "'s summed latency falls as k grows from 2 to 4 to 8",
+				d := direction{claim: st.name + "'s summed latency falls as k grows from 2 to 4 to 8",
 					holds: func(seed uint64) bool {
 						for i := 1; i < len(ks); i++ {
 							if got[key(st, ks[i], seed)].sum >= got[key(st, ks[i-1], seed)].sum {
@@ -582,7 +582,11 @@ func TestFigure7Scalability(t *testing.T) {
 							}
 						}
 						return true
-					}, finding: "ROADMAP 31"})
+					}, finding: "ROADMAP 31"}
+				if fig.id == "7b" && st == domainQcutStrategy {
+					d.finding = "" // holds on every seed, so asserted
+				}
+				dirs = append(dirs, d)
 			}
 			check(t, figSeeds, dirs)
 		})

@@ -209,25 +209,27 @@ func (c *Controller) beginStepSpan(ctl *qctl, step int32) {
 }
 
 // endStepSpan closes the current superstep span, adding one child span
-// per worker report carrying the worker's share of the computation
-// (compute time, processed vertices, batches sent). Worker spans are
-// placed at the superstep's start; their durations are the worker-side
-// measurements shipped in BarrierSynch.ComputeNS.
+// per worker report the collection took, carrying the worker's share of
+// the computation (compute time, processed vertices, batches sent in its
+// last superstep, supersteps covered). Worker spans end at the
+// collection; their durations are the worker-side measurements shipped
+// in BarrierSynch.ComputeNS.
 func (c *Controller) endStepSpan(ctl *qctl) {
 	if ctl.stepSpan == nil {
 		return
 	}
 	now := c.cfg.Clock()
-	for w, r := range ctl.reports {
+	for _, r := range ctl.taken {
 		var sent int32
 		for _, nb := range r.SentBatches {
 			sent += nb
 		}
 		start := now.Add(-time.Duration(r.ComputeNS))
-		ctl.trace.SpanAt(ctl.stepSpan, fmt.Sprintf("worker %d", w), start, now, map[string]any{
+		ctl.trace.SpanAt(ctl.stepSpan, fmt.Sprintf("worker %d", r.W), start, now, map[string]any{
 			"processed":    r.Processed,
 			"sent_batches": sent,
 			"local_iters":  r.LocalIters,
+			"supersteps":   r.Step - r.FromStep + 1,
 		})
 	}
 	ctl.stepSpan.SetAttr("step", ctl.step)

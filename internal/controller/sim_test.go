@@ -120,12 +120,11 @@ type sim struct {
 // A timed model is a discrete-event simulation. A send falls due its link's
 // latency after the event that sent it ended. A worker's superstep occupies
 // the worker, which takes nothing else until it ends, for vertex per vertex
-// its report says the query first touched there since its last report
-// (ScopeSize's growth; a solo loop's one report covers all its supersteps)
-// plus entry per vertex message sent. A controller step occupies the
-// controller for step, a job runs for job, and a tick falls due every
-// CheckEvery whatever the load. Events due at one instant are ordered by
-// the seeded PRNG.
+// a query first touched there in it (Worker.ScopeSize's growth, read after
+// every superstep, whether or not the superstep reports) plus entry per
+// vertex message sent. A controller step occupies the controller for step,
+// a job runs for job, and a tick falls due every CheckEvery whatever the
+// load. Events due at one instant are ordered by the seeded PRNG.
 type costModel struct {
 	walk bool
 	ctl  time.Duration // one-way latency between the controller and a worker
@@ -506,16 +505,18 @@ func (s *sim) fire(e event) error {
 }
 
 // superstep is how long worker w's superstep that sent what the sim saw
-// last takes.
+// last takes: vertex per vertex a query first touched on w since the sim
+// last looked, entry per vertex message sent.
 func (s *sim) superstep(w partition.WorkerID) time.Duration {
 	var d time.Duration
+	for q := range s.c.queries {
+		k := wqs{w: w, q: q}
+		n := int32(s.workers[w].ScopeSize(q))
+		d += time.Duration(max(0, n-s.scope[k])) * s.model.vertex
+		s.scope[k] = n
+	}
 	for _, msg := range s.net.sent {
-		switch msg := msg.(type) {
-		case *protocol.BarrierSynch:
-			k := wqs{w: w, q: msg.Q}
-			d += time.Duration(max(0, msg.ScopeSize-s.scope[k])) * s.model.vertex
-			s.scope[k] = msg.ScopeSize
-		case *protocol.VertexBatch:
+		if msg, ok := msg.(*protocol.VertexBatch); ok {
 			d += time.Duration(len(msg.Entries)) * s.model.entry
 		}
 	}

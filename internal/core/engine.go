@@ -5,8 +5,8 @@
 // Every role starts the same way: the newest checkpoint in SnapshotDir,
 // the WAL tail folded in, then the initial partitioning. Start runs the
 // controller and its k workers in one process; StartController and
-// RunWorker run one role each over a given transport endpoint, which is
-// how cmd/qgraphd deploys them as separate processes.
+// StartWorker start one role each over a given transport endpoint, which
+// is how cmd/qgraphd deploys them as separate processes.
 //
 // Typical use:
 //
@@ -227,9 +227,9 @@ func Start(cfg Config) (*Engine, error) {
 }
 
 // StartController runs the controller alone on conn, for a deployment
-// whose k workers are other processes, each in RunWorker over the same
-// graph and directories. The engine has no local workers; Close stops the
-// controller and closes the WAL, but not conn.
+// whose k workers are other processes, each started by StartWorker over
+// the same graph and directories. The engine has no local workers; Close
+// stops the controller and closes the WAL, but not conn.
 func StartController(cfg Config, conn transport.Conn) (*Engine, error) {
 	assign, err := boot(&cfg)
 	if err != nil {
@@ -243,22 +243,22 @@ func StartController(cfg Config, conn transport.Conn) (*Engine, error) {
 	return e, nil
 }
 
-// RunWorker runs worker id alone on conn until the controller shuts it
-// down. rejoin announces a respawned worker, which adopts its state
-// through the recovery protocol instead of assuming a fresh deployment.
-func RunWorker(cfg Config, id partition.WorkerID, rejoin bool, conn transport.Conn) error {
+// StartWorker boots worker id alone on conn; its Run then serves until
+// the controller shuts it down. rejoin announces a respawned worker, which
+// adopts its state through the recovery protocol instead of assuming a
+// fresh deployment. A fresh worker boots to the version its directories
+// hold, and the controller sends it every commit after the version the
+// controller booted to: so a deployment boots every worker before it starts
+// the controller, or a worker would replay commits it is then sent again.
+func StartWorker(cfg Config, id partition.WorkerID, rejoin bool, conn transport.Conn) (*worker.Worker, error) {
 	assign, err := boot(&cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	e := &Engine{cfg: cfg, assign: assign, snaps: cfg.snapshotStore(false)}
 	c := e.workerConfig(id, rejoin)
 	c.Logger = cfg.Obs.Log() // a worker process's logger already names its role
-	wk, err := worker.New(c, conn)
-	if err != nil {
-		return err
-	}
-	return wk.Run()
+	return worker.New(c, conn)
 }
 
 // boot recovers, in place on cfg, the state every role starts from: it

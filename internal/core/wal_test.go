@@ -327,9 +327,15 @@ func startRoles(t *testing.T, cfg Config) (eng *Engine, stop func()) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { tcp.Close() })
+	// Every worker boots before the controller starts, as qgraphd's
+	// workers are up before its controller (see StartWorker).
 	errs := make(chan error, cfg.Workers)
 	for w := range partition.WorkerID(cfg.Workers) {
-		go func() { errs <- RunWorker(cfg, w, false, tcp.Conn(protocol.WorkerNode(w))) }()
+		wk, err := StartWorker(cfg, w, false, tcp.Conn(protocol.WorkerNode(w)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() { errs <- wk.Run() }()
 	}
 	if eng, err = StartController(cfg, tcp.Conn(protocol.ControllerNode)); err != nil {
 		t.Fatal(err)

@@ -1,16 +1,16 @@
 package protocol
 
 import (
-	"slices"
-
 	"qgraph/internal/partition"
 	"qgraph/internal/query"
 )
 
 // StepSummary is what the continue-or-finish decision reads of one
-// worker's superstep. A BarrierSynch carries it to the controller; in a
-// run of several workers (see BarrierReady) the last VertexBatch of the
-// superstep carries it to each other involved worker too.
+// worker's superstep. In a run of several workers (see BarrierReady) the
+// last VertexBatch of the superstep carries it to each other involved
+// worker. A BarrierSynch carries the summary of its last superstep to the
+// controller, which decides on the supersteps every involved worker's
+// reports end at.
 type StepSummary struct {
 	NActiveNext int32   // local activations pending for the next superstep
 	MinFrontier float64 // min over pending local msgs + values sent in the step
@@ -82,9 +82,16 @@ func (r Rules) Decide(d *Decision, step int32, best float64, sums map[partition.
 	}
 }
 
-// Continues says whether d releases the next superstep over exactly the
-// workers peers, a run's involved set: the implicit release.
-func (d Decision) Continues(peers []partition.WorkerID) bool {
-	return d.End == 0 && len(peers) > 0 && len(d.Next) == len(peers) &&
-		!slices.ContainsFunc(peers, func(w partition.WorkerID) bool { return !d.Next[w] })
+// Runs says whether the workers of peers, a run's involved set, release
+// the next superstep themselves: d continues over some of them and no other
+// worker. Those in Next run it, as a run over Next, sorted; the others go
+// idle. Both halves of the barrier take this one predicate.
+func (d Decision) Runs(peers []partition.WorkerID) bool {
+	n := 0
+	for _, w := range peers {
+		if d.Next[w] {
+			n++
+		}
+	}
+	return d.End == 0 && n > 0 && n == len(d.Next)
 }

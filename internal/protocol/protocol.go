@@ -107,14 +107,15 @@ func (*ExecuteQuery) Type() MsgType { return TExecuteQuery }
 // controller has seen of Q, which bounds a run as the workers' own do.
 //
 // Peers, set on every hybrid release that is not drained, lists the
-// involved workers, the receiver included, and makes the release a run:
-// after each superstep the peers take Rules.Decide over every peer's
-// StepSummary, and while it says the same peers continue, they release the
-// next superstep themselves. A run of one is the local query barrier (Sec.
-// 3.3): it decides on its own summary and reports once, when the run
+// involved workers, sorted, the receiver included, and makes the release a
+// run: after each superstep the peers take Rules.Decide over every peer's
+// StepSummary, and while it continues over some of them (Decision.Runs),
+// those release the next superstep themselves, as a run over the decision's
+// Next, and the others go idle. A run of one is the local query barrier
+// (Sec. 3.3): it decides on its own summary and reports once, when the run
 // stops. In a run of several each peer sends the others its summary on its
-// last VertexBatch of the step, and reports every step. A global barrier
-// waits for every run to stop.
+// last VertexBatch of the step, and reports at the run's edges (see
+// BarrierSynch). A global barrier waits for every run to stop.
 type BarrierReady struct {
 	Q        query.ID
 	Step     int32
@@ -276,8 +277,20 @@ type IntersectionStat struct {
 // since W's previous report; their union over all reports is the block set
 // of the scope, which the result travels with.
 //
-// FromStep < Step when the report covers a run of one worker, whose
-// supersteps ran with no controller round trip; LocalIters counts them.
+// A report covers the supersteps FromStep to Step, every one since its
+// worker's last report; Processed, ComputeNS and NewBlocks sum over them,
+// and the rest describe Step. Outside a run a worker reports every
+// superstep. A run of one reports once, when it stops. A worker of a run of
+// several reports a superstep at once when its own summary leaves an end of
+// the run possible: the run does not span every worker, the worker is
+// quiescent (nothing pending, no batch sent), Step+1 reaches MaxIters, or a
+// monotone program knows a goal. It defers the superstep otherwise, until
+// the run's decision stops or narrows the run and makes every deferred
+// superstep due in one report. The controller collects the earliest
+// superstep at which every involved worker's reports end; a gap or an
+// overlap between one worker's reports is a protocol error. LocalIters
+// counts the local supersteps before Step: all of a run of one's, none of
+// a run of several's, whose every peer computes every superstep.
 type BarrierSynch struct {
 	Q          query.ID
 	W          partition.WorkerID

@@ -51,10 +51,14 @@ import (
 //	10 — no frame changed shape: block ids (BarrierSynch.NewBlocks) name
 //	    8-vertex blocks, not 64 (protocol.SigShift 3), and a node of
 //	    either meaning must not evict by the other's
+//	11 — no frame changed shape: a worker of a run of several reports at
+//	    the run's edges, one BarrierSynch covering the supersteps since its
+//	    last, and a run narrows itself; a node of either rule would
+//	    mistake the other's reports for a protocol error
 //
 // The value is offset from small integers so a legacy 1-byte [NodeID]
 // handshake can never alias a valid version.
-const CodecVersion = 0xA0 + 10
+const CodecVersion = 0xA0 + 11
 
 // hdr is the frame header: u32 payload length plus the u8 message type.
 const hdr = 5

@@ -15,11 +15,13 @@ import (
 // controller's round is the other. It decides when a released superstep
 // may run, whether the workers of a run go on to the next superstep
 // themselves (protocol.Rules.Decide; a run of one is the local query
-// barrier), what becomes of a vertex batch, and when a StopAck is due.
+// barrier), when the controller is owed a report, what becomes of a vertex
+// batch, and when a StopAck is due.
 // Its transitions read nothing but the machine and their arguments — no
 // connection, clock, table or graph — and only they assign its fields.
 type barrier struct {
 	self    partition.WorkerID
+	k       int   // the deployment's workers: a run over all of them cannot widen
 	gen     int32 // the recovery generation: batches of another are stale
 	queries map[query.ID]*qbar
 	// runnable queues the queries with a superstep to run, oldest first:
@@ -50,7 +52,7 @@ type qbar struct {
 	rel   release
 	state relState
 	step  int32 // the next superstep to compute
-	from  int32 // the first superstep the next report covers
+	from  int32 // the first superstep the next report covers: before step, one is owed
 	// recvBatches[s] counts the batches received that superstep s sent.
 	recvBatches map[int32]int32
 	bestGoal    float64
@@ -73,6 +75,17 @@ type release struct {
 	peers        []partition.WorkerID // see protocol.BarrierReady.Peers
 }
 
+// report is a BarrierSynch the worker owes the controller, if due: the
+// supersteps from to step of a query, step's summary last. localIters
+// counts the local ones before step: all of a run of one's, none of a run
+// of several's (every peer of a run computes every superstep of it).
+type report struct {
+	due        bool
+	from, step int32
+	localIters int32
+	sum        protocol.StepSummary
+}
+
 type relState uint8
 
 const (
@@ -82,9 +95,10 @@ const (
 	deciding                 // ran a run's superstep, awaiting the peers' summaries
 )
 
-func newBarrier(self partition.WorkerID) barrier {
+func newBarrier(self partition.WorkerID, k int) barrier {
 	return barrier{
 		self:    self,
+		k:       k,
 		queries: make(map[query.ID]*qbar),
 		early:   make(map[query.ID][]*protocol.VertexBatch),
 		markers: make(map[int32]int),
@@ -100,7 +114,7 @@ func (b *barrier) execute(q query.ID, rules protocol.Rules) []*protocol.VertexBa
 	delete(b.early, q)
 	b.queries[q] = qb
 	for _, m := range buffered {
-		b.take(q, qb, m)
+		b.take(q, qb, m) // no report: the query has run no superstep here
 	}
 	return buffered
 }
@@ -109,14 +123,17 @@ func (b *barrier) execute(q query.ID, rules protocol.Rules) []*protocol.VertexBa
 // the superstep before arrived, unless it is drained: the first release
 // after a global barrier, whose markers proved every batch in. A release
 // may overtake the last summary a pending decision awaits, and it then
-// replaces the decision.
+// replaces the decision. The controller releases only supersteps after
+// those it collected, so a worker that owes a report takes none.
 func (b *barrier) ready(q query.ID, r release) error {
 	qb := b.queries[q]
-	if qb == nil {
+	switch {
+	case qb == nil:
 		return fmt.Errorf("barrierReady for unknown query %d", q)
-	}
-	if qb.state != idle && qb.state != deciding {
+	case qb.state != idle && qb.state != deciding:
 		return fmt.Errorf("query %d: release of step %d while step %d's is outstanding", q, r.step, qb.rel.step)
+	case qb.from < qb.step:
+		return fmt.Errorf("query %d: release of step %d with steps %d..%d unreported", q, r.step, qb.from, qb.step-1)
 	}
 	maps.DeleteFunc(qb.sums, func(s int32, _ map[partition.WorkerID]protocol.StepSummary) bool { return s < r.step })
 	qb.bestGoal = min(qb.bestGoal, r.bestGoal)
@@ -134,7 +151,9 @@ func (b *barrier) advance(q query.ID, qb *qbar) {
 	b.runnable = append(b.runnable, q)
 }
 
-// batch counts vertex batch m and says whether to deliver its entries. It
+// batch counts vertex batch m and says whether to deliver its entries, and
+// the report it makes due: its summary may complete a decision that stops
+// or narrows this worker's run. It
 // drops a batch from before a recovery reset and, if finished, one of a
 // query that finished here (the controller finishes a query once no
 // improving message can exist), and buffers one that raced ahead of its
@@ -142,39 +161,39 @@ func (b *barrier) advance(q query.ID, qb *qbar) {
 // protocol error: that release counted every batch there was. A marker
 // carries no entries and no release counts it, so one that arrives after
 // its consumer ran, released by the controller, is dropped.
-func (b *barrier) batch(m *protocol.VertexBatch, finished bool) (deliver bool, err error) {
+func (b *barrier) batch(m *protocol.VertexBatch, finished bool) (deliver bool, rep report, err error) {
 	qb := b.queries[m.Q]
 	switch {
 	case m.Gen != b.gen || qb == nil && finished:
-		return false, nil
+		return false, rep, nil
 	case qb == nil:
 		b.early[m.Q] = append(b.early[m.Q], m)
-		return false, nil
+		return false, rep, nil
 	case !m.Marker() && (m.Step+1 < qb.step || m.Step+1 == qb.step && qb.state == running):
-		return false, fmt.Errorf("query %d: batch of step %d from worker %d after step %d ran", m.Q, m.Step, m.From, m.Step+1)
+		return false, rep, fmt.Errorf("query %d: batch of step %d from worker %d after step %d ran", m.Q, m.Step, m.From, m.Step+1)
 	}
-	b.take(m.Q, qb, m)
-	return !m.Marker(), nil
+	return !m.Marker(), b.take(m.Q, qb, m), nil
 }
 
 // take counts batch m of query q unless it is a marker, and files its
 // summary.
-func (b *barrier) take(q query.ID, qb *qbar, m *protocol.VertexBatch) {
+func (b *barrier) take(q query.ID, qb *qbar, m *protocol.VertexBatch) (rep report) {
 	if !m.Marker() {
 		qb.recvBatches[m.Step]++
 	}
 	if m.Summary != nil {
-		b.file(q, qb, m.Step, m.From, *m.Summary)
+		rep = b.file(q, qb, m.Step, m.From, *m.Summary)
 	}
 	b.advance(q, qb)
+	return rep
 }
 
 // file keeps worker w's summary of superstep s of query q, unless the
 // decision on s is no longer pending (the controller's release replaced
 // it), and takes the decision once every peer's summary is in.
-func (b *barrier) file(q query.ID, qb *qbar, s int32, w partition.WorkerID, sum protocol.StepSummary) {
+func (b *barrier) file(q query.ID, qb *qbar, s int32, w partition.WorkerID, sum protocol.StepSummary) report {
 	if s < qb.step-1 || s == qb.step-1 && qb.state != deciding {
-		return
+		return report{}
 	}
 	sums := qb.sums[s]
 	if sums == nil {
@@ -185,35 +204,77 @@ func (b *barrier) file(q query.ID, qb *qbar, s int32, w partition.WorkerID, sum 
 		qb.sums[s] = sums
 	}
 	sums[w] = sum
-	b.decide(q, qb)
+	return b.decide(q, qb)
 }
 
 // decide takes the pending decision on the superstep q's run just ran,
 // once every peer's summary is in: the one of the controller's round
-// (protocol.Rules.Decide). If the same peers continue, it releases the
-// next superstep itself; otherwise the query waits for the controller.
-func (b *barrier) decide(q query.ID, qb *qbar) {
+// (protocol.Rules.Decide). If it continues over some of the peers
+// (protocol.Decision.Runs), those release the next superstep themselves,
+// as a run over them; otherwise the query waits for the controller. Unless
+// the same peers continue, the report of every superstep this worker
+// deferred is due: the controller collects the step a run stops or
+// narrows at.
+func (b *barrier) decide(q query.ID, qb *qbar) (rep report) {
 	s := qb.step - 1
 	sums := qb.sums[s]
 	if qb.state != deciding || slices.ContainsFunc(qb.rel.peers, func(w partition.WorkerID) bool {
 		_, ok := sums[w]
 		return !ok
 	}) {
-		return
+		return rep
 	}
 	delete(qb.sums, s)
+	own := sums[b.self]
 	d := &qb.scratch.dec
 	qb.rules.Decide(d, s, qb.rel.bestGoal, sums)
 	clear(sums)
 	qb.scratch.sums = sums
-	if !d.Continues(qb.rel.peers) {
+	peers := qb.rel.peers
+	runs := d.Runs(peers)
+	if (!runs || len(d.Next) < len(peers)) && qb.from <= s {
+		rep = b.owe(qb, s, own)
+	}
+	if !runs || !d.Next[b.self] {
 		qb.state = idle
-		return
+		return rep
+	}
+	if len(d.Next) < len(peers) {
+		peers = slices.DeleteFunc(slices.Clone(peers), func(w partition.WorkerID) bool { return !d.Next[w] })
 	}
 	qb.bestGoal = min(qb.bestGoal, d.BestGoal)
-	qb.rel = release{step: s + 1, expect: d.Expect[b.self], bestGoal: d.BestGoal, peers: qb.rel.peers}
+	qb.rel = release{step: s + 1, expect: d.Expect[b.self], bestGoal: d.BestGoal, peers: peers}
 	qb.state = held
 	b.advance(q, qb)
+	return rep
+}
+
+// owe closes the report of query qb's supersteps from qb.from to s, whose
+// last one's summary is sum.
+func (b *barrier) owe(qb *qbar, s int32, sum protocol.StepSummary) report {
+	rep := report{due: true, from: qb.from, step: s, sum: sum}
+	if len(qb.rel.peers) == 1 {
+		rep.localIters = s - qb.from
+	}
+	qb.from = s + 1
+	return rep
+}
+
+// prompt says whether a worker of a run of several peers, under rules,
+// reports superstep s, whose summary is sum, at once rather than defer it
+// to the run's edge. It does whenever its own summary leaves an end of the run
+// possible that the controller acts on: a deferred report would then reach
+// the controller a peer's flight late. That is when the run may widen (it
+// does not span every worker), the worker is quiescent (no activation
+// pending, no batch sent), the next superstep reaches MaxIters, or the
+// monotone bound may end the query (the worker knows a goal value). It
+// reads the worker's own summary and the run, never a peer's summary, so
+// when a report is owed does not depend on the order summaries arrive in.
+func (b *barrier) prompt(rules protocol.Rules, peers int, s int32, sum protocol.StepSummary) bool {
+	return peers < b.k ||
+		sum.NActiveNext == 0 && !slices.ContainsFunc(sum.SentBatches, func(n int32) bool { return n > 0 }) ||
+		rules.MaxIters > 0 && int(s)+1 >= rules.MaxIters ||
+		rules.Monotone && sum.BestGoal < query.NoResult
 }
 
 // run pops the oldest runnable query and the superstep it computes; ok is
@@ -230,26 +291,30 @@ func (b *barrier) run() (q query.ID, step int32, ok bool) {
 	return 0, 0, false
 }
 
-// stepped closes the superstep run returned for q and says whether to
-// report it, and from which superstep on. Under a run's release it files
-// this worker's summary of the step for the decision. A run of one decides
-// on it at once and reports only when the run stops: its one report covers
-// every superstep since its last. A run of several reports every
-// superstep, as does any other release.
-func (b *barrier) stepped(q query.ID, res stepResult) (from int32, report bool) {
+// stepped closes the superstep run returned for q and returns the report
+// it makes due, if any. Under a run's release it files this worker's
+// summary of the step for the decision, and the report is due when the
+// decision stops or narrows the run (see decide): a report covers every
+// superstep since the worker's last. A worker of a run of several also
+// reports at once when prompt says so, and defers the step otherwise.
+// Under any other release it reports every superstep.
+func (b *barrier) stepped(q query.ID, res stepResult) report {
 	qb := b.queries[q]
+	s := qb.step
 	qb.step++
 	qb.bestGoal = min(qb.bestGoal, res.bestGoal)
-	qb.state = idle
-	if qb.rel.peers != nil {
-		qb.state = deciding
-		b.file(q, qb, qb.step-1, b.self, res.summary(qb.bestGoal))
-		if len(qb.rel.peers) == 1 && qb.state != idle {
-			return 0, false
-		}
+	sum := res.summary(qb.bestGoal)
+	if qb.rel.peers == nil {
+		qb.state = idle
+		return b.owe(qb, s, sum)
 	}
-	from, qb.from = qb.from, qb.step
-	return from, true
+	peers := qb.rel.peers
+	qb.state = deciding
+	rep := b.file(q, qb, s, b.self, sum)
+	if !rep.due && len(peers) > 1 && b.prompt(qb.rules, len(peers), s, sum) {
+		rep = b.owe(qb, s, sum)
+	}
+	return rep
 }
 
 func (b *barrier) finish(q query.ID) {
@@ -298,6 +363,6 @@ func (b *barrier) start() { b.arrived = nil }
 // (one sent now would reach a controller that left the aborted barrier)
 // for recovery generation gen.
 func (b *barrier) reset(gen int32) {
-	*b = newBarrier(b.self)
+	*b = newBarrier(b.self, b.k)
 	b.gen = gen
 }

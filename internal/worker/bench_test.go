@@ -87,7 +87,11 @@ func benchSuperstep(b *testing.B, g *graph.Graph, owner partition.Assignment, ki
 	s.deliver(&protocol.ExecuteQuery{Spec: query.Spec{ID: 1, Kind: kind, Source: frontier[0], Target: graph.NilVertex}})
 	qs := w.queries[1]
 	b.ReportAllocs()
-	for b.Loop() {
+	b.ResetTimer()
+	// Not b.Loop: it sizes the run by the time since the last StartTimer,
+	// one op's here, so it never saw the benchtime elapse. b.N is sized by
+	// the timed total.
+	for range b.N {
 		for _, v := range frontier {
 			w.combineIn(qs, 0, v, 1)
 		}
@@ -183,7 +187,7 @@ func benchScopeBlocks(b *testing.B, n int, verts []graph.VertexID) {
 		for _, v := range verts {
 			qs.touch(v)
 		}
-		w.sendSynch(1, qs, 0, 0, stepResult{})
+		w.sendSynch(1, qs, report{due: true})
 		sig = freezeSig(qs.sig)
 		s.conn.sent = s.conn.sent[:0]
 	}

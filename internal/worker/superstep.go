@@ -35,9 +35,8 @@ func (res stepResult) summary(best float64) protocol.StepSummary {
 }
 
 // stepOnce computes superstep step of query q, which the barrier queued,
-// and reports it unless the barrier goes on with a run of one (the local
-// query barrier of Sec. 3.3). One superstep runs per call, so concurrent
-// queries interleave fairly.
+// and sends the report the barrier says is due, if any. One superstep runs
+// per call, so concurrent queries interleave fairly.
 func (w *Worker) stepOnce(q query.ID, step int32) error {
 	qs := w.queries[q]
 	t0 := w.cfg.Clock()
@@ -54,8 +53,8 @@ func (w *Worker) stepOnce(q query.ID, step int32) error {
 	if faultpoint.Hit(faultpoint.WorkerSuperstep, int(w.id), int(q), int(step)) {
 		return faultpoint.ErrKilled
 	}
-	if from, report := w.bar.stepped(q, res); report {
-		w.sendSynch(q, qs, from, step, res)
+	if rep := w.bar.stepped(q, res); rep.due {
+		w.sendSynch(q, qs, rep)
 	}
 	return nil
 }
@@ -165,11 +164,11 @@ func (w *Worker) sendBatch(q query.ID, step int32, dst partition.WorkerID, entri
 	}
 }
 
-// sendSynch reports the supersteps from to step of query q's release to
-// the controller with the scope size piggybacked (Sec. 3.4); intersections
-// wait for a StatsPull.
-func (w *Worker) sendSynch(q query.ID, qs *queryState, from, step int32, res stepResult) {
-	qb := w.bar.queries[q]
+// sendSynch sends the controller report rep of query q, with the scope
+// size piggybacked (Sec. 3.4); intersections wait for a StatsPull.
+// ComputeNS, Processed and NewBlocks cover every superstep since the last
+// report.
+func (w *Worker) sendSynch(q query.ID, qs *queryState, rep report) {
 	computeNS, processed, newBlocks := qs.computeNS, qs.processed, qs.newBlocks
 	qs.computeNS, qs.processed, qs.newBlocks = 0, 0, nil // the message keeps the slice
 	// Sorted, neighbours differ by a byte on the wire; in touch order a
@@ -178,16 +177,16 @@ func (w *Worker) sendSynch(q query.ID, qs *queryState, from, step int32, res ste
 	slices.Sort(newBlocks)
 	w.conn.Send(protocol.ControllerNode, &protocol.BarrierSynch{
 		Q: q, W: w.id,
-		Step:        step,
-		FromStep:    from,
-		LocalIters:  step - from,
+		Step:        rep.step,
+		FromStep:    rep.from,
+		LocalIters:  rep.localIters,
 		Processed:   processed,
-		NActiveNext: res.nActiveNext,
+		NActiveNext: rep.sum.NActiveNext,
 		ComputeNS:   computeNS,
 		ScopeSize:   int32(qs.data.len()),
-		SentBatches: res.sent,
-		BestGoal:    qb.bestGoal,
-		MinFrontier: res.minFrontier,
+		SentBatches: rep.sum.SentBatches,
+		BestGoal:    rep.sum.BestGoal,
+		MinFrontier: rep.sum.MinFrontier,
 		NewBlocks:   newBlocks,
 	})
 }

@@ -173,7 +173,7 @@ func New(cfg Config, conn transport.Conn) (*Worker, error) {
 		owner:    cfg.Owner.Clone(),
 		queries:  make(map[query.ID]*queryState),
 		finished: make(map[query.ID]*finishedScope),
-		bar:      newBarrier(cfg.ID),
+		bar:      newBarrier(cfg.ID, cfg.K),
 		outBuf:   make([]*table, cfg.K),
 		joining:  cfg.Rejoin,
 	}
@@ -566,11 +566,18 @@ func (w *Worker) onReady(m *protocol.BarrierReady) error {
 		bestGoal: m.BestGoal, peers: m.Peers})
 }
 
-// onVertexBatch merges the batches the barrier delivers.
+// onVertexBatch merges the batches the barrier delivers, and sends the
+// report a peer's summary made due.
 func (w *Worker) onVertexBatch(m *protocol.VertexBatch) error {
-	deliver, err := w.bar.batch(m, w.finished[m.Q] != nil)
-	if !deliver || err != nil {
+	deliver, rep, err := w.bar.batch(m, w.finished[m.Q] != nil)
+	if err != nil {
 		return err
+	}
+	if rep.due {
+		w.sendSynch(m.Q, w.queries[m.Q], rep)
+	}
+	if !deliver {
+		return nil
 	}
 	return w.merge(w.queries[m.Q], m)
 }
@@ -630,6 +637,17 @@ func (w *Worker) onDeltaBatch(m *protocol.DeltaBatch) error {
 // View exposes the worker's current graph view (tests assert version and
 // topology convergence).
 func (w *Worker) View() *delta.View { return w.view }
+
+// ScopeSize is |LS(q, w)|: the vertices query q touched on this worker so
+// far, 0 if q is not live here. Like View, it reads state the event loop
+// owns: call it between events, from the goroutine that drives Step and
+// Handle (the controller's simulator charges compute by it).
+func (w *Worker) ScopeSize(q query.ID) int {
+	if qs := w.queries[q]; qs != nil {
+		return qs.data.len()
+	}
+	return 0
+}
 
 // onGlobalStop flushes every link into this worker with markers, which
 // follow this worker's last vertex batch before GlobalStart on every link.
