@@ -8,10 +8,10 @@
 // global barrier.
 //
 // Each query's side of the hybrid barrier is a round (barrier.go): the
-// workers a superstep involves, the reports it awaits, and the decision
-// (protocol.Rules.Decide) that ends the query or continues it, by a run
-// whose workers release the next superstep themselves, as transitions with
-// no I/O and no clock. The
+// workers a superstep involves, the reports it queues (a run's workers
+// report at its edges), and the decision (protocol.Rules.Decide) that ends
+// the query or continues it, by a run whose workers release the next
+// superstep themselves, as transitions with no I/O and no clock. The
 // commit pipeline, from Mutate to the checkpoint cut, has the same shape
 // (commits in delta.go and checkpoint.go), and so do worker liveness and
 // recovery (members in recover.go) and adaptation with its global barrier

@@ -262,14 +262,15 @@ func (b *barrier) owe(qb *qbar, s int32, sum protocol.StepSummary) report {
 
 // prompt says whether a worker of a run of several peers, under rules,
 // reports superstep s, whose summary is sum, at once rather than defer it
-// to the run's edge. It does whenever its own summary leaves an end of the run
-// possible that the controller acts on: a deferred report would then reach
-// the controller a peer's flight late. That is when the run may widen (it
-// does not span every worker), the worker is quiescent (no activation
-// pending, no batch sent), the next superstep reaches MaxIters, or the
-// monotone bound may end the query (the worker knows a goal value). It
-// reads the worker's own summary and the run, never a peer's summary, so
-// when a report is owed does not depend on the order summaries arrive in.
+// to the run's edge. It does whenever its own summary leaves possible an
+// end of the run that the controller acts on: a deferred report would then
+// reach the controller a peer's flight late. That is when the run may
+// widen (it does not span every worker), the worker is quiescent (no
+// activation pending, no batch sent), the next superstep reaches MaxIters,
+// or the monotone bound may end the query (the worker knows a goal value).
+// It reads the worker's own summary and the run, never a peer's summary,
+// so when a report is owed does not depend on the order summaries arrive
+// in.
 func (b *barrier) prompt(rules protocol.Rules, peers int, s int32, sum protocol.StepSummary) bool {
 	return peers < b.k ||
 		sum.NActiveNext == 0 && !slices.ContainsFunc(sum.SentBatches, func(n int32) bool { return n > 0 }) ||

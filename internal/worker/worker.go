@@ -8,8 +8,10 @@
 // The worker's half of the hybrid barrier (Sec. 3.3) is one machine with no
 // I/O and no clock (barrier.go): when a released superstep may run, the
 // runs whose workers release the next one themselves (of one worker, the
-// local query barrier), what becomes of a vertex batch, and the STOP/START
-// drain. The controller's half is its round (internal/controller).
+// local query barrier) and narrow themselves, when the controller is owed
+// a report (at a run's edges), what becomes of a vertex batch, and the
+// STOP/START drain. The controller's half is its round
+// (internal/controller).
 //
 // A worker is a single event loop over its transport inbox, a pump over two
 // entries: Handle takes one message, Step runs one queued superstep. All
