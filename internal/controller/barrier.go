@@ -44,6 +44,10 @@ type round struct {
 	reports  map[partition.WorkerID][]*protocol.BarrierSynch
 	awaiting int
 	taken    []*protocol.BarrierSynch // the reports the last collection took
+	// sumPeers and sums are the last collection's summaries, in worker
+	// order, as protocol.Rules.Decide takes them.
+	sumPeers []partition.WorkerID
+	sums     []protocol.StepSummary
 
 	scopeSizes []int64 // latest |LS(q,w)| per worker
 	everActive []bool  // workers that ever processed or held scope
@@ -148,9 +152,11 @@ func (r *round) collect(s int32) (d protocol.Decision, implicit bool, err error)
 	totalSent := int32(0)
 	activeWorkers := 0
 	ahead := false // a worker reported past s
-	sums := make(map[partition.WorkerID]protocol.StepSummary, len(r.involved))
-	r.taken = r.taken[:0]
-	for w := range r.involved {
+	r.taken, r.sumPeers, r.sums = r.taken[:0], r.sumPeers[:0], r.sums[:0]
+	for w := range partition.WorkerID(len(r.scopeSizes)) {
+		if !r.involved[w] {
+			continue
+		}
 		queued := r.reports[w]
 		i := slices.IndexFunc(queued, func(m *protocol.BarrierSynch) bool { return m.Step == s })
 		r.taken = append(r.taken, queued[:i+1]...)
@@ -172,7 +178,7 @@ func (r *round) collect(s int32) (d protocol.Decision, implicit bool, err error)
 		for _, nb := range last.SentBatches {
 			totalSent += nb
 		}
-		sums[w] = last.Summary()
+		r.sumPeers, r.sums = append(r.sumPeers, w), append(r.sums, last.Summary())
 		if queued = queued[i+1:]; len(queued) == 0 {
 			queued = r.reports[w][:0] // keep the array for the next report
 		}
@@ -188,7 +194,7 @@ func (r *round) collect(s int32) (d protocol.Decision, implicit bool, err error)
 	if totalSent == 0 && activeWorkers <= 1 {
 		r.localSteps++
 	}
-	r.rules.Decide(&d, s, r.bestGoal, sums)
+	r.rules.Decide(&d, s, r.bestGoal, r.sumPeers, r.sums)
 	implicit = d.Runs(r.peers)
 	if ahead {
 		for w, queued := range r.reports {
@@ -238,8 +244,8 @@ func (r *round) restart() {
 }
 
 // result is query q's Result at pinned version, ended for reason after
-// latency.
-func (r *round) result(q query.ID, version uint64, reason protocol.FinishReason, latency time.Duration) Result {
+// latency. bits is protocol.SortBlocks' scratch.
+func (r *round) result(q query.ID, version uint64, reason protocol.FinishReason, latency time.Duration, bits *[]uint64) Result {
 	touched, workers := 0, 0
 	for w, sz := range r.scopeSizes {
 		touched += int(sz)
@@ -248,8 +254,7 @@ func (r *round) result(q query.ID, version uint64, reason protocol.FinishReason,
 		}
 	}
 	// Workers sharing a block each reported it.
-	slices.Sort(r.blocks)
-	r.blocks = slices.Compact(r.blocks)
+	r.blocks = protocol.SortBlocks(r.blocks, bits)
 	return Result{
 		Q:          q,
 		Value:      r.bestGoal,
@@ -454,7 +459,7 @@ func (c *Controller) finishQuery(ctl *qctl, reason protocol.FinishReason) {
 // caller gets the round's Result.
 func (c *Controller) end(ctl *qctl, reason protocol.FinishReason) Result {
 	delete(c.queries, ctl.spec.ID)
-	res := ctl.result(ctl.spec.ID, ctl.spec.PinVersion, reason, c.cfg.Clock().Sub(ctl.started))
+	res := ctl.result(ctl.spec.ID, ctl.spec.PinVersion, reason, c.cfg.Clock().Sub(ctl.started), &c.blockBits)
 	c.endQueryTrace(ctl, res)
 	c.unpin(ctl)
 	ctl.ch <- res

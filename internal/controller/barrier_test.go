@@ -312,7 +312,7 @@ func TestRoundTransitions(t *testing.T) {
 			report(t, r, 0, 0, func(s *protocol.BarrierSynch) { s.ScopeSize, s.NewBlocks, s.BestGoal = 3, []int32{5, 2}, 9 })
 			report(t, r, 1, 0, func(s *protocol.BarrierSynch) { s.NewBlocks = []int32{2} })
 			collect(t, r)
-			res := r.result(1, 4, protocol.FinishConverged, 0)
+			res := r.result(1, 4, protocol.FinishConverged, 0, nil)
 			if res.Touched != 3 || res.Workers != 1 || !slices.Equal(res.Blocks, []int32{2, 5}) ||
 				res.Value != 9 || res.Supersteps != 1 || res.Version != 4 {
 				t.Fatalf("result %+v", res)

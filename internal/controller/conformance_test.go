@@ -406,8 +406,7 @@ func (r *conformanceRun) decided(w partition.WorkerID, q query.ID, s int32, rel 
 	if len(r.heard[wqs{w, q, s}]) < len(rel.Peers)-1 {
 		return nil
 	}
-	var d protocol.Decision
-	r.rules(q).Decide(&d, s, rel.BestGoal, r.sums[wqs{q: q, step: s}])
+	d := decide(r.rules(q), s, rel.BestGoal, r.sums[wqs{q: q, step: s}])
 	if d.Runs(rel.Peers) && len(d.Next) == len(rel.Peers) {
 		return nil
 	}
@@ -424,6 +423,18 @@ func (r *conformanceRun) owed(w partition.WorkerID, q query.ID, s int32) *due {
 	return &due{q, from, s}
 }
 
+// decide is rules' decision on superstep s over the summaries of sums, by
+// worker, taken in worker order.
+func decide(rules protocol.Rules, s int32, best float64, sums map[partition.WorkerID]protocol.StepSummary) (d protocol.Decision) {
+	peers := slices.Sorted(maps.Keys(sums))
+	in := make([]protocol.StepSummary, len(peers))
+	for i, w := range peers {
+		in[i] = sums[w]
+	}
+	rules.Decide(&d, s, best, peers, in)
+	return d
+}
+
 func (r *conformanceRun) rules(q query.ID) protocol.Rules {
 	spec := r.specs[q-1]
 	return protocol.Rules{Monotone: query.MustNew(spec.Kind).Monotone(), MaxIters: spec.MaxIters}
@@ -433,8 +444,7 @@ func (r *conformanceRun) rules(q query.ID) protocol.Rules {
 // every peer's summary in: it records the end it decides, or the implicit
 // release of the next superstep over the peers it keeps.
 func (r *conformanceRun) decide(q query.ID, s int32, rel *protocol.BarrierReady) {
-	var d protocol.Decision
-	r.rules(q).Decide(&d, s, rel.BestGoal, r.sums[wqs{q: q, step: s}])
+	d := decide(r.rules(q), s, rel.BestGoal, r.sums[wqs{q: q, step: s}])
 	if d.End != 0 {
 		r.ended[q] = ending{d.End, s}
 	}
@@ -470,8 +480,7 @@ func (r *conformanceRun) report(w partition.WorkerID, m *protocol.BarrierSynch) 
 	if got := r.batches[wqs{w, m.Q, m.FromStep - 1}]; !rel.Drained && got != rel.Expect {
 		return fmt.Errorf("worker %d ran query %d's step %d with %d batches, Expect %d", w, m.Q, m.FromStep, got, rel.Expect)
 	}
-	var d protocol.Decision
-	r.rules(m.Q).Decide(&d, m.Step, rel.BestGoal, map[partition.WorkerID]protocol.StepSummary{w: m.Summary()})
+	d := decide(r.rules(m.Q), m.Step, rel.BestGoal, map[partition.WorkerID]protocol.StepSummary{w: m.Summary()})
 	if d.Runs(rel.Peers) {
 		return fmt.Errorf("worker %d reported query %d's run of one after step %d, which the decision continues", w, m.Q, m.Step)
 	}

@@ -273,6 +273,8 @@ type Controller struct {
 	queries map[query.ID]*qctl
 	window  []*windowEntry
 	byQ     map[query.ID]*windowEntry
+	// blockBits is protocol.SortBlocks' scratch for query results.
+	blockBits []uint64
 
 	// Adaptation and the global barrier (adapt.go, global.go). phaseStart
 	// is when the current phase was entered; leftPhase charges the elapsed

@@ -371,8 +371,7 @@ func fromBlocks(ops []delta.Op) []int32 {
 			blocks = append(blocks, protocol.BlockOf(op.From))
 		}
 	}
-	slices.Sort(blocks)
-	return slices.Compact(blocks)
+	return protocol.SortBlocks(blocks, nil)
 }
 
 // onDeltaAck records how far worker m.W's replica has applied. Commits

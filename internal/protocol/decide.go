@@ -40,18 +40,19 @@ type Decision struct {
 }
 
 // Decide takes the continue-or-finish decision on superstep step into d,
-// from the summaries of every worker the step involved and best, the best
-// goal found before it. The controller takes it on every fully reported
-// superstep, and the workers of a run (see BarrierReady) on their own
-// summaries: one function over the same inputs, so they agree. d's maps
-// are cleared and reused, or made if nil, so a caller that keeps d, as a
-// run does, allocates nothing a decision.
+// from the summaries of every worker the step involved, sums[i] that of
+// peers[i], and best, the best goal found before it. The controller takes
+// it on every fully reported superstep, and the workers of a run (see
+// BarrierReady) on their own summaries: one function over the same inputs,
+// so they agree. d's maps are cleared and reused, or made if nil, so a
+// caller that keeps d and its slices, as a run does, allocates nothing a
+// decision.
 //
 // A query ends when no active vertex remains (Sec. 2); the monotone bound
 // additionally ends a goal query as soon as no in-flight value can beat
 // the best goal, which is what confines localized queries to their region;
 // and MaxIters caps the supersteps.
-func (r Rules) Decide(d *Decision, step int32, best float64, sums map[partition.WorkerID]StepSummary) {
+func (r Rules) Decide(d *Decision, step int32, best float64, peers []partition.WorkerID, sums []StepSummary) {
 	if d.Next == nil {
 		d.Next, d.Expect = make(map[partition.WorkerID]bool), make(map[partition.WorkerID]int32)
 	}
@@ -59,11 +60,11 @@ func (r Rules) Decide(d *Decision, step int32, best float64, sums map[partition.
 	clear(d.Expect)
 	d.End, d.BestGoal = 0, best
 	minFrontier := query.NoResult
-	for w, s := range sums {
+	for i, s := range sums {
 		d.BestGoal = min(d.BestGoal, s.BestGoal)
 		minFrontier = min(minFrontier, s.MinFrontier)
 		if s.NActiveNext > 0 {
-			d.Next[w] = true
+			d.Next[peers[i]] = true
 		}
 		for dst, nb := range s.SentBatches {
 			if nb > 0 {

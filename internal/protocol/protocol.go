@@ -9,6 +9,8 @@
 package protocol
 
 import (
+	"math/bits"
+	"slices"
 	"time"
 
 	"qgraph/internal/delta"
@@ -261,6 +263,45 @@ const SigShift = 3
 
 // BlockOf returns the signature block of vertex v.
 func BlockOf(v graph.VertexID) int32 { return int32(v) >> SigShift }
+
+// SortBlocks sorts block ids ascending and drops repeats, in place, and
+// returns the prefix that holds them. Ids that span few words are set in a
+// bitmap swept word by word, in O(n + span/64) and with no comparison;
+// scratch is that bitmap, grown as needed and left zeroed, and nil
+// allocates one. Ids spread wider than 16 words an id are sorted.
+func SortBlocks(ids []int32, scratch *[]uint64) []int32 {
+	if len(ids) < 2 {
+		return ids
+	}
+	lo, hi := ids[0], ids[0]
+	for _, id := range ids {
+		lo, hi = min(lo, id), max(hi, id)
+	}
+	words := (int64(hi)-int64(lo))>>6 + 1
+	if words > 16*int64(len(ids)) {
+		slices.Sort(ids)
+		return slices.Compact(ids)
+	}
+	if scratch == nil {
+		scratch = new([]uint64)
+	}
+	if int64(len(*scratch)) < words {
+		*scratch = make([]uint64, words)
+	}
+	set := (*scratch)[:words]
+	for _, id := range ids {
+		d := uint32(id - lo)
+		set[d>>6] |= 1 << (d & 63)
+	}
+	out := ids[:0]
+	for i, word := range set {
+		set[i] = 0
+		for ; word != 0; word &= word - 1 {
+			out = append(out, lo+int32(i<<6+bits.TrailingZeros64(word)))
+		}
+	}
+	return out
+}
 
 // IntersectionStat reports |LS(Q1,w) ∩ LS(Q2,w)|: the paper's intersection
 // function Iw restricted to query pairs, which is what Q-cut's clustering

@@ -1,7 +1,10 @@
 package protocol_test
 
 import (
+	"fmt"
+	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 
 	"qgraph/internal/partition"
@@ -113,5 +116,41 @@ func TestFinishReasonStrings(t *testing.T) {
 		if r.String() != s {
 			t.Errorf("FinishReason(%d).String() = %q, want %q", r, r.String(), s)
 		}
+	}
+}
+
+// TestSortBlocksEqualsSortCompact: SortBlocks returns what slices.Sort and
+// slices.Compact return, on empty and one-element input, on repeats, over a
+// range of 2²⁰ ids both dense (the bitmap) and sparse (the sort), and with
+// one scratch bitmap reused throughout, which it must leave zeroed.
+func TestSortBlocksEqualsSortCompact(t *testing.T) {
+	rng := rand.New(rand.NewPCG(29, 29))
+	var scratch []uint64
+	check := func(name string, ids []int32) {
+		t.Helper()
+		want := slices.Compact(slices.Sorted(slices.Values(ids)))
+		for _, bits := range []*[]uint64{&scratch, nil} {
+			if got := protocol.SortBlocks(slices.Clone(ids), bits); !slices.Equal(got, want) {
+				t.Fatalf("%s: SortBlocks of %d ids = %d ids, want %d", name, len(ids), len(got), len(want))
+			}
+		}
+		if i := slices.IndexFunc(scratch, func(w uint64) bool { return w != 0 }); i >= 0 {
+			t.Fatalf("%s: scratch word %d left set", name, i)
+		}
+	}
+	check("empty", nil)
+	check("one", []int32{7})
+	check("repeats", []int32{5, 5, 5, 2, 2, 9, 5})
+	for _, n := range []int{2, 3, 64, 1000, 100_000} {
+		for _, span := range []int{1, 63, 64, 65, 1 << 10, 1 << 20} {
+			ids := make([]int32, n)
+			for i := range ids {
+				ids[i] = int32(1<<12 + rng.IntN(span))
+			}
+			check(fmt.Sprintf("%d ids over %d", n, span), ids)
+		}
+	}
+	if len(scratch) == 0 {
+		t.Fatal("no input took the bitmap")
 	}
 }

@@ -56,15 +56,23 @@ type qbar struct {
 	// recvBatches[s] counts the batches received that superstep s sent.
 	recvBatches map[int32]int32
 	bestGoal    float64
-	// sums[s] holds the summaries of superstep s of a run, by worker, this
-	// one's included once it ran s.
-	sums map[int32]map[partition.WorkerID]protocol.StepSummary
-	// scratch keeps a decided step's emptied summaries and its decision for
-	// the next step: a run of one allocates nothing a superstep.
+	// sums holds the summaries of a run's supersteps by parity and worker
+	// (see slot), this one's included once it ran the superstep: a decision
+	// awaits one superstep's, and a peer that took it may send the next's.
+	sums []filed
+	// scratch keeps a decision's summaries in peer order and the decision
+	// for the next step: a run allocates nothing a superstep.
 	scratch struct {
-		sums map[partition.WorkerID]protocol.StepSummary
+		sums []protocol.StepSummary
 		dec  protocol.Decision
 	}
+}
+
+// filed is a worker's summary of superstep step-1; step is 0 in a slot
+// nothing was filed in.
+type filed struct {
+	step int32
+	sum  protocol.StepSummary
 }
 
 // release is a BarrierReady's content, or an implicit release's.
@@ -109,7 +117,7 @@ func newBarrier(self partition.WorkerID, k int) barrier {
 // it, counted as received.
 func (b *barrier) execute(q query.ID, rules protocol.Rules) []*protocol.VertexBatch {
 	qb := &qbar{rules: rules, recvBatches: make(map[int32]int32), bestGoal: query.NoResult,
-		sums: make(map[int32]map[partition.WorkerID]protocol.StepSummary)}
+		sums: make([]filed, 2*b.k)}
 	buffered := b.early[q]
 	delete(b.early, q)
 	b.queries[q] = qb
@@ -135,7 +143,6 @@ func (b *barrier) ready(q query.ID, r release) error {
 	case qb.from < qb.step:
 		return fmt.Errorf("query %d: release of step %d with steps %d..%d unreported", q, r.step, qb.from, qb.step-1)
 	}
-	maps.DeleteFunc(qb.sums, func(s int32, _ map[partition.WorkerID]protocol.StepSummary) bool { return s < r.step })
 	qb.bestGoal = min(qb.bestGoal, r.bestGoal)
 	qb.rel, qb.state, qb.from = r, held, r.step
 	b.advance(q, qb)
@@ -166,6 +173,8 @@ func (b *barrier) batch(m *protocol.VertexBatch, finished bool) (deliver bool, r
 	switch {
 	case m.Gen != b.gen || qb == nil && finished:
 		return false, rep, nil
+	case int(m.From) >= b.k:
+		return false, rep, fmt.Errorf("query %d: batch of step %d from worker %d of %d", m.Q, m.Step, m.From, b.k)
 	case qb == nil:
 		b.early[m.Q] = append(b.early[m.Q], m)
 		return false, rep, nil
@@ -195,16 +204,13 @@ func (b *barrier) file(q query.ID, qb *qbar, s int32, w partition.WorkerID, sum 
 	if s < qb.step-1 || s == qb.step-1 && qb.state != deciding {
 		return report{}
 	}
-	sums := qb.sums[s]
-	if sums == nil {
-		sums, qb.scratch.sums = qb.scratch.sums, nil
-		if sums == nil {
-			sums = make(map[partition.WorkerID]protocol.StepSummary, len(qb.rel.peers))
-		}
-		qb.sums[s] = sums
-	}
-	sums[w] = sum
+	*b.slot(qb, s, w) = filed{s + 1, sum}
 	return b.decide(q, qb)
+}
+
+// slot is where worker w's summary of superstep s of query qb is filed.
+func (b *barrier) slot(qb *qbar, s int32, w partition.WorkerID) *filed {
+	return &qb.sums[int(s&1)*b.k+int(w)]
 }
 
 // decide takes the pending decision on the superstep q's run just ran,
@@ -217,19 +223,19 @@ func (b *barrier) file(q query.ID, qb *qbar, s int32, w partition.WorkerID, sum 
 // narrows at.
 func (b *barrier) decide(q query.ID, qb *qbar) (rep report) {
 	s := qb.step - 1
-	sums := qb.sums[s]
 	if qb.state != deciding || slices.ContainsFunc(qb.rel.peers, func(w partition.WorkerID) bool {
-		_, ok := sums[w]
-		return !ok
+		return b.slot(qb, s, w).step != s+1
 	}) {
 		return rep
 	}
-	delete(qb.sums, s)
-	own := sums[b.self]
-	d := &qb.scratch.dec
-	qb.rules.Decide(d, s, qb.rel.bestGoal, sums)
-	clear(sums)
+	sums := qb.scratch.sums[:0]
+	for _, w := range qb.rel.peers {
+		sums = append(sums, b.slot(qb, s, w).sum)
+	}
 	qb.scratch.sums = sums
+	own := b.slot(qb, s, b.self).sum
+	d := &qb.scratch.dec
+	qb.rules.Decide(d, s, qb.rel.bestGoal, qb.rel.peers, sums)
 	peers := qb.rel.peers
 	runs := d.Runs(peers)
 	if (!runs || len(d.Next) < len(peers)) && qb.from <= s {

@@ -12,23 +12,26 @@ import (
 )
 
 // BenchmarkSuperstep times one superstep of one query on worker 0 of k = 2:
-// consume the inbox, compute, combine the emissions, flush the remote ones as
+// compute the step's lane, combine the emissions, flush the remote ones as
 // VertexBatches. Each op hands the query its frontier afresh and, off the
-// clock, drops its values afterwards, so every vertex is touched for the
-// first time, as in a growing query. Every table the worker recycles once held 4 096 entries: a
-// Go map kept that capacity and paid for it on every range and clear.
+// clock, drops its values afterwards, so every frontier vertex is touched
+// for the first time, as in a growing query. Every table the worker
+// recycles once held 4 096 entries: a Go map kept that capacity and paid
+// for it on every range and clear.
 //
 //   - road: the 40-vertex wavefront of an SSSP on a 64×64 grid whose columns
 //     0–39 the worker owns; every emission but one stays local.
+//   - road-wave: the same wavefront, an SSSP from vertex 0 one superstep
+//     later, with the ring behind it settled: half of its emissions go back
+//     to settled vertices and cannot improve them.
 //   - social: a PageRank pushing from 540 scattered vertices over about 230
 //     blocks of a random graph of out-degree 8, Hash-partitioned (odd ids on
 //     the other worker), so half the emissions leave.
 func BenchmarkSuperstep(b *testing.B) {
-	b.Run("road", func(b *testing.B) {
-		const side, cut = 64, 40
+	const side, cut = 64, 40
+	grid := func() (*graph.Graph, partition.Assignment) {
 		gb := graph.NewBuilder(side * side)
 		owner := make(partition.Assignment, side*side)
-		frontier := make([]graph.VertexID, 0, cut)
 		for y := range side {
 			for x := range side {
 				v := graph.VertexID(y*side + x)
@@ -41,12 +44,30 @@ func BenchmarkSuperstep(b *testing.B) {
 				if x >= cut {
 					owner[v] = 1
 				}
-				if x+y == cut-1 {
-					frontier = append(frontier, v)
-				}
 			}
 		}
-		benchSuperstep(b, gb.MustBuild(), owner, query.KindSSSP, frontier)
+		return gb.MustBuild(), owner
+	}
+	// ring lists the vertices at hop distance d from vertex 0, with d.
+	ring := func(d int) (r []protocol.VertexMsg) {
+		for y := range side {
+			if x := d - y; x >= 0 && x < side {
+				r = append(r, protocol.VertexMsg{To: graph.VertexID(y*side + x), Val: float64(d)})
+			}
+		}
+		return r
+	}
+	b.Run("road", func(b *testing.B) {
+		g, owner := grid()
+		frontier := ring(cut - 1)
+		for i := range frontier {
+			frontier[i].Val = 1
+		}
+		benchSuperstep(b, g, owner, query.KindSSSP, frontier, nil)
+	})
+	b.Run("road-wave", func(b *testing.B) {
+		g, owner := grid()
+		benchSuperstep(b, g, owner, query.KindSSSP, ring(cut-1), ring(cut-2))
 	})
 	b.Run("social", func(b *testing.B) {
 		const n, degree, active = 1 << 14, 8, 540
@@ -60,52 +81,92 @@ func BenchmarkSuperstep(b *testing.B) {
 			owner[v] = partition.WorkerID(v % 2)
 		}
 		seen := map[graph.VertexID]bool{}
-		var frontier []graph.VertexID
+		var frontier []protocol.VertexMsg
 		for len(frontier) < active {
 			if v := graph.VertexID(rng.IntN(n/2) * 2); !seen[v] {
 				seen[v] = true
-				frontier = append(frontier, v)
+				frontier = append(frontier, protocol.VertexMsg{To: v, Val: 1})
 			}
 		}
-		benchSuperstep(b, gb.MustBuild(), owner, query.KindPageRank, frontier)
+		benchSuperstep(b, gb.MustBuild(), owner, query.KindPageRank, frontier, nil)
 	})
 }
 
-func benchSuperstep(b *testing.B, g *graph.Graph, owner partition.Assignment, kind query.Kind, frontier []graph.VertexID) {
+// benchSuperstep times superstep 0 of a query whose vertices of settled
+// hold their values and whose frontier holds its messages.
+func benchSuperstep(b *testing.B, g *graph.Graph, owner partition.Assignment, kind query.Kind, frontier, settled []protocol.VertexMsg) {
 	s := newSyncWorkerOn(b, 2, g, owner)
 	w := s.w
-	held := make([]*table, 16)
+	held, heldVerts := make([]*table[float64], 16), make([]*vertices, 2)
 	for i := range held {
 		held[i] = w.table()
 		for v := range graph.VertexID(4096) {
 			held[i].set(v, 1)
 		}
 	}
+	for i := range heldVerts {
+		heldVerts[i] = w.vertexTable()
+		for v := range graph.VertexID(4096) {
+			heldVerts[i].set(v, vertex{val: 1, has: true})
+		}
+	}
 	for _, t := range held {
 		w.free(t)
 	}
-	s.deliver(&protocol.ExecuteQuery{Spec: query.Spec{ID: 1, Kind: kind, Source: frontier[0], Target: graph.NilVertex}})
+	for _, vs := range heldVerts {
+		vs.reset()
+		w.vertexTables = append(w.vertexTables, vs)
+	}
+	s.deliver(&protocol.ExecuteQuery{Spec: query.Spec{ID: 1, Kind: kind, Source: frontier[0].To, Target: graph.NilVertex}})
 	qs := w.queries[1]
+	settle := func() {
+		qs.verts.reset()
+		for _, m := range settled {
+			qs.verts.set(m.To, vertex{val: m.Val, has: true})
+			qs.verts.scope++
+		}
+	}
+	settle()
 	b.ReportAllocs()
 	b.ResetTimer()
 	// Not b.Loop: it sizes the run by the time since the last StartTimer,
 	// one op's here, so it never saw the benchtime elapse. b.N is sized by
 	// the timed total.
 	for range b.N {
-		for _, v := range frontier {
-			w.combineIn(qs, 0, v, 1)
+		for _, m := range frontier {
+			if err := qs.verts.post(0, m.To, m.Val, qs.prog); err != nil {
+				b.Fatal(err)
+			}
 		}
-		w.computeStep(qs, 0)
+		if _, err := w.computeStep(qs, 0); err != nil {
+			b.Fatal(err)
+		}
 		b.StopTimer()
-		for st, box := range qs.inbox {
-			w.free(box)
-			delete(qs.inbox, st)
-		}
-		w.free(qs.data)
+		settle()
 		w.free(qs.sig)
-		qs.data, qs.sig, qs.newBlocks = w.table(), w.table(), qs.newBlocks[:0]
+		qs.sig, qs.newBlocks = w.table(), qs.newBlocks[:0]
 		s.conn.sent = s.conn.sent[:0]
 		b.StartTimer()
+	}
+}
+
+// BenchmarkRunOfOneQuery times a whole BFS run of one: 64 supersteps, to
+// MaxIters, along a 65-vertex path that one worker owns, released once and
+// then by the worker itself, from ExecuteQuery to QueryFinish.
+func BenchmarkRunOfOneQuery(b *testing.B) {
+	s := newSyncWorker(b, 1, 65)
+	self := []partition.WorkerID{0}
+	q := query.ID(0)
+	b.ReportAllocs()
+	for b.Loop() {
+		q++
+		s.deliver(&protocol.ExecuteQuery{Spec: query.Spec{ID: q, Kind: query.KindBFS, Source: 0, Target: graph.NilVertex, MaxIters: 64}})
+		s.deliver(&protocol.BarrierReady{Q: q, Step: 0, BestGoal: query.NoResult, Peers: self})
+		if rep, ok := s.conn.sent[len(s.conn.sent)-1].(*protocol.BarrierSynch); !ok || rep.FromStep != 0 || rep.Step != 63 {
+			b.Fatalf("the run reported %+v, want supersteps 0..63", s.conn.sent[len(s.conn.sent)-1])
+		}
+		s.deliver(&protocol.QueryFinish{Q: q, Reason: protocol.FinishMaxIters})
+		s.conn.sent = s.conn.sent[:0]
 	}
 }
 
@@ -117,7 +178,7 @@ func BenchmarkWindowPull(b *testing.B) {
 	rng := rand.New(rand.NewPCG(13, 13))
 	s := newSyncWorkerOn(b, 2, graph.NewBuilder(blocks<<sigShift).MustBuild(), make(partition.Assignment, blocks<<sigShift))
 	w := s.w
-	sig := func() *table {
+	sig := func() *table[float64] {
 		t := w.table()
 		for _, blk := range rng.Perm(blocks)[:touched] {
 			t.set(graph.VertexID(blk), float64(1+rng.IntN(1<<sigShift)))
@@ -180,12 +241,19 @@ func benchScopeBlocks(b *testing.B, n int, verts []graph.VertexID) {
 	s.deliver(&protocol.ExecuteQuery{Spec: query.Spec{ID: 1, Kind: query.KindBFS, Source: verts[0], Target: graph.NilVertex}})
 	qs := w.queries[1]
 	var sig frozenSig
+	at := make([]int, len(verts)) // each vertex's entry in the query's table
+	for j, v := range verts {
+		at[j], _ = qs.verts.ref(v)
+	}
 	b.ReportAllocs()
 	for b.Loop() {
 		w.free(qs.sig)
 		qs.sig = w.table()
-		for _, v := range verts {
-			qs.touch(v)
+		for _, i := range at {
+			qs.verts.vals[i].has = false
+		}
+		for _, i := range at {
+			qs.touch(i)
 		}
 		w.sendSynch(1, qs, report{due: true})
 		sig = freezeSig(qs.sig)

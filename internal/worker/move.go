@@ -32,8 +32,8 @@ func (w *Worker) onMoveScope(m *protocol.MoveScope) error {
 	// ships an empty ScopeData, which the target still acknowledges).
 	verts := make(map[graph.VertexID]bool)
 	if qs, ok := w.queries[m.Q]; ok {
-		for _, v := range qs.data.keys {
-			if !w.bar.arrived[v] {
+		for i, e := range qs.verts.vals {
+			if v := qs.verts.keys[i]; e.has && !w.bar.arrived[v] {
 				verts[v] = true
 			}
 		}
@@ -51,27 +51,33 @@ func (w *Worker) onMoveScope(m *protocol.MoveScope) error {
 	for v := range verts {
 		byV[v] = &protocol.MovedVertex{V: v}
 	}
+	// A moved vertex's entry is emptied, not deleted: the active lists index
+	// the table's entries.
 	for q2, qs2 := range w.queries {
-		// Ranging backwards, del only moves visited entries.
-		for i := qs2.data.len() - 1; i >= 0; i-- {
-			if v := qs2.data.keys[i]; verts[v] {
-				byV[v].Values = append(byV[v].Values, protocol.QueryValue{Q: q2, Val: qs2.data.vals[i]})
-				qs2.data.del(v)
+		vs := qs2.verts
+		for i := range vs.vals {
+			if e, v := &vs.vals[i], vs.keys[i]; e.has && verts[v] {
+				byV[v].Values = append(byV[v].Values, protocol.QueryValue{Q: q2, Val: e.val})
+				e.has = false
+				vs.scope--
 				blk := graph.VertexID(protocol.BlockOf(v))
-				if n, _ := qs2.sig.get(blk); n > 1 {
-					qs2.sig.set(blk, n-1)
+				if j, _ := qs2.sig.ref(blk); qs2.sig.vals[j] > 1 {
+					qs2.sig.vals[j]--
 				} else {
 					qs2.sig.del(blk)
 				}
 			}
 		}
-		for step, box := range qs2.inbox {
-			for i := box.len() - 1; i >= 0; i-- {
-				if v := box.keys[i]; verts[v] {
-					byV[v].Pending = append(byV[v].Pending, protocol.PendingMsg{Q: q2, Step: step, Val: box.vals[i]})
-					box.del(v)
+		for p, act := range vs.active {
+			// Ranging backwards, each removal moves a visited entry.
+			for j := len(act) - 1; j >= 0; j-- {
+				if e, v := &vs.vals[act[j]], vs.keys[act[j]]; verts[v] {
+					byV[v].Pending = append(byV[v].Pending, protocol.PendingMsg{Q: q2, Step: e.step[p] - 1, Val: e.msg[p]})
+					e.step[p] = 0
+					act[j], act = act[len(act)-1], act[:len(act)-1]
 				}
 			}
+			vs.active[p] = act
 		}
 	}
 	for _, fs2 := range w.finishOrder {
@@ -138,10 +144,9 @@ func (w *Worker) onScopeData(m *protocol.ScopeData) error {
 		w.bar.arrive(mv.V)
 		for _, qv := range mv.Values {
 			if qs, ok := w.queries[qv.Q]; ok {
-				if _, had := qs.data.get(mv.V); !had {
-					qs.touch(mv.V)
-				}
-				qs.data.set(mv.V, qv.Val)
+				i, _ := qs.verts.ref(mv.V)
+				qs.touch(i)
+				qs.verts.vals[i].val = qv.Val
 			} else {
 				// The query finished while the move was decided; keep the
 				// vertex in its remembered scope so the hotspot stays
@@ -151,7 +156,9 @@ func (w *Worker) onScopeData(m *protocol.ScopeData) error {
 		}
 		for _, pm := range mv.Pending {
 			if qs, ok := w.queries[pm.Q]; ok {
-				w.combineIn(qs, pm.Step, mv.V, pm.Val)
+				if err := qs.verts.post(pm.Step, mv.V, pm.Val, qs.prog); err != nil {
+					return fmt.Errorf("scope data for query %d: %w", m.Q, err)
+				}
 			}
 			// Pending messages of finished queries are obsolete: the
 			// controller only finishes a query when its result is final.

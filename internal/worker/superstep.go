@@ -1,6 +1,7 @@
 package worker
 
 import (
+	"fmt"
 	"slices"
 
 	"qgraph/internal/faultpoint"
@@ -23,7 +24,7 @@ type stepResult struct {
 	nActiveNext int32
 	sent        []int32 // batches sent per destination worker
 	// minFrontier bounds every value still in flight: the batches just
-	// sent and every inbox not yet consumed.
+	// sent and every message not yet consumed.
 	minFrontier float64
 	bestGoal    float64 // the best goal value the superstep found
 }
@@ -40,7 +41,10 @@ func (res stepResult) summary(best float64) protocol.StepSummary {
 func (w *Worker) stepOnce(q query.ID, step int32) error {
 	qs := w.queries[q]
 	t0 := w.cfg.Clock()
-	res := w.computeStep(qs, step)
+	res, err := w.computeStep(qs, step)
+	if err != nil {
+		return fmt.Errorf("query %d step %d: %w", q, step, err)
+	}
 	// Fault seam inside the timed section: an armed hook that sleeps here
 	// inflates this worker's reported ComputeNS, modeling a straggler for
 	// the health layer's detector without touching the compute itself.
@@ -59,17 +63,15 @@ func (w *Worker) stepOnce(q query.ID, step int32) error {
 	return nil
 }
 
-// computeStep executes one superstep of qs: consume the combined inbox,
-// run the vertex function per active vertex, stage emissions, and flush
-// remote batches. In a run of several workers the last batch to each
-// other peer carries the step's summary, on a marker if the step sent that
-// peer nothing.
-func (w *Worker) computeStep(qs *queryState, step int32) stepResult {
-	box := qs.inbox[step]
-	delete(qs.inbox, step)
-
+// computeStep executes one superstep of qs: run the vertex function on
+// every vertex of the step's lane, with its combined message, stage
+// emissions, and flush remote batches. In a run of several workers the last
+// batch to each other peer carries the step's summary, on a marker if the
+// step sent that peer nothing.
+func (w *Worker) computeStep(qs *queryState, step int32) (stepResult, error) {
+	vs, p := qs.verts, step&1
 	res := stepResult{
-		processed:   int32(box.len()),
+		processed:   int32(len(vs.active[p])),
 		minFrontier: query.NoResult,
 		bestGoal:    query.NoResult,
 		sent:        make([]int32, w.k),
@@ -80,7 +82,9 @@ func (w *Worker) computeStep(qs *queryState, step int32) stepResult {
 	emit := func(to graph.VertexID, val float64) {
 		dst := w.owner[to]
 		if dst == w.id {
-			w.combineIn(qs, step+1, to, val)
+			if err := vs.post(step+1, to, val, prog); err != nil && w.emitErr == nil {
+				w.emitErr = err
+			}
 			return
 		}
 		buf := w.outBuf[dst]
@@ -88,28 +92,32 @@ func (w *Worker) computeStep(qs *queryState, step int32) stepResult {
 			buf = w.table()
 			w.outBuf[dst] = buf
 		}
-		buf.combine(to, val, prog)
+		if i, had := buf.ref(to); had {
+			buf.vals[i] = prog.Combine(buf.vals[i], val)
+		} else {
+			buf.vals[i] = val
+		}
 	}
 
-	if box != nil {
-		for i, v := range box.keys {
-			old, hasOld := qs.data.get(v)
-			newVal, changed := prog.Compute(g, spec, v, old, hasOld, box.vals[i], emit)
-			if !changed {
-				continue
-			}
-			if !hasOld {
-				qs.touch(v)
-			}
-			qs.data.set(v, newVal)
-			if prog.Goal(g, spec, v, newVal) {
-				res.bestGoal = min(res.bestGoal, newVal)
-			}
+	for _, i := range vs.active[p] {
+		e := &vs.vals[i]
+		if e.step[p] != step+1 { // a lane holds one superstep's messages
+			return res, fmt.Errorf("vertex %d: message for superstep %d in superstep %d's lane", vs.keys[i], e.step[p]-1, step)
 		}
-		w.free(box)
+		e.step[p] = 0
+		newVal, changed := prog.Compute(g, spec, vs.keys[i], e.val, e.has, e.msg[p], emit)
+		if !changed {
+			continue
+		}
+		qs.touch(int(i))
+		vs.vals[i].val = newVal // emissions may have grown the table: not e
+		if prog.Goal(g, spec, vs.keys[i], newVal) {
+			res.bestGoal = min(res.bestGoal, newVal)
+		}
 	}
-	// Remote buffers and pending activations, local ones for the next
-	// superstep and any older remote ones, bound the frontier.
+	vs.active[p] = vs.active[p][:0]
+	// Remote buffers and pending messages, which are all for the next
+	// superstep, bound the frontier.
 	for dst, buf := range w.outBuf {
 		if buf == nil {
 			continue
@@ -119,12 +127,10 @@ func (w *Worker) computeStep(qs *queryState, step int32) stepResult {
 		}
 		res.sent[dst] = int32((buf.len() + batchMsgs - 1) / batchMsgs)
 	}
-	for _, box := range qs.inbox {
-		for _, val := range box.vals {
-			res.minFrontier = min(res.minFrontier, val)
-		}
+	for _, i := range vs.active[1-p] {
+		res.minFrontier = min(res.minFrontier, vs.vals[i].msg[1-p])
 	}
-	res.nActiveNext = int32(qs.inbox[step+1].len())
+	res.nActiveNext = int32(len(vs.active[1-p]))
 
 	var sum *protocol.StepSummary
 	qb := w.bar.queries[spec.ID]
@@ -148,7 +154,9 @@ func (w *Worker) computeStep(qs *queryState, step int32) stepResult {
 		}
 		w.sendBatch(spec.ID, step, partition.WorkerID(dst), entries, last)
 	}
-	return res
+	err := w.emitErr
+	w.emitErr = nil
+	return res, err
 }
 
 // sendBatch ships entries to worker dst, split into batches of batchMsgs,
@@ -173,8 +181,8 @@ func (w *Worker) sendSynch(q query.ID, qs *queryState, rep report) {
 	qs.computeNS, qs.processed, qs.newBlocks = 0, 0, nil // the message keeps the slice
 	// Sorted, neighbours differ by a byte on the wire; in touch order a
 	// scattered scope's differences take two (social_pagerank's barrier
-	// bytes grow by 41 %).
-	slices.Sort(newBlocks)
+	// bytes grow by 41 %). The blocks are distinct.
+	newBlocks = protocol.SortBlocks(newBlocks, &w.bits)
 	w.conn.Send(protocol.ControllerNode, &protocol.BarrierSynch{
 		Q: q, W: w.id,
 		Step:        rep.step,
@@ -183,7 +191,7 @@ func (w *Worker) sendSynch(q query.ID, qs *queryState, rep report) {
 		Processed:   processed,
 		NActiveNext: rep.sum.NActiveNext,
 		ComputeNS:   computeNS,
-		ScopeSize:   int32(qs.data.len()),
+		ScopeSize:   qs.verts.scope,
 		SentBatches: rep.sum.SentBatches,
 		BestGoal:    rep.sum.BestGoal,
 		MinFrontier: rep.sum.MinFrontier,

@@ -20,7 +20,7 @@ import (
 // the table's size, so probe runs collide, wrap and shift back on delete.
 func TestTableEqualsMap(t *testing.T) {
 	rng := rand.New(rand.NewPCG(37, 37))
-	tb, ref := newTable(), map[graph.VertexID]float64{}
+	tb, ref := newTable[float64](), map[graph.VertexID]float64{}
 	prog := query.PageRank{} // combine sums
 	for op := 0; op < 200_000; op++ {
 		v := graph.VertexID(rng.IntN(3000))
@@ -29,7 +29,7 @@ func TestTableEqualsMap(t *testing.T) {
 			tb.set(v, float64(op))
 			ref[v] = float64(op)
 		case r < 70:
-			tb.combine(v, 1, prog)
+			combine(tb, v, 1, prog)
 			ref[v]++
 		case r < 99:
 			tb.del(v)
@@ -55,6 +55,29 @@ func TestTableEqualsMap(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// get, set and combine are the map operations the tests check a table
+// against.
+func (t *table[V]) get(v graph.VertexID) (val V, ok bool) {
+	if i, ok := t.probe(v); ok {
+		return t.vals[t.slots[i].at], true
+	}
+	return val, false
+}
+
+func (t *table[V]) set(v graph.VertexID, val V) {
+	i, _ := t.ref(v)
+	t.vals[i] = val
+}
+
+// combine folds val into v's value with prog's combiner, in one probe.
+func combine(t *table[float64], v graph.VertexID, val float64, prog query.Program) {
+	if i, had := t.ref(v); had {
+		t.vals[i] = prog.Combine(t.vals[i], val)
+	} else {
+		t.vals[i] = val
 	}
 }
 
@@ -88,7 +111,7 @@ func TestFreeListRecyclesTables(t *testing.T) {
 		tb := w.table()
 		for v := range graph.VertexID(10_000) {
 			tb.set(v, 2)
-			tb.combine(v, 1, prog)
+			combine(tb, v, 1, prog)
 			if x, ok := tb.get(v); !ok || x != 1 {
 				t.Fatalf("get(%d) = %v, %v after combining 1 into 2", v, x, ok)
 			}
@@ -101,21 +124,31 @@ func TestFreeListRecyclesTables(t *testing.T) {
 }
 
 // A query that runs on tables an earlier query gave back reports exactly what
-// it reports on a fresh worker: recycling carries no vertex, value or
-// signature over, and what the finished query is remembered by is its own copy.
+// it reports on a fresh worker: recycling carries no vertex, value, pending
+// message or signature over, and what the finished query is remembered by is
+// its own copy. The first query is cut off by MaxIters with its wavefront's
+// messages still pending.
 func TestRecycledMapsCarryNothingOver(t *testing.T) {
 	fresh := newSyncWorker(t, 1, 512)
 	want := fresh.runQuery(2, 300, 40)
 
 	s := newSyncWorker(t, 1, 512)
 	first := s.runQuery(1, 100, 60)
-	if len(s.w.tables) < 3 {
-		t.Fatalf("%d tables recycled at finish, want its values, signature and inboxes", len(s.w.tables))
+	if first.NActiveNext == 0 {
+		t.Fatalf("first query left no message pending")
+	}
+	if len(s.w.tables) < 1 || len(s.w.vertexTables) != 1 {
+		t.Fatalf("%d tables and %d query tables recycled at finish, want its signature and its vertices",
+			len(s.w.tables), len(s.w.vertexTables))
+	}
+	if vs := s.w.vertexTables[0]; vs.len() != 0 || vs.scope != 0 || len(vs.active[0])+len(vs.active[1]) != 0 {
+		t.Fatalf("recycled query table holds %d entries, scope %d, %d and %d pending",
+			vs.len(), vs.scope, len(vs.active[0]), len(vs.active[1]))
 	}
 	got := s.runQuery(2, 300, 40)
-	if pairs := s.pull().Pairs; got.ScopeSize != want.ScopeSize || len(pairs) != 0 {
-		t.Fatalf("second query reports scope %d, %d intersections; alone it reports %d, 0",
-			got.ScopeSize, len(pairs), want.ScopeSize)
+	if pairs := s.pull().Pairs; got.ScopeSize != want.ScopeSize || got.Processed != want.Processed ||
+		got.NActiveNext != want.NActiveNext || got.MinFrontier != want.MinFrontier || len(pairs) != 0 {
+		t.Fatalf("second query reports %+v, %d intersections; alone it reports %+v, 0", got, len(pairs), want)
 	}
 	if !maps.Equal(s.w.finished[2].verts, fresh.w.finished[2].verts) ||
 		!slices.Equal(s.w.finished[2].sig.blocks, fresh.w.finished[2].sig.blocks) {
@@ -129,7 +162,7 @@ func TestRecycledMapsCarryNothingOver(t *testing.T) {
 // TestTwoRunsSendIdenticalBytes: two fresh workers driven through one script
 // send the same bytes. The script's frontiers hold 64 vertices a side of a
 // k = 2 cut, so half of every superstep's emissions leave as VertexBatches;
-// a PageRank sums its inbox in the order the messages arrived; and the window
+// a PageRank sums its messages in the order they arrived; and the window
 // is pulled while two queries are live. On Go maps, iteration order reorders
 // batch entries, float sums and intersections from run to run.
 func TestTwoRunsSendIdenticalBytes(t *testing.T) {

@@ -32,7 +32,7 @@ type frozenSig struct {
 	sorted bool // by blk
 }
 
-func freezeSig(sig *table) frozenSig {
+func freezeSig(sig *table[float64]) frozenSig {
 	out := make([]sigBlock, 0, sig.len())
 	for i, blk := range sig.keys {
 		out = append(out, sigBlock{int32(blk), int32(sig.vals[i])})

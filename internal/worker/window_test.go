@@ -361,8 +361,8 @@ func TestFrozenSigEqualsMapSig(t *testing.T) {
 		}
 		return m
 	}
-	sigTable := func(m map[int32]int32) *table {
-		tb := newTable()
+	sigTable := func(m map[int32]int32) *table[float64] {
+		tb := newTable[float64]()
 		for blk, n := range m {
 			tb.set(graph.VertexID(blk), float64(n))
 		}

@@ -81,7 +81,7 @@ func (c *Config) fill() {
 }
 
 // queryState is the worker-local state of one query: its private vertex
-// data (the local query scope) and per-superstep inboxes, each a table.
+// values (the local query scope) and pending messages, in one table.
 type queryState struct {
 	spec query.Spec
 	prog query.Program
@@ -92,16 +92,14 @@ type queryState struct {
 	// commits land without quiescing.
 	view *delta.View
 
-	// data holds the query-private value of every vertex the query touched
-	// on this worker; its key set is LS(q, w).
-	data *table
+	// verts holds the query-private value of every vertex the query touched
+	// on this worker, LS(q, w), and every combined message not consumed yet.
+	verts *vertices
 	// sig is the scope's signature (see frozenSig) while it still grows, keyed
 	// by block; newBlocks are the blocks that entered it since the last
 	// barrier report.
-	sig       *table
+	sig       *table[float64]
 	newBlocks []int32
-	// inbox[s] holds combined messages to be consumed by superstep s.
-	inbox map[int32]*table
 	// computeNS accumulates wall time spent in computeStep since the last
 	// barrier report; it ships to the controller on BarrierSynch so the
 	// query's trace can attribute superstep time per worker. processed
@@ -146,11 +144,15 @@ type Worker struct {
 	replayedOps atomic.Int64
 
 	// outBuf[dst] stages the running superstep's emissions to worker dst.
-	outBuf []*table
-	// tables is the free list of the tables consumed inboxes, flushed out
-	// buffers and finished queries give back: growing fresh ones per (query,
-	// superstep) was half of what a query allocated.
-	tables []*table
+	outBuf []*table[float64]
+	// The free lists of the tables flushed out buffers and finished queries
+	// give back: growing fresh ones was half of what a query allocated.
+	tables       []*table[float64]
+	vertexTables []*vertices
+	// bits is SortBlocks' bitmap, zero between calls.
+	bits []uint64
+	// emitErr is the first error of a superstep's local emissions.
+	emitErr error
 	// scratch is the dense signature pairs scatters a windowed scope into,
 	// one counter per block of the graph; zero between calls.
 	scratch []int32
@@ -176,7 +178,7 @@ func New(cfg Config, conn transport.Conn) (*Worker, error) {
 		queries:  make(map[query.ID]*queryState),
 		finished: make(map[query.ID]*finishedScope),
 		bar:      newBarrier(cfg.ID, cfg.K),
-		outBuf:   make([]*table, cfg.K),
+		outBuf:   make([]*table[float64], cfg.K),
 		joining:  cfg.Rejoin,
 	}
 	return w, nil
@@ -461,7 +463,7 @@ func (w *Worker) resetForRecovery(gen int32, owner []partition.WorkerID) error {
 	w.bar.reset(gen)
 	w.owner = append(w.owner[:0], owner...)
 	w.queries = make(map[query.ID]*queryState)
-	w.outBuf = make([]*table, w.k)
+	w.outBuf = make([]*table[float64], w.k)
 	return w.conn.Send(protocol.ControllerNode, &protocol.PartitionAck{Gen: gen, W: w.id, Version: w.view.Version()})
 }
 
@@ -491,13 +493,12 @@ func (w *Worker) onExecute(m *protocol.ExecuteQuery) error {
 		spec:  m.Spec,
 		prog:  prog,
 		view:  w.view,
-		data:  w.table(),
+		verts: w.vertexTable(),
 		sig:   w.table(),
-		inbox: make(map[int32]*table),
 	}
 	for _, act := range prog.Init(qs.view, m.Spec) {
 		if w.owner[act.V] == w.id {
-			w.combineIn(qs, 0, act.V, act.Msg)
+			_ = qs.verts.post(0, act.V, act.Msg, prog) // superstep 0 of an empty table cannot fail
 		}
 	}
 	w.queries[m.Spec.ID] = qs
@@ -520,39 +521,46 @@ func (w *Worker) onExecute(m *protocol.ExecuteQuery) error {
 }
 
 // table takes an empty table off the free list.
-func (w *Worker) table() *table {
-	if n := len(w.tables); n > 0 {
-		t := w.tables[n-1]
-		w.tables = w.tables[:n-1]
-		return t
-	}
-	return newTable()
+func (w *Worker) table() *table[float64] {
+	return pop(&w.tables, newTable[float64])
 }
 
 // free empties t onto the free list; the caller must hold no other reference.
-func (w *Worker) free(t *table) {
+func (w *Worker) free(t *table[float64]) {
 	t.reset()
 	w.tables = append(w.tables, t)
 }
 
-// touch counts first-touched vertex v into the scope signature.
-func (qs *queryState) touch(v graph.VertexID) {
-	blk := protocol.BlockOf(v)
-	n, ok := qs.sig.get(graph.VertexID(blk))
-	if !ok { // no block stays at zero
-		qs.newBlocks = append(qs.newBlocks, blk)
-	}
-	qs.sig.set(graph.VertexID(blk), n+1)
+// vertexTable takes an empty query table off its free list.
+func (w *Worker) vertexTable() *vertices {
+	return pop(&w.vertexTables, func() *vertices { return &vertices{table: *newTable[vertex]()} })
 }
 
-// combineIn merges a message for vertex v into the inbox of superstep s.
-func (w *Worker) combineIn(qs *queryState, s int32, v graph.VertexID, val float64) {
-	box := qs.inbox[s]
-	if box == nil {
-		box = w.table()
-		qs.inbox[s] = box
+func pop[T any](free *[]*T, fresh func() *T) *T {
+	n := len(*free)
+	if n == 0 {
+		return fresh()
 	}
-	box.combine(v, val, qs.prog)
+	t := (*free)[n-1]
+	*free = (*free)[:n-1]
+	return t
+}
+
+// touch enters the vertex of entry i into the scope, if it is not in it,
+// and counts it into the scope signature.
+func (qs *queryState) touch(i int) {
+	vs := qs.verts
+	if vs.vals[i].has {
+		return
+	}
+	vs.vals[i].has = true
+	vs.scope++
+	blk := protocol.BlockOf(vs.keys[i])
+	j, had := qs.sig.ref(graph.VertexID(blk))
+	if !had { // no block stays at zero
+		qs.newBlocks = append(qs.newBlocks, blk)
+	}
+	qs.sig.vals[j]++
 }
 
 // onReady hands a release to the barrier. Peers, ids off the wire, must
@@ -584,7 +592,7 @@ func (w *Worker) onVertexBatch(m *protocol.VertexBatch) error {
 	return w.merge(w.queries[m.Q], m)
 }
 
-// merge combines a delivered batch's entries into the inbox of the
+// merge combines a delivered batch's entries into the lane of the
 // superstep that consumes them. Ownership changes only while the network is
 // drained, so each names a vertex this worker owns. One that does not is a
 // protocol error: forwarding it would count against a peer's Expect that
@@ -594,7 +602,9 @@ func (w *Worker) merge(qs *queryState, m *protocol.VertexBatch) error {
 		if e.To < 0 || int(e.To) >= len(w.owner) || w.owner[e.To] != w.id {
 			return fmt.Errorf("query %d: batch of step %d from worker %d names vertex %d, not owned here", m.Q, m.Step, m.From, e.To)
 		}
-		w.combineIn(qs, m.Step+1, e.To, e.Val)
+		if err := qs.verts.post(m.Step+1, e.To, e.Val, qs.prog); err != nil {
+			return fmt.Errorf("query %d: batch of step %d from worker %d: %w", m.Q, m.Step, m.From, err)
+		}
 	}
 	return nil
 }
@@ -646,7 +656,7 @@ func (w *Worker) View() *delta.View { return w.view }
 // Handle (the controller's simulator charges compute by it).
 func (w *Worker) ScopeSize(q query.ID) int {
 	if qs := w.queries[q]; qs != nil {
-		return qs.data.len()
+		return int(qs.verts.scope)
 	}
 	return 0
 }
@@ -689,14 +699,14 @@ func (w *Worker) onFinish(m *protocol.QueryFinish) {
 	if !ok {
 		return
 	}
-	fs.verts = make(map[graph.VertexID]bool, qs.data.len())
-	for _, v := range qs.data.keys {
-		fs.verts[v] = true
+	fs.verts = make(map[graph.VertexID]bool, qs.verts.scope)
+	for i, e := range qs.verts.vals {
+		if e.has {
+			fs.verts[qs.verts.keys[i]] = true
+		}
 	}
 	fs.sig = freezeSig(qs.sig)
 	w.free(qs.sig)
-	w.free(qs.data)
-	for _, box := range qs.inbox {
-		w.free(box)
-	}
+	qs.verts.reset()
+	w.vertexTables = append(w.vertexTables, qs.verts)
 }

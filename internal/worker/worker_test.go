@@ -436,6 +436,31 @@ func TestMisroutedBatchIsAnError(t *testing.T) {
 	}
 }
 
+// TestThirdLiveSuperstepIsAnError: a query's table holds a vertex's
+// messages for two supersteps, in lanes by the superstep's parity, which is
+// all the barrier lets be live. A batch for the superstep after next is a
+// protocol error the worker returns: at once if its vertex's lane is taken,
+// else when the lane's superstep runs.
+func TestThirdLiveSuperstepIsAnError(t *testing.T) {
+	for _, tc := range []struct {
+		to   graph.VertexID
+		want string
+	}{
+		{to: 0, want: "vertex 0: message for superstep 2 while superstep 0's is pending"},
+		{to: 1, want: "vertex 1: message for superstep 2 in superstep 0's lane"},
+	} {
+		s := newSyncWorkerOn(t, 2, lineGraph(), partition.Assignment{0, 0, 0, 1, 1})
+		s.deliver(&protocol.ExecuteQuery{Spec: query.Spec{ID: 3, Kind: query.KindBFS, Source: 0, Target: graph.NilVertex}})
+		err := s.send(&protocol.VertexBatch{Q: 3, Step: 1, From: 1, Entries: []protocol.VertexMsg{{To: tc.to, Val: 5}}})
+		if err == nil {
+			err = s.send(&protocol.BarrierReady{Q: 3, Step: 0, BestGoal: query.NoResult})
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("message for superstep 2 to vertex %d: got %v, want %q", tc.to, err, tc.want)
+		}
+	}
+}
+
 // TestWireIDsAreRangeChecked: every vertex or worker id a message carries
 // that the worker indexes with is checked first, so a bad one is an error,
 // never a panic that kills the process (or, in-process, the engine).
@@ -455,6 +480,7 @@ func TestWireIDsAreRangeChecked(t *testing.T) {
 		{name: "grant to a worker past K", rejoin: true, msg: &protocol.PartitionGrant{Gen: 1, Owner: owners(7)}},
 		{name: "delta batch owning a new vertex past K", msg: &protocol.DeltaBatch{Version: 1, Ops: []delta.Op{{Kind: delta.OpAddVertex}}, NewOwners: []partition.WorkerID{7}}},
 		{name: "query from a vertex past the graph", msg: &protocol.ExecuteQuery{Spec: query.Spec{ID: 1, Kind: query.KindBFS, Source: 99, Target: graph.NilVertex}}},
+		{name: "vertex batch from a worker past K", msg: &protocol.VertexBatch{Q: 1, From: 7, Entries: []protocol.VertexMsg{{To: 1, Val: 1}}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := &syncWorker{t: t, conn: &recConn{}}
