@@ -143,7 +143,10 @@ type Program interface {
 	// Monotone reports whether message values never decrease along a path
 	// (true for distance-style programs). Monotone queries terminate early
 	// once the smallest in-flight frontier value is no better than the best
-	// goal value found — this is what keeps queries localized.
+	// goal value found — this is what keeps queries localized. A monotone
+	// program's Combine is min, and its Compute returns (old, false) and
+	// emits nothing when hasOld and msg >= old: a message no better than
+	// its vertex's value cannot change the vertex, and values only fall.
 	Monotone() bool
 }
 

@@ -222,3 +222,52 @@ func TestKindStringAndNew(t *testing.T) {
 		t.Fatal("unknown kind accepted")
 	}
 }
+
+// TestMonotoneProgramsPrunable checks, on random inputs, the contract
+// Program.Monotone states, which dropping a stale message at its sender
+// would rely on: every monotone program combines by min, and a message no
+// better than the value its vertex holds leaves the value as it is and
+// emits nothing.
+func TestMonotoneProgramsPrunable(t *testing.T) {
+	rng := rand.New(rand.NewPCG(71, 71))
+	const n = 64
+	b := graph.NewBuilder(n)
+	tags := make([]bool, n)
+	for v := range graph.VertexID(n) {
+		for range 3 {
+			b.AddEdge(v, graph.VertexID(rng.IntN(n)), float32(1+rng.IntN(9)))
+		}
+		tags[v] = rng.IntN(4) == 0
+	}
+	b.SetTags(tags)
+	g := b.MustBuild()
+	monotone := 0
+	for k := range Kind(255) { // every kind New knows
+		prog, err := New(k)
+		if err != nil || !prog.Monotone() {
+			continue
+		}
+		monotone++
+		spec := Spec{ID: 1, Kind: k, Source: 0, Target: graph.NilVertex}
+		for i := 0; i < 10_000; i++ {
+			a, c := rng.Float64()*100, rng.Float64()*100
+			if i%10 == 0 {
+				c = a
+			}
+			if got := prog.Combine(a, c); got != min(a, c) {
+				t.Fatalf("%v: Combine(%v, %v) = %v, want the min", k, a, c, got)
+			}
+			v := graph.VertexID(rng.IntN(n))
+			old, msg := min(a, c), max(a, c)
+			emitted := 0
+			got, changed := prog.Compute(g, spec, v, old, true, msg, func(graph.VertexID, float64) { emitted++ })
+			if got != old || changed || emitted != 0 {
+				t.Fatalf("%v: Compute of vertex %d holding %v with message %v = %v, %v and %d emissions; want %v, false, none",
+					k, v, old, msg, got, changed, emitted, old)
+			}
+		}
+	}
+	if monotone < 3 {
+		t.Fatalf("%d monotone kinds, want SSSP, BFS and POI among them", monotone)
+	}
+}
