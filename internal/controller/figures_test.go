@@ -458,7 +458,7 @@ func TestFigure6fLocality(t *testing.T) {
 		{claim: "Q-cut executes at least 3 plans",
 			holds: func(seed uint64) bool { return qcut(seed).plans >= 3 }},
 		{claim: "Q-cut's tail locality is at least static Hash's + 0.3",
-			holds: func(seed uint64) bool { return qcut(seed).tail() >= static(seed).tail()+0.3 }, finding: "ROADMAP 31(c)"},
+			holds: func(seed uint64) bool { return qcut(seed).tail() >= static(seed).tail()+0.3 }},
 	})
 
 	dead := func(seed uint64) figRun { return got[key(handoff, hashQcutStrategy, seed)] }

@@ -240,7 +240,7 @@ func benchScopeBlocks(b *testing.B, n int, verts []graph.VertexID) {
 	w := s.w
 	s.deliver(&protocol.ExecuteQuery{Spec: query.Spec{ID: 1, Kind: query.KindBFS, Source: verts[0], Target: graph.NilVertex}})
 	qs := w.queries[1]
-	var sig frozenSig
+	var sig []sigBlock
 	at := make([]int, len(verts)) // each vertex's entry in the query's table
 	for j, v := range verts {
 		at[j], _ = qs.verts.ref(v)
@@ -259,5 +259,5 @@ func benchScopeBlocks(b *testing.B, n int, verts []graph.VertexID) {
 		sig = freezeSig(qs.sig)
 		s.conn.sent = s.conn.sent[:0]
 	}
-	b.ReportMetric(float64(len(sig.blocks)), "blocks")
+	b.ReportMetric(float64(len(sig)), "blocks")
 }

@@ -5,20 +5,20 @@ import (
 
 	"qgraph/internal/graph"
 	"qgraph/internal/protocol"
-	"qgraph/internal/query"
 )
 
 // This file implements the worker side of the controller's move requests
-// (Sec. 3.2.1 step 3, "Execute"): relocating a local query scope — the
-// vertices a query touched here — to another worker, together with every
-// query's private data and pending messages for those vertices. Moves only
+// (Sec. 3.2.1 step 3, "Execute"): relocating a local query scope, named by
+// the query's signature blocks, to another worker, together with every live
+// query's private data and pending messages for its vertices. Moves only
 // happen inside a global barrier, after every worker's markers flushed the
 // vertex-message links, so no in-flight message can target a vertex
 // mid-move.
 
-// onMoveScope executes move(LS(q,w), w, w'): collect the scope's vertices,
-// strip their state out of every local query, and ship it to the target,
-// which acknowledges the move to the controller.
+// onMoveScope executes move(LS(q,w), w, w'): every vertex this worker owns in
+// q's signature blocks leaves, touched by q or not, with its state under
+// every live query, for the target, which acknowledges the move to the
+// controller.
 func (w *Worker) onMoveScope(m *protocol.MoveScope) error {
 	if w.bar.arrived == nil {
 		return fmt.Errorf("move for query %d outside global barrier", m.Q)
@@ -27,70 +27,68 @@ func (w *Worker) onMoveScope(m *protocol.MoveScope) error {
 		return fmt.Errorf("move for query %d to invalid worker %d", m.Q, m.To)
 	}
 
-	// The scope may be a live query's data, a finished query's remembered
-	// vertex set, or both (nothing, if the scope decayed — then the move
-	// ships an empty ScopeData, which the target still acknowledges).
-	verts := make(map[graph.VertexID]bool)
+	// q's blocks are a live query's growing signature or a remembered
+	// finished one's (none, if q was forgotten: the move then ships an empty
+	// ScopeData, which the target still acknowledges). They are copied: the
+	// strip below shrinks a live signature.
+	var blocks []int32
 	if qs, ok := w.queries[m.Q]; ok {
-		for i, e := range qs.verts.vals {
-			if v := qs.verts.keys[i]; e.has && !w.bar.arrived[v] {
-				verts[v] = true
-			}
+		for _, blk := range qs.sig.keys {
+			blocks = append(blocks, int32(blk))
+		}
+	} else if fs := w.finished[m.Q]; fs != nil {
+		for _, b := range fs.sig {
+			blocks = append(blocks, b.blk)
 		}
 	}
-	if fs := w.finished[m.Q]; fs != nil {
-		for v := range fs.verts {
+	var moved []protocol.MovedVertex
+	at := make(map[graph.VertexID]int) // a moved vertex's index in moved
+	for _, blk := range blocks {
+		for v := graph.VertexID(blk) << sigShift; v < graph.VertexID(blk+1)<<sigShift && int(v) < len(w.owner); v++ {
 			if w.owner[v] == w.id && !w.bar.arrived[v] {
-				verts[v] = true
+				at[v] = len(moved)
+				moved = append(moved, protocol.MovedVertex{V: v})
 			}
 		}
 	}
 
-	// Collect per-vertex migratable state.
-	byV := make(map[graph.VertexID]*protocol.MovedVertex, len(verts))
-	for v := range verts {
-		byV[v] = &protocol.MovedVertex{V: v}
-	}
-	// A moved vertex's entry is emptied, not deleted: the active lists index
-	// the table's entries.
+	// Strip the moved vertices out of every live query. A moved vertex's
+	// entry is emptied, not deleted: the active lists index the table's
+	// entries. Finished signatures stay as they are: they record where a
+	// query touched, and the controller sums a pair's Shared over workers.
 	for q2, qs2 := range w.queries {
 		vs := qs2.verts
 		for i := range vs.vals {
-			if e, v := &vs.vals[i], vs.keys[i]; e.has && verts[v] {
-				byV[v].Values = append(byV[v].Values, protocol.QueryValue{Q: q2, Val: e.val})
-				e.has = false
-				vs.scope--
-				blk := graph.VertexID(protocol.BlockOf(v))
-				if j, _ := qs2.sig.ref(blk); qs2.sig.vals[j] > 1 {
-					qs2.sig.vals[j]--
-				} else {
-					qs2.sig.del(blk)
-				}
+			e, v := &vs.vals[i], vs.keys[i]
+			j, ok := at[v]
+			if !ok || !e.has {
+				continue
+			}
+			moved[j].Values = append(moved[j].Values, protocol.QueryValue{Q: q2, Val: e.val})
+			e.has = false
+			vs.scope--
+			blk := graph.VertexID(protocol.BlockOf(v))
+			if k, _ := qs2.sig.ref(blk); qs2.sig.vals[k] > 1 {
+				qs2.sig.vals[k]--
+			} else {
+				qs2.sig.del(blk)
 			}
 		}
 		for p, act := range vs.active {
 			// Ranging backwards, each removal moves a visited entry.
-			for j := len(act) - 1; j >= 0; j-- {
-				if e, v := &vs.vals[act[j]], vs.keys[act[j]]; verts[v] {
-					byV[v].Pending = append(byV[v].Pending, protocol.PendingMsg{Q: q2, Step: e.step[p] - 1, Val: e.msg[p]})
+			for i := len(act) - 1; i >= 0; i-- {
+				e, v := &vs.vals[act[i]], vs.keys[act[i]]
+				if j, ok := at[v]; ok {
+					moved[j].Pending = append(moved[j].Pending, protocol.PendingMsg{Q: q2, Step: e.step[p] - 1, Val: e.msg[p]})
 					e.step[p] = 0
-					act[j], act = act[len(act)-1], act[:len(act)-1]
+					act[i], act = act[len(act)-1], act[:len(act)-1]
 				}
 			}
 			vs.active[p] = act
 		}
 	}
-	for _, fs2 := range w.finishOrder {
-		forShared(fs2.verts, verts, func(v graph.VertexID) {
-			byV[v].Finished = append(byV[v].Finished, fs2.q)
-			delete(fs2.verts, v)
-			fs2.sig.add(v, -1)
-		})
-	}
-	moved := make([]protocol.MovedVertex, 0, len(verts))
-	for v := range verts {
-		w.owner[v] = m.To
-		moved = append(moved, *byV[v])
+	for _, mv := range moved {
+		w.owner[mv.V] = m.To
 	}
 	// A target that just died fails the send, as it fails a vertex batch;
 	// recovery then aborts the barrier and replaces the moved state.
@@ -100,28 +98,9 @@ func (w *Worker) onMoveScope(m *protocol.MoveScope) error {
 	return nil
 }
 
-// forShared calls fn for every vertex of scope that is also in verts (fn may
-// delete it from scope). It iterates the smaller set, so a barrier costs
-// O(total scope mass), not O(moved vertices × remembered queries).
-func forShared(scope, verts map[graph.VertexID]bool, fn func(graph.VertexID)) {
-	if len(scope) <= len(verts) {
-		for v := range scope {
-			if verts[v] {
-				fn(v)
-			}
-		}
-		return
-	}
-	for v := range verts {
-		if scope[v] {
-			fn(v)
-		}
-	}
-}
-
-// onScopeData absorbs moved vertices: adopt ownership, merge live query
-// values and pending messages, and remember finished-scope memberships. Then
-// it acknowledges the move to the controller with the moved vertex ids.
+// onScopeData absorbs moved vertices: adopt ownership and merge live query
+// values and pending messages. Then it acknowledges the move to the
+// controller with the moved vertex ids.
 func (w *Worker) onScopeData(m *protocol.ScopeData) error {
 	if m.Gen != w.bar.gen {
 		// Scope data from an aborted pre-recovery barrier: the recovery
@@ -142,16 +121,14 @@ func (w *Worker) onScopeData(m *protocol.ScopeData) error {
 	for _, mv := range m.Vertices {
 		w.owner[mv.V] = w.id
 		w.bar.arrive(mv.V)
+		// The state of a query that finished while the move was decided is
+		// dropped: the controller only finishes a query when its result is
+		// final, and its signature stays with the workers it touched.
 		for _, qv := range mv.Values {
 			if qs, ok := w.queries[qv.Q]; ok {
 				i, _ := qs.verts.ref(mv.V)
 				qs.touch(i)
 				qs.verts.vals[i].val = qv.Val
-			} else {
-				// The query finished while the move was decided; keep the
-				// vertex in its remembered scope so the hotspot stays
-				// movable.
-				w.rememberFinished(qv.Q, mv.V)
 			}
 		}
 		for _, pm := range mv.Pending {
@@ -160,27 +137,9 @@ func (w *Worker) onScopeData(m *protocol.ScopeData) error {
 					return fmt.Errorf("scope data for query %d: %w", m.Q, err)
 				}
 			}
-			// Pending messages of finished queries are obsolete: the
-			// controller only finishes a query when its result is final.
-		}
-		for _, fq := range mv.Finished {
-			w.rememberFinished(fq, mv.V)
 		}
 	}
 	return w.conn.Send(protocol.ControllerNode, &protocol.MoveAck{
 		Epoch: m.Epoch, Q: m.Q, From: m.From, To: w.id, Vertices: ids,
 	})
-}
-
-// rememberFinished records v in finished query q's scope, if q is remembered.
-func (w *Worker) rememberFinished(q query.ID, v graph.VertexID) {
-	fs := w.finished[q]
-	if fs == nil || fs.verts[v] {
-		return
-	}
-	if fs.verts == nil {
-		fs.verts = make(map[graph.VertexID]bool)
-	}
-	fs.verts[v] = true
-	fs.sig.add(v, 1)
 }

@@ -150,12 +150,12 @@ func TestRecycledMapsCarryNothingOver(t *testing.T) {
 		got.NActiveNext != want.NActiveNext || got.MinFrontier != want.MinFrontier || len(pairs) != 0 {
 		t.Fatalf("second query reports %+v, %d intersections; alone it reports %+v, 0", got, len(pairs), want)
 	}
-	if !maps.Equal(s.w.finished[2].verts, fresh.w.finished[2].verts) ||
-		!slices.Equal(s.w.finished[2].sig.blocks, fresh.w.finished[2].sig.blocks) {
-		t.Fatalf("second query's remembered scope differs from the one it has alone")
+	if !slices.Equal(s.w.finished[2].sig, fresh.w.finished[2].sig) {
+		t.Fatalf("second query's remembered signature %v differs from the one it has alone, %v",
+			s.w.finished[2].sig, fresh.w.finished[2].sig)
 	}
-	if n := int32(len(s.w.finished[1].verts)); n != first.ScopeSize || n == 0 {
-		t.Fatalf("first query is remembered by %d vertices, reported %d", n, first.ScopeSize)
+	if n := sigMass(s.w.finished[1].sig); n != first.ScopeSize || n == 0 {
+		t.Fatalf("first query's signature counts %d vertices, it reported %d", n, first.ScopeSize)
 	}
 }
 

@@ -1,12 +1,10 @@
 package worker
 
 import (
-	"cmp"
 	"maps"
 	"slices"
 	"time"
 
-	"qgraph/internal/graph"
 	"qgraph/internal/protocol"
 	"qgraph/internal/query"
 )
@@ -19,58 +17,36 @@ const sigShift = protocol.SigShift
 
 type sigBlock struct{ blk, n int32 } // n touched vertices in id block blk
 
-// frozenSig is a coarse signature of a finished scope: touched vertices per
+// freezeSig is a finished scope's signature: touched vertices per
 // sigShift-sized id block, in the order the scope entered them. Intersection
 // statistics are estimated from signatures instead of exact key-set walks,
 // which makes the Iw report (Sec. 3.4) a pass over O(scope/2^sigShift)
 // blocks per query pair — the clustering that consumes them only needs
-// affinity — and pairs scatters one side, so it needs no order. Only scope
-// moves (add) look a block up: the first sorts the blocks, and a scope no
-// move reaches is never sorted.
-type frozenSig struct {
-	blocks []sigBlock
-	sorted bool // by blk
-}
-
-func freezeSig(sig *table[float64]) frozenSig {
+// affinity — and pairs scatters one side, so it needs no order. No move
+// rewrites it: it records where the query touched, and the controller sums a
+// pair's Shared over workers, so where a block lives does not change Iw.
+func freezeSig(sig *table[float64]) []sigBlock {
 	out := make([]sigBlock, 0, sig.len())
 	for i, blk := range sig.keys {
 		out = append(out, sigBlock{int32(blk), int32(sig.vals[i])})
 	}
-	return frozenSig{blocks: out}
-}
-
-// add counts vertex v into (d = 1) or out of (d = -1) the signature.
-func (s *frozenSig) add(v graph.VertexID, d int32) {
-	byBlock := func(a, b sigBlock) int { return cmp.Compare(a.blk, b.blk) }
-	if !s.sorted {
-		slices.SortFunc(s.blocks, byBlock)
-		s.sorted = true
-	}
-	blk := int32(v) >> sigShift
-	i, ok := slices.BinarySearchFunc(s.blocks, sigBlock{blk: blk}, byBlock)
-	if !ok {
-		s.blocks = slices.Insert(s.blocks, i, sigBlock{blk: blk})
-	}
-	if s.blocks[i].n += d; s.blocks[i].n <= 0 {
-		s.blocks = slices.Delete(s.blocks, i, i+1)
-	}
+	return out
 }
 
 // finishedScope is what a worker remembers of a finished query (see remember
 // for how long): that it finished, which tells late batches from batches that
-// raced ahead of the ExecuteQuery broadcast on another link; its local vertex
-// set, so move directives can still relocate the hotspot; and its signature,
-// for the pairs a StatsPull asks for while it is windowed.
+// raced ahead of the ExecuteQuery broadcast on another link; and its
+// signature, whose blocks a move directive still relocates and whose pairs a
+// StatsPull asks for while it is windowed.
 type finishedScope struct {
-	q     query.ID
-	verts map[graph.VertexID]bool
-	sig   frozenSig
-	at    time.Time
+	q   query.ID
+	sig []sigBlock
+	at  time.Time
 }
 
 // rememberedScopes caps finishOrder: a move directive names a query of the
-// window its plan started from, at most 333 finishes old (measured) when run.
+// window its plan started from, at most 333 finishes old (measured) when run,
+// so a worker keeps the signature of that many.
 const rememberedScopes = 8 * protocol.WindowQueries
 
 // remember appends fs to the finish order and forgets what μ or the cap excludes.
@@ -115,15 +91,15 @@ func (w *Worker) pairs() []protocol.IntersectionStat {
 	win := w.window()
 	var out []protocol.IntersectionStat
 	for i, fs := range win {
-		if len(fs.sig.blocks) == 0 {
-			continue // nothing of it here, or moved away
+		if len(fs.sig) == 0 {
+			continue // nothing of it here
 		}
-		for _, b := range fs.sig.blocks {
+		for _, b := range fs.sig {
 			scratch[b.blk] = b.n
 		}
 		for _, old := range win[:i] {
 			var shared int32
-			for _, b := range old.sig.blocks {
+			for _, b := range old.sig {
 				shared += min(scratch[b.blk], b.n)
 			}
 			if shared > 0 {
@@ -140,7 +116,7 @@ func (w *Worker) pairs() []protocol.IntersectionStat {
 				out = append(out, protocol.IntersectionStat{Q1: fs.q, Q2: q2, Shared: shared})
 			}
 		}
-		for _, b := range fs.sig.blocks {
+		for _, b := range fs.sig {
 			scratch[b.blk] = 0
 		}
 	}

@@ -1,7 +1,6 @@
 package worker
 
 import (
-	"cmp"
 	"maps"
 	"math/rand/v2"
 	"slices"
@@ -40,11 +39,7 @@ type syncWorker struct {
 // newSyncWorker runs over a line graph of n vertices worker 0 owns entirely.
 func newSyncWorker(t testing.TB, k, n int) *syncWorker {
 	t.Helper()
-	b := graph.NewBuilder(n)
-	for v := 0; v+1 < n; v++ {
-		b.AddBiEdge(graph.VertexID(v), graph.VertexID(v+1), 1)
-	}
-	return newSyncWorkerOn(t, k, b.MustBuild(), make(partition.Assignment, n))
+	return newSyncWorkerOn(t, k, lineGraph(n), make(partition.Assignment, n))
 }
 
 func newSyncWorkerOn(t testing.TB, k int, g *graph.Graph, owner partition.Assignment) *syncWorker {
@@ -59,6 +54,32 @@ func newSyncWorkerOn(t testing.TB, k int, g *graph.Graph, owner partition.Assign
 	}
 	s.w = w
 	return s
+}
+
+// peer is worker 1 of s's k on s's graph and initial ownership, with a
+// clock of its own.
+func (s *syncWorker) peer() *syncWorker {
+	s.t.Helper()
+	p := &syncWorker{t: s.t, conn: &recConn{}, now: s.now, tick: s.tick}
+	w, err := New(Config{
+		ID: 1, K: s.w.k, Graph: s.w.cfg.Graph, Owner: s.w.cfg.Owner,
+		Clock: func() time.Time { return p.now },
+	}, p.conn)
+	if err != nil {
+		s.t.Fatal(err)
+	}
+	p.w = w
+	return p
+}
+
+// last is the last message the worker sent, which must be a T.
+func last[T protocol.Message](s *syncWorker) T {
+	s.t.Helper()
+	m, ok := s.conn.sent[len(s.conn.sent)-1].(T)
+	if !ok {
+		s.t.Fatalf("last message is %T, want %T", s.conn.sent[len(s.conn.sent)-1], m)
+	}
+	return m
 }
 
 func (s *syncWorker) deliver(m protocol.Message) {
@@ -130,38 +151,39 @@ func mapOverlap(a, b map[int32]int32) (shared int32) {
 	return shared
 }
 
-func vertsSig(verts map[graph.VertexID]bool) map[int32]int32 {
+// spanSig is the map signature of the vertices lo..hi.
+func spanSig(lo, hi graph.VertexID) map[int32]int32 {
 	sig := make(map[int32]int32)
-	for v := range verts {
+	for v := lo; v <= hi; v++ {
 		sig[protocol.BlockOf(v)]++
 	}
 	return sig
 }
 
-// spanSig is the map signature of the vertices lo..hi.
-func spanSig(lo, hi graph.VertexID) map[int32]int32 {
-	verts := make(map[graph.VertexID]bool)
-	for v := lo; v <= hi; v++ {
-		verts[v] = true
+// sigMap is the map form of a frozen signature.
+func sigMap(sig []sigBlock) map[int32]int32 {
+	m := make(map[int32]int32, len(sig))
+	for _, b := range sig {
+		m[b.blk] = b.n
 	}
-	return vertsSig(verts)
+	return m
 }
 
-// sortedSig is sig's blocks ordered by block, the order frozenSig.add keeps.
-func sortedSig(sig map[int32]int32) []sigBlock {
-	var out []sigBlock
-	for _, blk := range slices.Sorted(maps.Keys(sig)) {
-		out = append(out, sigBlock{blk, sig[blk]})
+// sigMass is the number of vertices a signature counts.
+func sigMass(sig []sigBlock) (n int32) {
+	for _, b := range sig {
+		n += b.n
 	}
-	return out
+	return n
 }
 
 // TestFinishedScopesAreAWindow drives 20 window-caps of finishes through one
 // worker and pins what makes monitoring cost O(window), not O(history): a
 // pull names no more pairs than the window holds, no barrier report carries
 // intersections, a pull's answer is byte-for-byte as large after the 20th
-// cap-full as after the 2nd, and what the worker remembers at all is what
-// μ and rememberedScopes admit.
+// cap-full as after the 2nd, and what the worker remembers at all is what μ
+// and rememberedScopes admit: as many signatures, of as many blocks, once
+// that is full.
 func TestFinishedScopesAreAWindow(t *testing.T) {
 	const (
 		window = protocol.WindowQueries
@@ -176,6 +198,7 @@ func TestFinishedScopesAreAWindow(t *testing.T) {
 			s := newSyncWorker(t, 1, period*40)
 			s.tick = tc.tick
 			wire := make([]int, 20) // bytes of the pull's answer after each cap-full
+			mass := make([]int, 20) // blocks of the remembered signatures after each
 			for i := 0; i < 20*window; i++ {
 				s.runQuery(query.ID(i+1), graph.VertexID(i%period*40), 8)
 				if len(s.w.finished) > admits || len(s.w.finishOrder) > admits {
@@ -187,6 +210,9 @@ func TestFinishedScopesAreAWindow(t *testing.T) {
 						t.Fatalf("finish %d: the pull reports %d pairs, the window holds %d", i, len(rep.Pairs), window*(window-1)/2)
 					}
 					wire[i/window] = transport.WireSize(rep)
+					for _, fs := range s.w.finishOrder {
+						mass[i/window] += len(fs.sig)
+					}
 				}
 			}
 			if len(s.w.finished) != admits || len(s.w.window()) != window {
@@ -200,6 +226,14 @@ func TestFinishedScopesAreAWindow(t *testing.T) {
 			for i := 2; i < len(wire); i++ {
 				if wire[i] != wire[1] || wire[i] <= transport.WireSize(&protocol.StatsReport{}) {
 					t.Fatalf("the pull after cap-full %d takes %d bytes, after cap-full 2 it took %d", i+1, wire[i], wire[1])
+				}
+			}
+
+			// Memory stops growing at the first cap-full that fills what μ and
+			// rememberedScopes admit.
+			for full, i := (admits-1)/window, (admits-1)/window+1; i < len(mass); i++ {
+				if mass[i] != mass[full] {
+					t.Fatalf("after cap-full %d the remembered signatures hold %d blocks, after cap-full %d %d", i+1, mass[i], full+1, mass[full])
 				}
 			}
 
@@ -228,7 +262,7 @@ func TestPairReportedByLaterFinisher(t *testing.T) {
 	s.deliver(&protocol.ExecuteQuery{Spec: query.Spec{ID: 2, Kind: query.KindBFS, Source: 150, Target: graph.NilVertex, MaxIters: 60}})
 	s.deliver(&protocol.BarrierReady{Q: 2, Step: 0, BestGoal: query.NoResult})
 	s.runQuery(3, 150, 60)
-	final13 := mapOverlap(vertsSig(s.w.finished[1].verts), vertsSig(s.w.finished[3].verts))
+	final13 := mapOverlap(sigMap(s.w.finished[1].sig), sigMap(s.w.finished[3].sig))
 	if final13 == 0 {
 		t.Fatal("test scopes do not overlap")
 	}
@@ -239,7 +273,7 @@ func TestPairReportedByLaterFinisher(t *testing.T) {
 	}
 	s.deliver(&protocol.BarrierReady{Q: 2, Step: 1, BestGoal: query.NoResult, Peers: []partition.WorkerID{0}})
 	s.deliver(&protocol.QueryFinish{Q: 2, Reason: protocol.FinishMaxIters})
-	want = []protocol.IntersectionStat{{Q1: 3, Q2: 1, Shared: final13}, {Q1: 2, Q2: 1, Shared: final13}, {Q1: 2, Q2: 3, Shared: int32(len(s.w.finished[3].verts))}}
+	want = []protocol.IntersectionStat{{Q1: 3, Q2: 1, Shared: final13}, {Q1: 2, Q2: 1, Shared: final13}, {Q1: 2, Q2: 3, Shared: sigMass(s.w.finished[3].sig)}}
 	if rep := s.pull(); !slices.Equal(rep.Pairs, want) {
 		t.Fatalf("with 2 finished the pull reports %+v, want %+v", rep.Pairs, want)
 	}
@@ -249,73 +283,153 @@ func TestPairReportedByLaterFinisher(t *testing.T) {
 	}
 }
 
-// TestMoveCarriesIntersections: a pull after a scope move reports the moved
-// query's overlaps from the worker that holds its vertices now, and nothing
-// stale from the one that held them before.
-func TestMoveCarriesIntersections(t *testing.T) {
-	src := newSyncWorker(t, 2, 100)
-	dst := &syncWorker{t: t, conn: &recConn{}, now: src.now}
-	var err error
-	if dst.w, err = New(Config{
-		ID: 1, K: 2, Graph: src.w.cfg.Graph, Owner: src.w.cfg.Owner,
-		Clock: func() time.Time { return dst.now },
-	}, dst.conn); err != nil {
-		t.Fatal(err)
+// sigsOf copies the signature of every finished query w remembers.
+func sigsOf(w *Worker) map[query.ID][]sigBlock {
+	out := make(map[query.ID][]sigBlock, len(w.finished))
+	for q, fs := range w.finished {
+		out[q] = slices.Clone(fs.sig)
 	}
-	// Queries 1 (47..53) and 2 (49..55) run on worker 0 and finish on both.
+	return out
+}
+
+// movedIDs are the vertices of a ScopeData, sorted.
+func movedIDs(data *protocol.ScopeData) []graph.VertexID {
+	var ids []graph.VertexID
+	for _, mv := range data.Vertices {
+		ids = append(ids, mv.V)
+	}
+	slices.Sort(ids)
+	return ids
+}
+
+// TestMoveTakesTheBlocksOwnedVertices: a move takes every vertex the worker
+// owns in the moved query's signature blocks, whether the query is finished
+// or live and whether it touched the vertex or not, and no other: not one
+// another worker owns, nor one that arrived in this barrier. Each vertex
+// takes its value and pending message under every live query with it, and
+// the target acknowledges exactly the moved set.
+func TestMoveTakesTheBlocksOwnedVertices(t *testing.T) {
+	owner := make(partition.Assignment, 100)
+	owner[41], owner[63] = 1, 1 // in blocks 5 and 7, out of every query's reach
+	src := newSyncWorkerOn(t, 2, lineGraph(100), owner)
+	dst := src.peer()
 	for _, s := range []*syncWorker{src, dst} {
-		s.runQuery(1, 50, 4)
-		s.runQuery(2, 52, 4)
+		s.runQuery(1, 50, 4) // 47..53: blocks 5 and 6
+		s.deliver(&protocol.ExecuteQuery{Spec: query.Spec{ID: 2, Kind: query.KindBFS, Source: 60, Target: graph.NilVertex, MaxIters: 60}})
 	}
-	before := mapOverlap(spanSig(49, 55), spanSig(47, 53))
-	if rep := src.pull(); !slices.Equal(rep.Pairs, []protocol.IntersectionStat{{Q1: 2, Q2: 1, Shared: before}}) {
-		t.Fatalf("before the move worker 0 reports %+v, want %d shared", rep.Pairs, before)
+	// A non-solo release is one superstep: query 2 stays live with a value
+	// at 60 and a message for 59 and for 61, all in block 7.
+	src.deliver(&protocol.BarrierReady{Q: 2, Step: 0, BestGoal: query.NoResult})
+	src.stop()
+	dst.stop()
+	src.deliver(&protocol.ScopeData{From: 1, Q: 9, Vertices: []protocol.MovedVertex{{V: 44}}})
+	move := func(q query.ID, want []graph.VertexID) *protocol.ScopeData {
+		t.Helper()
+		src.deliver(&protocol.MoveScope{Q: q, To: 1})
+		data := last[*protocol.ScopeData](src)
+		dst.deliver(data)
+		ack := last[*protocol.MoveAck](dst)
+		if got := movedIDs(data); !slices.Equal(got, want) || !slices.Equal(slices.Sorted(slices.Values(ack.Vertices)), want) {
+			t.Fatalf("move of query %d takes %v, acknowledged %v; want %v", q, got, ack.Vertices, want)
+		}
+		for _, v := range want {
+			if src.w.owner[v] != 1 || dst.w.owner[v] != 1 {
+				t.Fatalf("after the move of query %d, vertex %d is worker %d's on worker 0, %d's on worker 1",
+					q, v, src.w.owner[v], dst.w.owner[v])
+			}
+		}
+		return data
+	}
+	span := func(lo, hi graph.VertexID, skip graph.VertexID) (out []graph.VertexID) {
+		for v := lo; v <= hi; v++ {
+			if v != skip {
+				out = append(out, v)
+			}
+		}
+		return out
+	}
+
+	want := slices.DeleteFunc(span(40, 55, 41), func(v graph.VertexID) bool { return v == 44 })
+	for _, mv := range move(1, want).Vertices {
+		if len(mv.Values) != 0 || len(mv.Pending) != 0 {
+			t.Fatalf("vertex %d of a finished query's block carries live state: %+v", mv.V, mv)
+		}
+	}
+	if src.w.owner[41] != 1 || src.w.owner[44] != 0 {
+		t.Fatalf("vertices 41 and 44 are workers %d's and %d's, want 1's and 0's", src.w.owner[41], src.w.owner[44])
+	}
+
+	for _, mv := range move(2, span(56, 62, -1)).Vertices {
+		values, pending := len(mv.Values), len(mv.Pending)
+		if want := mv.V == 60; (values == 1) != want || values > 1 {
+			t.Fatalf("vertex %d moves %d values of query 2", mv.V, values)
+		}
+		if want := mv.V == 59 || mv.V == 61; (pending == 1) != want || pending > 1 {
+			t.Fatalf("vertex %d moves %d messages of query 2", mv.V, pending)
+		}
+	}
+	if qs := src.w.queries[2]; qs.verts.scope != 0 || qs.sig.len() != 0 || len(qs.verts.active[1]) != 0 {
+		t.Fatalf("worker 0 keeps query 2's scope %d, %d blocks, %d messages", qs.verts.scope, qs.sig.len(), len(qs.verts.active[1]))
+	}
+	if qs := dst.w.queries[2]; qs.verts.scope != 1 || qs.sig.len() != 1 || len(qs.verts.active[1]) != 2 {
+		t.Fatalf("worker 1 took query 2's scope %d, %d blocks, %d messages; want 1, 1, 2", qs.verts.scope, qs.sig.len(), len(qs.verts.active[1]))
+	}
+}
+
+// TestMoveLeavesFinishedSignatures: a move rewrites no finished signature on
+// either worker, so the Shared of a pair summed over the workers, which is
+// what the controller's Iw holds, is the same after a move as before.
+func TestMoveLeavesFinishedSignatures(t *testing.T) {
+	owner := make(partition.Assignment, 100)
+	for v := 80; v < 100; v++ {
+		owner[v] = 1
+	}
+	src := newSyncWorkerOn(t, 2, lineGraph(100), owner)
+	dst := src.peer()
+	// Queries 1 (47..53) and 2 (49..55) run on worker 0, 3 (85..91) and 4
+	// (87..93) on worker 1, and each finishes on both.
+	for i, from := range []graph.VertexID{50, 52, 88, 90} {
+		src.runQuery(query.ID(i+1), from, 4)
+		dst.runQuery(query.ID(i+1), from, 4)
+	}
+	iw := func() map[[2]query.ID]int32 {
+		sum := make(map[[2]query.ID]int32)
+		for _, s := range []*syncWorker{src, dst} {
+			for _, p := range s.pull().Pairs {
+				sum[[2]query.ID{p.Q1, p.Q2}] += p.Shared
+			}
+		}
+		return sum
+	}
+	before, srcSigs, dstSigs := iw(), sigsOf(src.w), sigsOf(dst.w)
+	if before[[2]query.ID{2, 1}] == 0 || before[[2]query.ID{4, 3}] == 0 {
+		t.Fatalf("test scopes do not overlap: %v", before)
 	}
 	src.stop()
 	dst.stop()
 	src.deliver(&protocol.MoveScope{Q: 1, To: 1})
-	dst.deliver(src.conn.sent[len(src.conn.sent)-1])
-	if rep := src.pull(); len(rep.Pairs) != 0 {
-		t.Fatalf("after the move worker 0 still reports %+v", rep.Pairs)
+	dst.deliver(last[*protocol.ScopeData](src))
+	dst.deliver(&protocol.MoveScope{Q: 3, To: 0})
+	src.deliver(last[*protocol.ScopeData](dst))
+	if n := len(last[*protocol.MoveAck](src).Vertices); n != 16 {
+		t.Fatalf("the move of query 3 took %d vertices, want blocks 10 and 11", n)
 	}
-	after := mapOverlap(spanSig(49, 53), spanSig(47, 53))
-	if rep := dst.pull(); !slices.Equal(rep.Pairs, []protocol.IntersectionStat{{Q1: 2, Q2: 1, Shared: after}}) {
-		t.Fatalf("after the move worker 1 reports %+v, want 49..53 shared: %d", rep.Pairs, after)
+	for _, s := range []*syncWorker{src, dst} {
+		s.deliver(&protocol.GlobalStart{Epoch: 1})
 	}
-}
-
-// TestMoveStripsEveryRememberedScope: a plan names the window Q-cut started
-// from, so a directive may move vertices of scopes that have left the window
-// since. Their memberships travel with the vertex all the same — or a later
-// directive for such a query could no longer co-move the hotspot.
-func TestMoveStripsEveryRememberedScope(t *testing.T) {
-	const n = protocol.WindowQueries + 20 // the first 20 are outside the window
-	s := newSyncWorker(t, 2, 100)
-	for q := 1; q <= n; q++ {
-		s.runQuery(query.ID(q), 50, 4) // every scope is 47..53
+	if !maps.EqualFunc(sigsOf(src.w), srcSigs, slices.Equal) || !maps.EqualFunc(sigsOf(dst.w), dstSigs, slices.Equal) {
+		t.Fatalf("the moves rewrote finished signatures: worker 0 %v → %v, worker 1 %v → %v",
+			srcSigs, sigsOf(src.w), dstSigs, sigsOf(dst.w))
 	}
-	s.stop()
-	s.deliver(&protocol.MoveScope{Q: n, To: 1})
-	data := s.conn.sent[len(s.conn.sent)-1].(*protocol.ScopeData)
-	if len(data.Vertices) != 7 {
-		t.Fatalf("moved %d vertices, want 7", len(data.Vertices))
-	}
-	for _, mv := range data.Vertices {
-		if len(mv.Finished) != n {
-			t.Fatalf("vertex %d travels with %d memberships, want all %d", mv.V, len(mv.Finished), n)
-		}
-	}
-	for q := 1; q <= n; q++ {
-		if fs := s.w.finished[query.ID(q)]; len(fs.verts) != 0 || len(fs.sig.blocks) != 0 {
-			t.Fatalf("query %d still remembers moved vertices: %+v", q, fs)
-		}
+	if after := iw(); !maps.Equal(after, before) {
+		t.Fatalf("the workers' pulls sum to %v after the moves, %v before", after, before)
 	}
 }
 
-// TestScopeDataRemembersNoNewQueries: finished-scope memberships arriving
-// with a repartition attach to the queries the worker still remembers, so a
-// move cannot grow its memory of the past: what μ forgot stays
-// forgotten, and a query it never saw finish is not invented.
+// TestScopeDataRemembersNoNewQueries: a moved vertex's values and messages
+// under a query that is not live here, remembered, forgotten or never seen,
+// are dropped, so a move cannot grow the worker's memory of the past: it
+// remembers the same queries with the same signatures, and runs none.
 func TestScopeDataRemembersNoNewQueries(t *testing.T) {
 	const n = 50
 	s := newSyncWorker(t, 2, 100)
@@ -323,29 +437,29 @@ func TestScopeDataRemembersNoNewQueries(t *testing.T) {
 	for q := 1; q <= 2*n; q++ { // one tick each, μ is n: the first n-1 age out
 		s.runQuery(query.ID(q), 50, 4)
 	}
+	sigs := sigsOf(s.w)
 	s.stop()
 	moved := protocol.MovedVertex{V: 7}
 	for q := 1; q <= 2*n+10; q++ { // forgotten, remembered, never seen
-		moved.Finished = append(moved.Finished, query.ID(q))
+		moved.Values = append(moved.Values, protocol.QueryValue{Q: query.ID(q), Val: 1})
+		moved.Pending = append(moved.Pending, protocol.PendingMsg{Q: query.ID(q), Step: 4, Val: 2})
 	}
 	s.deliver(&protocol.ScopeData{From: 1, Q: 1, Vertices: []protocol.MovedVertex{moved}})
-	if len(s.w.finished) != n+1 || len(s.w.finishOrder) != n+1 {
-		t.Fatalf("%d queries remembered (%d in the FIFO) after the move, want %d", len(s.w.finished), len(s.w.finishOrder), n+1)
+	if ack := last[*protocol.MoveAck](s); !slices.Equal(ack.Vertices, []graph.VertexID{7}) {
+		t.Fatalf("the move is acknowledged with %v, want vertex 7", ack.Vertices)
 	}
-	want := spanSig(47, 53)
-	want[protocol.BlockOf(7)]++
-	for q := n; q <= 2*n; q++ {
-		fs := s.w.finished[query.ID(q)]
-		if fs == nil || !fs.verts[7] || !slices.Equal(fs.sig.blocks, sortedSig(want)) { // 47..53 and 7
-			t.Fatalf("remembered query %d did not take vertex 7 into its scope and signature: %+v", q, fs)
-		}
+	if len(s.w.finished) != n+1 || len(s.w.finishOrder) != n+1 || len(s.w.queries) != 0 {
+		t.Fatalf("%d queries remembered (%d in the FIFO), %d live after the move; want %d, %d, 0",
+			len(s.w.finished), len(s.w.finishOrder), len(s.w.queries), n+1, n+1)
+	}
+	if got := sigsOf(s.w); !maps.EqualFunc(got, sigs, slices.Equal) {
+		t.Fatalf("the move changed the remembered signatures from %v to %v", sigs, got)
 	}
 }
 
 // TestFrozenSigEqualsMapSig: the signatures a worker keeps agree with the map
-// form they replaced. Over more finishes than the window holds, a frozen
-// signature holds the same blocks as its map after the adds and strips scope
-// moves perform, and a pull reports exactly the Σ_block min of mapOverlap
+// form they replaced. Over more finishes than the window holds, a pull
+// reports exactly the Σ_block min of mapOverlap
 // for every pair of windowed queries and every windowed query with every
 // live one, live ones in ascending id. Halfway, the graph grows by as many
 // blocks again, so scopes then hold blocks past the scratch a pull had sized.
@@ -381,23 +495,6 @@ func TestFrozenSigEqualsMapSig(t *testing.T) {
 				t.Fatalf("scratch covers %d blocks before the graph grew", len(s.w.scratch))
 			}
 			universe = 2 * blocks
-		}
-		// What moves do to remembered scopes: strip a vertex out of one, bring
-		// one into another.
-		for _, old := range s.w.window() {
-			m := finished[old.q]
-			if blk := int32(rng.IntN(universe)); m[blk] > 0 && rng.IntN(4) == 0 {
-				old.sig.add(graph.VertexID(blk<<sigShift), -1)
-				if m[blk]--; m[blk] == 0 {
-					delete(m, blk)
-				}
-			} else if rng.IntN(8) == 0 {
-				old.sig.add(graph.VertexID(blk<<sigShift+1), 1)
-				m[blk]++
-			}
-			if got := slices.SortedFunc(slices.Values(old.sig.blocks), func(a, b sigBlock) int { return cmp.Compare(a.blk, b.blk) }); !slices.Equal(got, sortedSig(m)) {
-				t.Fatalf("finish %d: signature of %d = %v, map form %v", i, old.q, got, m)
-			}
 		}
 		live := map[query.ID]map[int32]int32{}
 		for _, q := range liveIDs {

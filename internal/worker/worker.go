@@ -95,7 +95,7 @@ type queryState struct {
 	// verts holds the query-private value of every vertex the query touched
 	// on this worker, LS(q, w), and every combined message not consumed yet.
 	verts *vertices
-	// sig is the scope's signature (see frozenSig) while it still grows, keyed
+	// sig is the scope's signature (see freezeSig) while it still grows, keyed
 	// by block; newBlocks are the blocks that entered it since the last
 	// barrier report.
 	sig       *table[float64]
@@ -365,8 +365,8 @@ func (w *Worker) onOwnershipUpdate(m *protocol.OwnershipUpdate) error {
 // affected queries from superstep 0), so is a StopAck still waiting for
 // markers, and the ownership map is replaced wholesale with the
 // controller's authoritative copy. Remembered finished scopes survive:
-// their vertex sets are still valid under the new ownership and keep
-// Q-cut's hotspot history useful.
+// their signatures name blocks, not owners, and keep Q-cut's hotspot
+// history useful.
 func (w *Worker) onRecoverStart(m *protocol.RecoverStart) error {
 	if faultpoint.Hit(faultpoint.WorkerRecover, int(w.id)) {
 		return faultpoint.ErrKilled
@@ -688,8 +688,8 @@ func (w *Worker) ackStop(epoch int32, due bool) error {
 	return w.conn.Send(protocol.ControllerNode, &protocol.StopAck{Epoch: epoch, W: w.id})
 }
 
-// onFinish drops a query's live state, keeping its vertex set for future
-// scope moves and its signature for the window's statistics.
+// onFinish drops a query's live state and keeps its signature, for future
+// scope moves and the window's statistics.
 func (w *Worker) onFinish(m *protocol.QueryFinish) {
 	qs, ok := w.queries[m.Q]
 	delete(w.queries, m.Q)
@@ -698,12 +698,6 @@ func (w *Worker) onFinish(m *protocol.QueryFinish) {
 	w.remember(fs)
 	if !ok {
 		return
-	}
-	fs.verts = make(map[graph.VertexID]bool, qs.verts.scope)
-	for i, e := range qs.verts.vals {
-		if e.has {
-			fs.verts[qs.verts.keys[i]] = true
-		}
 	}
 	fs.sig = freezeSig(qs.sig)
 	w.free(qs.sig)

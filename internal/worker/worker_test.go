@@ -24,10 +24,10 @@ type harness struct {
 	k   int
 }
 
-// lineGraph builds 0 ↔ 1 ↔ 2 ↔ 3 ↔ 4 with unit weights.
-func lineGraph() *graph.Graph {
-	b := graph.NewBuilder(5)
-	for v := 0; v+1 < 5; v++ {
+// lineGraph builds 0 ↔ 1 ↔ … ↔ n-1 with unit weights.
+func lineGraph(n int) *graph.Graph {
+	b := graph.NewBuilder(n)
+	for v := 0; v+1 < n; v++ {
 		b.AddBiEdge(graph.VertexID(v), graph.VertexID(v+1), 1)
 	}
 	return b.MustBuild()
@@ -37,7 +37,7 @@ func lineGraph() *graph.Graph {
 // 0..2 on worker 0, 3..4 on worker 1 (when k=2).
 func newHarness(t *testing.T, k int) *harness {
 	t.Helper()
-	g := lineGraph()
+	g := lineGraph(5)
 	net := transport.NewChanNetwork(k + 1)
 	owner := make(partition.Assignment, g.NumVertices())
 	for v := range owner {
@@ -303,7 +303,7 @@ func TestGlobalBarrierProtocol(t *testing.T) {
 // inside the grant's batch range, skipping the batches it already covers —
 // and a base the tail cannot connect to fails loudly, never silently.
 func TestPartitionGrantFallbackToNewerSnapshot(t *testing.T) {
-	g := lineGraph()
+	g := lineGraph(5)
 	ops := func(v int) []delta.Op {
 		return []delta.Op{{Kind: delta.OpAddEdge, From: 0, To: graph.VertexID(v % 5), Weight: float32(v)}}
 	}
@@ -378,7 +378,7 @@ func TestPartitionGrantFallbackToNewerSnapshot(t *testing.T) {
 // of these means the replica left the version chain — an error that stops
 // the worker, not a rollback, a silent re-ack or a query on the wrong graph.
 func TestReplicaDivergenceIsFatal(t *testing.T) {
-	g := lineGraph()
+	g := lineGraph(5)
 	owner := make(partition.Assignment, g.NumVertices())
 	batch := &protocol.DeltaBatch{Version: 1, Ops: []delta.Op{{Kind: delta.OpAddEdge, From: 0, To: 4, Weight: 1}}}
 	cases := []struct {
@@ -422,7 +422,7 @@ func TestReplicaDivergenceIsFatal(t *testing.T) {
 // past the graph must not crash the worker.
 func TestMisroutedBatchIsAnError(t *testing.T) {
 	for _, v := range []graph.VertexID{4, 99, -1} { // worker 1's, past the graph, negative
-		s := newSyncWorkerOn(t, 2, lineGraph(), partition.Assignment{0, 0, 0, 1, 1})
+		s := newSyncWorkerOn(t, 2, lineGraph(5), partition.Assignment{0, 0, 0, 1, 1})
 		s.deliver(&protocol.ExecuteQuery{Spec: query.Spec{ID: 3, Kind: query.KindBFS, Source: 0, Target: graph.NilVertex}})
 		err := s.send(&protocol.VertexBatch{Q: 3, Step: 0, From: 1, Entries: []protocol.VertexMsg{{To: 1, Val: 1}, {To: v, Val: 1}}})
 		if err == nil || !strings.Contains(err.Error(), "query 3: batch of step 0 from worker 1") {
@@ -449,7 +449,7 @@ func TestThirdLiveSuperstepIsAnError(t *testing.T) {
 		{to: 0, want: "vertex 0: message for superstep 2 while superstep 0's is pending"},
 		{to: 1, want: "vertex 1: message for superstep 2 in superstep 0's lane"},
 	} {
-		s := newSyncWorkerOn(t, 2, lineGraph(), partition.Assignment{0, 0, 0, 1, 1})
+		s := newSyncWorkerOn(t, 2, lineGraph(5), partition.Assignment{0, 0, 0, 1, 1})
 		s.deliver(&protocol.ExecuteQuery{Spec: query.Spec{ID: 3, Kind: query.KindBFS, Source: 0, Target: graph.NilVertex}})
 		err := s.send(&protocol.VertexBatch{Q: 3, Step: 1, From: 1, Entries: []protocol.VertexMsg{{To: tc.to, Val: 5}}})
 		if err == nil {
@@ -484,7 +484,7 @@ func TestWireIDsAreRangeChecked(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := &syncWorker{t: t, conn: &recConn{}}
-			w, err := New(Config{ID: 0, K: 2, Graph: lineGraph(), Owner: owners(1), Rejoin: tc.rejoin}, s.conn)
+			w, err := New(Config{ID: 0, K: 2, Graph: lineGraph(5), Owner: owners(1), Rejoin: tc.rejoin}, s.conn)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -520,7 +520,7 @@ func TestReplyRacingShutdownIsNoFault(t *testing.T) {
 			c.in <- transport.Envelope{Msg: &protocol.Shutdown{}}
 		}
 		close(c.in)
-		w, err := New(Config{ID: 0, K: 1, Graph: lineGraph(), Owner: make(partition.Assignment, 5)}, c)
+		w, err := New(Config{ID: 0, K: 1, Graph: lineGraph(5), Owner: make(partition.Assignment, 5)}, c)
 		if err != nil {
 			t.Fatal(err)
 		}
