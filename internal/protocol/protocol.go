@@ -448,14 +448,12 @@ type PendingMsg struct {
 }
 
 // MovedVertex is the full migratable state of one vertex: its value under
-// every live query that touched it, pending inbox entries, and the ids of
-// finished queries whose remembered scopes contain it (so future move
-// directives for those historical hotspots keep working).
+// every live query that touched it and its pending inbox entries. What
+// finished queries touched stays in their signatures on the sending worker.
 type MovedVertex struct {
-	V        graph.VertexID
-	Values   []QueryValue
-	Pending  []PendingMsg
-	Finished []query.ID
+	V       graph.VertexID
+	Values  []QueryValue
+	Pending []PendingMsg
 }
 
 // StopMarker is the marker of the global barrier's flush: on GlobalStop, a

@@ -55,10 +55,13 @@ import (
 //	    the run's edges, one BarrierSynch covering the supersteps since its
 //	    last, and a run narrows itself; a node of either rule would
 //	    mistake the other's reports for a protocol error
+//	12 — ScopeData's MovedVertex lost Finished: a move takes the owned
+//	    vertices of the query's signature blocks, and finished scopes are
+//	    signatures that stay where they were taken
 //
 // The value is offset from small integers so a legacy 1-byte [NodeID]
 // handshake can never alias a valid version.
-const CodecVersion = 0xA0 + 11
+const CodecVersion = 0xA0 + 12
 
 // hdr is the frame header: u32 payload length plus the u8 message type.
 const hdr = 5
@@ -224,7 +227,7 @@ func fields(c *coder, m protocol.Message) {
 		u64(c, &v.Q)
 		u8(c, &v.From)
 		u32(c, &v.Gen)
-		for i := range list(c, &v.Vertices, 16) {
+		for i := range list(c, &v.Vertices, 12) {
 			mv := &v.Vertices[i]
 			u32(c, &mv.V)
 			for j := range fixed(c, &mv.Values, 16) {
@@ -236,7 +239,6 @@ func fields(c *coder, m protocol.Message) {
 				u32(c, &mv.Pending[j].Step)
 				f64(c, &mv.Pending[j].Val)
 			}
-			u64s(c, &mv.Finished)
 		}
 	case *protocol.DeltaBatch:
 		u64(c, &v.Version)
@@ -462,12 +464,6 @@ func u8s[T ~uint8](c *coder, s *[]T) {
 func u32s[T ~int32 | ~uint32](c *coder, s *[]T) {
 	for i := range fixed(c, s, 4) {
 		u32(c, &(*s)[i])
-	}
-}
-
-func u64s[T ~int64 | ~uint64](c *coder, s *[]T) {
-	for i := range fixed(c, s, 8) {
-		u64(c, &(*s)[i])
 	}
 }
 

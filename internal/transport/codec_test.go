@@ -107,15 +107,16 @@ func sampleMessages() []protocol.Message {
 			Epoch: 12, Q: 5, From: 1, Gen: 2,
 			Vertices: []protocol.MovedVertex{
 				{
-					V:        77,
-					Values:   []protocol.QueryValue{{Q: 5, Val: 2.5}, {Q: 6, Val: 0}},
-					Pending:  []protocol.PendingMsg{{Q: 5, Step: 4, Val: 3.25}},
-					Finished: []query.ID{8, 9},
+					V:       77,
+					Values:  []protocol.QueryValue{{Q: 5, Val: 2.5}, {Q: 6, Val: 0}},
+					Pending: []protocol.PendingMsg{{Q: 5, Step: 4, Val: 3.25}},
 				},
 				{V: 78},
 			},
 		},
 		&protocol.ScopeData{Epoch: 13, Q: 6, From: 0, Gen: 2},
+		// Untouched vertices of a query's blocks move with no state.
+		&protocol.ScopeData{Epoch: 14, Q: 7, From: 2, Gen: 2, Vertices: []protocol.MovedVertex{{V: 1}, {V: 2}, {V: 3}}},
 		&protocol.RecoverStart{Gen: 3, Version: 7, Owner: []partition.WorkerID{0, 2, 2, 0}},
 		&protocol.RecoverStart{Gen: 1},
 		&protocol.PartitionGrant{
