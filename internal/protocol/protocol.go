@@ -187,10 +187,11 @@ type GlobalStop struct {
 func (*GlobalStop) Type() MsgType { return TGlobalStop }
 
 // MoveScope asks the receiving worker to move the local query scope
-// LS(Q, w) — the vertices query Q touched on it — to worker To (paper API
-// move(LS(q,w), w, w')). Sent only inside a global barrier. The worker
-// ships the vertices' query data to To in one ScopeData message, empty if
-// the scope is, and To acknowledges the move with MoveAck.
+// LS(Q, w) to worker To (paper API move(LS(q,w), w, w')): every vertex it
+// owns in Q's signature blocks there, touched by Q or not. Sent only inside
+// a global barrier. The worker ships the vertices' query data to To in one
+// ScopeData message, empty if no vertex moves, and To acknowledges the move
+// with MoveAck.
 type MoveScope struct {
 	Epoch int32
 	Q     query.ID

@@ -54,8 +54,7 @@ func (w *Worker) onMoveScope(m *protocol.MoveScope) error {
 
 	// Strip the moved vertices out of every live query. A moved vertex's
 	// entry is emptied, not deleted: the active lists index the table's
-	// entries. Finished signatures stay as they are: they record where a
-	// query touched, and the controller sums a pair's Shared over workers.
+	// entries. Finished signatures stay as they are (see freezeSig).
 	for q2, qs2 := range w.queries {
 		vs := qs2.verts
 		for i := range vs.vals {
