@@ -280,7 +280,6 @@ func (c *Controller) onWalAck(ack wal.AppendAck) error {
 	}
 	if co := c.obs; co != nil && ack.First && c.cfg.WAL != nil {
 		co.walFsyncSeconds.Observe(float64(ack.FsyncUS) / 1e6)
-		co.walFsyncCount.Inc()
 		co.fsyncBatchSize.Observe(float64(ack.GroupSize))
 	}
 	if err := c.commits.durable(ack.Version); err != nil {

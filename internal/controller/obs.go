@@ -43,14 +43,13 @@ type ctlObs struct {
 	snapCutSeconds  *obs.Histogram
 	barrierSeconds  map[phase]*obs.Histogram
 
-	supersteps    []*obs.Counter // collected supersteps, per worker
-	activeVerts   []*obs.Gauge   // last reported active vertices, per worker
-	scopeVerts    []*obs.Gauge   // last reported total scope, per worker
-	computeNS     []atomic.Int64 // cumulative compute wall time, per worker
-	pingRTT       []*obs.Gauge   // last heartbeat round-trip time, per worker
-	barrierCount  *obs.Counter
-	barrierMoves  *obs.Counter
-	walFsyncCount *obs.Counter
+	supersteps   []*obs.Counter // collected supersteps, per worker
+	activeVerts  []*obs.Gauge   // last reported active vertices, per worker
+	scopeVerts   []*obs.Gauge   // last reported total scope, per worker
+	computeNS    []atomic.Int64 // cumulative compute wall time, per worker
+	pingRTT      []*obs.Gauge   // last heartbeat round-trip time, per worker
+	barrierCount *obs.Counter
+	barrierMoves *obs.Counter
 }
 
 // newCtlObs registers the controller's instruments. Func-backed
@@ -71,7 +70,6 @@ func newCtlObs(c *Controller) *ctlObs {
 		barrierSeconds:  make(map[phase]*obs.Histogram),
 		barrierCount:    m.Counter("qgraph_barrier_total", "", "global STOP/START barriers executed"),
 		barrierMoves:    m.Counter("qgraph_barrier_moves_total", "", "scope-move directives executed under barriers"),
-		walFsyncCount:   m.Counter("qgraph_wal_fsync_total", "", "WAL fsyncs performed on the commit path"),
 		supersteps:      make([]*obs.Counter, c.cfg.K),
 		activeVerts:     make([]*obs.Gauge, c.cfg.K),
 		scopeVerts:      make([]*obs.Gauge, c.cfg.K),
@@ -107,6 +105,8 @@ func newCtlObs(c *Controller) *ctlObs {
 		func() float64 { return float64(c.logStats.Load().DeltaLogOps) })
 	m.GaugeFunc("qgraph_wal_appended_bytes_total", "", "bytes appended to the durable WAL",
 		func() float64 { return float64(c.WALStats().AppendedBytes) })
+	m.CounterFunc("qgraph_wal_fsync_total", "", "WAL fsyncs performed on the commit path",
+		func() float64 { return float64(c.WALStats().Fsyncs) })
 	m.GaugeFunc(`qgraph_snapshot_last_cut_age_seconds`, "", "seconds since the last completed snapshot cut (-1 before the first)",
 		func() float64 {
 			ns := c.logStats.Load().LastCutUnixNS
