@@ -349,7 +349,7 @@ func TestGlobalBarrierTransitions(t *testing.T) {
 				t.Fatalf("phase %d, the target received %v", c.adapt.phase, names(got))
 			}
 		}},
-		{"OwnershipUpdate is sent once, and not at all when no vertex moved", func(t *testing.T) {
+		{"GlobalStart carries the delta once, and an empty one when no vertex moved", func(t *testing.T) {
 			for _, vertices := range [][][]graph.VertexID{{{2}, {4, 6}}, {nil, nil}} {
 				c, net := fresh(t, 2)
 				begin(c, qcut.Move{Q: 1, From: 0, To: 1}, qcut.Move{Q: 2, From: 0, To: 1})
@@ -360,20 +360,40 @@ func TestGlobalBarrierTransitions(t *testing.T) {
 				}
 				got := sent(net, 1)
 				moved := slices.Concat(vertices...)
-				want := []string{"GlobalStart"}
-				if len(moved) > 0 {
-					want = []string{"OwnershipUpdate", "GlobalStart"}
-					if ou := got[0].(*protocol.OwnershipUpdate); !slices.Equal(ou.Vertices, moved) ||
-						!slices.Equal(ou.Owners, []partition.WorkerID{1, 1, 1}) {
-						t.Fatalf("ownership update %+v, want vertices %v to worker 1", ou, moved)
-					}
+				if !slices.Equal(names(got), []string{"GlobalStart"}) || c.adapt.phase != phaseRun || c.RepartitionEpoch() != 1 {
+					t.Fatalf("moved %v: phase %d, worker 1 received %v, want one GlobalStart", moved, c.adapt.phase, names(got))
 				}
-				if !slices.Equal(names(got), want) || c.adapt.phase != phaseRun || c.RepartitionEpoch() != 1 {
-					t.Fatalf("moved %v: phase %d, worker 1 received %v, want %v", moved, c.adapt.phase, names(got), want)
+				if gs := got[0].(*protocol.GlobalStart); !slices.Equal(gs.Vertices, moved) ||
+					!slices.Equal(gs.Owners, slices.Repeat([]partition.WorkerID{1}, len(moved))) {
+					t.Fatalf("GlobalStart %+v, want vertices %v to worker 1", gs, moved)
 				}
 				if c.vertCount[0] != 4-int64(len(moved)) || (len(moved) > 0 && c.owner[4] != 1) {
 					t.Fatalf("moved %v: vertex counts %v, owner %v", moved, c.vertCount, c.owner)
 				}
+			}
+		}},
+		{"a recovery that aborts the moves ends with a GlobalStart of no delta", func(t *testing.T) {
+			c, net := fresh(t, 2)
+			begin(c, qcut.Move{Q: 1, From: 0, To: 1}, qcut.Move{Q: 2, From: 0, To: 1})
+			stopAcks(t, c, 0, 1)
+			deliver(t, c, 1, &protocol.MoveAck{Epoch: c.adapt.epoch, Q: 1, From: 0, To: 1, Vertices: []graph.VertexID{2}})
+			if c.adapt.phase != phaseMoving || len(c.adapt.ownDeltaV) != 1 {
+				t.Fatalf("phase %d, delta %v: want the barrier moving with vertex 2 moved", c.adapt.phase, c.adapt.ownDeltaV)
+			}
+			sent(net, 0)
+			c.onWorkerDead(1)
+			got := sent(net, 0)
+			if g, ok := got[0].(*protocol.PartitionGrant); len(got) != 1 || !ok || g.Batches != nil ||
+				!slices.Equal(g.Owner, slices.Repeat([]partition.WorkerID{0}, 8)) {
+				t.Fatalf("the survivor received %v, want one grant of every vertex and no replay", names(got))
+			}
+			deliver(t, c, 0, &protocol.PartitionAck{W: 0, Gen: c.members.gen, Version: c.GraphVersion()})
+			got = sent(net, 0)
+			if !slices.Equal(names(got), []string{"GlobalStart"}) || c.adapt.phase != phaseRun {
+				t.Fatalf("phase %d, the survivor received %v, want one GlobalStart", c.adapt.phase, names(got))
+			}
+			if gs := got[0].(*protocol.GlobalStart); gs.Vertices != nil || gs.Owners != nil {
+				t.Fatalf("GlobalStart %+v after the round: vertex 2 would go back to the dead worker 1", gs)
 			}
 		}},
 		{"a schedule during quiesce is deferred and flushed at resume", func(t *testing.T) {

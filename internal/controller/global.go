@@ -19,8 +19,8 @@ import (
 // and the StopMarkers then prove every vertex batch sent before the stop
 // arrived (the marker rule of Chandy and Lamport, 1985; protocol.StopAck).
 // Moving sends each MoveScope to its source once the last StopAck is in,
-// and after the targets' last MoveAck every moved vertex is in place and
-// OwnershipUpdate goes out. Run: GlobalStart, every active query
+// and after the targets' last MoveAck every moved vertex is in place. Run:
+// GlobalStart, carrying the moves' ownership delta, every active query
 // re-released, deferred schedules flushed. A recovery round (recover.go)
 // aborts the barrier in any phase.
 
@@ -70,7 +70,9 @@ func (a *adapt) moveAck(m *protocol.MoveAck) (last bool, err error) {
 // recover aborts the barrier in flight, whose plan never executed, and
 // opens a recovery round (again, if one is open). A plan Q-cut still
 // computes lives on; planned drops it unless the round is over by then.
-// It returns the phase it left.
+// The round's grants replace ownership wholesale, so the GlobalStart that
+// ends it carries no delta: the partial one of moves it aborted would
+// corrupt theirs. It returns the phase it left.
 func (a *adapt) recover() (left phase) {
 	left = a.phase
 	if left != phaseRun && left != phaseRecover {
@@ -78,6 +80,7 @@ func (a *adapt) recover() (left phase) {
 	}
 	a.phase = phaseRecover
 	a.acksLeft = 0
+	a.ownDeltaV, a.ownDeltaW = nil, nil
 	return left
 }
 
@@ -125,7 +128,7 @@ func (c *Controller) onStopAck(m *protocol.StopAck) error {
 
 // onMoveAck applies a move to the ownership table and the high-level view
 // (the query's whole local scope relocated). After the last, every target
-// absorbed its ScopeData, and the ownership delta goes out.
+// absorbed its ScopeData, and the barrier ends.
 func (c *Controller) onMoveAck(m *protocol.MoveAck) error {
 	last, err := c.adapt.moveAck(m)
 	if err != nil {
@@ -148,26 +151,23 @@ func (c *Controller) onMoveAck(m *protocol.MoveAck) error {
 	if !last {
 		return nil
 	}
-	if a := &c.adapt; len(a.ownDeltaV) > 0 {
-		c.broadcast(&protocol.OwnershipUpdate{Epoch: a.epoch, Vertices: a.ownDeltaV, Owners: a.ownDeltaW})
-	}
 	return c.resume(false)
 }
 
-// resume ends the global barrier: START, re-release every active query to
-// all live workers (scope moves may have relocated pending activations
-// anywhere), and flush deferred schedules. After a recovery round (restart)
-// it first re-executes every active query from superstep 0: the dead
-// worker took its share of their vertex state with it, so the whole query
-// restarts against the recovered partitioning (the caller just waits
-// longer). A query cancelled during the barrier finishes instead, whatever
-// its round was doing when the barrier began.
+// resume ends the global barrier: START with the moves' ownership delta,
+// re-release every active query to all live workers (scope moves may have
+// relocated pending activations anywhere), and flush deferred schedules.
+// After a recovery round (restart) it first re-executes every active query
+// from superstep 0: the dead worker took its share of their vertex state
+// with it, so the whole query restarts against the recovered partitioning
+// (the caller just waits longer). A query cancelled during the barrier
+// finishes instead, whatever its round was doing when the barrier began.
 func (c *Controller) resume(restart bool) error {
 	c.leftPhase(c.adapt.resume())
 	// Every global barrier rewrote ownership — scope moves, or a recovery
 	// round's handoff — so each one counts as a repartition.
 	c.repartEpoch.Add(1)
-	c.broadcast(&protocol.GlobalStart{Epoch: c.adapt.epoch})
+	c.broadcast(&protocol.GlobalStart{Epoch: c.adapt.epoch, Vertices: c.adapt.ownDeltaV, Owners: c.adapt.ownDeltaW})
 	restarted := 0
 	// In id order: the sends to each worker must not follow map order.
 	for _, q := range slices.Sorted(maps.Keys(c.queries)) {
@@ -179,7 +179,7 @@ func (c *Controller) resume(restart bool) error {
 		if restart {
 			// The restart re-pins to the recovered version: every worker is
 			// exactly at the committed version when the re-broadcast
-			// ExecuteQuery arrives (RecoverStart/PartitionGrant carried it);
+			// ExecuteQuery arrives (its PartitionGrant carried it);
 			// the old pin may predate the recovery.
 			c.abortStepSpan(ctl, "recovery-restart")
 			ctl.restart()

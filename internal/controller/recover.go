@@ -20,9 +20,9 @@ import (
 // forced STOP/START barrier whose membership shrinks (handoff) or is
 // restored by a respawned worker (rejoin):
 //
-//	death → [hello window] → plan ownership → RecoverStart /
-//	PartitionGrant → collect PartitionAcks → restart queries from
-//	superstep 0 → GlobalStart → apply commits that became durable meanwhile
+//	death → [hello window] → plan ownership → PartitionGrant →
+//	collect PartitionAcks → restart queries from superstep 0 →
+//	GlobalStart → apply commits that became durable meanwhile
 //
 // members holds every fact of it: the dead set, the probe accounting, the
 // episode and the totals. Its transitions read nothing but it and their
@@ -45,10 +45,10 @@ import (
 //     waited to send.
 //   - The committed version holds still for the whole round: a batch is
 //     applied and broadcast only after its fsync, so per-link FIFO brings
-//     every live replica to exactly the committed version before
-//     RecoverStart reaches it, and a batch that becomes durable mid-round is
-//     marked so in the sealed FIFO and applied at resume — nothing is ever
-//     rolled back.
+//     every live replica to exactly the committed version before its
+//     PartitionGrant reaches it, and a batch that becomes durable mid-round
+//     is marked so in the sealed FIFO and applied at resume — nothing is
+//     ever rolled back.
 //   - The repartition epoch bumps exactly once per episode (in resume), and
 //     the episode counts the queries resume restarted, not those it
 //     finished as cancelled.
@@ -216,8 +216,8 @@ func (m *members) expired(now time.Time) bool {
 // plan closes the hello window. It readmits every worker whose hello
 // arrived, hands each vertex of the workers still dead to the least-loaded
 // live worker, in vertex order (owner and counts change in place), and
-// says which workers get a PartitionGrant and which a RecoverStart. All of
-// them owe an ack.
+// says which workers rejoin (their grant replays the op tail) and which
+// survived. All of them get a PartitionGrant and owe an ack.
 func (m *members) plan(owner partition.Assignment, counts []int64) (grants, starts []partition.WorkerID) {
 	for w := range m.rejoin {
 		delete(m.dead, w)
@@ -407,19 +407,18 @@ func (c *Controller) planRound() {
 	if err != nil {
 		tail = nil
 	}
-	for _, w := range grants {
-		c.cfg.Monitor.MarkWorkerLive(int(w))
-		// Replay starts at the newest checkpoint, not version 0: the log was
-		// truncated there, and the rejoiner resolves the checkpoint from its
-		// snapshot store — O(ops since checkpoint) crosses the wire, however
-		// long the deployment has been mutating.
-		c.conn.Send(protocol.WorkerNode(w), &protocol.PartitionGrant{
-			Gen: gen, Version: version, Owner: owner,
-			BaseVersion: c.deltaLog.Base(), Batches: tail,
-		})
-	}
-	for _, w := range starts {
-		c.conn.Send(protocol.WorkerNode(w), &protocol.RecoverStart{Gen: gen, Version: version, Owner: owner})
+	// Rejoiners first; survivors keep their graph view and get no replay.
+	for i, w := range slices.Concat(grants, starts) {
+		g := &protocol.PartitionGrant{Gen: gen, Version: version, Owner: owner}
+		if i < len(grants) {
+			c.cfg.Monitor.MarkWorkerLive(int(w))
+			// Replay starts at the newest checkpoint, where the log was
+			// truncated, and the rejoiner resolves it from its snapshot store:
+			// O(ops since checkpoint) crosses the wire, however long the
+			// deployment has been mutating.
+			g.Rejoin, g.BaseVersion, g.Batches = true, c.deltaLog.Base(), tail
+		}
+		c.conn.Send(protocol.WorkerNode(w), g)
 	}
 	c.publishHealth()
 }

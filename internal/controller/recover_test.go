@@ -364,7 +364,7 @@ func TestMembershipTransitions(t *testing.T) {
 				t.Fatalf("gen %d, window %v after the second death", m.gen, m.window())
 			}
 			if _, starts := m.plan(owner, []int64{1, 0, 2}); !slices.Equal(starts, ids(0)) {
-				t.Fatalf("RecoverStart to %v, want the survivor 0", starts)
+				t.Fatalf("survivors %v, want worker 0", starts)
 			}
 			if fresh, _ := m.ack(0, 1); fresh {
 				t.Fatal("an ack of the first round's generation counted in the second")

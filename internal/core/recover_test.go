@@ -347,7 +347,7 @@ func TestRecoveryRestartReachesAddedVertices(t *testing.T) {
 }
 
 // TestRecoveryDuringRecovery kills a second worker at the WorkerRecover
-// point — it dies the moment the first episode's RecoverStart reaches it
+// point — it dies the moment the first episode's PartitionGrant reaches it
 // — forcing a second recovery round inside the episode. The engine must
 // converge on the single survivor with every query correct.
 func TestRecoveryDuringRecovery(t *testing.T) {

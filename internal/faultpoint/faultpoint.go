@@ -31,8 +31,9 @@ const (
 	// DeltaAck — the nasty case: the batch is applied on this replica but
 	// the controller never learns it.
 	WorkerDeltaAck = "worker/delta-ack"
-	// WorkerRecover fires on RecoverStart before the reset — a worker
-	// dying during recovery itself, forcing a second recovery round.
+	// WorkerRecover fires on a surviving worker's PartitionGrant before
+	// the reset — a worker dying during recovery itself, forcing a second
+	// recovery round.
 	WorkerRecover = "worker/recover"
 	// WorkerComputeSlow fires inside a superstep's timed compute section:
 	// a hook that sleeps and returns false models a straggling worker

@@ -45,7 +45,7 @@ const (
 	TGlobalStop
 	_ // DrainCheck, retired
 	TMoveScope
-	TOwnershipUpdate
+	_ // OwnershipUpdate, retired
 	TGlobalStart
 	TShutdown
 	// worker → controller
@@ -67,7 +67,7 @@ const (
 	// Worker failure recovery (appended to keep earlier wire values
 	// stable).
 	// controller → worker
-	TRecoverStart
+	_ // RecoverStart, retired
 	TPartitionGrant
 	// worker → controller
 	TWorkerHello
@@ -201,20 +201,14 @@ type MoveScope struct {
 // Type implements Message.
 func (*MoveScope) Type() MsgType { return TMoveScope }
 
-// OwnershipUpdate broadcasts vertex ownership changes resulting from the
-// moves of one global barrier. Workers apply it before GlobalStart.
-type OwnershipUpdate struct {
+// GlobalStart ends the global barrier; queries resume. Vertices and Owners
+// are the ownership changes of the barrier's moves, which workers apply
+// first; one that ends a recovery round carries none, since the round's
+// PartitionGrants replaced ownership wholesale.
+type GlobalStart struct {
 	Epoch    int32
 	Vertices []graph.VertexID
 	Owners   []partition.WorkerID // parallel to Vertices
-}
-
-// Type implements Message.
-func (*OwnershipUpdate) Type() MsgType { return TOwnershipUpdate }
-
-// GlobalStart ends the global barrier; queries resume.
-type GlobalStart struct {
-	Epoch int32
 }
 
 // Type implements Message.
@@ -413,7 +407,7 @@ type VertexMsg struct {
 // sends one batch per query and peer, split only at 32 KiB (2 730 messages);
 // the paper batches 32 messages (Sec. 4.1(iv)). Gen is the sender's
 // recovery generation: receivers drop batches from another generation,
-// whose queries recovery restarted (see RecoverStart).
+// whose queries recovery restarted (see PartitionGrant).
 //
 // Summary, set on the last batch of a superstep of an implicitly
 // continuable release (BarrierReady.Peers), is the sender's StepSummary of
@@ -539,41 +533,33 @@ func (*Pong) Type() MsgType { return TPong }
 // Worker failure recovery (internal/controller/recover.go)
 //
 // When liveness declares a worker dead, the controller fences it and runs a
-// recovery round: survivors receive RecoverStart (reset in-flight query
-// state, abandon a global barrier in progress, adopt the authoritative
-// ownership map), a respawned worker announces itself with WorkerHello and
-// receives PartitionGrant (the same reset plus a committed-op replay that
-// rebuilds its graph view from the shared CSR base). Both answer
+// recovery round: every live worker receives PartitionGrant, which resets
+// in-flight query state, abandons a global barrier in progress and adopts
+// the authoritative ownership map. A respawned worker announces itself
+// with WorkerHello, and its grant also carries a committed-op replay that
+// rebuilds its graph view from the shared CSR base. Every worker answers
 // PartitionAck; once every live worker acknowledged the generation, the
 // controller restarts the in-flight queries from superstep 0.
 
-// RecoverStart resets a surviving worker into recovery generation Gen:
-// drop all live query state (affected queries are re-executed) and the
-// StopAck a global barrier still waits to send, adopt Owner as the full
-// authoritative ownership map. Version is the committed graph version;
-// a replica at any other version has diverged and stops. The worker
-// answers with PartitionAck.
-type RecoverStart struct {
-	Gen     int32
-	Version uint64 // committed graph version the replica must be at
-	Owner   []partition.WorkerID
-}
-
-// Type implements Message.
-func (*RecoverStart) Type() MsgType { return TRecoverStart }
-
-// PartitionGrant admits a (re)spawned worker into the live set at
-// generation Gen: it rebuilds its graph view by replaying Batches over the
-// graph at BaseVersion up to committed Version, adopts Owner, and answers
-// with PartitionAck. BaseVersion 0 replays over the shared base graph;
-// a non-zero BaseVersion names a checkpoint (internal/snapshot) the worker
-// must resolve locally — the controller truncates its committed-op log at
-// every checkpoint, so only the tail since the newest one ever crosses the
-// wire. Until the grant arrives, a rejoining worker ignores every other
-// message — stale traffic addressed to its dead predecessor.
+// PartitionGrant resets a worker into recovery generation Gen: it drops
+// all live query state (affected queries are re-executed) and the StopAck
+// a global barrier still waits to send, adopts Owner as the full
+// authoritative ownership map, and answers with PartitionAck. Version is
+// the committed graph version; a survivor, whose grant carries no replay,
+// has diverged at any other version and stops.
+//
+// Rejoin marks the grant that admits a (re)spawned worker: it rebuilds its
+// graph view by replaying Batches over the graph at BaseVersion up to
+// Version. BaseVersion 0 is the shared base graph; a non-zero one names a
+// checkpoint (internal/snapshot) the worker must resolve locally — the
+// controller truncates its committed-op log at every checkpoint, so only
+// the tail since the newest one ever crosses the wire. Until a Rejoin grant
+// arrives, a rejoining worker ignores every other message — stale traffic
+// addressed to its dead predecessor, a survivor's grant included.
 type PartitionGrant struct {
 	Gen         int32
 	Version     uint64
+	Rejoin      bool
 	BaseVersion uint64
 	Owner       []partition.WorkerID
 	Batches     []delta.LogBatch
@@ -591,9 +577,9 @@ type WorkerHello struct {
 // Type implements Message.
 func (*WorkerHello) Type() MsgType { return TWorkerHello }
 
-// PartitionAck acknowledges RecoverStart or PartitionGrant: worker W is
-// settled in recovery generation Gen at graph Version. The controller
-// treats a version mismatch as replica divergence (fatal).
+// PartitionAck acknowledges a PartitionGrant: worker W is settled in
+// recovery generation Gen at graph Version. The controller treats a version
+// mismatch as replica divergence (fatal).
 type PartitionAck struct {
 	Gen     int32
 	W       partition.WorkerID

@@ -58,10 +58,13 @@ import (
 //	12 — ScopeData's MovedVertex lost Finished: a move takes the owned
 //	    vertices of the query's signature blocks, and finished scopes are
 //	    signatures that stay where they were taken
+//	13 — GlobalStart carries the moves' ownership delta, a survivor's
+//	    reset is a PartitionGrant, which gained Rejoin: OwnershipUpdate (7)
+//	    and RecoverStart (20) retired
 //
 // The value is offset from small integers so a legacy 1-byte [NodeID]
 // handshake can never alias a valid version.
-const CodecVersion = 0xA0 + 12
+const CodecVersion = 0xA0 + 13
 
 // hdr is the frame header: u32 payload length plus the u8 message type.
 const hdr = 5
@@ -115,30 +118,28 @@ func WireSize(m protocol.Message) int {
 
 // blank makes, by type tag, the empty message Decode fills.
 var blank = [...]func() protocol.Message{
-	protocol.TExecuteQuery:    func() protocol.Message { return new(protocol.ExecuteQuery) },
-	protocol.TBarrierReady:    func() protocol.Message { return new(protocol.BarrierReady) },
-	protocol.TQueryFinish:     func() protocol.Message { return new(protocol.QueryFinish) },
-	protocol.TGlobalStop:      func() protocol.Message { return new(protocol.GlobalStop) },
-	protocol.TMoveScope:       func() protocol.Message { return new(protocol.MoveScope) },
-	protocol.TOwnershipUpdate: func() protocol.Message { return new(protocol.OwnershipUpdate) },
-	protocol.TGlobalStart:     func() protocol.Message { return new(protocol.GlobalStart) },
-	protocol.TShutdown:        func() protocol.Message { return new(protocol.Shutdown) },
-	protocol.TBarrierSynch:    func() protocol.Message { return new(protocol.BarrierSynch) },
-	protocol.TStopAck:         func() protocol.Message { return new(protocol.StopAck) },
-	protocol.TMoveAck:         func() protocol.Message { return new(protocol.MoveAck) },
-	protocol.TVertexBatch:     func() protocol.Message { return new(protocol.VertexBatch) },
-	protocol.TScopeData:       func() protocol.Message { return new(protocol.ScopeData) },
-	protocol.TDeltaBatch:      func() protocol.Message { return new(protocol.DeltaBatch) },
-	protocol.TPing:            func() protocol.Message { return new(protocol.Ping) },
-	protocol.TDeltaAck:        func() protocol.Message { return new(protocol.DeltaAck) },
-	protocol.TPong:            func() protocol.Message { return new(protocol.Pong) },
-	protocol.TRecoverStart:    func() protocol.Message { return new(protocol.RecoverStart) },
-	protocol.TPartitionGrant:  func() protocol.Message { return new(protocol.PartitionGrant) },
-	protocol.TWorkerHello:     func() protocol.Message { return new(protocol.WorkerHello) },
-	protocol.TPartitionAck:    func() protocol.Message { return new(protocol.PartitionAck) },
-	protocol.TStopMarker:      func() protocol.Message { return new(protocol.StopMarker) },
-	protocol.TStatsPull:       func() protocol.Message { return new(protocol.StatsPull) },
-	protocol.TStatsReport:     func() protocol.Message { return new(protocol.StatsReport) },
+	protocol.TExecuteQuery:   func() protocol.Message { return new(protocol.ExecuteQuery) },
+	protocol.TBarrierReady:   func() protocol.Message { return new(protocol.BarrierReady) },
+	protocol.TQueryFinish:    func() protocol.Message { return new(protocol.QueryFinish) },
+	protocol.TGlobalStop:     func() protocol.Message { return new(protocol.GlobalStop) },
+	protocol.TMoveScope:      func() protocol.Message { return new(protocol.MoveScope) },
+	protocol.TGlobalStart:    func() protocol.Message { return new(protocol.GlobalStart) },
+	protocol.TShutdown:       func() protocol.Message { return new(protocol.Shutdown) },
+	protocol.TBarrierSynch:   func() protocol.Message { return new(protocol.BarrierSynch) },
+	protocol.TStopAck:        func() protocol.Message { return new(protocol.StopAck) },
+	protocol.TMoveAck:        func() protocol.Message { return new(protocol.MoveAck) },
+	protocol.TVertexBatch:    func() protocol.Message { return new(protocol.VertexBatch) },
+	protocol.TScopeData:      func() protocol.Message { return new(protocol.ScopeData) },
+	protocol.TDeltaBatch:     func() protocol.Message { return new(protocol.DeltaBatch) },
+	protocol.TPing:           func() protocol.Message { return new(protocol.Ping) },
+	protocol.TDeltaAck:       func() protocol.Message { return new(protocol.DeltaAck) },
+	protocol.TPong:           func() protocol.Message { return new(protocol.Pong) },
+	protocol.TPartitionGrant: func() protocol.Message { return new(protocol.PartitionGrant) },
+	protocol.TWorkerHello:    func() protocol.Message { return new(protocol.WorkerHello) },
+	protocol.TPartitionAck:   func() protocol.Message { return new(protocol.PartitionAck) },
+	protocol.TStopMarker:     func() protocol.Message { return new(protocol.StopMarker) },
+	protocol.TStatsPull:      func() protocol.Message { return new(protocol.StatsPull) },
+	protocol.TStatsReport:    func() protocol.Message { return new(protocol.StatsReport) },
 }
 
 // fields codes m's payload field by field, in wire order: the one
@@ -171,10 +172,10 @@ func fields(c *coder, m protocol.Message) {
 		u32(c, &v.Epoch)
 		u64(c, &v.Q)
 		u8(c, &v.To)
-	case *protocol.OwnershipUpdate:
+	case *protocol.GlobalStart:
 		u32(c, &v.Epoch)
 		if len(v.Owners) != len(v.Vertices) {
-			c.fail("ownership update lengths differ")
+			c.fail("ownership delta lengths differ")
 			return
 		}
 		n := fixed(c, &v.Vertices, 5) // each vertex beside its owner
@@ -185,8 +186,6 @@ func fields(c *coder, m protocol.Message) {
 			u32(c, &v.Vertices[i])
 			u8(c, &v.Owners[i])
 		}
-	case *protocol.GlobalStart:
-		u32(c, &v.Epoch)
 	case *protocol.Shutdown:
 	case *protocol.BarrierSynch:
 		u64(c, &v.Q)
@@ -252,13 +251,10 @@ func fields(c *coder, m protocol.Message) {
 	case *protocol.Pong:
 		u64(c, &v.Seq)
 		u8(c, &v.W)
-	case *protocol.RecoverStart:
-		u32(c, &v.Gen)
-		u64(c, &v.Version)
-		u8s(c, &v.Owner)
 	case *protocol.PartitionGrant:
 		u32(c, &v.Gen)
 		u64(c, &v.Version)
+		boolean(c, &v.Rejoin)
 		u64(c, &v.BaseVersion)
 		u8s(c, &v.Owner)
 		for i := range list(c, &v.Batches, 12) {

@@ -60,7 +60,7 @@ func sampleMessages() []protocol.Message {
 		&protocol.QueryFinish{Q: 9, Reason: protocol.FinishEarly},
 		&protocol.GlobalStop{Epoch: 12, Live: []partition.WorkerID{0, 1, 3}},
 		&protocol.MoveScope{Epoch: 12, Q: 5, To: 3},
-		&protocol.OwnershipUpdate{Epoch: 12, Vertices: []graph.VertexID{1, 2, 3}, Owners: []partition.WorkerID{0, 1, 2}},
+		&protocol.GlobalStart{Epoch: 12, Vertices: []graph.VertexID{1, 2, 3}, Owners: []partition.WorkerID{0, 1, 2}},
 		&protocol.GlobalStart{Epoch: 12},
 		&protocol.Shutdown{},
 		&protocol.BarrierSynch{
@@ -117,18 +117,19 @@ func sampleMessages() []protocol.Message {
 		&protocol.ScopeData{Epoch: 13, Q: 6, From: 0, Gen: 2},
 		// Untouched vertices of a query's blocks move with no state.
 		&protocol.ScopeData{Epoch: 14, Q: 7, From: 2, Gen: 2, Vertices: []protocol.MovedVertex{{V: 1}, {V: 2}, {V: 3}}},
-		&protocol.RecoverStart{Gen: 3, Version: 7, Owner: []partition.WorkerID{0, 2, 2, 0}},
-		&protocol.RecoverStart{Gen: 1},
+		// A survivor's grant carries no replay.
+		&protocol.PartitionGrant{Gen: 3, Version: 7, Owner: []partition.WorkerID{0, 2, 2, 0}},
+		&protocol.PartitionGrant{Gen: 1},
 		&protocol.PartitionGrant{
-			Gen: 4, Version: 2, BaseVersion: 0, Owner: []partition.WorkerID{1, 1, 0},
+			Gen: 4, Version: 2, Rejoin: true, BaseVersion: 0, Owner: []partition.WorkerID{1, 1, 0},
 			Batches: []delta.LogBatch{
 				{Version: 1, Ops: []delta.Op{{Kind: delta.OpAddEdge, From: 0, To: 2, Weight: 2.5}}},
 				{Version: 2, Ops: []delta.Op{{Kind: delta.OpAddVertex}, {Kind: delta.OpRemoveEdge, From: 1, To: 0}}},
 			},
 		},
-		&protocol.PartitionGrant{Gen: 2, Version: 0},
+		&protocol.PartitionGrant{Gen: 2, Version: 0, Rejoin: true},
 		&protocol.PartitionGrant{
-			Gen: 5, Version: 9, BaseVersion: 7, Owner: []partition.WorkerID{0, 1},
+			Gen: 5, Version: 9, Rejoin: true, BaseVersion: 7, Owner: []partition.WorkerID{0, 1},
 			Batches: []delta.LogBatch{
 				{Version: 8, Ops: []delta.Op{{Kind: delta.OpSetWeight, From: 1, To: 0, Weight: 4}}},
 				{Version: 9, Ops: []delta.Op{{Kind: delta.OpAddVertex}}},

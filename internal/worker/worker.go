@@ -280,11 +280,13 @@ func (w *Worker) Step() (ran bool, err error) {
 func (w *Worker) Handle(env transport.Envelope) (stop bool, err error) {
 	if w.joining {
 		// A rejoining worker sees the stale traffic addressed to its dead
-		// predecessor until the controller admits it back; only the grant
-		// (and liveness probes, and a shutdown) are meaningful.
+		// predecessor until the controller admits it back; only its own
+		// grant (and liveness probes, and a shutdown) are meaningful.
 		switch m := env.Msg.(type) {
 		case *protocol.PartitionGrant:
-			err = w.onPartitionGrant(m)
+			if m.Rejoin {
+				err = w.onPartitionGrant(m)
+			}
 		case *protocol.Ping:
 			err = w.conn.Send(protocol.ControllerNode, &protocol.Pong{Seq: m.Seq, W: w.id})
 		case *protocol.Shutdown:
@@ -311,16 +313,14 @@ func (w *Worker) Handle(env transport.Envelope) (stop bool, err error) {
 		err = w.onMoveScope(m)
 	case *protocol.ScopeData:
 		err = w.onScopeData(m)
-	case *protocol.OwnershipUpdate:
-		err = w.onOwnershipUpdate(m)
 	case *protocol.DeltaBatch:
 		err = w.onDeltaBatch(m)
 	case *protocol.Ping:
 		err = w.conn.Send(protocol.ControllerNode, &protocol.Pong{Seq: m.Seq, W: w.id})
-	case *protocol.RecoverStart:
-		err = w.onRecoverStart(m)
+	case *protocol.PartitionGrant:
+		err = w.onRecover(m)
 	case *protocol.GlobalStart:
-		w.bar.start()
+		err = w.onGlobalStart(m)
 	case *protocol.Shutdown:
 		return true, nil
 	default:
@@ -346,28 +346,29 @@ func (w *Worker) checkIDs(vs []graph.VertexID, ws []partition.WorkerID) error {
 	return nil
 }
 
-// onOwnershipUpdate applies the ownership delta of a global barrier.
-func (w *Worker) onOwnershipUpdate(m *protocol.OwnershipUpdate) error {
+// onGlobalStart applies the ownership delta of a global barrier's moves and
+// resumes.
+func (w *Worker) onGlobalStart(m *protocol.GlobalStart) error {
 	if len(m.Owners) != len(m.Vertices) {
-		return fmt.Errorf("ownership update: %d owners for %d vertices", len(m.Owners), len(m.Vertices))
+		return fmt.Errorf("global start: %d owners for %d vertices", len(m.Owners), len(m.Vertices))
 	}
 	if err := w.checkIDs(m.Vertices, m.Owners); err != nil {
-		return fmt.Errorf("ownership update: %w", err)
+		return fmt.Errorf("global start: %w", err)
 	}
 	for i, v := range m.Vertices {
 		w.owner[v] = m.Owners[i]
 	}
+	w.bar.start()
 	return nil
 }
 
-// onRecoverStart resets this surviving worker into recovery generation
-// m.Gen. All live query state is dropped (the controller re-executes the
-// affected queries from superstep 0), so is a StopAck still waiting for
-// markers, and the ownership map is replaced wholesale with the
-// controller's authoritative copy. Remembered finished scopes survive:
-// their signatures name blocks, not owners, and keep Q-cut's hotspot
-// history useful.
-func (w *Worker) onRecoverStart(m *protocol.RecoverStart) error {
+// onRecover resets this surviving worker into recovery generation m.Gen.
+// All live query state is dropped (the controller re-executes the affected
+// queries from superstep 0), so is a StopAck still waiting for markers, and
+// the ownership map is replaced wholesale with the controller's copy.
+// Remembered finished scopes survive: their signatures name blocks, not
+// owners, and keep Q-cut's hotspot history useful.
+func (w *Worker) onRecover(m *protocol.PartitionGrant) error {
 	if faultpoint.Hit(faultpoint.WorkerRecover, int(w.id)) {
 		return faultpoint.ErrKilled
 	}

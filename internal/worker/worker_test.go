@@ -371,12 +371,37 @@ func TestPartitionGrantFallbackToNewerSnapshot(t *testing.T) {
 	}
 }
 
+// TestRejoinTakesOnlyItsOwnGrant: a survivor's grant that reaches the
+// endpoint a rejoining worker took over was addressed to its dead
+// predecessor. The rejoining worker ignores it, at its own base version as
+// at any other, and is admitted by the grant that answers its hello.
+func TestRejoinTakesOnlyItsOwnGrant(t *testing.T) {
+	owner := partition.Assignment{0, 0, 0, 1, 1}
+	s := &syncWorker{t: t, conn: &recConn{}}
+	w, err := New(Config{ID: 0, K: 2, Graph: lineGraph(5), Owner: owner, Rejoin: true}, s.conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.w = w
+	for _, version := range []uint64{0, 3} {
+		s.deliver(&protocol.PartitionGrant{Gen: 1, Version: version, Owner: owner})
+		if !w.joining || len(s.conn.sent) != 0 {
+			t.Fatalf("a survivor's grant at version %d: joining %v, sent %v", version, w.joining, s.conn.sent)
+		}
+	}
+	s.deliver(&protocol.PartitionGrant{Gen: 2, Rejoin: true, Owner: owner})
+	if ack, ok := s.conn.sent[0].(*protocol.PartitionAck); w.joining || len(s.conn.sent) != 1 || !ok || ack.Gen != 2 {
+		t.Fatalf("its own grant: joining %v, sent %v", w.joining, s.conn.sent)
+	}
+}
+
 // TestReplicaDivergenceIsFatal: the controller applies and fsyncs a batch
 // before it broadcasts it, and each link is FIFO, so a live replica is
-// never ahead of the version a RecoverStart names, never sees a batch
-// twice, and is at exactly the version an ExecuteQuery is pinned at. Any
-// of these means the replica left the version chain — an error that stops
-// the worker, not a rollback, a silent re-ack or a query on the wrong graph.
+// never ahead of the version a survivor's PartitionGrant names, never sees
+// a batch twice, and is at exactly the version an ExecuteQuery is pinned
+// at. Any of these means the replica left the version chain — an error that
+// stops the worker, not a rollback, a silent re-ack or a query on the wrong
+// graph.
 func TestReplicaDivergenceIsFatal(t *testing.T) {
 	g := lineGraph(5)
 	owner := make(partition.Assignment, g.NumVertices())
@@ -385,8 +410,8 @@ func TestReplicaDivergenceIsFatal(t *testing.T) {
 		name string
 		msg  func(w *Worker) error // delivered to a replica at version 1
 	}{
-		{"recover-start below the replica", func(w *Worker) error {
-			return w.onRecoverStart(&protocol.RecoverStart{Gen: 1, Version: 0, Owner: owner})
+		{"survivor grant below the replica", func(w *Worker) error {
+			return w.onRecover(&protocol.PartitionGrant{Gen: 1, Version: 0, Owner: owner})
 		}},
 		{"delta batch repeated", func(w *Worker) error { return w.onDeltaBatch(batch) }},
 		{"execute pinned at another version", func(w *Worker) error {
@@ -472,12 +497,12 @@ func TestWireIDsAreRangeChecked(t *testing.T) {
 		barrier bool // inside a global barrier, where scopes move
 		msg     protocol.Message
 	}{
-		{name: "ownership update of a vertex past the graph", msg: &protocol.OwnershipUpdate{Epoch: 1, Vertices: []graph.VertexID{99}, Owners: []partition.WorkerID{1}}},
-		{name: "ownership update to a worker past K", msg: &protocol.OwnershipUpdate{Epoch: 1, Vertices: []graph.VertexID{1}, Owners: []partition.WorkerID{7}}},
-		{name: "ownership update with owners missing", msg: &protocol.OwnershipUpdate{Epoch: 1, Vertices: []graph.VertexID{1, 2}, Owners: []partition.WorkerID{1}}},
+		{name: "ownership update of a vertex past the graph", barrier: true, msg: &protocol.GlobalStart{Epoch: 1, Vertices: []graph.VertexID{99}, Owners: []partition.WorkerID{1}}},
+		{name: "ownership update to a worker past K", barrier: true, msg: &protocol.GlobalStart{Epoch: 1, Vertices: []graph.VertexID{1}, Owners: []partition.WorkerID{7}}},
+		{name: "ownership update with owners missing", barrier: true, msg: &protocol.GlobalStart{Epoch: 1, Vertices: []graph.VertexID{1, 2}, Owners: []partition.WorkerID{1}}},
 		{name: "scope data of a vertex past the graph", barrier: true, msg: &protocol.ScopeData{Epoch: 1, Q: 1, From: 1, Vertices: []protocol.MovedVertex{{V: 99}}}},
-		{name: "recovery to a worker past K", msg: &protocol.RecoverStart{Gen: 1, Owner: owners(7)}},
-		{name: "grant to a worker past K", rejoin: true, msg: &protocol.PartitionGrant{Gen: 1, Owner: owners(7)}},
+		{name: "recovery to a worker past K", msg: &protocol.PartitionGrant{Gen: 1, Owner: owners(7)}},
+		{name: "grant to a worker past K", rejoin: true, msg: &protocol.PartitionGrant{Gen: 1, Rejoin: true, Owner: owners(7)}},
 		{name: "delta batch owning a new vertex past K", msg: &protocol.DeltaBatch{Version: 1, Ops: []delta.Op{{Kind: delta.OpAddVertex}}, NewOwners: []partition.WorkerID{7}}},
 		{name: "query from a vertex past the graph", msg: &protocol.ExecuteQuery{Spec: query.Spec{ID: 1, Kind: query.KindBFS, Source: 99, Target: graph.NilVertex}}},
 		{name: "vertex batch from a worker past K", msg: &protocol.VertexBatch{Q: 1, From: 7, Entries: []protocol.VertexMsg{{To: 1, Val: 1}}}},
