@@ -218,7 +218,7 @@ func (m *members) expired(now time.Time) bool {
 // live worker, in vertex order (owner and counts change in place), and
 // says which workers rejoin (their grant replays the op tail) and which
 // survived. All of them get a PartitionGrant and owe an ack.
-func (m *members) plan(owner partition.Assignment, counts []int64) (grants, starts []partition.WorkerID) {
+func (m *members) plan(owner partition.Assignment, counts []int64) (rejoined, survivors []partition.WorkerID) {
 	for w := range m.rejoin {
 		delete(m.dead, w)
 		m.missed[w] = 0
@@ -235,9 +235,9 @@ func (m *members) plan(owner partition.Assignment, counts []int64) (grants, star
 	for w := partition.WorkerID(0); int(w) < m.k; w++ {
 		switch {
 		case m.rejoin[w]:
-			grants = append(grants, w)
+			rejoined = append(rejoined, w)
 		case !m.dead[w]:
-			starts = append(starts, w)
+			survivors = append(survivors, w)
 		default:
 			continue
 		}
@@ -245,7 +245,7 @@ func (m *members) plan(owner partition.Assignment, counts []int64) (grants, star
 	}
 	clear(m.rejoin)
 	clear(m.awaiting)
-	return grants, starts
+	return rejoined, survivors
 }
 
 // ack records w's acknowledgement of generation gen. fresh is false for a
@@ -392,7 +392,7 @@ func (c *Controller) openRound() {
 // planRound sends the round's plan: the full ownership map to every live
 // worker, with the retained op tail for each rejoiner.
 func (c *Controller) planRound() {
-	grants, starts := c.members.plan(c.owner, c.vertCount)
+	rejoined, survivors := c.members.plan(c.owner, c.vertCount)
 	c.commits.remap(c.vertCount, c.members.dead)
 	// One immutable snapshot of the authoritative map, shared by every
 	// message of this round (receivers copy; the controller keeps mutating
@@ -408,9 +408,9 @@ func (c *Controller) planRound() {
 		tail = nil
 	}
 	// Rejoiners first; survivors keep their graph view and get no replay.
-	for i, w := range slices.Concat(grants, starts) {
+	for i, w := range slices.Concat(rejoined, survivors) {
 		g := &protocol.PartitionGrant{Gen: gen, Version: version, Owner: owner}
-		if i < len(grants) {
+		if i < len(rejoined) {
 			c.cfg.Monitor.MarkWorkerLive(int(w))
 			// Replay starts at the newest checkpoint, where the log was
 			// truncated, and the rejoiner resolves it from its snapshot store:

@@ -363,8 +363,8 @@ func TestMembershipTransitions(t *testing.T) {
 			if m.gen != 2 || !m.window() {
 				t.Fatalf("gen %d, window %v after the second death", m.gen, m.window())
 			}
-			if _, starts := m.plan(owner, []int64{1, 0, 2}); !slices.Equal(starts, ids(0)) {
-				t.Fatalf("survivors %v, want worker 0", starts)
+			if _, survivors := m.plan(owner, []int64{1, 0, 2}); !slices.Equal(survivors, ids(0)) {
+				t.Fatalf("survivors %v, want worker 0", survivors)
 			}
 			if fresh, _ := m.ack(0, 1); fresh {
 				t.Fatal("an ack of the first round's generation counted in the second")
@@ -389,9 +389,9 @@ func TestMembershipTransitions(t *testing.T) {
 				t.Fatal("every awaited hello is in, and the window is still open")
 			}
 			counts := []int64{1, 1, 1}
-			grants, starts := m.plan(partition.Assignment{0, 1, 2}, counts)
-			if !slices.Equal(grants, ids(1)) || !slices.Equal(starts, ids(0, 2)) || m.dead[1] || counts[1] != 1 {
-				t.Fatalf("grants %v, starts %v, counts %v: worker 1 must adopt its partition in place", grants, starts, counts)
+			rejoined, survivors := m.plan(partition.Assignment{0, 1, 2}, counts)
+			if !slices.Equal(rejoined, ids(1)) || !slices.Equal(survivors, ids(0, 2)) || m.dead[1] || counts[1] != 1 {
+				t.Fatalf("rejoined %v, survivors %v, counts %v: worker 1 must adopt its partition in place", rejoined, survivors, counts)
 			}
 			ackAll(t, m, 0, 1, 2)
 			m.finish(t0, 0)
@@ -410,8 +410,8 @@ func TestMembershipTransitions(t *testing.T) {
 			if !m.expired(t1.Add(time.Second)) {
 				t.Fatal("a late hello's round awaits a hello")
 			}
-			if grants, _ := m.plan(partition.Assignment{0, 0, 1}, counts); !slices.Equal(grants, ids(2)) || counts[2] != 0 {
-				t.Fatalf("grants %v, counts %v: worker 2 must rejoin empty", grants, counts)
+			if rejoined, _ := m.plan(partition.Assignment{0, 0, 1}, counts); !slices.Equal(rejoined, ids(2)) || counts[2] != 0 {
+				t.Fatalf("rejoined %v, counts %v: worker 2 must rejoin empty", rejoined, counts)
 			}
 		}},
 		{"a hello stays in across a death that opens a new round", func(t *testing.T) {
@@ -425,8 +425,8 @@ func TestMembershipTransitions(t *testing.T) {
 			if !m.expired(t0) {
 				t.Fatal("every awaited hello is in, and the window is still open")
 			}
-			if grants, starts := m.plan(partition.Assignment{0, 1, 2, 3}, []int64{1, 1, 1, 1}); !slices.Equal(grants, ids(1, 2, 3)) || !slices.Equal(starts, ids(0)) {
-				t.Fatalf("grants %v, starts %v: worker 1's hello must outlive the round it arrived in", grants, starts)
+			if rejoined, survivors := m.plan(partition.Assignment{0, 1, 2, 3}, []int64{1, 1, 1, 1}); !slices.Equal(rejoined, ids(1, 2, 3)) || !slices.Equal(survivors, ids(0)) {
+				t.Fatalf("rejoined %v, survivors %v: worker 1's hello must outlive the round it arrived in", rejoined, survivors)
 			}
 		}},
 		{"a hello from a live worker is ignored", func(t *testing.T) {
