@@ -181,7 +181,7 @@ func TestOverlayConsistencyUnderConcurrentCommits(t *testing.T) {
 		valid[float64(10*i)] = true
 	}
 
-	done := make(chan struct{})
+	done, answered := make(chan struct{}), make(chan struct{})
 	var readerWG sync.WaitGroup
 	var mu sync.Mutex
 	var results []float64
@@ -207,10 +207,19 @@ func TestOverlayConsistencyUnderConcurrentCommits(t *testing.T) {
 					return // engine shutting down
 				}
 				mu.Lock()
-				results = append(results, res.Value)
+				if results = append(results, res.Value); len(results) == 1 {
+					close(answered)
+				}
 				mu.Unlock()
 			}
 		}(r)
+	}
+	// The commits start once a reader has an answer: on a loaded host they
+	// can otherwise all land before any reader is scheduled.
+	select {
+	case <-answered:
+	case <-time.After(30 * time.Second):
+		t.Fatal("no reader answered")
 	}
 
 	for i := 1; i <= versions; i++ {
