@@ -197,6 +197,22 @@ func TestReadmeMetricFamiliesExist(t *testing.T) {
 	}
 }
 
+// TestMetricFamiliesDocumented checks the converse: every `qgraph_*` family
+// the tree's non-test code outside benchmark/ names in a string literal is
+// quoted inline in README.md, by name or by a prefix ending in *, so a
+// family that nothing reads cannot be added unnoticed.
+func TestMetricFamiliesDocumented(t *testing.T) {
+	_, readme := readDocs(t)
+	families := registeredFamilies(t)
+	if bad := undocumented(readme, families); len(bad) > 0 {
+		t.Errorf("README.md quotes no metric family for: %v", bad)
+	}
+	planted := append(slices.Clone(families), "qgraph_planted_total")
+	if bad := undocumented(readme, planted); !slices.Equal(bad, []string{"qgraph_planted_total"}) {
+		t.Fatalf("a planted undocumented family went unnoticed: undocumented = %v", bad)
+	}
+}
+
 var (
 	fence      = regexp.MustCompile("(?ms)^```.*?^```")
 	inlineCode = regexp.MustCompile("`([^`]+)`")
@@ -295,22 +311,49 @@ func registeredRoutes(t *testing.T) []string {
 // in inline code spans of md, labels aside, that match none of families: a
 // name ending in * matches the families it prefixes.
 func unregistered(md string, families []string) []string {
-	md = fence.ReplaceAllString(md, "")
 	var bad []string
-	for _, span := range inlineCode.FindAllStringSubmatch(md, -1) {
-		for _, tok := range strings.Fields(span[1]) {
-			name := family.FindString(tok)
-			prefix, wild := strings.CutSuffix(name, "*")
-			if name == "" || slices.Contains(bad, name) || slices.ContainsFunc(families, func(f string) bool {
-				return f == name || wild && strings.HasPrefix(f, prefix)
-			}) {
-				continue
-			}
+	for _, name := range quotedFamilies(md) {
+		if !slices.ContainsFunc(families, func(f string) bool { return familyMatches(name, f) }) {
 			bad = append(bad, name)
+		}
+	}
+	return bad
+}
+
+// undocumented returns, sorted and once each, the families that no metric
+// family quoted in md matches.
+func undocumented(md string, families []string) []string {
+	quoted := quotedFamilies(md)
+	var bad []string
+	for _, f := range families {
+		if !slices.Contains(bad, f) && !slices.ContainsFunc(quoted, func(name string) bool { return familyMatches(name, f) }) {
+			bad = append(bad, f)
 		}
 	}
 	slices.Sort(bad)
 	return bad
+}
+
+// quotedFamilies returns, sorted and once each, the metric families quoted
+// in inline code spans of md, labels aside.
+func quotedFamilies(md string) []string {
+	var names []string
+	for _, span := range inlineCode.FindAllStringSubmatch(fence.ReplaceAllString(md, ""), -1) {
+		for _, tok := range strings.Fields(span[1]) {
+			if name := family.FindString(tok); name != "" && !slices.Contains(names, name) {
+				names = append(names, name)
+			}
+		}
+	}
+	slices.Sort(names)
+	return names
+}
+
+// familyMatches reports whether the quoted name stands for family f: it is
+// f, or it ends in * and prefixes f.
+func familyMatches(name, f string) bool {
+	prefix, wild := strings.CutSuffix(name, "*")
+	return f == name || wild && strings.HasPrefix(f, prefix)
 }
 
 // registeredFamilies returns the qgraph_* names the non-test code outside

@@ -396,7 +396,6 @@ func (c *Controller) onSynch(m *protocol.BarrierSynch) error {
 	if err := ctl.report(m); err != nil {
 		return err
 	}
-	c.obs.onReport(m)
 	c.cfg.Monitor.ObserveCompute(int(m.W), m.ComputeNS, int(m.Step-m.FromStep)+1, int(m.Processed))
 	return c.collect(ctl)
 }
@@ -432,21 +431,26 @@ func (c *Controller) collect(ctl *qctl) error {
 
 // finishQuery ends a query the workers still hold: tell them to drop it,
 // deliver its result, and move its statistics into the monitoring window.
+// A query its workers finished is also recorded and counted; a cancelled
+// one is not, since its supersteps are not a whole query's.
 func (c *Controller) finishQuery(ctl *qctl, reason protocol.FinishReason) {
 	c.broadcast(&protocol.QueryFinish{Q: ctl.spec.ID, Reason: reason})
 	res := c.end(ctl, reason)
-	if rec := c.cfg.Recorder; rec != nil {
-		rec.RecordQuery(metrics.QueryRecord{
-			ID:          int64(res.Q),
-			Kind:        ctl.spec.Kind.String(),
-			ScheduledAt: ctl.started,
-			Latency:     res.Latency,
-			Supersteps:  res.Supersteps,
-			LocalIters:  res.LocalIters,
-			Touched:     res.Touched,
-			Workers:     res.Workers,
-			Result:      res.Value,
-		})
+	if reason != protocol.FinishCancelled {
+		if rec := c.cfg.Recorder; rec != nil {
+			rec.RecordQuery(metrics.QueryRecord{
+				ID:          int64(res.Q),
+				Kind:        ctl.spec.Kind.String(),
+				ScheduledAt: ctl.started,
+				Latency:     res.Latency,
+				Supersteps:  res.Supersteps,
+				LocalIters:  res.LocalIters,
+				Touched:     res.Touched,
+				Workers:     res.Workers,
+				Result:      res.Value,
+			})
+		}
+		c.obs.finished(ctl.spec.Kind, res.Supersteps, res.LocalIters)
 	}
 	c.windowAdd(ctl, ctl.started.Add(res.Latency))
 	if c.adapt.phase == phaseQuiesce {

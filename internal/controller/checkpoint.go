@@ -142,9 +142,6 @@ func (c *Controller) onCutDone(d cutDone) {
 	floor, waiters := c.commits.land(d, c.deltaLog.Base())
 	if !d.aborted {
 		end := c.cfg.Clock()
-		if co := c.obs; co != nil {
-			co.snapCutSeconds.Observe(d.dur.Seconds())
-		}
 		c.spanActiveQueries("snapshot/cut", end.Add(-d.dur), end,
 			map[string]any{"version": res.Version, "vertices": res.Vertices, "edges": res.Edges})
 		c.healthEvent(health.EventSnapshotCut, health.SevInfo, -1,
@@ -174,9 +171,8 @@ func (c *Controller) onCutDone(d cutDone) {
 	c.maybeCheckpoint(c.cfg.Clock())
 }
 
-// publishLog publishes the op log's size for concurrent readers (/stats,
-// /metrics), and a landed cut's duration and completion time when end is
-// set.
+// publishLog publishes the op log's size for concurrent readers (/stats),
+// and a landed cut's duration and completion time when end is set.
 func (c *Controller) publishLog(dur time.Duration, end time.Time) {
 	st := *c.logStats.Load()
 	st.DeltaLogLen, st.DeltaLogOps, st.DeltaLogBytes = c.deltaLog.Len(), c.deltaLog.Ops(), c.deltaLog.Bytes()

@@ -278,7 +278,7 @@ type Controller struct {
 
 	// Adaptation and the global barrier (adapt.go, global.go). phaseStart
 	// is when the current phase was entered; leftPhase charges the elapsed
-	// time to the phase histogram and to every traced in-flight query.
+	// time to every traced in-flight query.
 	// deferred holds the schedules a barrier or recovery round holds back,
 	// readers the QcutSnapshot callers waiting for the pull in flight.
 	adapt      adapt

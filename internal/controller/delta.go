@@ -88,10 +88,9 @@ type commits struct {
 // sealedBatch is one commit in flight: sealed, durable once its group
 // commit completed, and not yet applied.
 type sealedBatch struct {
-	batch    *protocol.DeltaBatch
-	muts     []pendingMut
-	sealedAt time.Time
-	durable  bool
+	batch   *protocol.DeltaBatch
+	muts    []pendingMut
+	durable bool
 }
 
 // stage validates ops against the staged future — the n committed
@@ -129,10 +128,10 @@ func (p *commits) due(now time.Time, recovering bool) bool {
 	return len(p.ops) >= p.maxBatchOps || now.Sub(p.firstAt) >= p.commitEvery
 }
 
-// seal seals the staged ops into version head+1 at now, placing each
-// AddVertex on the least-loaded worker not in dead, counting vertCount and
-// the vertices earlier sealed batches will add.
-func (p *commits) seal(vertCount []int64, dead map[partition.WorkerID]bool, now time.Time) *sealedBatch {
+// seal seals the staged ops into version head+1, placing each AddVertex
+// on the least-loaded worker not in dead, counting vertCount and the
+// vertices earlier sealed batches will add.
+func (p *commits) seal(vertCount []int64, dead map[partition.WorkerID]bool) *sealedBatch {
 	var owners []partition.WorkerID
 	counts := slices.Clone(vertCount)
 	for _, sb := range p.sealed {
@@ -150,9 +149,8 @@ func (p *commits) seal(vertCount []int64, dead map[partition.WorkerID]bool, now 
 	}
 	p.head++
 	sb := &sealedBatch{
-		batch:    &protocol.DeltaBatch{Version: p.head, Ops: p.ops, NewOwners: owners},
-		muts:     p.muts,
-		sealedAt: now,
+		batch: &protocol.DeltaBatch{Version: p.head, Ops: p.ops, NewOwners: owners},
+		muts:  p.muts,
 	}
 	p.sealed = append(p.sealed, sb)
 	p.ops, p.muts, p.newV, p.firstAt = nil, nil, 0, time.Time{}
@@ -252,13 +250,13 @@ func (c *Controller) maybeCommit(now time.Time) {
 	if c.members.terminal || !c.commits.due(now, c.adapt.phase == phaseRecover) {
 		return
 	}
-	b := c.commits.seal(c.vertCount, c.members.dead, now).batch
+	b := c.commits.seal(c.vertCount, c.members.dead).batch
 	c.publishMVCC()
 	if c.cfg.WAL != nil {
 		c.cfg.WAL.Enqueue(b.Version, b.Ops, c.walAckCh)
 		return
 	}
-	c.walAckCh <- wal.AppendAck{Version: b.Version, GroupSize: 1, First: true}
+	c.walAckCh <- wal.AppendAck{Version: b.Version}
 }
 
 // onWalAck receives one group-commit completion in the event loop: the
@@ -277,10 +275,6 @@ func (c *Controller) onWalAck(ack wal.AppendAck) error {
 		// durable but will never be acknowledged (a restart may recover it,
 		// which the contract allows — durable-but-unacked may survive).
 		return nil
-	}
-	if co := c.obs; co != nil && ack.First && c.cfg.WAL != nil {
-		co.walFsyncSeconds.Observe(float64(ack.FsyncUS) / 1e6)
-		co.fsyncBatchSize.Observe(float64(ack.GroupSize))
 	}
 	if err := c.commits.durable(ack.Version); err != nil {
 		return err
@@ -354,9 +348,6 @@ func (c *Controller) apply(sb *sealedBatch) error {
 	c.broadcast(batch)
 	for i, pm := range sb.muts {
 		pm.ch <- results[i]
-	}
-	if co := c.obs; co != nil {
-		co.commitSeconds.Observe(c.cfg.Clock().Sub(sb.sealedAt).Seconds())
 	}
 	return nil
 }

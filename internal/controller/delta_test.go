@@ -80,16 +80,16 @@ func TestCommitTransitions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// seal seals what is staged at now on two workers, worker 0 holding
-	// every committed vertex.
-	seal := func(p *commits, now time.Time) *sealedBatch {
-		return p.seal([]int64{committed, 0}, nil, now)
+	// seal seals what is staged on two workers, worker 0 holding every
+	// committed vertex.
+	seal := func(p *commits) *sealedBatch {
+		return p.seal([]int64{committed, 0}, nil)
 	}
 	// commitOne stages, seals, acks and retires one batch of n ops.
 	commitOne := func(t *testing.T, p *commits, n int) {
 		t.Helper()
 		stage(t, p, t0, slices.Repeat([]delta.Op{edge(0, 1)}, n)...)
-		sb := seal(p, t0)
+		sb := seal(p)
 		if err := p.durable(sb.batch.Version); err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +108,7 @@ func TestCommitTransitions(t *testing.T) {
 	}{
 		{"range validation counts sealed NewOwners", func(t *testing.T, p *commits) {
 			stage(t, p, t0, addV)
-			if sb := seal(p, t0); !slices.Equal(sb.batch.NewOwners, []partition.WorkerID{1}) {
+			if sb := seal(p); !slices.Equal(sb.batch.NewOwners, []partition.WorkerID{1}) {
 				t.Fatalf("new vertex placed on %v, want the least-loaded worker 1", sb.batch.NewOwners)
 			}
 			stage(t, p, t0, addV, edge(committed, committed+1))
@@ -138,7 +138,7 @@ func TestCommitTransitions(t *testing.T) {
 			if !p.due(t0.Add(p.commitEvery), false) {
 				t.Fatal("not due at the first op's CommitEvery")
 			}
-			sb := seal(p, t0.Add(p.commitEvery))
+			sb := seal(p)
 			if sb.batch.Version != 1 || len(sb.batch.Ops) != 2 || len(sb.muts) != 2 || p.due(t0.Add(time.Hour), false) {
 				t.Fatalf("sealed version %d of %d ops for %d callers; want version 1, 2 ops, 2 callers, nothing left",
 					sb.batch.Version, len(sb.batch.Ops), len(sb.muts))
@@ -147,7 +147,7 @@ func TestCommitTransitions(t *testing.T) {
 		{"no seal at the cap", func(t *testing.T, p *commits) {
 			for range maxSealedInFlight {
 				stage(t, p, t0, edge(0, 1))
-				seal(p, t0)
+				seal(p)
 			}
 			stage(t, p, t0, slices.Repeat([]delta.Op{edge(0, 1)}, p.maxBatchOps)...)
 			if p.due(t0.Add(time.Hour), false) {
@@ -163,7 +163,7 @@ func TestCommitTransitions(t *testing.T) {
 		{"an ack for any version but the first non-durable batch is an error", func(t *testing.T, p *commits) {
 			for range 2 {
 				stage(t, p, t0, edge(0, 1))
-				seal(p, t0)
+				seal(p)
 			}
 			for _, v := range []uint64{0, 2, 3} {
 				if err := p.durable(v); err == nil {
@@ -189,7 +189,7 @@ func TestCommitTransitions(t *testing.T) {
 		{"applied splits the statuses per caller", func(t *testing.T, p *commits) {
 			stage(t, p, t0, edge(0, 1), edge(1, 2))
 			stage(t, p, t0, edge(2, 3))
-			seal(p, t0)
+			seal(p)
 			if err := p.durable(1); err != nil {
 				t.Fatal(err)
 			}

@@ -117,9 +117,6 @@ func (c *Controller) onStopAck(m *protocol.StopAck) error {
 		return err
 	}
 	c.leftPhase(phaseStopping)
-	if co := c.obs; co != nil {
-		co.barrierMoves.Add(int64(len(moves)))
-	}
 	for _, mv := range moves {
 		c.conn.Send(protocol.WorkerNode(mv.From), &protocol.MoveScope{Epoch: c.adapt.epoch, Q: mv.Q, To: mv.To})
 	}

@@ -2,119 +2,64 @@ package controller
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"qgraph/internal/obs"
-	"qgraph/internal/protocol"
+	"qgraph/internal/query"
 )
 
 // This file wires the controller into the observability substrate
 // (internal/obs): per-query engine/superstep spans with per-worker
-// children, barrier-phase spans and histograms, commit / WAL-fsync /
-// snapshot-cut / recovery instrumentation. Everything degrades to no-ops
-// when Config.Obs is nil — the hot path pays one nil check.
+// children, barrier-phase spans, and the controller's /metrics families —
+// the paper's query locality as per-kind counters, repartitions, and
+// heartbeat round trips. Everything degrades to no-ops when Config.Obs is
+// nil — the hot path pays one nil check.
 
-// phaseName names a barrier phase for metrics labels and span names.
+// phaseName names a barrier phase for span names.
 func phaseName(p phase) string {
 	return [...]string{"run", "quiesce", "stop", "move", "recovery"}[p]
 }
 
-// barrierBuckets resolve the short phase durations the global barrier
-// produces (defaults start at 500µs, far above a quiesce on an idle
-// engine).
-var barrierBuckets = []float64{
-	0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005,
-	0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5,
+// kindCounters count the finished queries of one kind and their
+// supersteps: local over all supersteps is the kind's query locality
+// (paper Sec. 4), supersteps over queries its mean superstep count.
+type kindCounters struct {
+	queries, supersteps, local *obs.Counter
 }
-
-// fsyncBatchBuckets resolve group-commit amortization: batches per fsync,
-// up to the WAL's group cap.
-var fsyncBatchBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128}
 
 // ctlObs bundles the controller's metric instruments. A nil *ctlObs (no
 // Config.Obs) makes every method a no-op.
 type ctlObs struct {
-	o *obs.Obs
-
-	commitSeconds   *obs.Histogram
-	walFsyncSeconds *obs.Histogram
-	fsyncBatchSize  *obs.Histogram
-	snapCutSeconds  *obs.Histogram
-	barrierSeconds  map[phase]*obs.Histogram
-
-	supersteps   []*obs.Counter // collected supersteps, per worker
-	activeVerts  []*obs.Gauge   // last reported active vertices, per worker
-	scopeVerts   []*obs.Gauge   // last reported total scope, per worker
-	computeNS    []atomic.Int64 // cumulative compute wall time, per worker
-	pingRTT      []*obs.Gauge   // last heartbeat round-trip time, per worker
-	barrierCount *obs.Counter
-	barrierMoves *obs.Counter
+	byKind  map[query.Kind]kindCounters
+	pingRTT []*obs.Gauge // last heartbeat round-trip time, per worker
 }
 
-// newCtlObs registers the controller's instruments. Func-backed
-// instruments read the exact sources /stats serializes (WAL stats,
-// recovery counters, graph version), so the two endpoints cannot drift.
+// newCtlObs registers the controller's instruments, every series at
+// construction so a scrape shows each kind at zero before its first query.
 func newCtlObs(c *Controller) *ctlObs {
 	o := c.cfg.Obs
 	if o == nil || o.Metrics == nil {
 		return nil
 	}
 	m := o.Metrics
-	co := &ctlObs{
-		o:               o,
-		commitSeconds:   m.Histogram("qgraph_commit_seconds", "", "end-to-end delta commit latency (seal to applied)", nil),
-		walFsyncSeconds: m.Histogram("qgraph_wal_fsync_seconds", "", "WAL append+fsync latency per committed batch", barrierBuckets),
-		fsyncBatchSize:  m.Histogram("qgraph_wal_fsync_batch_size", "", "mutation batches amortized per WAL group-commit fsync", fsyncBatchBuckets),
-		snapCutSeconds:  m.Histogram("qgraph_snapshot_cut_seconds", "", "background snapshot cut duration (materialize+persist)", nil),
-		barrierSeconds:  make(map[phase]*obs.Histogram),
-		barrierCount:    m.Counter("qgraph_barrier_total", "", "global STOP/START barriers executed"),
-		barrierMoves:    m.Counter("qgraph_barrier_moves_total", "", "scope-move directives executed under barriers"),
-		supersteps:      make([]*obs.Counter, c.cfg.K),
-		activeVerts:     make([]*obs.Gauge, c.cfg.K),
-		scopeVerts:      make([]*obs.Gauge, c.cfg.K),
-		computeNS:       make([]atomic.Int64, c.cfg.K),
-		pingRTT:         make([]*obs.Gauge, c.cfg.K),
+	co := &ctlObs{byKind: make(map[query.Kind]kindCounters), pingRTT: make([]*obs.Gauge, c.cfg.K)}
+	for _, k := range []query.Kind{query.KindSSSP, query.KindPOI, query.KindBFS, query.KindPageRank} {
+		lbl := `kind="` + k.String() + `"`
+		co.byKind[k] = kindCounters{
+			queries: m.Counter("qgraph_controller_queries_total", lbl,
+				"queries finished by their workers (cancelled ones aside)"),
+			supersteps: m.Counter("qgraph_controller_supersteps_total", lbl,
+				"supersteps of the finished queries"),
+			local: m.Counter("qgraph_controller_local_supersteps_total", lbl,
+				"supersteps of the finished queries that ran on one worker"),
+		}
 	}
-	for _, p := range []phase{phaseQuiesce, phaseStopping, phaseMoving, phaseRecover} {
-		co.barrierSeconds[p] = m.Histogram("qgraph_barrier_phase_seconds",
-			`phase="`+phaseName(p)+`"`, "time spent per global-barrier phase", barrierBuckets)
-	}
-	for w := 0; w < c.cfg.K; w++ {
-		lbl := fmt.Sprintf(`worker="%d"`, w)
-		co.supersteps[w] = m.Counter("qgraph_worker_supersteps_total", lbl,
-			"supersteps collected from each worker's barrier reports")
-		co.activeVerts[w] = m.Gauge("qgraph_worker_active_vertices", lbl,
-			"vertices computed in the supersteps of the worker's last barrier report")
-		co.scopeVerts[w] = m.Gauge("qgraph_worker_scope_vertices", lbl,
-			"vertices in the worker's last reported query scope")
-		co.pingRTT[w] = m.Gauge("qgraph_worker_ping_rtt_seconds", lbl,
+	for w := range c.cfg.K {
+		co.pingRTT[w] = m.Gauge("qgraph_worker_ping_rtt_seconds", fmt.Sprintf(`worker="%d"`, w),
 			"heartbeat round-trip time of the worker's last current-round pong")
-		wi := w
-		m.CounterFunc("qgraph_worker_compute_seconds_total", lbl,
-			"cumulative superstep compute wall time reported by the worker",
-			func() float64 { return float64(co.computeNS[wi].Load()) / 1e9 })
 	}
-	m.GaugeFunc("qgraph_graph_version", "", "committed graph version (mutation batches applied)",
-		func() float64 { return float64(c.GraphVersion()) })
-	m.GaugeFunc("qgraph_repartition_epoch", "", "executed repartitioning barriers",
-		func() float64 { return float64(c.repartEpoch.Load()) })
-	m.CounterFunc("qgraph_recovery_episodes_total", "", "completed worker-failure recovery episodes",
-		func() float64 { return float64(c.RecoveryStats().Recoveries) })
-	m.GaugeFunc("qgraph_delta_log_ops", "", "committed ops retained in the delta log since the durable checkpoint",
-		func() float64 { return float64(c.logStats.Load().DeltaLogOps) })
-	m.GaugeFunc("qgraph_wal_appended_bytes_total", "", "bytes appended to the durable WAL",
-		func() float64 { return float64(c.WALStats().AppendedBytes) })
-	m.CounterFunc("qgraph_wal_fsync_total", "", "WAL fsyncs performed on the commit path",
-		func() float64 { return float64(c.WALStats().Fsyncs) })
-	m.GaugeFunc(`qgraph_snapshot_last_cut_age_seconds`, "", "seconds since the last completed snapshot cut (-1 before the first)",
-		func() float64 {
-			ns := c.logStats.Load().LastCutUnixNS
-			if ns == 0 {
-				return -1
-			}
-			return c.cfg.Clock().Sub(time.Unix(0, ns)).Seconds()
-		})
+	m.CounterFunc("qgraph_controller_repartitions_total", "", "executed global barriers (scope moves, recovery rounds)",
+		func() float64 { return float64(c.RepartitionEpoch()) })
 	return co
 }
 
@@ -126,19 +71,15 @@ func (co *ctlObs) observeRTT(w int, rtt time.Duration) {
 	co.pingRTT[w].Set(rtt.Seconds())
 }
 
-// onReport folds one BarrierSynch into the per-worker instruments.
-func (co *ctlObs) onReport(m *protocol.BarrierSynch) {
+// finished counts one finished query of kind k.
+func (co *ctlObs) finished(k query.Kind, supersteps, local int) {
 	if co == nil {
 		return
 	}
-	w := int(m.W)
-	if w < 0 || w >= len(co.supersteps) {
-		return
-	}
-	co.supersteps[w].Add(int64(m.Step-m.FromStep) + 1)
-	co.activeVerts[w].Set(float64(m.Processed))
-	co.scopeVerts[w].Set(float64(m.ScopeSize))
-	co.computeNS[w].Add(m.ComputeNS)
+	kc := co.byKind[k]
+	kc.queries.Inc()
+	kc.supersteps.Add(int64(supersteps))
+	kc.local.Add(int64(local))
 }
 
 // tracer returns the process tracer, nil when tracing is off.
@@ -150,24 +91,13 @@ func (c *Controller) tracer() *obs.Tracer {
 }
 
 // leftPhase follows every transition of adapt that enters a phase: it
-// charges the time spent in prev, the phase left, to the phase histogram
-// and — for every active traced query — to a "barrier/<phase>" span under
-// its engine span, and starts the clock of the phase entered.
+// charges the time spent in prev, the phase left, to a "barrier/<phase>"
+// span under the engine span of every active traced query, and starts the
+// clock of the phase entered.
 func (c *Controller) leftPhase(prev phase) {
 	now := c.cfg.Clock()
-	next := c.adapt.phase
-	if prev != next && prev != phaseRun {
-		if co := c.obs; co != nil {
-			if h := co.barrierSeconds[prev]; h != nil {
-				h.Observe(now.Sub(c.phaseStart).Seconds())
-			}
-		}
+	if prev != c.adapt.phase && prev != phaseRun {
 		c.spanActiveQueries("barrier/"+phaseName(prev), c.phaseStart, now, nil)
-	}
-	if prev == phaseRun && next != phaseRun {
-		if co := c.obs; co != nil {
-			co.barrierCount.Inc()
-		}
 	}
 	c.phaseStart = now
 }

@@ -2,7 +2,7 @@ package core
 
 import (
 	"math"
-	"sync/atomic"
+	"sync"
 	"testing"
 	"time"
 
@@ -10,7 +10,6 @@ import (
 	"qgraph/internal/faultpoint"
 	"qgraph/internal/gen"
 	"qgraph/internal/graph"
-	"qgraph/internal/obs"
 	"qgraph/internal/protocol"
 	"qgraph/internal/query"
 	"qgraph/internal/transport"
@@ -77,53 +76,74 @@ func runWave(t *testing.T, eng *Engine, specs []query.Spec, want []float64, befo
 // an aggressively adaptive engine to force repeated Q-cut repartitioning
 // barriers mid-stream, and verifies every result still matches Dijkstra —
 // moves must never corrupt query state.
-// The barriers' scope moves are counted: qgraph_barrier_moves_total ends
-// equal to the MoveScope directives the controller sent.
+// The barriers' scope moves are counted: every barrier that ended with a
+// GlobalStart had one MoveAck from a worker per MoveScope the controller
+// sent.
 func TestAdaptiveRepartitioningCorrect(t *testing.T) {
 	net := testRoad(t)
 	specs, want := hotspotSpecs(t, net, 160)
-	tap := &moveTap{Network: transport.NewChanNetwork(5)}
+	tap := newMoveTap(transport.NewChanNetwork(5))
 	t.Cleanup(func() { tap.Close() }) // after startEngine's Close
-	o := obs.New(nil)
 	eng := startEngine(t, net.G, func(c *Config) {
 		eagerAdapt(c)
 		c.Network = tap
-		c.Obs = o
 	})
 	runWave(t, eng, specs, want, 0)
 	t.Logf("repartitions: %d", eng.RepartitionEpoch())
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
-	moves := o.Metrics.Counter("qgraph_barrier_moves_total", "", "").Value()
-	if sent := tap.moves.Load(); moves != sent || moves == 0 {
-		t.Fatalf("qgraph_barrier_moves_total = %d, MoveScope directives sent = %d", moves, sent)
+	tap.mu.Lock()
+	defer tap.mu.Unlock()
+	moved := 0
+	for epoch := range tap.started {
+		if acks, moves := tap.acks[epoch], tap.moves[epoch]; acks != moves {
+			t.Errorf("barrier %d: %d MoveAcks for %d MoveScope directives", epoch, acks, moves)
+		}
+		moved += tap.moves[epoch]
+	}
+	if moved == 0 {
+		t.Fatal("no finished barrier moved a scope")
 	}
 }
 
-// moveTap counts the MoveScope directives the controller sends.
+// moveTap counts, per barrier epoch, the MoveScope directives the controller
+// sends, the MoveAcks the workers send back, and the GlobalStarts that end
+// a barrier. Each message is counted before it is sent, so a barrier's
+// acks are all counted by the time its GlobalStart is.
 type moveTap struct {
 	transport.Network
-	moves atomic.Int64
+	mu      sync.Mutex
+	moves   map[int32]int
+	acks    map[int32]int
+	started map[int32]bool
+}
+
+func newMoveTap(n transport.Network) *moveTap {
+	return &moveTap{Network: n, moves: make(map[int32]int), acks: make(map[int32]int), started: make(map[int32]bool)}
 }
 
 func (n *moveTap) Conn(id protocol.NodeID) transport.Conn {
-	c := n.Network.Conn(id)
-	if id != protocol.ControllerNode {
-		return c
-	}
-	return tapConn{Conn: c, moves: &n.moves}
+	return tapConn{Conn: n.Network.Conn(id), tap: n}
 }
 
 type tapConn struct {
 	transport.Conn
-	moves *atomic.Int64
+	tap *moveTap
 }
 
 func (c tapConn) Send(to protocol.NodeID, m protocol.Message) error {
-	if _, ok := m.(*protocol.MoveScope); ok {
-		c.moves.Add(1)
+	n := c.tap
+	n.mu.Lock()
+	switch m := m.(type) {
+	case *protocol.MoveScope:
+		n.moves[m.Epoch]++
+	case *protocol.MoveAck:
+		n.acks[m.Epoch]++
+	case *protocol.GlobalStart:
+		n.started[m.Epoch] = true
 	}
+	n.mu.Unlock()
 	return c.Conn.Send(to, m)
 }
 

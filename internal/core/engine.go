@@ -65,7 +65,6 @@ type Config struct {
 	// Controller knobs (zero = paper defaults; see controller.Config).
 	CheckEvery time.Duration
 	Cooldown   time.Duration
-	Seed       uint64
 	// Streaming-update and liveness knobs (zero = defaults; see
 	// controller.Config).
 	CommitEvery      time.Duration
@@ -196,26 +195,6 @@ func Start(cfg Config) (*Engine, error) {
 			return fail(err)
 		}
 		e.workers = append(e.workers, wk)
-	}
-
-	if o := cfg.Obs; o != nil && o.Metrics != nil {
-		// In-process deployments can read replay provenance straight off
-		// the worker instances (distributed workers report it in their
-		// structured logs instead — they have no scrape endpoint here).
-		for w := 0; w < cfg.Workers; w++ {
-			wi := w
-			o.Metrics.GaugeFunc("qgraph_worker_replayed_ops",
-				fmt.Sprintf(`worker="%d"`, wi),
-				"delta-log ops replayed by the worker's latest rejoin",
-				func() float64 {
-					e.workerMu.Lock()
-					defer e.workerMu.Unlock()
-					if wi < len(e.workers) && e.workers[wi] != nil {
-						return float64(e.workers[wi].ReplayedOps())
-					}
-					return 0
-				})
-		}
 	}
 
 	for w, wk := range e.workers {
@@ -350,7 +329,7 @@ func newEngine(cfg Config, assign partition.Assignment, conn transport.Conn, net
 	}
 	ctrl, err := controller.New(controller.Config{
 		K: cfg.Workers, Graph: cfg.Graph, Owner: assign, Adapt: cfg.Adapt,
-		CheckEvery: cfg.CheckEvery, Cooldown: cfg.Cooldown, Seed: cfg.Seed,
+		CheckEvery: cfg.CheckEvery, Cooldown: cfg.Cooldown,
 		CommitEvery: cfg.CommitEvery, MaxBatchOps: cfg.MaxBatchOps,
 		HeartbeatEvery: cfg.HeartbeatEvery, HeartbeatTimeout: cfg.HeartbeatTimeout,
 		Respawn: respawn, Snapshots: e.snaps, SnapshotPolicy: snapshot.Policy{

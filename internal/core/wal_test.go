@@ -1,19 +1,15 @@
 package core
 
 import (
-	"bytes"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
 	"qgraph/internal/delta"
 	"qgraph/internal/faultpoint"
 	"qgraph/internal/graph"
-	"qgraph/internal/obs"
 	"qgraph/internal/partition"
 	"qgraph/internal/protocol"
 	"qgraph/internal/query"
@@ -129,36 +125,6 @@ func TestWALRestartRecoversExactVersion(t *testing.T) {
 	}
 	if st := eng2.WALStats(); !st.Enabled || st.HeadVersion != 4 {
 		t.Fatalf("wal stats after restart: %+v", st)
-	}
-}
-
-// TestWALFsyncMetricReadsWALStats: /metrics' qgraph_wal_fsync_total is
-// the WAL's own fsync count, the one /stats serializes, not a second
-// count kept beside it.
-func TestWALFsyncMetricReadsWALStats(t *testing.T) {
-	o := obs.New(nil)
-	cfg := Config{
-		Workers: 2, Graph: pathGraph(10), Partitioner: partition.Hash{},
-		WALDir: t.TempDir(), WALGraphID: walTestGraphID, Obs: o,
-	}
-	fastCommit(&cfg)
-	eng, err := Start(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	const n = 5
-	for i := range n {
-		mutate(t, eng, []delta.Op{{Kind: delta.OpAddEdge, From: graph.VertexID(i), To: 9, Weight: 2}})
-	}
-	fsyncs := eng.WALStats().Fsyncs
-	if fsyncs == 0 || fsyncs > n {
-		t.Fatalf("%d fsyncs for %d committed batches", fsyncs, n)
-	}
-	var buf bytes.Buffer
-	o.Metrics.WritePrometheus(&buf)
-	if want := fmt.Sprintf("qgraph_wal_fsync_total %d\n", fsyncs); !strings.Contains(buf.String(), want) {
-		t.Fatalf("/metrics lacks %q:\n%s", want, buf.String())
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -52,119 +51,26 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// DefBuckets are the default latency buckets, in seconds.
-var DefBuckets = []float64{
-	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
-	0.1, 0.25, 0.5, 1, 2.5, 5, 10,
-}
-
-// Histogram is a fixed-bucket cumulative histogram.
-type Histogram struct {
-	bounds  []float64 // upper bounds, ascending; +Inf implied
-	counts  []atomic.Int64
-	count   atomic.Int64
-	sumBits atomic.Uint64 // float64 bits, CAS-accumulated
-}
-
-func newHistogram(bounds []float64) *Histogram {
-	bs := append([]float64(nil), bounds...)
-	sort.Float64s(bs)
-	return &Histogram{bounds: bs, counts: make([]atomic.Int64, len(bs)+1)}
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	for {
-		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of observed values.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return math.Float64frombits(h.sumBits.Load())
-}
-
-// Quantile estimates quantile q (0..1) by linear interpolation within
-// the owning bucket — good enough for reporting, not for billing.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	var cum int64
-	lower := 0.0
-	for i := range h.counts {
-		n := h.counts[i].Load()
-		if n == 0 {
-			if i < len(h.bounds) {
-				lower = h.bounds[i]
-			}
-			continue
-		}
-		upper := math.Inf(1)
-		if i < len(h.bounds) {
-			upper = h.bounds[i]
-		}
-		if float64(cum+n) >= rank {
-			if math.IsInf(upper, 1) {
-				return lower
-			}
-			frac := (rank - float64(cum)) / float64(n)
-			return lower + (upper-lower)*frac
-		}
-		cum += n
-		lower = upper
-	}
-	return lower
-}
-
 type seriesKind int
 
 const (
 	kindCounter seriesKind = iota
 	kindGauge
 	kindGaugeFunc
-	kindHistogram
 )
 
 type series struct {
-	labels  string // rendered label set without braces, e.g. `phase="quiesce"`
+	labels  string // rendered label set without braces, e.g. `kind="sssp"`
 	kind    seriesKind
 	counter *Counter
 	gauge   *Gauge
 	fn      func() float64
-	hist    *Histogram
 }
 
 type family struct {
 	name   string
 	help   string
-	typ    string // counter | gauge | histogram
+	typ    string // counter | gauge
 	series []*series
 }
 
@@ -275,26 +181,6 @@ func (r *Registry) CounterFunc(name, labels, help string, fn func() float64) {
 	f.series = append(f.series, &series{labels: labels, kind: kindGaugeFunc, fn: fn})
 }
 
-// Histogram registers (or returns the existing) histogram name{labels}
-// with the given upper bounds (nil selects DefBuckets).
-func (r *Registry) Histogram(name, labels, help string, bounds []float64) *Histogram {
-	if r == nil {
-		return nil
-	}
-	if bounds == nil {
-		bounds = DefBuckets
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.fam(name, help, "histogram")
-	if s := f.find(labels); s != nil {
-		return s.hist
-	}
-	h := newHistogram(bounds)
-	f.series = append(f.series, &series{labels: labels, kind: kindHistogram, hist: h})
-	return h
-}
-
 func fmtFloat(v float64) string {
 	switch {
 	case math.IsInf(v, 1):
@@ -305,16 +191,6 @@ func fmtFloat(v float64) string {
 		return "NaN"
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-func mergeLabels(base, extra string) string {
-	switch {
-	case base == "":
-		return extra
-	case extra == "":
-		return base
-	}
-	return base + "," + extra
 }
 
 func writeSample(w io.Writer, name, labels, value string) {
@@ -364,17 +240,6 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 				writeSample(w, f.name, s.labels, fmtFloat(s.gauge.Value()))
 			case kindGaugeFunc:
 				writeSample(w, f.name, s.labels, fmtFloat(s.fn()))
-			case kindHistogram:
-				h := s.hist
-				var cum int64
-				for i, b := range h.bounds {
-					cum += h.counts[i].Load()
-					writeSample(w, f.name+"_bucket", mergeLabels(s.labels, `le="`+fmtFloat(b)+`"`), strconv.FormatInt(cum, 10))
-				}
-				cum += h.counts[len(h.bounds)].Load()
-				writeSample(w, f.name+"_bucket", mergeLabels(s.labels, `le="+Inf"`), strconv.FormatInt(cum, 10))
-				writeSample(w, f.name+"_sum", s.labels, fmtFloat(h.Sum()))
-				writeSample(w, f.name+"_count", s.labels, strconv.FormatInt(h.Count(), 10))
 			}
 		}
 	}

@@ -205,16 +205,6 @@ func TestRegistryInstruments(t *testing.T) {
 	g := r.Gauge("qgraph_test_gauge", `worker="2"`, "a gauge")
 	g.Set(2.5)
 	r.GaugeFunc("qgraph_test_fn", "", "func gauge", func() float64 { return 9 })
-	h := r.Histogram("qgraph_test_seconds", "", "a histogram", []float64{0.1, 1, 10})
-	for _, v := range []float64{0.05, 0.5, 0.5, 5, 50} {
-		h.Observe(v)
-	}
-	if h.Count() != 5 || math.Abs(h.Sum()-56.05) > 1e-9 {
-		t.Fatalf("hist count=%d sum=%v", h.Count(), h.Sum())
-	}
-	if q := h.Quantile(0.5); q < 0.1 || q > 1 {
-		t.Fatalf("p50 = %v, want within (0.1,1]", q)
-	}
 
 	var buf bytes.Buffer
 	r.WritePrometheus(&buf)
@@ -224,9 +214,6 @@ func TestRegistryInstruments(t *testing.T) {
 		"qgraph_test_total 4",
 		`qgraph_test_gauge{worker="2"} 2.5`,
 		"qgraph_test_fn 9",
-		`qgraph_test_seconds_bucket{le="+Inf"} 5`,
-		`qgraph_test_seconds_bucket{le="1"} 3`,
-		"qgraph_test_seconds_count 5",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
@@ -236,8 +223,8 @@ func TestRegistryInstruments(t *testing.T) {
 }
 
 // validatePrometheus checks text-exposition well-formedness: every
-// non-comment line is `name{labels} value`, every samples' family has a
-// preceding TYPE line, and histogram bucket counts are cumulative.
+// non-comment line is `name{labels} value` and every sample's family has a
+// preceding TYPE line.
 func validatePrometheus(t *testing.T, text string) {
 	t.Helper()
 	sample := regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^{}]*\})? (NaN|[+-]?Inf|[-+0-9.eE]+)$`)
@@ -263,16 +250,7 @@ func validatePrometheus(t *testing.T, text string) {
 		if m == nil {
 			t.Fatalf("malformed sample line: %q", line)
 		}
-		name := m[1]
-		base := name
-		for _, suf := range []string{"_bucket", "_sum", "_count"} {
-			if strings.HasSuffix(name, suf) {
-				if _, ok := typed[strings.TrimSuffix(name, suf)]; ok {
-					base = strings.TrimSuffix(name, suf)
-				}
-			}
-		}
-		if _, ok := typed[base]; !ok {
+		if _, ok := typed[m[1]]; !ok {
 			t.Fatalf("sample %q has no TYPE line", line)
 		}
 		if _, err := strconv.ParseFloat(strings.TrimPrefix(m[3], "+"), 64); err != nil && m[3] != "NaN" {
@@ -289,11 +267,9 @@ func TestRegistryConcurrency(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			c := r.Counter("qgraph_conc_total", "", "x")
-			h := r.Histogram("qgraph_conc_seconds", "", "x", nil)
 			g := r.Gauge("qgraph_conc_gauge", fmt.Sprintf(`w="%d"`, i%2), "x")
 			for j := 0; j < 1000; j++ {
 				c.Inc()
-				h.Observe(float64(j) / 1000)
 				g.Set(float64(j))
 			}
 		}(i)
@@ -301,9 +277,6 @@ func TestRegistryConcurrency(t *testing.T) {
 	wg.Wait()
 	if got := r.Counter("qgraph_conc_total", "", "x").Value(); got != 8000 {
 		t.Fatalf("counter = %d, want 8000", got)
-	}
-	if got := r.Histogram("qgraph_conc_seconds", "", "x", nil).Count(); got != 8000 {
-		t.Fatalf("hist count = %d, want 8000", got)
 	}
 	var buf bytes.Buffer
 	r.WritePrometheus(&buf)
@@ -357,23 +330,6 @@ func TestRegistryFuncFirstWins(t *testing.T) {
 	}
 	if !strings.Contains(out, "qgraph_fw_total 10\n") {
 		t.Fatalf("counter func re-registration won (want first):\n%s", out)
-	}
-}
-
-func TestHistogramQuantileEdges(t *testing.T) {
-	h := newHistogram([]float64{1, 2, 4})
-	if h.Quantile(0.99) != 0 {
-		t.Fatal("empty histogram quantile != 0")
-	}
-	h.Observe(0.5)
-	h.Observe(1.5)
-	h.Observe(3)
-	h.Observe(100) // +Inf bucket
-	if q := h.Quantile(1.0); q != 4 {
-		t.Fatalf("p100 = %v, want 4 (lower bound of +Inf bucket)", q)
-	}
-	if q := h.Quantile(0.25); q > 1 {
-		t.Fatalf("p25 = %v, want <= 1", q)
 	}
 }
 

@@ -378,8 +378,8 @@ type CacheStats struct {
 }
 
 // Stats returns a consistent snapshot. It also runs the (throttled)
-// expiry sweep, so an idle cache sheds expired entries on the /stats and
-// /metrics cadence even when no put arrives to piggyback on.
+// expiry sweep, so an idle cache sheds expired entries on the /stats
+// cadence even when no put arrives to piggyback on.
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -4,11 +4,9 @@ import (
 	"bufio"
 	"net/http"
 	"strconv"
-	"time"
 
 	"qgraph/internal/obs"
 	"qgraph/internal/query"
-	"qgraph/internal/snapshot"
 )
 
 // This file is the serving layer's share of the observability substrate
@@ -16,60 +14,15 @@ import (
 // the controller and workers extend via query.Spec.TraceID), the
 // Prometheus-text /metrics endpoint, and the /trace//traces inspection
 // API over the tracer's completed-trace ring.
-//
-// The /metrics instruments are func-backed readers of the exact atomics
-// and snapshots /stats serializes (Counters, Admission.Stats,
-// Cache.Stats, the backend's snapshot/WAL/recovery accounting) — one
-// source of truth, two renderings, no way to drift.
 
-// registerMetrics wires the serving-layer instruments into the registry.
-// Safe to call once per Server; instruments are idempotent per
-// (name, labels), so servers sharing a registry coexist (first wins).
+// registerMetrics wires the serving layer's one family into the registry:
+// the cache invalidation count, read from the atomic /stats serializes as
+// cache_invalidations. A second Server sharing the registry keeps the
+// first one's series (first registration wins).
 func (s *Server) registerMetrics() {
-	m := s.obs.M()
-	if m == nil {
-		return
-	}
-	serveCtrs := []struct {
-		name, help string
-		read       func() int64
-	}{
-		{"qgraph_serve_received_total", "POST /query requests accepted for processing", s.ctr.Received.Load},
-		{"qgraph_serve_completed_total", "queries answered with a result", s.ctr.Completed.Load},
-		{"qgraph_serve_failed_total", "queries that ended in an engine error", s.ctr.Failed.Load},
-		{"qgraph_serve_rejected_total", "admission rejections (429)", s.ctr.Rejected.Load},
-		{"qgraph_serve_expired_total", "requests that hit their deadline (504)", s.ctr.Expired.Load},
-		{"qgraph_cache_hits_total", "queries answered from the result cache", s.ctr.CacheHits.Load},
-		{"qgraph_cache_misses_total", "result cache lookups that missed", s.ctr.CacheMisses.Load},
-		{"qgraph_cache_coalesced_total", "requests that joined an identical in-flight query", s.ctr.Coalesced.Load},
-		{"qgraph_cache_invalidations_total", "cache entries evicted by commits that touched their scope", s.ctr.Invalidated.Load},
-		{"qgraph_mutation_ops_total", "ops received on POST /mutate", s.ctr.MutationOps.Load},
-		{"qgraph_mutation_batches_total", "client mutation batches committed", s.ctr.MutationBatches.Load},
-		{"qgraph_mutations_failed_total", "mutation batches rejected, failed, or timed out", s.ctr.MutationsFailed.Load},
-		{"qgraph_admission_wait_ns_total", "total admission queue wait", s.ctr.QueueWaitNanos.Load},
-		{"qgraph_admission_waits_total", "admitted requests (queue wait samples)", s.ctr.QueueWaits.Load},
-	}
-	for _, c := range serveCtrs {
-		read := c.read
-		m.CounterFunc(c.name, "", c.help, func() float64 { return float64(read()) })
-	}
-
-	m.GaugeFunc("qgraph_admission_in_flight", "", "queries currently executing on the engine",
-		func() float64 { return float64(s.admit.Stats().InFlight) })
-	m.GaugeFunc("qgraph_admission_queued", "", "requests waiting in the admission queue",
-		func() float64 { return float64(s.admit.Stats().Queued) })
-	m.GaugeFunc("qgraph_cache_entries", "", "live result cache entries",
-		func() float64 { return float64(s.cache.Stats().Entries) })
-	m.GaugeFunc("qgraph_trace_ring_active", "", "traces currently open",
-		func() float64 { a, _ := s.obs.T().Occupancy(); return float64(a) })
-	m.GaugeFunc("qgraph_trace_ring_completed", "", "completed traces retained for /traces",
-		func() float64 { _, c := s.obs.T().Occupancy(); return float64(c) })
-	m.CounterFunc("qgraph_snapshots_skipped_corrupt_total", "",
-		"snapshot files skipped as corrupt while loading the newest checkpoint",
-		func() float64 { return float64(snapshot.SkippedCorrupt()) })
-
-	s.reqSeconds = m.Histogram("qgraph_request_seconds", "", "end-to-end /query latency (all outcomes)", nil)
-	s.engineSeconds = m.Histogram("qgraph_engine_seconds", "", "engine execution latency of completed queries", nil)
+	s.obs.M().CounterFunc("qgraph_cache_invalidations_total", "",
+		"cache entries evicted by commits that touched their scope",
+		func() float64 { return float64(s.ctr.Invalidated.Load()) })
 }
 
 // beginTrace opens the root trace for one request and binds it to the
@@ -184,16 +137,4 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		out[i] = tracedQuery{Trace: v, Phases: obs.Attribute(v)}
 	}
 	writeJSON(w, http.StatusOK, out)
-}
-
-// observeRequest folds one finished /query request into the latency
-// instruments (nil-safe when metrics are off).
-func (s *Server) observeRequest(started time.Time, engine time.Duration, completed bool) {
-	if s.reqSeconds == nil {
-		return
-	}
-	s.reqSeconds.Observe(s.cfg.Clock().Sub(started).Seconds())
-	if completed && engine > 0 {
-		s.engineSeconds.Observe(engine.Seconds())
-	}
 }

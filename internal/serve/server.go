@@ -170,9 +170,6 @@ type Server struct {
 	tracer *obs.Tracer // nil when NoTrace: every span op degrades to a no-op
 	nextID atomic.Int64
 
-	reqSeconds    *obs.Histogram
-	engineSeconds *obs.Histogram
-
 	mu sync.Mutex // orders begin against Drain
 
 	draining atomic.Bool
@@ -212,7 +209,7 @@ func (s *Server) Counters() *Counters { return s.ctr }
 //	POST /admin/snapshot  cut a checkpoint and truncate the op log
 //	GET  /healthz         liveness (503 while draining or degraded)
 //	GET  /stats           serving, admission, cache, and engine counters
-//	GET  /metrics         the same counters in Prometheus text format
+//	GET  /metrics         locality, invalidation and health families (Prometheus text)
 //	GET  /trace/{query_id} span tree + phase attribution of one query
 //	GET  /trace/by-id/{trace_id}  the same, looked up by propagated trace ID
 //	GET  /traces          slowest completed traces (?slowest=N&min_ms=X)
@@ -727,8 +724,6 @@ func (s *Server) execute(ctx context.Context, spec query.Spec, req QueryRequest)
 		tr.Root().SetAttr("error", errBody.Error)
 	}
 	s.tracer.Finish(tr)
-	s.observeRequest(started,
-		time.Duration(resp.EngineMS*float64(time.Millisecond)), errBody == nil)
 	return resp, code, errBody
 }
 

@@ -122,8 +122,8 @@ func Load(path string) (*Snapshot, error) {
 }
 
 // skippedCorrupt counts snapshot files LoadLatest had to skip as corrupt,
-// process-wide — surfaced on /metrics as snapshots_skipped_corrupt so
-// checkpoint rot is visible before the last intact file also goes.
+// process-wide, so checkpoint rot is visible before the last intact file
+// also goes.
 var skippedCorrupt atomic.Int64
 
 // SkippedCorrupt returns the process-wide count of snapshot files skipped

@@ -27,13 +27,6 @@ var ErrClosed = errors.New("wal: closed")
 type AppendAck struct {
 	Version uint64
 	Err     error
-	// GroupSize is how many batches shared this batch's fsync.
-	GroupSize int
-	// First marks the first batch of its fsync group — observe per-group
-	// metrics (e.g. the fsync-batch-size histogram) on this ack only.
-	First bool
-	// FsyncUS is the shared fsync's duration in microseconds.
-	FsyncUS int64
 }
 
 type gcReq struct {
@@ -131,11 +124,10 @@ func (w *WAL) commitGroup(group []gcReq) {
 		written++
 	}
 	var syncErr error
-	var fsyncDur time.Duration
 	if written > 0 {
 		t0 := time.Now()
 		syncErr = w.f.Sync()
-		fsyncDur = time.Since(t0)
+		fsyncDur := time.Since(t0)
 		if syncErr != nil {
 			// Nothing in this group is known durable: cut the segment back
 			// to its last synced record and fail every batch.
@@ -168,9 +160,8 @@ func (w *WAL) commitGroup(group []gcReq) {
 	w.pendingSize = 0
 	w.mu.Unlock()
 
-	fsyncUS := int64(fsyncDur / time.Microsecond)
 	for i, r := range group {
-		ack := AppendAck{Version: r.v, GroupSize: written, First: i == 0, FsyncUS: fsyncUS}
+		ack := AppendAck{Version: r.v}
 		switch {
 		case i < written:
 			// committed

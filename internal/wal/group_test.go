@@ -84,37 +84,6 @@ func TestGroupCommitAmortizesFsyncs(t *testing.T) {
 	}
 }
 
-func TestGroupCommitGroupMetadata(t *testing.T) {
-	dir := t.TempDir()
-	w := mustOpen(t, dir)
-	defer w.Close()
-
-	w.mu.Lock()
-	acks := enqueueRange(w, 1, 8)
-	w.mu.Unlock()
-	firsts := 0
-	var groupTotal int
-	for _, ch := range acks {
-		ack := <-ch
-		if ack.Err != nil {
-			t.Fatal(ack.Err)
-		}
-		if ack.First {
-			firsts++
-			groupTotal += ack.GroupSize
-		}
-		if ack.GroupSize < 1 {
-			t.Fatalf("group size %d", ack.GroupSize)
-		}
-	}
-	if firsts == 0 {
-		t.Fatal("no group-leading ack observed")
-	}
-	if groupTotal != 8 {
-		t.Fatalf("group sizes over leading acks sum to %d, want 8", groupTotal)
-	}
-}
-
 func TestGroupCommitNonContiguousFailsTail(t *testing.T) {
 	dir := t.TempDir()
 	w := mustOpen(t, dir)
