@@ -315,7 +315,7 @@ func TestRegistryScrapeDuringRegistration(t *testing.T) {
 
 // TestRegistryFuncFirstWins: re-registering a func-backed series must
 // not re-point it (a second Server sharing the registry would silently
-// hijack qgraph_admission_*/qgraph_cache_* gauges otherwise).
+// hijack qgraph_cache_invalidations_total otherwise).
 func TestRegistryFuncFirstWins(t *testing.T) {
 	r := NewRegistry()
 	r.GaugeFunc("qgraph_fw_gauge", "", "x", func() float64 { return 1 })
