@@ -10,7 +10,7 @@ import (
 // benchGraph is a graph the size of a generated social graph file: 50 000
 // vertices of out-degree 4 (200 000 edges), with coords and tags, so every
 // section of the format is present and the file (≈ 2.2 MB) is larger than
-// the codec's buffer.
+// Save's buffer.
 func benchGraph() *Graph {
 	const n, degree = 50_000, 4
 	rng := rand.New(rand.NewPCG(5, 5))

@@ -85,8 +85,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// benchGraph's file is twice the codec's buffer, so each of its
-	// sections is read and written across buffer refills.
+	// benchGraph's file is twice Save's buffer, so each of its sections
+	// is written across buffer refills.
 	for _, g := range []*Graph{g, g2, benchGraph()} {
 		var buf bytes.Buffer
 		if err := g.Save(&buf); err != nil {
@@ -143,58 +143,136 @@ func TestGoldenFile(t *testing.T) {
 	}
 }
 
+// Where the golden file's sections start: 5 vertices, 5 edges.
+const goldenOffsets, goldenEdges, goldenTags = 24, 24 + 4*6, 24 + 4*6 + 8*5 + 8*5
+
+// corruptCases are one edit of the golden file for each check Load makes,
+// each with the error it gives.
+var corruptCases = []struct {
+	name  string
+	edit  func(f []byte) []byte
+	claim int64 // the size Load is told, if not the edited length
+	want  string
+}{
+	{"truncated", func(f []byte) []byte { return f[:len(f)-3] }, 0, "take 133 bytes, input has 130"},
+	{"shorter than its size", func(f []byte) []byte { return f[:len(f)-3] }, 133, "reading tags: unexpected EOF"},
+	{"bad magic", func(f []byte) []byte { f[0] = 'X'; return f }, 0, "bad magic"},
+	{"trailing bytes", func(f []byte) []byte { return append(f, 0, 0) }, 0, "take 133 bytes, input has 135"},
+	{"unknown flag bit", func(f []byte) []byte { le.PutUint32(f[4:], flagCoords|flagTags|1<<2); return f }, 0, "unknown flags 0x7"},
+	{"tag byte 2", func(f []byte) []byte { f[goldenTags+3] = 2; return f }, 0, "tag byte 2 of vertex 3"},
+	{"offsets not monotone", func(f []byte) []byte { le.PutUint32(f[goldenOffsets+4*2:], 1); return f }, 0, "offsets not monotone at vertex 1"},
+	{"edge target out of range", func(f []byte) []byte { le.PutUint32(f[goldenEdges+8:], 5); return f }, 0, "edge 1 targets out-of-range vertex 5"},
+	{"NaN weight", func(f []byte) []byte { le.PutUint32(f[goldenEdges+4:], 0x7fc00000); return f }, 0, "edge 0 has invalid weight NaN"},
+	{"negative weight", func(f []byte) []byte { le.PutUint32(f[goldenEdges+4:], math.Float32bits(-1)); return f }, 0, "edge 0 has invalid weight -1"},
+	{"counts past size", func(f []byte) []byte { le.PutUint64(f[8:], 1<<24); return f }, 0, "input has 133"},
+}
+
+var le = binary.LittleEndian
+
 // TestLoadRejectsCorrupt pins every check Load makes, each by the error it
-// gives for one edit of the golden file. No rejection allocates as much as
-// 1 MiB, so a header whose counts the input cannot back is refused before
-// its arrays exist.
+// gives for one edit of the golden file. No rejection allocates more than
+// 1 KiB (the golden file's arrays take 109 bytes, the rest is the error),
+// so a header whose counts the input cannot back is refused before its
+// arrays exist.
 func TestLoadRejectsCorrupt(t *testing.T) {
 	golden, err := os.ReadFile("testdata/golden.qgr")
 	if err != nil {
 		t.Fatal(err)
 	}
-	le := binary.LittleEndian
-	// Where the golden file's sections start: 5 vertices, 5 edges.
-	const offsets, edges, tags = 24, 24 + 4*6, 24 + 4*6 + 8*5 + 8*5
-	cases := []struct {
-		name  string
-		edit  func(f []byte) []byte
-		claim int64 // the size Load is told, if not the edited length
-		want  string
-	}{
-		{"truncated", func(f []byte) []byte { return f[:len(f)-3] }, 0, "take 133 bytes, input has 130"},
-		{"shorter than its size", func(f []byte) []byte { return f[:len(f)-3] }, 133, "reading tags: unexpected EOF"},
-		{"bad magic", func(f []byte) []byte { f[0] = 'X'; return f }, 0, "bad magic"},
-		{"trailing bytes", func(f []byte) []byte { return append(f, 0, 0) }, 0, "take 133 bytes, input has 135"},
-		{"unknown flag bit", func(f []byte) []byte { le.PutUint32(f[4:], flagCoords|flagTags|1<<2); return f }, 0, "unknown flags 0x7"},
-		{"tag byte 2", func(f []byte) []byte { f[tags+3] = 2; return f }, 0, "tag byte 2 of vertex 3"},
-		{"offsets not monotone", func(f []byte) []byte { le.PutUint32(f[offsets+4*2:], 1); return f }, 0, "offsets not monotone at vertex 1"},
-		{"edge target out of range", func(f []byte) []byte { le.PutUint32(f[edges+8:], 5); return f }, 0, "edge 1 targets out-of-range vertex 5"},
-		{"NaN weight", func(f []byte) []byte { le.PutUint32(f[edges+4:], 0x7fc00000); return f }, 0, "edge 0 has invalid weight NaN"},
-		{"negative weight", func(f []byte) []byte { le.PutUint32(f[edges+4:], math.Float32bits(-1)); return f }, 0, "edge 0 has invalid weight -1"},
-		{"counts past size", func(f []byte) []byte { le.PutUint64(f[8:], 1<<24); return f }, 0, "input has 133"},
-	}
-	for _, c := range cases {
+	for _, c := range corruptCases {
 		t.Run(c.name, func(t *testing.T) {
 			file := c.edit(bytes.Clone(golden))
 			size := c.claim
 			if size == 0 {
 				size = int64(len(file))
 			}
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			g, err := Load(bytes.NewReader(file), size)
-			runtime.ReadMemStats(&after)
+			g, err := loadWithin(t, file, size, 1<<10)
 			if err == nil {
 				t.Fatalf("accepted as %+v", g)
 			}
 			if !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("error %q, want it to say %q", err, c.want)
 			}
-			if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
-				t.Fatalf("rejecting it allocated %d bytes", got)
-			}
 		})
 	}
+}
+
+// loadWithin loads file, told it is size bytes long, and fails the test
+// if that allocates more than limit bytes three times running. TotalAlloc
+// is process-wide and the test binary has goroutines of its own, so only
+// an excess that repeats is Load's.
+func loadWithin(t *testing.T, file []byte, size int64, limit uint64) (*Graph, error) {
+	t.Helper()
+	for try := 1; ; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		g, err := Load(bytes.NewReader(file), size)
+		runtime.ReadMemStats(&after)
+		got := after.TotalAlloc - before.TotalAlloc
+		if got <= limit {
+			return g, err
+		}
+		if try == 3 {
+			t.Fatalf("loading %d bytes allocated %d (limit %d)", len(file), got, limit)
+		}
+	}
+}
+
+// TestSwapWords drives the word swap a big-endian host runs after each
+// read: the golden file's edges section, swapped, holds the same edges in
+// big-endian order, which is how such a host keeps them in memory, and a
+// second swap gives back the file's bytes.
+func TestSwapWords(t *testing.T) {
+	golden, err := os.ReadFile("testdata/golden.qgr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := goldenGraph().edges
+	section := golden[goldenEdges : goldenEdges+8*len(want)]
+	p := bytes.Clone(section)
+	swapWords(p)
+	be := binary.BigEndian
+	for i, e := range want {
+		to, w := be.Uint32(p[8*i:]), be.Uint32(p[8*i+4:])
+		if to != uint32(e.To) || w != math.Float32bits(e.Weight) {
+			t.Fatalf("swapped edge %d reads as to=%d weight bits %#x, want %+v", i, to, w, e)
+		}
+	}
+	swapWords(p)
+	if !bytes.Equal(p, section) {
+		t.Fatalf("swapping twice gives %x, want %x", p, section)
+	}
+}
+
+// FuzzLoad feeds Load a QGR1 file as qgraphd -graph reads one: no checksum
+// stands in front of it. Every input is either rejected, or loads into a
+// graph that Save writes back as the same bytes. Loading never panics and
+// never allocates more than the arrays the size check admits (at most the
+// file's length) plus 64 KiB: each array rounds up to its size class or,
+// past 32 KiB, to whole 8 KiB pages, and the rest is the tag buffer, the
+// Graph and an error.
+func FuzzLoad(f *testing.F) {
+	golden, err := os.ReadFile("testdata/golden.qgr")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	for _, c := range corruptCases {
+		f.Add(c.edit(bytes.Clone(golden)))
+	}
+	f.Fuzz(func(t *testing.T, file []byte) {
+		g, err := loadWithin(t, file, int64(len(file)), uint64(len(file)+64<<10))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := g.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), file) {
+			t.Fatalf("accepted file %x re-saves as %x", file, buf.Bytes())
+		}
+	})
 }
 
 func TestDijkstraLine(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"unsafe"
 )
 
 // Binary graph file format ("QGR1"): little-endian.
@@ -19,9 +20,11 @@ import (
 //	coords  [n]{x float32, y float32}   (if bit0)
 //	tags    [n]byte                     (if bit1)
 //
-// Save and Load stream every section through one buffer of at most bufSize
-// bytes, a whole number of records at a time, so neither holds a second
-// copy of the file.
+// Save streams every section through one buffer of at most bufSize bytes,
+// a whole number of records at a time, so it holds no second copy of the
+// file. Load reads each word section with one read straight into the array
+// it becomes, and the tags through a buffer of at most tagChunk bytes, so
+// it allocates the graph's arrays and little else.
 const (
 	magic        = "QGR1"
 	flagCoords   = 1 << 0
@@ -29,6 +32,7 @@ const (
 	maxFileVerts = 1 << 31 // sanity bound when loading untrusted files
 	headerSize   = 4 + 4 + 8 + 8
 	bufSize      = 1 << 20
+	tagChunk     = 4 << 10
 )
 
 // fileSize returns the length of a QGR1 file of n vertices and m edges with
@@ -123,20 +127,6 @@ func (e *encoder) flush() error {
 	return e.err
 }
 
-// decoder reads records through one fixed buffer.
-type decoder struct {
-	r   io.Reader
-	buf []byte
-}
-
-// next reads up to left records of width bytes (at least one) and returns
-// their bytes, which stay valid until the next call.
-func (d *decoder) next(left, width int) ([]byte, error) {
-	p := d.buf[:min(left, len(d.buf)/width)*width]
-	_, err := io.ReadFull(d.r, p)
-	return p, err
-}
-
 // Load reads a graph in the QGR1 binary format and validates it. size is
 // the length of the input: the header must account for it to the byte, so
 // a vertex or edge count the input cannot back is refused before anything
@@ -160,63 +150,79 @@ func Load(r io.Reader, size int64) (*Graph, error) {
 	if want := fileSize(n, m, flags); want != size {
 		return nil, fmt.Errorf("graph: n=%d m=%d flags=%#x take %d bytes, input has %d", n, m, flags, want, size)
 	}
-	// The buffer spans the whole body when that is below bufSize, so it
-	// holds at least one record of every section the body has.
-	d := decoder{r: r, buf: make([]byte, min(bufSize, size-headerSize))}
 	offsets := make([]int32, n+1)
-	for i := 0; i < len(offsets); {
-		p, err := d.next(len(offsets)-i, 4)
-		if err != nil {
-			return nil, fmt.Errorf("graph: reading offsets: %w", err)
-		}
-		for ; len(p) > 0; p = p[4:] {
-			offsets[i] = int32(le.Uint32(p))
-			i++
-		}
+	if err := readWords(r, wireBytes(offsets)); err != nil {
+		return nil, fmt.Errorf("graph: reading offsets: %w", err)
 	}
 	edges := make([]Edge, m)
-	for i := 0; i < len(edges); {
-		p, err := d.next(len(edges)-i, 8)
-		if err != nil {
-			return nil, fmt.Errorf("graph: reading edges: %w", err)
-		}
-		for ; len(p) > 0; p = p[8:] {
-			edges[i] = Edge{To: VertexID(le.Uint32(p)), Weight: math.Float32frombits(le.Uint32(p[4:]))}
-			i++
-		}
+	if err := readWords(r, wireBytes(edges)); err != nil {
+		return nil, fmt.Errorf("graph: reading edges: %w", err)
 	}
 	var coords []Coord
 	if flags&flagCoords != 0 {
 		coords = make([]Coord, n)
-	}
-	for i := 0; i < len(coords); {
-		p, err := d.next(len(coords)-i, 8)
-		if err != nil {
+		if err := readWords(r, wireBytes(coords)); err != nil {
 			return nil, fmt.Errorf("graph: reading coords: %w", err)
-		}
-		for ; len(p) > 0; p = p[8:] {
-			coords[i] = Coord{X: math.Float32frombits(le.Uint32(p)), Y: math.Float32frombits(le.Uint32(p[4:]))}
-			i++
 		}
 	}
 	var tags []bool
 	if flags&flagTags != 0 {
 		tags = make([]bool, n)
-	}
-	for i := 0; i < len(tags); {
-		p, err := d.next(len(tags)-i, 1)
-		if err != nil {
-			return nil, fmt.Errorf("graph: reading tags: %w", err)
-		}
-		for _, b := range p {
-			if b > 1 {
-				return nil, fmt.Errorf("graph: tag byte %d of vertex %d", b, i)
+		buf := make([]byte, min(n, tagChunk))
+		for i := 0; i < len(tags); {
+			p := buf[:min(len(tags)-i, len(buf))]
+			if _, err := io.ReadFull(r, p); err != nil {
+				return nil, fmt.Errorf("graph: reading tags: %w", err)
 			}
-			tags[i] = b != 0
-			i++
+			for _, b := range p {
+				if b > 1 {
+					return nil, fmt.Errorf("graph: tag byte %d of vertex %d", b, i)
+				}
+				tags[i] = b != 0
+				i++
+			}
 		}
 	}
 	return FromCSR(offsets, edges, coords, tags)
+}
+
+// Edge and Coord are two 4-byte words each, with no padding, so an array
+// of either holds its section's records in the file's layout. A size other
+// than 8 indexes past this one-element array, which does not compile.
+var (
+	_ = [1]struct{}{}[unsafe.Sizeof(Edge{})-8]
+	_ = [1]struct{}{}[unsafe.Sizeof(Coord{})-8]
+)
+
+// wireBytes views the memory of an int32, Edge or Coord array as bytes, so
+// a read fills the array in place. With the size checks above, it is the
+// module's one use of unsafe.
+func wireBytes[T int32 | Edge | Coord](s []T) []byte {
+	var zero T
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*int(unsafe.Sizeof(zero)))
+}
+
+// bigEndian reports whether this host keeps a word's most significant byte
+// first, which the file's little-endian words must then be turned into.
+var bigEndian = binary.NativeEndian.Uint16([]byte{0, 1}) == 1
+
+// readWords fills p, the bytes of a section's array, from r with one read,
+// and on a big-endian host then turns each word into the host's order.
+func readWords(r io.Reader, p []byte) error {
+	if _, err := io.ReadFull(r, p); err != nil {
+		return err
+	}
+	if bigEndian {
+		swapWords(p)
+	}
+	return nil
+}
+
+// swapWords reverses the bytes of each 4-byte word of p in place.
+func swapWords(p []byte) {
+	for i := 0; i+4 <= len(p); i += 4 {
+		p[i], p[i+1], p[i+2], p[i+3] = p[i+3], p[i+2], p[i+1], p[i]
+	}
 }
 
 // SaveFile writes the graph to path in QGR1 format.

@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"sync/atomic"
 
 	"qgraph/internal/faultpoint"
 	"qgraph/internal/graph"
@@ -121,21 +120,11 @@ func Load(path string) (*Snapshot, error) {
 	return &Snapshot{Version: version, Graph: g}, nil
 }
 
-// skippedCorrupt counts snapshot files LoadLatest had to skip as corrupt,
-// process-wide, so checkpoint rot is visible before the last intact file
-// also goes.
-var skippedCorrupt atomic.Int64
-
-// SkippedCorrupt returns the process-wide count of snapshot files skipped
-// as corrupt by LoadLatest. Safe from any goroutine.
-func SkippedCorrupt() int64 { return skippedCorrupt.Load() }
-
 // LoadLatest scans dir for the newest loadable snapshot. Corrupt or torn
 // files are skipped (an older intact checkpoint is a correct, if staler,
-// recovery point), but never silently: each skip is logged via slog and
-// counted, so a directory of rotted checkpoints is distinguishable from
-// an empty one. It returns (nil, nil) when the directory holds no usable
-// snapshot.
+// recovery point), but never silently: each skip is logged via slog, so a
+// directory of rotted checkpoints is distinguishable from an empty one. It
+// returns (nil, nil) when the directory holds no usable snapshot.
 func LoadLatest(dir string) (*Snapshot, error) {
 	paths, err := filepath.Glob(filepath.Join(dir, "snap-*"+fileExt))
 	if err != nil {
@@ -147,7 +136,6 @@ func LoadLatest(dir string) (*Snapshot, error) {
 		if err == nil {
 			return snap, nil
 		}
-		skippedCorrupt.Add(1)
 		slog.Warn("snapshot: skipping corrupt checkpoint", "path", p, "error", err)
 	}
 	return nil, nil

@@ -166,9 +166,10 @@ func TestLoadRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestLoadLatestObservesSkips: skipped corrupt checkpoints are counted,
-// never swallowed — a directory of rotted files must be distinguishable
-// from an empty one.
+// TestLoadLatestObservesSkips: a corrupt checkpoint is skipped for the
+// newest intact one, and a directory of corrupt ones yields no snapshot
+// (LoadLatest logs each skip, so such a directory is distinguishable from
+// an empty one).
 func TestLoadLatestObservesSkips(t *testing.T) {
 	dir := t.TempDir()
 	g := testGraph(t, 8)
@@ -188,16 +189,12 @@ func TestLoadLatestObservesSkips(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	before := SkippedCorrupt()
 	snap, err := LoadLatest(dir)
 	if err != nil || snap == nil || snap.Version != 1 {
 		t.Fatalf("LoadLatest = %+v, %v; want v1", snap, err)
 	}
-	if got := SkippedCorrupt() - before; got != 1 {
-		t.Fatalf("SkippedCorrupt advanced by %d, want 1", got)
-	}
 
-	// Every file corrupt: nil snapshot, every skip counted.
+	// Every file corrupt: nil snapshot.
 	raw1, err := os.ReadFile(filepath.Join(dir, FileName(1)))
 	if err != nil {
 		t.Fatal(err)
@@ -206,13 +203,9 @@ func TestLoadLatestObservesSkips(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, FileName(1)), raw1, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	before = SkippedCorrupt()
 	snap, err = LoadLatest(dir)
 	if err != nil || snap != nil {
 		t.Fatalf("all-corrupt dir: snap=%+v err=%v", snap, err)
-	}
-	if got := SkippedCorrupt() - before; got != 2 {
-		t.Fatalf("SkippedCorrupt advanced by %d over an all-corrupt dir, want 2", got)
 	}
 }
 
@@ -341,8 +334,8 @@ func TestWriteFileErrorCleansTemp(t *testing.T) {
 // without that, no mutated input gets past the CRC to the parser behind
 // it. A file is either rejected or accepted as the one canonical encoding
 // of its snapshot — WriteFile gives back the same bytes — and loading
-// never panics and never allocates more than a fixed multiple of the file,
-// whatever vertex and edge counts its header declares.
+// never panics and never allocates more than twice the file and a small
+// constant, whatever vertex and edge counts its header declares.
 func FuzzLoad(f *testing.F) {
 	seedDir := f.TempDir()
 	seed := func(snap *Snapshot) []byte {
@@ -385,12 +378,12 @@ func FuzzLoad(f *testing.F) {
 				t.Fatal(err)
 			}
 			// ReadFile's copy and the CSR arrays (each its wire size) take
-			// twice the file, graph.Load's one buffer at most 1 MiB; the
-			// third multiple of the file covers the small allocations
-			// around them. TotalAlloc is process-wide and the fuzz worker
-			// has goroutines of its own, so only an excess that repeats is
-			// Load's.
-			limit := uint64(3*len(file) + 1<<20)
+			// twice the file; 64 KiB covers each rounding up to its size
+			// class or, past 32 KiB, to whole 8 KiB pages, graph.Load's tag
+			// buffer and the small allocations around them. TotalAlloc is
+			// process-wide and the fuzz worker has goroutines of its own,
+			// so only an excess that repeats is Load's.
+			limit := uint64(2*len(file) + 64<<10)
 			var snap *Snapshot
 			var err error
 			for try := 1; ; try++ {
