@@ -31,7 +31,6 @@ package controller
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync/atomic"
 	"time"
 
@@ -298,14 +297,13 @@ type Controller struct {
 	// queries pinned at each version (each active query holds one).
 	// Concurrent readers see the published mvcc and logStats (the op log
 	// and the last cut), never the loop's fields.
-	curView    atomic.Pointer[delta.View]
-	onCommit   atomic.Pointer[func(version uint64, blocks []int32)]
-	commits    commits
-	walAckCh   chan wal.AppendAck
-	pins       map[uint64]int
-	ackVersion []uint64 // each worker's last DeltaAck (MVCCStats.MaxWorkerLag)
-	mvcc       atomic.Pointer[MVCCStats]
-	logStats   atomic.Pointer[snapshot.Stats]
+	curView  atomic.Pointer[delta.View]
+	onCommit atomic.Pointer[func(version uint64, blocks []int32)]
+	commits  commits
+	walAckCh chan wal.AppendAck
+	pins     map[uint64]int
+	mvcc     atomic.Pointer[MVCCStats]
+	logStats atomic.Pointer[snapshot.Stats]
 
 	// Worker liveness and failure recovery (recover.go); concurrent
 	// readers see the published health and recovery totals. deltaLog
@@ -365,14 +363,13 @@ func New(cfg Config, conn transport.Conn) (*Controller, error) {
 			private: cfg.privateSnapshots, onDisk: cfg.Snapshots.Dir() != "",
 			head: cfg.BaseVersion, lastSnapAt: cfg.Clock(), lastSnapVersion: cfg.BaseVersion,
 		},
-		walAckCh:   make(chan wal.AppendAck, 2*maxSealedInFlight),
-		pins:       make(map[uint64]int),
-		ackVersion: slices.Repeat([]uint64{cfg.BaseVersion}, cfg.K),
-		members:    newMembers(&cfg),
-		adapt:      newAdapt(&cfg),
-		events:     make(chan any, 128),
-		stopCh:     make(chan struct{}),
-		doneCh:     make(chan struct{}),
+		walAckCh: make(chan wal.AppendAck, 2*maxSealedInFlight),
+		pins:     make(map[uint64]int),
+		members:  newMembers(&cfg),
+		adapt:    newAdapt(&cfg),
+		events:   make(chan any, 128),
+		stopCh:   make(chan struct{}),
+		doneCh:   make(chan struct{}),
 	}
 	for _, w := range cfg.Owner {
 		c.vertCount[w]++
@@ -520,9 +517,8 @@ func (c *Controller) WALStats() wal.Stats {
 // MVCCStats describes the multi-version state of the commit pipeline:
 // which committed versions still have a reader (a query holds a pointer
 // to its version's immutable view; a version no query holds and that is
-// not the latest is garbage), how many sealed batches are in flight
-// between the event loop and the WAL group committer, and how far the
-// slowest worker replica trails the committed version.
+// not the latest is garbage) and how many sealed batches are in flight
+// between the event loop and the WAL group committer.
 type MVCCStats struct {
 	Live         int    `json:"live_versions"`  // the latest version plus every older one still pinned
 	Pinned       int    `json:"pinned_readers"` // active queries, each pinned at one version
@@ -533,9 +529,6 @@ type MVCCStats struct {
 	// SealedInFlight is the number of batches sealed (version assigned,
 	// queued for group fsync) but not yet applied.
 	SealedInFlight int64 `json:"sealed_in_flight"`
-	// MaxWorkerLag is committed version minus the slowest live worker's
-	// last-acknowledged version.
-	MaxWorkerLag uint64 `json:"max_worker_lag"`
 }
 
 // MVCCStats reports the commit pipeline's multi-version accounting. Safe
@@ -560,8 +553,8 @@ func (c *Controller) unpin(ctl *qctl) {
 	c.publishMVCC()
 }
 
-// publishMVCC snapshots the pin counts, the sealed FIFO and the live
-// replicas' acks for concurrent readers; called whenever one changes.
+// publishMVCC snapshots the pin counts and the sealed FIFO for concurrent
+// readers; called whenever one changes.
 // Everything is derived: a version is live while it is the latest or
 // pinned, and every other version committed since BaseVersion is retired.
 func (c *Controller) publishMVCC() {
@@ -578,13 +571,6 @@ func (c *Controller) publishMVCC() {
 		st.OldestPinned = oldest
 	}
 	st.Retired = st.Latest - c.cfg.BaseVersion + 1 - uint64(st.Live)
-	acked := st.Latest
-	for w, v := range c.ackVersion {
-		if !c.members.dead[partition.WorkerID(w)] {
-			acked = min(acked, v)
-		}
-	}
-	st.MaxWorkerLag = st.Latest - acked
 	st.Peak = st.Live
 	if prev := c.mvcc.Load(); prev != nil {
 		st.Peak = max(prev.Peak, st.Live)
@@ -762,8 +748,6 @@ func (c *Controller) handle(env transport.Envelope) error {
 		return c.onStopAck(m)
 	case *protocol.MoveAck:
 		return c.onMoveAck(m)
-	case *protocol.DeltaAck:
-		return c.onDeltaAck(m)
 	case *protocol.StatsReport:
 		c.pulled(c.adapt.report(m))
 	case *protocol.Pong:

@@ -363,13 +363,3 @@ func fromBlocks(ops []delta.Op) []int32 {
 	}
 	return protocol.SortBlocks(blocks, nil)
 }
-
-// onDeltaAck records how far worker m.W's replica has applied. Commits
-// never wait for these acks — they only feed replication-lag accounting.
-func (c *Controller) onDeltaAck(m *protocol.DeltaAck) error {
-	if int(m.W) < len(c.ackVersion) && m.Version > c.ackVersion[m.W] {
-		c.ackVersion[m.W] = m.Version
-		c.publishMVCC()
-	}
-	return nil
-}

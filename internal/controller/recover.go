@@ -435,11 +435,6 @@ func (c *Controller) onPartitionAck(m *protocol.PartitionAck) error {
 		return fmt.Errorf("controller: worker %d recovered at graph version %d, want %d (replica divergence)",
 			m.W, m.Version, c.GraphVersion())
 	}
-	// The ack proves w's replica is at the committed version, and the live
-	// set just changed: without this a dead (or rejoined) slowest worker
-	// would pin MaxWorkerLag until the next write.
-	c.ackVersion[m.W] = m.Version
-	c.publishMVCC()
 	if done {
 		return c.resume(true)
 	}

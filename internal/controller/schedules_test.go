@@ -50,8 +50,8 @@ type scheduleRow struct {
 //   - every Mutate resolves exactly once, at contiguous versions;
 //   - once settled, the controller is in phaseRun, Health.DeadWorkers lists
 //     exactly the killed workers no replacement took over, MVCCStats shows
-//     no pin, one live version and no worker lag, and a fresh query is
-//     answered correctly;
+//     no pin and one live version, every running replica is at the last
+//     commit, and a fresh query is answered correctly;
 //   - with every worker dead, the controller is degraded and everything
 //     unanswered failed.
 //
@@ -219,8 +219,15 @@ func (row scheduleRow) run(t *testing.T, seed uint64) *sim {
 	if h := s.c.Health(); !slices.Equal(h.DeadWorkers, s.dead()) || h.Degraded != terminal || h.Recovering {
 		fail("health %+v, want dead workers %v, degraded %v", h, s.dead(), terminal)
 	}
-	if st := s.c.MVCCStats(); st.Pinned != 0 || st.Live != 1 || st.MaxWorkerLag != 0 {
+	if st := s.c.MVCCStats(); st.Pinned != 0 || st.Live != 1 {
 		fail("settled with %+v", st)
+	}
+	// Every replica running is at the last commit. A terminal controller
+	// holds every worker dead, respawned ones too, and commits nothing.
+	for w, wk := range s.workers {
+		if wk != nil && !terminal && wk.View().Version() != version {
+			fail("worker %d at version %d, the last mutation at %d", w, wk.View().Version(), version)
+		}
 	}
 
 	// A fresh query.

@@ -82,11 +82,12 @@ func runWave(t *testing.T, eng *Engine, specs []query.Spec, want []float64, befo
 func TestAdaptiveRepartitioningCorrect(t *testing.T) {
 	net := testRoad(t)
 	specs, want := hotspotSpecs(t, net, 160)
-	tap := newMoveTap(transport.NewChanNetwork(5))
-	t.Cleanup(func() { tap.Close() }) // after startEngine's Close
+	tap := newMoveTap()
+	tapped := tapNet{transport.NewChanNetwork(5), tap.see}
+	t.Cleanup(func() { tapped.Close() }) // after startEngine's Close
 	eng := startEngine(t, net.G, func(c *Config) {
 		eagerAdapt(c)
-		c.Network = tap
+		c.Network = tapped
 	})
 	runWave(t, eng, specs, want, 0)
 	t.Logf("repartitions: %d", eng.RepartitionEpoch())
@@ -112,29 +113,19 @@ func TestAdaptiveRepartitioningCorrect(t *testing.T) {
 // a barrier. Each message is counted before it is sent, so a barrier's
 // acks are all counted by the time its GlobalStart is.
 type moveTap struct {
-	transport.Network
 	mu      sync.Mutex
 	moves   map[int32]int
 	acks    map[int32]int
 	started map[int32]bool
 }
 
-func newMoveTap(n transport.Network) *moveTap {
-	return &moveTap{Network: n, moves: make(map[int32]int), acks: make(map[int32]int), started: make(map[int32]bool)}
+func newMoveTap() *moveTap {
+	return &moveTap{moves: make(map[int32]int), acks: make(map[int32]int), started: make(map[int32]bool)}
 }
 
-func (n *moveTap) Conn(id protocol.NodeID) transport.Conn {
-	return tapConn{Conn: n.Network.Conn(id), tap: n}
-}
-
-type tapConn struct {
-	transport.Conn
-	tap *moveTap
-}
-
-func (c tapConn) Send(to protocol.NodeID, m protocol.Message) error {
-	n := c.tap
+func (n *moveTap) see(_, _ protocol.NodeID, m protocol.Message) {
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	switch m := m.(type) {
 	case *protocol.MoveScope:
 		n.moves[m.Epoch]++
@@ -143,7 +134,27 @@ func (c tapConn) Send(to protocol.NodeID, m protocol.Message) error {
 	case *protocol.GlobalStart:
 		n.started[m.Epoch] = true
 	}
-	n.mu.Unlock()
+}
+
+// tapNet hands see every message a node sends, on the sender's goroutine,
+// before the send.
+type tapNet struct {
+	transport.Network
+	see func(from, to protocol.NodeID, m protocol.Message)
+}
+
+func (n tapNet) Conn(id protocol.NodeID) transport.Conn {
+	return tapConn{Conn: n.Network.Conn(id), from: id, see: n.see}
+}
+
+type tapConn struct {
+	transport.Conn
+	from protocol.NodeID
+	see  func(from, to protocol.NodeID, m protocol.Message)
+}
+
+func (c tapConn) Send(to protocol.NodeID, m protocol.Message) error {
+	c.see(c.from, to, m)
 	return c.Conn.Send(to, m)
 }
 

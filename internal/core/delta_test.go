@@ -14,6 +14,7 @@ import (
 	"qgraph/internal/partition"
 	"qgraph/internal/protocol"
 	"qgraph/internal/query"
+	"qgraph/internal/transport"
 	"qgraph/internal/workload"
 )
 
@@ -143,6 +144,61 @@ func TestMutationCommitEndToEnd(t *testing.T) {
 		if n := wk.View().NumVertices(); n != 11 {
 			t.Errorf("worker %d sees %d vertices, want 11", i, n)
 		}
+	}
+}
+
+// TestCommitIsOneWay taps every frame of one commit on k = 3 workers: the
+// controller sends each worker the DeltaBatch, and nothing comes back. A
+// worker's first frame to the controller answers the next query, which
+// reads the batch, so every replica applied it.
+func TestCommitIsOneWay(t *testing.T) {
+	const k = 3
+	type frame struct {
+		from, to protocol.NodeID
+		typ      protocol.MsgType
+	}
+	var mu sync.Mutex
+	var sent []frame
+	tapped := tapNet{transport.NewChanNetwork(k + 1), func(from, to protocol.NodeID, m protocol.Message) {
+		mu.Lock()
+		sent = append(sent, frame{from, to, m.Type()})
+		mu.Unlock()
+	}}
+	defer tapped.Close()
+	cfg := Config{Workers: k, Graph: pathGraph(9), Partitioner: partition.Hash{}, Network: tapped, HeartbeatEvery: -1}
+	fastCommit(&cfg)
+	eng, err := Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutate(t, eng, []delta.Op{{Kind: delta.OpSetWeight, From: 0, To: 1, Weight: 5}})
+	if d := sssp(t, eng, 1, 0, 8); d != 12 {
+		t.Fatalf("distance after the commit %g, want 12", d)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	batches, executing := map[protocol.NodeID]int{}, map[protocol.NodeID]bool{}
+	for _, f := range sent {
+		switch {
+		case f.typ == protocol.TDeltaBatch:
+			batches[f.to]++
+		case f.typ == protocol.TExecuteQuery:
+			executing[f.to] = true
+		case f.to == protocol.ControllerNode && (f.typ != protocol.TBarrierSynch || !executing[f.from]):
+			t.Errorf("worker %d sent the controller message type %d, not a report of the query", protocol.WorkerOf(f.from), f.typ)
+		}
+	}
+	for w := range partition.WorkerID(k) {
+		if n := batches[protocol.WorkerNode(w)]; n != 1 {
+			t.Errorf("worker %d was sent %d DeltaBatch frames, want 1", w, n)
+		}
+	}
+	if len(batches) != k {
+		t.Errorf("DeltaBatch frames went to %d nodes, want the %d workers", len(batches), k)
 	}
 }
 

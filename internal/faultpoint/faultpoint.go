@@ -27,10 +27,6 @@ const (
 	// WorkerDeltaApply fires on DeltaBatch before applying — the worker
 	// dies with the batch unapplied.
 	WorkerDeltaApply = "worker/delta-apply"
-	// WorkerDeltaAck fires on DeltaBatch after applying, before the
-	// DeltaAck — the nasty case: the batch is applied on this replica but
-	// the controller never learns it.
-	WorkerDeltaAck = "worker/delta-ack"
 	// WorkerRecover fires on a surviving worker's PartitionGrant before
 	// the reset — a worker dying during recovery itself, forcing a second
 	// recovery round.

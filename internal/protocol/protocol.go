@@ -62,7 +62,7 @@ const (
 	TDeltaBatch
 	TPing
 	// worker → controller
-	TDeltaAck
+	_ // DeltaAck, retired
 	TPong
 	// Worker failure recovery (appended to keep earlier wire values
 	// stable).
@@ -485,8 +485,10 @@ func (*ScopeData) Type() MsgType { return TScopeData }
 // Version. It is broadcast off-barrier, once the batch is durable and
 // applied on the controller; every worker applies it whole between
 // supersteps, and running queries read the versions they pinned, so no
-// query ever observes a half-applied batch. NewOwners assigns an owner to
-// each vertex the batch adds (in op order); every node extends its
+// query ever observes a half-applied batch. Nothing answers it: a replica
+// that fell off the version chain is caught by the pin check of the next
+// ExecuteQuery or by a recovery round's PartitionAck. NewOwners assigns an
+// owner to each vertex the batch adds (in op order); every node extends its
 // ownership table identically.
 type DeltaBatch struct {
 	Version   uint64
@@ -496,16 +498,6 @@ type DeltaBatch struct {
 
 // Type implements Message.
 func (*DeltaBatch) Type() MsgType { return TDeltaBatch }
-
-// DeltaAck confirms a worker applied DeltaBatch Version. No commit waits
-// for it; it feeds the controller's replication-lag accounting.
-type DeltaAck struct {
-	Version uint64
-	W       partition.WorkerID
-}
-
-// Type implements Message.
-func (*DeltaAck) Type() MsgType { return TDeltaAck }
 
 // ---------------------------------------------------------------------------
 // Liveness

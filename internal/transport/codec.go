@@ -61,10 +61,11 @@ import (
 //	13 — GlobalStart carries the moves' ownership delta, a survivor's
 //	    reset is a PartitionGrant, which gained Rejoin: OwnershipUpdate (7)
 //	    and RecoverStart (20) retired
+//	14 — a commit is one-way: DeltaAck (18) retired
 //
 // The value is offset from small integers so a legacy 1-byte [NodeID]
 // handshake can never alias a valid version.
-const CodecVersion = 0xA0 + 13
+const CodecVersion = 0xA0 + 14
 
 // hdr is the frame header: u32 payload length plus the u8 message type.
 const hdr = 5
@@ -132,7 +133,6 @@ var blank = [...]func() protocol.Message{
 	protocol.TScopeData:      func() protocol.Message { return new(protocol.ScopeData) },
 	protocol.TDeltaBatch:     func() protocol.Message { return new(protocol.DeltaBatch) },
 	protocol.TPing:           func() protocol.Message { return new(protocol.Ping) },
-	protocol.TDeltaAck:       func() protocol.Message { return new(protocol.DeltaAck) },
 	protocol.TPong:           func() protocol.Message { return new(protocol.Pong) },
 	protocol.TPartitionGrant: func() protocol.Message { return new(protocol.PartitionGrant) },
 	protocol.TWorkerHello:    func() protocol.Message { return new(protocol.WorkerHello) },
@@ -243,9 +243,6 @@ func fields(c *coder, m protocol.Message) {
 		u64(c, &v.Version)
 		ops(c, &v.Ops)
 		u8s(c, &v.NewOwners)
-	case *protocol.DeltaAck:
-		u64(c, &v.Version)
-		u8(c, &v.W)
 	case *protocol.Ping:
 		u64(c, &v.Seq)
 	case *protocol.Pong:

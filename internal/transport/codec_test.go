@@ -100,7 +100,6 @@ func sampleMessages() []protocol.Message {
 			NewOwners: []partition.WorkerID{2},
 		},
 		&protocol.DeltaBatch{Version: 1},
-		&protocol.DeltaAck{Version: 3, W: 2},
 		&protocol.Ping{Seq: 99},
 		&protocol.Pong{Seq: 99, W: 1},
 		&protocol.ScopeData{
@@ -366,6 +365,7 @@ func badFrames() []struct {
 		{"generation-4 ExecuteQuery", "4 trailing bytes", gen4},
 		{"generation-5 DrainCheck", "unknown message type", retired("11000000050d00000001010000000100000000000000")},
 		{"generation-5 DrainAck", "unknown message type", retired("050000000c0c00000003")},
+		{"generation-13 DeltaAck", "unknown message type", retired("0900000012030000000000000002")},
 	}
 }
 
