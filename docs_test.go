@@ -1,11 +1,13 @@
 package qgraph_test
 
 import (
+	"encoding/json"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"slices"
 	"strconv"
@@ -197,6 +199,35 @@ func TestReadmeMetricFamiliesExist(t *testing.T) {
 	}
 }
 
+// retiredKeys are key names the docs quote as history, not as keys: the
+// read fleet's benchmark workload. Each must stay unused by the code.
+var retiredKeys = []string{"fleet_read"}
+
+// TestDocsKeyNamesExist checks that every bare lower_snake_case word the
+// docs quote inline (a JSON key, an op kind, an event type, a metric family)
+// is a string literal of the tree's non-test code outside benchmark/, a
+// struct tag's JSON name among them, or a workload or metric name in
+// BENCHMARK.json, so a key that is renamed or deleted cannot live on in the
+// docs.
+func TestDocsKeyNamesExist(t *testing.T) {
+	texts, readme := readDocs(t)
+	known := knownKeys(t)
+	for path, text := range texts {
+		if bad := unknownKeys(text, known); len(bad) > 0 {
+			t.Errorf("%s quotes key names neither the code nor BENCHMARK.json has: %v", path, bad)
+		}
+	}
+	for _, k := range retiredKeys {
+		if known[k] {
+			t.Errorf("%s is quoted as retired, but the code or BENCHMARK.json names it", k)
+		}
+	}
+	planted := readme + "\nWatch `/stats` `max_worker_lag`.\n"
+	if bad := unknownKeys(planted, known); !slices.Equal(bad, []string{"max_worker_lag"}) {
+		t.Fatalf("a planted stale key went unnoticed: unknown = %v", bad)
+	}
+}
+
 // TestMetricFamiliesDocumented checks the converse: every `qgraph_*` family
 // the tree's non-test code outside benchmark/ names in a string literal is
 // quoted inline in README.md, by name or by a prefix ending in *, so a
@@ -224,7 +255,8 @@ var (
 	lineRef    = regexp.MustCompile(`^(\S+\.go):([0-9]+)(?:[–/-]([0-9]+))?$`) // file.go:12, :12–30 or :12/30
 	identToken = regexp.MustCompile(`^([a-z]\w*)\.([A-Z]\w*)$`)               // delta.Log
 	methodPath = regexp.MustCompile(`^(?:(GET|HEAD|POST|PUT|PATCH|DELETE) )?(/[a-z][^\s.?]*)(?:\?\S*)?$`)
-	family     = regexp.MustCompile(`^qgraph_[a-z0-9_]*\*?`) // qgraph_cache_entries, qgraph_health_*
+	family     = regexp.MustCompile(`^qgraph_[a-z0-9_]*\*?`)           // qgraph_cache_entries, qgraph_health_*
+	snakeKey   = regexp.MustCompile(`^[a-z][a-z0-9]*(?:_[a-z0-9]+)+$`) // max_batches_per_fsync
 	curlURL    = regexp.MustCompile(`(?:localhost|127\.0\.0\.1)?:[0-9]+(/[^\s'"?` + "`" + `]*)`)
 )
 
@@ -381,6 +413,73 @@ func registeredFamilies(t *testing.T) []string {
 		t.Fatalf("no metric families registered in the tree: %v", err)
 	}
 	return families
+}
+
+// unknownKeys returns, sorted and once each, the inline code spans of md
+// that are one bare lower_snake_case word and neither a key of known nor
+// retired.
+func unknownKeys(md string, known map[string]bool) []string {
+	var bad []string
+	for _, span := range inlineCode.FindAllStringSubmatch(fence.ReplaceAllString(md, ""), -1) {
+		k := span[1]
+		if snakeKey.MatchString(k) && !known[k] && !slices.Contains(retiredKeys, k) && !slices.Contains(bad, k) {
+			bad = append(bad, k)
+		}
+	}
+	slices.Sort(bad)
+	return bad
+}
+
+// knownKeys returns the string literals of the tree's non-test code outside
+// benchmark/, with the JSON name of each that is a struct tag, and the
+// workload and metric names of BENCHMARK.json.
+func knownKeys(t *testing.T) map[string]bool {
+	t.Helper()
+	known := make(map[string]bool)
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path == "benchmark":
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				v, _ := strconv.Unquote(lit.Value)
+				known[v] = true
+				name, _, _ := strings.Cut(reflect.StructTag(v).Get("json"), ",")
+				known[name] = true
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile("BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bench struct {
+		Workloads []struct{ Name string }
+		EndToEnd  []struct{ Name string } `json:"end_to_end"`
+		PerLayer  []struct{ Name string } `json:"per_layer"`
+	}
+	if err := json.Unmarshal(b, &bench); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range slices.Concat(bench.Workloads, bench.EndToEnd, bench.PerLayer) {
+		known[w.Name] = true
+	}
+	return known
 }
 
 // undeclaredIdents returns, sorted and once each, the pkg.Name tokens quoted
