@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"math/rand/v2"
 	"slices"
 	"sync"
@@ -164,13 +165,11 @@ func TestCommitIsOneWay(t *testing.T) {
 		sent = append(sent, frame{from, to, m.Type()})
 		mu.Unlock()
 	}}
-	defer tapped.Close()
-	cfg := Config{Workers: k, Graph: pathGraph(9), Partitioner: partition.Hash{}, Network: tapped, HeartbeatEvery: -1}
-	fastCommit(&cfg)
-	eng, err := Start(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Cleanup(func() { tapped.Close() }) // after startEngine's Close
+	eng := startEngine(t, pathGraph(9), func(c *Config) {
+		c.Workers, c.Network, c.HeartbeatEvery = k, tapped, -1
+		fastCommit(c)
+	})
 	mutate(t, eng, []delta.Op{{Kind: delta.OpSetWeight, From: 0, To: 1, Weight: 5}})
 	if d := sssp(t, eng, 1, 0, 8); d != 12 {
 		t.Fatalf("distance after the commit %g, want 12", d)
@@ -192,13 +191,12 @@ func TestCommitIsOneWay(t *testing.T) {
 			t.Errorf("worker %d sent the controller message type %d, not a report of the query", protocol.WorkerOf(f.from), f.typ)
 		}
 	}
+	want := map[protocol.NodeID]int{}
 	for w := range partition.WorkerID(k) {
-		if n := batches[protocol.WorkerNode(w)]; n != 1 {
-			t.Errorf("worker %d was sent %d DeltaBatch frames, want 1", w, n)
-		}
+		want[protocol.WorkerNode(w)] = 1
 	}
-	if len(batches) != k {
-		t.Errorf("DeltaBatch frames went to %d nodes, want the %d workers", len(batches), k)
+	if !maps.Equal(batches, want) {
+		t.Errorf("DeltaBatch frames by receiving node %v, want one to each worker", batches)
 	}
 }
 

@@ -139,8 +139,9 @@ func distanceNeutralOps() []delta.Op {
 // TestRecoveryFaultMatrix kills worker 1 at each named fault point and
 // asserts the full acceptance property: all queries complete correctly,
 // a commit the dying worker never applied is acked to its caller
-// regardless, every survivor's replica is at the committed version, and the engine returns to healthy with
-// the partition handed to survivors. The delivery orders the in-process
+// regardless, the engine returns to healthy with the partition handed to
+// survivors, and every survivor's replica is at the committed version.
+// The delivery orders the in-process
 // network never shows (a controller message overtaking a worker's batch or
 // marker) are TestRecoverySchedules', in internal/controller.
 func TestRecoveryFaultMatrix(t *testing.T) {
