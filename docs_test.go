@@ -256,6 +256,7 @@ var (
 	identToken = regexp.MustCompile(`^([a-z]\w*)\.([A-Z]\w*)$`)               // delta.Log
 	methodPath = regexp.MustCompile(`^(?:(GET|HEAD|POST|PUT|PATCH|DELETE) )?(/[a-z][^\s.?]*)(?:\?\S*)?$`)
 	family     = regexp.MustCompile(`^qgraph_[a-z0-9_]*\*?`)           // qgraph_cache_entries, qgraph_health_*
+	familyLit  = regexp.MustCompile(`^qgraph_[a-z0-9_]+$`)             // qgraph_cache_entries
 	snakeKey   = regexp.MustCompile(`^[a-z][a-z0-9]*(?:_[a-z0-9]+)+$`) // max_batches_per_fsync
 	curlURL    = regexp.MustCompile(`(?:localhost|127\.0\.0\.1)?:[0-9]+(/[^\s'"?` + "`" + `]*)`)
 )
@@ -388,30 +389,20 @@ func familyMatches(name, f string) bool {
 	return f == name || wild && strings.HasPrefix(f, prefix)
 }
 
-// registeredFamilies returns the qgraph_* names the non-test code outside
-// benchmark/ quotes as a whole string literal, "…" or `…`.
+// registeredFamilies returns, sorted, the qgraph_* names the non-test code
+// outside benchmark/ quotes as a whole string literal.
 func registeredFamilies(t *testing.T) []string {
 	t.Helper()
-	literal := regexp.MustCompile("[\"`](qgraph_[a-z0-9_]+)[\"`]")
 	var families []string
-	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
-		switch {
-		case err != nil:
-			return err
-		case d.IsDir() && path == "benchmark":
-			return filepath.SkipDir
-		case d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go"):
-			return nil
+	for lit := range codeLiterals(t) {
+		if familyLit.MatchString(lit) {
+			families = append(families, lit)
 		}
-		b, err := os.ReadFile(path)
-		for _, m := range literal.FindAllSubmatch(b, -1) {
-			families = append(families, string(m[1]))
-		}
-		return err
-	})
-	if err != nil || len(families) == 0 {
-		t.Fatalf("no metric families registered in the tree: %v", err)
 	}
+	if len(families) == 0 {
+		t.Fatal("no metric families registered in the tree")
+	}
+	slices.Sort(families)
 	return families
 }
 
@@ -430,12 +421,34 @@ func unknownKeys(md string, known map[string]bool) []string {
 	return bad
 }
 
-// knownKeys returns the string literals of the tree's non-test code outside
-// benchmark/, with the JSON name of each that is a struct tag, and the
-// workload and metric names of BENCHMARK.json.
+// knownKeys returns codeLiterals and the workload and metric names of
+// BENCHMARK.json.
 func knownKeys(t *testing.T) map[string]bool {
 	t.Helper()
-	known := make(map[string]bool)
+	known := codeLiterals(t)
+	b, err := os.ReadFile("BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bench struct {
+		Workloads []struct{ Name string }
+		EndToEnd  []struct{ Name string } `json:"end_to_end"`
+		PerLayer  []struct{ Name string } `json:"per_layer"`
+	}
+	if err := json.Unmarshal(b, &bench); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range slices.Concat(bench.Workloads, bench.EndToEnd, bench.PerLayer) {
+		known[w.Name] = true
+	}
+	return known
+}
+
+// codeLiterals returns the string literals of the tree's non-test code
+// outside benchmark/, with the JSON name of each that is a struct tag.
+func codeLiterals(t *testing.T) map[string]bool {
+	t.Helper()
+	lits := make(map[string]bool)
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
 		switch {
@@ -453,9 +466,9 @@ func knownKeys(t *testing.T) map[string]bool {
 		ast.Inspect(f, func(n ast.Node) bool {
 			if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
 				v, _ := strconv.Unquote(lit.Value)
-				known[v] = true
+				lits[v] = true
 				name, _, _ := strings.Cut(reflect.StructTag(v).Get("json"), ",")
-				known[name] = true
+				lits[name] = true
 			}
 			return true
 		})
@@ -464,22 +477,7 @@ func knownKeys(t *testing.T) map[string]bool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := os.ReadFile("BENCHMARK.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bench struct {
-		Workloads []struct{ Name string }
-		EndToEnd  []struct{ Name string } `json:"end_to_end"`
-		PerLayer  []struct{ Name string } `json:"per_layer"`
-	}
-	if err := json.Unmarshal(b, &bench); err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range slices.Concat(bench.Workloads, bench.EndToEnd, bench.PerLayer) {
-		known[w.Name] = true
-	}
-	return known
+	return lits
 }
 
 // undeclaredIdents returns, sorted and once each, the pkg.Name tokens quoted
