@@ -13,12 +13,15 @@ func (Hash) Name() string { return "hash" }
 
 // Partition implements Partitioner.
 func (Hash) Partition(g *graph.Graph, k int) (Assignment, error) {
+	if err := checkWorkers(k); err != nil {
+		return nil, err
+	}
 	n := g.NumVertices()
 	a := make(Assignment, n)
 	for v := 0; v < n; v++ {
 		a[v] = WorkerID(hash32(uint32(v)) % uint32(k))
 	}
-	return a, a.Validate(k)
+	return a, nil
 }
 
 // hash32 is a Fibonacci/avalanche mix so that consecutive vertex ids spread

@@ -19,6 +19,9 @@ func (LDG) Name() string { return "ldg" }
 
 // Partition implements Partitioner.
 func (l LDG) Partition(g *graph.Graph, k int) (Assignment, error) {
+	if err := checkWorkers(k); err != nil {
+		return nil, err
+	}
 	n := g.NumVertices()
 	slack := l.Slack
 	if slack <= 0 {
@@ -58,7 +61,7 @@ func (l LDG) Partition(g *graph.Graph, k int) (Assignment, error) {
 		assigned[v] = true
 		sizes[best]++
 	}
-	return a, a.Validate(k)
+	return a, nil
 }
 
 var _ Partitioner = LDG{}

@@ -21,17 +21,26 @@ const MaxWorkers = 255
 // representation the controller's high-level query-cut is translated into.
 type Assignment []WorkerID
 
-// NumWorkers returns k for a validated assignment (max owner + 1 would be
-// wrong for empty partitions, so callers carry k; this scans for bound
-// checking in tests).
+// Validate reports an error unless k is a valid worker count and every
+// vertex is assigned to a worker below k. An assignment does not record k
+// (max owner + 1 would be wrong for empty partitions), so callers carry it.
 func (a Assignment) Validate(k int) error {
-	if k < 1 || k > MaxWorkers {
-		return fmt.Errorf("partition: worker count %d out of range", k)
+	if err := checkWorkers(k); err != nil {
+		return err
 	}
 	for v, w := range a {
 		if int(w) >= k {
 			return fmt.Errorf("partition: vertex %d assigned to worker %d >= k=%d", v, w, k)
 		}
+	}
+	return nil
+}
+
+// checkWorkers rejects a worker count outside [1, MaxWorkers]. Every
+// Partitioner calls it before any work.
+func checkWorkers(k int) error {
+	if k < 1 || k > MaxWorkers {
+		return fmt.Errorf("partition: worker count %d out of range", k)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -173,5 +174,23 @@ func TestValidateRejects(t *testing.T) {
 	}
 	if err := a.Validate(0); err == nil {
 		t.Fatal("k=0 accepted")
+	}
+}
+
+// TestWorkerCountOutOfRange: every partitioner rejects a worker count
+// outside [1, MaxWorkers] with an error, before any work and without
+// panicking.
+func TestWorkerCountOutOfRange(t *testing.T) {
+	g := gridGraph(5, 5)
+	dom := NewDomain([]graph.Coord{{X: 1, Y: 1}, {X: 3, Y: 3}}, nil)
+	for _, p := range []Partitioner{Hash{}, LDG{}, dom} {
+		for _, k := range []int{-1, 0, MaxWorkers + 1} {
+			a, err := p.Partition(g, k)
+			if err == nil || a != nil {
+				t.Errorf("%s k=%d: got %d owners, error %v", p.Name(), k, len(a), err)
+			} else if want := fmt.Sprintf("partition: worker count %d out of range", k); err.Error() != want {
+				t.Errorf("%s k=%d: error %q, want %q", p.Name(), k, err, want)
+			}
+		}
 	}
 }
